@@ -5,7 +5,9 @@ run and render, or a fixed set of direct runner cells.  Before every pass
 the process-wide memos are emptied (:func:`reset_process_memos`), so each
 pass pays what a fresh process pays except imports and the kernel load,
 and every pass of a workload does identical work.  A run repeats passes
-until its time budget is spent and reports medians over them.
+until its time budget is spent and reports medians over them.  Pass times
+are reference seconds (:mod:`hostclock`): host time with the host's
+current speed divided out.
 
 The workload seed only permutes the order of workloads and cells within
 each pass; program contents stay fixed by the repository's CRC-32 naming
@@ -45,6 +47,7 @@ from repro.experiments.memsys_sweep import MEMSYS_MACHINES, machine_config
 from repro.experiments.runner import ExperimentRunner
 from repro.workloads.suites import get_workload
 
+from hostclock import ReferenceClock
 from tracing import Instrumentation, Tracer
 
 BENCH_DIR = Path(__file__).resolve().parent
@@ -169,7 +172,6 @@ def geomean(values: List[float]) -> float:
 class PassOutput:
     """What one workload pass hands back to the harness."""
 
-    setup_s: float
     #: Simulations the pass executed (cache hits excluded).
     simulations: int
     #: cell id -> outcome (``None`` when the cell produced none).
@@ -236,8 +238,7 @@ def run_campaign_pass(root: Path, size: Size, rng: random.Random,
         for kind in AUX_KINDS:
             key = runner.workload_key(workload, f"aux-{kind}")
             outcomes[f"{name}/aux-{kind}"] = runner.cached_outcome(key)
-    return PassOutput(setup_s=runner.stats.setup_seconds,
-                      simulations=runner.stats.simulations, outcomes=outcomes,
+    return PassOutput(simulations=runner.stats.simulations, outcomes=outcomes,
                       artifacts=tree_digest(artifacts))
 
 
@@ -355,8 +356,7 @@ def run_direct_pass(names: Tuple[str, ...], window: Optional[int], cells,
         return runner
 
     runner = timed(body)
-    return PassOutput(setup_s=runner.stats.setup_seconds,
-                      simulations=runner.stats.simulations, outcomes=outcomes,
+    return PassOutput(simulations=runner.stats.simulations, outcomes=outcomes,
                       errors=errors)
 
 
@@ -431,8 +431,11 @@ WORKLOADS = {cls.name: cls for cls in (SweepCold, SweepResume, DlaDepth,
 @dataclass
 class PassRecord:
     traced: bool
+    #: Reference seconds of the pass (and of its set-up), see hostclock.
     wall_s: float
     setup_s: float
+    #: Host seconds of the pass, calibration samples excluded.
+    host_wall_s: float
     instructions: int
     rss_mb: float
     speedup_r3: Optional[float]
@@ -457,6 +460,11 @@ class PassRecord:
     def failed_count(self) -> int:
         return self.attempted if self.pass_errors else len(self.failed)
 
+    @property
+    def reference_scale(self) -> float:
+        """Reference seconds per host second, averaged over the pass."""
+        return self.wall_s / self.host_wall_s
+
 
 def load_reference() -> Dict[str, object]:
     try:
@@ -476,27 +484,47 @@ def check_digests(digests: Dict[str, Optional[str]],
                   if digests.get(cell) is None or digests.get(cell) != expected.get(cell))
 
 
+def attribute_setup(clock: ReferenceClock) -> Callable[[], None]:
+    """Send the time inside ``ExperimentRunner.setup`` to the clock's
+    ``setup`` bucket; returns the function that undoes the patch."""
+    original = vars(ExperimentRunner)["setup"]
+
+    def setup(runner, name):
+        previous = clock.switch("setup")
+        try:
+            return original(runner, name)
+        finally:
+            clock.switch(previous)
+
+    ExperimentRunner.setup = setup
+    return lambda: setattr(ExperimentRunner, "setup", original)
+
+
 def run_one_pass(workload, rng: random.Random, traced: bool,
                  expected: Optional[Dict[str, object]]) -> PassRecord:
     reset_process_memos()
     gc.collect()
-    tracer = Tracer() if traced else None
-    elapsed: List[float] = []
+    clock = ReferenceClock()
+    tracer = Tracer(clock) if traced else None
 
     def timed(fn):
         body = fn
         instrumentation = None
+        undo_setup = attribute_setup(clock)
         try:
             if tracer is not None:
                 body = tracer.wrap("pass", fn)
                 instrumentation = Instrumentation(tracer)
                 instrumentation.install()
-            started = perf_counter()
-            result = body()
-            elapsed.append(perf_counter() - started)
+            clock.start()
+            try:
+                result = body()
+            finally:
+                clock.stop()
         finally:
             if instrumentation is not None:
                 instrumentation.remove()
+            undo_setup()
         return result
 
     ticks = compiled_ticks_total()
@@ -536,8 +564,9 @@ def run_one_pass(workload, rng: random.Random, traced: bool,
         pass_errors.append("compiled tick pipeline did not engage (0 compiled ticks)")
     return PassRecord(
         traced=traced,
-        wall_s=elapsed[0] if elapsed else float("nan"),
-        setup_s=output.setup_s,
+        wall_s=clock.total_reference_s(),
+        setup_s=clock.reference_s.get("setup", 0.0),
+        host_wall_s=clock.total_host_s(),
         instructions=instructions,
         rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         speedup_r3=speedup,
@@ -592,8 +621,10 @@ def end_to_end(passes: List[PassRecord]) -> Dict[str, float]:
 
 
 def _layer_values(record: PassRecord) -> Dict[str, Optional[float]]:
-    """Per-layer values of one traced pass (``None`` = not applicable)."""
+    """Per-layer values of one traced pass (``None`` = not applicable).
+    Span seconds are scaled to reference seconds by the pass's mean factor."""
     tracer = record.tracer
+    scale = record.reference_scale
     values: Dict[str, Optional[float]] = {}
 
     def span(name: str, calls: bool = True, seconds: bool = True) -> None:
@@ -601,7 +632,7 @@ def _layer_values(record: PassRecord) -> Dict[str, Optional[float]]:
         if calls:
             values[f"{name}.calls"] = tracer.calls(name) if present else None
         if seconds:
-            values[f"{name}.s"] = tracer.self_s(name) if present else None
+            values[f"{name}.s"] = tracer.self_s(name) * scale if present else None
 
     for name in ("workloads.build_program", "workloads.trace",
                  "dla.profiling.profile_workload", "experiments.runner.setup",
@@ -626,8 +657,10 @@ def _layer_values(record: PassRecord) -> Dict[str, Optional[float]]:
     values["core.compile.decode.hit_ratio"] = _ratio(
         record.decode_hits, record.decode_hits + record.decodes)
     run_calls = tracer.calls("core.compile.run")
-    values["core.compile.run.s"] = tracer.total_s("core.compile.run") if run_calls else None
-    values["core.compile.run.self_s"] = tracer.self_s("core.compile.run") if run_calls else None
+    values["core.compile.run.s"] = (
+        tracer.total_s("core.compile.run") * scale if run_calls else None)
+    values["core.compile.run.self_s"] = (
+        tracer.self_s("core.compile.run") * scale if run_calls else None)
     values["core.compile.ticks_share"] = (
         _ratio(record.compiled_ticks, record.instructions)
         if record.compiled_ticks else None)
@@ -673,16 +706,17 @@ def per_layer(passes: List[PassRecord]) -> Tuple[Dict[str, float], List[str]]:
 
 
 def span_table(passes: List[PassRecord]) -> List[Tuple[str, float, float, float]]:
-    """(name, calls, total s, self s) per span, medians over traced passes."""
-    traced = [p.tracer for p in passes if p.traced]
-    names = sorted({name for tracer in traced for name in tracer.spans})
+    """(name, calls, total s, self s) per span, medians over traced passes,
+    in reference seconds."""
+    traced = [(p.tracer, p.reference_scale) for p in passes if p.traced]
+    names = sorted({name for tracer, _ in traced for name in tracer.spans})
     rows = []
     for name in names:
         rows.append((
             name,
-            statistics.median(t.calls(name) for t in traced),
-            statistics.median(t.total_s(name) for t in traced),
-            statistics.median(t.self_s(name) for t in traced),
+            statistics.median(t.calls(name) for t, _ in traced),
+            statistics.median(t.total_s(name) * scale for t, scale in traced),
+            statistics.median(t.self_s(name) * scale for t, scale in traced),
         ))
     rows.sort(key=lambda row: -row[3])
     return rows

@@ -25,6 +25,7 @@ import json
 import os
 import platform
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -159,7 +160,13 @@ def report(name: str, passes, trace: bool, host: dict, kernel_ok: bool) -> dict:
     else:
         tail = f"max {_fmt(walls[-1])} s (fewer than 20 passes)"
     e2e = harness.end_to_end(passes)
-    print(f"  wall_s median {_fmt(e2e['wall_s'])} s, {tail}, n={len(walls)}")
+    print(f"  wall_s median {_fmt(e2e['wall_s'])} s, {tail}, n={len(walls)} "
+          f"(reference seconds)")
+    host = statistics.median(p.host_wall_s for p in plain)
+    print(f"  host wall median {_fmt(host)} s; host slower than reference by "
+          f"{_fmt(statistics.median(1 / p.reference_scale for p in plain))}x "
+          f"(median; range {_fmt(min(1 / p.reference_scale for p in passes))}"
+          f"-{_fmt(max(1 / p.reference_scale for p in passes))}x)")
     for metric, unit in END_TO_END[1:]:
         print(f"  {metric} {_fmt(e2e[metric])} {unit}")
     print(f"  failed_frac {_fmt(failed / attempted if attempted else 1.0)} "
@@ -170,7 +177,8 @@ def report(name: str, passes, trace: bool, host: dict, kernel_ok: bool) -> dict:
         units = per_layer_units(layers)
         metrics = {key: {"value": value, "unit": units[key]}
                    for key, value in sorted(layers.items())}
-        print("  spans (median over traced passes): name, calls, total s, self s")
+        print("  spans (median over traced passes, reference seconds): "
+              "name, calls, total s, self s")
         for span, calls, total, own in harness.span_table(passes):
             print(f"    {span:40s} {calls:10.0f} {total:10.4f} {own:10.4f}")
         print(f"  tracing overhead {_fmt(layers['trace.overhead_frac'])} of "

@@ -21,9 +21,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 
 class Tracer:
-    """Span aggregates per name, plus parent->child call counts."""
+    """Span aggregates per name, plus parent->child call counts.
 
-    def __init__(self) -> None:
+    ``clock`` is the pass's :class:`hostclock.ReferenceClock`; the time of
+    its calibration samples is left out of every span.
+    """
+
+    def __init__(self, clock) -> None:
+        self.clock = clock
         #: name -> [calls, total_ns, self_ns]
         self.spans: Dict[str, List[int]] = {}
         #: (parent name, child name) -> calls
@@ -41,6 +46,7 @@ class Tracer:
         stack = self._stack
         spans = self.spans
         edges = self.edges
+        clock = self.clock
         record = spans.setdefault(name, [0, 0, 0])
 
         def traced(*args, **kwargs):
@@ -49,11 +55,12 @@ class Tracer:
                 edges[edge] = edges.get(edge, 0) + 1
             frame = [name, 0]
             stack.append(frame)
+            paused = clock.paused_ns
             start = perf_counter_ns()
             try:
                 result = fn(*args, **kwargs)
             finally:
-                elapsed = perf_counter_ns() - start
+                elapsed = perf_counter_ns() - start - (clock.paused_ns - paused)
                 stack.pop()
                 if stack:
                     stack[-1][1] += elapsed
