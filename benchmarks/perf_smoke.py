@@ -15,7 +15,8 @@ Usage::
 
 ``--require-compiled`` additionally asserts that the compiled tick pipeline
 actually carried the simulations (``compiled_ticks > 0`` in the recorded
-stats) and exits with status 2 otherwise — in CI this turns a silent
+stats) and the setups' profiling timing passes (``setup_compiled_ticks >
+0``), and exits with status 2 otherwise — in CI this turns a silent
 fallback to the reference interpreter (no C compiler on the runner, a
 kernel build break) into a red job instead of a quietly slower number.
 """
@@ -42,7 +43,7 @@ from repro.experiments.runner import ExperimentRunner       # noqa: E402
 def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     # Build/load the compiled tick kernel up front so a cold artifact
     # cache's one-off C compile never lands inside a timed window.
-    from repro.core.compile import kernel_available
+    from repro.core.compile import compiled_ticks_total, kernel_available
 
     kernel_available()
     started = time.perf_counter()
@@ -50,7 +51,12 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     runner = ExperimentRunner(quick=True,
                               workload_names=[workload, memory_workload],
                               disk_cache=False)
+    # Setup's profiling timing pass runs on the kernel too; its ticks are
+    # counted apart so --require-compiled guards the setup path.
+    setup_ticks = compiled_ticks_total()
     setup = runner.setup(workload)
+    memory_setup = runner.setup(memory_workload)
+    setup_ticks = compiled_ticks_total() - setup_ticks
     runner.baseline(setup, "bl")
     runner.baseline(setup, "bl-nopf", runner.no_prefetch_config())
     runner.dla(setup, DlaConfig().baseline_dla(), "dla")
@@ -62,7 +68,6 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     # move these numbers.
     contended_cfg = machine_config(runner.system_config,
                                    dict(MEMSYS_MACHINES)["contended"])
-    memory_setup = runner.setup(memory_workload)
     before = runner.stats.copy()
     runner.baseline(memory_setup, "bl-contended", contended_cfg)
     runner.dla(memory_setup, DlaConfig().r3(), "r3-contended", contended_cfg)
@@ -76,6 +81,7 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
         contended_stats.instructions_per_second, 1
     )
     payload["wall_seconds"] = round(wall, 3)
+    payload["setup_compiled_ticks"] = setup_ticks
     path = update_bench_report("perf_smoke", payload,
                                path=REPO_ROOT / "BENCH_sim_throughput.json")
     print(f"perf_smoke[{workload}+{memory_workload}]: "
@@ -83,7 +89,8 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
           f"{payload['simulated_instructions']} instructions in {wall:.2f}s "
           f"({payload['instructions_per_second']:.0f} inst/s overall, "
           f"{payload['contended_instructions_per_second']:.0f} inst/s "
-          f"contended, {payload['compiled_ticks']} compiled ticks) -> {path}")
+          f"contended, {payload['compiled_ticks']} compiled ticks, "
+          f"{setup_ticks} in setup) -> {path}")
     return payload
 
 
@@ -94,8 +101,9 @@ def _parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument(
         "--require-compiled", action="store_true",
         help="exit 2 unless the compiled tick pipeline carried the runs "
-             "(compiled_ticks > 0); guards CI against a silent fallback "
-             "to the reference interpreter",
+             "and the setups' profiling passes (compiled_ticks > 0 and "
+             "setup_compiled_ticks > 0); guards CI against a silent "
+             "fallback to the reference interpreter",
     )
     return parser.parse_args(argv)
 
@@ -103,8 +111,10 @@ def _parse_args(argv=None) -> argparse.Namespace:
 if __name__ == "__main__":
     cli_args = _parse_args()
     result = main(cli_args.workload, cli_args.memory_workload)
-    if cli_args.require_compiled and result.get("compiled_ticks", 0) <= 0:
-        print("perf_smoke: compiled tick pipeline did not engage "
-              "(compiled_ticks == 0) but --require-compiled was set",
-              file=sys.stderr)
-        sys.exit(2)
+    if cli_args.require_compiled:
+        for key in ("compiled_ticks", "setup_compiled_ticks"):
+            if result.get(key, 0) <= 0:
+                print(f"perf_smoke: compiled tick pipeline did not engage "
+                      f"({key} == 0) but --require-compiled was set",
+                      file=sys.stderr)
+                sys.exit(2)

@@ -15,7 +15,7 @@ prefetching is late), not to reproduce gem5 cycle counts.
 """
 
 from repro.core.config import CoreConfig, SystemConfig, sm_half_core_config, smt_full_core_config
-from repro.core.results import CoreResult, InstructionTiming
+from repro.core.results import CoreResult, InstructionTiming, InstructionTimings
 from repro.core.pipeline import BranchHint, CoreHooks, OutOfOrderCore, ValueHint
 from repro.core.energy import EnergyBreakdown, EnergyModel, EnergyParams
 from repro.core.system import SimulationOutcome, simulate_baseline
@@ -27,6 +27,7 @@ __all__ = [
     "sm_half_core_config",
     "CoreResult",
     "InstructionTiming",
+    "InstructionTimings",
     "OutOfOrderCore",
     "CoreHooks",
     "BranchHint",

@@ -9,7 +9,8 @@ per-variant Python callbacks:
    fast memory accessors are sound) into a frozen
    :class:`SpecializationPlan`.
 2. **Decode** (:mod:`repro.core.compile.decoded`) — flatten per-opcode
-   attributes of the trace window into typed arrays, memoized per window.
+   attributes of the trace window into typed arrays, memoized per window
+   (timing runs over one-shot profiling windows decode unmemoized).
 3. **Build** (:mod:`repro.core.compile.build`) — compile ``kernel.c`` once
    per interpreter ABI with the system C compiler, cached on disk under
    ``.repro_cache/compiled/``.
@@ -60,9 +61,8 @@ def maybe_run_compiled(core, entries: Sequence, hooks, start_cycle: float,
                        collect_timings: bool) -> Optional[CoreResult]:
     """Run one simulation on the compiled path, or ``None`` to fall back.
 
-    ``None`` means the reference interpreter must carry the run — the
-    kill-switch is set, the kernel failed to build, or the run needs
-    per-instruction timings.
+    ``None`` means the reference interpreter must carry the run: the
+    kill-switch is set or the kernel failed to build.
     """
     global _compiled_ticks
     if not fast_pipeline_enabled():
@@ -76,6 +76,5 @@ def maybe_run_compiled(core, entries: Sequence, hooks, start_cycle: float,
 
     result = run_compiled(kernel, core, entries, hooks, start_cycle,
                           collect_timings)
-    if result is not None:
-        _compiled_ticks += len(entries)
+    _compiled_ticks += len(entries)
     return result

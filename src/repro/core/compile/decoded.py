@@ -256,4 +256,5 @@ def get_decoded(entries: Sequence[DynamicInst]) -> DecodedTrace:
 
 
 def decoded_cache_stats() -> Dict[str, int]:
-    return {"decodes": _DECODED.decodes, "hits": _DECODED.hits}
+    return {"decodes": _DECODED.decodes, "hits": _DECODED.hits,
+            "retained": len(_DECODED._retained)}

@@ -15,16 +15,16 @@ golden equivalence suites pin the two paths together bit-for-bit.
 from __future__ import annotations
 
 from array import array
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.branch.btb import BranchTargetBuffer
 from repro.branch.predictors import TageLitePredictor
 from repro.branch.ras import ReturnAddressStack
-from repro.core.results import CoreResult
+from repro.core.results import CoreResult, InstructionTimings
 from repro.emulator.trace import DynamicInst
 
-from repro.core.compile.decoded import get_decoded
-from repro.core.compile.plan import SpecializationPlan, plan_run
+from repro.core.compile.decoded import decode_trace, get_decoded
+from repro.core.compile.plan import plan_run
 
 #: Comm-buffer slots (must match kernel.c).
 B_I, B_T0, B_T1, B_OUT0, B_OUT1, B_DUE, B_OUT2 = 0, 1, 2, 3, 4, 5, 6
@@ -43,20 +43,23 @@ _EMPTY_U = array("Q", (0,))
 
 
 def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
-                 start_cycle: float, collect_timings: bool
-                 ) -> Optional[CoreResult]:
-    """Run one simulation on the compiled kernel (``None`` when ineligible)."""
-    plan = plan_run(core, hooks, collect_timings)
-    if plan is None:
-        return None
+                 start_cycle: float, collect_timings: bool) -> CoreResult:
+    """Run one simulation on the compiled kernel.
 
+    ``collect_timings`` has the kernel fill the issue and complete columns
+    next to the fetch/dispatch/commit arrays it always keeps.  Timing runs
+    are profiling passes over one-shot windows (a sliced training trace, a
+    copied sample), so their decode bypasses the process-wide memo rather
+    than retaining a window no later run will reuse.
+    """
+    plan = plan_run(core, hooks)
     cfg = core.config
     result = CoreResult(name=core.name)
     n = len(entries)
     if n == 0:
         return result
 
-    decoded = get_decoded(entries)
+    decoded = decode_trace(entries) if collect_timings else get_decoded(entries)
     memory = core.memory
     ea = decoded.ea
     pcs = decoded.pcs
@@ -66,6 +69,8 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
     fetch_times = array("d", bytes(8 * n))
     dispatch_times = array("d", bytes(8 * n))
     commit_times = array("d", bytes(8 * n))
+    issue_times = array("d", bytes(8 * n)) if collect_timings else None
+    complete_times = array("d", bytes(8 * n)) if collect_timings else None
     counters = array("q", bytes(8 * C_COUNT))
     hist_capacity = cfg.fetch_buffer_entries
     hist = array("q", bytes(8 * (hist_capacity + 1)))
@@ -378,7 +383,9 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
         nxt=decoded.nxt,
         vt_seqs=vt_seqs, commit_pcs=commit_pcs,
         fetch_times=fetch_times, dispatch_times=dispatch_times,
-        commit_times=commit_times, counters=counters, hist=hist, comm=comm,
+        commit_times=commit_times, issue_times=issue_times,
+        complete_times=complete_times,
+        counters=counters, hist=hist, comm=comm,
         cb_icache=cb_icache, cb_load=cb_load, cb_store=cb_store,
         cb_control=None if ctrl_native else cb_control,
         cb_branch_hint=cb_branch_hint,
@@ -418,7 +425,11 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
     result.cycles = commit_times[-1] - start_cycle
     result.tlb_misses = memory.tlb.stats.misses
     result.fetch_bubbles = float(n - counters[C_FETCH_BOUND])
-    result.timings = None
+    if collect_timings:
+        result.timings = InstructionTimings(
+            fetch_times, dispatch_times, issue_times, complete_times,
+            commit_times,
+        )
     for occupancy, count in enumerate(hist):
         if count:
             result.fetch_queue_histogram[occupancy] = (

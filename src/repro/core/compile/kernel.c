@@ -276,6 +276,19 @@ get_buffer(PyObject *dict, const char *key, Py_buffer *view, void **ptr)
     return 0;
 }
 
+/* Optional buffer: missing key or None -> NULL (column not requested). */
+static int
+get_optional_buffer(PyObject *dict, const char *key, Py_buffer *view,
+                    void **ptr)
+{
+    PyObject *obj = PyDict_GetItemString(dict, key);
+    if (obj == NULL || obj == Py_None) {
+        *ptr = NULL;
+        return 0;
+    }
+    return get_buffer(dict, key, view, ptr);
+}
+
 static double
 get_float(PyObject *dict, const char *key, int *err)
 {
@@ -371,13 +384,14 @@ run_tick_loop(PyObject *self, PyObject *args)
     Py_buffer v_nxt = {0}, v_tb = {0}, v_tp = {0}, v_tt = {0}, v_tc = {0};
     Py_buffer v_tu = {0}, v_th = {0}, v_tm = {0};
     Py_buffer v_bt = {0}, v_bg = {0}, v_bu = {0}, v_bc = {0};
-    Py_buffer v_rs = {0}, v_rt = {0};
+    Py_buffer v_rs = {0}, v_rt = {0}, v_it = {0}, v_xt = {0};
     int64_t *ba = NULL, *flags = NULL, *ea = NULL, *dst = NULL;
     int64_t *srcs = NULL, *soff = NULL, *counters = NULL, *hist = NULL;
     int64_t *sb_dst = NULL, *seq = NULL, *pc = NULL, *nxt = NULL;
     int64_t *vt_seqs = NULL, *commit_pcs = NULL;
     double *lat = NULL, *fetch_times = NULL, *dispatch_times = NULL;
     double *commit_times = NULL, *comm = NULL;
+    double *issue_times = NULL, *complete_times = NULL;
     unit_t *int_heap = NULL, *mem_heap = NULL, *fp_heap = NULL;
     double *reg_ready = NULL;
     int64_t *lsq_ring = NULL;
@@ -399,6 +413,8 @@ run_tick_loop(PyObject *self, PyObject *args)
         get_buffer(spec, "fetch_times", &v_ft, (void **)&fetch_times) < 0 ||
         get_buffer(spec, "dispatch_times", &v_dt, (void **)&dispatch_times) < 0 ||
         get_buffer(spec, "commit_times", &v_ct, (void **)&commit_times) < 0 ||
+        get_optional_buffer(spec, "issue_times", &v_it, (void **)&issue_times) < 0 ||
+        get_optional_buffer(spec, "complete_times", &v_xt, (void **)&complete_times) < 0 ||
         get_buffer(spec, "counters", &v_cnt, (void **)&counters) < 0 ||
         get_buffer(spec, "hist", &v_hist, (void **)&hist) < 0 ||
         get_buffer(spec, "comm", &v_comm, (void **)&comm) < 0 ||
@@ -659,6 +675,13 @@ run_tick_loop(PyObject *self, PyObject *args)
 
         if (executed)
             counters[C_EXECUTED]++;
+        if (issue_times != NULL && complete_times != NULL) {
+            /* The reference's issue timestamp (not the FU reservation
+             * start): complete minus the op latency, loads excepted. */
+            issue_times[i] = executed
+                ? complete - ((f & F_LOAD) ? 0.0 : lat[i]) : complete;
+            complete_times[i] = complete;
+        }
 
         /* ---------------- control flow ---------------- */
         if ((f & F_CONTROL) && ctrl_native) {
@@ -842,6 +865,8 @@ done:
     if (v_ft.obj) PyBuffer_Release(&v_ft);
     if (v_dt.obj) PyBuffer_Release(&v_dt);
     if (v_ct.obj) PyBuffer_Release(&v_ct);
+    if (v_it.obj) PyBuffer_Release(&v_it);
+    if (v_xt.obj) PyBuffer_Release(&v_xt);
     if (v_cnt.obj) PyBuffer_Release(&v_cnt);
     if (v_hist.obj) PyBuffer_Release(&v_hist);
     if (v_comm.obj) PyBuffer_Release(&v_comm);

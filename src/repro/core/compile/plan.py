@@ -12,7 +12,6 @@ fingerprint keys in-process caches of anything derived from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -43,15 +42,15 @@ class SpecializationPlan:
         return bits
 
 
-def plan_run(core, hooks, collect_timings: bool) -> Optional[SpecializationPlan]:
-    """Build the plan for one run, or ``None`` when ineligible.
+def plan_run(core, hooks) -> SpecializationPlan:
+    """Build the plan for one run.
 
-    Only per-instruction timing collection forces the reference
-    interpreter: it materialises an :class:`InstructionTiming` per entry,
-    which would erase the compiled loop's advantage anyway.
+    Every run is eligible: per-instruction timing collection is a pair of
+    extra output columns, not a different loop.  The reference interpreter
+    carries a run only for the kill-switch or a missing kernel (see
+    :func:`repro.core.compile.maybe_run_compiled`); a non-stock branch unit
+    stays compiled but routes control flow through a Python callback.
     """
-    if collect_timings:
-        return None
     has_on_memory = hooks.on_memory_access is not None
     return SpecializationPlan(
         has_branch_hint=hooks.branch_hint is not None,

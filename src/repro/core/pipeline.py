@@ -24,7 +24,7 @@ from repro.branch.btb import BranchTargetBuffer
 from repro.branch.predictors import make_predictor
 from repro.branch.ras import ReturnAddressStack
 from repro.core.config import CoreConfig
-from repro.core.results import CoreResult, InstructionTiming
+from repro.core.results import CoreResult, InstructionTimings
 from repro.emulator.trace import DynamicInst
 from repro.isa.instructions import FU_POOL_FP, Opcode
 from repro.memory.hierarchy import AccessType, CoreMemorySystem
@@ -164,7 +164,8 @@ class OutOfOrderCore:
         dispatch_times: List[float] = [0.0] * n
         commit_times: List[float] = [0.0] * n
 
-        timings: List[InstructionTiming] = [] if collect_timings else None
+        issue_times: List[float] = []
+        complete_times: List[float] = []
 
         reg_ready: Dict[int, float] = {}
         int_pool = _FunctionalUnitPool(cfg.num_int_alus)
@@ -346,9 +347,6 @@ class OutOfOrderCore:
 
             if executed:
                 result.executed += 1
-            issue_time = complete if not executed else (
-                complete - (0.0 if static.is_load else static.latency_cycles)
-            )
 
             # ---------------- control flow ----------------
             if static.is_control:
@@ -389,21 +387,20 @@ class OutOfOrderCore:
                 hook_on_commit(entry, commit_time)
 
             if collect_timings:
-                timings.append(
-                    InstructionTiming(
-                        fetch=fetch_time,
-                        dispatch=dispatch_time,
-                        issue=issue_time,
-                        complete=complete,
-                        commit=commit_time,
-                    )
-                )
+                issue_times.append(complete if not executed else (
+                    complete - (0.0 if static.is_load else static.latency_cycles)
+                ))
+                complete_times.append(complete)
 
         # ---------------- wrap-up ----------------
         result.cycles = commit_times[-1] - start_cycle
         result.tlb_misses = self.memory.tlb.stats.misses
         result.fetch_bubbles = float(n - fetch_bound)
-        result.timings = timings
+        if collect_timings:
+            result.timings = InstructionTimings(
+                fetch_times, dispatch_times, issue_times, complete_times,
+                commit_times,
+            )
         self._fetch_queue_histogram(fetch_times, dispatch_times, result)
         return result
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, Optional
 
 
 @dataclass
@@ -20,6 +21,44 @@ class InstructionTiming:
     def dispatch_to_execute(self) -> float:
         """The latency used to identify "slow" value-reuse candidates."""
         return self.complete - self.dispatch
+
+
+class InstructionTimings:
+    """Per-instruction timestamps of one run, one ``array('d')`` per stage.
+
+    Both pipeline paths fill these columns directly; bulk consumers (the
+    profiler, the fetch-buffer measurements) read them without building a
+    per-instruction object.  Iterating still yields
+    :class:`InstructionTiming` rows.
+    """
+
+    COLUMNS = ("fetch", "dispatch", "issue", "complete", "commit")
+    __slots__ = COLUMNS
+
+    def __init__(self, fetch=(), dispatch=(), issue=(), complete=(),
+                 commit=()) -> None:
+        columns = (fetch, dispatch, issue, complete, commit)
+        for name, column in zip(self.COLUMNS, columns):
+            setattr(self, name, column if isinstance(column, array)
+                    else array("d", column))
+
+    def __len__(self) -> int:
+        return len(self.fetch)
+
+    def __iter__(self) -> Iterator[InstructionTiming]:
+        for row in zip(self.fetch, self.dispatch, self.issue, self.complete,
+                       self.commit):
+            yield InstructionTiming(*row)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InstructionTimings):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.COLUMNS)
+
+    def extend(self, other: "InstructionTimings") -> None:
+        for name in self.COLUMNS:
+            getattr(self, name).extend(getattr(other, name))
 
 
 @dataclass
@@ -63,7 +102,7 @@ class CoreResult:
     fetch_queue_histogram: Dict[int, int] = field(default_factory=dict)
 
     # Optional per-instruction timings (populated when requested).
-    timings: Optional[List[InstructionTiming]] = None
+    timings: Optional[InstructionTimings] = None
 
     # ------------------------------------------------------------------
     @property
@@ -93,8 +132,8 @@ class CoreResult:
         """Add another run's statistics into this one (segmented simulation).
 
         Cycles add up (segments execute back to back); counters add up; the
-        per-instruction timing lists are concatenated when both sides carry
-        them.
+        per-instruction timing columns are concatenated when the other side
+        carries them.
         """
         self.cycles += other.cycles
         self.committed += other.committed
@@ -122,7 +161,7 @@ class CoreResult:
             )
         if other.timings:
             if self.timings is None:
-                self.timings = []
+                self.timings = InstructionTimings()
             self.timings.extend(other.timings)
 
     def summary(self) -> Dict[str, float]:

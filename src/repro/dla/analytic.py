@@ -167,23 +167,22 @@ def empirical_distributions(entries: Sequence[DynamicInst],
     config = config or SystemConfig()
     decode_width = config.core.decode_width
     fetch_width = config.core.fetch_width
+    entries = list(entries)
 
     # Demand: generous fetch buffer so the back end sets the pace.
     demand_cfg = config.with_overrides(fetch_buffer_entries=512)
     shared = SharedMemorySystem(demand_cfg.memory)
     memory = CoreMemorySystem(shared, demand_cfg.memory)
     core = OutOfOrderCore(demand_cfg.core, memory)
-    result = core.run(list(entries), collect_timings=True)
-    dispatch_times = [t.dispatch for t in result.timings]
-    demand = _per_cycle_histogram(dispatch_times, decode_width)
+    result = core.run(entries, collect_timings=True)
+    demand = _per_cycle_histogram(result.timings.dispatch, decode_width)
 
     # Supply: normal configuration, fetch timestamps.
     shared = SharedMemorySystem(config.memory)
     memory = CoreMemorySystem(shared, config.memory)
     core = OutOfOrderCore(config.core, memory)
-    result = core.run(list(entries), collect_timings=True)
-    fetch_times = [t.fetch for t in result.timings]
-    supply = _per_cycle_histogram(fetch_times, fetch_width)
+    result = core.run(entries, collect_timings=True)
+    supply = _per_cycle_histogram(result.timings.fetch, fetch_width)
 
     # Trace-cache-like supply: instruction fetch always hits (zero-latency
     # I-cache), approximating the higher instantaneous fill rate of a trace
@@ -200,9 +199,8 @@ def empirical_distributions(entries: Sequence[DynamicInst],
             touched.add(address // block)
             memory.l1i.fill(address, 0)
     core = OutOfOrderCore(config.core, memory)
-    result = core.run(list(entries), collect_timings=True)
-    trace_fetch_times = [t.fetch for t in result.timings]
-    trace_supply = _per_cycle_histogram(trace_fetch_times, fetch_width)
+    result = core.run(entries, collect_timings=True)
+    trace_supply = _per_cycle_histogram(result.timings.fetch, fetch_width)
 
     return EmpiricalDistributions(
         demand=demand, supply=supply, trace_cache_supply=trace_supply

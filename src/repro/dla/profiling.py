@@ -18,7 +18,7 @@ from repro.core.config import SystemConfig
 from repro.core.pipeline import OutOfOrderCore
 from repro.emulator.trace import Trace
 from repro.isa.program import Program
-from repro.memory.hierarchy import AccessType, CoreMemorySystem, SharedMemorySystem
+from repro.memory.hierarchy import CoreMemorySystem, SharedMemorySystem
 
 
 @dataclass
@@ -166,30 +166,44 @@ def profile_workload(
 
     shared = SharedMemorySystem(config.memory)
     memory = CoreMemorySystem(shared, config.memory)
+    # Only the miss classification matters: bit 0 of the packed info word
+    # is an L1 miss, bit 1 "supplied by the L3 or DRAM".
+    access_data_fast = memory.access_data_fast
 
     last_address: Dict[int, int] = {}
     deltas: Dict[int, List[int]] = {}
     cycle = 0
     instruction_counts = profile.instruction_counts
+    memory_stats = profile.memory
+    branch_stats = profile.branches
     for entry in trace:
         static = entry.static
         pc = static.pc
         instruction_counts[pc] = instruction_counts.get(pc, 0) + 1
         if static.is_memory:
-            stats = profile.memory.setdefault(pc, PcMemoryStats())
+            stats = memory_stats.get(pc)
+            if stats is None:
+                stats = memory_stats[pc] = PcMemoryStats()
             stats.executions += 1
-            access_type = AccessType.LOAD if static.is_load else AccessType.STORE
-            outcome = memory.access(entry.effective_address, cycle, access_type)
-            if outcome.l1_miss:
+            address = entry.effective_address
+            _, info = access_data_fast(address, cycle, not static.is_load)
+            if info & 1:
                 stats.l1_misses += 1
-                if outcome.supplied_by in ("l3", "dram"):
+                if info & 2:
                     stats.l2_misses += 1
             if pc in last_address:
-                deltas.setdefault(pc, []).append(entry.effective_address - last_address[pc])
-            last_address[pc] = entry.effective_address
+                delta = address - last_address[pc]
+                delta_list = deltas.get(pc)
+                if delta_list is None:
+                    deltas[pc] = [delta]
+                else:
+                    delta_list.append(delta)
+            last_address[pc] = address
             cycle += 2
         elif static.is_branch:
-            stats = profile.branches.setdefault(pc, PcBranchStats())
+            stats = branch_stats.get(pc)
+            if stats is None:
+                stats = branch_stats[pc] = PcBranchStats()
             stats.executions += 1
             if entry.taken:
                 stats.taken += 1
@@ -220,23 +234,24 @@ def profile_workload(
             last_writer[static.dst] = static.pc
 
     if run_timing:
-        _profile_timing(program, trace, config, profile, timing_window)
+        _profile_timing(trace, config, profile, timing_window)
     return profile
 
 
-def _profile_timing(program: Program, trace: Trace, config: SystemConfig,
+def _profile_timing(trace: Trace, config: SystemConfig,
                     profile: ProgramProfile, window: int) -> None:
     """Per-PC average dispatch-to-execute latency from a baseline timing run."""
     shared = SharedMemorySystem(config.memory)
     memory = CoreMemorySystem(shared, config.memory)
     core = OutOfOrderCore(config.core, memory)
     entries = trace.entries[:window]
-    result = core.run(entries, collect_timings=True)
+    timings = core.run(entries, collect_timings=True).timings
     sums: Dict[int, float] = {}
     counts: Dict[int, int] = {}
-    for entry, timing in zip(entries, result.timings):
+    for entry, complete, dispatch in zip(entries, timings.complete,
+                                         timings.dispatch):
         pc = entry.static.pc
-        sums[pc] = sums.get(pc, 0.0) + timing.dispatch_to_execute
+        sums[pc] = sums.get(pc, 0.0) + (complete - dispatch)
         counts[pc] = counts.get(pc, 0) + 1
     profile.dispatch_to_execute = {
         pc: sums[pc] / counts[pc] for pc in sums

@@ -31,8 +31,17 @@ from repro.core.compile import (
     fast_pipeline_enabled,
     kernel_available,
 )
+from repro.core.compile.decoded import decoded_cache_stats
+from repro.core.pipeline import OutOfOrderCore
+from repro.core.results import InstructionTimings
+from repro.core.system import simulate_baseline
+from repro.dla.analytic import empirical_distributions
 from repro.dla.config import DlaConfig
+from repro.dla.profiling import profile_workload
 from repro.dla.smt import simulate_smt_modes
+from repro.dla.system import DlaSystem
+from repro.emulator.trace import Trace
+from repro.experiments.runner import ExperimentRunner
 
 _HARNESS_PATH = Path(__file__).resolve().parent / "test_fast_path_equivalence.py"
 
@@ -163,3 +172,111 @@ def test_compiled_ticks_counter_advances(prepared, monkeypatch):
     advanced = compiled_ticks_total() - before
     assert advanced >= len(timed), \
         "a compiled baseline run must retire the timed window via the kernel"
+
+
+# ---------------------------------------------------------------------------
+# per-instruction timing columns (collect_timings runs compiled)
+# ---------------------------------------------------------------------------
+def _assert_columns_equal(compiled, reference):
+    assert compiled is not None and reference is not None
+    assert len(compiled) == len(reference)
+    for column in InstructionTimings.COLUMNS:
+        assert getattr(compiled, column) == getattr(reference, column), column
+
+
+@pytest.mark.parametrize("section", sorted(SECTION_KERNELS))
+def test_baseline_timing_columns_match_reference(prepared, monkeypatch, section):
+    _, warmup, timed, _, _ = prepared[SECTION_KERNELS[section]]
+    config = _harness.SYSTEM_PROFILES[section]()
+
+    def timings():
+        return simulate_baseline(timed, config, warmup_entries=warmup,
+                                 collect_timings=True).core.timings
+
+    _reference(monkeypatch)
+    reference = timings()
+    _fast(monkeypatch)
+    compiled = timings()
+    assert len(compiled) == len(timed)
+    _assert_columns_equal(compiled, reference)
+
+
+def _dla_core_runs(monkeypatch, program, timed, warmup, profile, config):
+    """Every core run of one R3-DLA cell, each forced to collect timings."""
+    runs = []
+    run = OutOfOrderCore.run
+
+    def collecting_run(self, entries, hooks=None, start_cycle=0.0,
+                       collect_timings=False):
+        result = run(self, entries, hooks, start_cycle, True)
+        runs.append(result)
+        return result
+
+    monkeypatch.setattr(OutOfOrderCore, "run", collecting_run)
+    DlaSystem(program, config, DlaConfig().r3(), profile=profile).simulate(
+        timed, warmup_entries=warmup)
+    monkeypatch.setattr(OutOfOrderCore, "run", run)
+    return runs
+
+
+def test_dla_timing_columns_match_reference(prepared, monkeypatch):
+    """Value hints pin the issue formula on its skip/correct/mispredict paths."""
+    program, warmup, timed, profile, config = prepared["chase"]
+    _reference(monkeypatch)
+    reference = _dla_core_runs(monkeypatch, program, timed, warmup, profile,
+                               config)
+    _fast(monkeypatch)
+    compiled = _dla_core_runs(monkeypatch, program, timed, warmup, profile,
+                              config)
+    main = [result for result in compiled if result.name == "main-thread"]
+    assert sum(r.validations_skipped for r in main) > 0
+    assert sum(r.value_predictions_used - r.value_mispredictions
+               for r in main) > 0
+    assert sum(r.value_mispredictions for r in main) > 0
+    assert len(compiled) == len(reference)
+    for ours, theirs in zip(compiled, reference):
+        _assert_columns_equal(ours.timings, theirs.timings)
+
+
+def test_profile_workload_compiled_matches_reference(monkeypatch):
+    runner = ExperimentRunner(quick=True, disk_cache=False)
+    for name in runner.workload_names:
+        setup = runner.setup(name)
+        training = Trace(setup.program, setup.warmup + setup.timed[:4000],
+                         completed=False)
+
+        def profile():
+            return profile_workload(
+                setup.program, training, runner.system_config,
+                timing_window=min(6000, runner.warmup_instructions))
+
+        _reference(monkeypatch)
+        reference = profile()
+        _fast(monkeypatch)
+        compiled = profile()
+        assert compiled.dispatch_to_execute, name
+        assert compiled == reference, name
+
+
+def test_profile_timing_pass_runs_compiled(prepared, monkeypatch):
+    if not kernel_available():
+        pytest.skip("no C compiler / kernel build failed: fast path inert")
+    program, warmup, timed, _, config = prepared["branchy"]
+    training = Trace(program, warmup + timed, completed=False)
+    _fast(monkeypatch)
+    before = compiled_ticks_total()
+    profile_workload(program, training, config, run_timing=True,
+                     timing_window=2000)
+    assert compiled_ticks_total() - before >= 2000, \
+        "the profiling timing pass fell back to the reference interpreter"
+
+
+def test_timing_runs_do_not_retain_decoded_windows(prepared, monkeypatch):
+    """One-shot profiling windows must not pin entries in the decode memo."""
+    program, warmup, timed, _, config = prepared["stream"]
+    training = Trace(program, warmup + timed, completed=False)
+    _fast(monkeypatch)
+    before = decoded_cache_stats()
+    profile_workload(program, training, config, timing_window=2000)
+    empirical_distributions(timed[:1500], config)
+    assert decoded_cache_stats() == before

@@ -41,6 +41,19 @@ def test_commit_times_nondecreasing(pointer_trace):
     assert all(b >= a for a, b in zip(commits, commits[1:]))
 
 
+def test_accumulate_concatenates_timing_columns(stream_trace):
+    first = _run(stream_trace.entries[:500], collect=True)
+    second = _run(stream_trace.entries[500:900], collect=True)
+    total = CoreResult()
+    total.accumulate(first)
+    total.accumulate(second)
+    assert len(total.timings) == 900
+    rows = list(total.timings)
+    assert rows[:500] == list(first.timings)
+    assert rows[500:] == list(second.timings)
+    assert rows[0].dispatch_to_execute == rows[0].complete - rows[0].dispatch
+
+
 def test_branchy_workload_has_mispredictions(branchy_trace):
     result = _run(branchy_trace.entries[:4000])
     assert result.branches > 0
