@@ -15,10 +15,12 @@ Usage::
 
 ``--require-compiled`` additionally asserts that the compiled tick pipeline
 actually carried the simulations (``compiled_ticks > 0`` in the recorded
-stats) and the setups' profiling timing passes (``setup_compiled_ticks >
-0``), and exits with status 2 otherwise — in CI this turns a silent
-fallback to the reference interpreter (no C compiler on the runner, a
-kernel build break) into a red job instead of a quietly slower number.
+stats), the setups' profiling timing passes (``setup_compiled_ticks >
+0``) and the L1/TLB hits (``native_mem_hits > 0``), and exits with status
+2 otherwise — in CI this turns a silent fallback to the reference
+interpreter or to the Python memory accessors (no C compiler on the
+runner, a kernel build break, a non-stock cache type) into a red job
+instead of a quietly slower number.
 """
 
 from __future__ import annotations
@@ -43,9 +45,14 @@ from repro.experiments.runner import ExperimentRunner       # noqa: E402
 def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     # Build/load the compiled tick kernel up front so a cold artifact
     # cache's one-off C compile never lands inside a timed window.
-    from repro.core.compile import compiled_ticks_total, kernel_available
+    from repro.core.compile import (
+        compiled_ticks_total,
+        kernel_available,
+        native_mem_hits_total,
+    )
 
     kernel_available()
+    native_hits = native_mem_hits_total()
     started = time.perf_counter()
     # Fresh in-memory caches and no disk cache: measure real simulation speed.
     runner = ExperimentRunner(quick=True,
@@ -82,6 +89,7 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     )
     payload["wall_seconds"] = round(wall, 3)
     payload["setup_compiled_ticks"] = setup_ticks
+    payload["native_mem_hits"] = native_mem_hits_total() - native_hits
     path = update_bench_report("perf_smoke", payload,
                                path=REPO_ROOT / "BENCH_sim_throughput.json")
     print(f"perf_smoke[{workload}+{memory_workload}]: "
@@ -90,7 +98,8 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
           f"({payload['instructions_per_second']:.0f} inst/s overall, "
           f"{payload['contended_instructions_per_second']:.0f} inst/s "
           f"contended, {payload['compiled_ticks']} compiled ticks, "
-          f"{setup_ticks} in setup) -> {path}")
+          f"{setup_ticks} in setup, {payload['native_mem_hits']} native "
+          f"L1/TLB hits) -> {path}")
     return payload
 
 
@@ -100,10 +109,11 @@ def _parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("memory_workload", nargs="?", default="mg")
     parser.add_argument(
         "--require-compiled", action="store_true",
-        help="exit 2 unless the compiled tick pipeline carried the runs "
-             "and the setups' profiling passes (compiled_ticks > 0 and "
-             "setup_compiled_ticks > 0); guards CI against a silent "
-             "fallback to the reference interpreter",
+        help="exit 2 unless the compiled tick pipeline carried the runs, "
+             "the setups' profiling passes and the L1/TLB hits "
+             "(compiled_ticks, setup_compiled_ticks and native_mem_hits "
+             "all > 0); guards CI against a silent fallback to the "
+             "reference interpreter or the Python memory accessors",
     )
     return parser.parse_args(argv)
 
@@ -112,7 +122,8 @@ if __name__ == "__main__":
     cli_args = _parse_args()
     result = main(cli_args.workload, cli_args.memory_workload)
     if cli_args.require_compiled:
-        for key in ("compiled_ticks", "setup_compiled_ticks"):
+        for key in ("compiled_ticks", "setup_compiled_ticks",
+                    "native_mem_hits"):
             if result.get(key, 0) <= 0:
                 print(f"perf_smoke: compiled tick pipeline did not engage "
                       f"({key} == 0) but --require-compiled was set",

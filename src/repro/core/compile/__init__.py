@@ -14,9 +14,12 @@ per-variant Python callbacks:
 3. **Build** (:mod:`repro.core.compile.build`) — compile ``kernel.c`` once
    per interpreter ABI with the system C compiler, cached on disk under
    ``.repro_cache/compiled/``.
-4. **Run** (:mod:`repro.core.compile.driver`) — drive the kernel; any
-   model interaction (caches, predictor, DLA hooks) happens through
-   callbacks so dynamic state lives exactly where the reference keeps it.
+4. **Run** (:mod:`repro.core.compile.driver`) — drive the kernel.  The
+   branch unit and the L1/TLB hit path run natively on the model objects'
+   own flat arrays; every other model interaction (misses, prefetchers,
+   DLA hooks) happens through callbacks, so dynamic state lives exactly
+   where the reference keeps it.  Warm-up replay runs on the same kernel
+   (:func:`replay_compiled`).
 
 ``REPRO_FAST_PIPELINE=0`` disables all of it and the reference
 interpreter carries every run; any failure (no compiler, compile error)
@@ -38,6 +41,9 @@ _FALSEY = {"0", "false", "no", "off"}
 #: Instructions retired through the compiled kernel in this process.
 _compiled_ticks = 0
 
+#: L1/TLB hits the kernel served natively (tick loops and warm replays).
+_native_mem_hits = 0
+
 
 def fast_pipeline_enabled() -> bool:
     return os.environ.get(FAST_PIPELINE_ENV, "1").strip().lower() not in _FALSEY
@@ -46,6 +52,16 @@ def fast_pipeline_enabled() -> bool:
 def compiled_ticks_total() -> int:
     """Process-wide count of instructions retired by the compiled kernel."""
     return _compiled_ticks
+
+
+def native_mem_hits_total() -> int:
+    """Process-wide count of L1/TLB hits served natively by the kernel."""
+    return _native_mem_hits
+
+
+def _add_native_mem_hits(count: int) -> None:
+    global _native_mem_hits
+    _native_mem_hits += count
 
 
 def kernel_available() -> bool:
@@ -78,3 +94,13 @@ def maybe_run_compiled(core, entries: Sequence, hooks, start_cycle: float,
                           collect_timings)
     _compiled_ticks += len(entries)
     return result
+
+
+def replay_compiled(memory, inputs, cycles_per_access: int) -> None:
+    """Warm-up replay of one core on the kernel (the caller checked
+    :func:`kernel_available`); ``inputs`` are the window's
+    :func:`~repro.core.compile.decoded.replay_inputs`."""
+    from repro.core.compile.build import load_kernel
+    from repro.core.compile.driver import replay_warmup
+
+    replay_warmup(load_kernel(), memory, inputs, cycles_per_access)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.emulator.trace import DynamicInst
 from repro.isa.instructions import FU_POOL_FP, Opcode
@@ -207,6 +207,13 @@ def decode_trace(entries: Sequence[DynamicInst]) -> DecodedTrace:
         srcs=srcs, srcs_off=srcs_off, seq=seq, pcs=pcs, nxt=nxt,
         num_regs=max_reg + 1,
     )
+
+
+def replay_inputs(entries: Sequence[DynamicInst]) -> Tuple[array, array, array]:
+    """The ``(ba, flags, ea)`` arrays warm-up replay reads, decoded without
+    the process-wide memo (the warm memo keeps just these three)."""
+    decoded = decode_trace(entries)
+    return decoded.ba, decoded.flags, decoded.ea
 
 
 class DecodedTraceCache:

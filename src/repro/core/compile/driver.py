@@ -2,10 +2,13 @@
 
 ``run_compiled`` marshals one run onto the C kernel: the decoded trace's
 flat arrays go in as zero-copy buffers, and every model interaction the
-kernel cannot perform itself — cache and TLB state, the branch predictor,
-prefetcher training, DLA hooks — comes back out through small per-event
-callbacks that communicate over a shared ``array('d')`` buffer (argument
-marshalling through object calls would dominate otherwise).
+kernel cannot perform itself — cache and TLB misses, a non-stock branch
+unit, prefetcher training, DLA hooks — comes back out through small
+per-event callbacks that communicate over a shared ``array('d')`` buffer
+(argument marshalling through object calls would dominate otherwise).
+L1/TLB hits and the branch unit run natively on the model objects' own
+flat arrays; ``replay_compiled`` drives warm-up replay over the same
+native hit path.
 
 Every callback body is a statement-for-statement transcription of the
 corresponding block of :meth:`repro.core.pipeline.OutOfOrderCore.run`; the
@@ -23,23 +26,69 @@ from repro.branch.ras import ReturnAddressStack
 from repro.core.results import CoreResult, InstructionTimings
 from repro.emulator.trace import DynamicInst
 
+from repro.core.compile import _add_native_mem_hits
 from repro.core.compile.decoded import decode_trace, get_decoded
-from repro.core.compile.plan import plan_run
+from repro.core.compile.plan import plan_run, stock_hit_sides
 
 #: Comm-buffer slots (must match kernel.c).
-B_I, B_T0, B_T1, B_OUT0, B_OUT1, B_DUE, B_OUT2 = 0, 1, 2, 3, 4, 5, 6
+B_I, B_T0, B_T1, B_OUT0, B_OUT1, B_DUE, B_OUT2, B_LAST = range(8)
 
 #: Counter slots (must match kernel.c).
 (C_L1I_ACC, C_L1I_MISS, C_L1D_ACC, C_L1D_MISS, C_L2_MISS, C_DRAM,
  C_DECODED, C_EXECUTED, C_COMMITTED, C_FETCH_BOUND,
  C_VALID_SKIP, C_VP_USED, C_VP_MISS, C_SB_SKIP, C_SB_VALID,
  C_BRANCHES, C_BR_MISPRED, C_HINT_MISPRED, C_BTB_MISS,
- C_TICKS, C_COUNT) = range(21)
+ C_TICKS, C_NATIVE_HITS, C_COUNT) = range(22)
 
 _NAN = float("nan")
 _EMPTY_Q = array("q", (0,))
 _EMPTY_B = array("b", (0,))
 _EMPTY_U = array("Q", (0,))
+
+
+#: Stats fields the kernel's per-level hit counters map onto, in order
+#: (must match kernel.c's ncache_t / ntlb_t ``cnt`` layouts).
+_CACHE_HIT_FIELDS = ("accesses", "hits", "prefetch_hits", "late_prefetch_hits")
+_TLB_HIT_FIELDS = ("accesses", "hits")
+
+
+class _NativeMemory:
+    """Kernel views of one core's L1s and TLB, with per-run hit counts.
+
+    Each view is the structure's own flat arrays (zero-copy) plus a fresh
+    counter array the kernel bumps per native hit; :meth:`credit` adds
+    those counts to the structures' stats once the kernel returns.  A side
+    left in Python gets ``None`` and every one of its accesses calls back.
+    """
+
+    def __init__(self, memory, inst: bool, data: bool) -> None:
+        self._credits = []
+        self.spec = dict(
+            mem_l1i=self._cache(memory.l1i) if inst else None,
+            mem_l1d=self._cache(memory.l1d) if data else None,
+            mem_tlb=self._tlb(memory.tlb) if data else None,
+        )
+
+    def _counts(self, stats, fields) -> array:
+        counts = array("q", bytes(8 * len(fields)))
+        self._credits.append((stats, fields, counts))
+        return counts
+
+    def _cache(self, cache) -> tuple:
+        return (cache._tags, cache._fill, cache._last_use, cache._flags,
+                self._counts(cache.stats, _CACHE_HIT_FIELDS),
+                cache._num_sets, cache._associativity, cache._block_bytes,
+                cache._latency)
+
+    def _tlb(self, tlb) -> tuple:
+        return (tlb._vpn, tlb._last_use,
+                self._counts(tlb.stats, _TLB_HIT_FIELDS),
+                len(tlb._vpn), tlb._page_bytes)
+
+    def credit(self) -> None:
+        for stats, fields, counts in self._credits:
+            for name, count in zip(fields, counts):
+                setattr(stats, name, getattr(stats, name) + count)
 
 
 def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
@@ -75,7 +124,6 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
     hist_capacity = cfg.fetch_buffer_entries
     hist = array("q", bytes(8 * (hist_capacity + 1)))
 
-    recent_load_addresses: list = []
     l1_pf = core.l1_prefetcher
     l2_pf = core.l2_prefetcher
     mem_prefetch = memory.prefetch
@@ -114,9 +162,6 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
             ready, info = access_data_fast(address, now, False)
             if has_prefetchers:
                 observe_prefetchers(pcs[i], address, info, now)
-            recent_load_addresses.append(address)
-            if len(recent_load_addresses) > 16:
-                del recent_load_addresses[0]
             comm[3] = ready
             comm[4] = info
 
@@ -146,9 +191,6 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
             access = memory_access(address, int(issue), ACC_LOAD)
             if has_prefetchers:
                 run_prefetchers(pcs[i], address, access, issue)
-            recent_load_addresses.append(address)
-            if len(recent_load_addresses) > 16:
-                del recent_load_addresses[0]
             hook_on_memory(entries[i], access, issue)
             comm[3] = float(access.ready_cycle)
             comm[4] = (1 | (2 if access.supplied_by in ("l3", "dram") else 0)
@@ -170,6 +212,11 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
     # ---------------- control flow ----------------
     pending_hint = [None]
 
+    def last_load_address():
+        # The kernel keeps the trace index of the latest load in B_LAST.
+        k = int(comm[B_LAST])
+        return ea[k] if k >= 0 else None
+
     def cb_control():
         i = int(comm[0])
         if flags[i] & 1:  # F_BRANCH: consume the hint stashed at fetch
@@ -183,7 +230,7 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
             comm[3] = _NAN
         else:
             comm[3] = redirect
-            wrong_path_pollution(recent_load_addresses, comm[1], result)
+            wrong_path_pollution(last_load_address(), comm[1], result)
 
     # ---------------- native branch unit ----------------
     # The kernel runs TAGE/BTB/RAS itself — directly on the Python
@@ -213,7 +260,7 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
                 hook_hint_miss(entries[int(comm[0])], comm[1])
 
         def cb_redirect():
-            wrong_path_pollution(recent_load_addresses, comm[1], result)
+            wrong_path_pollution(last_load_address(), comm[1], result)
 
         native_spec = dict(
             tage_base_n=predictor.base.entries,
@@ -354,6 +401,8 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
                 else:
                     comm[3] = 3.0
 
+    native = _NativeMemory(memory, plan.native_inst_hits,
+                           plan.native_data_hits)
     spec = dict(
         n=n,
         start_cycle=float(start_cycle),
@@ -392,9 +441,15 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
         cb_on_fetch=cb_on_fetch, cb_on_commit=cb_on_commit,
         cb_value_hint=cb_value_hint,
         cb_hint_miss=cb_hint_miss, cb_redirect=cb_redirect,
+        load_miss_log=fast.load_miss_log if plan.log_load_misses else None,
         **native_spec,
+        **native.spec,
     )
-    kernel.run_tick_loop(spec)
+    try:
+        kernel.run_tick_loop(spec)
+    finally:
+        native.credit()
+    _add_native_mem_hits(counters[C_NATIVE_HITS])
 
     if ctrl_native:
         ras._stack = list(ras_stack[:ras_state[0]])
@@ -436,3 +491,24 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
                 result.fetch_queue_histogram.get(occupancy, 0) + count
             )
     return result
+
+
+def replay_warmup(kernel, memory, inputs, cycles_per_access: int) -> None:
+    """Replay a warm-up window's memory accesses into ``memory`` on the
+    kernel: the loop of :func:`repro.core.system._replay_warmup` (same
+    accesses, order and pacing) with L1/TLB hits served natively and every
+    other access through ``access_inst_fast`` / ``access_data_fast``."""
+    ba, flags, ea = inputs
+    native = _NativeMemory(memory, *stock_hit_sides(memory))
+    try:
+        hits = kernel.replay_warmup(dict(
+            n=len(ba), ba=ba, flags=flags, ea=ea,
+            block_bytes=memory.config.l1i.block_bytes,
+            cycles_per_access=cycles_per_access,
+            cb_inst=memory.access_inst_fast,
+            cb_data=memory.access_data_fast,
+            **native.spec,
+        ))
+    finally:
+        native.credit()
+    _add_native_mem_hits(hits)

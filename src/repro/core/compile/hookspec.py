@@ -46,3 +46,10 @@ class CompiledHookSpec:
     #: intersect the mask or its PC is in the sorted tuple.
     commit_flag_mask: Optional[int] = None
     commit_pcs: Tuple[int, ...] = ()
+
+    #: ``on_memory_access`` replacement: a hook that only appends
+    #: ``(issue_cycle, address)`` for every load missing the L1 may declare
+    #: its list here.  The kernel then appends those entries itself, in
+    #: program order, so the run keeps the fast accessors and native L1/TLB
+    #: hits instead of building an AccessResult per access.
+    load_miss_log: Optional[list] = None

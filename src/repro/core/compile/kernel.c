@@ -1,9 +1,10 @@
 /* Compiled tick kernel: the per-instruction scheduling shell of
- * OutOfOrderCore.run, with every model interaction (caches, predictor,
- * hooks) left in Python and reached through per-event callbacks that
- * communicate over a shared double buffer.  Mirrors core/pipeline.py
- * statement-for-statement; bit-identity is enforced by the golden and
- * equivalence suites. */
+ * OutOfOrderCore.run, with the branch unit and the L1/TLB hit path native
+ * and every other model interaction (misses, prefetchers, hooks) left in
+ * Python and reached through per-event callbacks that communicate over a
+ * shared double buffer.  Mirrors core/pipeline.py statement-for-statement;
+ * bit-identity is enforced by the golden and equivalence suites.  Also
+ * hosts warm-up replay (replay_warmup) over the same hit path. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
@@ -31,6 +32,7 @@
 #define B_OUT1 4
 #define B_DUE  5
 #define B_OUT2 6
+#define B_LAST 7   /* trace index of the last load (-1: none yet) */
 
 /* counter slots (must match core/compile/driver.py) */
 enum {
@@ -38,7 +40,7 @@ enum {
     C_DECODED, C_EXECUTED, C_COMMITTED, C_FETCH_BOUND,
     C_VALID_SKIP, C_VP_USED, C_VP_MISS, C_SB_SKIP, C_SB_VALID,
     C_BRANCHES, C_BR_MISPRED, C_HINT_MISPRED, C_BTB_MISS,
-    C_TICKS, C_COUNT
+    C_TICKS, C_NATIVE_HITS, C_COUNT
 };
 
 /* ------------------------------------------------------------------ */
@@ -214,6 +216,263 @@ ras_pop(ras_t *r, int64_t *out)
     *out = r->stack[len - 1];
     r->st[0] = len - 1;
     return 1;
+}
+
+/* ------------------------------------------------------------------ */
+/* Native L1/TLB hit path over the Cache/Tlb objects' own flat arrays  */
+/* (see memory/cache.py and memory/tlb.py for the layout).  A lookup   */
+/* probes before it mutates: only when the TLB entry and the L1 line   */
+/* are both present does it perform the hit, exactly as Cache.lookup / */
+/* Tlb.access would; otherwise nothing is touched and the caller goes  */
+/* through the Python accessor.  Misses never happen here.            */
+
+#define LINE_DIRTY 1
+#define LINE_FROM_PREFETCH 2
+#define LINE_PREFETCH_USED 4
+
+typedef struct {
+    int on;
+    int64_t *tag;           /* per slot; -1 = empty */
+    PyObject *fill;         /* list: per-slot fill time (int or float) */
+    PyObject *last_use;     /* list: per-slot last use (int or float) */
+    uint8_t *flags;         /* LINE_* bits */
+    int64_t *cnt;           /* accesses, hits, prefetch_hits, late_prefetch_hits */
+    int64_t sets, assoc, block, latency;
+    Py_buffer v_tag, v_flags, v_cnt;
+} ncache_t;
+
+typedef struct {
+    int on;
+    int64_t *vpn;           /* per slot; -1 = empty */
+    PyObject *last_use;     /* list: per-slot last use */
+    int64_t *cnt;           /* accesses, hits */
+    int64_t n, page, hint;
+    Py_buffer v_vpn, v_cnt;
+} ntlb_t;
+
+static int
+buffer_of(PyObject *obj, Py_buffer *view, void **ptr)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_WRITABLE) < 0)
+        return -1;
+    *ptr = view->buf;
+    return 0;
+}
+
+/* spec: None (hits stay in Python) or (tags, fill, last_use, flags,
+ * counters, num_sets, associativity, block_bytes, latency). */
+static int
+ncache_open(PyObject *spec, ncache_t *c)
+{
+    memset(c, 0, sizeof(*c));
+    if (spec == NULL || spec == Py_None)
+        return 0;
+    PyObject *tag, *flags, *cnt;
+    long long sets, assoc, block, latency;
+    if (!PyArg_ParseTuple(spec, "OO!O!OOLLLL", &tag, &PyList_Type, &c->fill,
+                          &PyList_Type, &c->last_use, &flags, &cnt, &sets,
+                          &assoc, &block, &latency))
+        return -1;
+    c->sets = sets;
+    c->assoc = assoc;
+    c->block = block;
+    c->latency = latency;
+    if (buffer_of(tag, &c->v_tag, (void **)&c->tag) < 0 ||
+        buffer_of(flags, &c->v_flags, (void **)&c->flags) < 0 ||
+        buffer_of(cnt, &c->v_cnt, (void **)&c->cnt) < 0)
+        return -1;
+    Py_ssize_t slots = (Py_ssize_t)(sets * assoc);
+    if (sets < 1 || assoc < 1 || block < 1 ||
+        c->v_tag.len < slots * (Py_ssize_t)sizeof(int64_t) ||
+        c->v_flags.len < slots || c->v_cnt.len < 4 * (Py_ssize_t)sizeof(int64_t) ||
+        PyList_GET_SIZE(c->fill) < slots || PyList_GET_SIZE(c->last_use) < slots) {
+        PyErr_SetString(PyExc_ValueError, "cache view does not match its geometry");
+        return -1;
+    }
+    Py_INCREF(c->fill);
+    Py_INCREF(c->last_use);
+    c->on = 1;
+    return 0;
+}
+
+static void
+ncache_close(ncache_t *c)
+{
+    if (c->v_tag.obj) PyBuffer_Release(&c->v_tag);
+    if (c->v_flags.obj) PyBuffer_Release(&c->v_flags);
+    if (c->v_cnt.obj) PyBuffer_Release(&c->v_cnt);
+    if (c->on) {
+        Py_DECREF(c->fill);
+        Py_DECREF(c->last_use);
+    }
+    c->on = 0;
+}
+
+/* spec: None or (vpn, last_use, counters, entries, page_bytes). */
+static int
+ntlb_open(PyObject *spec, ntlb_t *t)
+{
+    memset(t, 0, sizeof(*t));
+    if (spec == NULL || spec == Py_None)
+        return 0;
+    PyObject *vpn, *cnt;
+    long long entries, page;
+    if (!PyArg_ParseTuple(spec, "OO!OLL", &vpn, &PyList_Type, &t->last_use,
+                          &cnt, &entries, &page))
+        return -1;
+    t->n = entries;
+    t->page = page;
+    if (buffer_of(vpn, &t->v_vpn, (void **)&t->vpn) < 0 ||
+        buffer_of(cnt, &t->v_cnt, (void **)&t->cnt) < 0)
+        return -1;
+    if (page < 1 || entries < 0 ||
+        t->v_vpn.len < (Py_ssize_t)(entries * sizeof(int64_t)) ||
+        t->v_cnt.len < 2 * (Py_ssize_t)sizeof(int64_t) ||
+        PyList_GET_SIZE(t->last_use) < entries) {
+        PyErr_SetString(PyExc_ValueError, "TLB view does not match its size");
+        return -1;
+    }
+    Py_INCREF(t->last_use);
+    t->on = 1;
+    return 0;
+}
+
+static void
+ntlb_close(ntlb_t *t)
+{
+    if (t->v_vpn.obj) PyBuffer_Release(&t->v_vpn);
+    if (t->v_cnt.obj) PyBuffer_Release(&t->v_cnt);
+    if (t->on)
+        Py_DECREF(t->last_use);
+    t->on = 0;
+}
+
+/* One core's native hit path: its L1s and TLB (spec keys mem_l1i,
+ * mem_l1d, mem_tlb; a None view keeps that side in Python). */
+typedef struct {
+    ncache_t l1i, l1d;
+    ntlb_t tlb;
+} nmem_t;
+
+static int
+nmem_open(PyObject *spec, nmem_t *m)
+{
+    memset(m, 0, sizeof(*m));
+    if (ncache_open(PyDict_GetItemString(spec, "mem_l1i"), &m->l1i) < 0 ||
+        ncache_open(PyDict_GetItemString(spec, "mem_l1d"), &m->l1d) < 0 ||
+        ntlb_open(PyDict_GetItemString(spec, "mem_tlb"), &m->tlb) < 0)
+        return -1;
+    return 0;
+}
+
+static void
+nmem_close(nmem_t *m)
+{
+    ncache_close(&m->l1i);
+    ncache_close(&m->l1d);
+    ntlb_close(&m->tlb);
+}
+
+/* Slot holding ``address``'s line, or -1 (address >= 0). */
+static inline int64_t
+ncache_find(const ncache_t *c, int64_t address)
+{
+    int64_t block = address / c->block;
+    int64_t tag = block / c->sets;
+    int64_t base = (block % c->sets) * c->assoc;
+    for (int64_t k = base; k < base + c->assoc; k++)
+        if (c->tag[k] == tag)
+            return k;
+    return -1;
+}
+
+/* list[slot] = int(value), as the Python accessors store ``now``. */
+static inline int
+set_last_use(PyObject *list, int64_t slot, int64_t value)
+{
+    PyObject *obj = PyLong_FromLongLong(value);
+    if (obj == NULL)
+        return -1;
+    PyObject *old = PyList_GET_ITEM(list, slot);
+    PyList_SET_ITEM(list, slot, obj);
+    Py_DECREF(old);
+    return 0;
+}
+
+/* The hit half of Cache.lookup on a present slot: stores the ready cycle
+ * in *ready; -1 on error. */
+static inline int
+ncache_hit(ncache_t *c, int64_t slot, int64_t now_int, int is_write,
+           double *ready)
+{
+    double now = (double)now_int;
+    PyObject *obj = PyList_GET_ITEM(c->fill, slot);
+    double fill = PyFloat_CheckExact(obj) ? PyFloat_AS_DOUBLE(obj)
+                                          : PyFloat_AsDouble(obj);
+    if ((fill == -1.0 && PyErr_Occurred()) ||
+        set_last_use(c->last_use, slot, now_int) < 0)
+        return -1;
+    c->cnt[0]++;
+    c->cnt[1]++;
+    uint8_t fl = c->flags[slot];
+    if (is_write)
+        fl |= LINE_DIRTY;
+    if ((fl & (LINE_FROM_PREFETCH | LINE_PREFETCH_USED)) == LINE_FROM_PREFETCH) {
+        fl |= LINE_PREFETCH_USED;
+        c->cnt[2]++;
+        if (fill > now)
+            c->cnt[3]++;
+    }
+    c->flags[slot] = fl;
+    *ready = (fill > now ? fill : now) + (double)c->latency;
+    return 0;
+}
+
+static inline int64_t
+ntlb_find(ntlb_t *t, int64_t vpn)
+{
+    if (t->hint < t->n && t->vpn[t->hint] == vpn)
+        return t->hint;
+    for (int64_t k = 0; k < t->n; k++)
+        if (t->vpn[k] == vpn) {
+            t->hint = k;
+            return k;
+        }
+    return -1;
+}
+
+/* Instruction-block hit (CoreMemorySystem.access_inst_fast's first line).
+ * ``now`` is the accessor's integer cycle.  Returns 1 on a native hit, 0
+ * when the caller must go through Python, -1 on error. */
+static inline int
+native_inst_hit(ncache_t *l1i, int64_t address, int64_t now, double *ready)
+{
+    if (!l1i->on || address < 0)
+        return 0;
+    int64_t slot = ncache_find(l1i, address);
+    if (slot < 0)
+        return 0;
+    return ncache_hit(l1i, slot, now, 0, ready) < 0 ? -1 : 1;
+}
+
+/* Data hit (access_data_fast's TLB + L1 lines): both must be present. */
+static inline int
+native_data_hit(ntlb_t *tlb, ncache_t *l1d, int64_t address, int64_t now,
+                int is_write, double *ready)
+{
+    if (!l1d->on || !tlb->on || address < 0)
+        return 0;
+    int64_t entry = ntlb_find(tlb, address / tlb->page);
+    if (entry < 0)
+        return 0;
+    int64_t slot = ncache_find(l1d, address);
+    if (slot < 0)
+        return 0;
+    if (set_last_use(tlb->last_use, entry, now) < 0)
+        return -1;
+    tlb->cnt[0]++;
+    tlb->cnt[1]++;
+    return ncache_hit(l1d, slot, now, is_write, ready) < 0 ? -1 : 1;
 }
 
 typedef struct { double free_at; int64_t index; } unit_t;
@@ -397,7 +656,10 @@ run_tick_loop(PyObject *self, PyObject *args)
     int64_t *lsq_ring = NULL;
     uint8_t *validated = NULL;
     PyObject *ret = NULL;
+    nmem_t mem;
 
+    if (nmem_open(spec, &mem) < 0)
+        goto done;
     if (get_buffer(spec, "ba", &v_ba, (void **)&ba) < 0 ||
         get_buffer(spec, "flags", &v_flags, (void **)&flags) < 0 ||
         get_buffer(spec, "ea", &v_ea, (void **)&ea) < 0 ||
@@ -444,6 +706,9 @@ run_tick_loop(PyObject *self, PyObject *args)
     PyObject *cb_value_hint = get_callback(spec, "cb_value_hint");
     PyObject *cb_hint_miss = get_callback(spec, "cb_hint_miss");
     PyObject *cb_redirect = get_callback(spec, "cb_redirect");
+    /* Declared load-miss log (CompiledHookSpec.load_miss_log): the kernel
+     * appends (issue, address) for every load that misses the L1. */
+    PyObject *miss_log = get_callback(spec, "load_miss_log");
 
     if (num_int < 1) num_int = 1;
     if (num_mem < 1) num_mem = 1;
@@ -474,6 +739,7 @@ run_tick_loop(PyObject *self, PyObject *args)
     double block_ready = start_cycle;
     int64_t mem_count = 0;
     int64_t fetch_bound = 0;
+    comm[B_LAST] = -1.0;
 
     for (int64_t i = 0; i < n; i++) {
         int64_t f = flags[i];
@@ -489,16 +755,24 @@ run_tick_loop(PyObject *self, PyObject *args)
         int64_t byte_address = ba[i];
         int64_t block = byte_address / block_bytes;
         if (!have_block || block != current_block) {
-            comm[B_I] = (double)i;
-            comm[B_T0] = fetch_time;
-            PyObject *r = PyObject_CallNoArgs(cb_icache);
-            if (r == NULL)
-                goto done;
-            Py_DECREF(r);
             counters[C_L1I_ACC]++;
-            if (comm[B_OUT1] != 0.0)
-                counters[C_L1I_MISS]++;
-            block_ready = comm[B_OUT0];
+            int hit = native_inst_hit(&mem.l1i, byte_address,
+                                      (int64_t)fetch_time, &block_ready);
+            if (hit < 0)
+                goto done;
+            if (hit) {
+                counters[C_NATIVE_HITS]++;
+            } else {
+                comm[B_I] = (double)i;
+                comm[B_T0] = fetch_time;
+                PyObject *r = PyObject_CallNoArgs(cb_icache);
+                if (r == NULL)
+                    goto done;
+                Py_DECREF(r);
+                if (comm[B_OUT1] != 0.0)
+                    counters[C_L1I_MISS]++;
+                block_ready = comm[B_OUT0];
+            }
             current_block = block;
             have_block = 1;
         }
@@ -628,22 +902,41 @@ run_tick_loop(PyObject *self, PyObject *args)
         } else if (f & F_MEM) {
             double issue = heap_reserve(mem_heap, (int)num_mem, ready, 1.0);
             if (f & F_LOAD) {
-                comm[B_I] = (double)i;
-                comm[B_T0] = issue;
-                PyObject *r = PyObject_CallNoArgs(cb_load);
-                if (r == NULL)
-                    goto done;
-                Py_DECREF(r);
-                complete = comm[B_OUT0];
-                int64_t aflags = (int64_t)comm[B_OUT1];
                 counters[C_L1D_ACC]++;
-                if (aflags & 1) {
-                    counters[C_L1D_MISS]++;
-                    if (aflags & 2)
-                        counters[C_L2_MISS]++;
+                int hit = native_data_hit(&mem.tlb, &mem.l1d, ea[i],
+                                          (int64_t)issue, 0, &complete);
+                if (hit < 0)
+                    goto done;
+                if (hit) {
+                    counters[C_NATIVE_HITS]++;
+                } else {
+                    comm[B_I] = (double)i;
+                    comm[B_T0] = issue;
+                    PyObject *r = PyObject_CallNoArgs(cb_load);
+                    if (r == NULL)
+                        goto done;
+                    Py_DECREF(r);
+                    complete = comm[B_OUT0];
+                    int64_t aflags = (int64_t)comm[B_OUT1];
+                    if (aflags & 1) {
+                        counters[C_L1D_MISS]++;
+                        if (aflags & 2)
+                            counters[C_L2_MISS]++;
+                        if (miss_log != NULL) {
+                            PyObject *item = Py_BuildValue("(dL)", issue,
+                                                           (long long)ea[i]);
+                            if (item == NULL)
+                                goto done;
+                            int bad = PyList_Append(miss_log, item);
+                            Py_DECREF(item);
+                            if (bad < 0)
+                                goto done;
+                        }
+                    }
+                    if (aflags & 4)
+                        counters[C_DRAM]++;
                 }
-                if (aflags & 4)
-                    counters[C_DRAM]++;
+                comm[B_LAST] = (double)i;
             } else {
                 complete = issue + 1.0;
             }
@@ -791,21 +1084,30 @@ run_tick_loop(PyObject *self, PyObject *args)
         counters[C_COMMITTED]++;
 
         if (f & F_STORE) {
-            comm[B_I] = (double)i;
-            comm[B_T0] = commit_time;
-            PyObject *r = PyObject_CallNoArgs(cb_store);
-            if (r == NULL)
-                goto done;
-            Py_DECREF(r);
-            int64_t aflags = (int64_t)comm[B_OUT1];
             counters[C_L1D_ACC]++;
-            if (aflags & 1) {
-                counters[C_L1D_MISS]++;
-                if (aflags & 2)
-                    counters[C_L2_MISS]++;
+            double ignored;
+            int hit = native_data_hit(&mem.tlb, &mem.l1d, ea[i],
+                                      (int64_t)commit_time, 1, &ignored);
+            if (hit < 0)
+                goto done;
+            if (hit) {
+                counters[C_NATIVE_HITS]++;
+            } else {
+                comm[B_I] = (double)i;
+                comm[B_T0] = commit_time;
+                PyObject *r = PyObject_CallNoArgs(cb_store);
+                if (r == NULL)
+                    goto done;
+                Py_DECREF(r);
+                int64_t aflags = (int64_t)comm[B_OUT1];
+                if (aflags & 1) {
+                    counters[C_L1D_MISS]++;
+                    if (aflags & 2)
+                        counters[C_L2_MISS]++;
+                }
+                if (aflags & 4)
+                    counters[C_DRAM]++;
             }
-            if (aflags & 4)
-                counters[C_DRAM]++;
         }
 
         if (cb_on_commit != NULL &&
@@ -850,6 +1152,7 @@ done:
     PyMem_Free(reg_ready);
     PyMem_Free(lsq_ring);
     PyMem_Free(validated);
+    nmem_close(&mem);
     if (v_sbd.obj) PyBuffer_Release(&v_sbd);
     if (v_seq.obj) PyBuffer_Release(&v_seq);
     if (v_pc.obj) PyBuffer_Release(&v_pc);
@@ -884,6 +1187,97 @@ done:
     if (v_bc.obj) PyBuffer_Release(&v_bc);
     if (v_rs.obj) PyBuffer_Release(&v_rs);
     if (v_rt.obj) PyBuffer_Release(&v_rt);
+    return ret;
+}
+
+/* ------------------------------------------------------------------ */
+/* Warm-up replay: repro.core.system._replay_warmup's loop.  Same       */
+/* accesses in the same order and pacing; hits are served natively,    */
+/* everything else calls CoreMemorySystem.access_inst_fast /           */
+/* access_data_fast.  Returns the number of native hits.               */
+/* ------------------------------------------------------------------ */
+static int
+replay_miss(PyObject *cb, int64_t address, int64_t cycle, PyObject *is_write)
+{
+    PyObject *r = is_write == NULL
+        ? PyObject_CallFunction(cb, "LL", (long long)address, (long long)cycle)
+        : PyObject_CallFunction(cb, "LLO", (long long)address,
+                                (long long)cycle, is_write);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+static PyObject *
+replay_warmup(PyObject *self, PyObject *args)
+{
+    PyObject *spec;
+    if (!PyArg_ParseTuple(args, "O!", &PyDict_Type, &spec))
+        return NULL;
+    int err = 0;
+    int64_t n = get_int(spec, "n", &err);
+    int64_t block_bytes = get_int(spec, "block_bytes", &err);
+    int64_t pace = get_int(spec, "cycles_per_access", &err);
+    PyObject *cb_inst = get_callback(spec, "cb_inst");
+    PyObject *cb_data = get_callback(spec, "cb_data");
+    if (err)
+        return NULL;
+    if (cb_inst == NULL || cb_data == NULL) {
+        PyErr_SetString(PyExc_KeyError, "missing replay callbacks");
+        return NULL;
+    }
+
+    Py_buffer v_ba = {0}, v_flags = {0}, v_ea = {0};
+    int64_t *ba = NULL, *flags = NULL, *ea = NULL;
+    nmem_t mem;
+    PyObject *ret = NULL;
+    int64_t hits = 0;
+
+    if (nmem_open(spec, &mem) < 0 ||
+        get_buffer(spec, "ba", &v_ba, (void **)&ba) < 0 ||
+        get_buffer(spec, "flags", &v_flags, (void **)&flags) < 0 ||
+        get_buffer(spec, "ea", &v_ea, (void **)&ea) < 0)
+        goto done;
+
+    int64_t cycle = 0, last_block = 0;
+    int have_block = 0;
+    double ready;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t address = ba[i];
+        int64_t block = address / block_bytes;
+        if (!have_block || block != last_block) {
+            last_block = block;
+            have_block = 1;
+            int hit = native_inst_hit(&mem.l1i, address, cycle, &ready);
+            if (hit < 0)
+                goto done;
+            if (hit)
+                hits++;
+            else if (replay_miss(cb_inst, address, cycle, NULL) < 0)
+                goto done;
+        }
+        int64_t f = flags[i];
+        if (f & (F_LOAD | F_STORE)) {
+            int is_write = (f & F_LOAD) == 0;
+            int hit = native_data_hit(&mem.tlb, &mem.l1d, ea[i], cycle,
+                                      is_write, &ready);
+            if (hit < 0)
+                goto done;
+            if (hit)
+                hits++;
+            else if (replay_miss(cb_data, ea[i], cycle,
+                                 is_write ? Py_True : Py_False) < 0)
+                goto done;
+        }
+        cycle += pace;
+    }
+    ret = PyLong_FromLongLong(hits);
+done:
+    nmem_close(&mem);
+    if (v_ba.obj) PyBuffer_Release(&v_ba);
+    if (v_flags.obj) PyBuffer_Release(&v_flags);
+    if (v_ea.obj) PyBuffer_Release(&v_ea);
     return ret;
 }
 
@@ -1058,6 +1452,8 @@ done:
 static PyMethodDef methods[] = {
     {"run_tick_loop", run_tick_loop, METH_VARARGS,
      "Run the compiled per-instruction tick loop over a decoded trace."},
+    {"replay_warmup", replay_warmup, METH_VARARGS,
+     "Replay a warm-up window's memory accesses (native L1/TLB hits)."},
     {"decode_trace_flat", decode_trace_flat, METH_VARARGS,
      "Flatten a trace window into typed buffers (decode_trace fast path)."},
     {NULL, NULL, 0, NULL},

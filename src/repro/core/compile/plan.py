@@ -4,14 +4,19 @@ The pass pipeline is deliberately small: ``plan_run`` resolves every
 run-invariant decision once — which hook callbacks the kernel must fire,
 whether the memory callbacks can use the tuple-returning fast accessors or
 must construct real :class:`AccessResult` objects (an ``on_memory_access``
-hook observes them), and which prefetchers train — so the per-instruction
-loop carries no residual config branches on the Python side.  The plan's
-fingerprint keys in-process caches of anything derived from it.
+hook observes them), which prefetchers train, and which L1/TLB hits the
+kernel serves natively — so the per-instruction loop carries no residual
+config branches on the Python side.  The plan's fingerprint keys
+in-process caches of anything derived from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
+
+from repro.memory.cache import Cache
+from repro.memory.tlb import Tlb
 
 
 @dataclass(frozen=True)
@@ -28,6 +33,14 @@ class SpecializationPlan:
     #: Tuple-returning accessors are only sound when no hook inspects the
     #: AccessResult objects.
     use_fast_access: bool
+    #: The ``on_memory_access`` hook is a declared load-miss log
+    #: (``CompiledHookSpec.load_miss_log``) the kernel fills itself.
+    log_load_misses: bool
+    #: The kernel serves L1I hits itself (stock cache).
+    native_inst_hits: bool
+    #: The kernel serves TLB + L1D hits itself: stock structures, fast
+    #: accessors, and no L1 prefetcher (which must observe every access).
+    native_data_hits: bool
 
     @property
     def fingerprint(self) -> int:
@@ -36,6 +49,8 @@ class SpecializationPlan:
             self.has_branch_hint, self.has_value_hint, self.has_on_commit,
             self.has_on_fetch, self.has_on_memory, self.has_l1_prefetcher,
             self.has_l2_prefetcher, self.use_fast_access,
+            self.log_load_misses, self.native_inst_hits,
+            self.native_data_hits,
         )):
             if flag:
                 bits |= 1 << shift
@@ -52,6 +67,11 @@ def plan_run(core, hooks) -> SpecializationPlan:
     stays compiled but routes control flow through a Python callback.
     """
     has_on_memory = hooks.on_memory_access is not None
+    fast = hooks.fast_hints
+    log_load_misses = (has_on_memory and fast is not None
+                       and fast.load_miss_log is not None)
+    use_fast_access = not has_on_memory or log_load_misses
+    stock_inst, stock_data = stock_hit_sides(core.memory)
     return SpecializationPlan(
         has_branch_hint=hooks.branch_hint is not None,
         has_value_hint=hooks.value_hint is not None,
@@ -60,5 +80,16 @@ def plan_run(core, hooks) -> SpecializationPlan:
         has_on_memory=has_on_memory,
         has_l1_prefetcher=core.l1_prefetcher is not None,
         has_l2_prefetcher=core.l2_prefetcher is not None,
-        use_fast_access=not has_on_memory,
+        use_fast_access=use_fast_access,
+        log_load_misses=log_load_misses,
+        native_inst_hits=stock_inst,
+        native_data_hits=(stock_data and use_fast_access
+                          and core.l1_prefetcher is None),
     )
+
+
+def stock_hit_sides(memory) -> Tuple[bool, bool]:
+    """Whether the kernel's hit transcription fits ``memory``'s I-side (a
+    stock :class:`Cache` L1I) and D-side (stock L1D and :class:`Tlb`)."""
+    return (type(memory.l1i) is Cache,
+            type(memory.l1d) is Cache and type(memory.tlb) is Tlb)

@@ -180,7 +180,7 @@ class OutOfOrderCore:
         block_ready = start_cycle
 
         mem_indices: List[int] = []           # trace indices of memory ops (LSQ)
-        recent_load_addresses: List[int] = [] # for wrong-path pollution
+        last_load_address: Optional[int] = None  # wrong-path pollution base
         fetch_inc = 1.0 / cfg.fetch_width
         dispatch_inc = 1.0 / cfg.decode_width
         commit_inc = 1.0 / cfg.commit_width
@@ -307,9 +307,7 @@ class OutOfOrderCore:
                     complete = float(access.ready_cycle)
                     if has_prefetchers:
                         run_prefetchers(static.pc, address, access, issue)
-                    recent_load_addresses.append(address)
-                    if len(recent_load_addresses) > 16:
-                        del recent_load_addresses[0]
+                    last_load_address = address
                     if hook_on_memory is not None:
                         hook_on_memory(entry, access, issue)
                 else:
@@ -356,7 +354,7 @@ class OutOfOrderCore:
                 if redirect is not None:
                     fetch_redirect_at = max(fetch_redirect_at, redirect)
                     self._wrong_path_pollution(
-                        recent_load_addresses, fetch_time, result
+                        last_load_address, fetch_time, result
                     )
 
             # ---------------- commit ----------------
@@ -483,7 +481,7 @@ class OutOfOrderCore:
                 if self.memory.prefetch(request.address, int(cycle), level=request.level) is None:
                     self.l2_prefetcher.notify_drop(request)
 
-    def _wrong_path_pollution(self, recent_loads: List[int], cycle: float,
+    def _wrong_path_pollution(self, last_load: Optional[int], cycle: float,
                               result: CoreResult) -> None:
         """Charge wrong-path work after a misprediction.
 
@@ -493,6 +491,8 @@ class OutOfOrderCore:
         (energy) and issue loads that pollute the data cache — the effect
         that makes a big fetch buffer a mixed blessing on a conventional
         core (Sec. III-D2) but essentially free under BOQ-driven fetch.
+        The polluting loads stride away from ``last_load``, the address of
+        the most recent load (none yet: no pollution).
         """
         if not self.config.model_wrong_path:
             return
@@ -503,10 +503,10 @@ class OutOfOrderCore:
         )
         result.decoded += wrong_path_depth
         result.executed += int(wrong_path_depth * 0.6)
-        if not recent_loads:
+        if last_load is None:
             return
         pollution_loads = min(4, max(1, wrong_path_depth // 8))
-        base = recent_loads[-1]
+        base = last_load
         block = self.memory.config.l1d.block_bytes
         for k in range(pollution_loads):
             victim_address = base + (k + 1) * block * 3

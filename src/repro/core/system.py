@@ -69,7 +69,7 @@ class SimulationOutcome:
 
 
 def _replay_warmup(memory: CoreMemorySystem, entries: Sequence[DynamicInst],
-                   cycles_per_access: int = 2) -> None:
+                   cycles_per_access: int = 2, inputs=None) -> None:
     """Warm one core's caches/TLB by replaying a trace's memory behaviour.
 
     The paper warms the caches for 100M instructions before each SimPoint
@@ -77,30 +77,22 @@ def _replay_warmup(memory: CoreMemorySystem, entries: Sequence[DynamicInst],
     traces used here.  Only the memory side is replayed — instruction blocks,
     loads, stores and TLB entries — which is all that persists into the timed
     region.
-    """
-    from repro.core.compile import fast_pipeline_enabled
 
+    With the compiled kernel available the loop below runs natively
+    (:func:`repro.core.compile.replay_compiled`) over the window's decoded
+    ``inputs`` (decoded here when the caller has none); the loop itself is
+    the reference the kernel transcribes.
+    """
+    from repro.core.compile import kernel_available, replay_compiled
+    from repro.core.compile.decoded import replay_inputs
+
+    if kernel_available():
+        replay_compiled(memory, inputs or replay_inputs(entries),
+                        cycles_per_access)
+        return
     cycle = 0
     block = memory.config.l1i.block_bytes
     last_block = None
-    if fast_pipeline_enabled():
-        # Same accesses in the same order, through the tuple-returning fast
-        # accessors: replay only needs the hierarchy's state side effects,
-        # not the AccessResult objects the reference accessor builds.
-        access_inst = memory.access_inst_fast
-        access_data = memory.access_data_fast
-        for entry in entries:
-            static = entry.static
-            address = static.byte_address
-            if address // block != last_block:
-                last_block = address // block
-                access_inst(address, cycle)
-            if static.is_load:
-                access_data(entry.effective_address, cycle, False)
-            elif static.is_store:
-                access_data(entry.effective_address, cycle, True)
-            cycle += cycles_per_access
-        return
     access = memory.access
     acc_inst, acc_load, acc_store = (
         AccessType.INSTRUCTION, AccessType.LOAD, AccessType.STORE
@@ -152,6 +144,9 @@ class WarmupMemo:
         self._snapshots: Dict[tuple, tuple] = {}
         #: Strong references keeping id()-keyed entry lists alive.
         self._retained: Dict[int, Sequence[DynamicInst]] = {}
+        #: Kernel replay arrays per retained entry list (every geometry
+        #: replaying one window decodes it once).
+        self._inputs: Dict[int, tuple] = {}
         self.max_snapshots = max_snapshots
         self.replays = 0
         self.restores = 0
@@ -176,8 +171,9 @@ class WarmupMemo:
         key = self._key(memories, entries, cycles_per_access)
         snapshot = self._snapshots.get(key)
         if snapshot is None:
+            inputs = self._replay_inputs(key[0], entries)
             for memory in memories:
-                _replay_warmup(memory, entries, cycles_per_access)
+                _replay_warmup(memory, entries, cycles_per_access, inputs)
             self.replays += 1
             self._evict_to_fit(key)
             self._snapshots[key] = (
@@ -190,6 +186,17 @@ class WarmupMemo:
         for memory, state in zip(memories, memory_states):
             memory.restore_state(state)
         self.restores += 1
+
+    def _replay_inputs(self, token: int, entries: Sequence[DynamicInst]):
+        from repro.core.compile import kernel_available
+        from repro.core.compile.decoded import replay_inputs
+
+        if not kernel_available():
+            return None
+        inputs = self._inputs.get(token)
+        if inputs is None:
+            inputs = self._inputs[token] = replay_inputs(entries)
+        return inputs
 
     def _evict_to_fit(self, incoming_key: tuple) -> None:
         """Drop oldest snapshots (FIFO) so the memo stays bounded.
@@ -208,10 +215,12 @@ class WarmupMemo:
                 key[0] == token for key in self._snapshots
             ):
                 self._retained.pop(token, None)
+                self._inputs.pop(token, None)
 
     def clear(self) -> None:
         self._snapshots.clear()
         self._retained.clear()
+        self._inputs.clear()
 
 
 #: Process-wide memo shared by every simulation entry point.

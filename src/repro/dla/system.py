@@ -332,13 +332,15 @@ class DlaSystem:
         lt_entries = _FILTERED.get(entries, skeleton.included_pcs)
         state.lt_dynamic_instructions += len(lt_entries)
         # The commit hook only acts on branches and value-target PCs; the
-        # compiled kernel may skip it everywhere else.
+        # compiled kernel may skip it everywhere else.  The memory hook only
+        # logs L1-missing loads, which the kernel can record itself.
         hooks = CoreHooks(
             on_commit=on_commit,
             on_memory_access=on_memory_access,
             fast_hints=CompiledHookSpec(
                 commit_flag_mask=F_BRANCH,
                 commit_pcs=tuple(sorted(value_targets)),
+                load_miss_log=products.prefetch_hints,
             ),
         )
         result = state.lt_core.run(lt_entries, hooks=hooks, start_cycle=state.lt_clock)

@@ -437,11 +437,13 @@ class ExperimentRunner:
                 self._baseline_cache[key] = stored
                 return stored
         started = self._begin_simulation()
-        outcome = simulate_baseline(
+        # Stripped in memory as on disk: a cached outcome must not pin the
+        # run's whole cache hierarchy.
+        outcome = strip_outcome(simulate_baseline(
             setup.timed,
             config or self.system_config,
             warmup_entries=setup.warmup,
-        )
+        ))
         self._record_simulation(
             started, outcome.core.committed,
             cycles=outcome.core.cycles,
@@ -449,7 +451,7 @@ class ExperimentRunner:
         )
         self._baseline_cache[key] = outcome
         if self.disk_cache is not None:
-            self.disk_cache.put(self._disk_key(key), strip_outcome(outcome))
+            self.disk_cache.put(self._disk_key(key), outcome)
         return outcome
 
     def dla(self, setup: WorkloadSetup, dla_config: DlaConfig, label: str,
@@ -589,10 +591,10 @@ class ExperimentRunner:
             started, committed, cycles=cycles,
             stall_cycles=_stall_cycles_total(getattr(outcome, "memsys", None)),
         )
-        self._aux_cache[key] = outcome
+        self._aux_cache[key] = payload
         if self.disk_cache is not None:
             self.disk_cache.put(self._disk_key(key), payload)
-        return outcome
+        return payload
 
     def _begin_simulation(self) -> float:
         """Mark the start of one executed simulation (wall clock + ticks)."""
@@ -674,6 +676,7 @@ def strip_outcome(outcome: SimulationOutcome) -> SimulationOutcome:
 
     The shared/private hierarchies hold the full cache state and are only
     interesting to interactive debugging; dropping them keeps disk-cache
-    entries and inter-process payloads small.
+    entries, the runner's in-memory caches and inter-process payloads
+    small.
     """
     return replace(outcome, shared=None, private=None)

@@ -9,7 +9,8 @@ lookup/fill timing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.memory.resources import (
@@ -130,14 +131,12 @@ class CacheStats:
                 setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
-@dataclass(slots=True)
-class _Line:
-    tag: int
-    fill_time: int = 0              # cycle when data is available in this level
-    last_use: int = 0
-    dirty: bool = False
-    from_prefetch: bool = False
-    prefetch_used: bool = False
+#: Per-line flag bits of :attr:`Cache._flags` (must match kernel.c).
+LINE_DIRTY = 1
+LINE_FROM_PREFETCH = 2
+LINE_PREFETCH_USED = 4
+#: A line is an unused prefetch when this masks to LINE_FROM_PREFETCH.
+_PREFETCH_STATE = LINE_FROM_PREFETCH | LINE_PREFETCH_USED
 
 
 class Cache:
@@ -148,6 +147,16 @@ class Cache:
     block (from a demand miss or a prefetch), possibly evicting another.  The
     surrounding :class:`~repro.memory.hierarchy.CoreMemorySystem` composes
     levels and propagates misses downward.
+
+    Line state lives in flat per-slot arrays (set ``s`` owns slots
+    ``s * associativity`` onwards) so the compiled kernel can serve hits
+    on the same memory: ``_tags`` (``-1`` = empty) and ``_flags``
+    (``LINE_*`` bits) are typed arrays; ``_fill`` and ``_last_use`` are
+    lists, so every time keeps the int/float type it arrived with.
+    ``_sets`` maps tag -> slot per set and is the only insertion-order
+    authority: LRU ties break in its order, only fills and evictions
+    change it, and hits never do.  The arrays are mutated in place, never
+    rebound, because a running kernel holds pointers into them.
     """
 
     def __init__(self, config: CacheConfig, lookahead_mode: bool = False) -> None:
@@ -161,7 +170,12 @@ class Cache:
         self._num_sets = config.num_sets
         self._latency = config.latency
         self._associativity = config.associativity
-        self._sets: List[Dict[int, _Line]] = [dict() for _ in range(config.num_sets)]
+        slots = config.num_sets * config.associativity
+        self._tags = array("q", [-1]) * slots
+        self._fill: list = [0] * slots
+        self._last_use: list = [0] * slots
+        self._flags = array("B", bytes(slots))
+        self._sets: List[Dict[int, int]] = [dict() for _ in range(config.num_sets)]
         #: ``None`` when MSHRs are unbounded — the whole model is inert then.
         #: A banked configuration (``mshr_banks >= 2``) interleaves the file
         #: over block-address banks and surfaces bank-conflict stalls.
@@ -215,8 +229,8 @@ class Cache:
         stats = self.stats
         stats.accesses += 1
         block = address // self._block_bytes
-        line = self._sets[block % self._num_sets].get(block // self._num_sets)
-        if line is None:
+        slot = self._sets[block % self._num_sets].get(block // self._num_sets)
+        if slot is None:
             stats.misses += 1
             mshr = self._mshr
             if mshr is not None:
@@ -230,15 +244,18 @@ class Cache:
                         stats.mshr_bank_conflict_cycles += stall
             return None
         stats.hits += 1
-        line.last_use = now
-        if is_write:
-            line.dirty = True
-        if line.from_prefetch and not line.prefetch_used:
-            line.prefetch_used = True
-            stats.prefetch_hits += 1
-            if line.fill_time > now:
-                stats.late_prefetch_hits += 1
-        fill_time = line.fill_time
+        self._last_use[slot] = now
+        fill_time = self._fill[slot]
+        flags = self._flags[slot]
+        if flags or is_write:
+            if is_write:
+                flags |= LINE_DIRTY
+            if flags & _PREFETCH_STATE == LINE_FROM_PREFETCH:
+                flags |= LINE_PREFETCH_USED
+                stats.prefetch_hits += 1
+                if fill_time > now:
+                    stats.late_prefetch_hits += 1
+            self._flags[slot] = flags
         ready = fill_time if fill_time > now else now
         return ready + self._latency
 
@@ -280,22 +297,25 @@ class Cache:
                 )
             else:
                 stats.mshr_coalesced += 1
-        line = cache_set.get(tag)
-        if line is not None:
+        slot = cache_set.get(tag)
+        if slot is not None:
             # Keep the earliest availability time; refresh prefetch marking.
-            if fill_time < line.fill_time:
-                line.fill_time = fill_time
-            line.dirty = line.dirty or dirty
+            if fill_time < self._fill[slot]:
+                self._fill[slot] = fill_time
+            if dirty:
+                self._flags[slot] |= LINE_DIRTY
             return None
 
         victim_writeback: Optional[int] = None
         if len(cache_set) >= self._associativity:
-            victim_tag = min(cache_set, key=lambda t: cache_set[t].last_use)
-            victim = cache_set.pop(victim_tag)
+            last_use = self._last_use
+            victim_tag = min(cache_set, key=lambda t: last_use[cache_set[t]])
+            slot = cache_set.pop(victim_tag)
+            victim_flags = self._flags[slot]
             self.stats.evictions += 1
-            if victim.from_prefetch and not victim.prefetch_used:
+            if victim_flags & _PREFETCH_STATE == LINE_FROM_PREFETCH:
                 self.stats.prefetches_useless += 1
-            if victim.dirty:
+            if victim_flags & LINE_DIRTY:
                 if self.lookahead_mode:
                     # Containment of speculation: discard silently.
                     pass
@@ -315,19 +335,28 @@ class Cache:
                             stats.wb_stalls += 1
                             stats.wb_stall_cycles += wb_stall
                             fill_time += wb_stall
-
-        cache_set[tag] = _Line(
-            tag=tag,
-            fill_time=fill_time,
-            last_use=fill_time,
-            dirty=dirty,
-            from_prefetch=from_prefetch,
-        )
+        else:
+            # Occupied slots of a set are always its first len(set) ones:
+            # lines leave only through eviction, whose slot is reused.
+            slot = index * self._associativity + len(cache_set)
+        self._tags[slot] = tag
+        self._fill[slot] = fill_time
+        self._last_use[slot] = fill_time
+        self._flags[slot] = ((LINE_DIRTY if dirty else 0)
+                             | (LINE_FROM_PREFETCH if from_prefetch else 0))
+        cache_set[tag] = slot
         return victim_writeback
+
+    def _clear_lines(self) -> None:
+        tags = self._tags
+        for cache_set in self._sets:
+            for slot in cache_set.values():
+                tags[slot] = -1
+            cache_set.clear()
 
     def invalidate_all(self) -> None:
         """Drop every line (used when rebooting the look-ahead thread core)."""
-        self._sets = [dict() for _ in range(self.config.num_sets)]
+        self._clear_lines()
         if self._mshr is not None:
             self._mshr.drain()
         if self._write_buffer is not None:
@@ -390,34 +419,66 @@ class Cache:
         self.last_miss_stall = 0.0
         self.last_wb_stall = 0.0
 
+    # -- state views ---------------------------------------------------------
+    def lines(self) -> List[Dict[int, tuple]]:
+        """Per set, ``{tag: (tag, fill_time, last_use, dirty, from_prefetch,
+        prefetch_used)}`` in LRU-tie (insertion) order."""
+        fill, last_use, flags = self._fill, self._last_use, self._flags
+        return [
+            {tag: (tag, fill[slot], last_use[slot],
+                   bool(flags[slot] & LINE_DIRTY),
+                   bool(flags[slot] & LINE_FROM_PREFETCH),
+                   bool(flags[slot] & LINE_PREFETCH_USED))
+             for tag, slot in cache_set.items()}
+            for cache_set in self._sets
+        ]
+
     # -- state snapshot (warm-memory memoization) --------------------------
-    def snapshot_state(self) -> Tuple[list, dict, Optional[dict], Optional[tuple]]:
+    def snapshot_state(self) -> tuple:
         """An immutable-by-convention copy of all mutable cache state.
 
         Used by the warmed-memory memo (:mod:`repro.core.system`): the state
         captured after replaying a warmup window once can be restored into a
         freshly-built cache of the same geometry instead of replaying again.
+        Only resident lines are copied, as flat columns in set order and,
+        within a set, in LRU-tie order, so a snapshot's size scales with
+        what the warmup touched, not with the cache's capacity (and holds no
+        per-line containers for the garbage collector to walk).
         """
-        sets = [
-            {tag: (line.tag, line.fill_time, line.last_use, line.dirty,
-                   line.from_prefetch, line.prefetch_used)
-             for tag, line in cache_set.items()}
-            for cache_set in self._sets
-        ]
+        slots = array("q", [slot for cache_set in self._sets
+                            for slot in cache_set.values()])
+        tags, fill, last_use, flags = (
+            self._tags, self._fill, self._last_use, self._flags
+        )
+        lines = (
+            slots,
+            array("q", [tags[slot] for slot in slots]),
+            tuple(fill[slot] for slot in slots),
+            tuple(last_use[slot] for slot in slots),
+            bytes([flags[slot] for slot in slots]),
+        )
         mshr = self._mshr.snapshot_state() if self._mshr is not None else None
         wb = (
             self._write_buffer.snapshot_state()
             if self._write_buffer is not None else None
         )
-        return sets, dict(vars(self.stats)), mshr, wb
+        return lines, dict(vars(self.stats)), mshr, wb
 
     def restore_state(self, snapshot) -> None:
         """Restore state captured by :meth:`snapshot_state` (same geometry)."""
-        sets, stats, mshr, wb = snapshot
-        self._sets = [
-            {tag: _Line(*fields) for tag, fields in cache_set.items()}
-            for cache_set in sets
-        ]
+        (slots, line_tags, fills, last_uses, line_flags), stats, mshr, wb = snapshot
+        self._clear_lines()
+        sets, associativity = self._sets, self._associativity
+        tags, fill, last_use, flags = (
+            self._tags, self._fill, self._last_use, self._flags
+        )
+        for k, slot in enumerate(slots):
+            tag = line_tags[k]
+            sets[slot // associativity][tag] = slot
+            tags[slot] = tag
+            fill[slot] = fills[k]
+            last_use[slot] = last_uses[k]
+            flags[slot] = line_flags[k]
         for name, value in stats.items():
             setattr(self.stats, name, value)
         if self._mshr is not None:

@@ -308,8 +308,9 @@ class CoreMemorySystem:
     # The tuple-returning accessors below are exact transcriptions of
     # :meth:`access` minus the enum dispatch and the AccessResult
     # construction, for callers that only need the ready cycle and the
-    # miss classification (the compiled tick loop and warm replay).  The
-    # packed info word uses these bits:
+    # miss classification.  The compiled tick loop and warm replay serve
+    # TLB + L1 hits natively and call these for everything else (their
+    # miss path).  The packed info word uses these bits:
     #
     #   bit 0  L1 miss
     #   bit 1  supplied from beyond the L2 (L3 or DRAM)

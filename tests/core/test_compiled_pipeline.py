@@ -30,18 +30,25 @@ from repro.core.compile import (
     compiled_ticks_total,
     fast_pipeline_enabled,
     kernel_available,
+    native_mem_hits_total,
 )
 from repro.core.compile.decoded import decoded_cache_stats
-from repro.core.pipeline import OutOfOrderCore
+from repro.core.compile.plan import plan_run
+from repro.core.config import SystemConfig
+from repro.core.pipeline import CoreHooks, OutOfOrderCore
 from repro.core.results import InstructionTimings
-from repro.core.system import simulate_baseline
+from repro.core.system import _replay_warmup, build_single_core, simulate_baseline
 from repro.dla.analytic import empirical_distributions
 from repro.dla.config import DlaConfig
 from repro.dla.profiling import profile_workload
 from repro.dla.smt import simulate_smt_modes
 from repro.dla.system import DlaSystem
+from repro.emulator.machine import Emulator
 from repro.emulator.trace import Trace
+from repro.experiments.memsys_sweep import MEMSYS_MACHINES, machine_config
 from repro.experiments.runner import ExperimentRunner
+from repro.util.rng import DeterministicRng
+from repro.workloads.kernels import build_kernel
 
 _HARNESS_PATH = Path(__file__).resolve().parent / "test_fast_path_equivalence.py"
 
@@ -280,3 +287,225 @@ def test_timing_runs_do_not_retain_decoded_windows(prepared, monkeypatch):
     profile_workload(program, training, config, timing_window=2000)
     empirical_distributions(timed[:1500], config)
     assert decoded_cache_stats() == before
+
+
+# ---------------------------------------------------------------------------
+# native L1/TLB hit path: memory-hierarchy state, not just the counters
+# ---------------------------------------------------------------------------
+def _cache_view(cache):
+    # Item lists, not dicts: each set's order is its LRU tie-break order.
+    return {"stats": dict(vars(cache.stats)),
+            "lines": [list(lines.items()) for lines in cache.lines()]}
+
+
+def _private_view(memory):
+    return {
+        "l1i": _cache_view(memory.l1i),
+        "l1d": _cache_view(memory.l1d),
+        "l2": _cache_view(memory.l2),
+        "tlb": {"stats": dict(vars(memory.tlb.stats)),
+                "entries": list(memory.tlb.entries().items())},
+    }
+
+
+def _hierarchy_view(shared, privates):
+    return {
+        "l3": _cache_view(shared.l3),
+        "dram": dict(vars(shared.dram.stats)),
+        "private": [_private_view(memory) for memory in privates],
+    }
+
+
+def _dla_states(monkeypatch, run):
+    """Every DLA ``_State`` ``run`` builds, and every look-ahead pass's
+    prefetch-hint list."""
+    states, hints = [], []
+    fresh_state = DlaSystem._fresh_state
+    lookahead_pass = DlaSystem._lookahead_pass
+
+    def recording_state(self):
+        state = fresh_state(self)
+        states.append(state)
+        return state
+
+    def recording_pass(self, state, entries, skeleton):
+        products, result = lookahead_pass(self, state, entries, skeleton)
+        hints.append(list(products.prefetch_hints))
+        return products, result
+
+    monkeypatch.setattr(DlaSystem, "_fresh_state", recording_state)
+    monkeypatch.setattr(DlaSystem, "_lookahead_pass", recording_pass)
+    run()
+    monkeypatch.setattr(DlaSystem, "_fresh_state", fresh_state)
+    monkeypatch.setattr(DlaSystem, "_lookahead_pass", lookahead_pass)
+    views = [_hierarchy_view(state.shared, (state.mt_memory, state.lt_memory))
+             for state in states]
+    return views, hints
+
+
+@pytest.mark.parametrize("section", sorted(SECTION_KERNELS))
+def test_baseline_memory_state_matches_reference(prepared, monkeypatch, section):
+    """Every CacheStats/TlbStats field and every resident line agree."""
+    _, warmup, timed, _, _ = prepared[SECTION_KERNELS[section]]
+    config = _harness.SYSTEM_PROFILES[section]()
+
+    def view():
+        outcome = simulate_baseline(timed, config, warmup_entries=warmup)
+        return _hierarchy_view(outcome.shared, (outcome.private,))
+
+    _reference(monkeypatch)
+    reference = view()
+    _fast(monkeypatch)
+    hits = native_mem_hits_total()
+    compiled = view()
+    assert compiled == reference
+    if kernel_available():
+        assert native_mem_hits_total() > hits
+
+
+@pytest.mark.parametrize("section", sorted(SECTION_KERNELS))
+@pytest.mark.parametrize("config_name", ["dla", "r3"])
+def test_dla_memory_state_and_hints_match_reference(prepared, monkeypatch,
+                                                     section, config_name):
+    """Both cores' hierarchies and the look-ahead pass's load-miss log
+    (its prefetch hints, recorded by the kernel) agree with the reference."""
+    program, warmup, timed, profile, _ = prepared[SECTION_KERNELS[section]]
+    config = _harness.SYSTEM_PROFILES[section]()
+    dla_config = (
+        DlaConfig().baseline_dla() if config_name == "dla" else DlaConfig().r3()
+    )
+
+    def run():
+        DlaSystem(program, config, dla_config, profile=profile).simulate(
+            timed, warmup_entries=warmup)
+
+    _reference(monkeypatch)
+    reference = _dla_states(monkeypatch, run)
+    _fast(monkeypatch)
+    compiled = _dla_states(monkeypatch, run)
+    if section == "contended":   # the shrunken L1D: the log is not empty
+        assert any(hints for hints in reference[1])
+    assert compiled == reference
+
+
+def test_store_hits_on_clean_lines_match_reference(monkeypatch):
+    """Read-modify-write buckets: a load brings each line in clean and the
+    store then hits it, so the native store hit must set the dirty bit
+    (and the writebacks it causes) exactly as ``Cache.lookup`` does."""
+    program = build_kernel("histogram", samples=1500, buckets=2048,
+                           rng=DeterministicRng(15), name="ab-histogram")
+    entries = Emulator(program).run(max_instructions=9000).entries
+    warmup, timed = entries[:3000], entries[3000:]
+    config = _harness.SYSTEM_PROFILES["contended"]()
+
+    def view():
+        outcome = simulate_baseline(timed, config, warmup_entries=warmup)
+        return _hierarchy_view(outcome.shared, (outcome.private,))
+
+    _reference(monkeypatch)
+    reference = view()
+    _fast(monkeypatch)
+    compiled = view()
+    assert compiled == reference
+    l1d = reference["private"][0]["l1d"]
+    assert l1d["stats"]["writebacks"] > 0
+    assert any(line[3] for lines in l1d["lines"] for _, line in lines)
+
+
+def test_lookahead_pass_keeps_fast_accessors(prepared, monkeypatch):
+    """The look-ahead hook is a declared load-miss log, so its run keeps the
+    fast accessors and native data hits (building an AccessResult per
+    access was the only reason it used to leave them)."""
+    from repro.core.compile import driver
+
+    program, warmup, timed, profile, config = prepared["chase"]
+    plans = {}
+    original = driver.plan_run
+
+    def recording_plan(core, hooks):
+        plan = original(core, hooks)
+        plans[core.name] = plan
+        return plan
+
+    monkeypatch.setattr(driver, "plan_run", recording_plan)
+    _fast(monkeypatch)
+    DlaSystem(program, config, DlaConfig().r3(), profile=profile).simulate(
+        timed, warmup_entries=warmup)
+    if not kernel_available():
+        pytest.skip("no C compiler / kernel build failed: fast path inert")
+    lookahead = plans["look-ahead"]
+    assert lookahead.has_on_memory and lookahead.log_load_misses
+    assert lookahead.use_fast_access
+    assert lookahead.native_data_hits and lookahead.native_inst_hits
+    # A generic memory hook still gets real AccessResult objects.
+    generic = original(build_single_core(config)[2],
+                       CoreHooks(on_memory_access=lambda *args: None))
+    assert not generic.use_fast_access and not generic.native_data_hits
+
+
+def test_l1_prefetcher_config_keeps_data_hits_in_python(prepared, monkeypatch):
+    """An L1 prefetcher observes every data access: native data hits are
+    gated off for it, and the run stays bit-identical to the reference."""
+    _, warmup, timed, _, _ = prepared["stream"]
+    config = SystemConfig().with_l1_stride()
+    _, _, core = build_single_core(config)
+    plan = plan_run(core, CoreHooks())
+    assert not plan.native_data_hits and plan.native_inst_hits
+
+    def capture():
+        outcome = simulate_baseline(timed, config, warmup_entries=warmup)
+        return (_harness.capture_baseline(timed, warmup, config),
+                _hierarchy_view(outcome.shared, (outcome.private,)))
+
+    _reference(monkeypatch)
+    reference = capture()
+    _fast(monkeypatch)
+    compiled = capture()
+    assert compiled == reference
+    assert reference[1]["private"][0]["l1d"]["stats"]["prefetches_issued"] > 0
+
+
+@pytest.mark.parametrize("machine", [name for name, _ in MEMSYS_MACHINES])
+def test_native_replay_matches_reference_replay(prepared, monkeypatch, machine):
+    """Warm-up replay on the kernel leaves the exact state (lines, LRU
+    order, stats, MSHRs, write buffers, DRAM) the reference loop leaves,
+    on every memory-system machine; a look-ahead core warms after the
+    main core, as in a DLA group."""
+    _, warmup, _, _, _ = prepared["triad"]
+    config = machine_config(SystemConfig(), dict(MEMSYS_MACHINES)[machine])
+
+    def replay():
+        from repro.memory.hierarchy import CoreMemorySystem
+
+        shared, private, _ = build_single_core(config)
+        lookahead = CoreMemorySystem(shared, config.memory, lookahead_mode=True)
+        for memory in (private, lookahead):
+            _replay_warmup(memory, warmup)
+        return (_hierarchy_view(shared, (private, lookahead)),
+                shared.snapshot_state(), private.snapshot_state(),
+                lookahead.snapshot_state())
+
+    _reference(monkeypatch)
+    reference = replay()
+    _fast(monkeypatch)
+    hits = native_mem_hits_total()
+    compiled = replay()
+    assert compiled == reference
+    if kernel_available():
+        assert native_mem_hits_total() > hits
+
+
+def test_native_hits_counter_advances(prepared, monkeypatch):
+    """Engagement guard: a BL run and a warm replay both serve hits natively
+    (a silent fallback to the Python accessors would keep this at 0)."""
+    if not kernel_available():
+        pytest.skip("no C compiler / kernel build failed: fast path inert")
+    _, warmup, timed, _, config = prepared["branchy"]
+    _fast(monkeypatch)
+    shared, private, core = build_single_core(config)
+    before = native_mem_hits_total()
+    _replay_warmup(private, warmup)
+    replayed = native_mem_hits_total()
+    assert replayed > before, "warm replay served no hit natively"
+    core.run(timed)
+    assert native_mem_hits_total() > replayed, "the BL run served no hit natively"

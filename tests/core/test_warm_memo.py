@@ -25,15 +25,9 @@ def warm_entries():
 
 
 def _cache_state(cache):
-    return {
-        "sets": [
-            {tag: (line.tag, line.fill_time, line.last_use, line.dirty,
-                   line.from_prefetch, line.prefetch_used)
-             for tag, line in cache_set.items()}
-            for cache_set in cache._sets
-        ],
-        "stats": dict(vars(cache.stats)),
-    }
+    # Item lists, not dicts: each set's order is its LRU tie-break order.
+    return {"sets": [list(lines.items()) for lines in cache.lines()],
+            "stats": dict(vars(cache.stats))}
 
 
 def _memory_state(memory):
@@ -41,7 +35,7 @@ def _memory_state(memory):
         "l1i": _cache_state(memory.l1i),
         "l1d": _cache_state(memory.l1d),
         "l2": _cache_state(memory.l2),
-        "tlb_entries": dict(memory.tlb._entries),
+        "tlb_entries": list(memory.tlb.entries().items()),
         "tlb_stats": dict(vars(memory.tlb.stats)),
     }
 

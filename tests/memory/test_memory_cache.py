@@ -101,6 +101,34 @@ def test_invalidate_all_clears_contents():
     assert not cache.probe(0x40)
 
 
+def test_snapshot_of_an_empty_cache_carries_no_line_payload():
+    """Snapshots scale with resident lines, not capacity: an empty 2 MB
+    L3 (32k line slots) snapshots to empty line columns."""
+    l3 = Cache(CacheConfig(name="l3", size_bytes=2 * 1024 * 1024,
+                           associativity=16, latency=36, mshr_entries=64))
+    lines, _, _, _ = l3.snapshot_state()
+    assert all(len(column) == 0 for column in lines)
+
+
+def test_snapshot_restores_lines_and_lru_order():
+    cache = _small_cache(write_buffer=None)
+    sets = cache.config.num_sets
+    block = cache.config.block_bytes
+    cache.fill(0, 5, from_prefetch=True)
+    cache.fill(sets * block, 1, dirty=True)
+    cache.lookup(0, now=7, is_write=True)
+    fresh = _small_cache(write_buffer=None)
+    fresh.restore_state(cache.snapshot_state())
+    assert fresh.lines() == cache.lines()
+    assert fresh.lines()[0] == {0: (0, 5, 7, True, True, True),
+                                1: (1, 1, 1, True, False, False)}
+    # The LRU victim (oldest last use, then insertion order) is the same.
+    for c in (cache, fresh):
+        c.fill(2 * sets * block, 9)
+    assert fresh.lines() == cache.lines()
+    assert not fresh.probe(sets * block)
+
+
 def test_geometry_validation():
     with pytest.raises(ValueError):
         CacheConfig(size_bytes=1000, associativity=3, block_bytes=64)
