@@ -25,6 +25,7 @@ from repro.branch.predictors import TageLitePredictor
 from repro.branch.ras import ReturnAddressStack
 from repro.core.results import CoreResult, InstructionTimings
 from repro.emulator.trace import DynamicInst
+from repro.memory.hierarchy import access_result
 
 from repro.core.compile import _add_native_mem_hits
 from repro.core.compile.decoded import decode_trace, get_decoded
@@ -124,9 +125,6 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
     hist_capacity = cfg.fetch_buffer_entries
     hist = array("q", bytes(8 * (hist_capacity + 1)))
 
-    l1_pf = core.l1_prefetcher
-    l2_pf = core.l2_prefetcher
-    mem_prefetch = memory.prefetch
     handle_control = core._handle_control
     wrong_path_pollution = core._wrong_path_pollution
     access_data_fast = memory.access_data_fast
@@ -141,73 +139,38 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
         comm[4] = info
 
     # ---------------- data-side access ----------------
-    if plan.use_fast_access:
-        def observe_prefetchers(pc, address, info, cycle):
-            if l1_pf is not None:
-                for request in l1_pf.observe(pc, address, not info & 1, cycle):
-                    if mem_prefetch(request.address, cycle, level="l1") is None:
-                        l1_pf.notify_drop(request)
-            if l2_pf is not None and info & 1:
-                for request in l2_pf.observe(pc, address, bool(info & 8), cycle):
-                    if mem_prefetch(request.address, cycle,
-                                    level=request.level) is None:
-                        l2_pf.notify_drop(request)
+    run_prefetchers = core._run_prefetchers
+    has_prefetchers = (core.l1_prefetcher is not None
+                       or core.l2_prefetcher is not None)
+    # A declared load-miss log is filled by the kernel; any other memory
+    # hook observes each access's AccessResult view.
+    hook_on_memory = None if plan.log_load_misses else hooks.on_memory_access
 
-        has_prefetchers = l1_pf is not None or l2_pf is not None
+    def cb_load():
+        i = int(comm[0])
+        issue = comm[1]
+        now = int(issue)
+        address = ea[i]
+        ready, info = access_data_fast(address, now, False)
+        if has_prefetchers:
+            run_prefetchers(pcs[i], address, info, now)
+        if hook_on_memory is not None:
+            hook_on_memory(entries[i], access_result(ready, info, now), issue)
+        comm[3] = ready
+        comm[4] = info
 
-        def cb_load():
-            i = int(comm[0])
-            now = int(comm[1])
-            address = ea[i]
-            ready, info = access_data_fast(address, now, False)
-            if has_prefetchers:
-                observe_prefetchers(pcs[i], address, info, now)
-            comm[3] = ready
-            comm[4] = info
-
-        def cb_store():
-            i = int(comm[0])
-            address = ea[i]
-            ready, info = access_data_fast(address, int(comm[1]), True)
-            if has_prefetchers:
-                observe_prefetchers(pcs[i], address, info, int(comm[1]))
-            comm[4] = info
-    else:
-        # An on_memory_access hook observes real AccessResult objects, so
-        # these variants go through the reference accessor.
-        from repro.memory.hierarchy import AccessType
-
-        memory_access = memory.access
-        run_prefetchers = core._run_prefetchers
-        has_prefetchers = l1_pf is not None or l2_pf is not None
-        hook_on_memory = hooks.on_memory_access
-        ACC_LOAD = AccessType.LOAD
-        ACC_STORE = AccessType.STORE
-
-        def cb_load():
-            i = int(comm[0])
-            issue = comm[1]
-            address = ea[i]
-            access = memory_access(address, int(issue), ACC_LOAD)
-            if has_prefetchers:
-                run_prefetchers(pcs[i], address, access, issue)
-            hook_on_memory(entries[i], access, issue)
-            comm[3] = float(access.ready_cycle)
-            comm[4] = (1 | (2 if access.supplied_by in ("l3", "dram") else 0)
-                       | (4 if access.dram_access else 0)) if access.l1_miss \
-                else (4 if access.dram_access else 0)
-
-        def cb_store():
-            i = int(comm[0])
-            commit_time = comm[1]
-            address = ea[i]
-            access = memory_access(address, int(commit_time), ACC_STORE)
-            if has_prefetchers:
-                run_prefetchers(pcs[i], address, access, commit_time)
-            hook_on_memory(entries[i], access, commit_time)
-            comm[4] = (1 | (2 if access.supplied_by in ("l3", "dram") else 0)
-                       | (4 if access.dram_access else 0)) if access.l1_miss \
-                else (4 if access.dram_access else 0)
+    def cb_store():
+        i = int(comm[0])
+        commit_time = comm[1]
+        now = int(commit_time)
+        address = ea[i]
+        ready, info = access_data_fast(address, now, True)
+        if has_prefetchers:
+            run_prefetchers(pcs[i], address, info, now)
+        if hook_on_memory is not None:
+            hook_on_memory(entries[i], access_result(ready, info, now),
+                           commit_time)
+        comm[4] = info
 
     # ---------------- control flow ----------------
     pending_hint = [None]

@@ -50,6 +50,6 @@ class CompiledHookSpec:
     #: ``on_memory_access`` replacement: a hook that only appends
     #: ``(issue_cycle, address)`` for every load missing the L1 may declare
     #: its list here.  The kernel then appends those entries itself, in
-    #: program order, so the run keeps the fast accessors and native L1/TLB
-    #: hits instead of building an AccessResult per access.
+    #: program order, so the run keeps native L1/TLB data hits instead of
+    #: calling back for every access to build its AccessResult view.
     load_miss_log: Optional[list] = None

@@ -2,12 +2,11 @@
 
 The pass pipeline is deliberately small: ``plan_run`` resolves every
 run-invariant decision once — which hook callbacks the kernel must fire,
-whether the memory callbacks can use the tuple-returning fast accessors or
-must construct real :class:`AccessResult` objects (an ``on_memory_access``
-hook observes them), which prefetchers train, and which L1/TLB hits the
-kernel serves natively — so the per-instruction loop carries no residual
-config branches on the Python side.  The plan's fingerprint keys
-in-process caches of anything derived from it.
+whether the kernel fills a declared load-miss log itself, and which L1/TLB
+hits it serves natively (a generic ``on_memory_access`` hook or an L1
+prefetcher must see every data access, so either keeps the D-side hits in
+Python) — so the per-instruction loop carries no residual config branches
+on the Python side.
 """
 
 from __future__ import annotations
@@ -28,33 +27,15 @@ class SpecializationPlan:
     has_on_commit: bool
     has_on_fetch: bool
     has_on_memory: bool
-    has_l1_prefetcher: bool
-    has_l2_prefetcher: bool
-    #: Tuple-returning accessors are only sound when no hook inspects the
-    #: AccessResult objects.
-    use_fast_access: bool
     #: The ``on_memory_access`` hook is a declared load-miss log
     #: (``CompiledHookSpec.load_miss_log``) the kernel fills itself.
     log_load_misses: bool
     #: The kernel serves L1I hits itself (stock cache).
     native_inst_hits: bool
-    #: The kernel serves TLB + L1D hits itself: stock structures, fast
-    #: accessors, and no L1 prefetcher (which must observe every access).
+    #: The kernel serves TLB + L1D hits itself: stock structures, and no
+    #: generic memory hook or L1 prefetcher (either must observe every
+    #: data access).
     native_data_hits: bool
-
-    @property
-    def fingerprint(self) -> int:
-        bits = 0
-        for shift, flag in enumerate((
-            self.has_branch_hint, self.has_value_hint, self.has_on_commit,
-            self.has_on_fetch, self.has_on_memory, self.has_l1_prefetcher,
-            self.has_l2_prefetcher, self.use_fast_access,
-            self.log_load_misses, self.native_inst_hits,
-            self.native_data_hits,
-        )):
-            if flag:
-                bits |= 1 << shift
-        return bits
 
 
 def plan_run(core, hooks) -> SpecializationPlan:
@@ -70,7 +51,6 @@ def plan_run(core, hooks) -> SpecializationPlan:
     fast = hooks.fast_hints
     log_load_misses = (has_on_memory and fast is not None
                        and fast.load_miss_log is not None)
-    use_fast_access = not has_on_memory or log_load_misses
     stock_inst, stock_data = stock_hit_sides(core.memory)
     return SpecializationPlan(
         has_branch_hint=hooks.branch_hint is not None,
@@ -78,12 +58,10 @@ def plan_run(core, hooks) -> SpecializationPlan:
         has_on_commit=hooks.on_commit is not None,
         has_on_fetch=hooks.on_fetch is not None,
         has_on_memory=has_on_memory,
-        has_l1_prefetcher=core.l1_prefetcher is not None,
-        has_l2_prefetcher=core.l2_prefetcher is not None,
-        use_fast_access=use_fast_access,
         log_load_misses=log_load_misses,
         native_inst_hits=stock_inst,
-        native_data_hits=(stock_data and use_fast_access
+        native_data_hits=(stock_data
+                          and (not has_on_memory or log_load_misses)
                           and core.l1_prefetcher is None),
     )
 

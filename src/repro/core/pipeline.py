@@ -27,7 +27,7 @@ from repro.core.config import CoreConfig
 from repro.core.results import CoreResult, InstructionTimings
 from repro.emulator.trace import DynamicInst
 from repro.isa.instructions import FU_POOL_FP, Opcode
-from repro.memory.hierarchy import AccessType, CoreMemorySystem
+from repro.memory.hierarchy import CoreMemorySystem, access_result
 from repro.prefetch.base import Prefetcher
 
 
@@ -68,7 +68,10 @@ class CoreHooks:
     on_fetch: Optional[Callable[[DynamicInst, float], None]] = None
     #: Called when a BOQ hint turns out wrong; receives (inst, resolve_cycle).
     on_hint_mispredict: Optional[Callable[[DynamicInst, float], None]] = None
-    #: Called after every data-memory access with (inst, access_result, cycle).
+    #: Called after every demand load and store with (inst, AccessResult,
+    #: cycle); the result is a view of the hierarchy's packed access word.
+    #: Compiled, a generic hook keeps every data access in Python (see
+    #: ``CompiledHookSpec.load_miss_log`` for the declared alternative).
     on_memory_access: Optional[Callable[[DynamicInst, object, float], None]] = None
     #: Optional :class:`repro.core.compile.hookspec.CompiledHookSpec` letting
     #: the compiled kernel skip hook calls it can prove are no-ops.  The
@@ -193,7 +196,8 @@ class OutOfOrderCore:
         hook_on_commit = hooks.on_commit
         hook_on_fetch = hooks.on_fetch
         hook_on_memory = hooks.on_memory_access
-        memory_access = self.memory.access
+        access_inst = self.memory.access_inst_fast
+        access_data = self.memory.access_data_fast
         block_bytes = self._block_bytes
         fetch_buffer_entries = cfg.fetch_buffer_entries
         frontend_latency = cfg.frontend_latency
@@ -205,9 +209,6 @@ class OutOfOrderCore:
         mem_reserve = mem_pool.reserve
         int_reserve = int_pool.reserve
         fp_reserve = fp_pool.reserve
-        ACC_INSTRUCTION = AccessType.INSTRUCTION
-        ACC_LOAD = AccessType.LOAD
-        ACC_STORE = AccessType.STORE
 
         for i, entry in enumerate(entries):
             static = entry.static
@@ -228,11 +229,10 @@ class OutOfOrderCore:
             byte_address = static.byte_address
             block = byte_address // block_bytes
             if block != current_block:
-                access = memory_access(byte_address, int(fetch_time), ACC_INSTRUCTION)
+                block_ready, info = access_inst(byte_address, int(fetch_time))
                 result.l1i_accesses += 1
-                if access.l1_miss:
+                if info & 1:
                     result.l1i_misses += 1
-                block_ready = access.ready_cycle
                 current_block = block
             if block_ready > fetch_time:
                 fetch_time = block_ready
@@ -296,20 +296,22 @@ class OutOfOrderCore:
                 issue = mem_reserve(ready, 1.0)
                 address = entry.effective_address
                 if static.is_load:
-                    access = memory_access(address, int(issue), ACC_LOAD)
+                    now = int(issue)
+                    data_ready, info = access_data(address, now, False)
                     result.l1d_accesses += 1
-                    if access.l1_miss:
+                    if info & 1:
                         result.l1d_misses += 1
-                        if access.supplied_by in ("l3", "dram"):
+                        if info & 2:
                             result.l2_misses += 1
-                    if access.dram_access:
+                    if info & 4:
                         result.dram_accesses += 1
-                    complete = float(access.ready_cycle)
+                    complete = float(data_ready)
                     if has_prefetchers:
-                        run_prefetchers(static.pc, address, access, issue)
+                        run_prefetchers(static.pc, address, info, now)
                     last_load_address = address
                     if hook_on_memory is not None:
-                        hook_on_memory(entry, access, issue)
+                        hook_on_memory(entry, access_result(data_ready, info, now),
+                                       issue)
                 else:
                     # Stores leave the critical path at issue; the write and
                     # its traffic are charged at commit below.
@@ -366,20 +368,21 @@ class OutOfOrderCore:
             result.committed += 1
 
             if static.is_store:
-                access = memory_access(
-                    entry.effective_address, int(commit_time), ACC_STORE
-                )
+                address = entry.effective_address
+                now = int(commit_time)
+                data_ready, info = access_data(address, now, True)
                 result.l1d_accesses += 1
-                if access.l1_miss:
+                if info & 1:
                     result.l1d_misses += 1
-                    if access.supplied_by in ("l3", "dram"):
+                    if info & 2:
                         result.l2_misses += 1
-                if access.dram_access:
+                if info & 4:
                     result.dram_accesses += 1
                 if has_prefetchers:
-                    run_prefetchers(static.pc, entry.effective_address, access, commit_time)
+                    run_prefetchers(static.pc, address, info, now)
                 if hook_on_memory is not None:
-                    hook_on_memory(entry, access, commit_time)
+                    hook_on_memory(entry, access_result(data_ready, info, now),
+                                   commit_time)
 
             if hook_on_commit is not None:
                 hook_on_commit(entry, commit_time)
@@ -467,19 +470,24 @@ class OutOfOrderCore:
         return None
 
     # ------------------------------------------------------------------
-    def _run_prefetchers(self, pc, address, access, cycle) -> None:
+    def _run_prefetchers(self, pc: int, address: int, info: int,
+                         cycle: int) -> None:
+        """Train the prefetchers on one data access (its packed ``info``
+        word) and issue what they request."""
         # A ``None`` fill time means the memory system dropped the request
         # because no MSHR entry was free; the prefetcher is told so stateful
         # schemes can account for the lost coverage.
-        if self.l1_prefetcher is not None:
-            for request in self.l1_prefetcher.observe(pc, address, not access.l1_miss, int(cycle)):
-                if self.memory.prefetch(request.address, int(cycle), level="l1") is None:
-                    self.l1_prefetcher.notify_drop(request)
-        if self.l2_prefetcher is not None and access.l1_miss:
-            l2_hit = access.supplied_by == "l2"
-            for request in self.l2_prefetcher.observe(pc, address, l2_hit, int(cycle)):
-                if self.memory.prefetch(request.address, int(cycle), level=request.level) is None:
-                    self.l2_prefetcher.notify_drop(request)
+        prefetch = self.memory.prefetch
+        l1_pf = self.l1_prefetcher
+        if l1_pf is not None:
+            for request in l1_pf.observe(pc, address, not info & 1, cycle):
+                if prefetch(request.address, cycle, level="l1") is None:
+                    l1_pf.notify_drop(request)
+        l2_pf = self.l2_prefetcher
+        if l2_pf is not None and info & 1:
+            for request in l2_pf.observe(pc, address, info == 9, cycle):
+                if prefetch(request.address, cycle, level=request.level) is None:
+                    l2_pf.notify_drop(request)
 
     def _wrong_path_pollution(self, last_load: Optional[int], cycle: float,
                               result: CoreResult) -> None:
@@ -506,11 +514,11 @@ class OutOfOrderCore:
         if last_load is None:
             return
         pollution_loads = min(4, max(1, wrong_path_depth // 8))
-        base = last_load
-        block = self.memory.config.l1d.block_bytes
+        stride = self.memory.config.l1d.block_bytes * 3
+        access_data = self.memory.access_data_fast
+        now = int(cycle)
         for k in range(pollution_loads):
-            victim_address = base + (k + 1) * block * 3
-            self.memory.access(victim_address, int(cycle), AccessType.LOAD)
+            access_data(last_load + (k + 1) * stride, now, False)
 
     # ------------------------------------------------------------------
     def _fetch_queue_histogram(self, fetch_times: List[float],

@@ -16,7 +16,7 @@ from repro.core.energy import EnergyBreakdown, EnergyModel
 from repro.core.pipeline import CoreHooks, OutOfOrderCore
 from repro.core.results import CoreResult
 from repro.emulator.trace import DynamicInst, Trace
-from repro.memory.hierarchy import AccessType, CoreMemorySystem, SharedMemorySystem
+from repro.memory.hierarchy import CoreMemorySystem, SharedMemorySystem
 from repro.prefetch import make_prefetcher
 
 #: Set to ``0`` to disable the warmed-memory memoization (always replay).
@@ -93,20 +93,16 @@ def _replay_warmup(memory: CoreMemorySystem, entries: Sequence[DynamicInst],
     cycle = 0
     block = memory.config.l1i.block_bytes
     last_block = None
-    access = memory.access
-    acc_inst, acc_load, acc_store = (
-        AccessType.INSTRUCTION, AccessType.LOAD, AccessType.STORE
-    )
+    access_inst = memory.access_inst_fast
+    access_data = memory.access_data_fast
     for entry in entries:
         static = entry.static
         address = static.byte_address
         if address // block != last_block:
             last_block = address // block
-            access(address, cycle, acc_inst)
-        if static.is_load:
-            access(entry.effective_address, cycle, acc_load)
-        elif static.is_store:
-            access(entry.effective_address, cycle, acc_store)
+            access_inst(address, cycle)
+        if static.is_memory:
+            access_data(entry.effective_address, cycle, static.is_store)
         cycle += cycles_per_access
 
 

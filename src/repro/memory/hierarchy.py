@@ -94,10 +94,16 @@ class AccessResult:
     #: True when the access had to go all the way to DRAM.
     dram_access: bool
 
-    @property
-    def source(self) -> str:
-        """Alias of :attr:`supplied_by` (the level that sourced the data)."""
-        return self.supplied_by
+
+#: The level that supplied a demand access, by its packed info word.
+_SUPPLIED_BY = {0: "l1", 9: "l2", 3: "l3", 7: "dram"}
+
+
+def access_result(ready: int, info: int, now: int) -> AccessResult:
+    """The :class:`AccessResult` of a packed ``(ready, info)`` demand access
+    issued at ``now`` (see :meth:`CoreMemorySystem.access_data_fast`)."""
+    return AccessResult(ready, ready - now, _SUPPLIED_BY[info],
+                        info & 1 == 1, info & 4 == 4)
 
 
 @dataclass
@@ -253,106 +259,34 @@ class CoreMemorySystem:
     # ------------------------------------------------------------------
     # demand path
     # ------------------------------------------------------------------
-    def access(self, address: int, now: int, access_type: AccessType) -> AccessResult:
-        """Demand access for data or instructions."""
-        is_instruction = access_type is AccessType.INSTRUCTION
-        is_write = access_type is AccessType.STORE
-        l1 = self.l1i if is_instruction else self.l1d
-
-        tlb_penalty = 0
-        if not is_instruction:
-            tlb_penalty = self.tlb.access(address, now)
-
-        ready = l1.lookup(address, now + tlb_penalty, is_write)
-        if ready is not None:
-            return AccessResult(ready, ready - now, "l1", l1_miss=False, dram_access=False)
-
-        # Each level's MSHR wait (0 with free entries or an unbounded file)
-        # delays when the miss can issue to the next level down.
-        issue = now + tlb_penalty + l1.last_miss_stall + l1.config.latency
-        l2_ready = self.l2.lookup(address, issue, is_write)
-        if l2_ready is not None:
-            self._fill_l1(l1, address, l2_ready, is_write, now)
-            ready = l2_ready
-            wb_stall = l1.last_wb_stall
-            if wb_stall:
-                ready = l2_ready + wb_stall
-            return AccessResult(ready, ready - now, "l2", l1_miss=True, dram_access=False)
-
-        shared_result = self.shared.access(
-            address, issue + self.l2.last_miss_stall + self.l2.config.latency, is_write
-        )
-        self._fill_l2(address, shared_result.ready_cycle, is_write, now)
-        # Capture the L2 fill's back-pressure *before* the L1 fill runs: a
-        # dirty L1 victim spilling into L2 below would overwrite
-        # l2.last_wb_stall with the victim install's own (separately
-        # charged) wait.
-        l2_wb_stall = self.l2.last_wb_stall
-        self._fill_l1(l1, address, shared_result.ready_cycle, is_write, now)
-        ready = shared_result.ready_cycle
-        # Full write buffers back-pressure the fills on the way up.
-        wb_stall = l2_wb_stall + l1.last_wb_stall
-        if wb_stall:
-            ready += wb_stall
-        return AccessResult(
-            ready,
-            ready - now,
-            shared_result.supplied_by,
-            l1_miss=True,
-            dram_access=shared_result.dram_access,
-        )
-
-    # ------------------------------------------------------------------
-    # fast demand path (compiled tick pipeline)
-    # ------------------------------------------------------------------
-    # The tuple-returning accessors below are exact transcriptions of
-    # :meth:`access` minus the enum dispatch and the AccessResult
-    # construction, for callers that only need the ready cycle and the
-    # miss classification.  The compiled tick loop and warm replay serve
-    # TLB + L1 hits natively and call these for everything else (their
-    # miss path).  The packed info word uses these bits:
+    # A demand access returns ``(ready_cycle, packed_info)``; the
+    # interpreter, warm replay and the compiled kernel's miss callbacks
+    # consume that word directly, and :meth:`access` is its AccessResult
+    # view (:func:`access_result`).  The info bits:
     #
     #   bit 0  L1 miss
     #   bit 1  supplied from beyond the L2 (L3 or DRAM)
     #   bit 2  DRAM access
     #   bit 3  supplied exactly by the L2
     #
-    # Any behavioural change to :meth:`access` must land here too; the
-    # golden equivalence suites pin the two paths together bit-for-bit.
-    FAST_L1_MISS = 1
-    FAST_BEYOND_L2 = 2
-    FAST_DRAM = 4
-    FAST_L2_HIT = 8
+    # so an access packs to 0 (L1), 9 (L2), 3 (L3) or 7 (DRAM).
+    def access(self, address: int, now: int, access_type: AccessType) -> AccessResult:
+        """Demand access for data or instructions."""
+        if access_type is AccessType.INSTRUCTION:
+            ready, info = self._access_inst(address, now)
+        else:
+            ready, info = self._access_data(
+                address, now, access_type is AccessType.STORE)
+        return access_result(ready, info, now)
 
     def access_data_fast(self, address: int, now: int, is_write: bool):
         """Demand data access; returns ``(ready_cycle, packed_info)``."""
         l1 = self.l1d
-        tlb_penalty = self.tlb.access(address, now)
-        ready = l1.lookup(address, now + tlb_penalty, is_write)
+        start = now + self.tlb.access(address, now)
+        ready = l1.lookup(address, start, is_write)
         if ready is not None:
             return ready, 0
-        issue = now + tlb_penalty + l1.last_miss_stall + l1.config.latency
-        l2_ready = self.l2.lookup(address, issue, is_write)
-        if l2_ready is not None:
-            self._fill_l1(l1, address, l2_ready, is_write, now)
-            ready = l2_ready
-            wb_stall = l1.last_wb_stall
-            if wb_stall:
-                ready = l2_ready + wb_stall
-            return ready, 9  # FAST_L1_MISS | FAST_L2_HIT
-        shared_result = self.shared.access(
-            address, issue + self.l2.last_miss_stall + self.l2.config.latency, is_write
-        )
-        self._fill_l2(address, shared_result.ready_cycle, is_write, now)
-        # Same ordering constraint as :meth:`access`: capture the L2 fill's
-        # back-pressure before the L1 fill can overwrite it.
-        l2_wb_stall = self.l2.last_wb_stall
-        self._fill_l1(l1, address, shared_result.ready_cycle, is_write, now)
-        ready = shared_result.ready_cycle
-        wb_stall = l2_wb_stall + l1.last_wb_stall
-        if wb_stall:
-            ready += wb_stall
-        return ready, 7 if shared_result.dram_access else 3
+        return self._miss(l1, address, now, start, is_write)
 
     def access_inst_fast(self, address: int, now: int):
         """Instruction-block access; returns ``(ready_cycle, packed_info)``."""
@@ -360,22 +294,37 @@ class CoreMemorySystem:
         ready = l1.lookup(address, now, False)
         if ready is not None:
             return ready, 0
-        issue = now + l1.last_miss_stall + l1.config.latency
-        l2_ready = self.l2.lookup(address, issue, False)
+        return self._miss(l1, address, now, now, False)
+
+    # What :meth:`access` calls: a tracer wrapping the public names then
+    # sees one span per reference call.
+    _access_data = access_data_fast
+    _access_inst = access_inst_fast
+
+    def _miss(self, l1: Cache, address: int, now: int, start: int,
+              is_write: bool):
+        """The rest of a demand access whose ``l1`` lookup at ``start``
+        missed: L2, the shared levels, the fills on the way back up."""
+        # Each level's MSHR wait (0 with free entries or an unbounded file)
+        # delays when the miss can issue to the next level down.
+        issue = start + l1.last_miss_stall + l1.config.latency
+        l2_ready = self.l2.lookup(address, issue, is_write)
         if l2_ready is not None:
-            self._fill_l1(l1, address, l2_ready, False, now)
-            ready = l2_ready
+            self._fill_l1(l1, address, l2_ready, is_write, now)
             wb_stall = l1.last_wb_stall
-            if wb_stall:
-                ready = l2_ready + wb_stall
-            return ready, 9
+            return (l2_ready + wb_stall if wb_stall else l2_ready), 9
         shared_result = self.shared.access(
-            address, issue + self.l2.last_miss_stall + self.l2.config.latency, False
+            address, issue + self.l2.last_miss_stall + self.l2.config.latency, is_write
         )
-        self._fill_l2(address, shared_result.ready_cycle, False, now)
-        l2_wb_stall = self.l2.last_wb_stall
-        self._fill_l1(l1, address, shared_result.ready_cycle, False, now)
         ready = shared_result.ready_cycle
+        self._fill_l2(address, ready, is_write, now)
+        # Capture the L2 fill's back-pressure *before* the L1 fill runs: a
+        # dirty L1 victim spilling into L2 below would overwrite
+        # l2.last_wb_stall with the victim install's own (separately
+        # charged) wait.
+        l2_wb_stall = self.l2.last_wb_stall
+        self._fill_l1(l1, address, ready, is_write, now)
+        # Full write buffers back-pressure the fills on the way up.
         wb_stall = l2_wb_stall + l1.last_wb_stall
         if wb_stall:
             ready += wb_stall

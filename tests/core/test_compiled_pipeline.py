@@ -37,7 +37,12 @@ from repro.core.compile.plan import plan_run
 from repro.core.config import SystemConfig
 from repro.core.pipeline import CoreHooks, OutOfOrderCore
 from repro.core.results import InstructionTimings
-from repro.core.system import _replay_warmup, build_single_core, simulate_baseline
+from repro.core.system import (
+    _replay_warmup,
+    build_single_core,
+    simulate_baseline,
+    warm_memory_system,
+)
 from repro.dla.analytic import empirical_distributions
 from repro.dla.config import DlaConfig
 from repro.dla.profiling import profile_workload
@@ -435,12 +440,55 @@ def test_lookahead_pass_keeps_fast_accessors(prepared, monkeypatch):
         pytest.skip("no C compiler / kernel build failed: fast path inert")
     lookahead = plans["look-ahead"]
     assert lookahead.has_on_memory and lookahead.log_load_misses
-    assert lookahead.use_fast_access
     assert lookahead.native_data_hits and lookahead.native_inst_hits
-    # A generic memory hook still gets real AccessResult objects.
+    # A generic memory hook observes every data access in Python.
     generic = original(build_single_core(config)[2],
                        CoreHooks(on_memory_access=lambda *args: None))
-    assert not generic.use_fast_access and not generic.native_data_hits
+    assert not generic.log_load_misses and not generic.native_data_hits
+
+
+@pytest.mark.parametrize("config_name", ["default", "l1_stride"])
+def test_generic_memory_hook_matches_reference(prepared, monkeypatch,
+                                               config_name):
+    """A generic ``on_memory_access`` hook observes the same access stream
+    — every field of every AccessResult, and the cycle it is passed —
+    compiled and on the reference interpreter, and the run leaves the same
+    CoreResult and cache/TLB state."""
+    _, warmup, timed, _, _ = prepared["triad"]
+    config = (SystemConfig() if config_name == "default"
+              else SystemConfig().with_l1_stride())
+
+    def run():
+        shared, private, core = build_single_core(config)
+        warm_memory_system(private, warmup)
+        seen = []
+
+        def on_memory_access(entry, access, cycle):
+            seen.append((entry.seq, access.ready_cycle, access.latency,
+                         access.supplied_by, access.l1_miss,
+                         access.dram_access, cycle))
+
+        result = core.run(timed,
+                          hooks=CoreHooks(on_memory_access=on_memory_access))
+        return seen, result, _hierarchy_view(shared, (private,))
+
+    _reference(monkeypatch)
+    reference = run()
+    _fast(monkeypatch)
+    ticks = compiled_ticks_total()
+    compiled = run()
+    if kernel_available():
+        assert compiled_ticks_total() > ticks
+    assert compiled == reference
+    seen = reference[0]
+    stores = {entry.seq for entry in timed if entry.static.is_store}
+    assert any(seq in stores for seq, *_ in seen)
+    assert any(seq not in stores for seq, *_ in seen)
+    if config_name == "default":
+        assert {"l1", "l2", "dram"} <= {access[3] for access in seen}
+    else:   # every access trains the stride prefetcher
+        l1d = reference[2]["private"][0]["l1d"]
+        assert l1d["stats"]["prefetches_issued"] > 0
 
 
 def test_l1_prefetcher_config_keeps_data_hits_in_python(prepared, monkeypatch):

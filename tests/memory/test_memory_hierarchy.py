@@ -111,24 +111,23 @@ def test_access_result_source_reports_every_supply_level():
 
     dram_hit = memory.access(address, 0, AccessType.LOAD)
     assert dram_hit.supplied_by == "dram"
-    assert dram_hit.source == "dram"          # alias of supplied_by
     assert dram_hit.l1_miss and dram_hit.dram_access
 
     l1_hit = memory.access(address, dram_hit.ready_cycle + 1, AccessType.LOAD)
-    assert l1_hit.source == "l1"
+    assert l1_hit.supplied_by == "l1"
     assert not l1_hit.l1_miss and not l1_hit.dram_access
 
     # A second core sharing the L3 misses its private levels but hits L3.
     other = CoreMemorySystem(shared, shared.config)
     l3_hit = other.access(address, 20_000, AccessType.LOAD)
-    assert l3_hit.source == "l3"
+    assert l3_hit.supplied_by == "l3"
     assert l3_hit.l1_miss and not l3_hit.dram_access
 
     # An L2-resident block (prefetched there) supplies from L2.
     l2_address = 0xA0000
     memory.prefetch(l2_address, now=30_000, level="l2")
     l2_hit = memory.access(l2_address, 40_000, AccessType.LOAD)
-    assert l2_hit.source == "l2"
+    assert l2_hit.supplied_by == "l2"
     assert l2_hit.l1_miss and not l2_hit.dram_access
 
 
