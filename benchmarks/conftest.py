@@ -14,27 +14,18 @@ fanning (workload, config) simulations out over worker processes.  The
 default "quick" mode uses a representative subset so the whole harness
 completes in well under a minute.
 
-When the *complete* benchmark suite runs and passes, the session records
-suite wall-time, simulated instructions/second and the aggregate memory
-contention stall share (stall cycles over simulated cycles, from the
-``memsys`` telemetry spine) in ``BENCH_sim_throughput.json`` so the
-performance *and* contention trajectories are tracked PR-over-PR.  Partial
-runs (``-k`` filters, single files), failing sessions and sessions that
-were served (even partially) from the disk cache do not overwrite the
-trajectory numbers — only cold-cache runs are comparable.
+The suite measures nothing: simulator speed is measured by ``perfbench/``
+(see the README's "Performance tracking").
 """
 
-import time
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.bench import update_bench_report
 from repro.experiments.parallel import ParallelExperimentRunner
 from repro.experiments.runner import ExperimentRunner
 
 _BENCH_DIR = Path(__file__).resolve().parent
-_IMPORT_T0 = time.perf_counter()
 _RUNNER = None
 _FULL_SUITE_COLLECTED = False
 
@@ -48,12 +39,6 @@ def _full_mode_requested() -> bool:
 def _shared_runner(warm: bool) -> ParallelExperimentRunner:
     global _RUNNER
     if _RUNNER is None:
-        # Build/load the compiled tick kernel before any timed window opens:
-        # on a cold cache the one-off C compile would otherwise land inside
-        # the first simulation's timing and skew the recorded trajectory.
-        from repro.core.compile import kernel_available
-
-        kernel_available()
         full = _full_mode_requested()
         _RUNNER = ParallelExperimentRunner(quick=not full)
         # Pre-compute the standard configuration matrix in parallel when it
@@ -86,32 +71,3 @@ def run_once(benchmark, fn, *args, **kwargs):
     """Run an experiment exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
-
-def pytest_sessionfinish(session, exitstatus):
-    # Only a passing run of the complete benchmark suite may update the
-    # PR-over-PR trajectory file; partial or failing sessions would record
-    # misleading wall-times and simulation counts.
-    if _RUNNER is None or exitstatus != 0 or not _FULL_SUITE_COLLECTED:
-        return
-    # Only fully cold-cache sessions measure throughput: any disk-cache hit
-    # means part (or all) of the suite skipped simulation, so the wall-time
-    # and instructions/second would not be comparable with the trajectory's
-    # cold-cache records (every fully-cached session would even record zeros).
-    if _RUNNER.stats.simulations == 0 or _RUNNER.stats.disk_hits > 0:
-        return
-    wall = time.perf_counter() - _IMPORT_T0
-    mode = "quick" if _RUNNER.quick else "full"
-    # ``as_dict`` carries instructions/second plus the aggregate contention
-    # telemetry (simulated_cycles / contention_stall_cycles / stall share).
-    payload = dict(_RUNNER.stats.as_dict())
-    payload["contention_stall_share"] = round(
-        _RUNNER.stats.contention_stall_share, 6)
-    payload["suite_wall_seconds"] = round(wall, 2)
-    payload["workloads"] = len(_RUNNER.workload_names)
-    # Warmup replays avoided by the warmed-memory memo this session
-    # (this process plus any parallel workers).
-    payload.update(_RUNNER.warm_memo_totals())
-    update_bench_report(
-        f"suite_{mode}", payload,
-        path=_BENCH_DIR.parent / "BENCH_sim_throughput.json",
-    )

@@ -1,20 +1,19 @@
-"""Performance smoke: two workloads end-to-end, throughput recorded.
+"""Performance smoke: two workloads end-to-end, throughput printed.
 
 Runs the full BL / DLA / R3-DLA configuration stack for a single workload
 with fresh caches, plus a memory-bound workload under the fully contended
-memory backend (banked MSHRs + write buffers + DRAM queues) so the cost of
-the contention models shows up in the throughput trajectory, then appends
-simulated-instructions-per-second and wall-time numbers to
-``BENCH_sim_throughput.json``.  Intended as a cheap CI/tooling hook: run it
-after a change to the timing models to see the perf trajectory without
-paying for the whole benchmark suite.
+memory backend (banked MSHRs + write buffers + DRAM queues), and prints one
+line of simulated-instructions-per-second and wall-time numbers.  It is a
+CI guard, not a measurement: it writes no file, and one cold sample says
+little about speed.  Claims about simulator speed are measured with
+``perfbench/`` (see the README's "Performance tracking").
 
 Usage::
 
     PYTHONPATH=src python benchmarks/perf_smoke.py [workload] [memory_workload]
 
 ``--require-compiled`` additionally asserts that the compiled tick pipeline
-actually carried the simulations (``compiled_ticks > 0`` in the recorded
+actually carried the simulations (``compiled_ticks > 0`` in the runner
 stats), the setups' profiling timing passes (``setup_compiled_ticks >
 0``) and the L1/TLB hits (``native_mem_hits > 0``), and exits with status
 2 otherwise — in CI this turns a silent fallback to the reference
@@ -34,7 +33,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.dla.config import DlaConfig                      # noqa: E402
-from repro.experiments.bench import update_bench_report     # noqa: E402
 from repro.experiments.memsys_sweep import (                # noqa: E402
     MEMSYS_MACHINES,
     machine_config,
@@ -44,7 +42,7 @@ from repro.experiments.runner import ExperimentRunner       # noqa: E402
 
 def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     # Build/load the compiled tick kernel up front so a cold artifact
-    # cache's one-off C compile never lands inside a timed window.
+    # cache's one-off C compile never lands inside the printed wall time.
     from repro.core.compile import (
         compiled_ticks_total,
         kernel_available,
@@ -82,16 +80,11 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     wall = time.perf_counter() - started
 
     payload = dict(runner.stats.as_dict())
-    payload["workload"] = workload
-    payload["memory_workload"] = memory_workload
     payload["contended_instructions_per_second"] = round(
         contended_stats.instructions_per_second, 1
     )
-    payload["wall_seconds"] = round(wall, 3)
     payload["setup_compiled_ticks"] = setup_ticks
     payload["native_mem_hits"] = native_mem_hits_total() - native_hits
-    path = update_bench_report("perf_smoke", payload,
-                               path=REPO_ROOT / "BENCH_sim_throughput.json")
     print(f"perf_smoke[{workload}+{memory_workload}]: "
           f"{payload['simulations']} simulations, "
           f"{payload['simulated_instructions']} instructions in {wall:.2f}s "
@@ -99,7 +92,7 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
           f"{payload['contended_instructions_per_second']:.0f} inst/s "
           f"contended, {payload['compiled_ticks']} compiled ticks, "
           f"{setup_ticks} in setup, {payload['native_mem_hits']} native "
-          f"L1/TLB hits) -> {path}")
+          f"L1/TLB hits)")
     return payload
 
 

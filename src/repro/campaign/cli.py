@@ -378,8 +378,7 @@ def _cmd_run(args) -> int:
             store.clear()
         scheduler = CampaignScheduler(
             spec, quick=quick, processes=args.processes, store=store,
-            progress=print, bench_report=shard is None and not args.worker,
-            retry_policy=policy, cell_timeout=args.cell_timeout,
+            progress=print, retry_policy=policy, cell_timeout=args.cell_timeout,
         )
         if shard is not None:
             summary = scheduler.run_shard(*shard)
@@ -423,7 +422,7 @@ def _cmd_merge(args) -> int:
             return 2
         store = CampaignStore(spec.name)
         scheduler = CampaignScheduler(spec, quick=quick, store=store,
-                                      progress=print, bench_report=False)
+                                      progress=print)
         try:
             summary = scheduler.finalize()
         except CampaignIncomplete as error:

@@ -181,7 +181,7 @@ class Dispatcher:
     def plan(self) -> DispatchPlan:
         """Prepare the shared store and render every host's job script."""
         scheduler = CampaignScheduler(self.spec, quick=self.quick,
-                                      store=self.store, bench_report=False)
+                                      store=self.store)
         manifest = scheduler.prepare()
         fabric = self.shared_root / FABRIC_DIR / self.spec.name
         jobs_dir = fabric / "jobs"
@@ -316,8 +316,7 @@ class Dispatcher:
         # for a dispatched campaign.
         scheduler = CampaignScheduler(self.spec, quick=self.quick,
                                       store=self.store,
-                                      progress=self.progress,
-                                      bench_report=False)
+                                      progress=self.progress)
         scheduler.finalize()
         if not no_render:
             from repro.campaign.render import render_campaign

@@ -11,9 +11,8 @@ against a :class:`~repro.experiments.parallel.ParallelExperimentRunner`:
    backoff, or poisoned once their retry budget is spent;
 3. the campaign's experiment module assembles the artefact from the warmed
    caches (``module.run(runner)``), and its structured tables plus rendered
-   text are persisted in the campaign store;
-4. throughput numbers are merged into ``BENCH_sim_throughput.json`` under
-   ``campaign_<name>``.
+   text are persisted in the campaign store, next to the run's throughput
+   counters (the result's ``run`` section).
 
 Because every cell is keyed by content fingerprint and persisted in the
 shared disk cache the moment it finishes, a campaign killed mid-run resumes
@@ -105,7 +104,7 @@ def _watchdog_cell_main(payload: tuple, report) -> None:
     # into code that could still land the result it was timed out on.
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, signal.SIG_DFL)
-    _workload, results, _stats, _warm = _run_group(payload)
+    _workload, results, _stats = _run_group(payload)
     report.send({key: info for kind, key, info in results if kind == "failed"})
 
 
@@ -147,7 +146,8 @@ class CampaignScheduler:
         store: Optional[CampaignStore] = None,
         runner: Optional[ParallelExperimentRunner] = None,
         progress: Optional[Progress] = None,
-        bench_report: bool = True,
+        # Inert: accepted only because perfbench/harness.py still passes it.
+        bench_report: bool = False,
         retry_policy: Optional[RetryPolicy] = None,
         cell_timeout: Optional[float] = None,
     ) -> None:
@@ -156,7 +156,6 @@ class CampaignScheduler:
         self.quick = quick
         self.store = store or CampaignStore(spec.name)
         self.progress = progress or _silent
-        self.bench_report = bench_report
         #: Bounded-retry policy for failing cells (see campaign.health).
         self.retry_policy = retry_policy or RetryPolicy()
         #: Per-cell wall-clock budget; ``None`` disables the subprocess
@@ -832,16 +831,6 @@ class CampaignScheduler:
                    cells_total=summary["cells_total"],
                    cells_failed=len(failures) if failures else 0,
                    wall_seconds=round(wall, 2))
-        # A fully cache-served assembly ran zero simulations, so its
-        # instructions-per-second is 0.0 by construction — recording it
-        # would poison the throughput trajectory with cache-hit noise.
-        if self.bench_report and summary.get("simulations"):
-            from repro.experiments.bench import update_bench_report
-
-            try:
-                update_bench_report(f"campaign_{self.spec.name}", summary)
-            except OSError:
-                pass   # read-only checkout: trajectory is best-effort
         self.progress(
             f"[{self.spec.name}] assembled in {wall:.1f}s "
             f"({run_stats.simulations} simulations, "
@@ -944,14 +933,13 @@ def run_campaign(
     store: Optional[CampaignStore] = None,
     runner: Optional[ParallelExperimentRunner] = None,
     progress: Optional[Progress] = None,
-    bench_report: bool = True,
     retry_policy: Optional[RetryPolicy] = None,
     cell_timeout: Optional[float] = None,
 ) -> Dict[str, object]:
     """Resolve ``campaign`` (name or spec) and execute it."""
     scheduler = CampaignScheduler(
         _resolve_spec(campaign), quick=quick, processes=processes, store=store,
-        runner=runner, progress=progress, bench_report=bench_report,
+        runner=runner, progress=progress,
         retry_policy=retry_policy, cell_timeout=cell_timeout,
     )
     return scheduler.run()

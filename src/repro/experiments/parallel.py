@@ -164,8 +164,6 @@ def _run_group(payload: Tuple[dict, str, List[SimRequest]]):
     followed by an options dict ``{"isolate": bool, "attempts": {key: n}}``
     (see :func:`_simulate_group`).
     """
-    from repro.core.system import warm_memo_stats
-
     ctor_kwargs, workload, requests, *rest = payload
     options = rest[0] if rest else {}
     runner = _worker_runner(ctor_kwargs)
@@ -173,17 +171,12 @@ def _run_group(payload: Tuple[dict, str, List[SimRequest]]):
     # serves; report only this group's delta or the parent's merge would
     # prefix-sum-overcount every earlier group.
     stats_before = runner.stats.copy()
-    warm_before = warm_memo_stats()
     pairs = [(request, _request_content_key(runner, request))
              for request in requests]
     results = _simulate_group(runner, workload, pairs,
                               bool(options.get("isolate")),
                               options.get("attempts", {}))
-    warm_delta = {
-        name: value - warm_before[name]
-        for name, value in warm_memo_stats().items()
-    }
-    return workload, results, runner.stats.since(stats_before), warm_delta
+    return workload, results, runner.stats.since(stats_before)
 
 
 def mp_context():
@@ -211,18 +204,6 @@ class ParallelExperimentRunner(ExperimentRunner):
             env = os.environ.get(PROCESSES_ENV, "")
             processes = int(env) if env.isdigit() and int(env) > 0 else None
         self.processes = processes
-        #: Warm-memo counters accumulated from worker processes (each worker
-        #: has its own process-wide memo; see warm_memo_totals()).
-        self._worker_warm: Dict[str, int] = {"warm_replays": 0, "warm_restores": 0}
-
-    def warm_memo_totals(self) -> Dict[str, int]:
-        """Warm-memo replay/restore counts across this process and workers."""
-        from repro.core.system import warm_memo_stats
-
-        totals = dict(warm_memo_stats())
-        for name, value in self._worker_warm.items():
-            totals[name] = totals.get(name, 0) + value
-        return totals
 
     # ------------------------------------------------------------------
     def _ctor_kwargs(self) -> dict:
@@ -394,7 +375,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         return self.has_dla, self.inject_dla
 
     def _merge_group(self, result) -> Dict[str, Dict[str, object]]:
-        _workload, outcomes, worker_stats, warm_delta = result
+        _workload, outcomes, worker_stats = result
         # Workers share this runner's disk-cache setting (see _ctor_kwargs):
         # if the disk cache is on, every fresh outcome was already persisted
         # by the worker that computed it — don't pickle it all again here.
@@ -408,6 +389,4 @@ class ParallelExperimentRunner(ExperimentRunner):
             _has, inject = self._cache_ops(kind)
             inject(key, outcome, persist=False)
         self.stats.merge(worker_stats)
-        for name, value in warm_delta.items():
-            self._worker_warm[name] = self._worker_warm.get(name, 0) + value
         return failures

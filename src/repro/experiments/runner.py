@@ -21,7 +21,7 @@ so stale results cannot survive a code change.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.compile import compiled_ticks_total
@@ -94,7 +94,11 @@ class SegmentedOutcome:
 
 @dataclass
 class RunnerStats:
-    """Bookkeeping for throughput reporting (``BENCH_sim_throughput.json``)."""
+    """Simulation and cache counters of one runner.
+
+    Campaign summaries and telemetry events report them, and perf_smoke's
+    ``--require-compiled`` guard reads ``compiled_ticks``.
+    """
 
     #: Simulations actually executed (cache misses).
     simulations: int = 0
@@ -107,12 +111,6 @@ class RunnerStats:
     setup_seconds: float = 0.0
     memory_hits: int = 0
     disk_hits: int = 0
-    #: Simulated core cycles across executed simulations (all domains: for
-    #: DLA runs the main and look-ahead cores both count).
-    simulated_cycles: float = 0.0
-    #: Memory-backend contention stall cycles (sum of every ``stall_cycles``
-    #: leaf in the ``memsys`` telemetry) across executed simulations.
-    contention_stall_cycles: float = 0.0
     #: Instructions retired through the compiled tick kernel during executed
     #: simulations (0 when ``REPRO_FAST_PIPELINE=0`` or no C compiler).
     compiled_ticks: int = 0
@@ -123,13 +121,6 @@ class RunnerStats:
             return 0.0
         return self.simulated_instructions / self.simulation_seconds
 
-    @property
-    def contention_stall_share(self) -> float:
-        """Fraction of simulated cycles spent in memory-contention stalls."""
-        if self.simulated_cycles <= 0.0:
-            return 0.0
-        return self.contention_stall_cycles / self.simulated_cycles
-
     def as_dict(self) -> Dict[str, float]:
         return {
             "simulations": self.simulations,
@@ -139,40 +130,20 @@ class RunnerStats:
             "instructions_per_second": round(self.instructions_per_second, 1),
             "memory_hits": self.memory_hits,
             "disk_hits": self.disk_hits,
-            "simulated_cycles": round(self.simulated_cycles, 1),
-            "contention_stall_cycles": round(self.contention_stall_cycles, 1),
-            "contention_stall_share": round(self.contention_stall_share, 6),
             "compiled_ticks": self.compiled_ticks,
         }
 
     def merge(self, other: "RunnerStats") -> None:
-        self.simulations += other.simulations
-        self.simulated_instructions += other.simulated_instructions
-        self.simulation_seconds += other.simulation_seconds
-        self.setup_seconds += other.setup_seconds
-        self.memory_hits += other.memory_hits
-        self.disk_hits += other.disk_hits
-        self.simulated_cycles += other.simulated_cycles
-        self.contention_stall_cycles += other.contention_stall_cycles
-        self.compiled_ticks += other.compiled_ticks
+        for field in fields(self):
+            setattr(self, field.name,
+                    getattr(self, field.name) + getattr(other, field.name))
 
     def since(self, snapshot: "RunnerStats") -> "RunnerStats":
         """The delta accumulated after ``snapshot`` was taken (via ``copy``)."""
-        return RunnerStats(
-            simulations=self.simulations - snapshot.simulations,
-            simulated_instructions=(
-                self.simulated_instructions - snapshot.simulated_instructions
-            ),
-            simulation_seconds=self.simulation_seconds - snapshot.simulation_seconds,
-            setup_seconds=self.setup_seconds - snapshot.setup_seconds,
-            memory_hits=self.memory_hits - snapshot.memory_hits,
-            disk_hits=self.disk_hits - snapshot.disk_hits,
-            simulated_cycles=self.simulated_cycles - snapshot.simulated_cycles,
-            contention_stall_cycles=(
-                self.contention_stall_cycles - snapshot.contention_stall_cycles
-            ),
-            compiled_ticks=self.compiled_ticks - snapshot.compiled_ticks,
-        )
+        return RunnerStats(**{
+            field.name: getattr(self, field.name) - getattr(snapshot, field.name)
+            for field in fields(self)
+        })
 
     def copy(self) -> "RunnerStats":
         return replace(self)
@@ -206,23 +177,6 @@ def _setup_cache_put(key: str, setup: WorkloadSetup) -> None:
     while len(_SETUP_CACHE) >= _SETUP_CACHE_MAX:
         del _SETUP_CACHE[next(iter(_SETUP_CACHE))]
     _SETUP_CACHE[key] = setup
-
-
-def _stall_cycles_total(memsys) -> float:
-    """Sum of every ``stall_cycles`` leaf in a ``memsys`` telemetry dict.
-
-    Local (rather than importing :mod:`repro.experiments.memsys_sweep`)
-    because that module imports this one.
-    """
-    if not memsys:
-        return 0.0
-    total = 0.0
-    for key, value in memsys.items():
-        if key == "stall_cycles":
-            total += value
-        elif isinstance(value, dict):
-            total += _stall_cycles_total(value)
-    return total
 
 
 class ExperimentRunner:
@@ -444,11 +398,7 @@ class ExperimentRunner:
             config or self.system_config,
             warmup_entries=setup.warmup,
         ))
-        self._record_simulation(
-            started, outcome.core.committed,
-            cycles=outcome.core.cycles,
-            stall_cycles=_stall_cycles_total(outcome.memsys),
-        )
+        self._record_simulation(started, outcome.core.committed)
         self._baseline_cache[key] = outcome
         if self.disk_cache is not None:
             self.disk_cache.put(self._disk_key(key), outcome)
@@ -478,10 +428,7 @@ class ExperimentRunner:
         )
         outcome = system.simulate(setup.timed, warmup_entries=setup.warmup)
         self._record_simulation(
-            started, outcome.main.committed + outcome.lookahead.committed,
-            cycles=outcome.main.cycles + outcome.lookahead.cycles,
-            stall_cycles=_stall_cycles_total(outcome.memsys),
-        )
+            started, outcome.main.committed + outcome.lookahead.committed)
         self._dla_cache[key] = outcome
         if self.disk_cache is not None:
             self.disk_cache.put(self._disk_key(key), outcome)
@@ -536,10 +483,7 @@ class ExperimentRunner:
             version_distribution=dict(plan.version_distribution),
         )
         self._record_simulation(
-            started, outcome.main.committed + outcome.lookahead.committed,
-            cycles=outcome.main.cycles + outcome.lookahead.cycles,
-            stall_cycles=_stall_cycles_total(outcome.memsys),
-        )
+            started, outcome.main.committed + outcome.lookahead.committed)
         self._segmented_cache[key] = result
         if self.disk_cache is not None:
             self.disk_cache.put(self._disk_key(key), result)
@@ -573,7 +517,6 @@ class ExperimentRunner:
         outcome = simulate()
         if isinstance(outcome, SimulationOutcome):
             committed = outcome.core.committed
-            cycles = outcome.core.cycles
             payload = strip_outcome(outcome)
         else:
             # DlaOutcome-shaped (two-thread comparison models) or anything
@@ -581,16 +524,8 @@ class ExperimentRunner:
             committed = getattr(outcome, "committed", None)
             if committed is None:
                 committed = outcome.main.committed + outcome.lookahead.committed
-            main = getattr(outcome, "main", None)
-            if main is not None:
-                cycles = main.cycles + outcome.lookahead.cycles
-            else:
-                cycles = getattr(outcome, "cycles", 0.0)
             payload = outcome
-        self._record_simulation(
-            started, committed, cycles=cycles,
-            stall_cycles=_stall_cycles_total(getattr(outcome, "memsys", None)),
-        )
+        self._record_simulation(started, committed)
         self._aux_cache[key] = payload
         if self.disk_cache is not None:
             self.disk_cache.put(self._disk_key(key), payload)
@@ -601,14 +536,10 @@ class ExperimentRunner:
         self._compiled_mark = compiled_ticks_total()
         return time.perf_counter()
 
-    def _record_simulation(self, started: float, committed: int,
-                           cycles: float = 0.0,
-                           stall_cycles: float = 0.0) -> None:
+    def _record_simulation(self, started: float, committed: int) -> None:
         self.stats.simulations += 1
         self.stats.simulated_instructions += int(committed)
         self.stats.simulation_seconds += time.perf_counter() - started
-        self.stats.simulated_cycles += float(cycles)
-        self.stats.contention_stall_cycles += float(stall_cycles)
         self.stats.compiled_ticks += compiled_ticks_total() - self._compiled_mark
 
     # ------------------------------------------------------------------

@@ -17,13 +17,6 @@ def isolated(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_DISK_CACHE", "1")
     monkeypatch.chdir(tmp_path)
-    # Keep the repo-level throughput trajectory out of unit-test runs.
-    import repro.experiments.bench as bench
-
-    monkeypatch.setattr(
-        bench, "update_bench_report",
-        lambda section, payload, path=None: tmp_path / "bench.json",
-    )
     return tmp_path
 
 

@@ -41,8 +41,7 @@ def _run_and_render(spec, tmp_path):
         quick=True, workload_names=spec.resolve_workloads(), processes=1,
         **WINDOW,
     )
-    CampaignScheduler(spec, store=store, runner=runner,
-                      bench_report=False).run()
+    CampaignScheduler(spec, store=store, runner=runner).run()
     paths = render_campaign(spec.name, store=store,
                             out_dir=str(tmp_path / "artifacts"))
     return store, runner, {p.name: p for p in paths}

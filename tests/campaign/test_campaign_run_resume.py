@@ -77,8 +77,7 @@ class _InterruptingRunner(ParallelExperimentRunner):
 def test_campaign_runs_and_persists(cache_dir, tmp_path):
     spec = _spec()
     store = CampaignStore(spec.name, tmp_path / "campaigns")
-    scheduler = CampaignScheduler(spec, store=store, runner=_runner(spec),
-                                  bench_report=False)
+    scheduler = CampaignScheduler(spec, store=store, runner=_runner(spec))
     summary = scheduler.run()
     assert summary["cells_total"] == 6
     assert summary["cells_simulated"] == 6
@@ -101,15 +100,13 @@ def test_kill_between_cells_then_resume_with_zero_resimulation(cache_dir, tmp_pa
         budget=2, **WINDOW,
     )
     with pytest.raises(_KilledMidCampaign):
-        CampaignScheduler(spec, store=store, runner=killed,
-                          bench_report=False).run()
+        CampaignScheduler(spec, store=store, runner=killed).run()
     assert killed.stats.simulations == 2
 
     # Restart with a fresh runner/scheduler (fresh process equivalent):
     # the two finished cells come back from disk, only the rest simulate.
     resumed = _runner(spec)
-    summary = CampaignScheduler(spec, store=store, runner=resumed,
-                                bench_report=False).run()
+    summary = CampaignScheduler(spec, store=store, runner=resumed).run()
     assert summary["cells_total"] == 6
     assert summary["cells_simulated"] == 4            # 6 - 2 already done
     assert resumed.stats.simulations == 4
@@ -117,8 +114,7 @@ def test_kill_between_cells_then_resume_with_zero_resimulation(cache_dir, tmp_pa
 
     # A third run re-simulates nothing at all.
     third = _runner(spec)
-    summary = CampaignScheduler(spec, store=store, runner=third,
-                                bench_report=False).run()
+    summary = CampaignScheduler(spec, store=store, runner=third).run()
     assert summary["cells_simulated"] == 0
     assert third.stats.simulations == 0
 
@@ -126,8 +122,7 @@ def test_kill_between_cells_then_resume_with_zero_resimulation(cache_dir, tmp_pa
 def test_spec_change_resets_manifest_but_not_simulations(cache_dir, tmp_path):
     spec = _spec()
     store = CampaignStore(spec.name, tmp_path / "campaigns")
-    CampaignScheduler(spec, store=store, runner=_runner(spec),
-                      bench_report=False).run()
+    CampaignScheduler(spec, store=store, runner=_runner(spec)).run()
     manifest = store.load_manifest()
     assert manifest["spec_fingerprint"] == spec.fingerprint()
 
@@ -137,8 +132,7 @@ def test_spec_change_resets_manifest_but_not_simulations(cache_dir, tmp_path):
         {**spec.to_dict(), "workloads": ["libquantum"]}
     )
     runner = _runner(narrowed)
-    summary = CampaignScheduler(narrowed, store=store, runner=runner,
-                                bench_report=False).run()
+    summary = CampaignScheduler(narrowed, store=store, runner=runner).run()
     assert store.load_manifest()["spec_fingerprint"] == narrowed.fingerprint()
     assert summary["cells_total"] == 3
     assert summary["cells_simulated"] == 0            # all were cached
@@ -160,16 +154,15 @@ def test_aliased_variants_count_once_in_every_mode(cache_dir, tmp_path):
         **WINDOW,
     )
     single = CampaignScheduler(spec, store=CampaignStore(
-        spec.name, tmp_path / "single"), runner=_runner(spec),
-        bench_report=False).run()
+        spec.name, tmp_path / "single"), runner=_runner(spec)).run()
     assert single["cells_total"] == 1
     assert single["cells_simulated"] + single["cells_from_cache"] == 1
 
     store = CampaignStore(spec.name, tmp_path / "sharded")
-    shard = CampaignScheduler(spec, store=store, runner=_runner(spec),
-                              bench_report=False).run_shard(0, 1)
-    merged = CampaignScheduler(spec, store=store, runner=_runner(spec),
-                               bench_report=False).finalize()
+    shard = CampaignScheduler(spec, store=store,
+                              runner=_runner(spec)).run_shard(0, 1)
+    merged = CampaignScheduler(spec, store=store,
+                               runner=_runner(spec)).finalize()
     assert shard["cells_total"] == merged["cells_total"] == 1
 
 
@@ -177,8 +170,7 @@ def test_status_not_complete_after_mode_change(cache_dir, tmp_path):
     """A mode/spec change must not report the stale result as complete."""
     spec = _spec()
     store = CampaignStore(spec.name, tmp_path / "campaigns")
-    CampaignScheduler(spec, store=store, runner=_runner(spec),
-                      bench_report=False).run()
+    CampaignScheduler(spec, store=store, runner=_runner(spec)).run()
     assert store.status()["state"] == "complete"
     # Re-plan in full mode (as an interrupted `repro run --full` would):
     store.begin(spec, "full")
@@ -189,7 +181,7 @@ def test_run_campaign_by_name_smoke(cache_dir, tmp_path, monkeypatch):
     # Pin the rotating smoke figure so the cell count is deterministic.
     monkeypatch.setenv("REPRO_SMOKE_FIGURE", "fig09")
     store = CampaignStore("smoke", tmp_path / "campaigns")
-    summary = run_campaign("smoke", store=store, bench_report=False)
+    summary = run_campaign("smoke", store=store)
     assert summary["cells_total"] == 12
     assert store.load_result() is not None
 

@@ -49,7 +49,7 @@ def _spec() -> CampaignSpec:
 
 def _scheduler(spec, store, **kwargs) -> CampaignScheduler:
     return CampaignScheduler(spec, store=store, processes=1,
-                             bench_report=False, **kwargs)
+                             **kwargs)
 
 
 @pytest.fixture(autouse=True)

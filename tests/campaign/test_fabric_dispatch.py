@@ -12,6 +12,8 @@ The PR 9 acceptance surface:
   converge and merge cleanly;
 * worker-claim dispatch (lease arbitration on the shared root) converges;
 * the ``repro dispatch`` CLI surface reports plans as JSON.
+* the ``local`` backend runs a job script to completion and records its
+  exit status and log, and refuses a missing script.
 
 These tests spawn real subprocess workers (the process-pool backend), so
 they are the slowest in the campaign suite — each one is a genuine
@@ -27,7 +29,7 @@ import sys
 import pytest
 
 from repro.campaign.cli import main
-from repro.campaign.fabric.dispatch import DispatchError, Dispatcher
+from repro.campaign.fabric.dispatch import DispatchError, Dispatcher, HostJob
 from repro.campaign.spec import CampaignSpec, variants
 from repro.campaign.store import CampaignStore
 
@@ -80,12 +82,6 @@ def isolated(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "shared"))
     monkeypatch.setenv("REPRO_DISK_CACHE", "1")
     monkeypatch.chdir(tmp_path)
-    import repro.experiments.bench as bench
-
-    monkeypatch.setattr(
-        bench, "update_bench_report",
-        lambda section, payload, path=None: tmp_path / "bench.json",
-    )
     return tmp_path
 
 
@@ -135,6 +131,28 @@ def test_dispatch_rejects_bad_plans(isolated):
         Dispatcher(spec, claim="steal")
     with pytest.raises(Exception):
         Dispatcher(spec, backend="kubernetes", progress=None).dispatch()
+
+
+def test_local_backend_runs_script_to_completion(tmp_path):
+    from repro.campaign.fabric.backends import BackendError, get_backend
+
+    def job(stem):
+        return HostJob(index=0, script_path=tmp_path / f"{stem}.sh",
+                       log_path=tmp_path / f"{stem}.log",
+                       sentinel_path=tmp_path / f"{stem}.exit",
+                       cache_root=tmp_path / "cache")
+
+    backend = get_backend("local")
+    failing = job("host-0")
+    failing.script_path.write_text("echo local-backend-ran\nexit 3\n")
+    backend.submit(failing)
+    assert failing.returncode == 3
+    assert backend.poll(failing) == 3
+    assert failing.job_id == "local-host-0"
+    assert "local-backend-ran" in failing.log_path.read_text()
+
+    with pytest.raises(BackendError):
+        backend.submit(job("missing"))
 
 
 def test_cli_dry_run_reports_plan_json(isolated, tmp_path, capsys):

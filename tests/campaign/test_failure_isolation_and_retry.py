@@ -80,7 +80,7 @@ def test_warm_isolated_captures_failures_and_keeps_going(cache_dir, tmp_path):
     spec = _spec()
     runner = _runner(spec, _BrokenDlaRunner)
     scheduler = CampaignScheduler(spec, store=CampaignStore(
-        spec.name, tmp_path / "campaigns"), runner=runner, bench_report=False)
+        spec.name, tmp_path / "campaigns"), runner=runner)
     requests = [request for _key, request in scheduler.keyed_cells()]
     executed, failures = runner.warm_isolated(requests)
 
@@ -106,7 +106,6 @@ def test_transient_fault_retries_to_clean_convergence(cache_dir, tmp_path):
         ledger_dir=tmp_path / "ledger",
     ))
     scheduler = CampaignScheduler(spec, store=store, runner=_runner(spec),
-                                  bench_report=False,
                                   retry_policy=FAST_POLICY)
     summary = scheduler.run()
 
@@ -130,7 +129,6 @@ def test_permanent_failure_poisons_and_assembles_degraded(cache_dir, tmp_path):
     store = CampaignStore(spec.name, tmp_path / "campaigns")
     scheduler = CampaignScheduler(spec, store=store,
                                   runner=_runner(spec, _BrokenDlaRunner),
-                                  bench_report=False,
                                   retry_policy=FAST_POLICY)
     summary = scheduler.run()                     # must NOT raise
 
@@ -167,12 +165,11 @@ def test_poisoned_cells_skipped_on_rerun_and_finalize_never_blocks(
     store = CampaignStore(spec.name, tmp_path / "campaigns")
     CampaignScheduler(spec, store=store,
                       runner=_runner(spec, _BrokenDlaRunner),
-                      bench_report=False, retry_policy=FAST_POLICY).run()
+                      retry_policy=FAST_POLICY).run()
 
     # A rerun does not burn attempts re-proving poisoned cells...
     rerun = _runner(spec, _BrokenDlaRunner)
     summary = CampaignScheduler(spec, store=store, runner=rerun,
-                                bench_report=False,
                                 retry_policy=FAST_POLICY).run()
     assert summary["cells_failed"] == 2
     records = store.failures()
@@ -180,9 +177,8 @@ def test_poisoned_cells_skipped_on_rerun_and_finalize_never_blocks(
                for record in records.values())
 
     # ...and finalize assembles around them instead of CampaignIncomplete.
-    merged = CampaignScheduler(spec, store=store,
-                               runner=_runner(spec, _BrokenDlaRunner),
-                               bench_report=False).finalize()
+    merged = CampaignScheduler(
+        spec, store=store, runner=_runner(spec, _BrokenDlaRunner)).finalize()
     assert merged["cells_failed"] == 2
 
 
@@ -191,7 +187,6 @@ def test_worker_loop_poisons_and_reports(cache_dir, tmp_path):
     store = CampaignStore(spec.name, tmp_path / "campaigns")
     scheduler = CampaignScheduler(spec, store=store,
                                   runner=_runner(spec, _BrokenDlaRunner),
-                                  bench_report=False,
                                   retry_policy=FAST_POLICY)
     summary = scheduler.run_worker(owner="w0", ttl=60.0, poll_seconds=0.05,
                                    finalize=True)
@@ -259,10 +254,6 @@ def test_cli_cell_timeout_applies_without_worker(cache_dir, tmp_path,
                                                  mode_flags):
     """The watchdog is not a worker-only feature: a plain run and a shard
     (finished by ``repro merge``) honour ``--cell-timeout`` too."""
-    import repro.experiments.bench as bench
-
-    monkeypatch.setattr(bench, "update_bench_report",
-                        lambda section, payload, path=None: None)
     spec, code = _run_cli_with_cell_timeout(tmp_path, monkeypatch,
                                             *mode_flags)
     assert code == 1                         # poisoned cells fail the job
@@ -279,7 +270,6 @@ def test_shard_isolates_retries_and_poisons(cache_dir, tmp_path):
     store = CampaignStore(spec.name, tmp_path / "campaigns")
     summary = CampaignScheduler(spec, store=store,
                                 runner=_runner(spec, _BrokenDlaRunner),
-                                bench_report=False,
                                 retry_policy=FAST_POLICY).run_shard(0, 1)
     assert summary["cells_failed"] == 2
     records = store.failures()
@@ -288,9 +278,8 @@ def test_shard_isolates_retries_and_poisons(cache_dir, tmp_path):
         assert record["poisoned"]
         assert record["attempts"] == FAST_POLICY.max_attempts
 
-    merged = CampaignScheduler(spec, store=store,
-                               runner=_runner(spec, _BrokenDlaRunner),
-                               bench_report=False).finalize()
+    merged = CampaignScheduler(
+        spec, store=store, runner=_runner(spec, _BrokenDlaRunner)).finalize()
     assert merged["cells_failed"] == 2
     assert store.load_result()["health"]["state"] == "degraded"
 
@@ -325,7 +314,7 @@ def test_cli_status_exit_code_on_failed_cells(cache_dir, tmp_path,
     # Default store root (under REPRO_CACHE_DIR) so the CLI finds it.
     CampaignScheduler(spec, store=CampaignStore(spec.name),
                       runner=_runner(spec, _BrokenDlaRunner),
-                      bench_report=False, retry_policy=FAST_POLICY).run()
+                      retry_policy=FAST_POLICY).run()
 
     code = main(["status", spec.name, "--json"])
     captured = capsys.readouterr()
@@ -353,7 +342,7 @@ def test_degraded_campaign_renders_health_consistently(cache_dir, tmp_path):
     store = CampaignStore(spec.name, tmp_path / "campaigns")
     CampaignScheduler(spec, store=store,
                       runner=_runner(spec, _BrokenDlaRunner),
-                      bench_report=False, retry_policy=FAST_POLICY).run()
+                      retry_policy=FAST_POLICY).run()
 
     out = tmp_path / "artifacts"
     written = render_campaign(spec.name, store=store, out_dir=str(out))
@@ -385,8 +374,7 @@ def test_healthy_campaign_renders_no_health_artifacts(cache_dir, tmp_path):
 
     spec = _spec(workloads=("libquantum",))
     store = CampaignStore(spec.name, tmp_path / "campaigns")
-    CampaignScheduler(spec, store=store, runner=_runner(spec),
-                      bench_report=False).run()
+    CampaignScheduler(spec, store=store, runner=_runner(spec)).run()
 
     out = tmp_path / "artifacts"
     written = render_campaign(spec.name, store=store, out_dir=str(out))

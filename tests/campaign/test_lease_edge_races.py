@@ -162,16 +162,14 @@ def test_dead_workers_cells_rerun_exactly_once_by_survivor(cache_dir, tmp_path):
         **WINDOW,
     )
     store = CampaignStore(spec.name, tmp_path / "campaigns")
-    scheduler = CampaignScheduler(spec, store=store, processes=1,
-                                  bench_report=False)
+    scheduler = CampaignScheduler(spec, store=store, processes=1)
     # A worker claims every cell, then dies before simulating anything —
     # no release, no results, just leases with a short TTL left behind.
     keys = [key for key, _request in scheduler.keyed_cells()]
     assert store.claim_cells(keys, "dead-worker", ttl=0.05) == keys
     time.sleep(0.06)
 
-    survivor = CampaignScheduler(spec, store=store, processes=1,
-                                 bench_report=False)
+    survivor = CampaignScheduler(spec, store=store, processes=1)
     summary = survivor.run_worker(owner="survivor", ttl=60.0,
                                   poll_seconds=0.05, finalize=False)
     assert summary["complete"]

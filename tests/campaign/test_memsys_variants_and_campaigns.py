@@ -145,8 +145,7 @@ def _scheduler(spec, store) -> CampaignScheduler:
         timed_instructions=spec.timed_instructions,
         processes=1,
     )
-    return CampaignScheduler(spec, store=store, runner=runner,
-                             bench_report=False)
+    return CampaignScheduler(spec, store=store, runner=runner)
 
 
 def test_memsys_campaign_shard_worker_merge_byte_identical(tmp_path, monkeypatch):

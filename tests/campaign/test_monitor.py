@@ -51,8 +51,7 @@ def _scheduler(spec: CampaignSpec, store: CampaignStore) -> CampaignScheduler:
         timed_instructions=spec.timed_instructions,
         processes=1,
     )
-    return CampaignScheduler(spec, store=store, runner=runner,
-                             bench_report=False)
+    return CampaignScheduler(spec, store=store, runner=runner)
 
 
 # ---------------------------------------------------------------------------

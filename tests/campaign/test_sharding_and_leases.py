@@ -57,8 +57,7 @@ def _runner(spec: CampaignSpec) -> ParallelExperimentRunner:
 
 
 def _scheduler(spec, store) -> CampaignScheduler:
-    return CampaignScheduler(spec, store=store, runner=_runner(spec),
-                             bench_report=False)
+    return CampaignScheduler(spec, store=store, runner=_runner(spec))
 
 
 @pytest.fixture()
@@ -385,12 +384,6 @@ def isolated(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_DISK_CACHE", "1")
     monkeypatch.chdir(tmp_path)
-    import repro.experiments.bench as bench
-
-    monkeypatch.setattr(
-        bench, "update_bench_report",
-        lambda section, payload, path=None: tmp_path / "bench.json",
-    )
     return tmp_path
 
 

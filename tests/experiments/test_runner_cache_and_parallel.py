@@ -11,7 +11,7 @@ from repro.dla.config import DlaConfig
 from repro.experiments.cache import ResultDiskCache
 from repro.experiments.fingerprint import canonicalize, code_salt, fingerprint
 from repro.experiments.parallel import ParallelExperimentRunner, SimRequest
-from repro.experiments.runner import ExperimentRunner, strip_outcome
+from repro.experiments.runner import ExperimentRunner, RunnerStats, strip_outcome
 
 WORKLOAD = "libquantum"
 WINDOW = dict(warmup_instructions=1500, timed_instructions=1500)
@@ -212,10 +212,19 @@ def test_parallel_stats_count_each_simulation_once():
                 system_config=runner.system_config, disk_cache=False, **WINDOW)
     first = SimRequest(WORKLOAD, "baseline", "bl")
     second = SimRequest("mcf", "baseline", "bl")
-    _, _, stats_a, _ = _run_group((ctor, WORKLOAD, [first]))
-    _, _, stats_b, _ = _run_group((ctor, "mcf", [second]))
+    _, _, stats_a = _run_group((ctor, WORKLOAD, [first]))
+    _, _, stats_b = _run_group((ctor, "mcf", [second]))
     assert stats_a.simulations == 1
     assert stats_b.simulations == 1
+
+
+def test_runner_stats_merge_and_since_cover_every_field():
+    names = [field.name for field in dataclasses.fields(RunnerStats)]
+    ones = RunnerStats(**{name: 1 for name in names})
+    total = ones.copy()
+    total.merge(ones)
+    assert all(getattr(total, name) == 2 for name in names)
+    assert total.since(ones) == ones
 
 
 # ---------------------------------------------------------------------------
