@@ -15,11 +15,12 @@ Usage::
 ``--require-compiled`` additionally asserts that the compiled tick pipeline
 actually carried the simulations (``compiled_ticks > 0`` in the runner
 stats), the setups' profiling timing passes (``setup_compiled_ticks >
-0``) and the L1/TLB hits (``native_mem_hits > 0``), and exits with status
-2 otherwise — in CI this turns a silent fallback to the reference
-interpreter or to the Python memory accessors (no C compiler on the
-runner, a kernel build break, a non-stock cache type) into a red job
-instead of a quietly slower number.
+0``), the L1/TLB hits (``native_mem_hits > 0``) and the DLA cells' branch
+hints (``native_hint_branches > 0``), and exits with status 2 otherwise —
+in CI this turns a silent fallback to the reference interpreter, to the
+Python memory accessors or to the Python hint hooks (no C compiler on the
+runner, a kernel build break, a non-stock cache type or branch unit) into
+a red job instead of a quietly slower number.
 """
 
 from __future__ import annotations
@@ -46,11 +47,13 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     from repro.core.compile import (
         compiled_ticks_total,
         kernel_available,
+        native_hint_branches_total,
         native_mem_hits_total,
     )
 
     kernel_available()
     native_hits = native_mem_hits_total()
+    hint_branches = native_hint_branches_total()
     started = time.perf_counter()
     # Fresh in-memory caches and no disk cache: measure real simulation speed.
     runner = ExperimentRunner(quick=True,
@@ -85,6 +88,8 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     )
     payload["setup_compiled_ticks"] = setup_ticks
     payload["native_mem_hits"] = native_mem_hits_total() - native_hits
+    payload["native_hint_branches"] = (native_hint_branches_total()
+                                       - hint_branches)
     print(f"perf_smoke[{workload}+{memory_workload}]: "
           f"{payload['simulations']} simulations, "
           f"{payload['simulated_instructions']} instructions in {wall:.2f}s "
@@ -92,7 +97,8 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
           f"{payload['contended_instructions_per_second']:.0f} inst/s "
           f"contended, {payload['compiled_ticks']} compiled ticks, "
           f"{setup_ticks} in setup, {payload['native_mem_hits']} native "
-          f"L1/TLB hits)")
+          f"L1/TLB hits, {payload['native_hint_branches']} native hint "
+          f"branches)")
     return payload
 
 
@@ -103,10 +109,11 @@ def _parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument(
         "--require-compiled", action="store_true",
         help="exit 2 unless the compiled tick pipeline carried the runs, "
-             "the setups' profiling passes and the L1/TLB hits "
-             "(compiled_ticks, setup_compiled_ticks and native_mem_hits "
-             "all > 0); guards CI against a silent fallback to the "
-             "reference interpreter or the Python memory accessors",
+             "the setups' profiling passes, the L1/TLB hits and the DLA "
+             "branch hints (compiled_ticks, setup_compiled_ticks, "
+             "native_mem_hits and native_hint_branches all > 0); guards CI "
+             "against a silent fallback to the reference interpreter, the "
+             "Python memory accessors or the Python hint hooks",
     )
     return parser.parse_args(argv)
 
@@ -116,7 +123,7 @@ if __name__ == "__main__":
     result = main(cli_args.workload, cli_args.memory_workload)
     if cli_args.require_compiled:
         for key in ("compiled_ticks", "setup_compiled_ticks",
-                    "native_mem_hits"):
+                    "native_mem_hits", "native_hint_branches"):
             if result.get(key, 0) <= 0:
                 print(f"perf_smoke: compiled tick pipeline did not engage "
                       f"({key} == 0) but --require-compiled was set",

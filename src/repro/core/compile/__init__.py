@@ -16,10 +16,11 @@ per-variant Python callbacks:
    ``.repro_cache/compiled/``.
 4. **Run** (:mod:`repro.core.compile.driver`) — drive the kernel.  The
    branch unit and the L1/TLB hit path run natively on the model objects'
-   own flat arrays; every other model interaction (misses, prefetchers,
-   DLA hooks) happens through callbacks, so dynamic state lives exactly
-   where the reference keeps it.  Warm-up replay runs on the same kernel
-   (:func:`replay_compiled`).
+   own flat arrays, and a DLA main thread's declared hint unit runs
+   natively over its columns; every other model interaction (misses,
+   prefetchers, prefetch-hint installs, T1) happens through callbacks, so
+   dynamic state lives exactly where the reference keeps it.  Warm-up
+   replay runs on the same kernel (:func:`replay_compiled`).
 
 ``REPRO_FAST_PIPELINE=0`` disables all of it and the reference
 interpreter carries every run; any failure (no compiler, compile error)
@@ -44,6 +45,9 @@ _compiled_ticks = 0
 #: L1/TLB hits the kernel served natively (tick loops and warm replays).
 _native_mem_hits = 0
 
+#: Branch hints the kernel's native DLA hint unit delivered.
+_native_hint_branches = 0
+
 
 def fast_pipeline_enabled() -> bool:
     return os.environ.get(FAST_PIPELINE_ENV, "1").strip().lower() not in _FALSEY
@@ -62,6 +66,16 @@ def native_mem_hits_total() -> int:
 def _add_native_mem_hits(count: int) -> None:
     global _native_mem_hits
     _native_mem_hits += count
+
+
+def native_hint_branches_total() -> int:
+    """Process-wide count of branch hints the native hint unit delivered."""
+    return _native_hint_branches
+
+
+def _add_native_hint_branches(count: int) -> None:
+    global _native_hint_branches
+    _native_hint_branches += count
 
 
 def kernel_available() -> bool:

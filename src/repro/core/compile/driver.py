@@ -3,12 +3,19 @@
 ``run_compiled`` marshals one run onto the C kernel: the decoded trace's
 flat arrays go in as zero-copy buffers, and every model interaction the
 kernel cannot perform itself — cache and TLB misses, a non-stock branch
-unit, prefetcher training, DLA hooks — comes back out through small
+unit, prefetcher training, generic hooks — comes back out through small
 per-event callbacks that communicate over a shared ``array('d')`` buffer
 (argument marshalling through object calls would dominate otherwise).
 L1/TLB hits and the branch unit run natively on the model objects' own
 flat arrays; ``replay_compiled`` drives warm-up replay over the same
 native hit path.
+
+A DLA main thread declares its hint unit
+(:class:`~repro.core.compile.hookspec.HintUnit`): its columns go in
+zero-copy, its run state goes in and comes back through one small
+``array('d')``, and the kernel calls back once per fetch that brings
+prefetch hints due.  A look-ahead pass declares a commit log, which the
+kernel writes into preallocated columns.
 
 Every callback body is a statement-for-statement transcription of the
 corresponding block of :meth:`repro.core.pipeline.OutOfOrderCore.run`; the
@@ -20,26 +27,28 @@ from __future__ import annotations
 from array import array
 from typing import Sequence
 
-from repro.branch.btb import BranchTargetBuffer
-from repro.branch.predictors import TageLitePredictor
-from repro.branch.ras import ReturnAddressStack
 from repro.core.results import CoreResult, InstructionTimings
 from repro.emulator.trace import DynamicInst
 from repro.memory.hierarchy import access_result
 
-from repro.core.compile import _add_native_mem_hits
+from repro.core.compile import _add_native_hint_branches, _add_native_mem_hits
 from repro.core.compile.decoded import decode_trace, get_decoded
 from repro.core.compile.plan import plan_run, stock_hit_sides
 
 #: Comm-buffer slots (must match kernel.c).
-B_I, B_T0, B_T1, B_OUT0, B_OUT1, B_DUE, B_OUT2, B_LAST = range(8)
+B_I, B_T0, B_T1, B_OUT0, B_OUT1, B_LAST = range(6)
 
 #: Counter slots (must match kernel.c).
 (C_L1I_ACC, C_L1I_MISS, C_L1D_ACC, C_L1D_MISS, C_L2_MISS, C_DRAM,
  C_DECODED, C_EXECUTED, C_COMMITTED, C_FETCH_BOUND,
  C_VALID_SKIP, C_VP_USED, C_VP_MISS, C_SB_SKIP, C_SB_VALID,
  C_BRANCHES, C_BR_MISPRED, C_HINT_MISPRED, C_BTB_MISS,
- C_TICKS, C_NATIVE_HITS, C_COUNT) = range(22)
+ C_TICKS, C_NATIVE_HITS, C_LOG_BRANCHES, C_LOG_PCS, C_COUNT) = range(24)
+
+#: HintUnit run state, in the order of the kernel's hint-state slots; the
+#: kernel appends the run's fetch stall on hints (must match kernel.c).
+_HINT_STATE = ("offset", "fq_occupancy", "fq_prefetches", "fq_values",
+               "reboots", "branch_cursor", "value_cursor", "prefetch_cursor")
 
 _NAN = float("nan")
 _EMPTY_Q = array("q", (0,))
@@ -115,7 +124,7 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
     pcs = decoded.pcs
     flags = decoded.flags
 
-    comm = array("d", bytes(8 * 8))
+    comm = array("d", bytes(8 * 6))
     fetch_times = array("d", bytes(8 * n))
     dispatch_times = array("d", bytes(8 * n))
     commit_times = array("d", bytes(8 * n))
@@ -203,9 +212,7 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
     predictor = core.predictor
     btb = core.btb
     ras = core.ras
-    ctrl_native = 1 if (type(predictor) is TageLitePredictor
-                        and type(btb) is BranchTargetBuffer
-                        and type(ras) is ReturnAddressStack) else 0
+    ctrl_native = 1 if plan.native_control else 0
     cb_hint_miss = None
     cb_redirect = None
     if ctrl_native:
@@ -218,7 +225,7 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
         ras_state = array("q", [len(ras._stack), ras.pushes, ras.pops,
                                 ras.overflows, ras.underflows])
         hook_hint_miss = hooks.on_hint_mispredict
-        if hook_hint_miss is not None:
+        if hook_hint_miss is not None and not plan.native_hints:
             def cb_hint_miss():
                 hook_hint_miss(entries[int(comm[0])], comm[1])
 
@@ -265,12 +272,13 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
         )
 
     # ---------------- optional hook callbacks ----------------
-    #: Sparse-firing declarations from the hook source (None for generic
-    #: hooks, which keep the fire-on-every-instruction contract).
+    #: Declarations from the hook source (None for generic hooks, which
+    #: keep the fire-on-every-instruction contract).
     fast = hooks.fast_hints
+    unit = fast.hint_unit if plan.native_hints else None
 
     cb_branch_hint = None
-    if plan.has_branch_hint:
+    if plan.has_branch_hint and unit is None:
         hook_branch_hint = hooks.branch_hint
 
         def cb_branch_hint():
@@ -289,22 +297,11 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
             comm[3] = fetch_time
 
     cb_on_fetch = None
-    fetch_gate = 0
-    if plan.has_on_fetch:
+    if plan.has_on_fetch and unit is None:
         hook_on_fetch = hooks.on_fetch
-        next_due = fast.fetch_next_due if fast is not None else None
-        if next_due is not None:
-            # Gated: the kernel fires only for branches and once fetch
-            # reaches the next-due cycle; every fired call refreshes it.
-            fetch_gate = 1
-            comm[B_DUE] = next_due()
 
-            def cb_on_fetch():
-                hook_on_fetch(entries[int(comm[0])], comm[1])
-                comm[B_DUE] = next_due()
-        else:
-            def cb_on_fetch():
-                hook_on_fetch(entries[int(comm[0])], comm[1])
+        def cb_on_fetch():
+            hook_on_fetch(entries[int(comm[0])], comm[1])
 
     cb_on_commit = None
     commit_filter = 0
@@ -325,44 +322,36 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
             hook_on_commit(entries[int(comm[0])], comm[1])
 
     cb_value_hint = None
-    sb_enable = 0
-    vt_seqs = _EMPTY_Q
-    n_vt_seqs = 0
-    scoreboard = None
-    if plan.has_value_hint:
-        value_request = fast.value_request if fast is not None else None
-        if value_request is not None:
-            # Split protocol: Python delivers predictions for the declared
-            # seqs only; the kernel runs the validation scoreboard (and its
-            # counters come back through C_SB_SKIP / C_SB_VALID).
-            sb_enable = 1
-            scoreboard = fast.scoreboard
-            targets = fast.value_target_seqs or ()
-            n_vt_seqs = len(targets)
-            if targets:
-                vt_seqs = array("q", targets)
+    if plan.has_value_hint and unit is None:
+        hook_value_hint = hooks.value_hint
 
-            def cb_value_hint():
-                hint = value_request(entries[int(comm[0])])
-                if hint is None:
-                    comm[3] = 0.0
-                else:
-                    comm[3] = 1.0
-                    comm[4] = hint[0]
-                    comm[6] = 1.0 if hint[1] else 0.0
-        else:
-            hook_value_hint = hooks.value_hint
+        def cb_value_hint():
+            candidate = hook_value_hint(entries[int(comm[0])])
+            if candidate is None or candidate.available > comm[1]:
+                comm[3] = 0.0
+            elif candidate.skip_validation:
+                comm[3] = 1.0
+            elif candidate.correct:
+                comm[3] = 2.0
+            else:
+                comm[3] = 3.0
 
-            def cb_value_hint():
-                candidate = hook_value_hint(entries[int(comm[0])])
-                if candidate is None or candidate.available > comm[1]:
-                    comm[3] = 0.0
-                elif candidate.skip_validation:
-                    comm[3] = 1.0
-                elif candidate.correct:
-                    comm[3] = 2.0
-                else:
-                    comm[3] = 3.0
+    hint_spec = None
+    if unit is not None:
+        hint_state = array("d", [getattr(unit, name) for name in _HINT_STATE])
+        hint_state.append(0.0)
+        hint_spec = (unit.branch_seqs, unit.branch_times, unit.branch_correct,
+                     unit.value_seqs, unit.value_times, unit.value_verdicts,
+                     unit.prefetch_times, hint_state, unit.boq_entries,
+                     unit.reboot_penalty, unit.fq_capacity, unit.install)
+
+    log = fast.commit_log if fast is not None else None
+    log_spec = None
+    if log is not None:
+        log_columns = (array("q", bytes(8 * n)), array("d", bytes(8 * n)),
+                       array("q", bytes(8 * n)), array("d", bytes(8 * n)))
+        log_spec = (array("q", sorted(log.pcs)) if log.pcs else _EMPTY_Q,
+                    len(log.pcs)) + log_columns
 
     native = _NativeMemory(memory, plan.native_inst_hits,
                            plan.native_data_hits)
@@ -384,16 +373,15 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
         num_regs=decoded.num_regs,
         hist_capacity=hist_capacity,
         hist_sample=4,
-        sb_enable=sb_enable, fetch_gate=fetch_gate,
         commit_filter=commit_filter, commit_mask=commit_mask,
-        n_vt_seqs=n_vt_seqs, n_commit_pcs=n_commit_pcs,
+        n_commit_pcs=n_commit_pcs,
         ctrl_native=ctrl_native,
         branch_mispredict_penalty=float(cfg.branch_mispredict_penalty),
         ba=decoded.ba, flags=decoded.flags, ea=decoded.ea, lat=decoded.lat,
         dst=decoded.dst, srcs=decoded.srcs, srcs_off=decoded.srcs_off,
         sb_dst=decoded.sb_dst, seq=decoded.seq, pc=decoded.pcs,
         nxt=decoded.nxt,
-        vt_seqs=vt_seqs, commit_pcs=commit_pcs,
+        commit_pcs=commit_pcs,
         fetch_times=fetch_times, dispatch_times=dispatch_times,
         commit_times=commit_times, issue_times=issue_times,
         complete_times=complete_times,
@@ -405,6 +393,7 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
         cb_value_hint=cb_value_hint,
         cb_hint_miss=cb_hint_miss, cb_redirect=cb_redirect,
         load_miss_log=fast.load_miss_log if plan.log_load_misses else None,
+        hint_unit=hint_spec, commit_log=log_spec,
         **native_spec,
         **native.spec,
     )
@@ -437,9 +426,21 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
     result.branch_mispredicts += counters[C_BR_MISPRED]
     result.hint_mispredicts += counters[C_HINT_MISPRED]
     result.btb_misses += counters[C_BTB_MISS]
-    if scoreboard is not None:
-        scoreboard.skips += counters[C_SB_SKIP]
-        scoreboard.validations += counters[C_SB_VALID]
+    if unit is not None:
+        hinted = unit.branch_cursor
+        for name, value in zip(_HINT_STATE, hint_state):
+            setattr(unit, name, value if name == "offset" else int(value))
+        result.fetch_stall_on_hint += hint_state[-1]
+        if unit.scoreboard is not None:
+            unit.scoreboard.skips += counters[C_SB_SKIP]
+            unit.scoreboard.validations += counters[C_SB_VALID]
+        _add_native_hint_branches(unit.branch_cursor - hinted)
+    if log is not None:
+        targets = (log.branch_index, log.branch_times, log.pc_index,
+                   log.pc_times)
+        counts = (counters[C_LOG_BRANCHES],) * 2 + (counters[C_LOG_PCS],) * 2
+        for target, column, count in zip(targets, log_columns, counts):
+            target.extend(column[:count])
     result.cycles = commit_times[-1] - start_cycle
     result.tlb_misses = memory.tlb.stats.misses
     result.fetch_bubbles = float(n - counters[C_FETCH_BOUND])

@@ -1,46 +1,132 @@
-"""Sparse-firing metadata a hook source may attach to its CoreHooks.
+"""Declarations a hook source may attach to its CoreHooks for the kernel.
 
-The reference interpreter calls ``on_fetch``/``on_commit``/``value_hint``
-once per instruction; for the DLA hint sources the overwhelming majority of
-those calls are no-ops (the fetch hook only drains due prefetch hints and
-records branches, the commit hooks only act on loads / branches / value
-targets, the value hook only predicts a small seq set).  A hook source that
-knows this can declare it here; the compiled kernel then fires the Python
-callback only when it could do work and keeps the cheap residual logic —
-the validation scoreboard, the flag/PC membership tests — on the C side.
+The reference interpreter calls every hook once per instruction.  A hook
+source that knows more about its own behaviour declares it here, and the
+compiled kernel then does the work itself or calls back only where a call
+can matter:
 
-The declarations are *promises of equivalence*: a skipped call must be an
-observable no-op.  The reference interpreter ignores this object entirely,
-and the golden equivalence suites pin the two paths together bit-for-bit.
+* **Sparse commit hook** (``commit_flag_mask`` / ``commit_pcs``): fire
+  ``on_commit`` only for instructions whose decoded flags intersect the mask
+  or whose PC is declared.  A skipped call must be an observable no-op.
+* **Load-miss log** (``load_miss_log``): the kernel appends
+  ``(issue_cycle, address)`` for every load missing the L1 in place of an
+  ``on_memory_access`` hook that did only that.
+* **Commit log** (:class:`CommitLog`): program-order ``(trace index, commit
+  cycle)`` rows of every committed conditional branch and of every
+  instruction at a declared PC.  Both paths fill it: the kernel in its
+  loop, the interpreter from its commit column after the run.
+* **Hint unit** (:class:`HintUnit`): a DLA main thread's whole hint stream
+  as columns — branch hints with their BOQ-capacity gate, value hints with
+  the validation scoreboard, prefetch hints, reboots and FQ occupancy.  The
+  kernel runs it natively and calls Python only to install due prefetch
+  hints; the interpreter runs the hint source's hooks over the same columns
+  and state, which keeps them the oracle.
+
+The golden equivalence suites and the compiled-vs-interpreter A/B tests pin
+the two paths together bit-for-bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from array import array
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence, Tuple
+
+
+@dataclass
+class CommitLog:
+    """Program-order commit rows selected by branch-ness and by PC.
+
+    One run fills it.  ``branch_index``/``branch_times`` hold the trace index
+    and commit cycle of every conditional branch; ``pc_index``/``pc_times``
+    those of every instruction whose PC is in ``pcs``.  An instruction that
+    is both appears in both.
+    """
+
+    pcs: Tuple[int, ...] = ()
+    branch_index: array = field(default_factory=lambda: array("q"))
+    branch_times: array = field(default_factory=lambda: array("d"))
+    pc_index: array = field(default_factory=lambda: array("q"))
+    pc_times: array = field(default_factory=lambda: array("d"))
+
+    def fill(self, entries: Sequence, commit_times: Sequence[float]) -> None:
+        """The interpreter's fill, from a finished run's commit column."""
+        pcs = set(self.pcs)
+        for i, entry in enumerate(entries):
+            static = entry.static
+            if static.is_branch:
+                self.branch_index.append(i)
+                self.branch_times.append(commit_times[i])
+            if static.pc in pcs:
+                self.pc_index.append(i)
+                self.pc_times.append(commit_times[i])
+
+
+#: Value-hint verdicts (``HintUnit.value_verdicts``).
+VALUE_NONE, VALUE_CORRECT, VALUE_WRONG = 0, 1, 2
+
+
+@dataclass
+class HintUnit:
+    """A DLA main thread's hint stream, for one run.
+
+    Every column is in program order, and the seq columns must be strictly
+    increasing: the kernel walks them in lockstep with the trace's seqs.
+
+    * Branch hints (``branch_*``): every conditional branch the look-ahead
+      committed, its look-ahead commit cycle and its drawn verdict.  The
+      hint for branch ``k`` is available at ``time + offset``, and not
+      before branch ``k - boq_entries`` was consumed (fetched).  A wrong
+      hint reboots the look-ahead: ``offset`` rises to at least
+      ``resolve + reboot_penalty - time`` and the FQ is flushed.
+    * Value hints (``value_*``): every dynamic instance of a value-reuse
+      target, its look-ahead commit cycle and its verdict
+      (``VALUE_NONE`` once the SIF disabled the PC).  A delivered hint is
+      one FQ entry and feeds the validation scoreboard.
+    * Prefetch hints (``prefetch_times``, ascending): when fetch reaches
+      ``time + offset`` each one is one FQ entry and is installed by
+      ``install(lo, hi, offset)``, called once per fetch with everything
+      that came due.
+    * The FQ accepts an entry while ``fq_occupancy < fq_capacity``; it is
+      never consumed, only flushed on a reboot.
+
+    The fields below ``fq_capacity`` are run state: both paths start from
+    them and leave them advanced (the cursors count consumed hints).
+    """
+
+    branch_seqs: array          # 'q'
+    branch_times: array         # 'd'
+    branch_correct: array       # 'b' 1 = correct
+    value_seqs: array           # 'q'
+    value_times: array          # 'd'
+    value_verdicts: array       # 'b' VALUE_*
+    prefetch_times: array       # 'd'
+    install: Callable[[int, int, float], None]
+    boq_entries: int
+    reboot_penalty: float
+    fq_capacity: int
+    offset: float
+    fq_occupancy: int = 0
+    fq_prefetches: int = 0
+    fq_values: int = 0
+    reboots: int = 0
+    branch_cursor: int = 0
+    value_cursor: int = 0
+    prefetch_cursor: int = 0
+    #: Validation scoreboard (``skips``/``validations`` counters) the
+    #: kernel credits; the interpreter's hooks run the object itself.
+    scoreboard: Optional[object] = None
+
+    def fq_offer(self, count: int) -> int:
+        """Offer ``count`` FQ entries; returns how many were accepted."""
+        accepted = min(count, self.fq_capacity - self.fq_occupancy)
+        self.fq_occupancy += accepted
+        return accepted
 
 
 @dataclass
 class CompiledHookSpec:
-    """Optional kernel-side gating contract for one set of CoreHooks."""
-
-    #: Split of ``value_hint``: called only for dynamic instructions whose
-    #: seq is in :attr:`value_target_seqs`; returns ``None`` (no prediction)
-    #: or ``(available_cycle, correct)``.  The validation scoreboard runs in
-    #: the kernel for *every* instruction, exactly as the unsplit hook would
-    #: have run it, and its skip/validation counters are added back to
-    #: :attr:`scoreboard` after the run.
-    value_request: Optional[Callable] = None
-    #: Sorted dynamic seqs that can carry a value prediction.
-    value_target_seqs: Optional[Tuple[int, ...]] = None
-    #: ValidationScoreboard receiving the kernel's skip/validation counts.
-    scoreboard: Optional[object] = None
-
-    #: ``on_fetch`` gate: the kernel fires the hook for every branch, and
-    #: for non-branches only once the fetch cycle reaches this callable's
-    #: value (the availability of the next pending prefetch hint;
-    #: ``math.inf`` when drained).  Re-read after every fired call.
-    fetch_next_due: Optional[Callable[[], float]] = None
+    """Optional kernel-side declarations for one set of CoreHooks."""
 
     #: ``on_commit`` filter: fire only when the instruction's decoded flags
     #: intersect the mask or its PC is in the sorted tuple.
@@ -53,3 +139,11 @@ class CompiledHookSpec:
     #: program order, so the run keeps native L1/TLB data hits instead of
     #: calling back for every access to build its AccessResult view.
     load_miss_log: Optional[list] = None
+
+    #: Commit log both paths fill (see :class:`CommitLog`).
+    commit_log: Optional[CommitLog] = None
+
+    #: Native hint unit.  Declared, the kernel never calls the hooks'
+    #: ``branch_hint``, ``on_fetch``, ``value_hint`` or
+    #: ``on_hint_mispredict``: those are the interpreter's copy of the unit.
+    hint_unit: Optional[HintUnit] = None

@@ -1,10 +1,12 @@
 /* Compiled tick kernel: the per-instruction scheduling shell of
- * OutOfOrderCore.run, with the branch unit and the L1/TLB hit path native
- * and every other model interaction (misses, prefetchers, hooks) left in
- * Python and reached through per-event callbacks that communicate over a
- * shared double buffer.  Mirrors core/pipeline.py statement-for-statement;
- * bit-identity is enforced by the golden and equivalence suites.  Also
- * hosts warm-up replay (replay_warmup) over the same hit path. */
+ * OutOfOrderCore.run, with the branch unit, the L1/TLB hit path and a
+ * declared DLA hint unit native, and every other model interaction
+ * (misses, prefetchers, prefetch-hint installs, hooks) left in Python and
+ * reached through per-event callbacks that communicate over a shared
+ * double buffer.  Mirrors core/pipeline.py (and the hint unit mirrors the
+ * hooks of dla/hints.py) statement-for-statement; bit-identity is enforced
+ * by the golden and equivalence suites.  Also hosts warm-up replay
+ * (replay_warmup) over the same hit path. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
@@ -30,9 +32,7 @@
 #define B_T1   2
 #define B_OUT0 3
 #define B_OUT1 4
-#define B_DUE  5
-#define B_OUT2 6
-#define B_LAST 7   /* trace index of the last load (-1: none yet) */
+#define B_LAST 5   /* trace index of the last load (-1: none yet) */
 
 /* counter slots (must match core/compile/driver.py) */
 enum {
@@ -40,7 +40,7 @@ enum {
     C_DECODED, C_EXECUTED, C_COMMITTED, C_FETCH_BOUND,
     C_VALID_SKIP, C_VP_USED, C_VP_MISS, C_SB_SKIP, C_SB_VALID,
     C_BRANCHES, C_BR_MISPRED, C_HINT_MISPRED, C_BTB_MISS,
-    C_TICKS, C_NATIVE_HITS, C_COUNT
+    C_TICKS, C_NATIVE_HITS, C_LOG_BRANCHES, C_LOG_PCS, C_COUNT
 };
 
 /* ------------------------------------------------------------------ */
@@ -373,6 +373,142 @@ nmem_close(nmem_t *m)
     ntlb_close(&m->tlb);
 }
 
+/* ------------------------------------------------------------------ */
+/* Native DLA hint unit (hookspec.HintUnit): the main thread's side of  */
+/* the BOQ/FQ coupling, transcribing MainThreadHintSource's hooks.      */
+/* Columns are in program order, walked in lockstep with the trace's    */
+/* seqs; verdicts were drawn before the run.                            */
+
+/* hint-state slots (must match driver._HINT_STATE, plus the stall) */
+enum {
+    H_OFFSET, H_FQ_OCC, H_FQ_PF, H_FQ_VAL, H_REBOOTS,
+    H_BRANCH, H_VALUE, H_PREFETCH, H_STALL, H_COUNT
+};
+
+typedef struct {
+    int on;
+    int64_t *bseq, *vseq;
+    double *btime, *vtime, *ptime, *state;
+    int8_t *bok, *vverdict;
+    int64_t nb, nv, np, boq, fq_cap;
+    double penalty;
+    double *consumed;       /* fetch cycle of each consumed branch hint */
+    PyObject *install;      /* install(lo, hi, offset) */
+    Py_buffer v_bseq, v_btime, v_bok, v_vseq, v_vtime, v_vv, v_ptime, v_state;
+} hunit_t;
+
+/* spec: None or (branch_seqs, branch_times, branch_correct, value_seqs,
+ * value_times, value_verdicts, prefetch_times, state, boq_entries,
+ * reboot_penalty, fq_capacity, install). */
+static int
+hunit_open(PyObject *spec, hunit_t *h)
+{
+    memset(h, 0, sizeof(*h));
+    if (spec == NULL || spec == Py_None)
+        return 0;
+    PyObject *bseq, *btime, *bok, *vseq, *vtime, *vv, *ptime, *state;
+    long long boq, fq_cap;
+    if (!PyArg_ParseTuple(spec, "OOOOOOOOLdLO", &bseq, &btime, &bok, &vseq,
+                          &vtime, &vv, &ptime, &state, &boq, &h->penalty,
+                          &fq_cap, &h->install))
+        return -1;
+    if (buffer_of(bseq, &h->v_bseq, (void **)&h->bseq) < 0 ||
+        buffer_of(btime, &h->v_btime, (void **)&h->btime) < 0 ||
+        buffer_of(bok, &h->v_bok, (void **)&h->bok) < 0 ||
+        buffer_of(vseq, &h->v_vseq, (void **)&h->vseq) < 0 ||
+        buffer_of(vtime, &h->v_vtime, (void **)&h->vtime) < 0 ||
+        buffer_of(vv, &h->v_vv, (void **)&h->vverdict) < 0 ||
+        buffer_of(ptime, &h->v_ptime, (void **)&h->ptime) < 0 ||
+        buffer_of(state, &h->v_state, (void **)&h->state) < 0)
+        return -1;
+    h->nb = h->v_bseq.len / (Py_ssize_t)sizeof(int64_t);
+    h->nv = h->v_vseq.len / (Py_ssize_t)sizeof(int64_t);
+    h->np = h->v_ptime.len / (Py_ssize_t)sizeof(double);
+    h->boq = boq;
+    h->fq_cap = fq_cap;
+    if (boq < 1 ||
+        h->v_btime.len != h->nb * (Py_ssize_t)sizeof(double) ||
+        h->v_bok.len != h->nb ||
+        h->v_vtime.len != h->nv * (Py_ssize_t)sizeof(double) ||
+        h->v_vv.len != h->nv ||
+        h->v_state.len != H_COUNT * (Py_ssize_t)sizeof(double)) {
+        PyErr_SetString(PyExc_ValueError, "hint unit columns do not match");
+        return -1;
+    }
+    h->consumed = PyMem_Malloc(sizeof(double) * (h->nb > 0 ? h->nb : 1));
+    if (h->consumed == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    Py_INCREF(h->install);
+    h->on = 1;
+    return 0;
+}
+
+static void
+hunit_close(hunit_t *h)
+{
+    Py_buffer *views[] = {&h->v_bseq, &h->v_btime, &h->v_bok, &h->v_vseq,
+                          &h->v_vtime, &h->v_vv, &h->v_ptime, &h->v_state};
+    for (size_t k = 0; k < sizeof(views) / sizeof(views[0]); k++)
+        if (views[k]->obj) PyBuffer_Release(views[k]);
+    PyMem_Free(h->consumed);
+    if (h->on)
+        Py_DECREF(h->install);
+    h->on = 0;
+}
+
+/* Declared commit log (hookspec.CommitLog): (trace index, commit cycle)
+ * of every conditional branch, and of every instruction at a declared PC,
+ * into columns of the run's length; counts in C_LOG_BRANCHES/C_LOG_PCS. */
+typedef struct {
+    int on;
+    int64_t *pcs, npcs, *bidx, *pidx;
+    double *btime, *ptime;
+    Py_buffer v_pcs, v_bidx, v_btime, v_pidx, v_ptime;
+} clog_t;
+
+/* spec: None or (pcs, n_pcs, branch_index, branch_times, pc_index,
+ * pc_times). */
+static int
+clog_open(PyObject *spec, clog_t *c, int64_t n)
+{
+    memset(c, 0, sizeof(*c));
+    if (spec == NULL || spec == Py_None)
+        return 0;
+    PyObject *pcs, *bidx, *btime, *pidx, *ptime;
+    long long npcs;
+    if (!PyArg_ParseTuple(spec, "OLOOOO", &pcs, &npcs, &bidx, &btime, &pidx,
+                          &ptime))
+        return -1;
+    c->npcs = npcs;
+    if (buffer_of(pcs, &c->v_pcs, (void **)&c->pcs) < 0 ||
+        buffer_of(bidx, &c->v_bidx, (void **)&c->bidx) < 0 ||
+        buffer_of(btime, &c->v_btime, (void **)&c->btime) < 0 ||
+        buffer_of(pidx, &c->v_pidx, (void **)&c->pidx) < 0 ||
+        buffer_of(ptime, &c->v_ptime, (void **)&c->ptime) < 0)
+        return -1;
+    Py_ssize_t need = (Py_ssize_t)(n * 8);
+    if (c->v_pcs.len < npcs * (Py_ssize_t)sizeof(int64_t) ||
+        c->v_bidx.len < need || c->v_btime.len < need ||
+        c->v_pidx.len < need || c->v_ptime.len < need) {
+        PyErr_SetString(PyExc_ValueError, "commit log columns are too short");
+        return -1;
+    }
+    c->on = 1;
+    return 0;
+}
+
+static void
+clog_close(clog_t *c)
+{
+    Py_buffer *views[] = {&c->v_pcs, &c->v_bidx, &c->v_btime, &c->v_pidx,
+                          &c->v_ptime};
+    for (size_t k = 0; k < sizeof(views) / sizeof(views[0]); k++)
+        if (views[k]->obj) PyBuffer_Release(views[k]);
+    c->on = 0;
+}
+
 /* Slot holding ``address``'s line, or -1 (address >= 0). */
 static inline int64_t
 ncache_find(const ncache_t *c, int64_t address)
@@ -613,11 +749,8 @@ run_tick_loop(PyObject *self, PyObject *args)
     int64_t num_regs = get_int(spec, "num_regs", &err);
     int64_t hist_capacity = get_int(spec, "hist_capacity", &err);
     int64_t hist_sample = get_int(spec, "hist_sample", &err);
-    int64_t sb_enable = get_int(spec, "sb_enable", &err);
-    int64_t fetch_gate = get_int(spec, "fetch_gate", &err);
     int64_t commit_filter = get_int(spec, "commit_filter", &err);
     int64_t commit_mask = get_int(spec, "commit_mask", &err);
-    int64_t n_vt_seqs = get_int(spec, "n_vt_seqs", &err);
     int64_t n_commit_pcs = get_int(spec, "n_commit_pcs", &err);
     int64_t ctrl_native = get_int(spec, "ctrl_native", &err);
     double bmp = get_float(spec, "branch_mispredict_penalty", &err);
@@ -639,7 +772,7 @@ run_tick_loop(PyObject *self, PyObject *args)
     Py_buffer v_ba = {0}, v_flags = {0}, v_ea = {0}, v_lat = {0}, v_dst = {0};
     Py_buffer v_srcs = {0}, v_soff = {0}, v_ft = {0}, v_dt = {0}, v_ct = {0};
     Py_buffer v_cnt = {0}, v_hist = {0}, v_comm = {0};
-    Py_buffer v_sbd = {0}, v_seq = {0}, v_pc = {0}, v_vt = {0}, v_cpc = {0};
+    Py_buffer v_sbd = {0}, v_seq = {0}, v_pc = {0}, v_cpc = {0};
     Py_buffer v_nxt = {0}, v_tb = {0}, v_tp = {0}, v_tt = {0}, v_tc = {0};
     Py_buffer v_tu = {0}, v_th = {0}, v_tm = {0};
     Py_buffer v_bt = {0}, v_bg = {0}, v_bu = {0}, v_bc = {0};
@@ -647,7 +780,7 @@ run_tick_loop(PyObject *self, PyObject *args)
     int64_t *ba = NULL, *flags = NULL, *ea = NULL, *dst = NULL;
     int64_t *srcs = NULL, *soff = NULL, *counters = NULL, *hist = NULL;
     int64_t *sb_dst = NULL, *seq = NULL, *pc = NULL, *nxt = NULL;
-    int64_t *vt_seqs = NULL, *commit_pcs = NULL;
+    int64_t *commit_pcs = NULL;
     double *lat = NULL, *fetch_times = NULL, *dispatch_times = NULL;
     double *commit_times = NULL, *comm = NULL;
     double *issue_times = NULL, *complete_times = NULL;
@@ -657,8 +790,12 @@ run_tick_loop(PyObject *self, PyObject *args)
     uint8_t *validated = NULL;
     PyObject *ret = NULL;
     nmem_t mem;
+    hunit_t hu = {0};
+    clog_t log = {0};
 
-    if (nmem_open(spec, &mem) < 0)
+    if (nmem_open(spec, &mem) < 0 ||
+        hunit_open(PyDict_GetItemString(spec, "hint_unit"), &hu) < 0 ||
+        clog_open(PyDict_GetItemString(spec, "commit_log"), &log, n) < 0)
         goto done;
     if (get_buffer(spec, "ba", &v_ba, (void **)&ba) < 0 ||
         get_buffer(spec, "flags", &v_flags, (void **)&flags) < 0 ||
@@ -670,7 +807,6 @@ run_tick_loop(PyObject *self, PyObject *args)
         get_buffer(spec, "sb_dst", &v_sbd, (void **)&sb_dst) < 0 ||
         get_buffer(spec, "seq", &v_seq, (void **)&seq) < 0 ||
         get_buffer(spec, "pc", &v_pc, (void **)&pc) < 0 ||
-        get_buffer(spec, "vt_seqs", &v_vt, (void **)&vt_seqs) < 0 ||
         get_buffer(spec, "commit_pcs", &v_cpc, (void **)&commit_pcs) < 0 ||
         get_buffer(spec, "fetch_times", &v_ft, (void **)&fetch_times) < 0 ||
         get_buffer(spec, "dispatch_times", &v_dt, (void **)&dispatch_times) < 0 ||
@@ -740,6 +876,21 @@ run_tick_loop(PyObject *self, PyObject *args)
     int64_t mem_count = 0;
     int64_t fetch_bound = 0;
     comm[B_LAST] = -1.0;
+    /* hint-unit run state (written back after the loop) */
+    double offset = 0.0, hint_stall = 0.0;
+    int64_t fq_occ = 0, fq_pf = 0, fq_val = 0, reboots = 0;
+    int64_t hb = 0, hv = 0, hp = 0;
+    if (hu.on) {
+        offset = hu.state[H_OFFSET];
+        fq_occ = (int64_t)hu.state[H_FQ_OCC];
+        fq_pf = (int64_t)hu.state[H_FQ_PF];
+        fq_val = (int64_t)hu.state[H_FQ_VAL];
+        reboots = (int64_t)hu.state[H_REBOOTS];
+        hb = (int64_t)hu.state[H_BRANCH];
+        hv = (int64_t)hu.state[H_VALUE];
+        hp = (int64_t)hu.state[H_PREFETCH];
+    }
+    int64_t n_log_b = 0, n_log_p = 0;
 
     for (int64_t i = 0; i < n; i++) {
         int64_t f = flags[i];
@@ -780,7 +931,27 @@ run_tick_loop(PyObject *self, PyObject *args)
             fetch_time = block_ready;
 
         int hint_present = 0, hint_correct = 0, hint_has_target = 0;
-        if ((f & F_BRANCH) && cb_branch_hint != NULL) {
+        int64_t hint_k = -1;   /* hint-unit branch column of this branch */
+        if ((f & F_BRANCH) && hu.on) {
+            /* BOQ delivery: available once produced and transferred, and
+             * not before the entry ``boq`` branches back was consumed. */
+            if (hb < hu.nb && hu.bseq[hb] == seq[i]) {
+                hint_k = hb;
+                double available = hu.btime[hb] + offset;
+                if (hb >= hu.boq) {
+                    double gate = hu.consumed[hb - hu.boq];
+                    if (gate > available)
+                        available = gate;
+                }
+                hint_present = 1;
+                hint_correct = hu.bok[hb] != 0;
+                hint_has_target = 1;
+                if (available > fetch_time) {
+                    hint_stall += available - fetch_time;
+                    fetch_time = available;
+                }
+            }
+        } else if ((f & F_BRANCH) && cb_branch_hint != NULL) {
             comm[B_I] = (double)i;
             comm[B_T0] = fetch_time;
             PyObject *r = PyObject_CallNoArgs(cb_branch_hint);
@@ -796,11 +967,30 @@ run_tick_loop(PyObject *self, PyObject *args)
 
         fetch_times[i] = fetch_time;
         fetch_cursor = fetch_time + fetch_inc;
-        /* Gated hooks fire for every branch, and for non-branches only once
-         * fetch reaches the declared next-due cycle (a skipped call could
-         * only have been a no-op — see hookspec.CompiledHookSpec). */
-        if (cb_on_fetch != NULL &&
-            (!fetch_gate || (f & F_BRANCH) || fetch_time >= comm[B_DUE])) {
+        if (hu.on) {
+            /* Prefetch hints due by now: one FQ entry each, installed by
+             * one Python call; then the branch's BOQ entry is consumed. */
+            int64_t lo = hp;
+            while (hp < hu.np && hu.ptime[hp] + offset <= fetch_time) {
+                if (fq_occ < hu.fq_cap) {
+                    fq_occ++;
+                    fq_pf++;
+                }
+                hp++;
+            }
+            if (hp > lo) {
+                PyObject *r = PyObject_CallFunction(hu.install, "LLd",
+                                                    (long long)lo,
+                                                    (long long)hp, offset);
+                if (r == NULL)
+                    goto done;
+                Py_DECREF(r);
+            }
+            if (hint_k >= 0) {
+                hu.consumed[hint_k] = fetch_time;
+                hb++;
+            }
+        } else if (cb_on_fetch != NULL) {
             comm[B_I] = (double)i;
             comm[B_T0] = fetch_time;
             PyObject *r = PyObject_CallNoArgs(cb_on_fetch);
@@ -836,26 +1026,25 @@ run_tick_loop(PyObject *self, PyObject *args)
 
         /* ---------------- value reuse ---------------- */
         int mode = 0;
-        if (sb_enable) {
-            /* Split protocol: the Python side delivers predictions (RNG,
-             * SIF disable, FQ traffic) only for declared target seqs; the
-             * validation scoreboard — which the reference runs for *every*
-             * instruction — lives here.  Mirrors
+        if (hu.on && hu.nv > 0) {
+            /* Value delivery (one FQ entry per prediction) and the
+             * validation scoreboard, which the reference runs for *every*
+             * instruction.  Mirrors
              * dla.value_reuse.ValidationScoreboard.process_code. */
             int has_pred = 0, correct = 0;
             double available = 0.0;
-            if (in_sorted(vt_seqs, n_vt_seqs, seq[i])) {
-                comm[B_I] = (double)i;
-                comm[B_T0] = dispatch_time;
-                PyObject *r = PyObject_CallNoArgs(cb_value_hint);
-                if (r == NULL)
-                    goto done;
-                Py_DECREF(r);
-                if (comm[B_OUT0] != 0.0) {
+            if (hv < hu.nv && hu.vseq[hv] == seq[i]) {
+                int verdict = hu.vverdict[hv];
+                if (verdict != 0) {
                     has_pred = 1;
-                    available = comm[B_OUT1];
-                    correct = comm[B_OUT2] != 0.0;
+                    correct = verdict == 1;
+                    available = hu.vtime[hv] + offset;
+                    if (fq_occ < hu.fq_cap) {
+                        fq_occ++;
+                        fq_val++;
+                    }
                 }
+                hv++;
             }
             int skippable = (f & F_SKIPPABLE) != 0;
             int skip = 0;
@@ -998,7 +1187,15 @@ run_tick_loop(PyObject *self, PyObject *args)
                     } else {
                         counters[C_BR_MISPRED]++;
                         counters[C_HINT_MISPRED]++;
-                        if (cb_hint_miss != NULL) {
+                        if (hu.on) {
+                            /* Look-ahead reboot: later hints shift by the
+                             * penalty plus the re-execution; FQ flushed. */
+                            double shifted = complete + hu.penalty - hu.btime[hint_k];
+                            if (shifted > offset)
+                                offset = shifted;
+                            fq_occ = 0;
+                            reboots++;
+                        } else if (cb_hint_miss != NULL) {
                             comm[B_I] = (double)i;
                             comm[B_T0] = complete;
                             PyObject *r = PyObject_CallNoArgs(cb_hint_miss);
@@ -1110,6 +1307,17 @@ run_tick_loop(PyObject *self, PyObject *args)
             }
         }
 
+        if (log.on) {
+            if (f & F_BRANCH) {
+                log.bidx[n_log_b] = i;
+                log.btime[n_log_b++] = commit_time;
+            }
+            if (log.npcs && in_sorted(log.pcs, log.npcs, pc[i])) {
+                log.pidx[n_log_p] = i;
+                log.ptime[n_log_p++] = commit_time;
+            }
+        }
+
         if (cb_on_commit != NULL &&
             (!commit_filter || (f & commit_mask) ||
              (n_commit_pcs && in_sorted(commit_pcs, n_commit_pcs, pc[i])))) {
@@ -1124,6 +1332,19 @@ run_tick_loop(PyObject *self, PyObject *args)
 
     counters[C_FETCH_BOUND] = fetch_bound;
     counters[C_TICKS] = n;
+    counters[C_LOG_BRANCHES] = n_log_b;
+    counters[C_LOG_PCS] = n_log_p;
+    if (hu.on) {
+        hu.state[H_OFFSET] = offset;
+        hu.state[H_FQ_OCC] = (double)fq_occ;
+        hu.state[H_FQ_PF] = (double)fq_pf;
+        hu.state[H_FQ_VAL] = (double)fq_val;
+        hu.state[H_REBOOTS] = (double)reboots;
+        hu.state[H_BRANCH] = (double)hb;
+        hu.state[H_VALUE] = (double)hv;
+        hu.state[H_PREFETCH] = (double)hp;
+        hu.state[H_STALL] = hint_stall;
+    }
 
     /* ---------------- fetch-queue histogram ---------------- */
     for (int64_t i = 0; i < n; i += hist_sample) {
@@ -1153,10 +1374,11 @@ done:
     PyMem_Free(lsq_ring);
     PyMem_Free(validated);
     nmem_close(&mem);
+    hunit_close(&hu);
+    clog_close(&log);
     if (v_sbd.obj) PyBuffer_Release(&v_sbd);
     if (v_seq.obj) PyBuffer_Release(&v_seq);
     if (v_pc.obj) PyBuffer_Release(&v_pc);
-    if (v_vt.obj) PyBuffer_Release(&v_vt);
     if (v_cpc.obj) PyBuffer_Release(&v_cpc);
     if (v_ba.obj) PyBuffer_Release(&v_ba);
     if (v_flags.obj) PyBuffer_Release(&v_flags);

@@ -2,7 +2,8 @@
 
 The pass pipeline is deliberately small: ``plan_run`` resolves every
 run-invariant decision once — which hook callbacks the kernel must fire,
-whether the kernel fills a declared load-miss log itself, and which L1/TLB
+whether the kernel fills a declared load-miss log itself, whether it runs
+the branch unit and a declared DLA hint unit natively, and which L1/TLB
 hits it serves natively (a generic ``on_memory_access`` hook or an L1
 prefetcher must see every data access, so either keeps the D-side hits in
 Python) — so the per-instruction loop carries no residual config branches
@@ -14,6 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+from repro.branch.btb import BranchTargetBuffer
+from repro.branch.predictors import TageLitePredictor
+from repro.branch.ras import ReturnAddressStack
 from repro.memory.cache import Cache
 from repro.memory.tlb import Tlb
 
@@ -30,6 +34,14 @@ class SpecializationPlan:
     #: The ``on_memory_access`` hook is a declared load-miss log
     #: (``CompiledHookSpec.load_miss_log``) the kernel fills itself.
     log_load_misses: bool
+    #: The kernel runs TAGE/BTB/RAS itself (the stock structures); any
+    #: other branch unit routes control flow through a Python callback.
+    native_control: bool
+    #: The kernel runs the declared hint unit (``CompiledHookSpec.hint_unit``)
+    #: in place of the DLA hooks.  A reboot is raised inside the native
+    #: branch unit, so this needs ``native_control``; without it the hooks
+    #: fire as callbacks.
+    native_hints: bool
     #: The kernel serves L1I hits itself (stock cache).
     native_inst_hits: bool
     #: The kernel serves TLB + L1D hits itself: stock structures, and no
@@ -52,6 +64,9 @@ def plan_run(core, hooks) -> SpecializationPlan:
     log_load_misses = (has_on_memory and fast is not None
                        and fast.load_miss_log is not None)
     stock_inst, stock_data = stock_hit_sides(core.memory)
+    native_control = (type(core.predictor) is TageLitePredictor
+                      and type(core.btb) is BranchTargetBuffer
+                      and type(core.ras) is ReturnAddressStack)
     return SpecializationPlan(
         has_branch_hint=hooks.branch_hint is not None,
         has_value_hint=hooks.value_hint is not None,
@@ -59,6 +74,9 @@ def plan_run(core, hooks) -> SpecializationPlan:
         has_on_fetch=hooks.on_fetch is not None,
         has_on_memory=has_on_memory,
         log_load_misses=log_load_misses,
+        native_control=native_control,
+        native_hints=(native_control and fast is not None
+                      and fast.hint_unit is not None),
         native_inst_hits=stock_inst,
         native_data_hits=(stock_data
                           and (not has_on_memory or log_load_misses)

@@ -74,8 +74,9 @@ class CoreHooks:
     #: ``CompiledHookSpec.load_miss_log`` for the declared alternative).
     on_memory_access: Optional[Callable[[DynamicInst, object, float], None]] = None
     #: Optional :class:`repro.core.compile.hookspec.CompiledHookSpec` letting
-    #: the compiled kernel skip hook calls it can prove are no-ops.  The
-    #: reference interpreter ignores it entirely.
+    #: the compiled kernel skip hook calls it can prove are no-ops or do the
+    #: hooks' work natively.  The reference interpreter runs the hooks and
+    #: honours only its commit log.
     fast_hints: Optional[object] = None
 
 
@@ -394,6 +395,9 @@ class OutOfOrderCore:
                 complete_times.append(complete)
 
         # ---------------- wrap-up ----------------
+        fast = hooks.fast_hints
+        if fast is not None and fast.commit_log is not None:
+            fast.commit_log.fill(entries, commit_times)
         result.cycles = commit_times[-1] - start_cycle
         result.tlb_misses = self.memory.tlb.stats.misses
         result.fetch_bubbles = float(n - fetch_bound)

@@ -1,10 +1,10 @@
-"""Main-thread hint source: turns look-ahead results into pipeline hooks.
+"""Main-thread hint source: the look-ahead pass's products as a hint stream.
 
-The :class:`MainThreadHintSource` is constructed from the look-ahead pass's
-outputs (per-branch and per-value production times, the stream of prefetch
-hints) and is then handed to the main-thread core as a set of
-:class:`~repro.core.pipeline.CoreHooks`.  It owns all of the runtime coupling
-behaviour:
+The look-ahead pass leaves :class:`LookaheadProducts`: program-order commit
+logs of its conditional branches and value-reuse targets, plus its
+L1-missing loads as prefetch hints.  :class:`MainThreadHintSource` turns
+them into one :class:`~repro.core.compile.hookspec.HintUnit` for the main
+thread's run, which owns all of the runtime coupling behaviour:
 
 * stalling the main thread's fetch until a BOQ entry exists (hints become
   available only after the look-ahead thread produced them, plus the
@@ -15,25 +15,34 @@ behaviour:
 * just-in-time installation of L1 prefetch / TLB hints as the main thread's
   fetch reaches the corresponding point of the program;
 * value-reuse delivery with the validation-skip scoreboard.
+
+Whether a hint is correct never depends on timing, only on the trace, the
+skeleton's bias/risky sets, the SIF-disable history and the RNG stream.  So
+every verdict is drawn before the run, in program order and with a branch's
+draw before the value draw of the same instruction: the order in which
+per-instruction hooks would consume the stream.  The compiled kernel runs
+the unit natively and calls back only to install due prefetch hints
+(:meth:`MainThreadHintSource.install`) and into T1; the hooks below run the
+same unit on the reference interpreter.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.compile.decoded import F_LOAD
-from repro.core.compile.hookspec import CompiledHookSpec
+from repro.core.compile.hookspec import (
+    VALUE_CORRECT,
+    VALUE_NONE,
+    VALUE_WRONG,
+    CommitLog,
+    CompiledHookSpec,
+    HintUnit,
+)
 from repro.core.pipeline import BranchHint, CoreHooks, ValueHint
 from repro.dla.config import DlaConfig
-from repro.dla.queues import (
-    BoqEntry,
-    BranchOutcomeQueue,
-    FootnoteEntry,
-    FootnoteKind,
-    FootnoteQueue,
-)
+from repro.dla.queues import BranchOutcomeQueue, FootnoteKind, FootnoteQueue
 from repro.dla.t1 import T1PrefetchEngine
 from repro.dla.value_reuse import ValidationScoreboard
 from repro.emulator.trace import DynamicInst
@@ -43,31 +52,19 @@ from repro.util.rng import DeterministicRng
 
 @dataclass
 class LookaheadProducts:
-    """Everything the look-ahead pass produced, keyed by original trace seq."""
+    """What one look-ahead pass produced, in program order."""
 
-    #: seq of conditional branch -> LT commit cycle.
-    branch_times: Dict[int, float] = field(default_factory=dict)
-    #: Ordered list of branch seqs (for BOQ occupancy throttling).
-    branch_order: List[int] = field(default_factory=list)
-    #: seq of value-reuse target instruction -> LT commit cycle.
-    value_times: Dict[int, float] = field(default_factory=dict)
+    #: The look-ahead's (skeleton-filtered) trace window.
+    entries: Sequence[DynamicInst]
+    #: Its commit log: every conditional branch (``branch_*``) and every
+    #: value-reuse target instance (``pc_*``), as indices into ``entries``.
+    commits: CommitLog
     #: Prefetch hints (LT L1 misses), ordered by LT cycle: (cycle, address).
-    prefetch_hints: List[Tuple[float, int]] = field(default_factory=list)
-    #: LT core cycles spent producing the segment (for lead accounting).
-    lt_cycles: float = 0.0
-
-
-@dataclass
-class RebootRecord:
-    """Bookkeeping for one look-ahead reboot."""
-
-    branch_seq: int
-    mt_resolve_cycle: float
-    offset_after: float
+    prefetch_hints: List[Tuple[float, int]]
 
 
 class MainThreadHintSource:
-    """Builds the CoreHooks used by the main thread of a DLA system."""
+    """The main thread's hint unit for one segment, and its hooks."""
 
     def __init__(
         self,
@@ -79,9 +76,7 @@ class MainThreadHintSource:
         risky_branch_pcs: Set[int],
         biased_branch_pcs: Set[int],
         branch_bias_direction: Dict[int, bool],
-        value_target_pcs: Optional[Set[int]] = None,
         t1_engine: Optional[T1PrefetchEngine] = None,
-        loop_branch_pcs: Optional[Set[int]] = None,
         rng: Optional[DeterministicRng] = None,
     ) -> None:
         self.products = products
@@ -89,237 +84,193 @@ class MainThreadHintSource:
         self.memory = memory
         self.boq = boq
         self.fq = fq
-        self.risky_branch_pcs = risky_branch_pcs
-        self.biased_branch_pcs = biased_branch_pcs
-        self.branch_bias_direction = branch_bias_direction
-        self.value_target_pcs = value_target_pcs or set()
         self.t1 = t1_engine
-        self.loop_branch_pcs = loop_branch_pcs or set()
-        self.rng = rng or DeterministicRng(dla_config.seed)
-
-        #: Offset translating LT production cycles into MT availability cycles.
-        self.offset = float(dla_config.hint_transfer_latency)
-        self.reboots: List[RebootRecord] = []
         self.scoreboard = ValidationScoreboard()
-
-        # Branch-ordinal bookkeeping for BOQ-capacity throttling.
-        self._branch_ordinal: Dict[int, int] = {
-            seq: i for i, seq in enumerate(products.branch_order)
-        }
-        self._branch_consume_cycles: List[float] = []
-
-        # Just-in-time prefetch-hint installation.
-        self._prefetch_cursor = 0
         self.prefetches_installed = 0
         #: Hints whose prefetch the memory system dropped (MSHR file full).
         self.prefetches_dropped = 0
+        #: Interpreter only: fetch cycle of each consumed branch hint.
+        self._consumed: List[float] = []
+        self.unit = self._draw(risky_branch_pcs, biased_branch_pcs,
+                               branch_bias_direction,
+                               rng or DeterministicRng(dla_config.seed))
 
-        # Hot-path aliases (single attribute load in per-instruction hooks).
-        self._branch_times = products.branch_times
-        self._value_times = products.value_times
-        self._prefetch_hints = products.prefetch_hints
-
-        # PCs for which the SIF stopped predicting after a misprediction.
-        self._value_disabled_pcs: Set[int] = set()
+    def _draw(self, risky: Set[int], biased: Set[int],
+              bias_direction: Dict[int, bool],
+              rng: DeterministicRng) -> HintUnit:
+        """Build the unit: every hint's columns and its verdict."""
+        cfg = self.config
+        entries = self.products.entries
+        commits = self.products.commits
+        draw = rng.bernoulli
+        safe_rate = cfg.safe_branch_error_rate
+        risky_rate = cfg.risky_branch_error_rate
+        value_rate = cfg.value_error_rate
+        branch_seqs, branch_correct = array("q"), array("b")
+        value_seqs, value_verdicts = array("q"), array("b")
+        value_index = commits.pc_index
+        disabled: Set[int] = set()
+        end = len(entries)
+        j = 0
+        # ``end`` is a sentinel branch that drains the remaining values.
+        for b in (*commits.branch_index, end):
+            while j < len(value_index) and value_index[j] < b:
+                entry = entries[value_index[j]]
+                pc = entry.static.pc
+                value_seqs.append(entry.seq)
+                if pc in disabled:
+                    value_verdicts.append(VALUE_NONE)
+                elif draw(value_rate):
+                    # The SIF entry is deleted: this static instruction
+                    # receives no further predictions.
+                    disabled.add(pc)
+                    value_verdicts.append(VALUE_WRONG)
+                else:
+                    value_verdicts.append(VALUE_CORRECT)
+                j += 1
+            if b == end:
+                break
+            entry = entries[b]
+            pc = entry.static.pc
+            branch_seqs.append(entry.seq)
+            if pc in biased:
+                # The skeleton replaced this branch with its bias direction;
+                # the hint is wrong whenever the outcome goes against it.
+                correct = (bool(entry.taken) == bias_direction.get(pc, True)
+                           and not draw(safe_rate))
+            else:
+                correct = not draw(risky_rate if pc in risky else safe_rate)
+            branch_correct.append(correct)
+        return HintUnit(
+            branch_seqs=branch_seqs,
+            branch_times=commits.branch_times,
+            branch_correct=branch_correct,
+            value_seqs=value_seqs,
+            value_times=commits.pc_times,
+            value_verdicts=value_verdicts,
+            prefetch_times=array(
+                "d", [cycle for cycle, _ in self.products.prefetch_hints]),
+            install=self.install,
+            boq_entries=cfg.boq_entries,
+            reboot_penalty=float(cfg.reboot_penalty),
+            fq_capacity=self.fq.capacity,
+            offset=float(cfg.hint_transfer_latency),
+            fq_occupancy=self.fq.occupancy,
+            scoreboard=self.scoreboard,
+        )
 
     # ------------------------------------------------------------------
     # hook entry points
     # ------------------------------------------------------------------
     def hooks(self) -> CoreHooks:
-        # Inert callbacks are omitted entirely: the core's inner loop skips
-        # a per-instruction call for every hook that is ``None``, and a hook
-        # that could only ever return ``None`` (no value targets, no T1
-        # engine) cannot influence the simulation.
-        #
-        # ``fast_hints`` declares each hook's sparse firing conditions to
-        # the compiled kernel: on_fetch only acts on branches or when a
-        # pending prefetch hint comes due, on_commit only acts on loads
-        # (T1), and value_hint only predicts the look-ahead's value-target
-        # seqs (the validation scoreboard the unsplit hook runs for every
-        # instruction moves into the kernel).  The reference interpreter
-        # ignores the object, and the equivalence suites pin both paths.
-        has_value = bool(self.value_target_pcs)
+        # A value hook with no value hints could only ever return None, and
+        # a commit hook without a T1 engine does nothing: both are omitted.
+        # Compiled, the declared hint unit replaces every hook but T1's,
+        # which fires only for the PCs T1 marked.
+        unit = self.unit
+        t1 = self.t1
         fast = CompiledHookSpec(
-            value_request=self.value_hint_request if has_value else None,
-            value_target_seqs=(
-                tuple(sorted(self._value_times)) if has_value else None
-            ),
-            scoreboard=self.scoreboard,
-            fetch_next_due=self.fetch_next_due,
-            commit_flag_mask=F_LOAD,
+            commit_flag_mask=0,
+            commit_pcs=tuple(sorted(t1.marked_pcs)) if t1 is not None else (),
+            hint_unit=unit,
         )
         return CoreHooks(
             branch_hint=self.branch_hint,
-            value_hint=self.value_hint if has_value else None,
-            on_commit=self.on_commit if self.t1 is not None else None,
+            value_hint=self.value_hint if len(unit.value_seqs) else None,
+            on_commit=self.on_commit if t1 is not None else None,
             on_fetch=self.on_fetch,
             on_hint_mispredict=self.on_hint_mispredict,
             fast_hints=fast,
         )
 
+    def settle(self) -> None:
+        """Move the finished run's queue traffic into the BOQ and FQ."""
+        unit = self.unit
+        consumed = unit.branch_cursor
+        self.boq.record(consumed, unit.branch_correct[:consumed].count(0))
+        self.fq.occupancy = unit.fq_occupancy
+        self.fq.record(FootnoteKind.L1_PREFETCH, unit.fq_prefetches)
+        self.fq.record(FootnoteKind.VALUE_PREDICTION, unit.fq_values)
+
     # -- branch hints ------------------------------------------------------
     def branch_hint(self, entry: DynamicInst) -> Optional[BranchHint]:
-        lt_time = self._branch_times.get(entry.seq)
-        if lt_time is None:
+        unit = self.unit
+        k = unit.branch_cursor
+        if k >= len(unit.branch_seqs) or unit.branch_seqs[k] != entry.seq:
             return None
-        available = lt_time + self.offset
-
-        # BOQ capacity: the hint for branch j cannot exist before the entry
-        # for branch j - capacity was consumed by the main thread.
-        ordinal = self._branch_ordinal.get(entry.seq)
-        if ordinal is not None and ordinal >= self.config.boq_entries:
-            gate_index = ordinal - self.config.boq_entries
-            if gate_index < len(self._branch_consume_cycles):
-                available = max(available, self._branch_consume_cycles[gate_index])
-
-        correct = self._hint_correct(entry)
-        if not correct:
-            self.boq.record_incorrect()
-        return BranchHint(available=available, correct=correct, has_target=True)
-
-    def _hint_correct(self, entry: DynamicInst) -> bool:
-        pc = entry.static.pc
-        if pc in self.biased_branch_pcs:
-            # The skeleton replaced this branch with its bias direction; the
-            # hint is wrong exactly when the dynamic outcome goes against it.
-            bias_taken = self.branch_bias_direction.get(pc, True)
-            if bool(entry.taken) != bias_taken:
-                return False
-            return not self.rng.bernoulli(self.config.safe_branch_error_rate)
-        error_rate = (
-            self.config.risky_branch_error_rate
-            if pc in self.risky_branch_pcs
-            else self.config.safe_branch_error_rate
-        )
-        return not self.rng.bernoulli(error_rate)
+        available = unit.branch_times[k] + unit.offset
+        # BOQ capacity: the hint for branch k cannot exist before the entry
+        # for branch k - capacity was consumed by the main thread.
+        if k >= unit.boq_entries:
+            available = max(available, self._consumed[k - unit.boq_entries])
+        return BranchHint(available=available,
+                          correct=bool(unit.branch_correct[k]),
+                          has_target=True)
 
     # -- value hints ----------------------------------------------------------
     def value_hint(self, entry: DynamicInst) -> Optional[ValueHint]:
         static = entry.static
-        lt_time = self._value_times.get(entry.seq)
-        has_prediction = (
-            lt_time is not None
-            and static.pc in self.value_target_pcs
-            and static.pc not in self._value_disabled_pcs
-        )
+        request = self.value_hint_request(entry)
         skip = self.scoreboard.process_code(
-            static.class_code, static.dst, static.srcs, has_prediction
+            static.class_code, static.dst, static.srcs, request is not None
         )
-        if not has_prediction:
+        if request is None:
             return None
-        correct = not self.rng.bernoulli(self.config.value_error_rate)
-        if not correct:
-            # The SIF entry is deleted; this static instruction will no
-            # longer receive predictions.
-            self._value_disabled_pcs.add(static.pc)
-        self.fq.produce(
-            FootnoteEntry(
-                kind=FootnoteKind.VALUE_PREDICTION,
-                produce_cycle=lt_time,
-                value=entry.result,
-            )
-        )
-        return ValueHint(
-            available=lt_time + self.offset,
-            correct=correct,
-            skip_validation=skip and correct,
-        )
+        available, correct = request
+        return ValueHint(available=available, correct=correct,
+                         skip_validation=skip and correct)
 
     def value_hint_request(self, entry: DynamicInst) -> Optional[Tuple[float, bool]]:
-        """Sparse split of :meth:`value_hint` for the compiled kernel.
-
-        Covers the hint-delivery side only — the RNG draw, the SIF disable
-        on a wrong prediction, the FQ traffic.  The validation scoreboard,
-        which :meth:`value_hint` runs for *every* instruction, lives in the
-        kernel; this method is called for exactly the dynamic instructions
-        declared in ``value_target_seqs``.  Returns ``None`` when the entry
-        carries no prediction, else ``(available_cycle, correct)``.
-        """
-        static = entry.static
-        lt_time = self._value_times.get(entry.seq)
-        if (
-            lt_time is None
-            or static.pc not in self.value_target_pcs
-            or static.pc in self._value_disabled_pcs
-        ):
+        """Deliver ``entry``'s value hint through the FQ, as
+        ``(available_cycle, correct)``; ``None`` when it carries none."""
+        unit = self.unit
+        k = unit.value_cursor
+        if k >= len(unit.value_seqs) or unit.value_seqs[k] != entry.seq:
             return None
-        correct = not self.rng.bernoulli(self.config.value_error_rate)
-        if not correct:
-            self._value_disabled_pcs.add(static.pc)
-        self.fq.produce(
-            FootnoteEntry(
-                kind=FootnoteKind.VALUE_PREDICTION,
-                produce_cycle=lt_time,
-                value=entry.result,
-            )
-        )
-        return lt_time + self.offset, correct
+        unit.value_cursor = k + 1
+        verdict = unit.value_verdicts[k]
+        if verdict == VALUE_NONE:
+            return None
+        unit.fq_values += unit.fq_offer(1)
+        return unit.value_times[k] + unit.offset, verdict == VALUE_CORRECT
 
     # -- fetch-side activity ----------------------------------------------------
     def on_fetch(self, entry: DynamicInst, fetch_cycle: float) -> None:
         # Install prefetch / TLB hints whose (shifted) production time has
         # passed — the just-in-time release tied to BOQ consumption.
-        hints = self._prefetch_hints
-        while self._prefetch_cursor < len(hints):
-            produce_cycle, address = hints[self._prefetch_cursor]
-            available = produce_cycle + self.offset
-            if available > fetch_cycle:
-                break
-            installed = self.memory.prefetch(address, int(available), level="l1")
-            self.memory.prefill_tlb(address, int(available))
-            # The FQ entry was transferred either way (the communication
-            # happened); only successful installs count as prefetches.
-            self.fq.produce(
-                FootnoteEntry(
-                    kind=FootnoteKind.L1_PREFETCH,
-                    produce_cycle=produce_cycle,
-                    address=address,
-                )
-            )
-            if installed is not None:
+        unit = self.unit
+        times = unit.prefetch_times
+        offset = unit.offset
+        lo = hi = unit.prefetch_cursor
+        while hi < len(times) and times[hi] + offset <= fetch_cycle:
+            hi += 1
+        if hi > lo:
+            unit.fq_prefetches += unit.fq_offer(hi - lo)
+            unit.prefetch_cursor = hi
+            self.install(lo, hi, offset)
+        k = unit.branch_cursor
+        if k < len(unit.branch_seqs) and unit.branch_seqs[k] == entry.seq:
+            self._consumed.append(fetch_cycle)
+            unit.branch_cursor = k + 1
+
+    def install(self, lo: int, hi: int, offset: float) -> None:
+        """Install prefetch hints ``lo`` to ``hi - 1`` at ``cycle + offset``.
+
+        Their FQ entries were transferred either way (the communication
+        happened); only successful installs count as prefetches.
+        """
+        prefetch = self.memory.prefetch
+        prefill_tlb = self.memory.prefill_tlb
+        for produce_cycle, address in self.products.prefetch_hints[lo:hi]:
+            available = int(produce_cycle + offset)
+            if prefetch(address, available, level="l1") is not None:
                 self.prefetches_installed += 1
             else:
                 self.prefetches_dropped += 1
-            self._prefetch_cursor += 1
-
-        if entry.static.is_branch:
-            self._record_branch_consumption(entry, fetch_cycle)
-
-    def fetch_next_due(self) -> float:
-        """Availability of the next uninstalled prefetch hint (inf if drained).
-
-        The compiled kernel uses this to skip :meth:`on_fetch` for
-        non-branches until fetch reaches the cycle.  A look-ahead reboot can
-        only push availability *later* (the offset never shrinks), so a
-        stale value fires the hook early — a no-op — never late.
-        """
-        hints = self._prefetch_hints
-        if self._prefetch_cursor < len(hints):
-            return hints[self._prefetch_cursor][0] + self.offset
-        return math.inf
-
-    def _record_branch_consumption(self, entry: DynamicInst, fetch_cycle: float) -> None:
-        ordinal = self._branch_ordinal.get(entry.seq)
-        if ordinal is None:
-            return
-        # Consumption cycles are recorded in branch order; fetch is in-order
-        # so appending keeps the list sorted by ordinal.
-        while len(self._branch_consume_cycles) <= ordinal:
-            self._branch_consume_cycles.append(fetch_cycle)
-        self.boq.produce(
-            BoqEntry(
-                branch_seq=entry.seq,
-                pc=entry.static.pc,
-                taken=bool(entry.taken),
-                produce_cycle=self.products.branch_times.get(entry.seq, fetch_cycle),
-            )
-        )
-        self.boq.consume()
+            prefill_tlb(address, available)
 
     # -- commit-side activity ------------------------------------------------------
     def on_commit(self, entry: DynamicInst, commit_cycle: float) -> None:
-        if self.t1 is None:
-            return
         static = entry.static
         if static.is_load:
             self.t1.on_commit(static.pc, entry.effective_address, commit_cycle)
@@ -336,25 +287,12 @@ class MainThreadHintSource:
         The look-ahead thread restarts from the main thread's architectural
         state; every hint it produces afterwards is delayed by the reboot
         penalty plus however far the main thread had to progress to expose
-        the error.
+        the error.  The pending FQ entries are dropped.
         """
-        lt_time = self.products.branch_times.get(entry.seq)
-        if lt_time is None:
-            return
-        new_offset = resolve_cycle + self.config.reboot_penalty - lt_time
-        if new_offset > self.offset:
-            self.offset = new_offset
-        self.boq.flush()
-        self.fq.flush()
-        self.reboots.append(
-            RebootRecord(
-                branch_seq=entry.seq,
-                mt_resolve_cycle=resolve_cycle,
-                offset_after=self.offset,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    @property
-    def reboot_count(self) -> int:
-        return len(self.reboots)
+        unit = self.unit
+        # The mispredicted branch is the last hint consumed at fetch.
+        lt_time = unit.branch_times[unit.branch_cursor - 1]
+        unit.offset = max(unit.offset,
+                          resolve_cycle + unit.reboot_penalty - lt_time)
+        unit.fq_occupancy = 0
+        unit.reboots += 1

@@ -5,19 +5,23 @@ core and the main core (Sec. III-A).  The BOQ carries one 2-bit entry per
 committed conditional branch (direction + a footnote flag); the FQ carries
 wider, less frequent payloads — L1/L2 prefetch addresses, TLB hints,
 indirect-branch targets, and (with the value-reuse optimization) predicted
-register values.  The classes here model occupancy, ordering and the
-communication-volume statistics the paper reports (≈2.2 bits transferred per
-instruction), while the co-simulation in :mod:`repro.dla.system` decides the
-*timing* of production and consumption.
+register values.  Only occupancy and the communication volume the paper
+reports (≈2.2 bits transferred per instruction) are observable, so the
+queues are counters; the main thread's hint unit
+(:class:`~repro.core.compile.hookspec.HintUnit`) decides when entries are
+produced, consumed and flushed.
+
+Known modelling bug: the FQ is never consumed.  It fills to its capacity and
+then rejects every later hint until a look-ahead reboot flushes it, so
+:func:`communication_bits_per_instruction` undercounts FQ traffic (on quick
+``mcf`` R3 it accepted 128 entries and rejected 607).  The simulation
+reproduces this on purpose until a modelling change fixes it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
-
-from repro.util.fifo import BoundedFifo
+from typing import Dict
 
 
 class FootnoteKind(enum.Enum):
@@ -43,103 +47,85 @@ class FootnoteKind(enum.Enum):
         }[self]
 
 
-@dataclass
-class BoqEntry:
-    """One branch outcome produced by the look-ahead thread."""
+class _CountingQueue:
+    """Occupancy counter with a capacity and produced/consumed totals."""
 
-    branch_seq: int          # dynamic branch index in the committed stream
-    pc: int
-    taken: bool
-    produce_cycle: float     # LT commit cycle
-    has_footnote: bool = False
+    def __init__(self, capacity: int) -> None:
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
+        self.capacity = capacity
+        self.occupancy = 0
+        self.produced = 0
+        self.consumed = 0
+
+    def _admit(self, count: int) -> int:
+        accepted = min(count, self.capacity - self.occupancy)
+        self.occupancy += accepted
+        return accepted
+
+    def consume(self) -> bool:
+        """Pop one entry; False when the queue is empty."""
+        if not self.occupancy:
+            return False
+        self.occupancy -= 1
+        self.consumed += 1
+        return True
+
+    def flush(self) -> int:
+        """Drop all pending entries (look-ahead reboot); returns count dropped."""
+        dropped = self.occupancy
+        self.occupancy = 0
+        return dropped
 
 
-@dataclass
-class FootnoteEntry:
-    """One footnote-queue payload."""
-
-    kind: FootnoteKind
-    produce_cycle: float
-    address: Optional[int] = None
-    value: Optional[int] = None
-    #: Offset of the value-predicted instruction from the preceding branch.
-    offset_from_branch: int = 0
-
-
-class BranchOutcomeQueue:
+class BranchOutcomeQueue(_CountingQueue):
     """Occupancy/statistics model of the BOQ."""
 
     ENTRY_BITS = 2
 
     def __init__(self, capacity: int = 512) -> None:
-        self.fifo: BoundedFifo[BoqEntry] = BoundedFifo(capacity)
-        self.produced = 0
-        self.consumed = 0
+        super().__init__(capacity)
         self.incorrect = 0
 
-    def produce(self, entry: BoqEntry) -> bool:
+    def produce(self) -> bool:
         """Push an outcome; returns False when the queue is full (LT stalls)."""
-        ok = self.fifo.try_push(entry)
-        if ok:
-            self.produced += 1
-        return ok
+        accepted = self._admit(1)
+        self.produced += accepted
+        return accepted == 1
 
-    def consume(self) -> Optional[BoqEntry]:
-        entry = self.fifo.try_pop()
-        if entry is not None:
-            self.consumed += 1
-        return entry
-
-    def record_incorrect(self) -> None:
-        self.incorrect += 1
-
-    def flush(self) -> int:
-        """Drop all pending entries (look-ahead reboot); returns count dropped."""
-        dropped = len(self.fifo)
-        self.fifo.clear()
-        return dropped
-
-    @property
-    def occupancy(self) -> int:
-        return len(self.fifo)
+    def record(self, count: int, incorrect: int) -> None:
+        """Account ``count`` outcomes produced and consumed back to back
+        (the main thread consumes each one as it fetches the branch),
+        ``incorrect`` of them wrong."""
+        self.produced += count
+        self.consumed += count
+        self.incorrect += incorrect
 
     @property
     def bits_transferred(self) -> int:
         return self.produced * self.ENTRY_BITS
 
 
-class FootnoteQueue:
+class FootnoteQueue(_CountingQueue):
     """Occupancy/statistics model of the FQ."""
 
     def __init__(self, capacity: int = 128) -> None:
-        self.fifo: BoundedFifo[FootnoteEntry] = BoundedFifo(capacity)
-        self.produced = 0
-        self.consumed = 0
+        super().__init__(capacity)
         self.bits_transferred = 0
-        self.produced_by_kind = {kind: 0 for kind in FootnoteKind}
+        self.produced_by_kind: Dict[FootnoteKind, int] = {
+            kind: 0 for kind in FootnoteKind
+        }
 
-    def produce(self, entry: FootnoteEntry) -> bool:
-        ok = self.fifo.try_push(entry)
-        if ok:
-            self.produced += 1
-            self.produced_by_kind[entry.kind] += 1
-            self.bits_transferred += entry.kind.payload_bits
-        return ok
+    def produce(self, kind: FootnoteKind, count: int = 1) -> int:
+        """Offer ``count`` entries of one kind; returns how many fit."""
+        return self.record(kind, self._admit(count))
 
-    def consume(self) -> Optional[FootnoteEntry]:
-        entry = self.fifo.try_pop()
-        if entry is not None:
-            self.consumed += 1
-        return entry
-
-    def flush(self) -> int:
-        dropped = len(self.fifo)
-        self.fifo.clear()
-        return dropped
-
-    @property
-    def occupancy(self) -> int:
-        return len(self.fifo)
+    def record(self, kind: FootnoteKind, accepted: int) -> int:
+        """Account ``accepted`` entries of ``kind`` already admitted."""
+        self.produced += accepted
+        self.produced_by_kind[kind] += accepted
+        self.bits_transferred += accepted * kind.payload_bits
+        return accepted
 
 
 def communication_bits_per_instruction(boq: BranchOutcomeQueue, fq: FootnoteQueue,

@@ -9,12 +9,13 @@ dynamic trace:
    commits produce the BOQ branch stream, FQ prefetch hints (its own L1
    misses) and value-reuse hint times.
 2. The **main-thread pass** runs the full trace on the trailing core with
-   those hints wired in through :class:`~repro.dla.hints.MainThreadHintSource`:
-   branch directions come from the BOQ (stalling fetch when the look-ahead
-   has not produced them yet, throttled to the BOQ capacity), prefetch/TLB
-   hints are installed just in time, value predictions shortcut long-latency
-   producers, the T1 engine handles marked strided loads, and incorrect hints
-   trigger look-ahead reboots that push all later hints back.
+   those hints wired in through :class:`~repro.dla.hints.MainThreadHintSource`
+   (a hint unit the compiled kernel runs natively): branch directions come
+   from the BOQ (stalling fetch when the look-ahead has not produced them
+   yet, throttled to the BOQ capacity), prefetch/TLB hints are installed
+   just in time, value predictions shortcut long-latency producers, the T1
+   engine handles marked strided loads, and incorrect hints trigger
+   look-ahead reboots that push all later hints back.
 
 Because the look-ahead thread's private cache contents and register state are
 speculative and never escape its core, simulating it from the *architectural*
@@ -32,8 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.compile.decoded import F_BRANCH
-from repro.core.compile.hookspec import CompiledHookSpec
+from repro.core.compile.hookspec import CommitLog, CompiledHookSpec
 from repro.core.config import SystemConfig
 from repro.core.energy import EnergyBreakdown, EnergyModel
 from repro.core.pipeline import CoreHooks, OutOfOrderCore
@@ -315,44 +315,30 @@ class DlaSystem:
     # -- look-ahead pass ----------------------------------------------------
     def _lookahead_pass(self, state: "_State", entries: Sequence[DynamicInst],
                         skeleton: Skeleton) -> Tuple[LookaheadProducts, CoreResult]:
-        products = LookaheadProducts()
-        value_targets = self._value_target_pcs(skeleton)
-
-        def on_commit(entry: DynamicInst, commit_cycle: float) -> None:
-            if entry.static.is_branch:
-                products.branch_times[entry.seq] = commit_cycle
-                products.branch_order.append(entry.seq)
-            if entry.seq is not None and entry.static.pc in value_targets:
-                products.value_times[entry.seq] = commit_cycle
+        lt_entries = _FILTERED.get(entries, skeleton.included_pcs)
+        state.lt_dynamic_instructions += len(lt_entries)
+        commits = CommitLog(pcs=tuple(sorted(self._value_target_pcs(skeleton))))
+        prefetch_hints: List[Tuple[float, int]] = []
 
         def on_memory_access(entry: DynamicInst, access, cycle: float) -> None:
             if entry.static.is_load and access.l1_miss:
-                products.prefetch_hints.append((cycle, entry.effective_address))
+                prefetch_hints.append((cycle, entry.effective_address))
 
-        lt_entries = _FILTERED.get(entries, skeleton.included_pcs)
-        state.lt_dynamic_instructions += len(lt_entries)
-        # The commit hook only acts on branches and value-target PCs; the
-        # compiled kernel may skip it everywhere else.  The memory hook only
-        # logs L1-missing loads, which the kernel can record itself.
+        # Both products are declared logs: the compiled kernel records the
+        # commit log and the L1-missing loads itself.
         hooks = CoreHooks(
-            on_commit=on_commit,
             on_memory_access=on_memory_access,
-            fast_hints=CompiledHookSpec(
-                commit_flag_mask=F_BRANCH,
-                commit_pcs=tuple(sorted(value_targets)),
-                load_miss_log=products.prefetch_hints,
-            ),
+            fast_hints=CompiledHookSpec(commit_log=commits,
+                                        load_miss_log=prefetch_hints),
         )
         result = state.lt_core.run(lt_entries, hooks=hooks, start_cycle=state.lt_clock)
-        products.prefetch_hints.sort(key=lambda item: item[0])
-        products.lt_cycles = result.cycles
-        return products, result
+        prefetch_hints.sort(key=lambda item: item[0])
+        return LookaheadProducts(lt_entries, commits, prefetch_hints), result
 
     # -- main-thread pass ------------------------------------------------------
     def _main_pass(self, state: "_State", entries: Sequence[DynamicInst],
                    skeleton: Skeleton,
                    products: LookaheadProducts) -> Tuple[CoreResult, MainThreadHintSource]:
-        dla_cfg = self.dla_config
         bias_direction = {
             pc: self.profile.branches[pc].taken_ratio >= 0.5
             for pc in skeleton.biased_branch_pcs
@@ -360,16 +346,14 @@ class DlaSystem:
         }
         hint_source = MainThreadHintSource(
             products=products,
-            dla_config=dla_cfg,
+            dla_config=self.dla_config,
             memory=state.mt_memory,
             boq=state.boq,
             fq=state.fq,
             risky_branch_pcs=self._risky_branch_pcs(skeleton),
             biased_branch_pcs=set(skeleton.biased_branch_pcs),
             branch_bias_direction=bias_direction,
-            value_target_pcs=self._value_target_pcs(skeleton) if dla_cfg.enable_value_reuse else set(),
             t1_engine=state.t1,
-            loop_branch_pcs=set(self.profile.loop_branch_pcs),
             rng=state.rng,
         )
         state.mt_dynamic_instructions += len(entries)
@@ -378,6 +362,7 @@ class DlaSystem:
         # same window is simulated under several configurations.
         result = state.mt_core.run(entries, hooks=hint_source.hooks(),
                                    start_cycle=state.mt_clock)
+        hint_source.settle()
         return result, hint_source
 
     def _run_segment(self, state: "_State", entries: Sequence[DynamicInst],
@@ -402,7 +387,7 @@ class DlaSystem:
         # BOQ-depth ahead of the main thread; advancing its clock by its own
         # busy time models its (faster) progress.
         state.lt_clock += lt_result.cycles
-        state.reboots += hint_source.reboot_count
+        state.reboots += hint_source.unit.reboots
         state.prefetch_hints_installed += hint_source.prefetches_installed
         return mt_result, lt_result
 

@@ -30,6 +30,7 @@ from repro.core.compile import (
     compiled_ticks_total,
     fast_pipeline_enabled,
     kernel_available,
+    native_hint_branches_total,
     native_mem_hits_total,
 )
 from repro.core.compile.decoded import decoded_cache_stats
@@ -557,3 +558,93 @@ def test_native_hits_counter_advances(prepared, monkeypatch):
     assert replayed > before, "warm replay served no hit natively"
     core.run(timed)
     assert native_mem_hits_total() > replayed, "the BL run served no hit natively"
+
+
+# ---------------------------------------------------------------------------
+# native DLA hint unit under stress
+# ---------------------------------------------------------------------------
+#: Error rates and queue depths that make every hint-unit path fire: reboots
+#: (and their FQ flushes), BOQ-capacity gating, FQ saturation, SIF disables.
+STRESS = dict(risky_branch_error_rate=0.2, safe_branch_error_rate=0.02,
+              value_error_rate=0.2, boq_entries=4, fq_entries=4)
+
+
+def _stress_run(monkeypatch, run):
+    """``run()``'s outcome plus every DLA state's queues, T1 and RNG, and
+    every main pass's hint unit."""
+    states, units = [], []
+    fresh_state = DlaSystem._fresh_state
+    main_pass = DlaSystem._main_pass
+
+    def recording_state(self):
+        state = fresh_state(self)
+        states.append(state)
+        return state
+
+    def recording_pass(self, *args):
+        result, hint_source = main_pass(self, *args)
+        units.append(hint_source.unit)
+        return result, hint_source
+
+    monkeypatch.setattr(DlaSystem, "_fresh_state", recording_state)
+    monkeypatch.setattr(DlaSystem, "_main_pass", recording_pass)
+    outcome = run()
+    monkeypatch.setattr(DlaSystem, "_fresh_state", fresh_state)
+    monkeypatch.setattr(DlaSystem, "_main_pass", main_pass)
+    views = [{
+        "boq": vars(state.boq),
+        "fq": vars(state.fq),
+        "t1": vars(state.t1.stats) if state.t1 is not None else None,
+        "rng": state.rng._rng.getstate(),
+    } for state in states]
+    return outcome, views, units
+
+
+@pytest.mark.parametrize("mode", ["dla", "r3", "static", "dynamic", "gshare"])
+def test_hint_unit_under_stress_matches_reference(prepared, monkeypatch, mode):
+    """Compiled and interpreted runs agree on the whole outcome, the queue
+    counters, T1 and the RNG stream's final state, with every hint-unit
+    path exercised.  ``gshare`` (a non-native branch unit) runs R3 with the
+    hint hooks as kernel callbacks instead of the native unit."""
+    from dataclasses import replace
+
+    from repro.dla.recycle import RecycleController, build_skeleton_versions
+
+    # The triad has prefetch hints to saturate the FQ with, value targets
+    # and strided loads for T1.
+    program, warmup, timed, profile, config = prepared["triad"]
+    base = DlaConfig().baseline_dla() if mode == "dla" else DlaConfig().r3()
+    dla_config = replace(base, **STRESS)
+    if mode == "gshare":
+        config = config.with_overrides(branch_predictor="gshare")
+
+    def run():
+        system = DlaSystem(program, config, dla_config, profile=profile)
+        if mode in ("dla", "r3", "gshare"):
+            return system.simulate(timed, warmup_entries=warmup)
+        versions = build_skeleton_versions(system.builder, enable_t1=True)
+        controller = RecycleController(versions, dla_config,
+                                       profile.loop_branch_pcs)
+        plan = controller.plan(system, timed, dynamic=mode == "dynamic")
+        return (plan.chosen_versions, system.simulate_segmented(
+            plan.segments, warmup_entries=warmup))
+
+    _reference(monkeypatch)
+    reference, reference_views, units = _stress_run(monkeypatch, run)
+    _fast(monkeypatch)
+    hinted = native_hint_branches_total()
+    compiled, compiled_views, _ = _stress_run(monkeypatch, run)
+    assert compiled == reference
+    assert compiled_views == reference_views
+    if kernel_available():
+        native = native_hint_branches_total() - hinted
+        assert native == 0 if mode == "gshare" else native > 0
+
+    # Every path fired on the reference side.
+    assert sum(unit.reboots for unit in units) > 0
+    assert any(len(unit.branch_seqs) > STRESS["boq_entries"] for unit in units)
+    assert any(unit.fq_prefetches + unit.fq_values < unit.prefetch_cursor
+               + unit.value_verdicts.count(1) + unit.value_verdicts.count(2)
+               for unit in units)
+    if mode != "dla":
+        assert any(unit.value_verdicts.count(0) for unit in units)

@@ -8,9 +8,7 @@ from repro.dla.analytic import FetchBufferModel
 from repro.dla.config import DlaConfig
 from repro.dla.profiling import profile_workload
 from repro.dla.queues import (
-    BoqEntry,
     BranchOutcomeQueue,
-    FootnoteEntry,
     FootnoteKind,
     FootnoteQueue,
     communication_bits_per_instruction,
@@ -130,35 +128,38 @@ def test_skeleton_versions_are_distinct(stream_profile, small_stream_program):
 # ---------------------------------------------------------------------------
 def test_boq_produce_consume_and_flush():
     boq = BranchOutcomeQueue(capacity=4)
-    for i in range(4):
-        assert boq.produce(BoqEntry(branch_seq=i, pc=i, taken=True, produce_cycle=i))
-    assert not boq.produce(BoqEntry(branch_seq=9, pc=9, taken=False, produce_cycle=9))
+    for _ in range(4):
+        assert boq.produce()
+    assert not boq.produce()
     assert boq.occupancy == 4
-    entry = boq.consume()
-    assert entry.branch_seq == 0
+    assert boq.consume()
+    assert boq.consumed == 1
     assert boq.flush() == 3
     assert boq.occupancy == 0
+    assert not boq.consume()
     assert boq.bits_transferred == 4 * BranchOutcomeQueue.ENTRY_BITS
 
 
 def test_fq_tracks_kinds_and_bits():
-    fq = FootnoteQueue(capacity=8)
-    fq.produce(FootnoteEntry(FootnoteKind.L1_PREFETCH, 0.0, address=0x100))
-    fq.produce(FootnoteEntry(FootnoteKind.VALUE_PREDICTION, 1.0, value=42))
+    fq = FootnoteQueue(capacity=2)
+    assert fq.produce(FootnoteKind.L1_PREFETCH) == 1
+    assert fq.produce(FootnoteKind.VALUE_PREDICTION, count=3) == 1
+    assert fq.produce(FootnoteKind.L1_PREFETCH) == 0
     assert fq.produced_by_kind[FootnoteKind.L1_PREFETCH] == 1
+    assert fq.produced_by_kind[FootnoteKind.VALUE_PREDICTION] == 1
     assert fq.bits_transferred == (
         FootnoteKind.L1_PREFETCH.payload_bits + FootnoteKind.VALUE_PREDICTION.payload_bits
     )
-    assert fq.consume().kind is FootnoteKind.L1_PREFETCH
+    assert fq.consume()
+    assert fq.flush() == 1
 
 
 def test_communication_bits_per_instruction_small():
     boq = BranchOutcomeQueue()
     fq = FootnoteQueue()
-    for i in range(100):
-        boq.produce(BoqEntry(i, i, True, i))
-    for i in range(10):
-        fq.produce(FootnoteEntry(FootnoteKind.L1_PREFETCH, i, address=i))
+    for _ in range(100):
+        boq.produce()
+    fq.produce(FootnoteKind.L1_PREFETCH, count=10)
     bits = communication_bits_per_instruction(boq, fq, committed_instructions=1000)
     assert 0 < bits < 10
     assert communication_bits_per_instruction(boq, fq, 0) == 0.0
