@@ -32,13 +32,14 @@ done/leased/pending counts.
 
 ``dispatch`` runs one campaign across a fleet: it renders one job script
 per host (``--dry-run`` to inspect without submitting), submits them to an
-execution backend (``local``, ``process_pool``, or ``slurm``), polls the
-shared store until every cell lands, then merges and renders exactly once
-— byte-identical to a single-host run.  ``sync`` is the underlying cache
-transport: batched, idempotent, checksum-verified push/pull of cache
-entries and campaign lease/failure/journal state between a local
-``.repro_cache/`` and a shared root (a directory or an rsync-style
-remote).  See :mod:`repro.campaign.fabric`.
+execution backend (``process_pool`` subprocesses, ``local`` — the same
+backend one host at a time — or ``slurm``), polls the shared store until
+every cell lands, then merges and renders exactly once — byte-identical
+to a single-host run.  ``sync`` is the underlying cache transport:
+batched, idempotent, checksum-verified push/pull of cache entries and
+campaign lease/failure/journal state between a local ``.repro_cache/``
+and a shared directory (mount a remote root; ``host:/path`` specs are
+refused).  See :mod:`repro.campaign.fabric`.
 
 ``monitor`` reads the per-campaign event journals
 (:mod:`repro.campaign.telemetry`) and renders the merged timeline —
@@ -283,8 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sync.add_argument("direction", choices=("push", "pull"),
                         help="push = local -> shared, pull = shared -> local")
     p_sync.add_argument("--shared", required=True, metavar="TARGET",
-                        help="shared root: a directory, or an rsync-style "
-                             "remote (host:/path)")
+                        help="shared root directory (mount a remote root "
+                             "and pass its directory)")
     p_sync.add_argument("--local", default=None, metavar="DIR",
                         help="local cache root (default: $REPRO_CACHE_DIR "
                              "or .repro_cache)")

@@ -2,20 +2,20 @@
 
 The lease/merge layer (store leases, shard partitions, worker claim loops,
 ``repro merge``) is host-agnostic by construction — a cell is done exactly
-when its result is in a ``.repro_cache/``.  What it could not do until now
-is *move* cells between cache directories or *submit* workers to a backend.
-This package closes that gap:
+when its result is in a ``.repro_cache/``.  This package moves cells
+between cache directories and submits workers to a backend:
 
 :mod:`repro.campaign.fabric.sync`
     Batched, idempotent, torn-transfer-safe push/pull of cache entries and
     campaign lease/failure/journal state between a local cache root and a
-    shared root (a directory, or an rsync-style remote target).
+    shared directory — one transfer, called with the roots swapped.
 
 :mod:`repro.campaign.fabric.dispatch`
-    Renders per-host worker job scripts from templates, submits them to a
-    backend (:mod:`repro.campaign.fabric.backends`), polls campaign status
-    until the fleet converges, and merges — byte-identical to a single-host
-    run.
+    Renders one self-contained job script per host, submits them to a
+    backend (:mod:`repro.campaign.fabric.backends`: ``process_pool``,
+    ``local`` — the same subprocess backend one host at a time — or
+    ``slurm``), polls campaign status until the fleet converges, and
+    merges — byte-identical to a single-host run.
 
 CLI surface: ``repro dispatch`` and ``repro sync``.
 """
@@ -24,19 +24,15 @@ from repro.campaign.fabric.dispatch import (  # noqa: F401
     DispatchError, Dispatcher, DispatchPlan, HostJob,
 )
 from repro.campaign.fabric.sync import (  # noqa: F401
-    CacheSync, DirectoryTarget, RsyncTarget, SyncError, SyncReport,
-    parse_target,
+    CacheSync, SyncError, SyncReport,
 )
 
 __all__ = [
     "CacheSync",
-    "DirectoryTarget",
     "DispatchError",
     "DispatchPlan",
     "Dispatcher",
     "HostJob",
-    "RsyncTarget",
     "SyncError",
     "SyncReport",
-    "parse_target",
 ]

@@ -8,8 +8,7 @@ host jobs and runs the whole distributed lifecycle:
    status/monitor report meaningful counts from the first poll and the
    sync transport can resolve the campaign's cell keys;
 2. **render** — write one self-contained bash job script per host under
-   ``<shared>/fabric/<campaign>/jobs/`` (templates module; ``--dry-run``
-   stops here);
+   ``<shared>/fabric/<campaign>/jobs/`` (``--dry-run`` stops here);
 3. **submit** — hand the scripts to an execution backend
    (:mod:`repro.campaign.fabric.backends`);
 4. **poll** — watch job exit codes and the shared store's cell counts
@@ -30,7 +29,16 @@ run — survives hosts that share *nothing* but the shared target.
 ``worker`` points every host at the shared root directly and lets store
 leases arbitrate — better load balance when the shared root is a real
 shared filesystem.  Hosts > cells is fine in both: an empty shard (or a
-worker that never wins a claim) converges trivially.
+worker that never wins a claim) converges trivially.  A shard host pushes
+its results even when its run fails — every cell that did finish belongs
+to the fleet.
+
+Every backend executes the *same* rendered script, so what a host does is
+decided at render time and is inspectable with ``--dry-run``.  The script
+exports its own environment (cache root, ``PYTHONPATH``, pinned smoke
+figure, journal TTL), so a scheduler that strips the environment changes
+nothing.  Rendering uses :class:`string.Template`, whose ``$$`` escape
+keeps render-time substitution apart from bash's run-time ``$?``.
 """
 
 from __future__ import annotations
@@ -40,10 +48,10 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from string import Template
 from typing import Callable, Dict, List, Optional
 
 from repro.campaign.fabric.backends import get_backend
-from repro.campaign.fabric.templates import SENTINEL_SUFFIX, render_job_script
 from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore, DEFAULT_LEASE_TTL
@@ -55,6 +63,51 @@ CLAIM_MODES = ("shard", "worker")
 #: Subdirectory of the shared cache root holding fabric state
 #: (rendered job scripts, logs, per-host cache roots).
 FABRIC_DIR = "fabric"
+
+#: Written by the SLURM script's EXIT trap; its content is the job's
+#: exit code.  Polling for this file is how the dispatcher observes a
+#: SLURM job finishing without talking to ``squeue``.
+SENTINEL_SUFFIX = ".exit"
+
+_SCRIPT = Template("""\
+#!/bin/bash
+# repro fabric job: campaign $campaign, host $host_index of $host_count
+# ($claim claim, $mode mode) — rendered by `repro dispatch`; do not edit.
+${slurm_header}set -uo pipefail
+${sentinel_trap}$env_exports
+$body""")
+
+_SHARD_BODY = Template("""\
+"$python" -m repro.campaign.cli sync pull --shared "$shared" \\
+    --local "$cache_root" --campaign "$campaign"
+"$python" -m repro.campaign.cli run "$campaign"$mode_flag$spec_flag \\
+    --shard $shard --processes $processes
+status=$$?
+"$python" -m repro.campaign.cli sync push --shared "$shared" \\
+    --local "$cache_root" --campaign "$campaign"
+exit $$status
+""")
+
+_WORKER_BODY = Template("""\
+"$python" -m repro.campaign.cli run "$campaign"$mode_flag$spec_flag \\
+    --worker --no-render --owner "$owner" --ttl $ttl --poll 2 \\
+    --processes $processes
+""")
+
+#: ``#SBATCH`` header rendered for the slurm backend only (bash ignores it
+#: anyway, but keeping it out makes the other dry-run scripts honest about
+#: what will be submitted).  The allocation gets one CPU per worker process.
+_SBATCH_DIRECTIVES = Template("""\
+#SBATCH --job-name=repro-$campaign-$host_index
+#SBATCH --output=$log_path
+#SBATCH --time=01:00:00
+#SBATCH --ntasks=1
+#SBATCH --cpus-per-task=$processes
+""")
+
+_SENTINEL_TRAP = Template("""\
+trap 'echo -n $$? > "$sentinel"' EXIT
+""")
 
 
 class DispatchError(RuntimeError):
@@ -127,7 +180,6 @@ class Dispatcher:
                  processes: Optional[int] = None,
                  poll_seconds: float = 1.0, ttl: float = DEFAULT_LEASE_TTL,
                  timeout: Optional[float] = None,
-                 time_limit: str = "01:00:00",
                  progress: Optional[Callable[[str], None]] = print) -> None:
         if hosts < 1:
             raise DispatchError(f"hosts must be >= 1 (got {hosts})")
@@ -147,7 +199,6 @@ class Dispatcher:
         self.poll_seconds = poll_seconds
         self.ttl = ttl
         self.timeout = timeout
-        self.time_limit = time_limit
         self.progress = progress or (lambda line: None)
         self.shared_root = Path(
             os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR)
@@ -178,6 +229,42 @@ class Dispatcher:
                 env[passthrough] = os.environ[passthrough]
         return env
 
+    def _render(self, job: HostJob) -> str:
+        """One host's complete job script (see the module docstring)."""
+        name = self.spec.name
+        processes = self.processes or 1
+        common = dict(
+            python=sys.executable, shared=self.shared_root,
+            cache_root=job.cache_root, campaign=name,
+            mode_flag=" --quick" if self.quick else " --full",
+            spec_flag=(f' --spec "{self.spec_file}"'
+                       if self.spec_file else ""),
+            processes=processes)
+        if self.claim == "shard":
+            body = _SHARD_BODY.substitute(
+                shard=f"{job.index}/{self.hosts}", **common)
+        else:
+            body = _WORKER_BODY.substitute(
+                owner=f"fabric-{name}-host-{job.index}",
+                ttl=f"{self.ttl:g}", **common)
+        slurm_header = sentinel_trap = ""
+        if self.backend_name == "slurm":
+            slurm_header = _SBATCH_DIRECTIVES.substitute(
+                campaign=name, host_index=job.index, log_path=job.log_path,
+                processes=processes)
+            sentinel_trap = _SENTINEL_TRAP.substitute(
+                sentinel=job.sentinel_path)
+        env = self._job_env(job.cache_root)
+        return _SCRIPT.substitute(
+            campaign=name, claim=self.claim,
+            mode="quick" if self.quick else "full",
+            host_index=job.index, host_count=self.hosts,
+            slurm_header=slurm_header, sentinel_trap=sentinel_trap,
+            env_exports="\n".join(
+                'export {}="{}"'.format(key, env[key].replace('"', '\\"'))
+                for key in sorted(env)),
+            body=body)
+
     def plan(self) -> DispatchPlan:
         """Prepare the shared store and render every host's job script."""
         scheduler = CampaignScheduler(self.spec, quick=self.quick,
@@ -206,24 +293,7 @@ class Dispatcher:
                 sentinel_path=stem.with_suffix(SENTINEL_SUFFIX),
                 cache_root=cache_root,
             )
-            script = render_job_script(
-                campaign=self.spec.name, claim=self.claim,
-                host_index=index, host_count=self.hosts,
-                python=sys.executable, shared=str(self.shared_root),
-                cache_root=str(cache_root),
-                env=self._job_env(cache_root), quick=self.quick,
-                spec_file=self.spec_file,
-                processes=self.processes or 1,
-                owner=f"fabric-{self.spec.name}-host-{index}",
-                ttl=self.ttl,
-                sbatch=(self.backend_name == "slurm"),
-                job_name=f"repro-{self.spec.name}-{index}",
-                log_path=str(job.log_path),
-                time_limit=self.time_limit,
-                sentinel=(str(job.sentinel_path)
-                          if self.backend_name == "slurm" else None),
-            )
-            job.script_path.write_text(script)
+            job.script_path.write_text(self._render(job))
             job.script_path.chmod(0o755)
             plan.jobs.append(job)
         return plan
@@ -258,8 +328,6 @@ class Dispatcher:
             if all(job.returncode is not None for job in plan.jobs):
                 return
             if deadline is not None and time.monotonic() > deadline:
-                if hasattr(backend, "terminate"):
-                    backend.terminate()
                 raise DispatchError(
                     f"dispatch timed out after {self.timeout:g}s with "
                     f"cells {status.get('cells_done', 0)}/"

@@ -4,7 +4,8 @@ Sharded and worker campaign runs coordinate through one invariant — a cell
 is done exactly when its checksummed result sits in a disk cache — so
 multi-host execution needs exactly one new primitive: copying cache state
 between a host-local root and a *shared* root.  :class:`CacheSync` is that
-primitive, in both directions:
+primitive, and its two directions are the same directory-to-directory
+transfer with the roots swapped:
 
 ``push``
     local ``.repro_cache/`` -> shared root: every (optionally
@@ -36,11 +37,10 @@ Design contract (the properties the dispatcher and CI lean on):
   leases copy only when absent (a lease is host-advisory; stale ones die by
   TTL anywhere).
 
-Targets come in two flavours: :class:`DirectoryTarget` (a shared/NFS/
-artifact-synced directory — what CI and the tests use) and
-:class:`RsyncTarget` (an ``rsync``-style ``host:/path`` remote; batches
-become ``rsync`` invocations, and pulled entries are verified locally after
-landing).
+The shared root is a directory: an NFS mount, a synced folder, or an
+artifact directory as in CI.  A remote spelling (``host:/path``,
+``rsync://...``) is refused with :class:`SyncError` — mount the shared
+root and pass its directory.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ from __future__ import annotations
 import json
 import os
 import re
-import subprocess
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
@@ -65,10 +64,8 @@ DEFAULT_BATCH_SIZE = 64
 #: Cache-entry glob (the disk cache's on-disk naming scheme).
 ENTRY_GLOB = "*.pkl"
 
-#: Campaign state directories replicated alongside the cell entries.
-#: ``events`` journals are append-only, ``failures`` advance by attempt
-#: count, ``leases`` copy only when absent.
-STATE_DIRS = ("events", "failures", "leases")
+#: ``host:/path`` (not a drive letter or a bare path) names a remote.
+_REMOTE_SPEC = re.compile(r"^[A-Za-z0-9_.@-]+:")
 
 
 class SyncError(RuntimeError):
@@ -89,16 +86,7 @@ class SyncReport:
     state_skipped: int = 0
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "direction": self.direction,
-            "entries_total": self.entries_total,
-            "entries_copied": self.entries_copied,
-            "entries_skipped": self.entries_skipped,
-            "entries_corrupt": self.entries_corrupt,
-            "batches": self.batches,
-            "state_copied": self.state_copied,
-            "state_skipped": self.state_skipped,
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         return (
@@ -111,186 +99,97 @@ class SyncReport:
 
 
 # ---------------------------------------------------------------------------
-# targets
+# file plumbing
 # ---------------------------------------------------------------------------
-class DirectoryTarget:
-    """A shared root that is a plain directory (NFS mount, synced folder)."""
-
-    scheme = "dir"
-
-    def __init__(self, root: Union[str, os.PathLike]) -> None:
-        self.root = Path(root)
-
-    def describe(self) -> str:
-        return str(self.root)
-
-    # -- generic relative-path file ops ---------------------------------
-    def list_files(self, rel_dir: str, pattern: str) -> List[str]:
-        directory = self.root / rel_dir if rel_dir else self.root
-        if not directory.is_dir():
-            return []
-        return sorted(p.name for p in directory.glob(pattern) if p.is_file())
-
-    def read(self, rel: str) -> Optional[bytes]:
-        try:
-            return (self.root / rel).read_bytes()
-        except OSError:
-            return None
-
-    def write(self, rel: str, data: bytes) -> None:
-        atomic_write_bytes(self.root / rel, data)
-
-    def exists(self, rel: str) -> bool:
-        return (self.root / rel).exists()
-
-    def size(self, rel: str) -> int:
-        try:
-            return (self.root / rel).stat().st_size
-        except OSError:
-            return -1
-
-    def quarantine_entry(self, name: str) -> None:
-        """Move a corrupt shared-side cell entry aside (never delete), so it
-        stops failing verification on every subsequent pull."""
-        path = self.root / name
-        try:
-            quarantine = self.root / QUARANTINE_DIR
-            quarantine.mkdir(parents=True, exist_ok=True)
-            os.replace(path, quarantine / path.name)
-        except OSError:
-            pass
+def _list_files(directory: Path, pattern: str) -> List[str]:
+    if not directory.is_dir():
+        return []
+    return sorted(p.name for p in directory.glob(pattern) if p.is_file())
 
 
-class RsyncTarget:
-    """An rsync-style shared root: ``host:/path`` or ``rsync://host/path``.
-
-    Batches become single ``rsync`` invocations (``--files-from`` keeps one
-    process per batch, not per cell).  Verification stays local: entries are
-    checksum-checked before a push and after a pull — a torn remote transfer
-    therefore lands as a quarantined local file, never as a trusted cell.
-    """
-
-    scheme = "rsync"
-
-    def __init__(self, remote: str, rsync: str = "rsync") -> None:
-        self.remote = remote.rstrip("/")
-        self.rsync = rsync
-
-    def describe(self) -> str:
-        return self.remote
-
-    def _run(self, args: Sequence[str]) -> None:
-        result = subprocess.run(list(args), capture_output=True, text=True)
-        if result.returncode != 0:
-            raise SyncError(
-                f"rsync failed ({result.returncode}): "
-                f"{result.stderr.strip() or result.stdout.strip()}"
-            )
-
-    def push_files(self, local_root: Path, rel_paths: Sequence[str],
-                   ignore_existing: bool) -> None:
-        """One batched rsync of ``rel_paths`` from ``local_root`` upward."""
-        import tempfile
-
-        if not rel_paths:
-            return
-        with tempfile.NamedTemporaryFile("w", suffix=".list",
-                                         delete=False) as listing:
-            listing.write("\n".join(rel_paths) + "\n")
-            name = listing.name
-        try:
-            args = [self.rsync, "-a", "--relative",
-                    f"--files-from={name}"]
-            if ignore_existing:
-                args.append("--ignore-existing")
-            args += [str(local_root) + "/", self.remote + "/"]
-            self._run(args)
-        finally:
-            try:
-                os.unlink(name)
-            except OSError:
-                pass
-
-    def pull_tree(self, local_root: Path, rel_dirs: Sequence[str]) -> None:
-        """Pull entry files and state subtrees in one recursive rsync.
-
-        ``--update`` keeps the monotonic-state contract approximately
-        (newer wins); entry trust still comes from the post-landing
-        checksum verification, never from rsync itself.
-        """
-        local_root.mkdir(parents=True, exist_ok=True)
-        sources = [f"{self.remote}/{rel}" if rel else f"{self.remote}/"
-                   for rel in rel_dirs]
-        self._run([self.rsync, "-a", "--update", *sources,
-                   str(local_root) + "/"])
+def _read(path: Path) -> Optional[bytes]:
+    try:
+        return path.read_bytes()
+    except OSError:
+        return None
 
 
-Target = Union[DirectoryTarget, RsyncTarget]
-
-#: ``host:/path`` (not a drive letter or a bare path) means rsync.
-_REMOTE_SPEC = re.compile(r"^[A-Za-z0-9_.@-]+:")
-
-
-def parse_target(text: Union[str, os.PathLike, Target]) -> Target:
-    """A sync target from its CLI spelling: remote specs go to rsync,
-    everything else is a directory."""
-    if isinstance(text, (DirectoryTarget, RsyncTarget)):
-        return text
-    spec = str(text)
-    if spec.startswith("rsync://") or _REMOTE_SPEC.match(spec):
-        return RsyncTarget(spec)
-    return DirectoryTarget(spec)
+def _size(path: Path) -> int:
+    try:
+        return path.stat().st_size
+    except OSError:
+        return -1
 
 
-# ---------------------------------------------------------------------------
-# the transport
-# ---------------------------------------------------------------------------
+def _quarantine(root: Path, name: str) -> None:
+    """Move a corrupt cell entry aside on its own side (never delete), so
+    it stops failing verification on every subsequent sync."""
+    try:
+        quarantine = root / QUARANTINE_DIR
+        quarantine.mkdir(parents=True, exist_ok=True)
+        os.replace(root / name, quarantine / name)
+    except OSError:
+        pass
+
+
 def _chunked(items: Sequence[str], size: int) -> Iterable[Sequence[str]]:
     for start in range(0, len(items), size):
         yield items[start:start + size]
 
 
+# ---------------------------------------------------------------------------
+# the transport
+# ---------------------------------------------------------------------------
 class CacheSync:
     """Push/pull cache cells + campaign state between a local root and a
-    shared target (see the module docstring for the full contract)."""
+    shared directory (see the module docstring for the full contract)."""
 
     def __init__(self, local_root: Optional[Union[str, os.PathLike]] = None,
-                 target: Union[str, os.PathLike, Target] = None,
+                 target: Optional[Union[str, os.PathLike]] = None,
                  batch_size: int = DEFAULT_BATCH_SIZE) -> None:
         if target is None:
             raise SyncError("a sync target (shared root) is required")
+        spec = str(target)
+        if spec.startswith("rsync://") or _REMOTE_SPEC.match(spec):
+            raise SyncError(
+                f"remote sync target {spec!r} is not supported: mount the "
+                f"shared root and pass its directory"
+            )
         self.local_root = Path(
             local_root
             or os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR)
         )
-        self.target = parse_target(target)
+        self.shared_root = Path(spec)
         if batch_size < 1:
             raise SyncError(f"batch size must be >= 1 (got {batch_size})")
         self.batch_size = batch_size
-        if (isinstance(self.target, DirectoryTarget)
-                and self.target.root.resolve() == self.local_root.resolve()):
+        if self.shared_root.resolve() == self.local_root.resolve():
             raise SyncError(
-                f"sync target {self.target.describe()} is the local cache "
-                f"root itself — nothing to move"
+                f"sync target {spec} is the local cache root itself — "
+                f"nothing to move"
             )
+
+    def push(self, campaign: Optional[str] = None) -> SyncReport:
+        """Local -> shared: cells first (batched), then campaign state."""
+        return self._transfer("push", self.local_root, self.shared_root,
+                              campaign)
+
+    def pull(self, campaign: Optional[str] = None) -> SyncReport:
+        """Shared -> local: cells first (batched, verified), then state."""
+        return self._transfer("pull", self.shared_root, self.local_root,
+                              campaign)
 
     # ------------------------------------------------------------------
     # campaign cell selection
     # ------------------------------------------------------------------
-    def _campaign_dir(self, campaign: str) -> str:
-        return f"campaigns/{campaign}"
-
     def _manifest_cells(self, campaign: str) -> Optional[Set[str]]:
         """The campaign's planned cell keys as on-disk entry names, from the
-        local manifest or (directory targets) the shared one; ``None`` when
-        neither side has a manifest yet (sync then moves every entry)."""
-        rel = f"{self._campaign_dir(campaign)}/manifest.json"
-        raw: Optional[bytes] = None
-        try:
-            raw = (self.local_root / rel).read_bytes()
-        except OSError:
-            if isinstance(self.target, DirectoryTarget):
-                raw = self.target.read(rel)
+        local manifest or else the shared one; ``None`` when neither side
+        has a manifest yet (sync then moves every entry)."""
+        rel = Path("campaigns", campaign, "manifest.json")
+        raw = _read(self.local_root / rel)
+        if raw is None:
+            raw = _read(self.shared_root / rel)
         if raw is None:
             return None
         try:
@@ -313,189 +212,40 @@ class CacheSync:
         return [name for name in names if name in wanted]
 
     # ------------------------------------------------------------------
-    # push
-    # ------------------------------------------------------------------
-    def push(self, campaign: Optional[str] = None) -> SyncReport:
-        """Local -> shared: cells first (batched), then campaign state."""
-        report = SyncReport("push")
-        local_names = []
-        if self.local_root.is_dir():
-            local_names = [p.name for p in self.local_root.glob(ENTRY_GLOB)
-                           if p.is_file()]
-        names = self._select(local_names, campaign)
-        report.entries_total = len(names)
-        if isinstance(self.target, RsyncTarget):
-            self._push_entries_rsync(names, report)
-        else:
-            self._push_entries_directory(names, report)
-        if campaign is not None:
-            self._sync_state_out(campaign, report)
-        return report
-
-    def _verify_local(self, name: str, report: SyncReport) -> Optional[bytes]:
-        """The verified bytes of a local entry, quarantining corrupt ones."""
-        try:
-            data = (self.local_root / name).read_bytes()
-        except OSError:
-            return None
-        if decode_entry(data) is None:
-            # Never propagate a torn/bit-rotted entry: quarantine it where
-            # it lives (same contract as the disk cache's read path).
-            DirectoryTarget(self.local_root).quarantine_entry(name)
-            report.entries_corrupt += 1
-            return None
-        return data
-
-    def _push_entries_directory(self, names: Sequence[str],
-                                report: SyncReport) -> None:
-        for batch in _chunked(list(names), self.batch_size):
-            report.batches += 1
-            for name in batch:
-                if self.target.exists(name):
-                    report.entries_skipped += 1
-                    continue
-                data = self._verify_local(name, report)
-                if data is None:
-                    continue
-                self.target.write(name, data)
-                report.entries_copied += 1
-
-    def _push_entries_rsync(self, names: Sequence[str],
-                            report: SyncReport) -> None:
-        for batch in _chunked(list(names), self.batch_size):
-            good = [name for name in batch
-                    if self._verify_local(name, report) is not None]
-            if not good:
-                continue
-            report.batches += 1
-            self.target.push_files(self.local_root, good,
-                                   ignore_existing=True)
-            # --ignore-existing makes re-pushes idempotent; without remote
-            # stat access the copied/skipped split is unknowable, so count
-            # the batch members as copied (an upper bound).
-            report.entries_copied += len(good)
-
-    # ------------------------------------------------------------------
-    # pull
-    # ------------------------------------------------------------------
-    def pull(self, campaign: Optional[str] = None) -> SyncReport:
-        """Shared -> local: cells first (batched, verified), then state."""
-        report = SyncReport("pull")
-        if isinstance(self.target, RsyncTarget):
-            self._pull_rsync(campaign, report)
-            return report
-        names = self._select(self.target.list_files("", ENTRY_GLOB), campaign)
+    def _transfer(self, direction: str, src: Path, dst: Path,
+                  campaign: Optional[str]) -> SyncReport:
+        """Copy verified cell entries ``src`` -> ``dst`` in batches, then
+        merge the campaign's state the same way round."""
+        report = SyncReport(direction)
+        names = self._select(_list_files(src, ENTRY_GLOB), campaign)
         report.entries_total = len(names)
         for batch in _chunked(names, self.batch_size):
             report.batches += 1
             for name in batch:
-                if (self.local_root / name).exists():
+                if (dst / name).exists():
                     report.entries_skipped += 1
                     continue
-                data = self.target.read(name)
+                data = _read(src / name)
                 if data is None:
                     continue
                 if decode_entry(data) is None:
-                    # Half-copied or rotten on the shared side: quarantine
-                    # it there so it stops haunting every pull; the cell
-                    # simply re-simulates locally.
-                    self.target.quarantine_entry(name)
+                    # Torn or bit-rotted at the source: quarantine it there
+                    # (same contract as the disk cache's read path); the
+                    # cell simply re-simulates wherever it is missing.
+                    _quarantine(src, name)
                     report.entries_corrupt += 1
                     continue
-                atomic_write_bytes(self.local_root / name, data)
+                atomic_write_bytes(dst / name, data)
                 report.entries_copied += 1
         if campaign is not None:
-            self._sync_state_in(campaign, report)
+            base = Path("campaigns", campaign)
+            _merge_state(src / base, dst / base, report)
         return report
 
-    def _pull_rsync(self, campaign: Optional[str],
-                    report: SyncReport) -> None:
-        rel_dirs: List[str] = [""]
-        if campaign is not None:
-            rel_dirs += [f"{self._campaign_dir(campaign)}/{sub}"
-                         for sub in STATE_DIRS]
-        self.target.pull_tree(self.local_root, rel_dirs)
-        report.batches += 1
-        # Post-landing verification: anything torn in transit fails its
-        # checksum frame here and is quarantined locally before any reader
-        # could trust it.
-        for path in sorted(self.local_root.glob(ENTRY_GLOB)):
-            report.entries_total += 1
-            try:
-                data = path.read_bytes()
-            except OSError:
-                continue
-            if decode_entry(data) is None:
-                DirectoryTarget(self.local_root).quarantine_entry(path.name)
-                report.entries_corrupt += 1
-            else:
-                report.entries_copied += 1
-
-    # ------------------------------------------------------------------
-    # campaign state (events / failures / leases)
-    # ------------------------------------------------------------------
-    def _sync_state_out(self, campaign: str, report: SyncReport) -> None:
-        if isinstance(self.target, RsyncTarget):
-            rels: List[str] = []
-            base = Path(self._campaign_dir(campaign))
-            for sub in STATE_DIRS:
-                directory = self.local_root / base / sub
-                if directory.is_dir():
-                    rels += [str(base / sub / p.name)
-                             for p in sorted(directory.iterdir())
-                             if p.is_file()]
-            if rels:
-                self.target.push_files(self.local_root, rels,
-                                       ignore_existing=False)
-                report.state_copied += len(rels)
-            return
-        local = _StateSide.local(self.local_root, self._campaign_dir(campaign))
-        shared = _StateSide.target(self.target, self._campaign_dir(campaign))
-        _merge_state(local, shared, report)
-
-    def _sync_state_in(self, campaign: str, report: SyncReport) -> None:
-        local = _StateSide.local(self.local_root, self._campaign_dir(campaign))
-        shared = _StateSide.target(self.target, self._campaign_dir(campaign))
-        _merge_state(shared, local, report)
-
 
 # ---------------------------------------------------------------------------
-# state-merge plumbing (one code path for both directions)
+# state merge
 # ---------------------------------------------------------------------------
-@dataclass
-class _StateSide:
-    """Read/write adapter over one side's ``campaigns/<name>/`` directory."""
-
-    reader: object
-    base: str
-    writes_local: bool = False
-    local_root: Optional[Path] = None
-
-    @classmethod
-    def local(cls, root: Path, base: str) -> "_StateSide":
-        return cls(reader=DirectoryTarget(root), base=base,
-                   writes_local=True, local_root=root)
-
-    @classmethod
-    def target(cls, target: DirectoryTarget, base: str) -> "_StateSide":
-        return cls(reader=target, base=base)
-
-    def list(self, sub: str, pattern: str) -> List[str]:
-        return self.reader.list_files(f"{self.base}/{sub}", pattern)
-
-    def read(self, sub: str, name: str) -> Optional[bytes]:
-        return self.reader.read(f"{self.base}/{sub}/{name}")
-
-    def size(self, sub: str, name: str) -> int:
-        return self.reader.size(f"{self.base}/{sub}/{name}")
-
-    def exists(self, sub: str, name: str) -> bool:
-        return self.reader.exists(f"{self.base}/{sub}/{name}")
-
-    def write(self, sub: str, name: str, data: bytes) -> None:
-        self.reader.write(f"{self.base}/{sub}/{name}", data)
-
-
 def _failure_attempts(data: Optional[bytes]) -> int:
     if data is None:
         return -1
@@ -506,50 +256,47 @@ def _failure_attempts(data: Optional[bytes]) -> int:
         return -1
 
 
-def _merge_state(src: _StateSide, dst: _StateSide,
-                 report: SyncReport) -> None:
-    """Monotonic one-way state merge (see module docstring for the rules)."""
+def _merge_state(src: Path, dst: Path, report: SyncReport) -> None:
+    """Monotonic one-way merge of two ``campaigns/<name>/`` directories
+    (see the module docstring for the rules)."""
     # events: append-only journals — copy when strictly longer at the source.
-    for name in src.list("events", "*.jsonl"):
-        if dst.exists("events", name) and (
-                src.size("events", name) <= dst.size("events", name)):
+    for name in _list_files(src / "events", "*.jsonl"):
+        source, dest = src / "events" / name, dst / "events" / name
+        if dest.exists() and _size(source) <= _size(dest):
             report.state_skipped += 1
             continue
-        data = src.read("events", name)
+        data = _read(source)
         if data is not None:
-            dst.write("events", name, data)
+            atomic_write_bytes(dest, data)
             report.state_copied += 1
     # failures: a record advances by attempt count (retry/poison state rides
     # along); equal-or-lower attempt counts never overwrite.
-    for name in src.list("failures", "*.json"):
-        src_data = src.read("failures", name)
-        if src_data is None:
+    for name in _list_files(src / "failures", "*.json"):
+        data = _read(src / "failures" / name)
+        if data is None:
             continue
-        if (_failure_attempts(src_data)
-                <= _failure_attempts(dst.read("failures", name))):
+        dest = dst / "failures" / name
+        if _failure_attempts(data) <= _failure_attempts(_read(dest)):
             report.state_skipped += 1
             continue
-        dst.write("failures", name, src_data)
+        atomic_write_bytes(dest, data)
         report.state_copied += 1
     # leases: advisory work claims — copy only when absent (TTL expiry
     # handles staleness on whichever host observes them).
-    for name in src.list("leases", "*.json"):
-        if dst.exists("leases", name):
+    for name in _list_files(src / "leases", "*.json"):
+        dest = dst / "leases" / name
+        if dest.exists():
             report.state_skipped += 1
             continue
-        data = src.read("leases", name)
+        data = _read(src / "leases" / name)
         if data is not None:
-            dst.write("leases", name, data)
+            atomic_write_bytes(dest, data)
             report.state_copied += 1
 
 
 __all__ = [
     "CacheSync",
     "DEFAULT_BATCH_SIZE",
-    "DirectoryTarget",
-    "RsyncTarget",
-    "STATE_DIRS",
     "SyncError",
     "SyncReport",
-    "parse_target",
 ]

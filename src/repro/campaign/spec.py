@@ -19,7 +19,7 @@ result cache.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import SystemConfig
@@ -274,9 +274,6 @@ class CampaignSpec:
                 if name not in names:
                     names.append(name)
         return names
-
-    def with_window(self, warmup: Optional[int], timed: Optional[int]) -> "CampaignSpec":
-        return replace(self, warmup_instructions=warmup, timed_instructions=timed)
 
     # ------------------------------------------------------------------
     # dict / JSON form

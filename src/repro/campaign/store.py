@@ -281,14 +281,6 @@ class CampaignStore:
         """
         _atomic_write_json(self._failure_path(key), dict(record))
 
-    def clear_failure(self, key: str) -> None:
-        """Forget a cell's failure record (used by tests/manual resets; a
-        successful retry deliberately keeps the record for audit)."""
-        try:
-            self._failure_path(key).unlink()
-        except OSError:
-            pass
-
     def failures(self) -> Dict[str, Dict[str, object]]:
         """Every cell failure record, keyed by cell content key."""
         records: Dict[str, Dict[str, object]] = {}

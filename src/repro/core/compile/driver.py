@@ -305,17 +305,15 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
 
     cb_on_commit = None
     commit_filter = 0
-    commit_mask = 0
     commit_pcs = _EMPTY_Q
     n_commit_pcs = 0
     if plan.has_on_commit:
         hook_on_commit = hooks.on_commit
-        mask = fast.commit_flag_mask if fast is not None else None
-        if mask is not None:
+        declared = fast.commit_pcs if fast is not None else None
+        if declared is not None:
             commit_filter = 1
-            commit_mask = mask
-            if fast.commit_pcs:
-                commit_pcs = array("q", sorted(fast.commit_pcs))
+            if declared:
+                commit_pcs = array("q", sorted(declared))
                 n_commit_pcs = len(commit_pcs)
 
         def cb_on_commit():
@@ -373,8 +371,7 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
         num_regs=decoded.num_regs,
         hist_capacity=hist_capacity,
         hist_sample=4,
-        commit_filter=commit_filter, commit_mask=commit_mask,
-        n_commit_pcs=n_commit_pcs,
+        commit_filter=commit_filter, n_commit_pcs=n_commit_pcs,
         ctrl_native=ctrl_native,
         branch_mispredict_penalty=float(cfg.branch_mispredict_penalty),
         ba=decoded.ba, flags=decoded.flags, ea=decoded.ea, lat=decoded.lat,

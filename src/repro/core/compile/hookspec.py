@@ -5,9 +5,9 @@ source that knows more about its own behaviour declares it here, and the
 compiled kernel then does the work itself or calls back only where a call
 can matter:
 
-* **Sparse commit hook** (``commit_flag_mask`` / ``commit_pcs``): fire
-  ``on_commit`` only for instructions whose decoded flags intersect the mask
-  or whose PC is declared.  A skipped call must be an observable no-op.
+* **Sparse commit hook** (``commit_pcs``): fire ``on_commit`` only for
+  instructions whose PC is declared.  A skipped call must be an observable
+  no-op.
 * **Load-miss log** (``load_miss_log``): the kernel appends
   ``(issue_cycle, address)`` for every load missing the L1 in place of an
   ``on_memory_access`` hook that did only that.
@@ -128,10 +128,9 @@ class HintUnit:
 class CompiledHookSpec:
     """Optional kernel-side declarations for one set of CoreHooks."""
 
-    #: ``on_commit`` filter: fire only when the instruction's decoded flags
-    #: intersect the mask or its PC is in the sorted tuple.
-    commit_flag_mask: Optional[int] = None
-    commit_pcs: Tuple[int, ...] = ()
+    #: ``on_commit`` filter: fire only when the instruction's PC is in the
+    #: tuple (an empty tuple never fires); ``None`` fires on every commit.
+    commit_pcs: Optional[Tuple[int, ...]] = None
 
     #: ``on_memory_access`` replacement: a hook that only appends
     #: ``(issue_cycle, address)`` for every load missing the L1 may declare

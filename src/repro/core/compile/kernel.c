@@ -750,7 +750,6 @@ run_tick_loop(PyObject *self, PyObject *args)
     int64_t hist_capacity = get_int(spec, "hist_capacity", &err);
     int64_t hist_sample = get_int(spec, "hist_sample", &err);
     int64_t commit_filter = get_int(spec, "commit_filter", &err);
-    int64_t commit_mask = get_int(spec, "commit_mask", &err);
     int64_t n_commit_pcs = get_int(spec, "n_commit_pcs", &err);
     int64_t ctrl_native = get_int(spec, "ctrl_native", &err);
     double bmp = get_float(spec, "branch_mispredict_penalty", &err);
@@ -1319,7 +1318,7 @@ run_tick_loop(PyObject *self, PyObject *args)
         }
 
         if (cb_on_commit != NULL &&
-            (!commit_filter || (f & commit_mask) ||
+            (!commit_filter ||
              (n_commit_pcs && in_sorted(commit_pcs, n_commit_pcs, pc[i])))) {
             comm[B_I] = (double)i;
             comm[B_T0] = commit_time;

@@ -170,7 +170,6 @@ class MainThreadHintSource:
         unit = self.unit
         t1 = self.t1
         fast = CompiledHookSpec(
-            commit_flag_mask=0,
             commit_pcs=tuple(sorted(t1.marked_pcs)) if t1 is not None else (),
             hint_unit=unit,
         )

@@ -6,13 +6,11 @@ creating cycles.
 """
 
 from repro.util.bloom import BloomFilter
-from repro.util.fifo import BoundedFifo
 from repro.util.rng import DeterministicRng
 from repro.util.stats_math import geometric_mean, harmonic_mean, normalize
 
 __all__ = [
     "BloomFilter",
-    "BoundedFifo",
     "DeterministicRng",
     "geometric_mean",
     "harmonic_mean",

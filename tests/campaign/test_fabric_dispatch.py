@@ -104,7 +104,7 @@ def _single_host_reference(tmp_path, monkeypatch, spec_file, name,
 # ---------------------------------------------------------------------------
 def test_dry_run_renders_slurm_scripts_without_submitting(isolated):
     spec = _fig_spec()
-    plan = Dispatcher(spec, backend="slurm", hosts=3,
+    plan = Dispatcher(spec, backend="slurm", hosts=3, processes=4,
                       progress=None).dispatch(dry_run=True)
     assert len(plan.jobs) == 3
     assert plan.cells_planned == 3
@@ -112,6 +112,8 @@ def test_dry_run_renders_slurm_scripts_without_submitting(isolated):
         script = job.script_path.read_text()
         assert script.startswith("#!/bin/bash")
         assert "#SBATCH --job-name=" in script
+        assert "#SBATCH --cpus-per-task=4\n" in script
+        assert "--processes 4" in script
         assert f"--shard {index}/3" in script
         assert f'> "{job.sentinel_path}"' in script          # EXIT trap
         assert f'export REPRO_CACHE_DIR="{job.cache_root}"' in script

@@ -11,8 +11,8 @@ dispatcher and CI:
 * campaign state merges monotonically: journals by size, failure records
   by attempt count, leases copy only when absent;
 * a campaign filter restricts cell movement to the manifest's keys;
-* rsync targets build batched ``rsync`` command lines (no network in CI —
-  subprocess is monkeypatched).
+* a remote (``host:/path``) target is refused, never taken for a local
+  directory.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ import pickle
 
 import pytest
 
-from repro.campaign.fabric.sync import (
-    CacheSync, DirectoryTarget, RsyncTarget, SyncError, parse_target,
-)
+from repro.campaign.cli import main
+from repro.campaign.fabric.sync import CacheSync, SyncError
 from repro.experiments.cache import QUARANTINE_DIR, encode_entry, salted_key
 
 
@@ -193,83 +192,14 @@ def test_state_merge_is_monotonic(roots):
 
 
 # ---------------------------------------------------------------------------
-# rsync targets (command construction only)
+# remote targets
 # ---------------------------------------------------------------------------
-def test_parse_target_distinguishes_remotes_from_directories(tmp_path):
-    assert isinstance(parse_target(tmp_path), DirectoryTarget)
-    assert isinstance(parse_target("relative/dir"), DirectoryTarget)
-    assert isinstance(parse_target("host:/srv/cache"), RsyncTarget)
-    assert isinstance(parse_target("user@host:/srv/cache"), RsyncTarget)
-    assert isinstance(parse_target("rsync://host/cache"), RsyncTarget)
-
-
-def test_rsync_push_builds_batched_ignore_existing_commands(
-        roots, monkeypatch):
-    local, _ = roots
-    for i in range(3):
-        _write_entry(local, f"cell-{i}")
-    calls = []
-
-    class _Result:
-        returncode = 0
-        stdout = stderr = ""
-
-    def fake_run(args, **kwargs):
-        listing = [a for a in args if a.startswith("--files-from=")]
-        names = []
-        if listing:
-            with open(listing[0].split("=", 1)[1]) as handle:
-                names = handle.read().split()
-        calls.append((list(args), names))
-        return _Result()
-
-    import repro.campaign.fabric.sync as sync_mod
-    monkeypatch.setattr(sync_mod.subprocess, "run", fake_run)
-
-    report = CacheSync(local_root=local, target="host:/srv/cache",
-                       batch_size=2).push()
-    assert report.batches == 2
-    assert len(calls) == 2
-    for args, names in calls:
-        assert args[0] == "rsync" and "--ignore-existing" in args
-        assert args[-1] == "host:/srv/cache/"
-        assert all(name.endswith(".pkl") for name in names)
-    assert sum(len(names) for _, names in calls) == 3
-
-
-def test_rsync_pull_verifies_entries_after_landing(roots, monkeypatch):
-    local, _ = roots
-
-    class _Result:
-        returncode = 0
-        stdout = stderr = ""
-
-    def fake_run(args, **kwargs):
-        # Simulate rsync landing one good and one torn entry.
-        _write_entry(local, "good")
-        _write_torn_entry(local, "torn")
-        return _Result()
-
-    import repro.campaign.fabric.sync as sync_mod
-    monkeypatch.setattr(sync_mod.subprocess, "run", fake_run)
-
-    report = CacheSync(local_root=local, target="host:/srv/cache").pull()
-    assert report.entries_copied == 1 and report.entries_corrupt == 1
-    assert not (local / "torn.pkl").exists()
-    assert (local / QUARANTINE_DIR / "torn.pkl").exists()
-
-
-def test_rsync_failure_raises_sync_error(roots, monkeypatch):
-    local, _ = roots
-    _write_entry(local, "cell")
-
-    class _Result:
-        returncode = 23
-        stdout = ""
-        stderr = "some files could not be transferred"
-
-    import repro.campaign.fabric.sync as sync_mod
-    monkeypatch.setattr(sync_mod.subprocess, "run",
-                        lambda args, **kwargs: _Result())
-    with pytest.raises(SyncError):
-        CacheSync(local_root=local, target="host:/srv/cache").push()
+def test_remote_target_is_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for spec in ("host:/srv/cache", "user@host:/srv/cache",
+                 "rsync://host/cache"):
+        with pytest.raises(SyncError, match="mount the shared root"):
+            CacheSync(local_root=tmp_path / "local", target=spec)
+    assert main(["sync", "push", "--shared", "user@host:/x"]) != 0
+    assert "mount the shared root" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []

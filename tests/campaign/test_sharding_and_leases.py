@@ -487,7 +487,7 @@ def test_pytest_shard_option_partitions_collection():
     from pathlib import Path
 
     repo_root = Path(__file__).resolve().parents[2]
-    target = "tests/util/test_fifo.py"
+    target = "tests/util/test_bloom.py"
 
     def spawn(shard=None):
         cmd = [sys.executable, "-m", "pytest", target, "--collect-only", "-q"]

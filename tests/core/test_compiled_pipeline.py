@@ -448,6 +448,32 @@ def test_lookahead_pass_keeps_fast_accessors(prepared, monkeypatch):
     assert not generic.log_load_misses and not generic.native_data_hits
 
 
+@pytest.mark.parametrize("declared", ["none", "empty", "two"])
+def test_declared_commit_pcs_are_the_whole_commit_filter(prepared, monkeypatch,
+                                                         declared):
+    """Compiled, an undeclared PC set fires ``on_commit`` on every commit, a
+    declared one only at its PCs, and a declared empty one never."""
+    from repro.core.compile.hookspec import CompiledHookSpec
+
+    _, warmup, timed, _, _ = prepared["branchy"]
+    pcs = {"none": None, "empty": (),
+           "two": tuple(sorted({e.static.pc for e in timed})[:2])}[declared]
+    fired = []
+    hooks = CoreHooks(
+        on_commit=lambda entry, cycle: fired.append(entry.seq),
+        fast_hints=CompiledHookSpec(commit_pcs=pcs))
+    _, _, core = build_single_core(SystemConfig())
+    _fast(monkeypatch)
+    ticks = compiled_ticks_total()
+    core.run(timed, hooks=hooks)
+    if not kernel_available():
+        pytest.skip("no C compiler / kernel build failed: fast path inert")
+    assert compiled_ticks_total() > ticks
+    assert fired == [entry.seq for entry in timed
+                     if pcs is None or entry.static.pc in pcs]
+    assert fired or declared == "empty"
+
+
 @pytest.mark.parametrize("config_name", ["default", "l1_stride"])
 def test_generic_memory_hook_matches_reference(prepared, monkeypatch,
                                                config_name):
