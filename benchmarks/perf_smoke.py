@@ -15,12 +15,14 @@ Usage::
 ``--require-compiled`` additionally asserts that the compiled tick pipeline
 actually carried the simulations (``compiled_ticks > 0`` in the runner
 stats), the setups' profiling timing passes (``setup_compiled_ticks >
-0``), the L1/TLB hits (``native_mem_hits > 0``) and the DLA cells' branch
-hints (``native_hint_branches > 0``), and exits with status 2 otherwise —
+0``), the L1/TLB hits (``native_mem_hits > 0``), the DLA cells' branch
+hints (``native_hint_branches > 0``) and the workloads' functional
+emulation (``native_emulated > 0``), and exits with status 2 otherwise —
 in CI this turns a silent fallback to the reference interpreter, to the
-Python memory accessors or to the Python hint hooks (no C compiler on the
-runner, a kernel build break, a non-stock cache type or branch unit) into
-a red job instead of a quietly slower number.
+Python memory accessors, to the Python hint hooks or to the Python
+emulator (no C compiler on the runner, a kernel build break, a non-stock
+cache type or branch unit) into a red job instead of a quietly slower
+number.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     from repro.core.compile import (
         compiled_ticks_total,
         kernel_available,
+        native_emulated_total,
         native_hint_branches_total,
         native_mem_hits_total,
     )
@@ -54,6 +57,7 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     kernel_available()
     native_hits = native_mem_hits_total()
     hint_branches = native_hint_branches_total()
+    emulated = native_emulated_total()
     started = time.perf_counter()
     # Fresh in-memory caches and no disk cache: measure real simulation speed.
     runner = ExperimentRunner(quick=True,
@@ -90,6 +94,7 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     payload["native_mem_hits"] = native_mem_hits_total() - native_hits
     payload["native_hint_branches"] = (native_hint_branches_total()
                                        - hint_branches)
+    payload["native_emulated"] = native_emulated_total() - emulated
     print(f"perf_smoke[{workload}+{memory_workload}]: "
           f"{payload['simulations']} simulations, "
           f"{payload['simulated_instructions']} instructions in {wall:.2f}s "
@@ -98,7 +103,7 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
           f"contended, {payload['compiled_ticks']} compiled ticks, "
           f"{setup_ticks} in setup, {payload['native_mem_hits']} native "
           f"L1/TLB hits, {payload['native_hint_branches']} native hint "
-          f"branches)")
+          f"branches, {payload['native_emulated']} natively emulated)")
     return payload
 
 
@@ -109,11 +114,12 @@ def _parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument(
         "--require-compiled", action="store_true",
         help="exit 2 unless the compiled tick pipeline carried the runs, "
-             "the setups' profiling passes, the L1/TLB hits and the DLA "
-             "branch hints (compiled_ticks, setup_compiled_ticks, "
-             "native_mem_hits and native_hint_branches all > 0); guards CI "
-             "against a silent fallback to the reference interpreter, the "
-             "Python memory accessors or the Python hint hooks",
+             "the setups' profiling passes, the L1/TLB hits, the DLA "
+             "branch hints and the functional emulation (compiled_ticks, "
+             "setup_compiled_ticks, native_mem_hits, native_hint_branches "
+             "and native_emulated all > 0); guards CI against a silent "
+             "fallback to the reference interpreter, the Python memory "
+             "accessors, the Python hint hooks or the Python emulator",
     )
     return parser.parse_args(argv)
 
@@ -123,7 +129,8 @@ if __name__ == "__main__":
     result = main(cli_args.workload, cli_args.memory_workload)
     if cli_args.require_compiled:
         for key in ("compiled_ticks", "setup_compiled_ticks",
-                    "native_mem_hits", "native_hint_branches"):
+                    "native_mem_hits", "native_hint_branches",
+                    "native_emulated"):
             if result.get(key, 0) <= 0:
                 print(f"perf_smoke: compiled tick pipeline did not engage "
                       f"({key} == 0) but --require-compiled was set",

@@ -54,7 +54,10 @@ def simulate_bfetch(
     bfetch = bfetch or BFetchConfig()
     if isinstance(entries, Trace):
         entries = entries.entries
-    entries = list(entries)
+    elif not isinstance(entries, list):
+        # A list is used as given: the run never mutates it, and a stable
+        # id lets the decoded-trace memo hit on the window's other cells.
+        entries = list(entries)
 
     shared, private, core = build_single_core(config)
     if warmup_entries:

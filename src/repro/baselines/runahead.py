@@ -62,7 +62,10 @@ def simulate_cre(
     cre = cre or ContinuousRunaheadConfig()
     if isinstance(entries, Trace):
         entries = entries.entries
-    entries = list(entries)
+    elif not isinstance(entries, list):
+        # A list is used as given: the run never mutates it, and a stable
+        # id lets the decoded-trace memo hit on the window's other cells.
+        entries = list(entries)
 
     analysis = StaticAnalysis.analyze(program)
     delinquent: List[int] = [

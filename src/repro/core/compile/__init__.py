@@ -48,6 +48,9 @@ _native_mem_hits = 0
 #: Branch hints the kernel's native DLA hint unit delivered.
 _native_hint_branches = 0
 
+#: Instructions the kernel's functional emulator executed.
+_native_emulated = 0
+
 
 def fast_pipeline_enabled() -> bool:
     return os.environ.get(FAST_PIPELINE_ENV, "1").strip().lower() not in _FALSEY
@@ -78,13 +81,29 @@ def _add_native_hint_branches(count: int) -> None:
     _native_hint_branches += count
 
 
-def kernel_available() -> bool:
-    """Whether the compiled kernel can be (or has been) loaded."""
+def native_emulated_total() -> int:
+    """Process-wide count of instructions the native emulator executed."""
+    return _native_emulated
+
+
+def _add_native_emulated(count: int) -> None:
+    global _native_emulated
+    _native_emulated += count
+
+
+def native_kernel():
+    """The compiled kernel module, or ``None`` under the kill-switch or
+    when it cannot be built."""
     if not fast_pipeline_enabled():
-        return False
+        return None
     from repro.core.compile.build import load_kernel
 
-    return load_kernel() is not None
+    return load_kernel()
+
+
+def kernel_available() -> bool:
+    """Whether the compiled kernel can be (or has been) loaded."""
+    return native_kernel() is not None
 
 
 def maybe_run_compiled(core, entries: Sequence, hooks, start_cycle: float,
@@ -95,11 +114,7 @@ def maybe_run_compiled(core, entries: Sequence, hooks, start_cycle: float,
     kill-switch is set or the kernel failed to build.
     """
     global _compiled_ticks
-    if not fast_pipeline_enabled():
-        return None
-    from repro.core.compile.build import load_kernel
-
-    kernel = load_kernel()
+    kernel = native_kernel()
     if kernel is None:
         return None
     from repro.core.compile.driver import run_compiled

@@ -132,24 +132,12 @@ def _decode_static_row(static) -> tuple:
     return row
 
 
-def _decode_kernel():
-    """The compiled kernel when it may carry decoding, else ``None``."""
-    from repro.core.compile import fast_pipeline_enabled
-
-    if not fast_pipeline_enabled():
-        return None
-    from repro.core.compile.build import load_kernel
-
-    kernel = load_kernel()
-    if kernel is not None and hasattr(kernel, "decode_trace_flat"):
-        return kernel
-    return None
-
-
 def decode_trace(entries: Sequence[DynamicInst]) -> DecodedTrace:
     n = len(entries)
     if isinstance(entries, list):
-        kernel = _decode_kernel()
+        from repro.core.compile import native_kernel
+
+        kernel = native_kernel()
         if kernel is not None:
             (b_ba, b_flags, b_ea, b_lat, b_dst, b_sb, b_srcs, b_off,
              b_seq, b_pcs, b_nxt, num_regs) = kernel.decode_trace_flat(

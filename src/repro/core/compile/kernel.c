@@ -9,6 +9,7 @@
  * (replay_warmup) over the same hit path. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h>
 #include <stdint.h>
 #include <string.h>
 #include <math.h>
@@ -1670,6 +1671,504 @@ done:
     return ret;
 }
 
+/* ------------------------------------------------------------------ */
+/* Functional emulation: repro.emulator.machine.Emulator's loop.        */
+/*                                                                      */
+/* Runs a program from its entry point to HALT or the instruction       */
+/* limit over the static table _static_table() builds (opcode, dst, two */
+/* sources, immediate, target per instruction; the data image as       */
+/* address/value columns) and returns the trace columns plus the final  */
+/* architectural state.  Every value is an int64 wrapped exactly as     */
+/* Emulator._to_signed wraps it: arithmetic is done on uint64, division */
+/* floors like Python's // and %, and a zero divisor yields 0.          */
+/* ------------------------------------------------------------------ */
+
+/* opcode numbering (must match machine.py's _NATIVE_OPCODES) */
+enum {
+    OP_ADD, OP_SUB, OP_AND, OP_OR, OP_XOR, OP_SHL, OP_SHR, OP_SLT, OP_SEQ,
+    OP_ADDI, OP_ANDI, OP_LI, OP_MOV, OP_MUL, OP_DIV, OP_MOD, OP_FADD,
+    OP_FMUL, OP_FDIV, OP_LOAD, OP_STORE, OP_BEQZ, OP_BNEZ, OP_BLT, OP_BGE,
+    OP_JUMP, OP_CALL, OP_RET, OP_HALT, OP_NOP, OP_COUNT
+};
+
+/* trace flag bits (must match emulator/trace.py) */
+#define T_HAS_RESULT 1
+#define T_HAS_EA     2
+#define T_CONTROL    4
+#define T_TAKEN      8
+
+#define EMU_REGISTERS 32
+
+/* Sparse data memory: open addressing on int64 addresses, unmapped
+ * addresses read 0.  A slot's state is 0 (empty), 1 (image) or 2
+ * (stored by the program; returned so the caller's dict sees it). */
+typedef struct {
+    int64_t *keys;
+    int64_t *vals;
+    uint8_t *state;
+    size_t mask;
+    size_t used;
+} emem_t;
+
+static inline size_t
+emem_hash(int64_t key)
+{
+    uint64_t x = (uint64_t)key;
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdULL;
+    x ^= x >> 33;
+    return (size_t)x;
+}
+
+static int
+emem_init(emem_t *m, size_t expected)
+{
+    size_t cap = 64;
+    while (cap < 2 * expected + 64)
+        cap *= 2;
+    m->keys = (int64_t *)malloc(cap * sizeof(int64_t));
+    m->vals = (int64_t *)malloc(cap * sizeof(int64_t));
+    m->state = (uint8_t *)calloc(cap, 1);
+    m->mask = cap - 1;
+    m->used = 0;
+    if (!m->keys || !m->vals || !m->state) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
+static void
+emem_free(emem_t *m)
+{
+    free(m->keys);
+    free(m->vals);
+    free(m->state);
+}
+
+static inline size_t
+emem_slot(const emem_t *m, int64_t key)
+{
+    size_t i = emem_hash(key) & m->mask;
+    while (m->state[i] && m->keys[i] != key)
+        i = (i + 1) & m->mask;
+    return i;
+}
+
+static int
+emem_grow(emem_t *m)
+{
+    emem_t bigger;
+    if (emem_init(&bigger, m->mask + 1) < 0) {
+        emem_free(&bigger);
+        return -1;
+    }
+    for (size_t i = 0; i <= m->mask; i++) {
+        if (m->state[i]) {
+            size_t j = emem_slot(&bigger, m->keys[i]);
+            bigger.keys[j] = m->keys[i];
+            bigger.vals[j] = m->vals[i];
+            bigger.state[j] = m->state[i];
+        }
+    }
+    bigger.used = m->used;
+    emem_free(m);
+    *m = bigger;
+    return 0;
+}
+
+static int
+emem_put(emem_t *m, int64_t key, int64_t value, uint8_t state)
+{
+    size_t i = emem_slot(m, key);
+    if (!m->state[i]) {
+        if (2 * (m->used + 1) > m->mask + 1) {
+            if (emem_grow(m) < 0)
+                return -1;
+            i = emem_slot(m, key);
+        }
+        m->keys[i] = key;
+        m->used++;
+    }
+    m->vals[i] = value;
+    m->state[i] = state;
+    return 0;
+}
+
+static inline int64_t
+emem_get(const emem_t *m, int64_t key)
+{
+    size_t i = emem_slot(m, key);
+    return m->state[i] ? m->vals[i] : 0;
+}
+
+/* A growable output column of fixed-size items. */
+typedef struct {
+    char *data;
+    size_t item;
+    size_t len;
+    size_t cap;
+} ecol_t;
+
+static int
+ecol_reserve(ecol_t *c, size_t want)
+{
+    if (want <= c->cap)
+        return 0;
+    size_t cap = c->cap ? c->cap : 1024;
+    while (cap < want)
+        cap *= 2;
+    char *grown = (char *)realloc(c->data, cap * c->item);
+    if (grown == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    c->data = grown;
+    c->cap = cap;
+    return 0;
+}
+
+static PyObject *
+ecol_bytes(const ecol_t *c)
+{
+    return PyBytes_FromStringAndSize(c->data ? c->data : "",
+                                     (Py_ssize_t)(c->len * c->item));
+}
+
+/* Python's floor division / modulo on int64, 0 on a zero divisor; the
+ * one overflowing quotient (INT64_MIN // -1) wraps like _to_signed. */
+static inline int64_t
+emu_floordiv(int64_t a, int64_t b)
+{
+    if (b == 0)
+        return 0;
+    if (b == -1)
+        return (int64_t)(0 - (uint64_t)a);
+    int64_t q = a / b;
+    if ((a % b != 0) && ((a < 0) != (b < 0)))
+        q -= 1;
+    return q;
+}
+
+static inline int64_t
+emu_mod(int64_t a, int64_t b)
+{
+    if (b == 0 || b == -1)
+        return 0;
+    int64_t r = a % b;
+    if (r != 0 && ((r < 0) != (b < 0)))
+        r += b;
+    return r;
+}
+
+static int
+emu_buffer(Py_buffer *view, Py_ssize_t itemsize, Py_ssize_t count,
+           const char *name)
+{
+    if (view->len != itemsize * count) {
+        PyErr_Format(PyExc_ValueError, "emulate: column %s has %zd bytes, "
+                     "expected %zd", name, view->len, itemsize * count);
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+emulate(PyObject *self, PyObject *args)
+{
+    Py_buffer v_op = {0}, v_dst = {0}, v_s0 = {0}, v_s1 = {0};
+    Py_buffer v_imm = {0}, v_target = {0}, v_addr = {0}, v_val = {0};
+    long long entry, limit;
+    if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*y*y*LL", &v_op, &v_dst, &v_s0,
+                          &v_s1, &v_imm, &v_target, &v_addr, &v_val,
+                          &entry, &limit))
+        return NULL;
+
+    PyObject *ret = NULL;
+    emem_t mem = {0};
+    ecol_t c_pc = {NULL, sizeof(int32_t), 0, 0};
+    ecol_t c_ea = {NULL, sizeof(int64_t), 0, 0};
+    ecol_t c_res = {NULL, sizeof(int64_t), 0, 0};
+    ecol_t c_flags = {NULL, sizeof(uint8_t), 0, 0};
+    ecol_t c_next = {NULL, sizeof(int32_t), 0, 0};
+    ecol_t c_at = {NULL, sizeof(int64_t), 0, 0};
+    ecol_t c_stored = {NULL, sizeof(int64_t), 0, 0};
+    int64_t regs[EMU_REGISTERS] = {0};
+
+    Py_ssize_t size = v_op.len;
+    Py_ssize_t ndata = v_addr.len / (Py_ssize_t)sizeof(int64_t);
+    if (emu_buffer(&v_dst, 1, size, "dst") < 0 ||
+        emu_buffer(&v_s0, 1, size, "src0") < 0 ||
+        emu_buffer(&v_s1, 1, size, "src1") < 0 ||
+        emu_buffer(&v_imm, sizeof(int64_t), size, "imm") < 0 ||
+        emu_buffer(&v_target, sizeof(int32_t), size, "target") < 0 ||
+        emu_buffer(&v_val, sizeof(int64_t), ndata, "values") < 0)
+        goto done;
+    const int8_t *op = (const int8_t *)v_op.buf;
+    const int8_t *dst = (const int8_t *)v_dst.buf;
+    const int8_t *s0 = (const int8_t *)v_s0.buf;
+    const int8_t *s1 = (const int8_t *)v_s1.buf;
+    const int64_t *imm = (const int64_t *)v_imm.buf;
+    const int32_t *target = (const int32_t *)v_target.buf;
+    const int64_t *addr = (const int64_t *)v_addr.buf;
+    const int64_t *val = (const int64_t *)v_val.buf;
+    for (Py_ssize_t k = 0; k < size; k++) {
+        if (op[k] < 0 || op[k] >= OP_COUNT || dst[k] >= EMU_REGISTERS ||
+            s0[k] < 0 || s0[k] >= EMU_REGISTERS || s1[k] < 0 ||
+            s1[k] >= EMU_REGISTERS) {
+            PyErr_Format(PyExc_ValueError, "emulate: bad static row %zd", k);
+            goto done;
+        }
+    }
+    if (entry < 0 || entry >= size) {
+        PyErr_SetString(PyExc_ValueError, "emulate: entry point out of range");
+        goto done;
+    }
+
+    if (emem_init(&mem, (size_t)ndata) < 0)
+        goto done;
+    for (Py_ssize_t k = 0; k < ndata; k++)
+        if (emem_put(&mem, addr[k], val[k], 1) < 0)
+            goto done;
+
+    int64_t pc = entry;
+    int halted = 0;
+    long long count = 0;
+    while (!halted && count < limit) {
+        if ((size_t)count >= c_pc.cap &&
+            (ecol_reserve(&c_pc, count + 1) < 0 ||
+             ecol_reserve(&c_ea, count + 1) < 0 ||
+             ecol_reserve(&c_res, count + 1) < 0 ||
+             ecol_reserve(&c_flags, count + 1) < 0 ||
+             ecol_reserve(&c_next, count + 1) < 0))
+            goto done;
+        int64_t a = regs[s0[pc]];
+        int64_t b = regs[s1[pc]];
+        uint64_t value = 0;
+        int64_t ea = 0;
+        int writes = 1;
+        uint8_t flags = 0;
+        int64_t next = pc + 1;
+        switch (op[pc]) {
+        case OP_ADD: case OP_FADD: value = (uint64_t)a + (uint64_t)b; break;
+        case OP_SUB: value = (uint64_t)a - (uint64_t)b; break;
+        case OP_AND: value = (uint64_t)(a & b); break;
+        case OP_OR: value = (uint64_t)(a | b); break;
+        case OP_XOR: value = (uint64_t)(a ^ b); break;
+        case OP_SHL: value = (uint64_t)a << (b & 63); break;
+        case OP_SHR: value = (uint64_t)a >> (b & 63); break;
+        case OP_SLT: value = a < b; break;
+        case OP_SEQ: value = a == b; break;
+        case OP_ADDI: value = (uint64_t)a + (uint64_t)imm[pc]; break;
+        case OP_ANDI: value = (uint64_t)(a & imm[pc]); break;
+        case OP_LI: value = (uint64_t)imm[pc]; break;
+        case OP_MOV: value = (uint64_t)a; break;
+        case OP_MUL: case OP_FMUL: value = (uint64_t)a * (uint64_t)b; break;
+        case OP_DIV: case OP_FDIV: value = (uint64_t)emu_floordiv(a, b); break;
+        case OP_MOD: value = (uint64_t)emu_mod(a, b); break;
+        case OP_LOAD:
+        case OP_STORE:
+            if (__builtin_add_overflow(a, imm[pc], &ea)) {
+                PyErr_Format(PyExc_OverflowError, "effective address of pc "
+                             "%lld exceeds 64 bits", (long long)pc);
+                goto done;
+            }
+            flags = T_HAS_EA;
+            if (op[pc] == OP_LOAD) {
+                value = (uint64_t)emem_get(&mem, ea);
+            } else {
+                writes = 0;
+                if (emem_put(&mem, ea, b, 2) < 0)
+                    goto done;
+            }
+            break;
+        case OP_BEQZ: case OP_BNEZ: case OP_BLT: case OP_BGE: {
+            int taken = op[pc] == OP_BEQZ ? a == 0
+                      : op[pc] == OP_BNEZ ? a != 0
+                      : op[pc] == OP_BLT ? a < b : a >= b;
+            writes = 0;
+            flags = T_CONTROL | (taken ? T_TAKEN : 0);
+            if (taken)
+                next = target[pc];
+            break;
+        }
+        case OP_JUMP:
+            writes = 0;
+            flags = T_CONTROL | T_TAKEN;
+            next = target[pc];
+            break;
+        case OP_CALL:
+            value = (uint64_t)(pc + 1);
+            flags = T_CONTROL | T_TAKEN;
+            next = target[pc];
+            break;
+        case OP_RET:
+            writes = 0;
+            flags = T_CONTROL | T_TAKEN;
+            next = a;
+            break;
+        case OP_HALT:
+            writes = 0;
+            halted = 1;
+            next = pc;
+            break;
+        default: /* OP_NOP */
+            writes = 0;
+            break;
+        }
+        if (next < 0 || next >= size) {
+            PyErr_Format(PyExc_RuntimeError,
+                         "control transfer to invalid pc %lld from pc %lld",
+                         (long long)next, (long long)pc);
+            goto done;
+        }
+        int64_t result = 0;
+        if (writes && dst[pc] > 0) {
+            result = (int64_t)value;
+            regs[dst[pc]] = result;
+            flags |= T_HAS_RESULT;
+        }
+        ((int32_t *)c_pc.data)[count] = (int32_t)pc;
+        ((int64_t *)c_ea.data)[count] = ea;
+        ((int64_t *)c_res.data)[count] = result;
+        ((uint8_t *)c_flags.data)[count] = flags;
+        ((int32_t *)c_next.data)[count] = (int32_t)next;
+        count++;
+        pc = next;
+    }
+    c_pc.len = c_ea.len = c_res.len = c_flags.len = c_next.len = (size_t)count;
+
+    for (size_t i = 0; i <= mem.mask; i++) {
+        if (mem.state[i] != 2)
+            continue;
+        if (ecol_reserve(&c_at, c_at.len + 1) < 0 ||
+            ecol_reserve(&c_stored, c_stored.len + 1) < 0)
+            goto done;
+        ((int64_t *)c_at.data)[c_at.len++] = mem.keys[i];
+        ((int64_t *)c_stored.data)[c_stored.len++] = mem.vals[i];
+    }
+
+    PyObject *cols[5] = {ecol_bytes(&c_pc), ecol_bytes(&c_ea),
+                         ecol_bytes(&c_res), ecol_bytes(&c_flags),
+                         ecol_bytes(&c_next)};
+    PyObject *state[3] = {
+        PyBytes_FromStringAndSize((const char *)regs, sizeof(regs)),
+        ecol_bytes(&c_at), ecol_bytes(&c_stored)};
+    if (cols[0] && cols[1] && cols[2] && cols[3] && cols[4] && state[0] &&
+        state[1] && state[2])
+        ret = Py_BuildValue("(OOOOOiLOOO)", cols[0], cols[1], cols[2],
+                            cols[3], cols[4], halted, (long long)pc,
+                            state[0], state[1], state[2]);
+    for (int k = 0; k < 5; k++)
+        Py_XDECREF(cols[k]);
+    for (int k = 0; k < 3; k++)
+        Py_XDECREF(state[k]);
+
+done:
+    emem_free(&mem);
+    free(c_pc.data); free(c_ea.data); free(c_res.data); free(c_flags.data);
+    free(c_next.data); free(c_at.data); free(c_stored.data);
+    PyBuffer_Release(&v_op); PyBuffer_Release(&v_dst);
+    PyBuffer_Release(&v_s0); PyBuffer_Release(&v_s1);
+    PyBuffer_Release(&v_imm); PyBuffer_Release(&v_target);
+    PyBuffer_Release(&v_addr); PyBuffer_Release(&v_val);
+    return ret;
+}
+
+/* ------------------------------------------------------------------ */
+/* Trace materialisation: Trace.entries' DynamicInst list, built from   */
+/* the columns in one loop.  DynamicInst is a slotted dataclass; each   */
+/* object is allocated the way object.__new__ allocates it and its six */
+/* slots are filled through their member descriptors, exactly the      */
+/* state its __init__ leaves.  Consumers never assign to an entry.     */
+/* ------------------------------------------------------------------ */
+static const char *const ENTRY_SLOTS[6] = {
+    "seq", "static", "result", "effective_address", "taken", "next_pc"};
+
+static PyObject *
+build_entries(PyObject *self, PyObject *args)
+{
+    PyTypeObject *cls;
+    PyObject *statics;
+    Py_buffer v_pc = {0}, v_ea = {0}, v_res = {0}, v_flags = {0}, v_next = {0};
+    long long seq0;
+    if (!PyArg_ParseTuple(args, "O!O!y*y*y*y*y*L", &PyType_Type, &cls,
+                          &PyList_Type, &statics, &v_pc, &v_ea, &v_res,
+                          &v_flags, &v_next, &seq0))
+        return NULL;
+
+    PyObject *out = NULL;
+    Py_ssize_t offsets[6];
+    Py_ssize_t n = v_flags.len;
+    Py_ssize_t nstatic = PyList_GET_SIZE(statics);
+    if (emu_buffer(&v_pc, sizeof(int32_t), n, "pc") < 0 ||
+        emu_buffer(&v_ea, sizeof(int64_t), n, "ea") < 0 ||
+        emu_buffer(&v_res, sizeof(int64_t), n, "result") < 0 ||
+        emu_buffer(&v_next, sizeof(int32_t), n, "next_pc") < 0)
+        goto done;
+    for (int k = 0; k < 6; k++) {
+        PyObject *descr = PyDict_GetItemString(cls->tp_dict, ENTRY_SLOTS[k]);
+        if (descr == NULL || !PyObject_TypeCheck(descr, &PyMemberDescr_Type) ||
+            ((PyMemberDescrObject *)descr)->d_member->type != T_OBJECT_EX) {
+            PyErr_Format(PyExc_TypeError, "build_entries: %s is not a slot "
+                         "of %s", ENTRY_SLOTS[k], cls->tp_name);
+            goto done;
+        }
+        offsets[k] = ((PyMemberDescrObject *)descr)->d_member->offset;
+    }
+    const int32_t *pc = (const int32_t *)v_pc.buf;
+    const int64_t *ea = (const int64_t *)v_ea.buf;
+    const int64_t *res = (const int64_t *)v_res.buf;
+    const uint8_t *flags = (const uint8_t *)v_flags.buf;
+    const int32_t *next = (const int32_t *)v_next.buf;
+
+    out = PyList_New(n);
+    if (out == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (pc[i] < 0 || pc[i] >= nstatic) {
+            PyErr_Format(PyExc_IndexError, "build_entries: pc %d out of "
+                         "range", (int)pc[i]);
+            goto fail;
+        }
+        PyObject *slots[6];
+        slots[0] = PyLong_FromLongLong(seq0 + i);
+        slots[1] = PyList_GET_ITEM(statics, pc[i]);
+        Py_INCREF(slots[1]);
+        slots[2] = (flags[i] & T_HAS_RESULT) ? PyLong_FromLongLong(res[i])
+                                             : Py_NewRef(Py_None);
+        slots[3] = (flags[i] & T_HAS_EA) ? PyLong_FromLongLong(ea[i])
+                                         : Py_NewRef(Py_None);
+        slots[4] = !(flags[i] & T_CONTROL) ? Py_NewRef(Py_None)
+                 : Py_NewRef((flags[i] & T_TAKEN) ? Py_True : Py_False);
+        slots[5] = PyLong_FromLongLong(next[i]);
+        PyObject *obj = NULL;
+        if (slots[0] && slots[2] && slots[3] && slots[5])
+            obj = cls->tp_alloc(cls, 0);
+        if (obj == NULL) {
+            for (int k = 0; k < 6; k++)
+                Py_XDECREF(slots[k]);
+            goto fail;
+        }
+        for (int k = 0; k < 6; k++)
+            *(PyObject **)((char *)obj + offsets[k]) = slots[k];
+        /* Its slots hold ints, bools, None and a static Instruction, none
+         * of which can reach back to it: like a tuple of atoms it can be
+         * in no cycle, so the collector need not traverse it. */
+        if (PyObject_IS_GC(obj))
+            PyObject_GC_UnTrack(obj);
+        PyList_SET_ITEM(out, i, obj);
+    }
+    goto done;
+fail:
+    Py_CLEAR(out);
+done:
+    PyBuffer_Release(&v_pc); PyBuffer_Release(&v_ea);
+    PyBuffer_Release(&v_res); PyBuffer_Release(&v_flags);
+    PyBuffer_Release(&v_next);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"run_tick_loop", run_tick_loop, METH_VARARGS,
      "Run the compiled per-instruction tick loop over a decoded trace."},
@@ -1677,6 +2176,10 @@ static PyMethodDef methods[] = {
      "Replay a warm-up window's memory accesses (native L1/TLB hits)."},
     {"decode_trace_flat", decode_trace_flat, METH_VARARGS,
      "Flatten a trace window into typed buffers (decode_trace fast path)."},
+    {"emulate", emulate, METH_VARARGS,
+     "Run a program to HALT or the limit; returns its trace columns."},
+    {"build_entries", build_entries, METH_VARARGS,
+     "Build the DynamicInst list of a trace's columns."},
     {NULL, NULL, 0, NULL},
 };
 

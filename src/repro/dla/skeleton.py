@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from repro.dla.profiling import ProgramProfile
+from repro.emulator.trace import Trace
 from repro.isa.analysis import StaticAnalysis, backward_slice
 from repro.isa.program import Program
 
@@ -91,12 +92,13 @@ class Skeleton:
         """Fraction of static instructions on the skeleton."""
         return len(self.included_pcs) / len(self.program) if len(self.program) else 0.0
 
-    def dynamic_fraction(self, trace) -> float:
+    def dynamic_fraction(self, trace: Trace) -> float:
         """Fraction of dynamic instructions the look-ahead thread executes."""
         if len(trace) == 0:
             return 0.0
         included_pcs = self.included_pcs
-        included = sum(1 for entry in trace if entry.static.pc in included_pcs)
+        included = sum(count for pc, count in trace.pc_execution_counts().items()
+                       if pc in included_pcs)
         return included / len(trace)
 
     def describe(self) -> str:

@@ -1,11 +1,25 @@
-"""Architectural interpreter producing committed dynamic traces."""
+"""Architectural interpreter producing committed dynamic traces.
+
+Two engines write the same :class:`~repro.emulator.trace.TraceColumns`:
+the compiled kernel's ``emulate`` loop, and this module's Python
+interpreter, which is the reference the kernel is tested against and the
+engine under ``REPRO_FAST_PIPELINE=0`` or without a C compiler.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from array import array
+from typing import Dict, List, Optional, Tuple
 
-from repro.emulator.trace import DynamicInst, Trace
-from repro.isa.instructions import Instruction, Opcode
+from repro.emulator.trace import (
+    HAS_EA,
+    HAS_RESULT,
+    IS_CONTROL,
+    TAKEN,
+    Trace,
+    TraceColumns,
+)
+from repro.isa.instructions import Opcode
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGISTERS, ZERO_REGISTER
 
@@ -22,6 +36,62 @@ def _to_signed(value: int) -> int:
 
 class ExecutionLimitExceeded(RuntimeError):
     """Raised when ``strict`` execution hits the dynamic instruction limit."""
+
+
+#: The kernel's opcode numbering (must match the ``OP_*`` enum in kernel.c)
+#: and how many source registers each opcode reads.
+_NATIVE_OPCODES: Tuple[Tuple[Opcode, int], ...] = (
+    (Opcode.ADD, 2), (Opcode.SUB, 2), (Opcode.AND, 2), (Opcode.OR, 2),
+    (Opcode.XOR, 2), (Opcode.SHL, 2), (Opcode.SHR, 2), (Opcode.SLT, 2),
+    (Opcode.SEQ, 2), (Opcode.ADDI, 1), (Opcode.ANDI, 1), (Opcode.LI, 0),
+    (Opcode.MOV, 1), (Opcode.MUL, 2), (Opcode.DIV, 2), (Opcode.MOD, 2),
+    (Opcode.FADD, 2), (Opcode.FMUL, 2), (Opcode.FDIV, 2), (Opcode.LOAD, 1),
+    (Opcode.STORE, 2), (Opcode.BEQZ, 1), (Opcode.BNEZ, 1), (Opcode.BLT, 2),
+    (Opcode.BGE, 2), (Opcode.JUMP, 0), (Opcode.CALL, 0), (Opcode.RET, 1),
+    (Opcode.HALT, 0), (Opcode.NOP, 0),
+)
+_NATIVE_CODE: Dict[Opcode, Tuple[int, int]] = {
+    op: (code, srcs) for code, (op, srcs) in enumerate(_NATIVE_OPCODES)
+}
+_TARGETED = {Opcode.BEQZ, Opcode.BNEZ, Opcode.BLT, Opcode.BGE, Opcode.JUMP,
+             Opcode.CALL}
+
+
+def _static_table(program: Program) -> Optional[tuple]:
+    """The kernel's view of ``program``: per-instruction opcode, dst, two
+    sources, immediate and target columns plus the data image's address
+    and value columns.  ``None`` when a program falls outside what the
+    kernel transcribes exactly (too few sources, a missing target, an
+    out-of-range entry point or a value beyond 64 bits), and the Python
+    engine runs it."""
+    size = len(program)
+    if not 0 <= program.entry_point < size:
+        return None
+    ops = array("b")
+    dst = array("b")
+    src0 = array("b")
+    src1 = array("b")
+    imm = array("q")
+    target = array("i")
+    try:
+        for inst in program:
+            code, reads = _NATIVE_CODE[inst.opcode]
+            srcs = inst.srcs
+            if len(srcs) < reads or (inst.opcode in _TARGETED
+                                     and inst.target is None):
+                return None
+            ops.append(code)
+            dst.append(-1 if inst.dst is None else inst.dst)
+            src0.append(srcs[0] if srcs else 0)
+            src1.append(srcs[1] if len(srcs) > 1 else 0)
+            imm.append(inst.imm)
+            target.append(-1 if inst.target is None else inst.target)
+        data = program.data
+        addresses = array("q", data.keys())
+        values = array("q", (_to_signed(v) for v in data.values()))
+    except OverflowError:
+        return None
+    return ops, dst, src0, src1, imm, target, addresses, values
 
 
 class Emulator:
@@ -61,8 +131,9 @@ class Emulator:
         return value
 
     # ------------------------------------------------------------------
-    def step(self, seq: int) -> DynamicInst:
-        """Execute one instruction and return its dynamic record."""
+    def step(self) -> Tuple[Optional[int], Optional[int], Optional[bool], int]:
+        """Execute one instruction; returns its ``(result,
+        effective_address, taken, next_pc)``."""
         inst = self.program[self.pc]
         op = inst.opcode
         srcs = [self._read(r) for r in inst.srcs]
@@ -153,17 +224,8 @@ class Emulator:
             raise RuntimeError(
                 f"control transfer to invalid pc {next_pc} from pc {self.pc}"
             )
-
-        record = DynamicInst(
-            seq=seq,
-            static=inst,
-            result=result,
-            effective_address=effective_address,
-            taken=taken,
-            next_pc=next_pc,
-        )
         self.pc = next_pc
-        return record
+        return result, effective_address, taken, next_pc
 
     # ------------------------------------------------------------------
     def run(self, max_instructions: int = 1_000_000, strict: bool = False) -> Trace:
@@ -179,15 +241,61 @@ class Emulator:
             trace is returned with ``completed=False``.
         """
         self.reset()
-        entries: List[DynamicInst] = []
-        while not self.halted and len(entries) < max_instructions:
-            entries.append(self.step(len(entries)))
+        columns = self._run_native(max_instructions)
+        if columns is None:
+            columns = self._run_python(max_instructions)
         if not self.halted and strict:
             raise ExecutionLimitExceeded(
                 f"program {self.program.name!r} did not halt within "
                 f"{max_instructions} instructions"
             )
-        return Trace(self.program, entries, completed=self.halted)
+        return Trace(self.program, completed=self.halted, columns=columns)
+
+    def _run_python(self, max_instructions: int) -> TraceColumns:
+        columns = TraceColumns.empty()
+        pcs, eas, results = columns.pc, columns.ea, columns.result
+        flag_column, next_pcs = columns.flags, columns.next_pc
+        count = 0
+        while not self.halted and count < max_instructions:
+            pcs.append(self.pc)
+            result, address, taken, next_pc = self.step()
+            flags = 0
+            if result is not None:
+                flags = HAS_RESULT
+            if address is not None:
+                flags |= HAS_EA
+            if taken is not None:
+                flags |= IS_CONTROL | (TAKEN if taken else 0)
+            eas.append(0 if address is None else address)
+            results.append(0 if result is None else result)
+            flag_column.append(flags)
+            next_pcs.append(next_pc)
+            count += 1
+        return columns
+
+    def _run_native(self, max_instructions: int) -> Optional[TraceColumns]:
+        """The kernel's ``emulate`` loop from the reset state, or ``None``
+        when the kernel is off or cannot transcribe this program."""
+        from repro.core.compile import _add_native_emulated, native_kernel
+
+        kernel = native_kernel()
+        if kernel is None or max_instructions <= 0:
+            return None
+        table = _static_table(self.program)
+        if table is None:
+            return None
+        (pcs, eas, results, flags, next_pcs, halted, pc, registers,
+         stored_at, stored) = kernel.emulate(
+            *table, self.program.entry_point, max_instructions)
+        self.halted = bool(halted)
+        self.pc = pc
+        self.registers = list(array("q", registers))
+        self.memory.update(zip(array("q", stored_at), array("q", stored)))
+        columns = TraceColumns(array("i", pcs), array("q", eas),
+                               array("q", results), array("B", flags),
+                               array("i", next_pcs))
+        _add_native_emulated(len(columns))
+        return columns
 
 
 def run_program(program: Program, max_instructions: int = 1_000_000) -> Trace:

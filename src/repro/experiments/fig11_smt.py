@@ -52,9 +52,7 @@ def run(runner: Optional[ExperimentRunner] = None,
     half_cfg, full_cfg = smt_configs(runner.system_config)
     dla_config = DlaConfig()
     for setup in setups[:max_workloads]:
-        trace = setup.workload.trace(len(setup.timed) + len(setup.warmup)).window(
-            len(setup.warmup), len(setup.timed)
-        )
+        trace = setup.timed_trace
         # Every scenario goes through the runner's auxiliary cache (like
         # fig09's related approaches), so campaign reruns and resumes are
         # free instead of re-simulating the whole SMT matrix.

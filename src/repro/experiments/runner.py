@@ -30,7 +30,7 @@ from repro.core.system import SimulationOutcome, simulate_baseline
 from repro.dla.config import DlaConfig
 from repro.dla.profiling import ProgramProfile, profile_workload
 from repro.dla.system import DlaOutcome, DlaSystem
-from repro.emulator.trace import DynamicInst
+from repro.emulator.trace import DynamicInst, Trace
 from repro.experiments.cache import ResultDiskCache, disk_cache_enabled, salted_key
 from repro.experiments.fingerprint import fingerprint
 from repro.isa.program import Program
@@ -53,13 +53,35 @@ FULL_MODE_SEARCH_UNITS = 6
 
 @dataclass
 class WorkloadSetup:
-    """Prepared inputs for one workload: program, profile, trace windows."""
+    """Prepared inputs for one workload: program, profile, trace windows.
+
+    The windows are column traces.  ``warmup`` and ``timed`` build their
+    :class:`DynamicInst` lists on first access and then return the same
+    list, so the id-keyed warm, decoded and filtered memos keep hitting;
+    a setup whose cells are all cached never builds an object.
+    """
 
     workload: Workload
     program: Program
-    warmup: List[DynamicInst]
-    timed: List[DynamicInst]
+    warmup_trace: Trace
+    timed_trace: Trace
     profile: ProgramProfile
+
+    @classmethod
+    def split(cls, workload: Workload, program: Program, trace: Trace,
+              warmup_length: int, profile: ProgramProfile) -> "WorkloadSetup":
+        """The setup whose warm-up window is ``trace``'s first
+        ``warmup_length`` entries and whose timed window is the rest."""
+        return cls(workload, program, trace.window(0, warmup_length),
+                   trace.window(warmup_length, len(trace)), profile)
+
+    @property
+    def warmup(self) -> List[DynamicInst]:
+        return self.warmup_trace.entries
+
+    @property
+    def timed(self) -> List[DynamicInst]:
+        return self.timed_trace.entries
 
     @property
     def name(self) -> str:
@@ -324,42 +346,40 @@ class ExperimentRunner:
         if setup is None and self.disk_cache is not None:
             stored = self.disk_cache.get(self._disk_key(key))
             if stored is not None:
-                program, warmup, timed, profile = stored
-                setup = WorkloadSetup(
-                    workload=workload, program=program,
-                    warmup=warmup, timed=timed, profile=profile,
-                )
+                program, columns, profile = stored
+                setup = WorkloadSetup.split(
+                    workload, program, Trace(program, columns=columns),
+                    self.warmup_instructions, profile)
                 _setup_cache_stats["disk_hits"] += 1
                 _setup_cache_put(key, setup)
         elif setup is not None:
             _setup_cache_stats["memory_hits"] += 1
         if setup is None:
             program = workload.build_program()
-            total = self.warmup_instructions + self.timed_instructions
-            trace = workload.trace(total + 1000)
-            warmup = trace.entries[: self.warmup_instructions]
-            timed = trace.entries[
-                self.warmup_instructions: self.warmup_instructions + self.timed_instructions
-            ]
+            windows = self.warmup_instructions + self.timed_instructions
+            profiled = self.warmup_instructions + 4000
+            trace = workload.trace(windows + 1000)
+            # Profiling, warm-up and the timed run read one set of objects:
+            # build them once and let every window share them.
+            head = trace.window(0, max(windows, profiled))
+            head.entries
             profile = profile_workload(
                 program,
-                trace.window(0, min(len(trace), self.warmup_instructions + 4000)),
+                head.window(0, profiled),
                 self.system_config,
                 timing_window=min(6000, self.warmup_instructions),
             )
-            setup = WorkloadSetup(
-                workload=workload, program=program, warmup=warmup, timed=timed,
-                profile=profile,
-            )
+            simulated = head.window(0, windows)
+            setup = WorkloadSetup.split(workload, program, simulated,
+                                        self.warmup_instructions, profile)
             _setup_cache_stats["builds"] += 1
             _setup_cache_put(key, setup)
             if self.disk_cache is not None:
-                # One pickle holds all four parts, so the object graph the
-                # trace entries share with the program survives the round
-                # trip intact.
+                # Columns, not objects: a resumed campaign whose cells all
+                # hit reads the setup back without building an entry.
                 self.disk_cache.put(
                     self._disk_key(key),
-                    (setup.program, setup.warmup, setup.timed, setup.profile),
+                    (program, simulated.columns, profile),
                 )
         self._setups[name] = setup
         self.stats.setup_seconds += time.perf_counter() - started

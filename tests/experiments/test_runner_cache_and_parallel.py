@@ -257,6 +257,76 @@ def test_auxiliary_simulations_cached(tmp_path, monkeypatch):
     assert from_disk.cycles == first.cycles
 
 
+def test_auxiliary_runs_reuse_the_decoded_timed_window():
+    """B-Fetch and CRE simulate the setup's own timed list, so after the
+    baseline decoded it every further cell of the window is a memo hit."""
+    from repro.baselines import simulate_bfetch, simulate_cre
+    from repro.core.compile import kernel_available
+    from repro.core.compile.decoded import decoded_cache_stats
+
+    if not kernel_available():
+        pytest.skip("decoding is a compiled-path step")
+    runner = make_runner()
+    setup = runner.setup(WORKLOAD)
+    runner.baseline(setup, "bl")
+    before = decoded_cache_stats()
+    runner.auxiliary(setup, "bfetch", lambda: simulate_bfetch(
+        setup.timed, runner.system_config, warmup_entries=setup.warmup))
+    runner.auxiliary(setup, "cre", lambda: simulate_cre(
+        setup.program, setup.timed, setup.profile, runner.system_config,
+        warmup_entries=setup.warmup))
+    after = decoded_cache_stats()
+    assert runner.stats.simulations == 3
+    assert after["decodes"] == before["decodes"]
+    assert after["hits"] == before["hits"] + 2
+
+
+# ---------------------------------------------------------------------------
+# setup disk entries: trace columns, never DynamicInst objects
+# ---------------------------------------------------------------------------
+def test_setup_disk_entry_pickles_columns_and_loads_lazily(tmp_path, monkeypatch):
+    import pickletools
+
+    from repro.emulator.trace import TraceColumns
+    from repro.experiments.cache import decode_entry
+    from repro.experiments.runner import clear_setup_cache, setup_cache_stats
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "setups"))
+    clear_setup_cache()
+    first = make_runner(disk_cache=True)
+    built = first.setup(WORKLOAD)
+    key = first._disk_key(first.setup_key(built.workload))
+    body = decode_entry(first.disk_cache._path(key).read_bytes())
+    names = {arg for _, arg, _ in pickletools.genops(body) if isinstance(arg, str)}
+    assert "TraceColumns" in names and "DynamicInst" not in names
+
+    builds = {"n": 0}
+    original = TraceColumns.build_entries
+
+    def counted(columns, program):
+        builds["n"] += 1
+        return original(columns, program)
+
+    monkeypatch.setattr(TraceColumns, "build_entries", counted)
+    clear_setup_cache()
+    second = make_runner(disk_cache=True)
+    loaded = second.setup(WORKLOAD)
+    assert setup_cache_stats()["disk_hits"] == 1
+    # A cell served from the cache reads no entries ...
+    first.baseline(built, "bl")
+    second.baseline(loaded, "bl")
+    assert second.stats.disk_hits == 1 and builds["n"] == 0
+    # ... a simulation does, once per window, and then keeps the lists.
+    second.baseline(loaded, "bl-nopf", second.no_prefetch_config())
+    assert builds["n"] == 2
+    assert loaded.timed is loaded.timed and builds["n"] == 2
+    assert loaded.timed == built.timed and loaded.warmup == built.warmup
+    assert loaded.timed[0].seq == len(loaded.warmup) == WINDOW["warmup_instructions"]
+    program = loaded.program
+    assert all(entry.static is program[entry.pc]
+               for entry in loaded.warmup + loaded.timed)
+
+
 # ---------------------------------------------------------------------------
 # segmented (recycle) simulations through the cache
 # ---------------------------------------------------------------------------
