@@ -15,7 +15,8 @@ Usage::
 ``--require-compiled`` additionally asserts that the compiled tick pipeline
 actually carried the simulations (``compiled_ticks > 0`` in the runner
 stats), the setups' profiling timing passes (``setup_compiled_ticks >
-0``), the L1/TLB hits (``native_mem_hits > 0``), the DLA cells' branch
+0``), the L1/TLB hits (``native_mem_hits > 0``), the L1 misses of the
+native memory hierarchy (``native_mem_misses > 0``), the DLA cells' branch
 hints (``native_hint_branches > 0``) and the workloads' functional
 emulation (``native_emulated > 0``), and exits with status 2 otherwise —
 in CI this turns a silent fallback to the reference interpreter, to the
@@ -52,10 +53,12 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
         native_emulated_total,
         native_hint_branches_total,
         native_mem_hits_total,
+        native_mem_misses_total,
     )
 
     kernel_available()
     native_hits = native_mem_hits_total()
+    native_misses = native_mem_misses_total()
     hint_branches = native_hint_branches_total()
     emulated = native_emulated_total()
     started = time.perf_counter()
@@ -92,6 +95,7 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     )
     payload["setup_compiled_ticks"] = setup_ticks
     payload["native_mem_hits"] = native_mem_hits_total() - native_hits
+    payload["native_mem_misses"] = native_mem_misses_total() - native_misses
     payload["native_hint_branches"] = (native_hint_branches_total()
                                        - hint_branches)
     payload["native_emulated"] = native_emulated_total() - emulated
@@ -102,7 +106,8 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
           f"{payload['contended_instructions_per_second']:.0f} inst/s "
           f"contended, {payload['compiled_ticks']} compiled ticks, "
           f"{setup_ticks} in setup, {payload['native_mem_hits']} native "
-          f"L1/TLB hits, {payload['native_hint_branches']} native hint "
+          f"L1/TLB hits, {payload['native_mem_misses']} native L1 misses, "
+          f"{payload['native_hint_branches']} native hint "
           f"branches, {payload['native_emulated']} natively emulated)")
     return payload
 
@@ -114,10 +119,11 @@ def _parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument(
         "--require-compiled", action="store_true",
         help="exit 2 unless the compiled tick pipeline carried the runs, "
-             "the setups' profiling passes, the L1/TLB hits, the DLA "
-             "branch hints and the functional emulation (compiled_ticks, "
-             "setup_compiled_ticks, native_mem_hits, native_hint_branches "
-             "and native_emulated all > 0); guards CI against a silent "
+             "the setups' profiling passes, the L1/TLB hits, the miss path, "
+             "the DLA branch hints and the functional emulation "
+             "(compiled_ticks, setup_compiled_ticks, native_mem_hits, "
+             "native_mem_misses, native_hint_branches and native_emulated "
+             "all > 0); guards CI against a silent "
              "fallback to the reference interpreter, the Python memory "
              "accessors, the Python hint hooks or the Python emulator",
     )
@@ -129,7 +135,8 @@ if __name__ == "__main__":
     result = main(cli_args.workload, cli_args.memory_workload)
     if cli_args.require_compiled:
         for key in ("compiled_ticks", "setup_compiled_ticks",
-                    "native_mem_hits", "native_hint_branches",
+                    "native_mem_hits", "native_mem_misses",
+                    "native_hint_branches",
                     "native_emulated"):
             if result.get(key, 0) <= 0:
                 print(f"perf_smoke: compiled tick pipeline did not engage "

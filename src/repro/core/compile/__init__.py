@@ -15,12 +15,15 @@ per-variant Python callbacks:
    per interpreter ABI with the system C compiler, cached on disk under
    ``.repro_cache/compiled/``.
 4. **Run** (:mod:`repro.core.compile.driver`) — drive the kernel.  The
-   branch unit and the L1/TLB hit path run natively on the model objects'
-   own flat arrays, and a DLA main thread's declared hint unit runs
-   natively over its columns; every other model interaction (misses,
-   prefetchers, prefetch-hint installs, T1) happens through callbacks, so
-   dynamic state lives exactly where the reference keeps it.  Warm-up
-   replay runs on the same kernel (:func:`replay_compiled`).
+   branch unit and the memory hierarchy (on a stock hierarchy: misses,
+   write-backs, MSHRs, write buffers, DRAM, BOP training, prefetch-hint
+   installs and wrong-path pollution; otherwise L1/TLB hits) run natively
+   on the model objects' own arrays, and a DLA main thread's declared hint
+   unit runs natively over its columns; every other model interaction
+   (non-stock structures, other prefetchers, T1, generic hooks) happens
+   through callbacks, so dynamic state lives exactly where the reference
+   keeps it.  Warm-up replay runs on the same kernel
+   (:func:`replay_compiled`).
 
 ``REPRO_FAST_PIPELINE=0`` disables all of it and the reference
 interpreter carries every run; any failure (no compiler, compile error)
@@ -42,8 +45,12 @@ _FALSEY = {"0", "false", "no", "off"}
 #: Instructions retired through the compiled kernel in this process.
 _compiled_ticks = 0
 
-#: L1/TLB hits the kernel served natively (tick loops and warm replays).
+#: L1 hits the kernel served natively (tick loops and warm replays).
 _native_mem_hits = 0
+
+#: L1 misses the kernel's native memory hierarchy served (tick loops and
+#: warm replays).
+_native_mem_misses = 0
 
 #: Branch hints the kernel's native DLA hint unit delivered.
 _native_hint_branches = 0
@@ -69,6 +76,16 @@ def native_mem_hits_total() -> int:
 def _add_native_mem_hits(count: int) -> None:
     global _native_mem_hits
     _native_mem_hits += count
+
+
+def native_mem_misses_total() -> int:
+    """Process-wide count of L1 misses served natively by the kernel."""
+    return _native_mem_misses
+
+
+def _add_native_mem_misses(count: int) -> None:
+    global _native_mem_misses
+    _native_mem_misses += count
 
 
 def native_hint_branches_total() -> int:
@@ -123,6 +140,17 @@ def maybe_run_compiled(core, entries: Sequence, hooks, start_cycle: float,
                           collect_timings)
     _compiled_ticks += len(entries)
     return result
+
+
+def classify_compiled(memory, ea, stores, cycles):
+    """The info words of data accesses run in order through ``memory`` (a
+    freshly built stock hierarchy) on the kernel (the caller checked
+    :func:`kernel_available`); see
+    :func:`repro.dla.profiling.profile_workload`."""
+    from repro.core.compile.build import load_kernel
+    from repro.core.compile.driver import classify_accesses
+
+    return classify_accesses(load_kernel(), memory, ea, stores, cycles)
 
 
 def replay_compiled(memory, inputs, cycles_per_access: int) -> None:

@@ -2,19 +2,23 @@
 
 ``run_compiled`` marshals one run onto the C kernel: the decoded trace's
 flat arrays go in as zero-copy buffers, and every model interaction the
-kernel cannot perform itself — cache and TLB misses, a non-stock branch
-unit, prefetcher training, generic hooks — comes back out through small
-per-event callbacks that communicate over a shared ``array('d')`` buffer
-(argument marshalling through object calls would dominate otherwise).
-L1/TLB hits and the branch unit run natively on the model objects' own
-flat arrays; ``replay_compiled`` drives warm-up replay over the same
-native hit path.
+kernel cannot perform itself — a non-stock memory structure or branch
+unit, an L1 or non-BOP L2 prefetcher, T1, generic hooks — comes back out
+through small per-event callbacks that communicate over a shared
+``array('d')`` buffer (argument marshalling through object calls would
+dominate otherwise).  The branch unit runs natively on the model objects'
+own flat arrays, and so does the memory hierarchy (:class:`_NativeMemory`):
+L1/TLB hits always, and on a stock hierarchy every miss, write-back,
+occupancy-resource operation, DRAM access, BOP training step and
+wrong-path polluting load.  ``replay_warmup`` drives warm-up replay over
+the same native memory path.
 
 A DLA main thread declares its hint unit
 (:class:`~repro.core.compile.hookspec.HintUnit`): its columns go in
 zero-copy, its run state goes in and comes back through one small
-``array('d')``, and the kernel calls back once per fetch that brings
-prefetch hints due.  A look-ahead pass declares a commit log, which the
+``array('d')``, and the kernel installs due prefetch hints itself (or
+calls back once per fetch that brings some due, when the memory hierarchy
+stays in Python).  A look-ahead pass declares a commit log, which the
 kernel writes into preallocated columns.
 
 Every callback body is a statement-for-statement transcription of the
@@ -31,9 +35,15 @@ from repro.core.results import CoreResult, InstructionTimings
 from repro.emulator.trace import DynamicInst
 from repro.memory.hierarchy import access_result
 
-from repro.core.compile import _add_native_hint_branches, _add_native_mem_hits
+from repro.memory.resources import BankedMshrFile
+
+from repro.core.compile import (
+    _add_native_hint_branches,
+    _add_native_mem_hits,
+    _add_native_mem_misses,
+)
 from repro.core.compile.decoded import decode_trace, get_decoded
-from repro.core.compile.plan import plan_run, stock_hit_sides
+from repro.core.compile.plan import plan_run, stock_hit_sides, stock_memory
 
 #: Comm-buffer slots (must match kernel.c).
 B_I, B_T0, B_T1, B_OUT0, B_OUT1, B_LAST = range(6)
@@ -43,10 +53,18 @@ B_I, B_T0, B_T1, B_OUT0, B_OUT1, B_LAST = range(6)
  C_DECODED, C_EXECUTED, C_COMMITTED, C_FETCH_BOUND,
  C_VALID_SKIP, C_VP_USED, C_VP_MISS, C_SB_SKIP, C_SB_VALID,
  C_BRANCHES, C_BR_MISPRED, C_HINT_MISPRED, C_BTB_MISS,
- C_TICKS, C_NATIVE_HITS, C_LOG_BRANCHES, C_LOG_PCS, C_COUNT) = range(24)
+ C_TICKS, C_NATIVE_HITS, C_LOG_BRANCHES, C_LOG_PCS, C_NATIVE_MISSES,
+ C_COUNT) = range(25)
 
-#: HintUnit run state, in the order of the kernel's hint-state slots; the
-#: kernel appends the run's fetch stall on hints (must match kernel.c).
+#: Replay flag bits beyond the decoded ones (must match kernel.c): train
+#: the L2 prefetcher on the data access, prefetch ``ea`` into the L1D or
+#: the L2, prefill its translation.
+R_TRAIN, R_PF_L1, R_PF_L2, R_PREFILL = 2048, 4096, 8192, 16384
+
+#: HintUnit run state, in the order of the kernel's hint-state slots; three
+#: more slots follow for the run's own fetch stall on hints and the installs
+#: and drops the kernel made itself (must match kernel.c).  Those are counted
+#: from 0 and added, so installs the ``install`` callback counts survive.
 _HINT_STATE = ("offset", "fq_occupancy", "fq_prefetches", "fq_values",
                "reboots", "branch_cursor", "value_cursor", "prefetch_cursor")
 
@@ -56,27 +74,60 @@ _EMPTY_B = array("b", (0,))
 _EMPTY_U = array("Q", (0,))
 
 
-#: Stats fields the kernel's per-level hit counters map onto, in order
-#: (must match kernel.c's ncache_t / ntlb_t ``cnt`` layouts).
-_CACHE_HIT_FIELDS = ("accesses", "hits", "prefetch_hits", "late_prefetch_hits")
-_TLB_HIT_FIELDS = ("accesses", "hits")
+#: Integer stats fields the kernel counts per run, in order (must match
+#: kernel.c's CS_* / TS_* / DS_* counters); float and high-water fields it
+#: updates in the stats objects themselves.
+_CACHE_COUNTS = ("accesses", "hits", "misses", "prefetch_hits",
+                 "late_prefetch_hits", "prefetches_issued",
+                 "prefetches_useless", "writebacks", "evictions",
+                 "mshr_stalls", "mshr_allocations", "mshr_coalesced",
+                 "prefetches_dropped", "mshr_bank_conflicts", "wb_enqueued",
+                 "wb_stalls")
+_TLB_COUNTS = ("accesses", "hits", "misses", "prefills")
+_DRAM_COUNTS = ("reads", "writes", "writeback_writes", "prefetch_reads",
+                "row_hits", "row_misses", "queue_stalls")
+
+
+def _store(lane0, lanes: int = 1) -> tuple:
+    """Kernel view of the occupancy store whose lane 0 is ``lane0``."""
+    return lane0._keys, lane0._done, lane0._len, lane0.capacity, lanes
+
+
+def _resource(resource):
+    """Kernel view of an MSHR file or write buffer (a banked file's banks
+    are the lanes of one store)."""
+    if resource is None:
+        return None
+    if isinstance(resource, BankedMshrFile):
+        return _store(resource._banks[0], resource.num_banks)
+    return _store(resource)
 
 
 class _NativeMemory:
-    """Kernel views of one core's L1s and TLB, with per-run hit counts.
+    """Kernel views of one core's memory system, with per-run counters.
 
-    Each view is the structure's own flat arrays (zero-copy) plus a fresh
-    counter array the kernel bumps per native hit; :meth:`credit` adds
-    those counts to the structures' stats once the kernel returns.  A side
-    left in Python gets ``None`` and every one of its accesses calls back.
+    Each view is the structure's own arrays (zero-copy) plus a fresh
+    counter array the kernel bumps; :meth:`settle` adds those counts to
+    the structures' stats once the kernel returns and writes back the L2
+    prefetcher's scalar state.  With ``inst`` / ``data`` only that side's
+    L1 (and TLB) hits run natively; with ``misses`` the whole hierarchy,
+    BOP training included, does.  A level left out gets ``None``.
     """
 
-    def __init__(self, memory, inst: bool, data: bool) -> None:
+    def __init__(self, memory, inst: bool, data: bool, misses: bool,
+                 l2_prefetcher=None) -> None:
         self._credits = []
-        self.spec = dict(
-            mem_l1i=self._cache(memory.l1i) if inst else None,
-            mem_l1d=self._cache(memory.l1d) if data else None,
-            mem_tlb=self._tlb(memory.tlb) if data else None,
+        self._bop = l2_prefetcher if misses else None
+        shared = memory.shared
+        self.spec = (
+            self._cache(memory.l1i) if inst else None,
+            self._cache(memory.l1d) if data else None,
+            self._cache(memory.l2) if misses else None,
+            self._cache(shared.l3) if misses else None,
+            self._tlb(memory.tlb) if data else None,
+            self._dram(shared.dram) if misses else None,
+            self._bop_view(self._bop) if self._bop is not None else None,
+            int(memory.lookahead_mode),
         )
 
     def _counts(self, stats, fields) -> array:
@@ -86,19 +137,50 @@ class _NativeMemory:
 
     def _cache(self, cache) -> tuple:
         return (cache._tags, cache._fill, cache._last_use, cache._flags,
-                self._counts(cache.stats, _CACHE_HIT_FIELDS),
+                cache._stamp, cache._count, cache._clock,
+                self._counts(cache.stats, _CACHE_COUNTS), vars(cache.stats),
                 cache._num_sets, cache._associativity, cache._block_bytes,
-                cache._latency)
+                cache._latency, int(cache.lookahead_mode),
+                _resource(cache._mshr), _resource(cache._write_buffer))
 
     def _tlb(self, tlb) -> tuple:
-        return (tlb._vpn, tlb._last_use,
-                self._counts(tlb.stats, _TLB_HIT_FIELDS),
-                len(tlb._vpn), tlb._page_bytes)
+        return (tlb._vpn, tlb._last_use, tlb._stamp, tlb._count, tlb._clock,
+                self._counts(tlb.stats, _TLB_COUNTS), tlb.config.entries,
+                tlb._page_bytes, tlb.config.miss_penalty)
 
-    def credit(self) -> None:
+    def _dram(self, dram) -> tuple:
+        cfg = dram.config
+        queues = dram._queues
+        return (dram._open_rows, dram._bank_ready,
+                None if queues is None else _store(queues[0], len(queues)),
+                self._counts(dram.stats, _DRAM_COUNTS), vars(dram.stats),
+                vars(dram), cfg.row_bytes, cfg.num_banks, cfg.queue_groups,
+                cfg.row_hit_latency, cfg.row_miss_latency,
+                cfg.bank_busy_penalty, cfg.energy_activate, cfg.energy_read,
+                cfg.energy_write)
+
+    def _bop_view(self, bop) -> tuple:
+        cfg = bop.config
+        offset = bop._current_offset
+        self._bop_state = array("q", [
+            bop._rr_len, bop._rr_order, bop._test_index, bop._round_accesses,
+            int(bop._prefetch_on), int(offset is not None), offset or 0])
+        return (bop._rr_blocks, bop._rr_orders, bop._scores,
+                array("q", cfg.offsets), self._bop_state, cfg.rr_entries,
+                cfg.block_bytes, cfg.round_max, cfg.score_max, cfg.bad_score,
+                int(cfg.target_level == "l1"))
+
+    def settle(self) -> None:
         for stats, fields, counts in self._credits:
             for name, count in zip(fields, counts):
-                setattr(stats, name, getattr(stats, name) + count)
+                if count:
+                    setattr(stats, name, getattr(stats, name) + count)
+        bop = self._bop
+        if bop is not None:
+            (bop._rr_len, bop._rr_order, bop._test_index, bop._round_accesses,
+             on, has_offset, offset) = self._bop_state
+            bop._prefetch_on = bool(on)
+            bop._current_offset = offset if has_offset else None
 
 
 def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
@@ -229,8 +311,9 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
             def cb_hint_miss():
                 hook_hint_miss(entries[int(comm[0])], comm[1])
 
-        def cb_redirect():
-            wrong_path_pollution(last_load_address(), comm[1], result)
+        if not plan.native_misses:
+            def cb_redirect():
+                wrong_path_pollution(last_load_address(), comm[1], result)
 
         native_spec = dict(
             tage_base_n=predictor.base.entries,
@@ -337,10 +420,10 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
     hint_spec = None
     if unit is not None:
         hint_state = array("d", [getattr(unit, name) for name in _HINT_STATE])
-        hint_state.append(0.0)
+        hint_state.extend((0.0, 0.0, 0.0))
         hint_spec = (unit.branch_seqs, unit.branch_times, unit.branch_correct,
                      unit.value_seqs, unit.value_times, unit.value_verdicts,
-                     unit.prefetch_times, hint_state, unit.boq_entries,
+                     unit.prefetch_times, unit.prefetch_addresses, hint_state, unit.boq_entries,
                      unit.reboot_penalty, unit.fq_capacity, unit.install)
 
     log = fast.commit_log if fast is not None else None
@@ -352,7 +435,16 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
                     len(log.pcs)) + log_columns
 
     native = _NativeMemory(memory, plan.native_inst_hits,
-                           plan.native_data_hits)
+                           plan.native_data_hits, plan.native_misses,
+                           core.l2_prefetcher)
+    # Wrong-path pollution (OutOfOrderCore._wrong_path_pollution) runs in
+    # the kernel with native misses: what one redirect adds.
+    wrong_path = None
+    if ctrl_native and plan.native_misses and cfg.model_wrong_path:
+        depth = min(cfg.fetch_buffer_entries + cfg.decode_width,
+                    cfg.branch_mispredict_penalty * cfg.fetch_width)
+        wrong_path = (depth, int(depth * 0.6), min(4, max(1, depth // 8)),
+                      memory.config.l1d.block_bytes * 3)
     spec = dict(
         n=n,
         start_cycle=float(start_cycle),
@@ -390,15 +482,16 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
         cb_value_hint=cb_value_hint,
         cb_hint_miss=cb_hint_miss, cb_redirect=cb_redirect,
         load_miss_log=fast.load_miss_log if plan.log_load_misses else None,
-        hint_unit=hint_spec, commit_log=log_spec,
+        hint_unit=hint_spec, commit_log=log_spec, wrong_path=wrong_path,
+        memory=native.spec,
         **native_spec,
-        **native.spec,
     )
     try:
         kernel.run_tick_loop(spec)
     finally:
-        native.credit()
+        native.settle()
     _add_native_mem_hits(counters[C_NATIVE_HITS])
+    _add_native_mem_misses(counters[C_NATIVE_MISSES])
 
     if ctrl_native:
         ras._stack = list(ras_stack[:ras_state[0]])
@@ -427,7 +520,10 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
         hinted = unit.branch_cursor
         for name, value in zip(_HINT_STATE, hint_state):
             setattr(unit, name, value if name == "offset" else int(value))
-        result.fetch_stall_on_hint += hint_state[-1]
+        stall, installed, dropped = hint_state[len(_HINT_STATE):]
+        result.fetch_stall_on_hint += stall
+        unit.prefetches_installed += int(installed)
+        unit.prefetches_dropped += int(dropped)
         if unit.scoreboard is not None:
             unit.scoreboard.skips += counters[C_SB_SKIP]
             unit.scoreboard.validations += counters[C_SB_VALID]
@@ -454,22 +550,45 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
     return result
 
 
-def replay_warmup(kernel, memory, inputs, cycles_per_access: int) -> None:
+def classify_accesses(kernel, memory, ea: array, stores: array,
+                      cycles: array) -> array:
+    """The packed info word of each data access ``(ea[k], stores[k])`` at
+    ``cycles[k]``, run in order through ``memory`` (a stock hierarchy) on
+    the kernel: ``access_data_fast``'s second result, for every access."""
+    native = _NativeMemory(memory, True, True, True)
+    info = array("B", bytes(len(ea)))
+    try:
+        hits, misses = kernel.classify_accesses(dict(
+            ea=ea, stores=stores, cycles=cycles, info=info,
+            memory=native.spec))
+    finally:
+        native.settle()
+    _add_native_mem_hits(hits)
+    _add_native_mem_misses(misses)
+    return info
+
+
+def replay_warmup(kernel, memory, inputs, cycles_per_access: int,
+                  l2_prefetcher=None) -> None:
     """Replay a warm-up window's memory accesses into ``memory`` on the
     kernel: the loop of :func:`repro.core.system._replay_warmup` (same
-    accesses, order and pacing) with L1/TLB hits served natively and every
-    other access through ``access_inst_fast`` / ``access_data_fast``."""
+    accesses, order and pacing), natively on a stock hierarchy and with
+    only L1/TLB hits native otherwise.  ``inputs`` are ``(ba, flags, ea)``
+    columns; the kernel's extra flag bits (prefetches, TLB prefills,
+    training ``l2_prefetcher``) make them any access stream."""
     ba, flags, ea = inputs
-    native = _NativeMemory(memory, *stock_hit_sides(memory))
+    native = _NativeMemory(memory, *stock_hit_sides(memory),
+                           stock_memory(memory), l2_prefetcher)
     try:
-        hits = kernel.replay_warmup(dict(
+        hits, misses = kernel.replay_warmup(dict(
             n=len(ba), ba=ba, flags=flags, ea=ea,
             block_bytes=memory.config.l1i.block_bytes,
             cycles_per_access=cycles_per_access,
             cb_inst=memory.access_inst_fast,
             cb_data=memory.access_data_fast,
-            **native.spec,
+            memory=native.spec,
         ))
     finally:
-        native.credit()
+        native.settle()
     _add_native_mem_hits(hits)
+    _add_native_mem_misses(misses)

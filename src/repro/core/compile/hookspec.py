@@ -18,8 +18,9 @@ can matter:
 * **Hint unit** (:class:`HintUnit`): a DLA main thread's whole hint stream
   as columns — branch hints with their BOQ-capacity gate, value hints with
   the validation scoreboard, prefetch hints, reboots and FQ occupancy.  The
-  kernel runs it natively and calls Python only to install due prefetch
-  hints; the interpreter runs the hint source's hooks over the same columns
+  kernel runs it natively (installing due prefetch hints itself when it
+  runs the memory hierarchy, else through one Python call); the
+  interpreter runs the hint source's hooks over the same columns
   and state, which keeps them the oracle.
 
 The golden equivalence suites and the compiled-vs-interpreter A/B tests pin
@@ -83,10 +84,15 @@ class HintUnit:
       target, its look-ahead commit cycle and its verdict
       (``VALUE_NONE`` once the SIF disabled the PC).  A delivered hint is
       one FQ entry and feeds the validation scoreboard.
-    * Prefetch hints (``prefetch_times``, ascending): when fetch reaches
-      ``time + offset`` each one is one FQ entry and is installed by
-      ``install(lo, hi, offset)``, called once per fetch with everything
-      that came due.
+    * Prefetch hints (``prefetch_times``, ascending, and their
+      ``prefetch_addresses``): when fetch reaches ``time + offset`` each
+      one is one FQ entry and is installed into the running core's L1D
+      and TLB at cycle ``int(time + offset)`` — by ``install(lo, hi,
+      offset)``, called once per fetch with everything that came due, or
+      by the kernel itself when it runs the memory hierarchy natively.
+      ``prefetches_installed`` / ``prefetches_dropped`` count the installs
+      the memory system accepted and refused.  The hint source clears
+      ``install`` once the run has settled.
     * The FQ accepts an entry while ``fq_occupancy < fq_capacity``; it is
       never consumed, only flushed on a reboot.
 
@@ -101,7 +107,8 @@ class HintUnit:
     value_times: array          # 'd'
     value_verdicts: array       # 'b' VALUE_*
     prefetch_times: array       # 'd'
-    install: Callable[[int, int, float], None]
+    prefetch_addresses: array   # 'q'
+    install: Optional[Callable[[int, int, float], None]]
     boq_entries: int
     reboot_penalty: float
     fq_capacity: int
@@ -113,6 +120,8 @@ class HintUnit:
     branch_cursor: int = 0
     value_cursor: int = 0
     prefetch_cursor: int = 0
+    prefetches_installed: int = 0
+    prefetches_dropped: int = 0
     #: Validation scoreboard (``skips``/``validations`` counters) the
     #: kernel credits; the interpreter's hooks run the object itself.
     scoreboard: Optional[object] = None

@@ -1,12 +1,17 @@
 /* Compiled tick kernel: the per-instruction scheduling shell of
- * OutOfOrderCore.run, with the branch unit, the L1/TLB hit path and a
- * declared DLA hint unit native, and every other model interaction
- * (misses, prefetchers, prefetch-hint installs, hooks) left in Python and
- * reached through per-event callbacks that communicate over a shared
- * double buffer.  Mirrors core/pipeline.py (and the hint unit mirrors the
- * hooks of dla/hints.py) statement-for-statement; bit-identity is enforced
- * by the golden and equivalence suites.  Also hosts warm-up replay
- * (replay_warmup) over the same hit path. */
+ * OutOfOrderCore.run, with the branch unit, a declared DLA hint unit and
+ * the memory hierarchy native.  On a stock hierarchy every demand access,
+ * miss, write-back, MSHR / write-buffer / DRAM-queue operation, BOP
+ * training step, prefetch-hint install and wrong-path polluting load runs
+ * here, on the model objects' own arrays; otherwise only L1/TLB hits do.
+ * Every other model interaction (a non-stock structure, other
+ * prefetchers, T1, generic hooks) stays in Python, reached through
+ * per-event callbacks that communicate over a shared double buffer.
+ * Mirrors core/pipeline.py and memory/ (and the hint unit mirrors the
+ * hooks of dla/hints.py) statement-for-statement; bit-identity, int/float
+ * types included, is enforced by the golden, A/B and differential suites.
+ * Also hosts warm-up replay (replay_warmup) over the same memory path, and
+ * the functional emulator. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
@@ -41,7 +46,8 @@ enum {
     C_DECODED, C_EXECUTED, C_COMMITTED, C_FETCH_BOUND,
     C_VALID_SKIP, C_VP_USED, C_VP_MISS, C_SB_SKIP, C_SB_VALID,
     C_BRANCHES, C_BR_MISPRED, C_HINT_MISPRED, C_BTB_MISS,
-    C_TICKS, C_NATIVE_HITS, C_LOG_BRANCHES, C_LOG_PCS, C_COUNT
+    C_TICKS, C_NATIVE_HITS, C_LOG_BRANCHES, C_LOG_PCS, C_NATIVE_MISSES,
+    C_COUNT
 };
 
 /* ------------------------------------------------------------------ */
@@ -220,36 +226,213 @@ ras_pop(ras_t *r, int64_t *out)
 }
 
 /* ------------------------------------------------------------------ */
-/* Native L1/TLB hit path over the Cache/Tlb objects' own flat arrays  */
-/* (see memory/cache.py and memory/tlb.py for the layout).  A lookup   */
-/* probes before it mutates: only when the TLB entry and the L1 line   */
-/* are both present does it perform the hit, exactly as Cache.lookup / */
-/* Tlb.access would; otherwise nothing is touched and the caller goes  */
-/* through the Python accessor.  Misses never happen here.            */
+/* Native memory hierarchy: CoreMemorySystem's demand, prefetch and     */
+/* TLB paths, the shared L3 and DRAM, the MSHR files, write buffers and */
+/* DRAM queues, and BOP training, over the model objects' own arrays    */
+/* (layouts in memory/cache.py, tlb.py, resources.py, dram.py and       */
+/* prefetch/best_offset.py), mutated in place so Python callers see the */
+/* same state.  Each function transcribes its Python counterpart        */
+/* statement for statement.  Integer stats counters are counted into    */
+/* per-run arrays the driver credits afterwards; float and high-water   */
+/* stats are read and written in the stats objects' own __dict__.       */
 
 #define LINE_DIRTY 1
 #define LINE_FROM_PREFETCH 2
 #define LINE_PREFETCH_USED 4
+#define PF_STATE (LINE_FROM_PREFETCH | LINE_PREFETCH_USED)
 
-typedef struct {
-    int on;
-    int64_t *tag;           /* per slot; -1 = empty */
-    PyObject *fill;         /* list: per-slot fill time (int or float) */
-    PyObject *last_use;     /* list: per-slot last use (int or float) */
-    uint8_t *flags;         /* LINE_* bits */
-    int64_t *cnt;           /* accesses, hits, prefetch_hits, late_prefetch_hits */
-    int64_t sets, assoc, block, latency;
-    Py_buffer v_tag, v_flags, v_cnt;
-} ncache_t;
+/* A time or stall as the model holds it: its value and whether it is a
+ * Python float (1) or int (0).  Int op int stays an int and anything with
+ * a float is a float, as in Python; ints stay exact below 2**53. */
+typedef struct { double v; int f; } num_t;
 
-typedef struct {
-    int on;
-    int64_t *vpn;           /* per slot; -1 = empty */
-    PyObject *last_use;     /* list: per-slot last use */
-    int64_t *cnt;           /* accesses, hits */
-    int64_t n, page, hint;
-    Py_buffer v_vpn, v_cnt;
-} ntlb_t;
+static const num_t NUM_ZERO_F = {0.0, 1};
+
+static inline num_t
+num_i(double v)
+{
+    num_t r = {v, 0};
+    return r;
+}
+
+static inline num_t
+num_add(num_t a, num_t b)
+{
+    num_t r = {a.v + b.v, a.f | b.f};
+    return r;
+}
+
+static inline num_t
+num_sub(num_t a, num_t b)
+{
+    num_t r = {a.v - b.v, a.f | b.f};
+    return r;
+}
+
+/* Python's // and % for a positive divisor. */
+static inline int64_t
+pdiv(int64_t a, int64_t b)
+{
+    int64_t q = a / b;
+    return (a % b != 0 && a < 0) ? q - 1 : q;
+}
+
+static inline int64_t
+pmod(int64_t a, int64_t b)
+{
+    int64_t r = a % b;
+    return r < 0 ? r + b : r;
+}
+
+/* cache stats counters (must match driver._CACHE_COUNTS) */
+enum {
+    CS_ACC, CS_HITS, CS_MISSES, CS_PF_HITS, CS_LATE_PF_HITS, CS_PF_ISSUED,
+    CS_PF_USELESS, CS_WRITEBACKS, CS_EVICTIONS, CS_MSHR_STALLS,
+    CS_MSHR_ALLOC, CS_MSHR_COALESCED, CS_PF_DROPPED, CS_BANK_CONFLICTS,
+    CS_WB_ENQ, CS_WB_STALLS, CS_COUNT
+};
+/* TLB stats counters (must match driver._TLB_COUNTS) */
+enum { TS_ACC, TS_HITS, TS_MISSES, TS_PREFILLS, TS_COUNT };
+/* DRAM stats counters (must match driver._DRAM_COUNTS) */
+enum {
+    DS_READS, DS_WRITES, DS_WB_WRITES, DS_PF_READS, DS_ROW_HITS,
+    DS_ROW_MISSES, DS_QUEUE_STALLS, DS_COUNT
+};
+/* DRAM traffic sources (DramModel.access's ``source``) */
+enum { SRC_DEMAND, SRC_WRITEBACK, SRC_PREFETCH };
+
+/* Interned names of the fields kept in the objects' __dict__. */
+static PyObject *K_MSHR_STALL_CYCLES, *K_BANK_CONFLICT_CYCLES;
+static PyObject *K_WB_STALL_CYCLES, *K_MSHR_PEAK, *K_WB_PEAK;
+static PyObject *K_BUSY_DELAY, *K_QUEUE_STALL_CYCLES, *K_QUEUE_PEAK;
+static PyObject *K_DYN_ENERGY, *K_LAST_ACCESS, *ZERO;
+
+static int
+intern_keys(void)
+{
+    PyObject **slots[] = {
+        &K_MSHR_STALL_CYCLES, &K_BANK_CONFLICT_CYCLES, &K_WB_STALL_CYCLES,
+        &K_MSHR_PEAK, &K_WB_PEAK, &K_BUSY_DELAY, &K_QUEUE_STALL_CYCLES,
+        &K_QUEUE_PEAK, &K_DYN_ENERGY, &K_LAST_ACCESS,
+    };
+    const char *names[] = {
+        "mshr_stall_cycles", "mshr_bank_conflict_cycles", "wb_stall_cycles",
+        "mshr_peak_occupancy", "wb_peak_occupancy", "busy_delay_cycles",
+        "queue_stall_cycles", "queue_peak_occupancy", "_dynamic_energy",
+        "_last_access_cycle",
+    };
+    for (size_t k = 0; k < sizeof(names) / sizeof(names[0]); k++) {
+        *slots[k] = PyUnicode_InternFromString(names[k]);
+        if (*slots[k] == NULL)
+            return -1;
+    }
+    ZERO = PyLong_FromLong(0);
+    return ZERO == NULL ? -1 : 0;
+}
+
+/* Error state of one run's memory model: a failed Python API call sets
+ * ``err`` and every later helper returns at once; callers check it after
+ * each top-level operation. */
+typedef struct { int err; } merr_t;
+
+static num_t
+num_of(merr_t *e, PyObject *o)
+{
+    num_t r = {0.0, 0};
+    if (PyFloat_CheckExact(o)) {
+        r.v = PyFloat_AS_DOUBLE(o);
+        r.f = 1;
+    } else if (PyLong_Check(o)) {
+        long long x = PyLong_AsLongLong(o);
+        if (x == -1 && PyErr_Occurred())
+            e->err = 1;
+        r.v = (double)x;
+    } else if (PyFloat_Check(o)) {
+        r.v = PyFloat_AsDouble(o);
+        r.f = 1;
+    } else {
+        PyErr_SetString(PyExc_TypeError, "memory model time is not a number");
+        e->err = 1;
+    }
+    return r;
+}
+
+/* The last object num_obj built per type: a time is usually stored in
+ * several places in a row (a line's fill and last use, one cycle's
+ * accesses), and sharing one object, as Python assignments do, keeps the
+ * lists (and the warm-memo snapshots of them) as small as the model's. */
+static PyObject *recent_obj[2];
+static double recent_val[2];
+
+static PyObject *
+num_obj(num_t x)
+{
+    int f = x.f != 0;
+    if (recent_obj[f] != NULL && memcmp(&recent_val[f], &x.v, sizeof(double)) == 0)
+        return Py_NewRef(recent_obj[f]);
+    PyObject *obj = f ? PyFloat_FromDouble(x.v)
+                      : PyLong_FromLongLong((long long)x.v);
+    if (obj != NULL) {
+        Py_XSETREF(recent_obj[f], Py_NewRef(obj));
+        recent_val[f] = x.v;
+    }
+    return obj;
+}
+
+static inline num_t
+num_get(merr_t *e, PyObject *list, Py_ssize_t k)
+{
+    return num_of(e, PyList_GET_ITEM(list, k));
+}
+
+static void
+num_put(merr_t *e, PyObject *list, Py_ssize_t k, num_t x)
+{
+    if (e->err)
+        return;
+    PyObject *obj = num_obj(x);
+    if (obj == NULL) {
+        e->err = 1;
+        return;
+    }
+    PyObject *old = PyList_GET_ITEM(list, k);
+    PyList_SET_ITEM(list, k, obj);
+    Py_DECREF(old);
+}
+
+static num_t
+dict_num(merr_t *e, PyObject *dict, PyObject *key)
+{
+    num_t zero = {0.0, 0};
+    if (e->err)
+        return zero;
+    PyObject *o = PyDict_GetItemWithError(dict, key);
+    if (o == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetObject(PyExc_KeyError, key);
+        e->err = 1;
+        return zero;
+    }
+    return num_of(e, o);
+}
+
+static void
+dict_put(merr_t *e, PyObject *dict, PyObject *key, num_t x)
+{
+    if (e->err)
+        return;
+    PyObject *obj = num_obj(x);
+    if (obj == NULL || PyDict_SetItem(dict, key, obj) < 0)
+        e->err = 1;
+    Py_XDECREF(obj);
+}
+
+/* ``dict[key] += x`` */
+static inline void
+dict_add(merr_t *e, PyObject *dict, PyObject *key, num_t x)
+{
+    dict_put(e, dict, key, num_add(dict_num(e, dict, key), x));
+}
 
 static int
 buffer_of(PyObject *obj, Py_buffer *view, void **ptr)
@@ -260,109 +443,531 @@ buffer_of(PyObject *obj, Py_buffer *view, void **ptr)
     return 0;
 }
 
-/* spec: None (hits stay in Python) or (tags, fill, last_use, flags,
- * counters, num_sets, associativity, block_bytes, latency). */
+static int
+view_error(const char *what)
+{
+    PyErr_Format(PyExc_ValueError, "%s view does not match its geometry", what);
+    return -1;
+}
+
+/* ---- occupancy resources (OccupancyResource and its clients) ---- */
+/* Lane ``l`` owns slots l * (cap + 1) onwards; its live entries are the
+ * first len[l], in admission order. */
+typedef struct {
+    int on;
+    int64_t *keys, *len;
+    PyObject *done;         /* list: completion per slot (int or float) */
+    int64_t cap, lanes;
+    Py_buffer v_keys, v_len;
+} nres_t;
+
+/* spec: None or (keys, completions, lengths, capacity, lanes). */
+static int
+nres_open(PyObject *spec, nres_t *r)
+{
+    memset(r, 0, sizeof(*r));
+    if (spec == Py_None)
+        return 0;
+    PyObject *keys, *len;
+    long long cap, lanes;
+    if (!PyArg_ParseTuple(spec, "OO!OLL", &keys, &PyList_Type, &r->done, &len,
+                          &cap, &lanes))
+        return -1;
+    r->cap = cap;
+    r->lanes = lanes;
+    if (buffer_of(keys, &r->v_keys, (void **)&r->keys) < 0 ||
+        buffer_of(len, &r->v_len, (void **)&r->len) < 0)
+        return -1;
+    Py_INCREF(r->done);
+    r->on = 1;
+    if (cap < 1 || lanes < 1 ||
+        r->v_keys.len < (Py_ssize_t)(lanes * (cap + 1) * 8) ||
+        PyList_GET_SIZE(r->done) < lanes * (cap + 1) ||
+        r->v_len.len < (Py_ssize_t)(lanes * 8))
+        return view_error("occupancy resource");
+    return 0;
+}
+
+static void
+nres_close(nres_t *r)
+{
+    if (r->v_keys.obj) PyBuffer_Release(&r->v_keys);
+    if (r->v_len.obj) PyBuffer_Release(&r->v_len);
+    if (r->on)
+        Py_DECREF(r->done);
+    r->on = 0;
+}
+
+static inline int64_t
+res_base(const nres_t *r, int64_t lane)
+{
+    return lane * (r->cap + 1);
+}
+
+static int64_t
+res_find(const nres_t *r, int64_t lane, int64_t key)
+{
+    int64_t base = res_base(r, lane), end = base + r->len[lane];
+    for (int64_t k = base; k < end; k++)
+        if (r->keys[k] == key)
+            return k;
+    return -1;
+}
+
+/* OccupancyResource._delete */
+static void
+res_delete(nres_t *r, int64_t lane, int64_t slot)
+{
+    int64_t end = res_base(r, lane) + r->len[lane] - 1;
+    PyObject **items = ((PyListObject *)r->done)->ob_item;
+    PyObject *gone = items[slot];
+    memmove(r->keys + slot, r->keys + slot + 1,
+            (size_t)(end - slot) * sizeof(int64_t));
+    memmove(items + slot, items + slot + 1,
+            (size_t)(end - slot) * sizeof(PyObject *));
+    items[end] = Py_NewRef(ZERO);
+    Py_DECREF(gone);
+    r->len[lane]--;
+}
+
+/* OccupancyResource._earliest: first entry with the minimal completion. */
+static int64_t
+res_earliest(merr_t *e, nres_t *r, int64_t lane)
+{
+    int64_t base = res_base(r, lane), end = base + r->len[lane], best = base;
+    double best_v = num_get(e, r->done, base).v;
+    for (int64_t k = base + 1; k < end; k++) {
+        double v = num_get(e, r->done, k).v;
+        if (v < best_v) {
+            best_v = v;
+            best = k;
+        }
+    }
+    return best;
+}
+
+/* OccupancyResource._append */
+static void
+res_append(merr_t *e, nres_t *r, int64_t lane, int64_t key, num_t completion)
+{
+    int64_t n = r->len[lane], slot = res_base(r, lane) + n;
+    r->keys[slot] = key;
+    num_put(e, r->done, slot, completion);
+    r->len[lane] = n + 1;
+    if (n + 1 > r->cap)
+        res_delete(r, lane, res_earliest(e, r, lane));
+}
+
+/* OccupancyResource._retire: drop every entry completed by ``now``. */
+static void
+res_retire(merr_t *e, nres_t *r, int64_t lane, num_t now)
+{
+    int64_t n = r->len[lane];
+    if (n == 0 || e->err)
+        return;
+    int64_t base = res_base(r, lane), w = base;
+    PyObject **items = ((PyListObject *)r->done)->ob_item;
+    for (int64_t k = base; k < base + n; k++) {
+        if (num_get(e, r->done, k).v > now.v) {
+            if (w != k) {
+                r->keys[w] = r->keys[k];
+                items[w] = items[k];
+                items[k] = NULL;
+            }
+            w++;
+        } else {
+            PyObject *gone = items[k];
+            items[k] = NULL;
+            Py_DECREF(gone);
+        }
+    }
+    for (int64_t k = w; k < base + n; k++)
+        items[k] = Py_NewRef(ZERO);
+    r->len[lane] = w - base;
+}
+
+static int
+res_available(merr_t *e, nres_t *r, int64_t lane, num_t now)
+{
+    if (r->len[lane] < r->cap)
+        return 1;
+    res_retire(e, r, lane, now);
+    return r->len[lane] < r->cap;
+}
+
+/* OccupancyResource._full_delay */
+static num_t
+res_full_delay(merr_t *e, nres_t *r, int64_t lane, num_t now)
+{
+    if (r->len[lane] < r->cap)
+        return NUM_ZERO_F;
+    res_retire(e, r, lane, now);
+    if (r->len[lane] < r->cap || e->err)
+        return NUM_ZERO_F;
+    int64_t slot = res_earliest(e, r, lane);
+    num_t earliest = num_get(e, r->done, slot);
+    res_delete(r, lane, slot);
+    return num_sub(earliest, now);
+}
+
+/* OccupancyResource.acquire_delay */
+static num_t
+res_acquire_delay(merr_t *e, nres_t *r, int64_t lane, int64_t key, num_t now)
+{
+    int64_t slot = res_find(r, lane, key);
+    if (slot >= 0) {
+        if (num_get(e, r->done, slot).v > now.v)
+            return NUM_ZERO_F;
+        res_delete(r, lane, slot);
+    }
+    return res_full_delay(e, r, lane, now);
+}
+
+/* OccupancyResource.admit: 1 for a fresh admission. */
+static int
+res_admit(merr_t *e, nres_t *r, int64_t lane, int64_t key, num_t completion)
+{
+    int64_t slot = res_find(r, lane, key);
+    if (slot >= 0) {
+        if (completion.v < num_get(e, r->done, slot).v)
+            num_put(e, r->done, slot, completion);
+        return 0;
+    }
+    res_append(e, r, lane, key, completion);
+    return 1;
+}
+
+/* probe_peak over one lane, or every lane (a banked file) for lane -1;
+ * ``now`` NULL measures the lazy size.  Updates ``dict[key]``. */
+static void
+res_probe_peak(merr_t *e, nres_t *r, int64_t lane, const num_t *now,
+               PyObject *dict, PyObject *key)
+{
+    int64_t lo = lane < 0 ? 0 : lane, hi = lane < 0 ? r->lanes : lane + 1;
+    int64_t size = 0;
+    for (int64_t l = lo; l < hi; l++)
+        size += r->len[l];
+    num_t recorded = dict_num(e, dict, key);
+    if ((double)size <= recorded.v || e->err)
+        return;
+    int64_t occupancy = size;
+    if (now != NULL) {
+        occupancy = 0;
+        for (int64_t l = lo; l < hi; l++) {
+            res_retire(e, r, l, *now);
+            occupancy += r->len[l];
+        }
+    }
+    if ((double)occupancy > recorded.v)
+        dict_put(e, dict, key, num_i((double)occupancy));
+}
+
+/* ---- caches (memory.cache.Cache) ---- */
+typedef struct {
+    int on;
+    int64_t *tag;           /* per slot; -1 = empty */
+    int64_t *stamp;         /* per slot insertion stamp */
+    int64_t *count;         /* per set: lines = the set's first count slots */
+    int64_t *clock;         /* next stamp */
+    int64_t *cnt;           /* CS_* counters, credited after the run */
+    uint8_t *flags;         /* LINE_* bits */
+    PyObject *fill;         /* list: per-slot fill time (int or float) */
+    PyObject *last_use;     /* list: per-slot last use (int or float) */
+    PyObject *stats;        /* the CacheStats __dict__ */
+    int64_t sets, assoc, block;
+    num_t latency;
+    int lookahead;          /* Cache.lookahead_mode */
+    nres_t mshr;            /* lanes = banks */
+    nres_t wb;
+    Py_buffer v_tag, v_stamp, v_count, v_clock, v_cnt, v_flags;
+} ncache_t;
+
+/* spec: None or (tags, fill, last_use, flags, stamp, count, clock,
+ * counters, stats_dict, num_sets, associativity, block_bytes, latency,
+ * lookahead_mode, mshr, write_buffer). */
 static int
 ncache_open(PyObject *spec, ncache_t *c)
 {
     memset(c, 0, sizeof(*c));
     if (spec == NULL || spec == Py_None)
         return 0;
-    PyObject *tag, *flags, *cnt;
-    long long sets, assoc, block, latency;
-    if (!PyArg_ParseTuple(spec, "OO!O!OOLLLL", &tag, &PyList_Type, &c->fill,
-                          &PyList_Type, &c->last_use, &flags, &cnt, &sets,
-                          &assoc, &block, &latency))
+    PyObject *tag, *flags, *stamp, *count, *clock, *cnt, *latency, *mshr, *wb;
+    long long sets, assoc, block;
+    if (!PyArg_ParseTuple(spec, "OO!O!OOOOOO!LLLOiOO", &tag, &PyList_Type,
+                          &c->fill, &PyList_Type, &c->last_use, &flags, &stamp,
+                          &count, &clock, &cnt, &PyDict_Type, &c->stats, &sets,
+                          &assoc, &block, &latency, &c->lookahead, &mshr, &wb))
         return -1;
     c->sets = sets;
     c->assoc = assoc;
     c->block = block;
-    c->latency = latency;
-    if (buffer_of(tag, &c->v_tag, (void **)&c->tag) < 0 ||
+    Py_INCREF(c->fill);
+    Py_INCREF(c->last_use);
+    Py_INCREF(c->stats);
+    c->on = 1;
+    merr_t e = {0};
+    c->latency = num_of(&e, latency);
+    if (e.err ||
+        buffer_of(tag, &c->v_tag, (void **)&c->tag) < 0 ||
         buffer_of(flags, &c->v_flags, (void **)&c->flags) < 0 ||
-        buffer_of(cnt, &c->v_cnt, (void **)&c->cnt) < 0)
+        buffer_of(stamp, &c->v_stamp, (void **)&c->stamp) < 0 ||
+        buffer_of(count, &c->v_count, (void **)&c->count) < 0 ||
+        buffer_of(clock, &c->v_clock, (void **)&c->clock) < 0 ||
+        buffer_of(cnt, &c->v_cnt, (void **)&c->cnt) < 0 ||
+        nres_open(mshr, &c->mshr) < 0 || nres_open(wb, &c->wb) < 0)
         return -1;
     Py_ssize_t slots = (Py_ssize_t)(sets * assoc);
     if (sets < 1 || assoc < 1 || block < 1 ||
-        c->v_tag.len < slots * (Py_ssize_t)sizeof(int64_t) ||
-        c->v_flags.len < slots || c->v_cnt.len < 4 * (Py_ssize_t)sizeof(int64_t) ||
-        PyList_GET_SIZE(c->fill) < slots || PyList_GET_SIZE(c->last_use) < slots) {
-        PyErr_SetString(PyExc_ValueError, "cache view does not match its geometry");
-        return -1;
-    }
-    Py_INCREF(c->fill);
-    Py_INCREF(c->last_use);
-    c->on = 1;
+        c->v_tag.len < slots * 8 || c->v_stamp.len < slots * 8 ||
+        c->v_flags.len < slots || c->v_count.len < (Py_ssize_t)(sets * 8) ||
+        c->v_clock.len < 8 || c->v_cnt.len < CS_COUNT * 8 ||
+        PyList_GET_SIZE(c->fill) < slots || PyList_GET_SIZE(c->last_use) < slots)
+        return view_error("cache");
     return 0;
 }
 
 static void
 ncache_close(ncache_t *c)
 {
-    if (c->v_tag.obj) PyBuffer_Release(&c->v_tag);
-    if (c->v_flags.obj) PyBuffer_Release(&c->v_flags);
-    if (c->v_cnt.obj) PyBuffer_Release(&c->v_cnt);
+    Py_buffer *views[] = {&c->v_tag, &c->v_stamp, &c->v_count, &c->v_clock,
+                          &c->v_cnt, &c->v_flags};
+    for (size_t k = 0; k < sizeof(views) / sizeof(views[0]); k++)
+        if (views[k]->obj) PyBuffer_Release(views[k]);
+    nres_close(&c->mshr);
+    nres_close(&c->wb);
     if (c->on) {
         Py_DECREF(c->fill);
         Py_DECREF(c->last_use);
+        Py_DECREF(c->stats);
     }
     c->on = 0;
 }
 
-/* spec: None or (vpn, last_use, counters, entries, page_bytes). */
+/* ---- TLB (memory.tlb.Tlb) ---- */
+typedef struct {
+    int on;
+    int64_t *vpn, *stamp, *count, *clock, *cnt;
+    PyObject *last_use;     /* list: per-slot last use */
+    int64_t n, page, hint;
+    num_t penalty;
+    Py_buffer v_vpn, v_stamp, v_count, v_clock, v_cnt;
+} ntlb_t;
+
+/* spec: None or (vpn, last_use, stamp, count, clock, counters, entries,
+ * page_bytes, miss_penalty). */
 static int
 ntlb_open(PyObject *spec, ntlb_t *t)
 {
     memset(t, 0, sizeof(*t));
     if (spec == NULL || spec == Py_None)
         return 0;
-    PyObject *vpn, *cnt;
+    PyObject *vpn, *stamp, *count, *clock, *cnt, *penalty;
     long long entries, page;
-    if (!PyArg_ParseTuple(spec, "OO!OLL", &vpn, &PyList_Type, &t->last_use,
-                          &cnt, &entries, &page))
+    if (!PyArg_ParseTuple(spec, "OO!OOOOLLO", &vpn, &PyList_Type, &t->last_use,
+                          &stamp, &count, &clock, &cnt, &entries, &page,
+                          &penalty))
         return -1;
     t->n = entries;
     t->page = page;
-    if (buffer_of(vpn, &t->v_vpn, (void **)&t->vpn) < 0 ||
-        buffer_of(cnt, &t->v_cnt, (void **)&t->cnt) < 0)
-        return -1;
-    if (page < 1 || entries < 0 ||
-        t->v_vpn.len < (Py_ssize_t)(entries * sizeof(int64_t)) ||
-        t->v_cnt.len < 2 * (Py_ssize_t)sizeof(int64_t) ||
-        PyList_GET_SIZE(t->last_use) < entries) {
-        PyErr_SetString(PyExc_ValueError, "TLB view does not match its size");
-        return -1;
-    }
     Py_INCREF(t->last_use);
     t->on = 1;
+    merr_t e = {0};
+    t->penalty = num_of(&e, penalty);
+    if (e.err ||
+        buffer_of(vpn, &t->v_vpn, (void **)&t->vpn) < 0 ||
+        buffer_of(stamp, &t->v_stamp, (void **)&t->stamp) < 0 ||
+        buffer_of(count, &t->v_count, (void **)&t->count) < 0 ||
+        buffer_of(clock, &t->v_clock, (void **)&t->clock) < 0 ||
+        buffer_of(cnt, &t->v_cnt, (void **)&t->cnt) < 0)
+        return -1;
+    if (page < 1 || entries < 1 ||
+        t->v_vpn.len < (Py_ssize_t)(entries * 8) ||
+        t->v_stamp.len < (Py_ssize_t)(entries * 8) ||
+        t->v_count.len < 8 || t->v_clock.len < 8 ||
+        t->v_cnt.len < TS_COUNT * 8 || PyList_GET_SIZE(t->last_use) < entries)
+        return view_error("TLB");
     return 0;
 }
 
 static void
 ntlb_close(ntlb_t *t)
 {
-    if (t->v_vpn.obj) PyBuffer_Release(&t->v_vpn);
-    if (t->v_cnt.obj) PyBuffer_Release(&t->v_cnt);
+    Py_buffer *views[] = {&t->v_vpn, &t->v_stamp, &t->v_count, &t->v_clock,
+                          &t->v_cnt};
+    for (size_t k = 0; k < sizeof(views) / sizeof(views[0]); k++)
+        if (views[k]->obj) PyBuffer_Release(views[k]);
     if (t->on)
         Py_DECREF(t->last_use);
     t->on = 0;
 }
 
-/* One core's native hit path: its L1s and TLB (spec keys mem_l1i,
- * mem_l1d, mem_tlb; a None view keeps that side in Python). */
+/* ---- DRAM (memory.dram.DramModel) ---- */
 typedef struct {
-    ncache_t l1i, l1d;
+    int on;
+    int64_t *open_rows, *cnt;
+    PyObject *bank_ready;   /* list: per-bank ready time */
+    PyObject *stats;        /* the DramStats __dict__ */
+    PyObject *state;        /* the DramModel __dict__ (energy, last access) */
+    nres_t queues;          /* lane 2 * group + is_write */
+    int64_t row_bytes, nbanks, groups;
+    num_t row_hit, row_miss, busy, e_act, e_read, e_write;
+    Py_buffer v_rows, v_cnt;
+} ndram_t;
+
+/* spec: None or (open_rows, bank_ready, queues, counters, stats_dict,
+ * model_dict, row_bytes, num_banks, queue_groups, row_hit_latency,
+ * row_miss_latency, bank_busy_penalty, energy_activate, energy_read,
+ * energy_write). */
+static int
+ndram_open(PyObject *spec, ndram_t *d)
+{
+    memset(d, 0, sizeof(*d));
+    if (spec == NULL || spec == Py_None)
+        return 0;
+    PyObject *rows, *queues, *cnt, *cfg[6];
+    long long row_bytes, nbanks, groups;
+    if (!PyArg_ParseTuple(spec, "OO!OOO!O!LLLOOOOOO", &rows, &PyList_Type,
+                          &d->bank_ready, &queues, &cnt, &PyDict_Type,
+                          &d->stats, &PyDict_Type, &d->state, &row_bytes,
+                          &nbanks, &groups, &cfg[0], &cfg[1], &cfg[2],
+                          &cfg[3], &cfg[4], &cfg[5]))
+        return -1;
+    d->row_bytes = row_bytes;
+    d->nbanks = nbanks;
+    d->groups = groups;
+    Py_INCREF(d->bank_ready);
+    Py_INCREF(d->stats);
+    Py_INCREF(d->state);
+    d->on = 1;
+    merr_t e = {0};
+    num_t *values[] = {&d->row_hit, &d->row_miss, &d->busy, &d->e_act,
+                       &d->e_read, &d->e_write};
+    for (int k = 0; k < 6; k++)
+        *values[k] = num_of(&e, cfg[k]);
+    if (e.err ||
+        buffer_of(rows, &d->v_rows, (void **)&d->open_rows) < 0 ||
+        buffer_of(cnt, &d->v_cnt, (void **)&d->cnt) < 0 ||
+        nres_open(queues, &d->queues) < 0)
+        return -1;
+    if (row_bytes < 1 || nbanks < 1 || groups < 1 ||
+        d->v_rows.len < (Py_ssize_t)(nbanks * 8) ||
+        PyList_GET_SIZE(d->bank_ready) < nbanks ||
+        d->v_cnt.len < DS_COUNT * 8 ||
+        (d->queues.on && d->queues.lanes < 2 * groups))
+        return view_error("DRAM");
+    return 0;
+}
+
+static void
+ndram_close(ndram_t *d)
+{
+    if (d->v_rows.obj) PyBuffer_Release(&d->v_rows);
+    if (d->v_cnt.obj) PyBuffer_Release(&d->v_cnt);
+    nres_close(&d->queues);
+    if (d->on) {
+        Py_DECREF(d->bank_ready);
+        Py_DECREF(d->stats);
+        Py_DECREF(d->state);
+    }
+    d->on = 0;
+}
+
+/* ---- Best-Offset prefetcher (prefetch.best_offset) ---- */
+/* scalar state slots (must match driver._BOP_STATE) */
+enum { BS_RR_LEN, BS_RR_ORDER, BS_TEST, BS_ROUND, BS_ON, BS_HAS_OFFSET,
+       BS_OFFSET, BS_COUNT };
+
+typedef struct {
+    int on;
+    int64_t *rr_blocks, *rr_orders, *scores, *offsets, *st;
+    int64_t rr_entries, noff, block, round_max, score_max, bad_score;
+    int l1;                 /* requests target the L1D (else the L2) */
+    Py_buffer v_rb, v_ro, v_sc, v_off, v_st;
+} nbop_t;
+
+/* spec: None or (rr_blocks, rr_orders, scores, offsets, state, rr_entries,
+ * block_bytes, round_max, score_max, bad_score, targets_l1). */
+static int
+nbop_open(PyObject *spec, nbop_t *b)
+{
+    memset(b, 0, sizeof(*b));
+    if (spec == NULL || spec == Py_None)
+        return 0;
+    PyObject *rb, *ro, *sc, *off, *st;
+    long long rr_entries, block, round_max, score_max, bad_score;
+    if (!PyArg_ParseTuple(spec, "OOOOOLLLLLi", &rb, &ro, &sc, &off, &st,
+                          &rr_entries, &block, &round_max, &score_max,
+                          &bad_score, &b->l1))
+        return -1;
+    b->rr_entries = rr_entries;
+    b->block = block;
+    b->round_max = round_max;
+    b->score_max = score_max;
+    b->bad_score = bad_score;
+    if (buffer_of(rb, &b->v_rb, (void **)&b->rr_blocks) < 0 ||
+        buffer_of(ro, &b->v_ro, (void **)&b->rr_orders) < 0 ||
+        buffer_of(sc, &b->v_sc, (void **)&b->scores) < 0 ||
+        buffer_of(off, &b->v_off, (void **)&b->offsets) < 0 ||
+        buffer_of(st, &b->v_st, (void **)&b->st) < 0)
+        return -1;
+    b->noff = b->v_off.len / 8;
+    b->on = 1;
+    if (rr_entries < 1 || block < 1 || b->noff < 1 ||
+        b->v_rb.len < (Py_ssize_t)(rr_entries * 8) ||
+        b->v_ro.len < (Py_ssize_t)(rr_entries * 8) ||
+        b->v_sc.len < (Py_ssize_t)(b->noff * 8) || b->v_st.len < BS_COUNT * 8)
+        return view_error("best-offset prefetcher");
+    return 0;
+}
+
+static void
+nbop_close(nbop_t *b)
+{
+    Py_buffer *views[] = {&b->v_rb, &b->v_ro, &b->v_sc, &b->v_off, &b->v_st};
+    for (size_t k = 0; k < sizeof(views) / sizeof(views[0]); k++)
+        if (views[k]->obj) PyBuffer_Release(views[k]);
+    b->on = 0;
+}
+
+/* One core's memory system.  l1i / l1d + tlb are present when that side's
+ * hits run natively; with ``misses`` the whole hierarchy is present and
+ * every access, prefetch and TLB prefill runs natively. */
+typedef struct {
+    merr_t e;
+    ncache_t l1i, l1d, l2, l3;
     ntlb_t tlb;
+    ndram_t dram;
+    nbop_t bop;
+    int misses;
+    int lookahead;          /* CoreMemorySystem.lookahead_mode */
+    int64_t hits, missed;   /* native L1 hits / native L1 misses */
 } nmem_t;
 
+/* spec: (l1i, l1d, l2, l3, tlb, dram, l2_prefetcher, lookahead_mode); a
+ * None level is not run natively (l2 None: misses stay in Python). */
 static int
 nmem_open(PyObject *spec, nmem_t *m)
 {
     memset(m, 0, sizeof(*m));
-    if (ncache_open(PyDict_GetItemString(spec, "mem_l1i"), &m->l1i) < 0 ||
-        ncache_open(PyDict_GetItemString(spec, "mem_l1d"), &m->l1d) < 0 ||
-        ntlb_open(PyDict_GetItemString(spec, "mem_tlb"), &m->tlb) < 0)
+    PyObject *l1i, *l1d, *l2, *l3, *tlb, *dram, *bop;
+    if (spec == NULL) {
+        PyErr_SetString(PyExc_KeyError, "missing memory views");
         return -1;
+    }
+    if (!PyArg_ParseTuple(spec, "OOOOOOOi", &l1i, &l1d, &l2, &l3, &tlb, &dram,
+                          &bop, &m->lookahead))
+        return -1;
+    if (ncache_open(l1i, &m->l1i) < 0 || ncache_open(l1d, &m->l1d) < 0 ||
+        ncache_open(l2, &m->l2) < 0 || ncache_open(l3, &m->l3) < 0 ||
+        ntlb_open(tlb, &m->tlb) < 0 || ndram_open(dram, &m->dram) < 0 ||
+        nbop_open(bop, &m->bop) < 0)
+        return -1;
+    m->misses = m->l2.on;
+    if (m->misses && !(m->l1i.on && m->l1d.on && m->l3.on && m->tlb.on &&
+                       m->dram.on)) {
+        PyErr_SetString(PyExc_ValueError, "native misses need every level");
+        return -1;
+    }
     return 0;
 }
 
@@ -371,7 +976,637 @@ nmem_close(nmem_t *m)
 {
     ncache_close(&m->l1i);
     ncache_close(&m->l1d);
+    ncache_close(&m->l2);
+    ncache_close(&m->l3);
     ntlb_close(&m->tlb);
+    ndram_close(&m->dram);
+    nbop_close(&m->bop);
+}
+
+/* ---- cache operations ---- */
+static inline int64_t
+cache_find(const ncache_t *c, int64_t block)
+{
+    int64_t index = pmod(block, c->sets), tag = pdiv(block, c->sets);
+    int64_t base = index * c->assoc, end = base + c->count[index];
+    for (int64_t k = base; k < end; k++)
+        if (c->tag[k] == tag)
+            return k;
+    return -1;
+}
+
+static inline int
+cache_probe(const ncache_t *c, int64_t address)
+{
+    return cache_find(c, pdiv(address, c->block)) >= 0;
+}
+
+/* The hit half of Cache.lookup on a present slot (``accesses`` counted by
+ * the caller); returns the ready cycle. */
+static num_t
+cache_hit(merr_t *e, ncache_t *c, int64_t slot, num_t now, int is_write)
+{
+    c->cnt[CS_HITS]++;
+    num_put(e, c->last_use, slot, now);
+    num_t fill = num_get(e, c->fill, slot);
+    uint8_t fl = c->flags[slot];
+    if (is_write)
+        fl |= LINE_DIRTY;
+    if ((fl & PF_STATE) == LINE_FROM_PREFETCH) {
+        fl |= LINE_PREFETCH_USED;
+        c->cnt[CS_PF_HITS]++;
+        if (fill.v > now.v)
+            c->cnt[CS_LATE_PF_HITS]++;
+    }
+    c->flags[slot] = fl;
+    return num_add(fill.v > now.v ? fill : now, c->latency);
+}
+
+/* The MSHR file's acquire_delay (BankedMshrFile's when it has lanes);
+ * *conflict is its last_conflict. */
+static num_t
+mshr_acquire(merr_t *e, nres_t *r, int64_t block, num_t now, int *conflict)
+{
+    int64_t lane = pmod(block, r->lanes);
+    num_t delay = res_acquire_delay(e, r, lane, block, now);
+    *conflict = 0;
+    if (r->lanes > 1 && delay.v > 0.0) {
+        for (int64_t other = 0; other < r->lanes; other++) {
+            if (other != lane && res_available(e, r, other, now)) {
+                *conflict = 1;
+                break;
+            }
+        }
+    }
+    return delay;
+}
+
+/* Cache.lookup: 1 and *ready on a hit; 0 on a miss, with *stall the
+ * miss's last_miss_stall. */
+static int
+cache_lookup(merr_t *e, ncache_t *c, int64_t address, num_t now, int is_write,
+             num_t *ready, num_t *stall)
+{
+    c->cnt[CS_ACC]++;
+    int64_t block = pdiv(address, c->block);
+    int64_t slot = cache_find(c, block);
+    if (slot >= 0) {
+        *ready = cache_hit(e, c, slot, now, is_write);
+        return 1;
+    }
+    c->cnt[CS_MISSES]++;
+    *stall = NUM_ZERO_F;
+    if (c->mshr.on) {
+        int conflict;
+        num_t s = mshr_acquire(e, &c->mshr, block, now, &conflict);
+        *stall = s;
+        if (s.v > 0) {
+            dict_add(e, c->stats, K_MSHR_STALL_CYCLES, s);
+            c->cnt[CS_MSHR_STALLS]++;
+            if (conflict) {
+                c->cnt[CS_BANK_CONFLICTS]++;
+                dict_add(e, c->stats, K_BANK_CONFLICT_CYCLES, s);
+            }
+        }
+    }
+    return 0;
+}
+
+/* Cache.mshr_available(now, address) */
+static int
+cache_mshr_available(merr_t *e, ncache_t *c, num_t now, int64_t address)
+{
+    if (!c->mshr.on)
+        return 1;
+    return res_available(e, &c->mshr,
+                         pmod(pdiv(address, c->block), c->mshr.lanes), now);
+}
+
+/* cache.lru_victim: the LRU slot among base .. base + count - 1, the
+ * smallest (last_use, stamp); shared by cache sets and the TLB. */
+static int64_t
+lru_victim(merr_t *e, PyObject *last_use, const int64_t *stamp, int64_t base,
+           int64_t count)
+{
+    int64_t best = base;
+    double best_use = num_get(e, last_use, base).v;
+    for (int64_t k = base + 1; k < base + count; k++) {
+        double use = num_get(e, last_use, k).v;
+        if (use < best_use || (use == best_use && stamp[k] < stamp[best])) {
+            best = k;
+            best_use = use;
+        }
+    }
+    return best;
+}
+
+/* Cache.fill: returns 1 with *victim when a dirty victim needs writeback;
+ * *wb_stall is the fill's last_wb_stall.  ``now`` NULL = no probe time. */
+static int
+cache_fill(merr_t *e, ncache_t *c, int64_t address, num_t fill_time,
+           int dirty, int from_prefetch, int allocate_mshr, const num_t *now,
+           int64_t *victim, num_t *wb_stall)
+{
+    *wb_stall = NUM_ZERO_F;
+    int64_t block = pdiv(address, c->block);
+    int64_t index = pmod(block, c->sets), tag = pdiv(block, c->sets);
+    if (from_prefetch)
+        c->cnt[CS_PF_ISSUED]++;
+    if (c->mshr.on && allocate_mshr) {
+        if (res_admit(e, &c->mshr, pmod(block, c->mshr.lanes), block,
+                      fill_time)) {
+            c->cnt[CS_MSHR_ALLOC]++;
+            res_probe_peak(e, &c->mshr, -1, now, c->stats, K_MSHR_PEAK);
+        } else {
+            c->cnt[CS_MSHR_COALESCED]++;
+        }
+    }
+    int64_t slot = cache_find(c, block);
+    if (slot >= 0) {
+        if (fill_time.v < num_get(e, c->fill, slot).v)
+            num_put(e, c->fill, slot, fill_time);
+        if (dirty)
+            c->flags[slot] |= LINE_DIRTY;
+        return 0;
+    }
+    int writeback = 0;
+    int64_t count = c->count[index], base = index * c->assoc;
+    if (count >= c->assoc) {
+        slot = lru_victim(e, c->last_use, c->stamp, base, count);
+        uint8_t victim_flags = c->flags[slot];
+        c->cnt[CS_EVICTIONS]++;
+        if ((victim_flags & PF_STATE) == LINE_FROM_PREFETCH)
+            c->cnt[CS_PF_USELESS]++;
+        /* A look-ahead cache discards dirty victims (containment). */
+        if ((victim_flags & LINE_DIRTY) && !c->lookahead) {
+            c->cnt[CS_WRITEBACKS]++;
+            *victim = (c->tag[slot] * c->sets + index) * c->block;
+            writeback = 1;
+            if (c->wb.on) {
+                num_t stall = res_full_delay(e, &c->wb, 0, fill_time);
+                *wb_stall = stall;
+                if (stall.v > 0) {
+                    c->cnt[CS_WB_STALLS]++;
+                    dict_add(e, c->stats, K_WB_STALL_CYCLES, stall);
+                    fill_time = num_add(fill_time, stall);
+                }
+            }
+        }
+    } else {
+        slot = base + count;
+        c->count[index] = count + 1;
+    }
+    c->tag[slot] = tag;
+    num_put(e, c->fill, slot, fill_time);
+    num_put(e, c->last_use, slot, fill_time);
+    c->flags[slot] = (uint8_t)((dirty ? LINE_DIRTY : 0)
+                               | (from_prefetch ? LINE_FROM_PREFETCH : 0));
+    c->stamp[slot] = c->clock[0]++;
+    return writeback;
+}
+
+/* Cache.writeback_admit */
+static void
+cache_writeback_admit(merr_t *e, ncache_t *c, num_t completion, num_t at)
+{
+    if (!c->wb.on)
+        return;
+    res_append(e, &c->wb, 0, 0, completion);
+    c->cnt[CS_WB_ENQ]++;
+    res_probe_peak(e, &c->wb, 0, &at, c->stats, K_WB_PEAK);
+}
+
+/* ---- TLB operations ---- */
+static inline int64_t
+tlb_find(ntlb_t *t, int64_t vpn)
+{
+    int64_t count = t->count[0];
+    if (t->hint < count && t->vpn[t->hint] == vpn)
+        return t->hint;
+    for (int64_t k = 0; k < count; k++)
+        if (t->vpn[k] == vpn) {
+            t->hint = k;
+            return k;
+        }
+    return -1;
+}
+
+/* Tlb._insert */
+static void
+tlb_insert(merr_t *e, ntlb_t *t, int64_t vpn, num_t now)
+{
+    int64_t slot = tlb_find(t, vpn);
+    if (slot < 0) {
+        int64_t count = t->count[0];
+        if (count >= t->n) {
+            slot = lru_victim(e, t->last_use, t->stamp, 0, count);
+        } else {
+            slot = count;
+            t->count[0] = count + 1;
+        }
+        t->vpn[slot] = vpn;
+        t->stamp[slot] = t->clock[0]++;
+    }
+    num_put(e, t->last_use, slot, now);
+}
+
+/* Tlb.access: the added latency. */
+static num_t
+tlb_access(merr_t *e, ntlb_t *t, int64_t address, num_t now)
+{
+    t->cnt[TS_ACC]++;
+    int64_t vpn = pdiv(address, t->page);
+    int64_t slot = tlb_find(t, vpn);
+    if (slot >= 0) {
+        t->cnt[TS_HITS]++;
+        num_put(e, t->last_use, slot, now);
+        return num_i(0);
+    }
+    t->cnt[TS_MISSES]++;
+    tlb_insert(e, t, vpn, now);
+    return t->penalty;
+}
+
+/* ---- DRAM operations ---- */
+/* DramModel.access: the cycle the data is available. */
+static num_t
+dram_access(merr_t *e, ndram_t *d, int64_t address, num_t now, int is_write,
+            int source)
+{
+    int64_t row = pdiv(address, d->row_bytes);
+    int64_t bank = pmod(row, d->nbanks);
+    int64_t lane = -1;
+    if (d->queues.on) {
+        lane = 2 * pmod(bank, d->groups) + (is_write ? 1 : 0);
+        num_t delay = res_full_delay(e, &d->queues, lane, now);
+        if (delay.v > 0) {
+            d->cnt[DS_QUEUE_STALLS]++;
+            dict_add(e, d->stats, K_QUEUE_STALL_CYCLES, delay);
+            now = num_add(now, delay);
+        }
+    }
+    num_t ready = num_get(e, d->bank_ready, bank);
+    num_t start = ready.v > now.v ? ready : now;   /* max(now, ready) */
+    if (ready.v > now.v)
+        dict_add(e, d->stats, K_BUSY_DELAY, num_sub(start, now));
+    num_t latency;
+    if (d->open_rows[bank] == row) {
+        latency = d->row_hit;
+        d->cnt[DS_ROW_HITS]++;
+    } else {
+        latency = d->row_miss;
+        d->cnt[DS_ROW_MISSES]++;
+        dict_add(e, d->state, K_DYN_ENERGY, d->e_act);
+        d->open_rows[bank] = row;
+    }
+    if (is_write) {
+        d->cnt[DS_WRITES]++;
+        if (source == SRC_WRITEBACK)
+            d->cnt[DS_WB_WRITES]++;
+        dict_add(e, d->state, K_DYN_ENERGY, d->e_write);
+    } else {
+        d->cnt[DS_READS]++;
+        if (source == SRC_PREFETCH)
+            d->cnt[DS_PF_READS]++;
+        dict_add(e, d->state, K_DYN_ENERGY, d->e_read);
+    }
+    num_t finish = num_add(start, latency);
+    num_put(e, d->bank_ready, bank, num_add(start, d->busy));
+    if (lane >= 0) {
+        res_append(e, &d->queues, lane, 0, finish);
+        res_probe_peak(e, &d->queues, lane, &now, d->stats, K_QUEUE_PEAK);
+    }
+    if (finish.v > dict_num(e, d->state, K_LAST_ACCESS).v)
+        dict_put(e, d->state, K_LAST_ACCESS, finish);
+    return finish;
+}
+
+/* ---- BOP training (BestOffsetPrefetcher.observe) ---- */
+static int64_t
+bop_rr_find(const nbop_t *b, int64_t block)
+{
+    for (int64_t k = 0; k < b->st[BS_RR_LEN]; k++)
+        if (b->rr_blocks[k] == block)
+            return k;
+    return -1;
+}
+
+static void
+bop_new_round(nbop_t *b)
+{
+    memset(b->scores, 0, (size_t)b->noff * sizeof(int64_t));
+    b->st[BS_ROUND] = 0;
+    b->st[BS_TEST] = 0;
+}
+
+/* Trains on one access; 1 with *target when it requests a prefetch. */
+static int
+bop_observe(nbop_t *b, int64_t address, int64_t *target)
+{
+    int64_t *st = b->st;
+    int64_t block = pdiv(address, b->block);
+    int64_t k = pmod(st[BS_TEST], b->noff);
+    int64_t tested = b->offsets[k];
+    st[BS_TEST]++;
+    if (bop_rr_find(b, block - tested) >= 0) {
+        b->scores[k]++;
+        if (b->scores[k] >= b->score_max) {
+            st[BS_OFFSET] = tested;
+            st[BS_HAS_OFFSET] = 1;
+            st[BS_ON] = 1;
+            bop_new_round(b);
+        }
+    }
+    st[BS_ROUND]++;
+    if (st[BS_ROUND] >= b->round_max) {   /* _end_round */
+        int64_t best = 0;
+        for (int64_t j = 1; j < b->noff; j++)
+            if (b->scores[j] > b->scores[best])
+                best = j;
+        if (b->scores[best] <= b->bad_score) {
+            st[BS_ON] = 0;
+            st[BS_HAS_OFFSET] = 0;
+        } else {
+            st[BS_ON] = 1;
+            st[BS_HAS_OFFSET] = 1;
+            st[BS_OFFSET] = b->offsets[best];
+        }
+        bop_new_round(b);
+    }
+    int64_t slot = bop_rr_find(b, block);   /* _rr_insert */
+    if (slot < 0) {
+        if (st[BS_RR_LEN] >= b->rr_entries) {
+            slot = 0;
+            for (int64_t j = 1; j < st[BS_RR_LEN]; j++)
+                if (b->rr_orders[j] < b->rr_orders[slot])
+                    slot = j;
+        } else {
+            slot = st[BS_RR_LEN]++;
+        }
+        b->rr_blocks[slot] = block;
+    }
+    b->rr_orders[slot] = st[BS_RR_ORDER]++;
+    if (!st[BS_ON] || !st[BS_HAS_OFFSET])
+        return 0;
+    *target = (block + st[BS_OFFSET]) * b->block;
+    return 1;
+}
+
+/* ---- the hierarchy (memory.hierarchy) ---- */
+/* SharedMemorySystem._spill_l3_victim */
+static void
+spill_l3(nmem_t *m, int64_t victim, num_t fill_time, num_t wb_stall)
+{
+    num_t drain = wb_stall.v != 0 ? num_add(fill_time, wb_stall) : fill_time;
+    num_t done = dram_access(&m->e, &m->dram, victim, drain, 1, SRC_WRITEBACK);
+    cache_writeback_admit(&m->e, &m->l3, done, drain);
+}
+
+/* SharedMemorySystem.access: the ready cycle; *dram = went to DRAM. */
+static num_t
+shared_access(nmem_t *m, int64_t address, num_t now, int is_write, int source,
+              int *dram)
+{
+    num_t ready, stall, wb_stall;
+    int64_t victim;
+    if (cache_lookup(&m->e, &m->l3, address, now, is_write, &ready, &stall)) {
+        *dram = 0;
+        return ready;
+    }
+    num_t issue = num_add(num_add(now, stall), m->l3.latency);
+    num_t dram_ready = dram_access(&m->e, &m->dram, address, issue, is_write,
+                                   source);
+    int writeback = cache_fill(&m->e, &m->l3, address, dram_ready, is_write, 0,
+                               1, &now, &victim, &wb_stall);
+    ready = dram_ready;
+    if (writeback) {
+        spill_l3(m, victim, dram_ready, wb_stall);
+        if (wb_stall.v != 0)
+            ready = num_add(dram_ready, wb_stall);
+    }
+    *dram = 1;
+    return ready;
+}
+
+/* CoreMemorySystem._spill_l2_victim */
+static void
+spill_l2(nmem_t *m, int64_t victim, num_t fill_time, num_t wb_stall)
+{
+    num_t drain = wb_stall.v != 0 ? num_add(fill_time, wb_stall) : fill_time;
+    num_t done = dram_access(&m->e, &m->dram, victim, drain, 1, SRC_WRITEBACK);
+    cache_writeback_admit(&m->e, &m->l2, done, drain);
+}
+
+/* CoreMemorySystem._spill_l1_victim */
+static void
+spill_l1(nmem_t *m, ncache_t *l1, int64_t victim, num_t fill_time,
+         num_t wb_stall)
+{
+    num_t drain = wb_stall.v != 0 ? num_add(fill_time, wb_stall) : fill_time;
+    int64_t cascade;
+    num_t cascade_stall;
+    int spilled = cache_fill(&m->e, &m->l2, victim, drain, 1, 0, 0, NULL,
+                             &cascade, &cascade_stall);
+    cache_writeback_admit(&m->e, l1, num_add(drain, m->l2.latency), drain);
+    if (spilled && m->l2.wb.on)
+        spill_l2(m, cascade, drain, cascade_stall);
+}
+
+/* CoreMemorySystem._fill_l1: returns the fill's last_wb_stall. */
+static num_t
+fill_l1(nmem_t *m, ncache_t *l1, int64_t address, num_t fill_time, int dirty,
+        num_t now)
+{
+    int64_t victim;
+    num_t wb_stall;
+    if (cache_fill(&m->e, l1, address, fill_time, dirty, 0, 1, &now, &victim,
+                   &wb_stall) && !m->lookahead)
+        spill_l1(m, l1, victim, fill_time, wb_stall);
+    return wb_stall;
+}
+
+/* CoreMemorySystem._fill_l2: returns the fill's last_wb_stall. */
+static num_t
+fill_l2(nmem_t *m, int64_t address, num_t fill_time, int dirty, num_t now)
+{
+    int64_t victim;
+    num_t wb_stall;
+    if (cache_fill(&m->e, &m->l2, address, fill_time, dirty, 0, 1, &now,
+                   &victim, &wb_stall) && !m->lookahead)
+        spill_l2(m, victim, fill_time, wb_stall);
+    return wb_stall;
+}
+
+/* CoreMemorySystem._miss: the access's info word, *ready its ready cycle. */
+static int
+mem_miss(nmem_t *m, ncache_t *l1, int64_t address, num_t now, num_t start,
+         int is_write, num_t l1_stall, num_t *ready)
+{
+    num_t issue = num_add(num_add(start, l1_stall), l1->latency);
+    num_t l2_ready, l2_stall;
+    if (cache_lookup(&m->e, &m->l2, address, issue, is_write, &l2_ready,
+                     &l2_stall)) {
+        num_t wb_stall = fill_l1(m, l1, address, l2_ready, is_write, now);
+        *ready = wb_stall.v != 0 ? num_add(l2_ready, wb_stall) : l2_ready;
+        return 9;
+    }
+    int dram;
+    num_t shared = shared_access(
+        m, address, num_add(num_add(issue, l2_stall), m->l2.latency), is_write,
+        SRC_DEMAND, &dram);
+    num_t l2_wb_stall = fill_l2(m, address, shared, is_write, now);
+    num_t wb_stall = num_add(l2_wb_stall,
+                             fill_l1(m, l1, address, shared, is_write, now));
+    *ready = wb_stall.v != 0 ? num_add(shared, wb_stall) : shared;
+    return dram ? 7 : 3;
+}
+
+/* SharedMemorySystem.access_for_prefetch: 0 when refused. */
+static int
+shared_prefetch(nmem_t *m, int64_t address, num_t now, num_t *ready)
+{
+    if (!cache_probe(&m->l3, address) &&
+        !cache_mshr_available(&m->e, &m->l3, now, address)) {
+        m->l3.cnt[CS_PF_DROPPED]++;
+        return 0;
+    }
+    int dram;
+    *ready = shared_access(m, address, now, 0, SRC_PREFETCH, &dram);
+    return 1;
+}
+
+/* CoreMemorySystem._prefetch_fill_time_from_l2: 0 when refused. */
+static int
+prefetch_from_l2(nmem_t *m, int64_t address, num_t now, num_t *fill_time)
+{
+    if (cache_probe(&m->l2, address)) {
+        *fill_time = num_add(now, m->l2.latency);
+        return 1;
+    }
+    if (!cache_mshr_available(&m->e, &m->l2, now, address)) {
+        m->l2.cnt[CS_PF_DROPPED]++;
+        return 0;
+    }
+    if (!shared_prefetch(m, address, num_add(now, m->l2.latency), fill_time))
+        return 0;
+    int64_t victim;
+    num_t wb_stall;
+    if (cache_fill(&m->e, &m->l2, address, *fill_time, 0, 1, 1, &now, &victim,
+                   &wb_stall) && !m->lookahead && m->l2.wb.on)
+        spill_l2(m, victim, *fill_time, wb_stall);
+    return 1;
+}
+
+/* CoreMemorySystem.prefetch(address, now, level): 0 when dropped. */
+static int
+mem_prefetch(nmem_t *m, int64_t address, num_t now, int into_l1,
+             num_t *fill_time)
+{
+    if (!into_l1)
+        return prefetch_from_l2(m, address, now, fill_time);
+    ncache_t *l1 = &m->l1d;     /* _prefetch_into_l1 */
+    if (cache_probe(l1, address)) {
+        *fill_time = now;
+        return 1;
+    }
+    if (!cache_mshr_available(&m->e, l1, now, address)) {
+        l1->cnt[CS_PF_DROPPED]++;
+        return 0;
+    }
+    if (!prefetch_from_l2(m, address, now, fill_time))
+        return 0;
+    int64_t victim;
+    num_t wb_stall;
+    if (cache_fill(&m->e, l1, address, *fill_time, 0, 1, 1, &now, &victim,
+                   &wb_stall) && !m->lookahead && l1->wb.on)
+        spill_l1(m, l1, victim, *fill_time, wb_stall);
+    return 1;
+}
+
+/* Tlb.prefill */
+static void
+mem_prefill_tlb(nmem_t *m, int64_t address, num_t now)
+{
+    int64_t vpn = pdiv(address, m->tlb.page);
+    if (tlb_find(&m->tlb, vpn) < 0)
+        m->tlb.cnt[TS_PREFILLS]++;
+    tlb_insert(&m->e, &m->tlb, vpn, now);
+}
+
+/* The L2 branch of OutOfOrderCore._run_prefetchers for one data access's
+ * info word (BOP's notify_drop is a no-op). */
+static void
+mem_train(nmem_t *m, int64_t address, int info, num_t now)
+{
+    int64_t target;
+    num_t fill_time;
+    if (m->bop.on && (info & 1) && bop_observe(&m->bop, address, &target))
+        mem_prefetch(m, target, now, m->bop.l1, &fill_time);
+}
+
+/* CoreMemorySystem.access_inst_fast.  1 when served natively (*ready,
+ * *info), 0 when the access must go through Python, -1 on error. */
+static int
+mem_inst(nmem_t *m, int64_t address, num_t now, num_t *ready, int *info)
+{
+    ncache_t *l1 = &m->l1i;
+    if (!l1->on)
+        return 0;
+    *info = 0;
+    if (!m->misses) {
+        int64_t slot = cache_find(l1, pdiv(address, l1->block));
+        if (slot < 0)
+            return 0;
+        l1->cnt[CS_ACC]++;
+        *ready = cache_hit(&m->e, l1, slot, now, 0);
+        m->hits++;
+        return m->e.err ? -1 : 1;
+    }
+    num_t stall;
+    if (cache_lookup(&m->e, l1, address, now, 0, ready, &stall)) {
+        m->hits++;
+    } else {
+        *info = mem_miss(m, l1, address, now, now, 0, stall, ready);
+        m->missed++;
+    }
+    return m->e.err ? -1 : 1;
+}
+
+/* CoreMemorySystem.access_data_fast; returns as mem_inst. */
+static int
+mem_data(nmem_t *m, int64_t address, num_t now, int is_write, num_t *ready,
+         int *info)
+{
+    ncache_t *l1 = &m->l1d;
+    ntlb_t *tlb = &m->tlb;
+    if (!l1->on || !tlb->on)
+        return 0;
+    *info = 0;
+    if (!m->misses) {
+        /* Hits only: both the translation and the line must be present. */
+        int64_t entry = tlb_find(tlb, pdiv(address, tlb->page));
+        if (entry < 0)
+            return 0;
+        int64_t slot = cache_find(l1, pdiv(address, l1->block));
+        if (slot < 0)
+            return 0;
+        tlb->cnt[TS_ACC]++;
+        tlb->cnt[TS_HITS]++;
+        num_put(&m->e, tlb->last_use, entry, now);
+        l1->cnt[CS_ACC]++;
+        *ready = cache_hit(&m->e, l1, slot, now, is_write);
+        m->hits++;
+        return m->e.err ? -1 : 1;
+    }
+    num_t start = num_add(now, tlb_access(&m->e, tlb, address, now));
+    num_t stall;
+    if (cache_lookup(&m->e, l1, address, start, is_write, ready, &stall)) {
+        m->hits++;
+    } else {
+        *info = mem_miss(m, l1, address, now, start, is_write, stall, ready);
+        m->missed++;
+    }
+    return m->e.err ? -1 : 1;
 }
 
 /* ------------------------------------------------------------------ */
@@ -380,38 +1615,40 @@ nmem_close(nmem_t *m)
 /* Columns are in program order, walked in lockstep with the trace's    */
 /* seqs; verdicts were drawn before the run.                            */
 
-/* hint-state slots (must match driver._HINT_STATE, plus the stall) */
+/* hint-state slots (must match driver._HINT_STATE), then the run's own
+ * fetch stall on hints and native installs/drops, written from 0 */
 enum {
     H_OFFSET, H_FQ_OCC, H_FQ_PF, H_FQ_VAL, H_REBOOTS,
-    H_BRANCH, H_VALUE, H_PREFETCH, H_STALL, H_COUNT
+    H_BRANCH, H_VALUE, H_PREFETCH, H_STALL, H_INSTALLED, H_DROPPED, H_COUNT
 };
 
 typedef struct {
     int on;
-    int64_t *bseq, *vseq;
+    int64_t *bseq, *vseq, *paddr;
     double *btime, *vtime, *ptime, *state;
     int8_t *bok, *vverdict;
     int64_t nb, nv, np, boq, fq_cap;
     double penalty;
     double *consumed;       /* fetch cycle of each consumed branch hint */
     PyObject *install;      /* install(lo, hi, offset) */
-    Py_buffer v_bseq, v_btime, v_bok, v_vseq, v_vtime, v_vv, v_ptime, v_state;
+    Py_buffer v_bseq, v_btime, v_bok, v_vseq, v_vtime, v_vv, v_ptime, v_paddr;
+    Py_buffer v_state;
 } hunit_t;
 
 /* spec: None or (branch_seqs, branch_times, branch_correct, value_seqs,
- * value_times, value_verdicts, prefetch_times, state, boq_entries,
- * reboot_penalty, fq_capacity, install). */
+ * value_times, value_verdicts, prefetch_times, prefetch_addresses, state,
+ * boq_entries, reboot_penalty, fq_capacity, install). */
 static int
 hunit_open(PyObject *spec, hunit_t *h)
 {
     memset(h, 0, sizeof(*h));
     if (spec == NULL || spec == Py_None)
         return 0;
-    PyObject *bseq, *btime, *bok, *vseq, *vtime, *vv, *ptime, *state;
+    PyObject *bseq, *btime, *bok, *vseq, *vtime, *vv, *ptime, *paddr, *state;
     long long boq, fq_cap;
-    if (!PyArg_ParseTuple(spec, "OOOOOOOOLdLO", &bseq, &btime, &bok, &vseq,
-                          &vtime, &vv, &ptime, &state, &boq, &h->penalty,
-                          &fq_cap, &h->install))
+    if (!PyArg_ParseTuple(spec, "OOOOOOOOOLdLO", &bseq, &btime, &bok, &vseq,
+                          &vtime, &vv, &ptime, &paddr, &state, &boq,
+                          &h->penalty, &fq_cap, &h->install))
         return -1;
     if (buffer_of(bseq, &h->v_bseq, (void **)&h->bseq) < 0 ||
         buffer_of(btime, &h->v_btime, (void **)&h->btime) < 0 ||
@@ -420,6 +1657,7 @@ hunit_open(PyObject *spec, hunit_t *h)
         buffer_of(vtime, &h->v_vtime, (void **)&h->vtime) < 0 ||
         buffer_of(vv, &h->v_vv, (void **)&h->vverdict) < 0 ||
         buffer_of(ptime, &h->v_ptime, (void **)&h->ptime) < 0 ||
+        buffer_of(paddr, &h->v_paddr, (void **)&h->paddr) < 0 ||
         buffer_of(state, &h->v_state, (void **)&h->state) < 0)
         return -1;
     h->nb = h->v_bseq.len / (Py_ssize_t)sizeof(int64_t);
@@ -432,6 +1670,7 @@ hunit_open(PyObject *spec, hunit_t *h)
         h->v_bok.len != h->nb ||
         h->v_vtime.len != h->nv * (Py_ssize_t)sizeof(double) ||
         h->v_vv.len != h->nv ||
+        h->v_paddr.len != h->np * (Py_ssize_t)sizeof(int64_t) ||
         h->v_state.len != H_COUNT * (Py_ssize_t)sizeof(double)) {
         PyErr_SetString(PyExc_ValueError, "hint unit columns do not match");
         return -1;
@@ -450,7 +1689,8 @@ static void
 hunit_close(hunit_t *h)
 {
     Py_buffer *views[] = {&h->v_bseq, &h->v_btime, &h->v_bok, &h->v_vseq,
-                          &h->v_vtime, &h->v_vv, &h->v_ptime, &h->v_state};
+                          &h->v_vtime, &h->v_vv, &h->v_ptime, &h->v_paddr,
+                          &h->v_state};
     for (size_t k = 0; k < sizeof(views) / sizeof(views[0]); k++)
         if (views[k]->obj) PyBuffer_Release(views[k]);
     PyMem_Free(h->consumed);
@@ -510,107 +1750,6 @@ clog_close(clog_t *c)
     c->on = 0;
 }
 
-/* Slot holding ``address``'s line, or -1 (address >= 0). */
-static inline int64_t
-ncache_find(const ncache_t *c, int64_t address)
-{
-    int64_t block = address / c->block;
-    int64_t tag = block / c->sets;
-    int64_t base = (block % c->sets) * c->assoc;
-    for (int64_t k = base; k < base + c->assoc; k++)
-        if (c->tag[k] == tag)
-            return k;
-    return -1;
-}
-
-/* list[slot] = int(value), as the Python accessors store ``now``. */
-static inline int
-set_last_use(PyObject *list, int64_t slot, int64_t value)
-{
-    PyObject *obj = PyLong_FromLongLong(value);
-    if (obj == NULL)
-        return -1;
-    PyObject *old = PyList_GET_ITEM(list, slot);
-    PyList_SET_ITEM(list, slot, obj);
-    Py_DECREF(old);
-    return 0;
-}
-
-/* The hit half of Cache.lookup on a present slot: stores the ready cycle
- * in *ready; -1 on error. */
-static inline int
-ncache_hit(ncache_t *c, int64_t slot, int64_t now_int, int is_write,
-           double *ready)
-{
-    double now = (double)now_int;
-    PyObject *obj = PyList_GET_ITEM(c->fill, slot);
-    double fill = PyFloat_CheckExact(obj) ? PyFloat_AS_DOUBLE(obj)
-                                          : PyFloat_AsDouble(obj);
-    if ((fill == -1.0 && PyErr_Occurred()) ||
-        set_last_use(c->last_use, slot, now_int) < 0)
-        return -1;
-    c->cnt[0]++;
-    c->cnt[1]++;
-    uint8_t fl = c->flags[slot];
-    if (is_write)
-        fl |= LINE_DIRTY;
-    if ((fl & (LINE_FROM_PREFETCH | LINE_PREFETCH_USED)) == LINE_FROM_PREFETCH) {
-        fl |= LINE_PREFETCH_USED;
-        c->cnt[2]++;
-        if (fill > now)
-            c->cnt[3]++;
-    }
-    c->flags[slot] = fl;
-    *ready = (fill > now ? fill : now) + (double)c->latency;
-    return 0;
-}
-
-static inline int64_t
-ntlb_find(ntlb_t *t, int64_t vpn)
-{
-    if (t->hint < t->n && t->vpn[t->hint] == vpn)
-        return t->hint;
-    for (int64_t k = 0; k < t->n; k++)
-        if (t->vpn[k] == vpn) {
-            t->hint = k;
-            return k;
-        }
-    return -1;
-}
-
-/* Instruction-block hit (CoreMemorySystem.access_inst_fast's first line).
- * ``now`` is the accessor's integer cycle.  Returns 1 on a native hit, 0
- * when the caller must go through Python, -1 on error. */
-static inline int
-native_inst_hit(ncache_t *l1i, int64_t address, int64_t now, double *ready)
-{
-    if (!l1i->on || address < 0)
-        return 0;
-    int64_t slot = ncache_find(l1i, address);
-    if (slot < 0)
-        return 0;
-    return ncache_hit(l1i, slot, now, 0, ready) < 0 ? -1 : 1;
-}
-
-/* Data hit (access_data_fast's TLB + L1 lines): both must be present. */
-static inline int
-native_data_hit(ntlb_t *tlb, ncache_t *l1d, int64_t address, int64_t now,
-                int is_write, double *ready)
-{
-    if (!l1d->on || !tlb->on || address < 0)
-        return 0;
-    int64_t entry = ntlb_find(tlb, address / tlb->page);
-    if (entry < 0)
-        return 0;
-    int64_t slot = ncache_find(l1d, address);
-    if (slot < 0)
-        return 0;
-    if (set_last_use(tlb->last_use, entry, now) < 0)
-        return -1;
-    tlb->cnt[0]++;
-    tlb->cnt[1]++;
-    return ncache_hit(l1d, slot, now, is_write, ready) < 0 ? -1 : 1;
-}
 
 typedef struct { double free_at; int64_t index; } unit_t;
 
@@ -793,7 +1932,7 @@ run_tick_loop(PyObject *self, PyObject *args)
     hunit_t hu = {0};
     clog_t log = {0};
 
-    if (nmem_open(spec, &mem) < 0 ||
+    if (nmem_open(PyDict_GetItemString(spec, "memory"), &mem) < 0 ||
         hunit_open(PyDict_GetItemString(spec, "hint_unit"), &hu) < 0 ||
         clog_open(PyDict_GetItemString(spec, "commit_log"), &log, n) < 0)
         goto done;
@@ -845,6 +1984,15 @@ run_tick_loop(PyObject *self, PyObject *args)
     /* Declared load-miss log (CompiledHookSpec.load_miss_log): the kernel
      * appends (issue, address) for every load that misses the L1. */
     PyObject *miss_log = get_callback(spec, "load_miss_log");
+    /* Wrong-path pollution with native misses (else cb_redirect runs
+     * OutOfOrderCore._wrong_path_pollution): (decoded, executed, loads,
+     * stride) of one redirect. */
+    long long wp_decoded = 0, wp_executed = 0, wp_loads = 0, wp_stride = 0;
+    PyObject *wrong_path = get_callback(spec, "wrong_path");
+    if (wrong_path != NULL &&
+        !PyArg_ParseTuple(wrong_path, "LLLL", &wp_decoded, &wp_executed,
+                          &wp_loads, &wp_stride))
+        goto done;
 
     if (num_int < 1) num_int = 1;
     if (num_mem < 1) num_mem = 1;
@@ -879,7 +2027,7 @@ run_tick_loop(PyObject *self, PyObject *args)
     /* hint-unit run state (written back after the loop) */
     double offset = 0.0, hint_stall = 0.0;
     int64_t fq_occ = 0, fq_pf = 0, fq_val = 0, reboots = 0;
-    int64_t hb = 0, hv = 0, hp = 0;
+    int64_t hb = 0, hv = 0, hp = 0, installed = 0, dropped = 0;
     if (hu.on) {
         offset = hu.state[H_OFFSET];
         fq_occ = (int64_t)hu.state[H_FQ_OCC];
@@ -907,12 +2055,16 @@ run_tick_loop(PyObject *self, PyObject *args)
         int64_t block = byte_address / block_bytes;
         if (!have_block || block != current_block) {
             counters[C_L1I_ACC]++;
-            int hit = native_inst_hit(&mem.l1i, byte_address,
-                                      (int64_t)fetch_time, &block_ready);
+            num_t got;
+            int info;
+            int hit = mem_inst(&mem, byte_address,
+                               num_i((double)(int64_t)fetch_time), &got, &info);
             if (hit < 0)
                 goto done;
             if (hit) {
-                counters[C_NATIVE_HITS]++;
+                block_ready = got.v;
+                if (info & 1)
+                    counters[C_L1I_MISS]++;
             } else {
                 comm[B_I] = (double)i;
                 comm[B_T0] = fetch_time;
@@ -978,7 +2130,20 @@ run_tick_loop(PyObject *self, PyObject *args)
                 }
                 hp++;
             }
-            if (hp > lo) {
+            if (hp > lo && mem.misses) {
+                /* MainThreadHintSource.install */
+                for (int64_t k = lo; k < hp; k++) {
+                    num_t available = num_i((double)(int64_t)(hu.ptime[k] + offset));
+                    num_t ignored;
+                    if (mem_prefetch(&mem, hu.paddr[k], available, 1, &ignored))
+                        installed++;
+                    else
+                        dropped++;
+                    mem_prefill_tlb(&mem, hu.paddr[k], available);
+                }
+                if (mem.e.err)
+                    goto done;
+            } else if (hp > lo) {
                 PyObject *r = PyObject_CallFunction(hu.install, "LLd",
                                                     (long long)lo,
                                                     (long long)hp, offset);
@@ -1092,12 +2257,20 @@ run_tick_loop(PyObject *self, PyObject *args)
             double issue = heap_reserve(mem_heap, (int)num_mem, ready, 1.0);
             if (f & F_LOAD) {
                 counters[C_L1D_ACC]++;
-                int hit = native_data_hit(&mem.tlb, &mem.l1d, ea[i],
-                                          (int64_t)issue, 0, &complete);
+                num_t now = num_i((double)(int64_t)issue), got;
+                int info;
+                int64_t aflags;
+                int hit = mem_data(&mem, ea[i], now, 0, &got, &info);
                 if (hit < 0)
                     goto done;
                 if (hit) {
-                    counters[C_NATIVE_HITS]++;
+                    complete = got.v;
+                    aflags = info;
+                    if (mem.misses) {
+                        mem_train(&mem, ea[i], info, now);
+                        if (mem.e.err)
+                            goto done;
+                    }
                 } else {
                     comm[B_I] = (double)i;
                     comm[B_T0] = issue;
@@ -1106,25 +2279,25 @@ run_tick_loop(PyObject *self, PyObject *args)
                         goto done;
                     Py_DECREF(r);
                     complete = comm[B_OUT0];
-                    int64_t aflags = (int64_t)comm[B_OUT1];
-                    if (aflags & 1) {
-                        counters[C_L1D_MISS]++;
-                        if (aflags & 2)
-                            counters[C_L2_MISS]++;
-                        if (miss_log != NULL) {
-                            PyObject *item = Py_BuildValue("(dL)", issue,
-                                                           (long long)ea[i]);
-                            if (item == NULL)
-                                goto done;
-                            int bad = PyList_Append(miss_log, item);
-                            Py_DECREF(item);
-                            if (bad < 0)
-                                goto done;
-                        }
-                    }
-                    if (aflags & 4)
-                        counters[C_DRAM]++;
+                    aflags = (int64_t)comm[B_OUT1];
                 }
+                if (aflags & 1) {
+                    counters[C_L1D_MISS]++;
+                    if (aflags & 2)
+                        counters[C_L2_MISS]++;
+                    if (miss_log != NULL) {
+                        PyObject *item = Py_BuildValue("(dL)", issue,
+                                                       (long long)ea[i]);
+                        if (item == NULL)
+                            goto done;
+                        int bad = PyList_Append(miss_log, item);
+                        Py_DECREF(item);
+                        if (bad < 0)
+                            goto done;
+                    }
+                }
+                if (aflags & 4)
+                    counters[C_DRAM]++;
                 comm[B_LAST] = (double)i;
             } else {
                 complete = issue + 1.0;
@@ -1168,9 +2341,9 @@ run_tick_loop(PyObject *self, PyObject *args)
         /* ---------------- control flow ---------------- */
         if ((f & F_CONTROL) && ctrl_native) {
             /* Native transcription of OutOfOrderCore._handle_control;
-             * Python is re-entered only for the rare events that touch
-             * model state it owns (hint-mispredict hooks, wrong-path
-             * cache pollution on a redirect). */
+             * Python is re-entered only for hint-mispredict hooks and,
+             * when the memory hierarchy stays in Python, for wrong-path
+             * cache pollution on a redirect. */
             double redirect = 0.0;
             int have_redirect = 0;
             int64_t pc_ = pc[i];
@@ -1250,7 +2423,20 @@ run_tick_loop(PyObject *self, PyObject *args)
             if (have_redirect) {
                 if (redirect > fetch_redirect_at)
                     fetch_redirect_at = redirect;
-                if (cb_redirect != NULL) {
+                if (wrong_path != NULL) {
+                    /* OutOfOrderCore._wrong_path_pollution */
+                    counters[C_DECODED] += wp_decoded;
+                    counters[C_EXECUTED] += wp_executed;
+                    if (comm[B_LAST] >= 0) {
+                        int64_t last = ea[(int64_t)comm[B_LAST]];
+                        num_t now = num_i((double)(int64_t)fetch_time), got;
+                        int info;
+                        for (int64_t k = 0; k < wp_loads; k++)
+                            if (mem_data(&mem, last + (k + 1) * wp_stride, now,
+                                         0, &got, &info) < 0)
+                                goto done;
+                    }
+                } else if (cb_redirect != NULL) {
                     comm[B_I] = (double)i;
                     comm[B_T0] = fetch_time;
                     PyObject *r = PyObject_CallNoArgs(cb_redirect);
@@ -1282,13 +2468,19 @@ run_tick_loop(PyObject *self, PyObject *args)
 
         if (f & F_STORE) {
             counters[C_L1D_ACC]++;
-            double ignored;
-            int hit = native_data_hit(&mem.tlb, &mem.l1d, ea[i],
-                                      (int64_t)commit_time, 1, &ignored);
+            num_t now = num_i((double)(int64_t)commit_time), got;
+            int info;
+            int64_t aflags;
+            int hit = mem_data(&mem, ea[i], now, 1, &got, &info);
             if (hit < 0)
                 goto done;
             if (hit) {
-                counters[C_NATIVE_HITS]++;
+                aflags = info;
+                if (mem.misses) {
+                    mem_train(&mem, ea[i], info, now);
+                    if (mem.e.err)
+                        goto done;
+                }
             } else {
                 comm[B_I] = (double)i;
                 comm[B_T0] = commit_time;
@@ -1296,15 +2488,15 @@ run_tick_loop(PyObject *self, PyObject *args)
                 if (r == NULL)
                     goto done;
                 Py_DECREF(r);
-                int64_t aflags = (int64_t)comm[B_OUT1];
-                if (aflags & 1) {
-                    counters[C_L1D_MISS]++;
-                    if (aflags & 2)
-                        counters[C_L2_MISS]++;
-                }
-                if (aflags & 4)
-                    counters[C_DRAM]++;
+                aflags = (int64_t)comm[B_OUT1];
             }
+            if (aflags & 1) {
+                counters[C_L1D_MISS]++;
+                if (aflags & 2)
+                    counters[C_L2_MISS]++;
+            }
+            if (aflags & 4)
+                counters[C_DRAM]++;
         }
 
         if (log.on) {
@@ -1332,6 +2524,8 @@ run_tick_loop(PyObject *self, PyObject *args)
 
     counters[C_FETCH_BOUND] = fetch_bound;
     counters[C_TICKS] = n;
+    counters[C_NATIVE_HITS] = mem.hits;
+    counters[C_NATIVE_MISSES] = mem.missed;
     counters[C_LOG_BRANCHES] = n_log_b;
     counters[C_LOG_PCS] = n_log_p;
     if (hu.on) {
@@ -1344,6 +2538,8 @@ run_tick_loop(PyObject *self, PyObject *args)
         hu.state[H_VALUE] = (double)hv;
         hu.state[H_PREFETCH] = (double)hp;
         hu.state[H_STALL] = hint_stall;
+        hu.state[H_INSTALLED] = (double)installed;
+        hu.state[H_DROPPED] = (double)dropped;
     }
 
     /* ---------------- fetch-queue histogram ---------------- */
@@ -1414,10 +2610,19 @@ done:
 
 /* ------------------------------------------------------------------ */
 /* Warm-up replay: repro.core.system._replay_warmup's loop.  Same       */
-/* accesses in the same order and pacing; hits are served natively,    */
-/* everything else calls CoreMemorySystem.access_inst_fast /           */
-/* access_data_fast.  Returns the number of native hits.               */
+/* accesses in the same order and pacing, natively where the memory     */
+/* views allow and through CoreMemorySystem.access_inst_fast /         */
+/* access_data_fast otherwise.  Flags beyond the decoded ones add the   */
+/* other memory operations, so an access stream can drive every native */
+/* path: R_TRAIN trains the L2 prefetcher on the data access, R_PF_L1 / */
+/* R_PF_L2 prefetch ``ea`` into that level and R_PREFILL prefills its   */
+/* translation.  Returns (native hits, native misses).                  */
 /* ------------------------------------------------------------------ */
+#define R_TRAIN   2048
+#define R_PF_L1   4096
+#define R_PF_L2   8192
+#define R_PREFILL 16384
+
 static int
 replay_miss(PyObject *cb, int64_t address, int64_t cycle, PyObject *is_write)
 {
@@ -1454,9 +2659,8 @@ replay_warmup(PyObject *self, PyObject *args)
     int64_t *ba = NULL, *flags = NULL, *ea = NULL;
     nmem_t mem;
     PyObject *ret = NULL;
-    int64_t hits = 0;
 
-    if (nmem_open(spec, &mem) < 0 ||
+    if (nmem_open(PyDict_GetItemString(spec, "memory"), &mem) < 0 ||
         get_buffer(spec, "ba", &v_ba, (void **)&ba) < 0 ||
         get_buffer(spec, "flags", &v_flags, (void **)&flags) < 0 ||
         get_buffer(spec, "ea", &v_ea, (void **)&ea) < 0)
@@ -1464,42 +2668,101 @@ replay_warmup(PyObject *self, PyObject *args)
 
     int64_t cycle = 0, last_block = 0;
     int have_block = 0;
-    double ready;
+    num_t ready;
+    int info;
     for (int64_t i = 0; i < n; i++) {
         int64_t address = ba[i];
         int64_t block = address / block_bytes;
+        num_t now = num_i((double)cycle);
         if (!have_block || block != last_block) {
             last_block = block;
             have_block = 1;
-            int hit = native_inst_hit(&mem.l1i, address, cycle, &ready);
-            if (hit < 0)
-                goto done;
-            if (hit)
-                hits++;
-            else if (replay_miss(cb_inst, address, cycle, NULL) < 0)
+            int hit = mem_inst(&mem, address, now, &ready, &info);
+            if (hit < 0 ||
+                (!hit && replay_miss(cb_inst, address, cycle, NULL) < 0))
                 goto done;
         }
         int64_t f = flags[i];
         if (f & (F_LOAD | F_STORE)) {
             int is_write = (f & F_LOAD) == 0;
-            int hit = native_data_hit(&mem.tlb, &mem.l1d, ea[i], cycle,
-                                      is_write, &ready);
-            if (hit < 0)
+            int hit = mem_data(&mem, ea[i], now, is_write, &ready, &info);
+            if (hit < 0 ||
+                (!hit && replay_miss(cb_data, ea[i], cycle,
+                                     is_write ? Py_True : Py_False) < 0))
                 goto done;
-            if (hit)
-                hits++;
-            else if (replay_miss(cb_data, ea[i], cycle,
-                                 is_write ? Py_True : Py_False) < 0)
-                goto done;
+            if (f & R_TRAIN)
+                mem_train(&mem, ea[i], info, now);
         }
+        if ((f & (R_TRAIN | R_PF_L1 | R_PF_L2 | R_PREFILL)) && !mem.misses) {
+            PyErr_SetString(PyExc_ValueError,
+                            "prefetch and prefill operations need native misses");
+            goto done;
+        }
+        if (f & R_PF_L1)
+            mem_prefetch(&mem, ea[i], now, 1, &ready);
+        if (f & R_PF_L2)
+            mem_prefetch(&mem, ea[i], now, 0, &ready);
+        if (f & R_PREFILL)
+            mem_prefill_tlb(&mem, ea[i], now);
+        if (mem.e.err)
+            goto done;
         cycle += pace;
     }
-    ret = PyLong_FromLongLong(hits);
+    ret = Py_BuildValue("(LL)", (long long)mem.hits, (long long)mem.missed);
 done:
     nmem_close(&mem);
     if (v_ba.obj) PyBuffer_Release(&v_ba);
     if (v_flags.obj) PyBuffer_Release(&v_flags);
     if (v_ea.obj) PyBuffer_Release(&v_ea);
+    return ret;
+}
+
+/* Miss classification: the access loop of dla.profiling.profile_workload.
+ * Each data access at its cycle through a native hierarchy; writes its
+ * info word.  Returns (native hits, native misses). */
+static PyObject *
+classify_accesses(PyObject *self, PyObject *args)
+{
+    PyObject *spec;
+    if (!PyArg_ParseTuple(args, "O!", &PyDict_Type, &spec))
+        return NULL;
+    Py_buffer v_ea = {0}, v_stores = {0}, v_cycles = {0}, v_info = {0};
+    int64_t *ea = NULL, *cycles = NULL;
+    uint8_t *stores = NULL, *info_out = NULL;
+    nmem_t mem;
+    PyObject *ret = NULL;
+
+    if (nmem_open(PyDict_GetItemString(spec, "memory"), &mem) < 0 ||
+        get_buffer(spec, "ea", &v_ea, (void **)&ea) < 0 ||
+        get_buffer(spec, "stores", &v_stores, (void **)&stores) < 0 ||
+        get_buffer(spec, "cycles", &v_cycles, (void **)&cycles) < 0 ||
+        PyObject_GetBuffer(PyDict_GetItemString(spec, "info"), &v_info,
+                           PyBUF_WRITABLE) < 0)
+        goto done;
+    info_out = v_info.buf;
+    Py_ssize_t n = v_ea.len / (Py_ssize_t)sizeof(int64_t);
+    if (!mem.misses || v_stores.len != n || v_info.len != n ||
+        v_cycles.len != v_ea.len) {
+        PyErr_SetString(PyExc_ValueError,
+                        "classification needs a native hierarchy and "
+                        "columns of one length");
+        goto done;
+    }
+    for (Py_ssize_t k = 0; k < n; k++) {
+        num_t ready;
+        int info;
+        if (mem_data(&mem, ea[k], num_i((double)cycles[k]), stores[k] != 0,
+                     &ready, &info) < 0)
+            goto done;
+        info_out[k] = (uint8_t)info;
+    }
+    ret = Py_BuildValue("(LL)", (long long)mem.hits, (long long)mem.missed);
+done:
+    nmem_close(&mem);
+    if (v_ea.obj) PyBuffer_Release(&v_ea);
+    if (v_stores.obj) PyBuffer_Release(&v_stores);
+    if (v_cycles.obj) PyBuffer_Release(&v_cycles);
+    if (v_info.obj) PyBuffer_Release(&v_info);
     return ret;
 }
 
@@ -2173,7 +3436,9 @@ static PyMethodDef methods[] = {
     {"run_tick_loop", run_tick_loop, METH_VARARGS,
      "Run the compiled per-instruction tick loop over a decoded trace."},
     {"replay_warmup", replay_warmup, METH_VARARGS,
-     "Replay a warm-up window's memory accesses (native L1/TLB hits)."},
+     "Replay a warm-up window's memory accesses (or any access stream)."},
+    {"classify_accesses", classify_accesses, METH_VARARGS,
+     "Run data accesses through a native hierarchy; write their info words."},
     {"decode_trace_flat", decode_trace_flat, METH_VARARGS,
      "Flatten a trace window into typed buffers (decode_trace fast path)."},
     {"emulate", emulate, METH_VARARGS,
@@ -2190,5 +3455,7 @@ static struct PyModuleDef moduledef = {
 PyMODINIT_FUNC
 PyInit__repro_fastcore(void)
 {
+    if (intern_keys() < 0)
+        return NULL;
     return PyModule_Create(&moduledef);
 }

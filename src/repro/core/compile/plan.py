@@ -3,11 +3,13 @@
 The pass pipeline is deliberately small: ``plan_run`` resolves every
 run-invariant decision once — which hook callbacks the kernel must fire,
 whether the kernel fills a declared load-miss log itself, whether it runs
-the branch unit and a declared DLA hint unit natively, and which L1/TLB
-hits it serves natively (a generic ``on_memory_access`` hook or an L1
+the branch unit and a declared DLA hint unit natively, which L1/TLB hits
+it serves natively (a generic ``on_memory_access`` hook or an L1
 prefetcher must see every data access, so either keeps the D-side hits in
-Python) — so the per-instruction loop carries no residual config branches
-on the Python side.
+Python), and whether it runs the whole memory hierarchy natively (misses,
+write-backs, DRAM, BOP training, prefetch-hint installs and wrong-path
+pollution: stock structures only) — so the per-instruction loop carries
+no residual config branches on the Python side.
 """
 
 from __future__ import annotations
@@ -19,7 +21,11 @@ from repro.branch.btb import BranchTargetBuffer
 from repro.branch.predictors import TageLitePredictor
 from repro.branch.ras import ReturnAddressStack
 from repro.memory.cache import Cache
+from repro.memory.dram import DramModel
+from repro.memory.hierarchy import CoreMemorySystem, SharedMemorySystem
+from repro.memory.resources import BankedMshrFile, MshrFile, OccupancyQueue
 from repro.memory.tlb import Tlb
+from repro.prefetch.best_offset import BestOffsetPrefetcher
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,12 @@ class SpecializationPlan:
     #: generic memory hook or L1 prefetcher (either must observe every
     #: data access).
     native_data_hits: bool
+    #: The kernel runs every memory access, prefetch and TLB prefill
+    #: itself, trains a BOP L2 prefetcher, installs the hint unit's
+    #: prefetch hints and charges wrong-path pollution: a stock hierarchy
+    #: (:func:`stock_memory`), native data hits, and an L2 prefetcher that
+    #: is ``None`` or exactly :class:`BestOffsetPrefetcher`.
+    native_misses: bool
 
 
 def plan_run(core, hooks) -> SpecializationPlan:
@@ -67,6 +79,9 @@ def plan_run(core, hooks) -> SpecializationPlan:
     native_control = (type(core.predictor) is TageLitePredictor
                       and type(core.btb) is BranchTargetBuffer
                       and type(core.ras) is ReturnAddressStack)
+    native_data_hits = (stock_data
+                        and (not has_on_memory or log_load_misses)
+                        and core.l1_prefetcher is None)
     return SpecializationPlan(
         has_branch_hint=hooks.branch_hint is not None,
         has_value_hint=hooks.value_hint is not None,
@@ -78,10 +93,31 @@ def plan_run(core, hooks) -> SpecializationPlan:
         native_hints=(native_control and fast is not None
                       and fast.hint_unit is not None),
         native_inst_hits=stock_inst,
-        native_data_hits=(stock_data
-                          and (not has_on_memory or log_load_misses)
-                          and core.l1_prefetcher is None),
+        native_data_hits=native_data_hits,
+        native_misses=(native_data_hits and stock_memory(core.memory)
+                       and type(core.l2_prefetcher) in _NATIVE_L2_PREFETCHERS),
     )
+
+
+#: L2 prefetchers the kernel trains itself.
+_NATIVE_L2_PREFETCHERS = (type(None), BestOffsetPrefetcher)
+_STOCK_MSHRS = (type(None), MshrFile, BankedMshrFile)
+_STOCK_WRITE_BUFFERS = (type(None), OccupancyQueue)
+
+
+def stock_memory(memory) -> bool:
+    """Whether the kernel's transcription of the whole hierarchy fits
+    ``memory``: every level, the TLB, DRAM, their occupancy resources and
+    both memory-system objects are the stock types."""
+    shared = memory.shared
+    caches = (memory.l1i, memory.l1d, memory.l2, shared.l3)
+    return (type(memory) is CoreMemorySystem
+            and type(shared) is SharedMemorySystem
+            and all(type(cache) is Cache
+                    and type(cache._mshr) in _STOCK_MSHRS
+                    and type(cache._write_buffer) in _STOCK_WRITE_BUFFERS
+                    for cache in caches)
+            and type(memory.tlb) is Tlb and type(shared.dram) is DramModel)
 
 
 def stock_hit_sides(memory) -> Tuple[bool, bool]:

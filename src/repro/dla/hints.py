@@ -21,9 +21,10 @@ skeleton's bias/risky sets, the SIF-disable history and the RNG stream.  So
 every verdict is drawn before the run, in program order and with a branch's
 draw before the value draw of the same instruction: the order in which
 per-instruction hooks would consume the stream.  The compiled kernel runs
-the unit natively and calls back only to install due prefetch hints
-(:meth:`MainThreadHintSource.install`) and into T1; the hooks below run the
-same unit on the reference interpreter.
+the unit natively, installs due prefetch hints itself when it runs the
+memory hierarchy natively (else through :meth:`MainThreadHintSource.install`)
+and calls back only into T1; the hooks below run the same unit on the
+reference interpreter.
 """
 
 from __future__ import annotations
@@ -86,9 +87,6 @@ class MainThreadHintSource:
         self.fq = fq
         self.t1 = t1_engine
         self.scoreboard = ValidationScoreboard()
-        self.prefetches_installed = 0
-        #: Hints whose prefetch the memory system dropped (MSHR file full).
-        self.prefetches_dropped = 0
         #: Interpreter only: fetch cycle of each consumed branch hint.
         self._consumed: List[float] = []
         self.unit = self._draw(risky_branch_pcs, biased_branch_pcs,
@@ -150,6 +148,8 @@ class MainThreadHintSource:
             value_verdicts=value_verdicts,
             prefetch_times=array(
                 "d", [cycle for cycle, _ in self.products.prefetch_hints]),
+            prefetch_addresses=array(
+                "q", [address for _, address in self.products.prefetch_hints]),
             install=self.install,
             boq_entries=cfg.boq_entries,
             reboot_penalty=float(cfg.reboot_penalty),
@@ -190,6 +190,10 @@ class MainThreadHintSource:
         self.fq.occupancy = unit.fq_occupancy
         self.fq.record(FootnoteKind.L1_PREFETCH, unit.fq_prefetches)
         self.fq.record(FootnoteKind.VALUE_PREDICTION, unit.fq_values)
+        # The run is over: drop the unit's reference back to this source,
+        # so the pass's memory systems are freed by reference counting
+        # instead of waiting for the cycle collector.
+        unit.install = None
 
     # -- branch hints ------------------------------------------------------
     def branch_hint(self, entry: DynamicInst) -> Optional[BranchHint]:
@@ -258,14 +262,15 @@ class MainThreadHintSource:
         Their FQ entries were transferred either way (the communication
         happened); only successful installs count as prefetches.
         """
+        unit = self.unit
         prefetch = self.memory.prefetch
         prefill_tlb = self.memory.prefill_tlb
         for produce_cycle, address in self.products.prefetch_hints[lo:hi]:
             available = int(produce_cycle + offset)
             if prefetch(address, available, level="l1") is not None:
-                self.prefetches_installed += 1
+                unit.prefetches_installed += 1
             else:
-                self.prefetches_dropped += 1
+                unit.prefetches_dropped += 1
             prefill_tlb(address, available)
 
     # -- commit-side activity ------------------------------------------------------

@@ -11,6 +11,7 @@ statistics from a functional trace plus a lightweight cache-only simulation.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
@@ -164,12 +165,9 @@ def profile_workload(
     config = config or SystemConfig()
     profile = ProgramProfile(program=program, dynamic_instructions=len(trace))
 
-    shared = SharedMemorySystem(config.memory)
-    memory = CoreMemorySystem(shared, config.memory)
-    # Only the miss classification matters: bit 0 of the packed info word
-    # is an L1 miss, bit 1 "supplied by the L3 or DRAM".
-    access_data_fast = memory.access_data_fast
-
+    # Every data access, with its cycle, for the cache-only simulation.
+    access_stats: List[PcMemoryStats] = []
+    addresses, stores, cycles = array("q"), array("B"), array("q")
     last_address: Dict[int, int] = {}
     deltas: Dict[int, List[int]] = {}
     cycle = 0
@@ -186,11 +184,10 @@ def profile_workload(
                 stats = memory_stats[pc] = PcMemoryStats()
             stats.executions += 1
             address = entry.effective_address
-            _, info = access_data_fast(address, cycle, not static.is_load)
-            if info & 1:
-                stats.l1_misses += 1
-                if info & 2:
-                    stats.l2_misses += 1
+            access_stats.append(stats)
+            addresses.append(address)
+            stores.append(not static.is_load)
+            cycles.append(cycle)
             if pc in last_address:
                 delta = address - last_address[pc]
                 delta_list = deltas.get(pc)
@@ -212,6 +209,15 @@ def profile_workload(
             cycle += 1
         else:
             cycle += 1
+
+    # Only the miss classification matters: bit 0 of the packed info word
+    # is an L1 miss, bit 1 "supplied by the L3 or DRAM".
+    for stats, info in zip(access_stats,
+                           _classify(config, addresses, stores, cycles)):
+        if info & 1:
+            stats.l1_misses += 1
+            if info & 2:
+                stats.l2_misses += 1
 
     for pc, delta_list in deltas.items():
         stride, hits = _dominant_stride(delta_list)
@@ -236,6 +242,23 @@ def profile_workload(
     if run_timing:
         _profile_timing(trace, config, profile, timing_window)
     return profile
+
+
+def _classify(config: SystemConfig, addresses: array, stores: array,
+              cycles: array):
+    """The packed info word of each data access, run in order through a
+    cold hierarchy: on the kernel when it is available
+    (:func:`~repro.core.compile.classify_compiled`), else through the
+    reference accessor."""
+    from repro.core.compile import classify_compiled, kernel_available
+
+    shared = SharedMemorySystem(config.memory)
+    memory = CoreMemorySystem(shared, config.memory)
+    if kernel_available():
+        return classify_compiled(memory, addresses, stores, cycles)
+    access_data_fast = memory.access_data_fast
+    return [access_data_fast(address, cycle, bool(store))[1]
+            for address, store, cycle in zip(addresses, stores, cycles)]
 
 
 def _profile_timing(trace: Trace, config: SystemConfig,

@@ -388,7 +388,7 @@ class DlaSystem:
         # busy time models its (faster) progress.
         state.lt_clock += lt_result.cycles
         state.reboots += hint_source.unit.reboots
-        state.prefetch_hints_installed += hint_source.prefetches_installed
+        state.prefetch_hints_installed += hint_source.unit.prefetches_installed
         return mt_result, lt_result
 
     # -- result assembly ------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.memory.resources import (
     BankedMshrFile,
@@ -139,6 +139,24 @@ LINE_PREFETCH_USED = 4
 _PREFETCH_STATE = LINE_FROM_PREFETCH | LINE_PREFETCH_USED
 
 
+def lru_victim(last_use, stamp, base: int, count: int) -> int:
+    """The LRU slot among ``base .. base + count - 1``: the smallest
+    ``(last_use, stamp)``, so ties break in insertion order.
+
+    :class:`Cache` sets and the :class:`~repro.memory.tlb.Tlb` share this
+    rule (and ``lru_victim`` in kernel.c): each fill takes an int64 stamp
+    from the structure's ``_clock``.  Snapshots hold resident entries in
+    stamp order and no stamps; a restore renumbers them ``0, 1, ...`` and
+    sets the clock past them, which keeps every order the victim sees.
+    """
+    uses = last_use[base:base + count]
+    oldest = min(uses)
+    if uses.count(oldest) == 1:
+        return base + uses.index(oldest)
+    return min((base + k for k, use in enumerate(uses) if use == oldest),
+               key=stamp.__getitem__)
+
+
 class Cache:
     """One level of cache.
 
@@ -149,14 +167,16 @@ class Cache:
     levels and propagates misses downward.
 
     Line state lives in flat per-slot arrays (set ``s`` owns slots
-    ``s * associativity`` onwards) so the compiled kernel can serve hits
-    on the same memory: ``_tags`` (``-1`` = empty) and ``_flags``
-    (``LINE_*`` bits) are typed arrays; ``_fill`` and ``_last_use`` are
-    lists, so every time keeps the int/float type it arrived with.
-    ``_sets`` maps tag -> slot per set and is the only insertion-order
-    authority: LRU ties break in its order, only fills and evictions
-    change it, and hits never do.  The arrays are mutated in place, never
-    rebound, because a running kernel holds pointers into them.
+    ``s * associativity`` onwards, and its lines are the first
+    ``_count[s]`` of them) so the compiled kernel runs the whole cache on
+    the same memory: ``_tags`` (``-1`` = empty), ``_flags`` (``LINE_*``
+    bits) and ``_stamp`` are typed arrays; ``_fill`` and ``_last_use`` are
+    lists, so every time keeps the int/float type it arrived with.  A
+    fill stamps its line from the ``_clock`` counter: the LRU victim is the
+    line with the smallest ``(last_use, stamp)``, so ties break in
+    insertion order, and hits never change it.  The arrays are mutated in
+    place, never rebound, because a running kernel holds pointers into
+    them.
     """
 
     def __init__(self, config: CacheConfig, lookahead_mode: bool = False) -> None:
@@ -175,7 +195,9 @@ class Cache:
         self._fill: list = [0] * slots
         self._last_use: list = [0] * slots
         self._flags = array("B", bytes(slots))
-        self._sets: List[Dict[int, int]] = [dict() for _ in range(config.num_sets)]
+        self._stamp = array("q", bytes(8 * slots))
+        self._count = array("q", bytes(8 * config.num_sets))
+        self._clock = array("q", [0])
         #: ``None`` when MSHRs are unbounded — the whole model is inert then.
         #: A banked configuration (``mshr_banks >= 2``) interleaves the file
         #: over block-address banks and surfaces bank-conflict stalls.
@@ -204,19 +226,18 @@ class Cache:
             return BankedMshrFile(config.mshr_entries, config.mshr_banks)
         return MshrFile(config.mshr_entries)
 
-    # -- address helpers -------------------------------------------------
-    def _index_tag(self, address: int) -> Tuple[int, int]:
-        block = address // self._block_bytes
-        return block % self._num_sets, block // self._num_sets
-
-    def block_address(self, address: int) -> int:
-        return (address // self._block_bytes) * self._block_bytes
-
     # -- lookups ----------------------------------------------------------
+    def _slot(self, block: int) -> Optional[int]:
+        """The slot holding ``block``'s line, or ``None``."""
+        index = block % self._num_sets
+        base = index * self._associativity
+        tags = self._tags[base:base + self._count[index]]
+        tag = block // self._num_sets
+        return base + tags.index(tag) if tag in tags else None
+
     def probe(self, address: int) -> bool:
         """Presence check with no statistics or LRU side effects."""
-        block = address // self._block_bytes
-        return (block // self._num_sets) in self._sets[block % self._num_sets]
+        return self._slot(address // self._block_bytes) is not None
 
     def lookup(self, address: int, now: int, is_write: bool = False) -> Optional[int]:
         """Demand access.  Returns the cycle the data is available, or ``None``.
@@ -229,7 +250,7 @@ class Cache:
         stats = self.stats
         stats.accesses += 1
         block = address // self._block_bytes
-        slot = self._sets[block % self._num_sets].get(block // self._num_sets)
+        slot = self._slot(block)
         if slot is None:
             stats.misses += 1
             mshr = self._mshr
@@ -284,7 +305,6 @@ class Cache:
         block = address // self._block_bytes
         index = block % self._num_sets
         tag = block // self._num_sets
-        cache_set = self._sets[index]
         stats = self.stats
         if from_prefetch:
             stats.prefetches_issued += 1
@@ -297,7 +317,7 @@ class Cache:
                 )
             else:
                 stats.mshr_coalesced += 1
-        slot = cache_set.get(tag)
+        slot = self._slot(block)
         if slot is not None:
             # Keep the earliest availability time; refresh prefetch marking.
             if fill_time < self._fill[slot]:
@@ -307,10 +327,10 @@ class Cache:
             return None
 
         victim_writeback: Optional[int] = None
-        if len(cache_set) >= self._associativity:
-            last_use = self._last_use
-            victim_tag = min(cache_set, key=lambda t: last_use[cache_set[t]])
-            slot = cache_set.pop(victim_tag)
+        count = self._count[index]
+        base = index * self._associativity
+        if count >= self._associativity:
+            slot = lru_victim(self._last_use, self._stamp, base, count)
             victim_flags = self._flags[slot]
             self.stats.evictions += 1
             if victim_flags & _PREFETCH_STATE == LINE_FROM_PREFETCH:
@@ -321,7 +341,7 @@ class Cache:
                     pass
                 else:
                     self.stats.writebacks += 1
-                    victim_block = victim_tag * self._num_sets + index
+                    victim_block = self._tags[slot] * self._num_sets + index
                     victim_writeback = victim_block * self._block_bytes
                     wb = self._write_buffer
                     if wb is not None:
@@ -336,23 +356,36 @@ class Cache:
                             stats.wb_stall_cycles += wb_stall
                             fill_time += wb_stall
         else:
-            # Occupied slots of a set are always its first len(set) ones:
-            # lines leave only through eviction, whose slot is reused.
-            slot = index * self._associativity + len(cache_set)
+            # A set's lines are always its first ``count`` slots: lines
+            # leave only through eviction, whose slot is reused.
+            slot = base + count
+            self._count[index] = count + 1
         self._tags[slot] = tag
         self._fill[slot] = fill_time
         self._last_use[slot] = fill_time
         self._flags[slot] = ((LINE_DIRTY if dirty else 0)
                              | (LINE_FROM_PREFETCH if from_prefetch else 0))
-        cache_set[tag] = slot
+        clock = self._clock
+        self._stamp[slot] = clock[0]
+        clock[0] += 1
         return victim_writeback
 
+    def _resident(self) -> List[int]:
+        """Every resident line's slot, in set order and, within a set, in
+        LRU-tie (insertion) order."""
+        stamp, associativity = self._stamp, self._associativity
+        return [slot for index, count in enumerate(self._count) if count
+                for slot in sorted(range(index * associativity,
+                                         index * associativity + count),
+                                   key=stamp.__getitem__)]
+
     def _clear_lines(self) -> None:
-        tags = self._tags
-        for cache_set in self._sets:
-            for slot in cache_set.values():
-                tags[slot] = -1
-            cache_set.clear()
+        tags, count, associativity = self._tags, self._count, self._associativity
+        for index, lines in enumerate(count):
+            if lines:
+                base = index * associativity
+                tags[base:base + lines] = array("q", [-1]) * lines
+                count[index] = 0
 
     def invalidate_all(self) -> None:
         """Drop every line (used when rebooting the look-ahead thread core)."""
@@ -423,15 +456,18 @@ class Cache:
     def lines(self) -> List[Dict[int, tuple]]:
         """Per set, ``{tag: (tag, fill_time, last_use, dirty, from_prefetch,
         prefetch_used)}`` in LRU-tie (insertion) order."""
-        fill, last_use, flags = self._fill, self._last_use, self._flags
-        return [
-            {tag: (tag, fill[slot], last_use[slot],
-                   bool(flags[slot] & LINE_DIRTY),
-                   bool(flags[slot] & LINE_FROM_PREFETCH),
-                   bool(flags[slot] & LINE_PREFETCH_USED))
-             for tag, slot in cache_set.items()}
-            for cache_set in self._sets
-        ]
+        tags, fill, last_use, flags = (
+            self._tags, self._fill, self._last_use, self._flags
+        )
+        sets: List[Dict[int, tuple]] = [{} for _ in range(self._num_sets)]
+        for slot in self._resident():
+            tag = tags[slot]
+            sets[slot // self._associativity][tag] = (
+                tag, fill[slot], last_use[slot],
+                bool(flags[slot] & LINE_DIRTY),
+                bool(flags[slot] & LINE_FROM_PREFETCH),
+                bool(flags[slot] & LINE_PREFETCH_USED))
+        return sets
 
     # -- state snapshot (warm-memory memoization) --------------------------
     def snapshot_state(self) -> tuple:
@@ -445,8 +481,7 @@ class Cache:
         what the warmup touched, not with the cache's capacity (and holds no
         per-line containers for the garbage collector to walk).
         """
-        slots = array("q", [slot for cache_set in self._sets
-                            for slot in cache_set.values()])
+        slots = array("q", self._resident())
         tags, fill, last_use, flags = (
             self._tags, self._fill, self._last_use, self._flags
         )
@@ -466,29 +501,29 @@ class Cache:
 
     def restore_state(self, snapshot) -> None:
         """Restore state captured by :meth:`snapshot_state` (same geometry)."""
-        (slots, line_tags, fills, last_uses, line_flags), stats, mshr, wb = snapshot
+        lines, stats, mshr, wb = snapshot
+        slots, line_tags, fills, last_uses, line_flags = lines
         self._clear_lines()
-        sets, associativity = self._sets, self._associativity
-        tags, fill, last_use, flags = (
-            self._tags, self._fill, self._last_use, self._flags
+        count, associativity = self._count, self._associativity
+        tags, fill, last_use, flags, stamp = (
+            self._tags, self._fill, self._last_use, self._flags, self._stamp
         )
         for k, slot in enumerate(slots):
-            tag = line_tags[k]
-            sets[slot // associativity][tag] = slot
-            tags[slot] = tag
+            count[slot // associativity] += 1
+            tags[slot] = line_tags[k]
             fill[slot] = fills[k]
             last_use[slot] = last_uses[k]
             flags[slot] = line_flags[k]
+            stamp[slot] = k   # renumbered (see lru_victim)
+        self._clock[0] = len(slots)
         for name, value in stats.items():
             setattr(self.stats, name, value)
         if self._mshr is not None:
-            self._mshr.restore_state(mshr if mshr is not None else {})
+            self._mshr.restore_state(mshr if mshr is not None else ())
         if self._write_buffer is not None:
-            self._write_buffer.restore_state(
-                wb if wb is not None else ({}, 0)
-            )
+            self._write_buffer.restore_state(wb if wb is not None else ())
 
     @property
     def occupancy(self) -> int:
         """Number of valid lines currently resident."""
-        return sum(len(s) for s in self._sets)
+        return sum(self._count)

@@ -24,8 +24,9 @@ write count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from array import array
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.memory.resources import OccupancyQueue, probe_peak
 
@@ -102,35 +103,39 @@ class DramStats:
         return self.row_hits / self.accesses if self.accesses else 0.0
 
 
+#: :attr:`DramModel._open_rows` entry of a bank with no open row (no row
+#: number can reach it: rows are addresses divided by ``row_bytes``).
+NO_ROW = -(2 ** 63)
+
+
 class DramModel:
-    """Open-page main memory with per-bank row buffers and simple queueing."""
+    """Open-page main memory with per-bank row buffers and simple queueing.
+
+    Per-bank state lives in arrays the compiled kernel mutates in place:
+    ``_open_rows`` (``NO_ROW`` = closed) and the ``_bank_ready`` list
+    (times keep their int/float type).  The controller queues are the
+    ``2 * queue_groups`` lanes of one occupancy store, read and write
+    queue of group ``g`` at ``2 * g`` and ``2 * g + 1``.
+    """
 
     def __init__(self, config: Optional[DramConfig] = None) -> None:
         self.config = config or DramConfig()
         self.stats = DramStats()
-        self._open_rows: Dict[int, int] = {}
-        self._bank_ready: Dict[int, int] = {}
-        #: ``None`` while the controller-queue model is unbounded; otherwise
-        #: ``(group, is_write) -> OccupancyQueue``, built lazily per group.
-        self._queues: Optional[Dict[Tuple[int, bool], OccupancyQueue]] = (
-            {} if self.config.queue_depth is not None else None
+        banks = self.config.num_banks
+        self._open_rows = array("q", [NO_ROW]) * banks
+        self._bank_ready: list = [0] * banks
+        #: ``None`` while the controller-queue model is unbounded.
+        self._queues: Optional[List[OccupancyQueue]] = (
+            OccupancyQueue.lanes(self.config.queue_depth,
+                                 2 * self.config.queue_groups)
+            if self.config.queue_depth is not None else None
         )
         self._dynamic_energy = 0.0
         self._last_access_cycle = 0
 
     # ------------------------------------------------------------------
-    def _bank_and_row(self, address: int) -> (int, int):
-        row = address // self.config.row_bytes
-        bank = row % self.config.num_banks
-        return bank, row
-
     def _queue_for(self, bank: int, is_write: bool) -> OccupancyQueue:
-        key = (bank % self.config.queue_groups, is_write)
-        queue = self._queues.get(key)
-        if queue is None:
-            queue = OccupancyQueue(self.config.queue_depth)
-            self._queues[key] = queue
-        return queue
+        return self._queues[2 * (bank % self.config.queue_groups) + is_write]
 
     def access(self, address: int, now: int, is_write: bool = False,
                source: str = "demand") -> int:
@@ -142,7 +147,8 @@ class DramModel:
         """
         cfg = self.config
         stats = self.stats
-        bank, row = self._bank_and_row(address)
+        row = address // cfg.row_bytes
+        bank = row % cfg.num_banks
 
         queue = None
         if self._queues is not None:
@@ -156,14 +162,14 @@ class DramModel:
                 stats.queue_stall_cycles += queue_delay
                 now = now + queue_delay
 
-        ready = self._bank_ready.get(bank, 0)
+        ready = self._bank_ready[bank]
         start = max(now, ready)
         queue_delay = start - now
         if ready > now:
             # The bank is still busy with a previous request.
             stats.busy_delay_cycles += queue_delay
 
-        if self._open_rows.get(bank) == row:
+        if self._open_rows[bank] == row:
             latency = cfg.row_hit_latency
             stats.row_hits += 1
         else:
@@ -198,18 +204,18 @@ class DramModel:
         """Quiesce the controller queues at a simulated-clock-domain
         boundary (see ``Cache.drain_mshrs`` — same aliasing hazard)."""
         if self._queues is not None:
-            for queue in self._queues.values():
+            for queue in self._queues:
                 queue.drain()
 
     # -- state snapshot (warm-memory memoization) --------------------------
     def snapshot_state(self) -> tuple:
         queues = (
-            {key: queue.snapshot_state() for key, queue in self._queues.items()}
+            tuple(queue.snapshot_state() for queue in self._queues)
             if self._queues is not None else None
         )
         return (
-            dict(self._open_rows),
-            dict(self._bank_ready),
+            array("q", self._open_rows),
+            tuple(self._bank_ready),
             self._dynamic_energy,
             self._last_access_cycle,
             dict(vars(self.stats)),
@@ -218,18 +224,15 @@ class DramModel:
 
     def restore_state(self, snapshot: tuple) -> None:
         open_rows, bank_ready, dynamic_energy, last_access, stats, queues = snapshot
-        self._open_rows = dict(open_rows)
-        self._bank_ready = dict(bank_ready)
+        self._open_rows[:] = open_rows
+        self._bank_ready[:] = bank_ready
         self._dynamic_energy = dynamic_energy
         self._last_access_cycle = last_access
         for name, value in stats.items():
             setattr(self.stats, name, value)
         if self._queues is not None:
-            self._queues = {}
-            for key, state in (queues or {}).items():
-                queue = OccupancyQueue(self.config.queue_depth)
+            for queue, state in zip(self._queues, queues):
                 queue.restore_state(state)
-                self._queues[key] = queue
 
     # ------------------------------------------------------------------
     def energy(self, elapsed_cycles: int) -> float:

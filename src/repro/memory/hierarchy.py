@@ -206,10 +206,6 @@ class SharedMemorySystem:
         self.l3.drain_mshrs()
         self.dram.drain_queues()
 
-    def mshr_telemetry(self) -> Dict[str, Dict[str, int]]:
-        """Per-level MSHR counters of the shared system (keyed ``"l3"``)."""
-        return {"l3": _mshr_counters(self.l3)}
-
     def memsys_telemetry(self) -> Dict[str, Dict[str, object]]:
         """The shared system's slice of the unified ``memsys`` dict."""
         return {
@@ -464,14 +460,6 @@ class CoreMemorySystem:
         self.l1d.drain_mshrs()
         self.l2.drain_mshrs()
 
-    def mshr_telemetry(self) -> Dict[str, Dict[str, int]]:
-        """Per-level MSHR counters of the private levels."""
-        return {
-            "l1i": _mshr_counters(self.l1i),
-            "l1d": _mshr_counters(self.l1d),
-            "l2": _mshr_counters(self.l2),
-        }
-
     def memsys_telemetry(self) -> Dict[str, Dict[str, object]]:
         """The private levels' slice of the unified ``memsys`` dict."""
         return {
@@ -479,15 +467,3 @@ class CoreMemorySystem:
             "l1d": level_telemetry(self.l1d),
             "l2": level_telemetry(self.l2),
         }
-
-    # ------------------------------------------------------------------
-    def l1d_misses(self) -> int:
-        return self.l1d.stats.misses
-
-    def reset_for_reboot(self) -> None:
-        """Nothing is architecturally lost on a look-ahead reboot; private
-        caches keep their (clean) contents, matching the paper's design where
-        a reboot only re-initialises the register state of the look-ahead
-        thread."""
-        # Intentionally a no-op other than documenting the behaviour.
-        return None

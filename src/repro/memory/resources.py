@@ -27,8 +27,8 @@ so all of them share one *lazy timestamp* model implemented here once:
 
 :class:`OccupancyQueue`
     The anonymous (un-keyed) variant used by write buffers and DRAM queues:
-    entries are internally tokenised, so nothing ever coalesces and the
-    resource behaves as a bounded multiset of completion times.
+    nothing ever coalesces, and the resource behaves as a bounded,
+    admission-ordered multiset of completion times.
 
 Keeping one implementation is what makes the telemetry spine uniform: every
 client counts the same events (admissions, stalls, stall cycles, peak
@@ -39,8 +39,9 @@ one vocabulary instead of a bespoke set per resource.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 
 def probe_peak(resource, now: Optional[float], recorded: int) -> int:
@@ -65,34 +66,105 @@ class OccupancyResource:
     the resource at all* (clients keep a ``None`` and skip the model), which
     keeps the uncontended timing path bit-identical to a machine without the
     resource.
+
+    Entries are ``(key, completion)`` pairs kept in admission order in fixed
+    arrays: lane ``l`` of a store owns slots ``l * (capacity + 1)`` onwards
+    (one spare slot absorbs an un-gated admission before its overflow drop)
+    and its live entries are the first ``_len[l]`` of them.  ``_keys`` is a
+    typed array and ``_done`` a list, so every completion keeps the int or
+    float type it arrived with.  Resources built together by :meth:`lanes`
+    share one store, which the compiled kernel mutates in place: never
+    rebind the arrays.
     """
 
-    __slots__ = ("capacity", "_inflight")
+    __slots__ = ("capacity", "_keys", "_done", "_len", "_lane", "_base")
 
     #: Whether the most recent non-zero delay was a bank conflict rather than
     #: a capacity stall.  Plain resources never set it; the banked MSHR file
     #: overrides it per stall.  A class attribute keeps the common read free.
     last_conflict = False
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int, _store: Optional[tuple] = None,
+                 _lane: int = 0) -> None:
         if capacity <= 0:
             raise ValueError(
                 "resource capacity must be positive (unbounded = no resource)"
             )
         self.capacity = capacity
-        self._inflight: Dict[int, float] = {}
+        if _store is None:
+            _store = self.store(capacity, 1)
+        self._keys, self._done, self._len = _store
+        self._lane = _lane
+        self._base = _lane * (capacity + 1)
+
+    @staticmethod
+    def store(capacity: int, lanes: int) -> tuple:
+        """Fresh ``(keys, completions, lengths)`` arrays for ``lanes``
+        resources of ``capacity`` slots each."""
+        slots = lanes * (capacity + 1)
+        return array("q", bytes(8 * slots)), [0] * slots, array("q", bytes(8 * lanes))
+
+    @classmethod
+    def lanes(cls, capacity: int, count: int) -> list:
+        """``count`` resources of ``capacity`` slots sharing one store."""
+        shared = cls.store(capacity, count)
+        return [cls(capacity, shared, lane) for lane in range(count)]
+
+    # -- entry arrays ------------------------------------------------------
+    def _find(self, key: int) -> Optional[int]:
+        base = self._base
+        keys = self._keys[base:base + self._len[self._lane]]
+        return base + keys.index(key) if key in keys else None
+
+    def _delete(self, slot: int) -> None:
+        """Remove one entry, keeping the others in admission order."""
+        end = self._base + self._len[self._lane] - 1
+        if slot < end:
+            # (A shared array may not be resized, so never assign an
+            # empty slice.)
+            self._keys[slot:end] = self._keys[slot + 1:end + 1]
+            self._done[slot:end] = self._done[slot + 1:end + 1]
+        self._done[end] = 0
+        self._len[self._lane] -= 1
+
+    def _earliest(self) -> int:
+        """Slot of the first entry, in admission order, to retire."""
+        base = self._base
+        done = self._done[base:base + self._len[self._lane]]
+        return base + done.index(min(done))
+
+    def _append(self, key: int, completion: float) -> None:
+        """Admit a new entry; past capacity, drop the earliest-retiring one
+        (it is the first to have completed anyway)."""
+        n = self._len[self._lane]
+        slot = self._base + n
+        self._keys[slot] = key
+        self._done[slot] = completion
+        self._len[self._lane] = n + 1
+        if n + 1 > self.capacity:
+            self._delete(self._earliest())
 
     # -- occupancy ---------------------------------------------------------
     def _retire(self, now: float) -> None:
-        inflight = self._inflight
-        if inflight:
-            for key in [k for k, t in inflight.items() if t <= now]:
-                del inflight[key]
+        n = self._len[self._lane]
+        if not n:
+            return
+        base = self._base
+        done = self._done[base:base + n]
+        if min(done) > now:
+            return
+        keys = self._keys[base:base + n]
+        live = [k for k, completion in enumerate(done) if completion > now]
+        kept = len(live)
+        if kept:
+            self._keys[base:base + kept] = array("q", [keys[k] for k in live])
+        self._done[base:base + n] = [done[k] for k in live] + [0] * (n - kept)
+        self._len[self._lane] = kept
 
     def occupancy(self, now: float) -> int:
         """Entries still in flight at cycle ``now``."""
         self._retire(now)
-        return len(self._inflight)
+        return self._len[self._lane]
 
     def available(self, now: float, key: Optional[int] = None) -> bool:
         """Whether a new entry could be admitted at cycle ``now``.
@@ -102,10 +174,10 @@ class OccupancyResource:
         accepted (and ignored) so that address-routed clients can ask the
         same question of banked and un-banked resources uniformly.
         """
-        if len(self._inflight) < self.capacity:
+        if self._len[self._lane] < self.capacity:
             return True
         self._retire(now)
-        return len(self._inflight) < self.capacity
+        return self._len[self._lane] < self.capacity
 
     # -- admission ---------------------------------------------------------
     def acquire_delay(self, key: int, now: float) -> float:
@@ -121,12 +193,11 @@ class OccupancyResource:
         guaranteed to follow up with an :meth:`admit`, which takes over the
         freed slot.
         """
-        inflight = self._inflight
-        arrival = inflight.get(key)
-        if arrival is not None:
-            if arrival > now:
+        slot = self._find(key)
+        if slot is not None:
+            if self._done[slot] > now:
                 return 0.0
-            del inflight[key]
+            self._delete(slot)
         return self._full_delay(now)
 
     def _full_delay(self, now: float) -> float:
@@ -140,14 +211,14 @@ class OccupancyResource:
         (:meth:`OccupancyQueue.reserve_delay`) — so the stall semantics of
         MSHR files, write buffers and DRAM queues cannot diverge.
         """
-        inflight = self._inflight
-        if len(inflight) < self.capacity:
+        if self._len[self._lane] < self.capacity:
             return 0.0
         self._retire(now)
-        if len(inflight) < self.capacity:
+        if self._len[self._lane] < self.capacity:
             return 0.0
-        earliest_key = min(inflight, key=inflight.__getitem__)
-        earliest = inflight.pop(earliest_key)
+        slot = self._earliest()
+        earliest = self._done[slot]
+        self._delete(slot)
         return earliest - now
 
     def admit(self, key: int, completion: float) -> bool:
@@ -158,30 +229,38 @@ class OccupancyResource:
         an un-gated admission would overflow it, the earliest-retiring entry
         is dropped (it is the first to have completed anyway).
         """
-        inflight = self._inflight
-        if key in inflight:
-            if completion < inflight[key]:
-                inflight[key] = completion
+        slot = self._find(key)
+        if slot is not None:
+            if completion < self._done[slot]:
+                self._done[slot] = completion
             return False
-        inflight[key] = completion
-        if len(inflight) > self.capacity:
-            victim = min(inflight, key=inflight.__getitem__)
-            del inflight[victim]
+        self._append(key, completion)
         return True
 
     # -- lifecycle ---------------------------------------------------------
     def drain(self) -> None:
         """Forget every in-flight entry (quiesce at a clock-domain boundary)."""
-        self._inflight.clear()
+        n = self._len[self._lane]
+        if n:
+            self._done[self._base:self._base + n] = [0] * n
+            self._len[self._lane] = 0
 
-    def snapshot_state(self) -> Dict[int, float]:
-        return dict(self._inflight)
+    def entries(self) -> List[Tuple[int, float]]:
+        """The in-flight ``(key, completion)`` pairs in admission order."""
+        base = self._base
+        end = base + self._len[self._lane]
+        return list(zip(self._keys[base:end], self._done[base:end]))
 
-    def restore_state(self, snapshot: Dict[int, float]) -> None:
-        self._inflight = dict(snapshot)
+    def snapshot_state(self) -> Tuple[Tuple[int, float], ...]:
+        return tuple(self.entries())
+
+    def restore_state(self, snapshot) -> None:
+        self.drain()
+        for key, completion in snapshot:
+            self._append(key, completion)
 
     def __len__(self) -> int:
-        return len(self._inflight)
+        return self._len[self._lane]
 
 
 class MshrFile(OccupancyResource):
@@ -214,7 +293,7 @@ class MshrFile(OccupancyResource):
         fill landing on a stale entry merely retires one scan earlier — a
         transient one-entry undercount on a speculative corner.)
         """
-        return OccupancyResource.admit(self, block, completion)
+        return self.admit(block, completion)
 
 
 class BankedMshrFile:
@@ -226,7 +305,7 @@ class BankedMshrFile:
     a miss whose bank is full waits even while other banks have free slots.
     Such *bank conflicts* are flagged on :attr:`last_conflict` after each
     non-zero :meth:`acquire_delay` so the cache can count them separately
-    from whole-file capacity stalls.
+    from whole-file capacity stalls.  The banks are lanes of one store.
     """
 
     __slots__ = ("capacity", "num_banks", "_banks", "last_conflict")
@@ -241,9 +320,7 @@ class BankedMshrFile:
             )
         self.capacity = entries
         self.num_banks = banks
-        self._banks: List[MshrFile] = [
-            MshrFile(entries // banks) for _ in range(banks)
-        ]
+        self._banks: List[MshrFile] = MshrFile.lanes(entries // banks, banks)
         self.last_conflict = False
 
     def _bank(self, block: int) -> MshrFile:
@@ -285,13 +362,12 @@ class BankedMshrFile:
             bank.drain()
         self.last_conflict = False
 
-    def snapshot_state(self) -> Tuple[Dict[int, float], ...]:
+    def snapshot_state(self) -> tuple:
         return tuple(bank.snapshot_state() for bank in self._banks)
 
     def restore_state(self, snapshot) -> None:
-        # A single-dict snapshot (from an un-banked file) restores into bank
-        # order by key, which never occurs in practice: geometry is part of
-        # every snapshot key.  Enforce the matching shape instead.
+        # Geometry is part of every snapshot key, so a mismatched shape
+        # never occurs in practice; enforce the matching shape instead.
         if not isinstance(snapshot, tuple) or len(snapshot) != self.num_banks:
             raise ValueError("banked MSHR snapshot does not match bank count")
         for bank, state in zip(self._banks, snapshot):
@@ -305,35 +381,21 @@ class OccupancyQueue(OccupancyResource):
     """Anonymous bounded queue of completion timestamps.
 
     Used where entries have no meaningful identity — victim write buffers
-    and DRAM read/write queues.  Entries are tokenised internally, so
-    nothing ever coalesces: each :meth:`push` takes a real slot until its
-    completion time passes.  :meth:`reserve_delay` is the anonymous analogue
-    of :meth:`~OccupancyResource.acquire_delay` (no per-key pruning), with
-    the same contract: a popped slot must be consumed by a follow-up
+    and DRAM read/write queues.  Nothing ever coalesces: each :meth:`push`
+    takes a real slot until its completion time passes.
+    :meth:`reserve_delay` is the anonymous analogue of
+    :meth:`~OccupancyResource.acquire_delay` (no per-key pruning), with the
+    same contract: a popped slot must be consumed by a follow-up
     :meth:`push`.
     """
 
-    __slots__ = ("_next_token",)
-
-    def __init__(self, capacity: int) -> None:
-        super().__init__(capacity)
-        self._next_token = 0
+    __slots__ = ()
 
     def reserve_delay(self, now: float) -> float:
         return self._full_delay(now)
 
     def push(self, completion: float) -> None:
-        token = self._next_token
-        self._next_token = token + 1
-        self.admit(token, completion)
-
-    def snapshot_state(self) -> Tuple[Dict[int, float], int]:
-        return dict(self._inflight), self._next_token
-
-    def restore_state(self, snapshot: Tuple[Dict[int, float], int]) -> None:
-        inflight, next_token = snapshot
-        self._inflight = dict(inflight)
-        self._next_token = next_token
+        self._append(0, completion)
 
 
 @dataclass

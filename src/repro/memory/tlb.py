@@ -12,6 +12,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.memory.cache import lru_victim
+
 
 @dataclass
 class TlbConfig:
@@ -36,31 +38,39 @@ class TlbStats:
 class Tlb:
     """Fully-associative LRU TLB.
 
-    Entries live in flat per-slot arrays (``_vpn``, ``-1`` = empty, and
-    the ``_last_use`` list) that the compiled kernel reads and updates on
-    a hit;
-    ``_slots`` maps vpn -> slot and is the insertion-order authority the
-    LRU victim choice breaks ties in.  Hits never reorder it, and the
-    arrays are mutated in place, never rebound.
+    Entries live in flat per-slot arrays that the compiled kernel reads and
+    updates in place: the first ``_count[0]`` slots of ``_vpn`` (``-1`` =
+    empty) are the resident translations, ``_last_use`` is a list (times
+    keep their int/float type) and ``_stamp`` orders the entries by
+    insertion from the ``_clock`` counter.  The LRU victim is the entry
+    with the smallest ``(last_use, stamp)``, so ties break in insertion
+    order (:func:`~repro.memory.cache.lru_victim`, shared with the caches).
+    The arrays are mutated in place, never rebound.
     """
 
     def __init__(self, config: Optional[TlbConfig] = None) -> None:
         self.config = config or TlbConfig()
         self.stats = TlbStats()
         self._page_bytes = self.config.page_bytes
-        self._slots: Dict[int, int] = {}
-        self._vpn = array("q", [-1]) * self.config.entries
-        self._last_use: list = [0] * self.config.entries
+        entries = self.config.entries
+        self._vpn = array("q", [-1]) * entries
+        self._last_use: list = [0] * entries
+        self._stamp = array("q", bytes(8 * entries))
+        self._count = array("q", [0])
+        self._clock = array("q", [0])
 
-    def _vpn_of(self, address: int) -> int:
-        return address // self._page_bytes
+    def _slot(self, vpn: int) -> Optional[int]:
+        try:
+            return self._vpn.index(vpn, 0, self._count[0])
+        except ValueError:
+            return None
 
     def access(self, address: int, now: int) -> int:
         """Translate; returns the added latency (0 on hit, miss_penalty on miss)."""
         stats = self.stats
         stats.accesses += 1
         vpn = address // self._page_bytes
-        slot = self._slots.get(vpn)
+        slot = self._slot(vpn)
         if slot is not None:
             stats.hits += 1
             self._last_use[slot] = now
@@ -71,51 +81,60 @@ class Tlb:
 
     def prefill(self, address: int, now: int) -> None:
         """Install a translation ahead of use (look-ahead TLB hint)."""
-        vpn = self._vpn_of(address)
-        if vpn not in self._slots:
+        vpn = address // self._page_bytes
+        if self._slot(vpn) is None:
             self.stats.prefills += 1
         self._insert(vpn, now)
 
     def _insert(self, vpn: int, now: int) -> None:
-        slots = self._slots
-        slot = slots.get(vpn)
+        slot = self._slot(vpn)
         if slot is None:
-            if len(slots) >= self.config.entries:
-                last_use = self._last_use
-                victim = min(slots, key=lambda v: last_use[slots[v]])
-                slot = slots.pop(victim)
+            count = self._count[0]
+            if count >= self.config.entries:
+                slot = lru_victim(self._last_use, self._stamp, 0, count)
             else:
-                slot = len(slots)   # slots free up only on flush
-            slots[vpn] = slot
+                slot = count   # slots free up only on flush
+                self._count[0] = count + 1
             self._vpn[slot] = vpn
+            clock = self._clock
+            self._stamp[slot] = clock[0]
+            clock[0] += 1
         self._last_use[slot] = now
 
     def contains(self, address: int) -> bool:
-        return self._vpn_of(address) in self._slots
+        return self._slot(address // self._page_bytes) is not None
 
     def flush(self) -> None:
-        for slot in self._slots.values():
-            self._vpn[slot] = -1
-        self._slots.clear()
+        vpn = self._vpn
+        for slot in range(self._count[0]):
+            vpn[slot] = -1
+        self._count[0] = 0
+
+    def _resident(self) -> list:
+        """Resident slots in LRU-tie (insertion) order."""
+        return sorted(range(self._count[0]), key=self._stamp.__getitem__)
 
     def entries(self) -> Dict[int, int]:
         """``{vpn: last_use}`` in LRU-tie (insertion) order."""
-        last_use = self._last_use
-        return {vpn: last_use[slot] for vpn, slot in self._slots.items()}
+        vpn, last_use = self._vpn, self._last_use
+        return {vpn[slot]: last_use[slot] for slot in self._resident()}
 
     # -- state snapshot (warm-memory memoization) --------------------------
     def snapshot_state(self) -> tuple:
-        slots = tuple(self._slots.items())
-        last_use = self._last_use
-        return (slots, tuple(last_use[slot] for _, slot in slots),
+        slots = self._resident()
+        vpn, last_use = self._vpn, self._last_use
+        return (tuple((vpn[slot], slot) for slot in slots),
+                tuple(last_use[slot] for slot in slots),
                 dict(vars(self.stats)))
 
     def restore_state(self, snapshot: tuple) -> None:
         slots, last_uses, stats = snapshot
         self.flush()
-        for (vpn, slot), last in zip(slots, last_uses):
-            self._slots[vpn] = slot
+        for k, ((vpn, slot), last) in enumerate(zip(slots, last_uses)):
             self._vpn[slot] = vpn
             self._last_use[slot] = last
+            self._stamp[slot] = k   # renumbered (see lru_victim)
+        self._count[0] = len(slots)
+        self._clock[0] = len(slots)
         for name, value in stats.items():
             setattr(self.stats, name, value)

@@ -12,8 +12,9 @@ round, and a score threshold below which prefetching is disabled.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.prefetch.base import Prefetcher, PrefetchRequest
 
@@ -48,44 +49,62 @@ class BestOffsetConfig:
     bad_score: int = 1
     target_level: str = "l2"
 
+    def __post_init__(self) -> None:
+        if len(set(self.offsets)) != len(self.offsets):
+            raise ValueError("BOP candidate offsets must be distinct")
+
 
 class BestOffsetPrefetcher(Prefetcher):
-    """Offset prefetcher with RR-table-based timeliness scoring."""
+    """Offset prefetcher with RR-table-based timeliness scoring.
+
+    The RR table is the first ``_rr_len`` slots of the ``_rr_blocks`` /
+    ``_rr_orders`` arrays (block, insertion order; the oldest order is the
+    replacement victim) and ``_scores`` holds one score per candidate, in
+    ``offsets`` order.  The compiled kernel trains on these arrays in place
+    and carries the scalar state through a run.
+    """
 
     def __init__(self, config: Optional[BestOffsetConfig] = None, **overrides) -> None:
         self.config = config or BestOffsetConfig(**overrides)
         self.target_level = self.config.target_level
-        self._rr: Dict[int, int] = {}            # block -> insertion order
-        self._rr_order = 0
-        self._scores: Dict[int, int] = {off: 0 for off in self.config.offsets}
-        self._test_index = 0
-        self._round_accesses = 0
-        self._current_offset: Optional[int] = 1  # start with next-line behaviour
-        self._prefetch_on = True
+        self._rr_blocks = array("q", bytes(8 * self.config.rr_entries))
+        self._rr_orders = array("q", bytes(8 * self.config.rr_entries))
+        self._scores = array("q", bytes(8 * len(self.config.offsets)))
+        self.reset()
 
     # ------------------------------------------------------------------
+    def _rr_slot(self, block: int) -> Optional[int]:
+        blocks = self._rr_blocks[:self._rr_len]
+        return blocks.index(block) if block in blocks else None
+
     def _rr_insert(self, block: int) -> None:
-        if block in self._rr:
-            self._rr[block] = self._rr_order
-        else:
-            if len(self._rr) >= self.config.rr_entries:
-                victim = min(self._rr, key=self._rr.get)
-                del self._rr[victim]
-            self._rr[block] = self._rr_order
+        slot = self._rr_slot(block)
+        if slot is None:
+            if self._rr_len >= self.config.rr_entries:
+                slot = min(range(self._rr_len), key=self._rr_orders.__getitem__)
+            else:
+                slot = self._rr_len
+                self._rr_len += 1
+            self._rr_blocks[slot] = block
+        self._rr_orders[slot] = self._rr_order
         self._rr_order += 1
 
+    def _new_round(self) -> None:
+        scores = self._scores
+        scores[:] = array("q", bytes(8 * len(scores)))
+        self._round_accesses = 0
+        self._test_index = 0
+
     def _end_round(self) -> None:
-        best_offset = max(self._scores, key=self._scores.get)
-        best_score = self._scores[best_offset]
-        if best_score <= self.config.bad_score:
+        scores = self._scores
+        best = max(range(len(scores)), key=scores.__getitem__)
+        if scores[best] <= self.config.bad_score:
             self._prefetch_on = False
             self._current_offset = None
         else:
             self._prefetch_on = True
-            self._current_offset = best_offset
-        self._scores = {off: 0 for off in self.config.offsets}
-        self._round_accesses = 0
-        self._test_index = 0
+            self._current_offset = self.config.offsets[best]
+        self._new_round()
 
     # ------------------------------------------------------------------
     def observe(self, pc: int, address: int, hit: bool, cycle: int) -> List[PrefetchRequest]:
@@ -93,16 +112,15 @@ class BestOffsetPrefetcher(Prefetcher):
 
         # Score one candidate offset per (miss or prefetch-hit) access.
         offsets = self.config.offsets
-        tested = offsets[self._test_index % len(offsets)]
+        k = self._test_index % len(offsets)
+        tested = offsets[k]
         self._test_index += 1
-        if (block - tested) in self._rr:
-            self._scores[tested] += 1
-            if self._scores[tested] >= self.config.score_max:
+        if self._rr_slot(block - tested) is not None:
+            self._scores[k] += 1
+            if self._scores[k] >= self.config.score_max:
                 self._current_offset = tested
                 self._prefetch_on = True
-                self._scores = {off: 0 for off in offsets}
-                self._round_accesses = 0
-                self._test_index = 0
+                self._new_round()
         self._round_accesses += 1
         if self._round_accesses >= self.config.round_max:
             self._end_round()
@@ -118,12 +136,10 @@ class BestOffsetPrefetcher(Prefetcher):
                                 level=self.config.target_level)]
 
     def reset(self) -> None:
-        self._rr.clear()
+        self._rr_len = 0
         self._rr_order = 0
-        self._scores = {off: 0 for off in self.config.offsets}
-        self._test_index = 0
-        self._round_accesses = 0
-        self._current_offset = 1
+        self._new_round()
+        self._current_offset: Optional[int] = 1  # start with next-line behaviour
         self._prefetch_on = True
 
     @property

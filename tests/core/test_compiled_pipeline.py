@@ -21,6 +21,11 @@ never drift between the golden pins and these A/B comparisons.
 from __future__ import annotations
 
 import importlib.util
+import json
+import random
+import zlib
+from array import array
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,6 +37,7 @@ from repro.core.compile import (
     kernel_available,
     native_hint_branches_total,
     native_mem_hits_total,
+    native_mem_misses_total,
 )
 from repro.core.compile.decoded import decoded_cache_stats
 from repro.core.compile.plan import plan_run
@@ -298,10 +304,28 @@ def test_timing_runs_do_not_retain_decoded_windows(prepared, monkeypatch):
 # ---------------------------------------------------------------------------
 # native L1/TLB hit path: memory-hierarchy state, not just the counters
 # ---------------------------------------------------------------------------
+def assert_identical(compiled, reference):
+    """Equal *and* of the same types throughout: ``==`` alone takes ``3``
+    for ``3.0``, which the perfbench digests (``json.dumps`` of the stats)
+    do not."""
+    assert compiled == reference
+    assert (json.dumps(compiled, sort_keys=True, default=repr)
+            == json.dumps(reference, sort_keys=True, default=repr))
+
+
+def _resource_view(resource):
+    if resource is None:
+        return None
+    banks = getattr(resource, "_banks", [resource])
+    return [bank.entries() for bank in banks]
+
+
 def _cache_view(cache):
     # Item lists, not dicts: each set's order is its LRU tie-break order.
     return {"stats": dict(vars(cache.stats)),
-            "lines": [list(lines.items()) for lines in cache.lines()]}
+            "lines": [list(lines.items()) for lines in cache.lines()],
+            "mshr": _resource_view(cache._mshr),
+            "write_buffer": _resource_view(cache._write_buffer)}
 
 
 def _private_view(memory):
@@ -314,10 +338,28 @@ def _private_view(memory):
     }
 
 
+def _dram_view(dram):
+    return {"stats": dict(vars(dram.stats)),
+            "open_rows": list(dram._open_rows),
+            "bank_ready": list(dram._bank_ready),
+            "energy": dram._dynamic_energy,
+            "last_access": dram._last_access_cycle,
+            "queues": [queue.entries() for queue in dram._queues or ()]}
+
+
+def _bop_view(bop):
+    if bop is None:
+        return None
+    rr = sorted(zip(bop._rr_blocks[:bop._rr_len], bop._rr_orders[:bop._rr_len]))
+    return {"rr": rr, "scores": list(bop._scores),
+            "scalars": [bop._rr_order, bop._test_index, bop._round_accesses,
+                        bop._prefetch_on, bop._current_offset]}
+
+
 def _hierarchy_view(shared, privates):
     return {
         "l3": _cache_view(shared.l3),
-        "dram": dict(vars(shared.dram.stats)),
+        "dram": _dram_view(shared.dram),
         "private": [_private_view(memory) for memory in privates],
     }
 
@@ -344,39 +386,73 @@ def _dla_states(monkeypatch, run):
     run()
     monkeypatch.setattr(DlaSystem, "_fresh_state", fresh_state)
     monkeypatch.setattr(DlaSystem, "_lookahead_pass", lookahead_pass)
-    views = [_hierarchy_view(state.shared, (state.mt_memory, state.lt_memory))
+    views = [(_hierarchy_view(state.shared, (state.mt_memory, state.lt_memory)),
+              state.prefetch_hints_installed)
              for state in states]
     return views, hints
 
 
-@pytest.mark.parametrize("section", sorted(SECTION_KERNELS))
+#: Memory points of the state A/B tests: each golden section on its kernel,
+#: and every memsys machine (stock caches, BOP on) on the store-heavy triad.
+MEMORY_POINTS = sorted(SECTION_KERNELS) + [
+    f"machine-{name}" for name, _ in MEMSYS_MACHINES]
+
+
+#: DLA memory points whose hierarchy the kernel does not run natively (an
+#: L1 prefetcher, a non-BOP L2 prefetcher): the native hint unit installs
+#: its prefetch hints through the Python ``install`` callback.
+PYTHON_INSTALL_POINTS = ["contended+l1_stride", "contended+l2_next_line"]
+
+
+def _memory_point(prepared, point):
+    """``(prepared kernel, SystemConfig)`` of one memory point."""
+    if point in PYTHON_INSTALL_POINTS:
+        kernel, config = _memory_point(prepared, "contended")
+        if point.endswith("l1_stride"):
+            return kernel, config.with_l1_stride()
+        return kernel, replace(config, l2_prefetcher="next_line")
+    if point.startswith("machine-"):
+        knobs = dict(MEMSYS_MACHINES)[point[len("machine-"):]]
+        return prepared["triad"], machine_config(SystemConfig(), knobs)
+    return (prepared[SECTION_KERNELS[point]],
+            _harness.SYSTEM_PROFILES[point]())
+
+
+@pytest.mark.parametrize("section", MEMORY_POINTS)
 def test_baseline_memory_state_matches_reference(prepared, monkeypatch, section):
-    """Every CacheStats/TlbStats field and every resident line agree."""
-    _, warmup, timed, _, _ = prepared[SECTION_KERNELS[section]]
-    config = _harness.SYSTEM_PROFILES[section]()
+    """Every stats field (with its type), every resident line in LRU order,
+    the MSHRs, write buffers, DRAM and BOP state agree."""
+    (_, warmup, timed, _, _), config = _memory_point(prepared, section)
 
     def view():
-        outcome = simulate_baseline(timed, config, warmup_entries=warmup)
-        return _hierarchy_view(outcome.shared, (outcome.private,))
+        shared, private, core = build_single_core(config)
+        warm_memory_system(private, warmup)
+        core.run(timed)
+        return (_hierarchy_view(shared, (private,)),
+                _bop_view(core.l2_prefetcher))
 
     _reference(monkeypatch)
     reference = view()
     _fast(monkeypatch)
     hits = native_mem_hits_total()
     compiled = view()
-    assert compiled == reference
+    assert_identical(compiled, reference)
+    assert reference[1] is not None
     if kernel_available():
         assert native_mem_hits_total() > hits
 
 
-@pytest.mark.parametrize("section", sorted(SECTION_KERNELS))
+@pytest.mark.parametrize("section", MEMORY_POINTS + PYTHON_INSTALL_POINTS)
 @pytest.mark.parametrize("config_name", ["dla", "r3"])
 def test_dla_memory_state_and_hints_match_reference(prepared, monkeypatch,
                                                      section, config_name):
-    """Both cores' hierarchies and the look-ahead pass's load-miss log
-    (its prefetch hints, recorded by the kernel) agree with the reference."""
-    program, warmup, timed, profile, _ = prepared[SECTION_KERNELS[section]]
-    config = _harness.SYSTEM_PROFILES[section]()
+    """Both cores' hierarchies (type-strict, see
+    :func:`test_baseline_memory_state_matches_reference`), the look-ahead
+    pass's load-miss log (its prefetch hints, recorded by the kernel) and
+    the hints the main pass installed agree with the reference, whether
+    the kernel or the Python ``install`` callback installed them."""
+    (program, warmup, timed, profile, _), config = _memory_point(prepared,
+                                                                 section)
     dla_config = (
         DlaConfig().baseline_dla() if config_name == "dla" else DlaConfig().r3()
     )
@@ -389,9 +465,10 @@ def test_dla_memory_state_and_hints_match_reference(prepared, monkeypatch,
     reference = _dla_states(monkeypatch, run)
     _fast(monkeypatch)
     compiled = _dla_states(monkeypatch, run)
-    if section == "contended":   # the shrunken L1D: the log is not empty
+    if section.startswith("contended"):   # the shrunken L1D: hints exist
         assert any(hints for hints in reference[1])
-    assert compiled == reference
+        assert sum(installed for _, installed in reference[0]) > 0
+    assert_identical(compiled, reference)
 
 
 def test_store_hits_on_clean_lines_match_reference(monkeypatch):
@@ -442,10 +519,12 @@ def test_lookahead_pass_keeps_fast_accessors(prepared, monkeypatch):
     lookahead = plans["look-ahead"]
     assert lookahead.has_on_memory and lookahead.log_load_misses
     assert lookahead.native_data_hits and lookahead.native_inst_hits
+    assert lookahead.native_misses
     # A generic memory hook observes every data access in Python.
     generic = original(build_single_core(config)[2],
                        CoreHooks(on_memory_access=lambda *args: None))
     assert not generic.log_load_misses and not generic.native_data_hits
+    assert not generic.native_misses
 
 
 @pytest.mark.parametrize("declared", ["none", "empty", "two"])
@@ -526,6 +605,7 @@ def test_l1_prefetcher_config_keeps_data_hits_in_python(prepared, monkeypatch):
     _, _, core = build_single_core(config)
     plan = plan_run(core, CoreHooks())
     assert not plan.native_data_hits and plan.native_inst_hits
+    assert not plan.native_misses
 
     def capture():
         outcome = simulate_baseline(timed, config, warmup_entries=warmup)
@@ -538,6 +618,29 @@ def test_l1_prefetcher_config_keeps_data_hits_in_python(prepared, monkeypatch):
     compiled = capture()
     assert compiled == reference
     assert reference[1]["private"][0]["l1d"]["stats"]["prefetches_issued"] > 0
+
+
+def test_non_bop_l2_prefetcher_keeps_misses_in_python(prepared, monkeypatch):
+    """The kernel trains only BOP: another L2 prefetcher keeps the miss
+    path in Python, and the run stays bit-identical to the reference."""
+    _, warmup, timed, _, _ = prepared["stream"]
+    config = replace(SystemConfig(), l2_prefetcher="next_line")
+    _, _, core = build_single_core(config)
+    plan = plan_run(core, CoreHooks())
+    assert plan.native_data_hits and not plan.native_misses
+
+    def view():
+        shared, private, core = build_single_core(config)
+        warm_memory_system(private, warmup)
+        return core.run(timed), _hierarchy_view(shared, (private,))
+
+    _reference(monkeypatch)
+    reference = view()
+    _fast(monkeypatch)
+    compiled = view()
+    assert_identical(compiled[1], reference[1])
+    assert compiled[0] == reference[0]
+    assert reference[1]["private"][0]["l2"]["stats"]["prefetches_issued"] > 0
 
 
 @pytest.mark.parametrize("machine", [name for name, _ in MEMSYS_MACHINES])
@@ -565,23 +668,27 @@ def test_native_replay_matches_reference_replay(prepared, monkeypatch, machine):
     _fast(monkeypatch)
     hits = native_mem_hits_total()
     compiled = replay()
-    assert compiled == reference
+    assert_identical(compiled, reference)
     if kernel_available():
         assert native_mem_hits_total() > hits
 
 
 def test_native_hits_counter_advances(prepared, monkeypatch):
     """Engagement guard: a BL run and a warm replay both serve hits natively
-    (a silent fallback to the Python accessors would keep this at 0)."""
+    and a cold warm replay serves its misses natively (a silent fallback to
+    the Python accessors would keep these at 0)."""
     if not kernel_available():
         pytest.skip("no C compiler / kernel build failed: fast path inert")
     _, warmup, timed, _, config = prepared["branchy"]
     _fast(monkeypatch)
     shared, private, core = build_single_core(config)
+    assert plan_run(core, CoreHooks()).native_misses
     before = native_mem_hits_total()
+    misses = native_mem_misses_total()
     _replay_warmup(private, warmup)
     replayed = native_mem_hits_total()
     assert replayed > before, "warm replay served no hit natively"
+    assert native_mem_misses_total() > misses, "warm replay missed in Python"
     core.run(timed)
     assert native_mem_hits_total() > replayed, "the BL run served no hit natively"
 
@@ -632,8 +739,6 @@ def test_hint_unit_under_stress_matches_reference(prepared, monkeypatch, mode):
     counters, T1 and the RNG stream's final state, with every hint-unit
     path exercised.  ``gshare`` (a non-native branch unit) runs R3 with the
     hint hooks as kernel callbacks instead of the native unit."""
-    from dataclasses import replace
-
     from repro.dla.recycle import RecycleController, build_skeleton_versions
 
     # The triad has prefetch hints to saturate the FQ with, value targets
@@ -674,3 +779,130 @@ def test_hint_unit_under_stress_matches_reference(prepared, monkeypatch, mode):
                for unit in units)
     if mode != "dla":
         assert any(unit.value_verdicts.count(0) for unit in units)
+
+
+# ---------------------------------------------------------------------------
+# native memory hierarchy: differential test over generated access streams
+# ---------------------------------------------------------------------------
+def _access_stream(name: str, count: int):
+    """A seeded ``(ba, flags, ea)`` stream mixing I-fetches, loads, stores
+    (some training the L2 prefetcher), L1/L2 prefetches and TLB prefills
+    over a hot set, strided runs and a region larger than every level."""
+    from repro.core.compile.decoded import F_LOAD, F_STORE
+    from repro.core.compile.driver import R_PF_L1, R_PF_L2, R_PREFILL, R_TRAIN
+
+    rng = random.Random(zlib.crc32(name.encode()))
+    ba, flags, ea = array("q"), array("q"), array("q")
+    pc, stride_base = 0x1000, 0x200000
+    for k in range(count):
+        if rng.random() < 0.2:
+            pc = 0x1000 + 64 * rng.randrange(1024)
+        roll = rng.random()
+        if roll < 0.3:
+            address = 0x100000 + 64 * rng.randrange(48)           # hot set
+        elif roll < 0.6:
+            address = stride_base + 64 * (k % 512) * 3           # strided
+        else:
+            address = 0x400000 + 8 * rng.randrange(1 << 17)      # 1 MB
+        op = rng.random()
+        if op < 0.45:
+            f = F_LOAD | (R_TRAIN if rng.random() < 0.7 else 0)
+        elif op < 0.7:
+            f = F_STORE | (R_TRAIN if rng.random() < 0.7 else 0)
+        elif op < 0.8:
+            f = R_PF_L1
+        elif op < 0.9:
+            f = R_PF_L2
+        elif op < 0.95:
+            f = R_PREFILL
+        else:
+            f = 0                                                # fetch only
+        ba.append(pc)
+        flags.append(f)
+        ea.append(address)
+    return ba, flags, ea
+
+
+def _python_stream(memory, core, ba, flags, ea, pace):
+    """The reference: the kernel replay loop over the Python accessors."""
+    from repro.core.compile.decoded import F_LOAD, F_STORE
+    from repro.core.compile.driver import R_PF_L1, R_PF_L2, R_PREFILL, R_TRAIN
+
+    block = memory.config.l1i.block_bytes
+    cycle, last_block = 0, None
+    for address, f, data in zip(ba, flags, ea):
+        if address // block != last_block:
+            last_block = address // block
+            memory.access_inst_fast(address, cycle)
+        if f & (F_LOAD | F_STORE):
+            _, info = memory.access_data_fast(data, cycle, not f & F_LOAD)
+            if f & R_TRAIN:
+                core._run_prefetchers(0, data, info, cycle)
+        if f & R_PF_L1:
+            memory.prefetch(data, cycle, level="l1")
+        if f & R_PF_L2:
+            memory.prefetch(data, cycle, level="l2")
+        if f & R_PREFILL:
+            memory.prefill_tlb(data, cycle)
+        cycle += pace
+
+
+def _shrunk(config):
+    """``config`` with small data-side caches, so short streams evict,
+    write back and fill the write buffers at every level."""
+    memory = replace(
+        config.memory,
+        l1d=replace(config.memory.l1d, size_bytes=2 * 1024),
+        l2=replace(config.memory.l2, size_bytes=8 * 1024),
+        l3=replace(config.memory.l3, size_bytes=64 * 1024),
+    )
+    return replace(config, memory=memory)
+
+
+@pytest.mark.parametrize("lookahead", [False, True], ids=["main", "lookahead"])
+@pytest.mark.parametrize("machine", [name for name, _ in MEMSYS_MACHINES])
+def test_native_memory_matches_python_on_access_streams(monkeypatch, machine,
+                                                        lookahead):
+    """Every memory operation the kernel runs natively — demand accesses,
+    BOP training, L1/L2 prefetches, TLB prefills — leaves the exact state
+    the Python accessors leave, checked type-strictly after every chunk of
+    a generated stream, on every memsys machine (data-side caches shrunk)
+    and in main and look-ahead mode."""
+    if not kernel_available():
+        pytest.skip("no C compiler / kernel build failed: fast path inert")
+    from repro.core.compile.build import load_kernel
+    from repro.core.compile.driver import replay_warmup
+    from repro.memory.hierarchy import CoreMemorySystem
+
+    _fast(monkeypatch)
+    config = _shrunk(machine_config(SystemConfig(),
+                                    dict(MEMSYS_MACHINES)[machine]))
+    ba, flags, ea = _access_stream(f"stream-{machine}-{lookahead}", 1800)
+
+    def build():
+        shared, private, core = build_single_core(config)
+        if lookahead:
+            private = CoreMemorySystem(shared, config.memory,
+                                       lookahead_mode=True)
+            core.memory = private
+        return shared, private, core
+
+    native, python = build(), build()
+    misses = native_mem_misses_total()
+    for lo in range(0, len(ba), 600):
+        chunk = (ba[lo:lo + 600], flags[lo:lo + 600], ea[lo:lo + 600])
+        replay_warmup(load_kernel(), native[1], chunk, 1,
+                      l2_prefetcher=native[2].l2_prefetcher)
+        _python_stream(python[1], python[2], *chunk, pace=1)
+        assert_identical(
+            (_hierarchy_view(native[0], (native[1],)),
+             _bop_view(native[2].l2_prefetcher)),
+            (_hierarchy_view(python[0], (python[1],)),
+             _bop_view(python[2].l2_prefetcher)))
+    assert native_mem_misses_total() > misses
+    # The stream reaches every level and its write-back machinery.
+    stats = python[0].l3.stats
+    assert stats.misses and python[0].dram.stats.reads
+    assert python[1].tlb.stats.misses and python[1].tlb.stats.prefills
+    if not lookahead:
+        assert python[1].l1d.stats.writebacks and python[1].l2.stats.writebacks

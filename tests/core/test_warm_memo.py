@@ -44,8 +44,8 @@ def _shared_state(shared):
     return {
         "l3": _cache_state(shared.l3),
         "dram_stats": dict(vars(shared.dram.stats)),
-        "dram_open_rows": dict(shared.dram._open_rows),
-        "dram_bank_ready": dict(shared.dram._bank_ready),
+        "dram_open_rows": list(shared.dram._open_rows),
+        "dram_bank_ready": list(shared.dram._bank_ready),
         "dram_energy": shared.dram._dynamic_energy,
     }
 

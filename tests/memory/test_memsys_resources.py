@@ -377,8 +377,7 @@ def test_dram_snapshot_round_trips_queue_state():
     restored.restore_state(model.snapshot_state())
     assert vars(restored.stats) == vars(model.stats)
     # The restored read queue still holds its in-flight transfer.
-    key = (0, False)
-    assert restored._queues[key].occupancy(now=0) == 1
+    assert restored._queue_for(bank=0, is_write=False).occupancy(now=0) == 1
 
 
 def test_drain_queues_quiesces_without_touching_stats():

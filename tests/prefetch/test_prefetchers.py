@@ -88,6 +88,12 @@ def test_best_offset_reset_restores_initial_state():
     assert pf.current_offset == 1
 
 
+def test_best_offset_rejects_repeated_candidate_offsets():
+    # Scores are kept per candidate in ``offsets`` order, one per offset.
+    with pytest.raises(ValueError):
+        BestOffsetConfig(offsets=[1, 2, 2])
+
+
 def test_ghb_correlates_repeating_delta_pattern():
     pf = GlobalHistoryBufferPrefetcher(degree=4)
     deltas = [64, 128, 64, 128, 64, 128, 64, 128]
