@@ -17,13 +17,15 @@ actually carried the simulations (``compiled_ticks > 0`` in the runner
 stats), the setups' profiling timing passes (``setup_compiled_ticks >
 0``), the L1/TLB hits (``native_mem_hits > 0``), the L1 misses of the
 native memory hierarchy (``native_mem_misses > 0``), the DLA cells' branch
-hints (``native_hint_branches > 0``) and the workloads' functional
-emulation (``native_emulated > 0``), and exits with status 2 otherwise —
-in CI this turns a silent fallback to the reference interpreter, to the
-Python memory accessors, to the Python hint hooks or to the Python
-emulator (no C compiler on the runner, a kernel build break, a non-stock
-cache type or branch unit) into a red job instead of a quietly slower
-number.
+hints (``native_hint_branches > 0``), the R3 cells' T1 steps
+(``native_t1_commits > 0``) and hint verdict draws
+(``native_verdict_draws > 0``) and the workloads' functional emulation
+(``native_emulated > 0``), and exits with status 2 otherwise — in CI this
+turns a silent fallback to the reference interpreter, to the Python
+memory accessors, to the Python hint hooks, T1 or verdict draws or to the
+Python emulator (no C compiler on the runner, a kernel build break, a
+non-stock cache type or branch unit) into a red job instead of a quietly
+slower number.
 """
 
 from __future__ import annotations
@@ -54,12 +56,16 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
         native_hint_branches_total,
         native_mem_hits_total,
         native_mem_misses_total,
+        native_t1_commits_total,
+        native_verdict_draws_total,
     )
 
     kernel_available()
     native_hits = native_mem_hits_total()
     native_misses = native_mem_misses_total()
     hint_branches = native_hint_branches_total()
+    t1_commits = native_t1_commits_total()
+    verdict_draws = native_verdict_draws_total()
     emulated = native_emulated_total()
     started = time.perf_counter()
     # Fresh in-memory caches and no disk cache: measure real simulation speed.
@@ -98,6 +104,9 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     payload["native_mem_misses"] = native_mem_misses_total() - native_misses
     payload["native_hint_branches"] = (native_hint_branches_total()
                                        - hint_branches)
+    payload["native_t1_commits"] = native_t1_commits_total() - t1_commits
+    payload["native_verdict_draws"] = (native_verdict_draws_total()
+                                       - verdict_draws)
     payload["native_emulated"] = native_emulated_total() - emulated
     print(f"perf_smoke[{workload}+{memory_workload}]: "
           f"{payload['simulations']} simulations, "
@@ -108,7 +117,9 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
           f"{setup_ticks} in setup, {payload['native_mem_hits']} native "
           f"L1/TLB hits, {payload['native_mem_misses']} native L1 misses, "
           f"{payload['native_hint_branches']} native hint "
-          f"branches, {payload['native_emulated']} natively emulated)")
+          f"branches, {payload['native_t1_commits']} native T1 steps, "
+          f"{payload['native_verdict_draws']} native verdict draws, "
+          f"{payload['native_emulated']} natively emulated)")
     return payload
 
 
@@ -120,12 +131,14 @@ def _parse_args(argv=None) -> argparse.Namespace:
         "--require-compiled", action="store_true",
         help="exit 2 unless the compiled tick pipeline carried the runs, "
              "the setups' profiling passes, the L1/TLB hits, the miss path, "
-             "the DLA branch hints and the functional emulation "
-             "(compiled_ticks, setup_compiled_ticks, native_mem_hits, "
-             "native_mem_misses, native_hint_branches and native_emulated "
+             "the DLA branch hints, T1, the hint verdict draws and the "
+             "functional emulation (compiled_ticks, setup_compiled_ticks, "
+             "native_mem_hits, native_mem_misses, native_hint_branches, "
+             "native_t1_commits, native_verdict_draws and native_emulated "
              "all > 0); guards CI against a silent "
              "fallback to the reference interpreter, the Python memory "
-             "accessors, the Python hint hooks or the Python emulator",
+             "accessors, the Python hint hooks, T1 or draws or the Python "
+             "emulator",
     )
     return parser.parse_args(argv)
 
@@ -136,8 +149,8 @@ if __name__ == "__main__":
     if cli_args.require_compiled:
         for key in ("compiled_ticks", "setup_compiled_ticks",
                     "native_mem_hits", "native_mem_misses",
-                    "native_hint_branches",
-                    "native_emulated"):
+                    "native_hint_branches", "native_t1_commits",
+                    "native_verdict_draws", "native_emulated"):
             if result.get(key, 0) <= 0:
                 print(f"perf_smoke: compiled tick pipeline did not engage "
                       f"({key} == 0) but --require-compiled was set",

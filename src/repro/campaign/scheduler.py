@@ -68,7 +68,7 @@ from repro.campaign.store import CampaignStore, DEFAULT_LEASE_TTL
 from repro.campaign.telemetry import EventJournal, outcome_measures
 from repro.experiments.parallel import (
     ParallelExperimentRunner, SimRequest, _failure_payload, _run_group,
-    mp_context,
+    default_signal_dispositions, mp_context,
 )
 from repro.util import faults
 from repro.util.sharding import partition
@@ -95,17 +95,45 @@ def _watchdog_cell_main(payload: tuple, report) -> None:
     A successful result travels through the shared disk cache (the child
     runner persists it the moment the simulation finishes), so the parent
     reads it back from disk — a cell is done when its result is readable
-    there, which also catches a torn cache write.
+    there, which also catches a torn cache write.  The child starts with
+    default SIGTERM/SIGINT dispositions: the watchdog's terminate() must
+    kill it outright instead of raising into code that could still land
+    the result it was timed out on.
     """
-    import signal
-
-    # A forked child inherits the parent loop's WorkerShutdown handlers;
-    # the watchdog's terminate() must kill it outright instead of raising
-    # into code that could still land the result it was timed out on.
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, signal.SIG_DFL)
     _workload, results, _stats = _run_group(payload)
     report.send({key: info for kind, key, info in results if kind == "failed"})
+
+
+def install_shutdown_handlers() -> Dict[int, object]:
+    """Route SIGTERM/SIGINT into :class:`WorkerShutdown`; returns the
+    handlers they replaced.  Main thread only: worker loops driven from
+    helper threads keep the process defaults, and tests do exactly that."""
+    import signal
+    import threading
+
+    if threading.current_thread() is not threading.main_thread():
+        return {}
+    previous: Dict[int, object] = {}
+
+    def _handler(signum: int, _frame) -> None:
+        raise WorkerShutdown(f"received signal {signum}")
+
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        try:
+            previous[signum] = signal.signal(signum, _handler)
+        except (ValueError, OSError):   # non-main interpreter quirks
+            pass
+    return previous
+
+
+def restore_signal_handlers(previous: Dict[int, object]) -> None:
+    import signal
+
+    for signum, handler in previous.items():
+        try:
+            signal.signal(signum, handler)
+        except (ValueError, OSError, TypeError):
+            pass
 
 
 @dataclass(frozen=True)
@@ -414,7 +442,7 @@ class CampaignScheduler:
                    cells=len(keyed), cache_hits=hits, **fields)
         self.progress(f"[{self.spec.name}] {label}: {len(keyed)} cells, "
                       f"{hits} cached ({self.mode} mode)")
-        previous_handlers = self._install_signal_handlers()
+        previous_handlers = install_shutdown_handlers()
         try:
             while True:
                 if leases is not None:
@@ -478,7 +506,7 @@ class CampaignScheduler:
                 f"released, exiting cleanly (rerun to resume)"
             )
         finally:
-            self._restore_signal_handlers(previous_handlers)
+            restore_signal_handlers(previous_handlers)
 
         records = self.store.failures()
         poisoned = {key: records[key] for key in keys
@@ -624,37 +652,6 @@ class CampaignScheduler:
         return record
 
     # ------------------------------------------------------------------
-    def _install_signal_handlers(self) -> Dict[int, object]:
-        """Route SIGTERM/SIGINT into :class:`WorkerShutdown` (main thread
-        only — worker loops driven from helper threads keep the process
-        defaults, and tests do exactly that)."""
-        import signal
-        import threading
-
-        if threading.current_thread() is not threading.main_thread():
-            return {}
-        previous: Dict[int, object] = {}
-
-        def _handler(signum: int, _frame) -> None:
-            raise WorkerShutdown(f"received signal {signum}")
-
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                previous[signum] = signal.signal(signum, _handler)
-            except (ValueError, OSError):   # non-main interpreter quirks
-                pass
-        return previous
-
-    def _restore_signal_handlers(self, previous: Dict[int, object]) -> None:
-        import signal
-
-        for signum, handler in previous.items():
-            try:
-                signal.signal(signum, handler)
-            except (ValueError, OSError, TypeError):
-                pass
-
-    # ------------------------------------------------------------------
     def _run_cell_watchdog(self, request: SimRequest, key: str,
                            prior_attempts: int) -> Dict[str, Dict[str, object]]:
         """Execute one cell in a watchdog subprocess; returns its failure
@@ -675,7 +672,8 @@ class CampaignScheduler:
             child_end,
         ))
         try:
-            process.start()
+            with default_signal_dispositions():
+                process.start()
             child_end.close()
             # A dying child closes the pipe, which also ends the poll.
             if not report.poll(self.cell_timeout):

@@ -19,10 +19,11 @@ per-variant Python callbacks:
    write-backs, MSHRs, write buffers, DRAM, BOP training, prefetch-hint
    installs and wrong-path pollution; otherwise L1/TLB hits) run natively
    on the model objects' own arrays, and a DLA main thread's declared hint
-   unit runs natively over its columns; every other model interaction
-   (non-stock structures, other prefetchers, T1, generic hooks) happens
-   through callbacks, so dynamic state lives exactly where the reference
-   keeps it.  Warm-up replay runs on the same kernel
+   unit runs natively over its columns (its verdicts drawn natively
+   too), and so does a declared T1 engine on a stock hierarchy; every other
+   model interaction (non-stock structures, other prefetchers, generic
+   hooks) happens through callbacks, so dynamic state lives exactly where
+   the reference keeps it.  Warm-up replay runs on the same kernel
    (:func:`replay_compiled`).
 
 ``REPRO_FAST_PIPELINE=0`` disables all of it and the reference
@@ -57,6 +58,12 @@ _native_hint_branches = 0
 
 #: Instructions the kernel's functional emulator executed.
 _native_emulated = 0
+
+#: Committed marked loads the kernel's native T1 stepped.
+_native_t1_commits = 0
+
+#: Hint-verdict draws the kernel made (``draw_verdicts``).
+_native_verdict_draws = 0
 
 
 def fast_pipeline_enabled() -> bool:
@@ -106,6 +113,26 @@ def native_emulated_total() -> int:
 def _add_native_emulated(count: int) -> None:
     global _native_emulated
     _native_emulated += count
+
+
+def native_t1_commits_total() -> int:
+    """Process-wide count of marked loads the native T1 stepped."""
+    return _native_t1_commits
+
+
+def _add_native_t1_commits(count: int) -> None:
+    global _native_t1_commits
+    _native_t1_commits += count
+
+
+def native_verdict_draws_total() -> int:
+    """Process-wide count of hint-verdict draws the kernel made."""
+    return _native_verdict_draws
+
+
+def _add_native_verdict_draws(count: int) -> None:
+    global _native_verdict_draws
+    _native_verdict_draws += count
 
 
 def native_kernel():

@@ -28,6 +28,10 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 
 _MODULE_NAME = "_repro_fastcore"
 
+#: Flags every kernel build uses: no fused multiply-adds, so floating-point
+#: expressions round each operation as Python does, on every target.
+EXACT_FLAGS = ("-ffp-contract=off",)
+
 #: Process-wide build outcome: unset / the loaded module / ``None`` (failed).
 _kernel_state: dict = {}
 
@@ -113,7 +117,7 @@ def _compile(target: Path) -> bool:
     os.close(fd)
     tmp = Path(tmp_name)
     command = [
-        compiler, "-O2", "-shared", "-fPIC", f"-I{include}",
+        compiler, "-O2", *EXACT_FLAGS, "-shared", "-fPIC", f"-I{include}",
         str(kernel_source_path()), "-o", str(tmp),
     ]
     if sys.platform == "darwin":

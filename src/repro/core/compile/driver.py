@@ -3,7 +3,8 @@
 ``run_compiled`` marshals one run onto the C kernel: the decoded trace's
 flat arrays go in as zero-copy buffers, and every model interaction the
 kernel cannot perform itself — a non-stock memory structure or branch
-unit, an L1 or non-BOP L2 prefetcher, T1, generic hooks — comes back out
+unit, an L1 or non-BOP L2 prefetcher, generic hooks, and T1 and hint
+installs when the memory hierarchy stays in Python — comes back out
 through small per-event callbacks that communicate over a shared
 ``array('d')`` buffer (argument marshalling through object calls would
 dominate otherwise).  The branch unit runs natively on the model objects'
@@ -18,8 +19,11 @@ A DLA main thread declares its hint unit
 zero-copy, its run state goes in and comes back through one small
 ``array('d')``, and the kernel installs due prefetch hints itself (or
 calls back once per fetch that brings some due, when the memory hierarchy
-stays in Python).  A look-ahead pass declares a commit log, which the
-kernel writes into preallocated columns.
+stays in Python).  ``draw_verdicts`` draws the unit's verdicts natively
+before the run.  An R3 main thread also declares its T1 engine, whose
+table the kernel steps in place on a stock hierarchy (else ``on_commit``
+fires for the marked PCs).  A look-ahead pass declares a commit log,
+which the kernel writes into preallocated columns.
 
 Every callback body is a statement-for-statement transcription of the
 corresponding block of :meth:`repro.core.pipeline.OutOfOrderCore.run`; the
@@ -41,6 +45,8 @@ from repro.core.compile import (
     _add_native_hint_branches,
     _add_native_mem_hits,
     _add_native_mem_misses,
+    _add_native_t1_commits,
+    _add_native_verdict_draws,
 )
 from repro.core.compile.decoded import decode_trace, get_decoded
 from repro.core.compile.plan import plan_run, stock_hit_sides, stock_memory
@@ -54,7 +60,7 @@ B_I, B_T0, B_T1, B_OUT0, B_OUT1, B_LAST = range(6)
  C_VALID_SKIP, C_VP_USED, C_VP_MISS, C_SB_SKIP, C_SB_VALID,
  C_BRANCHES, C_BR_MISPRED, C_HINT_MISPRED, C_BTB_MISS,
  C_TICKS, C_NATIVE_HITS, C_LOG_BRANCHES, C_LOG_PCS, C_NATIVE_MISSES,
- C_COUNT) = range(25)
+ C_T1_COMMITS, C_COUNT) = range(26)
 
 #: Replay flag bits beyond the decoded ones (must match kernel.c): train
 #: the L2 prefetcher on the data access, prefetch ``ea`` into the L1D or
@@ -86,6 +92,14 @@ _CACHE_COUNTS = ("accesses", "hits", "misses", "prefetch_hits",
 _TLB_COUNTS = ("accesses", "hits", "misses", "prefills")
 _DRAM_COUNTS = ("reads", "writes", "writeback_writes", "prefetch_reads",
                 "row_hits", "row_misses", "queue_stalls")
+#: A T1 engine's table: its slot arrays by attribute name, in the order
+#: of kernel.c's T1_* views.
+T1_TABLE = ("_pc", "_state", "_stride", "_last_address", "_last_commit",
+            "_interval", "_confirmations", "_distance", "_last_use", "_stamp",
+            "_count", "_clock")
+#: T1 stats fields the kernel counts (must match kernel.c's T1S_*).
+_T1_COUNTS = ("prefetches_issued", "prefetches_dropped", "catch_up_bursts",
+              "entries_allocated", "entries_reset", "strides_confirmed")
 
 
 def _store(lane0, lanes: int = 1) -> tuple:
@@ -169,6 +183,18 @@ class _NativeMemory:
                 array("q", cfg.offsets), self._bop_state, cfg.rr_entries,
                 cfg.block_bytes, cfg.round_max, cfg.score_max, cfg.bad_score,
                 int(cfg.target_level == "l1"))
+
+    def t1_view(self, t1) -> tuple:
+        """Kernel view of a T1 engine prefetching into this memory system:
+        its marked PCs, its table's slot arrays (zero-copy) and a counter
+        array credited to its stats."""
+        cfg = t1.config
+        return (array("q", sorted(t1.marked_pcs)),
+                tuple(getattr(t1, name) for name in T1_TABLE),
+                self._counts(t1.stats, _T1_COUNTS), cfg.entries,
+                cfg.initial_distance, cfg.min_distance, cfg.max_distance,
+                cfg.confirmations, cfg.catch_up_burst,
+                float(cfg.assumed_miss_latency), cfg.block_bytes)
 
     def settle(self) -> None:
         for stats, fields, counts in self._credits:
@@ -390,7 +416,7 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
     commit_filter = 0
     commit_pcs = _EMPTY_Q
     n_commit_pcs = 0
-    if plan.has_on_commit:
+    if plan.has_on_commit and not plan.native_t1:
         hook_on_commit = hooks.on_commit
         declared = fast.commit_pcs if fast is not None else None
         if declared is not None:
@@ -437,6 +463,7 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
     native = _NativeMemory(memory, plan.native_inst_hits,
                            plan.native_data_hits, plan.native_misses,
                            core.l2_prefetcher)
+    t1_spec = native.t1_view(fast.t1) if plan.native_t1 else None
     # Wrong-path pollution (OutOfOrderCore._wrong_path_pollution) runs in
     # the kernel with native misses: what one redirect adds.
     wrong_path = None
@@ -483,7 +510,7 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
         cb_hint_miss=cb_hint_miss, cb_redirect=cb_redirect,
         load_miss_log=fast.load_miss_log if plan.log_load_misses else None,
         hint_unit=hint_spec, commit_log=log_spec, wrong_path=wrong_path,
-        memory=native.spec,
+        memory=native.spec, t1=t1_spec,
         **native_spec,
     )
     try:
@@ -492,6 +519,7 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
         native.settle()
     _add_native_mem_hits(counters[C_NATIVE_HITS])
     _add_native_mem_misses(counters[C_NATIVE_MISSES])
+    _add_native_t1_commits(counters[C_T1_COMMITS])
 
     if ctrl_native:
         ras._stack = list(ras_stack[:ras_state[0]])
@@ -592,3 +620,37 @@ def replay_warmup(kernel, memory, inputs, cycles_per_access: int,
         native.settle()
     _add_native_mem_hits(hits)
     _add_native_mem_misses(misses)
+
+
+def draw_verdicts(kernel, entries, commits, rates, risky, biased,
+                  bias_direction, rng) -> tuple:
+    """:meth:`repro.dla.hints.MainThreadHintSource._draw` on the kernel.
+
+    Draws the verdicts of the look-ahead window ``entries``'s commit log
+    ``commits`` from ``rng`` (a :class:`~repro.util.rng.DeterministicRng`)
+    with the ``(safe, risky, value)`` error ``rates``, reading only the
+    window's decoded columns, and leaves ``rng`` in the state the Python
+    draws leave.  Returns ``(branch_seqs, branch_correct, value_seqs,
+    value_verdicts)``.
+    """
+    nb, nv = len(commits.branch_index), len(commits.pc_index)
+    columns = (array("q", bytes(8 * nb)), array("b", bytes(nb)),
+               array("q", bytes(8 * nv)), array("b", bytes(nv)))
+    decoded = get_decoded(entries)
+    version, internal, gauss = rng.getstate()
+    mt, index = array("I", internal[:-1]), array("q", internal[-1:])
+    safe_rate, risky_rate, value_rate = rates
+    draws = kernel.draw_verdicts(dict(
+        mt=mt, index=index, seq=decoded.seq, pcs=decoded.pcs,
+        flags=decoded.flags, branch_index=commits.branch_index,
+        value_index=commits.pc_index, value_pcs=array("q", sorted(commits.pcs)),
+        risky=array("q", sorted(risky)), biased=array("q", sorted(biased)),
+        not_taken=array("q", sorted(pc for pc in biased
+                                    if not bias_direction.get(pc, True))),
+        safe_rate=safe_rate, risky_rate=risky_rate, value_rate=value_rate,
+        branch_seqs=columns[0], branch_correct=columns[1],
+        value_seqs=columns[2], value_verdicts=columns[3],
+    ))
+    rng.setstate((version, (*mt, index[0]), gauss))
+    _add_native_verdict_draws(draws)
+    return columns

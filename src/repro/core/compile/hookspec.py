@@ -7,7 +7,8 @@ can matter:
 
 * **Sparse commit hook** (``commit_pcs``): fire ``on_commit`` only for
   instructions whose PC is declared.  A skipped call must be an observable
-  no-op.
+  no-op.  With a declared T1 engine and the stock memory hierarchy the
+  kernel fires none: it steps the engine itself.
 * **Load-miss log** (``load_miss_log``): the kernel appends
   ``(issue_cycle, address)`` for every load missing the L1 in place of an
   ``on_memory_access`` hook that did only that.
@@ -22,6 +23,10 @@ can matter:
   runs the memory hierarchy, else through one Python call); the
   interpreter runs the hint source's hooks over the same columns
   and state, which keeps them the oracle.
+* **T1** (``t1``): the hook source's ``on_commit`` only steps this
+  :class:`~repro.dla.t1.T1PrefetchEngine` for committed loads.  When the
+  kernel runs the memory hierarchy natively it steps the engine's table
+  arrays itself and issues the prefetches.
 
 The golden equivalence suites and the compiled-vs-interpreter A/B tests pin
 the two paths together bit-for-bit.
@@ -155,3 +160,8 @@ class CompiledHookSpec:
     #: ``branch_hint``, ``on_fetch``, ``value_hint`` or
     #: ``on_hint_mispredict``: those are the interpreter's copy of the unit.
     hint_unit: Optional[HintUnit] = None
+
+    #: T1 engine (:class:`~repro.dla.t1.T1PrefetchEngine`) whose stepping,
+    #: for every committed load, is all ``on_commit`` does.  With native
+    #: misses the kernel steps it in place of ``on_commit``.
+    t1: Optional[object] = None

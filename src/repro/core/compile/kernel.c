@@ -3,15 +3,16 @@
  * the memory hierarchy native.  On a stock hierarchy every demand access,
  * miss, write-back, MSHR / write-buffer / DRAM-queue operation, BOP
  * training step, prefetch-hint install and wrong-path polluting load runs
- * here, on the model objects' own arrays; otherwise only L1/TLB hits do.
- * Every other model interaction (a non-stock structure, other
- * prefetchers, T1, generic hooks) stays in Python, reached through
- * per-event callbacks that communicate over a shared double buffer.
- * Mirrors core/pipeline.py and memory/ (and the hint unit mirrors the
- * hooks of dla/hints.py) statement-for-statement; bit-identity, int/float
- * types included, is enforced by the golden, A/B and differential suites.
- * Also hosts warm-up replay (replay_warmup) over the same memory path, and
- * the functional emulator. */
+ * here, on the model objects' own arrays, and so does a declared T1
+ * engine's table; otherwise only L1/TLB hits do.  Every other model
+ * interaction (a non-stock structure, other prefetchers, generic hooks)
+ * stays in Python, reached through per-event callbacks that communicate
+ * over a shared double buffer.  Mirrors core/pipeline.py and memory/ (and
+ * the hint unit and T1 mirror dla/hints.py and dla/t1.py)
+ * statement-for-statement; bit-identity, int/float types included, is
+ * enforced by the golden, A/B and differential suites.  Also hosts
+ * warm-up replay (replay_warmup) over the same memory path, the hint
+ * verdict draws (draw_verdicts) and the functional emulator. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
@@ -47,7 +48,7 @@ enum {
     C_VALID_SKIP, C_VP_USED, C_VP_MISS, C_SB_SKIP, C_SB_VALID,
     C_BRANCHES, C_BR_MISPRED, C_HINT_MISPRED, C_BTB_MISS,
     C_TICKS, C_NATIVE_HITS, C_LOG_BRANCHES, C_LOG_PCS, C_NATIVE_MISSES,
-    C_COUNT
+    C_T1_COMMITS, C_COUNT
 };
 
 /* ------------------------------------------------------------------ */
@@ -1699,6 +1700,223 @@ hunit_close(hunit_t *h)
     h->on = 0;
 }
 
+/* ------------------------------------------------------------------ */
+/* Native T1 (dla.t1.T1PrefetchEngine): the strided-prefetch FSM,       */
+/* stepped at commit for the marked loads on the engine's own slot      */
+/* arrays (its table), issuing through mem_prefetch.  Transcribes       */
+/* on_commit, _enter_steady, _issue and _allocate.                      */
+
+/* T1 stats counters (must match driver._T1_COUNTS) */
+enum {
+    T1S_ISSUED, T1S_DROPPED, T1S_BURSTS, T1S_ALLOCATED, T1S_RESET,
+    T1S_CONFIRMED, T1S_COUNT
+};
+/* entry states (must match dla/t1.py) */
+#define T1_TRANSIENT 1
+#define T1_STEADY 2
+/* table slot arrays (must match driver.T1_TABLE) */
+enum {
+    T1_PC, T1_STATE, T1_STRIDE, T1_ADDRESS, T1_COMMIT, T1_INTERVAL, T1_CONF,
+    T1_DISTANCE, T1_USE, T1_STAMP, T1_COUNT, T1_CLOCK, T1_ARRAYS
+};
+
+typedef struct {
+    int on;
+    int64_t *marked, nmarked;
+    int64_t *pc, *stride, *address, *conf, *distance, *stamp, *count, *clock;
+    int8_t *state;
+    double *commit, *interval, *use;
+    int64_t *cnt;
+    int64_t entries, initial_distance, min_distance, max_distance;
+    int64_t confirmations, burst, block;
+    double latency;
+    int64_t *blocks;        /* one burst's issued blocks */
+    Py_buffer v_marked, v_cnt, views[T1_ARRAYS];
+} nt1_t;
+
+/* spec: None or (marked_pcs (sorted), table (the T1_TABLE arrays),
+ * counts, entries, initial_distance, min_distance, max_distance,
+ * confirmations, catch_up_burst, assumed_miss_latency, block_bytes). */
+static int
+t1_open(PyObject *spec, nt1_t *t)
+{
+    memset(t, 0, sizeof(*t));
+    if (spec == NULL || spec == Py_None)
+        return 0;
+    PyObject *marked, *table, *cnt;
+    long long entries, initial, lo, hi, confirmations, burst, block;
+    if (!PyArg_ParseTuple(spec, "OO!OLLLLLLdL", &marked, &PyTuple_Type, &table,
+                          &cnt, &entries, &initial, &lo, &hi, &confirmations,
+                          &burst, &t->latency, &block))
+        return -1;
+    if (PyTuple_GET_SIZE(table) != T1_ARRAYS) {
+        PyErr_SetString(PyExc_ValueError, "T1 table has the wrong arrays");
+        return -1;
+    }
+    void **slots[T1_ARRAYS] = {
+        (void **)&t->pc, (void **)&t->state, (void **)&t->stride,
+        (void **)&t->address, (void **)&t->commit, (void **)&t->interval,
+        (void **)&t->conf, (void **)&t->distance, (void **)&t->use,
+        (void **)&t->stamp, (void **)&t->count, (void **)&t->clock};
+    if (buffer_of(marked, &t->v_marked, (void **)&t->marked) < 0 ||
+        buffer_of(cnt, &t->v_cnt, (void **)&t->cnt) < 0)
+        return -1;
+    for (int k = 0; k < T1_ARRAYS; k++) {
+        Py_ssize_t width = k == T1_STATE ? 1 : 8;
+        Py_ssize_t need = k >= T1_COUNT ? 1 : (Py_ssize_t)entries;
+        if (buffer_of(PyTuple_GET_ITEM(table, k), &t->views[k], slots[k]) < 0)
+            return -1;
+        if (t->views[k].len != need * width) {
+            PyErr_SetString(PyExc_ValueError, "T1 table view does not match "
+                            "its entries");
+            return -1;
+        }
+    }
+    t->nmarked = t->v_marked.len / (Py_ssize_t)sizeof(int64_t);
+    t->entries = entries;
+    t->initial_distance = initial;
+    t->min_distance = lo;
+    t->max_distance = hi;
+    t->confirmations = confirmations;
+    t->burst = burst;
+    t->block = block;
+    if (entries < 1 || block < 1 || *t->count < 0 || *t->count > entries ||
+        t->v_cnt.len != T1S_COUNT * (Py_ssize_t)sizeof(int64_t)) {
+        PyErr_SetString(PyExc_ValueError, "bad T1 geometry");
+        return -1;
+    }
+    t->blocks = PyMem_Malloc(sizeof(int64_t) * (burst > 1 ? burst : 1));
+    if (t->blocks == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    t->on = 1;
+    return 0;
+}
+
+static void
+t1_close(nt1_t *t)
+{
+    if (t->v_marked.obj) PyBuffer_Release(&t->v_marked);
+    if (t->v_cnt.obj) PyBuffer_Release(&t->v_cnt);
+    for (int k = 0; k < T1_ARRAYS; k++)
+        if (t->views[k].obj) PyBuffer_Release(&t->views[k]);
+    PyMem_Free(t->blocks);
+    t->on = 0;
+}
+
+/* T1PrefetchEngine._issue: ``count`` prefetches from ``distance`` strides
+ * ahead into the L1D at int(cycle), skipping targets below 0 and blocks
+ * this call already issued. */
+static void
+t1_issue(nt1_t *t, nmem_t *m, int64_t k, int64_t address, double cycle,
+         int64_t count)
+{
+    int64_t distance = t->distance[k] ? t->distance[k] : t->initial_distance;
+    int64_t issued = 0;
+    num_t now = num_i((double)(int64_t)cycle), ignored;
+    for (int64_t i = 0; i < count; i++) {
+        int64_t target = address + (distance + i) * t->stride[k];
+        if (target < 0)
+            continue;
+        int64_t block = pdiv(target, t->block), seen = 0;
+        for (int64_t j = 0; j < issued && !seen; j++)
+            seen = t->blocks[j] == block;
+        if (seen)
+            continue;
+        t->blocks[issued++] = block;
+        if (mem_prefetch(m, target, now, 1, &ignored))
+            t->cnt[T1S_ISSUED]++;
+        else
+            t->cnt[T1S_DROPPED]++;
+    }
+}
+
+/* T1PrefetchEngine._allocate: a free slot, else the LRU victim's (the
+ * smallest (last_use, stamp)); returns the slot. */
+static int64_t
+t1_allocate(nt1_t *t, int64_t pc_, double cycle)
+{
+    int64_t count = *t->count, k = count;
+    if (count >= t->entries) {
+        k = 0;
+        for (int64_t j = 1; j < count; j++)
+            if (t->use[j] < t->use[k] ||
+                (t->use[j] == t->use[k] && t->stamp[j] < t->stamp[k]))
+                k = j;
+    } else {
+        *t->count = count + 1;
+    }
+    t->pc[k] = pc_;
+    t->stride[k] = 0;
+    t->conf[k] = 0;
+    t->interval[k] = 0.0;
+    t->distance[k] = 0;
+    t->use[k] = cycle;
+    t->stamp[k] = (*t->clock)++;
+    t->cnt[T1S_ALLOCATED]++;
+    return k;
+}
+
+/* T1PrefetchEngine.on_commit for a committed load at a marked PC. */
+static void
+t1_commit(nt1_t *t, nmem_t *m, int64_t pc_, int64_t address, double cycle)
+{
+    int64_t k = -1;
+    for (int64_t j = 0; j < *t->count && k < 0; j++)
+        if (t->pc[j] == pc_)
+            k = j;
+    if (k < 0) {
+        k = t1_allocate(t, pc_, cycle);
+        t->address[k] = address;
+        t->commit[k] = cycle;
+        t->state[k] = T1_TRANSIENT;
+        return;
+    }
+    int64_t observed = address - t->address[k];
+    double interval = cycle - t->commit[k];
+    if (!(interval > 1.0))          /* max(1.0, interval) */
+        interval = 1.0;
+    t->address[k] = address;
+    t->commit[k] = cycle;
+    t->use[k] = cycle;
+    if (t->state[k] == T1_TRANSIENT) {
+        if (observed == t->stride[k] && observed != 0) {
+            t->conf[k]++;
+            t->interval[k] = (t->interval[k] + interval) / 2.0;
+            if (t->conf[k] >= t->confirmations) {
+                /* _enter_steady; round() is half-to-even, as rint is in
+                 * the default rounding mode */
+                t->state[k] = T1_STEADY;
+                t->cnt[T1S_CONFIRMED]++;
+                double smoothed = t->interval[k] > 1.0 ? t->interval[k] : 1.0;
+                double distance = rint(t->latency / smoothed);
+                if (distance > (double)t->max_distance)
+                    distance = (double)t->max_distance;
+                if (distance < (double)t->min_distance)
+                    distance = (double)t->min_distance;
+                t->distance[k] = (int64_t)distance;
+                t1_issue(t, m, k, address, cycle,
+                         t->burst < t->distance[k] ? t->burst : t->distance[k]);
+                t->cnt[T1S_BURSTS]++;
+            }
+        } else {
+            t->stride[k] = observed;
+            t->conf[k] = 0;
+            t->interval[k] = interval;
+        }
+    } else if (observed != t->stride[k]) {
+        /* The loop changed behaviour; fall back and re-learn. */
+        t->state[k] = T1_TRANSIENT;
+        t->stride[k] = observed;
+        t->conf[k] = 0;
+        t->cnt[T1S_RESET]++;
+    } else {
+        t->interval[k] = 0.75 * t->interval[k] + 0.25 * interval;
+        t1_issue(t, m, k, address, cycle, 1);
+    }
+}
+
 /* Declared commit log (hookspec.CommitLog): (trace index, commit cycle)
  * of every conditional branch, and of every instruction at a declared PC,
  * into columns of the run's length; counts in C_LOG_BRANCHES/C_LOG_PCS. */
@@ -1783,8 +2001,9 @@ heap_reserve(unit_t *heap, int count, double earliest, double busy_for)
     return start;
 }
 
-static inline int
-in_sorted(const int64_t *a, int64_t count, int64_t x)
+/* Position of x in the sorted a[0 .. count - 1], or -1. */
+static inline int64_t
+sorted_index(const int64_t *a, int64_t count, int64_t x)
 {
     int64_t lo = 0, hi = count;
     while (lo < hi) {
@@ -1794,7 +2013,13 @@ in_sorted(const int64_t *a, int64_t count, int64_t x)
         else
             hi = mid;
     }
-    return lo < count && a[lo] == x;
+    return lo < count && a[lo] == x ? lo : -1;
+}
+
+static inline int
+in_sorted(const int64_t *a, int64_t count, int64_t x)
+{
+    return sorted_index(a, count, x) >= 0;
 }
 
 static int
@@ -1931,11 +2156,17 @@ run_tick_loop(PyObject *self, PyObject *args)
     nmem_t mem;
     hunit_t hu = {0};
     clog_t log = {0};
+    nt1_t t1 = {0};
 
     if (nmem_open(PyDict_GetItemString(spec, "memory"), &mem) < 0 ||
         hunit_open(PyDict_GetItemString(spec, "hint_unit"), &hu) < 0 ||
-        clog_open(PyDict_GetItemString(spec, "commit_log"), &log, n) < 0)
+        clog_open(PyDict_GetItemString(spec, "commit_log"), &log, n) < 0 ||
+        t1_open(PyDict_GetItemString(spec, "t1"), &t1) < 0)
         goto done;
+    if (t1.on && !mem.misses) {
+        PyErr_SetString(PyExc_ValueError, "native T1 needs native misses");
+        goto done;
+    }
     if (get_buffer(spec, "ba", &v_ba, (void **)&ba) < 0 ||
         get_buffer(spec, "flags", &v_flags, (void **)&flags) < 0 ||
         get_buffer(spec, "ea", &v_ea, (void **)&ea) < 0 ||
@@ -2510,6 +2741,13 @@ run_tick_loop(PyObject *self, PyObject *args)
             }
         }
 
+        if (t1.on && (f & F_LOAD) && in_sorted(t1.marked, t1.nmarked, pc[i])) {
+            counters[C_T1_COMMITS]++;
+            t1_commit(&t1, &mem, pc[i], ea[i], commit_time);
+            if (mem.e.err)
+                goto done;
+        }
+
         if (cb_on_commit != NULL &&
             (!commit_filter ||
              (n_commit_pcs && in_sorted(commit_pcs, n_commit_pcs, pc[i])))) {
@@ -2572,6 +2810,7 @@ done:
     nmem_close(&mem);
     hunit_close(&hu);
     clog_close(&log);
+    t1_close(&t1);
     if (v_sbd.obj) PyBuffer_Release(&v_sbd);
     if (v_seq.obj) PyBuffer_Release(&v_seq);
     if (v_pc.obj) PyBuffer_Release(&v_pc);
@@ -3432,6 +3671,171 @@ done:
     return out;
 }
 
+/* ------------------------------------------------------------------ */
+/* Hint verdict draws: MainThreadHintSource._draw over the look-ahead   */
+/* window's decoded seq / pcs / flags columns, in its program order (a  */
+/* branch's values first, then the branch).  random.Random's MT19937 is */
+/* transcribed from CPython's _randommodule.c: random() is              */
+/* genrand_res53, two tempered 32-bit words per float.  The generator   */
+/* state goes in and comes back as getstate()'s 624 words and index.    */
+/* Returns the number of draws.                                         */
+/* ------------------------------------------------------------------ */
+#define MT_N 624
+#define MT_M 397
+
+static uint32_t
+mt_genrand(uint32_t *mt, int64_t *index)
+{
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t y;
+    if (*index >= MT_N) {
+        int kk;
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        *index = 0;
+    }
+    y = mt[(*index)++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* DeterministicRng.bernoulli(p): random() < p. */
+static inline int
+mt_bernoulli(uint32_t *mt, int64_t *index, double p, int64_t *draws)
+{
+    uint32_t a = mt_genrand(mt, index) >> 5;
+    uint32_t b = mt_genrand(mt, index) >> 6;
+    (*draws)++;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0) < p;
+}
+
+/* draw_verdicts' buffers and their item sizes: the generator state
+ * ('I' words, 'q' index), the window's columns, the commit log's branch
+ * and value indices, the value PCs (sorted, as the CommitLog declares
+ * them), the sorted risky / biased / biased-not-taken PCs, and the output
+ * columns. */
+static const char *const DRAW_BUFFERS[] = {
+    "mt", "index", "seq", "pcs", "flags", "branch_index", "value_index",
+    "value_pcs", "risky", "biased", "not_taken", "branch_seqs",
+    "branch_correct", "value_seqs", "value_verdicts"};
+static const int64_t DRAW_WIDTHS[] = {4, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 1, 8, 1};
+enum {
+    D_MT, D_INDEX, D_SEQ, D_PCS, D_FLAGS, D_BIDX, D_VIDX, D_VPCS, D_RISKY,
+    D_BIASED, D_NOT_TAKEN, D_BSEQ, D_BOK, D_VSEQ, D_VVERDICT, D_BUFFERS
+};
+
+static PyObject *
+draw_verdicts(PyObject *self, PyObject *args)
+{
+    PyObject *spec;
+    if (!PyArg_ParseTuple(args, "O!", &PyDict_Type, &spec))
+        return NULL;
+    int err = 0;
+    double safe_rate = get_float(spec, "safe_rate", &err);
+    double risky_rate = get_float(spec, "risky_rate", &err);
+    double value_rate = get_float(spec, "value_rate", &err);
+    if (err)
+        return NULL;
+    Py_buffer views[D_BUFFERS];
+    void *ptr[D_BUFFERS];
+    int64_t len[D_BUFFERS];
+    memset(views, 0, sizeof(views));
+    uint8_t *disabled = NULL;
+    PyObject *ret = NULL;
+    for (int k = 0; k < D_BUFFERS; k++) {
+        PyObject *obj = PyDict_GetItemString(spec, DRAW_BUFFERS[k]);
+        if (obj == NULL) {
+            PyErr_Format(PyExc_KeyError, "missing buffer %s", DRAW_BUFFERS[k]);
+            goto done;
+        }
+        if (buffer_of(obj, &views[k], &ptr[k]) < 0)
+            goto done;
+        len[k] = views[k].len / DRAW_WIDTHS[k];
+    }
+    uint32_t *mt = ptr[D_MT];
+    int64_t *index = ptr[D_INDEX];
+    const int64_t *seq = ptr[D_SEQ], *pcs = ptr[D_PCS], *flags = ptr[D_FLAGS];
+    const int64_t *bidx = ptr[D_BIDX], *vidx = ptr[D_VIDX];
+    const int64_t *vpcs = ptr[D_VPCS], *risky = ptr[D_RISKY];
+    const int64_t *biased = ptr[D_BIASED], *not_taken = ptr[D_NOT_TAKEN];
+    int64_t *bseq = ptr[D_BSEQ], *vseq = ptr[D_VSEQ];
+    int8_t *bok = ptr[D_BOK], *vverdict = ptr[D_VVERDICT];
+    int64_t n = len[D_SEQ], nb = len[D_BIDX], nv = len[D_VIDX];
+    if (len[D_MT] != MT_N || len[D_INDEX] != 1 || *index < 0 ||
+        *index > MT_N || len[D_PCS] != n || len[D_FLAGS] != n ||
+        len[D_BSEQ] != nb || len[D_BOK] != nb || len[D_VSEQ] != nv ||
+        len[D_VVERDICT] != nv) {
+        PyErr_SetString(PyExc_ValueError, "draw_verdicts columns do not match");
+        goto done;
+    }
+    disabled = PyMem_Calloc(len[D_VPCS] > 0 ? (size_t)len[D_VPCS] : 1, 1);
+    if (disabled == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    int64_t draws = 0, j = 0;
+    /* b == nb is a sentinel branch that drains the remaining values. */
+    for (int64_t b = 0; b <= nb; b++) {
+        int64_t end = b < nb ? bidx[b] : n;
+        if (end < 0 || end > n || (b < nb && end == n)) {
+            PyErr_SetString(PyExc_IndexError, "branch index out of range");
+            goto done;
+        }
+        for (; j < nv && vidx[j] < end; j++) {
+            int64_t i = vidx[j];
+            int64_t slot = i < 0 ? -1 : sorted_index(vpcs, len[D_VPCS], pcs[i]);
+            if (slot < 0) {
+                PyErr_SetString(PyExc_ValueError,
+                                "value hint outside the declared PCs");
+                goto done;
+            }
+            vseq[j] = seq[i];
+            if (disabled[slot]) {
+                vverdict[j] = 0;                       /* VALUE_NONE */
+            } else if (mt_bernoulli(mt, index, value_rate, &draws)) {
+                /* The SIF entry is deleted: no further predictions. */
+                disabled[slot] = 1;
+                vverdict[j] = 2;                       /* VALUE_WRONG */
+            } else {
+                vverdict[j] = 1;                       /* VALUE_CORRECT */
+            }
+        }
+        if (b == nb)
+            break;
+        int64_t i = end, pc_ = pcs[i];
+        bseq[b] = seq[i];
+        if (in_sorted(biased, len[D_BIASED], pc_)) {
+            /* The skeleton replaced the branch with its bias direction:
+             * wrong whenever the outcome goes against it. */
+            int taken = (flags[i] & F_TAKEN) != 0;
+            int direction = !in_sorted(not_taken, len[D_NOT_TAKEN], pc_);
+            bok[b] = taken == direction
+                     && !mt_bernoulli(mt, index, safe_rate, &draws);
+        } else {
+            double rate = in_sorted(risky, len[D_RISKY], pc_) ? risky_rate
+                                                              : safe_rate;
+            bok[b] = !mt_bernoulli(mt, index, rate, &draws);
+        }
+    }
+    ret = PyLong_FromLongLong(draws);
+done:
+    PyMem_Free(disabled);
+    for (int k = 0; k < D_BUFFERS; k++)
+        if (views[k].obj) PyBuffer_Release(&views[k]);
+    return ret;
+}
+
 static PyMethodDef methods[] = {
     {"run_tick_loop", run_tick_loop, METH_VARARGS,
      "Run the compiled per-instruction tick loop over a decoded trace."},
@@ -3445,6 +3849,8 @@ static PyMethodDef methods[] = {
      "Run a program to HALT or the limit; returns its trace columns."},
     {"build_entries", build_entries, METH_VARARGS,
      "Build the DynamicInst list of a trace's columns."},
+    {"draw_verdicts", draw_verdicts, METH_VARARGS,
+     "Draw a DLA main thread's hint verdicts (MainThreadHintSource._draw)."},
     {NULL, NULL, 0, NULL},
 };
 

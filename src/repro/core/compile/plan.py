@@ -7,7 +7,7 @@ the branch unit and a declared DLA hint unit natively, which L1/TLB hits
 it serves natively (a generic ``on_memory_access`` hook or an L1
 prefetcher must see every data access, so either keeps the D-side hits in
 Python), and whether it runs the whole memory hierarchy natively (misses,
-write-backs, DRAM, BOP training, prefetch-hint installs and wrong-path
+write-backs, DRAM, BOP training, prefetch-hint installs, T1 and wrong-path
 pollution: stock structures only) — so the per-instruction loop carries
 no residual config branches on the Python side.
 """
@@ -60,6 +60,10 @@ class SpecializationPlan:
     #: (:func:`stock_memory`), native data hits, and an L2 prefetcher that
     #: is ``None`` or exactly :class:`BestOffsetPrefetcher`.
     native_misses: bool
+    #: The kernel steps the declared T1 engine (``CompiledHookSpec.t1``)
+    #: for the marked loads it commits, in place of ``on_commit``: needs
+    #: ``native_misses`` and the engine prefetching into this core's memory.
+    native_t1: bool
 
 
 def plan_run(core, hooks) -> SpecializationPlan:
@@ -82,6 +86,9 @@ def plan_run(core, hooks) -> SpecializationPlan:
     native_data_hits = (stock_data
                         and (not has_on_memory or log_load_misses)
                         and core.l1_prefetcher is None)
+    native_misses = (native_data_hits and stock_memory(core.memory)
+                     and type(core.l2_prefetcher) in _NATIVE_L2_PREFETCHERS)
+    t1 = fast.t1 if fast is not None else None
     return SpecializationPlan(
         has_branch_hint=hooks.branch_hint is not None,
         has_value_hint=hooks.value_hint is not None,
@@ -94,8 +101,9 @@ def plan_run(core, hooks) -> SpecializationPlan:
                       and fast.hint_unit is not None),
         native_inst_hits=stock_inst,
         native_data_hits=native_data_hits,
-        native_misses=(native_data_hits and stock_memory(core.memory)
-                       and type(core.l2_prefetcher) in _NATIVE_L2_PREFETCHERS),
+        native_misses=native_misses,
+        native_t1=(native_misses and t1 is not None
+                   and t1.memory is core.memory),
     )
 
 

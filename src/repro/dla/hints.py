@@ -18,13 +18,15 @@ thread's run, which owns all of the runtime coupling behaviour:
 
 Whether a hint is correct never depends on timing, only on the trace, the
 skeleton's bias/risky sets, the SIF-disable history and the RNG stream.  So
-every verdict is drawn before the run, in program order and with a branch's
-draw before the value draw of the same instruction: the order in which
-per-instruction hooks would consume the stream.  The compiled kernel runs
-the unit natively, installs due prefetch hints itself when it runs the
-memory hierarchy natively (else through :meth:`MainThreadHintSource.install`)
-and calls back only into T1; the hooks below run the same unit on the
-reference interpreter.
+every verdict is drawn before the run, in program order and with a
+branch's draw before the value draw of the same instruction: the order in
+which per-instruction hooks would consume the stream.  With the compiled
+kernel loaded the draws run natively too (``draw_verdicts``, reading the
+look-ahead window's decoded columns), else in :meth:`_draw`.  The kernel
+runs the unit natively; when it runs the memory hierarchy natively it
+also installs due prefetch hints and steps T1 itself, else it calls back
+into :meth:`MainThreadHintSource.install` and :meth:`on_commit`.  The
+hooks below run the same unit on the reference interpreter.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.compile import native_kernel
+from repro.core.compile.driver import draw_verdicts
 from repro.core.compile.hookspec import (
     VALUE_CORRECT,
     VALUE_NONE,
@@ -89,14 +93,26 @@ class MainThreadHintSource:
         self.scoreboard = ValidationScoreboard()
         #: Interpreter only: fetch cycle of each consumed branch hint.
         self._consumed: List[float] = []
-        self.unit = self._draw(risky_branch_pcs, biased_branch_pcs,
-                               branch_bias_direction,
-                               rng or DeterministicRng(dla_config.seed))
+        rng = rng or DeterministicRng(dla_config.seed)
+        kernel = native_kernel()
+        if kernel is None:
+            verdicts = self._draw(risky_branch_pcs, biased_branch_pcs,
+                                  branch_bias_direction, rng)
+        else:
+            verdicts = draw_verdicts(
+                kernel, products.entries, products.commits,
+                (dla_config.safe_branch_error_rate,
+                 dla_config.risky_branch_error_rate,
+                 dla_config.value_error_rate),
+                risky_branch_pcs, biased_branch_pcs, branch_bias_direction,
+                rng)
+        self.unit = self._unit(*verdicts)
 
     def _draw(self, risky: Set[int], biased: Set[int],
               bias_direction: Dict[int, bool],
-              rng: DeterministicRng) -> HintUnit:
-        """Build the unit: every hint's columns and its verdict."""
+              rng: DeterministicRng) -> Tuple[array, array, array, array]:
+        """Every hint's verdict: ``(branch_seqs, branch_correct,
+        value_seqs, value_verdicts)``."""
         cfg = self.config
         entries = self.products.entries
         commits = self.products.commits
@@ -139,6 +155,13 @@ class MainThreadHintSource:
             else:
                 correct = not draw(risky_rate if pc in risky else safe_rate)
             branch_correct.append(correct)
+        return branch_seqs, branch_correct, value_seqs, value_verdicts
+
+    def _unit(self, branch_seqs: array, branch_correct: array,
+              value_seqs: array, value_verdicts: array) -> HintUnit:
+        """The unit for these verdicts and the look-ahead's columns."""
+        cfg = self.config
+        commits = self.products.commits
         return HintUnit(
             branch_seqs=branch_seqs,
             branch_times=commits.branch_times,
@@ -165,13 +188,15 @@ class MainThreadHintSource:
     def hooks(self) -> CoreHooks:
         # A value hook with no value hints could only ever return None, and
         # a commit hook without a T1 engine does nothing: both are omitted.
-        # Compiled, the declared hint unit replaces every hook but T1's,
-        # which fires only for the PCs T1 marked.
+        # Compiled, the declared hint unit replaces every hook but T1's.
+        # The declared engine replaces that one when the kernel runs the
+        # memory hierarchy; otherwise it fires only for the PCs T1 marked.
         unit = self.unit
         t1 = self.t1
         fast = CompiledHookSpec(
             commit_pcs=tuple(sorted(t1.marked_pcs)) if t1 is not None else (),
             hint_unit=unit,
+            t1=t1,
         )
         return CoreHooks(
             branch_hint=self.branch_hint,

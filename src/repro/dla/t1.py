@@ -14,17 +14,16 @@ accurate and less traffic-hungry than a conventional stride prefetcher
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from array import array
+from dataclasses import dataclass
+from typing import Iterable, Optional, Set
 
+from repro.memory.cache import lru_victim
 from repro.memory.hierarchy import CoreMemorySystem
 
-
-class _EntryState(enum.Enum):
-    INVALID = "invalid"
-    TRANSIENT = "transient"
-    STEADY = "steady"
+#: Entry states (``_state``; must match kernel.c's T1_*).
+TRANSIENT, STEADY = 1, 2
+_STATE_NAMES = {TRANSIENT: "transient", STEADY: "steady"}
 
 
 @dataclass
@@ -48,22 +47,6 @@ class T1Config:
 
 
 @dataclass
-class _PrefetchTableEntry:
-    """One entry of the T1 prefetch table (Fig. 3)."""
-
-    inst_pc: int
-    loop_pc: int = 0
-    state: _EntryState = _EntryState.INVALID
-    last_address: int = 0
-    stride: int = 0
-    confirmations: int = 0
-    last_commit_cycle: float = 0.0
-    iteration_interval: float = 0.0
-    prefetch_distance: int = 0
-    last_use: float = 0.0
-
-
-@dataclass
 class T1Stats:
     prefetches_issued: int = 0
     #: Requests refused by the memory system (no free MSHR entry at issue).
@@ -75,7 +58,19 @@ class T1Stats:
 
 
 class T1PrefetchEngine:
-    """The FSM attached to the main core when ``enable_t1`` is on."""
+    """The FSM attached to the main core when ``enable_t1`` is on.
+
+    The prefetch table (Fig. 3) lives in flat per-slot arrays that the
+    compiled kernel steps in place when it runs the main thread's memory
+    hierarchy natively: the first ``_count[0]`` slots hold the entries'
+    static PC, state, stride, last address and commit cycle, smoothed
+    iteration interval, confirmations, prefetch distance and last use, and
+    ``_stamp`` orders them by allocation from the ``_clock`` counter.  The
+    eviction victim is the entry with the smallest ``(last_use, stamp)``
+    (:func:`~repro.memory.cache.lru_victim`).  The arrays are mutated in
+    place, never rebound, so one table carries across segments whichever
+    path runs them.
+    """
 
     def __init__(self, marked_pcs: Iterable[int], memory: CoreMemorySystem,
                  config: Optional[T1Config] = None) -> None:
@@ -83,7 +78,25 @@ class T1PrefetchEngine:
         self.memory = memory
         self.config = config or T1Config()
         self.stats = T1Stats()
-        self._table: Dict[int, _PrefetchTableEntry] = {}
+        entries = self.config.entries
+        self._pc = array("q", bytes(8 * entries))
+        self._state = array("b", bytes(entries))
+        self._stride = array("q", bytes(8 * entries))
+        self._last_address = array("q", bytes(8 * entries))
+        self._last_commit = array("d", bytes(8 * entries))
+        self._interval = array("d", bytes(8 * entries))
+        self._confirmations = array("q", bytes(8 * entries))
+        self._distance = array("q", bytes(8 * entries))
+        self._last_use = array("d", bytes(8 * entries))
+        self._stamp = array("q", bytes(8 * entries))
+        self._count = array("q", [0])
+        self._clock = array("q", [0])
+
+    def _slot(self, pc: int) -> Optional[int]:
+        try:
+            return self._pc.index(pc, 0, self._count[0])
+        except ValueError:
+            return None
 
     # ------------------------------------------------------------------
     def on_commit(self, pc: int, address: Optional[int], cycle: float,
@@ -98,62 +111,61 @@ class T1PrefetchEngine:
             return
         if address is None or pc not in self.marked_pcs:
             return
-        entry = self._table.get(pc)
-        if entry is None:
-            entry = self._allocate(pc, cycle)
-            entry.last_address = address
-            entry.last_commit_cycle = cycle
-            entry.state = _EntryState.TRANSIENT
+        k = self._slot(pc)
+        if k is None:
+            k = self._allocate(pc, cycle)
+            self._last_address[k] = address
+            self._last_commit[k] = cycle
+            self._state[k] = TRANSIENT
             return
 
-        observed_stride = address - entry.last_address
-        interval = max(1.0, cycle - entry.last_commit_cycle)
-        entry.last_address = address
-        entry.last_commit_cycle = cycle
-        entry.last_use = cycle
+        observed_stride = address - self._last_address[k]
+        interval = max(1.0, cycle - self._last_commit[k])
+        self._last_address[k] = address
+        self._last_commit[k] = cycle
+        self._last_use[k] = cycle
 
-        if entry.state is _EntryState.TRANSIENT:
-            if observed_stride == entry.stride and observed_stride != 0:
-                entry.confirmations += 1
-                entry.iteration_interval = (entry.iteration_interval + interval) / 2.0
-                if entry.confirmations >= self.config.confirmations:
-                    self._enter_steady(entry, address, cycle)
+        if self._state[k] == TRANSIENT:
+            if observed_stride == self._stride[k] and observed_stride != 0:
+                self._confirmations[k] += 1
+                self._interval[k] = (self._interval[k] + interval) / 2.0
+                if self._confirmations[k] >= self.config.confirmations:
+                    self._enter_steady(k, address, cycle)
             else:
-                entry.stride = observed_stride
-                entry.confirmations = 0
-                entry.iteration_interval = interval
-        elif entry.state is _EntryState.STEADY:
-            if observed_stride != entry.stride:
-                # The loop changed behaviour; fall back and re-learn.
-                entry.state = _EntryState.TRANSIENT
-                entry.stride = observed_stride
-                entry.confirmations = 0
-                self.stats.entries_reset += 1
-                return
-            entry.iteration_interval = 0.75 * entry.iteration_interval + 0.25 * interval
-            self._issue(entry, address, cycle, count=1)
+                self._stride[k] = observed_stride
+                self._confirmations[k] = 0
+                self._interval[k] = interval
+        elif observed_stride != self._stride[k]:
+            # The loop changed behaviour; fall back and re-learn.
+            self._state[k] = TRANSIENT
+            self._stride[k] = observed_stride
+            self._confirmations[k] = 0
+            self.stats.entries_reset += 1
+        else:
+            self._interval[k] = 0.75 * self._interval[k] + 0.25 * interval
+            self._issue(k, address, cycle, count=1)
 
     # ------------------------------------------------------------------
-    def _enter_steady(self, entry: _PrefetchTableEntry, address: int, cycle: float) -> None:
-        entry.state = _EntryState.STEADY
+    def _enter_steady(self, k: int, address: int, cycle: float) -> None:
+        self._state[k] = STEADY
         self.stats.strides_confirmed += 1
-        interval = max(1.0, entry.iteration_interval)
+        interval = max(1.0, self._interval[k])
         distance = int(round(self.config.assumed_miss_latency / interval))
-        entry.prefetch_distance = max(
+        self._distance[k] = max(
             self.config.min_distance, min(self.config.max_distance, distance)
         )
         # Catch-up burst: launch several prefetches to reach the distance.
-        self._issue(entry, address, cycle, count=min(
-            self.config.catch_up_burst, entry.prefetch_distance))
+        self._issue(k, address, cycle, count=min(
+            self.config.catch_up_burst, self._distance[k]))
         self.stats.catch_up_bursts += 1
 
-    def _issue(self, entry: _PrefetchTableEntry, address: int, cycle: float,
-               count: int) -> None:
-        distance = entry.prefetch_distance or self.config.initial_distance
+    def _issue(self, k: int, address: int, cycle: float, count: int) -> None:
+        distance = self._distance[k] or self.config.initial_distance
+        stride = self._stride[k]
         block = self.config.block_bytes
         issued_blocks = set()
         for i in range(count):
-            target = address + (distance + i) * entry.stride
+            target = address + (distance + i) * stride
             if target < 0:
                 continue
             if target // block in issued_blocks:
@@ -164,25 +176,33 @@ class T1PrefetchEngine:
             else:
                 self.stats.prefetches_dropped += 1
 
-    def _allocate(self, pc: int, cycle: float) -> _PrefetchTableEntry:
-        if len(self._table) >= self.config.entries:
-            victim = min(self._table, key=lambda key: self._table[key].last_use)
-            del self._table[victim]
-        entry = _PrefetchTableEntry(inst_pc=pc, last_use=cycle)
-        self._table[pc] = entry
+    def _allocate(self, pc: int, cycle: float) -> int:
+        count = self._count[0]
+        if count >= self.config.entries:
+            k = lru_victim(self._last_use, self._stamp, 0, count)
+        else:
+            k = count
+            self._count[0] = count + 1
+        self._pc[k] = pc
+        self._stride[k] = 0
+        self._confirmations[k] = 0
+        self._interval[k] = 0.0
+        self._distance[k] = 0
+        self._last_use[k] = cycle
+        self._stamp[k] = self._clock[0]
+        self._clock[0] += 1
         self.stats.entries_allocated += 1
-        return entry
+        return k
 
     def clear(self) -> None:
         """Clear all table entries (loop termination)."""
-        if self._table:
-            self.stats.entries_reset += len(self._table)
-        self._table.clear()
+        self.stats.entries_reset += self._count[0]
+        self._count[0] = 0
 
     @property
     def occupancy(self) -> int:
-        return len(self._table)
+        return self._count[0]
 
     def entry_state(self, pc: int) -> Optional[str]:
-        entry = self._table.get(pc)
-        return entry.state.value if entry is not None else None
+        k = self._slot(pc)
+        return _STATE_NAMES[self._state[k]] if k is not None else None

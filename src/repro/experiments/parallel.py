@@ -21,7 +21,10 @@ to inline execution with no multiprocessing overhead.
 from __future__ import annotations
 
 import os
+import signal
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -189,6 +192,31 @@ def mp_context():
     )
 
 
+@contextmanager
+def default_signal_dispositions():
+    """SIGTERM and SIGINT at their default dispositions for the duration.
+
+    Fork pool workers and watchdog children inside it.  A campaign loop
+    routes both signals into
+    :class:`~repro.campaign.health.WorkerShutdown`; a forked child that
+    inherited that handler raises wherever ``Pool.terminate()``'s SIGTERM
+    lands (inside a queue's lock, say, which then stays taken and hangs
+    the pool's ``join()``) instead of dying.  Outside the main thread,
+    where no handler can be installed, it changes nothing.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = {signum: signal.signal(signum, signal.SIG_DFL)
+                for signum in (signal.SIGTERM, signal.SIGINT)}
+    try:
+        yield
+    finally:
+        for signum, handler in previous.items():
+            if handler is not None:     # None: not installed from Python
+                signal.signal(signum, handler)
+
+
 class ParallelExperimentRunner(ExperimentRunner):
     """An :class:`ExperimentRunner` that can pre-compute request batches in
     parallel worker processes.
@@ -325,7 +353,9 @@ class ParallelExperimentRunner(ExperimentRunner):
               "attempts": {key: attempts.get(key, 0) for _request, key in pairs}})
             for workload, pairs in groups.items()
         ]
-        with mp_context().Pool(processes=processes) as pool:
+        with default_signal_dispositions():
+            pool = mp_context().Pool(processes=processes)
+        with pool:
             # ``map`` preserves payload order -> deterministic merge order.
             for result in pool.map(_run_group, payloads):
                 failures.update(self._merge_group(result))

@@ -60,6 +60,13 @@ class DeterministicRng:
     def bernoulli(self, p: float) -> bool:
         return self._rng.random() < p
 
+    def getstate(self) -> tuple:
+        """The generator state (:meth:`random.Random.getstate`)."""
+        return self._rng.getstate()
+
+    def setstate(self, state: tuple) -> None:
+        self._rng.setstate(state)
+
     def permutation(self, n: int) -> List[int]:
         values = list(range(n))
         self._rng.shuffle(values)

@@ -38,8 +38,12 @@ from repro.core.compile import (
     native_hint_branches_total,
     native_mem_hits_total,
     native_mem_misses_total,
+    native_t1_commits_total,
+    native_verdict_draws_total,
 )
 from repro.core.compile.decoded import decoded_cache_stats
+from repro.core.compile.driver import T1_TABLE
+from repro.core.compile.hookspec import CommitLog, CompiledHookSpec
 from repro.core.compile.plan import plan_run
 from repro.core.config import SystemConfig
 from repro.core.pipeline import CoreHooks, OutOfOrderCore
@@ -56,9 +60,10 @@ from repro.dla.profiling import profile_workload
 from repro.dla.smt import simulate_smt_modes
 from repro.dla.system import DlaSystem
 from repro.emulator.machine import Emulator
-from repro.emulator.trace import Trace
+from repro.emulator.trace import DynamicInst, Trace
 from repro.experiments.memsys_sweep import MEMSYS_MACHINES, machine_config
 from repro.experiments.runner import ExperimentRunner
+from repro.isa.instructions import Instruction, Opcode
 from repro.util.rng import DeterministicRng
 from repro.workloads.kernels import build_kernel
 
@@ -356,6 +361,14 @@ def _bop_view(bop):
                         bop._prefetch_on, bop._current_offset]}
 
 
+def _t1_view(t1):
+    """A T1 engine's stats and every slot array of its table."""
+    if t1 is None:
+        return None
+    return {"stats": dict(vars(t1.stats)),
+            "table": {name: list(getattr(t1, name)) for name in T1_TABLE}}
+
+
 def _hierarchy_view(shared, privates):
     return {
         "l3": _cache_view(shared.l3),
@@ -387,7 +400,7 @@ def _dla_states(monkeypatch, run):
     monkeypatch.setattr(DlaSystem, "_fresh_state", fresh_state)
     monkeypatch.setattr(DlaSystem, "_lookahead_pass", lookahead_pass)
     views = [(_hierarchy_view(state.shared, (state.mt_memory, state.lt_memory)),
-              state.prefetch_hints_installed)
+              state.prefetch_hints_installed, _t1_view(state.t1))
              for state in states]
     return views, hints
 
@@ -448,9 +461,10 @@ def test_dla_memory_state_and_hints_match_reference(prepared, monkeypatch,
                                                      section, config_name):
     """Both cores' hierarchies (type-strict, see
     :func:`test_baseline_memory_state_matches_reference`), the look-ahead
-    pass's load-miss log (its prefetch hints, recorded by the kernel) and
-    the hints the main pass installed agree with the reference, whether
-    the kernel or the Python ``install`` callback installed them."""
+    pass's load-miss log (its prefetch hints, recorded by the kernel), the
+    hints the main pass installed and T1's table and stats agree with the
+    reference, whether the kernel or the Python callbacks installed the
+    hints and stepped T1."""
     (program, warmup, timed, profile, _), config = _memory_point(prepared,
                                                                  section)
     dla_config = (
@@ -464,10 +478,19 @@ def test_dla_memory_state_and_hints_match_reference(prepared, monkeypatch,
     _reference(monkeypatch)
     reference = _dla_states(monkeypatch, run)
     _fast(monkeypatch)
+    stepped = native_t1_commits_total()
     compiled = _dla_states(monkeypatch, run)
     if section.startswith("contended"):   # the shrunken L1D: hints exist
         assert any(hints for hints in reference[1])
-        assert sum(installed for _, installed in reference[0]) > 0
+        assert sum(installed for _, installed, _ in reference[0]) > 0
+    if config_name == "r3" and program.name.endswith("triad"):
+        # The triad's strided loads keep T1 busy: natively on a stock
+        # hierarchy, through on_commit otherwise.
+        assert all(t1["stats"]["strides_confirmed"]
+                   for _, _, t1 in reference[0])
+        if kernel_available():
+            native = native_t1_commits_total() > stepped
+            assert native == (section not in PYTHON_INSTALL_POINTS)
     assert_identical(compiled, reference)
 
 
@@ -532,7 +555,7 @@ def test_declared_commit_pcs_are_the_whole_commit_filter(prepared, monkeypatch,
                                                          declared):
     """Compiled, an undeclared PC set fires ``on_commit`` on every commit, a
     declared one only at its PCs, and a declared empty one never."""
-    from repro.core.compile.hookspec import CompiledHookSpec
+    from repro.core.compile.hookspec import CommitLog, CompiledHookSpec
 
     _, warmup, timed, _, _ = prepared["branchy"]
     pcs = {"none": None, "empty": (),
@@ -727,31 +750,52 @@ def _stress_run(monkeypatch, run):
     views = [{
         "boq": vars(state.boq),
         "fq": vars(state.fq),
-        "t1": vars(state.t1.stats) if state.t1 is not None else None,
+        "t1": _t1_view(state.t1),
         "rng": state.rng._rng.getstate(),
     } for state in states]
     return outcome, views, units
 
 
-@pytest.mark.parametrize("mode", ["dla", "r3", "static", "dynamic", "gshare"])
+def _stencil():
+    """A stencil window prepared as the golden kernels are: three strided
+    loads, one more than a two-entry T1 table holds."""
+    program = build_kernel("stencil", width=64, height=32, iterations=2,
+                           payload=4, rng=DeterministicRng(16),
+                           name="ab-stencil")
+    trace = Emulator(program).run(max_instructions=7000)
+    config = SystemConfig()
+    profile = profile_workload(program, trace.window(0, 4000), config,
+                               timing_window=2000)
+    assert len(profile.strided_pcs()) == 3
+    return (program, trace.entries[:2000], trace.entries[2000:6000], profile,
+            config)
+
+
+@pytest.mark.parametrize("mode", ["dla", "r3", "static", "dynamic", "gshare",
+                                  "r3-t1x2"])
 def test_hint_unit_under_stress_matches_reference(prepared, monkeypatch, mode):
     """Compiled and interpreted runs agree on the whole outcome, the queue
-    counters, T1 and the RNG stream's final state, with every hint-unit
-    path exercised.  ``gshare`` (a non-native branch unit) runs R3 with the
-    hint hooks as kernel callbacks instead of the native unit."""
+    counters, T1 (stats and table) and the RNG stream's final state, with
+    every hint-unit path exercised.  ``gshare`` (a non-native branch unit)
+    runs R3 with the hint hooks as kernel callbacks instead of the native
+    unit; ``r3-t1x2`` shrinks T1 to two entries and runs a stencil, whose
+    three strided loads then keep evicting each other."""
     from repro.dla.recycle import RecycleController, build_skeleton_versions
 
     # The triad has prefetch hints to saturate the FQ with, value targets
     # and strided loads for T1.
-    program, warmup, timed, profile, config = prepared["triad"]
+    program, warmup, timed, profile, config = (
+        _stencil() if mode == "r3-t1x2" else prepared["triad"])
     base = DlaConfig().baseline_dla() if mode == "dla" else DlaConfig().r3()
     dla_config = replace(base, **STRESS)
+    if mode == "r3-t1x2":
+        dla_config = replace(dla_config, t1_entries=2)
     if mode == "gshare":
         config = config.with_overrides(branch_predictor="gshare")
 
     def run():
         system = DlaSystem(program, config, dla_config, profile=profile)
-        if mode in ("dla", "r3", "gshare"):
+        if mode in ("dla", "r3", "gshare", "r3-t1x2"):
             return system.simulate(timed, warmup_entries=warmup)
         versions = build_skeleton_versions(system.builder, enable_t1=True)
         controller = RecycleController(versions, dla_config,
@@ -764,12 +808,16 @@ def test_hint_unit_under_stress_matches_reference(prepared, monkeypatch, mode):
     reference, reference_views, units = _stress_run(monkeypatch, run)
     _fast(monkeypatch)
     hinted = native_hint_branches_total()
+    stepped = native_t1_commits_total()
     compiled, compiled_views, _ = _stress_run(monkeypatch, run)
     assert compiled == reference
     assert compiled_views == reference_views
+    assert_identical([view["t1"] for view in compiled_views],
+                     [view["t1"] for view in reference_views])
     if kernel_available():
         native = native_hint_branches_total() - hinted
         assert native == 0 if mode == "gshare" else native > 0
+        assert (native_t1_commits_total() > stepped) == (mode != "dla")
 
     # Every path fired on the reference side.
     assert sum(unit.reboots for unit in units) > 0
@@ -779,6 +827,9 @@ def test_hint_unit_under_stress_matches_reference(prepared, monkeypatch, mode):
                for unit in units)
     if mode != "dla":
         assert any(unit.value_verdicts.count(0) for unit in units)
+    if mode == "r3-t1x2":
+        t1 = reference_views[0]["t1"]
+        assert t1["stats"]["entries_allocated"] > 2   # evictions
 
 
 # ---------------------------------------------------------------------------
@@ -906,3 +957,224 @@ def test_native_memory_matches_python_on_access_streams(monkeypatch, machine,
     assert python[1].tlb.stats.misses and python[1].tlb.stats.prefills
     if not lookahead:
         assert python[1].l1d.stats.writebacks and python[1].l2.stats.writebacks
+
+
+# ---------------------------------------------------------------------------
+# native hint verdict draws: differential test over generated streams
+# ---------------------------------------------------------------------------
+def _hint_source(products, dla_config, risky, biased, direction, rng):
+    from repro.dla.hints import MainThreadHintSource
+    from repro.dla.queues import BranchOutcomeQueue, FootnoteQueue
+    from repro.memory.hierarchy import CoreMemorySystem, SharedMemorySystem
+
+    shared = SharedMemorySystem()
+    return MainThreadHintSource(
+        products, dla_config, CoreMemorySystem(shared, shared.config),
+        BranchOutcomeQueue(dla_config.boq_entries),
+        FootnoteQueue(dla_config.fq_entries), risky, biased, direction,
+        rng=rng)
+
+
+@pytest.mark.parametrize("stream", range(6))
+def test_native_verdict_draws_match_python(prepared, monkeypatch, stream):
+    """``draw_verdicts`` draws every branch and value verdict, and leaves
+    the generator, exactly as the Python ``_draw`` does, on CRC-32-seeded
+    streams over two kernels' windows: random value-target PCs, risky and
+    biased branch PCs (biased ones with and without a recorded
+    direction), error rates, and a generator advanced to an arbitrary
+    point of its 624-word block."""
+    from repro.core.compile.hookspec import VALUE_NONE
+    from repro.dla.hints import LookaheadProducts
+
+    rng = random.Random(zlib.crc32(f"draws-{stream}".encode()))
+    entries = list(prepared[("branchy", "stream")[stream % 2]][2])
+    pcs = sorted({entry.static.pc for entry in entries})
+    branch_pcs = sorted({entry.static.pc for entry in entries
+                         if entry.static.is_branch})
+    value_pcs = tuple(sorted(rng.sample(pcs, max(1, len(pcs) // 3))))
+    commits = CommitLog(pcs=value_pcs)
+    commits.fill(entries, [0.0] * len(entries))
+    risky = set(rng.sample(branch_pcs, len(branch_pcs) // 2))
+    # Biased PCs include one whose outcomes differ, so some outcome goes
+    # against its bias whatever the direction.
+    outcomes = {}
+    for entry in entries:
+        if entry.static.is_branch:
+            outcomes.setdefault(entry.static.pc, set()).add(bool(entry.taken))
+    mixed = [pc for pc in branch_pcs if len(outcomes[pc]) == 2]
+    biased = {rng.choice(mixed), *rng.sample(branch_pcs, len(branch_pcs) // 2)}
+    direction = {pc: rng.random() < 0.5 for pc in biased if rng.random() < 0.7}
+    dla_config = replace(
+        DlaConfig().r3(), safe_branch_error_rate=rng.uniform(0.02, 0.3),
+        risky_branch_error_rate=rng.uniform(0.3, 0.7),
+        value_error_rate=rng.uniform(0.05, 0.4))
+    skip = rng.randrange(2000)
+
+    def draw():
+        generator = DeterministicRng(stream)
+        for _ in range(skip):
+            generator.random()
+        products = LookaheadProducts(entries, commits, [])
+        unit = _hint_source(products, dla_config, risky, biased, direction,
+                            generator).unit
+        return ((unit.branch_seqs, unit.branch_correct, unit.value_seqs,
+                 unit.value_verdicts), generator.getstate())
+
+    _reference(monkeypatch)
+    reference = draw()
+    _fast(monkeypatch)
+    draws = native_verdict_draws_total()
+    compiled = draw()
+    assert_identical(compiled, reference)
+    if kernel_available():
+        assert native_verdict_draws_total() > draws
+    # The stream reaches every rule: branches and values, SIF disables,
+    # and biased branches whose outcome went against the bias.
+    branch_seqs, branch_correct, value_seqs, verdicts = reference[0]
+    assert len(branch_seqs) and len(value_seqs)
+    assert verdicts.count(VALUE_NONE)
+    by_seq = {entry.seq: entry for entry in entries}
+    assert any(by_seq[seq].static.pc in biased
+               and bool(by_seq[seq].taken) != direction.get(
+                   by_seq[seq].static.pc, True)
+               for seq in branch_seqs)
+
+
+# ---------------------------------------------------------------------------
+# native T1: differential test over a hand-built commit stream
+# ---------------------------------------------------------------------------
+#: The stream's statics: a chain of eight dependent 12-cycle divides, then
+#: one load at a marked PC (8, 9 or 10) whose address the stream chooses.
+#: Once the loads run ahead of the chain, each load commits just after the
+#: chain's last divide: T1 sees commits exactly 96 cycles apart.
+_CHAIN = [Instruction(pc=k, opcode=Opcode.DIV, dst=1, srcs=(1, 2))
+          for k in range(8)]
+_LOADS = {pc: Instruction(pc=pc, opcode=Opcode.LOAD, dst=3, srcs=(4,))
+          for pc in (8, 9, 10)}
+
+
+def _t1_stream(loads):
+    """The entries of one chunk: one chain per ``(pc, address)`` load."""
+    entries = []
+    for pc, address in loads:
+        for static in _CHAIN:
+            entries.append(DynamicInst(len(entries), static, result=0,
+                                       next_pc=static.pc + 1))
+        entries.append(DynamicInst(len(entries), _LOADS[pc], result=0,
+                                   effective_address=address,
+                                   next_pc=pc + 1))
+    return entries
+
+
+def _strided(pc, start, stride, count):
+    return [(pc, start + k * stride) for k in range(count)]
+
+
+def test_native_t1_matches_python_on_commit_streams(monkeypatch):
+    """The kernel's T1 leaves the table, stats and memory hierarchy the
+    Python engine leaves, checked type-strictly after every chunk of a
+    stream through a two-entry table: stride resets (transient and
+    steady), negative strides, prefetch targets below 0, evictions whose
+    ``last_use`` ties break by allocation order (a re-allocated PC last,
+    whatever its slot), and a smoothed interval of exactly 96 cycles,
+    whose distance 240 / 96 = 2.5 rounds half to even, to 2."""
+    if not kernel_available():
+        pytest.skip("no C compiler / kernel build failed: fast path inert")
+    from repro.dla.t1 import STEADY, T1Config, T1PrefetchEngine
+
+    irregular = [(8, address) for address in (0x9000, 0x2000, 0x7740,
+                                              0x40, 0x5500)]
+    chunks = [
+        # Transient resets, then a steady state at exactly 96 cycles.
+        irregular + _strided(8, 0x20000, 64, 12),
+        # A reset out of it, then a negative stride running its prefetch
+        # targets below 0.
+        _strided(8, 11 * 64, -64, 12),
+        # (9 and 8 tie on last use: 10 evicts 8, allocated first.)
+        _strided(10, 0x40000, 128, 10),
+        # (10 and 9 tie: 8 evicts 9 although 10 holds slot 0.)
+        _strided(8, 0x60000, -192, 10),
+        # Three PCs through two entries: every allocation evicts.
+        [load for k in range(8) for load in ((8, 0x80000 + 64 * k),
+                                             (9, 0x90000 + 64 * k),
+                                             (10, 0xA0000 + 64 * k))],
+    ]
+    #: Before chunk k: the PCs both engines commit at one cycle (tying
+    #: their last use), and the victim the chunk's first allocation takes.
+    ties = {2: ((9, 8), 8), 3: ((9, 10), 9)}
+    config = SystemConfig()
+
+    def side():
+        shared, private, core = build_single_core(config)
+        engine = T1PrefetchEngine((8, 9, 10), private, T1Config(entries=2))
+
+        def on_commit(entry, cycle):
+            if entry.static.is_load:
+                engine.on_commit(entry.static.pc, entry.effective_address,
+                                 cycle)
+
+        hooks = CoreHooks(on_commit=on_commit, fast_hints=CompiledHookSpec(
+            commit_pcs=(8, 9, 10), t1=engine))
+        return shared, private, core, engine, hooks
+
+    native, python = side(), side()
+    assert plan_run(native[2], native[4]).native_t1
+    start, stepped = 0.0, native_t1_commits_total()
+    for index, loads in enumerate(chunks):
+        entries = _t1_stream(loads)
+        for pc in ties.get(index, ((), None))[0]:
+            for engine in (native[3], python[3]):
+                engine.on_commit(pc, 0x100000 + 64 * pc, start)
+        allocated = python[3].stats.entries_allocated
+        _fast(monkeypatch)
+        native[2].run(entries, hooks=native[4], start_cycle=start)
+        _reference(monkeypatch)
+        start += python[2].run(entries, hooks=python[4],
+                               start_cycle=start).cycles
+        assert_identical(
+            (_t1_view(native[3]), _hierarchy_view(native[0], (native[1],))),
+            (_t1_view(python[3]), _hierarchy_view(python[0], (python[1],))))
+        engine = python[3]
+        k = engine._slot(8)
+        if index == 0:
+            assert engine.stats.strides_confirmed == 1
+            assert (engine._state[k], engine._stride[k]) == (STEADY, 64)
+            assert (engine._interval[k], engine._distance[k]) == (96.0, 2)
+        if index == 1:
+            assert engine.stats.strides_confirmed == 2
+            assert engine.stats.entries_reset == 1
+            assert (engine._state[k], engine._stride[k]) == (STEADY, -64)
+        if index in ties:
+            assert engine._slot(ties[index][1]) is None
+        if index == 4:   # every load but the first (8, resident) allocates
+            assert engine.stats.entries_allocated - allocated == len(loads) - 1
+    assert native_t1_commits_total() - stepped == sum(map(len, chunks))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_native_verdict_draws_form_floats_like_random(prepared, monkeypatch,
+                                                      seed):
+    """A draw is ``random() < rate``: with the rate at the generator's next
+    ``random()`` value ``x``, or one ulp above it, the first draw is on a
+    knife edge that any other 53-bit float formation tips over."""
+    import math
+
+    from repro.dla.hints import LookaheadProducts
+
+    entries = list(prepared["branchy"][2])
+    commits = CommitLog(pcs=tuple(sorted({e.static.pc for e in entries})))
+    commits.fill(entries, [0.0] * len(entries))
+    commits.branch_index, commits.branch_times = array("q"), array("d")
+    edge = DeterministicRng(seed).random()
+    for rate in (edge, math.nextafter(edge, 1.0)):
+        dla_config = replace(DlaConfig().r3(), value_error_rate=rate)
+
+        def first_verdict():
+            products = LookaheadProducts(entries, commits, [])
+            return _hint_source(products, dla_config, set(), set(), {},
+                                DeterministicRng(seed)).unit.value_verdicts[0]
+
+        _reference(monkeypatch)
+        reference = first_verdict()
+        _fast(monkeypatch)
+        assert first_verdict() == reference

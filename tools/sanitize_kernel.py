@@ -65,9 +65,9 @@ def build_sanitized(cache_dir: str) -> Path:
     if compiler is None:
         raise SystemExit("sanitize_kernel: no C compiler found")
     include = sysconfig.get_paths()["include"]
-    command = [compiler, "-O1", "-g", *SANITIZE_FLAGS, "-shared", "-fPIC",
-               f"-I{include}", str(build.kernel_source_path()), "-o",
-               str(target)]
+    command = [compiler, "-O1", "-g", *build.EXACT_FLAGS, *SANITIZE_FLAGS,
+               "-shared", "-fPIC", f"-I{include}",
+               str(build.kernel_source_path()), "-o", str(target)]
     subprocess.run(command, check=True)
     return target
 
