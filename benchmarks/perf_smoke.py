@@ -1,8 +1,8 @@
 """Performance smoke: two workloads end-to-end, throughput printed.
 
-Runs the full BL / DLA / R3-DLA configuration stack for a single workload
-with fresh caches, plus a memory-bound workload under the fully contended
-memory backend (banked MSHRs + write buffers + DRAM queues), and prints one
+Runs the full BL / DLA / R3-DLA configuration stack and Fig. 9's B-Fetch
+and CRE cells for a single workload with fresh caches, plus a memory-bound
+workload under the fully contended memory backend (banked MSHRs + write buffers + DRAM queues), and prints one
 line of simulated-instructions-per-second and wall-time numbers.  It is a
 CI guard, not a measurement: it writes no file, and one cold sample says
 little about speed.  Claims about simulator speed are measured with
@@ -19,13 +19,15 @@ stats), the setups' profiling timing passes (``setup_compiled_ticks >
 native memory hierarchy (``native_mem_misses > 0``), the DLA cells' branch
 hints (``native_hint_branches > 0``), the R3 cells' T1 steps
 (``native_t1_commits > 0``) and hint verdict draws
-(``native_verdict_draws > 0``) and the workloads' functional emulation
+(``native_verdict_draws > 0``), the B-Fetch cell's walker
+(``native_bfetch_fetches > 0``), the CRE cell's table
+(``native_cre_steps > 0``) and the workloads' functional emulation
 (``native_emulated > 0``), and exits with status 2 otherwise — in CI this
 turns a silent fallback to the reference interpreter, to the Python
-memory accessors, to the Python hint hooks, T1 or verdict draws or to the
-Python emulator (no C compiler on the runner, a kernel build break, a
-non-stock cache type or branch unit) into a red job instead of a quietly
-slower number.
+memory accessors, to the Python hint hooks, T1, verdict draws, B-Fetch or
+CRE hooks or to the Python emulator (no C compiler on the runner, a kernel
+build break, a non-stock cache type or branch unit) into a red job instead
+of a quietly slower number.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.baselines import simulate_bfetch, simulate_cre  # noqa: E402
 from repro.dla.config import DlaConfig                      # noqa: E402
 from repro.experiments.memsys_sweep import (                # noqa: E402
     MEMSYS_MACHINES,
@@ -52,6 +55,8 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     from repro.core.compile import (
         compiled_ticks_total,
         kernel_available,
+        native_bfetch_fetches_total,
+        native_cre_steps_total,
         native_emulated_total,
         native_hint_branches_total,
         native_mem_hits_total,
@@ -66,6 +71,8 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     hint_branches = native_hint_branches_total()
     t1_commits = native_t1_commits_total()
     verdict_draws = native_verdict_draws_total()
+    bfetch_fetches = native_bfetch_fetches_total()
+    cre_steps = native_cre_steps_total()
     emulated = native_emulated_total()
     started = time.perf_counter()
     # Fresh in-memory caches and no disk cache: measure real simulation speed.
@@ -82,6 +89,12 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     runner.baseline(setup, "bl-nopf", runner.no_prefetch_config())
     runner.dla(setup, DlaConfig().baseline_dla(), "dla")
     runner.dla(setup, DlaConfig().r3(), "r3")
+    # Fig. 9's related approaches, through the runner's auxiliary cache.
+    runner.auxiliary(setup, "bfetch", lambda: simulate_bfetch(
+        setup.timed, runner.system_config, warmup_entries=setup.warmup))
+    runner.auxiliary(setup, "cre", lambda: simulate_cre(
+        setup.program, setup.timed, setup.profile, runner.system_config,
+        warmup_entries=setup.warmup))
 
     # Memory-bound kernel under the fully contended backend (the canonical
     # "contended" machine point of the memsys sweep): every contention
@@ -107,6 +120,9 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     payload["native_t1_commits"] = native_t1_commits_total() - t1_commits
     payload["native_verdict_draws"] = (native_verdict_draws_total()
                                        - verdict_draws)
+    payload["native_bfetch_fetches"] = (native_bfetch_fetches_total()
+                                        - bfetch_fetches)
+    payload["native_cre_steps"] = native_cre_steps_total() - cre_steps
     payload["native_emulated"] = native_emulated_total() - emulated
     print(f"perf_smoke[{workload}+{memory_workload}]: "
           f"{payload['simulations']} simulations, "
@@ -119,6 +135,8 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
           f"{payload['native_hint_branches']} native hint "
           f"branches, {payload['native_t1_commits']} native T1 steps, "
           f"{payload['native_verdict_draws']} native verdict draws, "
+          f"{payload['native_bfetch_fetches']} native B-Fetch fetches, "
+          f"{payload['native_cre_steps']} native CRE steps, "
           f"{payload['native_emulated']} natively emulated)")
     return payload
 
@@ -131,14 +149,15 @@ def _parse_args(argv=None) -> argparse.Namespace:
         "--require-compiled", action="store_true",
         help="exit 2 unless the compiled tick pipeline carried the runs, "
              "the setups' profiling passes, the L1/TLB hits, the miss path, "
-             "the DLA branch hints, T1, the hint verdict draws and the "
-             "functional emulation (compiled_ticks, setup_compiled_ticks, "
-             "native_mem_hits, native_mem_misses, native_hint_branches, "
-             "native_t1_commits, native_verdict_draws and native_emulated "
-             "all > 0); guards CI against a silent "
-             "fallback to the reference interpreter, the Python memory "
-             "accessors, the Python hint hooks, T1 or draws or the Python "
-             "emulator",
+             "the DLA branch hints, T1, the hint verdict draws, B-Fetch, "
+             "CRE and the functional emulation (compiled_ticks, "
+             "setup_compiled_ticks, native_mem_hits, native_mem_misses, "
+             "native_hint_branches, native_t1_commits, "
+             "native_verdict_draws, native_bfetch_fetches, "
+             "native_cre_steps and native_emulated all > 0); guards CI "
+             "against a silent fallback to the reference interpreter, the "
+             "Python memory accessors, the Python hint hooks, T1, draws, "
+             "B-Fetch or CRE or the Python emulator",
     )
     return parser.parse_args(argv)
 
@@ -150,7 +169,8 @@ if __name__ == "__main__":
         for key in ("compiled_ticks", "setup_compiled_ticks",
                     "native_mem_hits", "native_mem_misses",
                     "native_hint_branches", "native_t1_commits",
-                    "native_verdict_draws", "native_emulated"):
+                    "native_verdict_draws", "native_bfetch_fetches",
+                    "native_cre_steps", "native_emulated"):
             if result.get(key, 0) <= 0:
                 print(f"perf_smoke: compiled tick pipeline did not engage "
                       f"({key} == 0) but --require-compiled was set",

@@ -20,9 +20,11 @@ prefetched ``distance`` iterations ahead into L1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.branch.predictors import make_predictor
+from repro.core.compile.decoded import get_decoded
+from repro.core.compile.hookspec import BFetchWalker, CompiledHookSpec
 from repro.core.config import SystemConfig
 from repro.core.pipeline import CoreHooks
 from repro.core.system import SimulationOutcome, build_single_core, warm_memory_system
@@ -40,7 +42,52 @@ class BFetchConfig:
     distance: int = 4
     #: Predictor used by the walker (same family as the core's).
     predictor: str = "tage"
-    block_bytes: int = 64
+
+
+def bfetch_hooks(walker: BFetchWalker) -> CoreHooks:
+    """Core hooks stepping ``walker`` at every fetch.
+
+    ``on_fetch`` is the reference's copy of the step; the hooks also
+    declare the walker, which the compiled kernel then steps natively (see
+    :class:`~repro.core.compile.hookspec.BFetchWalker`).
+    """
+    predict_update = walker.predictor.predict_update
+    memory = walker.memory
+    lookahead_branches = walker.lookahead_branches
+    distance = walker.distance
+    confidence = walker.confidence
+    has_address = walker.has_address
+    last_address = walker.last_address
+    last_stride = walker.last_stride
+
+    def on_fetch(entry: DynamicInst, cycle: float) -> None:
+        static = entry.static
+        pc = static.pc
+        if static.is_branch:
+            taken = bool(entry.taken)
+            if predict_update(pc, taken) == taken:
+                confidence[0] = min(lookahead_branches, confidence[0] + 1)
+            else:
+                confidence[0] = 0
+        if not static.is_load:
+            return
+        address = entry.effective_address
+        if has_address[pc]:
+            stride = address - last_address[pc]
+            if stride != 0 and stride == last_stride[pc]:
+                # Along a confidently predicted path, prefetch down the
+                # stride proportionally to how far ahead the walker may run.
+                if confidence[0] >= 2:
+                    reach = min(distance, 1 + confidence[0] // 2)
+                    for step in range(1, reach + 1):
+                        memory.prefetch(address + step * stride, int(cycle),
+                                        level="l1")
+            last_stride[pc] = stride
+        has_address[pc] = 1
+        last_address[pc] = address
+
+    return CoreHooks(on_fetch=on_fetch,
+                     fast_hints=CompiledHookSpec(bfetch=walker))
 
 
 def simulate_bfetch(
@@ -63,40 +110,10 @@ def simulate_bfetch(
     if warmup_entries:
         warm_memory_system(private, warmup_entries)
 
-    walker_predictor = make_predictor(bfetch.predictor)
-    last_address: Dict[int, int] = {}
-    last_stride: Dict[int, int] = {}
-    #: Number of future branches currently predicted correctly in a row.
-    state = {"confidence": 0}
-
-    def on_fetch(entry: DynamicInst, cycle: float) -> None:
-        static = entry.static
-        if static.is_branch:
-            predicted = walker_predictor.predict(static.pc)
-            walker_predictor.update(static.pc, bool(entry.taken))
-            if predicted == bool(entry.taken):
-                state["confidence"] = min(
-                    bfetch.lookahead_branches, state["confidence"] + 1
-                )
-            else:
-                state["confidence"] = 0
-        if not static.is_load:
-            return
-        address = entry.effective_address
-        previous = last_address.get(static.pc)
-        if previous is not None:
-            stride = address - previous
-            if stride != 0 and stride == last_stride.get(static.pc):
-                # Along a confidently predicted path, prefetch down the
-                # stride proportionally to how far ahead the walker may run.
-                if state["confidence"] >= 2:
-                    reach = min(bfetch.distance, 1 + state["confidence"] // 2)
-                    for step in range(1, reach + 1):
-                        private.prefetch(address + step * stride, int(cycle), level="l1")
-            last_stride[static.pc] = stride
-        last_address[static.pc] = address
-
-    result = core.run(entries, hooks=CoreHooks(on_fetch=on_fetch))
+    walker = BFetchWalker.fresh(
+        make_predictor(bfetch.predictor), private, bfetch.lookahead_branches,
+        bfetch.distance, max(get_decoded(entries).pcs, default=-1) + 1)
+    result = core.run(entries, hooks=bfetch_hooks(walker))
     energy = EnergyModel().evaluate(result)
     return SimulationOutcome(
         core=result,

@@ -21,10 +21,11 @@ engine's serial execution of dependent chains.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.compile.decoded import F_LOAD, get_decoded
+from repro.core.compile.hookspec import CompiledHookSpec, RunaheadTable
 from repro.core.config import SystemConfig
 from repro.core.energy import EnergyModel
 from repro.core.pipeline import CoreHooks
@@ -49,6 +50,33 @@ class ContinuousRunaheadConfig:
     dependent_lead: int = 1
 
 
+def runahead_hooks(table: RunaheadTable) -> CoreHooks:
+    """Core hooks stepping ``table`` after every load access.
+
+    ``on_memory_access`` is the reference's copy of the step; the hooks also
+    declare the table, which the compiled kernel then steps natively (see
+    :class:`~repro.core.compile.hookspec.RunaheadTable`).
+    """
+    memory = table.memory
+    eligible, lead, offset, count, future, seen = (
+        table.eligible, table.lead, table.offset, table.count, table.future,
+        table.seen)
+
+    def on_memory_access(entry: DynamicInst, access, cycle: float) -> None:
+        pc = entry.pc
+        if not entry.is_load or not eligible[pc]:
+            return
+        index = seen[pc]
+        seen[pc] = index + 1
+        target_index = index + lead[pc]
+        if target_index < count[pc]:
+            memory.prefetch(future[offset[pc] + target_index], int(cycle),
+                            level="l1")
+
+    return CoreHooks(on_memory_access=on_memory_access,
+                     fast_hints=CompiledHookSpec(runahead=table))
+
+
 def simulate_cre(
     program: Program,
     entries: Sequence[DynamicInst] | Trace,
@@ -60,6 +88,8 @@ def simulate_cre(
     """Simulate the baseline core assisted by a Continuous Runahead Engine."""
     config = config or SystemConfig()
     cre = cre or ContinuousRunaheadConfig()
+    if min(cre.lead_occurrences, cre.dependent_lead) < 0:
+        raise ValueError("CRE leads must not be negative")
     if isinstance(entries, Trace):
         entries = entries.entries
     elif not isinstance(entries, list):
@@ -84,32 +114,30 @@ def simulate_cre(
             other != pc and other in chain for other in delinquent
         )
 
-    # Pre-compute, per delinquent PC, the future addresses of its occurrences
-    # so the engine can run ahead by occurrence count.
-    occurrences: Dict[int, List[int]] = defaultdict(list)
-    for entry in entries:
-        if entry.is_load and entry.pc in eligible:
-            occurrences[entry.pc].append(entry.effective_address)
+    # Pre-compute, per eligible PC, the future addresses of its occurrences
+    # so the engine can run ahead by occurrence count: one flat column,
+    # declared to the compiled kernel with the per-PC leads and counters.
+    decoded = get_decoded(entries)
+    num_pcs = max(decoded.pcs, default=-1) + 1
+    occurrences: Dict[int, List[int]] = {
+        pc: [] for pc in sorted(eligible) if eligible[pc] and pc < num_pcs}
+    for pc, flags, address in zip(decoded.pcs, decoded.flags, decoded.ea):
+        if flags & F_LOAD and pc in occurrences:
+            occurrences[pc].append(address)
 
     shared, private, core = build_single_core(config)
     if warmup_entries:
         warm_memory_system(private, warmup_entries)
 
-    seen_count: Dict[int, int] = defaultdict(int)
-
-    def on_memory_access(entry: DynamicInst, access, cycle: float) -> None:
-        pc = entry.pc
-        if not entry.is_load or pc not in eligible or not eligible[pc]:
-            return
-        index = seen_count[pc]
-        seen_count[pc] = index + 1
-        lead = cre.dependent_lead if dependent_chain[pc] else cre.lead_occurrences
-        future = occurrences[pc]
-        target_index = index + lead
-        if target_index < len(future):
-            private.prefetch(future[target_index], int(cycle), level="l1")
-
-    result = core.run(entries, hooks=CoreHooks(on_memory_access=on_memory_access))
+    table = RunaheadTable.fresh(private, num_pcs)
+    for pc, addresses in occurrences.items():
+        table.eligible[pc] = 1
+        table.lead[pc] = (cre.dependent_lead if dependent_chain[pc]
+                          else cre.lead_occurrences)
+        table.offset[pc] = len(table.future)
+        table.count[pc] = len(addresses)
+        table.future.extend(addresses)
+    result = core.run(entries, hooks=runahead_hooks(table))
     energy = EnergyModel().evaluate(result)
     return SimulationOutcome(
         core=result,

@@ -20,10 +20,10 @@ per-variant Python callbacks:
    installs and wrong-path pollution; otherwise L1/TLB hits) run natively
    on the model objects' own arrays, and a DLA main thread's declared hint
    unit runs natively over its columns (its verdicts drawn natively
-   too), and so does a declared T1 engine on a stock hierarchy; every other
-   model interaction (non-stock structures, other prefetchers, generic
-   hooks) happens through callbacks, so dynamic state lives exactly where
-   the reference keeps it.  Warm-up replay runs on the same kernel
+   too), and so do a declared T1 engine, B-Fetch walker and CRE table on
+   a stock hierarchy; every other model interaction (non-stock structures,
+   other prefetchers, generic hooks) happens through callbacks, so dynamic
+   state lives exactly where the reference keeps it.  Warm-up replay runs on the same kernel
    (:func:`replay_compiled`).
 
 ``REPRO_FAST_PIPELINE=0`` disables all of it and the reference
@@ -64,6 +64,12 @@ _native_t1_commits = 0
 
 #: Hint-verdict draws the kernel made (``draw_verdicts``).
 _native_verdict_draws = 0
+
+#: Instructions whose fetch stepped the kernel's native B-Fetch walker.
+_native_bfetch_fetches = 0
+
+#: Load accesses the kernel's native CRE table stepped (eligible PCs).
+_native_cre_steps = 0
 
 
 def fast_pipeline_enabled() -> bool:
@@ -133,6 +139,26 @@ def native_verdict_draws_total() -> int:
 def _add_native_verdict_draws(count: int) -> None:
     global _native_verdict_draws
     _native_verdict_draws += count
+
+
+def native_bfetch_fetches_total() -> int:
+    """Process-wide count of fetches the native B-Fetch walker stepped."""
+    return _native_bfetch_fetches
+
+
+def _add_native_bfetch_fetches(count: int) -> None:
+    global _native_bfetch_fetches
+    _native_bfetch_fetches += count
+
+
+def native_cre_steps_total() -> int:
+    """Process-wide count of load accesses the native CRE table stepped."""
+    return _native_cre_steps
+
+
+def _add_native_cre_steps(count: int) -> None:
+    global _native_cre_steps
+    _native_cre_steps += count
 
 
 def native_kernel():

@@ -3,8 +3,8 @@
 ``run_compiled`` marshals one run onto the C kernel: the decoded trace's
 flat arrays go in as zero-copy buffers, and every model interaction the
 kernel cannot perform itself — a non-stock memory structure or branch
-unit, an L1 or non-BOP L2 prefetcher, generic hooks, and T1 and hint
-installs when the memory hierarchy stays in Python — comes back out
+unit, an L1 or non-BOP L2 prefetcher, generic hooks, and T1, B-Fetch, CRE
+and hint installs when the memory hierarchy stays in Python — comes back out
 through small per-event callbacks that communicate over a shared
 ``array('d')`` buffer (argument marshalling through object calls would
 dominate otherwise).  The branch unit runs natively on the model objects'
@@ -22,8 +22,13 @@ calls back once per fetch that brings some due, when the memory hierarchy
 stays in Python).  ``draw_verdicts`` draws the unit's verdicts natively
 before the run.  An R3 main thread also declares its T1 engine, whose
 table the kernel steps in place on a stock hierarchy (else ``on_commit``
-fires for the marked PCs).  A look-ahead pass declares a commit log,
-which the kernel writes into preallocated columns.
+fires for the marked PCs).  The related-approach models declare theirs
+the same way: B-Fetch its shadow walker (TAGE plus stride table, stepped
+at every fetch in place of ``on_fetch``) and CRE its runahead table
+(stepped after every load access in place of ``on_memory_access``); on
+any other hierarchy, or with another walker predictor, those hooks fire
+as callbacks.  A look-ahead pass declares a commit log, which the kernel
+writes into preallocated columns.
 
 Every callback body is a statement-for-statement transcription of the
 corresponding block of :meth:`repro.core.pipeline.OutOfOrderCore.run`; the
@@ -42,6 +47,8 @@ from repro.memory.hierarchy import access_result
 from repro.memory.resources import BankedMshrFile
 
 from repro.core.compile import (
+    _add_native_bfetch_fetches,
+    _add_native_cre_steps,
     _add_native_hint_branches,
     _add_native_mem_hits,
     _add_native_mem_misses,
@@ -60,7 +67,7 @@ B_I, B_T0, B_T1, B_OUT0, B_OUT1, B_LAST = range(6)
  C_VALID_SKIP, C_VP_USED, C_VP_MISS, C_SB_SKIP, C_SB_VALID,
  C_BRANCHES, C_BR_MISPRED, C_HINT_MISPRED, C_BTB_MISS,
  C_TICKS, C_NATIVE_HITS, C_LOG_BRANCHES, C_LOG_PCS, C_NATIVE_MISSES,
- C_T1_COMMITS, C_COUNT) = range(26)
+ C_T1_COMMITS, C_BFETCH_FETCHES, C_CRE_STEPS, C_COUNT) = range(28)
 
 #: Replay flag bits beyond the decoded ones (must match kernel.c): train
 #: the L2 prefetcher on the data access, prefetch ``ea`` into the L1D or
@@ -76,8 +83,6 @@ _HINT_STATE = ("offset", "fq_occupancy", "fq_prefetches", "fq_values",
 
 _NAN = float("nan")
 _EMPTY_Q = array("q", (0,))
-_EMPTY_B = array("b", (0,))
-_EMPTY_U = array("Q", (0,))
 
 
 #: Integer stats fields the kernel counts per run, in order (must match
@@ -100,6 +105,17 @@ T1_TABLE = ("_pc", "_state", "_stride", "_last_address", "_last_commit",
 #: T1 stats fields the kernel counts (must match kernel.c's T1S_*).
 _T1_COUNTS = ("prefetches_issued", "prefetches_dropped", "catch_up_bursts",
               "entries_allocated", "entries_reset", "strides_confirmed")
+
+
+def _tage_view(predictor) -> tuple:
+    """Kernel view of a :class:`~repro.branch.predictors.TageLitePredictor`:
+    its geometry and its tables' own arrays (zero-copy)."""
+    base = predictor.base
+    return (base.entries, base.threshold, base.max_value,
+            predictor.num_tables, predictor.table_entries, predictor.tag_mask,
+            base._table, predictor._present, predictor._tag_arr,
+            predictor._ctr, predictor._useful, predictor._hist,
+            predictor._masks_arr)
 
 
 def _store(lane0, lanes: int = 1) -> tuple:
@@ -259,9 +275,11 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
     run_prefetchers = core._run_prefetchers
     has_prefetchers = (core.l1_prefetcher is not None
                        or core.l2_prefetcher is not None)
-    # A declared load-miss log is filled by the kernel; any other memory
-    # hook observes each access's AccessResult view.
-    hook_on_memory = None if plan.log_load_misses else hooks.on_memory_access
+    # A declared load-miss log is filled by the kernel, and a native CRE
+    # table stepped by it; any other memory hook observes each access's
+    # AccessResult view.
+    hook_on_memory = (None if plan.log_load_misses or plan.native_runahead
+                      else hooks.on_memory_access)
 
     def cb_load():
         i = int(comm[0])
@@ -342,19 +360,7 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
                 wrong_path_pollution(last_load_address(), comm[1], result)
 
         native_spec = dict(
-            tage_base_n=predictor.base.entries,
-            tage_base_thresh=predictor.base.threshold,
-            tage_base_max=predictor.base.max_value,
-            tage_nt=predictor.num_tables,
-            tage_te=predictor.table_entries,
-            tage_tag_mask=predictor.tag_mask,
-            tage_base=predictor.base._table,
-            tage_present=predictor._present,
-            tage_tags=predictor._tag_arr,
-            tage_ctr=predictor._ctr,
-            tage_useful=predictor._useful,
-            tage_hist=predictor._hist,
-            tage_masks=predictor._masks_arr,
+            tage=_tage_view(predictor),
             btb_sets=btb.num_sets,
             btb_assoc=btb.associativity,
             btb_tag=btb._tag,
@@ -369,12 +375,7 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
         ras_stack = _EMPTY_Q
         ras_state = array("q", bytes(8 * 5))
         native_spec = dict(
-            tage_base_n=1, tage_base_thresh=0, tage_base_max=0,
-            tage_nt=0, tage_te=1, tage_tag_mask=0,
-            tage_base=_EMPTY_Q, tage_present=_EMPTY_B, tage_tags=_EMPTY_Q,
-            tage_ctr=_EMPTY_Q, tage_useful=_EMPTY_Q, tage_hist=_EMPTY_U,
-            tage_masks=_EMPTY_U,
-            btb_sets=1, btb_assoc=1,
+            tage=None, btb_sets=1, btb_assoc=1,
             btb_tag=_EMPTY_Q, btb_target=_EMPTY_Q, btb_use=_EMPTY_Q,
             btb_count=_EMPTY_Q,
             ras_depth=1, ras_stack=ras_stack, ras_state=ras_state,
@@ -405,8 +406,9 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
                     fetch_time = hint.available
             comm[3] = fetch_time
 
+    # A native hint unit or B-Fetch walker is the whole of ``on_fetch``.
     cb_on_fetch = None
-    if plan.has_on_fetch and unit is None:
+    if plan.has_on_fetch and unit is None and not plan.native_bfetch:
         hook_on_fetch = hooks.on_fetch
 
         def cb_on_fetch():
@@ -464,6 +466,16 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
                            plan.native_data_hits, plan.native_misses,
                            core.l2_prefetcher)
     t1_spec = native.t1_view(fast.t1) if plan.native_t1 else None
+    bfetch_spec = runahead_spec = None
+    if plan.native_bfetch:
+        walker = fast.bfetch
+        bfetch_spec = (_tage_view(walker.predictor), walker.lookahead_branches,
+                       walker.distance, walker.confidence, walker.has_address,
+                       walker.last_address, walker.last_stride)
+    if plan.native_runahead:
+        table = fast.runahead
+        runahead_spec = (table.eligible, table.lead, table.offset, table.count,
+                         table.future, table.seen)
     # Wrong-path pollution (OutOfOrderCore._wrong_path_pollution) runs in
     # the kernel with native misses: what one redirect adds.
     wrong_path = None
@@ -510,7 +522,8 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
         cb_hint_miss=cb_hint_miss, cb_redirect=cb_redirect,
         load_miss_log=fast.load_miss_log if plan.log_load_misses else None,
         hint_unit=hint_spec, commit_log=log_spec, wrong_path=wrong_path,
-        memory=native.spec, t1=t1_spec,
+        memory=native.spec, t1=t1_spec, bfetch=bfetch_spec,
+        runahead=runahead_spec,
         **native_spec,
     )
     try:
@@ -520,6 +533,8 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
     _add_native_mem_hits(counters[C_NATIVE_HITS])
     _add_native_mem_misses(counters[C_NATIVE_MISSES])
     _add_native_t1_commits(counters[C_T1_COMMITS])
+    _add_native_bfetch_fetches(counters[C_BFETCH_FETCHES])
+    _add_native_cre_steps(counters[C_CRE_STEPS])
 
     if ctrl_native:
         ras._stack = list(ras_stack[:ras_state[0]])

@@ -27,6 +27,16 @@ can matter:
   :class:`~repro.dla.t1.T1PrefetchEngine` for committed loads.  When the
   kernel runs the memory hierarchy natively it steps the engine's table
   arrays itself and issues the prefetches.
+* **B-Fetch walker** (:class:`BFetchWalker`): the hook source's
+  ``on_fetch`` only steps B-Fetch's shadow walker.  When the kernel runs
+  the memory hierarchy natively and the walker predicts with the stock
+  TAGE, the kernel steps the walker's predictor and stride table itself at
+  every fetch and issues the prefetches.
+* **Runahead table** (:class:`RunaheadTable`): the hook source's
+  ``on_memory_access`` only steps CRE's occurrence-indexed prefetch table
+  for loads.  Like the load-miss log it is a declared memory hook, so the
+  run keeps native data hits, and with the memory hierarchy native the
+  kernel steps the table after each load access.
 
 The golden equivalence suites and the compiled-vs-interpreter A/B tests pin
 the two paths together bit-for-bit.
@@ -165,3 +175,76 @@ class CompiledHookSpec:
     #: for every committed load, is all ``on_commit`` does.  With native
     #: misses the kernel steps it in place of ``on_commit``.
     t1: Optional[object] = None
+
+    #: B-Fetch walker whose stepping is all ``on_fetch`` does.  With native
+    #: misses and a TAGE walker the kernel steps it in place of
+    #: ``on_fetch``.
+    bfetch: Optional["BFetchWalker"] = None
+
+    #: CRE table whose stepping, for every load access, is all
+    #: ``on_memory_access`` does.  With native misses the kernel steps it in
+    #: place of ``on_memory_access``.
+    runahead: Optional["RunaheadTable"] = None
+
+
+@dataclass
+class BFetchWalker:
+    """B-Fetch's shadow walker (:mod:`repro.baselines.bfetch`), for one run.
+
+    ``predictor`` predicts and trains on every fetched conditional branch;
+    ``confidence[0]`` counts its correct predictions in a row, capped at
+    ``lookahead_branches`` and reset by a mispredict.  The stride table is
+    indexed by static PC: ``has_address[pc]`` says ``last_address[pc]``
+    holds the load's last address, and ``last_stride[pc]`` is its last
+    stride (0 until it has one; a zero stride never prefetches).  A load
+    repeating its stride under ``confidence[0] >= 2`` prefetches
+    ``min(distance, 1 + confidence[0] // 2)`` strides ahead into
+    ``memory``'s L1D.  The arrays are mutated in place, never rebound.
+    """
+
+    predictor: object
+    memory: object
+    lookahead_branches: int
+    distance: int
+    confidence: array       # 'q', one slot
+    has_address: array      # 'b'
+    last_address: array     # 'q'
+    last_stride: array      # 'q'
+
+    @classmethod
+    def fresh(cls, predictor, memory, lookahead_branches: int, distance: int,
+              num_pcs: int) -> "BFetchWalker":
+        """A walker with an empty stride table for PCs below ``num_pcs``."""
+        return cls(predictor, memory, lookahead_branches, distance,
+                   array("q", [0]), array("b", bytes(num_pcs)),
+                   array("q", bytes(8 * num_pcs)),
+                   array("q", bytes(8 * num_pcs)))
+
+
+@dataclass
+class RunaheadTable:
+    """CRE's engine (:mod:`repro.baselines.runahead`), for one run: a
+    per-PC, occurrence-indexed prefetch table.
+
+    Indexed by static PC.  An ``eligible`` PC's load has its ``count[pc]``
+    occurrences in the run at ``future[offset[pc]:offset[pc] + count[pc]]``,
+    in program order.  Its ``k``-th access (``seen[pc]`` counts them)
+    prefetches occurrence ``k + lead[pc]`` into ``memory``'s L1D, and
+    nothing once that runs past its occurrences.  ``seen`` is mutated in
+    place, never rebound.
+    """
+
+    memory: object
+    eligible: array         # 'b'
+    lead: array             # 'q'
+    offset: array           # 'q'
+    count: array            # 'q'
+    future: array           # 'q'
+    seen: array             # 'q'
+
+    @classmethod
+    def fresh(cls, memory, num_pcs: int) -> "RunaheadTable":
+        """An empty table (no eligible PC) for PCs below ``num_pcs``."""
+        return cls(memory, array("b", bytes(num_pcs)),
+                   *(array("q", bytes(8 * num_pcs)) for _ in range(3)),
+                   array("q"), array("q", bytes(8 * num_pcs)))

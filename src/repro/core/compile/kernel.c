@@ -3,14 +3,15 @@
  * the memory hierarchy native.  On a stock hierarchy every demand access,
  * miss, write-back, MSHR / write-buffer / DRAM-queue operation, BOP
  * training step, prefetch-hint install and wrong-path polluting load runs
- * here, on the model objects' own arrays, and so does a declared T1
- * engine's table; otherwise only L1/TLB hits do.  Every other model
- * interaction (a non-stock structure, other prefetchers, generic hooks)
- * stays in Python, reached through per-event callbacks that communicate
- * over a shared double buffer.  Mirrors core/pipeline.py and memory/ (and
- * the hint unit and T1 mirror dla/hints.py and dla/t1.py)
- * statement-for-statement; bit-identity, int/float types included, is
- * enforced by the golden, A/B and differential suites.  Also hosts
+ * here, on the model objects' own arrays, and so do a declared T1
+ * engine's table, B-Fetch walker and CRE table; otherwise only L1/TLB
+ * hits do.  Every other model interaction (a non-stock structure, other
+ * prefetchers, generic hooks) stays in Python, reached through per-event
+ * callbacks that communicate over a shared double buffer.  Mirrors
+ * core/pipeline.py and memory/ (and the hint unit, T1, B-Fetch and CRE
+ * mirror dla/hints.py, dla/t1.py and baselines/) statement-for-statement;
+ * bit-identity, int/float types included, is enforced by the golden, A/B
+ * and differential suites.  Also hosts
  * warm-up replay (replay_warmup) over the same memory path, the hint
  * verdict draws (draw_verdicts) and the functional emulator. */
 #define PY_SSIZE_T_CLEAN
@@ -48,7 +49,7 @@ enum {
     C_VALID_SKIP, C_VP_USED, C_VP_MISS, C_SB_SKIP, C_SB_VALID,
     C_BRANCHES, C_BR_MISPRED, C_HINT_MISPRED, C_BTB_MISS,
     C_TICKS, C_NATIVE_HITS, C_LOG_BRANCHES, C_LOG_PCS, C_NATIVE_MISSES,
-    C_T1_COMMITS, C_COUNT
+    C_T1_COMMITS, C_BFETCH_FETCHES, C_CRE_STEPS, C_COUNT
 };
 
 /* ------------------------------------------------------------------ */
@@ -69,7 +70,9 @@ fold_u(uint64_t value, int bits)
     return folded;
 }
 
+#define TAGE_ARRAYS 7
 typedef struct {
+    int on;
     int64_t *base;                 /* bimodal base counters */
     int64_t base_n, base_thresh, base_max;
     int8_t *present;               /* tagged tables, [table][index] flat */
@@ -77,6 +80,7 @@ typedef struct {
     uint64_t *hist;                /* single-element history register */
     uint64_t *masks;               /* per-table history masks */
     int64_t nt, te, tag_mask;
+    Py_buffer views[TAGE_ARRAYS];
 } tage_t;
 
 /* Mirrors TageLitePredictor.predict_update. */
@@ -1917,6 +1921,222 @@ t1_commit(nt1_t *t, nmem_t *m, int64_t pc_, int64_t address, double cycle)
     }
 }
 
+/* Kernel view of a TageLitePredictor (driver._tage_view), shared
+ * zero-copy: None or (base entries, base threshold, base max value,
+ * tables, table entries, tag mask, then the base, present, tags, ctr,
+ * useful, history and masks arrays). */
+static int
+tage_open(PyObject *spec, tage_t *tg)
+{
+    memset(tg, 0, sizeof(*tg));
+    if (spec == NULL || spec == Py_None)
+        return 0;
+    long long base_n, thresh, max, nt, te, mask;
+    PyObject *arrays[TAGE_ARRAYS];
+    if (!PyArg_ParseTuple(spec, "LLLLLLOOOOOOO", &base_n, &thresh, &max, &nt,
+                          &te, &mask, &arrays[0], &arrays[1], &arrays[2],
+                          &arrays[3], &arrays[4], &arrays[5], &arrays[6]))
+        return -1;
+    void **slots[TAGE_ARRAYS] = {
+        (void **)&tg->base, (void **)&tg->present, (void **)&tg->tags,
+        (void **)&tg->ctr, (void **)&tg->useful, (void **)&tg->hist,
+        (void **)&tg->masks};
+    for (int k = 0; k < TAGE_ARRAYS; k++)
+        if (buffer_of(arrays[k], &tg->views[k], slots[k]) < 0)
+            return -1;
+    tg->base_n = base_n;
+    tg->base_thresh = thresh;
+    tg->base_max = max;
+    tg->nt = nt;
+    tg->te = te;
+    tg->tag_mask = mask;
+    Py_ssize_t slots_n = (Py_ssize_t)(nt * te);
+    if (base_n < 1 || nt < 0 || te < 1 ||
+        tg->views[0].len < (Py_ssize_t)(base_n * 8) ||
+        tg->views[1].len < slots_n || tg->views[2].len < slots_n * 8 ||
+        tg->views[3].len < slots_n * 8 || tg->views[4].len < slots_n * 8 ||
+        tg->views[5].len < 8 || tg->views[6].len < (Py_ssize_t)(nt * 8))
+        return view_error("TAGE");
+    tg->on = 1;
+    return 0;
+}
+
+static void
+tage_close(tage_t *tg)
+{
+    for (int k = 0; k < TAGE_ARRAYS; k++)
+        if (tg->views[k].obj) PyBuffer_Release(&tg->views[k]);
+    tg->on = 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Native B-Fetch walker (hookspec.BFetchWalker): at every fetch, the   */
+/* walker's TAGE predicts and trains on a conditional branch, then a    */
+/* load repeating its stride on a confident path prefetches down it     */
+/* into the L1D.  Transcribes baselines/bfetch.py's on_fetch.           */
+typedef struct {
+    int on;
+    tage_t tg;
+    int64_t lookahead, distance, npcs;
+    int64_t *confidence, *last_address, *last_stride;
+    int8_t *has_address;
+    Py_buffer v_conf, v_has, v_addr, v_stride;
+} nbf_t;
+
+/* spec: None or (TAGE view, lookahead_branches, distance, confidence,
+ * has_address, last_address, last_stride). */
+static int
+bf_open(PyObject *spec, nbf_t *b)
+{
+    memset(b, 0, sizeof(*b));
+    if (spec == NULL || spec == Py_None)
+        return 0;
+    PyObject *tage, *conf, *has, *addr, *stride;
+    long long lookahead, distance;
+    if (!PyArg_ParseTuple(spec, "O!LLOOOO", &PyTuple_Type, &tage, &lookahead,
+                          &distance, &conf, &has, &addr, &stride))
+        return -1;
+    if (tage_open(tage, &b->tg) < 0 ||
+        buffer_of(conf, &b->v_conf, (void **)&b->confidence) < 0 ||
+        buffer_of(has, &b->v_has, (void **)&b->has_address) < 0 ||
+        buffer_of(addr, &b->v_addr, (void **)&b->last_address) < 0 ||
+        buffer_of(stride, &b->v_stride, (void **)&b->last_stride) < 0)
+        return -1;
+    b->lookahead = lookahead;
+    b->distance = distance;
+    b->npcs = b->v_has.len;
+    if (b->v_conf.len != 8 || b->v_addr.len != b->npcs * 8 ||
+        b->v_stride.len != b->npcs * 8)
+        return view_error("B-Fetch");
+    b->on = 1;
+    return 0;
+}
+
+static void
+bf_close(nbf_t *b)
+{
+    Py_buffer *views[] = {&b->v_conf, &b->v_has, &b->v_addr, &b->v_stride};
+    for (size_t k = 0; k < sizeof(views) / sizeof(views[0]); k++)
+        if (views[k]->obj) PyBuffer_Release(views[k]);
+    tage_close(&b->tg);
+    b->on = 0;
+}
+
+/* on_fetch for the instruction with flags f at pc_ fetched at
+ * fetch_time; -1 (IndexError) for a load outside the stride table.
+ * Prefetch targets below 0 go through, as in Python. */
+static int
+bf_fetch(nbf_t *b, nmem_t *m, int64_t f, int64_t pc_, int64_t address,
+         double fetch_time)
+{
+    if (f & F_BRANCH) {
+        int taken = (f & F_TAKEN) != 0;
+        if (tage_predict_update(&b->tg, pc_, taken) == taken) {
+            int64_t c = *b->confidence + 1;
+            *b->confidence = c < b->lookahead ? c : b->lookahead;
+        } else {
+            *b->confidence = 0;
+        }
+    }
+    if (!(f & F_LOAD))
+        return 0;
+    if (pc_ < 0 || pc_ >= b->npcs) {
+        PyErr_SetString(PyExc_IndexError, "load PC outside the B-Fetch table");
+        return -1;
+    }
+    if (b->has_address[pc_]) {
+        int64_t stride = address - b->last_address[pc_];
+        if (stride != 0 && stride == b->last_stride[pc_] &&
+            *b->confidence >= 2) {
+            int64_t reach = 1 + pdiv(*b->confidence, 2);
+            if (reach > b->distance)
+                reach = b->distance;
+            num_t now = num_i((double)(int64_t)fetch_time), ignored;
+            for (int64_t step = 1; step <= reach; step++)
+                mem_prefetch(m, address + step * stride, now, 1, &ignored);
+        }
+        b->last_stride[pc_] = stride;
+    }
+    b->has_address[pc_] = 1;
+    b->last_address[pc_] = address;
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Native CRE table (hookspec.RunaheadTable): after each load access,   */
+/* an eligible PC's k-th access prefetches its occurrence k + lead into */
+/* the L1D.  Transcribes baselines/runahead.py's on_memory_access.      */
+enum {
+    RA_ELIGIBLE, RA_LEAD, RA_OFFSET, RA_COUNT, RA_FUTURE, RA_SEEN, RA_ARRAYS
+};
+
+typedef struct {
+    int on;
+    int8_t *eligible;
+    int64_t *lead, *offset, *count, *future, *seen, npcs;
+    Py_buffer views[RA_ARRAYS];
+} nra_t;
+
+/* spec: None or (eligible, lead, offset, count, future, seen). */
+static int
+ra_open(PyObject *spec, nra_t *r)
+{
+    memset(r, 0, sizeof(*r));
+    if (spec == NULL || spec == Py_None)
+        return 0;
+    PyObject *arrays[RA_ARRAYS];
+    if (!PyArg_ParseTuple(spec, "OOOOOO", &arrays[0], &arrays[1], &arrays[2],
+                          &arrays[3], &arrays[4], &arrays[5]))
+        return -1;
+    void **slots[RA_ARRAYS] = {
+        (void **)&r->eligible, (void **)&r->lead, (void **)&r->offset,
+        (void **)&r->count, (void **)&r->future, (void **)&r->seen};
+    for (int k = 0; k < RA_ARRAYS; k++)
+        if (buffer_of(arrays[k], &r->views[k], slots[k]) < 0)
+            return -1;
+    r->npcs = r->views[RA_ELIGIBLE].len;
+    int64_t nfuture = r->views[RA_FUTURE].len / 8;
+    for (int k = RA_LEAD; k < RA_ARRAYS; k++)
+        if (k != RA_FUTURE && r->views[k].len != r->npcs * 8)
+            return view_error("CRE table");
+    /* Every eligible PC's occurrences lie inside the column and its lead
+     * only looks ahead, so a step never reads outside it. */
+    for (int64_t pc_ = 0; pc_ < r->npcs; pc_++)
+        if (r->eligible[pc_] &&
+            (r->lead[pc_] < 0 || r->offset[pc_] < 0 || r->count[pc_] < 0 ||
+             r->offset[pc_] + r->count[pc_] > nfuture))
+            return view_error("CRE table");
+    r->on = 1;
+    return 0;
+}
+
+static void
+ra_close(nra_t *r)
+{
+    for (int k = 0; k < RA_ARRAYS; k++)
+        if (r->views[k].obj) PyBuffer_Release(&r->views[k]);
+    r->on = 0;
+}
+
+/* on_memory_access for a load at pc_ issued at now: 1 when an eligible
+ * PC stepped, 0 when not, -1 (IndexError) outside the table. */
+static int
+ra_load(nra_t *r, nmem_t *m, int64_t pc_, num_t now)
+{
+    if (pc_ < 0 || pc_ >= r->npcs) {
+        PyErr_SetString(PyExc_IndexError, "load PC outside the CRE table");
+        return -1;
+    }
+    if (!r->eligible[pc_])
+        return 0;
+    int64_t target = r->seen[pc_]++ + r->lead[pc_];
+    if (target < r->count[pc_]) {
+        num_t ignored;
+        mem_prefetch(m, r->future[r->offset[pc_] + target], now, 1, &ignored);
+    }
+    return 1;
+}
+
 /* Declared commit log (hookspec.CommitLog): (trace index, commit cycle)
  * of every conditional branch, and of every instruction at a declared PC,
  * into columns of the run's length; counts in C_LOG_BRANCHES/C_LOG_PCS. */
@@ -2118,15 +2338,8 @@ run_tick_loop(PyObject *self, PyObject *args)
     int64_t n_commit_pcs = get_int(spec, "n_commit_pcs", &err);
     int64_t ctrl_native = get_int(spec, "ctrl_native", &err);
     double bmp = get_float(spec, "branch_mispredict_penalty", &err);
-    tage_t tg = {0};
     btb_t btb = {0};
     ras_t ras = {0};
-    tg.base_n = get_int(spec, "tage_base_n", &err);
-    tg.base_thresh = get_int(spec, "tage_base_thresh", &err);
-    tg.base_max = get_int(spec, "tage_base_max", &err);
-    tg.nt = get_int(spec, "tage_nt", &err);
-    tg.te = get_int(spec, "tage_te", &err);
-    tg.tag_mask = get_int(spec, "tage_tag_mask", &err);
     btb.sets = get_int(spec, "btb_sets", &err);
     btb.assoc = get_int(spec, "btb_assoc", &err);
     ras.depth = get_int(spec, "ras_depth", &err);
@@ -2137,8 +2350,7 @@ run_tick_loop(PyObject *self, PyObject *args)
     Py_buffer v_srcs = {0}, v_soff = {0}, v_ft = {0}, v_dt = {0}, v_ct = {0};
     Py_buffer v_cnt = {0}, v_hist = {0}, v_comm = {0};
     Py_buffer v_sbd = {0}, v_seq = {0}, v_pc = {0}, v_cpc = {0};
-    Py_buffer v_nxt = {0}, v_tb = {0}, v_tp = {0}, v_tt = {0}, v_tc = {0};
-    Py_buffer v_tu = {0}, v_th = {0}, v_tm = {0};
+    Py_buffer v_nxt = {0};
     Py_buffer v_bt = {0}, v_bg = {0}, v_bu = {0}, v_bc = {0};
     Py_buffer v_rs = {0}, v_rt = {0}, v_it = {0}, v_xt = {0};
     int64_t *ba = NULL, *flags = NULL, *ea = NULL, *dst = NULL;
@@ -2157,14 +2369,25 @@ run_tick_loop(PyObject *self, PyObject *args)
     hunit_t hu = {0};
     clog_t log = {0};
     nt1_t t1 = {0};
+    tage_t tg = {0};
+    nbf_t bf = {0};
+    nra_t ra = {0};
 
     if (nmem_open(PyDict_GetItemString(spec, "memory"), &mem) < 0 ||
         hunit_open(PyDict_GetItemString(spec, "hint_unit"), &hu) < 0 ||
         clog_open(PyDict_GetItemString(spec, "commit_log"), &log, n) < 0 ||
-        t1_open(PyDict_GetItemString(spec, "t1"), &t1) < 0)
+        t1_open(PyDict_GetItemString(spec, "t1"), &t1) < 0 ||
+        tage_open(PyDict_GetItemString(spec, "tage"), &tg) < 0 ||
+        bf_open(PyDict_GetItemString(spec, "bfetch"), &bf) < 0 ||
+        ra_open(PyDict_GetItemString(spec, "runahead"), &ra) < 0)
         goto done;
-    if (t1.on && !mem.misses) {
-        PyErr_SetString(PyExc_ValueError, "native T1 needs native misses");
+    if ((t1.on || bf.on || ra.on) && !mem.misses) {
+        PyErr_SetString(PyExc_ValueError,
+                        "native T1, B-Fetch and CRE need native misses");
+        goto done;
+    }
+    if (ctrl_native && !tg.on) {
+        PyErr_SetString(PyExc_ValueError, "native control needs a TAGE view");
         goto done;
     }
     if (get_buffer(spec, "ba", &v_ba, (void **)&ba) < 0 ||
@@ -2187,13 +2410,6 @@ run_tick_loop(PyObject *self, PyObject *args)
         get_buffer(spec, "hist", &v_hist, (void **)&hist) < 0 ||
         get_buffer(spec, "comm", &v_comm, (void **)&comm) < 0 ||
         get_buffer(spec, "nxt", &v_nxt, (void **)&nxt) < 0 ||
-        get_buffer(spec, "tage_base", &v_tb, (void **)&tg.base) < 0 ||
-        get_buffer(spec, "tage_present", &v_tp, (void **)&tg.present) < 0 ||
-        get_buffer(spec, "tage_tags", &v_tt, (void **)&tg.tags) < 0 ||
-        get_buffer(spec, "tage_ctr", &v_tc, (void **)&tg.ctr) < 0 ||
-        get_buffer(spec, "tage_useful", &v_tu, (void **)&tg.useful) < 0 ||
-        get_buffer(spec, "tage_hist", &v_th, (void **)&tg.hist) < 0 ||
-        get_buffer(spec, "tage_masks", &v_tm, (void **)&tg.masks) < 0 ||
         get_buffer(spec, "btb_tag", &v_bt, (void **)&btb.tag) < 0 ||
         get_buffer(spec, "btb_target", &v_bg, (void **)&btb.target) < 0 ||
         get_buffer(spec, "btb_use", &v_bu, (void **)&btb.use) < 0 ||
@@ -2386,6 +2602,11 @@ run_tick_loop(PyObject *self, PyObject *args)
                 hu.consumed[hint_k] = fetch_time;
                 hb++;
             }
+        } else if (bf.on) {
+            counters[C_BFETCH_FETCHES]++;
+            if (bf_fetch(&bf, &mem, f, pc[i], ea[i], fetch_time) < 0 ||
+                mem.e.err)
+                goto done;
         } else if (cb_on_fetch != NULL) {
             comm[B_I] = (double)i;
             comm[B_T0] = fetch_time;
@@ -2499,6 +2720,12 @@ run_tick_loop(PyObject *self, PyObject *args)
                     aflags = info;
                     if (mem.misses) {
                         mem_train(&mem, ea[i], info, now);
+                        if (ra.on) {
+                            int stepped = ra_load(&ra, &mem, pc[i], now);
+                            if (stepped < 0)
+                                goto done;
+                            counters[C_CRE_STEPS] += stepped;
+                        }
                         if (mem.e.err)
                             goto done;
                     }
@@ -2811,6 +3038,9 @@ done:
     hunit_close(&hu);
     clog_close(&log);
     t1_close(&t1);
+    tage_close(&tg);
+    bf_close(&bf);
+    ra_close(&ra);
     if (v_sbd.obj) PyBuffer_Release(&v_sbd);
     if (v_seq.obj) PyBuffer_Release(&v_seq);
     if (v_pc.obj) PyBuffer_Release(&v_pc);
@@ -2831,13 +3061,6 @@ done:
     if (v_hist.obj) PyBuffer_Release(&v_hist);
     if (v_comm.obj) PyBuffer_Release(&v_comm);
     if (v_nxt.obj) PyBuffer_Release(&v_nxt);
-    if (v_tb.obj) PyBuffer_Release(&v_tb);
-    if (v_tp.obj) PyBuffer_Release(&v_tp);
-    if (v_tt.obj) PyBuffer_Release(&v_tt);
-    if (v_tc.obj) PyBuffer_Release(&v_tc);
-    if (v_tu.obj) PyBuffer_Release(&v_tu);
-    if (v_th.obj) PyBuffer_Release(&v_th);
-    if (v_tm.obj) PyBuffer_Release(&v_tm);
     if (v_bt.obj) PyBuffer_Release(&v_bt);
     if (v_bg.obj) PyBuffer_Release(&v_bg);
     if (v_bu.obj) PyBuffer_Release(&v_bu);

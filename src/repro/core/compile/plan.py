@@ -7,9 +7,10 @@ the branch unit and a declared DLA hint unit natively, which L1/TLB hits
 it serves natively (a generic ``on_memory_access`` hook or an L1
 prefetcher must see every data access, so either keeps the D-side hits in
 Python), and whether it runs the whole memory hierarchy natively (misses,
-write-backs, DRAM, BOP training, prefetch-hint installs, T1 and wrong-path
-pollution: stock structures only) — so the per-instruction loop carries
-no residual config branches on the Python side.
+write-backs, DRAM, BOP training, prefetch-hint installs, T1, B-Fetch's
+walker, CRE's table and wrong-path pollution: stock structures only) — so
+the per-instruction loop carries no residual config branches on the
+Python side.
 """
 
 from __future__ import annotations
@@ -64,6 +65,15 @@ class SpecializationPlan:
     #: for the marked loads it commits, in place of ``on_commit``: needs
     #: ``native_misses`` and the engine prefetching into this core's memory.
     native_t1: bool
+    #: The kernel steps the declared B-Fetch walker
+    #: (``CompiledHookSpec.bfetch``) at every fetch, in place of
+    #: ``on_fetch``: as ``native_t1``, and a stock TAGE walker.
+    native_bfetch: bool
+    #: The kernel steps the declared CRE table (``CompiledHookSpec.runahead``)
+    #: after every load access, in place of ``on_memory_access``: as
+    #: ``native_t1``.  Like the load-miss log it counts as a declared memory
+    #: hook, so it keeps ``native_data_hits``.
+    native_runahead: bool
 
 
 def plan_run(core, hooks) -> SpecializationPlan:
@@ -83,12 +93,20 @@ def plan_run(core, hooks) -> SpecializationPlan:
     native_control = (type(core.predictor) is TageLitePredictor
                       and type(core.btb) is BranchTargetBuffer
                       and type(core.ras) is ReturnAddressStack)
+    stock_misses = (stock_memory(core.memory) and core.l1_prefetcher is None
+                    and type(core.l2_prefetcher) in _NATIVE_L2_PREFETCHERS)
+    # A declared CRE table is stepped natively or not at all: the kernel
+    # cannot step it on the hits it serves while Python serves the misses.
+    runahead = fast.runahead if fast is not None else None
+    native_runahead = (has_on_memory and stock_misses and runahead is not None
+                       and runahead.memory is core.memory)
     native_data_hits = (stock_data
-                        and (not has_on_memory or log_load_misses)
+                        and (not has_on_memory or log_load_misses
+                             or native_runahead)
                         and core.l1_prefetcher is None)
-    native_misses = (native_data_hits and stock_memory(core.memory)
-                     and type(core.l2_prefetcher) in _NATIVE_L2_PREFETCHERS)
+    native_misses = native_data_hits and stock_misses
     t1 = fast.t1 if fast is not None else None
+    bfetch = fast.bfetch if fast is not None else None
     return SpecializationPlan(
         has_branch_hint=hooks.branch_hint is not None,
         has_value_hint=hooks.value_hint is not None,
@@ -104,6 +122,10 @@ def plan_run(core, hooks) -> SpecializationPlan:
         native_misses=native_misses,
         native_t1=(native_misses and t1 is not None
                    and t1.memory is core.memory),
+        native_bfetch=(native_misses and bfetch is not None
+                       and bfetch.memory is core.memory
+                       and type(bfetch.predictor) is TageLitePredictor),
+        native_runahead=native_runahead,
     )
 
 

@@ -25,16 +25,22 @@ import json
 import random
 import zlib
 from array import array
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
+from repro.baselines import BFetchConfig, simulate_bfetch, simulate_cre
+from repro.baselines.bfetch import bfetch_hooks
+from repro.baselines.runahead import runahead_hooks
+from repro.branch.predictors import make_predictor
 from repro.core.compile import (
     FAST_PIPELINE_ENV,
     compiled_ticks_total,
     fast_pipeline_enabled,
     kernel_available,
+    native_bfetch_fetches_total,
+    native_cre_steps_total,
     native_hint_branches_total,
     native_mem_hits_total,
     native_mem_misses_total,
@@ -43,7 +49,12 @@ from repro.core.compile import (
 )
 from repro.core.compile.decoded import decoded_cache_stats
 from repro.core.compile.driver import T1_TABLE
-from repro.core.compile.hookspec import CommitLog, CompiledHookSpec
+from repro.core.compile.hookspec import (
+    BFetchWalker,
+    CommitLog,
+    CompiledHookSpec,
+    RunaheadTable,
+)
 from repro.core.compile.plan import plan_run
 from repro.core.config import SystemConfig
 from repro.core.pipeline import CoreHooks, OutOfOrderCore
@@ -1178,3 +1189,286 @@ def test_native_verdict_draws_form_floats_like_random(prepared, monkeypatch,
         reference = first_verdict()
         _fast(monkeypatch)
         assert first_verdict() == reference
+
+
+# ---------------------------------------------------------------------------
+# native B-Fetch walker and CRE table (fig09's related approaches)
+# ---------------------------------------------------------------------------
+def _predictor_view(predictor):
+    """Every field of a direction predictor, its arrays as lists."""
+    return {name: (list(value) if isinstance(value, (array, list))
+                   else _predictor_view(value) if hasattr(value, "__dict__")
+                   else value)
+            for name, value in vars(predictor).items()}
+
+
+def _walker_view(walker):
+    """A B-Fetch walker's predictor tables, confidence and stride table."""
+    return {"predictor": _predictor_view(walker.predictor),
+            **{name: list(getattr(walker, name)) for name in (
+                "confidence", "has_address", "last_address", "last_stride")}}
+
+
+def _runahead_view(table):
+    """A CRE table's columns and its ``seen`` counters."""
+    return {name: list(getattr(table, name)) for name in (
+        "eligible", "lead", "offset", "count", "future", "seen")}
+
+
+def _related_state(monkeypatch, simulate):
+    """Everything one related-approach run leaves: its CoreResult, energy,
+    traffic and memsys telemetry, the cache/TLB/DRAM/BOP state, and the
+    model's own state (the declaration its hooks carried)."""
+    declared = []
+    core_run = OutOfOrderCore.run
+
+    def recording_run(self, entries, hooks=None, **kwargs):
+        declared.append((self, hooks.fast_hints))
+        return core_run(self, entries, hooks=hooks, **kwargs)
+
+    monkeypatch.setattr(OutOfOrderCore, "run", recording_run)
+    outcome = simulate()
+    monkeypatch.setattr(OutOfOrderCore, "run", core_run)
+    (core, fast), = declared
+    model = (_walker_view(fast.bfetch) if fast.bfetch is not None
+             else _runahead_view(fast.runahead))
+    # Field dicts: json.dumps then sorts the fetch-queue histogram, whose
+    # insertion order the two paths do not share.
+    return {"core": asdict(outcome.core), "energy": asdict(outcome.energy),
+            "traffic": outcome.memory_traffic,
+            "dram_energy": outcome.dram_energy,
+            "memsys": {**outcome.private.memsys_telemetry(),
+                       **outcome.shared.memsys_telemetry()},
+            "hierarchy": _hierarchy_view(outcome.shared, (outcome.private,)),
+            "bop": _bop_view(core.l2_prefetcher), "model": model}
+
+
+def _related_simulation(model, prepared_kernel, config, bfetch=None):
+    program, warmup, timed, profile, _ = prepared_kernel
+    if model == "bfetch":
+        return lambda: simulate_bfetch(timed, config, bfetch,
+                                       warmup_entries=warmup)
+    return lambda: simulate_cre(program, timed, profile, config,
+                                warmup_entries=warmup)
+
+
+@pytest.mark.parametrize("section", sorted(_harness.SYSTEM_PROFILES))
+@pytest.mark.parametrize("kernel", ["branchy", "chase", "stream", "triad"])
+@pytest.mark.parametrize("model", ["bfetch", "cre"])
+def test_related_approach_compiled_matches_reference(prepared, monkeypatch,
+                                                     model, kernel, section):
+    """B-Fetch and CRE compiled (the kernel stepping the walker or table)
+    against the reference interpreter running their Python hooks:
+    type-strict equality of the run, the hierarchy and the model state,
+    and the kernel stepped the model at every fetch / eligible load."""
+    simulate = _related_simulation(model, prepared[kernel],
+                                   _harness.SYSTEM_PROFILES[section]())
+    _reference(monkeypatch)
+    reference = _related_state(monkeypatch, simulate)
+    _fast(monkeypatch)
+    fetches, steps = native_bfetch_fetches_total(), native_cre_steps_total()
+    compiled = _related_state(monkeypatch, simulate)
+    assert_identical(compiled, reference)
+    if model == "cre":
+        assert sum(reference["model"]["seen"]) > 0
+    if kernel_available():
+        stepped = ((native_bfetch_fetches_total() - fetches,
+                    native_cre_steps_total() - steps))
+        assert stepped == ((len(prepared[kernel][2]), 0) if model == "bfetch"
+                           else (0, sum(reference["model"]["seen"])))
+
+
+@pytest.mark.parametrize("model, route", [("bfetch", "gshare_walker"),
+                                          ("bfetch", "l1_stride"),
+                                          ("cre", "l1_stride")])
+def test_related_approach_off_the_native_path_keeps_callbacks(
+        prepared, monkeypatch, model, route):
+    """A walker predicting with gshare, or an L1 stride prefetcher (which
+    keeps the miss path in Python), routes the model through its Python
+    hook even when compiled, and the run still matches the reference."""
+    config = (SystemConfig().with_l1_stride() if route == "l1_stride"
+              else SystemConfig())
+    bfetch = BFetchConfig(predictor="gshare") if route == "gshare_walker" else None
+    simulate = _related_simulation(model, prepared["triad"], config, bfetch)
+    _, private, core = build_single_core(config)
+    if model == "bfetch":
+        predictor = make_predictor(bfetch.predictor if bfetch else "tage")
+        plan = plan_run(core, bfetch_hooks(
+            BFetchWalker.fresh(predictor, private, 8, 4, 1)))
+        assert not plan.native_bfetch and plan.has_on_fetch
+    else:
+        plan = plan_run(core, runahead_hooks(RunaheadTable.fresh(private, 1)))
+        assert not plan.native_runahead and not plan.native_data_hits
+    _reference(monkeypatch)
+    reference = _related_state(monkeypatch, simulate)
+    _fast(monkeypatch)
+    fetches, steps = native_bfetch_fetches_total(), native_cre_steps_total()
+    ticks = compiled_ticks_total()
+    compiled = _related_state(monkeypatch, simulate)
+    assert_identical(compiled, reference)
+    if kernel_available():
+        assert compiled_ticks_total() > ticks
+        assert (native_bfetch_fetches_total(), native_cre_steps_total()) == (
+            fetches, steps)
+
+
+#: The hand-built streams' statics: a conditional branch, three loads and a
+#: filler add.
+_BRANCH = Instruction(pc=0, opcode=Opcode.BNEZ, srcs=(5,), target=1)
+_STREAM_LOADS = [Instruction(pc=pc, opcode=Opcode.LOAD, dst=3, srcs=(4,))
+                 for pc in (1, 2, 3)]
+_FILLER = Instruction(pc=4, opcode=Opcode.ADD, dst=6, srcs=(6, 7))
+
+
+def _fetch_stream(items):
+    """Entries of ``items``: ``True``/``False`` is the branch taken or not,
+    ``(pc, address)`` a load, and a filler add follows each item."""
+    entries = []
+
+    def emit(static, **fields):
+        entries.append(DynamicInst(len(entries), static, result=0,
+                                   next_pc=static.pc + 1, **fields))
+
+    for item in items:
+        if isinstance(item, bool):
+            emit(_BRANCH, taken=item)
+        else:
+            pc, address = item
+            emit(_STREAM_LOADS[pc - 1], effective_address=address)
+        emit(_FILLER)
+    return entries
+
+
+def _loop(pc, start, stride, count, taken=True):
+    """``count`` iterations of a branch then a strided load."""
+    return [item for k in range(count)
+            for item in (taken, (pc, start + k * stride))]
+
+
+def _recording(memory):
+    """Record every L1 prefetch target ``memory`` is asked for (BOP's go
+    to the L2)."""
+    targets = []
+    prefetch = memory.prefetch
+
+    def recording_prefetch(address, now, level="l1"):
+        if level == "l1":
+            targets.append(address)
+        return prefetch(address, now, level=level)
+
+    memory.prefetch = recording_prefetch
+    return targets
+
+
+def test_native_bfetch_matches_python_on_fetch_streams(monkeypatch):
+    """The kernel's B-Fetch walker leaves the walker (TAGE tables,
+    confidence, stride table) and the hierarchy the Python hook leaves,
+    checked type-strictly after every chunk of a hand-built stream: a
+    confident path whose reach ``1 + confidence // 2`` is capped by the
+    distance, a negative stride whose prefetch targets run below 0, a
+    mispredicted branch resetting the confidence (the strided loads after
+    it prefetch nothing), and the climb back."""
+    if not kernel_available():
+        pytest.skip("no C compiler / kernel build failed: fast path inert")
+    distance = 3
+    chunks = [
+        _loop(1, 0x40000, 4096, 12),
+        _loop(2, 11 * 4096, -4096, 12),
+        [False, (1, 0x40000 + 12 * 4096), (1, 0x40000 + 13 * 4096)],
+        _loop(1, 0x40000 + 14 * 4096, 4096, 3),
+    ]
+    config = SystemConfig()
+
+    def side():
+        shared, private, core = build_single_core(config)
+        walker = BFetchWalker.fresh(make_predictor("tage"), private, 8,
+                                    distance, 5)
+        return shared, private, core, walker, bfetch_hooks(walker)
+
+    native, python = side(), side()
+    assert plan_run(native[2], native[4]).native_bfetch
+    targets = _recording(python[1])
+    on_fetch = python[4].on_fetch
+    #: Per load fetched on the Python side: (address, its prefetch targets).
+    issued = []
+
+    def recording_fetch(entry, cycle):
+        before = len(targets)
+        on_fetch(entry, cycle)
+        if entry.static.is_load:
+            issued.append((entry.effective_address, targets[before:]))
+
+    python[4].on_fetch = recording_fetch
+    start, fetched = 0.0, native_bfetch_fetches_total()
+    for index, items in enumerate(chunks):
+        entries = _fetch_stream(items)
+        issued.clear()
+        _fast(monkeypatch)
+        native[2].run(entries, hooks=native[4], start_cycle=start)
+        _reference(monkeypatch)
+        start += python[2].run(entries, hooks=python[4],
+                               start_cycle=start).cycles
+        assert_identical(
+            (_walker_view(native[3]), _hierarchy_view(native[0], (native[1],))),
+            (_walker_view(python[3]), _hierarchy_view(python[0], (python[1],))))
+        walker = python[3]
+        reaches = {len(pf) for _, pf in issued}
+        if index in (0, 1):   # confidence at its cap of 8: reach 5, capped
+            assert walker.confidence[0] == 8 and 1 + 8 // 2 > distance
+            assert max(reaches) == distance
+            stride = 4096 if index == 0 else -4096
+            for address, pf in issued:
+                assert pf == [address + step * stride
+                              for step in range(1, len(pf) + 1)]
+        if index == 1:
+            assert min(target for _, pf in issued for target in pf) < 0
+        if index == 2:        # the not-taken branch mispredicted
+            assert walker.confidence[0] == 0 and reaches == {0}
+            assert walker.last_stride[1] == 4096
+        if index == 3:
+            assert walker.confidence[0] == 3 and reaches == {0, 2}
+    assert native_bfetch_fetches_total() - fetched == 2 * sum(map(len, chunks))
+
+
+def test_native_cre_matches_python_on_load_streams(monkeypatch):
+    """The kernel's CRE table leaves ``seen`` and the hierarchy the Python
+    hook leaves, on a hand-built stream: an independent load (lead 12) and
+    a dependent one (lead 1) both run past their future columns, and an
+    ineligible load never steps."""
+    if not kernel_available():
+        pytest.skip("no C compiler / kernel build failed: fast path inert")
+    count = 20
+    future = {1: [0x10000 + 4096 * k for k in range(count)],
+              2: [0x80000 + 192 * (k * 7 % count) for k in range(count)]}
+    leads = {1: 12, 2: 1}
+    entries = _fetch_stream([
+        item for k in range(count)
+        for item in ((1, future[1][k]), (2, future[2][k]), (3, 0x200 * k))])
+    config = SystemConfig()
+
+    def side():
+        shared, private, core = build_single_core(config)
+        table = RunaheadTable.fresh(private, 5)
+        for pc in (1, 2):
+            table.eligible[pc] = 1
+            table.lead[pc] = leads[pc]
+            table.offset[pc] = len(table.future)
+            table.count[pc] = count
+            table.future.extend(future[pc])
+        return shared, private, core, table, runahead_hooks(table)
+
+    native, python = side(), side()
+    assert plan_run(native[2], native[4]).native_runahead
+    targets = _recording(python[1])
+    steps = native_cre_steps_total()
+    _fast(monkeypatch)
+    native[2].run(entries, hooks=native[4])
+    _reference(monkeypatch)
+    python[2].run(entries, hooks=python[4])
+    assert_identical(
+        (_runahead_view(native[3]), _hierarchy_view(native[0], (native[1],))),
+        (_runahead_view(python[3]), _hierarchy_view(python[0], (python[1],))))
+    assert list(python[3].seen) == [0, count, count, 0, 0]
+    expected = {pc: future[pc][leads[pc]:] for pc in (1, 2)}
+    assert sorted(targets) == sorted(expected[1] + expected[2])
+    assert native_cre_steps_total() - steps == 2 * count

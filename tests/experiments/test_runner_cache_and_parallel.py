@@ -259,7 +259,9 @@ def test_auxiliary_simulations_cached(tmp_path, monkeypatch):
 
 def test_auxiliary_runs_reuse_the_decoded_timed_window():
     """B-Fetch and CRE simulate the setup's own timed list, so after the
-    baseline decoded it every further cell of the window is a memo hit."""
+    baseline decoded it every further lookup of the window is a memo hit:
+    two per cell, the model's own (its per-PC table reads the decoded
+    columns) and its run's."""
     from repro.baselines import simulate_bfetch, simulate_cre
     from repro.core.compile import kernel_available
     from repro.core.compile.decoded import decoded_cache_stats
@@ -278,7 +280,7 @@ def test_auxiliary_runs_reuse_the_decoded_timed_window():
     after = decoded_cache_stats()
     assert runner.stats.simulations == 3
     assert after["decodes"] == before["decodes"]
-    assert after["hits"] == before["hits"] + 2
+    assert after["hits"] == before["hits"] + 4
 
 
 # ---------------------------------------------------------------------------
