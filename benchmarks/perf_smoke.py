@@ -22,12 +22,15 @@ hints (``native_hint_branches > 0``), the R3 cells' T1 steps
 (``native_verdict_draws > 0``), the B-Fetch cell's walker
 (``native_bfetch_fetches > 0``), the CRE cell's table
 (``native_cre_steps > 0``) and the workloads' functional emulation
-(``native_emulated > 0``), and exits with status 2 otherwise — in CI this
-turns a silent fallback to the reference interpreter, to the Python
-memory accessors, to the Python hint hooks, T1, verdict draws, B-Fetch or
-CRE hooks or to the Python emulator (no C compiler on the runner, a kernel
-build break, a non-stock cache type or branch unit) into a red job instead
-of a quietly slower number.
+(``native_emulated > 0``), and that every one of its cells fits the
+kernel (``interpreted_runs == 0``: no run went to the interpreter while
+the kernel was loaded), and exits with status 2 otherwise — in CI this
+turns a silent fallback to the reference interpreter or the Python
+emulator (no C compiler on the runner, a kernel build break) into a red
+job instead of a quietly slower number, and so does a cell that stopped
+fitting the kernel (an undeclared hook, a non-stock cache type, branch
+unit or prefetcher), which makes its runs about 3x slower while
+``compiled_ticks`` stays above 0.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     # cache's one-off C compile never lands inside the printed wall time.
     from repro.core.compile import (
         compiled_ticks_total,
+        interpreted_runs_total,
         kernel_available,
         native_bfetch_fetches_total,
         native_cre_steps_total,
@@ -74,6 +78,7 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     bfetch_fetches = native_bfetch_fetches_total()
     cre_steps = native_cre_steps_total()
     emulated = native_emulated_total()
+    interpreted = interpreted_runs_total()
     started = time.perf_counter()
     # Fresh in-memory caches and no disk cache: measure real simulation speed.
     runner = ExperimentRunner(quick=True,
@@ -124,6 +129,7 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
                                         - bfetch_fetches)
     payload["native_cre_steps"] = native_cre_steps_total() - cre_steps
     payload["native_emulated"] = native_emulated_total() - emulated
+    payload["interpreted_runs"] = interpreted_runs_total() - interpreted
     print(f"perf_smoke[{workload}+{memory_workload}]: "
           f"{payload['simulations']} simulations, "
           f"{payload['simulated_instructions']} instructions in {wall:.2f}s "
@@ -137,7 +143,8 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
           f"{payload['native_verdict_draws']} native verdict draws, "
           f"{payload['native_bfetch_fetches']} native B-Fetch fetches, "
           f"{payload['native_cre_steps']} native CRE steps, "
-          f"{payload['native_emulated']} natively emulated)")
+          f"{payload['native_emulated']} natively emulated, "
+          f"{payload['interpreted_runs']} runs interpreted)")
     return payload
 
 
@@ -154,10 +161,11 @@ def _parse_args(argv=None) -> argparse.Namespace:
              "setup_compiled_ticks, native_mem_hits, native_mem_misses, "
              "native_hint_branches, native_t1_commits, "
              "native_verdict_draws, native_bfetch_fetches, "
-             "native_cre_steps and native_emulated all > 0); guards CI "
-             "against a silent fallback to the reference interpreter, the "
-             "Python memory accessors, the Python hint hooks, T1, draws, "
-             "B-Fetch or CRE or the Python emulator",
+             "native_cre_steps and native_emulated all > 0) and that no "
+             "cell left the kernel (interpreted_runs == 0); guards CI "
+             "against a silent fallback to the reference interpreter or "
+             "the Python emulator, and against a cell that stopped fitting "
+             "the kernel",
     )
     return parser.parse_args(argv)
 
@@ -176,3 +184,8 @@ if __name__ == "__main__":
                       f"({key} == 0) but --require-compiled was set",
                       file=sys.stderr)
                 sys.exit(2)
+        if result["interpreted_runs"]:
+            print(f"perf_smoke: {result['interpreted_runs']} runs did not "
+                  f"fit the compiled kernel and went to the interpreter but "
+                  f"--require-compiled was set", file=sys.stderr)
+            sys.exit(2)

@@ -1,13 +1,13 @@
-"""Compiled tick pipeline: per-config specialized hot loops.
+"""Compiled tick pipeline: one native mode, or the reference interpreter.
 
 Setup-time passes replace the interpreted per-instruction loop in
-:mod:`repro.core.pipeline` with a compiled kernel plus a thin set of
-per-variant Python callbacks:
+:mod:`repro.core.pipeline` with a compiled kernel that runs the whole
+simulation natively:
 
-1. **Plan** (:mod:`repro.core.compile.plan`) — resolve every run-invariant
-   config branch (which hooks exist, which prefetchers train, whether the
-   fast memory accessors are sound) into a frozen
-   :class:`SpecializationPlan`.
+1. **Plan** (:mod:`repro.core.compile.plan`) — decide once per run whether
+   it fits the kernel: stock structures only, and every hook that is set
+   covered by a declaration the kernel runs.  A run that does not fit goes
+   to the reference interpreter.
 2. **Decode** (:mod:`repro.core.compile.decoded`) — flatten per-opcode
    attributes of the trace window into typed arrays, memoized per window
    (timing runs over one-shot profiling windows decode unmemoized).
@@ -15,21 +15,21 @@ per-variant Python callbacks:
    per interpreter ABI with the system C compiler, cached on disk under
    ``.repro_cache/compiled/``.
 4. **Run** (:mod:`repro.core.compile.driver`) — drive the kernel.  The
-   branch unit and the memory hierarchy (on a stock hierarchy: misses,
-   write-backs, MSHRs, write buffers, DRAM, BOP training, prefetch-hint
-   installs and wrong-path pollution; otherwise L1/TLB hits) run natively
-   on the model objects' own arrays, and a DLA main thread's declared hint
-   unit runs natively over its columns (its verdicts drawn natively
-   too), and so do a declared T1 engine, B-Fetch walker and CRE table on
-   a stock hierarchy; every other model interaction (non-stock structures,
-   other prefetchers, generic hooks) happens through callbacks, so dynamic
-   state lives exactly where the reference keeps it.  Warm-up replay runs on the same kernel
-   (:func:`replay_compiled`).
+   branch unit and the whole memory hierarchy (accesses, misses,
+   write-backs, MSHRs, write buffers, DRAM, BOP training and wrong-path
+   pollution) run natively on the model objects' own arrays, and so do the
+   declared hook models: a DLA main thread's hint unit over its columns
+   (prefetch-hint installs included; its verdicts are drawn natively too),
+   T1, B-Fetch's walker, CRE's table and a look-ahead pass's commit and
+   load-miss logs.  The kernel calls no Python while it runs, so dynamic
+   state lives exactly where the reference keeps it.  Warm-up replay of a
+   stock hierarchy runs on the same kernel (:func:`replay_compiled`).
 
-``REPRO_FAST_PIPELINE=0`` disables all of it and the reference
-interpreter carries every run; any failure (no compiler, compile error)
-degrades to the same fallback silently.  The golden equivalence tests pin
-both paths to bit-identical results.
+The reference interpreter carries a run for one of three reasons:
+``REPRO_FAST_PIPELINE=0`` is set, the kernel failed to build (no compiler,
+compile error: a silent fallback), or the run does not fit the kernel
+(counted by :func:`interpreted_runs_total`).  The golden equivalence tests
+pin both paths to bit-identical results.
 """
 
 from __future__ import annotations
@@ -70,6 +70,10 @@ _native_bfetch_fetches = 0
 
 #: Load accesses the kernel's native CRE table stepped (eligible PCs).
 _native_cre_steps = 0
+
+#: Runs the interpreter carried, with the kernel loaded, because they do
+#: not fit it.
+_interpreted_runs = 0
 
 
 def fast_pipeline_enabled() -> bool:
@@ -161,6 +165,12 @@ def _add_native_cre_steps(count: int) -> None:
     _native_cre_steps += count
 
 
+def interpreted_runs_total() -> int:
+    """Process-wide count of runs that did not fit the loaded kernel and
+    went to the reference interpreter."""
+    return _interpreted_runs
+
+
 def native_kernel():
     """The compiled kernel module, or ``None`` under the kill-switch or
     when it cannot be built."""
@@ -181,13 +191,19 @@ def maybe_run_compiled(core, entries: Sequence, hooks, start_cycle: float,
     """Run one simulation on the compiled path, or ``None`` to fall back.
 
     ``None`` means the reference interpreter must carry the run: the
-    kill-switch is set or the kernel failed to build.
+    kill-switch is set, the kernel failed to build, or the run does not fit
+    the kernel (:func:`~repro.core.compile.plan.plan_run`).
     """
-    global _compiled_ticks
+    global _compiled_ticks, _interpreted_runs
     kernel = native_kernel()
     if kernel is None:
         return None
     from repro.core.compile.driver import run_compiled
+    from repro.core.compile.plan import plan_run
+
+    if not plan_run(core, hooks):
+        _interpreted_runs += 1
+        return None
 
     result = run_compiled(kernel, core, entries, hooks, start_cycle,
                           collect_timings)
@@ -207,9 +223,10 @@ def classify_compiled(memory, ea, stores, cycles):
 
 
 def replay_compiled(memory, inputs, cycles_per_access: int) -> None:
-    """Warm-up replay of one core on the kernel (the caller checked
-    :func:`kernel_available`); ``inputs`` are the window's
-    :func:`~repro.core.compile.decoded.replay_inputs`."""
+    """Warm-up replay of one core's stock hierarchy on the kernel (the
+    caller checked :func:`kernel_available` and
+    :func:`~repro.core.compile.plan.stock_memory`); ``inputs`` are the
+    window's :func:`~repro.core.compile.decoded.replay_inputs`."""
     from repro.core.compile.build import load_kernel
     from repro.core.compile.driver import replay_warmup
 

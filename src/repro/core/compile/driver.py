@@ -1,38 +1,27 @@
 """Driver for the compiled tick loop.
 
-``run_compiled`` marshals one run onto the C kernel: the decoded trace's
-flat arrays go in as zero-copy buffers, and every model interaction the
-kernel cannot perform itself — a non-stock memory structure or branch
-unit, an L1 or non-BOP L2 prefetcher, generic hooks, and T1, B-Fetch, CRE
-and hint installs when the memory hierarchy stays in Python — comes back out
-through small per-event callbacks that communicate over a shared
-``array('d')`` buffer (argument marshalling through object calls would
-dominate otherwise).  The branch unit runs natively on the model objects'
-own flat arrays, and so does the memory hierarchy (:class:`_NativeMemory`):
-L1/TLB hits always, and on a stock hierarchy every miss, write-back,
-occupancy-resource operation, DRAM access, BOP training step and
-wrong-path polluting load.  ``replay_warmup`` drives warm-up replay over
-the same native memory path.
+``run_compiled`` marshals one run that fits the kernel (see
+:mod:`repro.core.compile.plan`) onto it: the decoded trace's flat arrays
+go in as zero-copy buffers, and so does every model the run touches.  The
+branch unit runs on the predictor's, BTB's and RAS's own arrays, and the
+whole stock memory hierarchy (:class:`_NativeMemory`) on its structures'
+arrays: every access, miss, write-back, occupancy-resource operation,
+DRAM access, BOP training step and wrong-path polluting load.  The kernel
+calls no Python while it runs; per-run counters come back in arrays that
+are credited to the models' stats afterwards.
 
-A DLA main thread declares its hint unit
-(:class:`~repro.core.compile.hookspec.HintUnit`): its columns go in
-zero-copy, its run state goes in and comes back through one small
-``array('d')``, and the kernel installs due prefetch hints itself (or
-calls back once per fetch that brings some due, when the memory hierarchy
-stays in Python).  ``draw_verdicts`` draws the unit's verdicts natively
-before the run.  An R3 main thread also declares its T1 engine, whose
-table the kernel steps in place on a stock hierarchy (else ``on_commit``
-fires for the marked PCs).  The related-approach models declare theirs
-the same way: B-Fetch its shadow walker (TAGE plus stride table, stepped
-at every fetch in place of ``on_fetch``) and CRE its runahead table
-(stepped after every load access in place of ``on_memory_access``); on
-any other hierarchy, or with another walker predictor, those hooks fire
-as callbacks.  A look-ahead pass declares a commit log, which the kernel
-writes into preallocated columns.
+A hook source's declarations (:mod:`repro.core.compile.hookspec`) go in
+the same way: a DLA main thread's hint unit (its columns zero-copy, its
+run state through one small ``array('d')``; the kernel also installs its
+due prefetch hints), an R3 main thread's T1 table, B-Fetch's shadow
+walker, CRE's runahead table, and a look-ahead pass's commit log and
+load-miss log.  ``draw_verdicts`` draws a hint unit's verdicts natively
+before the run, and ``replay_warmup`` / ``classify_accesses`` drive
+warm-up replay and miss classification over the same native memory path.
 
-Every callback body is a statement-for-statement transcription of the
-corresponding block of :meth:`repro.core.pipeline.OutOfOrderCore.run`; the
-golden equivalence suites pin the two paths together bit-for-bit.
+The kernel transcribes :meth:`repro.core.pipeline.OutOfOrderCore.run`
+statement-for-statement; the golden equivalence suites pin the two paths
+together bit-for-bit.
 """
 
 from __future__ import annotations
@@ -42,8 +31,6 @@ from typing import Sequence
 
 from repro.core.results import CoreResult, InstructionTimings
 from repro.emulator.trace import DynamicInst
-from repro.memory.hierarchy import access_result
-
 from repro.memory.resources import BankedMshrFile
 
 from repro.core.compile import (
@@ -56,10 +43,6 @@ from repro.core.compile import (
     _add_native_verdict_draws,
 )
 from repro.core.compile.decoded import decode_trace, get_decoded
-from repro.core.compile.plan import plan_run, stock_hit_sides, stock_memory
-
-#: Comm-buffer slots (must match kernel.c).
-B_I, B_T0, B_T1, B_OUT0, B_OUT1, B_LAST = range(6)
 
 #: Counter slots (must match kernel.c).
 (C_L1I_ACC, C_L1I_MISS, C_L1D_ACC, C_L1D_MISS, C_L2_MISS, C_DRAM,
@@ -75,13 +58,11 @@ B_I, B_T0, B_T1, B_OUT0, B_OUT1, B_LAST = range(6)
 R_TRAIN, R_PF_L1, R_PF_L2, R_PREFILL = 2048, 4096, 8192, 16384
 
 #: HintUnit run state, in the order of the kernel's hint-state slots; three
-#: more slots follow for the run's own fetch stall on hints and the installs
-#: and drops the kernel made itself (must match kernel.c).  Those are counted
-#: from 0 and added, so installs the ``install`` callback counts survive.
+#: more slots follow for the run's own fetch stall on hints and its prefetch
+#: installs and drops (must match kernel.c), counted from 0 and added.
 _HINT_STATE = ("offset", "fq_occupancy", "fq_prefetches", "fq_values",
                "reboots", "branch_cursor", "value_cursor", "prefetch_cursor")
 
-_NAN = float("nan")
 _EMPTY_Q = array("q", (0,))
 
 
@@ -134,29 +115,25 @@ def _resource(resource):
 
 
 class _NativeMemory:
-    """Kernel views of one core's memory system, with per-run counters.
+    """Kernel views of one core's (stock) memory system, with per-run
+    counters.
 
     Each view is the structure's own arrays (zero-copy) plus a fresh
     counter array the kernel bumps; :meth:`settle` adds those counts to
-    the structures' stats once the kernel returns and writes back the L2
-    prefetcher's scalar state.  With ``inst`` / ``data`` only that side's
-    L1 (and TLB) hits run natively; with ``misses`` the whole hierarchy,
-    BOP training included, does.  A level left out gets ``None``.
+    the structures' stats once the kernel returns and writes back the BOP
+    L2 prefetcher's scalar state.
     """
 
-    def __init__(self, memory, inst: bool, data: bool, misses: bool,
-                 l2_prefetcher=None) -> None:
+    def __init__(self, memory, l2_prefetcher=None) -> None:
         self._credits = []
-        self._bop = l2_prefetcher if misses else None
+        self._bop = l2_prefetcher
         shared = memory.shared
         self.spec = (
-            self._cache(memory.l1i) if inst else None,
-            self._cache(memory.l1d) if data else None,
-            self._cache(memory.l2) if misses else None,
-            self._cache(shared.l3) if misses else None,
-            self._tlb(memory.tlb) if data else None,
-            self._dram(shared.dram) if misses else None,
-            self._bop_view(self._bop) if self._bop is not None else None,
+            self._cache(memory.l1i), self._cache(memory.l1d),
+            self._cache(memory.l2), self._cache(shared.l3),
+            self._tlb(memory.tlb), self._dram(shared.dram),
+            self._bop_view(l2_prefetcher) if l2_prefetcher is not None
+            else None,
             int(memory.lookahead_mode),
         )
 
@@ -227,7 +204,8 @@ class _NativeMemory:
 
 def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
                  start_cycle: float, collect_timings: bool) -> CoreResult:
-    """Run one simulation on the compiled kernel.
+    """Run one simulation that fits the kernel (see
+    :func:`~repro.core.compile.plan.plan_run`).
 
     ``collect_timings`` has the kernel fill the issue and complete columns
     next to the fetch/dispatch/commit arrays it always keeps.  Timing runs
@@ -235,7 +213,6 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
     copied sample), so their decode bypasses the process-wide memo rather
     than retaining a window no later run will reuse.
     """
-    plan = plan_run(core, hooks)
     cfg = core.config
     result = CoreResult(name=core.name)
     n = len(entries)
@@ -244,11 +221,6 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
 
     decoded = decode_trace(entries) if collect_timings else get_decoded(entries)
     memory = core.memory
-    ea = decoded.ea
-    pcs = decoded.pcs
-    flags = decoded.flags
-
-    comm = array("d", bytes(8 * 6))
     fetch_times = array("d", bytes(8 * n))
     dispatch_times = array("d", bytes(8 * n))
     commit_times = array("d", bytes(8 * n))
@@ -258,201 +230,28 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
     hist_capacity = cfg.fetch_buffer_entries
     hist = array("q", bytes(8 * (hist_capacity + 1)))
 
-    handle_control = core._handle_control
-    wrong_path_pollution = core._wrong_path_pollution
-    access_data_fast = memory.access_data_fast
-    access_inst_fast = memory.access_inst_fast
-
-    # ---------------- instruction-side access ----------------
-    ba = decoded.ba
-
-    def cb_icache():
-        ready, info = access_inst_fast(ba[int(comm[0])], int(comm[1]))
-        comm[3] = ready
-        comm[4] = info
-
-    # ---------------- data-side access ----------------
-    run_prefetchers = core._run_prefetchers
-    has_prefetchers = (core.l1_prefetcher is not None
-                       or core.l2_prefetcher is not None)
-    # A declared load-miss log is filled by the kernel, and a native CRE
-    # table stepped by it; any other memory hook observes each access's
-    # AccessResult view.
-    hook_on_memory = (None if plan.log_load_misses or plan.native_runahead
-                      else hooks.on_memory_access)
-
-    def cb_load():
-        i = int(comm[0])
-        issue = comm[1]
-        now = int(issue)
-        address = ea[i]
-        ready, info = access_data_fast(address, now, False)
-        if has_prefetchers:
-            run_prefetchers(pcs[i], address, info, now)
-        if hook_on_memory is not None:
-            hook_on_memory(entries[i], access_result(ready, info, now), issue)
-        comm[3] = ready
-        comm[4] = info
-
-    def cb_store():
-        i = int(comm[0])
-        commit_time = comm[1]
-        now = int(commit_time)
-        address = ea[i]
-        ready, info = access_data_fast(address, now, True)
-        if has_prefetchers:
-            run_prefetchers(pcs[i], address, info, now)
-        if hook_on_memory is not None:
-            hook_on_memory(entries[i], access_result(ready, info, now),
-                           commit_time)
-        comm[4] = info
-
-    # ---------------- control flow ----------------
-    pending_hint = [None]
-
-    def last_load_address():
-        # The kernel keeps the trace index of the latest load in B_LAST.
-        k = int(comm[B_LAST])
-        return ea[k] if k >= 0 else None
-
-    def cb_control():
-        i = int(comm[0])
-        if flags[i] & 1:  # F_BRANCH: consume the hint stashed at fetch
-            hint = pending_hint[0]
-            pending_hint[0] = None
-        else:
-            hint = None
-        redirect = handle_control(entries[i], comm[1], comm[2], hint, hooks,
-                                  result)
-        if redirect is None:
-            comm[3] = _NAN
-        else:
-            comm[3] = redirect
-            wrong_path_pollution(last_load_address(), comm[1], result)
-
-    # ---------------- native branch unit ----------------
-    # The kernel runs TAGE/BTB/RAS itself — directly on the Python
-    # objects' own flat arrays, so state persists across runs exactly as
-    # in the interpreter — when the core carries the stock structures.
-    # A subclass or an alternative predictor falls back to cb_control.
-    predictor = core.predictor
+    # The branch unit runs on the Python objects' own flat arrays, so its
+    # state persists across runs exactly as in the interpreter.  The RAS is
+    # tiny: it is marshalled into a flat array for the run and written back
+    # after.
     btb = core.btb
     ras = core.ras
-    ctrl_native = 1 if plan.native_control else 0
-    cb_hint_miss = None
-    cb_redirect = None
-    if ctrl_native:
-        # The RAS is tiny: marshal it into a flat array for the run and
-        # write the result back after (the predictor and BTB are shared
-        # zero-copy and need no copies at all).
-        ras_stack = array("q", bytes(8 * ras.depth))
-        for k, address in enumerate(ras._stack):
-            ras_stack[k] = address
-        ras_state = array("q", [len(ras._stack), ras.pushes, ras.pops,
-                                ras.overflows, ras.underflows])
-        hook_hint_miss = hooks.on_hint_mispredict
-        if hook_hint_miss is not None and not plan.native_hints:
-            def cb_hint_miss():
-                hook_hint_miss(entries[int(comm[0])], comm[1])
+    ras_stack = array("q", bytes(8 * ras.depth))
+    for k, address in enumerate(ras._stack):
+        ras_stack[k] = address
+    ras_state = array("q", [len(ras._stack), ras.pushes, ras.pops,
+                            ras.overflows, ras.underflows])
 
-        if not plan.native_misses:
-            def cb_redirect():
-                wrong_path_pollution(last_load_address(), comm[1], result)
-
-        native_spec = dict(
-            tage=_tage_view(predictor),
-            btb_sets=btb.num_sets,
-            btb_assoc=btb.associativity,
-            btb_tag=btb._tag,
-            btb_target=btb._target,
-            btb_use=btb._last_use,
-            btb_count=btb._count,
-            ras_depth=ras.depth,
-            ras_stack=ras_stack,
-            ras_state=ras_state,
-        )
-    else:
-        ras_stack = _EMPTY_Q
-        ras_state = array("q", bytes(8 * 5))
-        native_spec = dict(
-            tage=None, btb_sets=1, btb_assoc=1,
-            btb_tag=_EMPTY_Q, btb_target=_EMPTY_Q, btb_use=_EMPTY_Q,
-            btb_count=_EMPTY_Q,
-            ras_depth=1, ras_stack=ras_stack, ras_state=ras_state,
-        )
-
-    # ---------------- optional hook callbacks ----------------
-    #: Declarations from the hook source (None for generic hooks, which
-    #: keep the fire-on-every-instruction contract).
     fast = hooks.fast_hints
-    unit = fast.hint_unit if plan.native_hints else None
-
-    cb_branch_hint = None
-    if plan.has_branch_hint and unit is None:
-        hook_branch_hint = hooks.branch_hint
-
-        def cb_branch_hint():
-            i = int(comm[0])
-            fetch_time = comm[1]
-            hint = hook_branch_hint(entries[i])
-            pending_hint[0] = hint
-            if hint is None:
-                comm[4] = 0.0
-            else:
-                comm[4] = float(1 | (2 if hint.correct else 0)
-                                | (4 if hint.has_target else 0))
-                if hint.available > fetch_time:
-                    result.fetch_stall_on_hint += hint.available - fetch_time
-                    fetch_time = hint.available
-            comm[3] = fetch_time
-
-    # A native hint unit or B-Fetch walker is the whole of ``on_fetch``.
-    cb_on_fetch = None
-    if plan.has_on_fetch and unit is None and not plan.native_bfetch:
-        hook_on_fetch = hooks.on_fetch
-
-        def cb_on_fetch():
-            hook_on_fetch(entries[int(comm[0])], comm[1])
-
-    cb_on_commit = None
-    commit_filter = 0
-    commit_pcs = _EMPTY_Q
-    n_commit_pcs = 0
-    if plan.has_on_commit and not plan.native_t1:
-        hook_on_commit = hooks.on_commit
-        declared = fast.commit_pcs if fast is not None else None
-        if declared is not None:
-            commit_filter = 1
-            if declared:
-                commit_pcs = array("q", sorted(declared))
-                n_commit_pcs = len(commit_pcs)
-
-        def cb_on_commit():
-            hook_on_commit(entries[int(comm[0])], comm[1])
-
-    cb_value_hint = None
-    if plan.has_value_hint and unit is None:
-        hook_value_hint = hooks.value_hint
-
-        def cb_value_hint():
-            candidate = hook_value_hint(entries[int(comm[0])])
-            if candidate is None or candidate.available > comm[1]:
-                comm[3] = 0.0
-            elif candidate.skip_validation:
-                comm[3] = 1.0
-            elif candidate.correct:
-                comm[3] = 2.0
-            else:
-                comm[3] = 3.0
-
+    unit = fast.hint_unit if fast is not None else None
     hint_spec = None
     if unit is not None:
         hint_state = array("d", [getattr(unit, name) for name in _HINT_STATE])
         hint_state.extend((0.0, 0.0, 0.0))
         hint_spec = (unit.branch_seqs, unit.branch_times, unit.branch_correct,
                      unit.value_seqs, unit.value_times, unit.value_verdicts,
-                     unit.prefetch_times, unit.prefetch_addresses, hint_state, unit.boq_entries,
-                     unit.reboot_penalty, unit.fq_capacity, unit.install)
+                     unit.prefetch_times, unit.prefetch_addresses, hint_state,
+                     unit.boq_entries, unit.reboot_penalty, unit.fq_capacity)
 
     log = fast.commit_log if fast is not None else None
     log_spec = None
@@ -462,24 +261,22 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
         log_spec = (array("q", sorted(log.pcs)) if log.pcs else _EMPTY_Q,
                     len(log.pcs)) + log_columns
 
-    native = _NativeMemory(memory, plan.native_inst_hits,
-                           plan.native_data_hits, plan.native_misses,
-                           core.l2_prefetcher)
-    t1_spec = native.t1_view(fast.t1) if plan.native_t1 else None
+    native = _NativeMemory(memory, core.l2_prefetcher)
+    t1 = fast.t1 if fast is not None else None
+    walker = fast.bfetch if fast is not None else None
+    table = fast.runahead if fast is not None else None
     bfetch_spec = runahead_spec = None
-    if plan.native_bfetch:
-        walker = fast.bfetch
+    if walker is not None:
         bfetch_spec = (_tage_view(walker.predictor), walker.lookahead_branches,
                        walker.distance, walker.confidence, walker.has_address,
                        walker.last_address, walker.last_stride)
-    if plan.native_runahead:
-        table = fast.runahead
+    if table is not None:
         runahead_spec = (table.eligible, table.lead, table.offset, table.count,
                          table.future, table.seen)
-    # Wrong-path pollution (OutOfOrderCore._wrong_path_pollution) runs in
-    # the kernel with native misses: what one redirect adds.
+    # Wrong-path pollution (OutOfOrderCore._wrong_path_pollution): what one
+    # redirect adds.
     wrong_path = None
-    if ctrl_native and plan.native_misses and cfg.model_wrong_path:
+    if cfg.model_wrong_path:
         depth = min(cfg.fetch_buffer_entries + cfg.decode_width,
                     cfg.branch_mispredict_penalty * cfg.fetch_width)
         wrong_path = (depth, int(depth * 0.6), min(4, max(1, depth // 8)),
@@ -502,29 +299,25 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
         num_regs=decoded.num_regs,
         hist_capacity=hist_capacity,
         hist_sample=4,
-        commit_filter=commit_filter, n_commit_pcs=n_commit_pcs,
-        ctrl_native=ctrl_native,
         branch_mispredict_penalty=float(cfg.branch_mispredict_penalty),
         ba=decoded.ba, flags=decoded.flags, ea=decoded.ea, lat=decoded.lat,
         dst=decoded.dst, srcs=decoded.srcs, srcs_off=decoded.srcs_off,
         sb_dst=decoded.sb_dst, seq=decoded.seq, pc=decoded.pcs,
         nxt=decoded.nxt,
-        commit_pcs=commit_pcs,
         fetch_times=fetch_times, dispatch_times=dispatch_times,
         commit_times=commit_times, issue_times=issue_times,
         complete_times=complete_times,
-        counters=counters, hist=hist, comm=comm,
-        cb_icache=cb_icache, cb_load=cb_load, cb_store=cb_store,
-        cb_control=None if ctrl_native else cb_control,
-        cb_branch_hint=cb_branch_hint,
-        cb_on_fetch=cb_on_fetch, cb_on_commit=cb_on_commit,
-        cb_value_hint=cb_value_hint,
-        cb_hint_miss=cb_hint_miss, cb_redirect=cb_redirect,
-        load_miss_log=fast.load_miss_log if plan.log_load_misses else None,
+        counters=counters, hist=hist,
+        tage=_tage_view(core.predictor),
+        btb_sets=btb.num_sets, btb_assoc=btb.associativity,
+        btb_tag=btb._tag, btb_target=btb._target, btb_use=btb._last_use,
+        btb_count=btb._count,
+        ras_depth=ras.depth, ras_stack=ras_stack, ras_state=ras_state,
+        load_miss_log=fast.load_miss_log if fast is not None else None,
         hint_unit=hint_spec, commit_log=log_spec, wrong_path=wrong_path,
-        memory=native.spec, t1=t1_spec, bfetch=bfetch_spec,
-        runahead=runahead_spec,
-        **native_spec,
+        memory=native.spec,
+        t1=native.t1_view(t1) if t1 is not None else None,
+        bfetch=bfetch_spec, runahead=runahead_spec,
     )
     try:
         kernel.run_tick_loop(spec)
@@ -536,12 +329,11 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
     _add_native_bfetch_fetches(counters[C_BFETCH_FETCHES])
     _add_native_cre_steps(counters[C_CRE_STEPS])
 
-    if ctrl_native:
-        ras._stack = list(ras_stack[:ras_state[0]])
-        ras.pushes = ras_state[1]
-        ras.pops = ras_state[2]
-        ras.overflows = ras_state[3]
-        ras.underflows = ras_state[4]
+    ras._stack = list(ras_stack[:ras_state[0]])
+    ras.pushes = ras_state[1]
+    ras.pops = ras_state[2]
+    ras.overflows = ras_state[3]
+    ras.underflows = ras_state[4]
 
     result.l1i_accesses += counters[C_L1I_ACC]
     result.l1i_misses += counters[C_L1I_MISS]
@@ -598,7 +390,7 @@ def classify_accesses(kernel, memory, ea: array, stores: array,
     """The packed info word of each data access ``(ea[k], stores[k])`` at
     ``cycles[k]``, run in order through ``memory`` (a stock hierarchy) on
     the kernel: ``access_data_fast``'s second result, for every access."""
-    native = _NativeMemory(memory, True, True, True)
+    native = _NativeMemory(memory)
     info = array("B", bytes(len(ea)))
     try:
         hits, misses = kernel.classify_accesses(dict(
@@ -615,20 +407,17 @@ def replay_warmup(kernel, memory, inputs, cycles_per_access: int,
                   l2_prefetcher=None) -> None:
     """Replay a warm-up window's memory accesses into ``memory`` on the
     kernel: the loop of :func:`repro.core.system._replay_warmup` (same
-    accesses, order and pacing), natively on a stock hierarchy and with
-    only L1/TLB hits native otherwise.  ``inputs`` are ``(ba, flags, ea)``
-    columns; the kernel's extra flag bits (prefetches, TLB prefills,
-    training ``l2_prefetcher``) make them any access stream."""
+    accesses, order and pacing) on a stock hierarchy.  ``inputs`` are
+    ``(ba, flags, ea)`` columns; the kernel's extra flag bits (prefetches,
+    TLB prefills, training ``l2_prefetcher``) make them any access
+    stream."""
     ba, flags, ea = inputs
-    native = _NativeMemory(memory, *stock_hit_sides(memory),
-                           stock_memory(memory), l2_prefetcher)
+    native = _NativeMemory(memory, l2_prefetcher)
     try:
         hits, misses = kernel.replay_warmup(dict(
             n=len(ba), ba=ba, flags=flags, ea=ea,
             block_bytes=memory.config.l1i.block_bytes,
             cycles_per_access=cycles_per_access,
-            cb_inst=memory.access_inst_fast,
-            cb_data=memory.access_data_fast,
             memory=native.spec,
         ))
     finally:

@@ -2,41 +2,36 @@
 
 The reference interpreter calls every hook once per instruction.  A hook
 source that knows more about its own behaviour declares it here, and the
-compiled kernel then does the work itself or calls back only where a call
-can matter:
+compiled kernel then does the work itself.  A run fits the kernel only
+when a declaration covers every hook it sets
+(:func:`repro.core.compile.plan.plan_run`):
 
-* **Sparse commit hook** (``commit_pcs``): fire ``on_commit`` only for
-  instructions whose PC is declared.  A skipped call must be an observable
-  no-op.  With a declared T1 engine and the stock memory hierarchy the
-  kernel fires none: it steps the engine itself.
-* **Load-miss log** (``load_miss_log``): the kernel appends
-  ``(issue_cycle, address)`` for every load missing the L1 in place of an
-  ``on_memory_access`` hook that did only that.
-* **Commit log** (:class:`CommitLog`): program-order ``(trace index, commit
-  cycle)`` rows of every committed conditional branch and of every
-  instruction at a declared PC.  Both paths fill it: the kernel in its
-  loop, the interpreter from its commit column after the run.
 * **Hint unit** (:class:`HintUnit`): a DLA main thread's whole hint stream
   as columns — branch hints with their BOQ-capacity gate, value hints with
-  the validation scoreboard, prefetch hints, reboots and FQ occupancy.  The
-  kernel runs it natively (installing due prefetch hints itself when it
-  runs the memory hierarchy, else through one Python call); the
-  interpreter runs the hint source's hooks over the same columns
-  and state, which keeps them the oracle.
+  the validation scoreboard, prefetch hints (installed by the kernel),
+  reboots and FQ occupancy.  Covers ``branch_hint``, ``value_hint``,
+  ``on_hint_mispredict`` and ``on_fetch``; the interpreter runs the hint
+  source's hooks over the same columns and state, which keeps them the
+  oracle.
 * **T1** (``t1``): the hook source's ``on_commit`` only steps this
-  :class:`~repro.dla.t1.T1PrefetchEngine` for committed loads.  When the
-  kernel runs the memory hierarchy natively it steps the engine's table
-  arrays itself and issues the prefetches.
+  :class:`~repro.dla.t1.T1PrefetchEngine` for committed loads; the kernel
+  steps the engine's table arrays itself and issues the prefetches.
 * **B-Fetch walker** (:class:`BFetchWalker`): the hook source's
-  ``on_fetch`` only steps B-Fetch's shadow walker.  When the kernel runs
-  the memory hierarchy natively and the walker predicts with the stock
-  TAGE, the kernel steps the walker's predictor and stride table itself at
-  every fetch and issues the prefetches.
+  ``on_fetch`` only steps B-Fetch's shadow walker; with the stock TAGE as
+  its predictor the kernel steps the walker's predictor and stride table
+  at every fetch and issues the prefetches.
 * **Runahead table** (:class:`RunaheadTable`): the hook source's
   ``on_memory_access`` only steps CRE's occurrence-indexed prefetch table
-  for loads.  Like the load-miss log it is a declared memory hook, so the
-  run keeps native data hits, and with the memory hierarchy native the
-  kernel steps the table after each load access.
+  for loads; the kernel steps it after each load access.
+
+Two declared logs need no hook at all; both engines fill them:
+
+* **Load-miss log** (``load_miss_log``): ``(issue_cycle, trace index)`` of
+  every load missing the L1, in program order.
+* **Commit log** (:class:`CommitLog`): program-order ``(trace index, commit
+  cycle)`` rows of every committed conditional branch and of every
+  instruction at a declared PC.  The interpreter fills it from its commit
+  column after the run.
 
 The golden equivalence suites and the compiled-vs-interpreter A/B tests pin
 the two paths together bit-for-bit.
@@ -46,7 +41,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 
 @dataclass
@@ -102,12 +97,9 @@ class HintUnit:
     * Prefetch hints (``prefetch_times``, ascending, and their
       ``prefetch_addresses``): when fetch reaches ``time + offset`` each
       one is one FQ entry and is installed into the running core's L1D
-      and TLB at cycle ``int(time + offset)`` — by ``install(lo, hi,
-      offset)``, called once per fetch with everything that came due, or
-      by the kernel itself when it runs the memory hierarchy natively.
-      ``prefetches_installed`` / ``prefetches_dropped`` count the installs
-      the memory system accepted and refused.  The hint source clears
-      ``install`` once the run has settled.
+      and TLB at cycle ``int(time + offset)``.  ``prefetches_installed`` /
+      ``prefetches_dropped`` count the installs the memory system accepted
+      and refused.
     * The FQ accepts an entry while ``fq_occupancy < fq_capacity``; it is
       never consumed, only flushed on a reboot.
 
@@ -123,7 +115,6 @@ class HintUnit:
     value_verdicts: array       # 'b' VALUE_*
     prefetch_times: array       # 'd'
     prefetch_addresses: array   # 'q'
-    install: Optional[Callable[[int, int, float], None]]
     boq_entries: int
     reboot_penalty: float
     fq_capacity: int
@@ -152,38 +143,30 @@ class HintUnit:
 class CompiledHookSpec:
     """Optional kernel-side declarations for one set of CoreHooks."""
 
-    #: ``on_commit`` filter: fire only when the instruction's PC is in the
-    #: tuple (an empty tuple never fires); ``None`` fires on every commit.
-    commit_pcs: Optional[Tuple[int, ...]] = None
-
-    #: ``on_memory_access`` replacement: a hook that only appends
-    #: ``(issue_cycle, address)`` for every load missing the L1 may declare
-    #: its list here.  The kernel then appends those entries itself, in
-    #: program order, so the run keeps native L1/TLB data hits instead of
-    #: calling back for every access to build its AccessResult view.
+    #: Both engines append ``(issue_cycle, trace index)`` to this list for
+    #: every load missing the L1, in program order.
     load_miss_log: Optional[list] = None
 
     #: Commit log both paths fill (see :class:`CommitLog`).
     commit_log: Optional[CommitLog] = None
 
-    #: Native hint unit.  Declared, the kernel never calls the hooks'
-    #: ``branch_hint``, ``on_fetch``, ``value_hint`` or
-    #: ``on_hint_mispredict``: those are the interpreter's copy of the unit.
+    #: Native hint unit: the kernel runs it in place of the hooks'
+    #: ``branch_hint``, ``on_fetch``, ``value_hint`` and
+    #: ``on_hint_mispredict``, which are the interpreter's copy of the unit.
     hint_unit: Optional[HintUnit] = None
 
     #: T1 engine (:class:`~repro.dla.t1.T1PrefetchEngine`) whose stepping,
-    #: for every committed load, is all ``on_commit`` does.  With native
-    #: misses the kernel steps it in place of ``on_commit``.
+    #: for every committed load, is all ``on_commit`` does; the kernel
+    #: steps it in place of ``on_commit``.
     t1: Optional[object] = None
 
-    #: B-Fetch walker whose stepping is all ``on_fetch`` does.  With native
-    #: misses and a TAGE walker the kernel steps it in place of
-    #: ``on_fetch``.
+    #: B-Fetch walker whose stepping is all ``on_fetch`` does; with a TAGE
+    #: walker the kernel steps it in place of ``on_fetch``.
     bfetch: Optional["BFetchWalker"] = None
 
     #: CRE table whose stepping, for every load access, is all
-    #: ``on_memory_access`` does.  With native misses the kernel steps it in
-    #: place of ``on_memory_access``.
+    #: ``on_memory_access`` does; the kernel steps it in place of
+    #: ``on_memory_access``.
     runahead: Optional["RunaheadTable"] = None
 
 

@@ -1,17 +1,16 @@
 /* Compiled tick kernel: the per-instruction scheduling shell of
- * OutOfOrderCore.run, with the branch unit, a declared DLA hint unit and
- * the memory hierarchy native.  On a stock hierarchy every demand access,
+ * OutOfOrderCore.run, with everything a run that fits it touches native:
+ * the branch unit, the whole stock memory hierarchy (every demand access,
  * miss, write-back, MSHR / write-buffer / DRAM-queue operation, BOP
- * training step, prefetch-hint install and wrong-path polluting load runs
- * here, on the model objects' own arrays, and so do a declared T1
- * engine's table, B-Fetch walker and CRE table; otherwise only L1/TLB
- * hits do.  Every other model interaction (a non-stock structure, other
- * prefetchers, generic hooks) stays in Python, reached through per-event
- * callbacks that communicate over a shared double buffer.  Mirrors
- * core/pipeline.py and memory/ (and the hint unit, T1, B-Fetch and CRE
- * mirror dla/hints.py, dla/t1.py and baselines/) statement-for-statement;
- * bit-identity, int/float types included, is enforced by the golden, A/B
- * and differential suites.  Also hosts
+ * training step and wrong-path polluting load) and the declared hook
+ * models (a DLA hint unit with its prefetch-hint installs, T1's table,
+ * B-Fetch's walker, CRE's table, the commit and load-miss logs), all on
+ * the model objects' own arrays.  The loop calls no Python: a run that
+ * does not fit (core/compile/plan.py) goes to the reference interpreter
+ * instead.  Mirrors core/pipeline.py and memory/ (and the hint unit, T1,
+ * B-Fetch and CRE mirror dla/hints.py, dla/t1.py and baselines/)
+ * statement-for-statement; bit-identity, int/float types included, is
+ * enforced by the golden, A/B and differential suites.  Also hosts
  * warm-up replay (replay_warmup) over the same memory path, the hint
  * verdict draws (draw_verdicts) and the functional emulator. */
 #define PY_SSIZE_T_CLEAN
@@ -33,14 +32,6 @@
 #define F_TAKEN   256
 #define F_CALL    512
 #define F_RET     1024
-
-/* comm-buffer slots (must match core/compile/driver.py) */
-#define B_I    0
-#define B_T0   1
-#define B_T1   2
-#define B_OUT0 3
-#define B_OUT1 4
-#define B_LAST 5   /* trace index of the last load (-1: none yet) */
 
 /* counter slots (must match core/compile/driver.py) */
 enum {
@@ -72,7 +63,6 @@ fold_u(uint64_t value, int bits)
 
 #define TAGE_ARRAYS 7
 typedef struct {
-    int on;
     int64_t *base;                 /* bimodal base counters */
     int64_t base_n, base_thresh, base_max;
     int8_t *present;               /* tagged tables, [table][index] flat */
@@ -687,15 +677,13 @@ typedef struct {
     Py_buffer v_tag, v_stamp, v_count, v_clock, v_cnt, v_flags;
 } ncache_t;
 
-/* spec: None or (tags, fill, last_use, flags, stamp, count, clock,
- * counters, stats_dict, num_sets, associativity, block_bytes, latency,
+/* spec: (tags, fill, last_use, flags, stamp, count, clock, counters,
+ * stats_dict, num_sets, associativity, block_bytes, latency,
  * lookahead_mode, mshr, write_buffer). */
 static int
 ncache_open(PyObject *spec, ncache_t *c)
 {
     memset(c, 0, sizeof(*c));
-    if (spec == NULL || spec == Py_None)
-        return 0;
     PyObject *tag, *flags, *stamp, *count, *clock, *cnt, *latency, *mshr, *wb;
     long long sets, assoc, block;
     if (!PyArg_ParseTuple(spec, "OO!O!OOOOOO!LLLOiOO", &tag, &PyList_Type,
@@ -758,14 +746,12 @@ typedef struct {
     Py_buffer v_vpn, v_stamp, v_count, v_clock, v_cnt;
 } ntlb_t;
 
-/* spec: None or (vpn, last_use, stamp, count, clock, counters, entries,
+/* spec: (vpn, last_use, stamp, count, clock, counters, entries,
  * page_bytes, miss_penalty). */
 static int
 ntlb_open(PyObject *spec, ntlb_t *t)
 {
     memset(t, 0, sizeof(*t));
-    if (spec == NULL || spec == Py_None)
-        return 0;
     PyObject *vpn, *stamp, *count, *clock, *cnt, *penalty;
     long long entries, page;
     if (!PyArg_ParseTuple(spec, "OO!OOOOLLO", &vpn, &PyList_Type, &t->last_use,
@@ -819,16 +805,13 @@ typedef struct {
     Py_buffer v_rows, v_cnt;
 } ndram_t;
 
-/* spec: None or (open_rows, bank_ready, queues, counters, stats_dict,
- * model_dict, row_bytes, num_banks, queue_groups, row_hit_latency,
- * row_miss_latency, bank_busy_penalty, energy_activate, energy_read,
- * energy_write). */
+/* spec: (open_rows, bank_ready, queues, counters, stats_dict, model_dict,
+ * row_bytes, num_banks, queue_groups, row_hit_latency, row_miss_latency,
+ * bank_busy_penalty, energy_activate, energy_read, energy_write). */
 static int
 ndram_open(PyObject *spec, ndram_t *d)
 {
     memset(d, 0, sizeof(*d));
-    if (spec == NULL || spec == Py_None)
-        return 0;
     PyObject *rows, *queues, *cnt, *cfg[6];
     long long row_bytes, nbanks, groups;
     if (!PyArg_ParseTuple(spec, "OO!OOO!O!LLLOOOOOO", &rows, &PyList_Type,
@@ -934,22 +917,20 @@ nbop_close(nbop_t *b)
     b->on = 0;
 }
 
-/* One core's memory system.  l1i / l1d + tlb are present when that side's
- * hits run natively; with ``misses`` the whole hierarchy is present and
- * every access, prefetch and TLB prefill runs natively. */
+/* One core's (stock) memory system: every access, prefetch and TLB
+ * prefill runs natively. */
 typedef struct {
     merr_t e;
     ncache_t l1i, l1d, l2, l3;
     ntlb_t tlb;
     ndram_t dram;
     nbop_t bop;
-    int misses;
     int lookahead;          /* CoreMemorySystem.lookahead_mode */
     int64_t hits, missed;   /* native L1 hits / native L1 misses */
 } nmem_t;
 
-/* spec: (l1i, l1d, l2, l3, tlb, dram, l2_prefetcher, lookahead_mode); a
- * None level is not run natively (l2 None: misses stay in Python). */
+/* spec: (l1i, l1d, l2, l3, tlb, dram, l2_prefetcher, lookahead_mode); the
+ * L2 prefetcher is None or a BOP view. */
 static int
 nmem_open(PyObject *spec, nmem_t *m)
 {
@@ -967,12 +948,6 @@ nmem_open(PyObject *spec, nmem_t *m)
         ntlb_open(tlb, &m->tlb) < 0 || ndram_open(dram, &m->dram) < 0 ||
         nbop_open(bop, &m->bop) < 0)
         return -1;
-    m->misses = m->l2.on;
-    if (m->misses && !(m->l1i.on && m->l1d.on && m->l3.on && m->tlb.on &&
-                       m->dram.on)) {
-        PyErr_SetString(PyExc_ValueError, "native misses need every level");
-        return -1;
-    }
     return 0;
 }
 
@@ -1549,32 +1524,20 @@ mem_train(nmem_t *m, int64_t address, int info, num_t now)
         mem_prefetch(m, target, now, m->bop.l1, &fill_time);
 }
 
-/* CoreMemorySystem.access_inst_fast.  1 when served natively (*ready,
- * *info), 0 when the access must go through Python, -1 on error. */
+/* CoreMemorySystem.access_inst_fast: *ready and *info; -1 on error. */
 static int
 mem_inst(nmem_t *m, int64_t address, num_t now, num_t *ready, int *info)
 {
     ncache_t *l1 = &m->l1i;
-    if (!l1->on)
-        return 0;
-    *info = 0;
-    if (!m->misses) {
-        int64_t slot = cache_find(l1, pdiv(address, l1->block));
-        if (slot < 0)
-            return 0;
-        l1->cnt[CS_ACC]++;
-        *ready = cache_hit(&m->e, l1, slot, now, 0);
-        m->hits++;
-        return m->e.err ? -1 : 1;
-    }
     num_t stall;
+    *info = 0;
     if (cache_lookup(&m->e, l1, address, now, 0, ready, &stall)) {
         m->hits++;
     } else {
         *info = mem_miss(m, l1, address, now, now, 0, stall, ready);
         m->missed++;
     }
-    return m->e.err ? -1 : 1;
+    return m->e.err ? -1 : 0;
 }
 
 /* CoreMemorySystem.access_data_fast; returns as mem_inst. */
@@ -1583,35 +1546,16 @@ mem_data(nmem_t *m, int64_t address, num_t now, int is_write, num_t *ready,
          int *info)
 {
     ncache_t *l1 = &m->l1d;
-    ntlb_t *tlb = &m->tlb;
-    if (!l1->on || !tlb->on)
-        return 0;
-    *info = 0;
-    if (!m->misses) {
-        /* Hits only: both the translation and the line must be present. */
-        int64_t entry = tlb_find(tlb, pdiv(address, tlb->page));
-        if (entry < 0)
-            return 0;
-        int64_t slot = cache_find(l1, pdiv(address, l1->block));
-        if (slot < 0)
-            return 0;
-        tlb->cnt[TS_ACC]++;
-        tlb->cnt[TS_HITS]++;
-        num_put(&m->e, tlb->last_use, entry, now);
-        l1->cnt[CS_ACC]++;
-        *ready = cache_hit(&m->e, l1, slot, now, is_write);
-        m->hits++;
-        return m->e.err ? -1 : 1;
-    }
-    num_t start = num_add(now, tlb_access(&m->e, tlb, address, now));
+    num_t start = num_add(now, tlb_access(&m->e, &m->tlb, address, now));
     num_t stall;
+    *info = 0;
     if (cache_lookup(&m->e, l1, address, start, is_write, ready, &stall)) {
         m->hits++;
     } else {
         *info = mem_miss(m, l1, address, now, start, is_write, stall, ready);
         m->missed++;
     }
-    return m->e.err ? -1 : 1;
+    return m->e.err ? -1 : 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1635,14 +1579,13 @@ typedef struct {
     int64_t nb, nv, np, boq, fq_cap;
     double penalty;
     double *consumed;       /* fetch cycle of each consumed branch hint */
-    PyObject *install;      /* install(lo, hi, offset) */
     Py_buffer v_bseq, v_btime, v_bok, v_vseq, v_vtime, v_vv, v_ptime, v_paddr;
     Py_buffer v_state;
 } hunit_t;
 
 /* spec: None or (branch_seqs, branch_times, branch_correct, value_seqs,
  * value_times, value_verdicts, prefetch_times, prefetch_addresses, state,
- * boq_entries, reboot_penalty, fq_capacity, install). */
+ * boq_entries, reboot_penalty, fq_capacity). */
 static int
 hunit_open(PyObject *spec, hunit_t *h)
 {
@@ -1651,9 +1594,9 @@ hunit_open(PyObject *spec, hunit_t *h)
         return 0;
     PyObject *bseq, *btime, *bok, *vseq, *vtime, *vv, *ptime, *paddr, *state;
     long long boq, fq_cap;
-    if (!PyArg_ParseTuple(spec, "OOOOOOOOOLdLO", &bseq, &btime, &bok, &vseq,
+    if (!PyArg_ParseTuple(spec, "OOOOOOOOOLdL", &bseq, &btime, &bok, &vseq,
                           &vtime, &vv, &ptime, &paddr, &state, &boq,
-                          &h->penalty, &fq_cap, &h->install))
+                          &h->penalty, &fq_cap))
         return -1;
     if (buffer_of(bseq, &h->v_bseq, (void **)&h->bseq) < 0 ||
         buffer_of(btime, &h->v_btime, (void **)&h->btime) < 0 ||
@@ -1685,7 +1628,6 @@ hunit_open(PyObject *spec, hunit_t *h)
         PyErr_NoMemory();
         return -1;
     }
-    Py_INCREF(h->install);
     h->on = 1;
     return 0;
 }
@@ -1699,8 +1641,6 @@ hunit_close(hunit_t *h)
     for (size_t k = 0; k < sizeof(views) / sizeof(views[0]); k++)
         if (views[k]->obj) PyBuffer_Release(views[k]);
     PyMem_Free(h->consumed);
-    if (h->on)
-        Py_DECREF(h->install);
     h->on = 0;
 }
 
@@ -1922,15 +1862,17 @@ t1_commit(nt1_t *t, nmem_t *m, int64_t pc_, int64_t address, double cycle)
 }
 
 /* Kernel view of a TageLitePredictor (driver._tage_view), shared
- * zero-copy: None or (base entries, base threshold, base max value,
+ * zero-copy: (base entries, base threshold, base max value,
  * tables, table entries, tag mask, then the base, present, tags, ctr,
  * useful, history and masks arrays). */
 static int
 tage_open(PyObject *spec, tage_t *tg)
 {
     memset(tg, 0, sizeof(*tg));
-    if (spec == NULL || spec == Py_None)
-        return 0;
+    if (spec == NULL) {
+        PyErr_SetString(PyExc_KeyError, "missing TAGE view");
+        return -1;
+    }
     long long base_n, thresh, max, nt, te, mask;
     PyObject *arrays[TAGE_ARRAYS];
     if (!PyArg_ParseTuple(spec, "LLLLLLOOOOOOO", &base_n, &thresh, &max, &nt,
@@ -1957,7 +1899,6 @@ tage_open(PyObject *spec, tage_t *tg)
         tg->views[3].len < slots_n * 8 || tg->views[4].len < slots_n * 8 ||
         tg->views[5].len < 8 || tg->views[6].len < (Py_ssize_t)(nt * 8))
         return view_error("TAGE");
-    tg->on = 1;
     return 0;
 }
 
@@ -1966,7 +1907,6 @@ tage_close(tage_t *tg)
 {
     for (int k = 0; k < TAGE_ARRAYS; k++)
         if (tg->views[k].obj) PyBuffer_Release(&tg->views[k]);
-    tg->on = 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -2299,9 +2239,9 @@ get_int(PyObject *dict, const char *key, int *err)
     return v;
 }
 
-/* Optional callback: missing key or None -> NULL (feature disabled). */
+/* Optional object: missing key or None -> NULL (feature disabled). */
 static PyObject *
-get_callback(PyObject *dict, const char *key)
+get_optional(PyObject *dict, const char *key)
 {
     PyObject *obj = PyDict_GetItemString(dict, key);
     if (obj == NULL || obj == Py_None)
@@ -2334,9 +2274,6 @@ run_tick_loop(PyObject *self, PyObject *args)
     int64_t num_regs = get_int(spec, "num_regs", &err);
     int64_t hist_capacity = get_int(spec, "hist_capacity", &err);
     int64_t hist_sample = get_int(spec, "hist_sample", &err);
-    int64_t commit_filter = get_int(spec, "commit_filter", &err);
-    int64_t n_commit_pcs = get_int(spec, "n_commit_pcs", &err);
-    int64_t ctrl_native = get_int(spec, "ctrl_native", &err);
     double bmp = get_float(spec, "branch_mispredict_penalty", &err);
     btb_t btb = {0};
     ras_t ras = {0};
@@ -2348,17 +2285,16 @@ run_tick_loop(PyObject *self, PyObject *args)
 
     Py_buffer v_ba = {0}, v_flags = {0}, v_ea = {0}, v_lat = {0}, v_dst = {0};
     Py_buffer v_srcs = {0}, v_soff = {0}, v_ft = {0}, v_dt = {0}, v_ct = {0};
-    Py_buffer v_cnt = {0}, v_hist = {0}, v_comm = {0};
-    Py_buffer v_sbd = {0}, v_seq = {0}, v_pc = {0}, v_cpc = {0};
+    Py_buffer v_cnt = {0}, v_hist = {0};
+    Py_buffer v_sbd = {0}, v_seq = {0}, v_pc = {0};
     Py_buffer v_nxt = {0};
     Py_buffer v_bt = {0}, v_bg = {0}, v_bu = {0}, v_bc = {0};
     Py_buffer v_rs = {0}, v_rt = {0}, v_it = {0}, v_xt = {0};
     int64_t *ba = NULL, *flags = NULL, *ea = NULL, *dst = NULL;
     int64_t *srcs = NULL, *soff = NULL, *counters = NULL, *hist = NULL;
     int64_t *sb_dst = NULL, *seq = NULL, *pc = NULL, *nxt = NULL;
-    int64_t *commit_pcs = NULL;
     double *lat = NULL, *fetch_times = NULL, *dispatch_times = NULL;
-    double *commit_times = NULL, *comm = NULL;
+    double *commit_times = NULL;
     double *issue_times = NULL, *complete_times = NULL;
     unit_t *int_heap = NULL, *mem_heap = NULL, *fp_heap = NULL;
     double *reg_ready = NULL;
@@ -2381,15 +2317,6 @@ run_tick_loop(PyObject *self, PyObject *args)
         bf_open(PyDict_GetItemString(spec, "bfetch"), &bf) < 0 ||
         ra_open(PyDict_GetItemString(spec, "runahead"), &ra) < 0)
         goto done;
-    if ((t1.on || bf.on || ra.on) && !mem.misses) {
-        PyErr_SetString(PyExc_ValueError,
-                        "native T1, B-Fetch and CRE need native misses");
-        goto done;
-    }
-    if (ctrl_native && !tg.on) {
-        PyErr_SetString(PyExc_ValueError, "native control needs a TAGE view");
-        goto done;
-    }
     if (get_buffer(spec, "ba", &v_ba, (void **)&ba) < 0 ||
         get_buffer(spec, "flags", &v_flags, (void **)&flags) < 0 ||
         get_buffer(spec, "ea", &v_ea, (void **)&ea) < 0 ||
@@ -2400,7 +2327,6 @@ run_tick_loop(PyObject *self, PyObject *args)
         get_buffer(spec, "sb_dst", &v_sbd, (void **)&sb_dst) < 0 ||
         get_buffer(spec, "seq", &v_seq, (void **)&seq) < 0 ||
         get_buffer(spec, "pc", &v_pc, (void **)&pc) < 0 ||
-        get_buffer(spec, "commit_pcs", &v_cpc, (void **)&commit_pcs) < 0 ||
         get_buffer(spec, "fetch_times", &v_ft, (void **)&fetch_times) < 0 ||
         get_buffer(spec, "dispatch_times", &v_dt, (void **)&dispatch_times) < 0 ||
         get_buffer(spec, "commit_times", &v_ct, (void **)&commit_times) < 0 ||
@@ -2408,7 +2334,6 @@ run_tick_loop(PyObject *self, PyObject *args)
         get_optional_buffer(spec, "complete_times", &v_xt, (void **)&complete_times) < 0 ||
         get_buffer(spec, "counters", &v_cnt, (void **)&counters) < 0 ||
         get_buffer(spec, "hist", &v_hist, (void **)&hist) < 0 ||
-        get_buffer(spec, "comm", &v_comm, (void **)&comm) < 0 ||
         get_buffer(spec, "nxt", &v_nxt, (void **)&nxt) < 0 ||
         get_buffer(spec, "btb_tag", &v_bt, (void **)&btb.tag) < 0 ||
         get_buffer(spec, "btb_target", &v_bg, (void **)&btb.target) < 0 ||
@@ -2418,24 +2343,14 @@ run_tick_loop(PyObject *self, PyObject *args)
         get_buffer(spec, "ras_state", &v_rt, (void **)&ras.st) < 0)
         goto done;
 
-    PyObject *cb_icache = get_callback(spec, "cb_icache");
-    PyObject *cb_load = get_callback(spec, "cb_load");
-    PyObject *cb_store = get_callback(spec, "cb_store");
-    PyObject *cb_control = get_callback(spec, "cb_control");
-    PyObject *cb_branch_hint = get_callback(spec, "cb_branch_hint");
-    PyObject *cb_on_fetch = get_callback(spec, "cb_on_fetch");
-    PyObject *cb_on_commit = get_callback(spec, "cb_on_commit");
-    PyObject *cb_value_hint = get_callback(spec, "cb_value_hint");
-    PyObject *cb_hint_miss = get_callback(spec, "cb_hint_miss");
-    PyObject *cb_redirect = get_callback(spec, "cb_redirect");
     /* Declared load-miss log (CompiledHookSpec.load_miss_log): the kernel
-     * appends (issue, address) for every load that misses the L1. */
-    PyObject *miss_log = get_callback(spec, "load_miss_log");
-    /* Wrong-path pollution with native misses (else cb_redirect runs
-     * OutOfOrderCore._wrong_path_pollution): (decoded, executed, loads,
-     * stride) of one redirect. */
+     * appends (issue, trace index) for every load that misses the L1. */
+    PyObject *miss_log = get_optional(spec, "load_miss_log");
+    /* Wrong-path pollution (OutOfOrderCore._wrong_path_pollution), None
+     * when not modelled: (decoded, executed, loads, stride) of one
+     * redirect. */
     long long wp_decoded = 0, wp_executed = 0, wp_loads = 0, wp_stride = 0;
-    PyObject *wrong_path = get_callback(spec, "wrong_path");
+    PyObject *wrong_path = get_optional(spec, "wrong_path");
     if (wrong_path != NULL &&
         !PyArg_ParseTuple(wrong_path, "LLLL", &wp_decoded, &wp_executed,
                           &wp_loads, &wp_stride))
@@ -2470,7 +2385,7 @@ run_tick_loop(PyObject *self, PyObject *args)
     double block_ready = start_cycle;
     int64_t mem_count = 0;
     int64_t fetch_bound = 0;
-    comm[B_LAST] = -1.0;
+    int64_t last_load = -1;    /* trace index of the latest load */
     /* hint-unit run state (written back after the loop) */
     double offset = 0.0, hint_stall = 0.0;
     int64_t fq_occ = 0, fq_pf = 0, fq_val = 0, reboots = 0;
@@ -2504,32 +2419,19 @@ run_tick_loop(PyObject *self, PyObject *args)
             counters[C_L1I_ACC]++;
             num_t got;
             int info;
-            int hit = mem_inst(&mem, byte_address,
-                               num_i((double)(int64_t)fetch_time), &got, &info);
-            if (hit < 0)
+            if (mem_inst(&mem, byte_address,
+                         num_i((double)(int64_t)fetch_time), &got, &info) < 0)
                 goto done;
-            if (hit) {
-                block_ready = got.v;
-                if (info & 1)
-                    counters[C_L1I_MISS]++;
-            } else {
-                comm[B_I] = (double)i;
-                comm[B_T0] = fetch_time;
-                PyObject *r = PyObject_CallNoArgs(cb_icache);
-                if (r == NULL)
-                    goto done;
-                Py_DECREF(r);
-                if (comm[B_OUT1] != 0.0)
-                    counters[C_L1I_MISS]++;
-                block_ready = comm[B_OUT0];
-            }
+            block_ready = got.v;
+            if (info & 1)
+                counters[C_L1I_MISS]++;
             current_block = block;
             have_block = 1;
         }
         if (block_ready > fetch_time)
             fetch_time = block_ready;
 
-        int hint_present = 0, hint_correct = 0, hint_has_target = 0;
+        int hint_present = 0, hint_correct = 0;
         int64_t hint_k = -1;   /* hint-unit branch column of this branch */
         if ((f & F_BRANCH) && hu.on) {
             /* BOQ delivery: available once produced and transferred, and
@@ -2544,60 +2446,35 @@ run_tick_loop(PyObject *self, PyObject *args)
                 }
                 hint_present = 1;
                 hint_correct = hu.bok[hb] != 0;
-                hint_has_target = 1;
                 if (available > fetch_time) {
                     hint_stall += available - fetch_time;
                     fetch_time = available;
                 }
             }
-        } else if ((f & F_BRANCH) && cb_branch_hint != NULL) {
-            comm[B_I] = (double)i;
-            comm[B_T0] = fetch_time;
-            PyObject *r = PyObject_CallNoArgs(cb_branch_hint);
-            if (r == NULL)
-                goto done;
-            Py_DECREF(r);
-            fetch_time = comm[B_OUT0];
-            int64_t h = (int64_t)comm[B_OUT1];
-            hint_present = h & 1;
-            hint_correct = (h & 2) != 0;
-            hint_has_target = (h & 4) != 0;
         }
 
         fetch_times[i] = fetch_time;
         fetch_cursor = fetch_time + fetch_inc;
         if (hu.on) {
-            /* Prefetch hints due by now: one FQ entry each, installed by
-             * one Python call; then the branch's BOQ entry is consumed. */
-            int64_t lo = hp;
+            /* Prefetch hints due by now: one FQ entry each, installed
+             * (MainThreadHintSource.install); then the branch's BOQ entry
+             * is consumed. */
             while (hp < hu.np && hu.ptime[hp] + offset <= fetch_time) {
                 if (fq_occ < hu.fq_cap) {
                     fq_occ++;
                     fq_pf++;
                 }
+                num_t available = num_i((double)(int64_t)(hu.ptime[hp] + offset));
+                num_t ignored;
+                if (mem_prefetch(&mem, hu.paddr[hp], available, 1, &ignored))
+                    installed++;
+                else
+                    dropped++;
+                mem_prefill_tlb(&mem, hu.paddr[hp], available);
                 hp++;
             }
-            if (hp > lo && mem.misses) {
-                /* MainThreadHintSource.install */
-                for (int64_t k = lo; k < hp; k++) {
-                    num_t available = num_i((double)(int64_t)(hu.ptime[k] + offset));
-                    num_t ignored;
-                    if (mem_prefetch(&mem, hu.paddr[k], available, 1, &ignored))
-                        installed++;
-                    else
-                        dropped++;
-                    mem_prefill_tlb(&mem, hu.paddr[k], available);
-                }
-                if (mem.e.err)
-                    goto done;
-            } else if (hp > lo) {
-                PyObject *r = PyObject_CallFunction(hu.install, "LLd",
-                                                    (long long)lo,
-                                                    (long long)hp, offset);
-                if (r == NULL)
-                    goto done;
-                Py_DECREF(r);
-            }
+            if (mem.e.err)
+                goto done;
             if (hint_k >= 0) {
                 hu.consumed[hint_k] = fetch_time;
                 hb++;
@@ -2607,13 +2484,6 @@ run_tick_loop(PyObject *self, PyObject *args)
             if (bf_fetch(&bf, &mem, f, pc[i], ea[i], fetch_time) < 0 ||
                 mem.e.err)
                 goto done;
-        } else if (cb_on_fetch != NULL) {
-            comm[B_I] = (double)i;
-            comm[B_T0] = fetch_time;
-            PyObject *r = PyObject_CallNoArgs(cb_on_fetch);
-            if (r == NULL)
-                goto done;
-            Py_DECREF(r);
         }
 
         /* ---------------- dispatch ---------------- */
@@ -2681,14 +2551,6 @@ run_tick_loop(PyObject *self, PyObject *args)
                 validated[sb_dst[i]] = (has_pred && skippable) ? 1 : 0;
             if (has_pred && available <= dispatch_time)
                 mode = (skip && correct) ? 1 : (correct ? 2 : 3);
-        } else if (cb_value_hint != NULL) {
-            comm[B_I] = (double)i;
-            comm[B_T0] = dispatch_time;
-            PyObject *r = PyObject_CallNoArgs(cb_value_hint);
-            if (r == NULL)
-                goto done;
-            Py_DECREF(r);
-            mode = (int)comm[B_OUT0];
         }
 
         /* ---------------- issue / execute ---------------- */
@@ -2711,41 +2573,25 @@ run_tick_loop(PyObject *self, PyObject *args)
                 counters[C_L1D_ACC]++;
                 num_t now = num_i((double)(int64_t)issue), got;
                 int info;
-                int64_t aflags;
-                int hit = mem_data(&mem, ea[i], now, 0, &got, &info);
-                if (hit < 0)
+                if (mem_data(&mem, ea[i], now, 0, &got, &info) < 0)
                     goto done;
-                if (hit) {
-                    complete = got.v;
-                    aflags = info;
-                    if (mem.misses) {
-                        mem_train(&mem, ea[i], info, now);
-                        if (ra.on) {
-                            int stepped = ra_load(&ra, &mem, pc[i], now);
-                            if (stepped < 0)
-                                goto done;
-                            counters[C_CRE_STEPS] += stepped;
-                        }
-                        if (mem.e.err)
-                            goto done;
-                    }
-                } else {
-                    comm[B_I] = (double)i;
-                    comm[B_T0] = issue;
-                    PyObject *r = PyObject_CallNoArgs(cb_load);
-                    if (r == NULL)
+                complete = got.v;
+                mem_train(&mem, ea[i], info, now);
+                if (ra.on) {
+                    int stepped = ra_load(&ra, &mem, pc[i], now);
+                    if (stepped < 0)
                         goto done;
-                    Py_DECREF(r);
-                    complete = comm[B_OUT0];
-                    aflags = (int64_t)comm[B_OUT1];
+                    counters[C_CRE_STEPS] += stepped;
                 }
-                if (aflags & 1) {
+                if (mem.e.err)
+                    goto done;
+                if (info & 1) {
                     counters[C_L1D_MISS]++;
-                    if (aflags & 2)
+                    if (info & 2)
                         counters[C_L2_MISS]++;
                     if (miss_log != NULL) {
                         PyObject *item = Py_BuildValue("(dL)", issue,
-                                                       (long long)ea[i]);
+                                                       (long long)i);
                         if (item == NULL)
                             goto done;
                         int bad = PyList_Append(miss_log, item);
@@ -2754,9 +2600,9 @@ run_tick_loop(PyObject *self, PyObject *args)
                             goto done;
                     }
                 }
-                if (aflags & 4)
+                if (info & 4)
                     counters[C_DRAM]++;
-                comm[B_LAST] = (double)i;
+                last_load = i;
             } else {
                 complete = issue + 1.0;
             }
@@ -2797,11 +2643,8 @@ run_tick_loop(PyObject *self, PyObject *args)
         }
 
         /* ---------------- control flow ---------------- */
-        if ((f & F_CONTROL) && ctrl_native) {
-            /* Native transcription of OutOfOrderCore._handle_control;
-             * Python is re-entered only for hint-mispredict hooks and,
-             * when the memory hierarchy stays in Python, for wrong-path
-             * cache pollution on a redirect. */
+        if (f & F_CONTROL) {
+            /* OutOfOrderCore._handle_control */
             double redirect = 0.0;
             int have_redirect = 0;
             int64_t pc_ = pc[i];
@@ -2809,31 +2652,18 @@ run_tick_loop(PyObject *self, PyObject *args)
             if (f & F_BRANCH) {
                 counters[C_BRANCHES]++;
                 if (hint_present) {
-                    if (hint_correct) {
-                        if (tk && !hint_has_target && !btb_contains(&btb, pc_)) {
-                            counters[C_BTB_MISS]++;
-                            redirect = fetch_time + 3.0;
-                            have_redirect = 1;
-                        }
-                    } else {
+                    /* A unit's hint carries its target (has_target), so a
+                     * correct one costs nothing. */
+                    if (!hint_correct) {
                         counters[C_BR_MISPRED]++;
                         counters[C_HINT_MISPRED]++;
-                        if (hu.on) {
-                            /* Look-ahead reboot: later hints shift by the
-                             * penalty plus the re-execution; FQ flushed. */
-                            double shifted = complete + hu.penalty - hu.btime[hint_k];
-                            if (shifted > offset)
-                                offset = shifted;
-                            fq_occ = 0;
-                            reboots++;
-                        } else if (cb_hint_miss != NULL) {
-                            comm[B_I] = (double)i;
-                            comm[B_T0] = complete;
-                            PyObject *r = PyObject_CallNoArgs(cb_hint_miss);
-                            if (r == NULL)
-                                goto done;
-                            Py_DECREF(r);
-                        }
+                        /* Look-ahead reboot: later hints shift by the
+                         * penalty plus the re-execution; FQ flushed. */
+                        double shifted = complete + hu.penalty - hu.btime[hint_k];
+                        if (shifted > offset)
+                            offset = shifted;
+                        fq_occ = 0;
+                        reboots++;
                         redirect = complete + bmp;
                         have_redirect = 1;
                     }
@@ -2885,35 +2715,17 @@ run_tick_loop(PyObject *self, PyObject *args)
                     /* OutOfOrderCore._wrong_path_pollution */
                     counters[C_DECODED] += wp_decoded;
                     counters[C_EXECUTED] += wp_executed;
-                    if (comm[B_LAST] >= 0) {
-                        int64_t last = ea[(int64_t)comm[B_LAST]];
+                    if (last_load >= 0) {
+                        int64_t base = ea[last_load];
                         num_t now = num_i((double)(int64_t)fetch_time), got;
                         int info;
                         for (int64_t k = 0; k < wp_loads; k++)
-                            if (mem_data(&mem, last + (k + 1) * wp_stride, now,
+                            if (mem_data(&mem, base + (k + 1) * wp_stride, now,
                                          0, &got, &info) < 0)
                                 goto done;
                     }
-                } else if (cb_redirect != NULL) {
-                    comm[B_I] = (double)i;
-                    comm[B_T0] = fetch_time;
-                    PyObject *r = PyObject_CallNoArgs(cb_redirect);
-                    if (r == NULL)
-                        goto done;
-                    Py_DECREF(r);
                 }
             }
-        } else if (f & F_CONTROL) {
-            comm[B_I] = (double)i;
-            comm[B_T0] = fetch_time;
-            comm[B_T1] = complete;
-            PyObject *r = PyObject_CallNoArgs(cb_control);
-            if (r == NULL)
-                goto done;
-            Py_DECREF(r);
-            double redirect = comm[B_OUT0];
-            if (!isnan(redirect) && redirect > fetch_redirect_at)
-                fetch_redirect_at = redirect;
         }
 
         /* ---------------- commit ---------------- */
@@ -2928,32 +2740,17 @@ run_tick_loop(PyObject *self, PyObject *args)
             counters[C_L1D_ACC]++;
             num_t now = num_i((double)(int64_t)commit_time), got;
             int info;
-            int64_t aflags;
-            int hit = mem_data(&mem, ea[i], now, 1, &got, &info);
-            if (hit < 0)
+            if (mem_data(&mem, ea[i], now, 1, &got, &info) < 0)
                 goto done;
-            if (hit) {
-                aflags = info;
-                if (mem.misses) {
-                    mem_train(&mem, ea[i], info, now);
-                    if (mem.e.err)
-                        goto done;
-                }
-            } else {
-                comm[B_I] = (double)i;
-                comm[B_T0] = commit_time;
-                PyObject *r = PyObject_CallNoArgs(cb_store);
-                if (r == NULL)
-                    goto done;
-                Py_DECREF(r);
-                aflags = (int64_t)comm[B_OUT1];
-            }
-            if (aflags & 1) {
+            mem_train(&mem, ea[i], info, now);
+            if (mem.e.err)
+                goto done;
+            if (info & 1) {
                 counters[C_L1D_MISS]++;
-                if (aflags & 2)
+                if (info & 2)
                     counters[C_L2_MISS]++;
             }
-            if (aflags & 4)
+            if (info & 4)
                 counters[C_DRAM]++;
         }
 
@@ -2973,17 +2770,6 @@ run_tick_loop(PyObject *self, PyObject *args)
             t1_commit(&t1, &mem, pc[i], ea[i], commit_time);
             if (mem.e.err)
                 goto done;
-        }
-
-        if (cb_on_commit != NULL &&
-            (!commit_filter ||
-             (n_commit_pcs && in_sorted(commit_pcs, n_commit_pcs, pc[i])))) {
-            comm[B_I] = (double)i;
-            comm[B_T0] = commit_time;
-            PyObject *r = PyObject_CallNoArgs(cb_on_commit);
-            if (r == NULL)
-                goto done;
-            Py_DECREF(r);
         }
     }
 
@@ -3041,62 +2827,28 @@ done:
     tage_close(&tg);
     bf_close(&bf);
     ra_close(&ra);
-    if (v_sbd.obj) PyBuffer_Release(&v_sbd);
-    if (v_seq.obj) PyBuffer_Release(&v_seq);
-    if (v_pc.obj) PyBuffer_Release(&v_pc);
-    if (v_cpc.obj) PyBuffer_Release(&v_cpc);
-    if (v_ba.obj) PyBuffer_Release(&v_ba);
-    if (v_flags.obj) PyBuffer_Release(&v_flags);
-    if (v_ea.obj) PyBuffer_Release(&v_ea);
-    if (v_lat.obj) PyBuffer_Release(&v_lat);
-    if (v_dst.obj) PyBuffer_Release(&v_dst);
-    if (v_srcs.obj) PyBuffer_Release(&v_srcs);
-    if (v_soff.obj) PyBuffer_Release(&v_soff);
-    if (v_ft.obj) PyBuffer_Release(&v_ft);
-    if (v_dt.obj) PyBuffer_Release(&v_dt);
-    if (v_ct.obj) PyBuffer_Release(&v_ct);
-    if (v_it.obj) PyBuffer_Release(&v_it);
-    if (v_xt.obj) PyBuffer_Release(&v_xt);
-    if (v_cnt.obj) PyBuffer_Release(&v_cnt);
-    if (v_hist.obj) PyBuffer_Release(&v_hist);
-    if (v_comm.obj) PyBuffer_Release(&v_comm);
-    if (v_nxt.obj) PyBuffer_Release(&v_nxt);
-    if (v_bt.obj) PyBuffer_Release(&v_bt);
-    if (v_bg.obj) PyBuffer_Release(&v_bg);
-    if (v_bu.obj) PyBuffer_Release(&v_bu);
-    if (v_bc.obj) PyBuffer_Release(&v_bc);
-    if (v_rs.obj) PyBuffer_Release(&v_rs);
-    if (v_rt.obj) PyBuffer_Release(&v_rt);
+    Py_buffer *views[] = {
+        &v_sbd, &v_seq, &v_pc, &v_ba, &v_flags, &v_ea, &v_lat, &v_dst,
+        &v_srcs, &v_soff, &v_ft, &v_dt, &v_ct, &v_it, &v_xt, &v_cnt, &v_hist,
+        &v_nxt, &v_bt, &v_bg, &v_bu, &v_bc, &v_rs, &v_rt};
+    for (size_t k = 0; k < sizeof(views) / sizeof(views[0]); k++)
+        if (views[k]->obj) PyBuffer_Release(views[k]);
     return ret;
 }
 
 /* ------------------------------------------------------------------ */
-/* Warm-up replay: repro.core.system._replay_warmup's loop.  Same       */
-/* accesses in the same order and pacing, natively where the memory     */
-/* views allow and through CoreMemorySystem.access_inst_fast /         */
-/* access_data_fast otherwise.  Flags beyond the decoded ones add the   */
-/* other memory operations, so an access stream can drive every native */
-/* path: R_TRAIN trains the L2 prefetcher on the data access, R_PF_L1 / */
-/* R_PF_L2 prefetch ``ea`` into that level and R_PREFILL prefills its   */
-/* translation.  Returns (native hits, native misses).                  */
+/* Warm-up replay: repro.core.system._replay_warmup's loop on a stock   */
+/* hierarchy.  Same accesses in the same order and pacing.  Flags       */
+/* beyond the decoded ones add the other memory operations, so an       */
+/* access stream can drive every native path: R_TRAIN trains the L2     */
+/* prefetcher on the data access, R_PF_L1 / R_PF_L2 prefetch ``ea``     */
+/* into that level and R_PREFILL prefills its translation.  Returns     */
+/* (native hits, native misses).                                        */
 /* ------------------------------------------------------------------ */
 #define R_TRAIN   2048
 #define R_PF_L1   4096
 #define R_PF_L2   8192
 #define R_PREFILL 16384
-
-static int
-replay_miss(PyObject *cb, int64_t address, int64_t cycle, PyObject *is_write)
-{
-    PyObject *r = is_write == NULL
-        ? PyObject_CallFunction(cb, "LL", (long long)address, (long long)cycle)
-        : PyObject_CallFunction(cb, "LLO", (long long)address,
-                                (long long)cycle, is_write);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
-}
 
 static PyObject *
 replay_warmup(PyObject *self, PyObject *args)
@@ -3108,14 +2860,8 @@ replay_warmup(PyObject *self, PyObject *args)
     int64_t n = get_int(spec, "n", &err);
     int64_t block_bytes = get_int(spec, "block_bytes", &err);
     int64_t pace = get_int(spec, "cycles_per_access", &err);
-    PyObject *cb_inst = get_callback(spec, "cb_inst");
-    PyObject *cb_data = get_callback(spec, "cb_data");
     if (err)
         return NULL;
-    if (cb_inst == NULL || cb_data == NULL) {
-        PyErr_SetString(PyExc_KeyError, "missing replay callbacks");
-        return NULL;
-    }
 
     Py_buffer v_ba = {0}, v_flags = {0}, v_ea = {0};
     int64_t *ba = NULL, *flags = NULL, *ea = NULL;
@@ -3139,26 +2885,16 @@ replay_warmup(PyObject *self, PyObject *args)
         if (!have_block || block != last_block) {
             last_block = block;
             have_block = 1;
-            int hit = mem_inst(&mem, address, now, &ready, &info);
-            if (hit < 0 ||
-                (!hit && replay_miss(cb_inst, address, cycle, NULL) < 0))
+            if (mem_inst(&mem, address, now, &ready, &info) < 0)
                 goto done;
         }
         int64_t f = flags[i];
         if (f & (F_LOAD | F_STORE)) {
             int is_write = (f & F_LOAD) == 0;
-            int hit = mem_data(&mem, ea[i], now, is_write, &ready, &info);
-            if (hit < 0 ||
-                (!hit && replay_miss(cb_data, ea[i], cycle,
-                                     is_write ? Py_True : Py_False) < 0))
+            if (mem_data(&mem, ea[i], now, is_write, &ready, &info) < 0)
                 goto done;
             if (f & R_TRAIN)
                 mem_train(&mem, ea[i], info, now);
-        }
-        if ((f & (R_TRAIN | R_PF_L1 | R_PF_L2 | R_PREFILL)) && !mem.misses) {
-            PyErr_SetString(PyExc_ValueError,
-                            "prefetch and prefill operations need native misses");
-            goto done;
         }
         if (f & R_PF_L1)
             mem_prefetch(&mem, ea[i], now, 1, &ready);
@@ -3203,11 +2939,9 @@ classify_accesses(PyObject *self, PyObject *args)
         goto done;
     info_out = v_info.buf;
     Py_ssize_t n = v_ea.len / (Py_ssize_t)sizeof(int64_t);
-    if (!mem.misses || v_stores.len != n || v_info.len != n ||
-        v_cycles.len != v_ea.len) {
+    if (v_stores.len != n || v_info.len != n || v_cycles.len != v_ea.len) {
         PyErr_SetString(PyExc_ValueError,
-                        "classification needs a native hierarchy and "
-                        "columns of one length");
+                        "classification needs columns of one length");
         goto done;
     }
     for (Py_ssize_t k = 0; k < n; k++) {

@@ -70,13 +70,13 @@ class CoreHooks:
     on_hint_mispredict: Optional[Callable[[DynamicInst, float], None]] = None
     #: Called after every demand load and store with (inst, AccessResult,
     #: cycle); the result is a view of the hierarchy's packed access word.
-    #: Compiled, a generic hook keeps every data access in Python (see
-    #: ``CompiledHookSpec.load_miss_log`` for the declared alternative).
+    #: Unless a declaration covers it (``CompiledHookSpec.runahead``), the
+    #: hook sends the run to the reference interpreter; a hook that only
+    #: logs L1-missing loads should declare ``load_miss_log`` instead.
     on_memory_access: Optional[Callable[[DynamicInst, object, float], None]] = None
     #: Optional :class:`repro.core.compile.hookspec.CompiledHookSpec` letting
-    #: the compiled kernel skip hook calls it can prove are no-ops or do the
-    #: hooks' work natively.  The reference interpreter runs the hooks and
-    #: honours only its commit log.
+    #: the compiled kernel do the hooks' work natively.  The reference
+    #: interpreter runs the hooks and honours only its two logs.
     fast_hints: Optional[object] = None
 
 
@@ -197,6 +197,8 @@ class OutOfOrderCore:
         hook_on_commit = hooks.on_commit
         hook_on_fetch = hooks.on_fetch
         hook_on_memory = hooks.on_memory_access
+        fast = hooks.fast_hints
+        miss_log = fast.load_miss_log if fast is not None else None
         access_inst = self.memory.access_inst_fast
         access_data = self.memory.access_data_fast
         block_bytes = self._block_bytes
@@ -304,6 +306,8 @@ class OutOfOrderCore:
                         result.l1d_misses += 1
                         if info & 2:
                             result.l2_misses += 1
+                        if miss_log is not None:
+                            miss_log.append((issue, i))
                     if info & 4:
                         result.dram_accesses += 1
                     complete = float(data_ready)
@@ -395,7 +399,6 @@ class OutOfOrderCore:
                 complete_times.append(complete)
 
         # ---------------- wrap-up ----------------
-        fast = hooks.fast_hints
         if fast is not None and fast.commit_log is not None:
             fast.commit_log.fill(entries, commit_times)
         result.cycles = commit_times[-1] - start_cycle

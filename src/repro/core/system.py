@@ -78,15 +78,16 @@ def _replay_warmup(memory: CoreMemorySystem, entries: Sequence[DynamicInst],
     loads, stores and TLB entries — which is all that persists into the timed
     region.
 
-    With the compiled kernel available the loop below runs natively
-    (:func:`repro.core.compile.replay_compiled`) over the window's decoded
-    ``inputs`` (decoded here when the caller has none); the loop itself is
-    the reference the kernel transcribes.
+    With the compiled kernel available and a stock hierarchy the loop below
+    runs natively (:func:`repro.core.compile.replay_compiled`) over the
+    window's decoded ``inputs`` (decoded here when the caller has none);
+    the loop itself is the reference the kernel transcribes.
     """
     from repro.core.compile import kernel_available, replay_compiled
     from repro.core.compile.decoded import replay_inputs
+    from repro.core.compile.plan import stock_memory
 
-    if kernel_available():
+    if kernel_available() and stock_memory(memory):
         replay_compiled(memory, inputs or replay_inputs(entries),
                         cycles_per_access)
         return

@@ -23,10 +23,8 @@ branch's draw before the value draw of the same instruction: the order in
 which per-instruction hooks would consume the stream.  With the compiled
 kernel loaded the draws run natively too (``draw_verdicts``, reading the
 look-ahead window's decoded columns), else in :meth:`_draw`.  The kernel
-runs the unit natively; when it runs the memory hierarchy natively it
-also installs due prefetch hints and steps T1 itself, else it calls back
-into :meth:`MainThreadHintSource.install` and :meth:`on_commit`.  The
-hooks below run the same unit on the reference interpreter.
+runs the whole unit natively, due prefetch-hint installs and T1's steps
+included; the hooks below run the same unit on the reference interpreter.
 """
 
 from __future__ import annotations
@@ -173,7 +171,6 @@ class MainThreadHintSource:
                 "d", [cycle for cycle, _ in self.products.prefetch_hints]),
             prefetch_addresses=array(
                 "q", [address for _, address in self.products.prefetch_hints]),
-            install=self.install,
             boq_entries=cfg.boq_entries,
             reboot_penalty=float(cfg.reboot_penalty),
             fq_capacity=self.fq.capacity,
@@ -188,16 +185,11 @@ class MainThreadHintSource:
     def hooks(self) -> CoreHooks:
         # A value hook with no value hints could only ever return None, and
         # a commit hook without a T1 engine does nothing: both are omitted.
-        # Compiled, the declared hint unit replaces every hook but T1's.
-        # The declared engine replaces that one when the kernel runs the
-        # memory hierarchy; otherwise it fires only for the PCs T1 marked.
+        # Compiled, the declared hint unit replaces every hook but T1's, and
+        # the declared engine that one.
         unit = self.unit
         t1 = self.t1
-        fast = CompiledHookSpec(
-            commit_pcs=tuple(sorted(t1.marked_pcs)) if t1 is not None else (),
-            hint_unit=unit,
-            t1=t1,
-        )
+        fast = CompiledHookSpec(hint_unit=unit, t1=t1)
         return CoreHooks(
             branch_hint=self.branch_hint,
             value_hint=self.value_hint if len(unit.value_seqs) else None,
@@ -215,10 +207,6 @@ class MainThreadHintSource:
         self.fq.occupancy = unit.fq_occupancy
         self.fq.record(FootnoteKind.L1_PREFETCH, unit.fq_prefetches)
         self.fq.record(FootnoteKind.VALUE_PREDICTION, unit.fq_values)
-        # The run is over: drop the unit's reference back to this source,
-        # so the pass's memory systems are freed by reference counting
-        # instead of waiting for the cycle collector.
-        unit.install = None
 
     # -- branch hints ------------------------------------------------------
     def branch_hint(self, entry: DynamicInst) -> Optional[BranchHint]:

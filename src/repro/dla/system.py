@@ -318,20 +318,13 @@ class DlaSystem:
         lt_entries = _FILTERED.get(entries, skeleton.included_pcs)
         state.lt_dynamic_instructions += len(lt_entries)
         commits = CommitLog(pcs=tuple(sorted(self._value_target_pcs(skeleton))))
-        prefetch_hints: List[Tuple[float, int]] = []
-
-        def on_memory_access(entry: DynamicInst, access, cycle: float) -> None:
-            if entry.static.is_load and access.l1_miss:
-                prefetch_hints.append((cycle, entry.effective_address))
-
-        # Both products are declared logs: the compiled kernel records the
-        # commit log and the L1-missing loads itself.
-        hooks = CoreHooks(
-            on_memory_access=on_memory_access,
-            fast_hints=CompiledHookSpec(commit_log=commits,
-                                        load_miss_log=prefetch_hints),
-        )
+        misses: List[Tuple[float, int]] = []
+        # Both products are declared logs, which either engine fills.
+        hooks = CoreHooks(fast_hints=CompiledHookSpec(commit_log=commits,
+                                                      load_miss_log=misses))
         result = state.lt_core.run(lt_entries, hooks=hooks, start_cycle=state.lt_clock)
+        prefetch_hints = [(cycle, lt_entries[i].effective_address)
+                          for cycle, i in misses]
         prefetch_hints.sort(key=lambda item: item[0])
         return LookaheadProducts(lt_entries, commits, prefetch_hints), result
 

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import mpki
 from repro.analysis.reporting import format_table
+from repro.core.compile.hookspec import CompiledHookSpec
 from repro.core.pipeline import CoreHooks
 from repro.core.system import build_single_core, warm_memory_system
 from repro.dla.config import DlaConfig
@@ -21,54 +22,51 @@ from repro.experiments.runner import ExperimentRunner, WorkloadSetup
 from repro.util.stats_math import arithmetic_mean
 
 
-def _split_l1_misses(setup: WorkloadSetup, runner: ExperimentRunner, config,
-                     dla_config: Optional[DlaConfig] = None) -> Dict[str, float]:
+def _split(strided: int, other: int, committed: int) -> Dict[str, float]:
+    committed = max(1, committed)
+    return {
+        "strided_misses": strided,
+        "other_misses": other,
+        "strided_mpki": mpki(strided, committed),
+        "other_mpki": mpki(other, committed),
+    }
+
+
+def _split_l1_misses(setup: WorkloadSetup, config) -> Dict[str, float]:
     """L1 load MPKI split by whether the missing PC is a strided access."""
     strided_pcs = set(setup.profile.strided_pcs())
-    counters = {"strided": 0, "other": 0, "committed": 0}
+    misses = []
+    hooks = CoreHooks(fast_hints=CompiledHookSpec(load_miss_log=misses))
+    shared, private, core = build_single_core(config)
+    warm_memory_system(private, setup.warmup)
+    result = core.run(setup.timed, hooks=hooks)
+    timed = setup.timed
+    strided = sum(timed[i].pc in strided_pcs for _, i in misses)
+    return _split(strided, len(misses) - strided, result.committed)
 
-    def on_memory_access(entry, access, cycle) -> None:
-        if not entry.is_load or not access.l1_miss:
-            return
-        bucket = "strided" if entry.pc in strided_pcs else "other"
-        counters[bucket] += 1
 
-    hooks = CoreHooks(on_memory_access=on_memory_access)
-    if dla_config is None:
-        shared, private, core = build_single_core(config)
-        warm_memory_system(private, setup.warmup)
-        result = core.run(setup.timed, hooks=hooks)
-        counters["committed"] = result.committed
+def _split_dla_misses(setup: WorkloadSetup, runner: ExperimentRunner, config,
+                      dla_config: DlaConfig,
+                      baseline: Dict[str, float]) -> Dict[str, float]:
+    """The DLA main thread's L1 load misses, split in the proportions of
+    ``baseline`` (the BL split under ``config``)."""
+    # The simulation goes through the runner so it shares the fingerprint
+    # cache with every other figure requesting the same configuration.
+    outcome = runner.dla(setup, dla_config, "table03-dla", config)
+    # The outcome counts total misses only; the strided share follows the
+    # baseline proportions scaled by the observed reduction.
+    total_misses = outcome.main.l1d_misses
+    baseline_total = baseline["strided_misses"] + baseline["other_misses"]
+    if baseline_total > 0:
+        strided_share = baseline["strided_misses"] / baseline_total
     else:
-        # For DLA configurations we observe the *main thread's* misses.  The
-        # simulation goes through the runner so it shares the fingerprint
-        # cache with every other figure requesting the same configuration.
-        outcome = runner.dla(setup, dla_config, "table03-dla", config)
-        # Re-derive the split by replaying the main thread's misses: the
-        # outcome already counts total misses; strided share follows the
-        # baseline proportions scaled by the observed reduction.
-        counters["committed"] = outcome.main.committed
-        total_misses = outcome.main.l1d_misses
-        baseline_split = _split_l1_misses(setup, runner, config)
-        baseline_total = baseline_split["strided_misses"] + baseline_split["other_misses"]
-        if baseline_total > 0:
-            strided_share = baseline_split["strided_misses"] / baseline_total
-        else:
-            strided_share = 0.0
-        if dla_config.enable_t1:
-            # T1 handles the strided streams explicitly; the remaining misses
-            # skew heavily towards non-strided accesses.
-            strided_share *= 0.35
-        counters["strided"] = int(total_misses * strided_share)
-        counters["other"] = total_misses - counters["strided"]
-
-    committed = max(1, counters["committed"])
-    return {
-        "strided_misses": counters["strided"],
-        "other_misses": counters["other"],
-        "strided_mpki": mpki(counters["strided"], committed),
-        "other_mpki": mpki(counters["other"], committed),
-    }
+        strided_share = 0.0
+    if dla_config.enable_t1:
+        # T1 handles the strided streams explicitly; the remaining misses
+        # skew heavily towards non-strided accesses.
+        strided_share *= 0.35
+    strided = int(total_misses * strided_share)
+    return _split(strided, total_misses - strided, outcome.main.committed)
 
 
 @dataclass
@@ -93,13 +91,17 @@ def run(runner: Optional[ExperimentRunner] = None,
     per_workload: Dict[str, Dict[str, Dict[str, float]]] = {}
     for name in names:
         setup = runner.setup(name)
+        config = runner.system_config
+        baseline = _split_l1_misses(setup, config)
         per_workload[name] = {
-            "BL": _split_l1_misses(setup, runner, runner.system_config),
-            "BL+stride": _split_l1_misses(setup, runner, runner.with_l1_stride_config()),
-            "DLA": _split_l1_misses(setup, runner, runner.system_config,
-                                    DlaConfig().baseline_dla()),
-            "DLA+T1": _split_l1_misses(setup, runner, runner.system_config,
-                                       DlaConfig().with_optimizations(t1=True)),
+            "BL": baseline,
+            "BL+stride": _split_l1_misses(setup,
+                                          runner.with_l1_stride_config()),
+            "DLA": _split_dla_misses(setup, runner, config,
+                                     DlaConfig().baseline_dla(), baseline),
+            "DLA+T1": _split_dla_misses(
+                setup, runner, config,
+                DlaConfig().with_optimizations(t1=True), baseline),
         }
 
     rows: List[Dict[str, object]] = []
