@@ -256,16 +256,22 @@ class CampaignScheduler:
     def cells(self) -> List[SimRequest]:
         """The flattened (workload, variant) simulation matrix."""
         base = self.runner.system_config
+        # Configs are immutable, so every workload's cells share one
+        # materialised config per variant (and one memoised canonical text).
+        materialised = [
+            (variant, variant.system_config(base), variant.dla_config())
+            for variant in self.spec.variants
+        ]
         requests: List[SimRequest] = []
         for workload in self.cell_workloads():
-            for variant in self.spec.variants:
+            for variant, system_config, dla_config in materialised:
                 requests.append(
                     SimRequest(
                         workload=workload,
                         kind=variant.kind,
                         label=variant.name,
-                        system_config=variant.system_config(base),
-                        dla_config=variant.dla_config(),
+                        system_config=system_config,
+                        dla_config=dla_config,
                         dynamic=variant.dynamic,
                     )
                 )

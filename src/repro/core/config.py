@@ -9,7 +9,7 @@ from repro.memory.hierarchy import MemoryHierarchyConfig
 from repro.memory.resources import WriteBufferConfig
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoreConfig:
     """Microarchitectural parameters of one core.
 
@@ -69,9 +69,13 @@ class CoreConfig:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemConfig:
-    """A complete single-core (or per-core) system configuration."""
+    """A complete single-core (or per-core) system configuration.
+
+    Immutable, like every config it holds: derive a variant with
+    :func:`dataclasses.replace` or one of the ``with_*`` helpers below.
+    """
 
     core: CoreConfig = field(default_factory=CoreConfig)
     memory: MemoryHierarchyConfig = field(default_factory=MemoryHierarchyConfig)

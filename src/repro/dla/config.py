@@ -5,12 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 
-@dataclass
+@dataclass(frozen=True)
 class DlaConfig:
     """Parameters of the DLA / R3-DLA hardware support (Table I, bottom).
 
     The four R3 optimizations can be toggled individually, which is how the
     synergy analysis of Fig. 13c and the per-technique breakdowns are run.
+    Immutable: derive a variant with :func:`dataclasses.replace` or one of
+    the helpers below.
     """
 
     # -- queues connecting the two cores ---------------------------------

@@ -13,6 +13,15 @@ Fingerprints are also the on-disk cache key.  To guarantee a stale cache can
 never resurface results computed by older simulator code, every key is
 salted with a digest of the ``repro`` package sources (:func:`code_salt`):
 any source change invalidates the whole disk cache automatically.
+
+A campaign keys the same few configs thousands of times, so the config
+classes in :data:`MEMOISED_TYPES` are frozen and each instance's canonical
+form and JSON text are computed once, on first use.  The memo is keyed by
+``id()`` and every entry leaves it (through :func:`weakref.finalize`)
+before its object is freed, so a later object that reuses the id can never
+read a stale entry; the memo holds only live configs.  Equality is not a
+usable key: ``3 == 3.0`` and ``True == 1``, but their canonical forms
+differ.
 """
 
 from __future__ import annotations
@@ -21,8 +30,51 @@ import dataclasses
 import enum
 import hashlib
 import json
+import weakref
 from pathlib import Path
-from typing import Any
+from typing import Any, Dict, Tuple
+
+from repro.core.config import CoreConfig, SystemConfig
+from repro.dla.config import DlaConfig
+from repro.memory.cache import CacheConfig
+from repro.memory.dram import DramConfig
+from repro.memory.hierarchy import MemoryHierarchyConfig
+from repro.memory.resources import WriteBufferConfig
+from repro.memory.tlb import TlbConfig
+
+#: The classes whose canonical form is memoised per instance (exact types,
+#: not subclasses).  Each is a frozen dataclass whose fields are scalars or
+#: members of this set, so an instance's content never changes once built.
+#: Other frozen dataclasses stay out: ``TraceColumns`` holds mutable arrays.
+MEMOISED_TYPES = frozenset({
+    CoreConfig, SystemConfig, DlaConfig, CacheConfig, DramConfig,
+    MemoryHierarchyConfig, WriteBufferConfig, TlbConfig,
+})
+
+#: ``id(config)`` -> (canonical form, its JSON text), for live configs only.
+_MEMO: Dict[int, Tuple[Any, str]] = {}
+
+
+def _memo_entry(obj: Any) -> Tuple[Any, str]:
+    key = id(obj)
+    entry = _MEMO.get(key)
+    if entry is None:
+        form = _canonical_dataclass(obj)
+        entry = (form, json.dumps(form, sort_keys=True))
+        _MEMO[key] = entry
+        # CPython runs weakref callbacks before it frees the object, so the
+        # entry is gone before its id can be reused.
+        weakref.finalize(obj, _MEMO.pop, key, None)
+    return entry
+
+
+def _canonical_dataclass(obj: Any) -> Dict[str, Any]:
+    out = {"__type__": type(obj).__name__}
+    for f in dataclasses.fields(obj):
+        if not f.compare:
+            continue
+        out[f.name] = canonicalize(getattr(obj, f.name))
+    return out
 
 
 def canonicalize(obj: Any) -> Any:
@@ -32,15 +84,13 @@ def canonicalize(obj: Any) -> Any:
     their comparison fields (derived/cached fields marked ``compare=False``
     are excluded); enums become their type and member name; sets are sorted.
     Unknown objects fall back to ``repr``, which is stable for everything
-    this codebase configures simulations with.
+    this codebase configures simulations with.  The form of a memoised
+    config is shared between calls: read it, never mutate it.
     """
+    if type(obj) in MEMOISED_TYPES:
+        return _memo_entry(obj)[0]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out = {"__type__": type(obj).__name__}
-        for f in dataclasses.fields(obj):
-            if not f.compare:
-                continue
-            out[f.name] = canonicalize(getattr(obj, f.name))
-        return out
+        return _canonical_dataclass(obj)
     if isinstance(obj, enum.Enum):
         return [type(obj).__name__, obj.name]
     if isinstance(obj, dict):
@@ -59,9 +109,16 @@ def canonicalize(obj: Any) -> Any:
     return {"__repr__": repr(obj)}
 
 
+def _text(obj: Any) -> str:
+    if type(obj) in MEMOISED_TYPES:
+        return _memo_entry(obj)[1]
+    return json.dumps(canonicalize(obj), sort_keys=True)
+
+
 def fingerprint(*objects: Any) -> str:
     """A hex digest identifying the content of ``objects``."""
-    payload = json.dumps([canonicalize(o) for o in objects], sort_keys=True)
+    # Byte-for-byte what json.dumps(list_of_forms, sort_keys=True) writes.
+    payload = "[" + ", ".join(_text(o) for o in objects) + "]"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
 

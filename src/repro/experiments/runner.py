@@ -248,12 +248,12 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     # Keys are computed from the Workload *definition* (name, params,
     # window) — not the prepared setup — so cache lookups never require
-    # building traces or profiles.  Fingerprinting is not cheap: a cold
-    # fig09 sweep (perfbench's ``sweep_cold``) makes 2,756 calls per pass,
-    # about 0.40 of its 2.56 reference seconds.  It stays unmemoized
-    # because an identity-keyed memo here once aliased two different
-    # configs whose objects happened to reuse one id(); a sound memo is
-    # ROADMAP.md item 5.
+    # building traces or profiles.  The configs are frozen, and
+    # ``fingerprint`` memoises each config object's canonical text for as
+    # long as the object lives (see its module docstring), so keying a
+    # cell re-serialises only the workload and the small key parts.
+    # Nothing here memoises a key by id(): such a memo once aliased two
+    # configs whose objects happened to reuse one id.
     def workload_key(self, workload: Workload,
                      kind: str,
                      config: Optional[SystemConfig] = None,

@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CacheConfig:
     """Geometry and timing of one cache level."""
 
@@ -380,6 +380,8 @@ class Cache:
                                    key=stamp.__getitem__)]
 
     def _clear_lines(self) -> None:
+        if not any(self._count):
+            return
         tags, count, associativity = self._tags, self._count, self._associativity
         for index, lines in enumerate(count):
             if lines:

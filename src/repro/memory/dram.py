@@ -31,7 +31,7 @@ from typing import Dict, List, Optional
 from repro.memory.resources import OccupancyQueue, probe_peak
 
 
-@dataclass
+@dataclass(frozen=True)
 class DramConfig:
     """Timing/energy parameters for main memory (per-core-cycle units)."""
 

@@ -106,7 +106,7 @@ def access_result(ready: int, info: int, now: int) -> AccessResult:
                         info & 1 == 1, info & 4 == 4)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoryHierarchyConfig:
     """Cache/TLB/DRAM parameters mirroring Table I of the paper."""
 

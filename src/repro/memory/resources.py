@@ -398,7 +398,7 @@ class OccupancyQueue(OccupancyResource):
         self._append(0, completion)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WriteBufferConfig:
     """Victim write buffer of one cache level.
 

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 from repro.memory.cache import lru_victim
 
 
-@dataclass
+@dataclass(frozen=True)
 class TlbConfig:
     entries: int = 64
     page_bytes: int = 4096

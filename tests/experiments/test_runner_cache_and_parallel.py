@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import importlib
+import typing
 
 import pytest
 
@@ -98,6 +101,74 @@ def test_transient_config_objects_never_alias():
     assert stride_cycles != nopf_cycles
     assert again_nopf == nopf_cycles
     assert runner.stats.simulations == 3
+
+
+# ---------------------------------------------------------------------------
+# the per-instance canonical-form memo
+# ---------------------------------------------------------------------------
+FINGERPRINT = importlib.import_module("repro.experiments.fingerprint")
+
+
+def test_memo_entry_never_outlives_its_config(monkeypatch):
+    """A config built on a recycled id() must get its own key."""
+    base = SystemConfig()
+    victim = dataclasses.replace(base, frequency_ghz=1.0)
+    stale_key = fingerprint(victim)
+    recycled = id(victim)
+    del victim
+    held = []
+    for step in range(1, 10_000):
+        config = dataclasses.replace(base, frequency_ghz=1.0 + step)
+        if id(config) == recycled:
+            break
+        held.append(config)   # keep the slot we want free for the next try
+    else:
+        pytest.fail("no config landed on the recycled id")
+    key = fingerprint(config)
+    monkeypatch.setattr(FINGERPRINT, "MEMOISED_TYPES", frozenset())
+    assert key == fingerprint(config)   # the memo bypassed
+    assert key != stale_key
+
+
+def test_memo_is_opt_in():
+    from repro.emulator.trace import TraceColumns
+    from repro.workloads.suites import get_workload
+
+    workload = get_workload(WORKLOAD)
+    columns = TraceColumns.empty()
+    fingerprint(workload, columns)
+    canonicalize([workload, columns])
+    assert id(workload) not in FINGERPRINT._MEMO
+    assert id(columns) not in FINGERPRINT._MEMO
+
+
+def test_memo_drains_when_configs_die():
+    gc.collect()   # no earlier config may die (and free its id) mid-test
+    before = set(FINGERPRINT._MEMO)
+    configs = [SystemConfig().with_mshr_entries(n) for n in (4, 8)]
+    configs.append(DlaConfig().r3())
+    fingerprint(*configs)
+    keyed = set(FINGERPRINT._MEMO) - before
+    assert id(configs[0]) in keyed and id(configs[-1]) in keyed
+    del configs
+    gc.collect()
+    assert not keyed & set(FINGERPRINT._MEMO)
+    assert set(FINGERPRINT._MEMO) <= before
+
+
+def test_every_reachable_config_is_frozen_and_memoised():
+    reached, pending = set(), [SystemConfig, DlaConfig]
+    while pending:
+        cls = pending.pop()
+        if cls in reached:
+            continue
+        reached.add(cls)
+        assert cls.__dataclass_params__.frozen, cls.__name__
+        for hint in typing.get_type_hints(cls).values():
+            for arg in typing.get_args(hint) or (hint,):
+                if dataclasses.is_dataclass(arg):
+                    pending.append(arg)
+    assert reached == FINGERPRINT.MEMOISED_TYPES
 
 
 def test_dla_cache_keyed_by_dla_config_content():

@@ -7,11 +7,7 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.core.system import simulate_baseline
 from repro.memory.cache import Cache, CacheConfig, MshrFile
-from repro.memory.hierarchy import (
-    CoreMemorySystem,
-    MemoryHierarchyConfig,
-    SharedMemorySystem,
-)
+from repro.memory.hierarchy import CoreMemorySystem, SharedMemorySystem
 from repro.workloads.suites import get_workload
 
 
@@ -177,13 +173,9 @@ def test_drain_quiesces_file_but_keeps_lines_and_stats():
 # hierarchy integration
 # ---------------------------------------------------------------------------
 def _tiny_hierarchy(mshr_entries):
-    config = MemoryHierarchyConfig()
+    config = SystemConfig().with_mshr_entries(mshr_entries).memory
     shared = SharedMemorySystem(config)
     memory = CoreMemorySystem(shared, config)
-    for cache in (memory.l1i, memory.l1d, memory.l2, shared.l3):
-        cache.config.mshr_entries = mshr_entries
-        cache._mshr = (MshrFile(mshr_entries)
-                       if mshr_entries is not None else None)
     return shared, memory
 
 
