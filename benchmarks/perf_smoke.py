@@ -13,24 +13,21 @@ Usage::
     PYTHONPATH=src python benchmarks/perf_smoke.py [workload] [memory_workload]
 
 ``--require-compiled`` additionally asserts that the compiled tick pipeline
-actually carried the simulations (``compiled_ticks > 0`` in the runner
-stats), the setups' profiling timing passes (``setup_compiled_ticks >
-0``), the L1/TLB hits (``native_mem_hits > 0``), the L1 misses of the
-native memory hierarchy (``native_mem_misses > 0``), the DLA cells' branch
-hints (``native_hint_branches > 0``), the R3 cells' T1 steps
-(``native_t1_commits > 0``) and hint verdict draws
-(``native_verdict_draws > 0``), the B-Fetch cell's walker
-(``native_bfetch_fetches > 0``), the CRE cell's table
-(``native_cre_steps > 0``) and the workloads' functional emulation
-(``native_emulated > 0``), and that every one of its cells fits the
-kernel (``interpreted_runs == 0``: no run went to the interpreter while
-the kernel was loaded), and exits with status 2 otherwise — in CI this
-turns a silent fallback to the reference interpreter or the Python
+actually carried the run: every engagement counter of
+:func:`repro.core.compile.counters` moved (``compiled_ticks > 0`` in the
+runner stats for the simulations, and the kernel's native memory
+hierarchy, DLA hint unit, T1, hint verdict draws, B-Fetch walker, CRE
+table and functional emulator each above 0), so did the setups' profiling
+timing passes (``setup_compiled_ticks > 0``), and every one of its cells
+fits the kernel (``interpreted_runs == 0``: no run went to the interpreter
+while the kernel was loaded).  It exits with status 2 otherwise — in CI
+this turns a silent fallback to the reference interpreter or the Python
 emulator (no C compiler on the runner, a kernel build break) into a red
 job instead of a quietly slower number, and so does a cell that stopped
 fitting the kernel (an undeclared hook, a non-stock cache type, branch
 unit or prefetcher), which makes its runs about 3x slower while
-``compiled_ticks`` stays above 0.
+``compiled_ticks`` stays above 0.  A counter added to the table is
+guarded without an edit here.
 """
 
 from __future__ import annotations
@@ -57,28 +54,12 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     # cache's one-off C compile never lands inside the printed wall time.
     from repro.core.compile import (
         compiled_ticks_total,
-        interpreted_runs_total,
+        counters,
         kernel_available,
-        native_bfetch_fetches_total,
-        native_cre_steps_total,
-        native_emulated_total,
-        native_hint_branches_total,
-        native_mem_hits_total,
-        native_mem_misses_total,
-        native_t1_commits_total,
-        native_verdict_draws_total,
     )
 
     kernel_available()
-    native_hits = native_mem_hits_total()
-    native_misses = native_mem_misses_total()
-    hint_branches = native_hint_branches_total()
-    t1_commits = native_t1_commits_total()
-    verdict_draws = native_verdict_draws_total()
-    bfetch_fetches = native_bfetch_fetches_total()
-    cre_steps = native_cre_steps_total()
-    emulated = native_emulated_total()
-    interpreted = interpreted_runs_total()
+    engaged = counters()
     started = time.perf_counter()
     # Fresh in-memory caches and no disk cache: measure real simulation speed.
     runner = ExperimentRunner(quick=True,
@@ -94,7 +75,7 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     runner.baseline(setup, "bl-nopf", runner.no_prefetch_config())
     runner.dla(setup, DlaConfig().baseline_dla(), "dla")
     runner.dla(setup, DlaConfig().r3(), "r3")
-    # Fig. 9's related approaches, through the runner's auxiliary cache.
+    # Fig. 9's related approaches, through the runner's auxiliary entry point.
     runner.auxiliary(setup, "bfetch", lambda: simulate_bfetch(
         setup.timed, runner.system_config, warmup_entries=setup.warmup))
     runner.auxiliary(setup, "cre", lambda: simulate_cre(
@@ -118,34 +99,30 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
         contended_stats.instructions_per_second, 1
     )
     payload["setup_compiled_ticks"] = setup_ticks
-    payload["native_mem_hits"] = native_mem_hits_total() - native_hits
-    payload["native_mem_misses"] = native_mem_misses_total() - native_misses
-    payload["native_hint_branches"] = (native_hint_branches_total()
-                                       - hint_branches)
-    payload["native_t1_commits"] = native_t1_commits_total() - t1_commits
-    payload["native_verdict_draws"] = (native_verdict_draws_total()
-                                       - verdict_draws)
-    payload["native_bfetch_fetches"] = (native_bfetch_fetches_total()
-                                        - bfetch_fetches)
-    payload["native_cre_steps"] = native_cre_steps_total() - cre_steps
-    payload["native_emulated"] = native_emulated_total() - emulated
-    payload["interpreted_runs"] = interpreted_runs_total() - interpreted
+    # The runner's own compiled_ticks (its simulations only) stays; every
+    # other engagement counter is this run's delta.
+    for name, count in counters().items():
+        payload.setdefault(name, count - engaged[name])
+    engagement = ", ".join(f"{name} {payload[name]}"
+                           for name in ["setup_compiled_ticks", *counters()])
     print(f"perf_smoke[{workload}+{memory_workload}]: "
           f"{payload['simulations']} simulations, "
           f"{payload['simulated_instructions']} instructions in {wall:.2f}s "
           f"({payload['instructions_per_second']:.0f} inst/s overall, "
           f"{payload['contended_instructions_per_second']:.0f} inst/s "
-          f"contended, {payload['compiled_ticks']} compiled ticks, "
-          f"{setup_ticks} in setup, {payload['native_mem_hits']} native "
-          f"L1/TLB hits, {payload['native_mem_misses']} native L1 misses, "
-          f"{payload['native_hint_branches']} native hint "
-          f"branches, {payload['native_t1_commits']} native T1 steps, "
-          f"{payload['native_verdict_draws']} native verdict draws, "
-          f"{payload['native_bfetch_fetches']} native B-Fetch fetches, "
-          f"{payload['native_cre_steps']} native CRE steps, "
-          f"{payload['native_emulated']} natively emulated, "
-          f"{payload['interpreted_runs']} runs interpreted)")
+          f"contended; {engagement})")
     return payload
+
+
+def guarded() -> list:
+    """The counters ``--require-compiled`` needs above 0: the setups'
+    ``setup_compiled_ticks`` and every engagement counter of
+    :func:`repro.core.compile.counters` but ``interpreted_runs`` (which
+    must stay 0)."""
+    from repro.core.compile import counters
+
+    return ["setup_compiled_ticks",
+            *(name for name in counters() if name != "interpreted_runs")]
 
 
 def _parse_args(argv=None) -> argparse.Namespace:
@@ -154,16 +131,10 @@ def _parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("memory_workload", nargs="?", default="mg")
     parser.add_argument(
         "--require-compiled", action="store_true",
-        help="exit 2 unless the compiled tick pipeline carried the runs, "
-             "the setups' profiling passes, the L1/TLB hits, the miss path, "
-             "the DLA branch hints, T1, the hint verdict draws, B-Fetch, "
-             "CRE and the functional emulation (compiled_ticks, "
-             "setup_compiled_ticks, native_mem_hits, native_mem_misses, "
-             "native_hint_branches, native_t1_commits, "
-             "native_verdict_draws, native_bfetch_fetches, "
-             "native_cre_steps and native_emulated all > 0) and that no "
-             "cell left the kernel (interpreted_runs == 0); guards CI "
-             "against a silent fallback to the reference interpreter or "
+        help="exit 2 unless every engagement counter of "
+             "repro.core.compile.counters() and setup_compiled_ticks is > 0 "
+             "and no cell left the kernel (interpreted_runs == 0); guards "
+             "CI against a silent fallback to the reference interpreter or "
              "the Python emulator, and against a cell that stopped fitting "
              "the kernel",
     )
@@ -174,11 +145,7 @@ if __name__ == "__main__":
     cli_args = _parse_args()
     result = main(cli_args.workload, cli_args.memory_workload)
     if cli_args.require_compiled:
-        for key in ("compiled_ticks", "setup_compiled_ticks",
-                    "native_mem_hits", "native_mem_misses",
-                    "native_hint_branches", "native_t1_commits",
-                    "native_verdict_draws", "native_bfetch_fetches",
-                    "native_cre_steps", "native_emulated"):
+        for key in guarded():
             if result.get(key, 0) <= 0:
                 print(f"perf_smoke: compiled tick pipeline did not engage "
                       f"({key} == 0) but --require-compiled was set",

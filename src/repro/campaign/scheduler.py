@@ -90,7 +90,8 @@ def default_owner() -> str:
 def _watchdog_cell_main(payload: tuple, report) -> None:
     """Watchdog subprocess entry: run one isolated
     :func:`~repro.experiments.parallel._run_group` payload, send its
-    failures through the ``report`` pipe.
+    ``(failures, stats)`` through the ``report`` pipe — the stats delta is
+    the parent's to merge, as the pool path's merge does.
 
     A successful result travels through the shared disk cache (the child
     runner persists it the moment the simulation finishes), so the parent
@@ -100,8 +101,9 @@ def _watchdog_cell_main(payload: tuple, report) -> None:
     kill it outright instead of raising into code that could still land
     the result it was timed out on.
     """
-    _workload, results, _stats = _run_group(payload)
-    report.send({key: info for kind, key, info in results if kind == "failed"})
+    _workload, results, stats = _run_group(payload)
+    report.send(({key: info for kind, key, info in results if kind == "failed"},
+                 stats))
 
 
 def install_shutdown_handlers() -> Dict[int, object]:
@@ -692,17 +694,24 @@ class CampaignScheduler:
                     f"{self.cell_timeout:g}s wall clock"
                 ), time.monotonic() - started)}
             try:
-                failures = report.recv()
+                failures, stats = report.recv()
             except EOFError:
                 process.join(5.0)
                 return {key: _failure_payload(request, CellCrashed(
                     f"watchdog subprocess died with exit code "
                     f"{process.exitcode}"
                 ), time.monotonic() - started)}
+            # The child's simulations are this runner's: count them here,
+            # and its result is no disk hit.
+            self.runner.stats.merge(stats)
             if not failures:
                 # Success: pull the child's result from the shared disk
-                # cache into this runner's memory caches.
-                self.runner.screen([request], keys=[key])
+                # cache into this runner's outcome store.  A torn write
+                # reads as a miss and leaves the cell open.
+                runner = self.runner
+                stored = runner.disk_cache.get(runner._disk_key(key))
+                if stored is not None:
+                    runner.inject(key, stored)
             return failures
         finally:
             report.close()

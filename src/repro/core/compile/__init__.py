@@ -28,14 +28,14 @@ simulation natively:
 The reference interpreter carries a run for one of three reasons:
 ``REPRO_FAST_PIPELINE=0`` is set, the kernel failed to build (no compiler,
 compile error: a silent fallback), or the run does not fit the kernel
-(counted by :func:`interpreted_runs_total`).  The golden equivalence tests
-pin both paths to bit-identical results.
+(the ``interpreted_runs`` entry of :func:`counters`).  The golden
+equivalence tests pin both paths to bit-identical results.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core.results import CoreResult
 
@@ -43,132 +43,41 @@ FAST_PIPELINE_ENV = "REPRO_FAST_PIPELINE"
 
 _FALSEY = {"0", "false", "no", "off"}
 
-#: Instructions retired through the compiled kernel in this process.
-_compiled_ticks = 0
-
-#: L1 hits the kernel served natively (tick loops and warm replays).
-_native_mem_hits = 0
-
-#: L1 misses the kernel's native memory hierarchy served (tick loops and
-#: warm replays).
-_native_mem_misses = 0
-
-#: Branch hints the kernel's native DLA hint unit delivered.
-_native_hint_branches = 0
-
-#: Instructions the kernel's functional emulator executed.
-_native_emulated = 0
-
-#: Committed marked loads the kernel's native T1 stepped.
-_native_t1_commits = 0
-
-#: Hint-verdict draws the kernel made (``draw_verdicts``).
-_native_verdict_draws = 0
-
-#: Instructions whose fetch stepped the kernel's native B-Fetch walker.
-_native_bfetch_fetches = 0
-
-#: Load accesses the kernel's native CRE table stepped (eligible PCs).
-_native_cre_steps = 0
-
-#: Runs the interpreter carried, with the kernel loaded, because they do
-#: not fit it.
-_interpreted_runs = 0
+#: Process-wide engagement counters of the compiled path, by name.  A new
+#: native model adds its counter here; ``counters()`` and perf_smoke's
+#: ``--require-compiled`` guard pick it up from the keys.
+_COUNTERS: Dict[str, int] = dict.fromkeys((
+    "compiled_ticks",         # instructions retired through the kernel
+    "native_mem_hits",        # L1/TLB hits it served (tick loops, warm replays)
+    "native_mem_misses",      # L1 misses its memory hierarchy served
+    "native_hint_branches",   # branch hints its DLA hint unit delivered
+    "native_t1_commits",      # committed marked loads its T1 stepped
+    "native_verdict_draws",   # hint-verdict draws it made (draw_verdicts)
+    "native_bfetch_fetches",  # fetches that stepped its B-Fetch walker
+    "native_cre_steps",       # load accesses its CRE table stepped
+    "native_emulated",        # instructions its functional emulator executed
+    # Runs the interpreter carried, with the kernel loaded, because they
+    # do not fit it.
+    "interpreted_runs",
+), 0)
 
 
 def fast_pipeline_enabled() -> bool:
     return os.environ.get(FAST_PIPELINE_ENV, "1").strip().lower() not in _FALSEY
 
 
+def counters() -> Dict[str, int]:
+    """A snapshot of the process-wide engagement counters."""
+    return dict(_COUNTERS)
+
+
+def _count(name: str, count: int) -> None:
+    _COUNTERS[name] += count
+
+
 def compiled_ticks_total() -> int:
     """Process-wide count of instructions retired by the compiled kernel."""
-    return _compiled_ticks
-
-
-def native_mem_hits_total() -> int:
-    """Process-wide count of L1/TLB hits served natively by the kernel."""
-    return _native_mem_hits
-
-
-def _add_native_mem_hits(count: int) -> None:
-    global _native_mem_hits
-    _native_mem_hits += count
-
-
-def native_mem_misses_total() -> int:
-    """Process-wide count of L1 misses served natively by the kernel."""
-    return _native_mem_misses
-
-
-def _add_native_mem_misses(count: int) -> None:
-    global _native_mem_misses
-    _native_mem_misses += count
-
-
-def native_hint_branches_total() -> int:
-    """Process-wide count of branch hints the native hint unit delivered."""
-    return _native_hint_branches
-
-
-def _add_native_hint_branches(count: int) -> None:
-    global _native_hint_branches
-    _native_hint_branches += count
-
-
-def native_emulated_total() -> int:
-    """Process-wide count of instructions the native emulator executed."""
-    return _native_emulated
-
-
-def _add_native_emulated(count: int) -> None:
-    global _native_emulated
-    _native_emulated += count
-
-
-def native_t1_commits_total() -> int:
-    """Process-wide count of marked loads the native T1 stepped."""
-    return _native_t1_commits
-
-
-def _add_native_t1_commits(count: int) -> None:
-    global _native_t1_commits
-    _native_t1_commits += count
-
-
-def native_verdict_draws_total() -> int:
-    """Process-wide count of hint-verdict draws the kernel made."""
-    return _native_verdict_draws
-
-
-def _add_native_verdict_draws(count: int) -> None:
-    global _native_verdict_draws
-    _native_verdict_draws += count
-
-
-def native_bfetch_fetches_total() -> int:
-    """Process-wide count of fetches the native B-Fetch walker stepped."""
-    return _native_bfetch_fetches
-
-
-def _add_native_bfetch_fetches(count: int) -> None:
-    global _native_bfetch_fetches
-    _native_bfetch_fetches += count
-
-
-def native_cre_steps_total() -> int:
-    """Process-wide count of load accesses the native CRE table stepped."""
-    return _native_cre_steps
-
-
-def _add_native_cre_steps(count: int) -> None:
-    global _native_cre_steps
-    _native_cre_steps += count
-
-
-def interpreted_runs_total() -> int:
-    """Process-wide count of runs that did not fit the loaded kernel and
-    went to the reference interpreter."""
-    return _interpreted_runs
+    return _COUNTERS["compiled_ticks"]
 
 
 def native_kernel():
@@ -194,7 +103,6 @@ def maybe_run_compiled(core, entries: Sequence, hooks, start_cycle: float,
     kill-switch is set, the kernel failed to build, or the run does not fit
     the kernel (:func:`~repro.core.compile.plan.plan_run`).
     """
-    global _compiled_ticks, _interpreted_runs
     kernel = native_kernel()
     if kernel is None:
         return None
@@ -202,12 +110,12 @@ def maybe_run_compiled(core, entries: Sequence, hooks, start_cycle: float,
     from repro.core.compile.plan import plan_run
 
     if not plan_run(core, hooks):
-        _interpreted_runs += 1
+        _count("interpreted_runs", 1)
         return None
 
     result = run_compiled(kernel, core, entries, hooks, start_cycle,
                           collect_timings)
-    _compiled_ticks += len(entries)
+    _count("compiled_ticks", len(entries))
     return result
 
 

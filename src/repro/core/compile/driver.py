@@ -33,15 +33,7 @@ from repro.core.results import CoreResult, InstructionTimings
 from repro.emulator.trace import DynamicInst
 from repro.memory.resources import BankedMshrFile
 
-from repro.core.compile import (
-    _add_native_bfetch_fetches,
-    _add_native_cre_steps,
-    _add_native_hint_branches,
-    _add_native_mem_hits,
-    _add_native_mem_misses,
-    _add_native_t1_commits,
-    _add_native_verdict_draws,
-)
+from repro.core.compile import _count
 from repro.core.compile.decoded import decode_trace, get_decoded
 
 #: Counter slots (must match kernel.c).
@@ -323,11 +315,11 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
         kernel.run_tick_loop(spec)
     finally:
         native.settle()
-    _add_native_mem_hits(counters[C_NATIVE_HITS])
-    _add_native_mem_misses(counters[C_NATIVE_MISSES])
-    _add_native_t1_commits(counters[C_T1_COMMITS])
-    _add_native_bfetch_fetches(counters[C_BFETCH_FETCHES])
-    _add_native_cre_steps(counters[C_CRE_STEPS])
+    _count("native_mem_hits", counters[C_NATIVE_HITS])
+    _count("native_mem_misses", counters[C_NATIVE_MISSES])
+    _count("native_t1_commits", counters[C_T1_COMMITS])
+    _count("native_bfetch_fetches", counters[C_BFETCH_FETCHES])
+    _count("native_cre_steps", counters[C_CRE_STEPS])
 
     ras._stack = list(ras_stack[:ras_state[0]])
     ras.pushes = ras_state[1]
@@ -362,7 +354,7 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
         if unit.scoreboard is not None:
             unit.scoreboard.skips += counters[C_SB_SKIP]
             unit.scoreboard.validations += counters[C_SB_VALID]
-        _add_native_hint_branches(unit.branch_cursor - hinted)
+        _count("native_hint_branches", unit.branch_cursor - hinted)
     if log is not None:
         targets = (log.branch_index, log.branch_times, log.pc_index,
                    log.pc_times)
@@ -398,8 +390,8 @@ def classify_accesses(kernel, memory, ea: array, stores: array,
             memory=native.spec))
     finally:
         native.settle()
-    _add_native_mem_hits(hits)
-    _add_native_mem_misses(misses)
+    _count("native_mem_hits", hits)
+    _count("native_mem_misses", misses)
     return info
 
 
@@ -422,8 +414,8 @@ def replay_warmup(kernel, memory, inputs, cycles_per_access: int,
         ))
     finally:
         native.settle()
-    _add_native_mem_hits(hits)
-    _add_native_mem_misses(misses)
+    _count("native_mem_hits", hits)
+    _count("native_mem_misses", misses)
 
 
 def draw_verdicts(kernel, entries, commits, rates, risky, biased,
@@ -456,5 +448,5 @@ def draw_verdicts(kernel, entries, commits, rates, risky, biased,
         value_seqs=columns[2], value_verdicts=columns[3],
     ))
     rng.setstate((version, (*mt, index[0]), gauss))
-    _add_native_verdict_draws(draws)
+    _count("native_verdict_draws", draws)
     return columns

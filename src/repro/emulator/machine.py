@@ -276,7 +276,7 @@ class Emulator:
     def _run_native(self, max_instructions: int) -> Optional[TraceColumns]:
         """The kernel's ``emulate`` loop from the reset state, or ``None``
         when the kernel is off or cannot transcribe this program."""
-        from repro.core.compile import _add_native_emulated, native_kernel
+        from repro.core.compile import _count, native_kernel
 
         kernel = native_kernel()
         if kernel is None or max_instructions <= 0:
@@ -294,7 +294,7 @@ class Emulator:
         columns = TraceColumns(array("i", pcs), array("q", eas),
                                array("q", results), array("B", flags),
                                array("i", next_pcs))
-        _add_native_emulated(len(columns))
+        _count("native_emulated", len(columns))
         return columns
 
 

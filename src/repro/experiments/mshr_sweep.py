@@ -32,17 +32,7 @@ from repro.experiments.memsys_sweep import (
 )
 from repro.experiments.runner import ExperimentRunner
 
-__all__ = [
-    "MSHR_SETTINGS", "MshrSweepResult", "setting_label",
-    "run", "CAMPAIGN", "artifact_tables",
-]
-
-#: Back-compat alias: the sweep result is the shared memsys shape now.
-MshrSweepResult = MemsysSweepResult
-
-
-def setting_label(entries: Optional[int]) -> str:
-    return AXIS_MSHR.label(entries)
+__all__ = ["MSHR_SETTINGS", "run", "CAMPAIGN", "artifact_tables"]
 
 
 def run(runner: Optional[ExperimentRunner] = None) -> MemsysSweepResult:

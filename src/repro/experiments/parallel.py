@@ -2,11 +2,12 @@
 
 ``ParallelExperimentRunner`` fans independent (workload, configuration)
 simulations out over ``multiprocessing`` worker processes and merges the
-results back into the ordinary in-memory/on-disk caches in deterministic
-(request) order.  Because every simulation is deterministic — programs are
-seeded with content-stable hashes, traces replay identically, and all hint
-errors come from :class:`~repro.util.rng.DeterministicRng` — a parallel
-campaign produces bit-identical outcomes to a serial one, just sooner.
+results back into the runner's one outcome store in deterministic
+(request) order; the workers write the shared on-disk cache themselves.
+Because every simulation is deterministic — programs are seeded with
+content-stable hashes, traces replay identically, and all hint errors come
+from :class:`~repro.util.rng.DeterministicRng` — a parallel campaign
+produces bit-identical outcomes to a serial one, just sooner.
 
 Workers are grouped by workload so each worker process builds a workload's
 program/trace/profile once and then runs every configuration requested for
@@ -30,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SystemConfig
 from repro.dla.config import DlaConfig
-from repro.experiments.runner import ExperimentRunner, strip_outcome
+from repro.experiments.runner import ExperimentRunner
 
 #: Environment variable overriding the worker-process count.
 PROCESSES_ENV = "REPRO_PROCESSES"
@@ -85,9 +86,7 @@ def _worker_runner(ctor_kwargs: dict) -> ExperimentRunner:
 def _simulate_request(runner: ExperimentRunner, setup, request: SimRequest):
     """Run one request against an already-built setup; returns the outcome."""
     if request.kind == "baseline":
-        return strip_outcome(
-            runner.baseline(setup, request.label or "bl", request.system_config)
-        )
+        return runner.baseline(setup, request.label or "bl", request.system_config)
     if request.kind == "segmented":
         return runner.dla_segmented(
             setup, request.dla_config, request.dynamic,
@@ -222,8 +221,8 @@ class ParallelExperimentRunner(ExperimentRunner):
     parallel worker processes.
 
     All single-request entry points (:meth:`setup`, :meth:`baseline`,
-    :meth:`dla`) are inherited unchanged — figures keep calling them and hit
-    the caches :meth:`warm` filled.
+    :meth:`dla`, ...) are inherited unchanged — figures keep calling them and
+    hit the outcome store :meth:`warm` filled.
     """
 
     def __init__(self, *args, processes: Optional[int] = None, **kwargs) -> None:
@@ -370,7 +369,7 @@ class ParallelExperimentRunner(ExperimentRunner):
                keys: Optional[Sequence[str]] = None) -> Dict[str, bool]:
         """Cell-granular cache probe: request key -> "result available".
 
-        Disk-cached results are pulled into the in-memory caches on the way
+        Disk-cached results are pulled into the outcome store on the way
         (so a later :meth:`warm` or figure call is a memory hit), but nothing
         is ever simulated.  This is what sharded execution polls: a cell is
         *done* exactly when its key screens True here, regardless of which
@@ -382,27 +381,15 @@ class ParallelExperimentRunner(ExperimentRunner):
         availability: Dict[str, bool] = {}
         for index, request in enumerate(requests):
             key = keys[index] if keys is not None else self.request_key(request)
-            has, inject = self._cache_ops(request.kind)
-            if has(key):
-                availability[key] = True
-                continue
-            if self.disk_cache is not None:
+            available = self.cached_outcome(key) is not None
+            if not available and self.disk_cache is not None:
                 stored = self.disk_cache.get(self._disk_key(key))
                 if stored is not None:
                     self.stats.disk_hits += 1
-                    inject(key, stored, persist=False)
-                    availability[key] = True
-                    continue
-            availability[key] = False
+                    self.inject(key, stored)
+                    available = True
+            availability[key] = available
         return availability
-
-    def _cache_ops(self, kind: str):
-        """(has, inject) cache accessors for one request kind."""
-        if kind == "baseline":
-            return self.has_baseline, self.inject_baseline
-        if kind == "segmented":
-            return self.has_segmented, self.inject_segmented
-        return self.has_dla, self.inject_dla
 
     def _merge_group(self, result) -> Dict[str, Dict[str, object]]:
         _workload, outcomes, worker_stats = result
@@ -416,7 +403,6 @@ class ParallelExperimentRunner(ExperimentRunner):
                 # not a result.  Nothing is cached — the cell stays pending.
                 failures[key] = outcome
                 continue
-            _has, inject = self._cache_ops(kind)
-            inject(key, outcome, persist=False)
+            self.inject(key, outcome)
         self.stats.merge(worker_stats)
         return failures

@@ -1,10 +1,14 @@
 """Shared experiment infrastructure.
 
 The :class:`ExperimentRunner` prepares workload setups (program, trace
-windows, profile) and caches finished simulations.  Caching is keyed by a
-*content fingerprint* of everything that determines an outcome — workload,
-:class:`SystemConfig`, :class:`DlaConfig` and the trace window — never by
-the display label a figure passes in:
+windows, profile) and caches finished simulations in one outcome store.
+Its entry points (``baseline``, ``dla``, ``dla_segmented``, ``auxiliary``)
+differ only in how they key and simulate a cell; one private path serves
+them all: memory hit, else disk hit, else simulate, count and persist.
+Caching is keyed by a *content fingerprint* of everything that determines
+an outcome — the kind of cell, workload, :class:`SystemConfig`,
+:class:`DlaConfig` and the trace window — never by the display label a
+figure passes in:
 
 * two different configurations accidentally passed under the same label can
   no longer alias to one result (the old label-keyed collision hazard);
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.compile import compiled_ticks_total
 from repro.core.config import SystemConfig
@@ -234,11 +238,11 @@ class ExperimentRunner:
             ResultDiskCache() if disk_cache else None
         )
         self._setups: Dict[str, WorkloadSetup] = {}
-        self._compiled_mark = 0
-        self._baseline_cache: Dict[str, SimulationOutcome] = {}
-        self._dla_cache: Dict[str, DlaOutcome] = {}
-        self._segmented_cache: Dict[str, SegmentedOutcome] = {}
-        self._aux_cache: Dict[str, SimulationOutcome] = {}
+        #: Finished outcomes of every kind by content key.  Every key's
+        #: fingerprinted content leads with its kind (``"baseline"``,
+        #: ``"dla"``, ``"segmented"``, ``"aux-<kind>"``), so the kinds
+        #: share one store without colliding.
+        self._outcomes: Dict[str, object] = {}
         #: Cosmetic label -> fingerprint key of the last request made under
         #: that label (debugging / reporting only; never used for lookup).
         self.label_keys: Dict[str, str] = {}
@@ -273,16 +277,6 @@ class ExperimentRunner:
             parts.append(dla_config)
         return fingerprint(*parts)
 
-    def baseline_key(self, setup: WorkloadSetup,
-                     config: Optional[SystemConfig] = None) -> str:
-        """Content key of one baseline simulation request."""
-        return self.workload_key(setup.workload, "baseline", config)
-
-    def dla_key(self, setup: WorkloadSetup, dla_config: DlaConfig,
-                config: Optional[SystemConfig] = None) -> str:
-        """Content key of one DLA co-simulation request."""
-        return self.workload_key(setup.workload, "dla", config, dla_config)
-
     def segmented_key_for(self, workload: Workload, dla_config: DlaConfig,
                           dynamic: bool,
                           config: Optional[SystemConfig] = None) -> str:
@@ -310,11 +304,6 @@ class ExperimentRunner:
     def _search_unit_limit(self) -> Optional[int]:
         """Loop-tuning sample size for segmented runs (None = tune all)."""
         return None if self.quick else FULL_MODE_SEARCH_UNITS
-
-    def segmented_key(self, setup: WorkloadSetup, dla_config: DlaConfig,
-                      dynamic: bool,
-                      config: Optional[SystemConfig] = None) -> str:
-        return self.segmented_key_for(setup.workload, dla_config, dynamic, config)
 
     def _disk_key(self, key: str) -> str:
         return salted_key(key)
@@ -400,61 +389,18 @@ class ExperimentRunner:
         ``label`` is purely cosmetic; results are cached by the content
         fingerprint of (workload, config, window).
         """
-        key = self.baseline_key(setup, config)
-        self.label_keys[label] = key
-        cached = self._baseline_cache.get(key)
-        if cached is not None:
-            self.stats.memory_hits += 1
-            return cached
-        if self.disk_cache is not None:
-            stored = self.disk_cache.get(self._disk_key(key))
-            if stored is not None:
-                self.stats.disk_hits += 1
-                self._baseline_cache[key] = stored
-                return stored
-        started = self._begin_simulation()
-        # Stripped in memory as on disk: a cached outcome must not pin the
-        # run's whole cache hierarchy.
-        outcome = strip_outcome(simulate_baseline(
-            setup.timed,
-            config or self.system_config,
-            warmup_entries=setup.warmup,
-        ))
-        self._record_simulation(started, outcome.core.committed)
-        self._baseline_cache[key] = outcome
-        if self.disk_cache is not None:
-            self.disk_cache.put(self._disk_key(key), outcome)
-        return outcome
+        key = self.workload_key(setup.workload, "baseline", config)
+        return self._cached(key, label, lambda: simulate_baseline(
+            setup.timed, config or self.system_config,
+            warmup_entries=setup.warmup))
 
     def dla(self, setup: WorkloadSetup, dla_config: DlaConfig, label: str,
             config: Optional[SystemConfig] = None) -> DlaOutcome:
         """DLA co-simulation of the timed window, cached by content key."""
-        key = self.dla_key(setup, dla_config, config)
-        self.label_keys[label] = key
-        cached = self._dla_cache.get(key)
-        if cached is not None:
-            self.stats.memory_hits += 1
-            return cached
-        if self.disk_cache is not None:
-            stored = self.disk_cache.get(self._disk_key(key))
-            if stored is not None:
-                self.stats.disk_hits += 1
-                self._dla_cache[key] = stored
-                return stored
-        started = self._begin_simulation()
-        system = DlaSystem(
-            setup.program,
-            config or self.system_config,
-            dla_config,
-            profile=setup.profile,
-        )
-        outcome = system.simulate(setup.timed, warmup_entries=setup.warmup)
-        self._record_simulation(
-            started, outcome.main.committed + outcome.lookahead.committed)
-        self._dla_cache[key] = outcome
-        if self.disk_cache is not None:
-            self.disk_cache.put(self._disk_key(key), outcome)
-        return outcome
+        key = self.workload_key(setup.workload, "dla", config, dla_config)
+        return self._cached(key, label, lambda: self._dla_system(
+            setup, dla_config, config).simulate(
+                setup.timed, warmup_entries=setup.warmup))
 
     def dla_segmented(self, setup: WorkloadSetup, dla_config: DlaConfig,
                       dynamic: bool = False, label: str = "recycle",
@@ -466,50 +412,29 @@ class ExperimentRunner:
         segmented run itself happen at most once per (workload, config,
         window, tuning mode) per cache lifetime.
         """
-        key = self.segmented_key(setup, dla_config, dynamic, config)
-        self.label_keys[label] = key
-        cached = self._segmented_cache.get(key)
-        if cached is not None:
-            self.stats.memory_hits += 1
-            return cached
-        if self.disk_cache is not None:
-            stored = self.disk_cache.get(self._disk_key(key))
-            if stored is not None:
-                self.stats.disk_hits += 1
-                self._segmented_cache[key] = stored
-                return stored
-        from repro.dla.recycle import RecycleController, build_skeleton_versions
+        def simulate() -> SegmentedOutcome:
+            from repro.dla.recycle import RecycleController, build_skeleton_versions
 
-        started = self._begin_simulation()
-        system = DlaSystem(
-            setup.program,
-            config or self.system_config,
-            dla_config,
-            profile=setup.profile,
-        )
-        versions = build_skeleton_versions(
-            system.builder,
-            enable_t1=dla_config.enable_t1,
-            include_value_targets=dla_config.enable_value_reuse,
-        )
-        controller = RecycleController(versions, dla_config,
-                                       setup.profile.loop_branch_pcs)
-        plan = controller.plan(system, setup.timed, dynamic=dynamic,
-                               search_unit_limit=self._search_unit_limit())
-        outcome = system.simulate_segmented(plan.segments,
-                                            warmup_entries=setup.warmup)
-        result = SegmentedOutcome(
-            outcome=outcome,
-            version_names=tuple(s.options.name for s in versions),
-            chosen_versions=tuple(plan.chosen_versions),
-            version_distribution=dict(plan.version_distribution),
-        )
-        self._record_simulation(
-            started, outcome.main.committed + outcome.lookahead.committed)
-        self._segmented_cache[key] = result
-        if self.disk_cache is not None:
-            self.disk_cache.put(self._disk_key(key), result)
-        return result
+            system = self._dla_system(setup, dla_config, config)
+            versions = build_skeleton_versions(
+                system.builder,
+                enable_t1=dla_config.enable_t1,
+                include_value_targets=dla_config.enable_value_reuse,
+            )
+            controller = RecycleController(versions, dla_config,
+                                           setup.profile.loop_branch_pcs)
+            plan = controller.plan(system, setup.timed, dynamic=dynamic,
+                                   search_unit_limit=self._search_unit_limit())
+            return SegmentedOutcome(
+                outcome=system.simulate_segmented(plan.segments,
+                                                  warmup_entries=setup.warmup),
+                version_names=tuple(s.options.name for s in versions),
+                chosen_versions=tuple(plan.chosen_versions),
+                version_distribution=dict(plan.version_distribution),
+            )
+
+        key = self.segmented_key_for(setup.workload, dla_config, dynamic, config)
+        return self._cached(key, label, simulate)
 
     def auxiliary(self, setup: WorkloadSetup, kind: str, simulate,
                   config: Optional[SystemConfig] = None):
@@ -520,99 +445,65 @@ class ExperimentRunner:
         baseline/DLA entry points, so related-approach comparisons resume
         from the disk cache instead of re-simulating on every campaign run.
         ``simulate`` is only called on a miss, must be deterministic, and
-        may return a :class:`SimulationOutcome` or a
-        :class:`~repro.dla.system.DlaOutcome`-shaped object.
+        may return any outcome shape :func:`committed_instructions` counts.
         """
         key = self.workload_key(setup.workload, f"aux-{kind}", config)
-        self.label_keys[kind] = key
-        cached = self._aux_cache.get(key)
-        if cached is not None:
+        return self._cached(key, kind, simulate)
+
+    def _dla_system(self, setup: WorkloadSetup, dla_config: DlaConfig,
+                    config: Optional[SystemConfig]) -> DlaSystem:
+        return DlaSystem(setup.program, config or self.system_config,
+                         dla_config, profile=setup.profile)
+
+    def _cached(self, key: str, label: str, simulate: Callable[[], object]):
+        """The outcome under content ``key``: from memory, else from the
+        disk cache, else ``simulate()``'s, which is counted in :attr:`stats`
+        and stored in both.  ``label`` only records ``key`` in
+        :attr:`label_keys`.
+        """
+        self.label_keys[label] = key
+        outcome = self._outcomes.get(key)
+        if outcome is not None:
             self.stats.memory_hits += 1
-            return cached
+            return outcome
         if self.disk_cache is not None:
-            stored = self.disk_cache.get(self._disk_key(key))
-            if stored is not None:
+            outcome = self.disk_cache.get(self._disk_key(key))
+            if outcome is not None:
                 self.stats.disk_hits += 1
-                self._aux_cache[key] = stored
-                return stored
-        started = self._begin_simulation()
+                self._outcomes[key] = outcome
+                return outcome
+        ticks = compiled_ticks_total()
+        started = time.perf_counter()
         outcome = simulate()
         if isinstance(outcome, SimulationOutcome):
-            committed = outcome.core.committed
-            payload = strip_outcome(outcome)
-        else:
-            # DlaOutcome-shaped (two-thread comparison models) or anything
-            # exposing a ``committed`` total (e.g. the SMT pair outcome).
-            committed = getattr(outcome, "committed", None)
-            if committed is None:
-                committed = outcome.main.committed + outcome.lookahead.committed
-            payload = outcome
-        self._record_simulation(started, committed)
-        self._aux_cache[key] = payload
-        if self.disk_cache is not None:
-            self.disk_cache.put(self._disk_key(key), payload)
-        return payload
-
-    def _begin_simulation(self) -> float:
-        """Mark the start of one executed simulation (wall clock + ticks)."""
-        self._compiled_mark = compiled_ticks_total()
-        return time.perf_counter()
-
-    def _record_simulation(self, started: float, committed: int) -> None:
+            # Stripped in memory as on disk: a cached outcome must not pin
+            # the run's whole cache hierarchy.
+            outcome = strip_outcome(outcome)
         self.stats.simulations += 1
-        self.stats.simulated_instructions += int(committed)
+        self.stats.simulated_instructions += committed_instructions(outcome)
         self.stats.simulation_seconds += time.perf_counter() - started
-        self.stats.compiled_ticks += compiled_ticks_total() - self._compiled_mark
+        self.stats.compiled_ticks += compiled_ticks_total() - ticks
+        self._outcomes[key] = outcome
+        if self.disk_cache is not None:
+            self.disk_cache.put(self._disk_key(key), outcome)
+        return outcome
 
-    # ------------------------------------------------------------------
-    # cache injection (used by the parallel runner's deterministic merge)
-    # ------------------------------------------------------------------
-    def inject_baseline(self, key: str, outcome: SimulationOutcome,
-                        persist: bool = True) -> None:
-        """Install an externally-computed outcome into the caches.
-
-        Pass ``persist=False`` when the outcome is already on disk (it was
-        read from the disk cache, or a worker sharing the cache directory
-        wrote it) to avoid re-pickling identical entries.
+    def inject(self, key: str, outcome) -> None:
+        """Install an outcome computed elsewhere under ``key`` — a worker's
+        result (the parallel runner's deterministic merge) or a disk entry.
+        Nothing is persisted or counted: it is on disk already or the
+        cache is off, and whoever simulated it counted it.
         """
-        self._baseline_cache.setdefault(key, outcome)
-        if persist and self.disk_cache is not None:
-            self.disk_cache.put(self._disk_key(key), strip_outcome(outcome))
-
-    def inject_dla(self, key: str, outcome: DlaOutcome,
-                   persist: bool = True) -> None:
-        self._dla_cache.setdefault(key, outcome)
-        if persist and self.disk_cache is not None:
-            self.disk_cache.put(self._disk_key(key), outcome)
-
-    def inject_segmented(self, key: str, outcome: SegmentedOutcome,
-                         persist: bool = True) -> None:
-        self._segmented_cache.setdefault(key, outcome)
-        if persist and self.disk_cache is not None:
-            self.disk_cache.put(self._disk_key(key), outcome)
-
-    def has_baseline(self, key: str) -> bool:
-        return key in self._baseline_cache
-
-    def has_dla(self, key: str) -> bool:
-        return key in self._dla_cache
-
-    def has_segmented(self, key: str) -> bool:
-        return key in self._segmented_cache
+        self._outcomes.setdefault(key, outcome)
 
     def cached_outcome(self, key: str):
-        """The in-memory cached outcome under ``key``, whatever its kind.
+        """The in-memory outcome under ``key``, or ``None`` on a miss.
 
         Campaign telemetry uses this to attach per-cell measures
         (instructions, cycles, stall share) to ``cell.finished`` events
-        right after a cell executes; returns ``None`` on a miss.
+        right after a cell executes.
         """
-        for cache in (self._baseline_cache, self._dla_cache,
-                      self._segmented_cache, self._aux_cache):
-            outcome = cache.get(key)
-            if outcome is not None:
-                return outcome
-        return None
+        return self._outcomes.get(key)
 
     # ------------------------------------------------------------------
     def no_prefetch_config(self) -> SystemConfig:
@@ -633,3 +524,19 @@ def strip_outcome(outcome: SimulationOutcome) -> SimulationOutcome:
     small.
     """
     return replace(outcome, shared=None, private=None)
+
+
+def committed_instructions(outcome) -> int:
+    """Committed dynamic instructions of one outcome of any shape: a
+    :class:`SimulationOutcome`, a :class:`SegmentedOutcome`, a
+    :class:`~repro.dla.system.DlaOutcome`-shaped one (main plus look-ahead
+    thread) or one exposing a ``committed`` total (the SMT pair outcome).
+    """
+    if isinstance(outcome, SimulationOutcome):
+        return outcome.core.committed
+    if isinstance(outcome, SegmentedOutcome):
+        outcome = outcome.outcome
+    committed = getattr(outcome, "committed", None)
+    if committed is None:
+        committed = outcome.main.committed + outcome.lookahead.committed
+    return int(committed)

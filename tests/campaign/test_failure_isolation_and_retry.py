@@ -198,6 +198,41 @@ def test_worker_loop_poisons_and_reports(cache_dir, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# watchdog accounting
+# ---------------------------------------------------------------------------
+def test_cell_timeout_keeps_the_watchdog_childs_stats(tmp_path, monkeypatch):
+    """A cell run in a watchdog subprocess is counted like an inline one:
+    the parent merges the child's stats, and reading the child's result
+    back from the disk cache is no disk hit."""
+    monkeypatch.setenv("REPRO_DISK_CACHE", "1")
+    spec = CampaignSpec(
+        name="watchdog-stats",
+        title="Watchdog accounting campaign",
+        experiment="repro.experiments.fig10_energy",
+        workloads=("libquantum",),
+        variants=variants(
+            dict(name="bl", kind="baseline"),
+            dict(name="r3", kind="dla", dla_preset="r3"),
+        ),
+        **WINDOW,
+    )
+    counted = ("simulations", "simulated_instructions", "compiled_ticks",
+               "memory_hits", "disk_hits")
+    summaries = []
+    for cell_timeout in (None, 60.0):
+        root = tmp_path / f"timeout-{cell_timeout}"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root / "cache"))
+        scheduler = CampaignScheduler(
+            spec, store=CampaignStore(spec.name, root / "campaigns"),
+            runner=_runner(spec), cell_timeout=cell_timeout)
+        summary = scheduler.run()
+        summaries.append({name: summary[name] for name in counted})
+    inline, watched = summaries
+    assert inline["simulations"] >= 2 and inline["disk_hits"] == 0
+    assert watched == inline
+
+
+# ---------------------------------------------------------------------------
 # CLI exit codes
 # ---------------------------------------------------------------------------
 def _write_spec(tmp_path, spec) -> str:

@@ -37,16 +37,9 @@ from repro.branch.predictors import make_predictor
 from repro.core.compile import (
     FAST_PIPELINE_ENV,
     compiled_ticks_total,
+    counters,
     fast_pipeline_enabled,
-    interpreted_runs_total,
     kernel_available,
-    native_bfetch_fetches_total,
-    native_cre_steps_total,
-    native_hint_branches_total,
-    native_mem_hits_total,
-    native_mem_misses_total,
-    native_t1_commits_total,
-    native_verdict_draws_total,
 )
 from repro.core.compile.decoded import decoded_cache_stats
 from repro.core.compile.driver import T1_TABLE
@@ -460,12 +453,12 @@ def test_baseline_memory_state_matches_reference(prepared, monkeypatch, section)
     _reference(monkeypatch)
     reference = view()
     _fast(monkeypatch)
-    hits = native_mem_hits_total()
+    hits = counters()["native_mem_hits"]
     compiled = view()
     assert_identical(compiled, reference)
     assert reference[1] is not None
     if kernel_available():
-        assert native_mem_hits_total() > hits
+        assert counters()["native_mem_hits"] > hits
 
 
 @pytest.mark.parametrize("section", MEMORY_POINTS + UNFIT_POINTS)
@@ -490,11 +483,11 @@ def test_dla_memory_state_and_hints_match_reference(prepared, monkeypatch,
     _reference(monkeypatch)
     reference = _dla_states(monkeypatch, run)
     _fast(monkeypatch)
-    stepped = native_t1_commits_total()
-    interpreted = interpreted_runs_total()
+    stepped = counters()["native_t1_commits"]
+    interpreted = counters()["interpreted_runs"]
     compiled = _dla_states(monkeypatch, run)
     if kernel_available():
-        assert (interpreted_runs_total() > interpreted) == (
+        assert (counters()["interpreted_runs"] > interpreted) == (
             section in UNFIT_POINTS)
     if section.startswith("contended"):   # the shrunken L1D: hints exist
         assert any(hints for hints in reference[1])
@@ -505,7 +498,7 @@ def test_dla_memory_state_and_hints_match_reference(prepared, monkeypatch,
         assert all(t1["stats"]["strides_confirmed"]
                    for _, _, t1 in reference[0])
         if kernel_available():
-            native = native_t1_commits_total() > stepped
+            native = counters()["native_t1_commits"] > stepped
             assert native == (section not in UNFIT_POINTS)
     assert_identical(compiled, reference)
 
@@ -570,16 +563,16 @@ def test_load_miss_log_matches_reference(prepared, monkeypatch, kernel,
 
 def _assert_routed(monkeypatch, run, interpreted):
     """Run ``run()`` on the kill-switch, then with the kernel loaded: the
-    interpreter carries ``interpreted`` runs of it (counted by
-    ``interpreted_runs_total``), and both outcomes are identical,
+    interpreter carries ``interpreted`` runs of it (counted as
+    ``counters()["interpreted_runs"]``), and both outcomes are identical,
     type-strictly.  Returns the reference outcome."""
     _reference(monkeypatch)
     reference = run()
     _fast(monkeypatch)
-    before = interpreted_runs_total()
+    before = counters()["interpreted_runs"]
     compiled = run()
     if kernel_available():
-        assert interpreted_runs_total() - before == interpreted
+        assert counters()["interpreted_runs"] - before == interpreted
     assert_identical(compiled, reference)
     return reference
 
@@ -741,11 +734,11 @@ def test_native_replay_matches_reference_replay(prepared, monkeypatch, machine):
     _reference(monkeypatch)
     reference = replay()
     _fast(monkeypatch)
-    hits = native_mem_hits_total()
+    hits = counters()["native_mem_hits"]
     compiled = replay()
     assert_identical(compiled, reference)
     if kernel_available():
-        assert native_mem_hits_total() > hits
+        assert counters()["native_mem_hits"] > hits
 
 
 def test_native_hits_counter_advances(prepared, monkeypatch):
@@ -758,14 +751,14 @@ def test_native_hits_counter_advances(prepared, monkeypatch):
     _fast(monkeypatch)
     shared, private, core = build_single_core(config)
     assert plan_run(core, CoreHooks())
-    before = native_mem_hits_total()
-    misses = native_mem_misses_total()
+    before = counters()["native_mem_hits"]
+    misses = counters()["native_mem_misses"]
     _replay_warmup(private, warmup)
-    replayed = native_mem_hits_total()
+    replayed = counters()["native_mem_hits"]
     assert replayed > before, "warm replay served no hit natively"
-    assert native_mem_misses_total() > misses, "warm replay missed in Python"
+    assert counters()["native_mem_misses"] > misses, "warm replay missed in Python"
     core.run(timed)
-    assert native_mem_hits_total() > replayed, "the BL run served no hit natively"
+    assert counters()["native_mem_hits"] > replayed, "the BL run served no hit natively"
 
 
 # ---------------------------------------------------------------------------
@@ -859,9 +852,9 @@ def test_hint_unit_under_stress_matches_reference(prepared, monkeypatch, mode):
     _reference(monkeypatch)
     reference, reference_views, units = _stress_run(monkeypatch, run)
     _fast(monkeypatch)
-    hinted = native_hint_branches_total()
-    stepped = native_t1_commits_total()
-    interpreted = interpreted_runs_total()
+    hinted = counters()["native_hint_branches"]
+    stepped = counters()["native_t1_commits"]
+    interpreted = counters()["interpreted_runs"]
     compiled, compiled_views, _ = _stress_run(monkeypatch, run)
     assert compiled == reference
     assert compiled_views == reference_views
@@ -869,9 +862,9 @@ def test_hint_unit_under_stress_matches_reference(prepared, monkeypatch, mode):
                      [view["t1"] for view in reference_views])
     if kernel_available():
         native = mode != "gshare"
-        assert (native_hint_branches_total() > hinted) == native
-        assert (interpreted_runs_total() == interpreted) == native
-        assert (native_t1_commits_total() > stepped) == (mode not in (
+        assert (counters()["native_hint_branches"] > hinted) == native
+        assert (counters()["interpreted_runs"] == interpreted) == native
+        assert (counters()["native_t1_commits"] > stepped) == (mode not in (
             "dla", "gshare"))
 
     # Every path fired on the reference side.
@@ -994,7 +987,7 @@ def test_native_memory_matches_python_on_access_streams(monkeypatch, machine,
         return shared, private, core
 
     native, python = build(), build()
-    misses = native_mem_misses_total()
+    misses = counters()["native_mem_misses"]
     for lo in range(0, len(ba), 600):
         chunk = (ba[lo:lo + 600], flags[lo:lo + 600], ea[lo:lo + 600])
         replay_warmup(load_kernel(), native[1], chunk, 1,
@@ -1005,7 +998,7 @@ def test_native_memory_matches_python_on_access_streams(monkeypatch, machine,
              _bop_view(native[2].l2_prefetcher)),
             (_hierarchy_view(python[0], (python[1],)),
              _bop_view(python[2].l2_prefetcher)))
-    assert native_mem_misses_total() > misses
+    assert counters()["native_mem_misses"] > misses
     # The stream reaches every level and its write-back machinery.
     stats = python[0].l3.stats
     assert stats.misses and python[0].dram.stats.reads
@@ -1078,11 +1071,11 @@ def test_native_verdict_draws_match_python(prepared, monkeypatch, stream):
     _reference(monkeypatch)
     reference = draw()
     _fast(monkeypatch)
-    draws = native_verdict_draws_total()
+    draws = counters()["native_verdict_draws"]
     compiled = draw()
     assert_identical(compiled, reference)
     if kernel_available():
-        assert native_verdict_draws_total() > draws
+        assert counters()["native_verdict_draws"] > draws
     # The stream reaches every rule: branches and values, SIF disables,
     # and biased branches whose outcome went against the bias.
     branch_seqs, branch_correct, value_seqs, verdicts = reference[0]
@@ -1174,7 +1167,7 @@ def test_native_t1_matches_python_on_commit_streams(monkeypatch):
 
     native, python = side(), side()
     assert plan_run(native[2], native[4])
-    start, stepped = 0.0, native_t1_commits_total()
+    start, stepped = 0.0, counters()["native_t1_commits"]
     for index, loads in enumerate(chunks):
         entries = _t1_stream(loads)
         for pc in ties.get(index, ((), None))[0]:
@@ -1203,7 +1196,7 @@ def test_native_t1_matches_python_on_commit_streams(monkeypatch):
             assert engine._slot(ties[index][1]) is None
         if index == 4:   # every load but the first (8, resident) allocates
             assert engine.stats.entries_allocated - allocated == len(loads) - 1
-    assert native_t1_commits_total() - stepped == sum(map(len, chunks))
+    assert counters()["native_t1_commits"] - stepped == sum(map(len, chunks))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -1310,14 +1303,14 @@ def test_related_approach_compiled_matches_reference(prepared, monkeypatch,
     _reference(monkeypatch)
     reference = _related_state(monkeypatch, simulate)
     _fast(monkeypatch)
-    fetches, steps = native_bfetch_fetches_total(), native_cre_steps_total()
+    fetches, steps = counters()["native_bfetch_fetches"], counters()["native_cre_steps"]
     compiled = _related_state(monkeypatch, simulate)
     assert_identical(compiled, reference)
     if model == "cre":
         assert sum(reference["model"]["seen"]) > 0
     if kernel_available():
-        stepped = ((native_bfetch_fetches_total() - fetches,
-                    native_cre_steps_total() - steps))
+        stepped = ((counters()["native_bfetch_fetches"] - fetches,
+                    counters()["native_cre_steps"] - steps))
         assert stepped == ((len(prepared[kernel][2]), 0) if model == "bfetch"
                            else (0, sum(reference["model"]["seen"])))
 
@@ -1341,10 +1334,10 @@ def test_related_approach_off_the_native_path_keeps_callbacks(
     else:
         hooks = runahead_hooks(RunaheadTable.fresh(private, 1))
     assert not plan_run(core, hooks)
-    fetches, steps = native_bfetch_fetches_total(), native_cre_steps_total()
+    fetches, steps = counters()["native_bfetch_fetches"], counters()["native_cre_steps"]
     reference = _assert_routed(
         monkeypatch, lambda: _related_state(monkeypatch, simulate), 1)
-    assert (native_bfetch_fetches_total(), native_cre_steps_total()) == (
+    assert (counters()["native_bfetch_fetches"], counters()["native_cre_steps"]) == (
         fetches, steps)
     if model == "cre":
         assert sum(reference["model"]["seen"]) > 0
@@ -1437,7 +1430,7 @@ def test_native_bfetch_matches_python_on_fetch_streams(monkeypatch):
             issued.append((entry.effective_address, targets[before:]))
 
     python[4].on_fetch = recording_fetch
-    start, fetched = 0.0, native_bfetch_fetches_total()
+    start, fetched = 0.0, counters()["native_bfetch_fetches"]
     for index, items in enumerate(chunks):
         entries = _fetch_stream(items)
         issued.clear()
@@ -1465,7 +1458,7 @@ def test_native_bfetch_matches_python_on_fetch_streams(monkeypatch):
             assert walker.last_stride[1] == 4096
         if index == 3:
             assert walker.confidence[0] == 3 and reaches == {0, 2}
-    assert native_bfetch_fetches_total() - fetched == 2 * sum(map(len, chunks))
+    assert counters()["native_bfetch_fetches"] - fetched == 2 * sum(map(len, chunks))
 
 
 def test_native_cre_matches_python_on_load_streams(monkeypatch):
@@ -1498,7 +1491,7 @@ def test_native_cre_matches_python_on_load_streams(monkeypatch):
     native, python = side(), side()
     assert plan_run(native[2], native[4])
     targets = _recording(python[1])
-    steps = native_cre_steps_total()
+    steps = counters()["native_cre_steps"]
     _fast(monkeypatch)
     native[2].run(entries, hooks=native[4])
     _reference(monkeypatch)
@@ -1509,4 +1502,4 @@ def test_native_cre_matches_python_on_load_streams(monkeypatch):
     assert list(python[3].seen) == [0, count, count, 0, 0]
     expected = {pc: future[pc][leads[pc]:] for pc in (1, 2)}
     assert sorted(targets) == sorted(expected[1] + expected[2])
-    assert native_cre_steps_total() - steps == 2 * count
+    assert counters()["native_cre_steps"] - steps == 2 * count

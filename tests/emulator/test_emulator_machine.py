@@ -7,11 +7,7 @@ must reproduce it bit for bit.
 
 import pytest
 
-from repro.core.compile import (
-    FAST_PIPELINE_ENV,
-    kernel_available,
-    native_emulated_total,
-)
+from repro.core.compile import FAST_PIPELINE_ENV, counters, kernel_available
 from repro.emulator.machine import Emulator, ExecutionLimitExceeded, run_program
 from repro.emulator.trace import Trace
 from repro.experiments.runner import ExperimentRunner
@@ -36,10 +32,10 @@ def engines():
 
 def _emulate(program, engine, **kwargs):
     """Run ``program`` on ``engine``, checking that engine really ran it."""
-    before = native_emulated_total()
+    before = counters()["native_emulated"]
     emulator = Emulator(program)
     trace = emulator.run(**kwargs)
-    assert (native_emulated_total() > before) == (engine == "native")
+    assert (counters()["native_emulated"] > before) == (engine == "native")
     return emulator, trace
 
 

@@ -15,14 +15,14 @@ def tiny_runner():
                             disk_cache=False)
 
 
-def test_fig11_routes_smt_modes_through_aux_cache(tiny_runner):
+def test_fig11_routes_smt_modes_through_auxiliary(tiny_runner):
     first = fig11_smt.run(tiny_runner, max_workloads=1)
     simulations_after_first = tiny_runner.stats.simulations
     assert simulations_after_first > 0
     hits_before = tiny_runner.stats.memory_hits
 
     second = fig11_smt.run(tiny_runner, max_workloads=1)
-    # Reruns are free: every SMT-mode simulation comes from the aux cache.
+    # Reruns are free: every SMT-mode simulation comes from the outcome store.
     assert tiny_runner.stats.simulations == simulations_after_first
     assert tiny_runner.stats.memory_hits >= hits_before + 5
     assert second.per_workload == first.per_workload

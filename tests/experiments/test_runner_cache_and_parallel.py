@@ -171,7 +171,7 @@ def test_every_reachable_config_is_frozen_and_memoised():
     assert reached == FINGERPRINT.MEMOISED_TYPES
 
 
-def test_dla_cache_keyed_by_dla_config_content():
+def test_dla_outcomes_keyed_by_dla_config_content():
     runner = make_runner()
     setup = runner.setup(WORKLOAD)
     dla = runner.dla(setup, DlaConfig().baseline_dla(), "one")
@@ -179,6 +179,23 @@ def test_dla_cache_keyed_by_dla_config_content():
     r3 = runner.dla(setup, DlaConfig().r3(), "one")   # label reused on purpose
     assert dla is same
     assert r3 is not dla
+
+
+def test_every_kind_keys_apart_in_the_one_store():
+    """Baseline, DLA, segmented and auxiliary cells of one workload and
+    config share the runner's outcome store under distinct keys."""
+    from repro.workloads.suites import get_workload
+
+    runner = make_runner()
+    workload = get_workload(WORKLOAD)
+    r3 = DlaConfig().r3()
+    keys = [
+        runner.workload_key(workload, "baseline"),
+        runner.workload_key(workload, "dla", None, r3),
+        runner.segmented_key_for(workload, r3, False),
+        runner.workload_key(workload, "aux-bfetch"),
+    ]
+    assert len(set(keys)) == len(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +230,27 @@ def test_disk_cache_reused_across_runner_instances(tmp_path, monkeypatch):
     assert dla_from_disk.main.cycles == dla.main.cycles
     # Memory systems are stripped before pickling.
     assert from_disk.shared is None and from_disk.private is None
+
+
+def test_screen_pulls_every_request_kind_into_the_store(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "screen"))
+    r3 = DlaConfig().r3()
+    requests = [SimRequest(WORKLOAD, "baseline", "bl"),
+                SimRequest(WORKLOAD, "dla", "r3", dla_config=r3),
+                SimRequest(WORKLOAD, "segmented", "recycle", dla_config=r3)]
+    first = make_runner(disk_cache=True)
+    setup = first.setup(WORKLOAD)
+    cycles = [first.baseline(setup).cycles, first.dla(setup, r3, "r3").cycles,
+              first.dla_segmented(setup, r3).cycles]
+
+    fresh = ParallelExperimentRunner(quick=True, workload_names=[WORKLOAD],
+                                     disk_cache=True, **WINDOW)
+    keys = [fresh.request_key(request) for request in requests]
+    assert fresh.screen(requests) == dict.fromkeys(keys, True)
+    assert fresh.stats.disk_hits == 3 and fresh.stats.simulations == 0
+    assert [fresh.cached_outcome(key).cycles for key in keys] == cycles
+    assert fresh.screen(requests) == dict.fromkeys(keys, True)
+    assert fresh.stats.disk_hits == 3                 # now memory-resident
 
 
 def test_strip_outcome_preserves_statistics():
@@ -403,7 +441,7 @@ def test_setup_disk_entry_pickles_columns_and_loads_lazily(tmp_path, monkeypatch
 # ---------------------------------------------------------------------------
 # segmented (recycle) simulations through the cache
 # ---------------------------------------------------------------------------
-def test_dla_segmented_cached_by_content_and_mode():
+def test_dla_segmented_outcomes_keyed_by_content_and_mode():
     runner = make_runner()
     setup = runner.setup(WORKLOAD)
     r3 = DlaConfig().r3()
@@ -442,12 +480,18 @@ def test_parallel_warm_handles_segmented_requests():
                                  dynamic=True)
 
     runner = ParallelExperimentRunner(
-        quick=True, workload_names=[WORKLOAD], disk_cache=False, **WINDOW
+        quick=True, workload_names=[WORKLOAD, "sjeng"], disk_cache=False, **WINDOW
     )
     request = SimRequest(WORKLOAD, "segmented", "recycle-dynamic",
                          dla_config=DlaConfig().r3(), dynamic=True)
-    executed = runner.warm([request], processes=2)
-    assert executed == 1
+    # A mix of kinds over two workload groups, so the pool really fans out
+    # and every kind merges into the one outcome store.
+    mixed = [request, SimRequest("sjeng", "baseline", "bl"),
+             SimRequest("sjeng", "dla", "r3", dla_config=DlaConfig().r3())]
+    executed = runner.warm(mixed, processes=2)
+    assert executed == 3
+    assert all(runner.cached_outcome(runner.request_key(r)) is not None
+               for r in mixed)
     p_out = runner.dla_segmented(runner.setup(WORKLOAD), DlaConfig().r3(),
                                  dynamic=True)
     assert runner.stats.memory_hits >= 1              # warm filled the cache
