@@ -77,10 +77,11 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     runner.dla(setup, DlaConfig().r3(), "r3")
     # Fig. 9's related approaches, through the runner's auxiliary entry point.
     runner.auxiliary(setup, "bfetch", lambda: simulate_bfetch(
-        setup.timed, runner.system_config, warmup_entries=setup.warmup))
+        setup.timed_trace, runner.system_config,
+        warmup_entries=setup.warmup_trace))
     runner.auxiliary(setup, "cre", lambda: simulate_cre(
-        setup.program, setup.timed, setup.profile, runner.system_config,
-        warmup_entries=setup.warmup))
+        setup.program, setup.timed_trace, setup.profile, runner.system_config,
+        warmup_entries=setup.warmup_trace))
 
     # Memory-bound kernel under the fully contended backend (the canonical
     # "contended" machine point of the memsys sweep): every contention

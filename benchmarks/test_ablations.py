@@ -61,8 +61,8 @@ def test_ablation_skeleton_seed_thresholds(benchmark, runner):
                              ("aggressive", 0.002, 0.0002)):
             skeleton = system.builder.build(SkeletonOptions(
                 name=name, l1_miss_threshold=l1, l2_miss_threshold=l2))
-            outcome = system.simulate(setup.timed, skeleton=skeleton,
-                                      warmup_entries=setup.warmup)
+            outcome = system.simulate(setup.timed_trace, skeleton=skeleton,
+                                      warmup_entries=setup.warmup_trace)
             results[name] = {
                 "dynamic_fraction": outcome.skeleton_dynamic_fraction,
                 "ipc": outcome.ipc,

@@ -20,7 +20,7 @@ prefetched ``distance`` iterations ahead into L1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.branch.predictors import make_predictor
 from repro.core.compile.decoded import get_decoded
@@ -29,7 +29,7 @@ from repro.core.config import SystemConfig
 from repro.core.pipeline import CoreHooks
 from repro.core.system import SimulationOutcome, build_single_core, warm_memory_system
 from repro.core.energy import EnergyModel
-from repro.emulator.trace import DynamicInst, Trace
+from repro.emulator.trace import DynamicInst, Trace, Window
 
 
 @dataclass
@@ -91,20 +91,15 @@ def bfetch_hooks(walker: BFetchWalker) -> CoreHooks:
 
 
 def simulate_bfetch(
-    entries: Sequence[DynamicInst] | Trace,
+    entries: Window,
     config: Optional[SystemConfig] = None,
     bfetch: Optional[BFetchConfig] = None,
-    warmup_entries: Optional[Sequence[DynamicInst]] = None,
+    warmup_entries: Optional[Window] = None,
 ) -> SimulationOutcome:
     """Simulate the baseline core augmented with B-Fetch."""
     config = config or SystemConfig()
     bfetch = bfetch or BFetchConfig()
-    if isinstance(entries, Trace):
-        entries = entries.entries
-    elif not isinstance(entries, list):
-        # A list is used as given: the run never mutates it, and a stable
-        # id lets the decoded-trace memo hit on the window's other cells.
-        entries = list(entries)
+    window = Trace.of(entries)
 
     shared, private, core = build_single_core(config)
     if warmup_entries:
@@ -112,8 +107,8 @@ def simulate_bfetch(
 
     walker = BFetchWalker.fresh(
         make_predictor(bfetch.predictor), private, bfetch.lookahead_branches,
-        bfetch.distance, max(get_decoded(entries).pcs, default=-1) + 1)
-    result = core.run(entries, hooks=bfetch_hooks(walker))
+        bfetch.distance, max(get_decoded(window).pcs, default=-1) + 1)
+    result = core.run(window, hooks=bfetch_hooks(walker))
     energy = EnergyModel().evaluate(result)
     return SimulationOutcome(
         core=result,

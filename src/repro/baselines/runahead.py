@@ -22,7 +22,7 @@ engine's serial execution of dependent chains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.core.compile.decoded import F_LOAD, get_decoded
 from repro.core.compile.hookspec import CompiledHookSpec, RunaheadTable
@@ -31,7 +31,7 @@ from repro.core.energy import EnergyModel
 from repro.core.pipeline import CoreHooks
 from repro.core.system import SimulationOutcome, build_single_core, warm_memory_system
 from repro.dla.profiling import ProgramProfile
-from repro.emulator.trace import DynamicInst, Trace
+from repro.emulator.trace import DynamicInst, Trace, Window
 from repro.isa.analysis import StaticAnalysis, backward_slice
 from repro.isa.program import Program
 
@@ -79,23 +79,18 @@ def runahead_hooks(table: RunaheadTable) -> CoreHooks:
 
 def simulate_cre(
     program: Program,
-    entries: Sequence[DynamicInst] | Trace,
+    entries: Window,
     profile: ProgramProfile,
     config: Optional[SystemConfig] = None,
     cre: Optional[ContinuousRunaheadConfig] = None,
-    warmup_entries: Optional[Sequence[DynamicInst]] = None,
+    warmup_entries: Optional[Window] = None,
 ) -> SimulationOutcome:
     """Simulate the baseline core assisted by a Continuous Runahead Engine."""
     config = config or SystemConfig()
     cre = cre or ContinuousRunaheadConfig()
     if min(cre.lead_occurrences, cre.dependent_lead) < 0:
         raise ValueError("CRE leads must not be negative")
-    if isinstance(entries, Trace):
-        entries = entries.entries
-    elif not isinstance(entries, list):
-        # A list is used as given: the run never mutates it, and a stable
-        # id lets the decoded-trace memo hit on the window's other cells.
-        entries = list(entries)
+    window = Trace.of(entries)
 
     analysis = StaticAnalysis.analyze(program)
     delinquent: List[int] = [
@@ -117,7 +112,7 @@ def simulate_cre(
     # Pre-compute, per eligible PC, the future addresses of its occurrences
     # so the engine can run ahead by occurrence count: one flat column,
     # declared to the compiled kernel with the per-PC leads and counters.
-    decoded = get_decoded(entries)
+    decoded = get_decoded(window)
     num_pcs = max(decoded.pcs, default=-1) + 1
     occurrences: Dict[int, List[int]] = {
         pc: [] for pc in sorted(eligible) if eligible[pc] and pc < num_pcs}
@@ -137,7 +132,7 @@ def simulate_cre(
         table.offset[pc] = len(table.future)
         table.count[pc] = len(addresses)
         table.future.extend(addresses)
-    result = core.run(entries, hooks=runahead_hooks(table))
+    result = core.run(window, hooks=runahead_hooks(table))
     energy = EnergyModel().evaluate(result)
     return SimulationOutcome(
         core=result,

@@ -18,14 +18,14 @@ seeding), and no T1/value-reuse/fetch-buffer support exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Set
+from typing import Optional
 
 from repro.core.config import SystemConfig
 from repro.dla.config import DlaConfig
 from repro.dla.profiling import ProgramProfile
 from repro.dla.skeleton import Skeleton, SkeletonBuilder, SkeletonOptions
 from repro.dla.system import DlaOutcome, DlaSystem
-from repro.emulator.trace import DynamicInst, Trace
+from repro.emulator.trace import Window
 from repro.isa.program import Program
 
 
@@ -61,11 +61,11 @@ def _slipstream_skeleton(builder: SkeletonBuilder, config: SlipstreamConfig) -> 
 
 def simulate_slipstream(
     program: Program,
-    entries: Sequence[DynamicInst] | Trace,
+    entries: Window,
     profile: ProgramProfile,
     config: Optional[SystemConfig] = None,
     slipstream: Optional[SlipstreamConfig] = None,
-    warmup_entries: Optional[Sequence[DynamicInst]] = None,
+    warmup_entries: Optional[Window] = None,
 ) -> DlaOutcome:
     """Simulate a SlipStream-style two-stream machine."""
     config = config or SystemConfig()
@@ -80,5 +80,5 @@ def simulate_slipstream(
     )
     system = DlaSystem(program, config, dla_config, profile=profile)
     skeleton = _slipstream_skeleton(system.builder, slipstream)
-    trace = entries if not isinstance(entries, Trace) else entries.entries
-    return system.simulate(trace, skeleton=skeleton, warmup_entries=warmup_entries)
+    return system.simulate(entries, skeleton=skeleton,
+                           warmup_entries=warmup_entries)

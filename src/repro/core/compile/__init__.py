@@ -8,9 +8,11 @@ simulation natively:
    it fits the kernel: stock structures only, and every hook that is set
    covered by a declaration the kernel runs.  A run that does not fit goes
    to the reference interpreter.
-2. **Decode** (:mod:`repro.core.compile.decoded`) — flatten per-opcode
-   attributes of the trace window into typed arrays, memoized per window
-   (timing runs over one-shot profiling windows decode unmemoized).
+2. **Decode** (:mod:`repro.core.compile.decoded`) — gather the program's
+   per-PC static rows at the trace window's ``pc`` column into typed
+   arrays (natively; no :class:`~repro.emulator.trace.DynamicInst` is
+   read), memoized by the window's content key (timing runs over one-shot
+   profiling windows decode unmemoized).
 3. **Build** (:mod:`repro.core.compile.build`) — compile ``kernel.c`` once
    per interpreter ABI with the system C compiler, cached on disk under
    ``.repro_cache/compiled/``.
@@ -35,7 +37,7 @@ equivalence tests pin both paths to bit-identical results.
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.core.results import CoreResult
 
@@ -56,6 +58,7 @@ _COUNTERS: Dict[str, int] = dict.fromkeys((
     "native_bfetch_fetches",  # fetches that stepped its B-Fetch walker
     "native_cre_steps",       # load accesses its CRE table stepped
     "native_emulated",        # instructions its functional emulator executed
+    "native_profiled",        # instructions its training-run profiler read
     # Runs the interpreter carried, with the kernel loaded, because they
     # do not fit it.
     "interpreted_runs",
@@ -95,9 +98,11 @@ def kernel_available() -> bool:
     return native_kernel() is not None
 
 
-def maybe_run_compiled(core, entries: Sequence, hooks, start_cycle: float,
+def maybe_run_compiled(core, window, hooks, start_cycle: float,
                        collect_timings: bool) -> Optional[CoreResult]:
-    """Run one simulation on the compiled path, or ``None`` to fall back.
+    """Run one simulation of ``window`` (a :class:`~repro.emulator.trace.
+    Trace` or an entry list) on the compiled path, or ``None`` to fall
+    back.
 
     ``None`` means the reference interpreter must carry the run: the
     kill-switch is set, the kernel failed to build, or the run does not fit
@@ -108,26 +113,27 @@ def maybe_run_compiled(core, entries: Sequence, hooks, start_cycle: float,
         return None
     from repro.core.compile.driver import run_compiled
     from repro.core.compile.plan import plan_run
+    from repro.emulator.trace import Trace
 
     if not plan_run(core, hooks):
         _count("interpreted_runs", 1)
         return None
 
-    result = run_compiled(kernel, core, entries, hooks, start_cycle,
+    window = Trace.of(window)
+    result = run_compiled(kernel, core, window, hooks, start_cycle,
                           collect_timings)
-    _count("compiled_ticks", len(entries))
+    _count("compiled_ticks", len(window))
     return result
 
 
-def classify_compiled(memory, ea, stores, cycles):
-    """The info words of data accesses run in order through ``memory`` (a
-    freshly built stock hierarchy) on the kernel (the caller checked
-    :func:`kernel_available`); see
+def profile_compiled(memory, window, backward, outputs) -> tuple:
+    """The profiling passes over a training ``window`` on the kernel (the
+    caller checked :func:`kernel_available`); see
     :func:`repro.dla.profiling.profile_workload`."""
     from repro.core.compile.build import load_kernel
-    from repro.core.compile.driver import classify_accesses
+    from repro.core.compile.driver import profile_columns
 
-    return classify_accesses(load_kernel(), memory, ea, stores, cycles)
+    return profile_columns(load_kernel(), memory, window, backward, outputs)
 
 
 def replay_compiled(memory, inputs, cycles_per_access: int) -> None:

@@ -1,27 +1,28 @@
 """Flattened per-instruction metadata for the compiled tick loop.
 
-``decode_trace`` turns a committed trace window into typed flat arrays (one
-attribute chase per instruction *per process* instead of per simulation),
-and :class:`DecodedTraceCache` memoizes the result by the entry list's
-identity — the same id-keyed scheme :class:`repro.core.system.WarmupMemo`
-uses, with strong references retained so ids can never be recycled.  The
-experiment runners hand out one entries list per workload window, so every
-simulation of a window after the first decodes nothing.
+``decode_trace`` turns a trace window into typed flat arrays without
+building an object: every run-invariant attribute of a *static*
+instruction (flags, latency, registers) sits in its program's
+:class:`StaticTable`, one row per PC, and decoding is a gather of those
+rows at the window's ``pc`` column plus the window's own ``ea``, taken bit,
+``next_pc`` and seq columns (natively by the kernel's ``gather_decoded``).
+A skeleton's look-ahead window is decoded the same way: it is a selection
+(:meth:`~repro.emulator.trace.Trace.select`) whose columns carry their
+rows' seqs.
 
-Decoding itself is two-level: every run-invariant attribute of a *static*
-instruction (flags, latency, registers) is memoized per ``StaticInst``
-object, which is shared by all of its dynamic occurrences — so even a
-fresh entries list (a skeleton-filtered window, a segment slice) decodes
-at one dict lookup per instruction rather than ten attribute chases.
+:class:`DecodedTraceCache` memoizes the result by the window's content key
+(:attr:`~repro.emulator.trace.Trace.key`: root columns, row range and
+selected PCs), so every simulation of a window after the first decodes
+nothing, whichever trace object names it.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.emulator.trace import DynamicInst
+from repro.emulator.trace import TAKEN, Trace, Window
 from repro.isa.instructions import FU_POOL_FP, Opcode
 
 #: Decoded static flags (must match kernel.c).
@@ -54,10 +55,35 @@ class DecodedTrace:
     sb_dst: array      # 'q' scoreboard destination (raw dst; -1 for None)
     srcs: array        # 'q' flattened source registers
     srcs_off: array    # 'q' per-instruction offsets into ``srcs`` (n + 1)
-    seq: array         # 'q' dynamic trace seq numbers (-1 for None)
+    seq: array         # 'q' dynamic trace seq numbers
     pcs: array         # 'q' per-instruction PCs
     nxt: array         # 'q' dynamic next PCs (control-flow targets)
     num_regs: int      # dense register-file bound for the C scoreboard
+
+
+@dataclass
+class StaticTable:
+    """One program's decoded static rows as arrays indexed by PC.
+
+    A PC no instruction occupies (an entry-list trace's statics have
+    holes) has an all-zero row.  ``srcs[srcs_off[pc]:srcs_off[pc + 1]]``
+    are the PC's source registers; ``max_reg`` its highest register.
+    """
+
+    ba: array          # 'q'
+    flags: array       # 'q' F_* bits (no F_TAKEN)
+    lat: array         # 'd'
+    dst: array         # 'q'
+    sb_dst: array      # 'q'
+    max_reg: array     # 'q'
+    srcs: array        # 'q'
+    srcs_off: array    # 'q' (PCs + 1)
+
+    def spec(self, **extra) -> dict:
+        """The kernel's view of the table (zero-copy), plus ``extra``."""
+        return dict(s_ba=self.ba, s_flags=self.flags, s_lat=self.lat,
+                    s_dst=self.dst, s_sb=self.sb_dst, s_max=self.max_reg,
+                    s_srcs=self.srcs, s_off=self.srcs_off, **extra)
 
 
 _SKIPPABLE_CODES: Optional[frozenset] = None
@@ -74,11 +100,12 @@ def _skippable_codes() -> frozenset:
     return _SKIPPABLE_CODES
 
 
-#: Per-StaticInst decoded rows, id-keyed with strong refs retained (statics
-#: are shared by every dynamic occurrence and every window over them).
-_STATIC_ROWS: Dict[int, tuple] = {}
+#: Static tables by the identity of their statics (a program, or an
+#: entry-list trace's statics), which are retained so ids can never be
+#: recycled.  Tables are never pickled with a program.
+_STATIC_ROWS: Dict[int, StaticTable] = {}
 _STATIC_RETAIN: Dict[int, object] = {}
-_STATIC_MAX = 1 << 16
+_STATIC_MAX = 64
 
 
 def _decode_static(static) -> tuple:
@@ -117,139 +144,122 @@ def _decode_static(static) -> tuple:
         if src > max_reg:
             max_reg = src
     return (static.byte_address, packed, static.latency_cycles, dst, sb_dst,
-            static.srcs, static.pc, max_reg)
+            static.srcs, max_reg)
 
 
-def _decode_static_row(static) -> tuple:
-    """Decode + memoize one static's row (the C decoder's miss callback)."""
-    row = _decode_static(static)
-    rows = _STATIC_ROWS
-    if len(rows) >= _STATIC_MAX:
-        rows.clear()
+def static_table(statics) -> StaticTable:
+    """The (memoized) static table of ``statics``, indexable by PC."""
+    token = id(statics)
+    table = _STATIC_ROWS.get(token)
+    if table is not None:
+        return table
+    size = len(statics)
+    table = StaticTable(*(array(code, bytes(8 * size)) for code in "qqdqqq"),
+                        srcs=array("q"), srcs_off=array("q", bytes(8)))
+    for pc, static in enumerate(statics):
+        if static is not None:
+            if static.pc != pc:
+                raise ValueError(f"instruction {static} sits at PC {pc}")
+            (table.ba[pc], table.flags[pc], table.lat[pc], table.dst[pc],
+             table.sb_dst[pc], srcs, table.max_reg[pc]) = _decode_static(static)
+            table.srcs.extend(srcs)
+        table.srcs_off.append(len(table.srcs))
+    if len(_STATIC_ROWS) >= _STATIC_MAX:
+        _STATIC_ROWS.clear()
         _STATIC_RETAIN.clear()
-    rows[id(static)] = row
-    _STATIC_RETAIN[id(static)] = static
-    return row
+    _STATIC_ROWS[token] = table
+    _STATIC_RETAIN[token] = statics
+    return table
 
 
-def decode_trace(entries: Sequence[DynamicInst]) -> DecodedTrace:
-    n = len(entries)
-    if isinstance(entries, list):
-        from repro.core.compile import native_kernel
+def decode_trace(window: Window) -> DecodedTrace:
+    """The window's decoded arrays, unmemoized: a gather of its statics'
+    table rows at its ``pc`` column."""
+    window = Trace.of(window)
+    table = static_table(window.statics)
+    columns = window.columns
+    from repro.core.compile import native_kernel
 
-        kernel = native_kernel()
-        if kernel is not None:
-            (b_ba, b_flags, b_ea, b_lat, b_dst, b_sb, b_srcs, b_off,
-             b_seq, b_pcs, b_nxt, num_regs) = kernel.decode_trace_flat(
-                entries, _STATIC_ROWS, _decode_static_row)
-            return DecodedTrace(
-                n=n, ba=array("q", b_ba), flags=array("q", b_flags),
-                ea=array("q", b_ea), lat=array("d", b_lat),
-                dst=array("q", b_dst), sb_dst=array("q", b_sb),
-                srcs=array("q", b_srcs), srcs_off=array("q", b_off),
-                seq=array("q", b_seq), pcs=array("q", b_pcs),
-                nxt=array("q", b_nxt), num_regs=num_regs,
-            )
-    ba = array("q", bytes(8 * n))
-    flags = array("q", bytes(8 * n))
-    ea = array("q", bytes(8 * n))
-    lat = array("d", bytes(8 * n))
-    dst = array("q", bytes(8 * n))
-    sb_dst = array("q", bytes(8 * n))
-    srcs = array("q")
-    srcs_off = array("q", bytes(8 * (n + 1)))
-    seq = array("q", bytes(8 * n))
-    pcs = array("q", bytes(8 * n))
-    nxt = array("q", bytes(8 * n))
-    max_reg = 0
-    rows = _STATIC_ROWS
-    for i, entry in enumerate(entries):
-        static = entry.static
-        token = id(static)
-        row = rows.get(token)
-        if row is None:
-            row = _decode_static(static)
-            if len(rows) >= _STATIC_MAX:
-                rows.clear()
-                _STATIC_RETAIN.clear()
-            rows[token] = row
-            _STATIC_RETAIN[token] = static
-        ba[i], flags[i], lat[i], dst[i], sb_dst[i], row_srcs, pcs[i], row_max = row
-        if entry.taken:
-            flags[i] |= F_TAKEN
-        if row_max > max_reg:
-            max_reg = row_max
-        address = entry.effective_address
-        if address is not None:
-            ea[i] = address
-        nxt[i] = entry.next_pc
-        entry_seq = entry.seq
-        seq[i] = -1 if entry_seq is None else entry_seq
-        srcs_off[i] = len(srcs)
-        srcs.extend(row_srcs)
-    srcs_off[n] = len(srcs)
-    if not len(srcs):
-        srcs.append(0)  # keep the buffer non-empty for PyObject_GetBuffer
-    return DecodedTrace(
-        n=n, ba=ba, flags=flags, ea=ea, lat=lat, dst=dst, sb_dst=sb_dst,
-        srcs=srcs, srcs_off=srcs_off, seq=seq, pcs=pcs, nxt=nxt,
-        num_regs=max_reg + 1,
-    )
+    kernel = native_kernel()
+    if kernel is not None:
+        *flat, num_regs = kernel.gather_decoded(table.spec(**columns._spec()))
+        ba, flags, ea, lat, dst, sb_dst, srcs, srcs_off, seq, pcs, nxt = (
+            array(code, column) for code, column in zip("qqqdqqqqqqq", flat))
+        return DecodedTrace(len(columns), ba, flags, ea, lat, dst, sb_dst,
+                            srcs, srcs_off, seq, pcs, nxt, num_regs)
+    return _gather(table, columns)
 
 
-def replay_inputs(entries: Sequence[DynamicInst]) -> Tuple[array, array, array]:
+def _gather(table: StaticTable, columns) -> DecodedTrace:
+    """The reference gather (the kernel's ``gather_decoded``)."""
+    n = len(columns)
+    pcs = array("q", columns.pc)
+    decoded = DecodedTrace(
+        n=n, ba=array("q", (table.ba[pc] for pc in pcs)),
+        flags=array("q", (table.flags[pc] | (F_TAKEN if flags & TAKEN else 0)
+                          for pc, flags in zip(pcs, columns.flags))),
+        ea=array("q", columns.ea), lat=array("d", (table.lat[pc] for pc in pcs)),
+        dst=array("q", (table.dst[pc] for pc in pcs)),
+        sb_dst=array("q", (table.sb_dst[pc] for pc in pcs)),
+        srcs=array("q"), srcs_off=array("q"), seq=array("q", columns.seqs()),
+        pcs=pcs, nxt=array("q", columns.next_pc),
+        num_regs=max((table.max_reg[pc] for pc in pcs), default=0) + 1)
+    off = table.srcs_off
+    for pc in pcs:
+        decoded.srcs_off.append(len(decoded.srcs))
+        decoded.srcs.extend(table.srcs[off[pc]:off[pc + 1]])
+    decoded.srcs_off.append(len(decoded.srcs))
+    if not decoded.srcs:
+        decoded.srcs.append(0)  # keep the buffer non-empty for the kernel
+    return decoded
+
+
+def replay_inputs(window: Window) -> Tuple[array, array, array]:
     """The ``(ba, flags, ea)`` arrays warm-up replay reads, decoded without
     the process-wide memo (the warm memo keeps just these three)."""
-    decoded = decode_trace(entries)
+    decoded = decode_trace(window)
     return decoded.ba, decoded.flags, decoded.ea
 
 
 class DecodedTraceCache:
-    """Bounded id-keyed memo of :class:`DecodedTrace` per entries list."""
+    """Bounded LRU memo of :class:`DecodedTrace` by window content key."""
 
     MAX_ENTRIES = 256
 
     def __init__(self, max_entries: int = MAX_ENTRIES) -> None:
-        self._decoded: Dict[int, DecodedTrace] = {}
-        #: Strong references keeping id()-keyed entry lists alive.
-        self._retained: Dict[int, Sequence[DynamicInst]] = {}
+        self._decoded: Dict[tuple, DecodedTrace] = {}
         self.max_entries = max_entries
         self.decodes = 0
         self.hits = 0
 
-    def get(self, entries: Sequence[DynamicInst]) -> DecodedTrace:
-        token = id(entries)
-        decoded = self._decoded.get(token)
-        if decoded is not None and len(entries) == decoded.n:
+    def get(self, window: Window) -> DecodedTrace:
+        window = Trace.of(window)
+        key = window.key
+        decoded = self._decoded.pop(key, None)
+        if decoded is not None:
             self.hits += 1
-            # LRU: re-insert so hot windows outlive one-shot lists (e.g.
-            # the DLA look-ahead's per-simulation filtered skeletons).
-            del self._decoded[token]
-            self._decoded[token] = decoded
+            # LRU: re-insert so hot windows outlive one-shot ones.
+            self._decoded[key] = decoded
             return decoded
-        decoded = decode_trace(entries)
+        decoded = decode_trace(window)
         while len(self._decoded) >= self.max_entries:
-            victim = next(iter(self._decoded))
-            del self._decoded[victim]
-            self._retained.pop(victim, None)
-        self._decoded[token] = decoded
-        self._retained[token] = entries
+            del self._decoded[next(iter(self._decoded))]
+        self._decoded[key] = decoded
         self.decodes += 1
         return decoded
 
     def clear(self) -> None:
         self._decoded.clear()
-        self._retained.clear()
 
 
 #: Process-wide memo shared by every compiled run.
 _DECODED = DecodedTraceCache()
 
 
-def get_decoded(entries: Sequence[DynamicInst]) -> DecodedTrace:
-    return _DECODED.get(entries)
+def get_decoded(window: Window) -> DecodedTrace:
+    return _DECODED.get(window)
 
 
 def decoded_cache_stats() -> Dict[str, int]:
     return {"decodes": _DECODED.decodes, "hits": _DECODED.hits,
-            "retained": len(_DECODED._retained)}
+            "retained": len(_DECODED._decoded)}

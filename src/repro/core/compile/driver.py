@@ -16,8 +16,9 @@ run state through one small ``array('d')``; the kernel also installs its
 due prefetch hints), an R3 main thread's T1 table, B-Fetch's shadow
 walker, CRE's runahead table, and a look-ahead pass's commit log and
 load-miss log.  ``draw_verdicts`` draws a hint unit's verdicts natively
-before the run, and ``replay_warmup`` / ``classify_accesses`` drive
-warm-up replay and miss classification over the same native memory path.
+before the run, ``replay_warmup`` drives warm-up replay over the same
+native memory path, and ``profile_columns`` a training window's profiling
+passes (miss classification on that path included).
 
 The kernel transcribes :meth:`repro.core.pipeline.OutOfOrderCore.run`
 statement-for-statement; the golden equivalence suites pin the two paths
@@ -27,14 +28,12 @@ together bit-for-bit.
 from __future__ import annotations
 
 from array import array
-from typing import Sequence
-
 from repro.core.results import CoreResult, InstructionTimings
-from repro.emulator.trace import DynamicInst
+from repro.emulator.trace import Trace
 from repro.memory.resources import BankedMshrFile
 
 from repro.core.compile import _count
-from repro.core.compile.decoded import decode_trace, get_decoded
+from repro.core.compile.decoded import decode_trace, get_decoded, static_table
 
 #: Counter slots (must match kernel.c).
 (C_L1I_ACC, C_L1I_MISS, C_L1D_ACC, C_L1D_MISS, C_L2_MISS, C_DRAM,
@@ -194,24 +193,26 @@ class _NativeMemory:
             bop._current_offset = offset if has_offset else None
 
 
-def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
-                 start_cycle: float, collect_timings: bool) -> CoreResult:
-    """Run one simulation that fits the kernel (see
+def run_compiled(kernel, core, window: Trace, hooks, start_cycle: float,
+                 collect_timings: bool) -> CoreResult:
+    """Run one simulation of ``window`` that fits the kernel (see
     :func:`~repro.core.compile.plan.plan_run`).
 
     ``collect_timings`` has the kernel fill the issue and complete columns
     next to the fetch/dispatch/commit arrays it always keeps.  Timing runs
-    are profiling passes over one-shot windows (a sliced training trace, a
-    copied sample), so their decode bypasses the process-wide memo rather
-    than retaining a window no later run will reuse.
+    are profiling passes over one-shot windows (a training window's head, a
+    sample), so their decode bypasses the process-wide memo rather than
+    retaining a window no later run will reuse.
     """
     cfg = core.config
     result = CoreResult(name=core.name)
-    n = len(entries)
+    n = len(window)
     if n == 0:
+        if collect_timings:
+            result.timings = InstructionTimings()
         return result
 
-    decoded = decode_trace(entries) if collect_timings else get_decoded(entries)
+    decoded = decode_trace(window) if collect_timings else get_decoded(window)
     memory = core.memory
     fetch_times = array("d", bytes(8 * n))
     dispatch_times = array("d", bytes(8 * n))
@@ -377,24 +378,6 @@ def run_compiled(kernel, core, entries: Sequence[DynamicInst], hooks,
     return result
 
 
-def classify_accesses(kernel, memory, ea: array, stores: array,
-                      cycles: array) -> array:
-    """The packed info word of each data access ``(ea[k], stores[k])`` at
-    ``cycles[k]``, run in order through ``memory`` (a stock hierarchy) on
-    the kernel: ``access_data_fast``'s second result, for every access."""
-    native = _NativeMemory(memory)
-    info = array("B", bytes(len(ea)))
-    try:
-        hits, misses = kernel.classify_accesses(dict(
-            ea=ea, stores=stores, cycles=cycles, info=info,
-            memory=native.spec))
-    finally:
-        native.settle()
-    _count("native_mem_hits", hits)
-    _count("native_mem_misses", misses)
-    return info
-
-
 def replay_warmup(kernel, memory, inputs, cycles_per_access: int,
                   l2_prefetcher=None) -> None:
     """Replay a warm-up window's memory accesses into ``memory`` on the
@@ -418,11 +401,11 @@ def replay_warmup(kernel, memory, inputs, cycles_per_access: int,
     _count("native_mem_misses", misses)
 
 
-def draw_verdicts(kernel, entries, commits, rates, risky, biased,
+def draw_verdicts(kernel, window: Trace, commits, rates, risky, biased,
                   bias_direction, rng) -> tuple:
     """:meth:`repro.dla.hints.MainThreadHintSource._draw` on the kernel.
 
-    Draws the verdicts of the look-ahead window ``entries``'s commit log
+    Draws the verdicts of the look-ahead ``window``'s commit log
     ``commits`` from ``rng`` (a :class:`~repro.util.rng.DeterministicRng`)
     with the ``(safe, risky, value)`` error ``rates``, reading only the
     window's decoded columns, and leaves ``rng`` in the state the Python
@@ -432,7 +415,7 @@ def draw_verdicts(kernel, entries, commits, rates, risky, biased,
     nb, nv = len(commits.branch_index), len(commits.pc_index)
     columns = (array("q", bytes(8 * nb)), array("b", bytes(nb)),
                array("q", bytes(8 * nv)), array("b", bytes(nv)))
-    decoded = get_decoded(entries)
+    decoded = get_decoded(window)
     version, internal, gauss = rng.getstate()
     mt, index = array("I", internal[:-1]), array("q", internal[-1:])
     safe_rate, risky_rate, value_rate = rates
@@ -450,3 +433,28 @@ def draw_verdicts(kernel, entries, commits, rates, risky, biased,
     rng.setstate((version, (*mt, index[0]), gauss))
     _count("native_verdict_draws", draws)
     return columns
+
+
+def profile_columns(kernel, memory, window: Trace, backward: array,
+                    outputs: dict) -> tuple:
+    """The passes of :func:`repro.dla.profiling.profile_workload` over a
+    training ``window``'s columns on the kernel, its data accesses run in
+    order through ``memory`` (a freshly built stock hierarchy).
+
+    ``backward`` flags each PC whose branch target lies at or before it;
+    ``outputs`` are the per-PC ``array('q')`` columns the kernel fills.
+    Returns ``(executed PCs, producers, loop branches)``: how many entries
+    of ``order``, ``dep_order`` and ``loop_order`` it wrote.
+    """
+    native = _NativeMemory(memory)
+    try:
+        *counts, hits, misses = kernel.profile_columns(
+            static_table(window.statics).spec(
+                **window.columns._spec(), memory=native.spec,
+                backward=backward, **outputs))
+    finally:
+        native.settle()
+    _count("native_mem_hits", hits)
+    _count("native_mem_misses", misses)
+    _count("native_profiled", len(window))
+    return tuple(counts)

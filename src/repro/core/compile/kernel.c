@@ -12,7 +12,9 @@
  * statement-for-statement; bit-identity, int/float types included, is
  * enforced by the golden, A/B and differential suites.  Also hosts
  * warm-up replay (replay_warmup) over the same memory path, the hint
- * verdict draws (draw_verdicts) and the functional emulator. */
+ * verdict draws (draw_verdicts), the functional emulator and the passes
+ * over its trace columns: decode (gather_decoded), the look-ahead
+ * selection (select_rows) and training-run profiling (profile_columns). */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
@@ -32,6 +34,12 @@
 #define F_TAKEN   256
 #define F_CALL    512
 #define F_RET     1024
+
+/* trace flag bits (must match emulator/trace.py) */
+#define T_HAS_RESULT 1
+#define T_HAS_EA     2
+#define T_CONTROL    4
+#define T_TAKEN      8
 
 /* counter slots (must match core/compile/driver.py) */
 enum {
@@ -2915,218 +2923,477 @@ done:
     return ret;
 }
 
-/* Miss classification: the access loop of dla.profiling.profile_workload.
- * Each data access at its cycle through a native hierarchy; writes its
- * info word.  Returns (native hits, native misses). */
+/* ------------------------------------------------------------------ */
+/* Trace columns: decode, selection and profiling.                      */
+/*                                                                      */
+/* A window is its TraceColumns (emulator/trace.py): pc ('i'), ea and   */
+/* result ('q'), flags ('B', the T_* bits), next_pc ('i') and an        */
+/* optional explicit seq column ('q'; else row k has seq seq0 + k).     */
+/* Decoding reads its program's static table (core/compile/decoded.py:: */
+/* StaticTable, one row per PC) at each row's pc.  No DynamicInst is    */
+/* read or built.                                                       */
+/* ------------------------------------------------------------------ */
+enum { TC_PC, TC_EA, TC_RESULT, TC_FLAGS, TC_NEXT, TC_SEQ, TC_VIEWS };
+static const char *const TC_KEYS[TC_VIEWS] = {
+    "pc", "ea", "result", "tflags", "next_pc", "seq"};
+static const Py_ssize_t TC_WIDTHS[TC_VIEWS] = {4, 8, 8, 1, 4, 8};
+
+typedef struct {
+    Py_buffer views[TC_VIEWS];
+    const int32_t *pc, *next;
+    const int64_t *ea, *result, *seq;   /* result, seq: NULL when absent */
+    const uint8_t *flags;
+    int64_t n, seq0;
+} tcols_t;
+
+/* The columns of ``spec``; every one but pc, ea and tflags may be None. */
+static int
+tcols_open(PyObject *spec, tcols_t *c)
+{
+    memset(c, 0, sizeof(*c));
+    void *ptr[TC_VIEWS];
+    for (int k = 0; k < TC_VIEWS; k++) {
+        int required = k == TC_PC || k == TC_EA || k == TC_FLAGS;
+        if ((required ? get_buffer(spec, TC_KEYS[k], &c->views[k], &ptr[k])
+                      : get_optional_buffer(spec, TC_KEYS[k], &c->views[k],
+                                            &ptr[k])) < 0)
+            return -1;
+    }
+    c->n = c->views[TC_FLAGS].len;
+    for (int k = 0; k < TC_VIEWS; k++) {
+        if (ptr[k] != NULL && c->views[k].len != c->n * TC_WIDTHS[k]) {
+            PyErr_Format(PyExc_ValueError, "trace column %s does not match "
+                         "the window's %lld rows", TC_KEYS[k],
+                         (long long)c->n);
+            return -1;
+        }
+    }
+    int err = 0;
+    c->seq0 = get_int(spec, "seq0", &err);
+    if (err)
+        return -1;
+    c->pc = ptr[TC_PC];
+    c->ea = ptr[TC_EA];
+    c->result = ptr[TC_RESULT];
+    c->flags = ptr[TC_FLAGS];
+    c->next = ptr[TC_NEXT];
+    c->seq = ptr[TC_SEQ];
+    return 0;
+}
+
+static void
+tcols_close(tcols_t *c)
+{
+    for (int k = 0; k < TC_VIEWS; k++)
+        if (c->views[k].obj) PyBuffer_Release(&c->views[k]);
+}
+
+/* A program's static table: per PC its byte address, decoded flags,
+ * latency, destination, scoreboard destination, highest register, and
+ * its sources (srcs[off[pc]:off[pc + 1]]). */
+enum { ST_BA, ST_FLAGS, ST_LAT, ST_DST, ST_SB, ST_MAX, ST_SRCS, ST_OFF,
+       ST_VIEWS };
+static const char *const ST_KEYS[ST_VIEWS] = {
+    "s_ba", "s_flags", "s_lat", "s_dst", "s_sb", "s_max", "s_srcs", "s_off"};
+
+typedef struct {
+    Py_buffer views[ST_VIEWS];
+    const int64_t *ba, *flags, *dst, *sb, *max, *srcs, *off;
+    const double *lat;
+    int64_t n, nsrcs;
+} stab_t;
+
+static int
+stab_open(PyObject *spec, stab_t *t)
+{
+    memset(t, 0, sizeof(*t));
+    void *ptr[ST_VIEWS];
+    for (int k = 0; k < ST_VIEWS; k++)
+        if (get_buffer(spec, ST_KEYS[k], &t->views[k], &ptr[k]) < 0)
+            return -1;
+    t->n = t->views[ST_FLAGS].len / 8;
+    t->nsrcs = t->views[ST_SRCS].len / 8;
+    t->ba = ptr[ST_BA];
+    t->flags = ptr[ST_FLAGS];
+    t->lat = ptr[ST_LAT];
+    t->dst = ptr[ST_DST];
+    t->sb = ptr[ST_SB];
+    t->max = ptr[ST_MAX];
+    t->srcs = ptr[ST_SRCS];
+    t->off = ptr[ST_OFF];
+    int ok = t->views[ST_OFF].len == (t->n + 1) * 8 && t->off[0] == 0;
+    for (int k = 0; k < ST_OFF; k++)
+        if (k != ST_SRCS && t->views[k].len != t->n * 8)
+            ok = 0;
+    for (int64_t p = 0; ok && p < t->n; p++)
+        if (t->off[p + 1] < t->off[p] || t->off[p + 1] > t->nsrcs)
+            ok = 0;
+    if (!ok) {
+        PyErr_SetString(PyExc_ValueError, "malformed static table");
+        return -1;
+    }
+    return 0;
+}
+
+static void
+stab_close(stab_t *t)
+{
+    for (int k = 0; k < ST_VIEWS; k++)
+        if (t->views[k].obj) PyBuffer_Release(&t->views[k]);
+}
+
+static int
+row_pc(const tcols_t *c, int64_t i, int64_t nstatic)
+{
+    int64_t p = c->pc[i];
+    if (p < 0 || p >= nstatic) {
+        PyErr_Format(PyExc_IndexError, "pc %lld of row %lld is outside the "
+                     "static table", (long long)p, (long long)i);
+        return -1;
+    }
+    return 0;
+}
+
+/* A fresh zeroed bytes object of ``count`` items of ``width`` bytes. */
 static PyObject *
-classify_accesses(PyObject *self, PyObject *args)
+new_column(int64_t count, int64_t width, char **data)
+{
+    PyObject *out = PyBytes_FromStringAndSize(NULL, count * width);
+    if (out != NULL) {
+        *data = PyBytes_AS_STRING(out);
+        memset(*data, 0, count * width);
+    }
+    return out;
+}
+
+/* decoded.decode_trace: the window's DecodedTrace columns, gathered from
+ * the static table at each row's pc plus the row's own ea, taken bit,
+ * next_pc and seq.  Returns (ba, flags, ea, lat, dst, sb_dst, srcs,
+ * srcs_off, seq, pcs, nxt) as bytes, and num_regs (the window's highest
+ * register + 1). */
+#define G_COLUMNS 11
+static PyObject *
+gather_decoded(PyObject *self, PyObject *args)
 {
     PyObject *spec;
     if (!PyArg_ParseTuple(args, "O!", &PyDict_Type, &spec))
         return NULL;
-    Py_buffer v_ea = {0}, v_stores = {0}, v_cycles = {0}, v_info = {0};
-    int64_t *ea = NULL, *cycles = NULL;
-    uint8_t *stores = NULL, *info_out = NULL;
-    nmem_t mem;
+    stab_t t;
+    tcols_t c;
+    PyObject *cols[G_COLUMNS] = {NULL};
     PyObject *ret = NULL;
-
-    if (nmem_open(PyDict_GetItemString(spec, "memory"), &mem) < 0 ||
-        get_buffer(spec, "ea", &v_ea, (void **)&ea) < 0 ||
-        get_buffer(spec, "stores", &v_stores, (void **)&stores) < 0 ||
-        get_buffer(spec, "cycles", &v_cycles, (void **)&cycles) < 0 ||
-        PyObject_GetBuffer(PyDict_GetItemString(spec, "info"), &v_info,
-                           PyBUF_WRITABLE) < 0)
+    if (stab_open(spec, &t) < 0 || tcols_open(spec, &c) < 0)
         goto done;
-    info_out = v_info.buf;
-    Py_ssize_t n = v_ea.len / (Py_ssize_t)sizeof(int64_t);
-    if (v_stores.len != n || v_info.len != n || v_cycles.len != v_ea.len) {
-        PyErr_SetString(PyExc_ValueError,
-                        "classification needs columns of one length");
-        goto done;
-    }
-    for (Py_ssize_t k = 0; k < n; k++) {
-        num_t ready;
-        int info;
-        if (mem_data(&mem, ea[k], num_i((double)cycles[k]), stores[k] != 0,
-                     &ready, &info) < 0)
+    int64_t n = c.n, nsrc = 0, max_reg = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (row_pc(&c, i, t.n) < 0)
             goto done;
-        info_out[k] = (uint8_t)info;
+        int64_t p = c.pc[i];
+        nsrc += t.off[p + 1] - t.off[p];
+        if (t.max[p] > max_reg)
+            max_reg = t.max[p];
     }
-    ret = Py_BuildValue("(LL)", (long long)mem.hits, (long long)mem.missed);
+    char *data[G_COLUMNS];
+    for (int k = 0; k < G_COLUMNS; k++) {
+        /* srcs keeps one item, so its buffer is never empty */
+        int64_t count = k == 6 ? (nsrc > 0 ? nsrc : 1) : k == 7 ? n + 1 : n;
+        if ((cols[k] = new_column(count, 8, &data[k])) == NULL)
+            goto done;
+    }
+    int64_t *ba = (int64_t *)data[0], *flags = (int64_t *)data[1];
+    int64_t *ea = (int64_t *)data[2], *dst = (int64_t *)data[4];
+    double *lat = (double *)data[3];
+    int64_t *sb = (int64_t *)data[5], *srcs = (int64_t *)data[6];
+    int64_t *off = (int64_t *)data[7], *seq = (int64_t *)data[8];
+    int64_t *pcs = (int64_t *)data[9], *nxt = (int64_t *)data[10];
+    int64_t cursor = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t p = c.pc[i];
+        ba[i] = t.ba[p];
+        flags[i] = t.flags[p] | ((c.flags[i] & T_TAKEN) ? F_TAKEN : 0);
+        ea[i] = c.ea[i];
+        lat[i] = t.lat[p];
+        dst[i] = t.dst[p];
+        sb[i] = t.sb[p];
+        off[i] = cursor;
+        for (int64_t k = t.off[p]; k < t.off[p + 1]; k++)
+            srcs[cursor++] = t.srcs[k];
+        seq[i] = c.seq != NULL ? c.seq[i] : c.seq0 + i;
+        pcs[i] = p;
+        nxt[i] = c.next != NULL ? c.next[i] : 0;
+    }
+    off[n] = cursor;
+    ret = Py_BuildValue("(OOOOOOOOOOOL)", cols[0], cols[1], cols[2], cols[3],
+                        cols[4], cols[5], cols[6], cols[7], cols[8], cols[9],
+                        cols[10], (long long)(max_reg + 1));
 done:
-    nmem_close(&mem);
-    if (v_ea.obj) PyBuffer_Release(&v_ea);
-    if (v_stores.obj) PyBuffer_Release(&v_stores);
-    if (v_cycles.obj) PyBuffer_Release(&v_cycles);
-    if (v_info.obj) PyBuffer_Release(&v_info);
+    for (int k = 0; k < G_COLUMNS; k++)
+        Py_XDECREF(cols[k]);
+    stab_close(&t);
+    tcols_close(&c);
     return ret;
 }
 
-/* ------------------------------------------------------------------ */
-/* Trace decoding: the flattening loop of repro.core.compile.decoded.   */
-/*                                                                      */
-/* Semantically identical to the Python loop in decode_trace(): per     */
-/* entry, resolve the per-StaticInst row from the id-keyed memo (the    */
-/* callback decodes + retains on miss and returns the row tuple), then  */
-/* fill the flat arrays.  Returns a tuple of bytes objects the Python   */
-/* side wraps into array('q')/array('d') buffers.                       */
-/* ------------------------------------------------------------------ */
+/* TraceColumns.select: the rows whose pc is set in ``mask`` (one byte per
+ * PC; a pc past its end is not selected), in order.  Returns their (pc,
+ * ea, result, flags, next_pc, seq) columns as bytes; seq always carries
+ * each row's own seq. */
+#define S_COLUMNS 6
 static PyObject *
-decode_trace_flat(PyObject *self, PyObject *args)
+select_rows(PyObject *self, PyObject *args)
 {
-    PyObject *entries, *rows, *decode_cb;
-    if (!PyArg_ParseTuple(args, "O!O!O", &PyList_Type, &entries,
-                          &PyDict_Type, &rows, &decode_cb))
+    PyObject *spec;
+    if (!PyArg_ParseTuple(args, "O!", &PyDict_Type, &spec))
         return NULL;
-
-    Py_ssize_t n = PyList_GET_SIZE(entries);
-    int64_t *ba = NULL, *flags = NULL, *ea = NULL, *dst = NULL;
-    int64_t *sb_dst = NULL, *seq = NULL, *pcs = NULL, *nxt = NULL;
-    int64_t *srcs = NULL, *srcs_off = NULL;
-    double *lat = NULL;
+    Py_buffer v_mask = {0};
+    const uint8_t *mask = NULL;
+    tcols_t c;
+    PyObject *cols[S_COLUMNS] = {NULL};
     PyObject *ret = NULL;
-    PyObject *s_static = NULL, *s_taken = NULL, *s_ea = NULL;
-    PyObject *s_next_pc = NULL, *s_seq = NULL;
-    Py_ssize_t srcs_len = 0, srcs_cap = 0;
-    int64_t max_reg = 0;
+    memset(&c, 0, sizeof(c));
+    if (get_buffer(spec, "mask", &v_mask, (void **)&mask) < 0 ||
+        tcols_open(spec, &c) < 0)
+        goto done;
+    if (c.result == NULL || c.next == NULL) {
+        PyErr_SetString(PyExc_ValueError, "select_rows needs every column");
+        goto done;
+    }
+    int64_t m = v_mask.len, kept = 0;
+    for (int64_t i = 0; i < c.n; i++)
+        kept += c.pc[i] >= 0 && c.pc[i] < m && mask[c.pc[i]];
+    static const int64_t widths[S_COLUMNS] = {4, 8, 8, 1, 4, 8};
+    char *data[S_COLUMNS];
+    for (int k = 0; k < S_COLUMNS; k++)
+        if ((cols[k] = new_column(kept, widths[k], &data[k])) == NULL)
+            goto done;
+    int32_t *pc = (int32_t *)data[0], *next = (int32_t *)data[4];
+    int64_t *ea = (int64_t *)data[1], *result = (int64_t *)data[2];
+    uint8_t *flags = (uint8_t *)data[3];
+    int64_t *seq = (int64_t *)data[5];
+    int64_t j = 0;
+    for (int64_t i = 0; i < c.n; i++) {
+        int64_t p = c.pc[i];
+        if (p < 0 || p >= m || !mask[p])
+            continue;
+        pc[j] = c.pc[i];
+        ea[j] = c.ea[i];
+        result[j] = c.result[i];
+        flags[j] = c.flags[i];
+        next[j] = c.next[i];
+        seq[j] = c.seq != NULL ? c.seq[i] : c.seq0 + i;
+        j++;
+    }
+    ret = Py_BuildValue("(OOOOOO)", cols[0], cols[1], cols[2], cols[3],
+                        cols[4], cols[5]);
+done:
+    for (int k = 0; k < S_COLUMNS; k++)
+        Py_XDECREF(cols[k]);
+    if (v_mask.obj) PyBuffer_Release(&v_mask);
+    tcols_close(&c);
+    return ret;
+}
 
-    ba = (int64_t *)calloc(n ? n : 1, sizeof(int64_t));
-    flags = (int64_t *)calloc(n ? n : 1, sizeof(int64_t));
-    ea = (int64_t *)calloc(n ? n : 1, sizeof(int64_t));
-    dst = (int64_t *)calloc(n ? n : 1, sizeof(int64_t));
-    sb_dst = (int64_t *)calloc(n ? n : 1, sizeof(int64_t));
-    seq = (int64_t *)calloc(n ? n : 1, sizeof(int64_t));
-    pcs = (int64_t *)calloc(n ? n : 1, sizeof(int64_t));
-    nxt = (int64_t *)calloc(n ? n : 1, sizeof(int64_t));
-    srcs_off = (int64_t *)calloc(n + 1, sizeof(int64_t));
-    lat = (double *)calloc(n ? n : 1, sizeof(double));
-    if (!ba || !flags || !ea || !dst || !sb_dst || !seq || !pcs || !nxt ||
-        !srcs_off || !lat) {
+/* One (delta, first position) pair of a PC's address deltas. */
+typedef struct { int64_t delta, pos; } delta_t;
+
+static int
+delta_order(const void *a, const void *b)
+{
+    const delta_t *x = a, *y = b;
+    if (x->delta != y->delta)
+        return x->delta < y->delta ? -1 : 1;
+    return x->pos < y->pos ? -1 : x->pos > y->pos;
+}
+
+/* profiling._dominant_stride over one PC's deltas (sorted in place):
+ * the most common delta, ties to the one seen first. */
+static void
+dominant_stride(delta_t *d, int64_t k, int64_t *stride, int64_t *hits)
+{
+    qsort(d, (size_t)k, sizeof(delta_t), delta_order);
+    int64_t best = 0, best_count = 0, best_pos = 0;
+    for (int64_t g = 0; g < k;) {
+        int64_t h = g;
+        while (h < k && d[h].delta == d[g].delta)
+            h++;
+        int64_t count = h - g, first = d[g].pos;
+        if (count > best_count || (count == best_count && first < best_pos)) {
+            best = d[g].delta;
+            best_count = count;
+            best_pos = first;
+        }
+        g = h;
+    }
+    *stride = best;
+    *hits = best_count;
+}
+
+/* dla.profiling.profile_workload's passes over a training window: per-PC
+ * execution counts (and the order of first execution), the memory
+ * accesses run in order through a cold native hierarchy (``memory``) at
+ * the profiler's pacing with their L1/L2 misses counted per PC, per-PC
+ * dominant address strides, taken counts of branches and the loop
+ * branches in the order they were first taken backwards, and the
+ * register-dependence fan-out (consumers per producer PC, in the order
+ * each producer gained its first).  Fills the caller's per-PC output
+ * arrays; returns (executed PCs, producers, loop branches, native hits,
+ * native misses).  An address delta that overflows int64 raises
+ * OverflowError (the Python reference then carries the profile). */
+enum { P_COUNTS, P_ORDER, P_L1, P_L2, P_TAKEN, P_STRIDE, P_HITS, P_DELTAS,
+       P_DEPENDENTS, P_DEP_ORDER, P_LOOP_ORDER, P_BACKWARD, P_OUTPUTS };
+static const char *const P_KEYS[P_OUTPUTS] = {
+    "counts", "order", "l1", "l2", "taken", "stride", "stride_hits",
+    "deltas", "dependents", "dep_order", "loop_order", "backward"};
+
+static PyObject *
+profile_columns(PyObject *self, PyObject *args)
+{
+    PyObject *spec;
+    if (!PyArg_ParseTuple(args, "O!", &PyDict_Type, &spec))
+        return NULL;
+    stab_t t;
+    tcols_t c;
+    nmem_t mem;
+    Py_buffer views[P_OUTPUTS];
+    void *ptr[P_OUTPUTS];
+    int64_t *last = NULL, *writer = NULL, *bucket = NULL;
+    uint8_t *seen = NULL;
+    delta_t *deltas = NULL, *sorted = NULL;
+    PyObject *ret = NULL;
+    memset(views, 0, sizeof(views));
+    memset(&c, 0, sizeof(c));
+    memset(&t, 0, sizeof(t));
+    memset(&mem, 0, sizeof(mem));
+    if (stab_open(spec, &t) < 0 || tcols_open(spec, &c) < 0 ||
+        nmem_open(PyDict_GetItemString(spec, "memory"), &mem) < 0)
+        goto done;
+    int64_t ns = t.n, n = c.n;
+    for (int k = 0; k < P_OUTPUTS; k++) {
+        PyObject *obj = PyDict_GetItemString(spec, P_KEYS[k]);
+        if (obj == NULL) {
+            PyErr_Format(PyExc_KeyError, "missing buffer %s", P_KEYS[k]);
+            goto done;
+        }
+        int flags = k == P_BACKWARD ? PyBUF_SIMPLE : PyBUF_WRITABLE;
+        if (PyObject_GetBuffer(obj, &views[k], flags) < 0)
+            goto done;
+        ptr[k] = views[k].buf;
+        if (views[k].len != ns * (k == P_BACKWARD ? 1 : 8)) {
+            PyErr_Format(PyExc_ValueError, "profile column %s needs one item "
+                         "per PC", P_KEYS[k]);
+            goto done;
+        }
+    }
+    int64_t *counts = ptr[P_COUNTS], *order = ptr[P_ORDER];
+    int64_t *l1 = ptr[P_L1], *l2 = ptr[P_L2], *taken = ptr[P_TAKEN];
+    int64_t *stride = ptr[P_STRIDE], *hits = ptr[P_HITS];
+    int64_t *ndeltas = ptr[P_DELTAS], *dependents = ptr[P_DEPENDENTS];
+    int64_t *dep_order = ptr[P_DEP_ORDER], *loop_order = ptr[P_LOOP_ORDER];
+    const uint8_t *backward = ptr[P_BACKWARD];
+    int64_t num_regs = 1;
+    for (int64_t p = 0; p < ns; p++)
+        if (t.max[p] + 1 > num_regs)
+            num_regs = t.max[p] + 1;
+    last = PyMem_Calloc(ns > 0 ? (size_t)ns : 1, sizeof(int64_t));
+    seen = PyMem_Calloc(ns > 0 ? (size_t)ns : 1, 2);
+    writer = PyMem_Malloc((size_t)num_regs * sizeof(int64_t));
+    deltas = PyMem_Malloc((n > 0 ? (size_t)n : 1) * sizeof(delta_t));
+    if (!last || !seen || !writer || !deltas) {
         PyErr_NoMemory();
         goto done;
     }
-    s_static = PyUnicode_InternFromString("static");
-    s_taken = PyUnicode_InternFromString("taken");
-    s_ea = PyUnicode_InternFromString("effective_address");
-    s_next_pc = PyUnicode_InternFromString("next_pc");
-    s_seq = PyUnicode_InternFromString("seq");
-    if (!s_static || !s_taken || !s_ea || !s_next_pc || !s_seq)
-        goto done;
-
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *entry = PyList_GET_ITEM(entries, i);
-        PyObject *st = PyObject_GetAttr(entry, s_static);
-        if (st == NULL)
+    uint8_t *has_last = seen, *looped = seen + ns;
+    for (int64_t r = 0; r < num_regs; r++)
+        writer[r] = -1;
+    int64_t executed = 0, producers = 0, loops = 0, nd = 0, cycle = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (row_pc(&c, i, ns) < 0)
             goto done;
-        PyObject *key = PyLong_FromVoidPtr((void *)st);
-        if (key == NULL) { Py_DECREF(st); goto done; }
-        PyObject *row = PyDict_GetItemWithError(rows, key);  /* borrowed */
-        Py_DECREF(key);
-        PyObject *row_owned = NULL;
-        if (row == NULL) {
-            if (PyErr_Occurred()) { Py_DECREF(st); goto done; }
-            row_owned = PyObject_CallFunctionObjArgs(decode_cb, st, NULL);
-            Py_DECREF(st);
-            if (row_owned == NULL)
+        int64_t p = c.pc[i], f = t.flags[p];
+        if (counts[p]++ == 0)
+            order[executed++] = p;
+        if (f & F_MEM) {
+            int64_t address = c.ea[i];
+            num_t ready;
+            int info;
+            if (mem_data(&mem, address, num_i((double)cycle),
+                         (f & F_LOAD) == 0, &ready, &info) < 0)
                 goto done;
-            row = row_owned;
-        } else {
-            Py_DECREF(st);
-        }
-        if (!PyTuple_Check(row) || PyTuple_GET_SIZE(row) != 8) {
-            Py_XDECREF(row_owned);
-            PyErr_SetString(PyExc_TypeError, "bad decoded static row");
-            goto done;
-        }
-        int err = 0;
-        ba[i] = PyLong_AsLongLong(PyTuple_GET_ITEM(row, 0));
-        int64_t packed = PyLong_AsLongLong(PyTuple_GET_ITEM(row, 1));
-        lat[i] = PyFloat_AsDouble(PyTuple_GET_ITEM(row, 2));
-        dst[i] = PyLong_AsLongLong(PyTuple_GET_ITEM(row, 3));
-        sb_dst[i] = PyLong_AsLongLong(PyTuple_GET_ITEM(row, 4));
-        PyObject *row_srcs = PyTuple_GET_ITEM(row, 5);
-        pcs[i] = PyLong_AsLongLong(PyTuple_GET_ITEM(row, 6));
-        int64_t row_max = PyLong_AsLongLong(PyTuple_GET_ITEM(row, 7));
-        if (PyErr_Occurred()) err = 1;
-
-        PyObject *taken = err ? NULL : PyObject_GetAttr(entry, s_taken);
-        if (taken == NULL) { Py_XDECREF(row_owned); goto done; }
-        int truth = PyObject_IsTrue(taken);
-        Py_DECREF(taken);
-        if (truth < 0) { Py_XDECREF(row_owned); goto done; }
-        flags[i] = packed | (truth ? F_TAKEN : 0);
-        if (row_max > max_reg)
-            max_reg = row_max;
-
-        PyObject *addr = PyObject_GetAttr(entry, s_ea);
-        if (addr == NULL) { Py_XDECREF(row_owned); goto done; }
-        if (addr != Py_None)
-            ea[i] = PyLong_AsLongLong(addr);
-        Py_DECREF(addr);
-
-        PyObject *npc = PyObject_GetAttr(entry, s_next_pc);
-        if (npc == NULL) { Py_XDECREF(row_owned); goto done; }
-        nxt[i] = PyLong_AsLongLong(npc);
-        Py_DECREF(npc);
-
-        PyObject *sq = PyObject_GetAttr(entry, s_seq);
-        if (sq == NULL) { Py_XDECREF(row_owned); goto done; }
-        seq[i] = (sq == Py_None) ? -1 : PyLong_AsLongLong(sq);
-        Py_DECREF(sq);
-
-        srcs_off[i] = srcs_len;
-        if (PyTuple_Check(row_srcs)) {
-            Py_ssize_t ns = PyTuple_GET_SIZE(row_srcs);
-            if (srcs_len + ns > srcs_cap) {
-                Py_ssize_t want = srcs_cap ? srcs_cap * 2 : 256;
-                while (want < srcs_len + ns)
-                    want *= 2;
-                int64_t *grown = (int64_t *)realloc(srcs, want * sizeof(int64_t));
-                if (grown == NULL) {
-                    Py_XDECREF(row_owned);
-                    PyErr_NoMemory();
+            if (info & 1) {
+                l1[p]++;
+                if (info & 2)
+                    l2[p]++;
+            }
+            if (has_last[p]) {
+                int64_t delta;
+                if (__builtin_sub_overflow(address, last[p], &delta)) {
+                    PyErr_SetString(PyExc_OverflowError,
+                                    "address delta overflows int64");
                     goto done;
                 }
-                srcs = grown;
-                srcs_cap = want;
+                deltas[nd].delta = delta;
+                deltas[nd].pos = p;     /* the PC, until bucketed below */
+                nd++;
             }
-            for (Py_ssize_t k = 0; k < ns; k++)
-                srcs[srcs_len++] = PyLong_AsLongLong(PyTuple_GET_ITEM(row_srcs, k));
+            has_last[p] = 1;
+            last[p] = address;
+            cycle += 2;
+        } else {
+            if ((f & F_BRANCH) && (c.flags[i] & T_TAKEN)) {
+                taken[p]++;
+                if (backward[p] && !looped[p]) {
+                    looped[p] = 1;
+                    loop_order[loops++] = p;
+                }
+            }
+            cycle += 1;
         }
-        Py_XDECREF(row_owned);
-        if (PyErr_Occurred() || err)
-            goto done;
+        for (int64_t k = t.off[p]; k < t.off[p + 1]; k++) {
+            int64_t src = t.srcs[k];
+            int64_t w = src >= 0 && src < num_regs ? writer[src] : -1;
+            if (w >= 0 && dependents[w]++ == 0)
+                dep_order[producers++] = w;
+        }
+        if ((f & F_WRITES) && t.dst[p] >= 0 && t.dst[p] < num_regs)
+            writer[t.dst[p]] = p;
     }
-    srcs_off[n] = srcs_len;
-    if (srcs_len == 0) {
-        /* keep the buffer non-empty for PyObject_GetBuffer */
-        if (srcs == NULL)
-            srcs = (int64_t *)calloc(1, sizeof(int64_t));
-        if (srcs == NULL) { PyErr_NoMemory(); goto done; }
-        srcs[0] = 0;
-        srcs_len = 1;
+    /* Bucket the deltas by PC, in program order within a PC, then take
+     * each PC's dominant stride. */
+    bucket = PyMem_Calloc((size_t)ns + 1, sizeof(int64_t));
+    sorted = PyMem_Malloc((nd > 0 ? (size_t)nd : 1) * sizeof(delta_t));
+    if (!bucket || !sorted) {
+        PyErr_NoMemory();
+        goto done;
     }
-
-    ret = Py_BuildValue(
-        "(y#y#y#y#y#y#y#y#y#y#y#L)",
-        (char *)ba, (Py_ssize_t)(n * sizeof(int64_t)),
-        (char *)flags, (Py_ssize_t)(n * sizeof(int64_t)),
-        (char *)ea, (Py_ssize_t)(n * sizeof(int64_t)),
-        (char *)lat, (Py_ssize_t)(n * sizeof(double)),
-        (char *)dst, (Py_ssize_t)(n * sizeof(int64_t)),
-        (char *)sb_dst, (Py_ssize_t)(n * sizeof(int64_t)),
-        (char *)srcs, (Py_ssize_t)(srcs_len * sizeof(int64_t)),
-        (char *)srcs_off, (Py_ssize_t)((n + 1) * sizeof(int64_t)),
-        (char *)seq, (Py_ssize_t)(n * sizeof(int64_t)),
-        (char *)pcs, (Py_ssize_t)(n * sizeof(int64_t)),
-        (char *)nxt, (Py_ssize_t)(n * sizeof(int64_t)),
-        (long long)(max_reg + 1));
-
+    for (int64_t k = 0; k < nd; k++)
+        ndeltas[deltas[k].pos]++;
+    for (int64_t p = 0; p < ns; p++)
+        bucket[p + 1] = bucket[p] + ndeltas[p];
+    for (int64_t k = 0; k < nd; k++) {
+        int64_t p = deltas[k].pos, slot = bucket[p]++;
+        sorted[slot].delta = deltas[k].delta;
+        sorted[slot].pos = slot;
+    }
+    for (int64_t p = 0, start = 0; p < ns; start += ndeltas[p], p++)
+        if (ndeltas[p])
+            dominant_stride(sorted + start, ndeltas[p], &stride[p], &hits[p]);
+    if (mem.e.err)
+        goto done;
+    ret = Py_BuildValue("(LLLLL)", (long long)executed, (long long)producers,
+                        (long long)loops, (long long)mem.hits,
+                        (long long)mem.missed);
 done:
-    free(ba); free(flags); free(ea); free(dst); free(sb_dst);
-    free(seq); free(pcs); free(nxt); free(srcs); free(srcs_off); free(lat);
-    Py_XDECREF(s_static); Py_XDECREF(s_taken); Py_XDECREF(s_ea);
-    Py_XDECREF(s_next_pc); Py_XDECREF(s_seq);
+    PyMem_Free(last);
+    PyMem_Free(seen);
+    PyMem_Free(writer);
+    PyMem_Free(deltas);
+    PyMem_Free(bucket);
+    PyMem_Free(sorted);
+    for (int k = 0; k < P_OUTPUTS; k++)
+        if (views[k].obj) PyBuffer_Release(&views[k]);
+    nmem_close(&mem);
+    stab_close(&t);
+    tcols_close(&c);
     return ret;
 }
 
@@ -3149,12 +3416,6 @@ enum {
     OP_FMUL, OP_FDIV, OP_LOAD, OP_STORE, OP_BEQZ, OP_BNEZ, OP_BLT, OP_BGE,
     OP_JUMP, OP_CALL, OP_RET, OP_HALT, OP_NOP, OP_COUNT
 };
-
-/* trace flag bits (must match emulator/trace.py) */
-#define T_HAS_RESULT 1
-#define T_HAS_EA     2
-#define T_CONTROL    4
-#define T_TAKEN      8
 
 #define EMU_REGISTERS 32
 
@@ -3535,7 +3796,8 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
-/* Trace materialisation: Trace.entries' DynamicInst list, built from   */
+/* Trace materialisation: Trace.entries' DynamicInst list (read only by */
+/* the reference interpreter and the object-level analyses), built from */
 /* the columns in one loop.  DynamicInst is a slotted dataclass; each   */
 /* object is allocated the way object.__new__ allocates it and its six */
 /* slots are filled through their member descriptors, exactly the      */
@@ -3550,10 +3812,12 @@ build_entries(PyObject *self, PyObject *args)
     PyTypeObject *cls;
     PyObject *statics;
     Py_buffer v_pc = {0}, v_ea = {0}, v_res = {0}, v_flags = {0}, v_next = {0};
+    Py_buffer v_seq = {0};
+    PyObject *seq_column;
     long long seq0;
-    if (!PyArg_ParseTuple(args, "O!O!y*y*y*y*y*L", &PyType_Type, &cls,
+    if (!PyArg_ParseTuple(args, "O!O!y*y*y*y*y*LO", &PyType_Type, &cls,
                           &PyList_Type, &statics, &v_pc, &v_ea, &v_res,
-                          &v_flags, &v_next, &seq0))
+                          &v_flags, &v_next, &seq0, &seq_column))
         return NULL;
 
     PyObject *out = NULL;
@@ -3565,6 +3829,13 @@ build_entries(PyObject *self, PyObject *args)
         emu_buffer(&v_res, sizeof(int64_t), n, "result") < 0 ||
         emu_buffer(&v_next, sizeof(int32_t), n, "next_pc") < 0)
         goto done;
+    const int64_t *seq = NULL;
+    if (seq_column != Py_None) {
+        if (PyObject_GetBuffer(seq_column, &v_seq, PyBUF_SIMPLE) < 0 ||
+            emu_buffer(&v_seq, sizeof(int64_t), n, "seq") < 0)
+            goto done;
+        seq = (const int64_t *)v_seq.buf;
+    }
     for (int k = 0; k < 6; k++) {
         PyObject *descr = PyDict_GetItemString(cls->tp_dict, ENTRY_SLOTS[k]);
         if (descr == NULL || !PyObject_TypeCheck(descr, &PyMemberDescr_Type) ||
@@ -3585,13 +3856,14 @@ build_entries(PyObject *self, PyObject *args)
     if (out == NULL)
         goto done;
     for (Py_ssize_t i = 0; i < n; i++) {
-        if (pc[i] < 0 || pc[i] >= nstatic) {
+        if (pc[i] < 0 || pc[i] >= nstatic ||
+            PyList_GET_ITEM(statics, pc[i]) == Py_None) {
             PyErr_Format(PyExc_IndexError, "build_entries: pc %d out of "
                          "range", (int)pc[i]);
             goto fail;
         }
         PyObject *slots[6];
-        slots[0] = PyLong_FromLongLong(seq0 + i);
+        slots[0] = PyLong_FromLongLong(seq != NULL ? seq[i] : seq0 + i);
         slots[1] = PyList_GET_ITEM(statics, pc[i]);
         Py_INCREF(slots[1]);
         slots[2] = (flags[i] & T_HAS_RESULT) ? PyLong_FromLongLong(res[i])
@@ -3625,6 +3897,7 @@ done:
     PyBuffer_Release(&v_pc); PyBuffer_Release(&v_ea);
     PyBuffer_Release(&v_res); PyBuffer_Release(&v_flags);
     PyBuffer_Release(&v_next);
+    if (v_seq.obj) PyBuffer_Release(&v_seq);
     return out;
 }
 
@@ -3798,10 +4071,12 @@ static PyMethodDef methods[] = {
      "Run the compiled per-instruction tick loop over a decoded trace."},
     {"replay_warmup", replay_warmup, METH_VARARGS,
      "Replay a warm-up window's memory accesses (or any access stream)."},
-    {"classify_accesses", classify_accesses, METH_VARARGS,
-     "Run data accesses through a native hierarchy; write their info words."},
-    {"decode_trace_flat", decode_trace_flat, METH_VARARGS,
-     "Flatten a trace window into typed buffers (decode_trace fast path)."},
+    {"gather_decoded", gather_decoded, METH_VARARGS,
+     "Decode a window's trace columns through its program's static table."},
+    {"select_rows", select_rows, METH_VARARGS,
+     "The rows of a window's trace columns whose PC is in a mask."},
+    {"profile_columns", profile_columns, METH_VARARGS,
+     "A training window's profile passes (dla.profiling.profile_workload)."},
     {"emulate", emulate, METH_VARARGS,
      "Run a program to HALT or the limit; returns its trace columns."},
     {"build_entries", build_entries, METH_VARARGS,

@@ -18,14 +18,14 @@ from __future__ import annotations
 import bisect
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from repro.branch.btb import BranchTargetBuffer
 from repro.branch.predictors import make_predictor
 from repro.branch.ras import ReturnAddressStack
 from repro.core.config import CoreConfig
 from repro.core.results import CoreResult, InstructionTimings
-from repro.emulator.trace import DynamicInst
+from repro.emulator.trace import DynamicInst, Trace, Window
 from repro.isa.instructions import FU_POOL_FP, Opcode
 from repro.memory.hierarchy import CoreMemorySystem, access_result
 from repro.prefetch.base import Prefetcher
@@ -139,15 +139,18 @@ class OutOfOrderCore:
     # ------------------------------------------------------------------
     def run(
         self,
-        entries: Sequence[DynamicInst],
+        entries: Window,
         hooks: Optional[CoreHooks] = None,
         start_cycle: float = 0.0,
         collect_timings: bool = False,
     ) -> CoreResult:
-        """Simulate ``entries`` and return aggregate statistics.
+        """Simulate a trace window (or an entry list) and return aggregate
+        statistics.
 
         ``start_cycle`` offsets the whole execution, which the DLA system uses
-        when restarting a look-ahead thread after a reboot.
+        when restarting a look-ahead thread after a reboot.  The compiled
+        path reads the window's columns; this interpreter, the reference,
+        reads its :class:`DynamicInst` entries.
         """
         cfg = self.config
         hooks = hooks or CoreHooks()
@@ -159,9 +162,13 @@ class OutOfOrderCore:
         if compiled is not None:
             return compiled
 
+        if isinstance(entries, Trace):
+            entries = entries.entries
         result = CoreResult(name=self.name)
         n = len(entries)
         if n == 0:
+            if collect_timings:
+                result.timings = InstructionTimings()
             return result
 
         fetch_times: List[float] = [0.0] * n

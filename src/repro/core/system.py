@@ -15,7 +15,7 @@ from repro.core.config import SystemConfig
 from repro.core.energy import EnergyBreakdown, EnergyModel
 from repro.core.pipeline import CoreHooks, OutOfOrderCore
 from repro.core.results import CoreResult
-from repro.emulator.trace import DynamicInst, Trace
+from repro.emulator.trace import Trace, Window
 from repro.memory.hierarchy import CoreMemorySystem, SharedMemorySystem
 from repro.prefetch import make_prefetcher
 
@@ -68,7 +68,7 @@ class SimulationOutcome:
         return self.core.ipc
 
 
-def _replay_warmup(memory: CoreMemorySystem, entries: Sequence[DynamicInst],
+def _replay_warmup(memory: CoreMemorySystem, window: Window,
                    cycles_per_access: int = 2, inputs=None) -> None:
     """Warm one core's caches/TLB by replaying a trace's memory behaviour.
 
@@ -88,7 +88,7 @@ def _replay_warmup(memory: CoreMemorySystem, entries: Sequence[DynamicInst],
     from repro.core.compile.plan import stock_memory
 
     if kernel_available() and stock_memory(memory):
-        replay_compiled(memory, inputs or replay_inputs(entries),
+        replay_compiled(memory, inputs or replay_inputs(window),
                         cycles_per_access)
         return
     cycle = 0
@@ -96,7 +96,7 @@ def _replay_warmup(memory: CoreMemorySystem, entries: Sequence[DynamicInst],
     last_block = None
     access_inst = memory.access_inst_fast
     access_data = memory.access_data_fast
-    for entry in entries:
+    for entry in Trace.of(window).entries:
         static = entry.static
         address = static.byte_address
         if address // block != last_block:
@@ -114,10 +114,10 @@ class WarmupMemo:
     Every simulation of one workload replays the same warmup window into a
     freshly-built memory system (~21 times per workload across the quick
     experiment matrix).  The post-warm state is fully determined by the
-    warmup entries, the hierarchy geometry, the group of cores being warmed
-    (order and look-ahead modes) and the replay pacing — so the first warm
-    records a snapshot and every later structurally-identical warm restores
-    it instead of replaying.
+    warmup window's rows, the hierarchy geometry, the group of cores being
+    warmed (order and look-ahead modes) and the replay pacing — so the
+    first warm records a snapshot and every later structurally-identical
+    warm restores it instead of replaying.
 
     Soundness requirements (all call sites satisfy them):
 
@@ -126,10 +126,11 @@ class WarmupMemo:
     * every memory in a group shares one :class:`SharedMemorySystem`, and a
       multi-core warm always goes through one group call so the combined
       shared-level state is captured and restored atomically;
-    * warmup entry lists are never mutated.  Groups are keyed by the entry
-      list's identity (with a strong reference retained so ids can never be
-      recycled), which is exact because runners reuse one list per workload;
-      a same-content copy merely replays once more.
+    * trace columns are never mutated.  Groups are keyed by the warm-up
+      window's content key (:attr:`~repro.emulator.trace.Trace.key`: its
+      root columns, which the key holds, and row range), so every window
+      cut from one trace at one range shares a snapshot; an entry list is
+      converted afresh on each call, so it merely replays once more.
     """
 
     #: Bound on retained snapshots: enough for a full-eval campaign (34
@@ -139,38 +140,35 @@ class WarmupMemo:
 
     def __init__(self, max_snapshots: int = MAX_SNAPSHOTS) -> None:
         self._snapshots: Dict[tuple, tuple] = {}
-        #: Strong references keeping id()-keyed entry lists alive.
-        self._retained: Dict[int, Sequence[DynamicInst]] = {}
-        #: Kernel replay arrays per retained entry list (every geometry
+        #: Kernel replay arrays per warm-up window key (every geometry
         #: replaying one window decodes it once).
-        self._inputs: Dict[int, tuple] = {}
+        self._inputs: Dict[tuple, tuple] = {}
         self.max_snapshots = max_snapshots
         self.replays = 0
         self.restores = 0
 
-    def _key(self, memories: Tuple[CoreMemorySystem, ...],
-             entries: Sequence[DynamicInst], cycles_per_access: int) -> tuple:
+    def _key(self, memories: Tuple[CoreMemorySystem, ...], window: Window,
+             cycles_per_access: int) -> tuple:
         from repro.experiments.fingerprint import fingerprint
 
-        token = id(entries)
-        self._retained.setdefault(token, entries)
         geometry = fingerprint(
             [memory.config for memory in memories],
             [memory.lookahead_mode for memory in memories],
         )
-        return token, geometry, cycles_per_access
+        return Trace.of(window).key, geometry, cycles_per_access
 
-    def warm(self, memories: Tuple[CoreMemorySystem, ...],
-             entries: Sequence[DynamicInst], cycles_per_access: int = 2) -> None:
+    def warm(self, memories: Tuple[CoreMemorySystem, ...], window: Window,
+             cycles_per_access: int = 2) -> None:
         shared = memories[0].shared
         if any(memory.shared is not shared for memory in memories):
             raise ValueError("a warm group must share one SharedMemorySystem")
-        key = self._key(memories, entries, cycles_per_access)
+        window = Trace.of(window)
+        key = self._key(memories, window, cycles_per_access)
         snapshot = self._snapshots.get(key)
         if snapshot is None:
-            inputs = self._replay_inputs(key[0], entries)
+            inputs = self._replay_inputs(key[0], window)
             for memory in memories:
-                _replay_warmup(memory, entries, cycles_per_access, inputs)
+                _replay_warmup(memory, window, cycles_per_access, inputs)
             self.replays += 1
             self._evict_to_fit(key)
             self._snapshots[key] = (
@@ -184,39 +182,35 @@ class WarmupMemo:
             memory.restore_state(state)
         self.restores += 1
 
-    def _replay_inputs(self, token: int, entries: Sequence[DynamicInst]):
+    def _replay_inputs(self, window_key: tuple, window: Trace):
         from repro.core.compile import kernel_available
         from repro.core.compile.decoded import replay_inputs
 
         if not kernel_available():
             return None
-        inputs = self._inputs.get(token)
+        inputs = self._inputs.get(window_key)
         if inputs is None:
-            inputs = self._inputs[token] = replay_inputs(entries)
+            inputs = self._inputs[window_key] = replay_inputs(window)
         return inputs
 
     def _evict_to_fit(self, incoming_key: tuple) -> None:
         """Drop oldest snapshots (FIFO) so the memo stays bounded.
 
-        A retained entries reference may only be released when *no* snapshot
-        uses its token any more — including ``incoming_key``, which is about
-        to be inserted: dropping its token's reference here would let the
-        id be recycled under a live snapshot.
+        A window's replay arrays go once *no* snapshot uses its window any
+        more, ``incoming_key``'s (about to be inserted) included.
         """
-        incoming_token = incoming_key[0]
+        incoming_window = incoming_key[0]
         while len(self._snapshots) >= self.max_snapshots:
             victim_key = next(iter(self._snapshots))
             del self._snapshots[victim_key]
-            token = victim_key[0]
-            if token != incoming_token and not any(
-                key[0] == token for key in self._snapshots
+            window = victim_key[0]
+            if window != incoming_window and not any(
+                key[0] == window for key in self._snapshots
             ):
-                self._retained.pop(token, None)
-                self._inputs.pop(token, None)
+                self._inputs.pop(window, None)
 
     def clear(self) -> None:
         self._snapshots.clear()
-        self._retained.clear()
         self._inputs.clear()
 
 
@@ -229,8 +223,7 @@ def warm_memo_stats() -> Dict[str, int]:
     return {"warm_replays": _WARM_MEMO.replays, "warm_restores": _WARM_MEMO.restores}
 
 
-def warm_memory_systems(memories: Sequence[CoreMemorySystem],
-                        entries: Sequence[DynamicInst],
+def warm_memory_systems(memories: Sequence[CoreMemorySystem], entries: Window,
                         cycles_per_access: int = 2) -> None:
     """Warm a group of freshly-built cores sharing one shared system.
 
@@ -257,7 +250,7 @@ def warm_memory_systems(memories: Sequence[CoreMemorySystem],
     memories[0].shared.drain_mshrs()
 
 
-def warm_memory_system(memory: CoreMemorySystem, entries: Sequence[DynamicInst],
+def warm_memory_system(memory: CoreMemorySystem, entries: Window,
                        cycles_per_access: int = 2) -> None:
     """Warm one core's caches/TLB (memoized; see :class:`WarmupMemo`)."""
     warm_memory_systems((memory,), entries, cycles_per_access)
@@ -280,21 +273,19 @@ def build_single_core(config: SystemConfig, lookahead_mode: bool = False):
 
 
 def simulate_baseline(
-    entries: Sequence[DynamicInst] | Trace,
+    entries: Window,
     config: Optional[SystemConfig] = None,
     hooks: Optional[CoreHooks] = None,
     collect_timings: bool = False,
-    warmup_entries: Optional[Sequence[DynamicInst]] = None,
+    warmup_entries: Optional[Window] = None,
 ) -> SimulationOutcome:
-    """Simulate a committed trace on a single conventional core.
+    """Simulate a committed trace window on a single conventional core.
 
     ``warmup_entries`` (typically the portion of the trace preceding the
     timed window) are replayed through the memory hierarchy before timing
     starts, so the measured region sees steady-state cache contents.
     """
     config = config or SystemConfig()
-    if isinstance(entries, Trace):
-        entries = entries.entries
     shared, private, core = build_single_core(config)
     if warmup_entries:
         warm_memory_system(private, warmup_entries)

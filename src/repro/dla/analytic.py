@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.pipeline import OutOfOrderCore
-from repro.emulator.trace import DynamicInst
+from repro.emulator.trace import Trace, Window
 from repro.memory.hierarchy import CoreMemorySystem, SharedMemorySystem
 
 
@@ -154,7 +154,7 @@ def _per_cycle_histogram(times: Sequence[float], max_count: int) -> List[float]:
     return _normalise(histogram).tolist()
 
 
-def empirical_distributions(entries: Sequence[DynamicInst],
+def empirical_distributions(entries: Window,
                             config: Optional[SystemConfig] = None) -> EmpiricalDistributions:
     """Measure demand (decode) and supply (fetch) distributions.
 
@@ -167,21 +167,21 @@ def empirical_distributions(entries: Sequence[DynamicInst],
     config = config or SystemConfig()
     decode_width = config.core.decode_width
     fetch_width = config.core.fetch_width
-    entries = list(entries)
+    window = Trace.of(entries)
 
     # Demand: generous fetch buffer so the back end sets the pace.
     demand_cfg = config.with_overrides(fetch_buffer_entries=512)
     shared = SharedMemorySystem(demand_cfg.memory)
     memory = CoreMemorySystem(shared, demand_cfg.memory)
     core = OutOfOrderCore(demand_cfg.core, memory)
-    result = core.run(entries, collect_timings=True)
+    result = core.run(window, collect_timings=True)
     demand = _per_cycle_histogram(result.timings.dispatch, decode_width)
 
     # Supply: normal configuration, fetch timestamps.
     shared = SharedMemorySystem(config.memory)
     memory = CoreMemorySystem(shared, config.memory)
     core = OutOfOrderCore(config.core, memory)
-    result = core.run(entries, collect_timings=True)
+    result = core.run(window, collect_timings=True)
     supply = _per_cycle_histogram(result.timings.fetch, fetch_width)
 
     # Trace-cache-like supply: instruction fetch always hits (zero-latency
@@ -193,13 +193,13 @@ def empirical_distributions(entries: Sequence[DynamicInst],
     # Pre-warm the I-cache with every block of the program so fetch never misses.
     block = ideal_memory_cfg.l1i.block_bytes
     touched = set()
-    for entry in entries:
-        address = entry.pc * 4
+    for pc in window.columns.pc:
+        address = pc * 4
         if address // block not in touched:
             touched.add(address // block)
             memory.l1i.fill(address, 0)
     core = OutOfOrderCore(config.core, memory)
-    result = core.run(entries, collect_timings=True)
+    result = core.run(window, collect_timings=True)
     trace_supply = _per_cycle_histogram(result.timings.fetch, fetch_width)
 
     return EmpiricalDistributions(

@@ -22,7 +22,8 @@ every verdict is drawn before the run, in program order and with a
 branch's draw before the value draw of the same instruction: the order in
 which per-instruction hooks would consume the stream.  With the compiled
 kernel loaded the draws run natively too (``draw_verdicts``, reading the
-look-ahead window's decoded columns), else in :meth:`_draw`.  The kernel
+look-ahead window's decoded columns), else in :meth:`_draw` over its
+entries.  The kernel
 runs the whole unit natively, due prefetch-hint installs and T1's steps
 included; the hooks below run the same unit on the reference interpreter.
 """
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.compile import native_kernel
 from repro.core.compile.driver import draw_verdicts
@@ -48,7 +49,7 @@ from repro.dla.config import DlaConfig
 from repro.dla.queues import BranchOutcomeQueue, FootnoteKind, FootnoteQueue
 from repro.dla.t1 import T1PrefetchEngine
 from repro.dla.value_reuse import ValidationScoreboard
-from repro.emulator.trace import DynamicInst
+from repro.emulator.trace import DynamicInst, Trace, Window
 from repro.memory.hierarchy import CoreMemorySystem
 from repro.util.rng import DeterministicRng
 
@@ -57,10 +58,11 @@ from repro.util.rng import DeterministicRng
 class LookaheadProducts:
     """What one look-ahead pass produced, in program order."""
 
-    #: The look-ahead's (skeleton-filtered) trace window.
-    entries: Sequence[DynamicInst]
+    #: The look-ahead's trace window (or entry list): the skeleton's
+    #: selection of the segment's rows, each carrying its seq.
+    window: Window
     #: Its commit log: every conditional branch (``branch_*``) and every
-    #: value-reuse target instance (``pc_*``), as indices into ``entries``.
+    #: value-reuse target instance (``pc_*``), as row indices of ``window``.
     commits: CommitLog
     #: Prefetch hints (LT L1 misses), ordered by LT cycle: (cycle, address).
     prefetch_hints: List[Tuple[float, int]]
@@ -98,7 +100,7 @@ class MainThreadHintSource:
                                   branch_bias_direction, rng)
         else:
             verdicts = draw_verdicts(
-                kernel, products.entries, products.commits,
+                kernel, products.window, products.commits,
                 (dla_config.safe_branch_error_rate,
                  dla_config.risky_branch_error_rate,
                  dla_config.value_error_rate),
@@ -112,7 +114,7 @@ class MainThreadHintSource:
         """Every hint's verdict: ``(branch_seqs, branch_correct,
         value_seqs, value_verdicts)``."""
         cfg = self.config
-        entries = self.products.entries
+        entries = Trace.of(self.products.window).entries
         commits = self.products.commits
         draw = rng.bernoulli
         safe_rate = cfg.safe_branch_error_rate

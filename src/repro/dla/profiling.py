@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.config import SystemConfig
 from repro.core.pipeline import OutOfOrderCore
-from repro.emulator.trace import Trace
+from repro.emulator.trace import Trace, Window
 from repro.isa.program import Program
 from repro.memory.hierarchy import CoreMemorySystem, SharedMemorySystem
 
@@ -150,7 +150,7 @@ def _dominant_stride(deltas: Sequence[int]) -> (int, int):
 
 def profile_workload(
     program: Program,
-    trace: Trace,
+    trace: Window,
     config: Optional[SystemConfig] = None,
     run_timing: bool = True,
     timing_window: int = 20_000,
@@ -161,13 +161,31 @@ def profile_workload(
     a dedicated (cold) cache hierarchy; dispatch-to-execute latencies come
     from an optional baseline timing run over a bounded window
     (``run_timing=False`` skips it when only memory seeds are needed).
-    """
-    config = config or SystemConfig()
-    profile = ProgramProfile(program=program, dynamic_instructions=len(trace))
 
-    # Every data access, with its cycle, for the cache-only simulation.
-    access_stats: List[PcMemoryStats] = []
-    addresses, stores, cycles = array("q"), array("B"), array("q")
+    With the compiled kernel loaded the passes run natively over the
+    trace's columns (:func:`_profile_columns`); the loops below over its
+    entries are the reference they transcribe.
+    """
+    from repro.core.compile import kernel_available
+
+    config = config or SystemConfig()
+    trace = Trace.of(trace)
+    profile = ProgramProfile(program=program, dynamic_instructions=len(trace))
+    if not (kernel_available() and _profile_columns(trace, config, profile)):
+        _profile_entries(trace, config, profile)
+    if run_timing:
+        _profile_timing(trace, config, profile, timing_window)
+    return profile
+
+
+def _profile_entries(trace: Trace, config: SystemConfig,
+                     profile: ProgramProfile) -> None:
+    """The reference profiling passes, over the trace's entries."""
+    # Every data access runs, at its cycle, through a cold hierarchy; only
+    # the miss classification matters: bit 0 of the packed info word is an
+    # L1 miss, bit 1 "supplied by the L3 or DRAM".
+    shared = SharedMemorySystem(config.memory)
+    access_data_fast = CoreMemorySystem(shared, config.memory).access_data_fast
     last_address: Dict[int, int] = {}
     deltas: Dict[int, List[int]] = {}
     cycle = 0
@@ -184,10 +202,11 @@ def profile_workload(
                 stats = memory_stats[pc] = PcMemoryStats()
             stats.executions += 1
             address = entry.effective_address
-            access_stats.append(stats)
-            addresses.append(address)
-            stores.append(not static.is_load)
-            cycles.append(cycle)
+            info = access_data_fast(address, cycle, not static.is_load)[1]
+            if info & 1:
+                stats.l1_misses += 1
+                if info & 2:
+                    stats.l2_misses += 1
             if pc in last_address:
                 delta = address - last_address[pc]
                 delta_list = deltas.get(pc)
@@ -210,15 +229,6 @@ def profile_workload(
         else:
             cycle += 1
 
-    # Only the miss classification matters: bit 0 of the packed info word
-    # is an L1 miss, bit 1 "supplied by the L3 or DRAM".
-    for stats, info in zip(access_stats,
-                           _classify(config, addresses, stores, cycles)):
-        if info & 1:
-            stats.l1_misses += 1
-            if info & 2:
-                stats.l2_misses += 1
-
     for pc, delta_list in deltas.items():
         stride, hits = _dominant_stride(delta_list)
         stats = profile.memory[pc]
@@ -239,41 +249,66 @@ def profile_workload(
         if static.writes_register:
             last_writer[static.dst] = static.pc
 
-    if run_timing:
-        _profile_timing(trace, config, profile, timing_window)
-    return profile
+
+#: Per-PC columns the kernel's profiling pass fills.
+_PROFILE_COLUMNS = ("counts", "order", "l1", "l2", "taken", "stride",
+                    "stride_hits", "deltas", "dependents", "dep_order",
+                    "loop_order")
 
 
-def _classify(config: SystemConfig, addresses: array, stores: array,
-              cycles: array):
-    """The packed info word of each data access, run in order through a
-    cold hierarchy: on the kernel when it is available
-    (:func:`~repro.core.compile.classify_compiled`), else through the
-    reference accessor."""
-    from repro.core.compile import classify_compiled, kernel_available
+def _profile_columns(trace: Trace, config: SystemConfig,
+                     profile: ProgramProfile) -> bool:
+    """:func:`_profile_entries` on the kernel, over the trace's columns:
+    the same dicts, in the same (first-execution) order, with the same int
+    types.  False when an address delta overflows the kernel's int64, so
+    the reference must carry the profile."""
+    from repro.core.compile import profile_compiled
 
+    statics = trace.statics
+    size = len(statics)
+    backward = array("B", (
+        static is not None and static.target is not None
+        and static.target <= static.pc for static in statics))
+    out = {name: array("q", bytes(8 * size)) for name in _PROFILE_COLUMNS}
     shared = SharedMemorySystem(config.memory)
-    memory = CoreMemorySystem(shared, config.memory)
-    if kernel_available():
-        return classify_compiled(memory, addresses, stores, cycles)
-    access_data_fast = memory.access_data_fast
-    return [access_data_fast(address, cycle, bool(store))[1]
-            for address, store, cycle in zip(addresses, stores, cycles)]
+    try:
+        executed, producers, loops = profile_compiled(
+            CoreMemorySystem(shared, config.memory), trace, backward, out)
+    except OverflowError:
+        return False
+    counts, stride, hits, deltas = (out["counts"], out["stride"],
+                                    out["stride_hits"], out["deltas"])
+    order = out["order"][:executed]
+    profile.instruction_counts.update(zip(order, (counts[pc] for pc in order)))
+    for pc in order:
+        static = statics[pc]
+        if static.is_memory:
+            profile.memory[pc] = PcMemoryStats(
+                executions=counts[pc], l1_misses=out["l1"][pc],
+                l2_misses=out["l2"][pc], dominant_stride_hits=hits[pc],
+                dominant_stride=stride[pc], deltas_observed=deltas[pc])
+        elif static.is_branch:
+            profile.branches[pc] = PcBranchStats(counts[pc], out["taken"][pc])
+    profile.loop_branch_pcs.update(out["loop_order"][:loops])
+    dependents = out["dependents"]
+    profile.dependents.update(
+        (pc, dependents[pc]) for pc in out["dep_order"][:producers])
+    return True
 
 
 def _profile_timing(trace: Trace, config: SystemConfig,
                     profile: ProgramProfile, window: int) -> None:
-    """Per-PC average dispatch-to-execute latency from a baseline timing run."""
+    """Per-PC average dispatch-to-execute latency from a baseline timing
+    run, aggregated by the window's ``pc`` column in program order."""
     shared = SharedMemorySystem(config.memory)
     memory = CoreMemorySystem(shared, config.memory)
     core = OutOfOrderCore(config.core, memory)
-    entries = trace.entries[:window]
-    timings = core.run(entries, collect_timings=True).timings
+    head = trace.window(0, window)
+    timings = core.run(head, collect_timings=True).timings
     sums: Dict[int, float] = {}
     counts: Dict[int, int] = {}
-    for entry, complete, dispatch in zip(entries, timings.complete,
-                                         timings.dispatch):
-        pc = entry.static.pc
+    for pc, complete, dispatch in zip(head.columns.pc, timings.complete,
+                                      timings.dispatch):
         sums[pc] = sums.get(pc, 0.0) + (complete - dispatch)
         counts[pc] = counts.get(pc, 0) + 1
     profile.dispatch_to_execute = {

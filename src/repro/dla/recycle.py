@@ -25,42 +25,35 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dla.config import DlaConfig
 from repro.dla.skeleton import Skeleton, SkeletonBuilder, SkeletonOptions
-from repro.emulator.trace import DynamicInst
+from repro.emulator.trace import Trace, Window
 
 
 class _SliceMemo:
-    """Stable identity for repeated slices of the same trace window.
+    """Repeated slices of the same trace window, by content key.
 
     The planner carves each window into loop units, trial slices, and
-    search samples on *every* ``plan()`` call.  Plain slicing would hand
-    the simulator a brand-new list each time, defeating the id-keyed
-    decoded-trace and filtered-look-ahead memos downstream.  Keying on
-    ``(id(parent), start, stop)`` — with a strong reference to the parent
-    so the id cannot be recycled — returns the same list object for the
-    same logical slice, which is what makes those memos hit.
+    search samples on *every* ``plan()`` call.  Keying a slice on its
+    parent's content key and row range hands back the same window each
+    time, without slicing the columns again; the decoded-trace and
+    look-ahead memos downstream key on the same content either way.
     """
 
     MAX_ENTRIES = 512
 
     def __init__(self) -> None:
-        self._slices: Dict[Tuple[int, int, int], list] = {}
-        self._parents: Dict[Tuple[int, int, int], object] = {}
+        self._slices: Dict[Tuple[tuple, int, int], Trace] = {}
 
-    def get(self, entries: Sequence[DynamicInst], start: int, stop: int) -> list:
-        stop = min(stop, len(entries))
+    def get(self, window: Trace, start: int, stop: int) -> Trace:
+        stop = min(stop, len(window))
         start = min(start, stop)
-        token = (id(entries), start, stop)
-        hit = self._slices.get(token)
-        if hit is not None:
-            return hit
-        out = list(entries[start:stop])
-        while len(self._slices) >= self.MAX_ENTRIES:
-            victim = next(iter(self._slices))
-            del self._slices[victim]
-            self._parents.pop(victim, None)
-        self._slices[token] = out
-        self._parents[token] = entries
-        return out
+        key = (window.key, start, stop)
+        hit = self._slices.get(key)
+        if hit is None:
+            hit = window.window(start, stop - start)
+            while len(self._slices) >= self.MAX_ENTRIES:
+                del self._slices[next(iter(self._slices))]
+            self._slices[key] = hit
+        return hit
 
 
 _SLICES = _SliceMemo()
@@ -163,8 +156,8 @@ class LoopUnit:
 class RecyclePlan:
     """Everything the segmented DLA simulation needs, plus Fig. 15 data."""
 
-    #: (trace segment, skeleton) pairs in execution order.
-    segments: List[Tuple[Sequence[DynamicInst], Skeleton]]
+    #: (trace window, skeleton) pairs in execution order.
+    segments: List[Tuple[Trace, Skeleton]]
     #: Per-unit chosen version index, in execution order.
     chosen_versions: List[int]
     #: Instruction-weighted distribution over version indices (sums to 1).
@@ -186,34 +179,41 @@ class RecycleController:
         self.lct = LoopConfigTable(self.config.lct_entries)
 
     # ------------------------------------------------------------------
-    def segment_into_loop_units(self, entries: Sequence[DynamicInst]) -> List[LoopUnit]:
+    def segment_into_loop_units(self, window: Window) -> List[LoopUnit]:
         """Split the trace into loop units of at least the configured length.
 
         The current unit's identity is the most recently retired loop branch;
         a unit ends when a *different* loop branch retires and the unit has
-        already reached the minimum length.
+        already reached the minimum length.  Reads the window's ``pc``
+        column and each loop PC's static branch flag.
         """
+        window = Trace.of(window)
+        statics = window.statics
+        loops = {pc for pc in self.loop_branch_pcs
+                 if 0 <= pc < len(statics) and statics[pc] is not None
+                 and statics[pc].is_branch}
         min_length = self.config.loop_unit_min_instructions
         units: List[LoopUnit] = []
         current_loop = -1
         start = 0
-        for index, entry in enumerate(entries):
-            if entry.is_branch and entry.pc in self.loop_branch_pcs:
-                if (
-                    current_loop != -1
-                    and entry.pc != current_loop
-                    and index - start >= min_length
-                ):
-                    units.append(LoopUnit(current_loop, start, index))
-                    start = index
-                current_loop = entry.pc
-        if start < len(entries):
+        pcs = window.columns.pc
+        for index in [index for index, pc in enumerate(pcs) if pc in loops]:
+            pc = pcs[index]
+            if (
+                current_loop != -1
+                and pc != current_loop
+                and index - start >= min_length
+            ):
+                units.append(LoopUnit(current_loop, start, index))
+                start = index
+            current_loop = pc
+        if start < len(pcs):
             units.append(LoopUnit(current_loop if current_loop != -1 else 0,
-                                  start, len(entries)))
+                                  start, len(pcs)))
         return units
 
     # ------------------------------------------------------------------
-    def plan(self, dla_system, entries: Sequence[DynamicInst],
+    def plan(self, dla_system, entries: Window,
              dynamic: bool = False, sample_length: int = 2500,
              search_unit_limit: Optional[int] = None) -> RecyclePlan:
         """Choose a skeleton version per loop unit and emit a simulation plan.
@@ -232,9 +232,8 @@ class RecycleController:
         samples workloads, which is what keeps ``--full`` segmented cells
         from dominating campaign wall time.
         """
-        if not isinstance(entries, list):
-            entries = list(entries)
-        units = self.segment_into_loop_units(entries)
+        window = Trace.of(entries)
+        units = self.segment_into_loop_units(window)
         searchable: Optional[set] = None
         if search_unit_limit is not None:
             instruction_weight: Dict[int, int] = {}
@@ -252,20 +251,20 @@ class RecycleController:
         if not units:
             skeleton = self.versions[0]
             return RecyclePlan(
-                segments=[(entries, skeleton)],
+                segments=[(window, skeleton)],
                 chosen_versions=[0],
                 version_distribution={0: 1.0},
                 lct=self.lct,
             )
 
         best_for_loop: Dict[int, int] = {}
-        segments: List[Tuple[Sequence[DynamicInst], Skeleton]] = []
+        segments: List[Tuple[Trace, Skeleton]] = []
         chosen: List[int] = []
         weights: Dict[int, float] = {}
-        total_instructions = float(len(entries))
+        total_instructions = float(len(window))
 
         for unit in units:
-            unit_entries = _SLICES.get(entries, unit.start, unit.end)
+            unit_entries = _SLICES.get(window, unit.start, unit.end)
             sampled = searchable is None or unit.loop_pc in searchable
             cached = self.lct.lookup(unit.loop_pc)
             if cached is not None:
@@ -312,7 +311,7 @@ class RecycleController:
         )
 
     # ------------------------------------------------------------------
-    def _search_best(self, dla_system, unit_entries: Sequence[DynamicInst],
+    def _search_best(self, dla_system, unit_entries: Trace,
                      sample_length: int) -> int:
         """Try every version on a sample of the unit; return the fastest."""
         sample = _SLICES.get(unit_entries, 0, sample_length)

@@ -115,7 +115,7 @@ def simulate_smt_pair(trace: Trace, config: SystemConfig) -> SmtPairOutcome:
         )
         core = OutOfOrderCore(half.core, memory, l2_prefetcher=l2_pf,
                               name=f"smt-copy-{copy_index}")
-        copies.append(core.run(trace.entries))
+        copies.append(core.run(trace))
     return SmtPairOutcome(copies=copies)
 
 

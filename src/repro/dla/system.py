@@ -44,7 +44,7 @@ from repro.dla.profiling import ProgramProfile, profile_workload
 from repro.dla.queues import BranchOutcomeQueue, FootnoteQueue, communication_bits_per_instruction
 from repro.dla.skeleton import Skeleton, SkeletonBuilder, SkeletonOptions
 from repro.dla.t1 import T1Config, T1PrefetchEngine
-from repro.emulator.trace import DynamicInst, Trace
+from repro.emulator.trace import Trace, Window
 from repro.isa.program import Program
 from repro.memory.hierarchy import CoreMemorySystem, SharedMemorySystem
 from repro.prefetch import make_prefetcher
@@ -52,38 +52,30 @@ from repro.util.rng import DeterministicRng
 
 
 class _FilteredTraceCache:
-    """Bounded memo of skeleton-filtered look-ahead windows.
+    """Bounded memo of skeleton look-ahead windows.
 
     The recycle controller and the figure sweeps simulate one trace window
-    under many skeletons, and each skeleton many times; the filtered
-    look-ahead entry list for a ``(window, included_pcs)`` pair is identical
-    every time.  Reusing one list object per pair also keeps its identity
-    stable, which is what lets the compiled pipeline's id-keyed decoded-
-    trace memo hit instead of re-decoding a fresh one-shot list per run.
-    Strong references to the source windows are retained so ids can never
-    be recycled.
+    under many skeletons, and each skeleton many times; the look-ahead
+    window of a ``(window, included_pcs)`` pair is the same selection
+    (:meth:`~repro.emulator.trace.Trace.select`) every time.  Keyed by the
+    window's content key and the PCs, so every trace object naming the
+    same rows shares one selection (and, downstream, its decoded arrays).
     """
 
     MAX_ENTRIES = 256
 
     def __init__(self) -> None:
-        self._filtered: Dict[Tuple[int, frozenset], List[DynamicInst]] = {}
-        self._retained: Dict[Tuple[int, frozenset], Sequence[DynamicInst]] = {}
+        self._selections: Dict[Tuple[tuple, frozenset], Trace] = {}
 
-    def get(self, entries: Sequence[DynamicInst],
-            included_pcs: frozenset) -> List[DynamicInst]:
-        token = (id(entries), included_pcs)
-        hit = self._filtered.get(token)
-        if hit is not None:
-            return hit
-        filtered = [e for e in entries if e.static.pc in included_pcs]
-        while len(self._filtered) >= self.MAX_ENTRIES:
-            victim = next(iter(self._filtered))
-            del self._filtered[victim]
-            del self._retained[victim]
-        self._filtered[token] = filtered
-        self._retained[token] = entries
-        return filtered
+    def get(self, window: Trace, included_pcs: frozenset) -> Trace:
+        key = (window.key, included_pcs)
+        selection = self._selections.get(key)
+        if selection is None:
+            selection = window.select(included_pcs)
+            while len(self._selections) >= self.MAX_ENTRIES:
+                del self._selections[next(iter(self._selections))]
+            self._selections[key] = selection
+        return selection
 
 
 #: Process-wide: windows and skeletons are shared across DlaSystem instances.
@@ -175,34 +167,24 @@ class DlaSystem:
         )
         return self.builder.build(options, enable_t1=self.dla_config.enable_t1)
 
-    def simulate(self, trace: Trace | Sequence[DynamicInst],
-                 skeleton: Optional[Skeleton] = None,
-                 warmup_entries: Optional[Sequence[DynamicInst]] = None) -> DlaOutcome:
-        """Run the whole trace under one skeleton.
+    def simulate(self, trace: Window, skeleton: Optional[Skeleton] = None,
+                 warmup_entries: Optional[Window] = None) -> DlaOutcome:
+        """Run a whole trace window (or entry list) under one skeleton.
 
         ``warmup_entries`` are replayed through both cores' private caches
         (and therefore the shared L3) before the timed region begins.
         """
-        if isinstance(trace, Trace):
-            entries = trace.entries
-        elif isinstance(trace, list):
-            # Keep the caller's list identity: the run never mutates entries
-            # (see ``_main_pass``), and a stable id is what lets the decoded
-            # trace and filtered look-ahead memos hit on repeat simulations.
-            entries = trace
-        else:
-            entries = list(trace)
         skeleton = skeleton or self.default_skeleton()
         state = self._fresh_state()
         if warmup_entries:
             self._warm(state, warmup_entries)
-        segment = self._run_segment(state, entries, skeleton)
-        return self._finalize(state, [segment], entries, skeleton)
+        segment = self._run_segment(state, Trace.of(trace), skeleton)
+        return self._finalize(state, [segment])
 
     def simulate_segmented(
         self,
-        plan: Sequence[Tuple[Sequence[DynamicInst], Skeleton]],
-        warmup_entries: Optional[Sequence[DynamicInst]] = None,
+        plan: Sequence[Tuple[Window, Skeleton]],
+        warmup_entries: Optional[Window] = None,
     ) -> DlaOutcome:
         """Run consecutive trace segments, each under its own skeleton.
 
@@ -215,21 +197,15 @@ class DlaSystem:
         state = self._fresh_state()
         if warmup_entries:
             self._warm(state, warmup_entries)
-        segments = []
-        all_entries: List[DynamicInst] = []
-        last_skeleton = plan[-1][1]
-        for entries, skeleton in plan:
-            if not isinstance(entries, list):
-                entries = list(entries)
-            all_entries.extend(entries)
-            segments.append(self._run_segment(state, entries, skeleton))
-        return self._finalize(state, segments, all_entries, last_skeleton)
+        segments = [self._run_segment(state, Trace.of(window), skeleton)
+                    for window, skeleton in plan]
+        return self._finalize(state, segments)
 
     # ------------------------------------------------------------------
     # internal machinery
     # ------------------------------------------------------------------
     @staticmethod
-    def _warm(state: "_State", warmup_entries: Sequence[DynamicInst]) -> None:
+    def _warm(state: "_State", warmup_entries: Window) -> None:
         from repro.core.system import warm_memory_systems
 
         # One group call: the two cores' post-warm state (including the
@@ -313,23 +289,23 @@ class DlaSystem:
         )
 
     # -- look-ahead pass ----------------------------------------------------
-    def _lookahead_pass(self, state: "_State", entries: Sequence[DynamicInst],
+    def _lookahead_pass(self, state: "_State", window: Trace,
                         skeleton: Skeleton) -> Tuple[LookaheadProducts, CoreResult]:
-        lt_entries = _FILTERED.get(entries, skeleton.included_pcs)
-        state.lt_dynamic_instructions += len(lt_entries)
+        lt_window = _FILTERED.get(window, skeleton.included_pcs)
+        state.lt_dynamic_instructions += len(lt_window)
         commits = CommitLog(pcs=tuple(sorted(self._value_target_pcs(skeleton))))
         misses: List[Tuple[float, int]] = []
         # Both products are declared logs, which either engine fills.
         hooks = CoreHooks(fast_hints=CompiledHookSpec(commit_log=commits,
                                                       load_miss_log=misses))
-        result = state.lt_core.run(lt_entries, hooks=hooks, start_cycle=state.lt_clock)
-        prefetch_hints = [(cycle, lt_entries[i].effective_address)
-                          for cycle, i in misses]
+        result = state.lt_core.run(lt_window, hooks=hooks, start_cycle=state.lt_clock)
+        addresses = lt_window.columns.ea
+        prefetch_hints = [(cycle, addresses[i]) for cycle, i in misses]
         prefetch_hints.sort(key=lambda item: item[0])
-        return LookaheadProducts(lt_entries, commits, prefetch_hints), result
+        return LookaheadProducts(lt_window, commits, prefetch_hints), result
 
     # -- main-thread pass ------------------------------------------------------
-    def _main_pass(self, state: "_State", entries: Sequence[DynamicInst],
+    def _main_pass(self, state: "_State", window: Trace,
                    skeleton: Skeleton,
                    products: LookaheadProducts) -> Tuple[CoreResult, MainThreadHintSource]:
         bias_direction = {
@@ -349,18 +325,15 @@ class DlaSystem:
             t1_engine=state.t1,
             rng=state.rng,
         )
-        state.mt_dynamic_instructions += len(entries)
-        # No defensive copy: ``run`` never mutates its entries, and a stable
-        # list identity is what lets the decoded-trace memo hit when the
-        # same window is simulated under several configurations.
-        result = state.mt_core.run(entries, hooks=hint_source.hooks(),
+        state.mt_dynamic_instructions += len(window)
+        result = state.mt_core.run(window, hooks=hint_source.hooks(),
                                    start_cycle=state.mt_clock)
         hint_source.settle()
         return result, hint_source
 
-    def _run_segment(self, state: "_State", entries: Sequence[DynamicInst],
+    def _run_segment(self, state: "_State", window: Trace,
                      skeleton: Skeleton) -> Tuple[CoreResult, CoreResult]:
-        if not entries:
+        if not window:
             empty = CoreResult(name="main-thread")
             return empty, CoreResult(name="look-ahead")
         # The two passes model concurrent threads but run back to back on
@@ -371,9 +344,9 @@ class DlaSystem:
         # (Line fill times intentionally do carry across — that aliasing is
         # how the look-ahead thread's L3 warming reaches the main thread.)
         state.shared.drain_mshrs()
-        products, lt_result = self._lookahead_pass(state, entries, skeleton)
+        products, lt_result = self._lookahead_pass(state, window, skeleton)
         state.shared.drain_mshrs()
-        mt_result, hint_source = self._main_pass(state, entries, skeleton, products)
+        mt_result, hint_source = self._main_pass(state, window, skeleton, products)
         state.mt_clock += mt_result.cycles
         # The look-ahead thread cannot finish a segment before the main
         # thread starts consuming it, but in steady state it tracks at most a
@@ -386,9 +359,7 @@ class DlaSystem:
 
     # -- result assembly ------------------------------------------------------
     def _finalize(self, state: "_State",
-                  segments: Sequence[Tuple[CoreResult, CoreResult]],
-                  entries: Sequence[DynamicInst],
-                  skeleton: Skeleton) -> DlaOutcome:
+                  segments: Sequence[Tuple[CoreResult, CoreResult]]) -> DlaOutcome:
         main = CoreResult(name="main-thread")
         lookahead = CoreResult(name="look-ahead")
         for mt_result, lt_result in segments:

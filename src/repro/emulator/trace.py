@@ -1,10 +1,17 @@
 """Dynamic trace representation.
 
 A trace is five typed columns (:class:`TraceColumns`) from the moment the
-emulator writes it until a setup's disk entry is read back.
-:class:`DynamicInst` objects exist only for the Python consumers that ask
-for them (the timing models, profiling, the baselines): ``Trace.entries``
-builds them once, on first access, and keeps the list.
+emulator writes it until a setup's disk entry is read back, and the
+compiled path reads nothing else: decode, the look-ahead selection,
+recycle segmentation and profiling all work on the columns.  A
+:class:`Trace` names its rows by content: :attr:`Trace.key` is ``(root
+columns, lo, hi, selected PCs)``, which windows and selections derive from
+their parent's, so the process-wide memos downstream (decoded windows,
+look-ahead selections, recycle slices, warm-up snapshots) hit on equal
+windows whatever object asks.  :class:`DynamicInst` objects exist only for
+the object-level consumers (the reference interpreter, hooks that read
+entries, the ILP analysis): ``Trace.entries`` builds them once, on first
+access, and keeps the list.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.isa.instructions import Instruction, OpClass
 
@@ -83,12 +90,15 @@ IS_CONTROL = 4
 TAKEN = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceColumns:
     """One window of a committed stream as typed columns.
 
-    Row ``i`` is the instruction with ``seq == seq0 + i``.  ``ea`` and
-    ``result`` hold 0 where the flags say the field is ``None``.
+    Row ``i`` is the instruction with ``seq == seq0 + i``, unless ``seq``
+    is given: a selection's rows (and an entry list whose seqs are not
+    consecutive) carry their own seqs there.  ``ea`` and ``result`` hold 0
+    where the flags say the field is ``None``.  Equality and hashing are by
+    identity: a window's content key names its root columns.
     """
 
     pc: array        # 'i' static PC
@@ -97,9 +107,16 @@ class TraceColumns:
     flags: array     # 'B' HAS_RESULT | HAS_EA | IS_CONTROL | TAKEN
     next_pc: array   # 'i' static PC of the following instruction
     seq0: int = 0
+    seq: Optional[array] = None   # 'q' explicit seqs, or None
 
     def __len__(self) -> int:
         return len(self.pc)
+
+    def seqs(self) -> Sequence[int]:
+        """Every row's seq."""
+        if self.seq is not None:
+            return self.seq
+        return range(self.seq0, self.seq0 + len(self.pc))
 
     def rows(self, start: int, stop: int) -> "TraceColumns":
         """Rows ``[start, stop)`` (clamped like a list slice)."""
@@ -107,7 +124,14 @@ class TraceColumns:
         stop = max(start, stop)
         return TraceColumns(self.pc[start:stop], self.ea[start:stop],
                             self.result[start:stop], self.flags[start:stop],
-                            self.next_pc[start:stop], self.seq0 + start)
+                            self.next_pc[start:stop], self.seq0 + start,
+                            None if self.seq is None else self.seq[start:stop])
+
+    def _spec(self, **extra) -> dict:
+        """The kernel's view of these columns (zero-copy), plus ``extra``."""
+        return dict(pc=self.pc, ea=self.ea, result=self.result,
+                    tflags=self.flags, next_pc=self.next_pc, seq=self.seq,
+                    seq0=self.seq0, **extra)
 
     @classmethod
     def empty(cls, seq0: int = 0) -> "TraceColumns":
@@ -116,9 +140,14 @@ class TraceColumns:
 
     @classmethod
     def from_entries(cls, entries: Sequence[DynamicInst]) -> "TraceColumns":
-        """The columns of an existing entry list (its seqs must be
-        consecutive)."""
-        columns = cls.empty(entries[0].seq if entries else 0)
+        """The columns of an existing entry list.  Seqs that are not
+        consecutive (a filtered list) go in the explicit ``seq`` column."""
+        seqs = array("q", [entry.seq for entry in entries])
+        seq0 = seqs[0] if seqs else 0
+        consecutive = seqs == array("q", range(seq0, seq0 + len(seqs)))
+        columns = cls.empty(seq0) if consecutive else cls(
+            array("i"), array("q"), array("q"), array("B"), array("i"), seq0,
+            seqs)
         for entry in entries:
             flags = 0
             result = entry.result
@@ -136,18 +165,17 @@ class TraceColumns:
             columns.next_pc.append(entry.next_pc)
         return columns
 
-    def build_entries(self, program) -> List[DynamicInst]:
-        """One :class:`DynamicInst` per row; each ``static`` is the
-        program's own :class:`Instruction` object (the decoded-row memo is
-        keyed by its identity)."""
+    def build_entries(self, statics) -> List[DynamicInst]:
+        """One :class:`DynamicInst` per row; each ``static`` is
+        ``statics[pc]`` (a program, or an entry-list trace's own statics)."""
         from repro.core.compile import native_kernel
 
-        statics = list(program)
+        statics = list(statics)
         kernel = native_kernel()
         if kernel is not None:
             return kernel.build_entries(DynamicInst, statics, self.pc, self.ea,
                                         self.result, self.flags, self.next_pc,
-                                        self.seq0)
+                                        self.seq0, self.seq)
         return [
             DynamicInst(seq, statics[pc],
                         result if flags & HAS_RESULT else None,
@@ -155,18 +183,40 @@ class TraceColumns:
                         bool(flags & TAKEN) if flags & IS_CONTROL else None,
                         next_pc)
             for seq, pc, address, result, flags, next_pc in zip(
-                range(self.seq0, self.seq0 + len(self.pc)), self.pc, self.ea,
-                self.result, self.flags, self.next_pc)
+                self.seqs(), self.pc, self.ea, self.result, self.flags,
+                self.next_pc)
         ]
+
+
+def _statics_of(entries: Sequence[DynamicInst]) -> List[Optional[Instruction]]:
+    """An entry list's static instructions, indexable by PC (``None`` at
+    PCs no entry names)."""
+    statics: List[Optional[Instruction]] = []
+    for entry in entries:
+        static = entry.static
+        pc = static.pc
+        if pc >= len(statics):
+            statics.extend([None] * (pc + 1 - len(statics)))
+        known = statics[pc]
+        if known is None:
+            statics[pc] = static
+        elif known is not static and known != static:
+            raise ValueError(f"two different instructions at PC {pc}")
+    return statics
+
+
+#: A trace window, or the entry list of one.
+Window = Union["Trace", Sequence[DynamicInst]]
 
 
 class Trace:
     """A committed dynamic instruction stream plus summary statistics.
 
-    Built from :class:`TraceColumns` (the emulator, windows, setups read
-    from disk) or from an existing entry list.  ``entries`` is built on
-    first access and then keeps its identity, which the id-keyed decoded
-    and warm-up memos rely on.
+    Built from :class:`TraceColumns` (the emulator, windows, selections,
+    setups read from disk) or from an existing entry list.  ``entries`` is
+    built on first access and then kept.  :attr:`key` names the rows by
+    content; :meth:`window` and :meth:`select` derive theirs from this
+    trace's, so equal windows key equal however often they are cut.
     """
 
     def __init__(self, program, entries: Optional[Sequence[DynamicInst]] = None,
@@ -177,8 +227,18 @@ class Trace:
         self.completed = completed
         self._columns = columns
         self._entries: Optional[List[DynamicInst]] = None
+        #: The static instruction at each PC (see :attr:`statics`).
+        self._statics = program if columns is not None else None
+        #: (root columns, lo, hi, selected PCs or None); see :attr:`key`.
+        self._key: Optional[tuple] = None
         if columns is None:
             self._entries = list(entries or ())
+
+    @classmethod
+    def of(cls, window: Window) -> "Trace":
+        """``window`` itself, or a trace over an entry list (whose columns
+        and statics come from its entries)."""
+        return window if isinstance(window, Trace) else cls(None, window)
 
     @property
     def columns(self) -> TraceColumns:
@@ -189,8 +249,28 @@ class Trace:
     @property
     def entries(self) -> List[DynamicInst]:
         if self._entries is None:
-            self._entries = self._columns.build_entries(self.program)
+            self._entries = self._columns.build_entries(self.statics)
         return self._entries
+
+    @property
+    def statics(self):
+        """The static instruction at each PC the rows name, indexable by PC:
+        the program for a trace built from columns, else the entries' own
+        statics."""
+        if self._statics is None:
+            self._statics = _statics_of(self._entries)
+        return self._statics
+
+    @property
+    def key(self) -> tuple:
+        """The rows' content key, ``(root columns, lo, hi, selected PCs)``:
+        rows ``[lo, hi)`` of the root columns, keeping only the PCs in the
+        frozenset (``None``: every row).  The root is held, so the key
+        stays valid as long as it lives."""
+        if self._key is None:
+            columns = self.columns
+            self._key = (columns, 0, len(columns), None)
+        return self._key
 
     def __len__(self) -> int:
         if self._columns is not None:
@@ -212,15 +292,16 @@ class Trace:
     def class_mix(self) -> Dict[OpClass, int]:
         """Dynamic instruction count per functional class."""
         mix: Dict[OpClass, int] = {}
+        statics = self.statics
         for pc, count in self.pc_execution_counts().items():
-            cls = self.program[pc].op_class
+            cls = statics[pc].op_class
             mix[cls] = mix.get(cls, 0) + count
         return mix
 
     def _count_where(self, attribute: str) -> int:
-        program = self.program
+        statics = self.statics
         return sum(count for pc, count in self.pc_execution_counts().items()
-                   if getattr(program[pc], attribute))
+                   if getattr(statics[pc], attribute))
 
     def branch_count(self) -> int:
         return self._count_where("is_branch")
@@ -234,14 +315,56 @@ class Trace:
     def memory_count(self) -> int:
         return self._count_where("is_memory")
 
+    # -- windows and selections (column slices; no objects are built) ----
     def window(self, start: int, length: int) -> "Trace":
         """A sub-trace covering ``[start, start + length)`` dynamic entries.
 
         Slices the columns; when this trace's entries already exist the
         window shares those objects instead of building new ones.
         """
+        start, stop, _ = slice(start, start + length).indices(len(self))
+        stop = max(start, stop)
+        root, lo, _, selected = self.key
+        if selected is not None:
+            # A selection's rows are the rows of its own columns.
+            root, lo = self.columns, 0
         window = Trace(self.program, completed=self.completed,
-                       columns=self.columns.rows(start, start + length))
+                       columns=self.columns.rows(start, stop))
+        window._statics = self.statics
+        window._key = (root, lo + start, lo + stop, None)
         if self._entries is not None:
-            window._entries = self._entries[start: start + length]
+            window._entries = self._entries[start:stop]
         return window
+
+    def select(self, pcs: frozenset) -> "Trace":
+        """The rows whose PC is in ``pcs``, in order: a skeleton's
+        look-ahead window.  On the kernel (``select_rows``) its columns
+        carry each row's own seq; under the reference interpreter it
+        shares this trace's entries instead.  Its key is this trace's with
+        ``pcs`` as the selected PCs."""
+        from repro.core.compile import native_kernel
+
+        root, lo, hi, selected = self.key
+        statics = self.statics
+        kernel = native_kernel()
+        if kernel is None:
+            selection = Trace(self.program, [
+                entry for entry in self.entries if entry.static.pc in pcs],
+                self.completed)
+        else:
+            mask = bytearray(len(statics))
+            for pc in pcs:
+                if 0 <= pc < len(mask):
+                    mask[pc] = 1
+            columns = self.columns
+            pc, ea, result, flags, next_pc, seq = (
+                array(code, column) for code, column in zip(
+                    "iqqBiq", kernel.select_rows(columns._spec(mask=mask))))
+            selection = Trace(self.program, completed=self.completed,
+                              columns=TraceColumns(
+                                  pc, ea, result, flags, next_pc,
+                                  seq[0] if seq else columns.seq0, seq))
+        selection._statics = statics
+        selection._key = (root, lo, hi,
+                          pcs if selected is None else pcs & selected)
+        return selection

@@ -66,13 +66,14 @@ def run(runner: Optional[ExperimentRunner] = None,
             # Related approaches go through the runner's auxiliary cache so
             # campaign reruns and resumes skip them like every other cell.
             bfetch = runner.auxiliary(setup, "bfetch", lambda s=setup: simulate_bfetch(
-                s.timed, runner.system_config, warmup_entries=s.warmup))
+                s.timed_trace, runner.system_config,
+                warmup_entries=s.warmup_trace))
             slip = runner.auxiliary(setup, "slipstream", lambda s=setup: simulate_slipstream(
-                s.program, s.timed, s.profile, runner.system_config,
-                warmup_entries=s.warmup))
+                s.program, s.timed_trace, s.profile, runner.system_config,
+                warmup_entries=s.warmup_trace))
             cre = runner.auxiliary(setup, "cre", lambda s=setup: simulate_cre(
-                s.program, s.timed, s.profile, runner.system_config,
-                warmup_entries=s.warmup))
+                s.program, s.timed_trace, s.profile, runner.system_config,
+                warmup_entries=s.warmup_trace))
             related.record("B-Fetch", setup.name, ref_cycles / bfetch.cycles, setup.suite)
             related.record("S-Stream", setup.name, ref_cycles / slip.cycles, setup.suite)
             related.record("CRE", setup.name, ref_cycles / cre.cycles, setup.suite)

@@ -42,7 +42,7 @@ def run(runner: Optional[ExperimentRunner] = None,
         workload: str = DEFAULT_WORKLOAD, capacity: int = CAPACITY) -> Fig14Result:
     runner = runner or ExperimentRunner(quick=True)
     setup = runner.setup(workload)
-    sample = setup.timed[: min(len(setup.timed), 6000)]
+    sample = setup.timed_trace.window(0, 6000)
 
     distributions = empirical_distributions(sample, runner.system_config)
     model = FetchBufferModel(distributions.demand, distributions.supply)

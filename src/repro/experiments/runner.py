@@ -59,10 +59,12 @@ FULL_MODE_SEARCH_UNITS = 6
 class WorkloadSetup:
     """Prepared inputs for one workload: program, profile, trace windows.
 
-    The windows are column traces.  ``warmup`` and ``timed`` build their
-    :class:`DynamicInst` lists on first access and then return the same
-    list, so the id-keyed warm, decoded and filtered memos keep hitting;
-    a setup whose cells are all cached never builds an object.
+    The windows are column traces, and the simulation entry points hand
+    them down as such: the compiled path, the warm-up memo and the decoded
+    and look-ahead memos read their columns and content keys, so a setup
+    builds no :class:`DynamicInst` unless the reference interpreter runs.
+    ``warmup`` and ``timed`` are the windows' entry lists, for object-level
+    consumers: built on first access, then kept.
     """
 
     workload: Workload
@@ -75,9 +77,17 @@ class WorkloadSetup:
     def split(cls, workload: Workload, program: Program, trace: Trace,
               warmup_length: int, profile: ProgramProfile) -> "WorkloadSetup":
         """The setup whose warm-up window is ``trace``'s first
-        ``warmup_length`` entries and whose timed window is the rest."""
-        return cls(workload, program, trace.window(0, warmup_length),
-                   trace.window(warmup_length, len(trace)), profile)
+        ``warmup_length`` entries and whose timed window is the rest.
+
+        Each window is a trace of its own (its columns are its key's root),
+        so a setup holds its windows' rows and never ``trace``'s."""
+        columns = trace.columns
+        return cls(workload, program,
+                   Trace(program, completed=trace.completed,
+                         columns=columns.rows(0, warmup_length)),
+                   Trace(program, completed=trace.completed,
+                         columns=columns.rows(warmup_length, len(columns))),
+                   profile)
 
     @property
     def warmup(self) -> List[DynamicInst]:
@@ -179,8 +189,9 @@ class RunnerStats:
 #: fingerprint of (workload definition, window, system config).  Every
 #: runner in a process materialising the same campaign cell shares one
 #: :class:`WorkloadSetup` — and because the shared object keeps the *same*
-#: ``timed``/``warmup`` list identities, the id-keyed warmed-memory and
-#: decoded-trace memos hit across runners too.  Bounded FIFO.
+#: ``timed``/``warmup`` windows, whose content keys the warmed-memory and
+#: decoded-trace memos use, those memos hit across runners too.  Bounded
+#: FIFO.
 _SETUP_CACHE: Dict[str, WorkloadSetup] = {}
 _SETUP_CACHE_MAX = 64
 
@@ -350,10 +361,7 @@ class ExperimentRunner:
             windows = self.warmup_instructions + self.timed_instructions
             profiled = self.warmup_instructions + 4000
             trace = workload.trace(windows + 1000)
-            # Profiling, warm-up and the timed run read one set of objects:
-            # build them once and let every window share them.
             head = trace.window(0, max(windows, profiled))
-            head.entries
             profile = profile_workload(
                 program,
                 head.window(0, profiled),
@@ -391,8 +399,8 @@ class ExperimentRunner:
         """
         key = self.workload_key(setup.workload, "baseline", config)
         return self._cached(key, label, lambda: simulate_baseline(
-            setup.timed, config or self.system_config,
-            warmup_entries=setup.warmup))
+            setup.timed_trace, config or self.system_config,
+            warmup_entries=setup.warmup_trace))
 
     def dla(self, setup: WorkloadSetup, dla_config: DlaConfig, label: str,
             config: Optional[SystemConfig] = None) -> DlaOutcome:
@@ -400,7 +408,7 @@ class ExperimentRunner:
         key = self.workload_key(setup.workload, "dla", config, dla_config)
         return self._cached(key, label, lambda: self._dla_system(
             setup, dla_config, config).simulate(
-                setup.timed, warmup_entries=setup.warmup))
+                setup.timed_trace, warmup_entries=setup.warmup_trace))
 
     def dla_segmented(self, setup: WorkloadSetup, dla_config: DlaConfig,
                       dynamic: bool = False, label: str = "recycle",
@@ -423,11 +431,11 @@ class ExperimentRunner:
             )
             controller = RecycleController(versions, dla_config,
                                            setup.profile.loop_branch_pcs)
-            plan = controller.plan(system, setup.timed, dynamic=dynamic,
+            plan = controller.plan(system, setup.timed_trace, dynamic=dynamic,
                                    search_unit_limit=self._search_unit_limit())
             return SegmentedOutcome(
-                outcome=system.simulate_segmented(plan.segments,
-                                                  warmup_entries=setup.warmup),
+                outcome=system.simulate_segmented(
+                    plan.segments, warmup_entries=setup.warmup_trace),
                 version_names=tuple(s.options.name for s in versions),
                 chosen_versions=tuple(plan.chosen_versions),
                 version_distribution=dict(plan.version_distribution),

@@ -38,10 +38,10 @@ def _split_l1_misses(setup: WorkloadSetup, config) -> Dict[str, float]:
     misses = []
     hooks = CoreHooks(fast_hints=CompiledHookSpec(load_miss_log=misses))
     shared, private, core = build_single_core(config)
-    warm_memory_system(private, setup.warmup)
-    result = core.run(setup.timed, hooks=hooks)
-    timed = setup.timed
-    strided = sum(timed[i].pc in strided_pcs for _, i in misses)
+    warm_memory_system(private, setup.warmup_trace)
+    result = core.run(setup.timed_trace, hooks=hooks)
+    pcs = setup.timed_trace.columns.pc
+    strided = sum(pcs[i] in strided_pcs for _, i in misses)
     return _split(strided, len(misses) - strided, result.committed)
 
 

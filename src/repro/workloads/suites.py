@@ -64,9 +64,7 @@ class Workload:
         Memoized per instruction cap: emulation is deterministic, every
         consumer treats the trace as read-only, and the workload registry
         hands out shared instances — so repeated requests for the same
-        window (every runner in a campaign) emulate exactly once.  Stable
-        trace identity is also what lets the decoded-trace and warmed-memory
-        memos hit across runners.
+        window (every runner in a campaign) emulate exactly once.
         """
         limit = max_instructions if max_instructions is not None else self.max_instructions
         trace = self._traces.get(limit)

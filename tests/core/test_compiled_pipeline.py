@@ -268,24 +268,102 @@ def test_dla_timing_columns_match_reference(prepared, monkeypatch):
         _assert_columns_equal(ours.timings, theirs.timings)
 
 
+def _profile_form(profile):
+    """A profile with every dict as its item list (insertion order is the
+    first-execution order the skeleton builder iterates in), the loop set
+    in its iteration order, and every number keeping its type."""
+    return [list(profile.instruction_counts.items()),
+            [(pc, vars(stats)) for pc, stats in profile.memory.items()],
+            [(pc, vars(stats)) for pc, stats in profile.branches.items()],
+            list(profile.dispatch_to_execute.items()),
+            list(profile.dependents.items()),
+            list(profile.loop_branch_pcs), profile.dynamic_instructions]
+
+
 def test_profile_workload_compiled_matches_reference(monkeypatch):
+    """The kernel's profiling passes leave the reference's profile, type-
+    and order-strictly, over an entry-list training trace and over the
+    setup's own column windows."""
     runner = ExperimentRunner(quick=True, disk_cache=False)
     for name in runner.workload_names:
         setup = runner.setup(name)
-        training = Trace(setup.program, setup.warmup + setup.timed[:4000],
-                         completed=False)
+        entry_list = Trace(setup.program, setup.warmup + setup.timed[:4000],
+                           completed=False)
+        for training in (entry_list, setup.warmup_trace):
 
-        def profile():
-            return profile_workload(
-                setup.program, training, runner.system_config,
-                timing_window=min(6000, runner.warmup_instructions))
+            def profile():
+                return profile_workload(
+                    setup.program, training, runner.system_config,
+                    timing_window=min(6000, runner.warmup_instructions))
 
-        _reference(monkeypatch)
-        reference = profile()
+            _reference(monkeypatch)
+            reference = profile()
+            _fast(monkeypatch)
+            profiled = counters()["native_profiled"]
+            compiled = profile()
+            assert compiled.dispatch_to_execute, name
+            assert_identical(_profile_form(compiled), _profile_form(reference))
+            if kernel_available():
+                assert counters()["native_profiled"] - profiled == len(training)
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["compiled", "reference"])
+def test_profile_workload_of_an_empty_window(prepared, monkeypatch, fast):
+    """An empty training window, or ``timing_window=0``, profiles to empty
+    statistics: an empty timing run returns empty timings on both paths."""
+    program, warmup, _, _, config = prepared["stream"]
+    (_fast if fast else _reference)(monkeypatch)
+    for empty in (Trace(program, []), Trace(program, warmup).window(10, 0)):
+        assert not len(empty)
+        timings = OutOfOrderCore(config.core, build_single_core(config)[1]).run(
+            empty, collect_timings=True).timings
+        assert isinstance(timings, InstructionTimings) and not len(timings)
+        profile = profile_workload(program, empty, config)
+        assert _profile_form(profile) == [[], [], [], [], [], [], 0]
+    untimed = profile_workload(program, Trace(program, warmup[:800]), config,
+                               timing_window=0)
+    assert untimed.instruction_counts and untimed.dispatch_to_execute == {}
+
+
+def _decoded_form(decoded):
+    return {name: (value.typecode, list(value)) if isinstance(value, array)
+            else value for name, value in vars(decoded).items()}
+
+
+def _columns_form(columns):
+    return [(column.typecode, list(column)) for column in (
+        columns.pc, columns.ea, columns.result, columns.flags,
+        columns.next_pc)] + [list(columns.seqs())]
+
+
+def test_native_gather_and_selection_match_the_reference(monkeypatch):
+    """On every quick workload's timed window and its default skeleton:
+    the kernel's selection has the filtered entry list's columns (seqs
+    included) and builds those entries; its decode gather equals the
+    reference gather, and the decode of the filtered entry list."""
+    from repro.core.compile.decoded import _gather, decode_trace, static_table
+    from repro.emulator.trace import TraceColumns
+
+    if not kernel_available():
+        pytest.skip("no C compiler / kernel build failed: nothing to compare")
+    runner = ExperimentRunner(quick=True, disk_cache=False)
+    for name in runner.workload_names:
+        setup = runner.setup(name)
+        window = setup.timed_trace
+        pcs = DlaSystem(setup.program, runner.system_config,
+                        profile=setup.profile).default_skeleton().included_pcs
         _fast(monkeypatch)
-        compiled = profile()
-        assert compiled.dispatch_to_execute, name
-        assert compiled == reference, name
+        selection = window.select(pcs)
+        filtered = [entry for entry in window.entries
+                    if entry.static.pc in pcs]
+        assert _columns_form(selection.columns) == _columns_form(
+            TraceColumns.from_entries(filtered))
+        assert selection.entries == filtered
+        for rows in (window, selection):
+            decoded = _decoded_form(decode_trace(rows))
+            assert decoded == _decoded_form(
+                _gather(static_table(rows.statics), rows.columns)), name
+            assert decoded == _decoded_form(decode_trace(list(rows.entries)))
 
 
 def test_profile_timing_pass_runs_compiled(prepared, monkeypatch):
@@ -302,7 +380,7 @@ def test_profile_timing_pass_runs_compiled(prepared, monkeypatch):
 
 
 def test_timing_runs_do_not_retain_decoded_windows(prepared, monkeypatch):
-    """One-shot profiling windows must not pin entries in the decode memo."""
+    """One-shot profiling windows must not pin rows in the decode memo."""
     program, warmup, timed, _, config = prepared["stream"]
     training = Trace(program, warmup + timed, completed=False)
     _fast(monkeypatch)

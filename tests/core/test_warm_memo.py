@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.compile import kernel_available
 from repro.core.config import SystemConfig
 from repro.core.system import (
     WarmupMemo,
@@ -21,7 +22,8 @@ WORKLOAD = "libquantum"
 
 @pytest.fixture(scope="module")
 def warm_entries():
-    return get_workload(WORKLOAD).trace(4000).entries[:2500]
+    """A warm-up window: the memo keys it by its rows' content key."""
+    return get_workload(WORKLOAD).trace(4000).window(0, 2500)
 
 
 def _cache_state(cache):
@@ -88,38 +90,50 @@ def test_memo_keys_distinguish_geometry_and_mode(warm_entries):
 
 
 def test_memo_is_bounded(warm_entries):
-    """Old snapshots (and their retained trace refs) are evicted FIFO."""
+    """Old snapshots (and their windows' replay arrays) are evicted FIFO."""
     memo = WarmupMemo(max_snapshots=2)
     config = SystemConfig()
-    lists = [list(warm_entries[:200]) for _ in range(4)]
-    for entries in lists:
+    windows = [warm_entries.window(200 * k, 200) for k in range(4)]
+    for window in windows:
         _, private, _ = build_single_core(config)
-        memo.warm((private,), entries)
+        memo.warm((private,), window)
     assert memo.replays == 4
     assert len(memo._snapshots) <= 2
-    assert len(memo._retained) <= 2
-    # The newest snapshot still restores.
+    assert len(memo._inputs) <= 2
+    # The newest snapshot still restores, from a fresh cut of its rows.
     _, private, _ = build_single_core(config)
-    memo.warm((private,), lists[-1])
+    memo.warm((private,), warm_entries.window(600, 200))
     assert memo.restores == 1
 
 
-def test_eviction_keeps_retained_ref_for_incoming_token(warm_entries):
-    """Regression: evicting a victim that shares the incoming key's entries
-    token must not drop the strong reference the new snapshot relies on."""
+def test_eviction_keeps_replay_inputs_of_the_incoming_window(warm_entries):
+    """Regression: evicting a victim that shares the incoming key's window
+    must not drop the replay arrays that window's snapshots still use."""
     memo = WarmupMemo(max_snapshots=1)
     config = SystemConfig()
-    entries = list(warm_entries[:200])
-    token = id(entries)
+    window = warm_entries.window(0, 200)
 
     _, private, _ = build_single_core(config)
-    memo.warm((private,), entries)                         # snapshot (X, 2)
-    # Same list, different pacing: the (X, 2) victim shares token X with
-    # the incoming (X, 4) key.
+    memo.warm((private,), window)                          # snapshot (W, 2)
+    # Same window, different pacing: the (W, 2) victim shares window W
+    # with the incoming (W, 4) key.
     _, private2, _ = build_single_core(config)
-    memo.warm((private2,), entries, cycles_per_access=4)
-    assert any(key[0] == token for key in memo._snapshots)
-    assert token in memo._retained                         # still pinned
+    memo.warm((private2,), window, cycles_per_access=4)
+    assert [key[0] for key in memo._snapshots] == [window.key]
+    if kernel_available():
+        assert window.key in memo._inputs                  # still held
+
+
+def test_an_entry_list_is_keyed_afresh(warm_entries):
+    """An entry list has no content key of its own: each call replays, and
+    the restore path never serves it another list's snapshot."""
+    memo = WarmupMemo()
+    config = SystemConfig()
+    entries = warm_entries.entries[:200]
+    for _ in range(2):
+        _, private, _ = build_single_core(config)
+        memo.warm((private,), entries)
+    assert memo.replays == 2 and memo.restores == 0
 
 
 def test_group_warm_requires_shared_system(warm_entries):

@@ -294,6 +294,31 @@ def test_trace_window_slices_entries(stream_trace):
     assert window[0].seq == stream_trace[10].seq
 
 
+def test_filtered_entry_list_keeps_its_seqs(small_stream_program):
+    """A filtered entry list reaches the columns with its own seqs (an
+    explicit ``seq`` column), and its columns build the same entries."""
+    from repro.emulator.trace import TraceColumns
+
+    trace = Emulator(small_stream_program).run(max_instructions=3000)
+    loads = frozenset(inst.pc for inst in small_stream_program if inst.is_load)
+    filtered = [entry for entry in trace.entries if entry.static.pc in loads]
+    columns = TraceColumns.from_entries(filtered)
+    assert columns.seq is not None
+    assert list(columns.seqs()) == [entry.seq for entry in filtered]
+    assert columns.build_entries(small_stream_program) == filtered
+    # Consecutive seqs need no column, and a selection carries its rows'.
+    assert TraceColumns.from_entries(trace.entries[5:50]).seq is None
+    assert trace.select(loads).entries == filtered
+    assert trace.window(7, 400).select(loads).entries == [
+        entry for entry in trace.entries[7:407] if entry.static.pc in loads]
+    # Keys follow content: a selection of a selection keys as the one
+    # selection of the common PCs, and so do its rows.
+    some = frozenset(sorted(loads)[:1])
+    twice = trace.select(loads).select(some)
+    assert twice.key == trace.select(some).key
+    assert twice.entries == trace.select(some).entries
+
+
 def test_column_window_builds_the_same_entries(small_stream_program):
     trace = Emulator(small_stream_program).run(max_instructions=3000)
     window = trace.window(1000, 500)          # no objects exist yet

@@ -367,10 +367,11 @@ def test_auxiliary_simulations_cached(tmp_path, monkeypatch):
 
 
 def test_auxiliary_runs_reuse_the_decoded_timed_window():
-    """B-Fetch and CRE simulate the setup's own timed list, so after the
+    """B-Fetch and CRE simulate the setup's own timed window, so after the
     baseline decoded it every further lookup of the window is a memo hit:
     two per cell, the model's own (its per-PC table reads the decoded
-    columns) and its run's."""
+    columns) and its run's.  The memo keys on the window's content, so a
+    fresh cut of the same rows hits too."""
     from repro.baselines import simulate_bfetch, simulate_cre
     from repro.core.compile import kernel_available
     from repro.core.compile.decoded import decoded_cache_stats
@@ -382,10 +383,13 @@ def test_auxiliary_runs_reuse_the_decoded_timed_window():
     runner.baseline(setup, "bl")
     before = decoded_cache_stats()
     runner.auxiliary(setup, "bfetch", lambda: simulate_bfetch(
-        setup.timed, runner.system_config, warmup_entries=setup.warmup))
+        setup.timed_trace, runner.system_config,
+        warmup_entries=setup.warmup_trace))
+    recut = setup.timed_trace.window(0, len(setup.timed_trace))
+    assert recut is not setup.timed_trace and recut.key == setup.timed_trace.key
     runner.auxiliary(setup, "cre", lambda: simulate_cre(
-        setup.program, setup.timed, setup.profile, runner.system_config,
-        warmup_entries=setup.warmup))
+        setup.program, recut, setup.profile, runner.system_config,
+        warmup_entries=setup.warmup_trace))
     after = decoded_cache_stats()
     assert runner.stats.simulations == 3
     assert after["decodes"] == before["decodes"]
@@ -398,6 +402,7 @@ def test_auxiliary_runs_reuse_the_decoded_timed_window():
 def test_setup_disk_entry_pickles_columns_and_loads_lazily(tmp_path, monkeypatch):
     import pickletools
 
+    from repro.core.compile import kernel_available
     from repro.emulator.trace import TraceColumns
     from repro.experiments.cache import decode_entry
     from repro.experiments.runner import clear_setup_cache, setup_cache_stats
@@ -427,10 +432,13 @@ def test_setup_disk_entry_pickles_columns_and_loads_lazily(tmp_path, monkeypatch
     first.baseline(built, "bl")
     second.baseline(loaded, "bl")
     assert second.stats.disk_hits == 1 and builds["n"] == 0
-    # ... a simulation does, once per window, and then keeps the lists.
+    # ... nor does a compiled simulation, which reads the columns; the
+    # reference interpreter builds each window's entries once.
     second.baseline(loaded, "bl-nopf", second.no_prefetch_config())
+    assert builds["n"] == (0 if kernel_available() else 2)
+    # Object consumers build each window's list once, then keep it.
+    assert loaded.timed is loaded.timed and loaded.warmup is loaded.warmup
     assert builds["n"] == 2
-    assert loaded.timed is loaded.timed and builds["n"] == 2
     assert loaded.timed == built.timed and loaded.warmup == built.warmup
     assert loaded.timed[0].seq == len(loaded.warmup) == WINDOW["warmup_instructions"]
     program = loaded.program
@@ -516,3 +524,60 @@ def test_parallel_warm_is_idempotent():
     second = runner.warm(processes=1)
     assert first == 6
     assert second == 0
+
+
+# ---------------------------------------------------------------------------
+# the compiled path reads trace columns: no DynamicInst on any cell
+# ---------------------------------------------------------------------------
+def _cell_of_every_kind(runner):
+    """Set up the workload cold and run one cell of every kind."""
+    from repro.baselines import simulate_bfetch, simulate_cre, simulate_slipstream
+    from repro.experiments.runner import clear_setup_cache
+
+    clear_setup_cache()
+    setup = runner.setup(WORKLOAD)
+    config = runner.system_config
+    runner.baseline(setup, "bl")
+    runner.dla(setup, DlaConfig().baseline_dla(), "dla")
+    runner.dla(setup, DlaConfig().r3(), "r3")
+    runner.dla_segmented(setup, DlaConfig().r3(), dynamic=False)
+    runner.dla_segmented(setup, DlaConfig().r3(), dynamic=True)
+    runner.auxiliary(setup, "bfetch", lambda: simulate_bfetch(
+        setup.timed_trace, config, warmup_entries=setup.warmup_trace))
+    runner.auxiliary(setup, "cre", lambda: simulate_cre(
+        setup.program, setup.timed_trace, setup.profile, config,
+        warmup_entries=setup.warmup_trace))
+    runner.auxiliary(setup, "slipstream", lambda: simulate_slipstream(
+        setup.program, setup.timed_trace, setup.profile, config,
+        warmup_entries=setup.warmup_trace))
+    assert runner.stats.simulations == 8
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["kernel", "kill-switch"])
+def test_cells_build_entries_only_for_the_interpreter(monkeypatch, fast):
+    """With the kernel loaded, setting up a workload cold and simulating a
+    cell of every kind (BL, DLA, R3, segmented static and dynamic, B-Fetch,
+    CRE, SlipStream) builds no DynamicInst; the reference interpreter
+    (``REPRO_FAST_PIPELINE=0``) still reads objects."""
+    from repro.core.compile import FAST_PIPELINE_ENV, counters, kernel_available
+    from repro.emulator.trace import TraceColumns
+
+    if fast and not kernel_available():
+        pytest.skip("no C compiler / kernel build failed: nothing is compiled")
+    monkeypatch.setenv(FAST_PIPELINE_ENV, "1" if fast else "0")
+    built = {"entries": 0}
+    original = TraceColumns.build_entries
+
+    def counted(columns, statics):
+        entries = original(columns, statics)
+        built["entries"] += len(entries)
+        return entries
+
+    monkeypatch.setattr(TraceColumns, "build_entries", counted)
+    interpreted = counters()["interpreted_runs"]
+    _cell_of_every_kind(make_runner())
+    if fast:
+        assert built["entries"] == 0
+        assert counters()["interpreted_runs"] == interpreted
+    else:
+        assert built["entries"] > 0

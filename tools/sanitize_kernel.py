@@ -32,12 +32,17 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.core.compile import build  # noqa: E402
 
 #: The suites that run the kernel: compiled-vs-reference A/B tests, the
-#: golden sections, the memory model and the native emulator.
+#: golden sections, warm-up replay, the memory model, the native emulator,
+#: and the DLA and runner suites, whose cells of every kind drive the
+#: column passes (decode gather, look-ahead selection, profiling).
 SUITES = (
     "tests/core/test_compiled_pipeline.py",
     "tests/core/test_fast_path_equivalence.py",
+    "tests/core/test_warm_memo.py",
     "tests/memory",
     "tests/emulator",
+    "tests/dla",
+    "tests/experiments/test_runner_cache_and_parallel.py",
 )
 
 SANITIZE_FLAGS = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
