@@ -1,7 +1,9 @@
 """Packaging for the R3-DLA reproduction.
 
-Pure-stdlib project: no install_requires.  ``pip install -e .`` exposes the
-``repro`` console entry point (campaign CLI) without any PYTHONPATH setup.
+numpy is the one runtime dependency (the Fig. 5 / Fig. 14 fetch-buffer
+model); the ``test`` extra adds what the test suite needs.  ``pip install -e
+".[test]"`` exposes the ``repro`` console entry point (campaign CLI) without
+any PYTHONPATH setup.
 """
 import re
 from pathlib import Path
@@ -29,6 +31,9 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
+    install_requires=["numpy"],
+    # pytest.ini's --benchmark-disable needs pytest-benchmark.
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
     entry_points={
         "console_scripts": [
             "repro = repro.campaign.cli:main",

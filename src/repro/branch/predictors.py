@@ -270,9 +270,6 @@ class TageLitePredictor(DirectionPredictor):
                     return table, index, _TageEntryView(self, slot)
         return None, -1, None
 
-    def _find_provider(self, pc: int) -> Optional[int]:
-        return self._lookup(pc)[0]
-
     def predict(self, pc: int) -> bool:
         provider, _index, entry = self._lookup(pc)
         if provider is None:

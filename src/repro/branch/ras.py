@@ -37,9 +37,6 @@ class ReturnAddressStack:
             return None
         return self._stack.pop()
 
-    def peek(self) -> Optional[int]:
-        return self._stack[-1] if self._stack else None
-
     def __len__(self) -> int:
         return len(self._stack)
 

@@ -162,8 +162,3 @@ def load_kernel():
         module = None
     _kernel_state["module"] = module
     return module
-
-
-def reset_kernel_cache() -> None:
-    """Forget the process-wide build outcome (testing hook)."""
-    _kernel_state.clear()

@@ -7,7 +7,6 @@ against.  The DLA system (two cores plus queues) lives in :mod:`repro.dla`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -18,15 +17,6 @@ from repro.core.results import CoreResult
 from repro.emulator.trace import Trace, Window
 from repro.memory.hierarchy import CoreMemorySystem, SharedMemorySystem
 from repro.prefetch import make_prefetcher
-
-#: Set to ``0`` to disable the warmed-memory memoization (always replay).
-WARM_MEMO_ENV = "REPRO_WARM_MEMO"
-
-
-def warm_memo_enabled() -> bool:
-    """Whether warmed-memory snapshots are reused (default: yes)."""
-    return os.environ.get(WARM_MEMO_ENV, "1") not in ("0", "false", "no")
-
 
 @dataclass
 class SimulationOutcome:
@@ -228,17 +218,13 @@ def warm_memory_systems(memories: Sequence[CoreMemorySystem], entries: Window,
     """Warm a group of freshly-built cores sharing one shared system.
 
     The group warms in list order (order matters: earlier cores' misses
-    populate the shared L3 the later cores then hit).  With the memo enabled
-    the whole group's post-warm state — private levels and the shared system
-    — is snapshot/restored as a unit.
+    populate the shared L3 the later cores then hit).  The memo snapshots
+    and restores the whole group's post-warm state — private levels and the
+    shared system — as a unit.
     """
     if not entries:
         return
-    if warm_memo_enabled():
-        _WARM_MEMO.warm(tuple(memories), entries, cycles_per_access)
-    else:
-        for memory in memories:
-            _replay_warmup(memory, entries, cycles_per_access)
+    _WARM_MEMO.warm(tuple(memories), entries, cycles_per_access)
     # The timed region restarts the clock at 0 while warm replay ran on its
     # own (much later) cycle numbers: quiesce every contention resource
     # (MSHR files, write buffers, DRAM queues) so the warm window's

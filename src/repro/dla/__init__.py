@@ -11,10 +11,11 @@ This package contains the paper's primary contribution:
 * :mod:`repro.dla.queues` — the Branch Outcome Queue (BOQ) and Footnote
   Queue (FQ) connecting the look-ahead core to the main core.
 * :mod:`repro.dla.t1` — the T1 strided-prefetch offload engine (Reduce).
-* :mod:`repro.dla.value_reuse` — the Slow Instruction Filter and validation
-  skipping logic (Reuse of values).
+* :mod:`repro.dla.value_reuse` — the validation-skipping scoreboard (Reuse
+  of values).
 * :mod:`repro.dla.analytic` — the Markov-chain fetch-buffer model of
-  Appendix B (Reuse of control-flow information).
+  Appendix B (Reuse of control-flow information).  Not imported here: it
+  needs numpy, which only the fig05/fig14 experiments load.
 * :mod:`repro.dla.recycle` — the skeleton recycling controller and
   Loop-Config Table (Recycle).
 * :mod:`repro.dla.system` — the coupled two-core simulation that ties it all
@@ -26,8 +27,7 @@ from repro.dla.profiling import ProgramProfile, profile_workload
 from repro.dla.skeleton import Skeleton, SkeletonBuilder, SkeletonOptions
 from repro.dla.queues import BranchOutcomeQueue, FootnoteQueue, FootnoteKind
 from repro.dla.t1 import T1PrefetchEngine, T1Config
-from repro.dla.value_reuse import SlowInstructionFilter, ValidationScoreboard, ValueReuseConfig
-from repro.dla.analytic import FetchBufferModel, empirical_distributions
+from repro.dla.value_reuse import ValidationScoreboard
 from repro.dla.recycle import LoopConfigTable, RecycleController, build_skeleton_versions
 from repro.dla.system import DlaOutcome, DlaSystem
 from repro.dla.smt import SmtComparison, simulate_smt_modes
@@ -44,11 +44,7 @@ __all__ = [
     "FootnoteKind",
     "T1PrefetchEngine",
     "T1Config",
-    "SlowInstructionFilter",
     "ValidationScoreboard",
-    "ValueReuseConfig",
-    "FetchBufferModel",
-    "empirical_distributions",
     "LoopConfigTable",
     "RecycleController",
     "build_skeleton_versions",

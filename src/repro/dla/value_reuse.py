@@ -1,95 +1,24 @@
-"""Value reuse (the *Reuse of values* optimization, Sec. III-D1).
+"""Value reuse (the *Reuse of values* optimization, Sec. III-D1): the
+validation scoreboard.
 
-Three cooperating pieces:
+:class:`ValidationScoreboard` is the decode-stage scoreboard that lets the
+main thread skip validating ALU instructions whose source registers were all
+produced by value-predicted instructions (Fig. 4): if every input is itself a
+prediction, the output prediction is correct whenever the inputs are, so
+executing it again adds nothing.
 
-* :class:`SlowInstructionFilter` — the SIF: a counting bloom filter of PCs
-  the main thread identified as "slow" (dispatch-to-execute latency of at
-  least 20 cycles during the first few iterations of a loop).  The look-ahead
-  thread queries it at commit and allocates a footnote-queue value entry for
-  matching instructions.  A value misprediction deletes the PC from the SIF.
-* :class:`ValidationScoreboard` — the decode-stage scoreboard that lets the
-  main thread skip validating ALU instructions whose source registers were
-  all produced by value-predicted instructions (Fig. 4): if every input is
-  itself a prediction, the output prediction is correct whenever the inputs
-  are, so executing it again adds nothing.
-* :class:`ValueReuseConfig` / :func:`select_slow_static_pcs` — the offline
-  variant of slow-instruction selection used when a profiling run is
-  available (the heuristic the paper uses to add critical-path instructions
-  back to the skeleton).
+The rest of the mechanism lives elsewhere.  Value-reuse targets are the
+profile's slow PCs (:meth:`repro.dla.profiling.ProgramProfile.slow_pcs`),
+and the Slow Instruction Filter's runtime rule (a value misprediction stops
+prediction for that PC) is part of the hint unit's verdict draws
+(:mod:`repro.dla.hints`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Optional, Sequence, Set
 
 from repro.isa.instructions import OP_CLASS_CODE, OpClass
-from repro.util.bloom import BloomFilter
-
-
-@dataclass
-class ValueReuseConfig:
-    """Parameters of the value-reuse mechanism."""
-
-    #: Dispatch-to-execute latency above which an instruction is "slow".
-    slow_threshold: float = 20.0
-    #: Loop iterations the main thread observes before trusting the SIF.
-    training_iterations: int = 8
-    #: Minimum register consumers for the "add back to skeleton" heuristic.
-    min_dependents: int = 2
-    #: Size of the SIF bloom filter.
-    sif_bits: int = 1024
-    sif_hashes: int = 3
-    #: Capacity of the value-prediction staging table in the main core.
-    vpt_entries: int = 32
-
-
-class SlowInstructionFilter:
-    """The SIF: tracks which static PCs deserve value predictions."""
-
-    def __init__(self, config: Optional[ValueReuseConfig] = None) -> None:
-        self.config = config or ValueReuseConfig()
-        self._bloom = BloomFilter(self.config.sif_bits, self.config.sif_hashes)
-        self._observations: Dict[int, List[float]] = {}
-        self.insertions = 0
-        self.deletions = 0
-
-    # -- training ---------------------------------------------------------
-    def observe_latency(self, pc: int, dispatch_to_execute: float) -> None:
-        """Record one observed latency for ``pc`` during SIF training."""
-        samples = self._observations.setdefault(pc, [])
-        samples.append(dispatch_to_execute)
-        if len(samples) >= self.config.training_iterations:
-            average = sum(samples) / len(samples)
-            if average >= self.config.slow_threshold and pc not in self._bloom:
-                self._bloom.add(pc)
-                self.insertions += 1
-            # Keep the sample window bounded.
-            del samples[: -self.config.training_iterations]
-
-    def insert(self, pc: int) -> None:
-        """Directly mark ``pc`` as slow (offline/profiled selection)."""
-        if pc not in self._bloom:
-            self._bloom.add(pc)
-            self.insertions += 1
-
-    # -- queries ------------------------------------------------------------
-    def __contains__(self, pc: int) -> bool:
-        return pc in self._bloom
-
-    def should_predict(self, pc: int) -> bool:
-        return pc in self._bloom
-
-    # -- feedback -------------------------------------------------------------
-    def on_value_mispredict(self, pc: int) -> None:
-        """A reused value was wrong: stop predicting this static instruction."""
-        if self._bloom.remove(pc):
-            self.deletions += 1
-
-    def clear(self) -> None:
-        """Reset on entering a new loop (the paper clears the SIF per loop)."""
-        self._bloom.clear()
-        self._observations.clear()
 
 
 class ValidationScoreboard:
@@ -147,26 +76,3 @@ class ValidationScoreboard:
 
     def reset(self) -> None:
         self._validated.clear()
-
-    @property
-    def skip_fraction(self) -> float:
-        total = self.skips + self.validations
-        return self.skips / total if total else 0.0
-
-
-def select_slow_static_pcs(dispatch_to_execute: Dict[int, float],
-                           dependents: Dict[int, int],
-                           config: Optional[ValueReuseConfig] = None) -> List[int]:
-    """Offline selection of value-reuse targets from profiling data.
-
-    Mirrors the paper's heuristic for adding critical-path instructions back
-    to the skeleton: average dispatch-to-execute latency above the threshold
-    and more than one dependent instruction.
-    """
-    config = config or ValueReuseConfig()
-    return sorted(
-        pc
-        for pc, latency in dispatch_to_execute.items()
-        if latency >= config.slow_threshold
-        and dependents.get(pc, 0) >= config.min_dependents
-    )

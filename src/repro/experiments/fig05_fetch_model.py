@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.reporting import format_table
-from repro.dla.analytic import FetchBufferModel, empirical_distributions
 from repro.experiments.runner import ExperimentRunner
 
 CAPACITIES = (8, 12, 16, 20, 24, 28, 32)
@@ -44,6 +43,9 @@ class Fig05Result:
 
 def run(runner: Optional[ExperimentRunner] = None,
         workload: str = DEFAULT_WORKLOAD) -> Fig05Result:
+    # The model needs numpy: import it here, not when the registry loads.
+    from repro.dla.analytic import FetchBufferModel, empirical_distributions
+
     runner = runner or ExperimentRunner(quick=True)
     setup = runner.setup(workload)
     sample = setup.timed_trace.window(0, 6000)

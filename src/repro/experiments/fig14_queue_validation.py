@@ -12,11 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.reporting import format_table
-from repro.dla.analytic import (
-    FetchBufferModel,
-    empirical_distributions,
-    simulated_queue_distribution,
-)
 from repro.experiments.runner import ExperimentRunner
 
 DEFAULT_WORKLOAD = "sjeng"
@@ -40,6 +35,13 @@ class Fig14Result:
 
 def run(runner: Optional[ExperimentRunner] = None,
         workload: str = DEFAULT_WORKLOAD, capacity: int = CAPACITY) -> Fig14Result:
+    # The model needs numpy: import it here, not when the registry loads.
+    from repro.dla.analytic import (
+        FetchBufferModel,
+        empirical_distributions,
+        simulated_queue_distribution,
+    )
+
     runner = runner or ExperimentRunner(quick=True)
     setup = runner.setup(workload)
     sample = setup.timed_trace.window(0, 6000)

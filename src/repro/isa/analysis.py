@@ -174,11 +174,6 @@ class StaticAnalysis:
             chains=def_use_chains(program),
         )
 
-    def slice_from(self, seeds: Iterable[int], max_store_load_distance: int = 1000) -> Set[int]:
-        return backward_slice(
-            self.program, seeds, self.chains, max_store_load_distance
-        )
-
     def block_of(self, pc: int) -> BasicBlock:
         for block in self.blocks:
             if pc in block:

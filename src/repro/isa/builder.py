@@ -51,10 +51,6 @@ class ProgramBuilder:
         lbl.pc = len(self._pending)
         return lbl
 
-    def forward_label(self, name: str) -> Label:
-        """Reference a label that will be bound later."""
-        return self._labels.setdefault(name, Label(name))
-
     # ------------------------------------------------------------------
     # data segment
     # ------------------------------------------------------------------
@@ -81,10 +77,6 @@ class ProgramBuilder:
     def poke(self, address: int, value: int) -> None:
         """Directly set one word of initial data memory."""
         self._data[address] = value
-
-    @property
-    def data_cursor(self) -> int:
-        return self._data_cursor
 
     # ------------------------------------------------------------------
     # annotation

@@ -88,10 +88,6 @@ class Program:
         """Static PCs of all control instructions (branches, jumps, calls, rets)."""
         return [inst.pc for inst in self._instructions if inst.is_control]
 
-    def memory_pcs(self) -> List[int]:
-        """Static PCs of all loads and stores."""
-        return [inst.pc for inst in self._instructions if inst.is_memory]
-
     def load_pcs(self) -> List[int]:
         return [inst.pc for inst in self._instructions if inst.is_load]
 

@@ -13,14 +13,12 @@ from repro.prefetch.base import NullPrefetcher, Prefetcher, PrefetchRequest
 from repro.prefetch.stride import StridePrefetcher, StridePrefetcherConfig
 from repro.prefetch.best_offset import BestOffsetPrefetcher, BestOffsetConfig
 from repro.prefetch.next_line import NextLinePrefetcher
-from repro.prefetch.ghb import GlobalHistoryBufferPrefetcher
 
 PREFETCHER_FACTORIES = {
     "none": NullPrefetcher,
     "next_line": NextLinePrefetcher,
     "stride": StridePrefetcher,
     "bop": BestOffsetPrefetcher,
-    "ghb": GlobalHistoryBufferPrefetcher,
 }
 
 
@@ -40,7 +38,6 @@ __all__ = [
     "BestOffsetPrefetcher",
     "BestOffsetConfig",
     "NextLinePrefetcher",
-    "GlobalHistoryBufferPrefetcher",
     "make_prefetcher",
     "PREFETCHER_FACTORIES",
 ]

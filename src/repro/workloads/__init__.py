@@ -27,7 +27,6 @@ from repro.workloads.suites import (
     get_workload,
     suite_workloads,
 )
-from repro.workloads.simpoint import SimPointSampler, sample_trace
 
 __all__ = [
     "KERNEL_BUILDERS",
@@ -37,6 +36,4 @@ __all__ = [
     "all_workloads",
     "get_workload",
     "suite_workloads",
-    "SimPointSampler",
-    "sample_trace",
 ]

@@ -6,12 +6,13 @@ import pytest
 
 from repro.core.compile import kernel_available
 from repro.core.config import SystemConfig
+from repro.core import system
 from repro.core.system import (
     WarmupMemo,
     _replay_warmup,
     build_single_core,
     simulate_baseline,
-    warm_memo_enabled,
+    warm_memo_stats,
 )
 from repro.dla.config import DlaConfig
 from repro.dla.system import DlaSystem
@@ -144,28 +145,36 @@ def test_group_warm_requires_shared_system(warm_entries):
         WarmupMemo().warm((private_a, private_b), warm_entries)
 
 
-def test_simulation_outcomes_identical_with_and_without_memo(monkeypatch):
+def _replayed(run):
+    """Run ``run`` on an emptied process memo, so its warm is a replay."""
+    system._WARM_MEMO.clear()
+    replays = warm_memo_stats()["warm_replays"]
+    outcome = run()
+    assert warm_memo_stats()["warm_replays"] > replays
+    return outcome
+
+
+def test_simulation_outcomes_identical_with_and_without_memo():
     """End-to-end: memoized warms never change simulation results."""
-    assert warm_memo_enabled()
     workload = get_workload(WORKLOAD)
     trace = workload.trace(5000)
-    warmup, timed = trace.entries[:2000], trace.entries[2000:4000]
+    warmup, timed = trace.window(0, 2000), trace.window(2000, 2000)
     config = SystemConfig()
 
     # Two baseline runs through the process-global memo: the second run's
     # warm is a restore, and must give a bit-identical outcome.
     first = simulate_baseline(timed, config, warmup_entries=warmup)
+    restores = warm_memo_stats()["warm_restores"]
     second = simulate_baseline(timed, config, warmup_entries=warmup)
+    assert warm_memo_stats()["warm_restores"] == restores + 1
     assert first.cycles == second.cycles
     assert first.core.l1d_misses == second.core.l1d_misses
     assert first.energy.total == second.energy.total
 
-    # And against a memo-disabled replay run.
-    monkeypatch.setenv("REPRO_WARM_MEMO", "0")
-    replayed = simulate_baseline(timed, config, warmup_entries=warmup)
+    # And against a replay run.
+    replayed = _replayed(lambda: simulate_baseline(timed, config, warmup_entries=warmup))
     assert replayed.cycles == first.cycles
     assert replayed.core.branch_mispredicts == first.core.branch_mispredicts
-    monkeypatch.delenv("REPRO_WARM_MEMO")
 
     # DLA path (two-core warm group) as well.
     program = workload.build_program()
@@ -182,7 +191,6 @@ def test_simulation_outcomes_identical_with_and_without_memo(monkeypatch):
     memo_second = run_dla()
     assert memo_first.main.cycles == memo_second.main.cycles
     assert memo_first.reboots == memo_second.reboots
-    monkeypatch.setenv("REPRO_WARM_MEMO", "0")
-    replayed_dla = run_dla()
+    replayed_dla = _replayed(run_dla)
     assert replayed_dla.main.cycles == memo_first.main.cycles
     assert replayed_dla.lookahead.cycles == memo_first.lookahead.cycles

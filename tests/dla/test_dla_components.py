@@ -16,12 +16,7 @@ from repro.dla.queues import (
 from repro.dla.recycle import LoopConfigTable, RecycleController, build_skeleton_versions
 from repro.dla.skeleton import SkeletonBuilder, SkeletonOptions
 from repro.dla.t1 import T1Config, T1PrefetchEngine
-from repro.dla.value_reuse import (
-    SlowInstructionFilter,
-    ValidationScoreboard,
-    ValueReuseConfig,
-    select_slow_static_pcs,
-)
+from repro.dla.value_reuse import ValidationScoreboard
 from repro.isa.instructions import OpClass
 from repro.memory.hierarchy import CoreMemorySystem, SharedMemorySystem
 
@@ -222,25 +217,6 @@ def test_t1_table_capacity_is_respected():
 # ---------------------------------------------------------------------------
 # value reuse
 # ---------------------------------------------------------------------------
-def test_sif_training_inserts_slow_pcs():
-    sif = SlowInstructionFilter(ValueReuseConfig(training_iterations=4))
-    for _ in range(4):
-        sif.observe_latency(0x40, 50.0)
-    for _ in range(4):
-        sif.observe_latency(0x44, 2.0)
-    assert sif.should_predict(0x40)
-    assert not sif.should_predict(0x44)
-
-
-def test_sif_mispredict_removes_pc():
-    sif = SlowInstructionFilter()
-    sif.insert(0x40)
-    assert 0x40 in sif
-    sif.on_value_mispredict(0x40)
-    assert 0x40 not in sif
-    assert sif.deletions == 1
-
-
 def test_validation_scoreboard_skips_fully_predicted_chains():
     board = ValidationScoreboard()
     # i1, i2 produce predictions; i4 sources only from them -> skip.
@@ -255,12 +231,6 @@ def test_validation_scoreboard_cleared_by_unpredicted_writer():
     board.process(OpClass.INT_ALU, dst=5, srcs=(1,), has_prediction=True)
     board.process(OpClass.LOAD, dst=5, srcs=(2,), has_prediction=False)   # clears r5
     assert not board.process(OpClass.INT_ALU, dst=7, srcs=(5,), has_prediction=True)
-
-
-def test_select_slow_static_pcs_threshold_and_dependents():
-    latencies = {1: 50.0, 2: 5.0, 3: 30.0}
-    dependents = {1: 3, 2: 5, 3: 1}
-    assert select_slow_static_pcs(latencies, dependents) == [1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 from repro.prefetch import make_prefetcher, PREFETCHER_FACTORIES
 from repro.prefetch.base import NullPrefetcher
 from repro.prefetch.best_offset import BestOffsetConfig, BestOffsetPrefetcher
-from repro.prefetch.ghb import GlobalHistoryBufferPrefetcher
 from repro.prefetch.next_line import NextLinePrefetcher
 from repro.prefetch.stride import StridePrefetcher, StridePrefetcherConfig
 
@@ -92,21 +91,3 @@ def test_best_offset_rejects_repeated_candidate_offsets():
     # Scores are kept per candidate in ``offsets`` order, one per offset.
     with pytest.raises(ValueError):
         BestOffsetConfig(offsets=[1, 2, 2])
-
-
-def test_ghb_correlates_repeating_delta_pattern():
-    pf = GlobalHistoryBufferPrefetcher(degree=4)
-    deltas = [64, 128, 64, 128, 64, 128, 64, 128]
-    address = 0x10000
-    emitted = []
-    for i, delta in enumerate(deltas):
-        emitted.extend(pf.observe(9, address, hit=False, cycle=i))
-        address += delta
-    assert emitted, "a repeating delta pattern should correlate"
-
-
-def test_ghb_ignores_hits_and_short_history():
-    pf = GlobalHistoryBufferPrefetcher()
-    assert pf.observe(1, 0x1000, hit=True, cycle=0) == []
-    assert pf.observe(1, 0x1000, hit=False, cycle=1) == []
-    assert pf.observe(1, 0x2000, hit=False, cycle=2) == []

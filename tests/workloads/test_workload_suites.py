@@ -1,11 +1,10 @@
-"""Tests for the synthetic kernels, suite definitions and SimPoint sampling."""
+"""Tests for the synthetic kernels and suite definitions."""
 
 import pytest
 
 from repro.emulator.machine import Emulator
 from repro.util.rng import DeterministicRng
 from repro.workloads.kernels import KERNEL_BUILDERS, build_kernel
-from repro.workloads.simpoint import SimPointSampler, sample_trace
 from repro.workloads.suites import SUITES, all_workloads, get_workload, suite_workloads
 
 #: Small parameters so every kernel runs in well under a second.
@@ -79,30 +78,3 @@ def test_workload_program_is_cached_and_trace_respects_limit():
     assert workload.build_program() is workload.build_program()
     trace = workload.trace(500)
     assert len(trace) <= 500
-
-
-def test_simpoint_sampler_weights_sum_to_one(stream_trace):
-    intervals = sample_trace(stream_trace, interval_length=1000, num_points=4)
-    assert intervals
-    assert sum(i.weight for i in intervals) == pytest.approx(1.0)
-    for interval in intervals:
-        assert 0 <= interval.start < len(stream_trace)
-
-
-def test_simpoint_sampler_handles_short_traces(stream_trace):
-    short = stream_trace.window(0, 1500)
-    intervals = SimPointSampler(interval_length=1000, num_points=5).select(short)
-    assert 1 <= len(intervals) <= 2
-
-
-def test_simpoint_sampler_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        SimPointSampler(interval_length=0)
-    with pytest.raises(ValueError):
-        SimPointSampler(num_points=0)
-
-
-def test_simpoint_slice_trace_matches_interval(stream_trace):
-    interval = sample_trace(stream_trace, interval_length=2000, num_points=2)[0]
-    window = interval.slice_trace(stream_trace)
-    assert len(window) <= 2000
