@@ -21,7 +21,7 @@ def main() -> None:
     workload = get_workload("libquantum")
     program = workload.build_program()
     trace = workload.trace(WARMUP + TIMED + 1000)
-    warmup, timed = trace.entries[:WARMUP], trace.entries[WARMUP:WARMUP + TIMED]
+    warmup, timed = trace.window(0, WARMUP), trace.window(WARMUP, TIMED)
     profile = profile_workload(program, trace.window(0, WARMUP), timing_window=6000)
     baseline = simulate_baseline(timed, SystemConfig(), warmup_entries=warmup)
 

@@ -20,7 +20,7 @@ def main() -> None:
     workload = get_workload("omnetpp")
     program = workload.build_program()
     trace = workload.trace(WARMUP + TIMED + 1000)
-    warmup, timed = trace.entries[:WARMUP], trace.entries[WARMUP:WARMUP + TIMED]
+    warmup, timed = trace.window(0, WARMUP), trace.window(WARMUP, TIMED)
 
     print(f"workload: {workload.name} ({workload.description})")
     print(f"static instructions: {len(program)}, timed window: {len(timed)} dynamic\n")

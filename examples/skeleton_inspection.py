@@ -41,7 +41,8 @@ def main() -> None:
 
     print("\nrunning R3-DLA with the default skeleton:")
     system = DlaSystem(program, dla_config=DlaConfig().r3(), profile=profile)
-    outcome = system.simulate(trace.entries[4000:14000], warmup_entries=trace.entries[:4000])
+    outcome = system.simulate(trace.window(4000, 10000),
+                             warmup_entries=trace.window(0, 4000))
     print(f"  main-thread IPC: {outcome.ipc:.3f}")
     print(f"  look-ahead executes {outcome.skeleton_dynamic_fraction:.0%} of the instructions")
     print(f"  prefetch hints installed: {outcome.prefetch_hints_installed}")

@@ -73,13 +73,13 @@ def _schedule(entries: Sequence[DynamicInst], window: int,
 
 
 def measure_implicit_parallelism(
-    trace: Trace | Sequence[DynamicInst],
+    trace: Trace,
     windows: Sequence[int] = (128, 512, 2048),
     config: Optional[SystemConfig] = None,
 ) -> IlpResult:
     """Measure ideal/real IPC for each window size (the Fig. 1 experiment)."""
     config = config or SystemConfig()
-    entries = trace.entries if isinstance(trace, Trace) else list(trace)
+    entries = trace.entries
 
     # Realistic load latencies from a cache replay, and realistic branch
     # misprediction flags from the configured predictor.

@@ -6,7 +6,7 @@ inspected in a terminal or CI log without a plotting stack.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 
 def format_table(rows: Sequence[Mapping[str, object]], columns: Sequence[str] = None,

@@ -29,7 +29,7 @@ from repro.core.config import SystemConfig
 from repro.core.pipeline import CoreHooks
 from repro.core.system import SimulationOutcome, build_single_core, warm_memory_system
 from repro.core.energy import EnergyModel
-from repro.emulator.trace import DynamicInst, Trace, Window
+from repro.emulator.trace import DynamicInst, Trace
 
 
 @dataclass
@@ -91,15 +91,14 @@ def bfetch_hooks(walker: BFetchWalker) -> CoreHooks:
 
 
 def simulate_bfetch(
-    entries: Window,
+    window: Trace,
     config: Optional[SystemConfig] = None,
     bfetch: Optional[BFetchConfig] = None,
-    warmup_entries: Optional[Window] = None,
+    warmup_entries: Optional[Trace] = None,
 ) -> SimulationOutcome:
     """Simulate the baseline core augmented with B-Fetch."""
     config = config or SystemConfig()
     bfetch = bfetch or BFetchConfig()
-    window = Trace.of(entries)
 
     shared, private, core = build_single_core(config)
     if warmup_entries:

@@ -31,7 +31,7 @@ from repro.core.energy import EnergyModel
 from repro.core.pipeline import CoreHooks
 from repro.core.system import SimulationOutcome, build_single_core, warm_memory_system
 from repro.dla.profiling import ProgramProfile
-from repro.emulator.trace import DynamicInst, Trace, Window
+from repro.emulator.trace import DynamicInst, Trace
 from repro.isa.analysis import StaticAnalysis, backward_slice
 from repro.isa.program import Program
 
@@ -79,18 +79,17 @@ def runahead_hooks(table: RunaheadTable) -> CoreHooks:
 
 def simulate_cre(
     program: Program,
-    entries: Window,
+    window: Trace,
     profile: ProgramProfile,
     config: Optional[SystemConfig] = None,
     cre: Optional[ContinuousRunaheadConfig] = None,
-    warmup_entries: Optional[Window] = None,
+    warmup_entries: Optional[Trace] = None,
 ) -> SimulationOutcome:
     """Simulate the baseline core assisted by a Continuous Runahead Engine."""
     config = config or SystemConfig()
     cre = cre or ContinuousRunaheadConfig()
     if min(cre.lead_occurrences, cre.dependent_lead) < 0:
         raise ValueError("CRE leads must not be negative")
-    window = Trace.of(entries)
 
     analysis = StaticAnalysis.analyze(program)
     delinquent: List[int] = [

@@ -25,7 +25,7 @@ from repro.dla.config import DlaConfig
 from repro.dla.profiling import ProgramProfile
 from repro.dla.skeleton import Skeleton, SkeletonBuilder, SkeletonOptions
 from repro.dla.system import DlaOutcome, DlaSystem
-from repro.emulator.trace import Window
+from repro.emulator.trace import Trace
 from repro.isa.program import Program
 
 
@@ -61,11 +61,11 @@ def _slipstream_skeleton(builder: SkeletonBuilder, config: SlipstreamConfig) -> 
 
 def simulate_slipstream(
     program: Program,
-    entries: Window,
+    window: Trace,
     profile: ProgramProfile,
     config: Optional[SystemConfig] = None,
     slipstream: Optional[SlipstreamConfig] = None,
-    warmup_entries: Optional[Window] = None,
+    warmup_entries: Optional[Trace] = None,
 ) -> DlaOutcome:
     """Simulate a SlipStream-style two-stream machine."""
     config = config or SystemConfig()
@@ -80,5 +80,5 @@ def simulate_slipstream(
     )
     system = DlaSystem(program, config, dla_config, profile=profile)
     skeleton = _slipstream_skeleton(system.builder, slipstream)
-    return system.simulate(entries, skeleton=skeleton,
+    return system.simulate(window, skeleton=skeleton,
                            warmup_entries=warmup_entries)

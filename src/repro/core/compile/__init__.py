@@ -101,8 +101,7 @@ def kernel_available() -> bool:
 def maybe_run_compiled(core, window, hooks, start_cycle: float,
                        collect_timings: bool) -> Optional[CoreResult]:
     """Run one simulation of ``window`` (a :class:`~repro.emulator.trace.
-    Trace` or an entry list) on the compiled path, or ``None`` to fall
-    back.
+    Trace`) on the compiled path, or ``None`` to fall back.
 
     ``None`` means the reference interpreter must carry the run: the
     kill-switch is set, the kernel failed to build, or the run does not fit
@@ -113,13 +112,11 @@ def maybe_run_compiled(core, window, hooks, start_cycle: float,
         return None
     from repro.core.compile.driver import run_compiled
     from repro.core.compile.plan import plan_run
-    from repro.emulator.trace import Trace
 
     if not plan_run(core, hooks):
         _count("interpreted_runs", 1)
         return None
 
-    window = Trace.of(window)
     result = run_compiled(kernel, core, window, hooks, start_cycle,
                           collect_timings)
     _count("compiled_ticks", len(window))

@@ -22,7 +22,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.emulator.trace import TAKEN, Trace, Window
+from repro.emulator.trace import TAKEN, Trace
 from repro.isa.instructions import FU_POOL_FP, Opcode
 
 #: Decoded static flags (must match kernel.c).
@@ -65,9 +65,8 @@ class DecodedTrace:
 class StaticTable:
     """One program's decoded static rows as arrays indexed by PC.
 
-    A PC no instruction occupies (an entry-list trace's statics have
-    holes) has an all-zero row.  ``srcs[srcs_off[pc]:srcs_off[pc + 1]]``
-    are the PC's source registers; ``max_reg`` its highest register.
+    ``srcs[srcs_off[pc]:srcs_off[pc + 1]]`` are the PC's source registers;
+    ``max_reg`` its highest register.
     """
 
     ba: array          # 'q'
@@ -100,9 +99,8 @@ def _skippable_codes() -> frozenset:
     return _SKIPPABLE_CODES
 
 
-#: Static tables by the identity of their statics (a program, or an
-#: entry-list trace's statics), which are retained so ids can never be
-#: recycled.  Tables are never pickled with a program.
+#: Static tables by the identity of their program, which is retained so
+#: ids can never be recycled.  Tables are never pickled with a program.
 _STATIC_ROWS: Dict[int, StaticTable] = {}
 _STATIC_RETAIN: Dict[int, object] = {}
 _STATIC_MAX = 64
@@ -147,36 +145,32 @@ def _decode_static(static) -> tuple:
             static.srcs, max_reg)
 
 
-def static_table(statics) -> StaticTable:
-    """The (memoized) static table of ``statics``, indexable by PC."""
-    token = id(statics)
+def static_table(program) -> StaticTable:
+    """The (memoized) static table of ``program``, indexable by PC."""
+    token = id(program)
     table = _STATIC_ROWS.get(token)
     if table is not None:
         return table
-    size = len(statics)
+    size = len(program)
     table = StaticTable(*(array(code, bytes(8 * size)) for code in "qqdqqq"),
                         srcs=array("q"), srcs_off=array("q", bytes(8)))
-    for pc, static in enumerate(statics):
-        if static is not None:
-            if static.pc != pc:
-                raise ValueError(f"instruction {static} sits at PC {pc}")
-            (table.ba[pc], table.flags[pc], table.lat[pc], table.dst[pc],
-             table.sb_dst[pc], srcs, table.max_reg[pc]) = _decode_static(static)
-            table.srcs.extend(srcs)
+    for pc, static in enumerate(program):
+        (table.ba[pc], table.flags[pc], table.lat[pc], table.dst[pc],
+         table.sb_dst[pc], srcs, table.max_reg[pc]) = _decode_static(static)
+        table.srcs.extend(srcs)
         table.srcs_off.append(len(table.srcs))
     if len(_STATIC_ROWS) >= _STATIC_MAX:
         _STATIC_ROWS.clear()
         _STATIC_RETAIN.clear()
     _STATIC_ROWS[token] = table
-    _STATIC_RETAIN[token] = statics
+    _STATIC_RETAIN[token] = program
     return table
 
 
-def decode_trace(window: Window) -> DecodedTrace:
-    """The window's decoded arrays, unmemoized: a gather of its statics'
+def decode_trace(window: Trace) -> DecodedTrace:
+    """The window's decoded arrays, unmemoized: a gather of its program's
     table rows at its ``pc`` column."""
-    window = Trace.of(window)
-    table = static_table(window.statics)
+    table = static_table(window.program)
     columns = window.columns
     from repro.core.compile import native_kernel
 
@@ -214,7 +208,7 @@ def _gather(table: StaticTable, columns) -> DecodedTrace:
     return decoded
 
 
-def replay_inputs(window: Window) -> Tuple[array, array, array]:
+def replay_inputs(window: Trace) -> Tuple[array, array, array]:
     """The ``(ba, flags, ea)`` arrays warm-up replay reads, decoded without
     the process-wide memo (the warm memo keeps just these three)."""
     decoded = decode_trace(window)
@@ -232,8 +226,7 @@ class DecodedTraceCache:
         self.decodes = 0
         self.hits = 0
 
-    def get(self, window: Window) -> DecodedTrace:
-        window = Trace.of(window)
+    def get(self, window: Trace) -> DecodedTrace:
         key = window.key
         decoded = self._decoded.pop(key, None)
         if decoded is not None:
@@ -256,7 +249,7 @@ class DecodedTraceCache:
 _DECODED = DecodedTraceCache()
 
 
-def get_decoded(window: Window) -> DecodedTrace:
+def get_decoded(window: Trace) -> DecodedTrace:
     return _DECODED.get(window)
 
 

@@ -449,7 +449,7 @@ def profile_columns(kernel, memory, window: Trace, backward: array,
     native = _NativeMemory(memory)
     try:
         *counts, hits, misses = kernel.profile_columns(
-            static_table(window.statics).spec(
+            static_table(window.program).spec(
                 **window.columns._spec(), memory=native.spec,
                 backward=backward, **outputs))
     finally:

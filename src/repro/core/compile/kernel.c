@@ -17,7 +17,6 @@
  * selection (select_rows) and training-run profiling (profile_columns). */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <structmember.h>
 #include <stdint.h>
 #include <string.h>
 #include <math.h>
@@ -3796,112 +3795,6 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
-/* Trace materialisation: Trace.entries' DynamicInst list (read only by */
-/* the reference interpreter and the object-level analyses), built from */
-/* the columns in one loop.  DynamicInst is a slotted dataclass; each   */
-/* object is allocated the way object.__new__ allocates it and its six */
-/* slots are filled through their member descriptors, exactly the      */
-/* state its __init__ leaves.  Consumers never assign to an entry.     */
-/* ------------------------------------------------------------------ */
-static const char *const ENTRY_SLOTS[6] = {
-    "seq", "static", "result", "effective_address", "taken", "next_pc"};
-
-static PyObject *
-build_entries(PyObject *self, PyObject *args)
-{
-    PyTypeObject *cls;
-    PyObject *statics;
-    Py_buffer v_pc = {0}, v_ea = {0}, v_res = {0}, v_flags = {0}, v_next = {0};
-    Py_buffer v_seq = {0};
-    PyObject *seq_column;
-    long long seq0;
-    if (!PyArg_ParseTuple(args, "O!O!y*y*y*y*y*LO", &PyType_Type, &cls,
-                          &PyList_Type, &statics, &v_pc, &v_ea, &v_res,
-                          &v_flags, &v_next, &seq0, &seq_column))
-        return NULL;
-
-    PyObject *out = NULL;
-    Py_ssize_t offsets[6];
-    Py_ssize_t n = v_flags.len;
-    Py_ssize_t nstatic = PyList_GET_SIZE(statics);
-    if (emu_buffer(&v_pc, sizeof(int32_t), n, "pc") < 0 ||
-        emu_buffer(&v_ea, sizeof(int64_t), n, "ea") < 0 ||
-        emu_buffer(&v_res, sizeof(int64_t), n, "result") < 0 ||
-        emu_buffer(&v_next, sizeof(int32_t), n, "next_pc") < 0)
-        goto done;
-    const int64_t *seq = NULL;
-    if (seq_column != Py_None) {
-        if (PyObject_GetBuffer(seq_column, &v_seq, PyBUF_SIMPLE) < 0 ||
-            emu_buffer(&v_seq, sizeof(int64_t), n, "seq") < 0)
-            goto done;
-        seq = (const int64_t *)v_seq.buf;
-    }
-    for (int k = 0; k < 6; k++) {
-        PyObject *descr = PyDict_GetItemString(cls->tp_dict, ENTRY_SLOTS[k]);
-        if (descr == NULL || !PyObject_TypeCheck(descr, &PyMemberDescr_Type) ||
-            ((PyMemberDescrObject *)descr)->d_member->type != T_OBJECT_EX) {
-            PyErr_Format(PyExc_TypeError, "build_entries: %s is not a slot "
-                         "of %s", ENTRY_SLOTS[k], cls->tp_name);
-            goto done;
-        }
-        offsets[k] = ((PyMemberDescrObject *)descr)->d_member->offset;
-    }
-    const int32_t *pc = (const int32_t *)v_pc.buf;
-    const int64_t *ea = (const int64_t *)v_ea.buf;
-    const int64_t *res = (const int64_t *)v_res.buf;
-    const uint8_t *flags = (const uint8_t *)v_flags.buf;
-    const int32_t *next = (const int32_t *)v_next.buf;
-
-    out = PyList_New(n);
-    if (out == NULL)
-        goto done;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        if (pc[i] < 0 || pc[i] >= nstatic ||
-            PyList_GET_ITEM(statics, pc[i]) == Py_None) {
-            PyErr_Format(PyExc_IndexError, "build_entries: pc %d out of "
-                         "range", (int)pc[i]);
-            goto fail;
-        }
-        PyObject *slots[6];
-        slots[0] = PyLong_FromLongLong(seq != NULL ? seq[i] : seq0 + i);
-        slots[1] = PyList_GET_ITEM(statics, pc[i]);
-        Py_INCREF(slots[1]);
-        slots[2] = (flags[i] & T_HAS_RESULT) ? PyLong_FromLongLong(res[i])
-                                             : Py_NewRef(Py_None);
-        slots[3] = (flags[i] & T_HAS_EA) ? PyLong_FromLongLong(ea[i])
-                                         : Py_NewRef(Py_None);
-        slots[4] = !(flags[i] & T_CONTROL) ? Py_NewRef(Py_None)
-                 : Py_NewRef((flags[i] & T_TAKEN) ? Py_True : Py_False);
-        slots[5] = PyLong_FromLongLong(next[i]);
-        PyObject *obj = NULL;
-        if (slots[0] && slots[2] && slots[3] && slots[5])
-            obj = cls->tp_alloc(cls, 0);
-        if (obj == NULL) {
-            for (int k = 0; k < 6; k++)
-                Py_XDECREF(slots[k]);
-            goto fail;
-        }
-        for (int k = 0; k < 6; k++)
-            *(PyObject **)((char *)obj + offsets[k]) = slots[k];
-        /* Its slots hold ints, bools, None and a static Instruction, none
-         * of which can reach back to it: like a tuple of atoms it can be
-         * in no cycle, so the collector need not traverse it. */
-        if (PyObject_IS_GC(obj))
-            PyObject_GC_UnTrack(obj);
-        PyList_SET_ITEM(out, i, obj);
-    }
-    goto done;
-fail:
-    Py_CLEAR(out);
-done:
-    PyBuffer_Release(&v_pc); PyBuffer_Release(&v_ea);
-    PyBuffer_Release(&v_res); PyBuffer_Release(&v_flags);
-    PyBuffer_Release(&v_next);
-    if (v_seq.obj) PyBuffer_Release(&v_seq);
-    return out;
-}
-
-/* ------------------------------------------------------------------ */
 /* Hint verdict draws: MainThreadHintSource._draw over the look-ahead   */
 /* window's decoded seq / pcs / flags columns, in its program order (a  */
 /* branch's values first, then the branch).  random.Random's MT19937 is */
@@ -4079,8 +3972,6 @@ static PyMethodDef methods[] = {
      "A training window's profile passes (dla.profiling.profile_workload)."},
     {"emulate", emulate, METH_VARARGS,
      "Run a program to HALT or the limit; returns its trace columns."},
-    {"build_entries", build_entries, METH_VARARGS,
-     "Build the DynamicInst list of a trace's columns."},
     {"draw_verdicts", draw_verdicts, METH_VARARGS,
      "Draw a DLA main thread's hint verdicts (MainThreadHintSource._draw)."},
     {NULL, NULL, 0, NULL},

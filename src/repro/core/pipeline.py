@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.branch.btb import BranchTargetBuffer
@@ -25,7 +25,7 @@ from repro.branch.predictors import make_predictor
 from repro.branch.ras import ReturnAddressStack
 from repro.core.config import CoreConfig
 from repro.core.results import CoreResult, InstructionTimings
-from repro.emulator.trace import DynamicInst, Trace, Window
+from repro.emulator.trace import DynamicInst, Trace
 from repro.isa.instructions import FU_POOL_FP, Opcode
 from repro.memory.hierarchy import CoreMemorySystem, access_result
 from repro.prefetch.base import Prefetcher
@@ -139,13 +139,12 @@ class OutOfOrderCore:
     # ------------------------------------------------------------------
     def run(
         self,
-        entries: Window,
+        window: Trace,
         hooks: Optional[CoreHooks] = None,
         start_cycle: float = 0.0,
         collect_timings: bool = False,
     ) -> CoreResult:
-        """Simulate a trace window (or an entry list) and return aggregate
-        statistics.
+        """Simulate a trace window and return aggregate statistics.
 
         ``start_cycle`` offsets the whole execution, which the DLA system uses
         when restarting a look-ahead thread after a reboot.  The compiled
@@ -157,13 +156,12 @@ class OutOfOrderCore:
 
         from repro.core.compile import maybe_run_compiled
 
-        compiled = maybe_run_compiled(self, entries, hooks, start_cycle,
+        compiled = maybe_run_compiled(self, window, hooks, start_cycle,
                                       collect_timings)
         if compiled is not None:
             return compiled
 
-        if isinstance(entries, Trace):
-            entries = entries.entries
+        entries = window.entries
         result = CoreResult(name=self.name)
         n = len(entries)
         if n == 0:

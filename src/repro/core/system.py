@@ -14,7 +14,7 @@ from repro.core.config import SystemConfig
 from repro.core.energy import EnergyBreakdown, EnergyModel
 from repro.core.pipeline import CoreHooks, OutOfOrderCore
 from repro.core.results import CoreResult
-from repro.emulator.trace import Trace, Window
+from repro.emulator.trace import Trace
 from repro.memory.hierarchy import CoreMemorySystem, SharedMemorySystem
 from repro.prefetch import make_prefetcher
 
@@ -34,20 +34,8 @@ class SimulationOutcome:
     #: ``l2``/``l3`` with ``mshr``/``write_buffer``/``writebacks`` slices)
     #: plus a ``dram`` entry (per-source traffic split, controller-queue
     #: counters).  Kept as a plain dict so it survives :func:`strip_outcome`
-    #: and disk caching.  Subsumes the old per-level ``mshr`` field, which
-    #: lives on as the derived :attr:`mshr` view.
+    #: and disk caching.
     memsys: Optional[Dict[str, Dict[str, object]]] = None
-
-    @property
-    def mshr(self) -> Optional[Dict[str, Dict[str, int]]]:
-        """Per-level MSHR counters (the pre-``memsys`` telemetry shape)."""
-        if self.memsys is None:
-            return None
-        return {
-            level: info["mshr"]
-            for level, info in self.memsys.items()
-            if isinstance(info, dict) and "mshr" in info
-        }
 
     @property
     def cycles(self) -> float:
@@ -58,7 +46,7 @@ class SimulationOutcome:
         return self.core.ipc
 
 
-def _replay_warmup(memory: CoreMemorySystem, window: Window,
+def _replay_warmup(memory: CoreMemorySystem, window: Trace,
                    cycles_per_access: int = 2, inputs=None) -> None:
     """Warm one core's caches/TLB by replaying a trace's memory behaviour.
 
@@ -86,7 +74,7 @@ def _replay_warmup(memory: CoreMemorySystem, window: Window,
     last_block = None
     access_inst = memory.access_inst_fast
     access_data = memory.access_data_fast
-    for entry in Trace.of(window).entries:
+    for entry in window.entries:
         static = entry.static
         address = static.byte_address
         if address // block != last_block:
@@ -119,8 +107,7 @@ class WarmupMemo:
     * trace columns are never mutated.  Groups are keyed by the warm-up
       window's content key (:attr:`~repro.emulator.trace.Trace.key`: its
       root columns, which the key holds, and row range), so every window
-      cut from one trace at one range shares a snapshot; an entry list is
-      converted afresh on each call, so it merely replays once more.
+      cut from one trace at one range shares a snapshot.
     """
 
     #: Bound on retained snapshots: enough for a full-eval campaign (34
@@ -137,7 +124,7 @@ class WarmupMemo:
         self.replays = 0
         self.restores = 0
 
-    def _key(self, memories: Tuple[CoreMemorySystem, ...], window: Window,
+    def _key(self, memories: Tuple[CoreMemorySystem, ...], window_key: tuple,
              cycles_per_access: int) -> tuple:
         from repro.experiments.fingerprint import fingerprint
 
@@ -145,15 +132,14 @@ class WarmupMemo:
             [memory.config for memory in memories],
             [memory.lookahead_mode for memory in memories],
         )
-        return Trace.of(window).key, geometry, cycles_per_access
+        return window_key, geometry, cycles_per_access
 
-    def warm(self, memories: Tuple[CoreMemorySystem, ...], window: Window,
+    def warm(self, memories: Tuple[CoreMemorySystem, ...], window: Trace,
              cycles_per_access: int = 2) -> None:
         shared = memories[0].shared
         if any(memory.shared is not shared for memory in memories):
             raise ValueError("a warm group must share one SharedMemorySystem")
-        window = Trace.of(window)
-        key = self._key(memories, window, cycles_per_access)
+        key = self._key(memories, window.key, cycles_per_access)
         snapshot = self._snapshots.get(key)
         if snapshot is None:
             inputs = self._replay_inputs(key[0], window)
@@ -213,7 +199,7 @@ def warm_memo_stats() -> Dict[str, int]:
     return {"warm_replays": _WARM_MEMO.replays, "warm_restores": _WARM_MEMO.restores}
 
 
-def warm_memory_systems(memories: Sequence[CoreMemorySystem], entries: Window,
+def warm_memory_systems(memories: Sequence[CoreMemorySystem], window: Trace,
                         cycles_per_access: int = 2) -> None:
     """Warm a group of freshly-built cores sharing one shared system.
 
@@ -222,9 +208,9 @@ def warm_memory_systems(memories: Sequence[CoreMemorySystem], entries: Window,
     and restores the whole group's post-warm state — private levels and the
     shared system — as a unit.
     """
-    if not entries:
+    if not window:
         return
-    _WARM_MEMO.warm(tuple(memories), entries, cycles_per_access)
+    _WARM_MEMO.warm(tuple(memories), window, cycles_per_access)
     # The timed region restarts the clock at 0 while warm replay ran on its
     # own (much later) cycle numbers: quiesce every contention resource
     # (MSHR files, write buffers, DRAM queues) so the warm window's
@@ -236,10 +222,10 @@ def warm_memory_systems(memories: Sequence[CoreMemorySystem], entries: Window,
     memories[0].shared.drain_mshrs()
 
 
-def warm_memory_system(memory: CoreMemorySystem, entries: Window,
+def warm_memory_system(memory: CoreMemorySystem, window: Trace,
                        cycles_per_access: int = 2) -> None:
     """Warm one core's caches/TLB (memoized; see :class:`WarmupMemo`)."""
-    warm_memory_systems((memory,), entries, cycles_per_access)
+    warm_memory_systems((memory,), window, cycles_per_access)
 
 
 def build_single_core(config: SystemConfig, lookahead_mode: bool = False):
@@ -259,11 +245,11 @@ def build_single_core(config: SystemConfig, lookahead_mode: bool = False):
 
 
 def simulate_baseline(
-    entries: Window,
+    window: Trace,
     config: Optional[SystemConfig] = None,
     hooks: Optional[CoreHooks] = None,
     collect_timings: bool = False,
-    warmup_entries: Optional[Window] = None,
+    warmup_entries: Optional[Trace] = None,
 ) -> SimulationOutcome:
     """Simulate a committed trace window on a single conventional core.
 
@@ -275,7 +261,7 @@ def simulate_baseline(
     shared, private, core = build_single_core(config)
     if warmup_entries:
         warm_memory_system(private, warmup_entries)
-    result = core.run(entries, hooks=hooks, collect_timings=collect_timings)
+    result = core.run(window, hooks=hooks, collect_timings=collect_timings)
     energy = EnergyModel().evaluate(result)
     return SimulationOutcome(
         core=result,

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.pipeline import OutOfOrderCore
-from repro.emulator.trace import Trace, Window
+from repro.emulator.trace import Trace
 from repro.memory.hierarchy import CoreMemorySystem, SharedMemorySystem
 
 
@@ -154,7 +154,7 @@ def _per_cycle_histogram(times: Sequence[float], max_count: int) -> List[float]:
     return _normalise(histogram).tolist()
 
 
-def empirical_distributions(entries: Window,
+def empirical_distributions(window: Trace,
                             config: Optional[SystemConfig] = None) -> EmpiricalDistributions:
     """Measure demand (decode) and supply (fetch) distributions.
 
@@ -167,7 +167,6 @@ def empirical_distributions(entries: Window,
     config = config or SystemConfig()
     decode_width = config.core.decode_width
     fetch_width = config.core.fetch_width
-    window = Trace.of(entries)
 
     # Demand: generous fetch buffer so the back end sets the pace.
     demand_cfg = config.with_overrides(fetch_buffer_entries=512)

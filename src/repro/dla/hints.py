@@ -49,7 +49,7 @@ from repro.dla.config import DlaConfig
 from repro.dla.queues import BranchOutcomeQueue, FootnoteKind, FootnoteQueue
 from repro.dla.t1 import T1PrefetchEngine
 from repro.dla.value_reuse import ValidationScoreboard
-from repro.emulator.trace import DynamicInst, Trace, Window
+from repro.emulator.trace import DynamicInst, Trace
 from repro.memory.hierarchy import CoreMemorySystem
 from repro.util.rng import DeterministicRng
 
@@ -58,9 +58,9 @@ from repro.util.rng import DeterministicRng
 class LookaheadProducts:
     """What one look-ahead pass produced, in program order."""
 
-    #: The look-ahead's trace window (or entry list): the skeleton's
-    #: selection of the segment's rows, each carrying its seq.
-    window: Window
+    #: The look-ahead's trace window: the skeleton's selection of the
+    #: segment's rows, each carrying its seq.
+    window: Trace
     #: Its commit log: every conditional branch (``branch_*``) and every
     #: value-reuse target instance (``pc_*``), as row indices of ``window``.
     commits: CommitLog
@@ -114,7 +114,7 @@ class MainThreadHintSource:
         """Every hint's verdict: ``(branch_seqs, branch_correct,
         value_seqs, value_verdicts)``."""
         cfg = self.config
-        entries = Trace.of(self.products.window).entries
+        entries = self.products.window.entries
         commits = self.products.commits
         draw = rng.bernoulli
         safe_rate = cfg.safe_branch_error_rate

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.config import SystemConfig
 from repro.core.pipeline import OutOfOrderCore
-from repro.emulator.trace import Trace, Window
+from repro.emulator.trace import Trace
 from repro.isa.program import Program
 from repro.memory.hierarchy import CoreMemorySystem, SharedMemorySystem
 
@@ -150,7 +150,7 @@ def _dominant_stride(deltas: Sequence[int]) -> (int, int):
 
 def profile_workload(
     program: Program,
-    trace: Window,
+    trace: Trace,
     config: Optional[SystemConfig] = None,
     run_timing: bool = True,
     timing_window: int = 20_000,
@@ -169,7 +169,6 @@ def profile_workload(
     from repro.core.compile import kernel_available
 
     config = config or SystemConfig()
-    trace = Trace.of(trace)
     profile = ProgramProfile(program=program, dynamic_instructions=len(trace))
     if not (kernel_available() and _profile_columns(trace, config, profile)):
         _profile_entries(trace, config, profile)
@@ -264,11 +263,11 @@ def _profile_columns(trace: Trace, config: SystemConfig,
     the reference must carry the profile."""
     from repro.core.compile import profile_compiled
 
-    statics = trace.statics
-    size = len(statics)
+    program = trace.program
+    size = len(program)
     backward = array("B", (
-        static is not None and static.target is not None
-        and static.target <= static.pc for static in statics))
+        static.target is not None and static.target <= static.pc
+        for static in program))
     out = {name: array("q", bytes(8 * size)) for name in _PROFILE_COLUMNS}
     shared = SharedMemorySystem(config.memory)
     try:
@@ -281,7 +280,7 @@ def _profile_columns(trace: Trace, config: SystemConfig,
     order = out["order"][:executed]
     profile.instruction_counts.update(zip(order, (counts[pc] for pc in order)))
     for pc in order:
-        static = statics[pc]
+        static = program[pc]
         if static.is_memory:
             profile.memory[pc] = PcMemoryStats(
                 executions=counts[pc], l1_misses=out["l1"][pc],

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dla.config import DlaConfig
 from repro.dla.skeleton import Skeleton, SkeletonBuilder, SkeletonOptions
-from repro.emulator.trace import Trace, Window
+from repro.emulator.trace import Trace
 
 
 class _SliceMemo:
@@ -179,7 +179,7 @@ class RecycleController:
         self.lct = LoopConfigTable(self.config.lct_entries)
 
     # ------------------------------------------------------------------
-    def segment_into_loop_units(self, window: Window) -> List[LoopUnit]:
+    def segment_into_loop_units(self, window: Trace) -> List[LoopUnit]:
         """Split the trace into loop units of at least the configured length.
 
         The current unit's identity is the most recently retired loop branch;
@@ -187,11 +187,9 @@ class RecycleController:
         already reached the minimum length.  Reads the window's ``pc``
         column and each loop PC's static branch flag.
         """
-        window = Trace.of(window)
-        statics = window.statics
+        program = window.program
         loops = {pc for pc in self.loop_branch_pcs
-                 if 0 <= pc < len(statics) and statics[pc] is not None
-                 and statics[pc].is_branch}
+                 if 0 <= pc < len(program) and program[pc].is_branch}
         min_length = self.config.loop_unit_min_instructions
         units: List[LoopUnit] = []
         current_loop = -1
@@ -213,7 +211,7 @@ class RecycleController:
         return units
 
     # ------------------------------------------------------------------
-    def plan(self, dla_system, entries: Window,
+    def plan(self, dla_system, window: Trace,
              dynamic: bool = False, sample_length: int = 2500,
              search_unit_limit: Optional[int] = None) -> RecyclePlan:
         """Choose a skeleton version per loop unit and emit a simulation plan.
@@ -232,7 +230,6 @@ class RecycleController:
         samples workloads, which is what keeps ``--full`` segmented cells
         from dominating campaign wall time.
         """
-        window = Trace.of(entries)
         units = self.segment_into_loop_units(window)
         searchable: Optional[set] = None
         if search_unit_limit is not None:

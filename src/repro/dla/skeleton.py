@@ -22,8 +22,8 @@ is no longer required, shrinking the skeleton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import FrozenSet, List, Optional, Set
 
 from repro.dla.profiling import ProgramProfile
 from repro.emulator.trace import Trace

@@ -30,7 +30,7 @@ across the boundary — which is what the recycle controller uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.compile.hookspec import CommitLog, CompiledHookSpec
@@ -44,7 +44,7 @@ from repro.dla.profiling import ProgramProfile, profile_workload
 from repro.dla.queues import BranchOutcomeQueue, FootnoteQueue, communication_bits_per_instruction
 from repro.dla.skeleton import Skeleton, SkeletonBuilder, SkeletonOptions
 from repro.dla.t1 import T1Config, T1PrefetchEngine
-from repro.emulator.trace import Trace, Window
+from repro.emulator.trace import Trace
 from repro.isa.program import Program
 from repro.memory.hierarchy import CoreMemorySystem, SharedMemorySystem
 from repro.prefetch import make_prefetcher
@@ -103,22 +103,8 @@ class DlaOutcome:
     #: Unified memory-backend telemetry: {"main": {...}, "lookahead": {...},
     #: "shared": {...}} where each domain holds per-level dicts (``mshr``/
     #: ``write_buffer``/``writebacks`` slices, plus ``dram`` under
-    #: ``shared``).  Subsumes the old ``mshr`` field (see :attr:`mshr`).
+    #: ``shared``).
     memsys: Optional[Dict[str, Dict[str, Dict[str, object]]]] = None
-
-    @property
-    def mshr(self) -> Optional[Dict[str, Dict[str, Dict[str, int]]]]:
-        """Per-domain, per-level MSHR counters (the pre-``memsys`` shape)."""
-        if self.memsys is None:
-            return None
-        return {
-            domain: {
-                level: info["mshr"]
-                for level, info in levels.items()
-                if isinstance(info, dict) and "mshr" in info
-            }
-            for domain, levels in self.memsys.items()
-        }
 
     @property
     def cycles(self) -> float:
@@ -167,9 +153,9 @@ class DlaSystem:
         )
         return self.builder.build(options, enable_t1=self.dla_config.enable_t1)
 
-    def simulate(self, trace: Window, skeleton: Optional[Skeleton] = None,
-                 warmup_entries: Optional[Window] = None) -> DlaOutcome:
-        """Run a whole trace window (or entry list) under one skeleton.
+    def simulate(self, trace: Trace, skeleton: Optional[Skeleton] = None,
+                 warmup_entries: Optional[Trace] = None) -> DlaOutcome:
+        """Run a whole trace window under one skeleton.
 
         ``warmup_entries`` are replayed through both cores' private caches
         (and therefore the shared L3) before the timed region begins.
@@ -178,13 +164,13 @@ class DlaSystem:
         state = self._fresh_state()
         if warmup_entries:
             self._warm(state, warmup_entries)
-        segment = self._run_segment(state, Trace.of(trace), skeleton)
+        segment = self._run_segment(state, trace, skeleton)
         return self._finalize(state, [segment])
 
     def simulate_segmented(
         self,
-        plan: Sequence[Tuple[Window, Skeleton]],
-        warmup_entries: Optional[Window] = None,
+        plan: Sequence[Tuple[Trace, Skeleton]],
+        warmup_entries: Optional[Trace] = None,
     ) -> DlaOutcome:
         """Run consecutive trace segments, each under its own skeleton.
 
@@ -197,7 +183,7 @@ class DlaSystem:
         state = self._fresh_state()
         if warmup_entries:
             self._warm(state, warmup_entries)
-        segments = [self._run_segment(state, Trace.of(window), skeleton)
+        segments = [self._run_segment(state, window, skeleton)
                     for window, skeleton in plan]
         return self._finalize(state, segments)
 
@@ -205,7 +191,7 @@ class DlaSystem:
     # internal machinery
     # ------------------------------------------------------------------
     @staticmethod
-    def _warm(state: "_State", warmup_entries: Window) -> None:
+    def _warm(state: "_State", warmup_entries: Trace) -> None:
         from repro.core.system import warm_memory_systems
 
         # One group call: the two cores' post-warm state (including the

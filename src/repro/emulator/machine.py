@@ -249,7 +249,7 @@ class Emulator:
                 f"program {self.program.name!r} did not halt within "
                 f"{max_instructions} instructions"
             )
-        return Trace(self.program, completed=self.halted, columns=columns)
+        return Trace(self.program, columns, self.halted)
 
     def _run_python(self, max_instructions: int) -> TraceColumns:
         columns = TraceColumns.empty()

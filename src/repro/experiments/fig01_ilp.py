@@ -52,7 +52,7 @@ def run(runner: Optional[ExperimentRunner] = None,
     ratios: Dict[int, List[float]] = {w: [] for w in WINDOWS}
     for name in workloads:
         setup = runner.setup(name)
-        result = measure_implicit_parallelism(setup.timed, WINDOWS, runner.system_config)
+        result = measure_implicit_parallelism(setup.timed_trace, WINDOWS, runner.system_config)
         row: Dict[str, object] = {"workload": name}
         for window in WINDOWS:
             row[f"ideal:{window}"] = result.ideal[window]

@@ -34,7 +34,7 @@ from repro.core.system import SimulationOutcome, simulate_baseline
 from repro.dla.config import DlaConfig
 from repro.dla.profiling import ProgramProfile, profile_workload
 from repro.dla.system import DlaOutcome, DlaSystem
-from repro.emulator.trace import DynamicInst, Trace
+from repro.emulator.trace import Trace
 from repro.experiments.cache import ResultDiskCache, disk_cache_enabled, salted_key
 from repro.experiments.fingerprint import fingerprint
 from repro.isa.program import Program
@@ -63,8 +63,6 @@ class WorkloadSetup:
     them down as such: the compiled path, the warm-up memo and the decoded
     and look-ahead memos read their columns and content keys, so a setup
     builds no :class:`DynamicInst` unless the reference interpreter runs.
-    ``warmup`` and ``timed`` are the windows' entry lists, for object-level
-    consumers: built on first access, then kept.
     """
 
     workload: Workload
@@ -83,19 +81,11 @@ class WorkloadSetup:
         so a setup holds its windows' rows and never ``trace``'s."""
         columns = trace.columns
         return cls(workload, program,
-                   Trace(program, completed=trace.completed,
-                         columns=columns.rows(0, warmup_length)),
-                   Trace(program, completed=trace.completed,
-                         columns=columns.rows(warmup_length, len(columns))),
+                   Trace(program, columns.rows(0, warmup_length),
+                         trace.completed),
+                   Trace(program, columns.rows(warmup_length, len(columns)),
+                         trace.completed),
                    profile)
-
-    @property
-    def warmup(self) -> List[DynamicInst]:
-        return self.warmup_trace.entries
-
-    @property
-    def timed(self) -> List[DynamicInst]:
-        return self.timed_trace.entries
 
     @property
     def name(self) -> str:
@@ -350,7 +340,7 @@ class ExperimentRunner:
             if stored is not None:
                 program, columns, profile = stored
                 setup = WorkloadSetup.split(
-                    workload, program, Trace(program, columns=columns),
+                    workload, program, Trace(program, columns),
                     self.warmup_instructions, profile)
                 _setup_cache_stats["disk_hits"] += 1
                 _setup_cache_put(key, setup)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.reporting import format_table
-from repro.core.energy import EnergyModel
 from repro.dla.config import DlaConfig
 from repro.experiments.runner import ExperimentRunner
 from repro.util.stats_math import geometric_mean

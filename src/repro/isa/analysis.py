@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
-from repro.isa.instructions import Instruction
 from repro.isa.program import BasicBlock, Program
-from repro.isa.registers import NUM_REGISTERS, ZERO_REGISTER
+from repro.isa.registers import ZERO_REGISTER
 
 
 def build_basic_blocks(program: Program) -> List[BasicBlock]:
@@ -173,18 +172,3 @@ class StaticAnalysis:
             blocks=tuple(build_basic_blocks(program)),
             chains=def_use_chains(program),
         )
-
-    def block_of(self, pc: int) -> BasicBlock:
-        for block in self.blocks:
-            if pc in block:
-                return block
-        raise ValueError(f"pc {pc} not inside any basic block")
-
-    @property
-    def register_pressure(self) -> Dict[int, int]:
-        """Number of static writers per register (rough pressure metric)."""
-        writers: Dict[int, int] = {r: 0 for r in range(NUM_REGISTERS)}
-        for inst in self.program:
-            if inst.writes_register:
-                writers[inst.dst] += 1
-        return writers

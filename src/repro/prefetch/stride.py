@@ -12,7 +12,7 @@ than T1.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.prefetch.base import Prefetcher, PrefetchRequest

@@ -55,7 +55,7 @@ import json
 import os
 import time
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional
 

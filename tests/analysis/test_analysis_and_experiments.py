@@ -87,7 +87,7 @@ def test_runner_caches_setups_and_baselines():
     baseline_a = runner.baseline(setup_a)
     baseline_b = runner.baseline(setup_a)
     assert baseline_a is baseline_b
-    assert len(setup_a.timed) == 2000
+    assert len(setup_a.timed_trace) == 2000
 
 
 def test_runner_prefetcher_config_helpers():

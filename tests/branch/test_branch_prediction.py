@@ -7,7 +7,6 @@ from repro.branch.predictors import (
     BimodalPredictor,
     GsharePredictor,
     TageLitePredictor,
-    TournamentPredictor,
     make_predictor,
 )
 from repro.branch.ras import ReturnAddressStack

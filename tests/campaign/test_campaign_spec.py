@@ -6,7 +6,6 @@ import pytest
 
 from repro.campaign.registry import get_campaign, list_campaigns
 from repro.campaign.spec import CampaignSpec, ConfigVariant, SpecError, variants
-from repro.core.config import SystemConfig
 from repro.dla.config import DlaConfig
 from repro.experiments.fingerprint import fingerprint
 from repro.experiments.runner import ExperimentRunner

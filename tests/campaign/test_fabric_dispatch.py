@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 
 import pytest
 

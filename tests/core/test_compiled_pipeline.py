@@ -65,10 +65,18 @@ from repro.dla.profiling import profile_workload
 from repro.dla.smt import simulate_smt_modes
 from repro.dla.system import DlaSystem
 from repro.emulator.machine import Emulator
-from repro.emulator.trace import DynamicInst, Trace
+from repro.emulator.trace import (
+    HAS_EA,
+    HAS_RESULT,
+    IS_CONTROL,
+    TAKEN,
+    Trace,
+    TraceColumns,
+)
 from repro.experiments.memsys_sweep import MEMSYS_MACHINES, machine_config
 from repro.experiments.runner import ExperimentRunner
 from repro.isa.instructions import Instruction, Opcode
+from repro.isa.program import Program
 from repro.memory.cache import Cache
 from repro.util.rng import DeterministicRng
 from repro.workloads.kernels import build_kernel
@@ -280,16 +288,24 @@ def _profile_form(profile):
             list(profile.loop_branch_pcs), profile.dynamic_instructions]
 
 
+def _joined(*windows):
+    """One trace (its own root) of the rows of consecutive ``windows``."""
+    columns = TraceColumns.empty(windows[0].columns.seq0)
+    for window in windows:
+        for name in ("pc", "ea", "result", "flags", "next_pc"):
+            getattr(columns, name).extend(getattr(window.columns, name))
+    return Trace(windows[0].program, columns)
+
+
 def test_profile_workload_compiled_matches_reference(monkeypatch):
     """The kernel's profiling passes leave the reference's profile, type-
-    and order-strictly, over an entry-list training trace and over the
-    setup's own column windows."""
+    and order-strictly, over a training trace that runs on into the timed
+    window and over the setup's own warm-up window."""
     runner = ExperimentRunner(quick=True, disk_cache=False)
     for name in runner.workload_names:
         setup = runner.setup(name)
-        entry_list = Trace(setup.program, setup.warmup + setup.timed[:4000],
-                           completed=False)
-        for training in (entry_list, setup.warmup_trace):
+        longer = _joined(setup.warmup_trace, setup.timed_trace.window(0, 4000))
+        for training in (longer, setup.warmup_trace):
 
             def profile():
                 return profile_workload(
@@ -313,14 +329,14 @@ def test_profile_workload_of_an_empty_window(prepared, monkeypatch, fast):
     statistics: an empty timing run returns empty timings on both paths."""
     program, warmup, _, _, config = prepared["stream"]
     (_fast if fast else _reference)(monkeypatch)
-    for empty in (Trace(program, []), Trace(program, warmup).window(10, 0)):
+    for empty in (Trace(program, TraceColumns.empty()), warmup.window(10, 0)):
         assert not len(empty)
         timings = OutOfOrderCore(config.core, build_single_core(config)[1]).run(
             empty, collect_timings=True).timings
         assert isinstance(timings, InstructionTimings) and not len(timings)
         profile = profile_workload(program, empty, config)
         assert _profile_form(profile) == [[], [], [], [], [], [], 0]
-    untimed = profile_workload(program, Trace(program, warmup[:800]), config,
+    untimed = profile_workload(program, warmup.window(0, 800), config,
                                timing_window=0)
     assert untimed.instruction_counts and untimed.dispatch_to_execute == {}
 
@@ -338,11 +354,10 @@ def _columns_form(columns):
 
 def test_native_gather_and_selection_match_the_reference(monkeypatch):
     """On every quick workload's timed window and its default skeleton:
-    the kernel's selection has the filtered entry list's columns (seqs
-    included) and builds those entries; its decode gather equals the
-    reference gather, and the decode of the filtered entry list."""
+    the kernel's selection has the Python selection's columns (seqs
+    included) and builds the filtered entries; its decode gather equals
+    the reference gather."""
     from repro.core.compile.decoded import _gather, decode_trace, static_table
-    from repro.emulator.trace import TraceColumns
 
     if not kernel_available():
         pytest.skip("no C compiler / kernel build failed: nothing to compare")
@@ -352,25 +367,24 @@ def test_native_gather_and_selection_match_the_reference(monkeypatch):
         window = setup.timed_trace
         pcs = DlaSystem(setup.program, runner.system_config,
                         profile=setup.profile).default_skeleton().included_pcs
+        _reference(monkeypatch)
+        reference = window.select(pcs)
         _fast(monkeypatch)
         selection = window.select(pcs)
-        filtered = [entry for entry in window.entries
-                    if entry.static.pc in pcs]
         assert _columns_form(selection.columns) == _columns_form(
-            TraceColumns.from_entries(filtered))
-        assert selection.entries == filtered
+            reference.columns), name
+        assert selection.entries == [e for e in window.entries
+                                     if e.static.pc in pcs]
         for rows in (window, selection):
-            decoded = _decoded_form(decode_trace(rows))
-            assert decoded == _decoded_form(
-                _gather(static_table(rows.statics), rows.columns)), name
-            assert decoded == _decoded_form(decode_trace(list(rows.entries)))
+            assert _decoded_form(decode_trace(rows)) == _decoded_form(
+                _gather(static_table(rows.program), rows.columns)), name
 
 
 def test_profile_timing_pass_runs_compiled(prepared, monkeypatch):
     if not kernel_available():
         pytest.skip("no C compiler / kernel build failed: fast path inert")
     program, warmup, timed, _, config = prepared["branchy"]
-    training = Trace(program, warmup + timed, completed=False)
+    training = _joined(warmup, timed)
     _fast(monkeypatch)
     before = compiled_ticks_total()
     profile_workload(program, training, config, run_timing=True,
@@ -382,11 +396,11 @@ def test_profile_timing_pass_runs_compiled(prepared, monkeypatch):
 def test_timing_runs_do_not_retain_decoded_windows(prepared, monkeypatch):
     """One-shot profiling windows must not pin rows in the decode memo."""
     program, warmup, timed, _, config = prepared["stream"]
-    training = Trace(program, warmup + timed, completed=False)
+    training = _joined(warmup, timed)
     _fast(monkeypatch)
     before = decoded_cache_stats()
     profile_workload(program, training, config, timing_window=2000)
-    empirical_distributions(timed[:1500], config)
+    empirical_distributions(timed.window(0, 1500), config)
     assert decoded_cache_stats() == before
 
 
@@ -587,8 +601,8 @@ def test_store_hits_on_clean_lines_match_reference(monkeypatch):
     (and the writebacks it causes) exactly as ``Cache.lookup`` does."""
     program = build_kernel("histogram", samples=1500, buckets=2048,
                            rng=DeterministicRng(15), name="ab-histogram")
-    entries = Emulator(program).run(max_instructions=9000).entries
-    warmup, timed = entries[:3000], entries[3000:]
+    trace = Emulator(program).run(max_instructions=9000)
+    warmup, timed = trace.window(0, 3000), trace.window(3000, len(trace))
     config = _harness.SYSTEM_PROFILES["contended"]()
 
     def view():
@@ -890,7 +904,7 @@ def _stencil():
     profile = profile_workload(program, trace.window(0, 4000), config,
                                timing_window=2000)
     assert len(profile.strided_pcs()) == 3
-    return (program, trace.entries[:2000], trace.entries[2000:6000], profile,
+    return (program, trace.window(0, 2000), trace.window(2000, 4000), profile,
             config)
 
 
@@ -1113,7 +1127,8 @@ def test_native_verdict_draws_match_python(prepared, monkeypatch, stream):
     from repro.dla.hints import LookaheadProducts
 
     rng = random.Random(zlib.crc32(f"draws-{stream}".encode()))
-    entries = list(prepared[("branchy", "stream")[stream % 2]][2])
+    window = prepared[("branchy", "stream")[stream % 2]][2]
+    entries = window.entries
     pcs = sorted({entry.static.pc for entry in entries})
     branch_pcs = sorted({entry.static.pc for entry in entries
                          if entry.static.is_branch})
@@ -1140,7 +1155,7 @@ def test_native_verdict_draws_match_python(prepared, monkeypatch, stream):
         generator = DeterministicRng(stream)
         for _ in range(skip):
             generator.random()
-        products = LookaheadProducts(entries, commits, [])
+        products = LookaheadProducts(window, commits, [])
         unit = _hint_source(products, dla_config, risky, biased, direction,
                             generator).unit
         return ((unit.branch_seqs, unit.branch_correct, unit.value_seqs,
@@ -1177,19 +1192,31 @@ _CHAIN = [Instruction(pc=k, opcode=Opcode.DIV, dst=1, srcs=(1, 2))
           for k in range(8)]
 _LOADS = {pc: Instruction(pc=pc, opcode=Opcode.LOAD, dst=3, srcs=(4,))
           for pc in (8, 9, 10)}
+_T1_PROGRAM = Program(_CHAIN + list(_LOADS.values()))
+
+
+def _hand_trace(program, rows):
+    """A trace over ``program`` of hand-built ``(pc, address, taken)``
+    rows (``None`` where the row has none); every row writes 0 and falls
+    through to ``pc + 1``."""
+    columns = TraceColumns.empty()
+    for pc, address, taken in rows:
+        columns.pc.append(pc)
+        columns.ea.append(address or 0)
+        columns.result.append(0)
+        columns.flags.append(
+            HAS_RESULT | (0 if address is None else HAS_EA)
+            | (0 if taken is None else IS_CONTROL | (TAKEN if taken else 0)))
+        columns.next_pc.append(pc + 1)
+    return Trace(program, columns)
 
 
 def _t1_stream(loads):
-    """The entries of one chunk: one chain per ``(pc, address)`` load."""
-    entries = []
-    for pc, address in loads:
-        for static in _CHAIN:
-            entries.append(DynamicInst(len(entries), static, result=0,
-                                       next_pc=static.pc + 1))
-        entries.append(DynamicInst(len(entries), _LOADS[pc], result=0,
-                                   effective_address=address,
-                                   next_pc=pc + 1))
-    return entries
+    """The trace of one chunk: one chain per ``(pc, address)`` load."""
+    return _hand_trace(_T1_PROGRAM, [
+        row for pc, address in loads
+        for row in [(static.pc, None, None) for static in _CHAIN]
+        + [(pc, address, None)]])
 
 
 def _strided(pc, start, stride, count):
@@ -1287,7 +1314,8 @@ def test_native_verdict_draws_form_floats_like_random(prepared, monkeypatch,
 
     from repro.dla.hints import LookaheadProducts
 
-    entries = list(prepared["branchy"][2])
+    window = prepared["branchy"][2]
+    entries = window.entries
     commits = CommitLog(pcs=tuple(sorted({e.static.pc for e in entries})))
     commits.fill(entries, [0.0] * len(entries))
     commits.branch_index, commits.branch_times = array("q"), array("d")
@@ -1296,7 +1324,7 @@ def test_native_verdict_draws_form_floats_like_random(prepared, monkeypatch,
         dla_config = replace(DlaConfig().r3(), value_error_rate=rate)
 
         def first_verdict():
-            products = LookaheadProducts(entries, commits, [])
+            products = LookaheadProducts(window, commits, [])
             return _hint_source(products, dla_config, set(), set(), {},
                                 DeterministicRng(seed)).unit.value_verdicts[0]
 
@@ -1427,25 +1455,16 @@ _BRANCH = Instruction(pc=0, opcode=Opcode.BNEZ, srcs=(5,), target=1)
 _STREAM_LOADS = [Instruction(pc=pc, opcode=Opcode.LOAD, dst=3, srcs=(4,))
                  for pc in (1, 2, 3)]
 _FILLER = Instruction(pc=4, opcode=Opcode.ADD, dst=6, srcs=(6, 7))
+_STREAM_PROGRAM = Program([_BRANCH, *_STREAM_LOADS, _FILLER])
 
 
 def _fetch_stream(items):
-    """Entries of ``items``: ``True``/``False`` is the branch taken or not,
-    ``(pc, address)`` a load, and a filler add follows each item."""
-    entries = []
-
-    def emit(static, **fields):
-        entries.append(DynamicInst(len(entries), static, result=0,
-                                   next_pc=static.pc + 1, **fields))
-
-    for item in items:
-        if isinstance(item, bool):
-            emit(_BRANCH, taken=item)
-        else:
-            pc, address = item
-            emit(_STREAM_LOADS[pc - 1], effective_address=address)
-        emit(_FILLER)
-    return entries
+    """The trace of ``items``: ``True``/``False`` is the branch taken or
+    not, ``(pc, address)`` a load, and a filler add follows each item."""
+    return _hand_trace(_STREAM_PROGRAM, [
+        row for item in items
+        for row in ((_BRANCH.pc, None, item) if isinstance(item, bool)
+                    else (*item, None), (_FILLER.pc, None, None))])
 
 
 def _loop(pc, start, stride, count, taken=True):

@@ -178,8 +178,8 @@ def prepare_kernels():
                                    config, timing_window=2000)
         out[name] = (
             program,
-            trace.entries[:WARMUP],
-            trace.entries[WARMUP:WARMUP + TIMED],
+            trace.window(0, WARMUP),
+            trace.window(WARMUP, TIMED),
             profile,
             config,
         )

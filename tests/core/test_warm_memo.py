@@ -125,18 +125,6 @@ def test_eviction_keeps_replay_inputs_of_the_incoming_window(warm_entries):
         assert window.key in memo._inputs                  # still held
 
 
-def test_an_entry_list_is_keyed_afresh(warm_entries):
-    """An entry list has no content key of its own: each call replays, and
-    the restore path never serves it another list's snapshot."""
-    memo = WarmupMemo()
-    config = SystemConfig()
-    entries = warm_entries.entries[:200]
-    for _ in range(2):
-        _, private, _ = build_single_core(config)
-        memo.warm((private,), entries)
-    assert memo.replays == 2 and memo.restores == 0
-
-
 def test_group_warm_requires_shared_system(warm_entries):
     config = SystemConfig()
     _, private_a, _ = build_single_core(config)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dla.analytic import FetchBufferModel
 from repro.dla.config import DlaConfig
-from repro.dla.profiling import profile_workload
 from repro.dla.queues import (
     BranchOutcomeQueue,
     FootnoteKind,
@@ -311,7 +310,7 @@ def test_recycle_controller_segments_trace_by_loop(stream_profile, stream_trace,
     versions = build_skeleton_versions(builder, enable_t1=True)
     config = DlaConfig(loop_unit_min_instructions=500)
     controller = RecycleController(versions, config, stream_profile.loop_branch_pcs)
-    units = controller.segment_into_loop_units(stream_trace.entries[:6000])
+    units = controller.segment_into_loop_units(stream_trace.window(0, 6000))
     assert units
     assert units[0].start == 0
     assert units[-1].end == 6000

@@ -16,7 +16,7 @@ TIMED = 5000
 
 
 def _windows(trace):
-    return trace.entries[:WARM], trace.entries[WARM:WARM + TIMED]
+    return trace.window(0, WARM), trace.window(WARM, TIMED)
 
 
 @pytest.fixture(scope="module")

@@ -30,30 +30,30 @@ def _controller(versions, config, setup):
 def test_sampled_plan_still_covers_whole_trace(setup_and_system):
     setup, system, versions, config = setup_and_system
     controller = _controller(versions, config, setup)
-    plan = controller.plan(system, setup.timed, search_unit_limit=1)
-    assert sum(len(seg) for seg, _ in plan.segments) == len(setup.timed)
+    plan = controller.plan(system, setup.timed_trace, search_unit_limit=1)
+    assert sum(len(seg) for seg, _ in plan.segments) == len(setup.timed_trace)
     assert abs(sum(plan.version_distribution.values()) - 1.0) < 1e-9
 
 
 def test_limit_zero_pins_every_loop_to_default_version(setup_and_system):
     setup, system, versions, config = setup_and_system
     controller = _controller(versions, config, setup)
-    plan = controller.plan(system, setup.timed, dynamic=True,
+    plan = controller.plan(system, setup.timed_trace, dynamic=True,
                            search_unit_limit=0)
     assert set(plan.chosen_versions) == {0}
     assert len(controller.lct) == 0                    # nothing was tuned
     # No dynamic trial slices either: one segment per loop unit.
-    assert sum(len(seg) for seg, _ in plan.segments) == len(setup.timed)
+    assert sum(len(seg) for seg, _ in plan.segments) == len(setup.timed_trace)
     assert plan.version_distribution == {0: 1.0}
 
 
 def test_sampling_bounds_tuned_loops(setup_and_system):
     setup, system, versions, config = setup_and_system
     controller = _controller(versions, config, setup)
-    plan = controller.plan(system, setup.timed, search_unit_limit=1)
+    plan = controller.plan(system, setup.timed_trace, search_unit_limit=1)
     assert len(controller.lct) <= 1
     unsampled = _controller(versions, config, setup)
-    full_plan = unsampled.plan(system, setup.timed)
+    full_plan = unsampled.plan(system, setup.timed_trace)
     # Same unit structure either way.
     assert len(plan.chosen_versions) == len(full_plan.chosen_versions)
 

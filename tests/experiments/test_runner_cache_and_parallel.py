@@ -351,8 +351,8 @@ def test_auxiliary_simulations_cached(tmp_path, monkeypatch):
 
     def simulate():
         calls["n"] += 1
-        return simulate_bfetch(setup.timed, runner.system_config,
-                               warmup_entries=setup.warmup)
+        return simulate_bfetch(setup.timed_trace, runner.system_config,
+                               warmup_entries=setup.warmup_trace)
 
     first = runner.auxiliary(setup, "bfetch", simulate)
     second = runner.auxiliary(setup, "bfetch", simulate)
@@ -437,13 +437,15 @@ def test_setup_disk_entry_pickles_columns_and_loads_lazily(tmp_path, monkeypatch
     second.baseline(loaded, "bl-nopf", second.no_prefetch_config())
     assert builds["n"] == (0 if kernel_available() else 2)
     # Object consumers build each window's list once, then keep it.
-    assert loaded.timed is loaded.timed and loaded.warmup is loaded.warmup
+    warmup, timed = loaded.warmup_trace, loaded.timed_trace
+    assert timed.entries is timed.entries and warmup.entries is warmup.entries
     assert builds["n"] == 2
-    assert loaded.timed == built.timed and loaded.warmup == built.warmup
-    assert loaded.timed[0].seq == len(loaded.warmup) == WINDOW["warmup_instructions"]
+    assert timed.entries == built.timed_trace.entries
+    assert warmup.entries == built.warmup_trace.entries
+    assert timed[0].seq == len(warmup) == WINDOW["warmup_instructions"]
     program = loaded.program
     assert all(entry.static is program[entry.pc]
-               for entry in loaded.warmup + loaded.timed)
+               for entry in warmup.entries + timed.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Tests for basic blocks, def-use chains and backward slicing."""
 
 from repro.isa.analysis import (
-    StaticAnalysis,
     backward_slice,
     build_basic_blocks,
     def_use_chains,
@@ -38,8 +37,7 @@ def test_basic_blocks_cover_program_without_overlap():
 def test_loop_block_has_backedge_successor():
     program = _loop_program()
     blocks = build_basic_blocks(program)
-    analysis = StaticAnalysis.analyze(program)
-    loop_block = analysis.block_of(8)
+    loop_block = next(block for block in blocks if 8 in block)
     successor_starts = {blocks[s].start for s in loop_block.successors}
     assert 3 in successor_starts          # back edge to the loop body
     assert 9 in successor_starts          # fall-through to halt
@@ -84,11 +82,3 @@ def test_store_load_dependence_respects_distance_limit():
     assert 2 in with_dependence
     without = backward_slice(program, [4], max_store_load_distance=0)
     assert 2 not in without
-
-
-def test_register_pressure_counts_writers():
-    program = _loop_program()
-    analysis = StaticAnalysis.analyze(program)
-    pressure = analysis.register_pressure
-    assert pressure[10] == 2              # init plus increment
-    assert pressure[1] == 2

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.core.system import simulate_baseline
+from repro.core import system
+from repro.core.system import simulate_baseline, warm_memo_stats
 from repro.memory.cache import Cache, CacheConfig, MshrFile
 from repro.memory.hierarchy import CoreMemorySystem, SharedMemorySystem
 from repro.workloads.suites import get_workload
@@ -254,11 +255,18 @@ def test_dropped_l1_prefetch_generates_no_downstream_traffic():
 @pytest.fixture(scope="module")
 def mcf_windows():
     trace = get_workload("mcf").trace(9000)
-    return trace.entries[:4000], trace.entries[4000:8000]
+    return trace.window(0, 4000), trace.window(4000, 4000)
+
+
+LEVELS = ("l1i", "l1d", "l2", "l3")
+
+
+def _mshr(outcome):
+    return {level: outcome.memsys[level]["mshr"] for level in LEVELS}
 
 
 def _total_stall_cycles(outcome):
-    return sum(level["stall_cycles"] for level in outcome.mshr.values())
+    return sum(mshr["stall_cycles"] for mshr in _mshr(outcome).values())
 
 
 def test_mshr_stall_cycles_live_under_tiny_file(mcf_windows):
@@ -291,9 +299,12 @@ def test_warm_memo_replay_and_restore_agree_with_bounded_mshrs(mcf_windows):
     the first call replays the warmup, the second restores the snapshot."""
     warm, timed = mcf_windows
     config = SystemConfig().with_mshr_entries(4)
+    system._WARM_MEMO.clear()
     first = simulate_baseline(timed, config, warmup_entries=warm)
+    stats = warm_memo_stats()
     second = simulate_baseline(timed, config, warmup_entries=warm)
+    assert warm_memo_stats()["warm_restores"] == stats["warm_restores"] + 1
     assert first.cycles == second.cycles
     assert first.core.l1d_misses == second.core.l1d_misses
     assert first.memory_traffic == second.memory_traffic
-    assert first.mshr == second.mshr
+    assert _mshr(first) == _mshr(second)

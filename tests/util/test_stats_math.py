@@ -1,7 +1,5 @@
 """Tests for the aggregate statistics helpers."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 

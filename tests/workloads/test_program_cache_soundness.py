@@ -26,8 +26,6 @@ import sys
 import zlib
 from pathlib import Path
 
-import pytest
-
 from repro.util.rng import DeterministicRng
 from repro.workloads.kernels import build_kernel
 from repro.workloads.suites import get_workload
@@ -95,7 +93,7 @@ out = {{
 }}
 if use_disk:
     setup = runner.setup({WORKLOAD!r})
-    out["timed_trace"] = trace_digest(setup.timed)
+    out["timed_trace"] = trace_digest(setup.timed_trace.entries)
     out["stats"] = setup_cache_stats()
 print(json.dumps(out))
 """
