@@ -474,12 +474,21 @@ class CampaignScheduler:
                 ready = [key for key in open_cells
                          if record_retry_ready(records.get(key))]
                 claimed = ready
+                finished_elsewhere: List[str] = []
                 if leases is not None and ready:
                     limit = leases.batch_size
                     if leases.max_cells is not None:
                         limit = min(limit, leases.max_cells - claimed_total)
                     claimed = self.store.claim_cells(
                         ready, owner, ttl=leases.ttl, limit=limit)
+                    # ``ready`` was screened last round: another worker may
+                    # have finished (and released) a cell since.  Hand such
+                    # cells back uncounted.
+                    fresh = self.runner.screen(
+                        [requests_by_key[key] for key in claimed], keys=claimed)
+                    finished_elsewhere = [key for key in claimed if fresh[key]]
+                    self.store.release_leases(finished_elsewhere, owner)
+                    claimed = [key for key in claimed if not fresh[key]]
                     for key in claimed:
                         self._emit("cell.claimed", key=key,
                                    workload=requests_by_key[key].workload,
@@ -497,7 +506,7 @@ class CampaignScheduler:
                     time.sleep(max(0.0, min(
                         float(records[key]["retry_at"]) for key in open_cells
                     ) - time.time()))
-                else:
+                elif not finished_elsewhere:
                     # Leased to other live workers or backing off: poll.
                     if not waiting_logged:
                         self.progress(

@@ -362,7 +362,7 @@ num_of(merr_t *e, PyObject *o)
 /* The last object num_obj built per type: a time is usually stored in
  * several places in a row (a line's fill and last use, one cycle's
  * accesses), and sharing one object, as Python assignments do, keeps the
- * lists (and the warm-memo snapshots of them) as small as the model's. */
+ * lists as small as the model's. */
 static PyObject *recent_obj[2];
 static double recent_val[2];
 

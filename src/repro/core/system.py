@@ -3,6 +3,9 @@
 This module wires a workload trace, a memory hierarchy, prefetchers and one
 out-of-order core together — the configuration every DLA variant is compared
 against.  The DLA system (two cores plus queues) lives in :mod:`repro.dla`.
+It also warms the memory systems every simulation builds: each warm-up
+replays its window's memory accesses into the fresh hierarchy
+(:func:`warm_memory_systems`).
 """
 
 from __future__ import annotations
@@ -86,107 +89,54 @@ def _replay_warmup(memory: CoreMemorySystem, window: Trace,
 
 
 class WarmupMemo:
-    """Replays each warmup window once per (trace, cache geometry) and
-    restores post-warm snapshots thereafter.
+    """Warms memory groups by replaying their warm-up window, keeping each
+    window's decoded replay arrays.
 
-    Every simulation of one workload replays the same warmup window into a
-    freshly-built memory system (~21 times per workload across the quick
-    experiment matrix).  The post-warm state is fully determined by the
-    warmup window's rows, the hierarchy geometry, the group of cores being
-    warmed (order and look-ahead modes) and the replay pacing — so the
-    first warm records a snapshot and every later structurally-identical
-    warm restores it instead of replaying.
-
-    Soundness requirements (all call sites satisfy them):
-
-    * the memory systems are freshly constructed (pre-warm state is the
-      canonical empty state);
-    * every memory in a group shares one :class:`SharedMemorySystem`, and a
-      multi-core warm always goes through one group call so the combined
-      shared-level state is captured and restored atomically;
-    * trace columns are never mutated.  Groups are keyed by the warm-up
-      window's content key (:attr:`~repro.emulator.trace.Trace.key`: its
-      root columns, which the key holds, and row range), so every window
-      cut from one trace at one range shares a snapshot.
+    Every warm replays: natively (:func:`repro.core.compile.replay_compiled`)
+    with the kernel and a stock hierarchy, else through the Python loop in
+    :func:`_replay_warmup`.  A native replay of an 8k-instruction window
+    takes about a millisecond, less than copying the warmed state out and
+    back would, so no post-warm state is kept.  What every geometry
+    replaying one window shares is its decode: the replay arrays are
+    memoised per window content key (:attr:`~repro.emulator.trace.Trace.key`,
+    which holds the window's root columns), in a FIFO of ``max_windows``.
     """
 
-    #: Bound on retained snapshots: enough for a full-eval campaign (34
-    #: workloads x a few warm groups) while capping memory in long-lived
-    #: processes that keep constructing fresh runners/trace windows.
-    MAX_SNAPSHOTS = 256
+    #: Bound on memoised windows: enough for a full-eval campaign (34
+    #: workloads, one warm-up window each, plus tests' cuts) while capping
+    #: memory in long-lived processes that keep cutting fresh windows.
+    MAX_WINDOWS = 256
 
-    def __init__(self, max_snapshots: int = MAX_SNAPSHOTS) -> None:
-        self._snapshots: Dict[tuple, tuple] = {}
-        #: Kernel replay arrays per warm-up window key (every geometry
-        #: replaying one window decodes it once).
+    def __init__(self, max_windows: int = MAX_WINDOWS) -> None:
         self._inputs: Dict[tuple, tuple] = {}
-        self.max_snapshots = max_snapshots
+        self.max_windows = max_windows
         self.replays = 0
-        self.restores = 0
-
-    def _key(self, memories: Tuple[CoreMemorySystem, ...], window_key: tuple,
-             cycles_per_access: int) -> tuple:
-        from repro.experiments.fingerprint import fingerprint
-
-        geometry = fingerprint(
-            [memory.config for memory in memories],
-            [memory.lookahead_mode for memory in memories],
-        )
-        return window_key, geometry, cycles_per_access
 
     def warm(self, memories: Tuple[CoreMemorySystem, ...], window: Trace,
              cycles_per_access: int = 2) -> None:
         shared = memories[0].shared
         if any(memory.shared is not shared for memory in memories):
             raise ValueError("a warm group must share one SharedMemorySystem")
-        key = self._key(memories, window.key, cycles_per_access)
-        snapshot = self._snapshots.get(key)
-        if snapshot is None:
-            inputs = self._replay_inputs(key[0], window)
-            for memory in memories:
-                _replay_warmup(memory, window, cycles_per_access, inputs)
-            self.replays += 1
-            self._evict_to_fit(key)
-            self._snapshots[key] = (
-                shared.snapshot_state(),
-                tuple(memory.snapshot_state() for memory in memories),
-            )
-            return
-        shared_state, memory_states = snapshot
-        shared.restore_state(shared_state)
-        for memory, state in zip(memories, memory_states):
-            memory.restore_state(state)
-        self.restores += 1
+        inputs = self._replay_inputs(window)
+        for memory in memories:
+            _replay_warmup(memory, window, cycles_per_access, inputs)
+        self.replays += 1
 
-    def _replay_inputs(self, window_key: tuple, window: Trace):
+    def _replay_inputs(self, window: Trace):
         from repro.core.compile import kernel_available
         from repro.core.compile.decoded import replay_inputs
 
         if not kernel_available():
             return None
-        inputs = self._inputs.get(window_key)
+        key = window.key
+        inputs = self._inputs.get(key)
         if inputs is None:
-            inputs = self._inputs[window_key] = replay_inputs(window)
+            while len(self._inputs) >= self.max_windows:
+                del self._inputs[next(iter(self._inputs))]
+            inputs = self._inputs[key] = replay_inputs(window)
         return inputs
 
-    def _evict_to_fit(self, incoming_key: tuple) -> None:
-        """Drop oldest snapshots (FIFO) so the memo stays bounded.
-
-        A window's replay arrays go once *no* snapshot uses its window any
-        more, ``incoming_key``'s (about to be inserted) included.
-        """
-        incoming_window = incoming_key[0]
-        while len(self._snapshots) >= self.max_snapshots:
-            victim_key = next(iter(self._snapshots))
-            del self._snapshots[victim_key]
-            window = victim_key[0]
-            if window != incoming_window and not any(
-                key[0] == window for key in self._snapshots
-            ):
-                self._inputs.pop(window, None)
-
     def clear(self) -> None:
-        self._snapshots.clear()
         self._inputs.clear()
 
 
@@ -195,18 +145,20 @@ _WARM_MEMO = WarmupMemo()
 
 
 def warm_memo_stats() -> Dict[str, int]:
-    """Replay/restore counters of the process-wide warmed-memory memo."""
-    return {"warm_replays": _WARM_MEMO.replays, "warm_restores": _WARM_MEMO.restores}
+    """Replay counter of the process-wide warm-up memo.
+
+    ``warm_restores`` is always 0, since every warm-up replays; the key
+    stays because perfbench reads it for its per-layer table.
+    """
+    return {"warm_replays": _WARM_MEMO.replays, "warm_restores": 0}
 
 
 def warm_memory_systems(memories: Sequence[CoreMemorySystem], window: Trace,
                         cycles_per_access: int = 2) -> None:
     """Warm a group of freshly-built cores sharing one shared system.
 
-    The group warms in list order (order matters: earlier cores' misses
-    populate the shared L3 the later cores then hit).  The memo snapshots
-    and restores the whole group's post-warm state — private levels and the
-    shared system — as a unit.
+    The group replays in list order (order matters: earlier cores' misses
+    populate the shared L3 the later cores then hit).
     """
     if not window:
         return
@@ -214,9 +166,7 @@ def warm_memory_systems(memories: Sequence[CoreMemorySystem], window: Trace,
     # The timed region restarts the clock at 0 while warm replay ran on its
     # own (much later) cycle numbers: quiesce every contention resource
     # (MSHR files, write buffers, DRAM queues) so the warm window's
-    # in-flight completion times cannot stall the timed region.  The
-    # drain runs after both the replay and the restore path, so warm-vs-cold
-    # outcomes stay bit-identical.
+    # in-flight completion times cannot stall the timed region.
     for memory in memories:
         memory.drain_mshrs()
     memories[0].shared.drain_mshrs()
@@ -224,7 +174,7 @@ def warm_memory_systems(memories: Sequence[CoreMemorySystem], window: Trace,
 
 def warm_memory_system(memory: CoreMemorySystem, window: Trace,
                        cycles_per_access: int = 2) -> None:
-    """Warm one core's caches/TLB (memoized; see :class:`WarmupMemo`)."""
+    """Warm one core's caches/TLB (see :class:`WarmupMemo`)."""
     warm_memory_systems((memory,), window, cycles_per_access)
 
 

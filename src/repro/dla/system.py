@@ -194,8 +194,8 @@ class DlaSystem:
     def _warm(state: "_State", warmup_entries: Trace) -> None:
         from repro.core.system import warm_memory_systems
 
-        # One group call: the two cores' post-warm state (including the
-        # shared L3/DRAM both warms touch) is memoized/restored as a unit.
+        # One group call, main core first: the look-ahead core's replay
+        # then sees the shared L3/DRAM the main core's replay filled.
         warm_memory_systems((state.mt_memory, state.lt_memory), warmup_entries)
 
     @dataclass

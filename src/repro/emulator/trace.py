@@ -7,7 +7,7 @@ recycle segmentation and profiling all work on the columns.  A
 :class:`Trace` names its rows by content: :attr:`Trace.key` is ``(root
 columns, lo, hi, selected PCs)``, which windows and selections derive from
 their parent's, so the process-wide memos downstream (decoded windows,
-look-ahead selections, recycle slices, warm-up snapshots) hit on equal
+look-ahead selections, recycle slices, warm-up replay arrays) hit on equal
 windows whatever object asks.  A :class:`Trace` is only ever built from
 columns, and every simulator API takes one: windows are cut with
 :meth:`Trace.window` and :meth:`Trace.select`.  :class:`DynamicInst`

@@ -179,7 +179,7 @@ class RunnerStats:
 #: fingerprint of (workload definition, window, system config).  Every
 #: runner in a process materialising the same campaign cell shares one
 #: :class:`WorkloadSetup` — and because the shared object keeps the *same*
-#: ``timed``/``warmup`` windows, whose content keys the warmed-memory and
+#: ``timed``/``warmup`` windows, whose content keys the warm-up replay and
 #: decoded-trace memos use, those memos hit across runners too.  Bounded
 #: FIFO.
 _SETUP_CACHE: Dict[str, WorkloadSetup] = {}

@@ -145,9 +145,7 @@ def lru_victim(last_use, stamp, base: int, count: int) -> int:
 
     :class:`Cache` sets and the :class:`~repro.memory.tlb.Tlb` share this
     rule (and ``lru_victim`` in kernel.c): each fill takes an int64 stamp
-    from the structure's ``_clock``.  Snapshots hold resident entries in
-    stamp order and no stamps; a restore renumbers them ``0, 1, ...`` and
-    sets the clock past them, which keeps every order the victim sees.
+    from the structure's ``_clock``.
     """
     uses = last_use[base:base + count]
     oldest = min(uses)
@@ -471,17 +469,12 @@ class Cache:
                 bool(flags[slot] & LINE_PREFETCH_USED))
         return sets
 
-    # -- state snapshot (warm-memory memoization) --------------------------
     def snapshot_state(self) -> tuple:
-        """An immutable-by-convention copy of all mutable cache state.
+        """A copy of all mutable cache state, for comparing two caches.
 
-        Used by the warmed-memory memo (:mod:`repro.core.system`): the state
-        captured after replaying a warmup window once can be restored into a
-        freshly-built cache of the same geometry instead of replaying again.
         Only resident lines are copied, as flat columns in set order and,
-        within a set, in LRU-tie order, so a snapshot's size scales with
-        what the warmup touched, not with the cache's capacity (and holds no
-        per-line containers for the garbage collector to walk).
+        within a set, in LRU-tie order (stamps themselves are left out:
+        only their order within a set is observable).
         """
         slots = array("q", self._resident())
         tags, fill, last_use, flags = (
@@ -500,30 +493,6 @@ class Cache:
             if self._write_buffer is not None else None
         )
         return lines, dict(vars(self.stats)), mshr, wb
-
-    def restore_state(self, snapshot) -> None:
-        """Restore state captured by :meth:`snapshot_state` (same geometry)."""
-        lines, stats, mshr, wb = snapshot
-        slots, line_tags, fills, last_uses, line_flags = lines
-        self._clear_lines()
-        count, associativity = self._count, self._associativity
-        tags, fill, last_use, flags, stamp = (
-            self._tags, self._fill, self._last_use, self._flags, self._stamp
-        )
-        for k, slot in enumerate(slots):
-            count[slot // associativity] += 1
-            tags[slot] = line_tags[k]
-            fill[slot] = fills[k]
-            last_use[slot] = last_uses[k]
-            flags[slot] = line_flags[k]
-            stamp[slot] = k   # renumbered (see lru_victim)
-        self._clock[0] = len(slots)
-        for name, value in stats.items():
-            setattr(self.stats, name, value)
-        if self._mshr is not None:
-            self._mshr.restore_state(mshr if mshr is not None else ())
-        if self._write_buffer is not None:
-            self._write_buffer.restore_state(wb if wb is not None else ())
 
     @property
     def occupancy(self) -> int:

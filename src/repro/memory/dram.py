@@ -207,8 +207,8 @@ class DramModel:
             for queue in self._queues:
                 queue.drain()
 
-    # -- state snapshot (warm-memory memoization) --------------------------
     def snapshot_state(self) -> tuple:
+        """A copy of all mutable DRAM state, for comparing two models."""
         queues = (
             tuple(queue.snapshot_state() for queue in self._queues)
             if self._queues is not None else None
@@ -221,18 +221,6 @@ class DramModel:
             dict(vars(self.stats)),
             queues,
         )
-
-    def restore_state(self, snapshot: tuple) -> None:
-        open_rows, bank_ready, dynamic_energy, last_access, stats, queues = snapshot
-        self._open_rows[:] = open_rows
-        self._bank_ready[:] = bank_ready
-        self._dynamic_energy = dynamic_energy
-        self._last_access_cycle = last_access
-        for name, value in stats.items():
-            setattr(self.stats, name, value)
-        if self._queues is not None:
-            for queue, state in zip(self._queues, queues):
-                queue.restore_state(state)
 
     # ------------------------------------------------------------------
     def energy(self, elapsed_cycles: int) -> float:

@@ -213,14 +213,9 @@ class SharedMemorySystem:
             "dram": dram_telemetry(self.dram),
         }
 
-    # -- state snapshot (warm-memory memoization) --------------------------
     def snapshot_state(self) -> tuple:
+        """A copy of the L3's and DRAM's mutable state (a state view)."""
         return self.l3.snapshot_state(), self.dram.snapshot_state()
-
-    def restore_state(self, snapshot: tuple) -> None:
-        l3_state, dram_state = snapshot
-        self.l3.restore_state(l3_state)
-        self.dram.restore_state(dram_state)
 
     @property
     def traffic(self) -> int:
@@ -434,23 +429,15 @@ class CoreMemorySystem:
     def prefill_tlb(self, address: int, now: int) -> None:
         self.tlb.prefill(address, now)
 
-    # -- state snapshot (warm-memory memoization) --------------------------
     def snapshot_state(self) -> tuple:
-        """Mutable state of the private levels (the shared system snapshots
-        separately so one snapshot can cover a multi-core warm group)."""
+        """A copy of the private levels' mutable state (the shared system
+        has its own view, shared by every core on it)."""
         return (
             self.l1i.snapshot_state(),
             self.l1d.snapshot_state(),
             self.l2.snapshot_state(),
             self.tlb.snapshot_state(),
         )
-
-    def restore_state(self, snapshot: tuple) -> None:
-        l1i_state, l1d_state, l2_state, tlb_state = snapshot
-        self.l1i.restore_state(l1i_state)
-        self.l1d.restore_state(l1d_state)
-        self.l2.restore_state(l2_state)
-        self.tlb.restore_state(tlb_state)
 
     # ------------------------------------------------------------------
     def drain_mshrs(self) -> None:

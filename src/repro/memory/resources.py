@@ -254,11 +254,6 @@ class OccupancyResource:
     def snapshot_state(self) -> Tuple[Tuple[int, float], ...]:
         return tuple(self.entries())
 
-    def restore_state(self, snapshot) -> None:
-        self.drain()
-        for key, completion in snapshot:
-            self._append(key, completion)
-
     def __len__(self) -> int:
         return self._len[self._lane]
 
@@ -364,14 +359,6 @@ class BankedMshrFile:
 
     def snapshot_state(self) -> tuple:
         return tuple(bank.snapshot_state() for bank in self._banks)
-
-    def restore_state(self, snapshot) -> None:
-        # Geometry is part of every snapshot key, so a mismatched shape
-        # never occurs in practice; enforce the matching shape instead.
-        if not isinstance(snapshot, tuple) or len(snapshot) != self.num_banks:
-            raise ValueError("banked MSHR snapshot does not match bank count")
-        for bank, state in zip(self._banks, snapshot):
-            bank.restore_state(state)
 
     def __len__(self) -> int:
         return sum(len(bank) for bank in self._banks)

@@ -119,22 +119,11 @@ class Tlb:
         vpn, last_use = self._vpn, self._last_use
         return {vpn[slot]: last_use[slot] for slot in self._resident()}
 
-    # -- state snapshot (warm-memory memoization) --------------------------
     def snapshot_state(self) -> tuple:
+        """Resident ``(vpn, slot)`` pairs and last uses in LRU-tie order,
+        plus the statistics: a copy for comparing two TLBs."""
         slots = self._resident()
         vpn, last_use = self._vpn, self._last_use
         return (tuple((vpn[slot], slot) for slot in slots),
                 tuple(last_use[slot] for slot in slots),
                 dict(vars(self.stats)))
-
-    def restore_state(self, snapshot: tuple) -> None:
-        slots, last_uses, stats = snapshot
-        self.flush()
-        for k, ((vpn, slot), last) in enumerate(zip(slots, last_uses)):
-            self._vpn[slot] = vpn
-            self._last_use[slot] = last
-            self._stamp[slot] = k   # renumbered (see lru_victim)
-        self._count[0] = len(slots)
-        self._clock[0] = len(slots)
-        for name, value in stats.items():
-            setattr(self.stats, name, value)

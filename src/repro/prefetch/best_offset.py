@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.prefetch.base import Prefetcher, PrefetchRequest
 
 
-def _default_offsets() -> List[int]:
+def _candidate_offsets() -> Tuple[int, ...]:
     """The 52-candidate offset list from the BOP paper.
 
     Offsets are of the form ``2^i * 3^j * 5^k`` up to 256, which covers the
@@ -32,14 +32,18 @@ def _default_offsets() -> List[int]:
                 value = (2 ** i) * (3 ** j) * (5 ** k)
                 if 1 <= value <= 256:
                     candidates.add(value)
-    ordered = sorted(candidates)
-    return ordered[:52]
+    return tuple(sorted(candidates)[:52])
+
+
+#: Computed once per process: every DLA cell builds several configs.
+_DEFAULT_OFFSETS = _candidate_offsets()
 
 
 @dataclass
 class BestOffsetConfig:
     rr_entries: int = 256
-    offsets: List[int] = field(default_factory=_default_offsets)
+    #: Each config owns a fresh list of the candidates.
+    offsets: List[int] = field(default_factory=lambda: list(_DEFAULT_OFFSETS))
     block_bytes: int = 64
     #: Rounds end after this many scored accesses.
     round_max: int = 100

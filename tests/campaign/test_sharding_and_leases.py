@@ -320,6 +320,41 @@ def test_two_concurrent_workers_complete_every_cell_exactly_once(
     assert status["cells_pending"] == 0
 
 
+def test_worker_hands_back_a_cell_finished_between_screen_and_claim(
+        cache_dir, tmp_path):
+    """A cell another worker finishes after this worker's screen but before
+    its claim is released uncounted, not executed."""
+    spec = _spec()
+    root = tmp_path / "campaigns"
+    late = _scheduler(spec, CampaignStore(spec.name, root))
+    early = _scheduler(spec, CampaignStore(spec.name, root))
+    first_key = late.keyed_cells()[0][0]
+    claim = late.store.claim_cells
+    finished_first = []
+
+    def claim_after_the_other_worker(keys, owner, **kwargs):
+        if not finished_first:
+            # The other worker takes the same first cell, simulates it and
+            # releases its lease, all after ``late`` screened it as open.
+            early.run_worker(owner="early", ttl=60, batch_size=1,
+                             max_cells=1, finalize=False)
+            finished_first.append(True)
+        return claim(keys, owner, **kwargs)
+
+    late.store.claim_cells = claim_after_the_other_worker
+    summary = late.run_worker(owner="late", ttl=60, batch_size=1,
+                              poll_seconds=0.02, finalize=False)
+    cells = len(late.keyed_cells())
+
+    assert early.runner.stats.simulations == 1
+    assert late.runner.stats.simulations == cells - 1
+    assert summary["cells_claimed"] == cells - 1
+    assert summary["cells_simulated"] == cells - 1
+    assert summary["complete"]
+    assert late.store.leases() == {}
+    assert early.store.read_lease(first_key) is None
+
+
 def test_killed_worker_cells_reclaimed_after_ttl_and_finished(
         cache_dir, tmp_path):
     spec = _spec()

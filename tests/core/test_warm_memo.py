@@ -1,4 +1,4 @@
-"""Warmed-memory memoization: restored state must equal replayed state."""
+"""Warm-up replay: every warm replays, and equal warms give equal state."""
 
 from __future__ import annotations
 
@@ -13,9 +13,12 @@ from repro.core.system import (
     build_single_core,
     simulate_baseline,
     warm_memo_stats,
+    warm_memory_systems,
 )
 from repro.dla.config import DlaConfig
 from repro.dla.system import DlaSystem
+from repro.experiments.memsys_sweep import MEMSYS_MACHINES, machine_config
+from repro.memory.hierarchy import CoreMemorySystem, SharedMemorySystem
 from repro.workloads.suites import get_workload
 
 WORKLOAD = "libquantum"
@@ -23,8 +26,12 @@ WORKLOAD = "libquantum"
 
 @pytest.fixture(scope="module")
 def warm_entries():
-    """A warm-up window: the memo keys it by its rows' content key."""
+    """A warm-up window: the memo keys its replay arrays by its content."""
     return get_workload(WORKLOAD).trace(4000).window(0, 2500)
+
+
+def _contended() -> SystemConfig:
+    return machine_config(SystemConfig(), dict(MEMSYS_MACHINES)["contended"])
 
 
 def _cache_state(cache):
@@ -40,6 +47,7 @@ def _memory_state(memory):
         "l2": _cache_state(memory.l2),
         "tlb_entries": list(memory.tlb.entries().items()),
         "tlb_stats": dict(vars(memory.tlb.stats)),
+        "snapshot": memory.snapshot_state(),
     }
 
 
@@ -47,82 +55,106 @@ def _shared_state(shared):
     return {
         "l3": _cache_state(shared.l3),
         "dram_stats": dict(vars(shared.dram.stats)),
-        "dram_open_rows": list(shared.dram._open_rows),
-        "dram_bank_ready": list(shared.dram._bank_ready),
-        "dram_energy": shared.dram._dynamic_energy,
+        "snapshot": shared.snapshot_state(),
     }
 
 
-def test_restore_equals_replay_single_core(warm_entries):
-    """A memo restore reproduces every bit of state a replay produces."""
+def _group_state(shared, memories):
+    return _shared_state(shared), [_memory_state(memory) for memory in memories]
+
+
+def _dla_group(config):
+    """A main core and a look-ahead core on one shared system."""
+    shared = SharedMemorySystem(config.memory)
+    return shared, (CoreMemorySystem(shared, config.memory),
+                    CoreMemorySystem(shared, config.memory,
+                                     lookahead_mode=True))
+
+
+def test_replay_is_deterministic_single_core(warm_entries):
+    """Two warms of fresh hierarchies replay twice and leave equal state,
+    the state a plain replay leaves."""
     config = SystemConfig()
     memo = WarmupMemo()
+    states = []
+    for _ in range(2):
+        shared, private, _ = build_single_core(config)
+        memo.warm((private,), warm_entries)
+        states.append(_group_state(shared, (private,)))
+    assert memo.replays == 2
+    assert states[0] == states[1]
 
-    shared_a, private_a, _ = build_single_core(config)
-    memo.warm((private_a,), warm_entries)          # first warm: replays
-    shared_b, private_b, _ = build_single_core(config)
-    memo.warm((private_b,), warm_entries)          # second warm: restores
-
-    assert memo.replays == 1 and memo.restores == 1
-    assert _memory_state(private_a) == _memory_state(private_b)
-    assert _shared_state(shared_a) == _shared_state(shared_b)
-
-    # Reference: a plain (un-memoized) replay gives the same state too.
-    shared_c, private_c, _ = build_single_core(config)
-    _replay_warmup(private_c, warm_entries)
-    assert _memory_state(private_a) == _memory_state(private_c)
-    assert _shared_state(shared_a) == _shared_state(shared_c)
+    shared, private, _ = build_single_core(config)
+    _replay_warmup(private, warm_entries)
+    assert _group_state(shared, (private,)) == states[0]
 
 
-def test_memo_keys_distinguish_geometry_and_mode(warm_entries):
+def test_dla_group_warms_identically_on_a_contended_machine(warm_entries):
+    """A main + look-ahead group (banked MSHRs, write buffers and DRAM
+    queues) warms to equal state twice, drained for the timed region."""
+    config = _contended()
+    states = []
+    for _ in range(2):
+        shared, memories = _dla_group(config)
+        warm_memory_systems(memories, warm_entries)
+        states.append(_group_state(shared, memories))
+        for memory in memories:
+            assert memory.l1d.mshr_occupancy(now=0) == 0
+        assert shared.l3.mshr_occupancy(now=0) == 0
+    assert states[0] == states[1]
+    shared_state, (main, lookahead) = states[0]
+    assert main["l1d"]["sets"] and lookahead["l1d"]["sets"]
+    assert shared_state["dram_stats"]["reads"] > 0
+
+
+def test_replay_inputs_are_shared_across_geometries(warm_entries):
+    """One window's replay arrays serve every geometry and look-ahead mode."""
     memo = WarmupMemo()
-    config = SystemConfig()
-
-    _, private, _ = build_single_core(config)
+    _, private, _ = build_single_core(SystemConfig())
     memo.warm((private,), warm_entries)
-    # Same entries, look-ahead containment mode -> distinct key -> replay.
-    _, lookahead_private, _ = build_single_core(config, lookahead_mode=True)
-    memo.warm((lookahead_private,), warm_entries)
-    assert memo.replays == 2 and memo.restores == 0
-    # Different pacing is a different key too.
-    _, private2, _ = build_single_core(config)
-    memo.warm((private2,), warm_entries, cycles_per_access=4)
+    _, lookahead, _ = build_single_core(SystemConfig(), lookahead_mode=True)
+    memo.warm((lookahead,), warm_entries)
+    _, contended, _ = build_single_core(_contended())
+    memo.warm((contended,), warm_entries, cycles_per_access=4)
     assert memo.replays == 3
+    assert list(memo._inputs) == ([warm_entries.key] if kernel_available()
+                                  else [])
 
 
 def test_memo_is_bounded(warm_entries):
-    """Old snapshots (and their windows' replay arrays) are evicted FIFO."""
-    memo = WarmupMemo(max_snapshots=2)
+    """Old windows' replay arrays are evicted FIFO."""
+    memo = WarmupMemo(max_windows=2)
     config = SystemConfig()
     windows = [warm_entries.window(200 * k, 200) for k in range(4)]
     for window in windows:
         _, private, _ = build_single_core(config)
         memo.warm((private,), window)
     assert memo.replays == 4
-    assert len(memo._snapshots) <= 2
     assert len(memo._inputs) <= 2
-    # The newest snapshot still restores, from a fresh cut of its rows.
-    _, private, _ = build_single_core(config)
-    memo.warm((private,), warm_entries.window(600, 200))
-    assert memo.restores == 1
+    if kernel_available():
+        assert list(memo._inputs) == [window.key for window in windows[2:]]
+        # A fresh cut of a held window's rows reuses its arrays.
+        held = memo._inputs[windows[3].key]
+        _, private, _ = build_single_core(config)
+        memo.warm((private,), warm_entries.window(600, 200))
+        assert memo._inputs[windows[3].key] is held
 
 
 def test_eviction_keeps_replay_inputs_of_the_incoming_window(warm_entries):
-    """Regression: evicting a victim that shares the incoming key's window
-    must not drop the replay arrays that window's snapshots still use."""
-    memo = WarmupMemo(max_snapshots=1)
+    """At a bound of one, a window warmed again at another pacing keeps its
+    arrays; the next window replaces them."""
+    memo = WarmupMemo(max_windows=1)
     config = SystemConfig()
     window = warm_entries.window(0, 200)
-
-    _, private, _ = build_single_core(config)
-    memo.warm((private,), window)                          # snapshot (W, 2)
-    # Same window, different pacing: the (W, 2) victim shares window W
-    # with the incoming (W, 4) key.
-    _, private2, _ = build_single_core(config)
-    memo.warm((private2,), window, cycles_per_access=4)
-    assert [key[0] for key in memo._snapshots] == [window.key]
+    for cycles_per_access in (2, 4):
+        _, private, _ = build_single_core(config)
+        memo.warm((private,), window, cycles_per_access=cycles_per_access)
     if kernel_available():
-        assert window.key in memo._inputs                  # still held
+        assert list(memo._inputs) == [window.key]
+    other = warm_entries.window(200, 200)
+    _, private, _ = build_single_core(config)
+    memo.warm((private,), other)
+    assert list(memo._inputs) == ([other.key] if kernel_available() else [])
 
 
 def test_group_warm_requires_shared_system(warm_entries):
@@ -133,36 +165,32 @@ def test_group_warm_requires_shared_system(warm_entries):
         WarmupMemo().warm((private_a, private_b), warm_entries)
 
 
-def _replayed(run):
-    """Run ``run`` on an emptied process memo, so its warm is a replay."""
-    system._WARM_MEMO.clear()
-    replays = warm_memo_stats()["warm_replays"]
-    outcome = run()
-    assert warm_memo_stats()["warm_replays"] > replays
-    return outcome
-
-
 def test_simulation_outcomes_identical_with_and_without_memo():
-    """End-to-end: memoized warms never change simulation results."""
+    """End-to-end: two cold simulations, the second on memoised replay
+    arrays, and a third on an emptied memo, give bit-identical outcomes."""
     workload = get_workload(WORKLOAD)
     trace = workload.trace(5000)
     warmup, timed = trace.window(0, 2000), trace.window(2000, 2000)
     config = SystemConfig()
 
-    # Two baseline runs through the process-global memo: the second run's
-    # warm is a restore, and must give a bit-identical outcome.
-    first = simulate_baseline(timed, config, warmup_entries=warmup)
-    restores = warm_memo_stats()["warm_restores"]
-    second = simulate_baseline(timed, config, warmup_entries=warmup)
-    assert warm_memo_stats()["warm_restores"] == restores + 1
-    assert first.cycles == second.cycles
-    assert first.core.l1d_misses == second.core.l1d_misses
-    assert first.energy.total == second.energy.total
+    def runs(run):
+        system._WARM_MEMO.clear()
+        replays = warm_memo_stats()["warm_replays"]
+        outcomes = [run(), run()]
+        system._WARM_MEMO.clear()
+        outcomes.append(run())
+        assert warm_memo_stats() == {"warm_replays": replays + 3,
+                                     "warm_restores": 0}
+        return outcomes
 
-    # And against a replay run.
-    replayed = _replayed(lambda: simulate_baseline(timed, config, warmup_entries=warmup))
-    assert replayed.cycles == first.cycles
-    assert replayed.core.branch_mispredicts == first.core.branch_mispredicts
+    first, second, third = runs(
+        lambda: simulate_baseline(timed, config, warmup_entries=warmup))
+    for other in (second, third):
+        assert other.cycles == first.cycles
+        assert other.core.l1d_misses == first.core.l1d_misses
+        assert other.core.branch_mispredicts == first.core.branch_mispredicts
+        assert other.energy.total == first.energy.total
+        assert other.memsys == first.memsys
 
     # DLA path (two-core warm group) as well.
     program = workload.build_program()
@@ -172,13 +200,11 @@ def test_simulation_outcomes_identical_with_and_without_memo():
     dla_config = DlaConfig().baseline_dla()
 
     def run_dla():
-        system = DlaSystem(program, config, dla_config, profile=profile)
-        return system.simulate(timed, warmup_entries=warmup)
+        return DlaSystem(program, config, dla_config,
+                         profile=profile).simulate(timed, warmup_entries=warmup)
 
-    memo_first = run_dla()
-    memo_second = run_dla()
-    assert memo_first.main.cycles == memo_second.main.cycles
-    assert memo_first.reboots == memo_second.reboots
-    replayed_dla = _replayed(run_dla)
-    assert replayed_dla.main.cycles == memo_first.main.cycles
-    assert replayed_dla.lookahead.cycles == memo_first.lookahead.cycles
+    first, second, third = runs(run_dla)
+    for other in (second, third):
+        assert other.main.cycles == first.main.cycles
+        assert other.lookahead.cycles == first.lookahead.cycles
+        assert other.reboots == first.reboots

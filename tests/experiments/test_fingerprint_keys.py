@@ -15,12 +15,9 @@ import pytest
 
 from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.store import CampaignStore
-from repro.core.config import SystemConfig
-from repro.core.system import WarmupMemo
 from repro.dla.config import DlaConfig
 from repro.experiments import fig09_speedup, memsys_sweep
 from repro.experiments.runner import ExperimentRunner
-from repro.memory.hierarchy import CoreMemorySystem, SharedMemorySystem
 from repro.workloads.suites import get_workload
 
 WINDOW = dict(warmup_instructions=1500, timed_instructions=1500)
@@ -56,14 +53,6 @@ def test_memsys_variant_key_is_pinned(runner):
     config = variant.system_config(runner.system_config)
     assert (runner.workload_key(get_workload("mcf"), "baseline", config)
             == "45e3b676c6d70255c574838b")
-
-
-def test_warmup_geometry_key_is_pinned():
-    memory = SystemConfig().memory
-    shared = SharedMemorySystem(memory)
-    pair = (CoreMemorySystem(shared, memory),
-            CoreMemorySystem(shared, memory, lookahead_mode=True))
-    assert WarmupMemo()._key(pair, [], 2)[1] == "b3907a50e9cface2c1a4b1e7"
 
 
 def test_fig09_campaign_keys_are_pinned(tmp_path):
