@@ -42,6 +42,9 @@ def run(runner: Optional[ExperimentRunner] = None,
         include_related: bool = True) -> Fig09Result:
     runner = runner or ExperimentRunner(quick=True)
     nopf = runner.no_prefetch_config()
+    # One object per preset: a config's key text is memoised per object.
+    dla_config = DlaConfig().baseline_dla()
+    r3_config = DlaConfig().r3()
     table = SpeedupTable()
     related = SpeedupTable()
 
@@ -50,10 +53,10 @@ def run(runner: Optional[ExperimentRunner] = None,
         ref_cycles = reference.cycles
 
         bl_nopf = runner.baseline(setup, "bl-nopf", nopf)
-        dla = runner.dla(setup, DlaConfig().baseline_dla(), "dla")
-        dla_nopf = runner.dla(setup, DlaConfig().baseline_dla(), "dla-nopf", nopf)
-        r3 = runner.dla(setup, DlaConfig().r3(), "r3")
-        r3_nopf = runner.dla(setup, DlaConfig().r3(), "r3-nopf", nopf)
+        dla = runner.dla(setup, dla_config, "dla")
+        dla_nopf = runner.dla(setup, dla_config, "dla-nopf", nopf)
+        r3 = runner.dla(setup, r3_config, "r3")
+        r3_nopf = runner.dla(setup, r3_config, "r3-nopf", nopf)
 
         table.record("BL (noPF)", setup.name, ref_cycles / bl_nopf.cycles, setup.suite)
         table.record("BL", setup.name, 1.0, setup.suite)

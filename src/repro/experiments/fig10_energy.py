@@ -33,12 +33,14 @@ def run(runner: Optional[ExperimentRunner] = None) -> Fig10Result:
     runner = runner or ExperimentRunner(quick=True)
     per_workload: Dict[str, Dict[str, float]] = {}
     suite_of: Dict[str, str] = {}
+    dla_config = DlaConfig().baseline_dla()
+    r3_config = DlaConfig().r3()
     for setup in runner.setups():
         baseline = runner.baseline(setup, "bl")
         base_cpu = baseline.energy.total
         base_dram = baseline.dram_energy
-        dla = runner.dla(setup, DlaConfig().baseline_dla(), "dla")
-        r3 = runner.dla(setup, DlaConfig().r3(), "r3")
+        dla = runner.dla(setup, dla_config, "dla")
+        r3 = runner.dla(setup, r3_config, "r3")
         per_workload[setup.name] = {
             "DLA cpu": dla.cpu_energy / max(1e-9, base_cpu),
             "R3-DLA cpu": r3.cpu_energy / max(1e-9, base_cpu),

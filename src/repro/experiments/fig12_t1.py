@@ -40,10 +40,12 @@ def run(runner: Optional[ExperimentRunner] = None) -> Fig12Result:
     speedup = SpeedupTable()
     traffic = SpeedupTable()
     stride_config = runner.with_l1_stride_config()
+    dla_config = DlaConfig().baseline_dla()
+    t1_config = DlaConfig().with_optimizations(t1=True)
     for setup in runner.setups():
-        dla = runner.dla(setup, DlaConfig().baseline_dla(), "dla")
-        dla_stride = runner.dla(setup, DlaConfig().baseline_dla(), "dla-stride", stride_config)
-        dla_t1 = runner.dla(setup, DlaConfig().with_optimizations(t1=True), "dla-t1")
+        dla = runner.dla(setup, dla_config, "dla")
+        dla_stride = runner.dla(setup, dla_config, "dla-stride", stride_config)
+        dla_t1 = runner.dla(setup, t1_config, "dla-t1")
 
         speedup.record("DLA + Stride", setup.name, dla.cycles / dla_stride.cycles, setup.suite)
         speedup.record("DLA + T1", setup.name, dla.cycles / dla_t1.cycles, setup.suite)

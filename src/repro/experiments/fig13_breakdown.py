@@ -42,14 +42,16 @@ class Fig13Result:
 
 def _fetch_buffer_study(runner: ExperimentRunner) -> List[Dict[str, object]]:
     bl_gains, dla_gains = [], []
+    big_cfg = runner.system_config.with_overrides(fetch_buffer_entries=32)
+    dla_config = DlaConfig().baseline_dla()
+    fb_config = DlaConfig().with_optimizations(fetch_buffer=True)
     for setup in runner.setups():
         small = runner.baseline(setup, "bl")
-        big_cfg = runner.system_config.with_overrides(fetch_buffer_entries=32)
         big = runner.baseline(setup, "bl-fb32", big_cfg)
         bl_gains.append(small.cycles / big.cycles)
 
-        dla_small = runner.dla(setup, DlaConfig().baseline_dla(), "dla")
-        dla_big = runner.dla(setup, DlaConfig().with_optimizations(fetch_buffer=True), "dla-fb")
+        dla_small = runner.dla(setup, dla_config, "dla")
+        dla_big = runner.dla(setup, fb_config, "dla-fb")
         dla_gains.append(dla_small.cycles / dla_big.cycles)
     return [
         {"configuration": "FB over BL", "geomean": geometric_mean(bl_gains),
@@ -61,10 +63,11 @@ def _fetch_buffer_study(runner: ExperimentRunner) -> List[Dict[str, object]]:
 
 def _recycle_study(runner: ExperimentRunner) -> List[Dict[str, object]]:
     dynamic_gains, static_gains = [], []
+    base_config = DlaConfig().with_optimizations(t1=True, value_reuse=True,
+                                                 fetch_buffer=True)
+    config = DlaConfig().r3()
     for setup in runner.setups():
-        base = runner.dla(setup, DlaConfig().with_optimizations(t1=True, value_reuse=True,
-                                                                fetch_buffer=True), "r3-no-recycle")
-        config = DlaConfig().r3()
+        base = runner.dla(setup, base_config, "r3-no-recycle")
         for dynamic, sink, label in ((False, static_gains, "recycle-static"),
                                      (True, dynamic_gains, "recycle-dynamic")):
             outcome = runner.dla_segmented(setup, config, dynamic=dynamic, label=label)
@@ -86,20 +89,20 @@ _TECHNIQUES = {
 
 def _synergy_study(runner: ExperimentRunner) -> List[Dict[str, object]]:
     rows = []
+    all_flags = {v: True for v in _TECHNIQUES.values()}
+    base_config = DlaConfig().baseline_dla()
+    full_config = DlaConfig().with_optimizations(**all_flags)
     for label, flag in _TECHNIQUES.items():
+        only_config = DlaConfig().with_optimizations(**{flag: True})
+        others_config = DlaConfig().with_optimizations(**{**all_flags, flag: False})
         first_gains, last_gains = [], []
         for setup in runner.setups():
-            base = runner.dla(setup, DlaConfig().baseline_dla(), "dla")
-            only = runner.dla(setup, DlaConfig().with_optimizations(**{flag: True}),
-                              f"dla-{flag}")
+            base = runner.dla(setup, base_config, "dla")
+            only = runner.dla(setup, only_config, f"dla-{flag}")
             first_gains.append(base.cycles / only.cycles)
 
-            all_flags = {v: True for v in _TECHNIQUES.values()}
-            full = runner.dla(setup, DlaConfig().with_optimizations(**all_flags), "dla-all3")
-            without = dict(all_flags)
-            without[flag] = False
-            others = runner.dla(setup, DlaConfig().with_optimizations(**without),
-                                f"dla-not-{flag}")
+            full = runner.dla(setup, full_config, "dla-all3")
+            others = runner.dla(setup, others_config, f"dla-not-{flag}")
             last_gains.append(others.cycles / full.cycles)
         rows.append({
             "technique": label,

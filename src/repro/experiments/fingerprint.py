@@ -14,14 +14,23 @@ never resurface results computed by older simulator code, every key is
 salted with a digest of the ``repro`` package sources (:func:`code_salt`):
 any source change invalidates the whole disk cache automatically.
 
-A campaign keys the same few configs thousands of times, so the config
-classes in :data:`MEMOISED_TYPES` are frozen and each instance's canonical
-form and JSON text are computed once, on first use.  The memo is keyed by
+A campaign keys the same few configs and workloads thousands of times, so
+for each instance of a class in :data:`MEMOISED_TYPES` the canonical form
+and JSON text are computed once, on first use.  The memo is keyed by
 ``id()`` and every entry leaves it (through :func:`weakref.finalize`)
 before its object is freed, so a later object that reuses the id can never
-read a stale entry; the memo holds only live configs.  Equality is not a
+read a stale entry; the memo holds only live objects.  Equality is not a
 usable key: ``3 == 3.0`` and ``True == 1``, but their canonical forms
 differ.
+
+Memoising by identity is sound only for objects whose compared content
+never changes after the first key is taken.  The config classes are frozen
+dataclasses.  :class:`~repro.workloads.suites.Workload` is not frozen (it
+memoises its program and traces in ``compare=False`` fields, which the
+canonical form skips), but the registry builds each one once and nothing
+reassigns its compared fields or mutates its ``params`` afterwards.  Two
+workloads that share a name but differ in ``params`` are two objects, so
+they keep two entries and two keys.
 """
 
 from __future__ import annotations
@@ -41,17 +50,20 @@ from repro.memory.dram import DramConfig
 from repro.memory.hierarchy import MemoryHierarchyConfig
 from repro.memory.resources import WriteBufferConfig
 from repro.memory.tlb import TlbConfig
+from repro.workloads.suites import Workload
 
 #: The classes whose canonical form is memoised per instance (exact types,
-#: not subclasses).  Each is a frozen dataclass whose fields are scalars or
-#: members of this set, so an instance's content never changes once built.
-#: Other frozen dataclasses stay out: ``TraceColumns`` holds mutable arrays.
+#: not subclasses).  Each config is a frozen dataclass whose fields are
+#: scalars or members of this set, so an instance's content never changes
+#: once built; a ``Workload``'s compared fields are never reassigned after
+#: the registry builds it (see the module docstring).  Other frozen
+#: dataclasses stay out: ``TraceColumns`` holds mutable arrays.
 MEMOISED_TYPES = frozenset({
     CoreConfig, SystemConfig, DlaConfig, CacheConfig, DramConfig,
-    MemoryHierarchyConfig, WriteBufferConfig, TlbConfig,
+    MemoryHierarchyConfig, WriteBufferConfig, TlbConfig, Workload,
 })
 
-#: ``id(config)`` -> (canonical form, its JSON text), for live configs only.
+#: ``id(obj)`` -> (canonical form, its JSON text), for live objects only.
 _MEMO: Dict[int, Tuple[Any, str]] = {}
 
 
@@ -85,7 +97,7 @@ def canonicalize(obj: Any) -> Any:
     are excluded); enums become their type and member name; sets are sorted.
     Unknown objects fall back to ``repr``, which is stable for everything
     this codebase configures simulations with.  The form of a memoised
-    config is shared between calls: read it, never mutate it.
+    object is shared between calls: read it, never mutate it.
     """
     if type(obj) in MEMOISED_TYPES:
         return _memo_entry(obj)[0]

@@ -24,6 +24,7 @@ so stale results cannot survive a code change.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -55,7 +56,6 @@ QUICK_WORKLOADS = [
 FULL_MODE_SEARCH_UNITS = 6
 
 
-@dataclass
 class WorkloadSetup:
     """Prepared inputs for one workload: program, profile, trace windows.
 
@@ -63,13 +63,32 @@ class WorkloadSetup:
     them down as such: the compiled path, the warm-up memo and the decoded
     and look-ahead memos read their columns and content keys, so a setup
     builds no :class:`DynamicInst` unless the reference interpreter runs.
+
+    A setup is built eagerly or *deferred* (:meth:`deferred`).  A deferred
+    setup holds only its workload, which is all a cell needs to key its
+    outcome; its first read of ``program``, ``warmup_trace``,
+    ``timed_trace`` or ``profile`` calls its loader once for all four.  So
+    a resumed campaign whose cells all hit never reads a setup entry.
     """
 
-    workload: Workload
-    program: Program
-    warmup_trace: Trace
-    timed_trace: Trace
-    profile: ProgramProfile
+    def __init__(self, workload: Workload, program: Program,
+                 warmup_trace: Trace, timed_trace: Trace,
+                 profile: ProgramProfile) -> None:
+        self.workload = workload
+        self._parts: Optional[Tuple[Program, Trace, Trace, ProgramProfile]] = (
+            program, warmup_trace, timed_trace, profile)
+        self._load: Optional[Callable[[], "WorkloadSetup"]] = None
+
+    @classmethod
+    def deferred(cls, workload: Workload,
+                 load: Callable[[], "WorkloadSetup"]) -> "WorkloadSetup":
+        """The setup of ``workload`` whose parts are those of the setup
+        ``load()`` returns, called on the first read of any of them."""
+        setup = cls.__new__(cls)
+        setup.workload = workload
+        setup._parts = None
+        setup._load = load
+        return setup
 
     @classmethod
     def split(cls, workload: Workload, program: Program, trace: Trace,
@@ -86,6 +105,28 @@ class WorkloadSetup:
                    Trace(program, columns.rows(warmup_length, len(columns)),
                          trace.completed),
                    profile)
+
+    def _part(self, index: int):
+        if self._parts is None:
+            self._parts = self._load()._parts
+            self._load = None
+        return self._parts[index]
+
+    @property
+    def program(self) -> Program:
+        return self._part(0)
+
+    @property
+    def warmup_trace(self) -> Trace:
+        return self._part(1)
+
+    @property
+    def timed_trace(self) -> Trace:
+        return self._part(2)
+
+    @property
+    def profile(self) -> ProgramProfile:
+        return self._part(3)
 
     @property
     def name(self) -> str:
@@ -206,6 +247,55 @@ def _setup_cache_put(key: str, setup: WorkloadSetup) -> None:
     _SETUP_CACHE[key] = setup
 
 
+def _build_setup(workload: Workload, warmup_instructions: int,
+                 timed_instructions: int, system_config: SystemConfig,
+                 disk_cache: Optional[ResultDiskCache],
+                 disk_key: str) -> WorkloadSetup:
+    """Emulate and profile ``workload`` from scratch, count the build and
+    put the setup's entry under ``disk_key`` when a disk cache is given."""
+    program = workload.build_program()
+    windows = warmup_instructions + timed_instructions
+    profiled = warmup_instructions + 4000
+    trace = workload.trace(windows + 1000)
+    head = trace.window(0, max(windows, profiled))
+    profile = profile_workload(
+        program,
+        head.window(0, profiled),
+        system_config,
+        timing_window=min(6000, warmup_instructions),
+    )
+    simulated = head.window(0, windows)
+    setup = WorkloadSetup.split(workload, program, simulated,
+                                warmup_instructions, profile)
+    _setup_cache_stats["builds"] += 1
+    if disk_cache is not None:
+        # Columns, not objects: a setup read back from its entry builds no
+        # DynamicInst.
+        disk_cache.put(disk_key, (program, simulated.columns, profile))
+    return setup
+
+
+def _load_setup(workload: Workload, warmup_instructions: int,
+                timed_instructions: int, system_config: SystemConfig,
+                disk_cache: ResultDiskCache, disk_key: str,
+                stats: RunnerStats) -> WorkloadSetup:
+    """A deferred setup's loader: the setup in its entry under
+    ``disk_key``.  An entry that is gone, or corrupt (``get`` quarantines
+    it), is built again exactly as a cold miss builds it, and put again."""
+    started = time.perf_counter()
+    stored = disk_cache.get(disk_key)
+    if stored is None:
+        setup = _build_setup(workload, warmup_instructions, timed_instructions,
+                             system_config, disk_cache, disk_key)
+    else:
+        program, columns, profile = stored
+        setup = WorkloadSetup.split(workload, program, Trace(program, columns),
+                                    warmup_instructions, profile)
+        _setup_cache_stats["disk_hits"] += 1
+    stats.setup_seconds += time.perf_counter() - started
+    return setup
+
+
 class ExperimentRunner:
     """Builds workload setups and caches expensive simulations.
 
@@ -253,10 +343,10 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     # Keys are computed from the Workload *definition* (name, params,
     # window) — not the prepared setup — so cache lookups never require
-    # building traces or profiles.  The configs are frozen, and
-    # ``fingerprint`` memoises each config object's canonical text for as
-    # long as the object lives (see its module docstring), so keying a
-    # cell re-serialises only the workload and the small key parts.
+    # building traces or profiles.  ``fingerprint`` memoises each config's
+    # and each workload's canonical text for as long as the object lives
+    # (see its module docstring), so keying a cell re-serialises only the
+    # small key parts.
     # Nothing here memoises a key by id(): such a memo once aliased two
     # configs whose objects happened to reuse one id.
     def workload_key(self, workload: Workload,
@@ -328,6 +418,9 @@ class ExperimentRunner:
         memoized process-wide by content fingerprint (and spilled to the
         disk cache when one is enabled), so only the first runner to touch a
         (workload, window, config) cell pays for emulation and profiling.
+        A setup whose disk entry exists comes back deferred: its entry is
+        read on the first use of its parts, never when every cell hits.  A
+        setup with no entry is built here, eagerly.
         """
         if name in self._setups:
             return self._setups[name]
@@ -335,41 +428,21 @@ class ExperimentRunner:
         workload = get_workload(name)
         key = self.setup_key(workload)
         setup = _SETUP_CACHE.get(key)
-        if setup is None and self.disk_cache is not None:
-            stored = self.disk_cache.get(self._disk_key(key))
-            if stored is not None:
-                program, columns, profile = stored
-                setup = WorkloadSetup.split(
-                    workload, program, Trace(program, columns),
-                    self.warmup_instructions, profile)
-                _setup_cache_stats["disk_hits"] += 1
-                _setup_cache_put(key, setup)
-        elif setup is not None:
+        if setup is not None:
             _setup_cache_stats["memory_hits"] += 1
-        if setup is None:
-            program = workload.build_program()
-            windows = self.warmup_instructions + self.timed_instructions
-            profiled = self.warmup_instructions + 4000
-            trace = workload.trace(windows + 1000)
-            head = trace.window(0, max(windows, profiled))
-            profile = profile_workload(
-                program,
-                head.window(0, profiled),
-                self.system_config,
-                timing_window=min(6000, self.warmup_instructions),
-            )
-            simulated = head.window(0, windows)
-            setup = WorkloadSetup.split(workload, program, simulated,
-                                        self.warmup_instructions, profile)
-            _setup_cache_stats["builds"] += 1
+        else:
+            disk_key = self._disk_key(key)
+            sources = (workload, self.warmup_instructions,
+                       self.timed_instructions, self.system_config,
+                       self.disk_cache, disk_key)
+            if self.disk_cache is not None and self.disk_cache.contains(disk_key):
+                # The loader holds what it reads, not the runner: the memo
+                # outlives runners and must not pin their outcome stores.
+                setup = WorkloadSetup.deferred(workload, functools.partial(
+                    _load_setup, *sources, self.stats))
+            else:
+                setup = _build_setup(*sources)
             _setup_cache_put(key, setup)
-            if self.disk_cache is not None:
-                # Columns, not objects: a resumed campaign whose cells all
-                # hit reads the setup back without building an entry.
-                self.disk_cache.put(
-                    self._disk_key(key),
-                    (program, simulated.columns, profile),
-                )
         self._setups[name] = setup
         self.stats.setup_seconds += time.perf_counter() - started
         return setup

@@ -47,13 +47,11 @@ def _thread_row(label: str, thread_result, thread_energy, baseline, baseline_ene
 def run(runner: Optional[ExperimentRunner] = None) -> Table02Result:
     runner = runner or ExperimentRunner(quick=True)
     accumulators: Dict[str, List[Dict[str, float]]] = {}
+    presets = (("DLA", DlaConfig().baseline_dla()), ("R3-DLA", DlaConfig().r3()))
     for setup in runner.setups():
         baseline = runner.baseline(setup, "bl")
         baseline_energy = baseline.energy
-        for config_label, dla_config in (
-            ("DLA", DlaConfig().baseline_dla()),
-            ("R3-DLA", DlaConfig().r3()),
-        ):
+        for config_label, dla_config in presets:
             outcome = runner.dla(setup, dla_config, config_label.lower())
             for thread_label, result, energy in (
                 ("LT", outcome.lookahead, outcome.lookahead_energy),

@@ -87,21 +87,22 @@ CONFIG_LABELS = ("BL", "BL+stride", "DLA", "DLA+T1")
 def run(runner: Optional[ExperimentRunner] = None,
         workloads: Optional[Sequence[str]] = None) -> Table03Result:
     runner = runner or ExperimentRunner(quick=True)
-    names = list(workloads) if workloads else [s.name for s in runner.setups()]
+    names = list(workloads) if workloads else runner.workload_names
+    config = runner.system_config
+    stride_config = runner.with_l1_stride_config()
+    dla_config = DlaConfig().baseline_dla()
+    t1_config = DlaConfig().with_optimizations(t1=True)
     per_workload: Dict[str, Dict[str, Dict[str, float]]] = {}
     for name in names:
         setup = runner.setup(name)
-        config = runner.system_config
         baseline = _split_l1_misses(setup, config)
         per_workload[name] = {
             "BL": baseline,
-            "BL+stride": _split_l1_misses(setup,
-                                          runner.with_l1_stride_config()),
-            "DLA": _split_dla_misses(setup, runner, config,
-                                     DlaConfig().baseline_dla(), baseline),
-            "DLA+T1": _split_dla_misses(
-                setup, runner, config,
-                DlaConfig().with_optimizations(t1=True), baseline),
+            "BL+stride": _split_l1_misses(setup, stride_config),
+            "DLA": _split_dla_misses(setup, runner, config, dla_config,
+                                     baseline),
+            "DLA+T1": _split_dla_misses(setup, runner, config, t1_config,
+                                        baseline),
         }
 
     rows: List[Dict[str, object]] = []

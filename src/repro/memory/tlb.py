@@ -93,7 +93,7 @@ class Tlb:
             if count >= self.config.entries:
                 slot = lru_victim(self._last_use, self._stamp, 0, count)
             else:
-                slot = count   # slots free up only on flush
+                slot = count   # slots fill in order and never free up
                 self._count[0] = count + 1
             self._vpn[slot] = vpn
             clock = self._clock
@@ -103,12 +103,6 @@ class Tlb:
 
     def contains(self, address: int) -> bool:
         return self._slot(address // self._page_bytes) is not None
-
-    def flush(self) -> None:
-        vpn = self._vpn
-        for slot in range(self._count[0]):
-            vpn[slot] = -1
-        self._count[0] = 0
 
     def _resident(self) -> list:
         """Resident slots in LRU-tie (insertion) order."""

@@ -131,6 +131,8 @@ def test_memo_entry_never_outlives_its_config(monkeypatch):
 
 
 def test_memo_is_opt_in():
+    """Only ``MEMOISED_TYPES`` are memoised: a registry workload is, trace
+    columns (mutable arrays) are not."""
     from repro.emulator.trace import TraceColumns
     from repro.workloads.suites import get_workload
 
@@ -138,8 +140,39 @@ def test_memo_is_opt_in():
     columns = TraceColumns.empty()
     fingerprint(workload, columns)
     canonicalize([workload, columns])
-    assert id(workload) not in FINGERPRINT._MEMO
+    assert id(workload) in FINGERPRINT._MEMO
     assert id(columns) not in FINGERPRINT._MEMO
+
+
+def test_workloads_sharing_a_name_key_apart_by_params(monkeypatch):
+    """Two workload objects named alike but built with different ``params``
+    get different keys, each equal to its unmemoised key, and a dropped
+    workload's memo entry leaves with it."""
+    from repro.workloads.suites import Workload, get_workload
+
+    runner = make_runner()
+    registered = get_workload("mcf")
+    variant = Workload(name=registered.name, suite=registered.suite,
+                       kernel=registered.kernel,
+                       params={**registered.params,
+                               "hops": registered.params["hops"] + 1},
+                       max_instructions=registered.max_instructions,
+                       description=registered.description)
+    keys = {which: (runner.workload_key(workload, "baseline"),
+                    runner.setup_key(workload))
+            for which, workload in (("registered", registered),
+                                    ("variant", variant))}
+    assert keys["registered"][0] != keys["variant"][0]
+    assert keys["registered"][1] != keys["variant"][1]
+    recycled = id(variant)
+    assert recycled in FINGERPRINT._MEMO
+    with monkeypatch.context() as patch:
+        patch.setattr(FINGERPRINT, "MEMOISED_TYPES", frozenset())
+        assert keys["variant"] == (runner.workload_key(variant, "baseline"),
+                                   runner.setup_key(variant))
+    del variant
+    gc.collect()
+    assert recycled not in FINGERPRINT._MEMO
 
 
 def test_memo_drains_when_configs_die():
@@ -168,7 +201,10 @@ def test_every_reachable_config_is_frozen_and_memoised():
             for arg in typing.get_args(hint) or (hint,):
                 if dataclasses.is_dataclass(arg):
                     pending.append(arg)
-    assert reached == FINGERPRINT.MEMOISED_TYPES
+    # The one memoised type that is not a config is the registry's Workload.
+    from repro.workloads.suites import Workload
+
+    assert reached == FINGERPRINT.MEMOISED_TYPES - {Workload}
 
 
 def test_dla_outcomes_keyed_by_dla_config_content():
@@ -427,14 +463,17 @@ def test_setup_disk_entry_pickles_columns_and_loads_lazily(tmp_path, monkeypatch
     clear_setup_cache()
     second = make_runner(disk_cache=True)
     loaded = second.setup(WORKLOAD)
-    assert setup_cache_stats()["disk_hits"] == 1
-    # A cell served from the cache reads no entries ...
+    # The setup is deferred: its entry is read on first use of its parts.
+    assert loaded._parts is None and setup_cache_stats()["disk_hits"] == 0
+    # A cell served from the cache reads neither the setup nor entries ...
     first.baseline(built, "bl")
     second.baseline(loaded, "bl")
     assert second.stats.disk_hits == 1 and builds["n"] == 0
-    # ... nor does a compiled simulation, which reads the columns; the
-    # reference interpreter builds each window's entries once.
+    assert loaded._parts is None and setup_cache_stats()["disk_hits"] == 0
+    # ... nor does a compiled simulation, which reads the setup's columns;
+    # the reference interpreter builds each window's entries once.
     second.baseline(loaded, "bl-nopf", second.no_prefetch_config())
+    assert loaded._parts is not None and setup_cache_stats()["disk_hits"] == 1
     assert builds["n"] == (0 if kernel_available() else 2)
     # Object consumers build each window's list once, then keep it.
     warmup, timed = loaded.warmup_trace, loaded.timed_trace

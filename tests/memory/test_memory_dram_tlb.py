@@ -65,8 +65,3 @@ def test_tlb_prefill_avoids_later_miss():
     assert tlb.stats.prefills == 1
 
 
-def test_tlb_flush():
-    tlb = Tlb()
-    tlb.access(0x1000, 0)
-    tlb.flush()
-    assert not tlb.contains(0x1000)
