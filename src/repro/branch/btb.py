@@ -87,8 +87,3 @@ class BranchTargetBuffer:
             if tags[k] == tag:
                 return True
         return False
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -10,7 +10,8 @@ anomaly detectors over it:
 ``worker_slow``
     a worker whose instructions/s fell below a configurable fraction of the
     fleet median (MPCDF-style per-node visibility: one sick node hides
-    inside an aggregate, never inside a per-worker roll-up);
+    inside an aggregate, never inside a per-worker roll-up), among workers
+    that finished at least ``min_samples`` cells;
 ``cell_latency_outlier`` / ``cell_stall_outlier``
     a cell whose simulation wall time or contention stall share is a
     robust-z outlier (Iglewicz–Hoaglin modified z-score, double-gated with
@@ -61,6 +62,9 @@ class AnomalyThresholds:
     """
 
     #: Flag a worker whose inst/s is below this fraction of the fleet median.
+    #: Only workers that finished ``min_samples`` cells are compared: a pace
+    #: read off one or two cells says more about which kinds of cell the
+    #: worker drew than about the worker.
     worker_fraction: float = 0.5
     #: Modified z-score gate for cell latency / stall-share outliers.
     robust_z: float = 3.5
@@ -72,7 +76,8 @@ class AnomalyThresholds:
     lease_storm: int = 3
     #: A cell at or above this many attempts is a retry hotspot.
     retry_hotspot: int = 2
-    #: Statistical detectors need at least this many samples.
+    #: Statistical detectors need at least this many samples (cells per
+    #: worker for ``worker_slow``, cells for the outlier detectors).
     min_samples: int = 4
 
 
@@ -208,7 +213,8 @@ def _detect_anomalies(timeline: Dict[str, object],
     # -- worker_slow: a worker far below the fleet's median pace ----------
     paced = {owner: float(roll["inst_per_second"])
              for owner, roll in workers.items()
-             if float(roll["inst_per_second"]) > 0}
+             if float(roll["inst_per_second"]) > 0
+             and int(roll["finished"]) >= thresholds.min_samples}
     if len(paced) >= 2:
         fleet_median = median(list(paced.values()))
         for owner, pace in paced.items():

@@ -45,6 +45,9 @@ modes differ only in their candidate set and claim step:
 
 With ``cell_timeout`` set, every mode runs each cell in a watchdog
 subprocess.  Backoff is the store-shared ``retry_at`` gate in every mode.
+Every mode writes the campaign manifest (the plan: spec, mode, planned
+cells) when it opens the campaign and once more when it records its run
+summary; settling a cell writes no manifest, whatever the cell count.
 
 :meth:`finalize` (CLI: ``repro merge``)
     Assembles the final artefact from the caches once every cell is done —
@@ -305,18 +308,17 @@ class CampaignScheduler:
         return [(key, keyed[key]) for key in members]
 
     def prepare(self) -> Dict[str, object]:
-        """Open the manifest and seed the full planned-cell set, running
-        nothing.
+        """Open the manifest with the full planned-cell set, running nothing.
 
-        The fabric dispatcher calls this in the shared root before any host
-        job starts, so ``repro status``/``repro monitor`` report meaningful
-        done/leased/pending counts while the fleet is still warming up, and
-        so ``repro sync --campaign`` can resolve the campaign's cell keys
-        from the shared manifest alone.
+        One manifest write.  The fabric dispatcher calls this in the shared
+        root before any host job starts, so ``repro status``/``repro
+        monitor`` report meaningful done/leased/pending counts while the
+        fleet is still warming up, and so ``repro sync --campaign`` can
+        resolve the campaign's cell keys from the shared manifest alone.
         """
-        manifest = self.store.begin(self.spec, self.mode)
-        self._seed_cells(manifest)
-        return manifest
+        cells = {key: self._cell_entry(request)
+                 for key, request in self.keyed_cells()}
+        return self.store.begin(self.spec, self.mode, cells)
 
     # ------------------------------------------------------------------
     # execution entry points: one claim loop, three candidate sets
@@ -335,7 +337,7 @@ class CampaignScheduler:
         started = time.perf_counter()
         stats_before = self.runner.stats.copy()
         summary, poisoned = self._drive(
-            manifest, self.keyed_cells(), f"run-{default_owner()}", "run")
+            self.keyed_cells(), f"run-{default_owner()}", "run")
         if summary.get("interrupted"):
             self.store.record_run(manifest, summary)
             return summary
@@ -362,7 +364,7 @@ class CampaignScheduler:
         keyed = self.shard_cells(index, count)
         owner = f"shard-{index}-of-{count}-{default_owner()}"
         summary, _poisoned = self._drive(
-            manifest, keyed, owner, "shard", shard=f"{index}/{count}",
+            keyed, owner, "shard", shard=f"{index}/{count}",
             cells_in_shard=len(keyed))
         self.store.record_run(manifest, summary)
         return summary
@@ -402,8 +404,7 @@ class CampaignScheduler:
         manifest = self.prepare()
         leases = _Leases(ttl, batch_size, poll_seconds, max_cells)
         summary, poisoned = self._drive(
-            manifest, self.keyed_cells(), owner, "worker", leases=leases,
-            worker=owner)
+            self.keyed_cells(), owner, "worker", leases=leases, worker=owner)
         self.store.record_run(manifest, summary)
         unfinished = self.unfinished_cells()
         summary["complete"] = not unfinished
@@ -420,9 +421,8 @@ class CampaignScheduler:
     # ------------------------------------------------------------------
     # the claim loop
     # ------------------------------------------------------------------
-    def _drive(self, manifest: Dict[str, object],
-               keyed: List[Tuple[str, SimRequest]], owner: str, mode: str,
-               leases: Optional[_Leases] = None, **fields: object,
+    def _drive(self, keyed: List[Tuple[str, SimRequest]], owner: str,
+               mode: str, leases: Optional[_Leases] = None, **fields: object,
                ) -> Tuple[Dict[str, object], Dict[str, Dict[str, object]]]:
         """Drive the candidate cells ``keyed`` until none is open.
 
@@ -497,7 +497,6 @@ class CampaignScheduler:
                     waiting_logged = False
                     claimed_total += len(claimed)
                     simulated += self._execute(
-                        manifest,
                         [(key, requests_by_key[key]) for key in claimed],
                         records, owner, label, leases)
                 elif leases is None:
@@ -553,18 +552,19 @@ class CampaignScheduler:
                       f"simulated, {hits} from cache, {len(poisoned)} failed")
         return summary, poisoned
 
-    def _execute(self, manifest: Dict[str, object],
-                 batch: List[Tuple[str, SimRequest]],
+    def _execute(self, batch: List[Tuple[str, SimRequest]],
                  records: Dict[str, Dict[str, object]], owner: str,
                  label: str, leases: Optional[_Leases]) -> int:
         """Execute one claimed batch and settle every cell in it.
 
         Unleased batches without a watchdog run as one
         :meth:`~repro.experiments.parallel.ParallelExperimentRunner.warm_isolated`
-        call (keeping in-process fan-out) and update the manifest once.
-        Leased cells run one at a time so the rest of the batch's leases can
-        be renewed in between; with ``cell_timeout`` set, each cell runs in
-        its own watchdog subprocess.  Returns the number of cells finished.
+        call (keeping in-process fan-out).  Leased cells run one at a time
+        so the rest of the batch's leases can be renewed in between; with
+        ``cell_timeout`` set, each cell runs in its own watchdog subprocess.
+        Settling writes no manifest: a finished cell is its disk-cache entry
+        and its ``cell.finished`` event, a failed one its failure record.
+        Returns the number of cells finished.
         """
         if leases is None and self.cell_timeout is None:
             chunks = [batch]
@@ -601,17 +601,11 @@ class CampaignScheduler:
                 # Per-cell pace is only meaningful for a one-cell chunk.
                 stats = (self.runner.stats.since(stats_before)
                          if len(chunk) == 1 else None)
-                done: List[Tuple[str, SimRequest]] = []
-                failed: List[Tuple[str, SimRequest]] = []
                 for key, request in chunk:
-                    record = self._settle(key, request, failures.get(key),
-                                          attempts[key], owner, label, stats)
-                    if record is None:
-                        done.append((key, request))
-                    elif record_poisoned(record):
-                        failed.append((key, request))
-                self._record_outcomes(manifest, done, failed, owner=owner)
-                finished += len(done)
+                    if self._settle(key, request, failures.get(key),
+                                    attempts[key], owner, label,
+                                    stats) is None:
+                        finished += 1
                 if leases is not None:
                     self.store.release_leases(remaining[:len(chunk)], owner)
                     remaining = remaining[len(chunk):]
@@ -753,7 +747,7 @@ class CampaignScheduler:
         bit-identical to a single-host :meth:`run`.
         """
         if manifest is None:
-            manifest = self.store.begin(self.spec, self.mode)
+            manifest = self.prepare()
         self._open_journal(f"merge-{default_owner()}")
         keyed = self.keyed_cells()
         missing = self.unfinished_cells()
@@ -776,8 +770,6 @@ class CampaignScheduler:
                     f"remaining shards/workers before merging{hint}"
                 )
             failures = poisoned
-            self._record_outcomes(manifest, [], [
-                (key, request) for key, request in keyed if key in poisoned])
         summary = {"mode": self.mode, "cells_total": len(keyed),
                    "cells_simulated": 0,
                    "cells_from_cache": len(keyed) - len(missing)}
@@ -869,38 +861,11 @@ class CampaignScheduler:
                 f"enable it, or run without sharding"
             )
 
-    def _seed_cells(self, manifest: Dict[str, object]) -> None:
-        """Register every planned cell as ``status: planned`` (idempotent).
-
-        Seeding the full key set up front is what makes ``repro status``
-        meaningful mid-campaign (done/leased/pending partition the whole
-        matrix, not just the cells this process touched) and makes the
-        lock-free manifest merge safe: counts derive from the seeded key
-        set plus disk-cache truth, never from per-worker updates alone.
-        """
-        records = {key: self._cell_entry(request, "planned")
-                   for key, request in self.keyed_cells()}
-        self.store.record_cells(manifest, records, overwrite=False)
-
-    def _record_outcomes(self, manifest: Dict[str, object],
-                         done: List[Tuple[str, SimRequest]],
-                         failed: List[Tuple[str, SimRequest]],
-                         owner: Optional[str] = None) -> None:
-        """Mark finished cells ``done`` and poisoned ones ``failed`` in the
-        manifest (one write, none when there is nothing to record)."""
-        records = {key: dict(self._cell_entry(request, "done"),
-                             completed_by=owner)
-                   for key, request in done}
-        records.update((key, self._cell_entry(request, "failed"))
-                       for key, request in failed)
-        if records:
-            self.store.record_cells(manifest, records)
-
     @staticmethod
-    def _cell_entry(request: SimRequest, status: str) -> Dict[str, object]:
-        """One cell's manifest record."""
+    def _cell_entry(request: SimRequest) -> Dict[str, object]:
+        """One planned cell's manifest record."""
         return {"workload": request.workload, "variant": request.label,
-                "kind": request.kind, "status": status}
+                "kind": request.kind}
 
     @staticmethod
     def _health_section(

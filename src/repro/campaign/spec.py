@@ -18,7 +18,6 @@ result cache.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -309,13 +308,6 @@ class CampaignSpec:
         spec = cls(**payload)  # type: ignore[arg-type]
         spec.validate()
         return spec
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignSpec":
-        return cls.from_dict(json.loads(text))
 
     def fingerprint(self) -> str:
         """Content fingerprint of the spec (keys campaign manifests)."""

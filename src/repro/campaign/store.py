@@ -3,9 +3,12 @@
 One directory per campaign under ``.repro_cache/campaigns/<name>/`` holding:
 
 ``manifest.json``
-    The spec (dict form), its content fingerprint, the run mode, the manifest
-    schema version, and one record per (workload, variant) cell: content key,
-    status, and which worker completed it.
+    The plan, and nothing about progress: the spec (dict form), its content
+    fingerprint, the run mode, the manifest schema version, the planned
+    cells (content key -> workload, variant, kind) and the last run's
+    summary.  Written once when a run opens the campaign and once when it
+    records its summary; the plan is deterministic per spec and mode, so
+    concurrent writers write the same cells.
 
 ``result.json``
     The assembled artefact: structured tables (JSON rows), the experiment
@@ -27,16 +30,17 @@ One directory per campaign under ``.repro_cache/campaigns/<name>/`` holding:
     merged and aggregated by ``repro monitor``.  Operational only: journals
     never feed rendered artifacts, so they carry no determinism burden.
 
-Resumability does **not** depend on the manifest or the leases: ground truth
-for "has this cell been simulated" is the fingerprint-keyed simulation disk
-cache (shared with the figure modules and the benchmark suite).  The
-manifest records what the campaign *planned* and what each run *observed*,
-so ``repro status`` can report progress without simulating anything, and a
-spec change (different fingerprint) visibly resets the bookkeeping while
-stale simulation results remain impossible by construction (code-salted
-cache keys).  Losing a lease race or a manifest update is therefore never a
-correctness problem — at worst a cell is simulated twice, and deterministic
-simulation makes the duplicate byte-identical.
+Resumability does **not** depend on the manifest or the leases.  Each
+fact about a cell has one owner: done-ness is the fingerprint-keyed
+simulation disk cache (shared with the figure modules and the benchmark
+suite), failure is the record in ``failures/``, and who finished it is the
+``cell.finished`` event in its owner's journal.  The manifest holds the plan
+those are counted against, so ``repro status`` can report progress without
+simulating anything, and a spec change (different fingerprint) visibly
+resets the plan while stale simulation results remain impossible by
+construction (code-salted cache keys).  Losing a lease race is therefore
+never a correctness problem — at worst a cell is simulated twice, and
+deterministic simulation makes the duplicate byte-identical.
 
 Writes are atomic (temp file + ``os.replace`` / ``os.link``), matching the
 disk cache's concurrency contract.
@@ -71,10 +75,12 @@ EVENTS_DIR = "events"
 #: runs; swept from the store open path alongside orphan temp files.
 FAULT_LEDGER_AGE = 24 * 3600.0
 
-#: Manifest layout version.  v2 added per-cell completion records
-#: (``status``/``completed_by``) and the ``leases/`` directory; a v1 manifest
-#: is reset on ``begin`` (cheap — cell results live in the shared cache).
-MANIFEST_SCHEMA = 2
+#: Manifest layout version.  v3 holds only the plan: the per-cell
+#: ``status``/``completed_by`` records of v2 are gone (the disk cache,
+#: ``failures/`` and the journals own those facts).  A manifest of any other
+#: version is reset on ``begin`` (cheap — cell results live in the shared
+#: cache).
+MANIFEST_SCHEMA = 3
 
 #: Default lease time-to-live.  Must comfortably exceed the wall time of one
 #: cell batch; workers renew between cells, so the TTL only matters when a
@@ -158,13 +164,15 @@ class CampaignStore:
         _atomic_write_json(self.manifest_path, payload)
 
     # ------------------------------------------------------------------
-    def begin(self, spec: CampaignSpec, mode: str) -> Dict[str, object]:
-        """Open (or reset) the manifest for a run of ``spec``.
+    def begin(self, spec: CampaignSpec, mode: str,
+              cells: Mapping[str, Mapping[str, object]]) -> Dict[str, object]:
+        """Open (or reset) the manifest for a run of ``spec`` and write
+        ``cells`` (content key -> workload, variant, kind) as its plan.
 
         An existing manifest written for a different spec fingerprint, mode
-        or schema version is reset — its cell bookkeeping describes a
-        different campaign shape.  Simulation results are unaffected (they
-        live in the shared disk cache under content keys).
+        or schema version is reset — it describes a different campaign
+        shape.  Simulation results are unaffected (they live in the shared
+        disk cache under content keys).
         """
         fingerprint = spec.fingerprint()
         manifest = self.load_manifest()
@@ -183,8 +191,8 @@ class CampaignStore:
                 "spec_fingerprint": fingerprint,
                 "mode": mode,
                 "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                "cells": {},
             }
+        manifest["cells"] = dict(cells)
         # Hygiene on open: writers killed mid-write leave `*.tmp.*` debris
         # next to the manifest, leases and failure records; sweep aged ones
         # (age-gated, so live concurrent writers are never raced).
@@ -212,45 +220,6 @@ class CampaignStore:
 
         sweep_stale_journals(self.events_path, clear=clear_events)
         sweep_aged_files(default_ledger_dir(), "*", FAULT_LEDGER_AGE)
-
-    def record_cells(self, manifest: Dict[str, object],
-                     records: Mapping[str, Mapping[str, object]],
-                     overwrite: bool = True) -> None:
-        """Merge per-cell records (key -> info) and persist the manifest.
-
-        Concurrent workers each hold their own manifest dict; to keep their
-        updates from clobbering each other, the on-disk manifest is re-read
-        and merged under the same fingerprint/mode before writing.  A lost
-        update under that (lock-free) merge can only cost per-cell
-        bookkeeping detail (``completed_by``) — cell *counts* stay correct
-        because every run seeds the full planned-cell set up front
-        (``overwrite=False``) and ``status()`` derives done-ness from the
-        disk cache, never from these records.
-        """
-        disk = self.load_manifest()
-        if (
-            disk is not None
-            and disk.get("spec_fingerprint") == manifest.get("spec_fingerprint")
-            and disk.get("mode") == manifest.get("mode")
-        ):
-            # Take the disk copy as the base and lay our records over it —
-            # except never demote another worker's "done" record with our
-            # not-yet-done copy of the same cell.
-            merged = dict(disk.get("cells", {}))
-            for key, info in manifest.get("cells", {}).items():
-                current = merged.get(key)
-                if (
-                    current is None
-                    or current.get("status") != "done"
-                    or info.get("status") == "done"
-                ):
-                    merged[key] = info
-            manifest["cells"] = merged
-        cells = manifest.setdefault("cells", {})
-        for key, info in records.items():
-            if overwrite or key not in cells:
-                cells[key] = dict(info)
-        self.save_manifest(manifest)
 
     def record_run(self, manifest: Dict[str, object],
                    summary: Mapping[str, object]) -> None:
@@ -545,12 +514,11 @@ class CampaignStore:
 
     # ------------------------------------------------------------------
     def status(self) -> Dict[str, object]:
-        """Live progress summary: manifest bookkeeping + disk-cache truth.
+        """Live progress summary: the manifest's plan + disk-cache truth.
 
         Cell counts partition ``cells_planned``: ``cells_done`` (result in
         the shared disk cache), ``cells_leased`` (not done, live lease held
-        by some worker) and ``cells_pending`` (neither).  ``cells_cached``
-        is kept as an alias of ``cells_done`` for older tooling.
+        by some worker) and ``cells_pending`` (neither).
 
         Health counters ride along: ``cells_failed`` (poisoned cells with no
         result), ``retries`` (total recorded failed attempts, including ones
@@ -608,7 +576,6 @@ class CampaignStore:
             "spec_fingerprint": manifest.get("spec_fingerprint"),
             "cells_planned": len(cells),
             "cells_done": done,
-            "cells_cached": done,
             "cells_leased": leased,
             "cells_pending": max(
                 0, len(cells) - done - leased - health["failed"]

@@ -40,7 +40,7 @@ from repro.core.pipeline import CoreHooks, OutOfOrderCore
 from repro.core.results import CoreResult
 from repro.dla.config import DlaConfig
 from repro.dla.hints import LookaheadProducts, MainThreadHintSource
-from repro.dla.profiling import ProgramProfile, profile_workload
+from repro.dla.profiling import ProgramProfile
 from repro.dla.queues import BranchOutcomeQueue, FootnoteQueue, communication_bits_per_instruction
 from repro.dla.skeleton import Skeleton, SkeletonBuilder, SkeletonOptions
 from repro.dla.t1 import T1Config, T1PrefetchEngine
@@ -127,16 +127,12 @@ class DlaSystem:
         program: Program,
         system_config: Optional[SystemConfig] = None,
         dla_config: Optional[DlaConfig] = None,
-        profile: Optional[ProgramProfile] = None,
-        training_trace: Optional[Trace] = None,
+        *,
+        profile: ProgramProfile,
     ) -> None:
         self.program = program
         self.system_config = system_config or SystemConfig()
         self.dla_config = dla_config or DlaConfig()
-        if profile is None:
-            if training_trace is None:
-                raise ValueError("either a profile or a training trace is required")
-            profile = profile_workload(program, training_trace, self.system_config)
         self.profile = profile
         self.builder = SkeletonBuilder(program, profile)
         self._risky_cache: Dict[frozenset, Set[int]] = {}
@@ -357,8 +353,7 @@ class DlaSystem:
         # The look-ahead core is powered for the whole execution; its static
         # energy therefore accrues over the main thread's cycles even though
         # its own busy time is shorter.
-        lookahead_for_energy = lookahead
-        lookahead_energy = energy_model.evaluate(lookahead_for_energy,
+        lookahead_energy = energy_model.evaluate(lookahead,
                                                  is_lookahead=True,
                                                  includes_dla_structures=True)
         lookahead_energy.static = (

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.instructions import Instruction
 
 
 @dataclass
@@ -87,17 +87,6 @@ class Program:
     def control_pcs(self) -> List[int]:
         """Static PCs of all control instructions (branches, jumps, calls, rets)."""
         return [inst.pc for inst in self._instructions if inst.is_control]
-
-    def load_pcs(self) -> List[int]:
-        return [inst.pc for inst in self._instructions if inst.is_load]
-
-    def store_pcs(self) -> List[int]:
-        return [inst.pc for inst in self._instructions if inst.is_store]
-
-    def halt_pcs(self) -> List[int]:
-        return [
-            inst.pc for inst in self._instructions if inst.opcode is Opcode.HALT
-        ]
 
     def describe(self) -> str:
         """Multi-line human-readable listing (for examples and debugging)."""

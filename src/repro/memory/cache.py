@@ -377,24 +377,6 @@ class Cache:
                                          index * associativity + count),
                                    key=stamp.__getitem__)]
 
-    def _clear_lines(self) -> None:
-        if not any(self._count):
-            return
-        tags, count, associativity = self._tags, self._count, self._associativity
-        for index, lines in enumerate(count):
-            if lines:
-                base = index * associativity
-                tags[base:base + lines] = array("q", [-1]) * lines
-                count[index] = 0
-
-    def invalidate_all(self) -> None:
-        """Drop every line (used when rebooting the look-ahead thread core)."""
-        self._clear_lines()
-        if self._mshr is not None:
-            self._mshr.drain()
-        if self._write_buffer is not None:
-            self._write_buffer.drain()
-
     # -- MSHR / write-buffer helpers ---------------------------------------
     def mshr_available(self, now: float, address: Optional[int] = None) -> bool:
         """Whether a prefetch could allocate an MSHR entry at cycle ``now``.

@@ -229,10 +229,6 @@ class DramModel:
         return self._dynamic_energy + background
 
     @property
-    def dynamic_energy(self) -> float:
-        return self._dynamic_energy
-
-    @property
     def traffic(self) -> int:
         """Total number of DRAM data transfers (reads plus writes)."""
         return self.stats.accesses

@@ -381,12 +381,8 @@ class CoreMemorySystem:
             return self._prefetch_into_l1(self.l1d, address, now)
         return self._prefetch_fill_time_from_l2(address, now)
 
-    def prefetch_instruction(self, address: int, now: int) -> Optional[int]:
-        """Prefetch an instruction block into the L1 I-cache (MSHR-gated)."""
-        return self._prefetch_into_l1(self.l1i, address, now)
-
     def _prefetch_into_l1(self, l1: Cache, address: int, now: int) -> Optional[int]:
-        """MSHR-gated prefetch into one L1 (the D- or I-side cache).
+        """MSHR-gated prefetch into the L1 D-cache ``l1``.
 
         The install-level gate runs *before* any downstream work: a dropped
         prefetch must not generate DRAM traffic or allocate lower-level

@@ -102,7 +102,3 @@ class StridePrefetcher(Prefetcher):
 
     def reset(self) -> None:
         self._table.clear()
-
-    @property
-    def tracked_pcs(self) -> List[int]:
-        return list(self._table)

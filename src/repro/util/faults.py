@@ -285,18 +285,6 @@ class FaultPlan:
             return True
         return False
 
-    def fired_count(self, spec: FaultSpec) -> int:
-        """How many budget slots of ``spec`` have been consumed so far."""
-        if spec.times is None:
-            return 0
-        ident = spec.ledger_id()
-        ledger = self.ledger_dir()
-        if ledger.is_dir():
-            return sum(
-                1 for slot in range(spec.times)
-                if (ledger / f"{ident}.{slot}").exists()
-            )
-        return self._memory_fires.get(ident, 0)
 
     # ------------------------------------------------------------------
     def check(self, site: str, key: str = "",

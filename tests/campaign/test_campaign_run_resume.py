@@ -6,7 +6,7 @@ import pytest
 
 from repro.campaign.scheduler import CampaignScheduler, run_campaign
 from repro.campaign.spec import CampaignSpec, variants
-from repro.campaign.store import CampaignStore
+from repro.campaign.store import MANIFEST_SCHEMA, CampaignStore
 from repro.experiments.parallel import ParallelExperimentRunner
 
 WINDOW = dict(warmup_instructions=1500, timed_instructions=1500)
@@ -87,7 +87,7 @@ def test_campaign_runs_and_persists(cache_dir, tmp_path):
     assert result["text"].startswith("Fig. 10")
     status = store.status()
     assert status["state"] == "complete"
-    assert status["cells_cached"] == 6
+    assert status["cells_done"] == 6
 
 
 def test_kill_between_cells_then_resume_with_zero_resimulation(cache_dir, tmp_path):
@@ -166,6 +166,30 @@ def test_aliased_variants_count_once_in_every_mode(cache_dir, tmp_path):
     assert shard["cells_total"] == merged["cells_total"] == 1
 
 
+def test_an_older_manifest_resets_to_the_plan_on_open(cache_dir, tmp_path):
+    """A v2 manifest carried per-cell ``status``/``completed_by`` records;
+    opening it resets it to the plan, and the results still come from the
+    disk cache."""
+    spec = _spec()
+    store = CampaignStore(spec.name, tmp_path / "campaigns")
+    CampaignScheduler(spec, store=store, runner=_runner(spec)).run()
+    old = store.load_manifest()
+    old["schema"] = 2
+    for info in old["cells"].values():
+        info.update(status="done", completed_by="someone")
+    store.save_manifest(old)
+
+    runner = _runner(spec)
+    summary = CampaignScheduler(spec, store=store, runner=runner).run()
+    assert summary["cells_simulated"] == 0 and runner.stats.simulations == 0
+    manifest = store.load_manifest()
+    assert manifest["schema"] == MANIFEST_SCHEMA
+    assert sorted(manifest["cells"]) == sorted(old["cells"])
+    for info in manifest["cells"].values():
+        assert sorted(info) == ["kind", "variant", "workload"]
+    assert store.status()["cells_done"] == 6
+
+
 def test_status_not_complete_after_mode_change(cache_dir, tmp_path):
     """A mode/spec change must not report the stale result as complete."""
     spec = _spec()
@@ -173,7 +197,7 @@ def test_status_not_complete_after_mode_change(cache_dir, tmp_path):
     CampaignScheduler(spec, store=store, runner=_runner(spec)).run()
     assert store.status()["state"] == "complete"
     # Re-plan in full mode (as an interrupted `repro run --full` would):
-    store.begin(spec, "full")
+    store.begin(spec, "full", store.load_manifest()["cells"])
     assert store.status()["state"] == "partial"       # quick result is stale
 
 

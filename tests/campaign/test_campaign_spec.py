@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.campaign.registry import get_campaign, list_campaigns
@@ -40,7 +42,7 @@ def test_dict_round_trip():
 
 def test_json_round_trip_preserves_fingerprint():
     spec = _spec()
-    restored = CampaignSpec.from_json(spec.to_json())
+    restored = CampaignSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     assert restored == spec
     assert restored.fingerprint() == spec.fingerprint()
 

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.campaign.cli import main
-from repro.campaign.health import RetryPolicy
+from repro.campaign.health import RetryPolicy, record_poisoned
 from repro.campaign.render import render_markdown
 from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.spec import CampaignSpec, variants
@@ -153,10 +153,12 @@ def test_permanent_failure_poisons_and_assembles_degraded(cache_dir, tmp_path):
     assert status["cells_failed"] == 2
     assert status["retries"] == 2 * FAST_POLICY.max_attempts
 
-    manifest = store.load_manifest()
-    failed_cells = [info for info in manifest["cells"].values()
-                    if info.get("status") == "failed"]
-    assert len(failed_cells) == 2
+    # Failure lives in the failure records; the manifest holds only the plan.
+    poisoned = [record for record in store.failures().values()
+                if record_poisoned(record)]
+    assert len(poisoned) == 2
+    assert all("status" not in info
+               for info in store.load_manifest()["cells"].values())
 
 
 def test_poisoned_cells_skipped_on_rerun_and_finalize_never_blocks(

@@ -152,11 +152,33 @@ def _kinds(anomalies):
 
 def test_worker_slow_flags_the_laggard_not_the_fleet():
     timeline = _timeline(workers={
-        "w1": _worker(10000.0), "w2": _worker(9500.0), "w3": _worker(2000.0),
+        "w1": _worker(10000.0, claims=4), "w2": _worker(9500.0, claims=4),
+        "w3": _worker(2000.0, claims=4),
     })
     anomalies = _detect_anomalies(timeline, AnomalyThresholds())
     assert _kinds(anomalies) == ["worker_slow"]
     assert anomalies[0]["subject"] == "w3"
+
+
+def test_worker_slow_ignores_paces_read_off_a_few_mixed_kind_cells():
+    # Two healthy workers split a three-cell campaign: one draws the fast
+    # baseline cell, the other the two slower DLA cells.  Their paces differ
+    # by the kinds they drew, not by health, and neither finished
+    # ``min_samples`` cells, so neither is compared.
+    events = [
+        _event("worker.started", owner="w1", mode="worker"),
+        _event("cell.finished", owner="w1", key="bl", variant="bl",
+               instructions=3000, sim_seconds=0.005),
+        _event("worker.stopped", owner="w1", instructions_per_second=602066.0),
+        _event("worker.started", owner="w2", mode="worker"),
+        _event("cell.finished", owner="w2", key="dla", variant="dla",
+               instructions=3000, sim_seconds=0.015),
+        _event("cell.finished", owner="w2", key="r3", variant="r3",
+               instructions=3000, sim_seconds=0.016),
+        _event("worker.stopped", owner="w2", instructions_per_second=194892.0),
+    ]
+    timeline = _timeline(workers=_worker_rollups(events))
+    assert _detect_anomalies(timeline, AnomalyThresholds()) == []
 
 
 def test_worker_slow_needs_a_fleet_to_compare_against():

@@ -25,7 +25,8 @@ import pytest
 from repro.campaign.cli import main
 from repro.campaign.scheduler import CampaignIncomplete, CampaignScheduler
 from repro.campaign.spec import CampaignSpec, variants
-from repro.campaign.store import CampaignStore
+from repro.campaign.store import MANIFEST_SCHEMA, CampaignStore
+from repro.campaign.telemetry import load_events
 from repro.experiments.parallel import ParallelExperimentRunner
 from repro.util.sharding import ShardError, parse_shard, partition
 
@@ -360,7 +361,7 @@ def test_killed_worker_cells_reclaimed_after_ttl_and_finished(
     spec = _spec()
     store = CampaignStore(spec.name, tmp_path / "campaigns")
     crashed = _scheduler(spec, store)
-    manifest = store.begin(spec, "quick")
+    manifest = crashed.prepare()
     keys = [key for key, _request in crashed.keyed_cells()]
 
     # "Kill" a worker mid-lease: it claimed cells with a short TTL and died
@@ -380,8 +381,41 @@ def test_killed_worker_cells_reclaimed_after_ttl_and_finished(
     assert store.leases() == {}
     # The survivor finalized: the assembled result is in the store.
     assert store.status()["state"] == "complete"
-    record = store.load_manifest()["cells"]
-    assert all(info["completed_by"] == "survivor" for info in record.values())
+    # Ownership lives in the journals: the survivor finished every cell.
+    finished = [event for event in load_events(store.events_path)
+                if event["event"] == "cell.finished"]
+    assert sorted(event["key"] for event in finished) == sorted(keys)
+    assert {event["owner"] for event in finished} == {"survivor"}
+
+
+@pytest.mark.parametrize("workloads", [("libquantum",),
+                                       ("libquantum", "mcf")])
+def test_worker_campaign_writes_the_manifest_a_fixed_number_of_times(
+        cache_dir, tmp_path, monkeypatch, workloads):
+    """The manifest holds the plan, not per-cell progress: a one-cell-batch
+    worker writes it when it opens the campaign, when it records its run and
+    when it finalises — three times whatever the cell count."""
+    spec = _spec(workloads=workloads)
+    store = CampaignStore(spec.name, tmp_path / "campaigns")
+    writes = []
+    save = CampaignStore.save_manifest
+
+    def counting_save(self, manifest):
+        writes.append(len(manifest["cells"]))
+        save(self, manifest)
+
+    monkeypatch.setattr(CampaignStore, "save_manifest", counting_save)
+    scheduler = _scheduler(spec, store)
+    summary = scheduler.run_worker(owner="solo", ttl=60, batch_size=1,
+                                   poll_seconds=0.02)
+    cells = len(scheduler.keyed_cells())
+    assert cells == 3 * len(workloads)
+    assert summary["finalized"] and summary["cells_simulated"] == cells
+    assert writes == [cells] * 3
+    manifest = store.load_manifest()
+    assert manifest["schema"] == MANIFEST_SCHEMA == 3
+    for info in manifest["cells"].values():
+        assert sorted(info) == ["kind", "variant", "workload"]
 
 
 def test_sharded_modes_refuse_without_disk_cache(tmp_path, monkeypatch):

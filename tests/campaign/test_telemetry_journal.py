@@ -183,7 +183,7 @@ def test_store_begin_sweeps_stale_journals_and_fault_ledger(cache_dir):
     new_marker = ledger / "cafebabe.0"
     new_marker.write_text("")
 
-    store.begin(spec, "quick")
+    store.begin(spec, "quick", {})
     assert not stale.path.exists()          # aged journal swept
     assert fresh.path.exists()              # live journal kept
     assert not old_marker.exists()          # aged fire-ledger marker swept
@@ -193,24 +193,24 @@ def test_store_begin_sweeps_stale_journals_and_fault_ledger(cache_dir):
 def test_store_begin_clears_journals_on_spec_change(cache_dir):
     spec = _smoke_spec()
     store = CampaignStore(spec.name)
-    store.begin(spec, "quick")
+    store.begin(spec, "quick", {})
     journal = EventJournal(store.events_path, "w")
     journal.emit("worker.started")
 
     # Same spec + mode: journals survive (resume keeps history).
-    store.begin(spec, "quick")
+    store.begin(spec, "quick", {})
     assert journal.path.exists()
 
     # Mode change resets the manifest — old journals describe a different
     # campaign shape and are dropped wholesale, age regardless.
-    store.begin(spec, "full")
+    store.begin(spec, "full", {})
     assert not journal.path.exists()
 
 
 def test_status_carries_fingerprint_and_telemetry_counters(cache_dir):
     spec = _smoke_spec()
     store = CampaignStore(spec.name)
-    store.begin(spec, "quick")
+    store.begin(spec, "quick", {})
     EventJournal(store.events_path, "w1").emit("worker.started")
     EventJournal(store.events_path, "w2").emit("cell.claimed", key="k")
 
@@ -226,7 +226,7 @@ def test_status_carries_fingerprint_and_telemetry_counters(cache_dir):
 def test_store_clear_removes_event_journals(cache_dir):
     spec = _smoke_spec()
     store = CampaignStore(spec.name)
-    store.begin(spec, "quick")
+    store.begin(spec, "quick", {})
     journal = EventJournal(store.events_path, "w")
     journal.emit("worker.started")
 

@@ -137,11 +137,6 @@ def test_reboot_penalty_sensitivity_is_small(stream_setup):
     assert expensive.cycles <= cheap.cycles * 1.05
 
 
-def test_dla_requires_profile_or_training_trace(small_stream_program):
-    with pytest.raises(ValueError):
-        DlaSystem(small_stream_program)
-
-
 # ---------------------------------------------------------------------------
 # comparators
 # ---------------------------------------------------------------------------

@@ -85,9 +85,9 @@ def test_annotation_attaches_to_next_instruction():
 def test_program_queries():
     program = _tiny_loop()
     assert program.branch_pcs() == [7]
-    assert len(program.load_pcs()) == 1
-    assert program.store_pcs() == []
-    assert program.halt_pcs() == [8]
+    assert len([inst for inst in program if inst.is_load]) == 1
+    assert not any(inst.is_store for inst in program)
+    assert [inst.pc for inst in program if inst.opcode is Opcode.HALT] == [8]
     assert len(program.control_pcs()) == 1
 
 

@@ -93,12 +93,13 @@ def test_useless_prefetch_statistic():
     assert cache.stats.prefetches_useless == 1
 
 
-def test_invalidate_all_clears_contents():
+def test_fill_makes_a_line_resident():
     cache = _small_cache()
-    cache.fill(0x40, 0)
-    cache.invalidate_all()
     assert cache.occupancy == 0
     assert not cache.probe(0x40)
+    cache.fill(0x40, 0)
+    assert cache.occupancy == 1
+    assert cache.probe(0x40)
 
 
 def test_snapshot_of_an_empty_cache_carries_no_line_payload():

@@ -58,13 +58,6 @@ def test_prefetch_into_l2_leaves_l1_miss_but_short_latency():
     assert result.supplied_by == "l2"
 
 
-def test_instruction_prefetch_warms_icache():
-    shared, memory = _core_memory()
-    memory.prefetch_instruction(0x100, now=0)
-    result = memory.access(0x100, 1000, AccessType.INSTRUCTION)
-    assert result.supplied_by == "l1"
-
-
 def test_store_counts_as_write_traffic_on_miss():
     shared, memory = _core_memory()
     before = shared.traffic

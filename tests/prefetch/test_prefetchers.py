@@ -53,7 +53,7 @@ def test_stride_prefetcher_table_capacity_eviction():
     pf = StridePrefetcher(StridePrefetcherConfig(table_entries=4))
     for pc in range(10):
         pf.observe(pc, 0x1000 * pc, hit=False, cycle=pc)
-    assert len(pf.tracked_pcs) <= 4
+    assert len(pf._table) <= 4
 
 
 def test_best_offset_learns_a_constant_offset_stream():

@@ -102,7 +102,10 @@ def test_times_budget_holds_across_plan_instances(tmp_path):
         first.check("cell.simulate", key="k", attempt=0)
     second = FaultPlan.parse(text, ledger_dir=tmp_path / "ledger")
     assert second.check("cell.simulate", key="k", attempt=0) is None
-    assert second.fired_count(second.specs[0]) == 1
+    # The one budget slot is spent: its ledger marker is the only one.
+    ident = second.specs[0].ledger_id()
+    assert sorted(p.name for p in (tmp_path / "ledger").iterdir()) == [
+        f"{ident}.0"]
 
 
 def test_memory_fallback_budget_without_ledger(tmp_path):
