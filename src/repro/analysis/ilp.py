@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.branch.predictors import make_predictor
+from repro.branch.predictors import TageLitePredictor
 from repro.core.config import SystemConfig
 from repro.emulator.trace import DynamicInst, Trace
 from repro.memory.hierarchy import AccessType, CoreMemorySystem, SharedMemorySystem
@@ -82,10 +82,10 @@ def measure_implicit_parallelism(
     entries = trace.entries
 
     # Realistic load latencies from a cache replay, and realistic branch
-    # misprediction flags from the configured predictor.
+    # misprediction flags from the core's TAGE-lite predictor.
     shared = SharedMemorySystem(config.memory)
     memory = CoreMemorySystem(shared, config.memory)
-    predictor = make_predictor(config.core.branch_predictor)
+    predictor = TageLitePredictor()
     load_latency: List[float] = [0.0] * len(entries)
     mispredicted: List[bool] = [False] * len(entries)
     cycle = 0

@@ -9,8 +9,8 @@ load addresses are predictable without executing the program — the two
 restrictions the decoupled look-ahead approach removes.
 
 The model: a shadow walker runs ``lookahead_blocks`` basic blocks ahead of
-the committed stream.  At each block boundary it consults the same branch
-predictor type as the core (trained on the architectural outcomes seen so
+the committed stream.  At each block boundary it consults a TAGE-lite
+predictor like the core's (trained on the architectural outcomes seen so
 far); if any predicted branch on the path was wrong, the walk is aborted for
 that window (mirroring how wrong-path prefetches stop helping).  Along a
 correctly-predicted path, loads whose last observed stride is stable are
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.branch.predictors import make_predictor
+from repro.branch.predictors import TageLitePredictor
 from repro.core.compile.decoded import get_decoded
 from repro.core.compile.hookspec import BFetchWalker, CompiledHookSpec
 from repro.core.config import SystemConfig
@@ -40,8 +40,6 @@ class BFetchConfig:
     lookahead_branches: int = 8
     #: Prefetch distance (in dynamic occurrences of the same load).
     distance: int = 4
-    #: Predictor used by the walker (same family as the core's).
-    predictor: str = "tage"
 
 
 def bfetch_hooks(walker: BFetchWalker) -> CoreHooks:
@@ -105,7 +103,7 @@ def simulate_bfetch(
         warm_memory_system(private, warmup_entries)
 
     walker = BFetchWalker.fresh(
-        make_predictor(bfetch.predictor), private, bfetch.lookahead_branches,
+        TageLitePredictor(), private, bfetch.lookahead_branches,
         bfetch.distance, max(get_decoded(window).pcs, default=-1) + 1)
     result = core.run(window, hooks=bfetch_hooks(walker))
     energy = EnergyModel().evaluate(result)

@@ -1,30 +1,19 @@
-"""Branch prediction: direction predictors, BTB, and the return-address stack.
+"""Branch prediction: the direction predictor, BTB and return-address stack.
 
 The paper's baseline core uses a 256 Kbit TAGE-SC-L predictor, a 4K-entry
-BTB and a 32-entry RAS (Table I).  We provide a TAGE-lite predictor that
-captures the essential TAGE mechanism (tagged tables with geometrically
-increasing history lengths and a bimodal fallback) together with simpler
-predictors used in unit tests and ablations.
+BTB and a 32-entry RAS (Table I).  Every core here predicts with a
+TAGE-lite predictor that captures the essential TAGE mechanism (tagged
+tables with geometrically increasing history lengths and a bimodal
+fallback).
 """
 
-from repro.branch.predictors import (
-    BimodalPredictor,
-    DirectionPredictor,
-    GsharePredictor,
-    TageLitePredictor,
-    TournamentPredictor,
-    make_predictor,
-)
+from repro.branch.predictors import BimodalPredictor, TageLitePredictor
 from repro.branch.btb import BranchTargetBuffer
 from repro.branch.ras import ReturnAddressStack
 
 __all__ = [
-    "DirectionPredictor",
     "BimodalPredictor",
-    "GsharePredictor",
-    "TournamentPredictor",
     "TageLitePredictor",
-    "make_predictor",
     "BranchTargetBuffer",
     "ReturnAddressStack",
 ]

@@ -1,34 +1,9 @@
-"""Branch direction predictors."""
+"""The branch direction predictor: TAGE-lite over a bimodal base table."""
 
 from __future__ import annotations
 
 from array import array
 from typing import List, Optional
-
-
-class DirectionPredictor:
-    """Interface: predict a conditional branch's direction, then train on it."""
-
-    def predict(self, pc: int) -> bool:
-        raise NotImplementedError
-
-    def update(self, pc: int, taken: bool) -> None:
-        raise NotImplementedError
-
-    def predict_update(self, pc: int, taken: bool) -> bool:
-        """Predict then train in one call; returns the prediction.
-
-        Equivalent to ``predict(pc)`` followed by ``update(pc, taken)``.
-        Predictors whose update re-derives the prediction (TAGE) override
-        this to share the table walk between the two halves.
-        """
-        predicted = self.predict(pc)
-        self.update(pc, taken)
-        return predicted
-
-    def reset(self) -> None:
-        """Clear all state."""
-        raise NotImplementedError
 
 
 def _saturate(counter: int, taken: bool, max_value: int) -> int:
@@ -37,8 +12,8 @@ def _saturate(counter: int, taken: bool, max_value: int) -> int:
     return max(counter - 1, 0)
 
 
-class BimodalPredictor(DirectionPredictor):
-    """PC-indexed table of 2-bit saturating counters."""
+class BimodalPredictor:
+    """PC-indexed table of 2-bit saturating counters (TAGE's base table)."""
 
     def __init__(self, entries: int = 4096, counter_bits: int = 2) -> None:
         self.entries = entries
@@ -60,62 +35,6 @@ class BimodalPredictor(DirectionPredictor):
 
     def reset(self) -> None:
         self._table = array("q", [self.threshold]) * self.entries
-
-
-class GsharePredictor(DirectionPredictor):
-    """Global-history XOR PC indexed 2-bit counters."""
-
-    def __init__(self, entries: int = 16384, history_bits: int = 12) -> None:
-        self.entries = entries
-        self.history_bits = history_bits
-        self._history = 0
-        self._table = [2] * entries
-
-    def _index(self, pc: int) -> int:
-        return (pc ^ self._history) % self.entries
-
-    def predict(self, pc: int) -> bool:
-        return self._table[self._index(pc)] >= 2
-
-    def update(self, pc: int, taken: bool) -> None:
-        idx = self._index(pc)
-        self._table[idx] = _saturate(self._table[idx], taken, 3)
-        self._history = ((self._history << 1) | int(taken)) & ((1 << self.history_bits) - 1)
-
-    def reset(self) -> None:
-        self._history = 0
-        self._table = [2] * self.entries
-
-
-class TournamentPredictor(DirectionPredictor):
-    """Alpha-21264-style chooser between a local (bimodal) and global predictor."""
-
-    def __init__(self, entries: int = 8192, history_bits: int = 12) -> None:
-        self.local = BimodalPredictor(entries)
-        self.global_ = GsharePredictor(entries, history_bits)
-        self.entries = entries
-        self._chooser = [2] * entries   # >= 2 chooses the global predictor
-
-    def predict(self, pc: int) -> bool:
-        if self._chooser[pc % self.entries] >= 2:
-            return self.global_.predict(pc)
-        return self.local.predict(pc)
-
-    def update(self, pc: int, taken: bool) -> None:
-        local_correct = self.local.predict(pc) == taken
-        global_correct = self.global_.predict(pc) == taken
-        idx = pc % self.entries
-        if global_correct and not local_correct:
-            self._chooser[idx] = min(self._chooser[idx] + 1, 3)
-        elif local_correct and not global_correct:
-            self._chooser[idx] = max(self._chooser[idx] - 1, 0)
-        self.local.update(pc, taken)
-        self.global_.update(pc, taken)
-
-    def reset(self) -> None:
-        self.local.reset()
-        self.global_.reset()
-        self._chooser = [2] * self.entries
 
 
 class _TageEntryView:
@@ -183,7 +102,7 @@ def _fold(value: int, bits: int) -> int:
     return folded
 
 
-class TageLitePredictor(DirectionPredictor):
+class TageLitePredictor:
     """A compact TAGE: bimodal base plus tagged tables with geometric histories.
 
     This keeps the parts of TAGE that give it its accuracy — longest-matching
@@ -336,17 +255,3 @@ class TageLitePredictor(DirectionPredictor):
         self._present = array("b", bytes(size))
         self._hist[0] = 0
 
-
-_PREDICTORS = {
-    "bimodal": BimodalPredictor,
-    "gshare": GsharePredictor,
-    "tournament": TournamentPredictor,
-    "tage": TageLitePredictor,
-}
-
-
-def make_predictor(name: str, **kwargs) -> DirectionPredictor:
-    """Instantiate a direction predictor by name."""
-    if name not in _PREDICTORS:
-        raise KeyError(f"unknown predictor {name!r}; known: {sorted(_PREDICTORS)}")
-    return _PREDICTORS[name](**kwargs)

@@ -112,7 +112,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--spec", metavar="FILE",
                        help="also register campaign spec(s) from a JSON file")
     p_run.add_argument("--processes", type=int, default=None,
-                       help="parallel worker processes (default: auto)")
+                       help="parallel worker processes (default: auto; "
+                            "refused with --worker, which simulates one "
+                            "claimed cell at a time)")
     p_run.add_argument("--force", action="store_true",
                        help="reset campaign bookkeeping before running")
     p_run.add_argument("--no-render", action="store_true",
@@ -252,8 +254,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="render the job scripts and stop — "
                                  "nothing is submitted")
     p_dispatch.add_argument("--processes", type=_positive_int, default=None,
-                            help="worker processes per host job "
-                                 "(default: 1)")
+                            help="worker processes per shard host job "
+                                 "(default: 1; refused with --claim "
+                                 "worker)")
     p_dispatch.add_argument("--poll", type=float, default=1.0,
                             metavar="SECONDS",
                             help="fleet status poll interval (default: 1)")
@@ -361,6 +364,10 @@ def _cmd_run(args) -> int:
     if not names:
         print("nothing to run: name at least one campaign, or use --smoke",
               file=sys.stderr)
+        return 2
+    if args.worker and args.processes is not None:
+        print("--processes has no effect with --worker: a worker simulates "
+              "its claimed cells one at a time", file=sys.stderr)
         return 2
     shard = None
     if args.shard is not None:

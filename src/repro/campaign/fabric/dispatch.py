@@ -90,13 +90,13 @@ exit $$status
 
 _WORKER_BODY = Template("""\
 "$python" -m repro.campaign.cli run "$campaign"$mode_flag$spec_flag \\
-    --worker --no-render --owner "$owner" --ttl $ttl --poll 2 \\
-    --processes $processes
+    --worker --no-render --owner "$owner" --ttl $ttl --poll 2
 """)
 
 #: ``#SBATCH`` header rendered for the slurm backend only (bash ignores it
 #: anyway, but keeping it out makes the other dry-run scripts honest about
-#: what will be submitted).  The allocation gets one CPU per worker process.
+#: what will be submitted).  The allocation gets one CPU per worker process
+#: (a worker-claim host runs one).
 _SBATCH_DIRECTIVES = Template("""\
 #SBATCH --job-name=repro-$campaign-$host_index
 #SBATCH --output=$log_path
@@ -187,6 +187,11 @@ class Dispatcher:
             raise DispatchError(
                 f"unknown claim mode {claim!r} "
                 f"(choose from: {', '.join(CLAIM_MODES)})"
+            )
+        if claim == "worker" and processes is not None:
+            raise DispatchError(
+                "processes has no effect on worker-claim hosts: a worker "
+                "simulates its claimed cells one at a time"
             )
         self.spec = spec
         self.backend_name = backend

@@ -70,7 +70,6 @@ class RetryPolicy:
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     backoff_base: float = DEFAULT_BACKOFF_BASE
     backoff_cap: float = DEFAULT_BACKOFF_CAP
-    jitter: bool = True
 
     def poisoned(self, attempts: int) -> bool:
         return attempts >= self.max_attempts
@@ -85,9 +84,7 @@ class RetryPolicy:
         """
         attempts = max(1, attempts)
         delay = min(self.backoff_cap, self.backoff_base * (2.0 ** (attempts - 1)))
-        if self.jitter:
-            delay *= 0.5 + stable_fraction("retry-jitter", key, attempts)
-        return delay
+        return delay * (0.5 + stable_fraction("retry-jitter", key, attempts))
 
 
 def traceback_digest(error: BaseException) -> str:

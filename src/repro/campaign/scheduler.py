@@ -405,7 +405,6 @@ class CampaignScheduler:
         leases = _Leases(ttl, batch_size, poll_seconds, max_cells)
         summary, poisoned = self._drive(
             self.keyed_cells(), owner, "worker", leases=leases, worker=owner)
-        self.store.record_run(manifest, summary)
         unfinished = self.unfinished_cells()
         summary["complete"] = not unfinished
         # Converged: nothing left to run — every cell is either done or
@@ -414,8 +413,11 @@ class CampaignScheduler:
         converged = (not summary.get("interrupted")
                      and set(unfinished) <= set(poisoned))
         if converged and finalize:
+            # The assembly records the run: one manifest write, not two.
             summary["finalized"] = True
             self.finalize(manifest=manifest)
+        else:
+            self.store.record_run(manifest, summary)
         return summary
 
     # ------------------------------------------------------------------

@@ -18,11 +18,11 @@ result cache.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.core.config import SystemConfig
-from repro.dla.config import DlaConfig
+from repro.core.config import CoreConfig, SystemConfig
+from repro.dla.config import OPTIMIZATIONS, DlaConfig
 
 #: Valid simulation kinds of a variant (mirrors SimRequest kinds).
 VARIANT_KINDS = ("baseline", "dla", "segmented")
@@ -100,10 +100,23 @@ class ConfigVariant:
             raise SpecError(
                 f"variant {self.name!r}: dynamic tuning is a segmented-only knob"
             )
+        self._check_names("core_overrides", self.core_overrides,
+                          tuple(f.name for f in fields(CoreConfig)))
+        self._check_names("dla_optimizations", self.dla_optimizations,
+                          OPTIMIZATIONS)
         self._check_knob("mshr_entries", "0 = unbounded")
         self._check_knob("mshr_banks", "0/1 = un-banked")
         self._check_knob("write_buffer_entries", "0 = no buffer")
         self._check_knob("dram_queue_depth", "0 = unbounded")
+
+    def _check_names(self, name: str, given: Mapping[str, object],
+                     known: Tuple[str, ...]) -> None:
+        unknown = sorted(set(given) - set(known))
+        if unknown:
+            raise SpecError(
+                f"variant {self.name!r}: unknown {name} {unknown} "
+                f"(known: {', '.join(known)})"
+            )
 
     def _check_knob(self, name: str, zero_meaning: str) -> None:
         value = getattr(self, name)

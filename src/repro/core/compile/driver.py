@@ -268,12 +268,10 @@ def run_compiled(kernel, core, window: Trace, hooks, start_cycle: float,
                          table.future, table.seen)
     # Wrong-path pollution (OutOfOrderCore._wrong_path_pollution): what one
     # redirect adds.
-    wrong_path = None
-    if cfg.model_wrong_path:
-        depth = min(cfg.fetch_buffer_entries + cfg.decode_width,
-                    cfg.branch_mispredict_penalty * cfg.fetch_width)
-        wrong_path = (depth, int(depth * 0.6), min(4, max(1, depth // 8)),
-                      memory.config.l1d.block_bytes * 3)
+    depth = min(cfg.fetch_buffer_entries + cfg.decode_width,
+                cfg.branch_mispredict_penalty * cfg.fetch_width)
+    wrong_path = (depth, int(depth * 0.6), min(4, max(1, depth // 8)),
+                  memory.config.l1d.block_bytes * 3)
     spec = dict(
         n=n,
         start_cycle=float(start_cycle),

@@ -13,25 +13,24 @@ from repro.memory.resources import WriteBufferConfig
 class CoreConfig:
     """Microarchitectural parameters of one core.
 
-    Defaults follow Table I: a 20-stage, 4-wide out-of-order pipeline with a
-    192-entry ROB, 96-entry LSQ, 128+128 physical registers, 4 integer ALUs,
-    2 memory ports and 4 FP units, a TAGE-class predictor, a 4K-entry BTB and
-    a 32-entry RAS.
+    Defaults follow Table I: a 4-wide out-of-order core with a 192-entry
+    ROB, a 96-entry LSQ, 4 integer ALUs, 2 memory ports and 4 FP units, a
+    4K-entry BTB and a 32-entry RAS.  The direction predictor is always the
+    TAGE-lite model.  Physical register files, pipeline depth and issue
+    width are not modelled: rename never stalls, the front-end latency and
+    the mispredict penalty stand in for depth, and issue is bounded by the
+    functional units.
     """
 
     name: str = "core"
     fetch_width: int = 4
     decode_width: int = 4
-    issue_width: int = 4
     commit_width: int = 4
     rob_entries: int = 192
     lsq_entries: int = 96
-    int_prf_entries: int = 128
-    fp_prf_entries: int = 128
     num_int_alus: int = 4
     num_mem_ports: int = 2
     num_fp_units: int = 4
-    pipeline_depth: int = 20
     #: Cycles from fetch redirect to first useful fetch after a misprediction.
     branch_mispredict_penalty: int = 14
     #: Front-end (fetch to dispatch) latency in cycles.
@@ -40,14 +39,10 @@ class CoreConfig:
     #: 8 is the conventional baseline; the R3-DLA "FB" optimization grows it
     #: to 32 (Table I, R3-DLA support).
     fetch_buffer_entries: int = 8
-    #: Branch direction predictor ("tage", "tournament", "gshare", "bimodal").
-    branch_predictor: str = "tage"
     btb_entries: int = 4096
     ras_entries: int = 32
     #: Penalty charged when a value prediction turns out wrong (replay).
     value_mispredict_penalty: int = 12
-    #: Model wrong-path cache pollution after mispredictions.
-    model_wrong_path: bool = True
 
     def scaled(self, factor: float, name: Optional[str] = None) -> "CoreConfig":
         """A copy with widths and window sizes scaled by ``factor``.
@@ -59,7 +54,6 @@ class CoreConfig:
             name=name or f"{self.name}-x{factor:g}",
             fetch_width=max(1, int(self.fetch_width * factor)),
             decode_width=max(1, int(self.decode_width * factor)),
-            issue_width=max(1, int(self.issue_width * factor)),
             commit_width=max(1, int(self.commit_width * factor)),
             rob_entries=max(16, int(self.rob_entries * factor)),
             lsq_entries=max(8, int(self.lsq_entries * factor)),
@@ -83,8 +77,6 @@ class SystemConfig:
     l2_prefetcher: str = "bop"
     #: Optional additional L1 prefetcher ("stride" in Sec. IV-C1 comparisons).
     l1_prefetcher: str = "none"
-    frequency_ghz: float = 3.0
-    voltage: float = 0.8
 
     def with_overrides(self, **core_overrides) -> "SystemConfig":
         """A copy of this config with selected core fields replaced."""
@@ -93,9 +85,9 @@ class SystemConfig:
     def without_prefetchers(self) -> "SystemConfig":
         """A copy with every hardware prefetcher disabled (the "noPF" axis).
 
-        Uses ``replace`` so every other field — including frequency/voltage
-        — carries over; the campaign layer and the runner presets must
-        materialise identical configs or their fingerprints diverge.
+        Uses ``replace`` so every other field carries over; the campaign
+        layer and the runner presets must materialise identical configs or
+        their fingerprints diverge.
         """
         return replace(self, l2_prefetcher="none", l1_prefetcher="none")
 
@@ -193,19 +185,16 @@ class SystemConfig:
 def smt_full_core_config() -> CoreConfig:
     """The wide SMT core of Sec. IV-B3 (loosely POWER9 SMT8-like).
 
-    Fetch/decode/issue/commit of 16/12/16/16 with a 512-entry ROB; it can
-    also operate as two independent half-cores.
+    Fetch/decode/commit of 16/12/16 with a 512-entry ROB; it can also
+    operate as two independent half-cores.
     """
     return CoreConfig(
         name="smt-full",
         fetch_width=16,
         decode_width=12,
-        issue_width=16,
         commit_width=16,
         rob_entries=512,
         lsq_entries=256,
-        int_prf_entries=384,
-        fp_prf_entries=384,
         num_int_alus=8,
         num_mem_ports=4,
         num_fp_units=8,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.branch.btb import BranchTargetBuffer
-from repro.branch.predictors import make_predictor
+from repro.branch.predictors import TageLitePredictor
 from repro.branch.ras import ReturnAddressStack
 from repro.core.config import CoreConfig
 from repro.core.results import CoreResult, InstructionTimings
@@ -131,7 +131,7 @@ class OutOfOrderCore:
         self.name = name or config.name
         self.l1_prefetcher = l1_prefetcher
         self.l2_prefetcher = l2_prefetcher
-        self.predictor = make_predictor(config.branch_predictor)
+        self.predictor = TageLitePredictor()
         self.btb = BranchTargetBuffer(config.btb_entries)
         self.ras = ReturnAddressStack(config.ras_entries)
         self._block_bytes = memory.config.l1i.block_bytes
@@ -514,8 +514,6 @@ class OutOfOrderCore:
         The polluting loads stride away from ``last_load``, the address of
         the most recent load (none yet: no pollution).
         """
-        if not self.config.model_wrong_path:
-            return
         cfg = self.config
         wrong_path_depth = min(
             cfg.fetch_buffer_entries + cfg.decode_width,

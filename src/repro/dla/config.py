@@ -4,15 +4,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+#: The keywords of :meth:`DlaConfig.with_optimizations`.
+OPTIMIZATIONS = ("t1", "value_reuse", "fetch_buffer")
+
 
 @dataclass(frozen=True)
 class DlaConfig:
     """Parameters of the DLA / R3-DLA hardware support (Table I, bottom).
 
-    The four R3 optimizations can be toggled individually, which is how the
-    synergy analysis of Fig. 13c and the per-technique breakdowns are run.
-    Immutable: derive a variant with :func:`dataclasses.replace` or one of
-    the helpers below.
+    Three R3 optimizations (T1 offload, value reuse, the big fetch buffer)
+    are toggled individually here, which is how the synergy analysis of
+    Fig. 13c and the per-technique breakdowns are run.  The fourth,
+    recycling, is not a flag: a run recycles skeletons when it is simulated
+    as a segmented cell (``ExperimentRunner.dla_segmented``), which reads
+    the recycle parameters below.  Immutable: derive a variant with
+    :func:`dataclasses.replace` or one of the helpers below.
     """
 
     # -- queues connecting the two cores ---------------------------------
@@ -39,7 +45,6 @@ class DlaConfig:
     enable_t1: bool = False
     enable_value_reuse: bool = False
     enable_fetch_buffer: bool = False
-    enable_recycle: bool = False
 
     # -- R3 structure sizes (Table I) ---------------------------------------
     t1_entries: int = 16
@@ -47,22 +52,16 @@ class DlaConfig:
     fetch_buffer_entries: int = 32
     #: Baseline main-thread fetch buffer (conventional front end).
     baseline_fetch_buffer_entries: int = 8
-    vpt_entries: int = 32
     lct_entries: int = 16
 
     # -- value reuse parameters ---------------------------------------------
     #: Dispatch-to-execute latency (cycles) above which an instruction is
     #: considered "slow" and worth a value prediction.
     slow_instruction_threshold: float = 20.0
-    #: Iterations of a new loop the main thread spends identifying slow
-    #: instructions before the SIF is considered trained.
-    sif_training_iterations: int = 8
 
     # -- recycle parameters ---------------------------------------------------
     #: Minimum dynamic instructions for a loop unit to be tuned independently.
     loop_unit_min_instructions: int = 2000
-    #: Number of skeleton versions the controller cycles through.
-    recycle_versions: int = 6
     #: Dynamic-tuning trial length per version, in instructions.
     recycle_trial_instructions: int = 400
 
@@ -71,45 +70,28 @@ class DlaConfig:
     seed: int = 2019
 
     def r3(self) -> "DlaConfig":
-        """A copy with every R3 optimization enabled (the full R3-DLA)."""
-        return replace(
-            self,
-            enable_t1=True,
-            enable_value_reuse=True,
-            enable_fetch_buffer=True,
-            enable_recycle=True,
-        )
+        """A copy with T1, value reuse and the fetch buffer enabled.
+
+        With recycling, which is the segmented cell kind rather than a
+        flag, this is the full R3-DLA.
+        """
+        return self.with_optimizations(t1=True, value_reuse=True,
+                                       fetch_buffer=True)
 
     def baseline_dla(self) -> "DlaConfig":
         """A copy with every R3 optimization disabled (the baseline DLA)."""
-        return replace(
-            self,
-            enable_t1=False,
-            enable_value_reuse=False,
-            enable_fetch_buffer=False,
-            enable_recycle=False,
-        )
+        return self.with_optimizations()
 
     def with_optimizations(self, *, t1: bool = False, value_reuse: bool = False,
-                           fetch_buffer: bool = False, recycle: bool = False) -> "DlaConfig":
-        """A copy with exactly the named optimizations enabled."""
+                           fetch_buffer: bool = False) -> "DlaConfig":
+        """A copy with exactly the named optimizations enabled.
+
+        The keywords are :data:`OPTIMIZATIONS`; recycling is chosen by the
+        segmented cell kind, not here.
+        """
         return replace(
             self,
             enable_t1=t1,
             enable_value_reuse=value_reuse,
             enable_fetch_buffer=fetch_buffer,
-            enable_recycle=recycle,
         )
-
-    @property
-    def enabled_optimizations(self) -> tuple:
-        names = []
-        if self.enable_t1:
-            names.append("t1")
-        if self.enable_value_reuse:
-            names.append("value_reuse")
-        if self.enable_fetch_buffer:
-            names.append("fetch_buffer")
-        if self.enable_recycle:
-            names.append("recycle")
-        return tuple(names)

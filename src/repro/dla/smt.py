@@ -82,9 +82,9 @@ def smt_configs(base_config: Optional[SystemConfig] = None) -> Tuple[SystemConfi
     """The (half-core, full-core) system configs derived from ``base_config``.
 
     Only the core changes (sized exactly as Fig. 11); everything else —
-    memory hierarchy, prefetchers, frequency/voltage and any future fields —
-    carries over via ``replace`` so the derived configs (and therefore the
-    auxiliary-cache fingerprints) track the base config faithfully.
+    memory hierarchy, prefetchers and any future fields — carries over via
+    ``replace`` so the derived configs (and therefore the auxiliary-cache
+    fingerprints) track the base config faithfully.
     """
     base_config = base_config or SystemConfig()
     half_cfg = replace(base_config, core=sm_half_core_config())

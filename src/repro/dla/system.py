@@ -98,8 +98,6 @@ class DlaOutcome:
     dram_energy: float
     main_energy: EnergyBreakdown
     lookahead_energy: EnergyBreakdown
-    #: Names of the R3 optimizations that were active.
-    optimizations: Tuple[str, ...] = ()
     #: Unified memory-backend telemetry: {"main": {...}, "lookahead": {...},
     #: "shared": {...}} where each domain holds per-level dicts (``mshr``/
     #: ``write_buffer``/``writebacks`` slices, plus ``dram`` under
@@ -383,7 +381,6 @@ class DlaSystem:
             dram_energy=state.shared.dram.energy(int(main.cycles)),
             main_energy=main_energy,
             lookahead_energy=lookahead_energy,
-            optimizations=self.dla_config.enabled_optimizations,
             memsys={
                 "main": state.mt_memory.memsys_telemetry(),
                 "lookahead": state.lt_memory.memsys_telemetry(),

@@ -3,20 +3,19 @@
 The paper's baseline core uses a Best-Offset Prefetcher (BOP) at L2, chosen
 as the best of a group of state-of-the-art prefetchers, and its analysis of
 the T1 offload engine compares against adding a conventional stride
-prefetcher at L1.  This package implements those prefetchers (plus simpler
-ones used as sanity baselines) behind a single event-driven interface:
-``observe(pc, address, hit, cycle)`` returns the list of block addresses the
-prefetcher wants brought in.
+prefetcher at L1.  This package implements those two prefetchers, plus the
+null prefetcher of the "noPF" configurations, behind a single event-driven
+interface: ``observe(pc, address, hit, cycle)`` returns the list of block
+addresses the prefetcher wants brought in.  ``SystemConfig`` names them by
+their :data:`PREFETCHER_FACTORIES` key.
 """
 
 from repro.prefetch.base import NullPrefetcher, Prefetcher, PrefetchRequest
 from repro.prefetch.stride import StridePrefetcher, StridePrefetcherConfig
 from repro.prefetch.best_offset import BestOffsetPrefetcher, BestOffsetConfig
-from repro.prefetch.next_line import NextLinePrefetcher
 
 PREFETCHER_FACTORIES = {
     "none": NullPrefetcher,
-    "next_line": NextLinePrefetcher,
     "stride": StridePrefetcher,
     "bop": BestOffsetPrefetcher,
 }
@@ -37,7 +36,6 @@ __all__ = [
     "StridePrefetcherConfig",
     "BestOffsetPrefetcher",
     "BestOffsetConfig",
-    "NextLinePrefetcher",
     "make_prefetcher",
     "PREFETCHER_FACTORIES",
 ]

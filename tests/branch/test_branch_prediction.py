@@ -3,22 +3,17 @@
 import pytest
 
 from repro.branch.btb import BranchTargetBuffer
-from repro.branch.predictors import (
-    BimodalPredictor,
-    GsharePredictor,
-    TageLitePredictor,
-    make_predictor,
-)
+from repro.branch.predictors import BimodalPredictor, TageLitePredictor
 from repro.branch.ras import ReturnAddressStack
 from repro.util.rng import DeterministicRng
 
 
-ALL_PREDICTORS = ["bimodal", "gshare", "tournament", "tage"]
+ALL_PREDICTORS = {"bimodal": BimodalPredictor, "tage": TageLitePredictor}
 
 
 @pytest.mark.parametrize("name", ALL_PREDICTORS)
 def test_always_taken_branch_learned_quickly(name):
-    predictor = make_predictor(name)
+    predictor = ALL_PREDICTORS[name]()
     correct = 0
     for i in range(200):
         if predictor.predict(0x40):
@@ -29,7 +24,7 @@ def test_always_taken_branch_learned_quickly(name):
 
 @pytest.mark.parametrize("name", ALL_PREDICTORS)
 def test_alternating_pattern_learned_by_history_predictors(name):
-    predictor = make_predictor(name)
+    predictor = ALL_PREDICTORS[name]()
     correct = 0
     total = 400
     for i in range(total):
@@ -37,7 +32,7 @@ def test_alternating_pattern_learned_by_history_predictors(name):
         if predictor.predict(0x80) == taken:
             correct += 1
         predictor.update(0x80, taken)
-    if name in ("gshare", "tournament", "tage"):
+    if name == "tage":
         assert correct / total > 0.8, f"{name} should learn a period-2 pattern"
     else:
         # A bimodal predictor fundamentally cannot learn a period-2 pattern;
@@ -62,17 +57,15 @@ def test_tage_beats_bimodal_on_correlated_history():
 
 
 def test_predictor_reset_clears_training():
-    predictor = GsharePredictor()
-    for _ in range(100):
-        predictor.update(0x10, True)
+    predictor = TageLitePredictor()
+    for i in range(100):
+        predictor.update(0x10, bool(i % 2))
     predictor.reset()
-    # After reset the counters are back at the weakly-taken initial value.
+    # After reset the history, the tagged tables and the base counters are
+    # back at their initial values.
     assert predictor._history == 0
-
-
-def test_unknown_predictor_name_rejected():
-    with pytest.raises(KeyError):
-        make_predictor("neural")
+    assert not any(predictor._present)
+    assert set(predictor.base._table) == {predictor.base.threshold}
 
 
 def test_btb_lookup_update_and_eviction():

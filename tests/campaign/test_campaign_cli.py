@@ -37,6 +37,32 @@ def test_run_requires_a_campaign(isolated):
     assert main(["run", "no-such-campaign"]) == 2
 
 
+def test_worker_refuses_processes(isolated, capsys):
+    """A worker simulates its claimed cells one at a time, so an explicit
+    ``--processes`` is refused before anything runs."""
+    assert main(["run", "fig10", "--worker", "--processes", "2"]) == 2
+    assert "--processes" in capsys.readouterr().err
+    assert not (isolated / "cache").exists()
+
+
+def test_spec_naming_an_unknown_knob_is_a_spec_error(isolated, tmp_path,
+                                                     capsys):
+    spec = CampaignSpec(
+        name="cli-bad-knob",
+        title="CLI bad-knob campaign",
+        experiment="repro.experiments.fig10_energy",
+        workloads=("libquantum",),
+        variants=(),
+        **WINDOW,
+    ).to_dict()
+    spec["variants"] = [{"name": "deep", "kind": "baseline",
+                         "core_overrides": {"pipeline_depth": 30}}]
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps([spec]))
+    assert main(["run", "--spec", str(spec_file)]) == 2
+    assert "spec error" in capsys.readouterr().err
+
+
 def test_run_status_render_clean_cycle(isolated, tmp_path, capsys):
     spec = CampaignSpec(
         name="cli-test",

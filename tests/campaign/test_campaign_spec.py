@@ -75,6 +75,22 @@ def test_variant_validation_rejects(variant_kwargs):
         ConfigVariant(**variant_kwargs).validate()
 
 
+@pytest.mark.parametrize("variant_kwargs", [
+    dict(name="x", kind="dla", dla_optimizations={"bogus": True}),
+    dict(name="x", kind="dla", dla_optimizations={"recycle": True}),
+    dict(name="x", core_overrides={"pipeline_depth": 30}),
+    dict(name="x", core_overrides={"branch_predictor": "gshare"}),
+])
+def test_unknown_knob_names_are_spec_errors(variant_kwargs):
+    """A knob no config has fails validation, not later materialisation
+    with a ``TypeError``, both in code and through the dict form."""
+    with pytest.raises(SpecError, match="unknown"):
+        ConfigVariant(**variant_kwargs).validate()
+    with pytest.raises(SpecError, match="unknown"):
+        CampaignSpec.from_dict({**_spec().to_dict(),
+                                "variants": [variant_kwargs]})
+
+
 def test_spec_validation_rejects_duplicates_and_unknown_workloads():
     with pytest.raises(SpecError):
         _spec(variants=variants(dict(name="bl"), dict(name="bl"))).validate()

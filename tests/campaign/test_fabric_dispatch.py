@@ -124,12 +124,26 @@ def test_dry_run_renders_slurm_scripts_without_submitting(isolated):
     assert status["cells_planned"] == 3 and status["cells_done"] == 0
 
 
+def test_worker_claim_scripts_run_one_process(isolated):
+    """A worker simulates its claimed cells one at a time: its job passes
+    no ``--processes`` and asks SLURM for one CPU."""
+    plan = Dispatcher(_fig_spec(), backend="slurm", hosts=2, claim="worker",
+                      progress=None).dispatch(dry_run=True)
+    for job in plan.jobs:
+        script = job.script_path.read_text()
+        assert "--worker" in script
+        assert "--processes" not in script
+        assert "#SBATCH --cpus-per-task=1\n" in script
+
+
 def test_dispatch_rejects_bad_plans(isolated):
     spec = _fig_spec()
     with pytest.raises(DispatchError):
         Dispatcher(spec, hosts=0)
     with pytest.raises(DispatchError):
         Dispatcher(spec, claim="steal")
+    with pytest.raises(DispatchError, match="processes"):
+        Dispatcher(spec, claim="worker", processes=2)
     with pytest.raises(Exception):
         Dispatcher(spec, backend="kubernetes", progress=None).dispatch()
 

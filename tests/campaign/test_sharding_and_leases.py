@@ -388,15 +388,9 @@ def test_killed_worker_cells_reclaimed_after_ttl_and_finished(
     assert {event["owner"] for event in finished} == {"survivor"}
 
 
-@pytest.mark.parametrize("workloads", [("libquantum",),
-                                       ("libquantum", "mcf")])
-def test_worker_campaign_writes_the_manifest_a_fixed_number_of_times(
-        cache_dir, tmp_path, monkeypatch, workloads):
-    """The manifest holds the plan, not per-cell progress: a one-cell-batch
-    worker writes it when it opens the campaign, when it records its run and
-    when it finalises — three times whatever the cell count."""
-    spec = _spec(workloads=workloads)
-    store = CampaignStore(spec.name, tmp_path / "campaigns")
+def _count_manifest_writes(monkeypatch):
+    """Wrap ``CampaignStore.save_manifest``; the returned list gains the
+    manifest's cell count at every write."""
     writes = []
     save = CampaignStore.save_manifest
 
@@ -405,17 +399,52 @@ def test_worker_campaign_writes_the_manifest_a_fixed_number_of_times(
         save(self, manifest)
 
     monkeypatch.setattr(CampaignStore, "save_manifest", counting_save)
+    return writes
+
+
+@pytest.mark.parametrize("workloads", [("libquantum",),
+                                       ("libquantum", "mcf")])
+def test_worker_campaign_writes_the_manifest_a_fixed_number_of_times(
+        cache_dir, tmp_path, monkeypatch, workloads):
+    """The manifest holds the plan, not per-cell progress: a one-cell-batch
+    worker writes it when it opens the campaign and when it finalises —
+    twice whatever the cell count."""
+    spec = _spec(workloads=workloads)
+    store = CampaignStore(spec.name, tmp_path / "campaigns")
+    writes = _count_manifest_writes(monkeypatch)
     scheduler = _scheduler(spec, store)
     summary = scheduler.run_worker(owner="solo", ttl=60, batch_size=1,
                                    poll_seconds=0.02)
     cells = len(scheduler.keyed_cells())
     assert cells == 3 * len(workloads)
     assert summary["finalized"] and summary["cells_simulated"] == cells
-    assert writes == [cells] * 3
+    assert writes == [cells] * 2
     manifest = store.load_manifest()
     assert manifest["schema"] == MANIFEST_SCHEMA == 3
     for info in manifest["cells"].values():
         assert sorted(info) == ["kind", "variant", "workload"]
+
+
+@pytest.mark.parametrize("finalize", [True, False])
+def test_a_converged_worker_writes_the_manifest_as_often_as_run(
+        cache_dir, tmp_path, monkeypatch, finalize):
+    """A converged worker that finalises records its run once, through the
+    assembly, as ``run()`` does; one told not to finalise records the
+    worker's own summary instead.  Either way: two writes, like ``run()``."""
+    spec = _spec(workloads=("libquantum", "mcf"))
+    writes = _count_manifest_writes(monkeypatch)
+    _scheduler(spec, CampaignStore(spec.name, tmp_path / "run")).run()
+    run_writes = len(writes)
+    writes.clear()
+    store = CampaignStore(spec.name, tmp_path / "worker")
+    summary = _scheduler(spec, store).run_worker(
+        owner="solo", ttl=60, batch_size=1, poll_seconds=0.02,
+        finalize=finalize)
+    assert summary["complete"]
+    assert summary.get("finalized", False) == finalize
+    assert len(writes) == run_writes == 2
+    last_run = store.load_manifest()["last_run"]
+    assert last_run.get("worker") == (None if finalize else "solo")
 
 
 def test_sharded_modes_refuse_without_disk_cache(tmp_path, monkeypatch):

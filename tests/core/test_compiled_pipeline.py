@@ -30,10 +30,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.baselines import BFetchConfig, simulate_bfetch, simulate_cre
+from repro.baselines import bfetch as bfetch_module
+from repro.baselines import simulate_bfetch, simulate_cre
 from repro.baselines.bfetch import bfetch_hooks
 from repro.baselines.runahead import runahead_hooks
-from repro.branch.predictors import make_predictor
+from repro.branch.predictors import TageLitePredictor
+from repro.core import pipeline as pipeline_module
 from repro.core.compile import (
     FAST_PIPELINE_ENV,
     compiled_ticks_total,
@@ -78,6 +80,8 @@ from repro.experiments.runner import ExperimentRunner
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import Program
 from repro.memory.cache import Cache
+from repro.prefetch import PREFETCHER_FACTORIES
+from repro.prefetch.best_offset import BestOffsetPrefetcher
 from repro.util.rng import DeterministicRng
 from repro.workloads.kernels import build_kernel
 
@@ -510,18 +514,27 @@ MEMORY_POINTS = sorted(SECTION_KERNELS) + [
 
 
 #: DLA memory points whose main pass does not fit the kernel (an L1
-#: prefetcher, a non-BOP L2 prefetcher): the interpreter carries it, next to
-#: a look-ahead pass that fits unless it shares the L2 prefetcher.
-UNFIT_POINTS = ["contended+l1_stride", "contended+l2_next_line"]
+#: prefetcher, an L2 prefetcher that is not the stock BOP type): the
+#: interpreter carries it, next to a look-ahead pass that fits unless it
+#: shares the L2 prefetcher.
+UNFIT_POINTS = ["contended+l1_stride", "contended+l2_nonstock_bop"]
 
 
-def _memory_point(prepared, point):
-    """``(prepared kernel, SystemConfig)`` of one memory point."""
+class _SubclassedBop(BestOffsetPrefetcher):
+    """A :class:`BestOffsetPrefetcher` subclass: stock behaviour, not the
+    stock type."""
+
+
+def _memory_point(prepared, point, monkeypatch=None):
+    """``(prepared kernel, SystemConfig)`` of one memory point; the
+    non-stock BOP point registers its prefetcher through ``monkeypatch``."""
     if point in UNFIT_POINTS:
         kernel, config = _memory_point(prepared, "contended")
         if point.endswith("l1_stride"):
             return kernel, config.with_l1_stride()
-        return kernel, replace(config, l2_prefetcher="next_line")
+        monkeypatch.setitem(PREFETCHER_FACTORIES, "nonstock_bop",
+                            _SubclassedBop)
+        return kernel, replace(config, l2_prefetcher="nonstock_bop")
     if point.startswith("machine-"):
         knobs = dict(MEMSYS_MACHINES)[point[len("machine-"):]]
         return prepared["triad"], machine_config(SystemConfig(), knobs)
@@ -562,8 +575,8 @@ def test_dla_memory_state_and_hints_match_reference(prepared, monkeypatch,
     pass's load-miss log (its prefetch hints), the hints the main pass
     installed and T1's table and stats agree with the reference, whether
     the kernel or the interpreter carried each pass."""
-    (program, warmup, timed, profile, _), config = _memory_point(prepared,
-                                                                 section)
+    (program, warmup, timed, profile, _), config = _memory_point(
+        prepared, section, monkeypatch)
     dla_config = (
         DlaConfig().baseline_dla() if config_name == "dla" else DlaConfig().r3()
     )
@@ -749,10 +762,12 @@ def test_l1_prefetcher_config_keeps_data_hits_in_python(prepared, monkeypatch):
 
 
 def test_non_bop_l2_prefetcher_keeps_misses_in_python(prepared, monkeypatch):
-    """The kernel trains only BOP: another L2 prefetcher sends the run to
-    the interpreter, and it stays bit-identical to the kill-switch run."""
+    """The kernel trains only the stock BOP type: another L2 prefetcher
+    type sends the run to the interpreter, and it stays bit-identical to
+    the kill-switch run."""
     _, warmup, timed, _, _ = prepared["stream"]
-    config = replace(SystemConfig(), l2_prefetcher="next_line")
+    monkeypatch.setitem(PREFETCHER_FACTORIES, "nonstock_bop", _SubclassedBop)
+    config = replace(SystemConfig(), l2_prefetcher="nonstock_bop")
     assert not plan_run(build_single_core(config)[2], CoreHooks())
 
     def view():
@@ -768,11 +783,16 @@ class _SubclassedCache(Cache):
     """A :class:`Cache` subclass: stock behaviour, not the stock type."""
 
 
+class _SubclassedTage(TageLitePredictor):
+    """A :class:`TageLitePredictor` subclass: stock behaviour, not the
+    stock type."""
+
+
 #: Single-core runs the kernel does not fit, beyond the prefetcher and
-#: memory-hook cases above: another branch unit, a non-stock cache type
-#: (whose warm-up replay also runs in Python), and an ``on_commit`` hook no
-#: declared T1 engine covers.
-@pytest.mark.parametrize("case", ["gshare_core", "cache_subclass",
+#: memory-hook cases above: a non-stock predictor type, a non-stock cache
+#: type (whose warm-up replay also runs in Python), and an ``on_commit``
+#: hook no declared T1 engine covers.
+@pytest.mark.parametrize("case", ["tage_subtype", "cache_subclass",
                                   "commit_hook"])
 def test_run_outside_the_kernel_goes_to_the_interpreter(prepared, monkeypatch,
                                                         case):
@@ -781,11 +801,11 @@ def test_run_outside_the_kernel_goes_to_the_interpreter(prepared, monkeypatch,
     equal the kill-switch run's."""
     _, warmup, timed, _, _ = prepared["triad"]
     config = SystemConfig()
-    if case == "gshare_core":
-        config = config.with_overrides(branch_predictor="gshare")
 
     def run():
         shared, private, core = build_single_core(config)
+        if case == "tage_subtype":
+            core.predictor.__class__ = _SubclassedTage
         if case == "cache_subclass":
             private.l1d.__class__ = _SubclassedCache
         _replay_warmup(private, warmup)
@@ -908,13 +928,14 @@ def _stencil():
             config)
 
 
-@pytest.mark.parametrize("mode", ["dla", "r3", "static", "dynamic", "gshare",
-                                  "r3-t1x2"])
+@pytest.mark.parametrize("mode", ["dla", "r3", "static", "dynamic",
+                                  "tage_subtype", "r3-t1x2"])
 def test_hint_unit_under_stress_matches_reference(prepared, monkeypatch, mode):
     """Compiled and interpreted runs agree on the whole outcome, the queue
     counters, T1 (stats and table) and the RNG stream's final state, with
-    every hint-unit path exercised.  ``gshare`` (a branch unit the kernel
-    does not transcribe) runs R3 on the interpreter, hint hooks and all;
+    every hint-unit path exercised.  ``tage_subtype`` (cores predicting
+    with a TAGE subclass, a type the kernel does not take) runs R3 on the
+    interpreter, hint hooks and all;
     ``r3-t1x2`` shrinks T1 to two entries and runs a stencil, whose three
     strided loads then keep evicting each other."""
     from repro.dla.recycle import RecycleController, build_skeleton_versions
@@ -927,12 +948,13 @@ def test_hint_unit_under_stress_matches_reference(prepared, monkeypatch, mode):
     dla_config = replace(base, **STRESS)
     if mode == "r3-t1x2":
         dla_config = replace(dla_config, t1_entries=2)
-    if mode == "gshare":
-        config = config.with_overrides(branch_predictor="gshare")
+    if mode == "tage_subtype":
+        monkeypatch.setattr(pipeline_module, "TageLitePredictor",
+                            _SubclassedTage)
 
     def run():
         system = DlaSystem(program, config, dla_config, profile=profile)
-        if mode in ("dla", "r3", "gshare", "r3-t1x2"):
+        if mode in ("dla", "r3", "tage_subtype", "r3-t1x2"):
             return system.simulate(timed, warmup_entries=warmup)
         versions = build_skeleton_versions(system.builder, enable_t1=True)
         controller = RecycleController(versions, dla_config,
@@ -953,11 +975,11 @@ def test_hint_unit_under_stress_matches_reference(prepared, monkeypatch, mode):
     assert_identical([view["t1"] for view in compiled_views],
                      [view["t1"] for view in reference_views])
     if kernel_available():
-        native = mode != "gshare"
+        native = mode != "tage_subtype"
         assert (counters()["native_hint_branches"] > hinted) == native
         assert (counters()["interpreted_runs"] == interpreted) == native
         assert (counters()["native_t1_commits"] > stepped) == (mode not in (
-            "dla", "gshare"))
+            "dla", "tage_subtype"))
 
     # Every path fired on the reference side.
     assert sum(unit.reboots for unit in units) > 0
@@ -1386,11 +1408,10 @@ def _related_state(monkeypatch, simulate):
             "bop": _bop_view(core.l2_prefetcher), "model": model}
 
 
-def _related_simulation(model, prepared_kernel, config, bfetch=None):
+def _related_simulation(model, prepared_kernel, config):
     program, warmup, timed, profile, _ = prepared_kernel
     if model == "bfetch":
-        return lambda: simulate_bfetch(timed, config, bfetch,
-                                       warmup_entries=warmup)
+        return lambda: simulate_bfetch(timed, config, warmup_entries=warmup)
     return lambda: simulate_cre(program, timed, profile, config,
                                 warmup_entries=warmup)
 
@@ -1421,22 +1442,25 @@ def test_related_approach_compiled_matches_reference(prepared, monkeypatch,
                            else (0, sum(reference["model"]["seen"])))
 
 
-@pytest.mark.parametrize("model, route", [("bfetch", "gshare_walker"),
+@pytest.mark.parametrize("model, route", [("bfetch", "tage_subtype_walker"),
                                           ("bfetch", "l1_stride"),
                                           ("cre", "l1_stride")])
 def test_related_approach_off_the_native_path_keeps_callbacks(
         prepared, monkeypatch, model, route):
-    """A walker predicting with gshare, or an L1 stride prefetcher, does not
-    fit the kernel: the run goes to the interpreter, which runs the model's
-    Python hook, and still matches the kill-switch run."""
+    """A walker predicting with a TAGE subclass (a type the kernel does not
+    take), or an L1 stride prefetcher, does not fit the kernel: the run goes
+    to the interpreter, which runs the model's Python hook, and still
+    matches the kill-switch run."""
     config = (SystemConfig().with_l1_stride() if route == "l1_stride"
               else SystemConfig())
-    bfetch = BFetchConfig(predictor="gshare") if route == "gshare_walker" else None
-    simulate = _related_simulation(model, prepared["triad"], config, bfetch)
+    predictor = TageLitePredictor
+    if route == "tage_subtype_walker":
+        predictor = _SubclassedTage
+        monkeypatch.setattr(bfetch_module, "TageLitePredictor", predictor)
+    simulate = _related_simulation(model, prepared["triad"], config)
     _, private, core = build_single_core(config)
     if model == "bfetch":
-        predictor = make_predictor(bfetch.predictor if bfetch else "tage")
-        hooks = bfetch_hooks(BFetchWalker.fresh(predictor, private, 8, 4, 1))
+        hooks = bfetch_hooks(BFetchWalker.fresh(predictor(), private, 8, 4, 1))
     else:
         hooks = runahead_hooks(RunaheadTable.fresh(private, 1))
     assert not plan_run(core, hooks)
@@ -1509,7 +1533,7 @@ def test_native_bfetch_matches_python_on_fetch_streams(monkeypatch):
 
     def side():
         shared, private, core = build_single_core(config)
-        walker = BFetchWalker.fresh(make_predictor("tage"), private, 8,
+        walker = BFetchWalker.fresh(TageLitePredictor(), private, 8,
                                     distance, 5)
         return shared, private, core, walker, bfetch_hooks(walker)
 

@@ -65,7 +65,6 @@ def test_r3_is_at_least_as_fast_as_dla(stream_setup):
     _, dla = _dla(stream_setup, DlaConfig().baseline_dla())
     _, r3 = _dla(stream_setup, DlaConfig().r3())
     assert r3.cycles <= dla.cycles * 1.05
-    assert set(r3.optimizations) == {"t1", "value_reuse", "fetch_buffer", "recycle"}
 
 
 def test_r3_never_slower_than_baseline(stream_setup, pointer_setup):

@@ -48,6 +48,15 @@ def test_fingerprint_distinguishes_dla_toggles():
     assert fingerprint(DlaConfig().baseline_dla()) != fingerprint(DlaConfig().r3())
 
 
+def test_r3_is_the_three_flag_config_under_one_key():
+    """Recycling is the segmented cell kind, not a flag: the r3 preset and
+    the three toggles spelled out are one config and one cache slot."""
+    three = DlaConfig().with_optimizations(t1=True, value_reuse=True,
+                                           fetch_buffer=True)
+    assert DlaConfig().r3() == three
+    assert fingerprint(DlaConfig().r3()) == fingerprint(three)
+
+
 def test_canonicalize_handles_containers():
     value = canonicalize({"b": (1, 2), "a": {3, 1}})
     assert value == canonicalize({"a": {1, 3}, "b": [1, 2]})
@@ -111,14 +120,14 @@ FINGERPRINT = importlib.import_module("repro.experiments.fingerprint")
 
 def test_memo_entry_never_outlives_its_config(monkeypatch):
     """A config built on a recycled id() must get its own key."""
-    base = SystemConfig()
-    victim = dataclasses.replace(base, frequency_ghz=1.0)
+    base = DlaConfig()
+    victim = dataclasses.replace(base, seed=1)
     stale_key = fingerprint(victim)
     recycled = id(victim)
     del victim
     held = []
     for step in range(1, 10_000):
-        config = dataclasses.replace(base, frequency_ghz=1.0 + step)
+        config = dataclasses.replace(base, seed=1 + step)
         if id(config) == recycled:
             break
         held.append(config)   # keep the slot we want free for the next try

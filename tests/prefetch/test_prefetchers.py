@@ -5,7 +5,6 @@ import pytest
 from repro.prefetch import make_prefetcher, PREFETCHER_FACTORIES
 from repro.prefetch.base import NullPrefetcher
 from repro.prefetch.best_offset import BestOffsetConfig, BestOffsetPrefetcher
-from repro.prefetch.next_line import NextLinePrefetcher
 from repro.prefetch.stride import StridePrefetcher, StridePrefetcherConfig
 
 
@@ -19,13 +18,6 @@ def test_factory_knows_every_registered_prefetcher():
 def test_null_prefetcher_never_prefetches():
     pf = NullPrefetcher()
     assert pf.observe(1, 0x1000, hit=False, cycle=0) == []
-
-
-def test_next_line_prefetches_following_blocks_on_miss_only():
-    pf = NextLinePrefetcher(degree=2)
-    requests = pf.observe(1, 0x1000, hit=False, cycle=0)
-    assert [r.address for r in requests] == [0x1040, 0x1080]
-    assert pf.observe(1, 0x1000, hit=True, cycle=1) == []
 
 
 def test_stride_prefetcher_learns_constant_stride():

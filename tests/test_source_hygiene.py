@@ -1,9 +1,13 @@
-"""Source hygiene: every module-level import in ``src/`` is used.
+"""Source hygiene: every module-level import in ``src/`` is used, and every
+config field is read.
 
-An AST scan, not a linter run: a name bound by a module-level import must
+AST scans, not a linter run.  A name bound by a module-level import must
 be referenced somewhere in its module (code, a quoted annotation or
 ``__all__``).  ``__init__.py`` files re-export by importing, so they are
-skipped; an import line marked ``# noqa`` is kept on purpose.
+skipped; an import line marked ``# noqa`` is kept on purpose.  A field of
+a ``@dataclass`` named ``*Config`` or ``*Options`` must be loaded as an
+attribute, or through ``getattr`` with a constant name, somewhere in
+``src/``: a field nothing reads still splits every content key.
 """
 
 from __future__ import annotations
@@ -112,3 +116,73 @@ def test_the_scan_finds_an_unused_import(tmp_path):
         "def f(x: 'Optional[int]') -> None:\n"
         "    return osp.sep\n")
     assert unused_imports(module) == ["2:os", "4:List"]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(
+            target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def config_fields(tree: ast.Module) -> Iterator[str]:
+    """``Class.field`` for every field of a ``*Config``/``*Options``
+    dataclass defined in ``tree``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                and node.name.endswith(("Config", "Options"))):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and "ClassVar" not in ast.dump(stmt.annotation)):
+                    yield f"{node.name}.{stmt.target.id}"
+
+
+def attribute_reads(tree: ast.Module) -> Iterator[str]:
+    """Every attribute name ``tree`` loads: ``x.name`` in a load context,
+    or ``getattr(x, "name"[, default])``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)
+              and isinstance(node.args[1].value, str)):
+            yield node.args[1].value
+
+
+def unread_config_fields(root: Path) -> List[str]:
+    fields: List[str] = []
+    reads: Set[str] = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        fields.extend(config_fields(tree))
+        reads.update(attribute_reads(tree))
+    return [field for field in fields if field.split(".")[1] not in reads]
+
+
+def test_every_config_field_is_read():
+    assert unread_config_fields(SRC / "repro") == []
+
+
+def test_the_scan_finds_an_unread_config_field(tmp_path):
+    (tmp_path / "module.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class CoreConfig:\n"
+        "    width: int = 4\n"
+        "    depth: int = 20\n"
+        "    ports: int = 2\n"
+        "@dataclass\n"
+        "class RunOptions:\n"
+        "    verbose: bool = False\n"
+        "class Plain:\n"
+        "    ignored: int = 0\n"
+        "def use(config):\n"
+        "    config.depth = 1\n"
+        "    return config.width + getattr(config, 'ports')\n")
+    assert unread_config_fields(tmp_path) == ["CoreConfig.depth",
+                                              "RunOptions.verbose"]
