@@ -9,10 +9,10 @@ cosmetic — and persist in the on-disk cache (``.repro_cache/``, disable with
 
 Set the environment variable ``REPRO_FULL_EVAL=1`` to run every workload of
 every suite with longer windows (slower, closer to the paper's setup); the
-standard configuration matrix is then pre-computed by the parallel runner,
-fanning (workload, config) simulations out over worker processes.  The
-default "quick" mode uses a representative subset so the whole harness
-completes in well under a minute.
+cells of the fig09 campaign (``{BL, DLA, R3-DLA} x {BOP, noPF}``) are then
+pre-computed by the parallel runner, fanning (workload, config) simulations
+out over child processes.  The default "quick" mode uses a representative
+subset so the whole harness completes in well under a minute.
 
 The suite measures nothing: simulator speed is measured by ``perfbench/``
 (see the README's "Performance tracking").
@@ -41,13 +41,26 @@ def _shared_runner(warm: bool) -> ParallelExperimentRunner:
     if _RUNNER is None:
         full = _full_mode_requested()
         _RUNNER = ParallelExperimentRunner(quick=not full)
-        # Pre-compute the standard configuration matrix in parallel when it
-        # pays off: the whole campaign is about to run anyway (never for a
-        # filtered selection) and either it is the full-eval matrix or more
-        # than one worker process is available.
+        # Pre-compute fig09's cells in parallel when it pays off: the whole
+        # campaign is about to run anyway (never for a filtered selection)
+        # and either it is the full-eval matrix or more than one process is
+        # available.
         if warm and (full or _RUNNER.default_processes() > 1):
-            _RUNNER.warm()
+            _warm_fig09_cells(_RUNNER, quick=not full)
     return _RUNNER
+
+
+def _warm_fig09_cells(runner: ParallelExperimentRunner, quick: bool) -> None:
+    """Run fig09's campaign cells on ``runner``; fail the session, showing
+    the failure payloads, if any cell failed."""
+    from repro.campaign.scheduler import CampaignScheduler
+    from repro.experiments.fig09_speedup import CAMPAIGN
+
+    cells = CampaignScheduler(CAMPAIGN, quick=quick, runner=runner).cells()
+    _executed, failures = runner.warm_isolated(cells)
+    if failures:
+        pytest.exit(f"{len(failures)} fig09 cell(s) failed to pre-compute: "
+                    f"{failures}", returncode=1)
 
 
 def pytest_collection_finish(session):

@@ -33,9 +33,6 @@ class BimodalPredictor:
         idx = self._index(pc)
         self._table[idx] = _saturate(self._table[idx], taken, self.max_value)
 
-    def reset(self) -> None:
-        self._table = array("q", [self.threshold]) * self.entries
-
 
 class _TageEntryView:
     """Mutable view of one tagged-table slot.
@@ -248,10 +245,4 @@ class TageLitePredictor:
 
         self._hist[0] = ((history << 1) | int(taken)) & 0xFFFFFFFFFFFFFFFF
         return predicted
-
-    def reset(self) -> None:
-        self.base.reset()
-        size = self.num_tables * self.table_entries
-        self._present = array("b", bytes(size))
-        self._hist[0] = 0
 

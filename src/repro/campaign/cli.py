@@ -157,10 +157,11 @@ def _build_parser() -> argparse.ArgumentParser:
                             f"{DEFAULT_BACKOFF_BASE:g})")
     p_run.add_argument("--cell-timeout", type=float, default=None,
                        metavar="SECONDS",
-                       help="per-cell wall-clock watchdog, in every mode "
-                            "(plain, --shard, --worker): run each cell in a "
-                            "subprocess and convert overruns into retryable "
-                            "failures (default: no watchdog)")
+                       help="per-cell wall-clock budget, in every mode "
+                            "(plain, --shard, --worker): run each cell in "
+                            "its own child process, at most --processes at "
+                            "once, and convert overruns into retryable "
+                            "failures (default: no budget)")
     p_run.add_argument("--faults", default=None, metavar="PLAN",
                        help="fault-injection plan for chaos testing (JSON "
                             "list or compact 'site:kind:k=v,...;...' — see "
@@ -347,9 +348,9 @@ def _run_names(args) -> Optional[List[str]]:
 def _activate_faults(plan_text: Optional[str]) -> None:
     """Parse and activate a chaos plan; export it for child processes.
 
-    Pool workers, watchdog subprocesses and any ``repro`` child the
-    orchestrator spawns all pick the plan up from the environment, so one
-    ``--faults`` flag covers the whole process tree.
+    Cell child processes and any ``repro`` child the orchestrator spawns
+    all pick the plan up from the environment, so one ``--faults`` flag
+    covers the whole process tree.
     """
     if not plan_text:
         return

@@ -13,8 +13,9 @@ cleanly.  This module is the vocabulary for when they don't:
   number, never wall-clock randomness), plus the poisoning rule: a cell
   that fails ``max_attempts`` times is marked poisoned and skipped by every
   subsequent worker instead of looping forever;
-* :class:`CellTimeout` / :class:`CellCrashed` — what the subprocess
-  watchdog converts hung or dying simulations into (both retryable);
+* :class:`CellTimeout` / :class:`CellCrashed` / :class:`CellResultLost` —
+  what the child-process engine converts hung or dying simulations, and
+  results it cannot read back, into (all retryable);
 * :class:`WorkerShutdown` — raised by the worker loop's SIGTERM/SIGINT
   handlers so a job-scheduler kill releases held leases instead of
   stranding cells for a full lease TTL.
@@ -40,11 +41,16 @@ DEFAULT_BACKOFF_CAP = 30.0
 
 
 class CellTimeout(RuntimeError):
-    """A cell's watchdog subprocess exceeded the wall-clock timeout."""
+    """A cell's child process exceeded the wall-clock timeout."""
 
 
 class CellCrashed(RuntimeError):
-    """A cell's watchdog subprocess died without reporting a result."""
+    """A cell's child process died without reporting a result."""
+
+
+class CellResultLost(RuntimeError):
+    """A cell's child process reported success, but its result is not
+    readable from the disk cache (a torn or failed write)."""
 
 
 class WorkerShutdown(BaseException):
@@ -126,7 +132,7 @@ def make_failure_record(
     ``retry_at`` (absolute epoch seconds) gates when the cell becomes
     claimable again; ``poisoned`` marks it permanently failed.  ``info`` is
     an :func:`exception_info`-shaped payload from wherever the failure was
-    observed (inline, pool worker, watchdog subprocess).
+    observed (inline or in a child process).
     """
     if now is None:
         now = time.time()

@@ -43,8 +43,12 @@ modes differ only in their candidate set and claim step:
     Crash recovery is lease expiry — a worker killed mid-cell loses its
     lease after the TTL and a survivor reclaims the cell.
 
-With ``cell_timeout`` set, every mode runs each cell in a watchdog
-subprocess.  Backoff is the store-shared ``retry_at`` gate in every mode.
+Cells run through
+:meth:`~repro.experiments.parallel.ParallelExperimentRunner.warm_isolated`
+in every mode: inline, or in child processes when fanning out or when
+``cell_timeout`` bounds each cell (one child per cell then; an overrun
+becomes a retryable ``CellTimeout``, a dead child a ``CellCrashed``).
+Backoff is the store-shared ``retry_at`` gate in every mode.
 Every mode writes the campaign manifest (the plan: spec, mode, planned
 cells) when it opens the campaign and once more when it records its run
 summary; settling a cell writes no manifest, whatever the cell count.
@@ -63,16 +67,13 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.campaign.health import (
-    CellCrashed, CellTimeout, RetryPolicy, WorkerShutdown, make_failure_record,
-    record_poisoned, record_retry_ready,
+    RetryPolicy, WorkerShutdown, make_failure_record, record_poisoned,
+    record_retry_ready,
 )
 from repro.campaign.spec import CampaignSpec, SpecError
 from repro.campaign.store import CampaignStore, DEFAULT_LEASE_TTL
 from repro.campaign.telemetry import EventJournal, outcome_measures
-from repro.experiments.parallel import (
-    ParallelExperimentRunner, SimRequest, _failure_payload, _run_group,
-    default_signal_dispositions, mp_context,
-)
+from repro.experiments.parallel import ParallelExperimentRunner, SimRequest
 from repro.util import faults
 from repro.util.sharding import partition
 
@@ -88,25 +89,6 @@ def default_owner() -> str:
     import socket
 
     return f"{socket.gethostname()}-{os.getpid()}"
-
-
-def _watchdog_cell_main(payload: tuple, report) -> None:
-    """Watchdog subprocess entry: run one isolated
-    :func:`~repro.experiments.parallel._run_group` payload, send its
-    ``(failures, stats)`` through the ``report`` pipe — the stats delta is
-    the parent's to merge, as the pool path's merge does.
-
-    A successful result travels through the shared disk cache (the child
-    runner persists it the moment the simulation finishes), so the parent
-    reads it back from disk — a cell is done when its result is readable
-    there, which also catches a torn cache write.  The child starts with
-    default SIGTERM/SIGINT dispositions: the watchdog's terminate() must
-    kill it outright instead of raising into code that could still land
-    the result it was timed out on.
-    """
-    _workload, results, stats = _run_group(payload)
-    report.send(({key: info for kind, key, info in results if kind == "failed"},
-                 stats))
 
 
 def install_shutdown_handlers() -> Dict[int, object]:
@@ -191,8 +173,9 @@ class CampaignScheduler:
         self.progress = progress or _silent
         #: Bounded-retry policy for failing cells (see campaign.health).
         self.retry_policy = retry_policy or RetryPolicy()
-        #: Per-cell wall-clock budget; ``None`` disables the subprocess
-        #: watchdog (cells then run inline in the worker, hangs and all).
+        #: Per-cell wall-clock budget in seconds: each cell then runs in
+        #: its own child process.  ``None``: no budget (one process runs
+        #: inline, hangs and all).
         self.cell_timeout = cell_timeout
         self.runner = runner or ParallelExperimentRunner(
             quick=quick,
@@ -559,16 +542,16 @@ class CampaignScheduler:
                  label: str, leases: Optional[_Leases]) -> int:
         """Execute one claimed batch and settle every cell in it.
 
-        Unleased batches without a watchdog run as one
+        An unleased batch runs as one
         :meth:`~repro.experiments.parallel.ParallelExperimentRunner.warm_isolated`
-        call (keeping in-process fan-out).  Leased cells run one at a time
-        so the rest of the batch's leases can be renewed in between; with
-        ``cell_timeout`` set, each cell runs in its own watchdog subprocess.
+        call (fanning out over child processes).  Leased cells run one at a
+        time so the rest of the batch's leases can be renewed in between.
+        ``cell_timeout`` bounds each cell either way.
         Settling writes no manifest: a finished cell is its disk-cache entry
         and its ``cell.finished`` event, a failed one its failure record.
         Returns the number of cells finished.
         """
-        if leases is None and self.cell_timeout is None:
+        if leases is None:
             chunks = [batch]
         else:
             chunks = [[cell] for cell in batch]
@@ -592,14 +575,9 @@ class CampaignScheduler:
                         self._emit("cell.retried", key=key,
                                    attempt=attempts[key] + 1)
                 stats_before = self.runner.stats.copy()
-                if self.cell_timeout is None:
-                    _executed, failures = self.runner.warm_isolated(
-                        [request for _key, request in chunk],
-                        attempts=attempts)
-                else:
-                    (key, request), = chunk
-                    failures = self._run_cell_watchdog(request, key,
-                                                       attempts[key])
+                _executed, failures = self.runner.warm_isolated(
+                    [request for _key, request in chunk],
+                    attempts=attempts, timeout=self.cell_timeout)
                 # Per-cell pace is only meaningful for a one-cell chunk.
                 stats = (self.runner.stats.since(stats_before)
                          if len(chunk) == 1 else None)
@@ -663,67 +641,6 @@ class CampaignScheduler:
             f"{'poisoned' if poisoned else 'will retry'}"
         )
         return record
-
-    # ------------------------------------------------------------------
-    def _run_cell_watchdog(self, request: SimRequest, key: str,
-                           prior_attempts: int) -> Dict[str, Dict[str, object]]:
-        """Execute one cell in a watchdog subprocess; returns its failure
-        payload by key (empty on success), like
-        :meth:`~repro.experiments.parallel.ParallelExperimentRunner.warm_isolated`.
-
-        A child still silent after ``cell_timeout`` seconds is terminated
-        and reported as a retryable :class:`CellTimeout`; one that dies
-        without reporting as a :class:`CellCrashed`.
-        """
-        self._require_disk_cache("--cell-timeout")
-        ctx = mp_context()
-        report, child_end = ctx.Pipe(duplex=False)
-        started = time.monotonic()
-        process = ctx.Process(target=_watchdog_cell_main, args=(
-            (self.runner._ctor_kwargs(), request.workload, [request],
-             {"isolate": True, "attempts": {key: prior_attempts}}),
-            child_end,
-        ))
-        try:
-            with default_signal_dispositions():
-                process.start()
-            child_end.close()
-            # A dying child closes the pipe, which also ends the poll.
-            if not report.poll(self.cell_timeout):
-                process.terminate()
-                process.join(5.0)
-                if process.is_alive():
-                    process.kill()
-                return {key: _failure_payload(request, CellTimeout(
-                    f"cell exceeded --cell-timeout "
-                    f"{self.cell_timeout:g}s wall clock"
-                ), time.monotonic() - started)}
-            try:
-                failures, stats = report.recv()
-            except EOFError:
-                process.join(5.0)
-                return {key: _failure_payload(request, CellCrashed(
-                    f"watchdog subprocess died with exit code "
-                    f"{process.exitcode}"
-                ), time.monotonic() - started)}
-            # The child's simulations are this runner's: count them here,
-            # and its result is no disk hit.
-            self.runner.stats.merge(stats)
-            if not failures:
-                # Success: pull the child's result from the shared disk
-                # cache into this runner's outcome store.  A torn write
-                # reads as a miss and leaves the cell open.
-                runner = self.runner
-                stored = runner.disk_cache.get(runner._disk_key(key))
-                if stored is not None:
-                    runner.inject(key, stored)
-            return failures
-        finally:
-            report.close()
-            if process.is_alive():
-                process.join(5.0)
-            if process.is_alive():   # belt and braces on unexpected exits
-                process.kill()
 
     def unfinished_cells(self) -> List[str]:
         """Content keys of cells whose results are not in any cache yet."""

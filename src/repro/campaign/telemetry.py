@@ -26,7 +26,7 @@ instruction, so journaling is overhead-free on the simulator hot path):
 ``cell.finished``      it landed in the shared cache (per-cell measures)
 ``cell.failed``        it raised (error identity, attempt count)
 ``cell.poisoned``      …and exhausted its retry budget
-``watchdog.timeout``   the per-cell watchdog killed a hung/overran cell
+``watchdog.timeout``   ``--cell-timeout`` killed a hung/overran cell
 ``lease.renewed``      a worker pushed its batch leases forward
 ``lease.reclaimed``    stale leases of a dead worker were swept
 ``cache.quarantine``   corrupt disk-cache entries were quarantined

@@ -73,6 +73,3 @@ class ValidationScoreboard:
             else:
                 self._validated.discard(dst)
         return skip
-
-    def reset(self) -> None:
-        self._validated.clear()

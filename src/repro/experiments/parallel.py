@@ -1,22 +1,24 @@
 """Parallel, fingerprint-keyed experiment execution.
 
-``ParallelExperimentRunner`` fans independent (workload, configuration)
-simulations out over ``multiprocessing`` worker processes and merges the
-results back into the runner's one outcome store in deterministic
-(request) order; the workers write the shared on-disk cache themselves.
-Because every simulation is deterministic — programs are seeded with
-content-stable hashes, traces replay identically, and all hint errors come
-from :class:`~repro.util.rng.DeterministicRng` — a parallel campaign
-produces bit-identical outcomes to a serial one, just sooner.
+``ParallelExperimentRunner`` runs batches of independent (workload,
+configuration) simulations and merges the results back into the runner's
+one outcome store in deterministic (request) order.  Because every
+simulation is deterministic — programs are seeded with content-stable
+hashes, traces replay identically, and all hint errors come from
+:class:`~repro.util.rng.DeterministicRng` — a parallel campaign produces
+bit-identical outcomes to a serial one, just sooner.
 
-Workers are grouped by workload so each worker process builds a workload's
-program/trace/profile once and then runs every configuration requested for
-it; only small, stripped result objects cross the process boundary.
-
-This is what makes ``REPRO_FULL_EVAL=1`` practical: the full-suite matrix is
-embarrassingly parallel at the (workload, config) level and scales with
-cores.  On a single-core host (or with ``processes=1``) the runner degrades
-to inline execution with no multiprocessing overhead.
+A batch runs inline on the runner itself when one process suffices and no
+cell timeout is set.  Otherwise it goes through :func:`run_in_children`,
+the one child-process engine: a forked child per workload group (or per
+cell, under a timeout), at most ``processes`` alive at once, each
+reporting back through a pipe.  With the disk cache on, the results
+themselves travel through the cache: a cell is done once its entry reads
+back.  A child that overruns the timeout is killed and a child that dies
+without reporting is noticed; either way the cells it left unfinished
+become ordinary retryable failures, as does a result that does not read
+back.  Grouping by workload lets a child build a workload's
+program/trace/profile once and run every configuration requested for it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SystemConfig
 from repro.dla.config import DlaConfig
@@ -58,29 +60,6 @@ class SimRequest:
             # dynamic is not part of the baseline/dla cache keys; accepting
             # it would silently alias with the dynamic=False request.
             raise ValueError("dynamic tuning is a segmented-only knob")
-
-
-# ---------------------------------------------------------------------------
-# worker side
-# ---------------------------------------------------------------------------
-#: Per-worker runner, keyed by a content fingerprint of the constructor
-#: kwargs that define it (including the base system config).  A pool worker
-#: serves one campaign, so this only ever holds one entry; the dict avoids
-#: rebuilding setups when a worker receives several groups of one campaign
-#: while never aliasing runners across campaigns with different configs.
-_WORKER_RUNNERS: Dict[str, ExperimentRunner] = {}
-
-
-def _worker_runner(ctor_kwargs: dict) -> ExperimentRunner:
-    from repro.experiments.fingerprint import fingerprint
-
-    key = fingerprint(ctor_kwargs)
-    runner = _WORKER_RUNNERS.get(key)
-    if runner is None:
-        runner = ExperimentRunner(**ctor_kwargs)
-        _WORKER_RUNNERS.clear()   # one campaign per worker: drop stale state
-        _WORKER_RUNNERS[key] = runner
-    return runner
 
 
 def _simulate_request(runner: ExperimentRunner, setup, request: SimRequest):
@@ -128,15 +107,14 @@ def _failure_payload(request: SimRequest, error: BaseException,
 
 
 def _simulate_group(runner: ExperimentRunner, workload: str,
-                    pairs: Sequence[Tuple[SimRequest, str]], isolate: bool,
+                    pairs: Sequence[Tuple[SimRequest, str]],
                     attempts: Dict[str, int]) -> List[Tuple[str, str, object]]:
     """Run every ``(request, key)`` of one workload group against ``runner``.
 
-    Returns ``(kind, key, outcome)`` entries in request order.  With
-    ``isolate`` on, a request whose simulation — or the group's setup —
-    raises does not poison the group: the exception becomes a
-    ``("failed", key, info)`` entry and the remaining requests still run.
-    Without it the exception propagates unchanged.
+    Returns ``(kind, key, outcome)`` entries in request order.  A request
+    whose simulation — or the group's setup — raises does not poison the
+    group: the exception becomes a ``("failed", key, info)`` entry and the
+    remaining requests still run.
     """
     from repro.util import faults
 
@@ -152,56 +130,40 @@ def _simulate_group(runner: ExperimentRunner, workload: str,
             results.append((request.kind, key,
                             _simulate_request(runner, setup, request)))
         except Exception as error:   # isolation boundary — keep going
-            if not isolate:
-                raise
             results.append(("failed", key, _failure_payload(
                 request, error, time.monotonic() - started)))
     return results
 
 
-def _run_group(payload: Tuple[dict, str, List[SimRequest]]):
-    """Execute every request of one workload group in a worker process.
+def _run_group(payload: Tuple[dict, str, List[Tuple[SimRequest, str]],
+                              Dict[str, int]]):
+    """Child-process body: run one workload group on a fresh runner.
 
-    ``payload`` is ``(ctor_kwargs, workload, requests)`` — optionally
-    followed by an options dict ``{"isolate": bool, "attempts": {key: n}}``
-    (see :func:`_simulate_group`).
+    ``payload`` is ``(ctor_kwargs, workload, pairs, attempts)`` (see
+    :func:`_simulate_group`); returns ``(results, stats)``, the runner's
+    stats being exactly this group's.  With the disk cache on, the cache
+    carries the outcomes: a finished cell's entry reports ``None``.
     """
-    ctor_kwargs, workload, requests, *rest = payload
-    options = rest[0] if rest else {}
-    runner = _worker_runner(ctor_kwargs)
-    # The runner (and its stats) persists across the groups this worker
-    # serves; report only this group's delta or the parent's merge would
-    # prefix-sum-overcount every earlier group.
-    stats_before = runner.stats.copy()
-    pairs = [(request, _request_content_key(runner, request))
-             for request in requests]
-    results = _simulate_group(runner, workload, pairs,
-                              bool(options.get("isolate")),
-                              options.get("attempts", {}))
-    return workload, results, runner.stats.since(stats_before)
-
-
-def mp_context():
-    """The multiprocessing context for simulation subprocesses: ``fork``
-    where available (children inherit the loaded kernel), else ``spawn``."""
-    import multiprocessing
-
-    return multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    )
+    ctor_kwargs, workload, pairs, attempts = payload
+    runner = ExperimentRunner(**ctor_kwargs)
+    results = _simulate_group(runner, workload, pairs, attempts)
+    if runner.disk_cache is not None:
+        results = [(kind, key, outcome if kind == "failed" else None)
+                   for kind, key, outcome in results]
+    return results, runner.stats
 
 
 @contextmanager
 def default_signal_dispositions():
     """SIGTERM and SIGINT at their default dispositions for the duration.
 
-    Fork pool workers and watchdog children inside it.  A campaign loop
+    :func:`run_in_children` forks its children inside it.  A campaign loop
     routes both signals into
     :class:`~repro.campaign.health.WorkerShutdown`; a forked child that
-    inherited that handler raises wherever ``Pool.terminate()``'s SIGTERM
-    lands (inside a queue's lock, say, which then stays taken and hangs
-    the pool's ``join()``) instead of dying.  Outside the main thread,
-    where no handler can be installed, it changes nothing.
+    inherited that handler would raise where the engine's ``terminate()``
+    lands, into code that could still report the result it was stopped
+    for, instead of dying.  Outside the main thread, where no handler can
+    be installed, it changes nothing.
     """
     if threading.current_thread() is not threading.main_thread():
         yield
@@ -216,13 +178,103 @@ def default_signal_dispositions():
                 signal.signal(signum, handler)
 
 
+def _child_main(target: Callable, payload: object, report) -> None:
+    report.send(target(payload))
+
+
+def _stop(process, grace: float = 5.0) -> None:
+    """Terminate ``process``, kill it if it outlives ``grace`` seconds, and
+    reap it."""
+    if process.is_alive():
+        process.terminate()
+        process.join(grace)
+    if process.is_alive():
+        process.kill()
+    process.join()
+
+
+def run_in_children(target: Callable, payloads: Sequence[object],
+                    processes: int, timeout: Optional[float] = None,
+                    ) -> List[Tuple[object, Optional[Exception], float]]:
+    """Run ``target(payload)`` for every payload in its own forked child.
+
+    At most ``processes`` children are alive at once; each sends
+    ``target``'s return value back through a pipe.  Returns one
+    ``(report, error, seconds)`` per payload, in payload order.  ``error``
+    is ``None`` for a child that reported, a
+    :class:`~repro.campaign.health.CellTimeout` for one still silent
+    ``timeout`` seconds after it started (it is terminated, then killed),
+    and a :class:`~repro.campaign.health.CellCrashed` for one that closed
+    its pipe without reporting.  However the call ends —
+    :class:`~repro.campaign.health.WorkerShutdown` included — no child
+    outlives it.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    from repro.campaign.health import CellCrashed, CellTimeout
+
+    # ``fork`` where available: children inherit the loaded kernel.
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
+    outcomes: List = [None] * len(payloads)
+    queue = list(enumerate(payloads))[::-1]     # pop() yields payload order
+    running: Dict[object, Tuple[int, object, float]] = {}   # pipe -> child
+    try:
+        while queue or running:
+            while queue and len(running) < processes:
+                index, payload = queue.pop()
+                reader, writer = context.Pipe(duplex=False)
+                process = context.Process(target=_child_main,
+                                          args=(target, payload, writer))
+                with default_signal_dispositions():
+                    process.start()
+                writer.close()
+                running[reader] = (index, process, time.monotonic())
+            budget = None
+            if timeout is not None:
+                first = min(started for _i, _p, started in running.values())
+                budget = max(0.0, first + timeout - time.monotonic())
+            # A child leaves ``running`` only once reaped, so an exception
+            # anywhere here still leaves it to the ``finally``.
+            for reader in wait(list(running), budget):
+                index, process, started = running[reader]
+                try:
+                    report, error = reader.recv(), None
+                except EOFError:        # the child died before reporting
+                    _stop(process)
+                    report, error = None, CellCrashed(
+                        f"child process died with exit code "
+                        f"{process.exitcode}")
+                outcomes[index] = (report, error, time.monotonic() - started)
+                _stop(process)
+                del running[reader]
+                reader.close()
+            if timeout is None:
+                continue
+            now = time.monotonic()
+            for reader, (index, process, started) in list(running.items()):
+                if now - started >= timeout:
+                    _stop(process)
+                    del running[reader]
+                    reader.close()
+                    outcomes[index] = (None, CellTimeout(
+                        f"cell exceeded --cell-timeout {timeout:g}s wall "
+                        f"clock"), now - started)
+    finally:
+        for reader, (_index, process, _started) in running.items():
+            _stop(process)
+            reader.close()
+    return outcomes
+
+
 class ParallelExperimentRunner(ExperimentRunner):
     """An :class:`ExperimentRunner` that can pre-compute request batches in
-    parallel worker processes.
+    parallel child processes.
 
     All single-request entry points (:meth:`setup`, :meth:`baseline`,
     :meth:`dla`, ...) are inherited unchanged — figures keep calling them and
-    hit the outcome store :meth:`warm` filled.
+    hit the outcome store :meth:`warm_isolated` filled.
     """
 
     def __init__(self, *args, processes: Optional[int] = None, **kwargs) -> None:
@@ -240,8 +292,9 @@ class ParallelExperimentRunner(ExperimentRunner):
             "warmup_instructions": self.warmup_instructions,
             "timed_instructions": self.timed_instructions,
             "system_config": self.system_config,
-            # Workers read/write the shared disk cache directly; with it
-            # disabled they return everything through the merge below.
+            # Children write their results to the shared disk cache, where
+            # this runner reads them back; with it disabled the results
+            # come through the pipe.
             "disk_cache": self.disk_cache is not None,
         }
 
@@ -251,69 +304,37 @@ class ParallelExperimentRunner(ExperimentRunner):
         return cpus if cpus <= 2 else cpus - 1
 
     # ------------------------------------------------------------------
-    def standard_requests(self) -> List[SimRequest]:
-        """The core configuration matrix of the paper's headline figures.
-
-        Six configurations per workload: {BL, DLA, R3-DLA} x {BOP prefetcher,
-        no prefetcher}.  Everything else (fetch-buffer sweeps, single-
-        optimization ablations) is cheap by comparison and computed on
-        demand — where its fingerprint matches one of these, it is a cache
-        hit anyway.
-        """
-        nopf = self.no_prefetch_config()
-        dla = DlaConfig().baseline_dla()
-        r3 = DlaConfig().r3()
-        requests: List[SimRequest] = []
-        for name in self.workload_names:
-            requests.append(SimRequest(name, "baseline", "bl"))
-            requests.append(SimRequest(name, "baseline", "bl-nopf", system_config=nopf))
-            requests.append(SimRequest(name, "dla", "dla", dla_config=dla))
-            requests.append(SimRequest(name, "dla", "dla-nopf", system_config=nopf, dla_config=dla))
-            requests.append(SimRequest(name, "dla", "r3", dla_config=r3))
-            requests.append(SimRequest(name, "dla", "r3-nopf", system_config=nopf, dla_config=r3))
-        return requests
-
-    # ------------------------------------------------------------------
-    def warm(self, requests: Optional[Sequence[SimRequest]] = None,
-             processes: Optional[int] = None) -> int:
-        """Pre-compute ``requests`` (default: the standard matrix).
-
-        Returns the number of simulations that were actually executed (the
-        rest were already cached).  Results are merged into the caches in
-        request order, so subsequent figure code sees exactly the same
-        objects regardless of worker scheduling.  This is
-        :meth:`warm_isolated` with ``raise_through`` set: for the figure
-        modules an exception is a bug to surface, not route around.
-        """
-        return self.warm_isolated(requests, processes, raise_through=True)[0]
-
     def warm_isolated(
         self,
-        requests: Optional[Sequence[SimRequest]] = None,
+        requests: Sequence[SimRequest],
         processes: Optional[int] = None,
         attempts: Optional[Dict[str, int]] = None,
-        raise_through: bool = False,
+        timeout: Optional[float] = None,
     ) -> Tuple[int, Dict[str, Dict[str, object]]]:
-        """Fault-isolated :meth:`warm`: capture per-cell failures, keep going.
+        """Pre-compute ``requests`` under failure isolation.
 
-        Returns ``(executed, failures)`` where ``failures`` maps content key
-        to a structured failure payload (exception type, message, traceback
+        Returns ``(executed, failures)``: the number of simulations actually
+        executed (the rest were already cached) and, by content key, a
+        structured failure payload (exception type, message, traceback
         digest, monotonic duration) for every request whose simulation — or
-        setup — raised.  Successful cells land in the caches exactly as with
-        :meth:`warm`; failed cells land nowhere, so a later retry re-runs
-        only them.  ``attempts`` (key -> prior failure count) is forwarded
-        to the fault-injection probe so attempt-gated transient faults stop
-        firing once a cell has been retried past their budget.  With
-        ``raise_through`` the first failure propagates unchanged instead.
+        setup — raised, timed out or died with its child, or whose child's
+        result is not readable from the disk cache.  Successful cells
+        land in the outcome store in request order, so later figure code
+        sees the same objects whatever the scheduling; failed cells land
+        nowhere, so a retry re-runs only them.  ``attempts`` (key -> prior
+        failure count) is forwarded to the fault-injection probe so
+        attempt-gated transient faults stop firing once a cell has been
+        retried past their budget.
 
         Keys are derived from workload *definitions*, so screening a fully
         cached batch costs no setup work at all.  Pending requests are
-        grouped by workload (request order kept); one group runs inline on
-        this runner, several fan out over a process pool.  This is the
-        campaign scheduler's execution primitive.
+        grouped by workload (request order kept).  With no ``timeout`` and
+        one process enough, the groups run inline on this runner; otherwise
+        :func:`run_in_children` runs one child per group — per cell when
+        ``timeout`` (seconds) bounds each.  This is the campaign scheduler's
+        execution primitive.
         """
-        requests = list(requests if requests is not None else self.standard_requests())
-        isolate = not raise_through
+        requests = list(requests)
         attempts = attempts or {}
         keys = [self.request_key(request) for request in requests]
         availability = self.screen(requests, keys=keys)
@@ -323,41 +344,62 @@ class ParallelExperimentRunner(ExperimentRunner):
                 groups.setdefault(request.workload, []).append((request, key))
         if not groups:
             return 0, {}
-        processes = processes or self.processes or self.default_processes()
-        processes = min(processes, len(groups))
+        units = list(groups.items())
+        if timeout is not None:
+            units = [(workload, [pair]) for workload, pairs in units
+                     for pair in pairs]
+        processes = min(processes or self.processes or self.default_processes(),
+                        len(units))
         simulations_before = self.stats.simulations
         failures: Dict[str, Dict[str, object]] = {}
 
-        if processes <= 1:
+        if timeout is None and processes <= 1:
             # Inline execution: run directly on this runner — its setups and
             # caches are exactly what the figures will use afterwards, so
             # nothing is built twice.
-            for workload, pairs in groups.items():
+            for workload, pairs in units:
                 for kind, key, outcome in _simulate_group(
-                        self, workload, pairs, isolate, attempts):
+                        self, workload, pairs, attempts):
                     if kind == "failed":
                         failures[key] = outcome
             return self.stats.simulations - simulations_before, failures
 
+        from repro.campaign.health import CellResultLost
         from repro.core.compile.build import load_kernel
 
-        # Build/load the compiled tick kernel once before fanning out:
-        # forked workers inherit the loaded module, spawned workers find the
-        # cached artifact on disk — either way no worker pays (or races) the
-        # C compile inside its measured simulation time.
+        # Build/load the compiled tick kernel once before forking: children
+        # inherit the loaded module (spawned ones find the cached artifact
+        # on disk), so none pays — or races — the C compile.
         load_kernel()
-        payloads = [
-            (self._ctor_kwargs(), workload, [request for request, _key in pairs],
-             {"isolate": isolate,
-              "attempts": {key: attempts.get(key, 0) for _request, key in pairs}})
-            for workload, pairs in groups.items()
-        ]
-        with default_signal_dispositions():
-            pool = mp_context().Pool(processes=processes)
-        with pool:
-            # ``map`` preserves payload order -> deterministic merge order.
-            for result in pool.map(_run_group, payloads):
-                failures.update(self._merge_group(result))
+        ctor_kwargs = self._ctor_kwargs()
+        reports = run_in_children(
+            _run_group,
+            [(ctor_kwargs, workload, pairs, attempts) for workload, pairs in units],
+            processes, timeout)
+        for (_workload, pairs), (report, error, seconds) in zip(units, reports):
+            entries = {}
+            if error is None:
+                results, stats = report
+                # The child's simulations are this runner's: count them here.
+                self.stats.merge(stats)
+                entries = {key: (kind, outcome)
+                           for kind, key, outcome in results}
+            for request, key in pairs:
+                kind, outcome = entries.get(key, (None, None))
+                if kind == "failed":
+                    failures[key] = outcome
+                    continue
+                if outcome is None and self.disk_cache is not None:
+                    # A cell is done when its result is readable on disk:
+                    # that catches a torn write, and keeps what a child
+                    # finished before it died or overran.
+                    outcome = self.disk_cache.get(self._disk_key(key))
+                if outcome is not None:
+                    self.inject(key, outcome)
+                    continue
+                failures[key] = _failure_payload(request, error or CellResultLost(
+                    "child process reported success, but the result is "
+                    "not readable from the disk cache"), seconds)
         return self.stats.simulations - simulations_before, failures
 
     # ------------------------------------------------------------------
@@ -370,8 +412,8 @@ class ParallelExperimentRunner(ExperimentRunner):
         """Cell-granular cache probe: request key -> "result available".
 
         Disk-cached results are pulled into the outcome store on the way
-        (so a later :meth:`warm` or figure call is a memory hit), but nothing
-        is ever simulated.  This is what sharded execution polls: a cell is
+        (so a later :meth:`warm_isolated` or figure call is a memory hit),
+        but nothing is ever simulated.  This is what sharded execution polls: a cell is
         *done* exactly when its key screens True here, regardless of which
         worker (or host, via a shared/synced cache directory) computed it.
 
@@ -390,19 +432,3 @@ class ParallelExperimentRunner(ExperimentRunner):
                     available = True
             availability[key] = available
         return availability
-
-    def _merge_group(self, result) -> Dict[str, Dict[str, object]]:
-        _workload, outcomes, worker_stats = result
-        # Workers share this runner's disk-cache setting (see _ctor_kwargs):
-        # if the disk cache is on, every fresh outcome was already persisted
-        # by the worker that computed it — don't pickle it all again here.
-        failures: Dict[str, Dict[str, object]] = {}
-        for kind, key, outcome in outcomes:
-            if kind == "failed":
-                # Isolated-mode sentinel: ``outcome`` is a failure payload,
-                # not a result.  Nothing is cached — the cell stays pending.
-                failures[key] = outcome
-                continue
-            self.inject(key, outcome)
-        self.stats.merge(worker_stats)
-        return failures

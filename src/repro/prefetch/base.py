@@ -41,9 +41,6 @@ class Prefetcher:
         """
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Clear all internal state (e.g. between simulation windows)."""
-
     def notify_drop(self, request: PrefetchRequest) -> None:
         """The memory system dropped ``request`` (no free MSHR entry).
 
@@ -60,6 +57,3 @@ class NullPrefetcher(Prefetcher):
 
     def observe(self, pc: int, address: int, hit: bool, cycle: int) -> List[PrefetchRequest]:
         return []
-
-    def reset(self) -> None:
-        return None

@@ -99,6 +99,3 @@ class StridePrefetcher(Prefetcher):
             victim = min(self._table, key=lambda k: self._table[k].last_use)
             del self._table[victim]
         self._table[pc] = _TableEntry(last_address=address, last_use=cycle)
-
-    def reset(self) -> None:
-        self._table.clear()

@@ -10,10 +10,10 @@ Sites (the instrumented seams)
 ------------------------------
 
 ``cell.simulate``
-    Probed immediately before a campaign cell simulates (inline, in a pool
-    worker, and inside the watchdog subprocess).  Kinds: ``raise`` (throw
-    :class:`InjectedFault` — a transient, retryable failure), ``hang``
-    (sleep ``seconds`` — a stuck simulation for the watchdog to kill).
+    Probed immediately before a campaign cell simulates (inline or in a
+    child process).  Kinds: ``raise`` (throw :class:`InjectedFault` — a
+    transient, retryable failure), ``hang`` (sleep ``seconds`` — a stuck
+    simulation for ``--cell-timeout`` to kill).
 
 ``cache.write``
     Probed by the disk cache on every result write.  Kind: ``truncate``
@@ -256,7 +256,7 @@ class FaultPlan:
 
         Slots are claimed by atomically creating ``<ledger>/<id>.<n>``
         marker files, so the budget holds across every process and host
-        sharing the ledger directory (workers, watchdog subprocesses,
+        sharing the ledger directory (workers, their child processes,
         restarted workers).
         """
         if spec.times is None:

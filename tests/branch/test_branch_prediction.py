@@ -56,18 +56,6 @@ def test_tage_beats_bimodal_on_correlated_history():
     assert run(TageLitePredictor()) > run(BimodalPredictor())
 
 
-def test_predictor_reset_clears_training():
-    predictor = TageLitePredictor()
-    for i in range(100):
-        predictor.update(0x10, bool(i % 2))
-    predictor.reset()
-    # After reset the history, the tagged tables and the base counters are
-    # back at their initial values.
-    assert predictor._history == 0
-    assert not any(predictor._present)
-    assert set(predictor.base._table) == {predictor.base.threshold}
-
-
 def test_btb_lookup_update_and_eviction():
     btb = BranchTargetBuffer(entries=8, associativity=2)
     assert btb.lookup(0x100) is None

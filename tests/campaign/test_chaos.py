@@ -15,6 +15,7 @@ from repro.campaign.render import render_campaign
 from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.spec import CampaignSpec, variants
 from repro.campaign.store import CampaignStore
+from repro.campaign.telemetry import load_events
 from repro.util import faults
 
 WINDOW = dict(warmup_instructions=1500, timed_instructions=1500)
@@ -108,10 +109,15 @@ def _chaos_run(tmp_path, monkeypatch, execute) -> CampaignStore:
     assert status["retries"] >= 2        # the raise + the timed-out hang
     assert status["quarantined"] >= 1    # the torn write, caught on read
     assert status["cells_failed"] == 0   # all transient: converged clean
-    records = chaos_store.failures()
-    fired_kinds = {record["error_type"] for record in records.values()}
+    # Every failed attempt, from the journals: a cell's failure record
+    # keeps only its latest failure (the torn write's retry may overwrite
+    # the record of a fault that hit the same cell first).
+    fired_kinds = {event["error_type"]
+                   for event in load_events(chaos_store.events_path)
+                   if event["event"] == "cell.failed"}
     assert "InjectedFault" in fired_kinds
     assert "CellTimeout" in fired_kinds
+    assert chaos_store.failures()
 
     # Fan-in: merge + render, then compare against the reference bytes.
     merged = _scheduler(spec, chaos_store).finalize()

@@ -203,7 +203,8 @@ def test_worker_loop_poisons_and_reports(cache_dir, tmp_path):
 # watchdog accounting
 # ---------------------------------------------------------------------------
 def test_cell_timeout_keeps_the_watchdog_childs_stats(tmp_path, monkeypatch):
-    """A cell run in a watchdog subprocess is counted like an inline one:
+    """A cell run in a child process — one per cell under a timeout, one
+    per workload group when fanning out — is counted like an inline one:
     the parent merges the child's stats, and reading the child's result
     back from the disk cache is no disk hit."""
     monkeypatch.setenv("REPRO_DISK_CACHE", "1")
@@ -211,7 +212,8 @@ def test_cell_timeout_keeps_the_watchdog_childs_stats(tmp_path, monkeypatch):
         name="watchdog-stats",
         title="Watchdog accounting campaign",
         experiment="repro.experiments.fig10_energy",
-        workloads=("libquantum",),
+        # Two workloads, so that two processes fan out over two groups.
+        workloads=("libquantum", "mcf"),
         variants=variants(
             dict(name="bl", kind="baseline"),
             dict(name="r3", kind="dla", dla_preset="r3"),
@@ -221,17 +223,20 @@ def test_cell_timeout_keeps_the_watchdog_childs_stats(tmp_path, monkeypatch):
     counted = ("simulations", "simulated_instructions", "compiled_ticks",
                "memory_hits", "disk_hits")
     summaries = []
-    for cell_timeout in (None, 60.0):
-        root = tmp_path / f"timeout-{cell_timeout}"
+    for processes, cell_timeout in ((1, None), (1, 60.0), (2, None)):
+        root = tmp_path / f"processes-{processes}-timeout-{cell_timeout}"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(root / "cache"))
+        runner = _runner(spec)
+        runner.processes = processes
         scheduler = CampaignScheduler(
             spec, store=CampaignStore(spec.name, root / "campaigns"),
-            runner=_runner(spec), cell_timeout=cell_timeout)
+            runner=runner, cell_timeout=cell_timeout)
         summary = scheduler.run()
         summaries.append({name: summary[name] for name in counted})
-    inline, watched = summaries
-    assert inline["simulations"] >= 2 and inline["disk_hits"] == 0
+    inline, watched, fanned_out = summaries
+    assert inline["simulations"] >= 4 and inline["disk_hits"] == 0
     assert watched == inline
+    assert fanned_out == inline
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +289,22 @@ def test_cli_worker_cell_timeout_flips_exit_code(cache_dir, tmp_path,
     _assert_every_cell_timed_out(spec)
 
 
+def test_cli_cell_timeout_needs_no_disk_cache(cache_dir, tmp_path,
+                                            monkeypatch, capsys):
+    """Children report their results through a pipe, so ``--cell-timeout``
+    on a plain run works with the disk cache off."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+    spec = _spec(workloads=("libquantum",))
+    code = main(["run", "--spec", _write_spec(tmp_path, spec),
+                 "--cell-timeout", "60", "--no-render"])
+    capsys.readouterr()
+    assert code == 0
+    result = CampaignStore(spec.name).load_result()
+    assert result["run"]["simulations"] == 3    # each cell simulated once
+    assert "health" not in result
+
+
 @pytest.mark.parametrize("mode_flags", [(), ("--shard", "0/1")],
                          ids=["run", "shard"])
 def test_cli_cell_timeout_applies_without_worker(cache_dir, tmp_path,
@@ -319,29 +340,6 @@ def test_shard_isolates_retries_and_poisons(cache_dir, tmp_path):
         spec, store=store, runner=_runner(spec, _BrokenDlaRunner)).finalize()
     assert merged["cells_failed"] == 2
     assert store.load_result()["health"]["state"] == "degraded"
-
-
-@pytest.mark.parametrize("processes", [1, 2])
-def test_warm_raises_through_original_exception(cache_dir, monkeypatch,
-                                                processes):
-    """``warm`` (the figure modules' entry point) shares its body with the
-    isolated primitive but still surfaces a defect as itself, on the inline
-    and on the pool path."""
-    from repro.experiments.runner import ExperimentRunner
-
-    dla = ExperimentRunner.dla
-
-    def broken(self, setup, dla_config, label, config=None):
-        if setup.name == _BrokenDlaRunner.broken_workload:
-            raise ValueError(f"simulated permanent defect in {setup.name}")
-        return dla(self, setup, dla_config, label, config)
-
-    # Patched on the base class: pool workers build plain runners, and
-    # forked workers inherit the patch.
-    monkeypatch.setattr(ExperimentRunner, "dla", broken)
-    runner = _runner(_spec())
-    with pytest.raises(ValueError, match="permanent defect in mcf"):
-        runner.warm(processes=processes)
 
 
 def test_cli_status_exit_code_on_failed_cells(cache_dir, tmp_path,

@@ -97,6 +97,11 @@ def test_racing_reclaimers_exactly_one_wins(tmp_path):
     assert not list(store.leases_path.glob("*.steal"))
 
 
+#: Phase 1's lease TTL in seconds: renewed every 10 ms, it outlasts any
+#: stall of the renewing thread short of the deliberate one in phase 2.
+PHASE1_TTL = 1.0
+
+
 def test_renewing_owner_vs_reclaimers_never_two_owners(tmp_path):
     """Stress the renew/steal critical section across an expiry boundary:
     an owner renews a short-TTL lease in a tight loop while reclaimers keep
@@ -106,7 +111,7 @@ def test_renewing_owner_vs_reclaimers_never_two_owners(tmp_path):
     the owner's renew must keep reporting the lease as lost (never
     resurrect it over the thief)."""
     store = _store(tmp_path)
-    store.claim_cells(["cell"], "owner-a", ttl=0.05)
+    store.claim_cells(["cell"], "owner-a", ttl=PHASE1_TTL)
     stolen = threading.Event()
     done = threading.Event()
 
@@ -121,10 +126,11 @@ def test_renewing_owner_vs_reclaimers_never_two_owners(tmp_path):
         thread.start()
     try:
         # Phase 1: a healthy owner renewing inside the TTL keeps the lease
-        # against any number of reclaimers.
-        deadline = time.monotonic() + 0.3
+        # against any number of reclaimers, for long enough that the lease
+        # would lapse twice without the renewals.
+        deadline = time.monotonic() + 2.5 * PHASE1_TTL
         while time.monotonic() < deadline:
-            store.renew_leases(["cell"], "owner-a", ttl=0.05)
+            store.renew_leases(["cell"], "owner-a", ttl=PHASE1_TTL)
             time.sleep(0.01)
         assert not stolen.is_set()
         assert store.read_lease("cell")["owner"] == "owner-a"

@@ -318,6 +318,13 @@ def test_sim_request_validation():
         SimRequest("mcf", "dla")                      # missing dla_config
 
 
+def _bl_and_r3(workloads):
+    """A baseline and an R3-DLA cell per workload."""
+    return [request for name in workloads for request in (
+        SimRequest(name, "baseline", "bl"),
+        SimRequest(name, "dla", "r3", dla_config=DlaConfig().r3()))]
+
+
 def test_parallel_warm_matches_serial_results():
     serial = make_runner()
     s_setup = serial.setup(WORKLOAD)
@@ -325,10 +332,11 @@ def test_parallel_warm_matches_serial_results():
     s_r3 = serial.dla(s_setup, DlaConfig().r3(), "r3")
 
     parallel = ParallelExperimentRunner(
-        quick=True, workload_names=[WORKLOAD], disk_cache=False, **WINDOW
+        quick=True, workload_names=[WORKLOAD, "mcf"], disk_cache=False, **WINDOW
     )
-    executed = parallel.warm(processes=2)
-    assert executed == 6                               # full standard matrix
+    # Two workload groups, so the cells really run in child processes.
+    assert parallel.warm_isolated(_bl_and_r3([WORKLOAD, "mcf"]),
+                                  processes=2) == (4, {})
     p_setup = parallel.setup(WORKLOAD)
     p_bl = parallel.baseline(p_setup, "bl")
     p_r3 = parallel.dla(p_setup, DlaConfig().r3(), "r3")
@@ -344,32 +352,16 @@ def test_parallel_warm_matches_serial_results():
 
 
 def test_parallel_stats_count_each_simulation_once():
-    """Regression: worker stats are per-group deltas, not cumulative.
-
-    A pool worker serves several workload groups with one persistent
-    runner; returning its cumulative stats for every group made the merged
-    totals a prefix-sum over-count.
-    """
+    """The merged stats count every child's simulations exactly once."""
     runner = ParallelExperimentRunner(
         quick=True, workload_names=[WORKLOAD, "mcf"], disk_cache=False, **WINDOW
     )
-    executed = runner.warm(processes=2)
-    assert executed == 12
+    executed, failures = runner.warm_isolated(_bl_and_r3([WORKLOAD, "mcf"]),
+                                              processes=2)
+    assert (executed, failures) == (4, {})
     # Exactly one recorded simulation per request, no double counting.
-    assert runner.stats.simulations == 12
+    assert runner.stats.simulations == 4
 
-    # Deterministic variant: one worker process serving two consecutive
-    # groups must report per-group deltas, not its cumulative totals.
-    from repro.experiments.parallel import _run_group
-
-    ctor = dict(quick=True, workload_names=[WORKLOAD, "mcf"],
-                system_config=runner.system_config, disk_cache=False, **WINDOW)
-    first = SimRequest(WORKLOAD, "baseline", "bl")
-    second = SimRequest("mcf", "baseline", "bl")
-    _, _, stats_a = _run_group((ctor, WORKLOAD, [first]))
-    _, _, stats_b = _run_group((ctor, "mcf", [second]))
-    assert stats_a.simulations == 1
-    assert stats_b.simulations == 1
 
 
 def test_runner_stats_merge_and_since_cover_every_field():
@@ -546,8 +538,7 @@ def test_parallel_warm_handles_segmented_requests():
     # and every kind merges into the one outcome store.
     mixed = [request, SimRequest("sjeng", "baseline", "bl"),
              SimRequest("sjeng", "dla", "r3", dla_config=DlaConfig().r3())]
-    executed = runner.warm(mixed, processes=2)
-    assert executed == 3
+    assert runner.warm_isolated(mixed, processes=2) == (3, {})
     assert all(runner.cached_outcome(runner.request_key(r)) is not None
                for r in mixed)
     p_out = runner.dla_segmented(runner.setup(WORKLOAD), DlaConfig().r3(),
@@ -570,10 +561,9 @@ def test_parallel_warm_is_idempotent():
     runner = ParallelExperimentRunner(
         quick=True, workload_names=[WORKLOAD], disk_cache=False, **WINDOW
     )
-    first = runner.warm(processes=1)
-    second = runner.warm(processes=1)
-    assert first == 6
-    assert second == 0
+    requests = _bl_and_r3([WORKLOAD])
+    assert runner.warm_isolated(requests, processes=1) == (2, {})
+    assert runner.warm_isolated(requests, processes=1) == (0, {})
 
 
 # ---------------------------------------------------------------------------
