@@ -4,8 +4,8 @@ A single :class:`~repro.experiments.parallel.ParallelExperimentRunner` is
 shared by every benchmark so that traces, profiles and already-simulated
 configurations are reused across figures (exactly like a real evaluation
 campaign would).  Results are keyed by content fingerprint — labels are
-cosmetic — and persist in the on-disk cache (``.repro_cache/``, disable with
-``REPRO_DISK_CACHE=0``) so repeated campaigns skip finished simulations.
+cosmetic — and persist in the on-disk cache (``.repro_cache/``, moved with
+``REPRO_CACHE_DIR``) so repeated campaigns skip finished simulations.
 
 Set the environment variable ``REPRO_FULL_EVAL=1`` to run every workload of
 every suite with longer windows (slower, closer to the paper's setup); the

@@ -69,9 +69,7 @@ from repro.campaign.health import (
 )
 from repro.campaign.registry import get_campaign, list_campaigns, register
 from repro.campaign.render import RenderError, render_campaign
-from repro.campaign.scheduler import (
-    CampaignIncomplete, CampaignScheduler, ShardedExecutionError,
-)
+from repro.campaign.scheduler import CampaignIncomplete, CampaignScheduler
 from repro.campaign.spec import CampaignSpec, SpecError
 from repro.campaign.store import (
     DEFAULT_LEASE_TTL, CampaignStore, campaigns_root,
@@ -606,9 +604,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_clean(args)
     except (SpecError, ShardError) as error:
         print(f"spec error: {error}", file=sys.stderr)
-        return 2
-    except ShardedExecutionError as error:
-        print(str(error), file=sys.stderr)
         return 2
     except CampaignIncomplete as error:
         print(str(error), file=sys.stderr)

@@ -221,7 +221,6 @@ class Dispatcher:
             src_dir = src_dir + os.pathsep + existing
         env = {
             CACHE_DIR_ENV: str(cache_root),
-            "REPRO_DISK_CACHE": "1",
             "PYTHONPATH": src_dir,
         }
         if self.spec.name == "smoke":

@@ -14,8 +14,8 @@ cleanly.  This module is the vocabulary for when they don't:
   that fails ``max_attempts`` times is marked poisoned and skipped by every
   subsequent worker instead of looping forever;
 * :class:`CellTimeout` / :class:`CellCrashed` / :class:`CellResultLost` —
-  what the child-process engine converts hung or dying simulations, and
-  results it cannot read back, into (all retryable);
+  what the cell engine converts hung or dying simulations, and results
+  that do not read back from the disk cache, into (all retryable);
 * :class:`WorkerShutdown` — raised by the worker loop's SIGTERM/SIGINT
   handlers so a job-scheduler kill releases held leases instead of
   stranding cells for a full lease TTL.
@@ -49,8 +49,8 @@ class CellCrashed(RuntimeError):
 
 
 class CellResultLost(RuntimeError):
-    """A cell's child process reported success, but its result is not
-    readable from the disk cache (a torn or failed write)."""
+    """A cell finished — inline or in a child process — but its result is
+    not readable from the disk cache (a torn or failed write)."""
 
 
 class WorkerShutdown(BaseException):

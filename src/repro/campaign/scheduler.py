@@ -48,6 +48,8 @@ Cells run through
 in every mode: inline, or in child processes when fanning out or when
 ``cell_timeout`` bounds each cell (one child per cell then; an overrun
 becomes a retryable ``CellTimeout``, a dead child a ``CellCrashed``).
+However it ran, a cell is done only once its disk-cache entry reads back;
+a torn or failed write is a retryable ``CellResultLost``.
 Backoff is the store-shared ``retry_at`` gate in every mode.
 Every mode writes the campaign manifest (the plan: spec, mode, planned
 cells) when it opens the campaign and once more when it records its run
@@ -55,7 +57,10 @@ summary; settling a cell writes no manifest, whatever the cell count.
 
 :meth:`finalize` (CLI: ``repro merge``)
     Assembles the final artefact from the caches once every cell is done —
-    any worker or a separate fan-in job can run it; it simulates nothing.
+    any worker or a separate fan-in job can run it; it simulates no planned
+    cell.  What no variant plans, the experiment module computes during
+    assembly (cached like any result): fig09's B-Fetch, SlipStream and CRE
+    comparisons, and all of fig11's SMT runs (fig11 plans no cells).
 """
 
 from __future__ import annotations
@@ -136,18 +141,6 @@ class _Leases:
 
 class CampaignIncomplete(RuntimeError):
     """Finalisation was requested while cells are still unsimulated."""
-
-
-class ShardedExecutionError(RuntimeError):
-    """Sharded execution was requested without a way to coordinate.
-
-    Shards and workers communicate *through the shared disk cache* — a cell
-    is done exactly when its result is on disk.  With the cache disabled
-    (``REPRO_DISK_CACHE=0``) workers cannot see each other's results:
-    they would re-simulate every cell (breaking exactly-once) and a
-    separate-process merge could never find the cells.  Refuse loudly
-    instead.
-    """
 
 
 class CampaignScheduler:
@@ -342,7 +335,6 @@ class CampaignScheduler:
         process renders the final artefacts with :meth:`finalize`
         (``repro merge``).
         """
-        self._require_disk_cache(f"--shard {index}/{count}")
         manifest = self.prepare()
         keyed = self.shard_cells(index, count)
         owner = f"shard-{index}-of-{count}-{default_owner()}"
@@ -382,7 +374,6 @@ class CampaignScheduler:
             # claim_cells(limit=0) returns [] which the loop would misread
             # as "everything is leased elsewhere" and poll forever.
             raise ValueError(f"batch_size must be >= 1 (got {batch_size})")
-        self._require_disk_cache("--worker")
         owner = owner or default_owner()
         manifest = self.prepare()
         leases = _Leases(ttl, batch_size, poll_seconds, max_cells)
@@ -526,10 +517,9 @@ class CampaignScheduler:
         if interrupted:
             summary["interrupted"] = True
         summary.update(run_stats.as_dict())
-        if (self.runner.disk_cache is not None
-                and self.runner.disk_cache.quarantine_count() > 0):
-            self._emit("cache.quarantine",
-                       count=self.runner.disk_cache.quarantine_count())
+        quarantined = self.runner.disk_cache.quarantine_count()
+        if quarantined > 0:
+            self._emit("cache.quarantine", count=quarantined)
         self._emit("worker.stopped", mode=mode,
                    cells_claimed=claimed_total, interrupted=interrupted,
                    **run_stats.as_dict())
@@ -655,11 +645,14 @@ class CampaignScheduler:
         """Assemble and persist the final artefact from cached cells.
 
         Raises :class:`CampaignIncomplete` when cells are still missing —
-        finalisation never simulates matrix cells, so shard/worker runs must
-        land first.  *Poisoned* cells (permanently failed after exhausting
-        their retry budget) do not block finalisation: the artefact is
-        assembled around them, carrying an explicit ``health`` section, so a
-        partly-failed campaign yields partial artifacts instead of nothing.
+        finalisation never simulates planned cells, so shard/worker runs
+        must land first.  The experiment module still runs what no variant
+        plans (fig09's B-Fetch, SlipStream and CRE comparisons, fig11's SMT
+        runs) through the runner's cache.  *Poisoned* cells (permanently
+        failed after exhausting their retry budget) do not block
+        finalisation: the artefact is assembled around them, carrying an
+        explicit ``health`` section, so a partly-failed campaign yields
+        partial artifacts instead of nothing.
 
         Deterministic by construction: the assembled tables and text depend
         only on the cached outcomes, so a merge after sharded execution is
@@ -677,16 +670,10 @@ class CampaignScheduler:
                         if record_poisoned(records.get(key))}
             unaccounted = [key for key in missing if key not in poisoned]
             if unaccounted:
-                hint = (
-                    " (note: the disk cache is disabled in this process, so "
-                    "results computed elsewhere are invisible — unset "
-                    "REPRO_DISK_CACHE=0)"
-                    if self.runner.disk_cache is None else ""
-                )
                 raise CampaignIncomplete(
                     f"campaign {self.spec.name!r}: {len(unaccounted)} of "
                     f"{len(keyed)} cells not simulated yet — run the "
-                    f"remaining shards/workers before merging{hint}"
+                    f"remaining shards/workers before merging"
                 )
             failures = poisoned
         summary = {"mode": self.mode, "cells_total": len(keyed),
@@ -772,14 +759,6 @@ class CampaignScheduler:
         return summary
 
     # ------------------------------------------------------------------
-    def _require_disk_cache(self, what: str) -> None:
-        if self.runner.disk_cache is None:
-            raise ShardedExecutionError(
-                f"{what} needs the shared disk cache to coordinate between "
-                f"processes, but it is disabled (REPRO_DISK_CACHE=0) — "
-                f"enable it, or run without sharding"
-            )
-
     @staticmethod
     def _cell_entry(request: SimRequest) -> Dict[str, object]:
         """One planned cell's manifest record."""

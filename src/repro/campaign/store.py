@@ -516,9 +516,9 @@ class CampaignStore:
     def status(self) -> Dict[str, object]:
         """Live progress summary: the manifest's plan + disk-cache truth.
 
-        Cell counts partition ``cells_planned``: ``cells_done`` (result in
-        the shared disk cache), ``cells_leased`` (not done, live lease held
-        by some worker) and ``cells_pending`` (neither).
+        Cell counts partition ``cells_planned``: ``cells_done`` (result
+        reads back from the shared disk cache), ``cells_leased`` (not done,
+        live lease held by some worker) and ``cells_pending`` (neither).
 
         Health counters ride along: ``cells_failed`` (poisoned cells with no
         result), ``retries`` (total recorded failed attempts, including ones
@@ -539,17 +539,15 @@ class CampaignStore:
             return {"campaign": self.name, "state": "never run"}
         from repro.campaign.health import summarize_failures
         from repro.campaign.telemetry import event_counts, load_events
-        from repro.experiments.cache import (
-            ResultDiskCache, disk_cache_enabled, salted_key,
-        )
+        from repro.experiments.cache import ResultDiskCache, salted_key
 
         cells = manifest.get("cells", {})
-        done_keys = set()
-        quarantined = 0
-        if disk_cache_enabled():
-            disk = ResultDiskCache()
-            done_keys = {key for key in cells if disk.contains(salted_key(key))}
-            quarantined = disk.quarantine_count()
+        disk = ResultDiskCache()
+        # Done means the entry reads back, as everywhere else: a torn
+        # entry that merely exists is no finished cell.
+        done_keys = {key for key in cells
+                     if disk.get(salted_key(key)) is not None}
+        quarantined = disk.quarantine_count()
         live = self.leases()
         done = len(done_keys)
         leased = sum(1 for key in cells if key in live and key not in done_keys)

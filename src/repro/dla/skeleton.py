@@ -233,10 +233,3 @@ class SkeletonBuilder:
             accepted.add(pc)
             base_included |= candidate_slice
         return accepted
-
-    # ------------------------------------------------------------------
-    def build_default(self, enable_t1: bool = False) -> Skeleton:
-        """The baseline skeleton used by plain DLA (and by R3-DLA before the
-        recycle controller picks a different version)."""
-        options = SkeletonOptions(name="default", keep_t1_targets=not enable_t1)
-        return self.build(options, enable_t1=enable_t1)

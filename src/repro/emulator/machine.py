@@ -296,8 +296,3 @@ class Emulator:
                                array("i", next_pcs))
         _count("native_emulated", len(columns))
         return columns
-
-
-def run_program(program: Program, max_instructions: int = 1_000_000) -> Trace:
-    """Convenience wrapper: execute ``program`` and return its trace."""
-    return Emulator(program).run(max_instructions=max_instructions)

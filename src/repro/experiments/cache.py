@@ -23,6 +23,9 @@ workers and synced directories):
 
 The cache therefore remains what it always was — an accelerator, never a
 source of errors — under partial writes, kill -9, and hostile filesystems.
+A campaign, though, counts a cell done only once its entry reads back
+(:mod:`repro.experiments.parallel`): a write that does not land fails the
+cell, which is retried.
 """
 
 from __future__ import annotations
@@ -38,8 +41,6 @@ from repro.util.durability import atomic_write_bytes, sweep_orphan_tmps
 
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: Set to ``0`` to disable the disk cache entirely.
-CACHE_ENABLE_ENV = "REPRO_DISK_CACHE"
 DEFAULT_CACHE_DIR = ".repro_cache"
 
 #: Subdirectory corrupt entries are moved to (never deleted).
@@ -49,11 +50,6 @@ QUARANTINE_DIR = "quarantine"
 ENTRY_MAGIC = b"RPRC1\n"
 _CRC_STRUCT = struct.Struct(">I")
 _HEADER_LEN = len(ENTRY_MAGIC) + _CRC_STRUCT.size
-
-
-def disk_cache_enabled() -> bool:
-    """Whether the on-disk cache is enabled for this process (default: yes)."""
-    return os.environ.get(CACHE_ENABLE_ENV, "1") not in ("0", "false", "no")
 
 
 def salted_key(key: str) -> str:

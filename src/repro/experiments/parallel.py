@@ -12,13 +12,14 @@ A batch runs inline on the runner itself when one process suffices and no
 cell timeout is set.  Otherwise it goes through :func:`run_in_children`,
 the one child-process engine: a forked child per workload group (or per
 cell, under a timeout), at most ``processes`` alive at once, each
-reporting back through a pipe.  With the disk cache on, the results
-themselves travel through the cache: a cell is done once its entry reads
-back.  A child that overruns the timeout is killed and a child that dies
-without reporting is noticed; either way the cells it left unfinished
-become ordinary retryable failures, as does a result that does not read
-back.  Grouping by workload lets a child build a workload's
-program/trace/profile once and run every configuration requested for it.
+reporting its failures and stats back through a pipe.  The results
+themselves travel through the disk cache, and one rule settles every
+cell, inline or not: a cell is done once its entry reads back.  A child
+that overruns the timeout is killed and a child that dies without
+reporting is noticed; either way the cells it left unfinished become
+ordinary retryable failures, as does a result that does not read back.
+Grouping by workload lets a child build a workload's program/trace/profile
+once and run every configuration requested for it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SystemConfig
 from repro.dla.config import DlaConfig
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, RunnerStats
 
 #: Environment variable overriding the worker-process count.
 PROCESSES_ENV = "REPRO_PROCESSES"
@@ -108,18 +109,18 @@ def _failure_payload(request: SimRequest, error: BaseException,
 
 def _simulate_group(runner: ExperimentRunner, workload: str,
                     pairs: Sequence[Tuple[SimRequest, str]],
-                    attempts: Dict[str, int]) -> List[Tuple[str, str, object]]:
+                    attempts: Dict[str, int]) -> Dict[str, Dict[str, object]]:
     """Run every ``(request, key)`` of one workload group against ``runner``.
 
-    Returns ``(kind, key, outcome)`` entries in request order.  A request
-    whose simulation — or the group's setup — raises does not poison the
-    group: the exception becomes a ``("failed", key, info)`` entry and the
-    remaining requests still run.
+    Returns the failure payload of every request whose simulation — or the
+    group's setup — raised, by key.  A failure does not poison the group:
+    the remaining requests still run.  Finished outcomes land in
+    ``runner``'s outcome store and disk cache.
     """
     from repro.util import faults
 
     setup = None
-    results = []
+    failures = {}
     for request, key in pairs:
         started = time.monotonic()
         try:
@@ -127,12 +128,11 @@ def _simulate_group(runner: ExperimentRunner, workload: str,
                          attempt=attempts.get(key, 0))
             if setup is None:
                 setup = runner.setup(workload)
-            results.append((request.kind, key,
-                            _simulate_request(runner, setup, request)))
+            _simulate_request(runner, setup, request)
         except Exception as error:   # isolation boundary — keep going
-            results.append(("failed", key, _failure_payload(
-                request, error, time.monotonic() - started)))
-    return results
+            failures[key] = _failure_payload(
+                request, error, time.monotonic() - started)
+    return failures
 
 
 def _run_group(payload: Tuple[dict, str, List[Tuple[SimRequest, str]],
@@ -140,17 +140,13 @@ def _run_group(payload: Tuple[dict, str, List[Tuple[SimRequest, str]],
     """Child-process body: run one workload group on a fresh runner.
 
     ``payload`` is ``(ctor_kwargs, workload, pairs, attempts)`` (see
-    :func:`_simulate_group`); returns ``(results, stats)``, the runner's
-    stats being exactly this group's.  With the disk cache on, the cache
-    carries the outcomes: a finished cell's entry reports ``None``.
+    :func:`_simulate_group`); returns ``(failures, stats)``, the runner's
+    stats being exactly this group's.  The outcomes travel through the
+    disk cache, not the pipe.
     """
     ctor_kwargs, workload, pairs, attempts = payload
     runner = ExperimentRunner(**ctor_kwargs)
-    results = _simulate_group(runner, workload, pairs, attempts)
-    if runner.disk_cache is not None:
-        results = [(kind, key, outcome if kind == "failed" else None)
-                   for kind, key, outcome in results]
-    return results, runner.stats
+    return _simulate_group(runner, workload, pairs, attempts), runner.stats
 
 
 @contextmanager
@@ -278,7 +274,8 @@ class ParallelExperimentRunner(ExperimentRunner):
     """
 
     def __init__(self, *args, processes: Optional[int] = None, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+        # Campaign cells settle through the disk cache, so it is always on.
+        super().__init__(*args, disk_cache=True, **kwargs)
         if processes is None:
             env = os.environ.get(PROCESSES_ENV, "")
             processes = int(env) if env.isdigit() and int(env) > 0 else None
@@ -292,10 +289,6 @@ class ParallelExperimentRunner(ExperimentRunner):
             "warmup_instructions": self.warmup_instructions,
             "timed_instructions": self.timed_instructions,
             "system_config": self.system_config,
-            # Children write their results to the shared disk cache, where
-            # this runner reads them back; with it disabled the results
-            # come through the pipe.
-            "disk_cache": self.disk_cache is not None,
         }
 
     def default_processes(self) -> int:
@@ -317,22 +310,22 @@ class ParallelExperimentRunner(ExperimentRunner):
         executed (the rest were already cached) and, by content key, a
         structured failure payload (exception type, message, traceback
         digest, monotonic duration) for every request whose simulation — or
-        setup — raised, timed out or died with its child, or whose child's
-        result is not readable from the disk cache.  Successful cells
-        land in the outcome store in request order, so later figure code
-        sees the same objects whatever the scheduling; failed cells land
-        nowhere, so a retry re-runs only them.  ``attempts`` (key -> prior
-        failure count) is forwarded to the fault-injection probe so
-        attempt-gated transient faults stop firing once a cell has been
-        retried past their budget.
+        setup — raised, timed out or died with its child, or whose result
+        is not readable from the disk cache.  Successful cells land in the
+        outcome store in request order, so later figure code sees the same
+        objects whatever the scheduling; failed cells land nowhere, so a
+        retry re-runs only them.  ``attempts`` (key -> prior failure count)
+        is forwarded to the fault-injection probe so attempt-gated transient
+        faults stop firing once a cell has been retried past their budget.
 
         Keys are derived from workload *definitions*, so screening a fully
         cached batch costs no setup work at all.  Pending requests are
         grouped by workload (request order kept).  With no ``timeout`` and
         one process enough, the groups run inline on this runner; otherwise
         :func:`run_in_children` runs one child per group — per cell when
-        ``timeout`` (seconds) bounds each.  This is the campaign scheduler's
-        execution primitive.
+        ``timeout`` (seconds) bounds each.  Either way a cell that did not
+        fail is done only once its disk entry reads back.  This is the
+        campaign scheduler's execution primitive.
         """
         requests = list(requests)
         attempts = attempts or {}
@@ -353,53 +346,53 @@ class ParallelExperimentRunner(ExperimentRunner):
         simulations_before = self.stats.simulations
         failures: Dict[str, Dict[str, object]] = {}
 
+        from repro.campaign.health import CellResultLost
+
         if timeout is None and processes <= 1:
             # Inline execution: run directly on this runner — its setups and
             # caches are exactly what the figures will use afterwards, so
-            # nothing is built twice.
+            # nothing is built twice.  Its stats count the cells already.
+            reports = []
             for workload, pairs in units:
-                for kind, key, outcome in _simulate_group(
-                        self, workload, pairs, attempts):
-                    if kind == "failed":
-                        failures[key] = outcome
-            return self.stats.simulations - simulations_before, failures
+                started = time.monotonic()
+                report = (_simulate_group(self, workload, pairs, attempts),
+                          RunnerStats())
+                reports.append((report, None, time.monotonic() - started))
+        else:
+            from repro.core.compile.build import load_kernel
 
-        from repro.campaign.health import CellResultLost
-        from repro.core.compile.build import load_kernel
-
-        # Build/load the compiled tick kernel once before forking: children
-        # inherit the loaded module (spawned ones find the cached artifact
-        # on disk), so none pays — or races — the C compile.
-        load_kernel()
-        ctor_kwargs = self._ctor_kwargs()
-        reports = run_in_children(
-            _run_group,
-            [(ctor_kwargs, workload, pairs, attempts) for workload, pairs in units],
-            processes, timeout)
+            # Build/load the compiled tick kernel once before forking:
+            # children inherit the loaded module (spawned ones find the
+            # cached artifact on disk), so none pays — or races — the C
+            # compile.
+            load_kernel()
+            ctor_kwargs = self._ctor_kwargs()
+            reports = run_in_children(
+                _run_group, [(ctor_kwargs, workload, pairs, attempts)
+                             for workload, pairs in units],
+                processes, timeout)
         for (_workload, pairs), (report, error, seconds) in zip(units, reports):
-            entries = {}
+            failed: Dict[str, Dict[str, object]] = {}
             if error is None:
-                results, stats = report
-                # The child's simulations are this runner's: count them here.
+                failed, stats = report
+                # A child's simulations are this runner's: count them here.
                 self.stats.merge(stats)
-                entries = {key: (kind, outcome)
-                           for kind, key, outcome in results}
             for request, key in pairs:
-                kind, outcome = entries.get(key, (None, None))
-                if kind == "failed":
-                    failures[key] = outcome
+                if key in failed:
+                    failures[key] = failed[key]
                     continue
-                if outcome is None and self.disk_cache is not None:
-                    # A cell is done when its result is readable on disk:
-                    # that catches a torn write, and keeps what a child
-                    # finished before it died or overran.
-                    outcome = self.disk_cache.get(self._disk_key(key))
+                # A cell is done when its result reads back from disk: that
+                # catches a torn or failed write, and keeps what a child
+                # finished before it died or overran.  ``inject`` keeps an
+                # inline cell's in-memory object.
+                outcome = self.disk_cache.get(self._disk_key(key))
                 if outcome is not None:
                     self.inject(key, outcome)
                     continue
+                self._outcomes.pop(key, None)
                 failures[key] = _failure_payload(request, error or CellResultLost(
-                    "child process reported success, but the result is "
-                    "not readable from the disk cache"), seconds)
+                    "the cell finished, but its result is not readable "
+                    "from the disk cache"), seconds)
         return self.stats.simulations - simulations_before, failures
 
     # ------------------------------------------------------------------
@@ -424,7 +417,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         for index, request in enumerate(requests):
             key = keys[index] if keys is not None else self.request_key(request)
             available = self.cached_outcome(key) is not None
-            if not available and self.disk_cache is not None:
+            if not available:
                 stored = self.disk_cache.get(self._disk_key(key))
                 if stored is not None:
                     self.stats.disk_hits += 1

@@ -36,7 +36,7 @@ from repro.dla.config import DlaConfig
 from repro.dla.profiling import ProgramProfile, profile_workload
 from repro.dla.system import DlaOutcome, DlaSystem
 from repro.emulator.trace import Trace
-from repro.experiments.cache import ResultDiskCache, disk_cache_enabled, salted_key
+from repro.experiments.cache import ResultDiskCache, salted_key
 from repro.experiments.fingerprint import fingerprint
 from repro.isa.program import Program
 from repro.workloads.suites import Workload, all_workloads, get_workload
@@ -306,15 +306,15 @@ class ExperimentRunner:
         windows, keeping the full benchmark suite runnable in minutes; when
         False every workload of every suite runs with longer windows.
     disk_cache:
-        ``True``/``False`` force the on-disk result cache on or off; the
-        default (``None``) enables it unless ``REPRO_DISK_CACHE=0``.
+        Whether finished outcomes and setups are also kept in the on-disk
+        result cache (default: yes).
     """
 
     def __init__(self, quick: bool = True, workload_names: Optional[Sequence[str]] = None,
                  warmup_instructions: Optional[int] = None,
                  timed_instructions: Optional[int] = None,
                  system_config: Optional[SystemConfig] = None,
-                 disk_cache: Optional[bool] = None) -> None:
+                 disk_cache: bool = True) -> None:
         self.quick = quick
         if workload_names is None:
             workload_names = QUICK_WORKLOADS if quick else [w.name for w in all_workloads()]
@@ -323,8 +323,6 @@ class ExperimentRunner:
         self.timed_instructions = timed_instructions or (8_000 if quick else 15_000)
         self.system_config = system_config or SystemConfig()
         self.stats = RunnerStats()
-        if disk_cache is None:
-            disk_cache = disk_cache_enabled()
         self.disk_cache: Optional[ResultDiskCache] = (
             ResultDiskCache() if disk_cache else None
         )
@@ -562,8 +560,8 @@ class ExperimentRunner:
     def inject(self, key: str, outcome) -> None:
         """Install an outcome computed elsewhere under ``key`` — a worker's
         result (the parallel runner's deterministic merge) or a disk entry.
-        Nothing is persisted or counted: it is on disk already or the
-        cache is off, and whoever simulated it counted it.
+        Nothing is persisted or counted: it is on disk already, and
+        whoever simulated it counted it.
         """
         self._outcomes.setdefault(key, outcome)
 

@@ -13,7 +13,7 @@ round-robin keeps shard sizes balanced to within one element.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 
 class ShardError(ValueError):
@@ -55,9 +55,3 @@ def partition(names: Iterable[str], index: int, count: int) -> List[str]:
         raise ShardError(f"shard index {index} must be in [0, {count})")
     ordered = sorted(set(names))
     return ordered[index::count]
-
-
-def shard_filter(names: Sequence[str], spec: str) -> List[str]:
-    """``partition`` driven by an ``"i/N"`` spec string."""
-    index, count = parse_shard(spec)
-    return partition(names, index, count)

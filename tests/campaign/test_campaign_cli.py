@@ -15,7 +15,6 @@ WINDOW = dict(warmup_instructions=1500, timed_instructions=1500)
 @pytest.fixture()
 def isolated(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_DISK_CACHE", "1")
     monkeypatch.chdir(tmp_path)
     return tmp_path
 

@@ -21,7 +21,6 @@ WINDOW = dict(warmup_instructions=1500, timed_instructions=1500)
 def cache_dir(tmp_path, monkeypatch):
     path = tmp_path / "cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(path))
-    monkeypatch.setenv("REPRO_DISK_CACHE", "1")
     return path
 
 

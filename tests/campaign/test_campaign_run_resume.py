@@ -31,9 +31,6 @@ def _spec() -> CampaignSpec:
 def cache_dir(tmp_path, monkeypatch):
     path = tmp_path / "cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(path))
-    # Resume semantics depend on the disk cache: pin it on even when the
-    # ambient environment sets REPRO_DISK_CACHE=0.
-    monkeypatch.setenv("REPRO_DISK_CACHE", "1")
     return path
 
 

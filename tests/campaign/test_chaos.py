@@ -5,10 +5,13 @@ fault-free single-host run."""
 
 from __future__ import annotations
 
+import json
 import threading
+from typing import List
 
 import pytest
 
+from repro.campaign.cli import main
 from repro.campaign.health import RetryPolicy
 from repro.campaign.monitor import build_timeline
 from repro.campaign.render import render_campaign
@@ -60,22 +63,38 @@ def inert_plan():
     faults.reset()
 
 
+def _reference_run(tmp_path, monkeypatch, spec) -> List[str]:
+    """Run and render ``spec`` fault-free in its own cache universe (under
+    ``artifacts-ref``); returns its cell keys."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache-ref"))
+    ref_store = CampaignStore(spec.name, tmp_path / "campaigns-ref")
+    scheduler = _scheduler(spec, ref_store)
+    summary = scheduler.run()
+    assert summary["cells_total"] == 3
+    render_campaign(spec.name, store=ref_store,
+                    out_dir=str(tmp_path / "artifacts-ref"))
+    return [key for key, _request in scheduler.keyed_cells()]
+
+
+def _assert_matches_reference(tmp_path, spec, out_dir) -> None:
+    """The artifacts under ``out_dir`` are byte-identical to the
+    reference run's."""
+    ref_dir = tmp_path / "artifacts-ref" / spec.name
+    other_dir = out_dir / spec.name
+    ref_files = sorted(path.name for path in ref_dir.iterdir())
+    assert ref_files == sorted(path.name for path in other_dir.iterdir())
+    assert ref_files                                  # md + json + csv(s)
+    for name in ref_files:
+        assert (ref_dir / name).read_bytes() == \
+            (other_dir / name).read_bytes(), f"artifact {name} differs"
+
+
 def _chaos_run(tmp_path, monkeypatch, execute) -> CampaignStore:
     """Render a fault-free reference, then run ``execute(index, scheduler)``
     on two threads under the seeded plan in a separate cache universe, and
     check the merged artifacts are byte-identical to the reference."""
-    monkeypatch.setenv("REPRO_DISK_CACHE", "1")
     spec = _spec()
-
-    # ------------------------------------------------------------------
-    # Reference: fault-free single-host run in its own cache universe.
-    # ------------------------------------------------------------------
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache-ref"))
-    ref_store = CampaignStore(spec.name, tmp_path / "campaigns-ref")
-    summary = _scheduler(spec, ref_store).run()
-    assert summary["cells_total"] == 3
-    render_campaign(spec.name, store=ref_store,
-                    out_dir=str(tmp_path / "artifacts-ref"))
+    _reference_run(tmp_path, monkeypatch, spec)
 
     # ------------------------------------------------------------------
     # Chaos: two threads + the seeded plan, separate cache universe.
@@ -125,15 +144,7 @@ def _chaos_run(tmp_path, monkeypatch, execute) -> CampaignStore:
     assert "health" not in chaos_store.load_result()
     render_campaign(spec.name, store=chaos_store,
                     out_dir=str(tmp_path / "artifacts-chaos"))
-
-    ref_dir = tmp_path / "artifacts-ref" / spec.name
-    chaos_dir = tmp_path / "artifacts-chaos" / spec.name
-    ref_files = sorted(path.name for path in ref_dir.iterdir())
-    assert ref_files == sorted(path.name for path in chaos_dir.iterdir())
-    assert ref_files                                  # md + json + csv(s)
-    for name in ref_files:
-        assert (ref_dir / name).read_bytes() == \
-            (chaos_dir / name).read_bytes(), f"artifact {name} differs"
+    _assert_matches_reference(tmp_path, spec, tmp_path / "artifacts-chaos")
 
     # The journals recorded the chaos the artifacts hide: both injected
     # faults show up as retry events, the torn write as a quarantine, and
@@ -173,3 +184,61 @@ def test_chaos_shard_campaign_matches_fault_free_artifacts(tmp_path,
     assert sorted(summaries) == [0, 1]
     assert not any(summary.get("cells_failed")
                    for summary in summaries.values())
+
+
+def test_inline_shard_retries_a_torn_write_and_merges_clean(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    """An inline cell (``--processes 1``) is done only once its entry reads
+    back: one torn write costs one retryable ``CellResultLost``, and a
+    merge from disk matches a fault-free run."""
+    spec = _spec()
+    torn_key = _reference_run(tmp_path, monkeypatch, spec)[0]
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache-torn"))
+    # The CLI exports its plan to the environment; restore it afterwards.
+    monkeypatch.setenv(faults.FAULTS_ENV, "")
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec.to_dict()))
+    assert main([
+        "run", "--spec", str(spec_path), "--shard", "0/1", "--processes", "1",
+        "--retry-backoff", "0", "--no-render",
+        "--faults", f"cache.write:truncate:times=1,match={torn_key}",
+    ]) == 0
+    store = CampaignStore(spec.name)
+    failed = [(event["key"], event["error_type"])
+              for event in load_events(store.events_path)
+              if event["event"] == "cell.failed"]
+    assert failed == [(torn_key, "CellResultLost")]
+
+    assert main(["merge", spec.name, "--no-render"]) == 0
+    capsys.readouterr()
+    render_campaign(spec.name, store=store,
+                    out_dir=str(tmp_path / "artifacts-torn"))
+    _assert_matches_reference(tmp_path, spec, tmp_path / "artifacts-torn")
+
+
+def test_worker_poisons_cells_whose_writes_never_read_back(tmp_path,
+                                                          monkeypatch):
+    """A worker runs each leased cell inline, and an inline cell is done
+    only once its entry reads back: with every write torn, each cell is
+    retried, then poisoned as ``CellResultLost``, and ``status`` counts
+    none of them done."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    faults.activate(faults.FaultPlan.parse(
+        "cache.write:truncate:times=none",
+        ledger_dir=tmp_path / "cache" / "faults"))
+    spec = _spec()
+    store = CampaignStore(spec.name, tmp_path / "campaigns")
+    summary = _scheduler(spec, store, retry_policy=FAST_POLICY).run_worker(
+        owner="w", ttl=60.0, poll_seconds=0.05)
+
+    records = store.failures()
+    assert len(records) == summary["cells_total"] == 3
+    for record in records.values():
+        assert record["error_type"] == "CellResultLost"
+        assert record["poisoned"]
+    status = store.status()
+    assert status["cells_done"] == 0
+    assert status["state"] != "complete"

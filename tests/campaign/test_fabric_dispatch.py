@@ -79,7 +79,6 @@ def _write_spec(tmp_path, spec: CampaignSpec) -> str:
 @pytest.fixture()
 def isolated(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "shared"))
-    monkeypatch.setenv("REPRO_DISK_CACHE", "1")
     monkeypatch.chdir(tmp_path)
     return tmp_path
 

@@ -33,7 +33,6 @@ def inert_plan():
 def cache_dir(tmp_path, monkeypatch):
     path = tmp_path / "cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(path))
-    monkeypatch.setenv("REPRO_DISK_CACHE", "1")
     return path
 
 
@@ -207,7 +206,6 @@ def test_cell_timeout_keeps_the_watchdog_childs_stats(tmp_path, monkeypatch):
     per workload group when fanning out — is counted like an inline one:
     the parent merges the child's stats, and reading the child's result
     back from the disk cache is no disk hit."""
-    monkeypatch.setenv("REPRO_DISK_CACHE", "1")
     spec = CampaignSpec(
         name="watchdog-stats",
         title="Watchdog accounting campaign",
@@ -287,22 +285,6 @@ def test_cli_worker_cell_timeout_flips_exit_code(cache_dir, tmp_path,
     capsys.readouterr()
     assert code == 1
     _assert_every_cell_timed_out(spec)
-
-
-def test_cli_cell_timeout_needs_no_disk_cache(cache_dir, tmp_path,
-                                            monkeypatch, capsys):
-    """Children report their results through a pipe, so ``--cell-timeout``
-    on a plain run works with the disk cache off."""
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
-    spec = _spec(workloads=("libquantum",))
-    code = main(["run", "--spec", _write_spec(tmp_path, spec),
-                 "--cell-timeout", "60", "--no-render"])
-    capsys.readouterr()
-    assert code == 0
-    result = CampaignStore(spec.name).load_result()
-    assert result["run"]["simulations"] == 3    # each cell simulated once
-    assert "health" not in result
 
 
 @pytest.mark.parametrize("mode_flags", [(), ("--shard", "0/1")],

@@ -149,7 +149,6 @@ def _scheduler(spec, store) -> CampaignScheduler:
 
 
 def test_memsys_campaign_shard_worker_merge_byte_identical(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_DISK_CACHE", "1")
     from repro.campaign.render import render_campaign
 
     spec = _memsys_spec()

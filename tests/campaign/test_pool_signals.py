@@ -131,8 +131,7 @@ def _run_campaign(body: str, tmp_path) -> dict:
     """Run the fan-out campaign with ``body`` in a hard-timed subprocess;
     ``body`` prints one JSON line, returned parsed."""
     done = _run(textwrap.dedent(_CAMPAIGN) + textwrap.dedent(body),
-                timeout=180, REPRO_CACHE_DIR=str(tmp_path / "cache"),
-                REPRO_DISK_CACHE="1")
+                timeout=180, REPRO_CACHE_DIR=str(tmp_path / "cache"))
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 

@@ -65,7 +65,6 @@ def _scheduler(spec, store) -> CampaignScheduler:
 def cache_dir(tmp_path, monkeypatch):
     path = tmp_path / "cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(path))
-    monkeypatch.setenv("REPRO_DISK_CACHE", "1")
     return path
 
 
@@ -255,7 +254,6 @@ def test_shard_run_plus_merge_completes_campaign(cache_dir, tmp_path):
 
 
 def test_sharded_artifacts_bit_identical_to_single_host(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_DISK_CACHE", "1")
     spec = _spec()
 
     # Single-host reference run in its own cache universe.
@@ -447,21 +445,6 @@ def test_a_converged_worker_writes_the_manifest_as_often_as_run(
     assert last_run.get("worker") == (None if finalize else "solo")
 
 
-def test_sharded_modes_refuse_without_disk_cache(tmp_path, monkeypatch):
-    """--shard/--worker coordinate through the disk cache: refuse loudly
-    when it is disabled instead of silently breaking exactly-once."""
-    from repro.campaign.scheduler import ShardedExecutionError
-
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
-    spec = _spec()
-    store = CampaignStore(spec.name, tmp_path / "campaigns")
-    with pytest.raises(ShardedExecutionError):
-        _scheduler(spec, store).run_shard(0, 2)
-    with pytest.raises(ShardedExecutionError):
-        _scheduler(spec, store).run_worker(owner="w", poll_seconds=0.01)
-
-
 def test_worker_max_cells_stops_early_without_finalizing(cache_dir, tmp_path):
     spec = _spec()
     store = CampaignStore(spec.name, tmp_path / "campaigns")
@@ -480,7 +463,6 @@ def test_worker_max_cells_stops_early_without_finalizing(cache_dir, tmp_path):
 @pytest.fixture()
 def isolated(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_DISK_CACHE", "1")
     monkeypatch.chdir(tmp_path)
     return tmp_path
 

@@ -19,7 +19,6 @@ from repro.campaign.telemetry import (
 def cache_dir(tmp_path, monkeypatch):
     path = tmp_path / "cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(path))
-    monkeypatch.setenv("REPRO_DISK_CACHE", "1")
     monkeypatch.delenv("REPRO_FAULTS_LEDGER", raising=False)
     return path
 

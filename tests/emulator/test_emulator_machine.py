@@ -8,7 +8,7 @@ must reproduce it bit for bit.
 import pytest
 
 from repro.core.compile import FAST_PIPELINE_ENV, counters, kernel_available
-from repro.emulator.machine import Emulator, ExecutionLimitExceeded, run_program
+from repro.emulator.machine import Emulator, ExecutionLimitExceeded
 from repro.experiments.runner import ExperimentRunner
 from repro.isa.builder import WORD_BYTES, ProgramBuilder
 from repro.isa.instructions import OpClass
@@ -194,7 +194,7 @@ def test_trace_records_branch_outcomes_and_addresses():
     b.halt()
     program = b.build()
     for _ in engines():
-        trace = run_program(program)
+        trace = Emulator(program).run(max_instructions=1_000_000)
         loads = [e for e in trace if e.is_load]
         assert [e.effective_address for e in loads] == [data, data + WORD_BYTES]
         branches = [e for e in trace if e.is_branch]

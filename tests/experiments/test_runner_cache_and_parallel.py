@@ -289,7 +289,7 @@ def test_screen_pulls_every_request_kind_into_the_store(tmp_path, monkeypatch):
               first.dla_segmented(setup, r3).cycles]
 
     fresh = ParallelExperimentRunner(quick=True, workload_names=[WORKLOAD],
-                                     disk_cache=True, **WINDOW)
+                                     **WINDOW)
     keys = [fresh.request_key(request) for request in requests]
     assert fresh.screen(requests) == dict.fromkeys(keys, True)
     assert fresh.stats.disk_hits == 3 and fresh.stats.simulations == 0
@@ -325,14 +325,15 @@ def _bl_and_r3(workloads):
         SimRequest(name, "dla", "r3", dla_config=DlaConfig().r3()))]
 
 
-def test_parallel_warm_matches_serial_results():
+def test_parallel_warm_matches_serial_results(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     serial = make_runner()
     s_setup = serial.setup(WORKLOAD)
     s_bl = serial.baseline(s_setup, "bl")
     s_r3 = serial.dla(s_setup, DlaConfig().r3(), "r3")
 
     parallel = ParallelExperimentRunner(
-        quick=True, workload_names=[WORKLOAD, "mcf"], disk_cache=False, **WINDOW
+        quick=True, workload_names=[WORKLOAD, "mcf"], **WINDOW
     )
     # Two workload groups, so the cells really run in child processes.
     assert parallel.warm_isolated(_bl_and_r3([WORKLOAD, "mcf"]),
@@ -351,10 +352,11 @@ def test_parallel_warm_matches_serial_results():
     assert p_r3.cpu_energy == s_r3.cpu_energy
 
 
-def test_parallel_stats_count_each_simulation_once():
+def test_parallel_stats_count_each_simulation_once(tmp_path, monkeypatch):
     """The merged stats count every child's simulations exactly once."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     runner = ParallelExperimentRunner(
-        quick=True, workload_names=[WORKLOAD, "mcf"], disk_cache=False, **WINDOW
+        quick=True, workload_names=[WORKLOAD, "mcf"], **WINDOW
     )
     executed, failures = runner.warm_isolated(_bl_and_r3([WORKLOAD, "mcf"]),
                                               processes=2)
@@ -380,7 +382,6 @@ def test_auxiliary_simulations_cached(tmp_path, monkeypatch):
     from repro.baselines import simulate_bfetch
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "aux"))
-    monkeypatch.setenv("REPRO_DISK_CACHE", "1")
     runner = make_runner(disk_cache=True)
     setup = runner.setup(WORKLOAD)
 
@@ -524,13 +525,14 @@ def test_dla_segmented_disk_roundtrip(tmp_path, monkeypatch):
     assert from_disk.version_distribution == outcome.version_distribution
 
 
-def test_parallel_warm_handles_segmented_requests():
+def test_parallel_warm_handles_segmented_requests(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     serial = make_runner()
     s_out = serial.dla_segmented(serial.setup(WORKLOAD), DlaConfig().r3(),
                                  dynamic=True)
 
     runner = ParallelExperimentRunner(
-        quick=True, workload_names=[WORKLOAD, "sjeng"], disk_cache=False, **WINDOW
+        quick=True, workload_names=[WORKLOAD, "sjeng"], **WINDOW
     )
     request = SimRequest(WORKLOAD, "segmented", "recycle-dynamic",
                          dla_config=DlaConfig().r3(), dynamic=True)
@@ -557,9 +559,10 @@ def test_segmented_request_validation():
         SimRequest("mcf", "dla", dla_config=DlaConfig().r3(), dynamic=True)
 
 
-def test_parallel_warm_is_idempotent():
+def test_parallel_warm_is_idempotent(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     runner = ParallelExperimentRunner(
-        quick=True, workload_names=[WORKLOAD], disk_cache=False, **WINDOW
+        quick=True, workload_names=[WORKLOAD], **WINDOW
     )
     requests = _bl_and_r3([WORKLOAD])
     assert runner.warm_isolated(requests, processes=1) == (2, {})

@@ -66,9 +66,10 @@ def test_best_offset_turns_off_on_random_stream():
     rng = random.Random(5)
     for i in range(300):
         pf.observe(1, rng.randrange(0, 1 << 24) * 64, hit=False, cycle=i)
-    # After several rounds of hopeless scoring the prefetcher disables itself
-    # (or at least stops finding a confident offset).
-    assert pf.current_offset is None or not pf.observe(1, 0x123400, False, 1000) or True
+    # After several rounds of hopeless scoring the prefetcher disables
+    # itself: no confident offset, and no prefetch for the next miss.
+    assert pf.current_offset is None
+    assert pf.observe(1, 0x123400, False, 1000) == []
 
 
 def test_best_offset_reset_restores_initial_state():

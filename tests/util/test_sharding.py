@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.util.sharding import ShardError, parse_shard, partition, shard_filter
+from repro.util.sharding import ShardError, parse_shard, partition
 
 
 def test_partition_more_shards_than_names_yields_empty_tails():
@@ -52,10 +52,10 @@ def test_partition_rejects_bad_indices():
 
 
 def test_shard_filter_accepts_specs_beyond_the_name_count():
-    assert shard_filter(["only"], "3/4") == []
-    assert shard_filter(["only"], "0/4") == ["only"]
+    assert partition(["only"], *parse_shard("3/4")) == []
+    assert partition(["only"], *parse_shard("0/4")) == ["only"]
     with pytest.raises(ShardError):
-        shard_filter(["only"], "4/4")
+        partition(["only"], *parse_shard("4/4"))
 
 
 def test_parse_shard_round_trips_into_partition():

@@ -140,7 +140,6 @@ def test_fingerprint_path_stable_across_hash_seeds():
 def test_cached_program_round_trips_identically_across_processes(tmp_path):
     cache_env = {
         "REPRO_CACHE_DIR": str(tmp_path / "cache"),
-        "REPRO_DISK_CACHE": "1",
     }
     cold = _run_child("11", mode="disk", extra_env=cache_env)
     assert cold["stats"]["builds"] == 1
