@@ -28,8 +28,8 @@ Design contract (the properties the dispatcher and CI lean on):
   see the transfer shape;
 * **torn-transfer-safe** — every entry is verified against its RPRC1
   checksum frame (:func:`repro.experiments.cache.decode_entry`) *before*
-  install, installs go through fsync-before-rename
-  (:func:`repro.util.durability.atomic_write_bytes`), and a corrupt source
+  install, each batch installs as one fsync-before-rename group commit
+  (:class:`repro.util.durability.DurableBatch`), and a corrupt source
   entry is quarantined on its own side, never propagated — a half-copied
   entry can cost a re-simulation, never a wrong result;
 * **state merges monotonically** — journals are append-only (copy when the
@@ -56,7 +56,7 @@ from repro.experiments.cache import (
     CACHE_DIR_ENV, DEFAULT_CACHE_DIR, QUARANTINE_DIR, decode_entry,
     salted_key,
 )
-from repro.util.durability import atomic_write_bytes
+from repro.util.durability import DurableBatch, atomic_write_bytes
 
 #: Cell entries move in sorted batches of this many files by default.
 DEFAULT_BATCH_SIZE = 64
@@ -219,24 +219,27 @@ class CacheSync:
         report = SyncReport(direction)
         names = self._select(_list_files(src, ENTRY_GLOB), campaign)
         report.entries_total = len(names)
-        for batch in _chunked(names, self.batch_size):
+        for chunk in _chunked(names, self.batch_size):
             report.batches += 1
-            for name in batch:
-                if (dst / name).exists():
-                    report.entries_skipped += 1
-                    continue
-                data = _read(src / name)
-                if data is None:
-                    continue
-                if decode_entry(data) is None:
-                    # Torn or bit-rotted at the source: quarantine it there
-                    # (same contract as the disk cache's read path); the
-                    # cell simply re-simulates wherever it is missing.
-                    _quarantine(src, name)
-                    report.entries_corrupt += 1
-                    continue
-                atomic_write_bytes(dst / name, data)
-                report.entries_copied += 1
+            # One group commit per batch: its entries land together.
+            with DurableBatch() as batch:
+                for name in chunk:
+                    if (dst / name).exists():
+                        report.entries_skipped += 1
+                        continue
+                    data = _read(src / name)
+                    if data is None:
+                        continue
+                    if decode_entry(data) is None:
+                        # Torn or bit-rotted at the source: quarantine it
+                        # there (same contract as the disk cache's read
+                        # path); the cell simply re-simulates wherever it
+                        # is missing.
+                        _quarantine(src, name)
+                        report.entries_corrupt += 1
+                        continue
+                    batch.stage(dst / name, data)
+                    report.entries_copied += 1
         if campaign is not None:
             base = Path("campaigns", campaign)
             _merge_state(src / base, dst / base, report)

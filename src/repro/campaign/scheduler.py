@@ -539,6 +539,8 @@ class CampaignScheduler:
         ``cell_timeout`` bounds each cell either way.
         Settling writes no manifest: a finished cell is its disk-cache entry
         and its ``cell.finished`` event, a failed one its failure record.
+        Each chunk is one journal round: its start frames go out in one
+        write before it runs, its settle frames in one write after.
         Returns the number of cells finished.
         """
         if leases is None:
@@ -550,32 +552,35 @@ class CampaignScheduler:
         try:
             for chunk in chunks:
                 attempts: Dict[str, int] = {}
-                for key, request in chunk:
-                    # Chaos site: a seeded kill fault drops the whole
-                    # process right here — holding its claims, like a real
-                    # OOM kill.  Leases are reclaimed after their TTL.
-                    faults.probe(faults.SITE_WORKER_KILL, key=key)
-                    attempts[key] = int(
-                        (records.get(key) or {}).get("attempts", 0))
-                    self._emit("cell.started", key=key,
-                               attempt=attempts[key] + 1,
-                               workload=request.workload,
-                               variant=request.label)
-                    if attempts[key] > 0:
-                        self._emit("cell.retried", key=key,
-                                   attempt=attempts[key] + 1)
-                stats_before = self.runner.stats.copy()
-                _executed, failures = self.runner.warm_isolated(
-                    [request for _key, request in chunk],
-                    attempts=attempts, timeout=self.cell_timeout)
-                # Per-cell pace is only meaningful for a one-cell chunk.
-                stats = (self.runner.stats.since(stats_before)
-                         if len(chunk) == 1 else None)
-                for key, request in chunk:
-                    if self._settle(key, request, failures.get(key),
-                                    attempts[key], owner, label,
-                                    stats) is None:
-                        finished += 1
+                with self.journal.round():
+                    for key, request in chunk:
+                        # Chaos site: a seeded kill fault drops the whole
+                        # process right here — holding its claims, like a
+                        # real OOM kill.  Leases are reclaimed after their
+                        # TTL.
+                        faults.probe(faults.SITE_WORKER_KILL, key=key)
+                        attempts[key] = int(
+                            (records.get(key) or {}).get("attempts", 0))
+                        self._emit("cell.started", key=key,
+                                   attempt=attempts[key] + 1,
+                                   workload=request.workload,
+                                   variant=request.label)
+                        if attempts[key] > 0:
+                            self._emit("cell.retried", key=key,
+                                       attempt=attempts[key] + 1)
+                    self.journal.flush()
+                    stats_before = self.runner.stats.copy()
+                    _executed, failures = self.runner.warm_isolated(
+                        [request for _key, request in chunk],
+                        attempts=attempts, timeout=self.cell_timeout)
+                    # Per-cell pace is only meaningful for a one-cell chunk.
+                    stats = (self.runner.stats.since(stats_before)
+                             if len(chunk) == 1 else None)
+                    for key, request in chunk:
+                        if self._settle(key, request, failures.get(key),
+                                        attempts[key], owner, label,
+                                        stats) is None:
+                            finished += 1
                 if leases is not None:
                     self.store.release_leases(remaining[:len(chunk)], owner)
                     remaining = remaining[len(chunk):]
@@ -690,7 +695,8 @@ class CampaignScheduler:
         """Run the experiment module over the warmed caches and persist.
 
         ``summary`` holds the cell counters; wall time and runner stats
-        since ``started``/``stats_before`` are added here.
+        since ``started``/``stats_before`` are added here.  The progress
+        line reports the assembly's own wall time, simulations and hits.
 
         ``failures`` (poisoned-cell records) switches degraded assembly on:
         the result gains a deterministic ``health`` section, and an
@@ -701,8 +707,13 @@ class CampaignScheduler:
         byte-identical to earlier releases.
         """
         module = importlib.import_module(self.spec.experiment)
+        assembly_started = time.perf_counter()
+        assembly_stats = self.runner.stats.copy()
         try:
-            result = module.run(self.runner)
+            # What the module simulates (cells no variant plans) is one
+            # group commit, landed before the run is recorded.
+            with self.runner.disk_cache.batch():
+                result = module.run(self.runner)
             tables = self._tables(module, result)
             text = result.render()
         except Exception as error:
@@ -751,10 +762,12 @@ class CampaignScheduler:
                    cells_total=summary["cells_total"],
                    cells_failed=len(failures) if failures else 0,
                    wall_seconds=round(wall, 2))
+        assembly = self.runner.stats.since(assembly_stats)
         self.progress(
-            f"[{self.spec.name}] assembled in {wall:.1f}s "
-            f"({run_stats.simulations} simulations, "
-            f"{run_stats.memory_hits + run_stats.disk_hits} cache hits)"
+            f"[{self.spec.name}] assembled in "
+            f"{time.perf_counter() - assembly_started:.1f}s "
+            f"({assembly.simulations} simulations, "
+            f"{assembly.memory_hits + assembly.disk_hits} cache hits)"
         )
         return summary
 

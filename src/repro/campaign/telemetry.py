@@ -7,11 +7,20 @@ an append-only JSONL journal of what it did:
 ``.repro_cache/campaigns/<name>/events/<owner>.jsonl``
 
 One file **per worker** (owner), so appends never contend across workers —
-the same no-coordination principle as the lease files — and every frame is
-fsync'd (:func:`repro.util.durability.append_durable`), so the journal of a
-``kill -9``'d worker survives up to its last acknowledged event.  That is
-what lets ``repro monitor`` reconstruct *what a dead worker was doing* from
-disk truth alone.
+the same no-coordination principle as the lease files — and every write is
+an fsync'd ``O_APPEND`` (:func:`repro.util.durability.append_durable`), so
+the journal of a ``kill -9``'d worker survives up to its last written
+event.  That is what lets ``repro monitor`` reconstruct *what a dead worker
+was doing* from disk truth alone.
+
+Outside a :meth:`EventJournal.round` every frame is written at once.  The
+scheduler runs each executed chunk of cells as a round: the frames in
+:data:`ROUND_EVENTS` (a cell's start, retry and settle frames) are held
+and go out together at :meth:`EventJournal.flush` — once before the chunk
+simulates, once after it settles — one write and one fsync for many
+frames.  The frames a kill must not lose (``worker.*``, ``cell.claimed``,
+``lease.*``, ``cache.quarantine``, ``campaign.assembled``) are never held.
+A worker killed mid-round loses only its held frames.
 
 Event vocabulary (``event`` field; cell granularity only, never per
 instruction, so journaling is overhead-free on the simulator hot path):
@@ -50,8 +59,9 @@ import json
 import os
 import re
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.util.durability import append_durable
 
@@ -87,6 +97,13 @@ def stale_journal_age() -> float:
             return days * 24 * 3600.0
     return STALE_JOURNAL_AGE
 
+
+#: Frames a :meth:`EventJournal.round` holds until its next flush.
+ROUND_EVENTS = frozenset((
+    "cell.started", "cell.retried", "cell.finished", "cell.failed",
+    "cell.poisoned", "watchdog.timeout",
+))
+
 _OWNER_SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
 
@@ -110,10 +127,42 @@ class EventJournal:
         self.path = Path(events_dir) / journal_filename(owner)
         self.enabled = enabled
         self._seq = 0
+        #: Encoded :data:`ROUND_EVENTS` frames held by the open round.
+        self._held: Optional[List[bytes]] = None
+
+    @contextmanager
+    def round(self) -> Iterator[None]:
+        """Hold :data:`ROUND_EVENTS` frames until :meth:`flush`; the
+        block's exit flushes, by return or by exception."""
+        self._held = []
+        try:
+            yield
+        finally:
+            self.flush()
+            self._held = None
+
+    def flush(self) -> None:
+        """Write every held frame in one append (nothing held: no write)."""
+        if self._held:
+            data = b"".join(self._held)
+            self._held.clear()
+            self._append(data)
+
+    def _append(self, data: bytes) -> bool:
+        if not self.enabled:
+            return False
+        try:
+            append_durable(self.path, data)
+        except OSError:
+            self.enabled = False
+            return False
+        return True
 
     def emit(self, event: str, key: Optional[str] = None,
              **fields: object) -> Optional[Dict[str, object]]:
-        """Append one event frame; returns the record (None when disabled)."""
+        """Append one event frame (inside a round, hold a
+        :data:`ROUND_EVENTS` frame); returns the record (None when
+        disabled)."""
         if not self.enabled:
             return None
         record: Dict[str, object] = {
@@ -128,13 +177,10 @@ class EventJournal:
         for name, value in fields.items():
             if value is not None:
                 record[name] = value
-        try:
-            append_durable(
-                self.path,
-                (json.dumps(record, sort_keys=True) + "\n").encode("utf-8"),
-            )
-        except OSError:
-            self.enabled = False
+        frame = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+        if self._held is not None and event in ROUND_EVENTS:
+            self._held.append(frame)
+        elif not self._append(frame):
             return None
         self._seq += 1
         return record
@@ -274,6 +320,7 @@ def sweep_stale_journals(events_dir: Path,
 __all__ = [
     "EVENTS_DIR",
     "JOURNAL_TTL_ENV",
+    "ROUND_EVENTS",
     "STALE_JOURNAL_AGE",
     "stale_journal_age",
     "EventJournal",

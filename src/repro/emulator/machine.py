@@ -88,7 +88,10 @@ def _static_table(program: Program) -> Optional[tuple]:
             target.append(-1 if inst.target is None else inst.target)
         data = program.data
         addresses = array("q", data.keys())
-        values = array("q", (_to_signed(v) for v in data.values()))
+        try:
+            values = array("q", data.values())
+        except OverflowError:       # a value beyond int64: wrap like a word
+            values = array("q", (_to_signed(v) for v in data.values()))
     except OverflowError:
         return None
     return ops, dst, src0, src1, imm, target, addresses, values

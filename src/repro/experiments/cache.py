@@ -19,6 +19,12 @@ workers and synced directories):
 * writes are crash-consistent: temp file + fsync *before* the atomic
   ``os.replace`` (plus a best-effort directory fsync after it), so a crash
   can never promote unsynced bytes to a final cache name;
+* writes inside a :meth:`ResultDiskCache.batch` block are group-committed
+  (:class:`~repro.util.durability.DurableBatch`): each ``put`` only stages
+  its temp file, invisible to :meth:`~ResultDiskCache.get`, and the block's
+  exit fsyncs, renames and directory-fsyncs them all in one burst.  A
+  process killed inside the block loses its staged entries, which costs a
+  re-simulation, never a wrong or torn result;
 * aged ``*.tmp.*`` debris left by killed writers is swept on cache open.
 
 The cache therefore remains what it always was — an accelerator, never a
@@ -34,10 +40,13 @@ import os
 import pickle
 import struct
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
-from repro.util.durability import atomic_write_bytes, sweep_orphan_tmps
+from repro.util.durability import (
+    DurableBatch, atomic_write_bytes, sweep_orphan_tmps,
+)
 
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -91,6 +100,8 @@ class ResultDiskCache:
         self.misses = 0
         #: Entries quarantined by this instance (integrity failures on read).
         self.quarantined = 0
+        #: The open :meth:`batch` block's group commit, if any.
+        self._batch: Optional[DurableBatch] = None
         # Hygiene: a writer killed mid-put leaves `<key>.pkl.tmp.<pid>`
         # behind; sweep aged debris so it cannot accumulate (age-gated, so
         # concurrent live writers are never raced).
@@ -167,8 +178,28 @@ class ResultDiskCache:
         self.hits += 1
         return obj
 
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Group-commit every :meth:`put` inside the block.
+
+        A put stages its entry; the block's exit commits them all, whether
+        it returns or raises.  Until then a staged entry does not read back.
+        A failed commit degrades like a failed put: the entries are missing.
+        A nested block commits its own entries when it exits.
+        """
+        outer, self._batch = self._batch, DurableBatch()
+        try:
+            yield
+        finally:
+            batch, self._batch = self._batch, outer
+            try:
+                batch.commit()
+            except OSError:
+                pass
+
     def put(self, key: str, obj: Any) -> None:
-        """Store ``obj`` under ``key`` (checksummed, fsynced, atomic)."""
+        """Store ``obj`` under ``key`` (checksummed, fsynced, atomic);
+        inside a :meth:`batch` block, staged until the block commits."""
         final = self._path(key)
         tmp = final.with_name(f"{final.name}.tmp.{os.getpid()}")
         try:
@@ -182,15 +213,13 @@ class ResultDiskCache:
                 # the file looks plausible, cut the body so the checksum
                 # verify on the next read must catch it.
                 data = data[: max(_HEADER_LEN + 1, len(data) // 2)]
-            atomic_write_bytes(final, data, tmp=tmp)
+            atomic_write_bytes(final, data, tmp=tmp, batch=self._batch)
         except Exception:
             # A read-only/full filesystem or an unpicklable outcome silently
             # degrades to no caching — same contract as get(): the cache is
-            # an accelerator, never a source of errors.
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
+            # an accelerator, never a source of errors.  A failed write
+            # removes its own temp file.
+            pass
 
     def clear(self) -> int:
         """Delete every cache entry; returns the number of files removed.

@@ -13,11 +13,13 @@ cell timeout is set.  Otherwise it goes through :func:`run_in_children`,
 the one child-process engine: a forked child per workload group (or per
 cell, under a timeout), at most ``processes`` alive at once, each
 reporting its failures and stats back through a pipe.  The results
-themselves travel through the disk cache, and one rule settles every
-cell, inline or not: a cell is done once its entry reads back.  A child
-that overruns the timeout is killed and a child that dies without
-reporting is noticed; either way the cells it left unfinished become
-ordinary retryable failures, as does a result that does not read back.
+themselves travel through the disk cache, one group commit per workload
+group, made before the group's cells are read back (and, in a child,
+before it reports).  One rule settles every cell, inline or not: a cell
+is done once its entry reads back.  A child that overruns the timeout is
+killed and a child that dies without reporting is noticed; either way it
+committed nothing, and its cells become ordinary retryable failures, as
+does a result that does not read back.
 Grouping by workload lets a child build a workload's program/trace/profile
 once and run every configuration requested for it.
 """
@@ -115,23 +117,26 @@ def _simulate_group(runner: ExperimentRunner, workload: str,
     Returns the failure payload of every request whose simulation — or the
     group's setup — raised, by key.  A failure does not poison the group:
     the remaining requests still run.  Finished outcomes land in
-    ``runner``'s outcome store and disk cache.
+    ``runner``'s outcome store and disk cache.  The group's disk entries
+    are one group commit, made before this returns: before the settle loop
+    reads the cells back, and before a child reports.
     """
     from repro.util import faults
 
     setup = None
     failures = {}
-    for request, key in pairs:
-        started = time.monotonic()
-        try:
-            faults.probe(faults.SITE_CELL_SIMULATE, key=key,
-                         attempt=attempts.get(key, 0))
-            if setup is None:
-                setup = runner.setup(workload)
-            _simulate_request(runner, setup, request)
-        except Exception as error:   # isolation boundary — keep going
-            failures[key] = _failure_payload(
-                request, error, time.monotonic() - started)
+    with runner.disk_cache.batch():
+        for request, key in pairs:
+            started = time.monotonic()
+            try:
+                faults.probe(faults.SITE_CELL_SIMULATE, key=key,
+                             attempt=attempts.get(key, 0))
+                if setup is None:
+                    setup = runner.setup(workload)
+                _simulate_request(runner, setup, request)
+            except Exception as error:   # isolation boundary — keep going
+                failures[key] = _failure_payload(
+                    request, error, time.monotonic() - started)
     return failures
 
 
@@ -382,9 +387,11 @@ class ParallelExperimentRunner(ExperimentRunner):
                     failures[key] = failed[key]
                     continue
                 # A cell is done when its result reads back from disk: that
-                # catches a torn or failed write, and keeps what a child
-                # finished before it died or overran.  ``inject`` keeps an
-                # inline cell's in-memory object.
+                # catches a torn or failed write.  Every unit commits its
+                # entries before it returns or reports, so this read-back
+                # follows the commit point; a child that died or overran
+                # committed nothing.  ``inject`` keeps an inline cell's
+                # in-memory object.
                 outcome = self.disk_cache.get(self._disk_key(key))
                 if outcome is not None:
                     self.inject(key, outcome)

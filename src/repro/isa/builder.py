@@ -65,9 +65,9 @@ class ProgramBuilder:
             values = list(fill)
             if len(values) != count:
                 raise ValueError("fill length does not match count")
-        for i, value in enumerate(values):
-            self._data[base + i * WORD_BYTES] = value
-        self._data_cursor = base + count * WORD_BYTES
+        end = base + count * WORD_BYTES
+        self._data.update(zip(range(base, end, WORD_BYTES), values))
+        self._data_cursor = end
         return base
 
     def alloc_array(self, values: Sequence[int]) -> int:

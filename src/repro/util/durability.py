@@ -7,14 +7,20 @@ name.  That protects *readers* from partial files, but not the files
 themselves from a crash: without an ``fsync`` the rename can be durable
 while the data is not (a power loss can leave a zero-length or truncated
 final file on some filesystems), and a process killed between "write temp"
-and "rename" leaves ``*.tmp.*`` debris behind forever.
+and "rename" leaves ``*.tmp.*`` debris behind.
 
 This module hardens both edges:
 
-* :func:`atomic_write_bytes` / :func:`atomic_write_text` flush and fsync the
-  temp file *before* the rename (and best-effort fsync the directory after
-  it), so a crash can never promote un-synced data to the final name;
-* :func:`append_durable` appends one fully-formed frame to a log file and
+* :class:`DurableBatch` is the one write path.  ``stage`` writes and
+  closes a temp file; ``commit`` fsyncs every staged temp, renames them
+  all, then fsyncs each touched directory once.  A crash can therefore
+  never promote un-synced data to a final name, and a batch of many
+  entries pays one burst of fsyncs instead of a fsync-rename-fsync round
+  per entry.  A process killed before its commit loses its staged entries
+  (they stay temp files), never a final name's integrity;
+* :func:`atomic_write_bytes` / :func:`atomic_write_text` write one file as
+  a batch of one, or stage it into a caller's batch;
+* :func:`append_durable` appends fully-formed frames to a log file and
   fsyncs before returning, so an append-only journal survives a crash with
   at worst a torn *final* frame (readers must tolerate exactly that);
 * :func:`sweep_orphan_tmps` removes aged ``*.tmp.*`` files on store/cache
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 #: Temp files older than this are considered orphaned by a crashed writer.
 #: Live writers hold a temp file for milliseconds; ten minutes is paranoid.
@@ -58,24 +64,89 @@ def fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
-def atomic_write_bytes(path: Path, data: bytes,
-                       tmp: Optional[Path] = None) -> None:
+class DurableBatch:
+    """Temp files staged now, made durable and visible together later.
+
+    :meth:`stage` writes one entry's temp file and closes it; the batch
+    keeps only the (final name, temp name) pair, no open file and no
+    bytes.  :meth:`commit` fsyncs every staged temp, renames each over its
+    final name and fsyncs every touched directory once.  Used as a context
+    manager, the block commits when it exits, by return or by exception.
+    """
+
+    def __init__(self) -> None:
+        self._staged: Dict[Path, Path] = {}      # final name -> temp name
+
+    def __enter__(self) -> "DurableBatch":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.commit()
+
+    def stage(self, path: Path, data: bytes,
+              tmp: Optional[Path] = None) -> None:
+        """Write ``data`` to the temp file of ``path``; nothing is visible
+        under ``path`` until :meth:`commit`.  Staging a name twice keeps
+        the later bytes."""
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = Path(tmp or path.with_name(f"{path.name}.tmp.{os.getpid()}"))
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+        except BaseException:
+            self._staged.pop(path, None)
+            _unlink(tmp)
+            raise
+        self._staged[path] = tmp
+
+    def commit(self) -> None:
+        """fsync every staged temp, rename them all, then fsync each
+        touched directory once.  An empty commit touches nothing.  On an
+        error the temps not yet renamed are removed and it re-raises."""
+        staged = list(self._staged.items())
+        self._staged = {}
+        renamed = 0
+        try:
+            for _path, tmp in staged:
+                fd = os.open(tmp, os.O_RDONLY)
+                try:
+                    os.fsync(fd)
+                finally:
+                    os.close(fd)
+            for path, tmp in staged:
+                os.replace(tmp, path)
+                renamed += 1
+        finally:
+            for _path, tmp in staged[renamed:]:
+                _unlink(tmp)
+            for directory in dict.fromkeys(
+                    path.parent for path, _tmp in staged[:renamed]):
+                fsync_directory(directory)
+
+
+def _unlink(path: Path) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+def atomic_write_bytes(path: Path, data: bytes, tmp: Optional[Path] = None,
+                       batch: Optional[DurableBatch] = None) -> None:
     """Durably write ``data`` to ``path``: temp + fsync + rename + dir fsync.
 
     ``tmp`` overrides the temp-file path (callers with their own
     process/thread-unique naming scheme pass it in); the default is
     ``<name>.tmp.<pid>``, which :func:`sweep_orphan_tmps` recognises.
+    With ``batch`` the write is only staged there and lands when the
+    batch commits; without, it is a batch of one, committed at once.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if tmp is None:
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    fsync_directory(path.parent)
+    if batch is not None:
+        batch.stage(path, data, tmp)
+        return
+    with DurableBatch() as single:
+        single.stage(path, data, tmp)
 
 
 def atomic_write_text(path: Path, text: str,
@@ -86,11 +157,11 @@ def atomic_write_text(path: Path, text: str,
 def append_durable(path: Path, data: bytes) -> None:
     """Append ``data`` to ``path`` and fsync before returning.
 
-    The event-journal write primitive: each call appends one fully-formed
-    frame (a JSONL line) with ``O_APPEND``, so concurrent appenders never
-    interleave partial frames, and the fsync guarantees an acknowledged
-    frame survives a crash.  A crash *during* the append can leave at most
-    one torn frame at the file tail — journal readers skip it.
+    The event-journal write primitive: each call appends one or more
+    fully-formed frames (JSONL lines) with one ``O_APPEND`` write, so
+    concurrent appenders never interleave partial frames, and the fsync
+    guarantees acknowledged frames survive a crash.  A crash *during* the
+    append can leave at most a torn tail — journal readers skip it.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -16,10 +16,11 @@ Sites (the instrumented seams)
     simulation for ``--cell-timeout`` to kill).
 
 ``cache.write``
-    Probed by the disk cache on every result write.  Kind: ``truncate``
+    Probed by the disk cache on every result write.  Kinds: ``truncate``
     (the entry is written with its tail cut off, so the checksum verify on
     the next read quarantines it — a partial-transfer/crash-mid-write
-    simulation).
+    simulation) and ``kill`` (``os._exit(137)`` before the write: the
+    process dies with its group's staged entries not yet committed).
 
 ``worker.kill``
     Probed by the lease-driven worker loop before each claimed cell.

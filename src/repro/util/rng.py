@@ -31,6 +31,16 @@ class DeterministicRng:
 
     # -- draws -----------------------------------------------------------
     def randint(self, lo: int, hi: int) -> int:
+        if type(lo) is int and type(hi) is int and hi >= lo:
+            # CPython's ``randint`` -> ``randrange`` -> ``_randbelow``
+            # rejection sampler, inlined: the same draws, the same state.
+            width = hi - lo + 1
+            bits = width.bit_length()
+            getrandbits = self._rng.getrandbits
+            draw = getrandbits(bits)
+            while draw >= width:
+                draw = getrandbits(bits)
+            return lo + draw
         return self._rng.randint(lo, hi)
 
     def random(self) -> float:

@@ -87,6 +87,22 @@ def test_campaign_runs_and_persists(cache_dir, tmp_path):
     assert status["cells_done"] == 6
 
 
+def test_the_assembly_line_reports_the_assembly_not_the_run(cache_dir,
+                                                             tmp_path):
+    """Every cell fig10 assembles from is planned, so a plain run's
+    assembly simulates nothing; the run summary still counts the cells."""
+    spec = _spec()
+    lines = []
+    scheduler = CampaignScheduler(
+        spec, store=CampaignStore(spec.name, tmp_path / "campaigns"),
+        runner=_runner(spec), progress=lines.append)
+    summary = scheduler.run()
+    assert summary["simulations"] == 6
+    assembled = [line for line in lines if "assembled in" in line]
+    assert len(assembled) == 1
+    assert "(0 simulations, 6 cache hits)" in assembled[0]
+
+
 def test_kill_between_cells_then_resume_with_zero_resimulation(cache_dir, tmp_path):
     spec = _spec()
     store = CampaignStore(spec.name, tmp_path / "campaigns")

@@ -240,3 +240,103 @@ def test_journal_lines_are_valid_sorted_json(tmp_path):
     line = journal.path.read_text().strip()
     record = json.loads(line)
     assert list(record) == sorted(record)   # sort_keys=True on every frame
+
+
+# ---------------------------------------------------------------------------
+# journal rounds
+# ---------------------------------------------------------------------------
+def test_a_round_holds_cell_frames_until_its_flush(tmp_path):
+    journal = EventJournal(tmp_path / "events", "w")
+    with journal.round():
+        journal.emit("cell.started", key="a")
+        journal.emit("cell.claimed", key="a")      # never held
+        assert [e["event"] for e in read_journal(journal.path)] == [
+            "cell.claimed"]
+        journal.flush()
+        journal.emit("cell.finished", key="a")
+        journal.emit("lease.renewed", count=1)     # never held
+    events = read_journal(journal.path)
+    assert [e["event"] for e in events] == [
+        "cell.claimed", "cell.started", "lease.renewed", "cell.finished"]
+    # Sequence numbers follow emission, whatever the write order.
+    assert sorted(e["seq"] for e in events) == [0, 1, 2, 3]
+    assert [e["seq"] for e in events if e["event"] == "cell.started"] == [0]
+
+
+def test_a_round_flushes_its_frames_on_an_exception(tmp_path):
+    journal = EventJournal(tmp_path / "events", "w")
+    with pytest.raises(RuntimeError):
+        with journal.round():
+            journal.emit("cell.failed", key="a")
+            raise RuntimeError("mid-round")
+    assert [e["event"] for e in read_journal(journal.path)] == ["cell.failed"]
+    journal.emit("cell.finished", key="b")     # outside a round: at once
+    assert len(read_journal(journal.path)) == 2
+
+
+def _two_cell_scheduler(cache_dir, tmp_path):
+    from repro.campaign.scheduler import CampaignScheduler
+    from repro.campaign.spec import CampaignSpec, variants
+    from repro.experiments.parallel import ParallelExperimentRunner
+
+    spec = CampaignSpec(
+        name="round-test", title="Journal rounds",
+        experiment="repro.experiments.fig10_energy",
+        workloads=("libquantum",),
+        variants=variants(dict(name="bl", kind="baseline"),
+                          dict(name="dla", kind="dla", dla_preset="dla")),
+        warmup_instructions=1000, timed_instructions=1000,
+    )
+    runner = ParallelExperimentRunner(
+        quick=True, workload_names=spec.resolve_workloads(),
+        warmup_instructions=1000, timed_instructions=1000, processes=1)
+    store = CampaignStore(spec.name, tmp_path / "campaigns")
+    return CampaignScheduler(spec, store=store, runner=runner)
+
+
+def _record_appends(monkeypatch):
+    """The event names of every journal append, one list per write."""
+    import repro.campaign.telemetry as telemetry
+
+    writes = []
+    append = telemetry.append_durable
+
+    def recording(path, data):
+        writes.append([json.loads(line)["event"]
+                       for line in data.decode("utf-8").splitlines()])
+        return append(path, data)
+
+    monkeypatch.setattr(telemetry, "append_durable", recording)
+    return writes
+
+
+def test_an_unleased_round_writes_its_cell_frames_twice(cache_dir, tmp_path,
+                                                        monkeypatch):
+    scheduler = _two_cell_scheduler(cache_dir, tmp_path)
+    writes = _record_appends(monkeypatch)
+    summary = scheduler.run()
+    assert summary["cells_simulated"] == 2
+    cell_writes = [events for events in writes
+                   if any(name.startswith("cell.") for name in events)]
+    assert cell_writes == [["cell.started"] * 2, ["cell.finished"] * 2]
+
+
+def test_claims_are_on_disk_before_the_round_simulates(cache_dir, tmp_path,
+                                                       monkeypatch):
+    scheduler = _two_cell_scheduler(cache_dir, tmp_path)
+    seen = []
+    warm_isolated = scheduler.runner.warm_isolated
+
+    def observing(requests, **kwargs):
+        seen.append([e["event"] for e in read_journal(scheduler.journal.path)])
+        return warm_isolated(requests, **kwargs)
+
+    monkeypatch.setattr(scheduler.runner, "warm_isolated", observing)
+    summary = scheduler.run_worker(owner="w", batch_size=2, poll_seconds=0.01,
+                                   finalize=False)
+    assert summary["cells_simulated"] == 2 and len(seen) == 2
+    first, second = seen
+    assert first[:4] == ["worker.started", "cell.claimed", "cell.claimed",
+                         "cell.started"]
+    assert second[-1] == "cell.started"
+    assert second.count("cell.finished") == 1

@@ -316,3 +316,32 @@ def test_column_window_builds_the_same_entries(small_stream_program):
     assert window.entries is window.entries
     assert [e.seq for e in window.entries] == list(range(1000, 1500))
     assert all(e.static is small_stream_program[e.pc] for e in window.entries)
+
+
+def test_static_table_wraps_values_beyond_int64_like_the_word_path():
+    from array import array
+
+    from repro.emulator.machine import _static_table, _to_signed
+
+    builder = ProgramBuilder()
+    base = builder.alloc_words(4, [1, 2 ** 63, -(2 ** 63) - 1, -5])
+    builder.halt()
+    program = builder.build()
+    table = _static_table(program)
+    assert table is not None
+    addresses, values = table[-2:]
+    assert addresses == array("q", [base + i * WORD_BYTES for i in range(4)])
+    assert values == array("q", (_to_signed(v) for v in program.data.values()))
+    assert list(values) == [1, -(2 ** 63), 2 ** 63 - 1, -5]
+
+
+def test_alloc_words_keeps_the_data_image_insertion_order():
+    builder = ProgramBuilder()
+    builder.poke(0x10000 + WORD_BYTES, 1)      # inside the first allocation
+    first = builder.alloc_words(3, [7, 8, 9])
+    second = builder.alloc_words(2)
+    assert first == 0x10000
+    # A poked word keeps its place; the rest follow in address order.
+    assert list(builder._data.items()) == [
+        (first + WORD_BYTES, 8), (first, 7), (first + 2 * WORD_BYTES, 9),
+        (second, 0), (second + WORD_BYTES, 0)]

@@ -54,3 +54,31 @@ def test_bernoulli_extremes():
     rng = DeterministicRng(4)
     assert not any(rng.bernoulli(0.0) for _ in range(100))
     assert all(rng.bernoulli(1.0) for _ in range(100))
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0, 1), (0, 100), (5, 5), (-7, -7), (-1000, 1000), (-2 ** 40, 3),
+    (0, 2 ** 32), (0, 2 ** 32 + 12345), (-(2 ** 70), 2 ** 65 + 1),
+])
+def test_randint_draws_exactly_what_random_random_draws(lo, hi):
+    import random
+
+    ours, reference = DeterministicRng(11), random.Random(11)
+    assert [ours.randint(lo, hi) for _ in range(200)] == [
+        reference.randint(lo, hi) for _ in range(200)]
+    assert ours.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("lo, hi", [(5, 4), (True, 3)])
+def test_randint_outside_the_fast_path_behaves_like_random_random(lo, hi):
+    import random
+
+    ours, reference = DeterministicRng(3), random.Random(3)
+    try:
+        expected = [reference.randint(lo, hi) for _ in range(5)]
+    except (ValueError, TypeError) as error:
+        with pytest.raises(type(error)):
+            ours.randint(lo, hi)
+        return
+    assert [ours.randint(lo, hi) for _ in range(5)] == expected
+    assert ours.getstate() == reference.getstate()
