@@ -84,14 +84,18 @@ def simulate_cre(
     config: Optional[SystemConfig] = None,
     cre: Optional[ContinuousRunaheadConfig] = None,
     warmup_entries: Optional[Trace] = None,
+    analysis: Optional[StaticAnalysis] = None,
 ) -> SimulationOutcome:
-    """Simulate the baseline core assisted by a Continuous Runahead Engine."""
+    """Simulate the baseline core assisted by a Continuous Runahead Engine.
+
+    ``analysis`` is the program's static analysis when the caller keeps one
+    (a workload setup's skeleton builder does)."""
     config = config or SystemConfig()
     cre = cre or ContinuousRunaheadConfig()
     if min(cre.lead_occurrences, cre.dependent_lead) < 0:
         raise ValueError("CRE leads must not be negative")
 
-    analysis = StaticAnalysis.analyze(program)
+    analysis = analysis or StaticAnalysis.analyze(program)
     delinquent: List[int] = [
         pc for pc, stats in profile.memory.items()
         if program[pc].is_load and stats.l2_miss_rate >= cre.delinquency_threshold

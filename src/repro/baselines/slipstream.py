@@ -66,8 +66,12 @@ def simulate_slipstream(
     config: Optional[SystemConfig] = None,
     slipstream: Optional[SlipstreamConfig] = None,
     warmup_entries: Optional[Trace] = None,
+    builder: Optional[SkeletonBuilder] = None,
 ) -> DlaOutcome:
-    """Simulate a SlipStream-style two-stream machine."""
+    """Simulate a SlipStream-style two-stream machine.
+
+    ``builder`` is the program's skeleton builder when the caller keeps one
+    (a workload setup's), so the program is not analysed again."""
     config = config or SystemConfig()
     slipstream = slipstream or SlipstreamConfig()
     dla_config = DlaConfig().baseline_dla()
@@ -78,7 +82,8 @@ def simulate_slipstream(
         reboot_penalty=slipstream.recovery_penalty,
         risky_branch_error_rate=0.01,
     )
-    system = DlaSystem(program, config, dla_config, profile=profile)
+    system = DlaSystem(program, config, dla_config, profile=profile,
+                       builder=builder)
     skeleton = _slipstream_skeleton(system.builder, slipstream)
     return system.simulate(window, skeleton=skeleton,
                            warmup_entries=warmup_entries)

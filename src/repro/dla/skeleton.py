@@ -23,7 +23,7 @@ is no longer required, shrinking the skeleton.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.dla.profiling import ProgramProfile
 from repro.emulator.trace import Trace
@@ -31,9 +31,11 @@ from repro.isa.analysis import StaticAnalysis, backward_slice
 from repro.isa.program import Program
 
 
-@dataclass
+@dataclass(frozen=True)
 class SkeletonOptions:
-    """Seed-selection options — one combination per skeleton version."""
+    """Seed-selection options — one combination per skeleton version.
+
+    Frozen: a :class:`SkeletonBuilder` memoises its skeletons by options."""
 
     name: str = "default"
     #: Seed memory instructions with L1 miss rate above this (None disables).
@@ -111,24 +113,39 @@ class Skeleton:
 
 
 class SkeletonBuilder:
-    """Builds skeletons for one program from its profile."""
+    """Builds skeletons for one program from its profile.
+
+    Everything a builder derives depends only on its program and profile,
+    so it is worked out once per builder: the static analysis, each
+    skeleton (per options and T1 mode) and each skeleton's risky-branch
+    set.  One builder serves every :class:`~repro.dla.system.DlaSystem` of
+    a workload setup; skeletons are never mutated, so they are shared.
+    """
 
     def __init__(self, program: Program, profile: ProgramProfile,
                  analysis: Optional[StaticAnalysis] = None) -> None:
         self.program = program
         self.profile = profile
         self.analysis = analysis or StaticAnalysis.analyze(program)
+        self._skeletons: Dict[Tuple[SkeletonOptions, bool], Skeleton] = {}
+        self._risky: Dict[FrozenSet[int], FrozenSet[int]] = {}
 
     # ------------------------------------------------------------------
     def build(self, options: Optional[SkeletonOptions] = None,
               enable_t1: bool = False) -> Skeleton:
-        """Construct a skeleton under ``options``.
+        """The skeleton under ``options`` (memoised).
 
         ``enable_t1`` activates the Reduce optimization: strided loads are
         marked with the S bit, excluded from the seed set, and their
         backward dependence chains are not pulled in on their behalf.
         """
-        options = options or SkeletonOptions()
+        key = (options or SkeletonOptions(), bool(enable_t1))
+        skeleton = self._skeletons.get(key)
+        if skeleton is None:
+            skeleton = self._skeletons[key] = self._construct(*key)
+        return skeleton
+
+    def _construct(self, options: SkeletonOptions, enable_t1: bool) -> Skeleton:
         program = self.program
         profile = self.profile
 
@@ -233,3 +250,46 @@ class SkeletonBuilder:
             accepted.add(pc)
             base_included |= candidate_slice
         return accepted
+
+    # ------------------------------------------------------------------
+    def risky_branch_pcs(self, skeleton: Skeleton) -> FrozenSet[int]:
+        """Branches whose look-ahead outcome may be stale (memoised per
+        skeleton PC set).
+
+        A branch is *risky* when its backward dependence chain contains a
+        load whose producing store (same base register and displacement) is
+        not part of the skeleton: the look-ahead thread would then read a
+        stale value and can steer down the wrong path, forcing a reboot.
+        """
+        included = skeleton.included_pcs
+        if included in self._risky:
+            return self._risky[included]
+        program = self.program
+        chains = self.analysis.chains
+        store_signatures: Dict[Tuple[int, int], List[int]] = {}
+        for inst in program:
+            if inst.is_store and inst.srcs:
+                store_signatures.setdefault((inst.srcs[0], inst.imm), []).append(inst.pc)
+
+        risky: Set[int] = set()
+        for branch_pc in program.branch_pcs():
+            # Walk the branch's slice (bounded) looking for vulnerable loads.
+            stack = [branch_pc]
+            seen: Set[int] = set()
+            vulnerable = False
+            while stack and not vulnerable:
+                pc = stack.pop()
+                if pc in seen:
+                    continue
+                seen.add(pc)
+                inst = program[pc]
+                if inst.is_load and inst.srcs:
+                    for store_pc in store_signatures.get((inst.srcs[0], inst.imm), ()):
+                        if store_pc not in included:
+                            vulnerable = True
+                            break
+                stack.extend(chains.get(pc, ()))
+            if vulnerable:
+                risky.add(branch_pc)
+        self._risky[included] = frozenset(risky)
+        return self._risky[included]

@@ -118,7 +118,13 @@ class DlaOutcome:
 
 
 class DlaSystem:
-    """Two-core decoupled look-ahead machine for one program."""
+    """Two-core decoupled look-ahead machine for one program.
+
+    ``builder`` is the program's :class:`SkeletonBuilder` when the caller
+    keeps one (a workload setup does), so the program is analysed and each
+    skeleton built once for every system of that program; without it the
+    system builds its own.
+    """
 
     def __init__(
         self,
@@ -127,13 +133,17 @@ class DlaSystem:
         dla_config: Optional[DlaConfig] = None,
         *,
         profile: ProgramProfile,
+        builder: Optional[SkeletonBuilder] = None,
     ) -> None:
+        if builder is None:
+            builder = SkeletonBuilder(program, profile)
+        elif builder.program is not program or builder.profile is not profile:
+            raise ValueError("builder is for another program or profile")
         self.program = program
         self.system_config = system_config or SystemConfig()
         self.dla_config = dla_config or DlaConfig()
         self.profile = profile
-        self.builder = SkeletonBuilder(program, profile)
-        self._risky_cache: Dict[frozenset, Set[int]] = {}
+        self.builder = builder
 
     # ------------------------------------------------------------------
     # public entry points
@@ -299,7 +309,7 @@ class DlaSystem:
             memory=state.mt_memory,
             boq=state.boq,
             fq=state.fq,
-            risky_branch_pcs=self._risky_branch_pcs(skeleton),
+            risky_branch_pcs=self.builder.risky_branch_pcs(skeleton),
             biased_branch_pcs=set(skeleton.biased_branch_pcs),
             branch_bias_direction=bias_direction,
             t1_engine=state.t1,
@@ -399,44 +409,3 @@ class DlaSystem:
             self.profile.slow_pcs(self.dla_config.slow_instruction_threshold)
         )
         return {pc for pc in slow if skeleton.contains(pc)}
-
-    def _risky_branch_pcs(self, skeleton: Skeleton) -> Set[int]:
-        """Branches whose look-ahead outcome may be stale.
-
-        A branch is *risky* when its backward dependence chain contains a
-        load whose producing store (same base register and displacement) is
-        not part of the skeleton: the look-ahead thread would then read a
-        stale value and can steer down the wrong path, forcing a reboot.
-        """
-        key = skeleton.included_pcs
-        if key in self._risky_cache:
-            return self._risky_cache[key]
-        program = self.program
-        chains = self.builder.analysis.chains
-        store_signatures: Dict[Tuple[int, int], List[int]] = {}
-        for inst in program:
-            if inst.is_store and inst.srcs:
-                store_signatures.setdefault((inst.srcs[0], inst.imm), []).append(inst.pc)
-
-        risky: Set[int] = set()
-        for branch_pc in program.branch_pcs():
-            # Walk the branch's slice (bounded) looking for vulnerable loads.
-            stack = [branch_pc]
-            seen: Set[int] = set()
-            vulnerable = False
-            while stack and not vulnerable:
-                pc = stack.pop()
-                if pc in seen:
-                    continue
-                seen.add(pc)
-                inst = program[pc]
-                if inst.is_load and inst.srcs:
-                    for store_pc in store_signatures.get((inst.srcs[0], inst.imm), ()):
-                        if not skeleton.contains(store_pc):
-                            vulnerable = True
-                            break
-                stack.extend(chains.get(pc, ()))
-            if vulnerable:
-                risky.add(branch_pc)
-        self._risky_cache[key] = risky
-        return risky

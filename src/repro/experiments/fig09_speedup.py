@@ -73,10 +73,11 @@ def run(runner: Optional[ExperimentRunner] = None,
                 warmup_entries=s.warmup_trace))
             slip = runner.auxiliary(setup, "slipstream", lambda s=setup: simulate_slipstream(
                 s.program, s.timed_trace, s.profile, runner.system_config,
-                warmup_entries=s.warmup_trace))
+                warmup_entries=s.warmup_trace, builder=s.skeleton_builder))
             cre = runner.auxiliary(setup, "cre", lambda s=setup: simulate_cre(
                 s.program, s.timed_trace, s.profile, runner.system_config,
-                warmup_entries=s.warmup_trace))
+                warmup_entries=s.warmup_trace,
+                analysis=s.skeleton_builder.analysis))
             related.record("B-Fetch", setup.name, ref_cycles / bfetch.cycles, setup.suite)
             related.record("S-Stream", setup.name, ref_cycles / slip.cycles, setup.suite)
             related.record("CRE", setup.name, ref_cycles / cre.cycles, setup.suite)

@@ -62,10 +62,12 @@ def run(runner: Optional[ExperimentRunner] = None,
             trace, full_cfg))
         dla = runner.auxiliary(setup, "smt-dla", lambda: DlaSystem(
             setup.program, half_cfg, dla_config.baseline_dla(),
-            profile=setup.profile).simulate(trace))
+            profile=setup.profile,
+            builder=setup.skeleton_builder).simulate(trace))
         r3 = runner.auxiliary(setup, "smt-r3dla", lambda: DlaSystem(
             setup.program, half_cfg, dla_config.r3(),
-            profile=setup.profile).simulate(trace))
+            profile=setup.profile,
+            builder=setup.skeleton_builder).simulate(trace))
         pair = runner.auxiliary(setup, "smt-pair", lambda: simulate_smt_pair(
             trace, full_cfg))
         comparison = comparison_from_outcomes(half, full, dla, r3, pair)

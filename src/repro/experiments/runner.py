@@ -34,6 +34,7 @@ from repro.core.config import SystemConfig
 from repro.core.system import SimulationOutcome, simulate_baseline
 from repro.dla.config import DlaConfig
 from repro.dla.profiling import ProgramProfile, profile_workload
+from repro.dla.skeleton import SkeletonBuilder
 from repro.dla.system import DlaOutcome, DlaSystem
 from repro.emulator.trace import Trace
 from repro.experiments.cache import ResultDiskCache, salted_key
@@ -69,6 +70,10 @@ class WorkloadSetup:
     outcome; its first read of ``program``, ``warmup_trace``,
     ``timed_trace`` or ``profile`` calls its loader once for all four.  So
     a resumed campaign whose cells all hit never reads a setup entry.
+
+    :attr:`skeleton_builder` is derived from the program and profile on
+    first use and shared by every DLA system built on the setup; it is
+    never pickled.
     """
 
     def __init__(self, workload: Workload, program: Program,
@@ -78,6 +83,7 @@ class WorkloadSetup:
         self._parts: Optional[Tuple[Program, Trace, Trace, ProgramProfile]] = (
             program, warmup_trace, timed_trace, profile)
         self._load: Optional[Callable[[], "WorkloadSetup"]] = None
+        self._builder: Optional[SkeletonBuilder] = None
 
     @classmethod
     def deferred(cls, workload: Workload,
@@ -88,6 +94,7 @@ class WorkloadSetup:
         setup.workload = workload
         setup._parts = None
         setup._load = load
+        setup._builder = None
         return setup
 
     @classmethod
@@ -127,6 +134,17 @@ class WorkloadSetup:
     @property
     def profile(self) -> ProgramProfile:
         return self._part(3)
+
+    @property
+    def skeleton_builder(self) -> SkeletonBuilder:
+        """The program's skeleton builder: one static analysis, and each
+        skeleton built once, for every cell of this setup."""
+        if self._builder is None:
+            self._builder = SkeletonBuilder(self.program, self.profile)
+        return self._builder
+
+    def __getstate__(self) -> dict:
+        return {**vars(self), "_builder": None}
 
     @property
     def name(self) -> str:
@@ -522,7 +540,8 @@ class ExperimentRunner:
     def _dla_system(self, setup: WorkloadSetup, dla_config: DlaConfig,
                     config: Optional[SystemConfig]) -> DlaSystem:
         return DlaSystem(setup.program, config or self.system_config,
-                         dla_config, profile=setup.profile)
+                         dla_config, profile=setup.profile,
+                         builder=setup.skeleton_builder)
 
     def _cached(self, key: str, label: str, simulate: Callable[[], object]):
         """The outcome under content ``key``: from memory, else from the

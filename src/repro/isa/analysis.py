@@ -159,7 +159,14 @@ def backward_slice(
 
 @dataclass(frozen=True)
 class StaticAnalysis:
-    """Memoised bundle of the static analyses for one program."""
+    """The static analyses of one program, computed together by
+    :meth:`analyze`.
+
+    Nothing memoises it here: a
+    :class:`~repro.dla.skeleton.SkeletonBuilder` holds one, and a workload
+    setup keeps one builder for all its cells, so each setup's program is
+    analysed once.
+    """
 
     program: Program
     blocks: Tuple[BasicBlock, ...]

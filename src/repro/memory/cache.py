@@ -9,6 +9,7 @@ lookup/fill timing.
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -139,6 +140,30 @@ LINE_PREFETCH_USED = 4
 _PREFETCH_STATE = LINE_FROM_PREFETCH | LINE_PREFETCH_USED
 
 
+#: Line arrays of collected caches by slot count, ready for the next cache
+#: of that size (see :class:`Cache`), at most :data:`FREE_LINES_PER_SIZE`
+#: sets each.  A set is ``(tags, fill, last_use, flags, stamp)``.
+_FREE_LINES: Dict[int, List[tuple]] = {}
+FREE_LINES_PER_SIZE = 4
+
+
+def _line_arrays(slots: int) -> tuple:
+    """A line-array set of ``slots`` slots: a collected cache's when one is
+    free, else a new one."""
+    free = _FREE_LINES.get(slots)
+    if free:
+        return free.pop()
+    return (array("q", [-1]) * slots, [0] * slots, [0] * slots,
+            array("B", bytes(slots)), array("q", bytes(8 * slots)))
+
+
+def _recycle_lines(slots: int, lines: tuple) -> None:
+    """Keep a collected cache's line arrays for the next cache of its size."""
+    free = _FREE_LINES.setdefault(slots, [])
+    if len(free) < FREE_LINES_PER_SIZE:
+        free.append(lines)
+
+
 def lru_victim(last_use, stamp, base: int, count: int) -> int:
     """The LRU slot among ``base .. base + count - 1``: the smallest
     ``(last_use, stamp)``, so ties break in insertion order.
@@ -167,14 +192,22 @@ class Cache:
     Line state lives in flat per-slot arrays (set ``s`` owns slots
     ``s * associativity`` onwards, and its lines are the first
     ``_count[s]`` of them) so the compiled kernel runs the whole cache on
-    the same memory: ``_tags`` (``-1`` = empty), ``_flags`` (``LINE_*``
-    bits) and ``_stamp`` are typed arrays; ``_fill`` and ``_last_use`` are
-    lists, so every time keeps the int/float type it arrived with.  A
-    fill stamps its line from the ``_clock`` counter: the LRU victim is the
-    line with the smallest ``(last_use, stamp)``, so ties break in
-    insertion order, and hits never change it.  The arrays are mutated in
-    place, never rebound, because a running kernel holds pointers into
-    them.
+    the same memory: ``_tags``, ``_flags`` (``LINE_*`` bits) and ``_stamp``
+    are typed arrays; ``_fill`` and ``_last_use`` are lists, so every time
+    keeps the int/float type it arrived with.  A fill stamps its line from
+    the ``_clock`` counter: the LRU victim is the line with the smallest
+    ``(last_use, stamp)``, so ties break in insertion order, and hits never
+    change it.  The arrays are mutated in place, never rebound, because a
+    running kernel holds pointers into them.
+
+    A cache may start on *recycled* line arrays: those of a collected cache
+    with the same slot count, still holding its lines.  Only ``_count`` and
+    ``_clock`` start fresh, and that is the whole reset: every reader (the
+    lookups, the fill path, :func:`lru_victim`, the state views and their
+    kernel.c twins) stops at a set's first ``_count[s]`` slots, and a fill
+    writes every field of the slot it takes, so a stale slot is never
+    observed.  Arrays return to the free store only when their cache is
+    collected, so two live caches never share them.
     """
 
     def __init__(self, config: CacheConfig, lookahead_mode: bool = False) -> None:
@@ -189,11 +222,9 @@ class Cache:
         self._latency = config.latency
         self._associativity = config.associativity
         slots = config.num_sets * config.associativity
-        self._tags = array("q", [-1]) * slots
-        self._fill: list = [0] * slots
-        self._last_use: list = [0] * slots
-        self._flags = array("B", bytes(slots))
-        self._stamp = array("q", bytes(8 * slots))
+        lines = _line_arrays(slots)
+        self._tags, self._fill, self._last_use, self._flags, self._stamp = lines
+        weakref.finalize(self, _recycle_lines, slots, lines).atexit = False
         self._count = array("q", bytes(8 * config.num_sets))
         self._clock = array("q", [0])
         #: ``None`` when MSHRs are unbounded — the whole model is inert then.

@@ -77,8 +77,9 @@ from repro.emulator.trace import (
 )
 from repro.experiments.memsys_sweep import MEMSYS_MACHINES, machine_config
 from repro.experiments.runner import ExperimentRunner
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.instructions import INSTRUCTION_BYTES, Instruction, Opcode
 from repro.isa.program import Program
+from repro.memory import cache as cache_module
 from repro.memory.cache import Cache
 from repro.prefetch import PREFETCHER_FACTORIES
 from repro.prefetch.best_offset import BestOffsetPrefetcher
@@ -606,6 +607,112 @@ def test_dla_memory_state_and_hints_match_reference(prepared, monkeypatch,
             native = counters()["native_t1_commits"] > stepped
             assert native == (section not in UNFIT_POINTS)
     assert_identical(compiled, reference)
+
+
+def _poisoned_store(config, *windows):
+    """A free line store holding, for every cache size of ``config``, as
+    many sets as the store keeps, each poisoned with stale lines a run
+    over ``windows`` would match: every slot's tag is one the run looks up
+    in that set (data and instruction blocks), its fill and use times are
+    floats before any access, its flags have every bit set and its stamp
+    is the smallest.  Returns ``(store, poisoned tag arrays)``."""
+    addresses = set()
+    for window in windows:
+        addresses.update(window.columns.ea)
+        addresses.update(pc * INSTRUCTION_BYTES for pc in window.columns.pc)
+    memory = config.memory
+    store, tags_arrays = {}, []
+    for cache_config in (memory.l1i, memory.l1d, memory.l2, memory.l3):
+        sets, ways = cache_config.num_sets, cache_config.associativity
+        slots = sets * ways
+        if slots in store:
+            continue
+        tags_by_set = {}
+        for block in sorted({a // cache_config.block_bytes for a in addresses}):
+            tags_by_set.setdefault(block % sets, []).append(block // sets)
+        store[slots] = []
+        for _ in range(cache_module.FREE_LINES_PER_SIZE):
+            tags = array("q", bytes(8 * slots))
+            for index in range(sets):
+                candidates = tags_by_set.get(index) or [index]
+                for way in range(ways):
+                    tags[index * ways + way] = candidates[way % len(candidates)]
+            tags_arrays.append(tags)
+            store[slots].append((tags, [-0.5] * slots, [-0.5] * slots,
+                                 array("B", [0xFF]) * slots,
+                                 array("q", [-1]) * slots))
+    return store, tags_arrays
+
+
+def _on_poisoned_and_empty_stores(monkeypatch, config, windows, view):
+    """``view()`` with every cache on a poisoned recycled set, and with
+    every cache on new arrays; asserts every cache of the poisoned run
+    took a poisoned set."""
+    take = cache_module._line_arrays
+    taken = []
+
+    def recording_take(slots):
+        lines = take(slots)
+        taken.append(lines[0])
+        return lines
+
+    monkeypatch.setattr(cache_module, "_line_arrays", recording_take)
+    store, poisoned_tags = _poisoned_store(config, *windows)
+    monkeypatch.setattr(cache_module, "_FREE_LINES", store)
+    poisoned = view()
+    assert taken and all(any(tags is bad for bad in poisoned_tags)
+                         for tags in taken)
+    monkeypatch.setattr(cache_module, "_FREE_LINES", {})
+    del taken[:]
+    empty = view()
+    assert taken and not any(tags is bad for tags in taken
+                             for bad in poisoned_tags)
+    return poisoned, empty
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["compiled", "reference"])
+def test_baseline_cell_on_poisoned_recycled_lines_matches_fresh(
+        prepared, monkeypatch, fast):
+    """A baseline cell whose caches all start on poisoned recycled line
+    arrays ends in exactly the state and result of one on new arrays."""
+    (_, warmup, timed, _, _), config = _memory_point(prepared, "contended")
+    (_fast if fast else _reference)(monkeypatch)
+
+    def view():
+        outcome = simulate_baseline(timed, config, warmup_entries=warmup)
+        return (_hierarchy_view(outcome.shared, (outcome.private,)),
+                asdict(outcome.core))
+
+    poisoned, empty = _on_poisoned_and_empty_stores(
+        monkeypatch, config, (warmup, timed), view)
+    assert empty[0]["private"][0]["l1d"]["stats"]["writebacks"] > 0
+    assert_identical(poisoned, empty)
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["compiled", "reference"])
+def test_r3_cell_on_poisoned_recycled_lines_matches_fresh(
+        prepared, monkeypatch, fast):
+    """The R3 cell of the same point: both cores' hierarchies, the hints
+    and T1's table agree whether its seven caches start on poisoned
+    recycled arrays or on new ones."""
+    (program, warmup, timed, profile, _), config = _memory_point(
+        prepared, "contended")
+    (_fast if fast else _reference)(monkeypatch)
+    outcomes = []
+
+    def run():
+        outcomes.append(asdict(DlaSystem(
+            program, config, DlaConfig().r3(), profile=profile).simulate(
+                timed, warmup_entries=warmup).main))
+
+    def view():
+        states = _dla_states(monkeypatch, run)
+        return states, outcomes.pop()
+
+    poisoned, empty = _on_poisoned_and_empty_stores(
+        monkeypatch, config, (warmup, timed), view)
+    assert any(hints for hints in empty[0][1])
+    assert_identical(poisoned, empty)
 
 
 def test_store_hits_on_clean_lines_match_reference(monkeypatch):

@@ -1,9 +1,14 @@
 """Tests for the set-associative cache model."""
 
+import json
+import random
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memory.cache import Cache, CacheConfig
+from repro.memory import cache as cache_module
+from repro.memory.cache import Cache, CacheConfig, WriteBufferConfig
 
 
 def _small_cache(**overrides):
@@ -136,3 +141,122 @@ def test_second_access_to_recent_block_hits(addresses):
         if cache.lookup(address, now=i) is None:
             cache.fill(address, i)
         assert cache.lookup(address, now=i + 1) is not None
+
+
+# ---------------------------------------------------------------------------
+# recycled line arrays
+# ---------------------------------------------------------------------------
+_STREAM_CONFIG = CacheConfig(name="recycled", size_bytes=1024, associativity=2,
+                             block_bytes=64, latency=2, mshr_entries=4,
+                             write_buffer=WriteBufferConfig(entries=2))
+_STREAM_BLOCKS = 48
+
+
+def _line_set(cache):
+    return (cache._tags, cache._fill, cache._last_use, cache._flags,
+            cache._stamp)
+
+
+def _poisoned_lines(config, blocks):
+    """A line-array set for ``config`` whose every slot holds a stale line
+    a stream over ``blocks`` would match: a tag that stream looks up in
+    that set, float fill and use times before any access, every flag bit
+    set and the smallest stamp."""
+    sets, ways = config.num_sets, config.associativity
+    tags_by_set = {}
+    for block in sorted(set(blocks)):
+        tags_by_set.setdefault(block % sets, []).append(block // sets)
+    slots = sets * ways
+    tags = array("q", bytes(8 * slots))
+    for index in range(sets):
+        candidates = tags_by_set.get(index) or [index]
+        for way in range(ways):
+            tags[index * ways + way] = candidates[way % len(candidates)]
+    return (tags, [-0.5] * slots, [-0.5] * slots, array("B", [0xFF]) * slots,
+            array("q", [-1]) * slots)
+
+
+def _drive(cache, seed=7):
+    """Demand reads and writes (int and float times), prefetch fills, and
+    dirty victims admitted to the write buffer; returns every answer."""
+    rng = random.Random(seed)
+    answers = []
+    for step in range(800):
+        now = step * 3 if step % 2 else step * 3 + 0.5
+        address = rng.randrange(_STREAM_BLOCKS) * 64 + rng.randrange(64)
+        if rng.random() < 0.2:
+            if cache.probe(address):
+                answers.append("resident")
+            else:
+                answers.append(cache.fill(address, now + 40, from_prefetch=True,
+                                          now=now))
+            continue
+        is_write = rng.random() < 0.3
+        ready = cache.lookup(address, now, is_write)
+        answers.append(ready)
+        if ready is None:
+            victim = cache.fill(address, now + 20, dirty=is_write, now=now)
+            answers.append((victim, cache.last_wb_stall))
+            if victim is not None:
+                cache.writeback_admit(now + 90, at=now)
+    return answers
+
+
+def _state(cache, answers):
+    state = (answers, cache.snapshot_state(), cache.lines(), cache.occupancy)
+    # Type-strict: ``==`` alone takes 3 for 3.0.
+    return state, json.dumps(state, sort_keys=True, default=repr)
+
+
+def test_a_cache_on_poisoned_recycled_arrays_equals_a_fresh_one(monkeypatch):
+    """Stale slots past each set's count are never observed: a cache built
+    on a free set whose stale lines carry the stream's own tags, float
+    times and every flag bit ends a stream with evictions, dirty victims
+    and prefetch fills in exactly a fresh cache's state."""
+    config = _STREAM_CONFIG
+    slots = config.num_sets * config.associativity
+    poisoned = _poisoned_lines(config, range(_STREAM_BLOCKS))
+    monkeypatch.setattr(cache_module, "_FREE_LINES", {slots: [poisoned]})
+    recycled = Cache(config)
+    assert _line_set(recycled) == poisoned
+    assert all(mine is theirs
+               for mine, theirs in zip(_line_set(recycled), poisoned))
+    monkeypatch.setattr(cache_module, "_FREE_LINES", {})
+    fresh = Cache(config)
+
+    recycled_state = _state(recycled, _drive(recycled))
+    fresh_state = _state(fresh, _drive(fresh))
+    stats = fresh.stats
+    assert stats.evictions and stats.writebacks and stats.prefetches_issued
+    assert stats.prefetch_hits and stats.wb_enqueued
+    assert recycled_state == fresh_state
+
+
+def test_live_caches_never_share_line_arrays(monkeypatch):
+    """Two live caches of one size own distinct arrays; a collected cache's
+    set goes to the next cache of its slot count (any geometry); the free
+    store never holds more than its bound per size."""
+    monkeypatch.setattr(cache_module, "_FREE_LINES", {})
+    config = _STREAM_CONFIG
+    slots = config.num_sets * config.associativity
+    first, second = Cache(config), Cache(config)
+    assert not {id(a) for a in _line_set(first)} & {id(a) for a in _line_set(second)}
+
+    lines = _line_set(first)
+    del first
+    assert cache_module._FREE_LINES[slots] == [lines]
+    other_size = Cache(CacheConfig(name="other", size_bytes=2048,
+                                   associativity=2, block_bytes=64))
+    assert all(mine is not theirs
+               for mine, theirs in zip(_line_set(other_size), lines))
+    # Same slot count, other geometry: 4 sets of 4 ways.
+    reshaped = Cache(CacheConfig(name="reshaped", size_bytes=1024,
+                                 associativity=4, block_bytes=64))
+    assert all(mine is theirs for mine, theirs in zip(_line_set(reshaped), lines))
+    assert cache_module._FREE_LINES[slots] == []
+    assert len(reshaped._count) == 4
+
+    many = [Cache(config) for _ in range(cache_module.FREE_LINES_PER_SIZE + 3)]
+    assert len({id(cache._tags) for cache in many + [second, reshaped]}) == len(many) + 2
+    del many
+    assert len(cache_module._FREE_LINES[slots]) == cache_module.FREE_LINES_PER_SIZE

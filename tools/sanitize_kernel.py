@@ -1,16 +1,26 @@
 #!/usr/bin/env python
-"""Run the kernel's test suites against an UndefinedBehaviorSanitizer build.
+"""Run the kernel's test suites against sanitizer builds of the kernel.
 
-Compiles ``core/compile/kernel.c`` with ``-fsanitize=undefined
--fno-sanitize-recover=all`` to the path the loader looks for
-(``build._artifact_path()``) under a temporary ``REPRO_CACHE_DIR``, then runs
-the suites that drive the kernel with that cache directory, so
-``load_kernel()`` loads the sanitized build.  Before the suites run, a fresh
-interpreter must load that build, so a sanitized kernel that cannot load
-(the suites would fall back to the interpreter) fails the tool instead of
-passing it.  Any undefined behaviour aborts the test process and the tool
-exits non-zero.  The simulator has no
-sanitizer option: only this tool's build differs.
+Two passes, each with its own temporary ``REPRO_CACHE_DIR``:
+
+* **UBSan**: ``-fsanitize=undefined -fno-sanitize-recover=all``; any
+  undefined behaviour aborts the test process.
+* **ASan**: ``-fsanitize=address``, with the compiler's ASan runtime
+  preloaded (``LD_PRELOAD``; the interpreter itself is not instrumented)
+  and ``ASAN_OPTIONS=detect_leaks=0`` (the interpreter keeps objects alive
+  at exit).  A kernel read or write outside a structure's arrays aborts.
+  Caches reuse the line arrays of collected caches of the same size, so
+  a write past a cache's own slots would otherwise land silently in
+  memory the allocator still owns.
+
+Each pass compiles ``core/compile/kernel.c`` to the path the loader looks
+for (``build._artifact_path()``) under its cache directory, then runs the
+suites that drive the kernel with that cache directory, so
+``load_kernel()`` loads the sanitized build.  Before the suites run, a
+fresh interpreter must load that build, so a sanitized kernel that cannot
+load (the suites would fall back to the interpreter) fails the tool
+instead of passing it.  The tool exits non-zero when either pass fails.
+The simulator has no sanitizer option: only this tool's builds differ.
 
 Usage::
 
@@ -45,7 +55,11 @@ SUITES = (
     "tests/experiments/test_runner_cache_and_parallel.py",
 )
 
-SANITIZE_FLAGS = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+#: Compile flags of each pass, by name, in run order.
+SANITIZERS = {
+    "UBSan": ("-fsanitize=undefined", "-fno-sanitize-recover=all"),
+    "ASan": ("-fsanitize=address", "-fno-omit-frame-pointer"),
+}
 
 #: Run in a fresh interpreter with the sanitized cache directory: loads the
 #: build at ``argv[1]`` (raising what the loader would swallow) and checks
@@ -60,35 +74,49 @@ assert native_kernel() is not None, "the loader did not load the build"
 """
 
 
-def build_sanitized(cache_dir: str) -> Path:
-    """Compile the sanitized kernel where the loader looks under
+def build_sanitized(cache_dir: str, compiler: str, flags) -> Path:
+    """Compile the kernel with ``flags`` where the loader looks under
     ``cache_dir``; returns its path."""
     os.environ[build.CACHE_DIR_ENV] = cache_dir
     target = build._artifact_path()
     target.parent.mkdir(parents=True, exist_ok=True)
-    compiler = build._find_compiler()
-    if compiler is None:
-        raise SystemExit("sanitize_kernel: no C compiler found")
     include = sysconfig.get_paths()["include"]
-    command = [compiler, "-O1", "-g", *build.EXACT_FLAGS, *SANITIZE_FLAGS,
+    command = [compiler, "-O1", "-g", *build.EXACT_FLAGS, *flags,
                "-shared", "-fPIC", f"-I{include}",
                str(build.kernel_source_path()), "-o", str(target)]
     subprocess.run(command, check=True)
     return target
 
 
-def main(argv) -> int:
-    with tempfile.TemporaryDirectory(prefix="repro-ubsan-") as cache_dir:
-        target = build_sanitized(cache_dir)
-        print(f"sanitize_kernel: UBSan build at {target}", flush=True)
-        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+def runtime_env(name: str, compiler: str) -> dict:
+    """What the test processes of pass ``name`` add to their environment:
+    an ASan build loads into the uninstrumented interpreter only with the
+    compiler's ASan runtime preloaded."""
+    if name != "ASan":
+        return {}
+    runtime = subprocess.run(
+        [compiler, "-print-file-name=libasan.so"], capture_output=True,
+        text=True, check=True).stdout.strip()
+    if not os.path.isabs(runtime):
+        raise SystemExit(f"sanitize_kernel: {compiler} has no libasan.so")
+    return {"LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0"}
+
+
+def run_pass(name: str, compiler: str, argv) -> int:
+    """Build the kernel under sanitizer ``name``, check that it loads and
+    run the suites on it; returns the exit code."""
+    with tempfile.TemporaryDirectory(prefix=f"repro-{name.lower()}-") as cache_dir:
+        target = build_sanitized(cache_dir, compiler, SANITIZERS[name])
+        print(f"sanitize_kernel: {name} build at {target}", flush=True)
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"),
+                   **runtime_env(name, compiler))
         env[build.CACHE_DIR_ENV] = cache_dir
         env.pop("REPRO_FAST_PIPELINE", None)
         check = subprocess.run(
             [sys.executable, "-c", LOAD_CHECK, str(target)],
             cwd=REPO_ROOT, env=env)
         if check.returncode != 0:
-            print("sanitize_kernel: the UBSan build does not load",
+            print(f"sanitize_kernel: the {name} build does not load",
                   file=sys.stderr)
             return check.returncode
         proc = subprocess.run(
@@ -98,6 +126,19 @@ def main(argv) -> int:
              "--capture=sys", *SUITES, *argv],
             cwd=REPO_ROOT, env=env)
         return proc.returncode
+
+
+def main(argv) -> int:
+    compiler = build._find_compiler()
+    if compiler is None:
+        raise SystemExit("sanitize_kernel: no C compiler found")
+    failed = [name for name in SANITIZERS
+              if run_pass(name, compiler, argv) != 0]
+    if failed:
+        print(f"sanitize_kernel: failed under {', '.join(failed)}",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
