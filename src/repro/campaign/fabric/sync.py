@@ -27,11 +27,14 @@ Design contract (the properties the dispatcher and CI lean on):
   one per cell), and the :class:`SyncReport` counts batches so operators
   see the transfer shape;
 * **torn-transfer-safe** — every entry is verified against its RPRC1
-  checksum frame (:func:`repro.experiments.cache.decode_entry`) *before*
-  install, each batch installs as one fsync-before-rename group commit
-  (:class:`repro.util.durability.DurableBatch`), and a corrupt source
-  entry is quarantined on its own side, never propagated — a half-copied
-  entry can cost a re-simulation, never a wrong result;
+  checksum frame (:func:`repro.experiments.cache.read_entry`, which reads
+  the entry's own frame out of its pack) *before* install, each batch
+  installs as one pack — the batch's verified frames in one file, fsynced
+  before it is linked to every entry's name
+  (:class:`repro.util.durability.DurableBatch`) — so an entry's bytes
+  move once, never its whole source pack; a corrupt source entry is
+  quarantined on its own side, never propagated — a half-copied entry can
+  cost a re-simulation, never a wrong result;
 * **state merges monotonically** — journals are append-only (copy when the
   source is strictly longer), failure records advance by attempt count,
   leases copy only when absent (a lease is host-advisory; stale ones die by
@@ -53,8 +56,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from repro.experiments.cache import (
-    CACHE_DIR_ENV, DEFAULT_CACHE_DIR, QUARANTINE_DIR, decode_entry,
-    salted_key,
+    CACHE_DIR_ENV, DEFAULT_CACHE_DIR, QUARANTINE_DIR, encode_entry,
+    read_entry, salted_key,
 )
 from repro.util.durability import DurableBatch, atomic_write_bytes
 
@@ -221,16 +224,17 @@ class CacheSync:
         report.entries_total = len(names)
         for chunk in _chunked(names, self.batch_size):
             report.batches += 1
-            # One group commit per batch: its entries land together.
+            # One pack per batch: its entries land together.
             with DurableBatch() as batch:
                 for name in chunk:
                     if (dst / name).exists():
                         report.entries_skipped += 1
                         continue
-                    data = _read(src / name)
-                    if data is None:
+                    try:
+                        body = read_entry(src / name)
+                    except OSError:
                         continue
-                    if decode_entry(data) is None:
+                    if body is None:
                         # Torn or bit-rotted at the source: quarantine it
                         # there (same contract as the disk cache's read
                         # path); the cell simply re-simulates wherever it
@@ -238,7 +242,7 @@ class CacheSync:
                         _quarantine(src, name)
                         report.entries_corrupt += 1
                         continue
-                    batch.stage(dst / name, data)
+                    batch.stage(dst / name, encode_entry(body))
                     report.entries_copied += 1
         if campaign is not None:
             base = Path("campaigns", campaign)

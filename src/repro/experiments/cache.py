@@ -16,16 +16,27 @@ workers and synced directories):
   entry is **quarantined** — moved to ``.repro_cache/quarantine/``, never
   deleted, so corruption stays inspectable — and treated as a miss, which
   simply re-simulates the cell;
-* writes are crash-consistent: temp file + fsync *before* the atomic
-  ``os.replace`` (plus a best-effort directory fsync after it), so a crash
-  can never promote unsynced bytes to a final cache name;
-* writes inside a :meth:`ResultDiskCache.batch` block are group-committed
-  (:class:`~repro.util.durability.DurableBatch`): each ``put`` only stages
-  its temp file, invisible to :meth:`~ResultDiskCache.get`, and the block's
-  exit fsyncs, renames and directory-fsyncs them all in one burst.  A
-  process killed inside the block loses its staged entries, which costs a
-  re-simulation, never a wrong or torn result;
-* aged ``*.tmp.*`` debris left by killed writers is swept on cache open.
+* entries land as *packs* (:class:`~repro.util.durability.DurableBatch`):
+  the frames of one :meth:`ResultDiskCache.batch` block, back to back in
+  one file, then a CRC-checked index (name -> offset, length) and a
+  footer.  Each ``put`` only appends its frame to the block's temp pack,
+  invisible to :meth:`~ResultDiskCache.get`; the block's exit fsyncs the
+  pack once, *then* hard-links it to each key's temp name and renames that
+  over ``<salt>-<key>.pkl``, and fsyncs the directory once.  A lone put is
+  a pack of one.  So every key keeps its own name, and a final name only
+  ever refers to fsynced, CRC-framed bytes.  A process killed inside the
+  block loses its staged entries, which costs a re-simulation, never a
+  wrong or torn result;
+* :func:`read_entry` reads a name's own frame through the pack's index
+  and verifies it; it also reads a bare frame, and a *copy* of a pack
+  (artifact hand-offs copy files) reads exactly like a link to it.  Where
+  the filesystem refuses a hard link, each remaining name of that commit
+  gets a pack of one instead;
+* an entry is never modified in place: the names of one pack share one
+  inode, so writing into one would damage all of them (each would then
+  quarantine and re-simulate, never read wrong);
+* aged ``*.tmp.*`` debris (entry temps and ``pack-*.tmp.*``) left by
+  killed writers is swept on cache open.
 
 The cache therefore remains what it always was — an accelerator, never a
 source of errors — under partial writes, kill -9, and hostile filesystems.
@@ -40,12 +51,12 @@ import os
 import pickle
 import struct
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Any, Iterator, Optional
 
 from repro.util.durability import (
-    DurableBatch, atomic_write_bytes, sweep_orphan_tmps,
+    DurableBatch, atomic_write_bytes, read_packed, sweep_orphan_tmps,
 )
 
 #: Environment variable overriding the cache directory.
@@ -89,6 +100,14 @@ def decode_entry(data: bytes) -> Optional[bytes]:
     return body
 
 
+def read_entry(path: Path) -> Optional[bytes]:
+    """The verified pickle body stored under ``path``'s name — its frame
+    in a pack, or a bare frame — or ``None`` on any integrity problem.
+    Raises ``OSError`` when there is no readable file at ``path``."""
+    data = read_packed(path)
+    return None if data is None else decode_entry(data)
+
+
 class ResultDiskCache:
     """A content-addressed pickle store with checksums and atomic writes."""
 
@@ -102,9 +121,10 @@ class ResultDiskCache:
         self.quarantined = 0
         #: The open :meth:`batch` block's group commit, if any.
         self._batch: Optional[DurableBatch] = None
-        # Hygiene: a writer killed mid-put leaves `<key>.pkl.tmp.<pid>`
-        # behind; sweep aged debris so it cannot accumulate (age-gated, so
-        # concurrent live writers are never raced).
+        # Hygiene: a writer killed mid-batch leaves `pack-<n>.tmp.<pid>`
+        # (and at most one `<key>.pkl.tmp.<pid>` link) behind; sweep aged
+        # debris so it cannot accumulate (age-gated, so concurrent live
+        # writers are never raced).
         sweep_orphan_tmps(self.directory)
 
     # ------------------------------------------------------------------
@@ -155,11 +175,10 @@ class ResultDiskCache:
         """
         path = self._path(key)
         try:
-            data = path.read_bytes()
+            body = read_entry(path)
         except OSError:
             self.misses += 1
             return None
-        body = decode_entry(data)
         if body is None:
             # Bad frame: truncated write, bit rot, or a legacy (unframed)
             # entry from before checksumming.  Either way it is not
@@ -182,10 +201,11 @@ class ResultDiskCache:
     def batch(self) -> Iterator[None]:
         """Group-commit every :meth:`put` inside the block.
 
-        A put stages its entry; the block's exit commits them all, whether
-        it returns or raises.  Until then a staged entry does not read back.
-        A failed commit degrades like a failed put: the entries are missing.
-        A nested block commits its own entries when it exits.
+        A put appends its frame to the block's pack; the block's exit
+        commits the pack, whether it returns or raises.  Until then a staged
+        entry does not read back.  A failed commit degrades like a failed
+        put: the entries are missing.  A nested block commits its own pack
+        when it exits.
         """
         outer, self._batch = self._batch, DurableBatch()
         try:
@@ -199,7 +219,8 @@ class ResultDiskCache:
 
     def put(self, key: str, obj: Any) -> None:
         """Store ``obj`` under ``key`` (checksummed, fsynced, atomic);
-        inside a :meth:`batch` block, staged until the block commits."""
+        inside a :meth:`batch` block, staged until the block commits, and
+        outside one, a batch of one."""
         final = self._path(key)
         tmp = final.with_name(f"{final.name}.tmp.{os.getpid()}")
         try:
@@ -210,15 +231,17 @@ class ResultDiskCache:
             spec = faults.probe(faults.SITE_CACHE_WRITE, key=key)
             if spec is not None and spec.kind == "truncate":
                 # Chaos harness: persist a torn write — keep the header so
-                # the file looks plausible, cut the body so the checksum
-                # verify on the next read must catch it.
+                # the frame looks plausible, cut the body so the checksum
+                # verify on the next read must catch it.  Only this key's
+                # frame is torn; its pack siblings read back.
                 data = data[: max(_HEADER_LEN + 1, len(data) // 2)]
-            atomic_write_bytes(final, data, tmp=tmp, batch=self._batch)
+            with self.batch() if self._batch is None else nullcontext():
+                atomic_write_bytes(final, data, tmp=tmp, batch=self._batch)
         except Exception:
             # A read-only/full filesystem or an unpicklable outcome silently
             # degrades to no caching — same contract as get(): the cache is
             # an accelerator, never a source of errors.  A failed write
-            # removes its own temp file.
+            # records nothing in the pack.
             pass
 
     def clear(self) -> int:

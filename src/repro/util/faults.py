@@ -17,10 +17,12 @@ Sites (the instrumented seams)
 
 ``cache.write``
     Probed by the disk cache on every result write.  Kinds: ``truncate``
-    (the entry is written with its tail cut off, so the checksum verify on
-    the next read quarantines it — a partial-transfer/crash-mid-write
-    simulation) and ``kill`` (``os._exit(137)`` before the write: the
-    process dies with its group's staged entries not yet committed).
+    (the entry's frame is staged with its tail cut off, so the checksum
+    verify on the next read quarantines that name alone — its pack
+    siblings read back; a partial-transfer/crash-mid-write simulation) and
+    ``kill`` (``os._exit(137)`` before the write: the process dies with
+    its group's staged entries not yet committed, in a ``pack-*.tmp.*``
+    file no final name refers to).
 
 ``worker.kill``
     Probed by the lease-driven worker loop before each claimed cell.

@@ -18,13 +18,17 @@ dispatcher and CI:
 from __future__ import annotations
 
 import json
+import os
 import pickle
 
 import pytest
 
 from repro.campaign.cli import main
 from repro.campaign.fabric.sync import CacheSync, SyncError
-from repro.experiments.cache import QUARANTINE_DIR, encode_entry, salted_key
+from repro.experiments.cache import (
+    QUARANTINE_DIR, ResultDiskCache, encode_entry, read_entry, salted_key,
+)
+from repro.util.durability import PACK_TAIL
 
 
 def _write_entry(root, name, payload="payload"):
@@ -63,14 +67,16 @@ def test_push_then_pull_round_trip_and_idempotence(roots):
     again = sync.push()
     assert again.entries_copied == 0 and again.entries_skipped == 3
 
-    # Pull into a fresh root gets byte-identical entries.
+    # Pull into a fresh root gets byte-identical entries (each name's own
+    # frame, out of the pack it landed in).
     other = local.parent / "other"
     other_sync = CacheSync(local_root=other, target=shared)
     pulled = other_sync.pull()
     assert pulled.entries_copied == 3
     for name in ("cell-0", "cell-1", "cell-2"):
-        assert ((other / f"{name}.pkl").read_bytes()
-                == (local / f"{name}.pkl").read_bytes())
+        body = read_entry(other / f"{name}.pkl")
+        assert body is not None
+        assert body == read_entry(local / f"{name}.pkl")
     assert other_sync.pull().entries_copied == 0
 
 
@@ -81,6 +87,40 @@ def test_entries_move_in_sorted_fixed_size_batches(roots):
     report = CacheSync(local_root=local, target=shared, batch_size=2).push()
     assert report.batches == 3          # ceil(5 / 2)
     assert report.entries_total == 5
+
+
+def test_a_packed_group_moves_its_frames_once_into_one_pack(roots,
+                                                            monkeypatch):
+    local, shared = roots
+    cache = ResultDiskCache(local)
+    with cache.batch():
+        for index in range(7):
+            cache.put(f"cell-{index}", "payload %d" % index * 4000)
+    names = sorted(path.name for path in local.glob("*.pkl"))
+    pack_size = (local / names[0]).stat().st_size
+    frames = sum(len(encode_entry(read_entry(local / name)))
+                 for name in names)
+
+    read = []
+    pread = os.pread
+
+    def counted_pread(fd, length, offset):
+        data = pread(fd, length, offset)
+        read.append(len(data))
+        return data
+
+    monkeypatch.setattr(os, "pread", counted_pread)
+    report = CacheSync(local_root=local, target=shared).push()
+    assert report.entries_copied == 7 and report.batches == 1
+    # One inode per sync batch at the destination ...
+    assert len({(shared / name).stat().st_ino for name in names}) == 1
+    # ... holding each entry's own frame once, not the source pack 7 times.
+    assert (shared / names[0]).stat().st_size < pack_size * 1.1
+    # Each entry read is its own frame plus at most one tail read.
+    assert frames <= sum(read) <= frames + len(names) * PACK_TAIL
+    assert sum(read) < 2 * pack_size
+    for name in names:
+        assert read_entry(shared / name) == read_entry(local / name)
 
 
 def test_sync_rejects_degenerate_configuration(tmp_path):

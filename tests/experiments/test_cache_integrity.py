@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 import pickle
+import subprocess
+import sys
 import time
 
 import pytest
@@ -157,3 +159,42 @@ def test_truncate_fault_produces_quarantinable_entry(tmp_path):
 
     cache.put("k", {"value": 7})                 # budget spent: clean write
     assert cache.get("k") == {"value": 7}
+
+
+def test_truncate_fault_tears_only_its_key_inside_the_pack(tmp_path):
+    faults.activate(faults.FaultPlan.parse(
+        "cache.write:truncate:times=1,match=torn",
+        ledger_dir=tmp_path / "ledger"))
+    cache = ResultDiskCache(tmp_path / "cache")
+    with cache.batch():
+        cache.put("before", 1)
+        cache.put("torn", 2)
+        cache.put("after", 3)
+    assert cache.get("before") == 1 and cache.get("after") == 3
+    assert cache.get("torn") is None              # its frame alone is torn
+    assert cache.quarantined == 1
+    assert (tmp_path / "cache" / "quarantine" / "torn.pkl").exists()
+    cache.put("torn", 2)                           # the re-simulated cell
+    assert cache.get("torn") == 2
+    assert (cache.get("before"), cache.get("after")) == (1, 3)
+
+
+def test_kill_fault_dies_between_stage_and_commit(tmp_path):
+    directory = tmp_path / "cache"
+    script = (
+        "from repro.experiments.cache import ResultDiskCache\n"
+        "from repro.util import faults\n"
+        f"faults.activate(faults.FaultPlan.parse("
+        f"'cache.write:kill:times=1,match=second', "
+        f"ledger_dir={str(tmp_path / 'ledger')!r}))\n"
+        f"cache = ResultDiskCache({str(directory)!r})\n"
+        "with cache.batch():\n"
+        "    cache.put('first', 1)\n"
+        "    cache.put('second', 2)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          timeout=120)
+    assert proc.returncode == 137
+    assert list(directory.glob("pack-*.tmp.*"))   # the staged entry
+    assert not list(directory.glob("*.pkl"))      # nothing landed

@@ -442,7 +442,7 @@ def test_setup_disk_entry_pickles_columns_and_loads_lazily(tmp_path, monkeypatch
 
     from repro.core.compile import kernel_available
     from repro.emulator.trace import TraceColumns
-    from repro.experiments.cache import decode_entry
+    from repro.experiments.cache import read_entry
     from repro.experiments.runner import clear_setup_cache, setup_cache_stats
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "setups"))
@@ -450,7 +450,7 @@ def test_setup_disk_entry_pickles_columns_and_loads_lazily(tmp_path, monkeypatch
     first = make_runner(disk_cache=True)
     built = first.setup(WORKLOAD)
     key = first._disk_key(first.setup_key(built.workload))
-    body = decode_entry(first.disk_cache._path(key).read_bytes())
+    body = read_entry(first.disk_cache._path(key))
     names = {arg for _, arg, _ in pickletools.genops(body) if isinstance(arg, str)}
     assert "TraceColumns" in names and "DynamicInst" not in names
 

@@ -1,23 +1,27 @@
-"""Group commit: every temp is fsynced before its rename, each directory is
-fsynced once per commit, and staged entries stay invisible until then."""
+"""Group commit: every batch is one pack, fsynced before any name links to
+it; each directory is fsynced once per commit, and staged entries stay
+invisible until then."""
 
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
 from repro.experiments.cache import ResultDiskCache
-from repro.util.durability import DurableBatch, atomic_write_bytes
+from repro.util.durability import (
+    ORPHAN_TMP_AGE, DurableBatch, atomic_write_bytes, read_packed,
+)
 
 
 @pytest.fixture()
 def recorder(monkeypatch):
     """Records every ``os.fsync`` (by the path ``os.open`` opened the
-    descriptor with) and every ``os.replace`` (by its source), in call
-    order."""
+    descriptor with), every ``os.link`` (by its new name) and every
+    ``os.replace`` (by its source), in call order."""
     calls, opened = [], {}
-    open_, fsync, replace = os.open, os.fsync, os.replace
+    open_, fsync, link, replace = os.open, os.fsync, os.link, os.replace
 
     def recording_open(path, *args, **kwargs):
         fd = open_(path, *args, **kwargs)
@@ -28,33 +32,56 @@ def recorder(monkeypatch):
         calls.append(("fsync", opened.get(fd)))
         return fsync(fd)
 
+    def recording_link(src, dst, **kwargs):
+        calls.append(("link", os.fspath(dst)))
+        return link(src, dst, **kwargs)
+
     def recording_replace(src, dst):
         calls.append(("replace", os.fspath(src)))
         return replace(src, dst)
 
     monkeypatch.setattr(os, "open", recording_open)
     monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "link", recording_link)
     monkeypatch.setattr(os, "replace", recording_replace)
     return calls
 
 
-def test_commit_fsyncs_every_temp_before_any_rename(tmp_path, recorder):
-    first, second = tmp_path / "a" / "x", tmp_path / "b" / "y"
+def _inodes(paths):
+    return {os.stat(path).st_ino for path in paths}
+
+
+def test_commit_fsyncs_the_pack_before_any_link(tmp_path, recorder):
+    names = [tmp_path / "x", tmp_path / "y", tmp_path / "z"]
     batch = DurableBatch()
-    batch.stage(first, b"one")
-    batch.stage(second, b"two")
-    batch.stage(tmp_path / "a" / "z", b"three")
-    assert recorder == []                   # staging syncs nothing
+    for index, name in enumerate(names):
+        batch.stage(name, b"entry %d" % index)
+    assert [kind for kind, _path in recorder] == []   # staging syncs nothing
+    assert not any(name.exists() for name in names)
     batch.commit()
     kinds = [kind for kind, _path in recorder]
-    assert kinds == ["fsync"] * 3 + ["replace"] * 3 + ["fsync"] * 2
-    synced = {path for _kind, path in recorder[:3]}
-    assert synced == {path for _kind, path in recorder[3:6]}
-    # One fsync per touched directory, not per entry.
-    assert [path for _kind, path in recorder[6:]] == [
-        str(tmp_path / "a"), str(tmp_path / "b")]
-    assert first.read_bytes() == b"one" and second.read_bytes() == b"two"
+    # The pack is fsynced once, before any name refers to it; every name
+    # but the last is a link renamed over it, the last takes the pack
+    # itself; then the directory is fsynced once.
+    assert kinds == ["fsync", "link", "replace", "link", "replace",
+                     "replace", "fsync"]
+    pack = recorder[0][1]
+    assert os.path.basename(pack).startswith("pack-")
+    assert recorder[-2] == ("replace", pack)
+    assert recorder[-1] == ("fsync", str(tmp_path))
+    assert [read_packed(name) for name in names] == [
+        b"entry 0", b"entry 1", b"entry 2"]
+    assert len(_inodes(names)) == 1
     assert not list(tmp_path.rglob("*.tmp.*"))
+
+
+def test_a_batch_stays_in_one_directory(tmp_path):
+    batch = DurableBatch()
+    batch.stage(tmp_path / "a" / "x", b"1")
+    with pytest.raises(ValueError):
+        batch.stage(tmp_path / "b" / "y", b"2")
+    batch.commit()
+    assert read_packed(tmp_path / "a" / "x") == b"1"
 
 
 def test_an_empty_commit_touches_nothing(tmp_path, recorder):
@@ -73,12 +100,18 @@ def test_a_committed_batch_is_empty(tmp_path, recorder):
     assert recorder == []
 
 
-def test_staging_a_name_twice_keeps_the_later_bytes(tmp_path):
+def test_staging_a_name_twice_keeps_the_later_bytes(tmp_path, recorder):
     target = tmp_path / "x"
     with DurableBatch() as batch:
         batch.stage(target, b"old")
+        batch.stage(tmp_path / "y", b"other")
         batch.stage(target, b"new")
-    assert target.read_bytes() == b"new"
+    assert read_packed(target) == b"new"
+    assert read_packed(tmp_path / "y") == b"other"
+    # One name, one link-or-rename: a second link of the same inode
+    # renamed over it would be a no-op that leaves its temp behind.
+    moves = [path for kind, path in recorder if kind in ("link", "replace")]
+    assert len(moves) == 3                  # link + replace, pack rename
     assert not list(tmp_path.glob("*.tmp.*"))
 
 
@@ -88,14 +121,58 @@ def test_atomic_write_bytes_is_a_batch_of_one(tmp_path, recorder):
     assert (tmp_path / "x").read_bytes() == b"data"
 
 
-def test_a_failed_commit_leaves_no_temp_and_no_final_name(tmp_path):
+def test_a_failed_commit_leaves_no_temp_and_no_final_name(tmp_path,
+                                                          monkeypatch):
     batch = DurableBatch()
     batch.stage(tmp_path / "x", b"1")
     batch.stage(tmp_path / "y", b"2")
-    os.unlink(tmp_path / f"y.tmp.{os.getpid()}")
-    with pytest.raises(FileNotFoundError):
+
+    def failing_fsync(fd):
+        raise OSError("the device went away")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError):
         batch.commit()
     assert sorted(os.listdir(tmp_path)) == []
+
+
+def test_without_hard_links_every_entry_lands_in_a_pack_of_one(
+        tmp_path, monkeypatch):
+    def no_links(src, dst, **kwargs):
+        raise PermissionError("this filesystem has no hard links")
+
+    monkeypatch.setattr(os, "link", no_links)
+    names = [tmp_path / f"k{index}" for index in range(4)]
+    with DurableBatch() as batch:
+        for index, name in enumerate(names):
+            batch.stage(name, b"entry %d" % index)
+    assert [read_packed(name) for name in names] == [
+        b"entry %d" % index for index in range(4)]
+    assert len(_inodes(names)) == 4
+    assert not list(tmp_path.glob("*.tmp.*"))
+
+
+def test_a_copy_of_a_pack_reads_like_its_link(tmp_path):
+    import shutil
+
+    with DurableBatch() as batch:
+        batch.stage(tmp_path / "a" / "x", b"one")
+        batch.stage(tmp_path / "a" / "y", b"two")
+    (tmp_path / "b").mkdir()
+    for name in ("x", "y"):
+        shutil.copy(tmp_path / "a" / name, tmp_path / "b" / name)
+        assert read_packed(tmp_path / "b" / name) == read_packed(
+            tmp_path / "a" / name)
+    # A name the pack does not list reads as nothing, not as a sibling.
+    shutil.copy(tmp_path / "a" / "x", tmp_path / "b" / "z")
+    assert read_packed(tmp_path / "b" / "z") is None
+
+
+def test_a_plain_file_reads_as_itself(tmp_path):
+    atomic_write_bytes(tmp_path / "x", b"a bare entry")
+    assert read_packed(tmp_path / "x") == b"a bare entry"
+    with pytest.raises(OSError):
+        read_packed(tmp_path / "missing")
 
 
 # ---------------------------------------------------------------------------
@@ -137,4 +214,22 @@ def test_a_group_of_puts_is_one_fsync_burst(tmp_path, recorder):
         for index in range(5):
             cache.put(f"k{index}", index)
     kinds = [kind for kind, _path in recorder]
-    assert kinds == ["fsync"] * 5 + ["replace"] * 5 + ["fsync"]
+    # One fsync of the pack, a link renamed over each of four names, the
+    # pack itself renamed over the fifth, one directory fsync.
+    assert kinds == ["fsync"] + ["link", "replace"] * 4 + ["replace", "fsync"]
+    assert [cache.get(f"k{index}") for index in range(5)] == list(range(5))
+    assert len(_inodes((tmp_path / "cache").glob("*.pkl"))) == 1
+
+
+def test_an_aged_pack_temp_is_swept_on_cache_open(tmp_path):
+    directory = tmp_path / "cache"
+    directory.mkdir()
+    aged = directory / "pack-3.tmp.99999"
+    aged.write_bytes(b"a killed writer's staged entries")
+    stale = time.time() - (ORPHAN_TMP_AGE + 60)
+    os.utime(aged, (stale, stale))
+    live = directory / "pack-4.tmp.99999"
+    live.write_bytes(b"a live writer's staged entries")
+    ResultDiskCache(directory)
+    assert not aged.exists()
+    assert live.exists()
