@@ -49,13 +49,19 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from string import Template
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.campaign.fabric.backends import get_backend
 from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore, DEFAULT_LEASE_TTL
-from repro.experiments.cache import CACHE_DIR_ENV, DEFAULT_CACHE_DIR
+from repro.experiments.cache import (
+    CACHE_DIR_ENV,
+    DEFAULT_CACHE_DIR,
+    ResultDiskCache,
+    salted_key,
+)
+from repro.experiments.fingerprint import code_salt
 
 #: Claim modes a dispatch plan can use (see module docstring).
 CLAIM_MODES = ("shard", "worker")
@@ -339,6 +345,18 @@ class Dispatcher:
                 )
             time.sleep(self.poll_seconds)
 
+    def _foreign_salts(self, keys: Iterable[str]) -> Tuple[int, List[str]]:
+        """How many of ``keys`` have a disk entry under another code salt's
+        ``<salt>-<key>.pkl`` in the shared root, and those salts."""
+        salt, wanted = code_salt(), set(keys)
+        found, salts = set(), set()
+        for path in self.shared_root.glob("*.pkl"):
+            other, _, key = path.stem.partition("-")
+            if other != salt and key in wanted:
+                found.add(key)
+                salts.add(other)
+        return len(found), sorted(salts)
+
     def _check_converged(self, plan: DispatchPlan) -> Dict[str, object]:
         status = self.store.status()
         failed_jobs = [job for job in plan.jobs if job.returncode]
@@ -348,6 +366,20 @@ class Dispatcher:
                 f"host-{job.index} exited {job.returncode} "
                 f"(log: {job.log_path})" for job in failed_jobs
             ) or "all jobs exited 0"
+            if not failed_jobs:
+                # Jobs that finished cleanly but left cells pending most
+                # likely ran other code: their entries sit under its salt.
+                disk = ResultDiskCache(str(self.shared_root))
+                cells = (self.store.load_manifest() or {}).get("cells", {})
+                foreign, salts = self._foreign_salts(
+                    key for key in cells
+                    if disk.get(salted_key(key)) is None)
+                if foreign:
+                    details += (
+                        f"; {foreign} pending cell(s) have a cache entry "
+                        f"under another code salt ({', '.join(salts)}; "
+                        f"this process runs {code_salt()}): did src/ "
+                        f"change during the dispatch?")
             raise DispatchError(
                 f"fleet finished without converging: "
                 f"{status.get('cells_done', 0)}/"

@@ -58,8 +58,8 @@ _EMPTY_Q = array("q", (0,))
 
 
 #: Integer stats fields the kernel counts per run, in order (must match
-#: kernel.c's CS_* / TS_* / DS_* counters); float and high-water fields it
-#: updates in the stats objects themselves.
+#: kernel.c's CS_* / TS_* / DS_* counters); the float and high-water
+#: fields it reads when a view opens and writes back when it closes.
 _CACHE_COUNTS = ("accesses", "hits", "misses", "prefetch_hits",
                  "late_prefetch_hits", "prefetches_issued",
                  "prefetches_useless", "writebacks", "evictions",
@@ -92,7 +92,8 @@ def _tage_view(predictor) -> tuple:
 
 def _store(lane0, lanes: int = 1) -> tuple:
     """Kernel view of the occupancy store whose lane 0 is ``lane0``."""
-    return lane0._keys, lane0._done, lane0._len, lane0.capacity, lanes
+    return (lane0._keys, lane0._done, lane0._float, lane0._len,
+            lane0.capacity, lanes)
 
 
 def _resource(resource):
@@ -112,7 +113,11 @@ class _NativeMemory:
     Each view is the structure's own arrays (zero-copy) plus a fresh
     counter array the kernel bumps; :meth:`settle` adds those counts to
     the structures' stats once the kernel returns and writes back the BOP
-    L2 prefetcher's scalar state.
+    L2 prefetcher's scalar state.  A cache's and the DRAM's float and
+    high-water fields (the ``__dict__`` of its stats, and the DRAM model's
+    own) the kernel reads into per-run num_t slots when it opens the view
+    and writes back when it closes it: it calls no Python in between, so
+    each field ends as Python's sequential updates leave it.
     """
 
     def __init__(self, memory, l2_prefetcher=None) -> None:
@@ -149,7 +154,7 @@ class _NativeMemory:
     def _dram(self, dram) -> tuple:
         cfg = dram.config
         queues = dram._queues
-        return (dram._open_rows, dram._bank_ready,
+        return (dram._open_rows, dram._bank_ready, dram._bank_float,
                 None if queues is None else _store(queues[0], len(queues)),
                 self._counts(dram.stats, _DRAM_COUNTS), vars(dram.stats),
                 vars(dram), cfg.row_bytes, cfg.num_banks, cfg.queue_groups,

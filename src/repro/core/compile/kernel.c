@@ -230,22 +230,29 @@ ras_pop(ras_t *r, int64_t *out)
 /* ------------------------------------------------------------------ */
 /* Native memory hierarchy: CoreMemorySystem's demand, prefetch and     */
 /* TLB paths, the shared L3 and DRAM, the MSHR files, write buffers and */
-/* DRAM queues, and BOP training, over the model objects' own arrays    */
-/* (layouts in memory/cache.py, tlb.py, resources.py, dram.py and       */
-/* prefetch/best_offset.py), mutated in place so Python callers see the */
-/* same state.  Each function transcribes its Python counterpart        */
+/* DRAM queues, and BOP training, over the model objects' own typed     */
+/* arrays (layouts in memory/cache.py, tlb.py, resources.py, dram.py    */
+/* and prefetch/best_offset.py), mutated in place so Python callers see */
+/* the same state.  Each function transcribes its Python counterpart    */
 /* statement for statement.  Integer stats counters are counted into    */
 /* per-run arrays the driver credits afterwards; float and high-water   */
-/* stats are read and written in the stats objects' own __dict__.       */
+/* stats, and DRAM's energy and last access, are per-run num_t slots    */
+/* read when the views open and written back when they close.  Between, */
+/* nothing here calls Python or allocates, so nothing here can fail.    */
 
 #define LINE_DIRTY 1
 #define LINE_FROM_PREFETCH 2
 #define LINE_PREFETCH_USED 4
+#define LINE_FLOAT_FILL 8
 #define PF_STATE (LINE_FROM_PREFETCH | LINE_PREFETCH_USED)
 
 /* A time or stall as the model holds it: its value and whether it is a
  * Python float (1) or int (0).  Int op int stays an int and anything with
- * a float is a float, as in Python; ints stay exact below 2**53. */
+ * a float is a float, as in Python; ints stay exact below 2**53.  At rest
+ * in the models' arrays a time is a double plus its type bit: a line's
+ * fill time carries LINE_FLOAT_FILL in the line's flags, completions and
+ * bank ready times a parallel uint8_t array.  A last use is only compared
+ * (lru_victim), so it is stored bare. */
 typedef struct { double v; int f; } num_t;
 
 static const num_t NUM_ZERO_F = {0.0, 1};
@@ -271,6 +278,21 @@ num_sub(num_t a, num_t b)
     return r;
 }
 
+/* The time at slot k of a (values, type bits) pair, and its store. */
+static inline num_t
+num_at(const double *v, const uint8_t *f, int64_t k)
+{
+    num_t r = {v[k], f[k]};
+    return r;
+}
+
+static inline void
+num_set(double *v, uint8_t *f, int64_t k, num_t x)
+{
+    v[k] = x.v;
+    f[k] = (uint8_t)x.f;
+}
+
 /* Python's // and % for a positive divisor. */
 static inline int64_t
 pdiv(int64_t a, int64_t b)
@@ -284,6 +306,26 @@ pmod(int64_t a, int64_t b)
 {
     int64_t r = a % b;
     return r < 0 ? r + b : r;
+}
+
+/* log2 of a power of two, else -1.  By a power of two, // is an
+ * arithmetic shift and % a mask (negative operands included). */
+static int
+pow2_bits(int64_t b)
+{
+    return b > 0 && (b & (b - 1)) == 0 ? __builtin_ctzll((uint64_t)b) : -1;
+}
+
+static inline int64_t
+pdiv_by(int64_t a, int64_t b, int bits)
+{
+    return bits >= 0 ? a >> bits : pdiv(a, b);
+}
+
+static inline int64_t
+pmod_by(int64_t a, int64_t b, int bits)
+{
+    return bits >= 0 ? a & (b - 1) : pmod(a, b);
 }
 
 /* cache stats counters (must match driver._CACHE_COUNTS) */
@@ -300,140 +342,35 @@ enum {
     DS_READS, DS_WRITES, DS_WB_WRITES, DS_PF_READS, DS_ROW_HITS,
     DS_ROW_MISSES, DS_QUEUE_STALLS, DS_COUNT
 };
+/* cache num_t slots, named in CACHE_NUM_NAMES */
+enum { CN_MSHR_STALL, CN_BANK_CONFLICT, CN_WB_STALL, CN_MSHR_PEAK,
+       CN_WB_PEAK, CN_COUNT };
+/* DRAM num_t slots, named in DRAM_NUM_NAMES */
+enum { DN_BUSY_DELAY, DN_QUEUE_STALL, DN_QUEUE_PEAK, DN_ENERGY,
+       DN_LAST_ACCESS, DN_COUNT };
 /* DRAM traffic sources (DramModel.access's ``source``) */
 enum { SRC_DEMAND, SRC_WRITEBACK, SRC_PREFETCH };
 
-/* Interned names of the fields kept in the objects' __dict__. */
-static PyObject *K_MSHR_STALL_CYCLES, *K_BANK_CONFLICT_CYCLES;
-static PyObject *K_WB_STALL_CYCLES, *K_MSHR_PEAK, *K_WB_PEAK;
-static PyObject *K_BUSY_DELAY, *K_QUEUE_STALL_CYCLES, *K_QUEUE_PEAK;
-static PyObject *K_DYN_ENERGY, *K_LAST_ACCESS, *ZERO;
-
+/* A config number (int or float) as a num_t; -1 with a TypeError when it
+ * is neither. */
 static int
-intern_keys(void)
+num_of(PyObject *o, num_t *r)
 {
-    PyObject **slots[] = {
-        &K_MSHR_STALL_CYCLES, &K_BANK_CONFLICT_CYCLES, &K_WB_STALL_CYCLES,
-        &K_MSHR_PEAK, &K_WB_PEAK, &K_BUSY_DELAY, &K_QUEUE_STALL_CYCLES,
-        &K_QUEUE_PEAK, &K_DYN_ENERGY, &K_LAST_ACCESS,
-    };
-    const char *names[] = {
-        "mshr_stall_cycles", "mshr_bank_conflict_cycles", "wb_stall_cycles",
-        "mshr_peak_occupancy", "wb_peak_occupancy", "busy_delay_cycles",
-        "queue_stall_cycles", "queue_peak_occupancy", "_dynamic_energy",
-        "_last_access_cycle",
-    };
-    for (size_t k = 0; k < sizeof(names) / sizeof(names[0]); k++) {
-        *slots[k] = PyUnicode_InternFromString(names[k]);
-        if (*slots[k] == NULL)
-            return -1;
+    if (PyFloat_Check(o)) {
+        r->v = PyFloat_AsDouble(o);
+        r->f = 1;
+        return 0;
     }
-    ZERO = PyLong_FromLong(0);
-    return ZERO == NULL ? -1 : 0;
-}
-
-/* Error state of one run's memory model: a failed Python API call sets
- * ``err`` and every later helper returns at once; callers check it after
- * each top-level operation. */
-typedef struct { int err; } merr_t;
-
-static num_t
-num_of(merr_t *e, PyObject *o)
-{
-    num_t r = {0.0, 0};
-    if (PyFloat_CheckExact(o)) {
-        r.v = PyFloat_AS_DOUBLE(o);
-        r.f = 1;
-    } else if (PyLong_Check(o)) {
+    if (PyLong_Check(o)) {
         long long x = PyLong_AsLongLong(o);
         if (x == -1 && PyErr_Occurred())
-            e->err = 1;
-        r.v = (double)x;
-    } else if (PyFloat_Check(o)) {
-        r.v = PyFloat_AsDouble(o);
-        r.f = 1;
-    } else {
-        PyErr_SetString(PyExc_TypeError, "memory model time is not a number");
-        e->err = 1;
+            return -1;
+        r->v = (double)x;
+        r->f = 0;
+        return 0;
     }
-    return r;
-}
-
-/* The last object num_obj built per type: a time is usually stored in
- * several places in a row (a line's fill and last use, one cycle's
- * accesses), and sharing one object, as Python assignments do, keeps the
- * lists as small as the model's. */
-static PyObject *recent_obj[2];
-static double recent_val[2];
-
-static PyObject *
-num_obj(num_t x)
-{
-    int f = x.f != 0;
-    if (recent_obj[f] != NULL && memcmp(&recent_val[f], &x.v, sizeof(double)) == 0)
-        return Py_NewRef(recent_obj[f]);
-    PyObject *obj = f ? PyFloat_FromDouble(x.v)
-                      : PyLong_FromLongLong((long long)x.v);
-    if (obj != NULL) {
-        Py_XSETREF(recent_obj[f], Py_NewRef(obj));
-        recent_val[f] = x.v;
-    }
-    return obj;
-}
-
-static inline num_t
-num_get(merr_t *e, PyObject *list, Py_ssize_t k)
-{
-    return num_of(e, PyList_GET_ITEM(list, k));
-}
-
-static void
-num_put(merr_t *e, PyObject *list, Py_ssize_t k, num_t x)
-{
-    if (e->err)
-        return;
-    PyObject *obj = num_obj(x);
-    if (obj == NULL) {
-        e->err = 1;
-        return;
-    }
-    PyObject *old = PyList_GET_ITEM(list, k);
-    PyList_SET_ITEM(list, k, obj);
-    Py_DECREF(old);
-}
-
-static num_t
-dict_num(merr_t *e, PyObject *dict, PyObject *key)
-{
-    num_t zero = {0.0, 0};
-    if (e->err)
-        return zero;
-    PyObject *o = PyDict_GetItemWithError(dict, key);
-    if (o == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetObject(PyExc_KeyError, key);
-        e->err = 1;
-        return zero;
-    }
-    return num_of(e, o);
-}
-
-static void
-dict_put(merr_t *e, PyObject *dict, PyObject *key, num_t x)
-{
-    if (e->err)
-        return;
-    PyObject *obj = num_obj(x);
-    if (obj == NULL || PyDict_SetItem(dict, key, obj) < 0)
-        e->err = 1;
-    Py_XDECREF(obj);
-}
-
-/* ``dict[key] += x`` */
-static inline void
-dict_add(merr_t *e, PyObject *dict, PyObject *key, num_t x)
-{
-    dict_put(e, dict, key, num_add(dict_num(e, dict, key), x));
+    PyErr_SetString(PyExc_TypeError, "memory model value is not an int or a float");
+    return -1;
 }
 
 static int
@@ -445,11 +382,124 @@ buffer_of(PyObject *obj, Py_buffer *view, void **ptr)
     return 0;
 }
 
+/* buffer_of for an array of one typecode: 'd' times, 'B' type bits. */
+static int
+typed_buffer(PyObject *obj, Py_buffer *view, void **ptr, const char *format)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_WRITABLE | PyBUF_FORMAT) < 0)
+        return -1;
+    *ptr = view->buf;
+    if (view->format == NULL || strcmp(view->format, format) != 0) {
+        PyErr_Format(PyExc_TypeError, "memory model array is not array('%s')",
+                     format);
+        return -1;
+    }
+    return 0;
+}
+
 static int
 view_error(const char *what)
 {
     PyErr_Format(PyExc_ValueError, "%s view does not match its geometry", what);
     return -1;
+}
+
+/* ---- per-run num_t slots ---- */
+/* A structure's float and high-water fields, carried through a run as
+ * num_t slots: read from their owners' __dict__ when its view opens and
+ * written back when it closes, so the run itself touches no object. */
+#define NUMS_MAX 5
+_Static_assert(CN_COUNT <= NUMS_MAX && DN_COUNT <= NUMS_MAX,
+               "a structure has more num_t slots than nnums_t holds");
+typedef struct {
+    num_t v[NUMS_MAX];
+    PyObject *owner[NUMS_MAX];      /* the __dict__ holding each field */
+    PyObject *const *key;           /* the fields' interned names */
+    int n;                          /* slots loaded */
+} nnums_t;
+
+static const char *const CACHE_NUM_NAMES[CN_COUNT] = {
+    "mshr_stall_cycles", "mshr_bank_conflict_cycles", "wb_stall_cycles",
+    "mshr_peak_occupancy", "wb_peak_occupancy",
+};
+static const char *const DRAM_NUM_NAMES[DN_COUNT] = {
+    "busy_delay_cycles", "queue_stall_cycles", "queue_peak_occupancy",
+    "_dynamic_energy", "_last_access_cycle",
+};
+static PyObject *CACHE_NUM_KEYS[CN_COUNT], *DRAM_NUM_KEYS[DN_COUNT];
+
+static int
+intern_num_keys(void)
+{
+    for (int k = 0; k < CN_COUNT; k++)
+        if ((CACHE_NUM_KEYS[k] = PyUnicode_InternFromString(
+                 CACHE_NUM_NAMES[k])) == NULL)
+            return -1;
+    for (int k = 0; k < DN_COUNT; k++)
+        if ((DRAM_NUM_KEYS[k] = PyUnicode_InternFromString(
+                 DRAM_NUM_NAMES[k])) == NULL)
+            return -1;
+    return 0;
+}
+
+/* Loads slots lo .. hi - 1 from the fields key[lo .. hi - 1] of ``dict``. */
+static int
+nums_load(nnums_t *s, PyObject *const *key, PyObject *dict, int lo, int hi)
+{
+    s->key = key;
+    for (int k = lo; k < hi; k++) {
+        PyObject *o = PyDict_GetItemWithError(dict, key[k]);
+        if (o == NULL) {
+            if (!PyErr_Occurred())
+                PyErr_SetObject(PyExc_KeyError, key[k]);
+            return -1;
+        }
+        if (num_of(o, &s->v[k]) < 0)
+            return -1;
+        s->owner[k] = Py_NewRef(dict);
+        s->n = k + 1;
+    }
+    return 0;
+}
+
+/* Writes the loaded slots back, each as an int or a float, unless an
+ * error is already set; -1 when one is set or a write fails. */
+static int
+nums_store(nnums_t *s)
+{
+    int rc = PyErr_Occurred() ? -1 : 0;
+    for (int k = 0; k < s->n; k++) {
+        if (rc == 0) {
+            num_t x = s->v[k];
+            PyObject *o = x.f ? PyFloat_FromDouble(x.v)
+                              : PyLong_FromLongLong((long long)x.v);
+            if (o == NULL || PyDict_SetItem(s->owner[k], s->key[k], o) < 0)
+                rc = -1;
+            Py_XDECREF(o);
+        }
+        Py_DECREF(s->owner[k]);
+    }
+    s->n = 0;
+    return rc;
+}
+
+static inline num_t
+nums_get(const nnums_t *s, int k)
+{
+    return s->v[k];
+}
+
+static inline void
+nums_put(nnums_t *s, int k, num_t x)
+{
+    s->v[k] = x;
+}
+
+/* ``field += x`` */
+static inline void
+nums_add(nnums_t *s, int k, num_t x)
+{
+    nums_put(s, k, num_add(nums_get(s, k), x));
 }
 
 /* ---- occupancy resources (OccupancyResource and its clients) ---- */
@@ -458,33 +508,36 @@ view_error(const char *what)
 typedef struct {
     int on;
     int64_t *keys, *len;
-    PyObject *done;         /* list: completion per slot (int or float) */
+    double *done;           /* completion per slot */
+    uint8_t *done_f;        /* its type bit */
     int64_t cap, lanes;
-    Py_buffer v_keys, v_len;
+    Py_buffer v_keys, v_done, v_done_f, v_len;
 } nres_t;
 
-/* spec: None or (keys, completions, lengths, capacity, lanes). */
+/* spec: None or (keys, completions, completion type bits, lengths,
+ * capacity, lanes). */
 static int
 nres_open(PyObject *spec, nres_t *r)
 {
     memset(r, 0, sizeof(*r));
     if (spec == Py_None)
         return 0;
-    PyObject *keys, *len;
+    PyObject *keys, *done, *done_f, *len;
     long long cap, lanes;
-    if (!PyArg_ParseTuple(spec, "OO!OLL", &keys, &PyList_Type, &r->done, &len,
-                          &cap, &lanes))
+    if (!PyArg_ParseTuple(spec, "OOOOLL", &keys, &done, &done_f, &len, &cap,
+                          &lanes))
         return -1;
     r->cap = cap;
     r->lanes = lanes;
     if (buffer_of(keys, &r->v_keys, (void **)&r->keys) < 0 ||
+        typed_buffer(done, &r->v_done, (void **)&r->done, "d") < 0 ||
+        typed_buffer(done_f, &r->v_done_f, (void **)&r->done_f, "B") < 0 ||
         buffer_of(len, &r->v_len, (void **)&r->len) < 0)
         return -1;
-    Py_INCREF(r->done);
     r->on = 1;
-    if (cap < 1 || lanes < 1 ||
-        r->v_keys.len < (Py_ssize_t)(lanes * (cap + 1) * 8) ||
-        PyList_GET_SIZE(r->done) < lanes * (cap + 1) ||
+    Py_ssize_t slots = (Py_ssize_t)(lanes * (cap + 1));
+    if (cap < 1 || lanes < 1 || r->v_keys.len < slots * 8 ||
+        r->v_done.len < slots * 8 || r->v_done_f.len < slots ||
         r->v_len.len < (Py_ssize_t)(lanes * 8))
         return view_error("occupancy resource");
     return 0;
@@ -493,10 +546,9 @@ nres_open(PyObject *spec, nres_t *r)
 static void
 nres_close(nres_t *r)
 {
-    if (r->v_keys.obj) PyBuffer_Release(&r->v_keys);
-    if (r->v_len.obj) PyBuffer_Release(&r->v_len);
-    if (r->on)
-        Py_DECREF(r->done);
+    Py_buffer *views[] = {&r->v_keys, &r->v_done, &r->v_done_f, &r->v_len};
+    for (size_t k = 0; k < sizeof(views) / sizeof(views[0]); k++)
+        if (views[k]->obj) PyBuffer_Release(views[k]);
     r->on = 0;
 }
 
@@ -520,168 +572,147 @@ res_find(const nres_t *r, int64_t lane, int64_t key)
 static void
 res_delete(nres_t *r, int64_t lane, int64_t slot)
 {
-    int64_t end = res_base(r, lane) + r->len[lane] - 1;
-    PyObject **items = ((PyListObject *)r->done)->ob_item;
-    PyObject *gone = items[slot];
-    memmove(r->keys + slot, r->keys + slot + 1,
-            (size_t)(end - slot) * sizeof(int64_t));
-    memmove(items + slot, items + slot + 1,
-            (size_t)(end - slot) * sizeof(PyObject *));
-    items[end] = Py_NewRef(ZERO);
-    Py_DECREF(gone);
+    size_t moved = (size_t)(res_base(r, lane) + r->len[lane] - 1 - slot);
+    memmove(r->keys + slot, r->keys + slot + 1, moved * sizeof(int64_t));
+    memmove(r->done + slot, r->done + slot + 1, moved * sizeof(double));
+    memmove(r->done_f + slot, r->done_f + slot + 1, moved);
     r->len[lane]--;
 }
 
 /* OccupancyResource._earliest: first entry with the minimal completion. */
 static int64_t
-res_earliest(merr_t *e, nres_t *r, int64_t lane)
+res_earliest(const nres_t *r, int64_t lane)
 {
     int64_t base = res_base(r, lane), end = base + r->len[lane], best = base;
-    double best_v = num_get(e, r->done, base).v;
-    for (int64_t k = base + 1; k < end; k++) {
-        double v = num_get(e, r->done, k).v;
-        if (v < best_v) {
-            best_v = v;
+    for (int64_t k = base + 1; k < end; k++)
+        if (r->done[k] < r->done[best])
             best = k;
-        }
-    }
     return best;
 }
 
 /* OccupancyResource._append */
 static void
-res_append(merr_t *e, nres_t *r, int64_t lane, int64_t key, num_t completion)
+res_append(nres_t *r, int64_t lane, int64_t key, num_t completion)
 {
     int64_t n = r->len[lane], slot = res_base(r, lane) + n;
     r->keys[slot] = key;
-    num_put(e, r->done, slot, completion);
+    num_set(r->done, r->done_f, slot, completion);
     r->len[lane] = n + 1;
     if (n + 1 > r->cap)
-        res_delete(r, lane, res_earliest(e, r, lane));
+        res_delete(r, lane, res_earliest(r, lane));
 }
 
 /* OccupancyResource._retire: drop every entry completed by ``now``. */
 static void
-res_retire(merr_t *e, nres_t *r, int64_t lane, num_t now)
+res_retire(nres_t *r, int64_t lane, num_t now)
 {
-    int64_t n = r->len[lane];
-    if (n == 0 || e->err)
-        return;
-    int64_t base = res_base(r, lane), w = base;
-    PyObject **items = ((PyListObject *)r->done)->ob_item;
-    for (int64_t k = base; k < base + n; k++) {
-        if (num_get(e, r->done, k).v > now.v) {
-            if (w != k) {
-                r->keys[w] = r->keys[k];
-                items[w] = items[k];
-                items[k] = NULL;
-            }
+    int64_t base = res_base(r, lane), end = base + r->len[lane], w = base;
+    for (int64_t k = base; k < end; k++) {
+        if (r->done[k] > now.v) {
+            r->keys[w] = r->keys[k];
+            r->done[w] = r->done[k];
+            r->done_f[w] = r->done_f[k];
             w++;
-        } else {
-            PyObject *gone = items[k];
-            items[k] = NULL;
-            Py_DECREF(gone);
         }
     }
-    for (int64_t k = w; k < base + n; k++)
-        items[k] = Py_NewRef(ZERO);
     r->len[lane] = w - base;
 }
 
 static int
-res_available(merr_t *e, nres_t *r, int64_t lane, num_t now)
+res_available(nres_t *r, int64_t lane, num_t now)
 {
     if (r->len[lane] < r->cap)
         return 1;
-    res_retire(e, r, lane, now);
+    res_retire(r, lane, now);
     return r->len[lane] < r->cap;
 }
 
 /* OccupancyResource._full_delay */
 static num_t
-res_full_delay(merr_t *e, nres_t *r, int64_t lane, num_t now)
+res_full_delay(nres_t *r, int64_t lane, num_t now)
 {
     if (r->len[lane] < r->cap)
         return NUM_ZERO_F;
-    res_retire(e, r, lane, now);
-    if (r->len[lane] < r->cap || e->err)
+    res_retire(r, lane, now);
+    if (r->len[lane] < r->cap)
         return NUM_ZERO_F;
-    int64_t slot = res_earliest(e, r, lane);
-    num_t earliest = num_get(e, r->done, slot);
+    int64_t slot = res_earliest(r, lane);
+    num_t earliest = num_at(r->done, r->done_f, slot);
     res_delete(r, lane, slot);
     return num_sub(earliest, now);
 }
 
 /* OccupancyResource.acquire_delay */
 static num_t
-res_acquire_delay(merr_t *e, nres_t *r, int64_t lane, int64_t key, num_t now)
+res_acquire_delay(nres_t *r, int64_t lane, int64_t key, num_t now)
 {
     int64_t slot = res_find(r, lane, key);
     if (slot >= 0) {
-        if (num_get(e, r->done, slot).v > now.v)
+        if (r->done[slot] > now.v)
             return NUM_ZERO_F;
         res_delete(r, lane, slot);
     }
-    return res_full_delay(e, r, lane, now);
+    return res_full_delay(r, lane, now);
 }
 
 /* OccupancyResource.admit: 1 for a fresh admission. */
 static int
-res_admit(merr_t *e, nres_t *r, int64_t lane, int64_t key, num_t completion)
+res_admit(nres_t *r, int64_t lane, int64_t key, num_t completion)
 {
     int64_t slot = res_find(r, lane, key);
     if (slot >= 0) {
-        if (completion.v < num_get(e, r->done, slot).v)
-            num_put(e, r->done, slot, completion);
+        if (completion.v < r->done[slot])
+            num_set(r->done, r->done_f, slot, completion);
         return 0;
     }
-    res_append(e, r, lane, key, completion);
+    res_append(r, lane, key, completion);
     return 1;
 }
 
 /* probe_peak over one lane, or every lane (a banked file) for lane -1;
- * ``now`` NULL measures the lazy size.  Updates ``dict[key]``. */
+ * ``now`` NULL measures the lazy size.  Updates num_t slot ``k``. */
 static void
-res_probe_peak(merr_t *e, nres_t *r, int64_t lane, const num_t *now,
-               PyObject *dict, PyObject *key)
+res_probe_peak(nres_t *r, int64_t lane, const num_t *now, nnums_t *nums,
+               int k)
 {
     int64_t lo = lane < 0 ? 0 : lane, hi = lane < 0 ? r->lanes : lane + 1;
     int64_t size = 0;
     for (int64_t l = lo; l < hi; l++)
         size += r->len[l];
-    num_t recorded = dict_num(e, dict, key);
-    if ((double)size <= recorded.v || e->err)
+    double recorded = nums_get(nums, k).v;
+    if ((double)size <= recorded)
         return;
     int64_t occupancy = size;
     if (now != NULL) {
         occupancy = 0;
         for (int64_t l = lo; l < hi; l++) {
-            res_retire(e, r, l, *now);
+            res_retire(r, l, *now);
             occupancy += r->len[l];
         }
     }
-    if ((double)occupancy > recorded.v)
-        dict_put(e, dict, key, num_i((double)occupancy));
+    if ((double)occupancy > recorded)
+        nums_put(nums, k, num_i((double)occupancy));
 }
 
 /* ---- caches (memory.cache.Cache) ---- */
 typedef struct {
-    int on;
     int64_t *tag;           /* per slot; -1 = empty */
     int64_t *stamp;         /* per slot insertion stamp */
     int64_t *count;         /* per set: lines = the set's first count slots */
     int64_t *clock;         /* next stamp */
     int64_t *cnt;           /* CS_* counters, credited after the run */
     uint8_t *flags;         /* LINE_* bits */
-    PyObject *fill;         /* list: per-slot fill time (int or float) */
-    PyObject *last_use;     /* list: per-slot last use (int or float) */
-    PyObject *stats;        /* the CacheStats __dict__ */
+    double *fill;           /* per-slot fill time (type: LINE_FLOAT_FILL) */
+    double *last_use;       /* per-slot last use */
+    nnums_t nums;           /* CN_* slots of the CacheStats */
     int64_t sets, assoc, block;
+    int set_bits, block_bits;   /* pow2_bits of sets and block */
     num_t latency;
     int lookahead;          /* Cache.lookahead_mode */
     nres_t mshr;            /* lanes = banks */
     nres_t wb;
-    Py_buffer v_tag, v_stamp, v_count, v_clock, v_cnt, v_flags;
+    Py_buffer v_tag, v_stamp, v_count, v_clock, v_cnt, v_flags, v_fill;
+    Py_buffer v_last_use;
 } ncache_t;
 
 /* spec: (tags, fill, last_use, flags, stamp, count, clock, counters,
@@ -691,24 +722,25 @@ static int
 ncache_open(PyObject *spec, ncache_t *c)
 {
     memset(c, 0, sizeof(*c));
-    PyObject *tag, *flags, *stamp, *count, *clock, *cnt, *latency, *mshr, *wb;
+    PyObject *tag, *fill, *last_use, *flags, *stamp, *count, *clock, *cnt;
+    PyObject *stats, *latency, *mshr, *wb;
     long long sets, assoc, block;
-    if (!PyArg_ParseTuple(spec, "OO!O!OOOOOO!LLLOiOO", &tag, &PyList_Type,
-                          &c->fill, &PyList_Type, &c->last_use, &flags, &stamp,
-                          &count, &clock, &cnt, &PyDict_Type, &c->stats, &sets,
-                          &assoc, &block, &latency, &c->lookahead, &mshr, &wb))
+    if (!PyArg_ParseTuple(spec, "OOOOOOOOO!LLLOiOO", &tag, &fill, &last_use,
+                          &flags, &stamp, &count, &clock, &cnt, &PyDict_Type,
+                          &stats, &sets, &assoc, &block, &latency,
+                          &c->lookahead, &mshr, &wb))
         return -1;
     c->sets = sets;
     c->assoc = assoc;
     c->block = block;
-    Py_INCREF(c->fill);
-    Py_INCREF(c->last_use);
-    Py_INCREF(c->stats);
-    c->on = 1;
-    merr_t e = {0};
-    c->latency = num_of(&e, latency);
-    if (e.err ||
+    c->set_bits = pow2_bits(sets);
+    c->block_bits = pow2_bits(block);
+    if (num_of(latency, &c->latency) < 0 ||
+        nums_load(&c->nums, CACHE_NUM_KEYS, stats, 0, CN_COUNT) < 0 ||
         buffer_of(tag, &c->v_tag, (void **)&c->tag) < 0 ||
+        typed_buffer(fill, &c->v_fill, (void **)&c->fill, "d") < 0 ||
+        typed_buffer(last_use, &c->v_last_use, (void **)&c->last_use,
+                     "d") < 0 ||
         buffer_of(flags, &c->v_flags, (void **)&c->flags) < 0 ||
         buffer_of(stamp, &c->v_stamp, (void **)&c->stamp) < 0 ||
         buffer_of(count, &c->v_count, (void **)&c->count) < 0 ||
@@ -719,38 +751,34 @@ ncache_open(PyObject *spec, ncache_t *c)
     Py_ssize_t slots = (Py_ssize_t)(sets * assoc);
     if (sets < 1 || assoc < 1 || block < 1 ||
         c->v_tag.len < slots * 8 || c->v_stamp.len < slots * 8 ||
+        c->v_fill.len < slots * 8 || c->v_last_use.len < slots * 8 ||
         c->v_flags.len < slots || c->v_count.len < (Py_ssize_t)(sets * 8) ||
-        c->v_clock.len < 8 || c->v_cnt.len < CS_COUNT * 8 ||
-        PyList_GET_SIZE(c->fill) < slots || PyList_GET_SIZE(c->last_use) < slots)
+        c->v_clock.len < 8 || c->v_cnt.len < CS_COUNT * 8)
         return view_error("cache");
     return 0;
 }
 
-static void
+/* -1 when its stats could not be written back (see nums_store). */
+static int
 ncache_close(ncache_t *c)
 {
     Py_buffer *views[] = {&c->v_tag, &c->v_stamp, &c->v_count, &c->v_clock,
-                          &c->v_cnt, &c->v_flags};
+                          &c->v_cnt, &c->v_flags, &c->v_fill, &c->v_last_use};
     for (size_t k = 0; k < sizeof(views) / sizeof(views[0]); k++)
         if (views[k]->obj) PyBuffer_Release(views[k]);
     nres_close(&c->mshr);
     nres_close(&c->wb);
-    if (c->on) {
-        Py_DECREF(c->fill);
-        Py_DECREF(c->last_use);
-        Py_DECREF(c->stats);
-    }
-    c->on = 0;
+    return nums_store(&c->nums);
 }
 
 /* ---- TLB (memory.tlb.Tlb) ---- */
 typedef struct {
-    int on;
     int64_t *vpn, *stamp, *count, *clock, *cnt;
-    PyObject *last_use;     /* list: per-slot last use */
+    double *last_use;       /* per-slot last use */
     int64_t n, page, hint;
+    int page_bits;          /* pow2_bits of page */
     num_t penalty;
-    Py_buffer v_vpn, v_stamp, v_count, v_clock, v_cnt;
+    Py_buffer v_vpn, v_last_use, v_stamp, v_count, v_clock, v_cnt;
 } ntlb_t;
 
 /* spec: (vpn, last_use, stamp, count, clock, counters, entries,
@@ -759,20 +787,18 @@ static int
 ntlb_open(PyObject *spec, ntlb_t *t)
 {
     memset(t, 0, sizeof(*t));
-    PyObject *vpn, *stamp, *count, *clock, *cnt, *penalty;
+    PyObject *vpn, *last_use, *stamp, *count, *clock, *cnt, *penalty;
     long long entries, page;
-    if (!PyArg_ParseTuple(spec, "OO!OOOOLLO", &vpn, &PyList_Type, &t->last_use,
-                          &stamp, &count, &clock, &cnt, &entries, &page,
-                          &penalty))
+    if (!PyArg_ParseTuple(spec, "OOOOOOLLO", &vpn, &last_use, &stamp, &count,
+                          &clock, &cnt, &entries, &page, &penalty))
         return -1;
     t->n = entries;
     t->page = page;
-    Py_INCREF(t->last_use);
-    t->on = 1;
-    merr_t e = {0};
-    t->penalty = num_of(&e, penalty);
-    if (e.err ||
+    t->page_bits = pow2_bits(page);
+    if (num_of(penalty, &t->penalty) < 0 ||
         buffer_of(vpn, &t->v_vpn, (void **)&t->vpn) < 0 ||
+        typed_buffer(last_use, &t->v_last_use, (void **)&t->last_use,
+                     "d") < 0 ||
         buffer_of(stamp, &t->v_stamp, (void **)&t->stamp) < 0 ||
         buffer_of(count, &t->v_count, (void **)&t->count) < 0 ||
         buffer_of(clock, &t->v_clock, (void **)&t->clock) < 0 ||
@@ -780,9 +806,10 @@ ntlb_open(PyObject *spec, ntlb_t *t)
         return -1;
     if (page < 1 || entries < 1 ||
         t->v_vpn.len < (Py_ssize_t)(entries * 8) ||
+        t->v_last_use.len < (Py_ssize_t)(entries * 8) ||
         t->v_stamp.len < (Py_ssize_t)(entries * 8) ||
         t->v_count.len < 8 || t->v_clock.len < 8 ||
-        t->v_cnt.len < TS_COUNT * 8 || PyList_GET_SIZE(t->last_use) < entries)
+        t->v_cnt.len < TS_COUNT * 8)
         return view_error("TLB");
     return 0;
 }
@@ -790,81 +817,76 @@ ntlb_open(PyObject *spec, ntlb_t *t)
 static void
 ntlb_close(ntlb_t *t)
 {
-    Py_buffer *views[] = {&t->v_vpn, &t->v_stamp, &t->v_count, &t->v_clock,
-                          &t->v_cnt};
+    Py_buffer *views[] = {&t->v_vpn, &t->v_last_use, &t->v_stamp,
+                          &t->v_count, &t->v_clock, &t->v_cnt};
     for (size_t k = 0; k < sizeof(views) / sizeof(views[0]); k++)
         if (views[k]->obj) PyBuffer_Release(views[k]);
-    if (t->on)
-        Py_DECREF(t->last_use);
-    t->on = 0;
 }
 
 /* ---- DRAM (memory.dram.DramModel) ---- */
 typedef struct {
-    int on;
     int64_t *open_rows, *cnt;
-    PyObject *bank_ready;   /* list: per-bank ready time */
-    PyObject *stats;        /* the DramStats __dict__ */
-    PyObject *state;        /* the DramModel __dict__ (energy, last access) */
+    double *bank_ready;     /* per-bank ready time */
+    uint8_t *bank_f;        /* its type bit */
+    nnums_t nums;           /* DN_* slots of the DramStats and the model */
     nres_t queues;          /* lane 2 * group + is_write */
     int64_t row_bytes, nbanks, groups;
     num_t row_hit, row_miss, busy, e_act, e_read, e_write;
-    Py_buffer v_rows, v_cnt;
+    Py_buffer v_rows, v_cnt, v_ready, v_ready_f;
 } ndram_t;
 
-/* spec: (open_rows, bank_ready, queues, counters, stats_dict, model_dict,
- * row_bytes, num_banks, queue_groups, row_hit_latency, row_miss_latency,
- * bank_busy_penalty, energy_activate, energy_read, energy_write). */
+/* spec: (open_rows, bank_ready, bank_ready type bits, queues, counters,
+ * stats_dict, model_dict, row_bytes, num_banks, queue_groups,
+ * row_hit_latency, row_miss_latency, bank_busy_penalty, energy_activate,
+ * energy_read, energy_write). */
 static int
 ndram_open(PyObject *spec, ndram_t *d)
 {
     memset(d, 0, sizeof(*d));
-    PyObject *rows, *queues, *cnt, *cfg[6];
+    PyObject *rows, *ready, *ready_f, *queues, *cnt, *stats, *model, *cfg[6];
     long long row_bytes, nbanks, groups;
-    if (!PyArg_ParseTuple(spec, "OO!OOO!O!LLLOOOOOO", &rows, &PyList_Type,
-                          &d->bank_ready, &queues, &cnt, &PyDict_Type,
-                          &d->stats, &PyDict_Type, &d->state, &row_bytes,
-                          &nbanks, &groups, &cfg[0], &cfg[1], &cfg[2],
-                          &cfg[3], &cfg[4], &cfg[5]))
+    if (!PyArg_ParseTuple(spec, "OOOOOO!O!LLLOOOOOO", &rows, &ready,
+                          &ready_f, &queues, &cnt, &PyDict_Type, &stats,
+                          &PyDict_Type, &model, &row_bytes, &nbanks, &groups,
+                          &cfg[0], &cfg[1], &cfg[2], &cfg[3], &cfg[4],
+                          &cfg[5]))
+        return -1;
+    if (nums_load(&d->nums, DRAM_NUM_KEYS, stats, 0, DN_ENERGY) < 0 ||
+        nums_load(&d->nums, DRAM_NUM_KEYS, model, DN_ENERGY, DN_COUNT) < 0)
         return -1;
     d->row_bytes = row_bytes;
     d->nbanks = nbanks;
     d->groups = groups;
-    Py_INCREF(d->bank_ready);
-    Py_INCREF(d->stats);
-    Py_INCREF(d->state);
-    d->on = 1;
-    merr_t e = {0};
     num_t *values[] = {&d->row_hit, &d->row_miss, &d->busy, &d->e_act,
                        &d->e_read, &d->e_write};
     for (int k = 0; k < 6; k++)
-        *values[k] = num_of(&e, cfg[k]);
-    if (e.err ||
-        buffer_of(rows, &d->v_rows, (void **)&d->open_rows) < 0 ||
+        if (num_of(cfg[k], values[k]) < 0)
+            return -1;
+    if (buffer_of(rows, &d->v_rows, (void **)&d->open_rows) < 0 ||
+        typed_buffer(ready, &d->v_ready, (void **)&d->bank_ready, "d") < 0 ||
+        typed_buffer(ready_f, &d->v_ready_f, (void **)&d->bank_f, "B") < 0 ||
         buffer_of(cnt, &d->v_cnt, (void **)&d->cnt) < 0 ||
         nres_open(queues, &d->queues) < 0)
         return -1;
     if (row_bytes < 1 || nbanks < 1 || groups < 1 ||
         d->v_rows.len < (Py_ssize_t)(nbanks * 8) ||
-        PyList_GET_SIZE(d->bank_ready) < nbanks ||
+        d->v_ready.len < (Py_ssize_t)(nbanks * 8) ||
+        d->v_ready_f.len < (Py_ssize_t)nbanks ||
         d->v_cnt.len < DS_COUNT * 8 ||
         (d->queues.on && d->queues.lanes < 2 * groups))
         return view_error("DRAM");
     return 0;
 }
 
-static void
+/* -1 when its fields could not be written back (see nums_store). */
+static int
 ndram_close(ndram_t *d)
 {
-    if (d->v_rows.obj) PyBuffer_Release(&d->v_rows);
-    if (d->v_cnt.obj) PyBuffer_Release(&d->v_cnt);
+    Py_buffer *views[] = {&d->v_rows, &d->v_cnt, &d->v_ready, &d->v_ready_f};
+    for (size_t k = 0; k < sizeof(views) / sizeof(views[0]); k++)
+        if (views[k]->obj) PyBuffer_Release(views[k]);
     nres_close(&d->queues);
-    if (d->on) {
-        Py_DECREF(d->bank_ready);
-        Py_DECREF(d->stats);
-        Py_DECREF(d->state);
-    }
-    d->on = 0;
+    return nums_store(&d->nums);
 }
 
 /* ---- Best-Offset prefetcher (prefetch.best_offset) ---- */
@@ -927,7 +949,6 @@ nbop_close(nbop_t *b)
 /* One core's (stock) memory system: every access, prefetch and TLB
  * prefill runs natively. */
 typedef struct {
-    merr_t e;
     ncache_t l1i, l1d, l2, l3;
     ntlb_t tlb;
     ndram_t dram;
@@ -958,23 +979,27 @@ nmem_open(PyObject *spec, nmem_t *m)
     return 0;
 }
 
-static void
+/* Releases the views and writes the float and high-water fields back;
+ * -1 when an error is set (see nums_store). */
+static int
 nmem_close(nmem_t *m)
 {
-    ncache_close(&m->l1i);
-    ncache_close(&m->l1d);
-    ncache_close(&m->l2);
-    ncache_close(&m->l3);
+    int rc = ncache_close(&m->l1i);
+    rc |= ncache_close(&m->l1d);
+    rc |= ncache_close(&m->l2);
+    rc |= ncache_close(&m->l3);
+    rc |= ndram_close(&m->dram);
     ntlb_close(&m->tlb);
-    ndram_close(&m->dram);
     nbop_close(&m->bop);
+    return rc;
 }
 
 /* ---- cache operations ---- */
 static inline int64_t
 cache_find(const ncache_t *c, int64_t block)
 {
-    int64_t index = pmod(block, c->sets), tag = pdiv(block, c->sets);
+    int64_t index = pmod_by(block, c->sets, c->set_bits);
+    int64_t tag = pdiv_by(block, c->sets, c->set_bits);
     int64_t base = index * c->assoc, end = base + c->count[index];
     for (int64_t k = base; k < end; k++)
         if (c->tag[k] == tag)
@@ -985,18 +1010,18 @@ cache_find(const ncache_t *c, int64_t block)
 static inline int
 cache_probe(const ncache_t *c, int64_t address)
 {
-    return cache_find(c, pdiv(address, c->block)) >= 0;
+    return cache_find(c, pdiv_by(address, c->block, c->block_bits)) >= 0;
 }
 
 /* The hit half of Cache.lookup on a present slot (``accesses`` counted by
  * the caller); returns the ready cycle. */
 static num_t
-cache_hit(merr_t *e, ncache_t *c, int64_t slot, num_t now, int is_write)
+cache_hit(ncache_t *c, int64_t slot, num_t now, int is_write)
 {
     c->cnt[CS_HITS]++;
-    num_put(e, c->last_use, slot, now);
-    num_t fill = num_get(e, c->fill, slot);
+    c->last_use[slot] = now.v;
     uint8_t fl = c->flags[slot];
+    num_t fill = {c->fill[slot], (fl & LINE_FLOAT_FILL) != 0};
     if (is_write)
         fl |= LINE_DIRTY;
     if ((fl & PF_STATE) == LINE_FROM_PREFETCH) {
@@ -1012,14 +1037,14 @@ cache_hit(merr_t *e, ncache_t *c, int64_t slot, num_t now, int is_write)
 /* The MSHR file's acquire_delay (BankedMshrFile's when it has lanes);
  * *conflict is its last_conflict. */
 static num_t
-mshr_acquire(merr_t *e, nres_t *r, int64_t block, num_t now, int *conflict)
+mshr_acquire(nres_t *r, int64_t block, num_t now, int *conflict)
 {
     int64_t lane = pmod(block, r->lanes);
-    num_t delay = res_acquire_delay(e, r, lane, block, now);
+    num_t delay = res_acquire_delay(r, lane, block, now);
     *conflict = 0;
     if (r->lanes > 1 && delay.v > 0.0) {
         for (int64_t other = 0; other < r->lanes; other++) {
-            if (other != lane && res_available(e, r, other, now)) {
+            if (other != lane && res_available(r, other, now)) {
                 *conflict = 1;
                 break;
             }
@@ -1031,28 +1056,28 @@ mshr_acquire(merr_t *e, nres_t *r, int64_t block, num_t now, int *conflict)
 /* Cache.lookup: 1 and *ready on a hit; 0 on a miss, with *stall the
  * miss's last_miss_stall. */
 static int
-cache_lookup(merr_t *e, ncache_t *c, int64_t address, num_t now, int is_write,
+cache_lookup(ncache_t *c, int64_t address, num_t now, int is_write,
              num_t *ready, num_t *stall)
 {
     c->cnt[CS_ACC]++;
-    int64_t block = pdiv(address, c->block);
+    int64_t block = pdiv_by(address, c->block, c->block_bits);
     int64_t slot = cache_find(c, block);
     if (slot >= 0) {
-        *ready = cache_hit(e, c, slot, now, is_write);
+        *ready = cache_hit(c, slot, now, is_write);
         return 1;
     }
     c->cnt[CS_MISSES]++;
     *stall = NUM_ZERO_F;
     if (c->mshr.on) {
         int conflict;
-        num_t s = mshr_acquire(e, &c->mshr, block, now, &conflict);
+        num_t s = mshr_acquire(&c->mshr, block, now, &conflict);
         *stall = s;
         if (s.v > 0) {
-            dict_add(e, c->stats, K_MSHR_STALL_CYCLES, s);
+            nums_add(&c->nums, CN_MSHR_STALL, s);
             c->cnt[CS_MSHR_STALLS]++;
             if (conflict) {
                 c->cnt[CS_BANK_CONFLICTS]++;
-                dict_add(e, c->stats, K_BANK_CONFLICT_CYCLES, s);
+                nums_add(&c->nums, CN_BANK_CONFLICT, s);
             }
         }
     }
@@ -1061,57 +1086,59 @@ cache_lookup(merr_t *e, ncache_t *c, int64_t address, num_t now, int is_write,
 
 /* Cache.mshr_available(now, address) */
 static int
-cache_mshr_available(merr_t *e, ncache_t *c, num_t now, int64_t address)
+cache_mshr_available(ncache_t *c, num_t now, int64_t address)
 {
     if (!c->mshr.on)
         return 1;
-    return res_available(e, &c->mshr,
-                         pmod(pdiv(address, c->block), c->mshr.lanes), now);
+    return res_available(&c->mshr,
+                         pmod(pdiv_by(address, c->block, c->block_bits),
+                              c->mshr.lanes), now);
 }
 
 /* cache.lru_victim: the LRU slot among base .. base + count - 1, the
- * smallest (last_use, stamp); shared by cache sets and the TLB. */
+ * smallest (last_use, stamp); shared by cache sets and the TLB.  Last uses
+ * are doubles, compared exactly, whatever type each time arrived with. */
 static int64_t
-lru_victim(merr_t *e, PyObject *last_use, const int64_t *stamp, int64_t base,
+lru_victim(const double *last_use, const int64_t *stamp, int64_t base,
            int64_t count)
 {
     int64_t best = base;
-    double best_use = num_get(e, last_use, base).v;
-    for (int64_t k = base + 1; k < base + count; k++) {
-        double use = num_get(e, last_use, k).v;
-        if (use < best_use || (use == best_use && stamp[k] < stamp[best])) {
+    for (int64_t k = base + 1; k < base + count; k++)
+        if (last_use[k] < last_use[best] ||
+            (last_use[k] == last_use[best] && stamp[k] < stamp[best]))
             best = k;
-            best_use = use;
-        }
-    }
     return best;
 }
 
 /* Cache.fill: returns 1 with *victim when a dirty victim needs writeback;
  * *wb_stall is the fill's last_wb_stall.  ``now`` NULL = no probe time. */
 static int
-cache_fill(merr_t *e, ncache_t *c, int64_t address, num_t fill_time,
+cache_fill(ncache_t *c, int64_t address, num_t fill_time,
            int dirty, int from_prefetch, int allocate_mshr, const num_t *now,
            int64_t *victim, num_t *wb_stall)
 {
     *wb_stall = NUM_ZERO_F;
-    int64_t block = pdiv(address, c->block);
-    int64_t index = pmod(block, c->sets), tag = pdiv(block, c->sets);
+    int64_t block = pdiv_by(address, c->block, c->block_bits);
+    int64_t index = pmod_by(block, c->sets, c->set_bits);
+    int64_t tag = pdiv_by(block, c->sets, c->set_bits);
     if (from_prefetch)
         c->cnt[CS_PF_ISSUED]++;
     if (c->mshr.on && allocate_mshr) {
-        if (res_admit(e, &c->mshr, pmod(block, c->mshr.lanes), block,
+        if (res_admit(&c->mshr, pmod(block, c->mshr.lanes), block,
                       fill_time)) {
             c->cnt[CS_MSHR_ALLOC]++;
-            res_probe_peak(e, &c->mshr, -1, now, c->stats, K_MSHR_PEAK);
+            res_probe_peak(&c->mshr, -1, now, &c->nums, CN_MSHR_PEAK);
         } else {
             c->cnt[CS_MSHR_COALESCED]++;
         }
     }
     int64_t slot = cache_find(c, block);
     if (slot >= 0) {
-        if (fill_time.v < num_get(e, c->fill, slot).v)
-            num_put(e, c->fill, slot, fill_time);
+        if (fill_time.v < c->fill[slot]) {
+            c->fill[slot] = fill_time.v;
+            c->flags[slot] = (uint8_t)((c->flags[slot] & ~LINE_FLOAT_FILL)
+                                       | (fill_time.f ? LINE_FLOAT_FILL : 0));
+        }
         if (dirty)
             c->flags[slot] |= LINE_DIRTY;
         return 0;
@@ -1119,7 +1146,7 @@ cache_fill(merr_t *e, ncache_t *c, int64_t address, num_t fill_time,
     int writeback = 0;
     int64_t count = c->count[index], base = index * c->assoc;
     if (count >= c->assoc) {
-        slot = lru_victim(e, c->last_use, c->stamp, base, count);
+        slot = lru_victim(c->last_use, c->stamp, base, count);
         uint8_t victim_flags = c->flags[slot];
         c->cnt[CS_EVICTIONS]++;
         if ((victim_flags & PF_STATE) == LINE_FROM_PREFETCH)
@@ -1130,11 +1157,11 @@ cache_fill(merr_t *e, ncache_t *c, int64_t address, num_t fill_time,
             *victim = (c->tag[slot] * c->sets + index) * c->block;
             writeback = 1;
             if (c->wb.on) {
-                num_t stall = res_full_delay(e, &c->wb, 0, fill_time);
+                num_t stall = res_full_delay(&c->wb, 0, fill_time);
                 *wb_stall = stall;
                 if (stall.v > 0) {
                     c->cnt[CS_WB_STALLS]++;
-                    dict_add(e, c->stats, K_WB_STALL_CYCLES, stall);
+                    nums_add(&c->nums, CN_WB_STALL, stall);
                     fill_time = num_add(fill_time, stall);
                 }
             }
@@ -1144,23 +1171,24 @@ cache_fill(merr_t *e, ncache_t *c, int64_t address, num_t fill_time,
         c->count[index] = count + 1;
     }
     c->tag[slot] = tag;
-    num_put(e, c->fill, slot, fill_time);
-    num_put(e, c->last_use, slot, fill_time);
+    c->fill[slot] = fill_time.v;
+    c->last_use[slot] = fill_time.v;
     c->flags[slot] = (uint8_t)((dirty ? LINE_DIRTY : 0)
-                               | (from_prefetch ? LINE_FROM_PREFETCH : 0));
+                               | (from_prefetch ? LINE_FROM_PREFETCH : 0)
+                               | (fill_time.f ? LINE_FLOAT_FILL : 0));
     c->stamp[slot] = c->clock[0]++;
     return writeback;
 }
 
 /* Cache.writeback_admit */
 static void
-cache_writeback_admit(merr_t *e, ncache_t *c, num_t completion, num_t at)
+cache_writeback_admit(ncache_t *c, num_t completion, num_t at)
 {
     if (!c->wb.on)
         return;
-    res_append(e, &c->wb, 0, 0, completion);
+    res_append(&c->wb, 0, 0, completion);
     c->cnt[CS_WB_ENQ]++;
-    res_probe_peak(e, &c->wb, 0, &at, c->stats, K_WB_PEAK);
+    res_probe_peak(&c->wb, 0, &at, &c->nums, CN_WB_PEAK);
 }
 
 /* ---- TLB operations ---- */
@@ -1180,13 +1208,13 @@ tlb_find(ntlb_t *t, int64_t vpn)
 
 /* Tlb._insert */
 static void
-tlb_insert(merr_t *e, ntlb_t *t, int64_t vpn, num_t now)
+tlb_insert(ntlb_t *t, int64_t vpn, num_t now)
 {
     int64_t slot = tlb_find(t, vpn);
     if (slot < 0) {
         int64_t count = t->count[0];
         if (count >= t->n) {
-            slot = lru_victim(e, t->last_use, t->stamp, 0, count);
+            slot = lru_victim(t->last_use, t->stamp, 0, count);
         } else {
             slot = count;
             t->count[0] = count + 1;
@@ -1194,30 +1222,30 @@ tlb_insert(merr_t *e, ntlb_t *t, int64_t vpn, num_t now)
         t->vpn[slot] = vpn;
         t->stamp[slot] = t->clock[0]++;
     }
-    num_put(e, t->last_use, slot, now);
+    t->last_use[slot] = now.v;
 }
 
 /* Tlb.access: the added latency. */
 static num_t
-tlb_access(merr_t *e, ntlb_t *t, int64_t address, num_t now)
+tlb_access(ntlb_t *t, int64_t address, num_t now)
 {
     t->cnt[TS_ACC]++;
-    int64_t vpn = pdiv(address, t->page);
+    int64_t vpn = pdiv_by(address, t->page, t->page_bits);
     int64_t slot = tlb_find(t, vpn);
     if (slot >= 0) {
         t->cnt[TS_HITS]++;
-        num_put(e, t->last_use, slot, now);
+        t->last_use[slot] = now.v;
         return num_i(0);
     }
     t->cnt[TS_MISSES]++;
-    tlb_insert(e, t, vpn, now);
+    tlb_insert(t, vpn, now);
     return t->penalty;
 }
 
 /* ---- DRAM operations ---- */
 /* DramModel.access: the cycle the data is available. */
 static num_t
-dram_access(merr_t *e, ndram_t *d, int64_t address, num_t now, int is_write,
+dram_access(ndram_t *d, int64_t address, num_t now, int is_write,
             int source)
 {
     int64_t row = pdiv(address, d->row_bytes);
@@ -1225,17 +1253,17 @@ dram_access(merr_t *e, ndram_t *d, int64_t address, num_t now, int is_write,
     int64_t lane = -1;
     if (d->queues.on) {
         lane = 2 * pmod(bank, d->groups) + (is_write ? 1 : 0);
-        num_t delay = res_full_delay(e, &d->queues, lane, now);
+        num_t delay = res_full_delay(&d->queues, lane, now);
         if (delay.v > 0) {
             d->cnt[DS_QUEUE_STALLS]++;
-            dict_add(e, d->stats, K_QUEUE_STALL_CYCLES, delay);
+            nums_add(&d->nums, DN_QUEUE_STALL, delay);
             now = num_add(now, delay);
         }
     }
-    num_t ready = num_get(e, d->bank_ready, bank);
+    num_t ready = num_at(d->bank_ready, d->bank_f, bank);
     num_t start = ready.v > now.v ? ready : now;   /* max(now, ready) */
     if (ready.v > now.v)
-        dict_add(e, d->stats, K_BUSY_DELAY, num_sub(start, now));
+        nums_add(&d->nums, DN_BUSY_DELAY, num_sub(start, now));
     num_t latency;
     if (d->open_rows[bank] == row) {
         latency = d->row_hit;
@@ -1243,28 +1271,28 @@ dram_access(merr_t *e, ndram_t *d, int64_t address, num_t now, int is_write,
     } else {
         latency = d->row_miss;
         d->cnt[DS_ROW_MISSES]++;
-        dict_add(e, d->state, K_DYN_ENERGY, d->e_act);
+        nums_add(&d->nums, DN_ENERGY, d->e_act);
         d->open_rows[bank] = row;
     }
     if (is_write) {
         d->cnt[DS_WRITES]++;
         if (source == SRC_WRITEBACK)
             d->cnt[DS_WB_WRITES]++;
-        dict_add(e, d->state, K_DYN_ENERGY, d->e_write);
+        nums_add(&d->nums, DN_ENERGY, d->e_write);
     } else {
         d->cnt[DS_READS]++;
         if (source == SRC_PREFETCH)
             d->cnt[DS_PF_READS]++;
-        dict_add(e, d->state, K_DYN_ENERGY, d->e_read);
+        nums_add(&d->nums, DN_ENERGY, d->e_read);
     }
     num_t finish = num_add(start, latency);
-    num_put(e, d->bank_ready, bank, num_add(start, d->busy));
+    num_set(d->bank_ready, d->bank_f, bank, num_add(start, d->busy));
     if (lane >= 0) {
-        res_append(e, &d->queues, lane, 0, finish);
-        res_probe_peak(e, &d->queues, lane, &now, d->stats, K_QUEUE_PEAK);
+        res_append(&d->queues, lane, 0, finish);
+        res_probe_peak(&d->queues, lane, &now, &d->nums, DN_QUEUE_PEAK);
     }
-    if (finish.v > dict_num(e, d->state, K_LAST_ACCESS).v)
-        dict_put(e, d->state, K_LAST_ACCESS, finish);
+    if (finish.v > nums_get(&d->nums, DN_LAST_ACCESS).v)
+        nums_put(&d->nums, DN_LAST_ACCESS, finish);
     return finish;
 }
 
@@ -1345,8 +1373,8 @@ static void
 spill_l3(nmem_t *m, int64_t victim, num_t fill_time, num_t wb_stall)
 {
     num_t drain = wb_stall.v != 0 ? num_add(fill_time, wb_stall) : fill_time;
-    num_t done = dram_access(&m->e, &m->dram, victim, drain, 1, SRC_WRITEBACK);
-    cache_writeback_admit(&m->e, &m->l3, done, drain);
+    num_t done = dram_access(&m->dram, victim, drain, 1, SRC_WRITEBACK);
+    cache_writeback_admit(&m->l3, done, drain);
 }
 
 /* SharedMemorySystem.access: the ready cycle; *dram = went to DRAM. */
@@ -1356,14 +1384,14 @@ shared_access(nmem_t *m, int64_t address, num_t now, int is_write, int source,
 {
     num_t ready, stall, wb_stall;
     int64_t victim;
-    if (cache_lookup(&m->e, &m->l3, address, now, is_write, &ready, &stall)) {
+    if (cache_lookup(&m->l3, address, now, is_write, &ready, &stall)) {
         *dram = 0;
         return ready;
     }
     num_t issue = num_add(num_add(now, stall), m->l3.latency);
-    num_t dram_ready = dram_access(&m->e, &m->dram, address, issue, is_write,
+    num_t dram_ready = dram_access(&m->dram, address, issue, is_write,
                                    source);
-    int writeback = cache_fill(&m->e, &m->l3, address, dram_ready, is_write, 0,
+    int writeback = cache_fill(&m->l3, address, dram_ready, is_write, 0,
                                1, &now, &victim, &wb_stall);
     ready = dram_ready;
     if (writeback) {
@@ -1380,8 +1408,8 @@ static void
 spill_l2(nmem_t *m, int64_t victim, num_t fill_time, num_t wb_stall)
 {
     num_t drain = wb_stall.v != 0 ? num_add(fill_time, wb_stall) : fill_time;
-    num_t done = dram_access(&m->e, &m->dram, victim, drain, 1, SRC_WRITEBACK);
-    cache_writeback_admit(&m->e, &m->l2, done, drain);
+    num_t done = dram_access(&m->dram, victim, drain, 1, SRC_WRITEBACK);
+    cache_writeback_admit(&m->l2, done, drain);
 }
 
 /* CoreMemorySystem._spill_l1_victim */
@@ -1392,9 +1420,9 @@ spill_l1(nmem_t *m, ncache_t *l1, int64_t victim, num_t fill_time,
     num_t drain = wb_stall.v != 0 ? num_add(fill_time, wb_stall) : fill_time;
     int64_t cascade;
     num_t cascade_stall;
-    int spilled = cache_fill(&m->e, &m->l2, victim, drain, 1, 0, 0, NULL,
+    int spilled = cache_fill(&m->l2, victim, drain, 1, 0, 0, NULL,
                              &cascade, &cascade_stall);
-    cache_writeback_admit(&m->e, l1, num_add(drain, m->l2.latency), drain);
+    cache_writeback_admit(l1, num_add(drain, m->l2.latency), drain);
     if (spilled && m->l2.wb.on)
         spill_l2(m, cascade, drain, cascade_stall);
 }
@@ -1406,7 +1434,7 @@ fill_l1(nmem_t *m, ncache_t *l1, int64_t address, num_t fill_time, int dirty,
 {
     int64_t victim;
     num_t wb_stall;
-    if (cache_fill(&m->e, l1, address, fill_time, dirty, 0, 1, &now, &victim,
+    if (cache_fill(l1, address, fill_time, dirty, 0, 1, &now, &victim,
                    &wb_stall) && !m->lookahead)
         spill_l1(m, l1, victim, fill_time, wb_stall);
     return wb_stall;
@@ -1418,7 +1446,7 @@ fill_l2(nmem_t *m, int64_t address, num_t fill_time, int dirty, num_t now)
 {
     int64_t victim;
     num_t wb_stall;
-    if (cache_fill(&m->e, &m->l2, address, fill_time, dirty, 0, 1, &now,
+    if (cache_fill(&m->l2, address, fill_time, dirty, 0, 1, &now,
                    &victim, &wb_stall) && !m->lookahead)
         spill_l2(m, victim, fill_time, wb_stall);
     return wb_stall;
@@ -1431,7 +1459,7 @@ mem_miss(nmem_t *m, ncache_t *l1, int64_t address, num_t now, num_t start,
 {
     num_t issue = num_add(num_add(start, l1_stall), l1->latency);
     num_t l2_ready, l2_stall;
-    if (cache_lookup(&m->e, &m->l2, address, issue, is_write, &l2_ready,
+    if (cache_lookup(&m->l2, address, issue, is_write, &l2_ready,
                      &l2_stall)) {
         num_t wb_stall = fill_l1(m, l1, address, l2_ready, is_write, now);
         *ready = wb_stall.v != 0 ? num_add(l2_ready, wb_stall) : l2_ready;
@@ -1453,7 +1481,7 @@ static int
 shared_prefetch(nmem_t *m, int64_t address, num_t now, num_t *ready)
 {
     if (!cache_probe(&m->l3, address) &&
-        !cache_mshr_available(&m->e, &m->l3, now, address)) {
+        !cache_mshr_available(&m->l3, now, address)) {
         m->l3.cnt[CS_PF_DROPPED]++;
         return 0;
     }
@@ -1470,7 +1498,7 @@ prefetch_from_l2(nmem_t *m, int64_t address, num_t now, num_t *fill_time)
         *fill_time = num_add(now, m->l2.latency);
         return 1;
     }
-    if (!cache_mshr_available(&m->e, &m->l2, now, address)) {
+    if (!cache_mshr_available(&m->l2, now, address)) {
         m->l2.cnt[CS_PF_DROPPED]++;
         return 0;
     }
@@ -1478,7 +1506,7 @@ prefetch_from_l2(nmem_t *m, int64_t address, num_t now, num_t *fill_time)
         return 0;
     int64_t victim;
     num_t wb_stall;
-    if (cache_fill(&m->e, &m->l2, address, *fill_time, 0, 1, 1, &now, &victim,
+    if (cache_fill(&m->l2, address, *fill_time, 0, 1, 1, &now, &victim,
                    &wb_stall) && !m->lookahead && m->l2.wb.on)
         spill_l2(m, victim, *fill_time, wb_stall);
     return 1;
@@ -1496,7 +1524,7 @@ mem_prefetch(nmem_t *m, int64_t address, num_t now, int into_l1,
         *fill_time = now;
         return 1;
     }
-    if (!cache_mshr_available(&m->e, l1, now, address)) {
+    if (!cache_mshr_available(l1, now, address)) {
         l1->cnt[CS_PF_DROPPED]++;
         return 0;
     }
@@ -1504,7 +1532,7 @@ mem_prefetch(nmem_t *m, int64_t address, num_t now, int into_l1,
         return 0;
     int64_t victim;
     num_t wb_stall;
-    if (cache_fill(&m->e, l1, address, *fill_time, 0, 1, 1, &now, &victim,
+    if (cache_fill(l1, address, *fill_time, 0, 1, 1, &now, &victim,
                    &wb_stall) && !m->lookahead && l1->wb.on)
         spill_l1(m, l1, victim, *fill_time, wb_stall);
     return 1;
@@ -1514,10 +1542,10 @@ mem_prefetch(nmem_t *m, int64_t address, num_t now, int into_l1,
 static void
 mem_prefill_tlb(nmem_t *m, int64_t address, num_t now)
 {
-    int64_t vpn = pdiv(address, m->tlb.page);
+    int64_t vpn = pdiv_by(address, m->tlb.page, m->tlb.page_bits);
     if (tlb_find(&m->tlb, vpn) < 0)
         m->tlb.cnt[TS_PREFILLS]++;
-    tlb_insert(&m->e, &m->tlb, vpn, now);
+    tlb_insert(&m->tlb, vpn, now);
 }
 
 /* The L2 branch of OutOfOrderCore._run_prefetchers for one data access's
@@ -1531,38 +1559,36 @@ mem_train(nmem_t *m, int64_t address, int info, num_t now)
         mem_prefetch(m, target, now, m->bop.l1, &fill_time);
 }
 
-/* CoreMemorySystem.access_inst_fast: *ready and *info; -1 on error. */
-static int
+/* CoreMemorySystem.access_inst_fast: *ready and *info. */
+static void
 mem_inst(nmem_t *m, int64_t address, num_t now, num_t *ready, int *info)
 {
     ncache_t *l1 = &m->l1i;
     num_t stall;
     *info = 0;
-    if (cache_lookup(&m->e, l1, address, now, 0, ready, &stall)) {
+    if (cache_lookup(l1, address, now, 0, ready, &stall)) {
         m->hits++;
     } else {
         *info = mem_miss(m, l1, address, now, now, 0, stall, ready);
         m->missed++;
     }
-    return m->e.err ? -1 : 0;
 }
 
-/* CoreMemorySystem.access_data_fast; returns as mem_inst. */
-static int
+/* CoreMemorySystem.access_data_fast: *ready and *info. */
+static void
 mem_data(nmem_t *m, int64_t address, num_t now, int is_write, num_t *ready,
          int *info)
 {
     ncache_t *l1 = &m->l1d;
-    num_t start = num_add(now, tlb_access(&m->e, &m->tlb, address, now));
+    num_t start = num_add(now, tlb_access(&m->tlb, address, now));
     num_t stall;
     *info = 0;
-    if (cache_lookup(&m->e, l1, address, start, is_write, ready, &stall)) {
+    if (cache_lookup(l1, address, start, is_write, ready, &stall)) {
         m->hits++;
     } else {
         *info = mem_miss(m, l1, address, now, start, is_write, stall, ready);
         m->missed++;
     }
-    return m->e.err ? -1 : 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -2426,9 +2452,8 @@ run_tick_loop(PyObject *self, PyObject *args)
             counters[C_L1I_ACC]++;
             num_t got;
             int info;
-            if (mem_inst(&mem, byte_address,
-                         num_i((double)(int64_t)fetch_time), &got, &info) < 0)
-                goto done;
+            mem_inst(&mem, byte_address, num_i((double)(int64_t)fetch_time),
+                     &got, &info);
             block_ready = got.v;
             if (info & 1)
                 counters[C_L1I_MISS]++;
@@ -2480,16 +2505,13 @@ run_tick_loop(PyObject *self, PyObject *args)
                 mem_prefill_tlb(&mem, hu.paddr[hp], available);
                 hp++;
             }
-            if (mem.e.err)
-                goto done;
             if (hint_k >= 0) {
                 hu.consumed[hint_k] = fetch_time;
                 hb++;
             }
         } else if (bf.on) {
             counters[C_BFETCH_FETCHES]++;
-            if (bf_fetch(&bf, &mem, f, pc[i], ea[i], fetch_time) < 0 ||
-                mem.e.err)
+            if (bf_fetch(&bf, &mem, f, pc[i], ea[i], fetch_time) < 0)
                 goto done;
         }
 
@@ -2580,8 +2602,7 @@ run_tick_loop(PyObject *self, PyObject *args)
                 counters[C_L1D_ACC]++;
                 num_t now = num_i((double)(int64_t)issue), got;
                 int info;
-                if (mem_data(&mem, ea[i], now, 0, &got, &info) < 0)
-                    goto done;
+                mem_data(&mem, ea[i], now, 0, &got, &info);
                 complete = got.v;
                 mem_train(&mem, ea[i], info, now);
                 if (ra.on) {
@@ -2590,8 +2611,6 @@ run_tick_loop(PyObject *self, PyObject *args)
                         goto done;
                     counters[C_CRE_STEPS] += stepped;
                 }
-                if (mem.e.err)
-                    goto done;
                 if (info & 1) {
                     counters[C_L1D_MISS]++;
                     if (info & 2)
@@ -2727,9 +2746,8 @@ run_tick_loop(PyObject *self, PyObject *args)
                         num_t now = num_i((double)(int64_t)fetch_time), got;
                         int info;
                         for (int64_t k = 0; k < wp_loads; k++)
-                            if (mem_data(&mem, base + (k + 1) * wp_stride, now,
-                                         0, &got, &info) < 0)
-                                goto done;
+                            mem_data(&mem, base + (k + 1) * wp_stride, now, 0,
+                                     &got, &info);
                     }
                 }
             }
@@ -2747,11 +2765,8 @@ run_tick_loop(PyObject *self, PyObject *args)
             counters[C_L1D_ACC]++;
             num_t now = num_i((double)(int64_t)commit_time), got;
             int info;
-            if (mem_data(&mem, ea[i], now, 1, &got, &info) < 0)
-                goto done;
+            mem_data(&mem, ea[i], now, 1, &got, &info);
             mem_train(&mem, ea[i], info, now);
-            if (mem.e.err)
-                goto done;
             if (info & 1) {
                 counters[C_L1D_MISS]++;
                 if (info & 2)
@@ -2775,8 +2790,6 @@ run_tick_loop(PyObject *self, PyObject *args)
         if (t1.on && (f & F_LOAD) && in_sorted(t1.marked, t1.nmarked, pc[i])) {
             counters[C_T1_COMMITS]++;
             t1_commit(&t1, &mem, pc[i], ea[i], commit_time);
-            if (mem.e.err)
-                goto done;
         }
     }
 
@@ -2827,7 +2840,8 @@ done:
     PyMem_Free(reg_ready);
     PyMem_Free(lsq_ring);
     PyMem_Free(validated);
-    nmem_close(&mem);
+    if (nmem_close(&mem) < 0)
+        Py_CLEAR(ret);
     hunit_close(&hu);
     clog_close(&log);
     t1_close(&t1);
@@ -2892,14 +2906,12 @@ replay_warmup(PyObject *self, PyObject *args)
         if (!have_block || block != last_block) {
             last_block = block;
             have_block = 1;
-            if (mem_inst(&mem, address, now, &ready, &info) < 0)
-                goto done;
+            mem_inst(&mem, address, now, &ready, &info);
         }
         int64_t f = flags[i];
         if (f & (F_LOAD | F_STORE)) {
             int is_write = (f & F_LOAD) == 0;
-            if (mem_data(&mem, ea[i], now, is_write, &ready, &info) < 0)
-                goto done;
+            mem_data(&mem, ea[i], now, is_write, &ready, &info);
             if (f & R_TRAIN)
                 mem_train(&mem, ea[i], info, now);
         }
@@ -2909,13 +2921,12 @@ replay_warmup(PyObject *self, PyObject *args)
             mem_prefetch(&mem, ea[i], now, 0, &ready);
         if (f & R_PREFILL)
             mem_prefill_tlb(&mem, ea[i], now);
-        if (mem.e.err)
-            goto done;
         cycle += pace;
     }
     ret = Py_BuildValue("(LL)", (long long)mem.hits, (long long)mem.missed);
 done:
-    nmem_close(&mem);
+    if (nmem_close(&mem) < 0)
+        Py_CLEAR(ret);
     if (v_ba.obj) PyBuffer_Release(&v_ba);
     if (v_flags.obj) PyBuffer_Release(&v_flags);
     if (v_ea.obj) PyBuffer_Release(&v_ea);
@@ -3315,9 +3326,8 @@ profile_columns(PyObject *self, PyObject *args)
             int64_t address = c.ea[i];
             num_t ready;
             int info;
-            if (mem_data(&mem, address, num_i((double)cycle),
-                         (f & F_LOAD) == 0, &ready, &info) < 0)
-                goto done;
+            mem_data(&mem, address, num_i((double)cycle), (f & F_LOAD) == 0,
+                     &ready, &info);
             if (info & 1) {
                 l1[p]++;
                 if (info & 2)
@@ -3376,8 +3386,6 @@ profile_columns(PyObject *self, PyObject *args)
     for (int64_t p = 0, start = 0; p < ns; start += ndeltas[p], p++)
         if (ndeltas[p])
             dominant_stride(sorted + start, ndeltas[p], &stride[p], &hits[p]);
-    if (mem.e.err)
-        goto done;
     ret = Py_BuildValue("(LLLLL)", (long long)executed, (long long)producers,
                         (long long)loops, (long long)mem.hits,
                         (long long)mem.missed);
@@ -3390,7 +3398,8 @@ done:
     PyMem_Free(sorted);
     for (int k = 0; k < P_OUTPUTS; k++)
         if (views[k].obj) PyBuffer_Release(&views[k]);
-    nmem_close(&mem);
+    if (nmem_close(&mem) < 0)
+        Py_CLEAR(ret);
     stab_close(&t);
     tcols_close(&c);
     return ret;
@@ -3984,7 +3993,7 @@ static struct PyModuleDef moduledef = {
 PyMODINIT_FUNC
 PyInit__repro_fastcore(void)
 {
-    if (intern_keys() < 0)
+    if (intern_num_keys() < 0)
         return NULL;
     return PyModule_Create(&moduledef);
 }

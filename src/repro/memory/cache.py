@@ -136,8 +136,16 @@ class CacheStats:
 LINE_DIRTY = 1
 LINE_FROM_PREFETCH = 2
 LINE_PREFETCH_USED = 4
+#: The line's fill time is a Python float (clear: an int), so it reads back
+#: from the ``array("d")`` with the type it arrived with.
+LINE_FLOAT_FILL = 8
 #: A line is an unused prefetch when this masks to LINE_FROM_PREFETCH.
 _PREFETCH_STATE = LINE_FROM_PREFETCH | LINE_PREFETCH_USED
+
+
+def _fill_bit(fill_time) -> int:
+    """The :data:`LINE_FLOAT_FILL` bit of a line filled at ``fill_time``."""
+    return LINE_FLOAT_FILL if isinstance(fill_time, float) else 0
 
 
 #: Line arrays of collected caches by slot count, ready for the next cache
@@ -149,12 +157,13 @@ FREE_LINES_PER_SIZE = 4
 
 def _line_arrays(slots: int) -> tuple:
     """A line-array set of ``slots`` slots: a collected cache's when one is
-    free, else a new one."""
+    free, else a new one (built by repetition: no slot-sized temporary)."""
     free = _FREE_LINES.get(slots)
     if free:
         return free.pop()
-    return (array("q", [-1]) * slots, [0] * slots, [0] * slots,
-            array("B", bytes(slots)), array("q", bytes(8 * slots)))
+    return (array("q", [-1]) * slots, array("d", [0.0]) * slots,
+            array("d", [0.0]) * slots, array("B", [0]) * slots,
+            array("q", [0]) * slots)
 
 
 def _recycle_lines(slots: int, lines: tuple) -> None:
@@ -192,9 +201,12 @@ class Cache:
     Line state lives in flat per-slot arrays (set ``s`` owns slots
     ``s * associativity`` onwards, and its lines are the first
     ``_count[s]`` of them) so the compiled kernel runs the whole cache on
-    the same memory: ``_tags``, ``_flags`` (``LINE_*`` bits) and ``_stamp``
-    are typed arrays; ``_fill`` and ``_last_use`` are lists, so every time
-    keeps the int/float type it arrived with.  A fill stamps its line from
+    the same memory.  Every one is a typed array: ``_tags``, ``_flags``
+    (``LINE_*`` bits), ``_stamp`` and the times ``_fill`` and ``_last_use``
+    (doubles: ints stay exact below 2**53).  A fill time keeps the
+    int/float type it arrived with through its line's
+    :data:`LINE_FLOAT_FILL` bit; a last use is only ever compared, so it
+    needs none.  A fill stamps its line from
     the ``_clock`` counter: the LRU victim is the line with the smallest
     ``(last_use, stamp)``, so ties break in insertion order, and hits never
     change it.  The arrays are mutated in place, never rebound, because a
@@ -297,6 +309,8 @@ class Cache:
         self._last_use[slot] = now
         fill_time = self._fill[slot]
         flags = self._flags[slot]
+        if not flags & LINE_FLOAT_FILL:
+            fill_time = int(fill_time)
         if flags or is_write:
             if is_write:
                 flags |= LINE_DIRTY
@@ -351,6 +365,8 @@ class Cache:
             # Keep the earliest availability time; refresh prefetch marking.
             if fill_time < self._fill[slot]:
                 self._fill[slot] = fill_time
+                self._flags[slot] = (self._flags[slot] & ~LINE_FLOAT_FILL
+                                     | _fill_bit(fill_time))
             if dirty:
                 self._flags[slot] |= LINE_DIRTY
             return None
@@ -393,11 +409,18 @@ class Cache:
         self._fill[slot] = fill_time
         self._last_use[slot] = fill_time
         self._flags[slot] = ((LINE_DIRTY if dirty else 0)
-                             | (LINE_FROM_PREFETCH if from_prefetch else 0))
+                             | (LINE_FROM_PREFETCH if from_prefetch else 0)
+                             | _fill_bit(fill_time))
         clock = self._clock
         self._stamp[slot] = clock[0]
         clock[0] += 1
         return victim_writeback
+
+    def _fill_time(self, slot: int):
+        """``slot``'s fill time, with the type it arrived with."""
+        fill_time = self._fill[slot]
+        return (fill_time if self._flags[slot] & LINE_FLOAT_FILL
+                else int(fill_time))
 
     def _resident(self) -> List[int]:
         """Every resident line's slot, in set order and, within a set, in
@@ -469,14 +492,12 @@ class Cache:
     def lines(self) -> List[Dict[int, tuple]]:
         """Per set, ``{tag: (tag, fill_time, last_use, dirty, from_prefetch,
         prefetch_used)}`` in LRU-tie (insertion) order."""
-        tags, fill, last_use, flags = (
-            self._tags, self._fill, self._last_use, self._flags
-        )
+        tags, last_use, flags = self._tags, self._last_use, self._flags
         sets: List[Dict[int, tuple]] = [{} for _ in range(self._num_sets)]
         for slot in self._resident():
             tag = tags[slot]
             sets[slot // self._associativity][tag] = (
-                tag, fill[slot], last_use[slot],
+                tag, self._fill_time(slot), last_use[slot],
                 bool(flags[slot] & LINE_DIRTY),
                 bool(flags[slot] & LINE_FROM_PREFETCH),
                 bool(flags[slot] & LINE_PREFETCH_USED))
@@ -490,13 +511,11 @@ class Cache:
         only their order within a set is observable).
         """
         slots = array("q", self._resident())
-        tags, fill, last_use, flags = (
-            self._tags, self._fill, self._last_use, self._flags
-        )
+        tags, last_use, flags = self._tags, self._last_use, self._flags
         lines = (
             slots,
             array("q", [tags[slot] for slot in slots]),
-            tuple(fill[slot] for slot in slots),
+            tuple(self._fill_time(slot) for slot in slots),
             tuple(last_use[slot] for slot in slots),
             bytes([flags[slot] for slot in slots]),
         )

@@ -111,9 +111,12 @@ NO_ROW = -(2 ** 63)
 class DramModel:
     """Open-page main memory with per-bank row buffers and simple queueing.
 
-    Per-bank state lives in arrays the compiled kernel mutates in place:
-    ``_open_rows`` (``NO_ROW`` = closed) and the ``_bank_ready`` list
-    (times keep their int/float type).  The controller queues are the
+    Per-bank state lives in typed arrays the compiled kernel mutates in
+    place: ``_open_rows`` (``NO_ROW`` = closed) and the ready times
+    ``_bank_ready`` (doubles: ints stay exact below 2**53), each with its
+    type bit in ``_bank_float`` (1 for a Python float), so a ready time
+    reads back with the int/float type it was stored with.  The
+    controller queues are the
     ``2 * queue_groups`` lanes of one occupancy store, read and write
     queue of group ``g`` at ``2 * g`` and ``2 * g + 1``.
     """
@@ -123,7 +126,8 @@ class DramModel:
         self.stats = DramStats()
         banks = self.config.num_banks
         self._open_rows = array("q", [NO_ROW]) * banks
-        self._bank_ready: list = [0] * banks
+        self._bank_ready = array("d", [0.0]) * banks
+        self._bank_float = array("B", [0]) * banks
         #: ``None`` while the controller-queue model is unbounded.
         self._queues: Optional[List[OccupancyQueue]] = (
             OccupancyQueue.lanes(self.config.queue_depth,
@@ -163,6 +167,8 @@ class DramModel:
                 now = now + queue_delay
 
         ready = self._bank_ready[bank]
+        if not self._bank_float[bank]:
+            ready = int(ready)
         start = max(now, ready)
         queue_delay = start - now
         if ready > now:
@@ -190,7 +196,9 @@ class DramModel:
             self._dynamic_energy += cfg.energy_read
 
         finish = start + latency
-        self._bank_ready[bank] = start + cfg.bank_busy_penalty
+        busy_until = start + cfg.bank_busy_penalty
+        self._bank_ready[bank] = busy_until
+        self._bank_float[bank] = isinstance(busy_until, float)
         if queue is not None:
             queue.push(finish)
             stats.queue_peak_occupancy = probe_peak(
@@ -215,7 +223,8 @@ class DramModel:
         )
         return (
             array("q", self._open_rows),
-            tuple(self._bank_ready),
+            tuple(ready if is_float else int(ready) for ready, is_float
+                  in zip(self._bank_ready, self._bank_float)),
             self._dynamic_energy,
             self._last_access_cycle,
             dict(vars(self.stats)),

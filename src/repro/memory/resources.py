@@ -68,16 +68,18 @@ class OccupancyResource:
     resource.
 
     Entries are ``(key, completion)`` pairs kept in admission order in fixed
-    arrays: lane ``l`` of a store owns slots ``l * (capacity + 1)`` onwards
-    (one spare slot absorbs an un-gated admission before its overflow drop)
-    and its live entries are the first ``_len[l]`` of them.  ``_keys`` is a
-    typed array and ``_done`` a list, so every completion keeps the int or
-    float type it arrived with.  Resources built together by :meth:`lanes`
-    share one store, which the compiled kernel mutates in place: never
-    rebind the arrays.
+    typed arrays: lane ``l`` of a store owns slots ``l * (capacity + 1)``
+    onwards (one spare slot absorbs an un-gated admission before its
+    overflow drop) and its live entries are the first ``_len[l]`` of them.
+    A completion is stored as a double in ``_done`` plus its type bit in
+    ``_float`` (1 for a Python float), so it reads back with the int or
+    float type it arrived with (ints stay exact below 2**53).  Resources
+    built together by :meth:`lanes` share one store, which the compiled
+    kernel mutates in place: never rebind the arrays.
     """
 
-    __slots__ = ("capacity", "_keys", "_done", "_len", "_lane", "_base")
+    __slots__ = ("capacity", "_keys", "_done", "_float", "_len", "_lane",
+                 "_base")
 
     #: Whether the most recent non-zero delay was a bank conflict rather than
     #: a capacity stall.  Plain resources never set it; the banked MSHR file
@@ -93,16 +95,17 @@ class OccupancyResource:
         self.capacity = capacity
         if _store is None:
             _store = self.store(capacity, 1)
-        self._keys, self._done, self._len = _store
+        self._keys, self._done, self._float, self._len = _store
         self._lane = _lane
         self._base = _lane * (capacity + 1)
 
     @staticmethod
     def store(capacity: int, lanes: int) -> tuple:
-        """Fresh ``(keys, completions, lengths)`` arrays for ``lanes``
-        resources of ``capacity`` slots each."""
+        """Fresh ``(keys, completions, completion type bits, lengths)``
+        arrays for ``lanes`` resources of ``capacity`` slots each."""
         slots = lanes * (capacity + 1)
-        return array("q", bytes(8 * slots)), [0] * slots, array("q", bytes(8 * lanes))
+        return (array("q", [0]) * slots, array("d", [0.0]) * slots,
+                array("B", [0]) * slots, array("q", [0]) * lanes)
 
     @classmethod
     def lanes(cls, capacity: int, count: int) -> list:
@@ -124,8 +127,13 @@ class OccupancyResource:
             # empty slice.)
             self._keys[slot:end] = self._keys[slot + 1:end + 1]
             self._done[slot:end] = self._done[slot + 1:end + 1]
-        self._done[end] = 0
+            self._float[slot:end] = self._float[slot + 1:end + 1]
         self._len[self._lane] -= 1
+
+    def _time(self, slot: int) -> float:
+        """The completion in ``slot``, with the type it arrived with."""
+        done = self._done[slot]
+        return done if self._float[slot] else int(done)
 
     def _earliest(self) -> int:
         """Slot of the first entry, in admission order, to retire."""
@@ -140,6 +148,7 @@ class OccupancyResource:
         slot = self._base + n
         self._keys[slot] = key
         self._done[slot] = completion
+        self._float[slot] = isinstance(completion, float)
         self._len[self._lane] = n + 1
         if n + 1 > self.capacity:
             self._delete(self._earliest())
@@ -153,12 +162,13 @@ class OccupancyResource:
         done = self._done[base:base + n]
         if min(done) > now:
             return
-        keys = self._keys[base:base + n]
         live = [k for k, completion in enumerate(done) if completion > now]
         kept = len(live)
         if kept:
-            self._keys[base:base + kept] = array("q", [keys[k] for k in live])
-        self._done[base:base + n] = [done[k] for k in live] + [0] * (n - kept)
+            for column in (self._keys, self._done, self._float):
+                kept_values = column[base:base + n]
+                column[base:base + kept] = array(
+                    column.typecode, [kept_values[k] for k in live])
         self._len[self._lane] = kept
 
     def occupancy(self, now: float) -> int:
@@ -217,7 +227,7 @@ class OccupancyResource:
         if self._len[self._lane] < self.capacity:
             return 0.0
         slot = self._earliest()
-        earliest = self._done[slot]
+        earliest = self._time(slot)
         self._delete(slot)
         return earliest - now
 
@@ -233,6 +243,7 @@ class OccupancyResource:
         if slot is not None:
             if completion < self._done[slot]:
                 self._done[slot] = completion
+                self._float[slot] = isinstance(completion, float)
             return False
         self._append(key, completion)
         return True
@@ -240,16 +251,13 @@ class OccupancyResource:
     # -- lifecycle ---------------------------------------------------------
     def drain(self) -> None:
         """Forget every in-flight entry (quiesce at a clock-domain boundary)."""
-        n = self._len[self._lane]
-        if n:
-            self._done[self._base:self._base + n] = [0] * n
-            self._len[self._lane] = 0
+        self._len[self._lane] = 0
 
     def entries(self) -> List[Tuple[int, float]]:
         """The in-flight ``(key, completion)`` pairs in admission order."""
         base = self._base
         end = base + self._len[self._lane]
-        return list(zip(self._keys[base:end], self._done[base:end]))
+        return [(self._keys[slot], self._time(slot)) for slot in range(base, end)]
 
     def snapshot_state(self) -> Tuple[Tuple[int, float], ...]:
         return tuple(self.entries())

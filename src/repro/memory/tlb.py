@@ -40,8 +40,9 @@ class Tlb:
 
     Entries live in flat per-slot arrays that the compiled kernel reads and
     updates in place: the first ``_count[0]`` slots of ``_vpn`` (``-1`` =
-    empty) are the resident translations, ``_last_use`` is a list (times
-    keep their int/float type) and ``_stamp`` orders the entries by
+    empty) are the resident translations, ``_last_use`` holds their last
+    uses as doubles (only ever compared, so their int/float type is not
+    kept; ints stay exact below 2**53) and ``_stamp`` orders the entries by
     insertion from the ``_clock`` counter.  The LRU victim is the entry
     with the smallest ``(last_use, stamp)``, so ties break in insertion
     order (:func:`~repro.memory.cache.lru_victim`, shared with the caches).
@@ -54,7 +55,7 @@ class Tlb:
         self._page_bytes = self.config.page_bytes
         entries = self.config.entries
         self._vpn = array("q", [-1]) * entries
-        self._last_use: list = [0] * entries
+        self._last_use = array("d", [0.0]) * entries
         self._stamp = array("q", bytes(8 * entries))
         self._count = array("q", [0])
         self._clock = array("q", [0])

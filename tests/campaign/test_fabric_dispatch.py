@@ -31,6 +31,7 @@ from repro.campaign.cli import main
 from repro.campaign.fabric.dispatch import DispatchError, Dispatcher, HostJob
 from repro.campaign.spec import CampaignSpec, variants
 from repro.campaign.store import CampaignStore
+from repro.experiments.fingerprint import code_salt
 
 WINDOW = dict(warmup_instructions=1500, timed_instructions=1500)
 
@@ -145,6 +146,31 @@ def test_dispatch_rejects_bad_plans(isolated):
         Dispatcher(spec, claim="worker", processes=2)
     with pytest.raises(Exception):
         Dispatcher(spec, backend="kubernetes", progress=None).dispatch()
+
+
+def test_unconverged_fleet_names_a_code_salt_mismatch(isolated):
+    """Jobs that all exit 0 but leave cells pending whose entries sit under
+    another code salt (``src/`` changed mid-dispatch) get that named, with
+    both salts."""
+    spec = _fig_spec()
+    dispatcher = Dispatcher(spec, hosts=2, progress=None)
+    plan = dispatcher.dispatch(dry_run=True)
+    for job in plan.jobs:
+        job.returncode = 0
+    with pytest.raises(DispatchError) as plain:
+        dispatcher._check_converged(plan)
+    assert "all jobs exited 0" in str(plain.value)
+    assert "code salt" not in str(plain.value)
+
+    key = next(iter(CampaignStore(spec.name).load_manifest()["cells"]))
+    foreign = "0123456789abcdef"
+    (dispatcher.shared_root / f"{foreign}-{key}.pkl").write_bytes(b"entry")
+    with pytest.raises(DispatchError) as mismatch:
+        dispatcher._check_converged(plan)
+    message = str(mismatch.value)
+    assert ("1 pending cell(s) have a cache entry under another code salt "
+            f"({foreign}; this process runs {code_salt()})") in message
+    assert "src/" in message
 
 
 def test_local_backend_runs_script_to_completion(tmp_path):

@@ -80,7 +80,7 @@ from repro.experiments.runner import ExperimentRunner
 from repro.isa.instructions import INSTRUCTION_BYTES, Instruction, Opcode
 from repro.isa.program import Program
 from repro.memory import cache as cache_module
-from repro.memory.cache import Cache
+from repro.memory.cache import LINE_FLOAT_FILL, Cache
 from repro.prefetch import PREFETCHER_FACTORIES
 from repro.prefetch.best_offset import BestOffsetPrefetcher
 from repro.util.rng import DeterministicRng
@@ -449,7 +449,7 @@ def _private_view(memory):
 def _dram_view(dram):
     return {"stats": dict(vars(dram.stats)),
             "open_rows": list(dram._open_rows),
-            "bank_ready": list(dram._bank_ready),
+            "bank_ready": dram.snapshot_state()[1],
             "energy": dram._dynamic_energy,
             "last_access": dram._last_access_cycle,
             "queues": [queue.entries() for queue in dram._queues or ()]}
@@ -613,9 +613,11 @@ def _poisoned_store(config, *windows):
     """A free line store holding, for every cache size of ``config``, as
     many sets as the store keeps, each poisoned with stale lines a run
     over ``windows`` would match: every slot's tag is one the run looks up
-    in that set (data and instruction blocks), its fill and use times are
-    floats before any access, its flags have every bit set and its stamp
-    is the smallest.  Returns ``(store, poisoned tag arrays)``."""
+    in that set (data and instruction blocks), its fill and use times lie
+    before any access, its flags have every bit set but a fill type bit
+    that is wrong both ways (even slots call their fractional fill time an
+    int, odd slots their whole one a float) and its stamp is the smallest.
+    Returns ``(store, poisoned tag arrays)``."""
     addresses = set()
     for window in windows:
         addresses.update(window.columns.ea)
@@ -638,8 +640,11 @@ def _poisoned_store(config, *windows):
                 for way in range(ways):
                     tags[index * ways + way] = candidates[way % len(candidates)]
             tags_arrays.append(tags)
-            store[slots].append((tags, [-0.5] * slots, [-0.5] * slots,
-                                 array("B", [0xFF]) * slots,
+            fill = array("d", [-1.0 if slot % 2 else -0.5
+                               for slot in range(slots)])
+            flags = array("B", [0xFF if slot % 2 else 0xFF ^ LINE_FLOAT_FILL
+                                for slot in range(slots)])
+            store[slots].append((tags, fill, array("d", fill), flags,
                                  array("q", [-1]) * slots))
     return store, tags_arrays
 
@@ -1226,6 +1231,116 @@ def test_native_memory_matches_python_on_access_streams(monkeypatch, machine,
     assert python[1].tlb.stats.misses and python[1].tlb.stats.prefills
     if not lookahead:
         assert python[1].l1d.stats.writebacks and python[1].l2.stats.writebacks
+
+
+def _int_time_config():
+    """Two-entry L1D and L2 MSHR files and write buffers over small caches,
+    and a one-slot DRAM queue per direction."""
+    from repro.memory.resources import WriteBufferConfig
+
+    memory = SystemConfig().memory
+    buffer = WriteBufferConfig(entries=2)
+    memory = replace(
+        memory,
+        l1d=replace(memory.l1d, size_bytes=1024, associativity=2,
+                    mshr_entries=2, write_buffer=buffer),
+        l2=replace(memory.l2, size_bytes=4096, associativity=2,
+                   mshr_entries=2, write_buffer=buffer),
+        l3=replace(memory.l3, size_bytes=16384, associativity=4),
+        dram=replace(memory.dram, queue_depth=1, queue_groups=1))
+    return replace(SystemConfig(), memory=memory)
+
+
+def _int_time_stream():
+    """A hand-made ``(ba, flags, ea)`` stream, replayed one cycle per row
+    (int cycles), whose last rows stall on int times.
+
+    Per L2 set ``s`` of 0 and 1 it leaves a dirty LRU line (block
+    ``s + 64``) and a block only the L3 holds (``s``).  Then two L2
+    prefetches of those blocks hit the L3 at int times: their L2 fills
+    take int MSHR entries and drain the dirty victims to DRAM at int
+    times, the second into the full write queue (an int stall).  Two L1
+    prefetches fill the L1D's MSHRs with int completions, and a demand
+    load stalls on them and then on the L2's (int stalls again).  Last, a
+    demand load hits an L2 line whose int fill is still in flight, so the
+    L1 line it fills takes that int time."""
+    from repro.core.compile.decoded import F_LOAD, F_STORE
+    from repro.core.compile.driver import R_PF_L1, R_PF_L2
+
+    base = 0x100000
+    rows = []
+    for s in (0, 1):
+        for f, block in ((F_LOAD, s), (F_LOAD, s + 32), (F_STORE, s + 64),
+                         (F_LOAD, s + 96)):
+            rows.append((f, block))
+            rows.extend([(0, 0)] * 400)    # every access completes
+    rows += [(R_PF_L2, 0), (R_PF_L2, 1), (R_PF_L1, 0), (R_PF_L1, 1),
+             (F_LOAD, 33)]
+    rows.extend([(0, 0)] * 60)             # the L2 MSHRs retire
+    rows += [(R_PF_L2, 32), (F_LOAD, 32)]
+    return (array("q", [0x1000] * len(rows)),
+            array("q", [f for f, _ in rows]),
+            array("q", [base + 64 * block for _, block in rows]))
+
+
+def test_int_times_keep_their_type_on_both_engines(monkeypatch):
+    """Times that stay ints (int replay cycles, L2-hit prefetch fills,
+    int MSHR and DRAM-queue stalls ``earliest - now``) and times that are
+    floats come out of the kernel and the kill-switch run alike: each
+    level's state view, every stats value with its type, and the ready
+    times a demand probe of every block then returns."""
+    from repro.core.compile import native_kernel
+    from repro.core.compile.driver import replay_warmup
+    from repro.memory.resources import OccupancyResource
+
+    config = _int_time_config()
+    stream = _int_time_stream()
+    stalls = []
+
+    def run():
+        shared, private, core = build_single_core(config)
+        kernel = native_kernel()
+        if kernel is not None:
+            replay_warmup(kernel, private, stream, 1)
+        else:
+            _python_stream(private, core, *stream, pace=1)
+        now = len(stream[0])
+        ready = [private.access_data_fast(address, now, False)
+                 for address in sorted(set(stream[2]))]
+        views = (shared.l3.snapshot_state(), shared.dram.snapshot_state(),
+                 private.snapshot_state())
+        stats = [dict(vars(level.stats)) for level in (
+            private.l1i, private.l1d, private.l2, private.tlb, shared.l3,
+            shared.dram)]
+        return ready, views, stats, shared
+
+    full_delay = OccupancyResource._full_delay
+
+    def recording_delay(resource, now):
+        delay = full_delay(resource, now)
+        if delay > 0:
+            stalls.append((resource, delay))
+        return delay
+
+    _reference(monkeypatch)
+    monkeypatch.setattr(OccupancyResource, "_full_delay", recording_delay)
+    *reference, shared = run()
+    monkeypatch.setattr(OccupancyResource, "_full_delay", full_delay)
+    _fast(monkeypatch)
+    *compiled, _ = run()
+    assert_identical(compiled, reference)
+
+    # The stream stalls on int times at an MSHR file and the DRAM queue,
+    # and leaves int and float times in lines, completions and banks.
+    queues = shared.dram._queues
+    int_stalls = [resource for resource, delay in stalls
+                  if isinstance(delay, int)]
+    assert any(resource in queues for resource in int_stalls)
+    assert any(resource not in queues for resource in int_stalls)
+    lines, _, mshr, _ = reference[1][2][1]          # the L1D
+    times = [*lines[2], *(done for _, done in mshr),
+             *reference[1][1][1], *(ready for ready, _ in reference[0])]
+    assert {type(time) for time in times} == {int, float}
 
 
 # ---------------------------------------------------------------------------

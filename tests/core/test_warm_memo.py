@@ -208,3 +208,21 @@ def test_simulation_outcomes_identical_with_and_without_memo():
         assert other.main.cycles == first.main.cycles
         assert other.lookahead.cycles == first.lookahead.cycles
         assert other.reboots == first.reboots
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "modelling bug (ROADMAP item 1): warm-up replay runs on its own cycle "
+    "numbers and the timed region restarts at 0, but only the occupancy "
+    "resources are drained, so line fill times and bank ready times leak "
+    "into the timed region"))
+def test_warm_up_times_do_not_lie_past_the_timed_region_start(warm_entries):
+    """After the warm-up, no resident line's fill time and no DRAM bank's
+    ready time lies past cycle 0, where the timed region starts."""
+    shared, private, _ = build_single_core(SystemConfig())
+    warm_memory_systems((private,), warm_entries)
+    fills = [line[1] for cache in (private.l1i, private.l1d, private.l2,
+                                   shared.l3)
+             for lines in cache.lines() for line in lines.values()]
+    bank_ready = shared.dram.snapshot_state()[1]
+    assert fills and max(fills) <= 0
+    assert max(bank_ready) <= 0

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.memory import cache as cache_module
-from repro.memory.cache import Cache, CacheConfig, WriteBufferConfig
+from repro.memory.cache import (
+    LINE_FLOAT_FILL,
+    Cache,
+    CacheConfig,
+    WriteBufferConfig,
+)
 
 
 def _small_cache(**overrides):
@@ -160,8 +165,10 @@ def _line_set(cache):
 def _poisoned_lines(config, blocks):
     """A line-array set for ``config`` whose every slot holds a stale line
     a stream over ``blocks`` would match: a tag that stream looks up in
-    that set, float fill and use times before any access, every flag bit
-    set and the smallest stamp."""
+    that set, fill and use times before any access, every flag bit set
+    but a fill type bit that is wrong both ways (even slots call their
+    fractional fill time an int, odd slots their whole one a float) and
+    the smallest stamp."""
     sets, ways = config.num_sets, config.associativity
     tags_by_set = {}
     for block in sorted(set(blocks)):
@@ -172,8 +179,10 @@ def _poisoned_lines(config, blocks):
         candidates = tags_by_set.get(index) or [index]
         for way in range(ways):
             tags[index * ways + way] = candidates[way % len(candidates)]
-    return (tags, [-0.5] * slots, [-0.5] * slots, array("B", [0xFF]) * slots,
-            array("q", [-1]) * slots)
+    fill = array("d", [-1.0 if slot % 2 else -0.5 for slot in range(slots)])
+    flags = array("B", [0xFF if slot % 2 else 0xFF ^ LINE_FLOAT_FILL
+                        for slot in range(slots)])
+    return (tags, fill, array("d", fill), flags, array("q", [-1]) * slots)
 
 
 def _drive(cache, seed=7):
@@ -210,8 +219,8 @@ def _state(cache, answers):
 
 def test_a_cache_on_poisoned_recycled_arrays_equals_a_fresh_one(monkeypatch):
     """Stale slots past each set's count are never observed: a cache built
-    on a free set whose stale lines carry the stream's own tags, float
-    times and every flag bit ends a stream with evictions, dirty victims
+    on a free set whose stale lines carry the stream's own tags, early
+    times, wrong fill type bits and every other flag bit ends a stream with evictions, dirty victims
     and prefetch fills in exactly a fresh cache's state."""
     config = _STREAM_CONFIG
     slots = config.num_sets * config.associativity
