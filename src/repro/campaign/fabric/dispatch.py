@@ -49,18 +49,13 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from string import Template
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.campaign.fabric.backends import get_backend
 from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore, DEFAULT_LEASE_TTL
-from repro.experiments.cache import (
-    CACHE_DIR_ENV,
-    DEFAULT_CACHE_DIR,
-    ResultDiskCache,
-    salted_key,
-)
+from repro.experiments.cache import CACHE_DIR_ENV, DEFAULT_CACHE_DIR
 from repro.experiments.fingerprint import code_salt
 
 #: Claim modes a dispatch plan can use (see module docstring).
@@ -346,16 +341,21 @@ class Dispatcher:
             time.sleep(self.poll_seconds)
 
     def _foreign_salts(self, keys: Iterable[str]) -> Tuple[int, List[str]]:
-        """How many of ``keys`` have a disk entry under another code salt's
-        ``<salt>-<key>.pkl`` in the shared root, and those salts."""
-        salt, wanted = code_salt(), set(keys)
-        found, salts = set(), set()
+        """How many of ``keys`` have no ``<salt>-<key>.pkl`` under this
+        process's code salt in the shared root but one under another salt,
+        and those salts.  Names only: one directory listing, no read."""
+        salt = code_salt()
+        salts_of: Dict[str, Set[str]] = {}
         for path in self.shared_root.glob("*.pkl"):
             other, _, key = path.stem.partition("-")
-            if other != salt and key in wanted:
-                found.add(key)
-                salts.add(other)
-        return len(found), sorted(salts)
+            salts_of.setdefault(key, set()).add(other)
+        found, salts = 0, set()
+        for key in keys:
+            present = salts_of.get(key, set())
+            if present and salt not in present:
+                found += 1
+                salts |= present
+        return found, sorted(salts)
 
     def _check_converged(self, plan: DispatchPlan) -> Dict[str, object]:
         status = self.store.status()
@@ -369,11 +369,8 @@ class Dispatcher:
             if not failed_jobs:
                 # Jobs that finished cleanly but left cells pending most
                 # likely ran other code: their entries sit under its salt.
-                disk = ResultDiskCache(str(self.shared_root))
-                cells = (self.store.load_manifest() or {}).get("cells", {})
                 foreign, salts = self._foreign_salts(
-                    key for key in cells
-                    if disk.get(salted_key(key)) is None)
+                    (self.store.load_manifest() or {}).get("cells", {}))
                 if foreign:
                     details += (
                         f"; {foreign} pending cell(s) have a cache entry "

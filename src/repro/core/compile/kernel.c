@@ -308,26 +308,6 @@ pmod(int64_t a, int64_t b)
     return r < 0 ? r + b : r;
 }
 
-/* log2 of a power of two, else -1.  By a power of two, // is an
- * arithmetic shift and % a mask (negative operands included). */
-static int
-pow2_bits(int64_t b)
-{
-    return b > 0 && (b & (b - 1)) == 0 ? __builtin_ctzll((uint64_t)b) : -1;
-}
-
-static inline int64_t
-pdiv_by(int64_t a, int64_t b, int bits)
-{
-    return bits >= 0 ? a >> bits : pdiv(a, b);
-}
-
-static inline int64_t
-pmod_by(int64_t a, int64_t b, int bits)
-{
-    return bits >= 0 ? a & (b - 1) : pmod(a, b);
-}
-
 /* cache stats counters (must match driver._CACHE_COUNTS) */
 enum {
     CS_ACC, CS_HITS, CS_MISSES, CS_PF_HITS, CS_LATE_PF_HITS, CS_PF_ISSUED,
@@ -706,7 +686,6 @@ typedef struct {
     double *last_use;       /* per-slot last use */
     nnums_t nums;           /* CN_* slots of the CacheStats */
     int64_t sets, assoc, block;
-    int set_bits, block_bits;   /* pow2_bits of sets and block */
     num_t latency;
     int lookahead;          /* Cache.lookahead_mode */
     nres_t mshr;            /* lanes = banks */
@@ -733,8 +712,6 @@ ncache_open(PyObject *spec, ncache_t *c)
     c->sets = sets;
     c->assoc = assoc;
     c->block = block;
-    c->set_bits = pow2_bits(sets);
-    c->block_bits = pow2_bits(block);
     if (num_of(latency, &c->latency) < 0 ||
         nums_load(&c->nums, CACHE_NUM_KEYS, stats, 0, CN_COUNT) < 0 ||
         buffer_of(tag, &c->v_tag, (void **)&c->tag) < 0 ||
@@ -776,7 +753,6 @@ typedef struct {
     int64_t *vpn, *stamp, *count, *clock, *cnt;
     double *last_use;       /* per-slot last use */
     int64_t n, page, hint;
-    int page_bits;          /* pow2_bits of page */
     num_t penalty;
     Py_buffer v_vpn, v_last_use, v_stamp, v_count, v_clock, v_cnt;
 } ntlb_t;
@@ -794,7 +770,6 @@ ntlb_open(PyObject *spec, ntlb_t *t)
         return -1;
     t->n = entries;
     t->page = page;
-    t->page_bits = pow2_bits(page);
     if (num_of(penalty, &t->penalty) < 0 ||
         buffer_of(vpn, &t->v_vpn, (void **)&t->vpn) < 0 ||
         typed_buffer(last_use, &t->v_last_use, (void **)&t->last_use,
@@ -998,8 +973,8 @@ nmem_close(nmem_t *m)
 static inline int64_t
 cache_find(const ncache_t *c, int64_t block)
 {
-    int64_t index = pmod_by(block, c->sets, c->set_bits);
-    int64_t tag = pdiv_by(block, c->sets, c->set_bits);
+    int64_t index = pmod(block, c->sets);
+    int64_t tag = pdiv(block, c->sets);
     int64_t base = index * c->assoc, end = base + c->count[index];
     for (int64_t k = base; k < end; k++)
         if (c->tag[k] == tag)
@@ -1010,7 +985,7 @@ cache_find(const ncache_t *c, int64_t block)
 static inline int
 cache_probe(const ncache_t *c, int64_t address)
 {
-    return cache_find(c, pdiv_by(address, c->block, c->block_bits)) >= 0;
+    return cache_find(c, pdiv(address, c->block)) >= 0;
 }
 
 /* The hit half of Cache.lookup on a present slot (``accesses`` counted by
@@ -1060,7 +1035,7 @@ cache_lookup(ncache_t *c, int64_t address, num_t now, int is_write,
              num_t *ready, num_t *stall)
 {
     c->cnt[CS_ACC]++;
-    int64_t block = pdiv_by(address, c->block, c->block_bits);
+    int64_t block = pdiv(address, c->block);
     int64_t slot = cache_find(c, block);
     if (slot >= 0) {
         *ready = cache_hit(c, slot, now, is_write);
@@ -1091,8 +1066,7 @@ cache_mshr_available(ncache_t *c, num_t now, int64_t address)
     if (!c->mshr.on)
         return 1;
     return res_available(&c->mshr,
-                         pmod(pdiv_by(address, c->block, c->block_bits),
-                              c->mshr.lanes), now);
+                         pmod(pdiv(address, c->block), c->mshr.lanes), now);
 }
 
 /* cache.lru_victim: the LRU slot among base .. base + count - 1, the
@@ -1118,9 +1092,9 @@ cache_fill(ncache_t *c, int64_t address, num_t fill_time,
            int64_t *victim, num_t *wb_stall)
 {
     *wb_stall = NUM_ZERO_F;
-    int64_t block = pdiv_by(address, c->block, c->block_bits);
-    int64_t index = pmod_by(block, c->sets, c->set_bits);
-    int64_t tag = pdiv_by(block, c->sets, c->set_bits);
+    int64_t block = pdiv(address, c->block);
+    int64_t index = pmod(block, c->sets);
+    int64_t tag = pdiv(block, c->sets);
     if (from_prefetch)
         c->cnt[CS_PF_ISSUED]++;
     if (c->mshr.on && allocate_mshr) {
@@ -1230,7 +1204,7 @@ static num_t
 tlb_access(ntlb_t *t, int64_t address, num_t now)
 {
     t->cnt[TS_ACC]++;
-    int64_t vpn = pdiv_by(address, t->page, t->page_bits);
+    int64_t vpn = pdiv(address, t->page);
     int64_t slot = tlb_find(t, vpn);
     if (slot >= 0) {
         t->cnt[TS_HITS]++;
@@ -1542,7 +1516,7 @@ mem_prefetch(nmem_t *m, int64_t address, num_t now, int into_l1,
 static void
 mem_prefill_tlb(nmem_t *m, int64_t address, num_t now)
 {
-    int64_t vpn = pdiv_by(address, m->tlb.page, m->tlb.page_bits);
+    int64_t vpn = pdiv(address, m->tlb.page);
     if (tlb_find(&m->tlb, vpn) < 0)
         m->tlb.cnt[TS_PREFILLS]++;
     tlb_insert(&m->tlb, vpn, now);

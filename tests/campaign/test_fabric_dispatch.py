@@ -31,6 +31,7 @@ from repro.campaign.cli import main
 from repro.campaign.fabric.dispatch import DispatchError, Dispatcher, HostJob
 from repro.campaign.spec import CampaignSpec, variants
 from repro.campaign.store import CampaignStore
+from repro.experiments.cache import ResultDiskCache, salted_key
 from repro.experiments.fingerprint import code_salt
 
 WINDOW = dict(warmup_instructions=1500, timed_instructions=1500)
@@ -162,12 +163,16 @@ def test_unconverged_fleet_names_a_code_salt_mismatch(isolated):
     assert "all jobs exited 0" in str(plain.value)
     assert "code salt" not in str(plain.value)
 
-    key = next(iter(CampaignStore(spec.name).load_manifest()["cells"]))
+    key, done = list(CampaignStore(spec.name).load_manifest()["cells"])[:2]
     foreign = "0123456789abcdef"
     (dispatcher.shared_root / f"{foreign}-{key}.pkl").write_bytes(b"entry")
+    # A cell done under this process's salt is not counted.
+    (dispatcher.shared_root / f"{foreign}-{done}.pkl").write_bytes(b"entry")
+    ResultDiskCache(str(dispatcher.shared_root)).put(salted_key(done), 1)
     with pytest.raises(DispatchError) as mismatch:
         dispatcher._check_converged(plan)
     message = str(mismatch.value)
+    assert "1/3 cells done, 2 pending" in message
     assert ("1 pending cell(s) have a cache entry under another code salt "
             f"({foreign}; this process runs {code_salt()})") in message
     assert "src/" in message
