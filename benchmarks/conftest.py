@@ -46,18 +46,17 @@ def _shared_runner(warm: bool) -> ParallelExperimentRunner:
         # and either it is the full-eval matrix or more than one process is
         # available.
         if warm and (full or _RUNNER.default_processes() > 1):
-            _warm_fig09_cells(_RUNNER, quick=not full)
+            _warm_fig09_cells(_RUNNER)
     return _RUNNER
 
 
-def _warm_fig09_cells(runner: ParallelExperimentRunner, quick: bool) -> None:
+def _warm_fig09_cells(runner: ParallelExperimentRunner) -> None:
     """Run fig09's campaign cells on ``runner``; fail the session, showing
     the failure payloads, if any cell failed."""
-    from repro.campaign.scheduler import CampaignScheduler
     from repro.experiments.fig09_speedup import CAMPAIGN
+    from repro.experiments.parallel import plan_cells
 
-    cells = CampaignScheduler(CAMPAIGN, quick=quick, runner=runner).cells()
-    _executed, failures = runner.warm_isolated(cells)
+    _executed, failures = runner.warm_isolated(plan_cells(CAMPAIGN, runner))
     if failures:
         pytest.exit(f"{len(failures)} fig09 cell(s) failed to pre-compute: "
                     f"{failures}", returncode=1)

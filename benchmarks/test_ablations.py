@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices called out in DESIGN.md.
+"""Ablation benches for the reproduction's own design choices.
 
 These are not paper figures; they probe the sensitivity of the reproduction
 to its own parameters: BOQ depth, reboot penalty, skeleton seeding

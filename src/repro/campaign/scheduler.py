@@ -4,15 +4,17 @@ The scheduler materialises a :class:`~repro.campaign.spec.CampaignSpec`
 against a :class:`~repro.experiments.parallel.ParallelExperimentRunner`:
 
 1. the spec's (workload x variant) matrix becomes a list of *cells*
-   (:class:`~repro.experiments.parallel.SimRequest`), each identified by the
-   same content fingerprint the figure modules use;
+   (:class:`~repro.experiments.parallel.SimRequest`, planned by
+   :func:`~repro.experiments.parallel.plan_cells`), each identified by its
+   content fingerprint;
 2. open cells (not in the in-memory or on-disk result cache, not poisoned)
    are claimed, executed under failure isolation and settled — retried with
    backoff, or poisoned once their retry budget is spent;
 3. the campaign's experiment module assembles the artefact from the warmed
-   caches (``module.run(runner)``), and its structured tables plus rendered
-   text are persisted in the campaign store, next to the run's throughput
-   counters (the result's ``run`` section).
+   caches (``module.run(runner)`` reads its ``CAMPAIGN``'s planned cells
+   back by variant name through the same planner), and its structured
+   tables plus rendered text are persisted in the campaign store, next to
+   the run's throughput counters (the result's ``run`` section).
 
 Because every cell is keyed by content fingerprint and persisted in the
 shared disk cache the moment it finishes, a campaign killed mid-run resumes
@@ -59,8 +61,9 @@ summary; settling a cell writes no manifest, whatever the cell count.
     Assembles the final artefact from the caches once every cell is done —
     any worker or a separate fan-in job can run it; it simulates no planned
     cell.  What no variant plans, the experiment module computes during
-    assembly (cached like any result): fig09's B-Fetch, SlipStream and CRE
-    comparisons, and all of fig11's SMT runs (fig11 plans no cells).
+    assembly: fig09's B-Fetch, SlipStream and CRE comparisons and all of
+    fig11's SMT runs (fig11 plans no cells), both cached like any result;
+    table03's uncached BL / BL+stride miss split; fig14's analytic model.
 """
 
 from __future__ import annotations
@@ -78,7 +81,12 @@ from repro.campaign.health import (
 from repro.campaign.spec import CampaignSpec, SpecError
 from repro.campaign.store import CampaignStore, DEFAULT_LEASE_TTL
 from repro.campaign.telemetry import EventJournal, outcome_measures
-from repro.experiments.parallel import ParallelExperimentRunner, SimRequest
+from repro.experiments.parallel import (
+    ParallelExperimentRunner,
+    SimRequest,
+    plan_cells,
+    plan_workloads,
+)
 from repro.util import faults
 from repro.util.sharding import partition
 
@@ -228,35 +236,11 @@ class CampaignScheduler:
 
     def cell_workloads(self) -> List[str]:
         """Workloads that get matrix cells (may sub-sample in quick mode)."""
-        names = list(self.runner.workload_names)
-        limit = self.spec.max_cell_workloads_quick
-        if self.quick and limit is not None:
-            names = names[:limit]
-        return names
+        return plan_workloads(self.spec, self.runner)
 
     def cells(self) -> List[SimRequest]:
         """The flattened (workload, variant) simulation matrix."""
-        base = self.runner.system_config
-        # Configs are immutable, so every workload's cells share one
-        # materialised config per variant (and one memoised canonical text).
-        materialised = [
-            (variant, variant.system_config(base), variant.dla_config())
-            for variant in self.spec.variants
-        ]
-        requests: List[SimRequest] = []
-        for workload in self.cell_workloads():
-            for variant, system_config, dla_config in materialised:
-                requests.append(
-                    SimRequest(
-                        workload=workload,
-                        kind=variant.kind,
-                        label=variant.name,
-                        system_config=system_config,
-                        dla_config=dla_config,
-                        dynamic=variant.dynamic,
-                    )
-                )
-        return requests
+        return plan_cells(self.spec, self.runner)
 
     def keyed_cells(self) -> List[Tuple[str, SimRequest]]:
         """(content key, request) per cell, de-duplicated by key.
@@ -652,8 +636,7 @@ class CampaignScheduler:
         Raises :class:`CampaignIncomplete` when cells are still missing —
         finalisation never simulates planned cells, so shard/worker runs
         must land first.  The experiment module still runs what no variant
-        plans (fig09's B-Fetch, SlipStream and CRE comparisons, fig11's SMT
-        runs) through the runner's cache.  *Poisoned* cells (permanently
+        plans (see the module docstring) at assembly.  *Poisoned* cells (permanently
         failed after exhausting their retry budget) do not block
         finalisation: the artefact is assembled around them, carrying an
         explicit ``health`` section, so a partly-failed campaign yields
@@ -698,11 +681,16 @@ class CampaignScheduler:
         since ``started``/``stats_before`` are added here.  The progress
         line reports the assembly's own wall time, simulations and hits.
 
+        ``module.run(self.runner)`` reads the campaign's planned cells back
+        by variant name (every one a cache hit once the run is complete) and
+        computes only what no variant plans.
+
         ``failures`` (poisoned-cell records) switches degraded assembly on:
         the result gains a deterministic ``health`` section, and an
         exception from the experiment module — which may legitimately hit
-        the same crash the poisoned cell did, since modules re-simulate
-        missing cells — degrades to a stub artefact instead of propagating.
+        the same crash the poisoned cell did, since reading a poisoned cell
+        back simulates it again — degrades to a stub artefact instead of
+        propagating.
         The key is *absent* on clean runs, keeping fault-free artifacts
         byte-identical to earlier releases.
         """

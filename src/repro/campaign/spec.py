@@ -9,11 +9,12 @@ stored in campaign manifests, or written by hand for custom sweeps.
 A :class:`ConfigVariant` names one simulation configuration of the campaign
 matrix.  Variants are *declarative* — prefetcher preset, core overrides and
 DLA optimization toggles — and are materialised against the runner's base
-:class:`~repro.core.config.SystemConfig` at schedule time, so the resulting
-content fingerprints are identical to the ones the figure modules produce
-when they build the same configurations imperatively.  That identity is what
-makes campaign cells, figure reruns and the benchmark suite all share one
-result cache.
+:class:`~repro.core.config.SystemConfig` when cells are planned
+(:func:`~repro.experiments.parallel.plan_cells`).  They are the only source
+of a figure's configurations: the scheduler simulates the planned cells,
+and the figure module reads the same cells back by variant name when it
+assembles, so campaign cells, figure reruns and the benchmark suite all
+share one result cache.
 """
 
 from __future__ import annotations

@@ -8,10 +8,10 @@ buffer and load/store queue, functional-unit contention, branch prediction
 with a front-end redirect penalty, a decoupled fetch buffer, and a full
 cache/TLB/DRAM hierarchy for both instructions and data.
 
-It is *cycle-approximate*, not cycle-accurate: the goal, as stated in
-DESIGN.md, is to preserve the relative behaviour the paper's conclusions rest
-on (what limits the main thread, how much a look-ahead thread helps, where
-prefetching is late), not to reproduce gem5 cycle counts.
+It is *cycle-approximate*, not cycle-accurate: the goal is to preserve the
+relative behaviour the paper's conclusions rest on (what limits the main
+thread, how much a look-ahead thread helps, where prefetching is late), not
+to reproduce gem5 cycle counts.
 """
 
 from repro.core.config import CoreConfig, SystemConfig, sm_half_core_config, smt_full_core_config

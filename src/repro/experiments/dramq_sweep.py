@@ -34,8 +34,7 @@ __all__ = ["DRAMQ_SETTINGS", "run", "CAMPAIGN", "artifact_tables"]
 
 
 def run(runner: Optional[ExperimentRunner] = None) -> MemsysSweepResult:
-    runner = runner or ExperimentRunner(quick=True)
-    return run_axis(runner, AXIS_DRAMQ)
+    return run_axis(CAMPAIGN, AXIS_DRAMQ, runner)
 
 
 CAMPAIGN = CampaignSpec(

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 from repro.analysis.metrics import SpeedupTable
 from repro.analysis.reporting import format_table
 from repro.baselines import simulate_bfetch, simulate_cre, simulate_slipstream
-from repro.dla.config import DlaConfig
+from repro.experiments.parallel import run_cells
 from repro.experiments.runner import ExperimentRunner
 from repro.workloads.suites import SUITES
 
@@ -38,25 +38,18 @@ class Fig09Result:
         return "\n".join(lines)
 
 
-def run(runner: Optional[ExperimentRunner] = None,
-        include_related: bool = True) -> Fig09Result:
+def run(runner: Optional[ExperimentRunner] = None) -> Fig09Result:
     runner = runner or ExperimentRunner(quick=True)
-    nopf = runner.no_prefetch_config()
-    # One object per preset: a config's key text is memoised per object.
-    dla_config = DlaConfig().baseline_dla()
-    r3_config = DlaConfig().r3()
     table = SpeedupTable()
     related = SpeedupTable()
 
-    for setup in runner.setups():
-        reference = runner.baseline(setup, "bl")
-        ref_cycles = reference.cycles
-
-        bl_nopf = runner.baseline(setup, "bl-nopf", nopf)
-        dla = runner.dla(setup, dla_config, "dla")
-        dla_nopf = runner.dla(setup, dla_config, "dla-nopf", nopf)
-        r3 = runner.dla(setup, r3_config, "r3")
-        r3_nopf = runner.dla(setup, r3_config, "r3-nopf", nopf)
+    for setup, outcomes in run_cells(CAMPAIGN, runner):
+        ref_cycles = outcomes["bl"].cycles
+        bl_nopf = outcomes["bl-nopf"]
+        dla = outcomes["dla"]
+        dla_nopf = outcomes["dla-nopf"]
+        r3 = outcomes["r3"]
+        r3_nopf = outcomes["r3-nopf"]
 
         table.record("BL (noPF)", setup.name, ref_cycles / bl_nopf.cycles, setup.suite)
         table.record("BL", setup.name, 1.0, setup.suite)
@@ -65,24 +58,23 @@ def run(runner: Optional[ExperimentRunner] = None,
         table.record("R3-DLA (noPF)", setup.name, ref_cycles / r3_nopf.cycles, setup.suite)
         table.record("R3-DLA", setup.name, ref_cycles / r3.cycles, setup.suite)
 
-        if include_related:
-            # Related approaches go through the runner's auxiliary cache so
-            # campaign reruns and resumes skip them like every other cell.
-            bfetch = runner.auxiliary(setup, "bfetch", lambda s=setup: simulate_bfetch(
-                s.timed_trace, runner.system_config,
-                warmup_entries=s.warmup_trace))
-            slip = runner.auxiliary(setup, "slipstream", lambda s=setup: simulate_slipstream(
-                s.program, s.timed_trace, s.profile, runner.system_config,
-                warmup_entries=s.warmup_trace, builder=s.skeleton_builder))
-            cre = runner.auxiliary(setup, "cre", lambda s=setup: simulate_cre(
-                s.program, s.timed_trace, s.profile, runner.system_config,
-                warmup_entries=s.warmup_trace,
-                analysis=s.skeleton_builder.analysis))
-            related.record("B-Fetch", setup.name, ref_cycles / bfetch.cycles, setup.suite)
-            related.record("S-Stream", setup.name, ref_cycles / slip.cycles, setup.suite)
-            related.record("CRE", setup.name, ref_cycles / cre.cycles, setup.suite)
-            related.record("DLA", setup.name, ref_cycles / dla.cycles, setup.suite)
-            related.record("R3-DLA", setup.name, ref_cycles / r3.cycles, setup.suite)
+        # No variant plans the related approaches (ROADMAP item 4): they go
+        # through the runner's auxiliary cache at assembly.
+        bfetch = runner.auxiliary(setup, "bfetch", lambda s=setup: simulate_bfetch(
+            s.timed_trace, runner.system_config,
+            warmup_entries=s.warmup_trace))
+        slip = runner.auxiliary(setup, "slipstream", lambda s=setup: simulate_slipstream(
+            s.program, s.timed_trace, s.profile, runner.system_config,
+            warmup_entries=s.warmup_trace, builder=s.skeleton_builder))
+        cre = runner.auxiliary(setup, "cre", lambda s=setup: simulate_cre(
+            s.program, s.timed_trace, s.profile, runner.system_config,
+            warmup_entries=s.warmup_trace,
+            analysis=s.skeleton_builder.analysis))
+        related.record("B-Fetch", setup.name, ref_cycles / bfetch.cycles, setup.suite)
+        related.record("S-Stream", setup.name, ref_cycles / slip.cycles, setup.suite)
+        related.record("CRE", setup.name, ref_cycles / cre.cycles, setup.suite)
+        related.record("DLA", setup.name, ref_cycles / dla.cycles, setup.suite)
+        related.record("R3-DLA", setup.name, ref_cycles / r3.cycles, setup.suite)
 
     return Fig09Result(table=table, related=related)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.reporting import format_table
-from repro.dla.config import DlaConfig
+from repro.experiments.parallel import run_cells
 from repro.experiments.runner import ExperimentRunner
 from repro.util.stats_math import geometric_mean
 from repro.workloads.suites import SUITES
@@ -33,14 +33,12 @@ def run(runner: Optional[ExperimentRunner] = None) -> Fig10Result:
     runner = runner or ExperimentRunner(quick=True)
     per_workload: Dict[str, Dict[str, float]] = {}
     suite_of: Dict[str, str] = {}
-    dla_config = DlaConfig().baseline_dla()
-    r3_config = DlaConfig().r3()
-    for setup in runner.setups():
-        baseline = runner.baseline(setup, "bl")
+    for setup, outcomes in run_cells(CAMPAIGN, runner):
+        baseline = outcomes["bl"]
         base_cpu = baseline.energy.total
         base_dram = baseline.dram_energy
-        dla = runner.dla(setup, dla_config, "dla")
-        r3 = runner.dla(setup, r3_config, "r3")
+        dla = outcomes["dla"]
+        r3 = outcomes["r3"]
         per_workload[setup.name] = {
             "DLA cpu": dla.cpu_energy / max(1e-9, base_cpu),
             "R3-DLA cpu": r3.cpu_energy / max(1e-9, base_cpu),

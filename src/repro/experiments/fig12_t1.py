@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 from repro.analysis.metrics import SpeedupTable
 from repro.analysis.reporting import format_table
-from repro.dla.config import DlaConfig
+from repro.experiments.parallel import run_cells
 from repro.experiments.runner import ExperimentRunner
 from repro.workloads.suites import SUITES
 
@@ -39,13 +39,10 @@ def run(runner: Optional[ExperimentRunner] = None) -> Fig12Result:
     runner = runner or ExperimentRunner(quick=True)
     speedup = SpeedupTable()
     traffic = SpeedupTable()
-    stride_config = runner.with_l1_stride_config()
-    dla_config = DlaConfig().baseline_dla()
-    t1_config = DlaConfig().with_optimizations(t1=True)
-    for setup in runner.setups():
-        dla = runner.dla(setup, dla_config, "dla")
-        dla_stride = runner.dla(setup, dla_config, "dla-stride", stride_config)
-        dla_t1 = runner.dla(setup, t1_config, "dla-t1")
+    for setup, outcomes in run_cells(CAMPAIGN, runner):
+        dla = outcomes["dla"]
+        dla_stride = outcomes["dla-stride"]
+        dla_t1 = outcomes["dla-t1"]
 
         speedup.record("DLA + Stride", setup.name, dla.cycles / dla_stride.cycles, setup.suite)
         speedup.record("DLA + T1", setup.name, dla.cycles / dla_t1.cycles, setup.suite)

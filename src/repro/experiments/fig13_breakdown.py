@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.reporting import format_table
-from repro.dla.config import DlaConfig
+from repro.experiments.parallel import run_cells
 from repro.experiments.runner import ExperimentRunner
 from repro.util.stats_math import geometric_mean
 
@@ -40,88 +40,44 @@ class Fig13Result:
         return "\n".join(lines)
 
 
-def _fetch_buffer_study(runner: ExperimentRunner) -> List[Dict[str, object]]:
-    bl_gains, dla_gains = [], []
-    big_cfg = runner.system_config.with_overrides(fetch_buffer_entries=32)
-    dla_config = DlaConfig().baseline_dla()
-    fb_config = DlaConfig().with_optimizations(fetch_buffer=True)
-    for setup in runner.setups():
-        small = runner.baseline(setup, "bl")
-        big = runner.baseline(setup, "bl-fb32", big_cfg)
-        bl_gains.append(small.cycles / big.cycles)
-
-        dla_small = runner.dla(setup, dla_config, "dla")
-        dla_big = runner.dla(setup, fb_config, "dla-fb")
-        dla_gains.append(dla_small.cycles / dla_big.cycles)
-    return [
-        {"configuration": "FB over BL", "geomean": geometric_mean(bl_gains),
-         "min": min(bl_gains), "max": max(bl_gains)},
-        {"configuration": "FB over DLA", "geomean": geometric_mean(dla_gains),
-         "min": min(dla_gains), "max": max(dla_gains)},
-    ]
+def _gains(cells, before: str, after: str) -> List[float]:
+    """Per workload, the cycles of variant ``before`` over those of ``after``."""
+    return [outcomes[before].cycles / outcomes[after].cycles
+            for _setup, outcomes in cells]
 
 
-def _recycle_study(runner: ExperimentRunner) -> List[Dict[str, object]]:
-    dynamic_gains, static_gains = [], []
-    base_config = DlaConfig().with_optimizations(t1=True, value_reuse=True,
-                                                 fetch_buffer=True)
-    config = DlaConfig().r3()
-    for setup in runner.setups():
-        base = runner.dla(setup, base_config, "r3-no-recycle")
-        for dynamic, sink, label in ((False, static_gains, "recycle-static"),
-                                     (True, dynamic_gains, "recycle-dynamic")):
-            outcome = runner.dla_segmented(setup, config, dynamic=dynamic, label=label)
-            sink.append(base.cycles / outcome.cycles)
-    return [
-        {"configuration": "Dynamic", "geomean": geometric_mean(dynamic_gains),
-         "min": min(dynamic_gains), "max": max(dynamic_gains)},
-        {"configuration": "Static", "geomean": geometric_mean(static_gains),
-         "min": min(static_gains), "max": max(static_gains)},
-    ]
+def _gain_row(configuration: str, gains: List[float]) -> Dict[str, object]:
+    return {"configuration": configuration, "geomean": geometric_mean(gains),
+            "min": min(gains), "max": max(gains)}
 
 
-_TECHNIQUES = {
-    "AS": "t1",             # the paper labels T1 offloading "AS" in Fig. 13-c
-    "VR": "value_reuse",
-    "FB": "fetch_buffer",
-}
+#: Fig. 13-c: technique, the DLA variant applying it alone ("first"), and
+#: the one applying the other two (it is applied "last" on top of that,
+#: giving ``r3-no-recycle``).  The paper labels T1 offloading "AS".
+_TECHNIQUES = (
+    ("AS", "dla-t1", "dla-vr-fb"),
+    ("VR", "dla-vr", "dla-t1-fb"),
+    ("FB", "dla-fb", "dla-t1-vr"),
+)
 
 
-def _synergy_study(runner: ExperimentRunner) -> List[Dict[str, object]]:
-    rows = []
-    all_flags = {v: True for v in _TECHNIQUES.values()}
-    base_config = DlaConfig().baseline_dla()
-    full_config = DlaConfig().with_optimizations(**all_flags)
-    for label, flag in _TECHNIQUES.items():
-        only_config = DlaConfig().with_optimizations(**{flag: True})
-        others_config = DlaConfig().with_optimizations(**{**all_flags, flag: False})
-        first_gains, last_gains = [], []
-        for setup in runner.setups():
-            base = runner.dla(setup, base_config, "dla")
-            only = runner.dla(setup, only_config, f"dla-{flag}")
-            first_gains.append(base.cycles / only.cycles)
-
-            full = runner.dla(setup, full_config, "dla-all3")
-            others = runner.dla(setup, others_config, f"dla-not-{flag}")
-            last_gains.append(others.cycles / full.cycles)
-        rows.append({
-            "technique": label,
-            "first": geometric_mean(first_gains),
-            "last": geometric_mean(last_gains),
-        })
-    return rows
-
-
-def run(runner: Optional[ExperimentRunner] = None,
-        include_recycle: bool = True) -> Fig13Result:
-    runner = runner or ExperimentRunner(quick=True)
-    fetch_rows = _fetch_buffer_study(runner)
-    recycle_rows = _recycle_study(runner) if include_recycle else []
-    synergy_rows = _synergy_study(runner)
+def run(runner: Optional[ExperimentRunner] = None) -> Fig13Result:
+    cells = run_cells(CAMPAIGN, runner or ExperimentRunner(quick=True))
     return Fig13Result(
-        fetch_buffer_rows=fetch_rows,
-        recycle_rows=recycle_rows,
-        synergy_rows=synergy_rows,
+        fetch_buffer_rows=[
+            _gain_row("FB over BL", _gains(cells, "bl", "bl-fb32")),
+            _gain_row("FB over DLA", _gains(cells, "dla", "dla-fb")),
+        ],
+        recycle_rows=[
+            _gain_row("Dynamic", _gains(cells, "r3-no-recycle", "recycle-dynamic")),
+            _gain_row("Static", _gains(cells, "r3-no-recycle", "recycle-static")),
+        ],
+        synergy_rows=[
+            {"technique": label,
+             "first": geometric_mean(_gains(cells, "dla", alone)),
+             "last": geometric_mean(_gains(cells, others, "r3-no-recycle"))}
+            for label, alone, others in _TECHNIQUES
+        ],
     )
 
 

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.reporting import format_table
+from repro.experiments.parallel import run_cells
 from repro.experiments.runner import ExperimentRunner
 
-DEFAULT_WORKLOAD = "sjeng"
+WORKLOAD = "sjeng"
 CAPACITY = 32
 
 
@@ -33,8 +34,7 @@ class Fig14Result:
         )
 
 
-def run(runner: Optional[ExperimentRunner] = None,
-        workload: str = DEFAULT_WORKLOAD, capacity: int = CAPACITY) -> Fig14Result:
+def run(runner: Optional[ExperimentRunner] = None) -> Fig14Result:
     # The model needs numpy: import it here, not when the registry loads.
     from repro.dla.analytic import (
         FetchBufferModel,
@@ -43,18 +43,17 @@ def run(runner: Optional[ExperimentRunner] = None,
     )
 
     runner = runner or ExperimentRunner(quick=True)
-    setup = runner.setup(workload)
-    sample = setup.timed_trace.window(0, 6000)
+    (setup, outcomes), = run_cells(CAMPAIGN, runner)
+    simulated = simulated_queue_distribution(
+        outcomes["bl-fb32"].core.fetch_queue_histogram, CAPACITY)
 
+    # The analytic model is no cell (ROADMAP item 4): it computes here.
+    sample = setup.timed_trace.window(0, 6000)
     distributions = empirical_distributions(sample, runner.system_config)
     model = FetchBufferModel(distributions.demand, distributions.supply)
-    theoretical = list(model.steady_state(capacity))
+    theoretical = list(model.steady_state(CAPACITY))
 
-    config = runner.system_config.with_overrides(fetch_buffer_entries=capacity)
-    outcome = runner.baseline(setup, f"bl-fb{capacity}", config)
-    simulated = simulated_queue_distribution(outcome.core.fetch_queue_histogram, capacity)
-
-    error = sum(abs(t - s) for t, s in zip(theoretical, simulated)) / (capacity + 1)
+    error = sum(abs(t - s) for t, s in zip(theoretical, simulated)) / (CAPACITY + 1)
     return Fig14Result(theoretical=theoretical, simulated=simulated,
                        mean_absolute_error=error)
 
@@ -70,7 +69,7 @@ CAMPAIGN = CampaignSpec(
     experiment=__name__,
     description="Markov-chain queue-length distribution validated against "
                 "the timing model's occupancy histogram.",
-    workloads=(DEFAULT_WORKLOAD,),
+    workloads=(WORKLOAD,),
     variants=variants(
         dict(name="bl-fb32", kind="baseline",
              core_overrides={"fetch_buffer_entries": CAPACITY}),

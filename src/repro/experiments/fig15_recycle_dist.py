@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.reporting import format_table
-from repro.dla.config import DlaConfig
+from repro.experiments.parallel import run_cells
 from repro.experiments.runner import ExperimentRunner
 
 
@@ -31,18 +31,12 @@ class Fig15Result:
         )
 
 
-def run(runner: Optional[ExperimentRunner] = None,
-        max_workloads: Optional[int] = None) -> Fig15Result:
+def run(runner: Optional[ExperimentRunner] = None) -> Fig15Result:
     runner = runner or ExperimentRunner(quick=True)
-    setups = runner.setups()
-    if max_workloads is None:
-        max_workloads = 5 if runner.quick else len(setups)
     distributions: Dict[str, Dict[str, float]] = {}
     version_names: List[str] = []
-    config = DlaConfig().r3()
-    for setup in setups[:max_workloads]:
-        segmented = runner.dla_segmented(setup, config, dynamic=True,
-                                         label="recycle-dynamic")
+    for setup, outcomes in run_cells(CAMPAIGN, runner):
+        segmented = outcomes["recycle-dynamic"]
         version_names = list(segmented.version_names)
         distributions[setup.name] = {
             version_names[index]: fraction

@@ -27,11 +27,11 @@ contract of the scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.reporting import format_bar_chart, format_table
 from repro.core.config import SystemConfig
-from repro.dla.config import DlaConfig
+from repro.experiments.parallel import run_cells
 from repro.experiments.runner import ExperimentRunner
 from repro.util.stats_math import geometric_mean
 
@@ -45,12 +45,11 @@ DRAMQ_SETTINGS = (2, 4, 8, 16, None)
 
 @dataclass(frozen=True)
 class SweepAxis:
-    """One swept contention knob: settings, labels and materialisation."""
+    """One swept contention knob: its settings and their labels."""
 
-    #: Short axis name (used in variant names: ``bl-<axis>-<label>``).
+    #: Short axis name: the column header of its tables and rows, and part
+    #: of its variant names (``bl-<axis>-<label>``).
     name: str
-    #: Column header in rendered tables / artifact rows.
-    column: str
     #: ``ConfigVariant`` field that declares one setting (0 = the ``None``
     #: setting).
     variant_field: str
@@ -58,8 +57,6 @@ class SweepAxis:
     settings: Tuple[Optional[int], ...]
     #: Label of the ``None`` setting ("inf" for unbounded, "off" for absent).
     none_label: str
-    #: ``SystemConfig`` -> setting -> concrete config.
-    configure: Callable[[SystemConfig, Optional[int]], SystemConfig]
     title: str = ""
 
     def label(self, setting: Optional[int]) -> str:
@@ -68,31 +65,25 @@ class SweepAxis:
 
 AXIS_MSHR = SweepAxis(
     name="mshr",
-    column="mshr",
     variant_field="mshr_entries",
     settings=MSHR_SETTINGS,
     none_label="inf",
-    configure=lambda base, s: base.with_mshr_entries(s),
     title="MSHR sweep — throughput relative to unbounded MSHRs",
 )
 
 AXIS_WB = SweepAxis(
     name="wb",
-    column="wb",
     variant_field="write_buffer_entries",
     settings=WB_SETTINGS,
     none_label="off",
-    configure=lambda base, s: base.with_write_buffer(s),
     title="Write-buffer sweep — throughput relative to instant-drain victims",
 )
 
 AXIS_DRAMQ = SweepAxis(
     name="dramq",
-    column="dramq",
     variant_field="dram_queue_depth",
     settings=DRAMQ_SETTINGS,
     none_label="inf",
-    configure=lambda base, s: base.with_dram_queue(s),
     title="DRAM-queue sweep — throughput relative to unbounded queues",
 )
 
@@ -118,7 +109,9 @@ MEMSYS_REFERENCE = "uncontended"
 
 def machine_config(base: SystemConfig,
                    knobs: Mapping[str, Optional[int]]) -> SystemConfig:
-    """Materialise one named machine point against ``base``."""
+    """Materialise one named machine point against ``base`` (the
+    benchmark harness builds its machines with it; the sweep reads the
+    ``CAMPAIGN`` variants that declare the same knobs)."""
     return base.with_memsys(**dict(knobs))
 
 
@@ -190,27 +183,23 @@ def _geomean_by_label(per_workload, labels) -> Dict[str, Dict[str, float]]:
     }
 
 
-def run_points(runner: ExperimentRunner, column: str, title: str,
-               points: List[Tuple[str, SystemConfig]],
-               reference: str) -> MemsysSweepResult:
-    """Sweep named configuration points for BL and R3-DLA.
+def run_points(cells, column: str, title: str, labels: List[str],
+               reference: str, prefix: str = "") -> MemsysSweepResult:
+    """BL and R3-DLA on named configuration points, from campaign cells.
 
-    ``points`` maps labels to concrete configs; ``reference`` names the
-    point both machines are normalised against (requested first so its
-    cells cache-alias with the swept copy).
+    Point ``label`` is the pair of variants ``bl-<prefix><label>`` and
+    ``r3-<prefix><label>`` of ``cells`` (as
+    :func:`~repro.experiments.parallel.run_cells` returns them); both
+    machines are normalised against point ``reference``.
     """
-    r3 = DlaConfig().r3()
-    by_label = dict(points)
-    reference_cfg = by_label[reference]
     per_workload: Dict[str, Dict[str, Dict[str, float]]] = {}
-
-    for setup in runner.setups():
-        bl_ref = runner.baseline(setup, f"bl-{column}-{reference}", reference_cfg)
-        r3_ref = runner.dla(setup, r3, f"r3-{column}-{reference}", reference_cfg)
+    for setup, outcomes in cells:
+        bl_ref = outcomes[f"bl-{prefix}{reference}"]
+        r3_ref = outcomes[f"r3-{prefix}{reference}"]
         by_point: Dict[str, Dict[str, float]] = {}
-        for label, config in points:
-            bl = runner.baseline(setup, f"bl-{column}-{label}", config)
-            r3_outcome = runner.dla(setup, r3, f"r3-{column}-{label}", config)
+        for label in labels:
+            bl = outcomes[f"bl-{prefix}{label}"]
+            r3_outcome = outcomes[f"r3-{prefix}{label}"]
             by_point[label] = {
                 "bl": bl.ipc / bl_ref.ipc if bl_ref.ipc else 0.0,
                 "r3": r3_outcome.ipc / r3_ref.ipc if r3_ref.ipc else 0.0,
@@ -219,7 +208,6 @@ def run_points(runner: ExperimentRunner, column: str, title: str,
             }
         per_workload[setup.name] = by_point
 
-    labels = [label for label, _config in points]
     return MemsysSweepResult(
         column=column,
         title=title,
@@ -228,29 +216,24 @@ def run_points(runner: ExperimentRunner, column: str, title: str,
     )
 
 
-def run_axis(runner: ExperimentRunner, axis: SweepAxis) -> MemsysSweepResult:
-    """Sweep one contention axis (its ``None`` setting is the reference)."""
-    base = runner.system_config
-    points = [
-        (axis.label(setting), axis.configure(base, setting))
-        for setting in axis.settings
-    ]
-    return run_points(runner, axis.column, axis.title, points,
-                      reference=axis.label(None))
+def run_axis(campaign: CampaignSpec, axis: SweepAxis,
+             runner: Optional[ExperimentRunner] = None) -> MemsysSweepResult:
+    """Sweep one contention axis from ``campaign``'s cells (its ``None``
+    setting is the reference)."""
+    cells = run_cells(campaign, runner or ExperimentRunner(quick=True))
+    return run_points(cells, axis.name, axis.title,
+                      [axis.label(setting) for setting in axis.settings],
+                      reference=axis.label(None), prefix=f"{axis.name}-")
 
 
 def run(runner: Optional[ExperimentRunner] = None) -> MemsysSweepResult:
     """The ``memsys-sweep`` machine comparison (see :data:`MEMSYS_MACHINES`)."""
-    runner = runner or ExperimentRunner(quick=True)
-    base = runner.system_config
-    points = [
-        (name, machine_config(base, knobs)) for name, knobs in MEMSYS_MACHINES
-    ]
+    cells = run_cells(CAMPAIGN, runner or ExperimentRunner(quick=True))
     return run_points(
-        runner, "machine",
+        cells, "machine",
         "Memory-backend machines — throughput relative to the uncontended "
         "(infinite-resource) machine",
-        points, reference=MEMSYS_REFERENCE,
+        [name for name, _knobs in MEMSYS_MACHINES], reference=MEMSYS_REFERENCE,
     )
 
 

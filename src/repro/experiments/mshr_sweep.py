@@ -36,8 +36,7 @@ __all__ = ["MSHR_SETTINGS", "run", "CAMPAIGN", "artifact_tables"]
 
 
 def run(runner: Optional[ExperimentRunner] = None) -> MemsysSweepResult:
-    runner = runner or ExperimentRunner(quick=True)
-    return run_axis(runner, AXIS_MSHR)
+    return run_axis(CAMPAIGN, AXIS_MSHR, runner)
 
 
 CAMPAIGN = CampaignSpec(

@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SystemConfig
 from repro.dla.config import DlaConfig
-from repro.experiments.runner import ExperimentRunner, RunnerStats
+from repro.experiments.runner import ExperimentRunner, RunnerStats, WorkloadSetup
 
 #: Environment variable overriding the worker-process count.
 PROCESSES_ENV = "REPRO_PROCESSES"
@@ -77,6 +77,62 @@ def _simulate_request(runner: ExperimentRunner, setup, request: SimRequest):
     return runner.dla(
         setup, request.dla_config, request.label or "dla", request.system_config
     )
+
+
+def plan_workloads(spec, runner: ExperimentRunner) -> List[str]:
+    """The workloads that get cells of campaign ``spec`` on ``runner``.
+
+    The spec's own workloads when it pins them (fig14), else the runner's;
+    in quick mode only the first ``max_cell_workloads_quick`` of them
+    (fig15).
+    """
+    names = spec.resolve_workloads()
+    if names is None:
+        names = list(runner.workload_names)
+    limit = spec.max_cell_workloads_quick
+    if runner.quick and limit is not None:
+        names = names[:limit]
+    return names
+
+
+def plan_cells(spec, runner: ExperimentRunner) -> List[SimRequest]:
+    """The flattened (workload, variant) cell matrix of campaign ``spec``.
+
+    Each variant is materialised once per call: a config memoises its key
+    text per object, so every workload's cells share one config (and one
+    canonical text) per variant.
+    """
+    base = runner.system_config
+    materialised = [
+        (variant, variant.system_config(base), variant.dla_config())
+        for variant in spec.variants
+    ]
+    return [
+        SimRequest(workload=workload, kind=variant.kind, label=variant.name,
+                   system_config=system_config, dla_config=dla_config,
+                   dynamic=variant.dynamic)
+        for workload in plan_workloads(spec, runner)
+        for variant, system_config, dla_config in materialised
+    ]
+
+
+def run_cells(spec, runner: ExperimentRunner,
+              ) -> List[Tuple[WorkloadSetup, Dict[str, object]]]:
+    """The outcomes of every planned cell of ``spec``: per planned workload,
+    in plan order, its setup and its cells' outcomes by variant name.
+
+    Each cell goes through :func:`_simulate_request` and so through the
+    runner's cache: at campaign assembly every one is a hit.  This is how
+    an experiment module reads its configurations — it builds none itself.
+    The setup comes along for what a module computes beside its cells, so
+    no module asks the runner for a setup twice.
+    """
+    cells = {workload: (runner.setup(workload), {})
+             for workload in plan_workloads(spec, runner)}
+    for request in plan_cells(spec, runner):
+        setup, outcomes = cells[request.workload]
+        outcomes[request.label] = _simulate_request(runner, setup, request)
+    return list(cells.values())
 
 
 def _request_content_key(runner: ExperimentRunner, request: SimRequest) -> str:

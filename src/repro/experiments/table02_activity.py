@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.reporting import format_table
-from repro.dla.config import DlaConfig
+from repro.experiments.parallel import run_cells
 from repro.experiments.runner import ExperimentRunner
 from repro.util.stats_math import geometric_mean
 
@@ -47,12 +47,11 @@ def _thread_row(label: str, thread_result, thread_energy, baseline, baseline_ene
 def run(runner: Optional[ExperimentRunner] = None) -> Table02Result:
     runner = runner or ExperimentRunner(quick=True)
     accumulators: Dict[str, List[Dict[str, float]]] = {}
-    presets = (("DLA", DlaConfig().baseline_dla()), ("R3-DLA", DlaConfig().r3()))
-    for setup in runner.setups():
-        baseline = runner.baseline(setup, "bl")
+    for _setup, outcomes in run_cells(CAMPAIGN, runner):
+        baseline = outcomes["bl"]
         baseline_energy = baseline.energy
-        for config_label, dla_config in presets:
-            outcome = runner.dla(setup, dla_config, config_label.lower())
+        for config_label, variant in (("DLA", "dla"), ("R3-DLA", "r3")):
+            outcome = outcomes[variant]
             for thread_label, result, energy in (
                 ("LT", outcome.lookahead, outcome.lookahead_energy),
                 ("MT", outcome.main, outcome.main_energy),

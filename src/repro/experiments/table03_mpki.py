@@ -10,14 +10,14 @@ because the leaner look-ahead thread covers more of the remaining misses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.analysis.metrics import mpki
 from repro.analysis.reporting import format_table
 from repro.core.compile.hookspec import CompiledHookSpec
 from repro.core.pipeline import CoreHooks
 from repro.core.system import build_single_core, warm_memory_system
-from repro.dla.config import DlaConfig
+from repro.experiments.parallel import run_cells
 from repro.experiments.runner import ExperimentRunner, WorkloadSetup
 from repro.util.stats_math import arithmetic_mean
 
@@ -45,14 +45,10 @@ def _split_l1_misses(setup: WorkloadSetup, config) -> Dict[str, float]:
     return _split(strided, len(misses) - strided, result.committed)
 
 
-def _split_dla_misses(setup: WorkloadSetup, runner: ExperimentRunner, config,
-                      dla_config: DlaConfig,
-                      baseline: Dict[str, float]) -> Dict[str, float]:
-    """The DLA main thread's L1 load misses, split in the proportions of
-    ``baseline`` (the BL split under ``config``)."""
-    # The simulation goes through the runner so it shares the fingerprint
-    # cache with every other figure requesting the same configuration.
-    outcome = runner.dla(setup, dla_config, "table03-dla", config)
+def _split_dla_misses(outcome, baseline: Dict[str, float],
+                      t1: bool) -> Dict[str, float]:
+    """A DLA cell's main-thread L1 load misses, split in the proportions of
+    ``baseline`` (the BL split)."""
     # The outcome counts total misses only; the strided share follows the
     # baseline proportions scaled by the observed reduction.
     total_misses = outcome.main.l1d_misses
@@ -61,7 +57,7 @@ def _split_dla_misses(setup: WorkloadSetup, runner: ExperimentRunner, config,
         strided_share = baseline["strided_misses"] / baseline_total
     else:
         strided_share = 0.0
-    if dla_config.enable_t1:
+    if t1:
         # T1 handles the strided streams explicitly; the remaining misses
         # skew heavily towards non-strided accesses.
         strided_share *= 0.35
@@ -84,25 +80,19 @@ class Table03Result:
 CONFIG_LABELS = ("BL", "BL+stride", "DLA", "DLA+T1")
 
 
-def run(runner: Optional[ExperimentRunner] = None,
-        workloads: Optional[Sequence[str]] = None) -> Table03Result:
+def run(runner: Optional[ExperimentRunner] = None) -> Table03Result:
     runner = runner or ExperimentRunner(quick=True)
-    names = list(workloads) if workloads else runner.workload_names
-    config = runner.system_config
+    # No variant plans the BL / BL+stride miss split (ROADMAP item 4): it
+    # simulates here, uncached, logging each L1 miss's PC.
     stride_config = runner.with_l1_stride_config()
-    dla_config = DlaConfig().baseline_dla()
-    t1_config = DlaConfig().with_optimizations(t1=True)
     per_workload: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for name in names:
-        setup = runner.setup(name)
-        baseline = _split_l1_misses(setup, config)
-        per_workload[name] = {
+    for setup, outcomes in run_cells(CAMPAIGN, runner):
+        baseline = _split_l1_misses(setup, runner.system_config)
+        per_workload[setup.name] = {
             "BL": baseline,
             "BL+stride": _split_l1_misses(setup, stride_config),
-            "DLA": _split_dla_misses(setup, runner, config, dla_config,
-                                     baseline),
-            "DLA+T1": _split_dla_misses(setup, runner, config, t1_config,
-                                        baseline),
+            "DLA": _split_dla_misses(outcomes["dla"], baseline, t1=False),
+            "DLA+T1": _split_dla_misses(outcomes["dla-t1"], baseline, t1=True),
         }
 
     rows: List[Dict[str, object]] = []

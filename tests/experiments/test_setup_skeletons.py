@@ -48,7 +48,7 @@ def analyses(monkeypatch):
 def test_fig09_analyses_each_setup_program_once(runner, analyses):
     """fig09's four DLA cells and its SlipStream and CRE runs for one
     workload analyse the program once, on the setup's builder."""
-    fig09_speedup.run(runner, include_related=True)
+    fig09_speedup.run(runner)
     setup = runner.setup(WORKLOAD)
     assert runner.stats.simulations == 9
     assert analyses == [setup.program]
@@ -56,7 +56,7 @@ def test_fig09_analyses_each_setup_program_once(runner, analyses):
 
 
 def test_memoised_skeletons_equal_a_fresh_builders(runner):
-    fig09_speedup.run(runner, include_related=True)
+    fig09_speedup.run(runner)
     setup = runner.setup(WORKLOAD)
     builder = setup.skeleton_builder
     # The default skeletons of DLA and R3-DLA, and SlipStream's A-stream.
