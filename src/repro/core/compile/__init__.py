@@ -37,7 +37,8 @@ equivalence tests pin both paths to bit-identical results.
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional
+from array import array
+from typing import Dict, Optional, Tuple
 
 from repro.core.results import CoreResult
 
@@ -59,6 +60,7 @@ _COUNTERS: Dict[str, int] = dict.fromkeys((
     "native_cre_steps",       # load accesses its CRE table stepped
     "native_emulated",        # instructions its functional emulator executed
     "native_profiled",        # instructions its training-run profiler read
+    "native_latency_rows",    # timing-run rows its latency pass aggregated
     # Runs the interpreter carried, with the kernel loaded, because they
     # do not fit it.
     "interpreted_runs",
@@ -131,6 +133,23 @@ def profile_compiled(memory, window, backward, outputs) -> tuple:
     from repro.core.compile.driver import profile_columns
 
     return profile_columns(load_kernel(), memory, window, backward, outputs)
+
+
+def profile_latencies_compiled(pcs: array, complete: array, dispatch: array,
+                               size: int) -> Tuple[array, array, array]:
+    """A profiling timing run's per-PC ``complete - dispatch`` sums, row
+    counts and PCs in first-seen order, aggregated on the kernel (the
+    caller checked :func:`kernel_available`); ``size`` is the program's
+    static length."""
+    from repro.core.compile.build import load_kernel
+
+    sums = array("d", bytes(8 * size))
+    counts = array("q", bytes(8 * size))
+    order = array("q", bytes(8 * size))
+    seen = load_kernel().profile_latencies(pcs, complete, dispatch, sums,
+                                           counts, order)
+    _count("native_latency_rows", len(pcs))
+    return sums, counts, order[:seen]
 
 
 def replay_compiled(memory, inputs, cycles_per_access: int) -> None:

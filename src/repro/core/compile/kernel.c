@@ -14,7 +14,8 @@
  * warm-up replay (replay_warmup) over the same memory path, the hint
  * verdict draws (draw_verdicts), the functional emulator and the passes
  * over its trace columns: decode (gather_decoded), the look-ahead
- * selection (select_rows) and training-run profiling (profile_columns). */
+ * selection (select_rows), training-run profiling (profile_columns) and
+ * the aggregation of its timing run's latencies (profile_latencies). */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
@@ -3379,16 +3380,74 @@ done:
     return ret;
 }
 
+/* dla.profiling._profile_timing's aggregation over a timing run's
+ * columns (pc 'i', complete and dispatch 'd'): per PC, the sum of
+ * complete - dispatch in trace order (doubles added one row at a time,
+ * as the reference adds them, so every mean is the same double), the row
+ * count, and the PCs in order of first appearance.  Zeroes and fills the
+ * caller's per-PC sums ('d'), counts and order ('q') arrays; returns how
+ * many entries of order it wrote. */
+static PyObject *
+profile_latencies(PyObject *self, PyObject *args)
+{
+    Py_buffer v_pc = {0}, v_complete = {0}, v_dispatch = {0};
+    Py_buffer v_sums = {0}, v_counts = {0}, v_order = {0};
+    PyObject *ret = NULL;
+    if (!PyArg_ParseTuple(args, "y*y*y*w*w*w*", &v_pc, &v_complete,
+                          &v_dispatch, &v_sums, &v_counts, &v_order))
+        return NULL;
+    Py_ssize_t n = v_pc.len / (Py_ssize_t)sizeof(int32_t);
+    Py_ssize_t ns = v_counts.len / (Py_ssize_t)sizeof(int64_t);
+    if (v_pc.len != n * (Py_ssize_t)sizeof(int32_t) ||
+        v_complete.len != n * (Py_ssize_t)sizeof(double) ||
+        v_dispatch.len != n * (Py_ssize_t)sizeof(double) ||
+        v_counts.len != ns * (Py_ssize_t)sizeof(int64_t) ||
+        v_sums.len != ns * (Py_ssize_t)sizeof(double) ||
+        v_order.len != ns * (Py_ssize_t)sizeof(int64_t)) {
+        PyErr_SetString(PyExc_ValueError, "profile_latencies: needs one "
+                        "row per instruction and one item per PC");
+        goto done;
+    }
+    const int32_t *pc = v_pc.buf;
+    const double *complete = v_complete.buf, *dispatch = v_dispatch.buf;
+    double *sums = v_sums.buf;
+    int64_t *counts = v_counts.buf, *order = v_order.buf;
+    memset(sums, 0, (size_t)v_sums.len);
+    memset(counts, 0, (size_t)v_counts.len);
+    int64_t seen = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int64_t p = pc[i];
+        if (p < 0 || p >= ns) {
+            PyErr_Format(PyExc_ValueError, "profile_latencies: pc %lld out "
+                         "of range", (long long)p);
+            goto done;
+        }
+        if (counts[p]++ == 0)
+            order[seen++] = p;
+        sums[p] += complete[i] - dispatch[i];
+    }
+    ret = PyLong_FromLongLong((long long)seen);
+done:
+    PyBuffer_Release(&v_pc);
+    PyBuffer_Release(&v_complete);
+    PyBuffer_Release(&v_dispatch);
+    PyBuffer_Release(&v_sums);
+    PyBuffer_Release(&v_counts);
+    PyBuffer_Release(&v_order);
+    return ret;
+}
+
 /* ------------------------------------------------------------------ */
 /* Functional emulation: repro.emulator.machine.Emulator's loop.        */
 /*                                                                      */
 /* Runs a program from its entry point to HALT or the instruction       */
 /* limit over the static table _static_table() builds (opcode, dst, two */
-/* sources, immediate, target per instruction; the data image as       */
-/* address/value columns) and returns the trace columns plus the final  */
-/* architectural state.  Every value is an int64 wrapped exactly as     */
-/* Emulator._to_signed wraps it: arithmetic is done on uint64, division */
-/* floors like Python's // and %, and a zero divisor yields 0.          */
+/* sources, immediate, target per instruction; the data image's runs   */
+/* of (base, count) and its words) and returns the trace columns plus   */
+/* the final architectural state.  Every value is an int64 wrapped      */
+/* exactly as Emulator._to_signed wraps it: arithmetic is done on       */
+/* uint64, division floors like Python's // and %, and a zero divisor   */
+/* yields 0.                                                            */
 /* ------------------------------------------------------------------ */
 
 /* opcode numbering (must match machine.py's _NATIVE_OPCODES) */
@@ -3579,10 +3638,10 @@ static PyObject *
 emulate(PyObject *self, PyObject *args)
 {
     Py_buffer v_op = {0}, v_dst = {0}, v_s0 = {0}, v_s1 = {0};
-    Py_buffer v_imm = {0}, v_target = {0}, v_addr = {0}, v_val = {0};
+    Py_buffer v_imm = {0}, v_target = {0}, v_runs = {0}, v_val = {0};
     long long entry, limit;
     if (!PyArg_ParseTuple(args, "y*y*y*y*y*y*y*y*LL", &v_op, &v_dst, &v_s0,
-                          &v_s1, &v_imm, &v_target, &v_addr, &v_val,
+                          &v_s1, &v_imm, &v_target, &v_runs, &v_val,
                           &entry, &limit))
         return NULL;
 
@@ -3598,13 +3657,15 @@ emulate(PyObject *self, PyObject *args)
     int64_t regs[EMU_REGISTERS] = {0};
 
     Py_ssize_t size = v_op.len;
-    Py_ssize_t ndata = v_addr.len / (Py_ssize_t)sizeof(int64_t);
+    Py_ssize_t ndata = v_val.len / (Py_ssize_t)sizeof(int64_t);
+    Py_ssize_t nruns = v_runs.len / (Py_ssize_t)(2 * sizeof(int64_t));
     if (emu_buffer(&v_dst, 1, size, "dst") < 0 ||
         emu_buffer(&v_s0, 1, size, "src0") < 0 ||
         emu_buffer(&v_s1, 1, size, "src1") < 0 ||
         emu_buffer(&v_imm, sizeof(int64_t), size, "imm") < 0 ||
         emu_buffer(&v_target, sizeof(int32_t), size, "target") < 0 ||
-        emu_buffer(&v_val, sizeof(int64_t), ndata, "values") < 0)
+        emu_buffer(&v_val, sizeof(int64_t), ndata, "words") < 0 ||
+        emu_buffer(&v_runs, 2 * sizeof(int64_t), nruns, "runs") < 0)
         goto done;
     const int8_t *op = (const int8_t *)v_op.buf;
     const int8_t *dst = (const int8_t *)v_dst.buf;
@@ -3612,7 +3673,7 @@ emulate(PyObject *self, PyObject *args)
     const int8_t *s1 = (const int8_t *)v_s1.buf;
     const int64_t *imm = (const int64_t *)v_imm.buf;
     const int32_t *target = (const int32_t *)v_target.buf;
-    const int64_t *addr = (const int64_t *)v_addr.buf;
+    const int64_t *runs = (const int64_t *)v_runs.buf;
     const int64_t *val = (const int64_t *)v_val.buf;
     for (Py_ssize_t k = 0; k < size; k++) {
         if (op[k] < 0 || op[k] >= OP_COUNT || dst[k] >= EMU_REGISTERS ||
@@ -3627,11 +3688,28 @@ emulate(PyObject *self, PyObject *args)
         goto done;
     }
 
+    /* The data image: runs of (base, count) consecutive words. */
+    int64_t words = 0;
+    for (Py_ssize_t r = 0; r < nruns; r++) {
+        int64_t base = runs[2 * r], n = runs[2 * r + 1];
+        if (n < 0 || n > ndata - words ||
+            (n > 0 && base > INT64_MAX - 8 * (n - 1))) {
+            PyErr_Format(PyExc_ValueError, "emulate: bad data run %zd", r);
+            goto done;
+        }
+        words += n;
+    }
+    if (words != ndata) {
+        PyErr_SetString(PyExc_ValueError, "emulate: runs do not cover the "
+                        "image's words");
+        goto done;
+    }
     if (emem_init(&mem, (size_t)ndata) < 0)
         goto done;
-    for (Py_ssize_t k = 0; k < ndata; k++)
-        if (emem_put(&mem, addr[k], val[k], 1) < 0)
-            goto done;
+    for (Py_ssize_t r = 0, k = 0; r < nruns; r++)
+        for (int64_t j = 0; j < runs[2 * r + 1]; j++, k++)
+            if (emem_put(&mem, runs[2 * r] + 8 * j, val[k], 1) < 0)
+                goto done;
 
     int64_t pc = entry;
     int halted = 0;
@@ -3773,7 +3851,7 @@ done:
     PyBuffer_Release(&v_op); PyBuffer_Release(&v_dst);
     PyBuffer_Release(&v_s0); PyBuffer_Release(&v_s1);
     PyBuffer_Release(&v_imm); PyBuffer_Release(&v_target);
-    PyBuffer_Release(&v_addr); PyBuffer_Release(&v_val);
+    PyBuffer_Release(&v_runs); PyBuffer_Release(&v_val);
     return ret;
 }
 
@@ -3953,6 +4031,8 @@ static PyMethodDef methods[] = {
      "The rows of a window's trace columns whose PC is in a mask."},
     {"profile_columns", profile_columns, METH_VARARGS,
      "A training window's profile passes (dla.profiling.profile_workload)."},
+    {"profile_latencies", profile_latencies, METH_VARARGS,
+     "Per-PC dispatch-to-execute sums of a profiling timing run."},
     {"emulate", emulate, METH_VARARGS,
      "Run a program to HALT or the limit; returns its trace columns."},
     {"draw_verdicts", draw_verdicts, METH_VARARGS,

@@ -163,17 +163,20 @@ def profile_workload(
     (``run_timing=False`` skips it when only memory seeds are needed).
 
     With the compiled kernel loaded the passes run natively over the
-    trace's columns (:func:`_profile_columns`); the loops below over its
-    entries are the reference they transcribe.
+    trace's columns (:func:`_profile_columns`), the timing run is compiled
+    and its latencies are summed per PC on the kernel too; the loops below
+    over the trace's entries and the timing run's rows are the reference
+    they transcribe (``REPRO_FAST_PIPELINE=0``).
     """
     from repro.core.compile import kernel_available
 
     config = config or SystemConfig()
     profile = ProgramProfile(program=program, dynamic_instructions=len(trace))
-    if not (kernel_available() and _profile_columns(trace, config, profile)):
+    native = kernel_available()
+    if not (native and _profile_columns(trace, config, profile)):
         _profile_entries(trace, config, profile)
     if run_timing:
-        _profile_timing(trace, config, profile, timing_window)
+        _profile_timing(trace, config, profile, timing_window, native)
     return profile
 
 
@@ -296,14 +299,25 @@ def _profile_columns(trace: Trace, config: SystemConfig,
 
 
 def _profile_timing(trace: Trace, config: SystemConfig,
-                    profile: ProgramProfile, window: int) -> None:
+                    profile: ProgramProfile, window: int,
+                    native: bool) -> None:
     """Per-PC average dispatch-to-execute latency from a baseline timing
-    run, aggregated by the window's ``pc`` column in program order."""
+    run, aggregated by the window's ``pc`` column in program order: on the
+    kernel when ``native``, else by the loop below."""
+    from repro.core.compile import profile_latencies_compiled
+
     shared = SharedMemorySystem(config.memory)
     memory = CoreMemorySystem(shared, config.memory)
     core = OutOfOrderCore(config.core, memory)
     head = trace.window(0, window)
     timings = core.run(head, collect_timings=True).timings
+    if native:
+        totals, rows, order = profile_latencies_compiled(
+            head.columns.pc, timings.complete, timings.dispatch,
+            len(trace.program))
+        profile.dispatch_to_execute = {pc: totals[pc] / rows[pc]
+                                       for pc in order}
+        return
     sums: Dict[int, float] = {}
     counts: Dict[int, int] = {}
     for pc, complete, dispatch in zip(head.columns.pc, timings.complete,

@@ -20,18 +20,11 @@ from repro.emulator.trace import (
     TraceColumns,
 )
 from repro.isa.instructions import Opcode
-from repro.isa.program import Program
+from repro.isa.program import Program, to_word as _to_signed
 from repro.isa.registers import NUM_REGISTERS, ZERO_REGISTER
 
 #: Values are wrapped to 64-bit two's complement, as on a real machine.
 _MASK64 = (1 << 64) - 1
-
-
-def _to_signed(value: int) -> int:
-    value &= _MASK64
-    if value >= 1 << 63:
-        value -= 1 << 64
-    return value
 
 
 class ExecutionLimitExceeded(RuntimeError):
@@ -59,11 +52,12 @@ _TARGETED = {Opcode.BEQZ, Opcode.BNEZ, Opcode.BLT, Opcode.BGE, Opcode.JUMP,
 
 def _static_table(program: Program) -> Optional[tuple]:
     """The kernel's view of ``program``: per-instruction opcode, dst, two
-    sources, immediate and target columns plus the data image's address
-    and value columns.  ``None`` when a program falls outside what the
+    sources, immediate and target columns plus the data image's runs and
+    words.  ``None`` when a program falls outside what the
     kernel transcribes exactly (too few sources, a missing target, an
-    out-of-range entry point or a value beyond 64 bits), and the Python
-    engine runs it."""
+    out-of-range entry point or an immediate beyond 64 bits), and the
+    Python engine runs it.  The data columns are the image's own: values
+    beyond int64 are already wrapped there, as a load wraps them."""
     size = len(program)
     if not 0 <= program.entry_point < size:
         return None
@@ -86,15 +80,10 @@ def _static_table(program: Program) -> Optional[tuple]:
             src1.append(srcs[1] if len(srcs) > 1 else 0)
             imm.append(inst.imm)
             target.append(-1 if inst.target is None else inst.target)
-        data = program.data
-        addresses = array("q", data.keys())
-        try:
-            values = array("q", data.values())
-        except OverflowError:       # a value beyond int64: wrap like a word
-            values = array("q", (_to_signed(v) for v in data.values()))
     except OverflowError:
         return None
-    return ops, dst, src0, src1, imm, target, addresses, values
+    return (ops, dst, src0, src1, imm, target, program.data.runs,
+            program.data.words)
 
 
 class Emulator:
@@ -104,23 +93,33 @@ class Emulator:
     :class:`~repro.isa.program.Program` it runs: the program's initial data
     image is copied at reset, so running the same program twice yields
     identical traces.
+
+    :attr:`memory` is the architectural data memory as a dict, built from
+    the image's columns on first use after a reset; a native run keeps
+    only the words it stored until then.
     """
 
     def __init__(self, program: Program) -> None:
         self.program = program
-        self.registers: List[int] = [0] * NUM_REGISTERS
-        self.memory: Dict[int, int] = {}
-        self.pc = program.entry_point
-        self.halted = False
         self.reset()
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Restore architectural state to the program's initial image."""
-        self.registers = [0] * NUM_REGISTERS
-        self.memory = dict(self.program.data)
+        self.registers: List[int] = [0] * NUM_REGISTERS
+        self._memory: Optional[Dict[int, int]] = None
+        self._stored: Optional[Tuple[array, array]] = None
         self.pc = self.program.entry_point
         self.halted = False
+
+    @property
+    def memory(self) -> Dict[int, int]:
+        if self._memory is None:
+            self._memory = self.program.data.to_dict()
+            if self._stored is not None:
+                self._memory.update(zip(*self._stored))
+                self._stored = None
+        return self._memory
 
     # ------------------------------------------------------------------
     def _read(self, reg: int) -> int:
@@ -293,7 +292,7 @@ class Emulator:
         self.halted = bool(halted)
         self.pc = pc
         self.registers = list(array("q", registers))
-        self.memory.update(zip(array("q", stored_at), array("q", stored)))
+        self._stored = (array("q", stored_at), array("q", stored))
         columns = TraceColumns(array("i", pcs), array("q", eas),
                                array("q", results), array("B", flags),
                                array("i", next_pcs))

@@ -270,11 +270,19 @@ def _build_setup(workload: Workload, warmup_instructions: int,
                  disk_cache: Optional[ResultDiskCache],
                  disk_key: str) -> WorkloadSetup:
     """Emulate and profile ``workload`` from scratch, count the build and
-    put the setup's entry under ``disk_key`` when a disk cache is given."""
+    put the setup's entry under ``disk_key`` when a disk cache is given.
+
+    A workload that halts before its timed window starts has nothing to
+    time: that raises ``ValueError``."""
     program = workload.build_program()
     windows = warmup_instructions + timed_instructions
     profiled = warmup_instructions + 4000
     trace = workload.trace(windows + 1000)
+    if len(trace) <= warmup_instructions:
+        raise ValueError(
+            f"workload {workload.name!r} halts after {len(trace)} dynamic "
+            f"instructions, before its timed window starts (warm-up "
+            f"{warmup_instructions} + timed {timed_instructions})")
     head = trace.window(0, max(windows, profiled))
     profile = profile_workload(
         program,

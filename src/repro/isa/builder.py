@@ -8,14 +8,13 @@ opcode so kernels read roughly like assembly listings.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from array import array
+from bisect import bisect_right
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.isa.instructions import Instruction, Opcode
-from repro.isa.program import Program
-
-#: Data addresses are word (8-byte) aligned; the allocator hands out
-#: multiples of this.
-WORD_BYTES = 8
+from repro.isa.program import WORD_BYTES, DataImage, Program, to_word
 
 
 class Label:
@@ -36,7 +35,16 @@ class ProgramBuilder:
         self.name = name
         self._pending: List[dict] = []
         self._labels: Dict[str, Label] = {}
-        self._data: Dict[int, int] = {}
+        # The data image (see DataImage): its words in insertion order and
+        # where they live.  Each allocation's words are one run, (base,
+        # count, index of its first word) in ``_allocations``, by base (the
+        # allocator only moves up); a word poked anywhere else has its
+        # index in ``_loose``.
+        self._words = array("q")
+        self._wide: Dict[int, int] = {}
+        self._allocations: List[Tuple[int, int, int]] = []
+        self._allocation_bases: List[int] = []
+        self._loose: Dict[int, int] = {}
         self._data_cursor = data_base
         self._annotation = ""
 
@@ -54,6 +62,11 @@ class ProgramBuilder:
     # ------------------------------------------------------------------
     # data segment
     # ------------------------------------------------------------------
+    @property
+    def data_cursor(self) -> int:
+        """The address the next allocation starts at."""
+        return self._data_cursor
+
     def alloc_words(self, count: int, fill: Union[int, Sequence[int]] = 0) -> int:
         """Reserve ``count`` words of data memory; returns the base address."""
         if count <= 0:
@@ -66,8 +79,22 @@ class ProgramBuilder:
             if len(values) != count:
                 raise ValueError("fill length does not match count")
         end = base + count * WORD_BYTES
-        self._data.update(zip(range(base, end, WORD_BYTES), values))
         self._data_cursor = end
+        if any(base <= address < end for address in self._loose):
+            # Words poked before they were allocated keep their place.
+            for address, value in zip(range(base, end, WORD_BYTES), values):
+                self.poke(address, value)
+            return base
+        self._allocations.append((base, count, len(self._words)))
+        self._allocation_bases.append(base)
+        try:
+            self._words.extend(array("q", values))
+        except OverflowError:
+            self._words.extend(array("q", map(to_word, values)))
+            self._wide.update(
+                (address, value)
+                for address, value in zip(range(base, end, WORD_BYTES), values)
+                if value != to_word(value))
         return base
 
     def alloc_array(self, values: Sequence[int]) -> int:
@@ -75,8 +102,26 @@ class ProgramBuilder:
         return self.alloc_words(len(values), list(values))
 
     def poke(self, address: int, value: int) -> None:
-        """Directly set one word of initial data memory."""
-        self._data[address] = value
+        """Directly set one word of initial data memory: in place when the
+        image has the word already, else as a new last word."""
+        index = self._loose.get(address)
+        if index is None:
+            k = bisect_right(self._allocation_bases, address) - 1
+            if k >= 0:
+                base, count, first = self._allocations[k]
+                slot, misaligned = divmod(address - base, WORD_BYTES)
+                if slot < count and not misaligned:
+                    index = first + slot
+        word = to_word(value)
+        if index is None:
+            self._loose[address] = len(self._words)
+            self._words.append(word)
+        else:
+            self._words[index] = word
+        if word != value:
+            self._wide[address] = value
+        elif self._wide:
+            self._wide.pop(address, None)
 
     # ------------------------------------------------------------------
     # annotation
@@ -224,7 +269,14 @@ class ProgramBuilder:
                     annotation=record["annotation"],
                 )
             )
-        return Program(instructions, data=self._data, name=self.name)
+        runs = sorted([(first, base, count)
+                       for base, count, first in self._allocations]
+                      + [(index, address, 1)
+                         for address, index in self._loose.items()])
+        data = DataImage(array("q", chain.from_iterable(
+            (base, count) for _, base, count in runs)),
+            array("q", self._words), dict(self._wide))
+        return Program(instructions, data=data, name=self.name)
 
     def __len__(self) -> int:
         return len(self._pending)

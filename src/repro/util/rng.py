@@ -9,6 +9,7 @@ benchmarks are exactly reproducible run to run.
 from __future__ import annotations
 
 import random
+import struct
 from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -42,6 +43,32 @@ class DeterministicRng:
                 draw = getrandbits(bits)
             return lo + draw
         return self._rng.randint(lo, hi)
+
+    def randints(self, lo: int, hi: int, n: int) -> List[int]:
+        """``[self.randint(lo, hi) for _ in range(n)]``: the same values and
+        the same generator state after, drawn a round at a time.
+
+        Each ``randint`` of a width up to 2**32 takes 32-bit words until
+        one, shifted down to the width's bit length, falls below the width.
+        A round asks ``getrandbits`` for one word per value still missing
+        (every value takes at least one, so no word is wasted), splits them
+        in draw order and keeps the draws below the width.  Wider ranges
+        take the per-call path."""
+        width = (hi - lo + 1 if type(lo) is int and type(hi) is int
+                 and hi >= lo else 0)
+        bits = width.bit_length()
+        if not 0 < bits <= 32:
+            return [self.randint(lo, hi) for _ in range(n)]
+        shift = 32 - bits
+        getrandbits = self._rng.getrandbits
+        values: List[int] = []
+        while len(values) < n:
+            need = n - len(values)
+            words = struct.unpack(f"<{need}I", getrandbits(32 * need).to_bytes(
+                4 * need, "little"))
+            values += [lo + draw for word in words
+                       if (draw := word >> shift) < width]
+        return values
 
     def random(self) -> float:
         return self._rng.random()

@@ -98,7 +98,7 @@ def stream_sum(elements: int = 2048, stride: int = 1, passes: int = 2, payload: 
     """
     rng = rng or DeterministicRng(1)
     b = ProgramBuilder(name)
-    data = b.alloc_words(elements, [rng.randint(0, 1000) for _ in range(elements)])
+    data = b.alloc_words(elements, rng.randints(0, 1000, elements))
     step = stride * WORD_BYTES
 
     b.li(1, passes)               # r1 = remaining passes
@@ -127,8 +127,8 @@ def stream_triad(elements: int = 2048, payload: int = 5, rng: DeterministicRng =
     rng = rng or DeterministicRng(2)
     b = ProgramBuilder(name)
     a = b.alloc_words(elements, 0)
-    bb = b.alloc_words(elements, [rng.randint(0, 100) for _ in range(elements)])
-    cc = b.alloc_words(elements, [rng.randint(0, 100) for _ in range(elements)])
+    bb = b.alloc_words(elements, rng.randints(0, 100, elements))
+    cc = b.alloc_words(elements, rng.randints(0, 100, elements))
 
     b.li(10, a)
     b.li(11, bb)
@@ -161,7 +161,7 @@ def stencil(width: int = 64, height: int = 32, iterations: int = 2, payload: int
     rng = rng or DeterministicRng(3)
     cells = width * height
     b = ProgramBuilder(name)
-    src = b.alloc_words(cells, [rng.randint(0, 50) for _ in range(cells)])
+    src = b.alloc_words(cells, rng.randints(0, 50, cells))
     dst = b.alloc_words(cells, 0)
 
     b.li(1, iterations)
@@ -210,13 +210,16 @@ def pointer_chase(nodes: int = 1024, hops: int = 4096, payload_words: int = 3,
     b = ProgramBuilder(name)
 
     order = rng.permutation(nodes)
-    base = b.alloc_words(nodes * node_words, 0)
+    payloads = rng.randints(0, 97, nodes * payload_words)
+    base = b.data_cursor
     addr_of = [base + i * node_words * WORD_BYTES for i in range(nodes)]
+    words = [0] * (nodes * node_words)
     for position, node in enumerate(order):
-        next_node = order[(position + 1) % nodes]
-        b.poke(addr_of[node], addr_of[next_node])
-        for w in range(payload_words):
-            b.poke(addr_of[node] + (1 + w) * WORD_BYTES, rng.randint(0, 97))
+        first = node * node_words
+        words[first] = addr_of[order[(position + 1) % nodes]]
+        words[first + 1:first + node_words] = payloads[
+            position * payload_words:(position + 1) * payload_words]
+    b.alloc_words(len(words), words)
 
     b.li(10, addr_of[order[0]])   # r10 = current node pointer
     b.li(1, hops)
@@ -248,7 +251,7 @@ def hash_probe(table_size: int = 4096, probes: int = 4096, hit_ratio: float = 0.
     b = ProgramBuilder(name)
     occupancy = [1 if rng.random() < hit_ratio else 0 for _ in range(table_size)]
     table = b.alloc_words(table_size, occupancy)
-    keys = b.alloc_words(probes, [rng.randint(0, table_size - 1) for _ in range(probes)])
+    keys = b.alloc_words(probes, rng.randints(0, table_size - 1, probes))
 
     b.li(10, table)
     b.li(11, keys)
@@ -289,14 +292,15 @@ def tree_search(depth: int = 10, searches: int = 1024, payload: int = 5,
     node_words = 3                      # [key, left, right]
     nodes = (1 << depth) - 1
     b = ProgramBuilder(name)
-    base = b.alloc_words(nodes * node_words, 0)
+    base = b.data_cursor
     addr_of = [base + i * node_words * WORD_BYTES for i in range(nodes)]
-    for i in range(nodes):
-        b.poke(addr_of[i], rng.randint(0, 1 << 20))
+    words = []
+    for i, key in enumerate(rng.randints(0, 1 << 20, nodes)):
         left, right = 2 * i + 1, 2 * i + 2
-        b.poke(addr_of[i] + WORD_BYTES, addr_of[left] if left < nodes else 0)
-        b.poke(addr_of[i] + 2 * WORD_BYTES, addr_of[right] if right < nodes else 0)
-    queries = b.alloc_words(searches, [rng.randint(0, 1 << 20) for _ in range(searches)])
+        words += (key, addr_of[left] if left < nodes else 0,
+                  addr_of[right] if right < nodes else 0)
+    b.alloc_words(len(words), words)
+    queries = b.alloc_words(searches, rng.randints(0, 1 << 20, searches))
 
     b.li(11, queries)
     b.li(1, searches)
@@ -356,7 +360,7 @@ def graph_traverse(nodes: int = 512, avg_degree: int = 4, sweeps: int = 2,
     b = ProgramBuilder(name)
     off_base = b.alloc_words(len(offsets), offsets)
     col_base = b.alloc_words(len(columns), columns)
-    val_base = b.alloc_words(nodes, [rng.randint(0, 31) for _ in range(nodes)])
+    val_base = b.alloc_words(nodes, rng.randints(0, 31, nodes))
     out_base = b.alloc_words(nodes, 0)
 
     b.li(1, sweeps)
@@ -408,7 +412,7 @@ def sssp_relax(nodes: int = 384, avg_degree: int = 4, rounds: int = 2,
     """Bellman-Ford style relaxation rounds over a CSR graph (CRONO SSSP)."""
     rng = rng or DeterministicRng(8)
     offsets, columns = _random_csr(rng, nodes, avg_degree)
-    weights = [rng.randint(1, 16) for _ in columns]
+    weights = rng.randints(1, 16, len(columns))
     b = ProgramBuilder(name)
     off_base = b.alloc_words(len(offsets), offsets)
     col_base = b.alloc_words(len(columns), columns)
@@ -477,7 +481,7 @@ def branchy_compute(elements: int = 4096, taken_bias: float = 0.5, payload: int 
     b = ProgramBuilder(name)
     values = [1 if rng.random() < taken_bias else 0 for _ in range(elements)]
     data = b.alloc_words(elements, values)
-    payload_base = b.alloc_words(elements, [rng.randint(0, 127) for _ in range(elements)])
+    payload_base = b.alloc_words(elements, rng.randints(0, 127, elements))
 
     b.li(10, data)
     b.li(11, payload_base)
@@ -515,9 +519,9 @@ def state_machine(steps: int = 4096, states: int = 8, payload: int = 6,
     """
     rng = rng or DeterministicRng(10)
     b = ProgramBuilder(name)
-    transitions = [rng.randint(0, states - 1) for _ in range(states * states)]
+    transitions = rng.randints(0, states - 1, states * states)
     table = b.alloc_words(states * states, transitions)
-    inputs = b.alloc_words(steps, [rng.randint(0, states - 1) for _ in range(steps)])
+    inputs = b.alloc_words(steps, rng.randints(0, states - 1, steps))
 
     b.li(10, table)
     b.li(11, inputs)
@@ -554,8 +558,8 @@ def dense_mm(dim: int = 12, rng: DeterministicRng = None, name: str = "dense_mm"
     rng = rng or DeterministicRng(11)
     cells = dim * dim
     b = ProgramBuilder(name)
-    a = b.alloc_words(cells, [rng.randint(0, 9) for _ in range(cells)])
-    bm = b.alloc_words(cells, [rng.randint(0, 9) for _ in range(cells)])
+    a = b.alloc_words(cells, rng.randints(0, 9, cells))
+    bm = b.alloc_words(cells, rng.randints(0, 9, cells))
     c = b.alloc_words(cells, 0)
 
     b.li(3, WORD_BYTES)
@@ -615,7 +619,7 @@ def spmv(rows: int = 384, nnz_per_row: int = 5, payload: int = 4,
     off_base = b.alloc_words(len(offsets), offsets)
     col_base = b.alloc_words(len(columns), columns)
     val_base = b.alloc_words(len(values), values)
-    x_base = b.alloc_words(rows, [rng.randint(0, 9) for _ in range(rows)])
+    x_base = b.alloc_words(rows, rng.randints(0, 9, rows))
     y_base = b.alloc_words(rows, 0)
 
     b.li(3, WORD_BYTES)
@@ -701,7 +705,7 @@ def histogram(samples: int = 4096, buckets: int = 256, payload: int = 4,
     """Scatter increments into a bucket array indexed by random input data."""
     rng = rng or DeterministicRng(14)
     b = ProgramBuilder(name)
-    data = b.alloc_words(samples, [rng.randint(0, buckets - 1) for _ in range(samples)])
+    data = b.alloc_words(samples, rng.randints(0, buckets - 1, samples))
     hist = b.alloc_words(buckets, 0)
 
     b.li(10, data)
@@ -771,7 +775,7 @@ def pixel_filter(pixels: int = 4096, payload: int = 4, rng: DeterministicRng = N
     """Streaming pixel transform with a clamp branch (STARBENCH rgbyuv/rotate)."""
     rng = rng or DeterministicRng(16)
     b = ProgramBuilder(name)
-    src = b.alloc_words(pixels, [rng.randint(0, 255) for _ in range(pixels)])
+    src = b.alloc_words(pixels, rng.randints(0, 255, pixels))
     dst = b.alloc_words(pixels, 0)
 
     b.li(10, src)
@@ -806,8 +810,8 @@ def kmeans_assign(points: int = 1024, clusters: int = 8, payload: int = 4,
     """K-means assignment step: distance to each centroid, keep the minimum."""
     rng = rng or DeterministicRng(17)
     b = ProgramBuilder(name)
-    pts = b.alloc_words(points, [rng.randint(0, 1023) for _ in range(points)])
-    centroids = b.alloc_words(clusters, [rng.randint(0, 1023) for _ in range(clusters)])
+    pts = b.alloc_words(points, rng.randints(0, 1023, points))
+    centroids = b.alloc_words(clusters, rng.randints(0, 1023, clusters))
     assign = b.alloc_words(points, 0)
 
     b.li(3, WORD_BYTES)
@@ -901,7 +905,7 @@ def sort_scan(elements: int = 512, passes: int = 4, rng: DeterministicRng = None
     """Bubble-sort-style adjacent compare-and-swap passes (branch + memory mix)."""
     rng = rng or DeterministicRng(19)
     b = ProgramBuilder(name)
-    data = b.alloc_words(elements, [rng.randint(0, 1 << 16) for _ in range(elements)])
+    data = b.alloc_words(elements, rng.randints(0, 1 << 16, elements))
 
     b.li(1, passes)
     b.label("pass")
@@ -930,8 +934,8 @@ def string_match(haystack: int = 4096, needle: int = 6,
     rng = rng or DeterministicRng(20)
     b = ProgramBuilder(name)
     alphabet = 4
-    text = [rng.randint(0, alphabet - 1) for _ in range(haystack)]
-    pattern = [rng.randint(0, alphabet - 1) for _ in range(needle)]
+    text = rng.randints(0, alphabet - 1, haystack)
+    pattern = rng.randints(0, alphabet - 1, needle)
     text_base = b.alloc_words(haystack, text)
     pat_base = b.alloc_words(needle, pattern)
 

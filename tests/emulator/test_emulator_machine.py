@@ -5,9 +5,14 @@ Every program runs on both engines: the Python interpreter (the reference,
 must reproduce it bit for bit.
 """
 
+import json
+import pickle
+from array import array
+
 import pytest
 
 from repro.core.compile import FAST_PIPELINE_ENV, counters, kernel_available
+from repro.dla.profiling import ProgramProfile, _profile_timing
 from repro.emulator.machine import Emulator, ExecutionLimitExceeded
 from repro.experiments.runner import ExperimentRunner
 from repro.isa.builder import WORD_BYTES, ProgramBuilder
@@ -270,6 +275,32 @@ def test_native_and_python_columns_agree_on_every_workload():
         assert runs["native"] == runs["python"], workload.name
 
 
+def test_native_and_python_latency_aggregation_agree_on_every_workload():
+    """The profiling timing run's per-PC dispatch-to-execute means, summed
+    on the kernel and by the reference loop over the same (compiled) run:
+    the same keys in the same order, and values of the same type and
+    bits, on all 34 workloads at the quick windows."""
+    if not kernel_available():
+        pytest.skip("no C compiler: the latency pass cannot be built")
+    runner = ExperimentRunner(quick=True, disk_cache=False)
+    window = min(6000, runner.warmup_instructions)
+    for workload in all_workloads():
+        trace = workload.trace(runner.warmup_instructions + 4000)
+        runs = {}
+        for native in (True, False):
+            profile = ProgramProfile(program=trace.program)
+            before = counters()["native_latency_rows"]
+            _profile_timing(trace, runner.system_config, profile, window,
+                            native)
+            assert (counters()["native_latency_rows"] - before
+                    == (window if native else 0))
+            runs[native] = profile.dispatch_to_execute
+        native, reference = runs[True], runs[False]
+        assert native == reference, workload.name
+        assert (json.dumps(list(native.items()))
+                == json.dumps(list(reference.items()))), workload.name
+
+
 def test_trace_class_mix_and_counts(stream_trace):
     counts = stream_trace.pc_execution_counts()
     assert sum(counts.values()) == len(stream_trace)
@@ -319,8 +350,6 @@ def test_column_window_builds_the_same_entries(small_stream_program):
 
 
 def test_static_table_wraps_values_beyond_int64_like_the_word_path():
-    from array import array
-
     from repro.emulator.machine import _static_table, _to_signed
 
     builder = ProgramBuilder()
@@ -329,10 +358,12 @@ def test_static_table_wraps_values_beyond_int64_like_the_word_path():
     program = builder.build()
     table = _static_table(program)
     assert table is not None
-    addresses, values = table[-2:]
-    assert addresses == array("q", [base + i * WORD_BYTES for i in range(4)])
-    assert values == array("q", (_to_signed(v) for v in program.data.values()))
-    assert list(values) == [1, -(2 ** 63), 2 ** 63 - 1, -5]
+    runs, words = table[-2:]
+    assert runs == array("q", [base, 4])
+    assert words == array("q", (_to_signed(v) for v in program.data.values()))
+    assert list(words) == [1, -(2 ** 63), 2 ** 63 - 1, -5]
+    # The mapping reads every value back whole.
+    assert list(program.data.values()) == [1, 2 ** 63, -(2 ** 63) - 1, -5]
 
 
 def test_alloc_words_keeps_the_data_image_insertion_order():
@@ -342,6 +373,45 @@ def test_alloc_words_keeps_the_data_image_insertion_order():
     second = builder.alloc_words(2)
     assert first == 0x10000
     # A poked word keeps its place; the rest follow in address order.
-    assert list(builder._data.items()) == [
+    assert list(builder.build().data.items()) == [
         (first + WORD_BYTES, 8), (first, 7), (first + 2 * WORD_BYTES, 9),
         (second, 0), (second + WORD_BYTES, 0)]
+
+
+def test_pokes_keep_the_dict_image_semantics_on_both_engines():
+    """A poke overwrites a word the image has in place and appends any
+    other; the image reads like a dict given the same writes (insertion
+    order, last write wins, values beyond int64 whole), pickles as its
+    runs and words, and both engines load it alike."""
+    b = ProgramBuilder()
+    first = b.alloc_words(3, [7, 8, 9])
+    b.poke(first + WORD_BYTES, 2 ** 64 + 5)       # in place, beyond int64
+    b.poke(0x90000, -1)                           # outside: a new last word
+    b.poke(first + 4, 6)                          # unaligned: a word too
+    b.poke(0x90000, 3)                            # in place again
+    second = b.alloc_words(2, 1)
+    addresses = [first, first + WORD_BYTES, first + 2 * WORD_BYTES, 0x90000,
+                 first + 4, second, second + WORD_BYTES]
+    b.li(20, 0)
+    for k, address in enumerate(addresses):
+        b.li(10, address)
+        b.load(k + 1, 10, 0)
+        b.add(20, 20, k + 1)
+    b.halt()
+    program = b.build()
+    items = list(zip(addresses, [7, 2 ** 64 + 5, 9, 3, 6, 1, 1]))
+    assert list(program.data.items()) == items
+    data = program.data
+    assert data.runs == array("q", [first, 3, 0x90000, 1, first + 4, 1,
+                                    second, 2])
+    assert data.words == array("q", [7, 5, 9, 3, 6, 1, 1])
+    assert data.wide == {first + WORD_BYTES: 2 ** 64 + 5}
+    clone = pickle.loads(pickle.dumps(program))
+    assert list(clone.data.items()) == items
+    assert (clone.data.runs, clone.data.words) == (data.runs, data.words)
+    states = []
+    for engine in engines():
+        emulator, trace = _emulate(clone, engine)
+        states.append((_columns(trace), emulator.registers, emulator.memory))
+    assert states[0][1][20] == 7 + 5 + 9 + 3 + 6 + 1 + 1
+    assert all(state == states[0] for state in states)

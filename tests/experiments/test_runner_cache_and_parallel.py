@@ -624,3 +624,18 @@ def test_cells_build_entries_only_for_the_interpreter(monkeypatch, fast):
         assert counters()["interpreted_runs"] == interpreted
     else:
         assert built["entries"] > 0
+
+
+def test_setup_refuses_a_workload_that_halts_before_its_timed_window():
+    """``ua`` halts after 23,963 instructions.  A 24k warm-up leaves it no
+    timed window, which used to time 0 cycles (and fig09's ratio divided
+    by zero); a short timed window is still a setup."""
+    def runner(warmup):
+        return ExperimentRunner(quick=True, workload_names=["ua"],
+                                warmup_instructions=warmup,
+                                timed_instructions=4_000, disk_cache=False)
+
+    with pytest.raises(ValueError, match=r"'ua' halts after 23963 dynamic "
+                       r"instructions.*\(warm-up 24000 \+ timed 4000\)"):
+        runner(24_000).setup("ua")
+    assert len(runner(23_000).setup("ua").timed_trace) == 963

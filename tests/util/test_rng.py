@@ -1,6 +1,7 @@
 """Tests for the deterministic RNG wrapper."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.util.rng import DeterministicRng
 
@@ -82,3 +83,31 @@ def test_randint_outside_the_fast_path_behaves_like_random_random(lo, hi):
         return
     assert [ours.randint(lo, hi) for _ in range(5)] == expected
     assert ours.getstate() == reference.getstate()
+
+
+_WIDTHS = st.one_of(
+    st.just(1),
+    st.integers(0, 32).map(lambda k: 1 << k),          # 2**k, 2**32 included
+    st.integers(0, 31).map(lambda k: (1 << k) + 1),    # 2**k + 1
+    st.integers(1, 1 << 32),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), lo=st.integers(-(1 << 40), 1 << 20),
+       width=_WIDTHS, n=st.integers(0, 3000))
+def test_randints_is_the_randint_stream(seed, lo, width, n):
+    batched, per_call = DeterministicRng(seed), DeterministicRng(seed)
+    hi = lo + width - 1
+    assert batched.randints(lo, hi, n) == [per_call.randint(lo, hi)
+                                          for _ in range(n)]
+    assert batched.getstate() == per_call.getstate()
+
+
+def test_randints_rejects_an_empty_range_like_randint():
+    rng = DeterministicRng(3)
+    with pytest.raises(ValueError):
+        rng.randint(5, 4)
+    with pytest.raises(ValueError):
+        rng.randints(5, 4, 3)
+    assert rng.randints(5, 4, 0) == []

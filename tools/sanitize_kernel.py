@@ -42,9 +42,11 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.core.compile import build  # noqa: E402
 
 #: The suites that run the kernel: compiled-vs-reference A/B tests, the
-#: golden sections, warm-up replay, the memory model, the native emulator,
-#: and the DLA and runner suites, whose cells of every kind drive the
-#: column passes (decode gather, look-ahead selection, profiling).
+#: golden sections, warm-up replay, the memory model, the native emulator
+#: (with the profiling latency pass's A/B test), the DLA and runner
+#: suites, whose cells of every kind drive the column passes (decode
+#: gather, look-ahead selection, profiling), and every workload's pinned
+#: setup digest.
 SUITES = (
     "tests/core/test_compiled_pipeline.py",
     "tests/core/test_fast_path_equivalence.py",
@@ -53,6 +55,7 @@ SUITES = (
     "tests/emulator",
     "tests/dla",
     "tests/experiments/test_runner_cache_and_parallel.py",
+    "tests/workloads/test_materialisation_digests.py",
 )
 
 #: Compile flags of each pass, by name, in run order.
