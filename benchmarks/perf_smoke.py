@@ -40,7 +40,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.baselines import simulate_bfetch, simulate_cre  # noqa: E402
 from repro.dla.config import DlaConfig                      # noqa: E402
 from repro.experiments.memsys_sweep import (                # noqa: E402
     MEMSYS_MACHINES,
@@ -72,16 +71,12 @@ def main(workload: str = "mcf", memory_workload: str = "mg") -> dict:
     memory_setup = runner.setup(memory_workload)
     setup_ticks = compiled_ticks_total() - setup_ticks
     runner.baseline(setup, "bl")
-    runner.baseline(setup, "bl-nopf", runner.no_prefetch_config())
+    runner.baseline(setup, "bl-nopf", runner.system_config.without_prefetchers())
     runner.dla(setup, DlaConfig().baseline_dla(), "dla")
     runner.dla(setup, DlaConfig().r3(), "r3")
     # Fig. 9's related approaches, through the runner's auxiliary entry point.
-    runner.auxiliary(setup, "bfetch", lambda: simulate_bfetch(
-        setup.timed_trace, runner.system_config,
-        warmup_entries=setup.warmup_trace))
-    runner.auxiliary(setup, "cre", lambda: simulate_cre(
-        setup.program, setup.timed_trace, setup.profile, runner.system_config,
-        warmup_entries=setup.warmup_trace))
+    runner.auxiliary(setup, "bfetch")
+    runner.auxiliary(setup, "cre")
 
     # Memory-bound kernel under the fully contended backend (the canonical
     # "contended" machine point of the memsys sweep): every contention

@@ -17,7 +17,8 @@ from repro.util.stats_math import geometric_mean
 
 def _speedups(runner, dla_config, label):
     values = []
-    for setup in runner.setups()[:4]:
+    for name in runner.workload_names[:4]:
+        setup = runner.setup(name)
         baseline = runner.baseline(setup, "bl")
         outcome = runner.dla(setup, dla_config, label)
         values.append(baseline.cycles / outcome.cycles)

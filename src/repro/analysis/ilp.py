@@ -34,6 +34,8 @@ class IlpResult:
 
     ideal: Dict[int, float]
     real: Dict[int, float]
+    #: Dynamic instructions scheduled (what a runner counts as simulated).
+    committed: int
 
     def ratio(self, window: int) -> float:
         """How much parallelism the supply subsystem leaves unexploited."""
@@ -107,4 +109,4 @@ def measure_implicit_parallelism(
         w: _schedule(entries, w, load_latency=load_latency, mispredicted=mispredicted)
         for w in windows
     }
-    return IlpResult(ideal=ideal, real=real)
+    return IlpResult(ideal=ideal, real=real, committed=len(entries))

@@ -24,9 +24,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.config import CoreConfig, SystemConfig
 from repro.dla.config import OPTIMIZATIONS, DlaConfig
+from repro.experiments.runner import CELL_KINDS, DLA_KINDS
 
-#: Valid simulation kinds of a variant (mirrors SimRequest kinds).
-VARIANT_KINDS = ("baseline", "dla", "segmented")
 #: Valid prefetcher presets.
 PREFETCH_PRESETS = ("default", "none", "l1stride")
 #: Valid DLA presets.
@@ -78,7 +77,7 @@ class ConfigVariant:
     def validate(self) -> None:
         if not self.name:
             raise SpecError("variant needs a name")
-        if self.kind not in VARIANT_KINDS:
+        if self.kind not in CELL_KINDS:
             raise SpecError(f"variant {self.name!r}: unknown kind {self.kind!r}")
         if self.prefetch not in PREFETCH_PRESETS:
             raise SpecError(
@@ -93,9 +92,9 @@ class ConfigVariant:
                 f"variant {self.name!r}: dla_preset and dla_optimizations "
                 "are mutually exclusive"
             )
-        if self.kind == "baseline" and (self.dla_preset or self.dla_optimizations):
+        if self.kind not in DLA_KINDS and (self.dla_preset or self.dla_optimizations):
             raise SpecError(
-                f"variant {self.name!r}: baseline variants take no DLA config"
+                f"variant {self.name!r}: {self.kind} variants take no DLA config"
             )
         if self.kind != "segmented" and self.dynamic:
             raise SpecError(
@@ -177,7 +176,7 @@ class ConfigVariant:
 
     def dla_config(self) -> Optional[DlaConfig]:
         """The concrete DLA config for dla/segmented variants."""
-        if self.kind == "baseline":
+        if self.kind not in DLA_KINDS:
             return None
         if self.dla_preset == "r3":
             return DlaConfig().r3()

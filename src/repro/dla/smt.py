@@ -16,11 +16,11 @@ All results are normalised to a single half-core (HC).
 
 The module exposes each scenario as an independently-simulatable piece
 (:func:`smt_configs`, :func:`simulate_smt_pair`, the ordinary baseline/DLA
-entry points) plus :func:`comparison_from_outcomes` to assemble the figure —
-so :mod:`repro.experiments.fig11_smt` can route every simulation through
-``ExperimentRunner.auxiliary`` and its content-fingerprint cache instead of
-re-simulating on every run.  :func:`simulate_smt_modes` remains the uncached
-one-call composition of the same pieces.
+entry points) plus :func:`comparison_from_outcomes` to assemble the figure:
+each piece is a cell kind of :mod:`repro.experiments.runner` (``smt-hc`` to
+``smt-pair``), planned by :mod:`repro.experiments.fig11_smt`'s campaign.
+:func:`simulate_smt_modes` remains the uncached one-call composition of the
+same pieces.
 """
 
 from __future__ import annotations

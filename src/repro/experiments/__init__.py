@@ -4,16 +4,16 @@ Every experiment module declares its configurations once, as the variants
 of its ``CAMPAIGN`` spec, and exposes ``run(runner=None)``: the outcomes of
 those planned cells (:func:`~repro.experiments.parallel.run_cells`: per
 workload, its setup and its outcomes by variant name), then assembly into
-a result object with the raw rows and a ``render()``-style text table.  A module builds no
-configuration of its own.  What no variant plans it computes at assembly:
-fig09's related approaches, fig11's SMT runs, table03's BL / BL+stride miss
-split, fig01's ILP study and the analytic fetch-buffer model of fig05 and
-fig14.  The campaign scheduler assembles with the same ``run`` over its
-warmed caches, and every module can also be executed as a script
-(``python -m repro.experiments.fig09_speedup``).  The shared
+a result object with the raw rows and a ``render()``-style text table.  A
+module builds no configuration of its own, and fig11's SMT runs, table03's
+miss split and fig01's ILP study are cells too (the runner's auxiliary
+kinds).  Assembly computes only fig09's related approaches (a variant for
+them would change the fig09 spec perfbench pins) and the fetch-buffer model
+of fig05 and fig14.  The campaign scheduler assembles with the same ``run``
+over its warmed caches, and every module also runs as a script (``python
+-m repro.experiments.fig09_speedup``).  The shared
 :class:`~repro.experiments.runner.ExperimentRunner` caches workload traces,
-profiles and simulations so that running the whole benchmark suite does
-not repeat work.
+profiles and simulations, so the whole benchmark suite repeats no work.
 
 Mapping to the paper:
 

@@ -10,19 +10,14 @@ on average.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from repro.analysis.ilp import measure_implicit_parallelism
 from repro.analysis.reporting import format_table
+from repro.experiments.parallel import run_cells
 from repro.experiments.runner import ExperimentRunner
 from repro.util.stats_math import geometric_mean
 
-#: The integer applications shown in Fig. 1 (our analogues).
-SPEC_INT_WORKLOADS = [
-    "astar", "bzip2", "gobmk", "h264ref", "hmmer",
-    "libquantum", "mcf", "omnetpp", "sjeng", "xalancbmk",
-]
-
+#: The moving windows of the ``ilp`` cells (``measure_implicit_parallelism``'s).
 WINDOWS = (128, 512, 2048)
 
 
@@ -43,17 +38,13 @@ class Fig01Result:
         return "\n".join(lines)
 
 
-def run(runner: Optional[ExperimentRunner] = None,
-        workloads: Optional[Sequence[str]] = None) -> Fig01Result:
+def run(runner: Optional[ExperimentRunner] = None) -> Fig01Result:
     runner = runner or ExperimentRunner(quick=True)
-    if workloads is None:
-        workloads = SPEC_INT_WORKLOADS[:4] if runner.quick else SPEC_INT_WORKLOADS
     rows: List[Dict[str, object]] = []
     ratios: Dict[int, List[float]] = {w: [] for w in WINDOWS}
-    for name in workloads:
-        setup = runner.setup(name)
-        result = measure_implicit_parallelism(setup.timed_trace, WINDOWS, runner.system_config)
-        row: Dict[str, object] = {"workload": name}
+    for setup, outcomes in run_cells(CAMPAIGN, runner):
+        result = outcomes["ilp"]
+        row: Dict[str, object] = {"workload": setup.name}
         for window in WINDOWS:
             row[f"ideal:{window}"] = result.ideal[window]
             row[f"real:{window}"] = result.real[window]
@@ -66,7 +57,7 @@ def run(runner: Optional[ExperimentRunner] = None,
 # ---------------------------------------------------------------------------
 # campaign registration (see repro.campaign)
 # ---------------------------------------------------------------------------
-from repro.campaign.spec import CampaignSpec  # noqa: E402
+from repro.campaign.spec import CampaignSpec, variants  # noqa: E402
 
 CAMPAIGN = CampaignSpec(
     name="fig01",
@@ -74,6 +65,10 @@ CAMPAIGN = CampaignSpec(
     experiment=__name__,
     description="Dataflow-limit IPC with 128/512/2048-instruction windows "
                 "under ideal and realistic instruction/data supply.",
+    # The integer applications shown in Fig. 1 (our analogues).
+    workloads=("suite:spec2k6",),
+    variants=variants(dict(name="ilp", kind="ilp")),
+    max_cell_workloads_quick=4,
     tags=("paper", "analysis"),
 )
 

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional
 
 from repro.analysis.metrics import SpeedupTable
 from repro.analysis.reporting import format_table
-from repro.baselines import simulate_bfetch, simulate_cre, simulate_slipstream
 from repro.experiments.parallel import run_cells
 from repro.experiments.runner import ExperimentRunner
 from repro.workloads.suites import SUITES
@@ -58,18 +57,11 @@ def run(runner: Optional[ExperimentRunner] = None) -> Fig09Result:
         table.record("R3-DLA (noPF)", setup.name, ref_cycles / r3_nopf.cycles, setup.suite)
         table.record("R3-DLA", setup.name, ref_cycles / r3.cycles, setup.suite)
 
-        # No variant plans the related approaches (ROADMAP item 4): they go
-        # through the runner's auxiliary cache at assembly.
-        bfetch = runner.auxiliary(setup, "bfetch", lambda s=setup: simulate_bfetch(
-            s.timed_trace, runner.system_config,
-            warmup_entries=s.warmup_trace))
-        slip = runner.auxiliary(setup, "slipstream", lambda s=setup: simulate_slipstream(
-            s.program, s.timed_trace, s.profile, runner.system_config,
-            warmup_entries=s.warmup_trace, builder=s.skeleton_builder))
-        cre = runner.auxiliary(setup, "cre", lambda s=setup: simulate_cre(
-            s.program, s.timed_trace, s.profile, runner.system_config,
-            warmup_entries=s.warmup_trace,
-            analysis=s.skeleton_builder.analysis))
+        # No variant plans the related approaches (ROADMAP item 4): one would
+        # change this spec's fingerprint, which perfbench pins.
+        bfetch = runner.auxiliary(setup, "bfetch")
+        slip = runner.auxiliary(setup, "slipstream")
+        cre = runner.auxiliary(setup, "cre")
         related.record("B-Fetch", setup.name, ref_cycles / bfetch.cycles, setup.suite)
         related.record("S-Stream", setup.name, ref_cycles / slip.cycles, setup.suite)
         related.record("CRE", setup.name, ref_cycles / cre.cycles, setup.suite)

@@ -36,7 +36,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SystemConfig
 from repro.dla.config import DlaConfig
-from repro.experiments.runner import ExperimentRunner, RunnerStats, WorkloadSetup
+from repro.experiments.runner import (AUXILIARY_RECIPES, CELL_KINDS, DLA_KINDS,
+                                     ExperimentRunner, RunnerStats, WorkloadSetup)
 
 #: Environment variable overriding the worker-process count.
 PROCESSES_ENV = "REPRO_PROCESSES"
@@ -47,7 +48,7 @@ class SimRequest:
     """One independent simulation of the standard experiment matrix."""
 
     workload: str
-    kind: str                                    # "baseline" | "dla" | "segmented"
+    kind: str                                    # one of CELL_KINDS
     label: str = ""
     system_config: Optional[SystemConfig] = None  # None -> runner default
     dla_config: Optional[DlaConfig] = None
@@ -55,10 +56,10 @@ class SimRequest:
     dynamic: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in ("baseline", "dla", "segmented"):
+        if self.kind not in CELL_KINDS:
             raise ValueError(f"unknown request kind {self.kind!r}")
-        if self.kind in ("dla", "segmented") and self.dla_config is None:
-            raise ValueError(f"{self.kind} requests need a dla_config")
+        if (self.kind in DLA_KINDS) != (self.dla_config is not None):
+            raise ValueError(f"a dla_config is for exactly {DLA_KINDS} requests")
         if self.kind != "segmented" and self.dynamic:
             # dynamic is not part of the baseline/dla cache keys; accepting
             # it would silently alias with the dynamic=False request.
@@ -69,6 +70,8 @@ def _simulate_request(runner: ExperimentRunner, setup, request: SimRequest):
     """Run one request against an already-built setup; returns the outcome."""
     if request.kind == "baseline":
         return runner.baseline(setup, request.label or "bl", request.system_config)
+    if request.kind in AUXILIARY_RECIPES:
+        return runner.auxiliary(setup, request.kind, request.system_config)
     if request.kind == "segmented":
         return runner.dla_segmented(
             setup, request.dla_config, request.dynamic,
@@ -146,9 +149,10 @@ def _request_content_key(runner: ExperimentRunner, request: SimRequest) -> str:
         return runner.segmented_key_for(
             workload, request.dla_config, request.dynamic, request.system_config
         )
+    kind = request.kind
     return runner.workload_key(
-        workload, request.kind, request.system_config, request.dla_config,
-    )
+        workload, f"aux-{kind}" if kind in AUXILIARY_RECIPES else kind,
+        request.system_config, request.dla_config)
 
 
 def _failure_payload(request: SimRequest, error: BaseException,

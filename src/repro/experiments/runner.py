@@ -26,15 +26,22 @@ from __future__ import annotations
 
 import functools
 import time
+from collections import namedtuple
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
+from repro.analysis.ilp import measure_implicit_parallelism
+from repro.baselines import simulate_bfetch, simulate_cre, simulate_slipstream
 from repro.core.compile import compiled_ticks_total
+from repro.core.compile.hookspec import CompiledHookSpec
 from repro.core.config import SystemConfig
-from repro.core.system import SimulationOutcome, simulate_baseline
+from repro.core.pipeline import CoreHooks
+from repro.core.system import (SimulationOutcome, build_single_core,
+                               simulate_baseline, warm_memory_system)
 from repro.dla.config import DlaConfig
 from repro.dla.profiling import ProgramProfile, profile_workload
 from repro.dla.skeleton import SkeletonBuilder
+from repro.dla.smt import simulate_smt_pair, smt_configs
 from repro.dla.system import DlaOutcome, DlaSystem
 from repro.emulator.trace import Trace
 from repro.experiments.cache import ResultDiskCache, salted_key
@@ -175,6 +182,65 @@ class SegmentedOutcome:
     @property
     def cycles(self) -> float:
         return self.outcome.cycles
+
+
+#: One run's L1 load misses by whether the load is strided (Table III).
+L1MissSplit = namedtuple("L1MissSplit", "strided other committed")
+
+
+def _split_l1_misses(setup: WorkloadSetup, config: SystemConfig) -> L1MissSplit:
+    """A warmed single-core run of the timed window, logging L1 load misses."""
+    strided_pcs = set(setup.profile.strided_pcs())
+    misses = []
+    hooks = CoreHooks(fast_hints=CompiledHookSpec(load_miss_log=misses))
+    _shared, private, core = build_single_core(config)
+    warm_memory_system(private, setup.warmup_trace)
+    result = core.run(setup.timed_trace, hooks=hooks)
+    pcs = setup.timed_trace.columns.pc
+    strided = sum(pcs[i] in strided_pcs for _, i in misses)
+    return L1MissSplit(strided, len(misses) - strided, result.committed)
+
+
+def _half_core_dla(setup: WorkloadSetup, config: SystemConfig,
+                   dla_config: DlaConfig) -> DlaOutcome:
+    return DlaSystem(setup.program, smt_configs(config)[0], dla_config,
+                     profile=setup.profile,
+                     builder=setup.skeleton_builder).simulate(setup.timed_trace)
+
+
+#: The auxiliary models by cell kind, each ``(setup, system config) ->
+#: outcome``; :meth:`ExperimentRunner.auxiliary` keys them ``aux-<kind>``.
+AUXILIARY_RECIPES: Dict[str, Callable[[WorkloadSetup, SystemConfig], object]] = {
+    # Fig. 9-b's related approaches.
+    "bfetch": lambda setup, config: simulate_bfetch(
+        setup.timed_trace, config, warmup_entries=setup.warmup_trace),
+    "slipstream": lambda setup, config: simulate_slipstream(
+        setup.program, setup.timed_trace, setup.profile, config,
+        warmup_entries=setup.warmup_trace, builder=setup.skeleton_builder),
+    "cre": lambda setup, config: simulate_cre(
+        setup.program, setup.timed_trace, setup.profile, config,
+        warmup_entries=setup.warmup_trace,
+        analysis=setup.skeleton_builder.analysis),
+    # Fig. 11's SMT-core scenarios, all cold (no warm-up).
+    "smt-hc": lambda setup, config: simulate_baseline(
+        setup.timed_trace, smt_configs(config)[0]),
+    "smt-fc": lambda setup, config: simulate_baseline(
+        setup.timed_trace, smt_configs(config)[1]),
+    "smt-dla": lambda setup, config: _half_core_dla(
+        setup, config, DlaConfig().baseline_dla()),
+    "smt-r3dla": lambda setup, config: _half_core_dla(
+        setup, config, DlaConfig().r3()),
+    "smt-pair": lambda setup, config: simulate_smt_pair(
+        setup.timed_trace, smt_configs(config)[1]),
+    # Table III's BL / BL+stride miss split and Fig. 1's limit study.
+    "l1-split": _split_l1_misses,
+    "ilp": lambda setup, config: measure_implicit_parallelism(
+        setup.timed_trace, config=config),
+}
+
+DLA_KINDS = ("dla", "segmented")
+#: Every cell kind a variant or request may name (DLA config: DLA_KINDS only).
+CELL_KINDS = ("baseline", *DLA_KINDS, *AUXILIARY_RECIPES)
 
 
 @dataclass
@@ -471,9 +537,6 @@ class ExperimentRunner:
         self.stats.setup_seconds += time.perf_counter() - started
         return setup
 
-    def setups(self) -> List[WorkloadSetup]:
-        return [self.setup(name) for name in self.workload_names]
-
     # ------------------------------------------------------------------
     # cached simulation entry points
     # ------------------------------------------------------------------
@@ -531,19 +594,16 @@ class ExperimentRunner:
         key = self.segmented_key_for(setup.workload, dla_config, dynamic, config)
         return self._cached(key, label, simulate)
 
-    def auxiliary(self, setup: WorkloadSetup, kind: str, simulate,
+    def auxiliary(self, setup: WorkloadSetup, kind: str,
                   config: Optional[SystemConfig] = None):
-        """Cache a non-standard simulation by content key.
-
-        ``kind`` names the model (e.g. ``"bfetch"``, ``"slipstream"``); the
-        key covers the workload, window and system config exactly like the
-        baseline/DLA entry points, so related-approach comparisons resume
-        from the disk cache instead of re-simulating on every campaign run.
-        ``simulate`` is only called on a miss, must be deterministic, and
-        may return any outcome shape :func:`committed_instructions` counts.
+        """The outcome of the auxiliary model ``kind`` (a key of
+        :data:`AUXILIARY_RECIPES`) on ``setup``, cached by content key:
+        the workload, window and system config, as for a baseline cell.
         """
+        recipe = AUXILIARY_RECIPES[kind]
         key = self.workload_key(setup.workload, f"aux-{kind}", config)
-        return self._cached(key, kind, simulate)
+        return self._cached(key, kind, lambda: recipe(
+            setup, config or self.system_config))
 
     def _dla_system(self, setup: WorkloadSetup, dla_config: DlaConfig,
                     config: Optional[SystemConfig]) -> DlaSystem:
@@ -601,15 +661,6 @@ class ExperimentRunner:
         """
         return self._outcomes.get(key)
 
-    # ------------------------------------------------------------------
-    def no_prefetch_config(self) -> SystemConfig:
-        """The configured system with every hardware prefetcher disabled."""
-        return self.system_config.without_prefetchers()
-
-    def with_l1_stride_config(self) -> SystemConfig:
-        """The configured system with an added L1 stride prefetcher."""
-        return self.system_config.with_l1_stride()
-
 
 def strip_outcome(outcome: SimulationOutcome) -> SimulationOutcome:
     """A copy of ``outcome`` without live memory-system objects.
@@ -626,7 +677,7 @@ def committed_instructions(outcome) -> int:
     """Committed dynamic instructions of one outcome of any shape: a
     :class:`SimulationOutcome`, a :class:`SegmentedOutcome`, a
     :class:`~repro.dla.system.DlaOutcome`-shaped one (main plus look-ahead
-    thread) or one exposing a ``committed`` total (the SMT pair outcome).
+    thread) or one exposing a ``committed`` total (the auxiliary models).
     """
     if isinstance(outcome, SimulationOutcome):
         return outcome.core.committed

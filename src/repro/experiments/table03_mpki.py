@@ -14,11 +14,8 @@ from typing import Dict, List, Optional
 
 from repro.analysis.metrics import mpki
 from repro.analysis.reporting import format_table
-from repro.core.compile.hookspec import CompiledHookSpec
-from repro.core.pipeline import CoreHooks
-from repro.core.system import build_single_core, warm_memory_system
 from repro.experiments.parallel import run_cells
-from repro.experiments.runner import ExperimentRunner, WorkloadSetup
+from repro.experiments.runner import ExperimentRunner
 from repro.util.stats_math import arithmetic_mean
 
 
@@ -32,23 +29,10 @@ def _split(strided: int, other: int, committed: int) -> Dict[str, float]:
     }
 
 
-def _split_l1_misses(setup: WorkloadSetup, config) -> Dict[str, float]:
-    """L1 load MPKI split by whether the missing PC is a strided access."""
-    strided_pcs = set(setup.profile.strided_pcs())
-    misses = []
-    hooks = CoreHooks(fast_hints=CompiledHookSpec(load_miss_log=misses))
-    shared, private, core = build_single_core(config)
-    warm_memory_system(private, setup.warmup_trace)
-    result = core.run(setup.timed_trace, hooks=hooks)
-    pcs = setup.timed_trace.columns.pc
-    strided = sum(pcs[i] in strided_pcs for _, i in misses)
-    return _split(strided, len(misses) - strided, result.committed)
-
-
 def _split_dla_misses(outcome, baseline: Dict[str, float],
                       t1: bool) -> Dict[str, float]:
     """A DLA cell's main-thread L1 load misses, split in the proportions of
-    ``baseline`` (the BL split)."""
+    ``baseline`` (the BL split): an estimate (ROADMAP item 1)."""
     # The outcome counts total misses only; the strided share follows the
     # baseline proportions scaled by the observed reduction.
     total_misses = outcome.main.l1d_misses
@@ -82,15 +66,12 @@ CONFIG_LABELS = ("BL", "BL+stride", "DLA", "DLA+T1")
 
 def run(runner: Optional[ExperimentRunner] = None) -> Table03Result:
     runner = runner or ExperimentRunner(quick=True)
-    # No variant plans the BL / BL+stride miss split (ROADMAP item 4): it
-    # simulates here, uncached, logging each L1 miss's PC.
-    stride_config = runner.with_l1_stride_config()
     per_workload: Dict[str, Dict[str, Dict[str, float]]] = {}
     for setup, outcomes in run_cells(CAMPAIGN, runner):
-        baseline = _split_l1_misses(setup, runner.system_config)
+        baseline = _split(*outcomes["bl"])
         per_workload[setup.name] = {
             "BL": baseline,
-            "BL+stride": _split_l1_misses(setup, stride_config),
+            "BL+stride": _split(*outcomes["bl-stride"]),
             "DLA": _split_dla_misses(outcomes["dla"], baseline, t1=False),
             "DLA+T1": _split_dla_misses(outcomes["dla-t1"], baseline, t1=True),
         }
@@ -122,6 +103,8 @@ CAMPAIGN = CampaignSpec(
     description="L1 load MPKI split by strided/other access PCs for BL, "
                 "BL+stride, DLA and DLA+T1.",
     variants=variants(
+        dict(name="bl", kind="l1-split"),
+        dict(name="bl-stride", kind="l1-split", prefetch="l1stride"),
         dict(name="dla", kind="dla", dla_preset="dla"),
         dict(name="dla-t1", kind="dla", dla_optimizations={"t1": True}),
     ),

@@ -90,7 +90,7 @@ def test_runner_caches_setups_and_baselines():
     assert len(setup_a.timed_trace) == 2000
 
 
-def test_runner_prefetcher_config_helpers():
-    runner = ExperimentRunner(quick=True)
-    assert runner.no_prefetch_config().l2_prefetcher == "none"
-    assert runner.with_l1_stride_config().l1_prefetcher == "stride"
+def test_system_config_prefetcher_helpers():
+    config = ExperimentRunner(quick=True).system_config
+    assert config.without_prefetchers().l2_prefetcher == "none"
+    assert config.with_l1_stride().l1_prefetcher == "stride"

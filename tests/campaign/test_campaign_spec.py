@@ -68,6 +68,8 @@ def test_unknown_fields_rejected():
     dict(name="x", kind="dla", dla_preset="r4"),
     dict(name="x", kind="dla", dla_preset="r3", dla_optimizations={"t1": True}),
     dict(name="x", kind="baseline", dla_preset="r3"),
+    dict(name="x", kind="smt-pair", dla_preset="r3"),
+    dict(name="x", kind="l1-split", dla_optimizations={"t1": True}),
     dict(name="x", kind="dla", dla_preset="r3", dynamic=True),
 ])
 def test_variant_validation_rejects(variant_kwargs):
@@ -120,9 +122,9 @@ def test_variant_materialisation_matches_runner_presets():
     base = runner.system_config
     assert ConfigVariant(name="bl").system_config(base) is None
     nopf = ConfigVariant(name="n", prefetch="none").system_config(base)
-    assert fingerprint(nopf) == fingerprint(runner.no_prefetch_config())
+    assert fingerprint(nopf) == fingerprint(base.without_prefetchers())
     stride = ConfigVariant(name="s", prefetch="l1stride").system_config(base)
-    assert fingerprint(stride) == fingerprint(runner.with_l1_stride_config())
+    assert fingerprint(stride) == fingerprint(base.with_l1_stride())
     fb32 = ConfigVariant(
         name="f", core_overrides={"fetch_buffer_entries": 32}
     ).system_config(base)

@@ -5,9 +5,10 @@ fault-free single-host run."""
 
 from __future__ import annotations
 
+import importlib
 import json
 import threading
-from typing import List
+from typing import Dict
 
 import pytest
 
@@ -51,6 +52,13 @@ def _spec() -> CampaignSpec:
     )
 
 
+def _figure_spec(module: str) -> CampaignSpec:
+    """Figure ``module``'s own campaign, on libquantum with short windows."""
+    spec = importlib.import_module(f"repro.experiments.{module}").CAMPAIGN
+    return CampaignSpec.from_dict(
+        {**spec.to_dict(), "workloads": ["libquantum"], **WINDOW})
+
+
 def _scheduler(spec, store, **kwargs) -> CampaignScheduler:
     return CampaignScheduler(spec, store=store, processes=1,
                              **kwargs)
@@ -63,17 +71,17 @@ def inert_plan():
     faults.reset()
 
 
-def _reference_run(tmp_path, monkeypatch, spec) -> List[str]:
-    """Run and render ``spec`` fault-free in its own cache universe (under
-    ``artifacts-ref``); returns its cell keys."""
+def _reference_run(tmp_path, monkeypatch, spec) -> Dict[str, str]:
+    """Run and render ``spec`` (one workload) fault-free in its own cache
+    universe (under ``artifacts-ref``); returns its cell keys by variant."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache-ref"))
     ref_store = CampaignStore(spec.name, tmp_path / "campaigns-ref")
     scheduler = _scheduler(spec, ref_store)
     summary = scheduler.run()
-    assert summary["cells_total"] == 3
+    assert summary["cells_total"] == len(spec.variants)
     render_campaign(spec.name, store=ref_store,
                     out_dir=str(tmp_path / "artifacts-ref"))
-    return [key for key, _request in scheduler.keyed_cells()]
+    return {request.label: key for key, request in scheduler.keyed_cells()}
 
 
 def _assert_matches_reference(tmp_path, spec, out_dir) -> None:
@@ -186,17 +194,21 @@ def test_chaos_shard_campaign_matches_fault_free_artifacts(tmp_path,
                    for summary in summaries.values())
 
 
-def test_inline_shard_retries_a_torn_write_and_merges_clean(tmp_path,
-                                                            monkeypatch,
-                                                            capsys):
+@pytest.mark.parametrize("figure, variant, fault, error_type", [
+    (None, "bl", "cache.write:truncate:times=1", "CellResultLost"),
+    ("fig11_smt", "smt-pair", "cell.simulate:raise:times=1", "InjectedFault"),
+], ids=["torn-write", "smt-pair-raise"])
+def test_inline_shard_retries_a_failed_cell_and_merges_clean(
+        tmp_path, monkeypatch, capsys, figure, variant, fault, error_type):
     """An inline cell (``--processes 1``) is done only once its entry reads
     back: one torn write costs one retryable ``CellResultLost``, and a
-    merge from disk matches a fault-free run."""
-    spec = _spec()
-    torn_key = _reference_run(tmp_path, monkeypatch, spec)[0]
+    merge from disk matches a fault-free run.  An auxiliary cell (fig11's
+    two-copy SMT run) that raises once is retried the same way."""
+    spec = _spec() if figure is None else _figure_spec(figure)
+    failed_key = _reference_run(tmp_path, monkeypatch, spec)[variant]
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache-torn"))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache-retried"))
     # The CLI exports its plan to the environment; restore it afterwards.
     monkeypatch.setenv(faults.FAULTS_ENV, "")
     spec_path = tmp_path / "spec.json"
@@ -204,19 +216,19 @@ def test_inline_shard_retries_a_torn_write_and_merges_clean(tmp_path,
     assert main([
         "run", "--spec", str(spec_path), "--shard", "0/1", "--processes", "1",
         "--retry-backoff", "0", "--no-render",
-        "--faults", f"cache.write:truncate:times=1,match={torn_key}",
+        "--faults", f"{fault},match={failed_key}",
     ]) == 0
     store = CampaignStore(spec.name)
     failed = [(event["key"], event["error_type"])
               for event in load_events(store.events_path)
               if event["event"] == "cell.failed"]
-    assert failed == [(torn_key, "CellResultLost")]
+    assert failed == [(failed_key, error_type)]
 
     assert main(["merge", spec.name, "--no-render"]) == 0
     capsys.readouterr()
     render_campaign(spec.name, store=store,
-                    out_dir=str(tmp_path / "artifacts-torn"))
-    _assert_matches_reference(tmp_path, spec, tmp_path / "artifacts-torn")
+                    out_dir=str(tmp_path / "artifacts-retried"))
+    _assert_matches_reference(tmp_path, spec, tmp_path / "artifacts-retried")
 
 
 def test_worker_poisons_cells_whose_writes_never_read_back(tmp_path,

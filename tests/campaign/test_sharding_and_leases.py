@@ -16,6 +16,7 @@ Covers the ISSUE 4 acceptance surface:
 
 from __future__ import annotations
 
+import importlib
 import json
 import threading
 import time
@@ -46,6 +47,13 @@ def _spec(name: str = "shard-test", workloads=("libquantum",)) -> CampaignSpec:
         ),
         **WINDOW,
     )
+
+
+def _figure_spec(module: str) -> CampaignSpec:
+    """Figure ``module``'s own campaign, on libquantum with short windows."""
+    spec = importlib.import_module(f"repro.experiments.{module}").CAMPAIGN
+    return CampaignSpec.from_dict(
+        {**spec.to_dict(), "workloads": ["libquantum"], **WINDOW})
 
 
 def _runner(spec: CampaignSpec) -> ParallelExperimentRunner:
@@ -253,8 +261,12 @@ def test_shard_run_plus_merge_completes_campaign(cache_dir, tmp_path):
     assert total == len(first.keyed_cells())
 
 
-def test_sharded_artifacts_bit_identical_to_single_host(tmp_path, monkeypatch):
-    spec = _spec()
+@pytest.mark.parametrize("figure", [None, "fig11_smt", "table03_mpki"])
+def test_sharded_artifacts_bit_identical_to_single_host(tmp_path, monkeypatch,
+                                                       figure):
+    """Also for fig11's SMT cells and table03's L1-miss-split cells: the
+    shards simulate them, so the merge simulates nothing."""
+    spec = _spec() if figure is None else _figure_spec(figure)
 
     # Single-host reference run in its own cache universe.
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache-single"))
@@ -271,6 +283,7 @@ def test_sharded_artifacts_bit_identical_to_single_host(tmp_path, monkeypatch):
     _scheduler(spec, sharded_store).run_shard(0, 2)
     _scheduler(spec, sharded_store).run_shard(1, 2)
     _scheduler(spec, sharded_store).finalize()
+    assert sharded_store.load_result()["run"]["simulations"] == 0
     sharded = render_campaign(spec.name, store=sharded_store,
                               out_dir=str(tmp_path / "artifacts-sharded"))
 

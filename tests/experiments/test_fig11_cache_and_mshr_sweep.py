@@ -16,12 +16,12 @@ def tiny_runner():
 
 
 def test_fig11_routes_smt_modes_through_auxiliary(tiny_runner):
-    first = fig11_smt.run(tiny_runner, max_workloads=1)
+    first = fig11_smt.run(tiny_runner)
     simulations_after_first = tiny_runner.stats.simulations
     assert simulations_after_first > 0
     hits_before = tiny_runner.stats.memory_hits
 
-    second = fig11_smt.run(tiny_runner, max_workloads=1)
+    second = fig11_smt.run(tiny_runner)
     # Reruns are free: every SMT-mode simulation comes from the outcome store.
     assert tiny_runner.stats.simulations == simulations_after_first
     assert tiny_runner.stats.memory_hits >= hits_before + 5
@@ -32,7 +32,7 @@ def test_fig11_routes_smt_modes_through_auxiliary(tiny_runner):
 
 
 def test_fig11_result_shape(tiny_runner):
-    result = fig11_smt.run(tiny_runner, max_workloads=1)
+    result = fig11_smt.run(tiny_runner)
     values = result.per_workload["libquantum"]
     assert set(values) == {"FC", "DLA", "R3-DLA", "SMT"}
     assert all(v > 0 for v in values.values())

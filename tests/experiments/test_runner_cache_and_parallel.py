@@ -74,7 +74,7 @@ def test_same_label_different_config_no_longer_collides():
     runner = make_runner()
     setup = runner.setup(WORKLOAD)
     with_pf = runner.baseline(setup, "bl")
-    no_pf = runner.baseline(setup, "bl", runner.no_prefetch_config())
+    no_pf = runner.baseline(setup, "bl", runner.system_config.without_prefetchers())
     assert with_pf.cycles != no_pf.cycles
     assert runner.stats.simulations == 2
 
@@ -103,9 +103,10 @@ def test_transient_config_objects_never_alias():
     reference = runner.baseline(setup, "bl")
     # Fingerprint a temporary config, drop it, then pass a *different*
     # temporary config (likely landing on the recycled id).
-    nopf_cycles = runner.baseline(setup, "nopf", runner.no_prefetch_config()).cycles
-    stride_cycles = runner.baseline(setup, "stride", runner.with_l1_stride_config()).cycles
-    again_nopf = runner.baseline(setup, "nopf2", runner.no_prefetch_config()).cycles
+    base = runner.system_config
+    nopf_cycles = runner.baseline(setup, "nopf", base.without_prefetchers()).cycles
+    stride_cycles = runner.baseline(setup, "stride", base.with_l1_stride()).cycles
+    again_nopf = runner.baseline(setup, "nopf2", base.without_prefetchers()).cycles
     assert nopf_cycles != reference.cycles
     assert stride_cycles != nopf_cycles
     assert again_nopf == nopf_cycles
@@ -379,29 +380,49 @@ def test_runner_stats_merge_and_since_cover_every_field():
 # auxiliary (related-approach) simulations through the cache
 # ---------------------------------------------------------------------------
 def test_auxiliary_simulations_cached(tmp_path, monkeypatch):
-    from repro.baselines import simulate_bfetch
+    from repro.experiments import runner as runner_module
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "aux"))
     runner = make_runner(disk_cache=True)
     setup = runner.setup(WORKLOAD)
 
     calls = {"n": 0}
+    recipe = runner_module.AUXILIARY_RECIPES["bfetch"]
 
-    def simulate():
+    def counted(setup, config):
         calls["n"] += 1
-        return simulate_bfetch(setup.timed_trace, runner.system_config,
-                               warmup_entries=setup.warmup_trace)
+        return recipe(setup, config)
 
-    first = runner.auxiliary(setup, "bfetch", simulate)
-    second = runner.auxiliary(setup, "bfetch", simulate)
+    monkeypatch.setitem(runner_module.AUXILIARY_RECIPES, "bfetch", counted)
+    first = runner.auxiliary(setup, "bfetch")
+    second = runner.auxiliary(setup, "bfetch")
     assert calls["n"] == 1 and second is first
     assert runner.stats.simulations == 1
+    # The key is the one every earlier release used for this cell.
+    assert runner.label_keys["bfetch"] == runner.workload_key(
+        setup.workload, "aux-bfetch")
 
     fresh = make_runner(disk_cache=True)
-    from_disk = fresh.auxiliary(fresh.setup(WORKLOAD), "bfetch",
-                                lambda: pytest.fail("must come from disk"))
-    assert fresh.stats.disk_hits == 1
+    from_disk = fresh.auxiliary(fresh.setup(WORKLOAD), "bfetch")
+    assert calls["n"] == 1 and fresh.stats.disk_hits == 1
     assert from_disk.cycles == first.cycles
+
+
+def test_auxiliary_kinds_are_cell_kinds():
+    """A request of an auxiliary kind keys and runs like ``auxiliary``, and
+    takes no DLA config."""
+    runner = ParallelExperimentRunner(quick=True, workload_names=[WORKLOAD],
+                                      processes=1, **WINDOW)
+    setup = runner.setup(WORKLOAD)
+    request = SimRequest(WORKLOAD, "smt-pair", "pair")
+    assert runner.request_key(request) == runner.workload_key(
+        setup.workload, "aux-smt-pair")
+    with pytest.raises(ValueError):
+        SimRequest(WORKLOAD, "smt-pair", dla_config=DlaConfig().r3())
+    with pytest.raises(ValueError):
+        SimRequest(WORKLOAD, "baseline", dla_config=DlaConfig().r3())
+    with pytest.raises(KeyError):
+        runner.auxiliary(setup, "nonsense")
 
 
 def test_auxiliary_runs_reuse_the_decoded_timed_window():
@@ -410,9 +431,9 @@ def test_auxiliary_runs_reuse_the_decoded_timed_window():
     two per cell, the model's own (its per-PC table reads the decoded
     columns) and its run's.  The memo keys on the window's content, so a
     fresh cut of the same rows hits too."""
-    from repro.baselines import simulate_bfetch, simulate_cre
     from repro.core.compile import kernel_available
     from repro.core.compile.decoded import decoded_cache_stats
+    from repro.experiments.runner import WorkloadSetup
 
     if not kernel_available():
         pytest.skip("decoding is a compiled-path step")
@@ -420,14 +441,12 @@ def test_auxiliary_runs_reuse_the_decoded_timed_window():
     setup = runner.setup(WORKLOAD)
     runner.baseline(setup, "bl")
     before = decoded_cache_stats()
-    runner.auxiliary(setup, "bfetch", lambda: simulate_bfetch(
-        setup.timed_trace, runner.system_config,
-        warmup_entries=setup.warmup_trace))
+    runner.auxiliary(setup, "bfetch")
     recut = setup.timed_trace.window(0, len(setup.timed_trace))
     assert recut is not setup.timed_trace and recut.key == setup.timed_trace.key
-    runner.auxiliary(setup, "cre", lambda: simulate_cre(
-        setup.program, recut, setup.profile, runner.system_config,
-        warmup_entries=setup.warmup_trace))
+    runner.auxiliary(WorkloadSetup(setup.workload, setup.program,
+                                   setup.warmup_trace, recut, setup.profile),
+                     "cre")
     after = decoded_cache_stats()
     assert runner.stats.simulations == 3
     assert after["decodes"] == before["decodes"]
@@ -474,7 +493,7 @@ def test_setup_disk_entry_pickles_columns_and_loads_lazily(tmp_path, monkeypatch
     assert loaded._parts is None and setup_cache_stats()["disk_hits"] == 0
     # ... nor does a compiled simulation, which reads the setup's columns;
     # the reference interpreter builds each window's entries once.
-    second.baseline(loaded, "bl-nopf", second.no_prefetch_config())
+    second.baseline(loaded, "bl-nopf", second.system_config.without_prefetchers())
     assert loaded._parts is not None and setup_cache_stats()["disk_hits"] == 1
     assert builds["n"] == (0 if kernel_available() else 2)
     # Object consumers build each window's list once, then keep it.
@@ -573,34 +592,30 @@ def test_parallel_warm_is_idempotent(tmp_path, monkeypatch):
 # the compiled path reads trace columns: no DynamicInst on any cell
 # ---------------------------------------------------------------------------
 def _cell_of_every_kind(runner):
-    """Set up the workload cold and run one cell of every kind."""
-    from repro.baselines import simulate_bfetch, simulate_cre, simulate_slipstream
+    """Set up the workload cold and run one cell of every simulating kind
+    (``ilp``, an analysis over the window's instruction objects, aside)."""
     from repro.experiments.runner import clear_setup_cache
 
     clear_setup_cache()
     setup = runner.setup(WORKLOAD)
-    config = runner.system_config
     runner.baseline(setup, "bl")
     runner.dla(setup, DlaConfig().baseline_dla(), "dla")
     runner.dla(setup, DlaConfig().r3(), "r3")
     runner.dla_segmented(setup, DlaConfig().r3(), dynamic=False)
     runner.dla_segmented(setup, DlaConfig().r3(), dynamic=True)
-    runner.auxiliary(setup, "bfetch", lambda: simulate_bfetch(
-        setup.timed_trace, config, warmup_entries=setup.warmup_trace))
-    runner.auxiliary(setup, "cre", lambda: simulate_cre(
-        setup.program, setup.timed_trace, setup.profile, config,
-        warmup_entries=setup.warmup_trace))
-    runner.auxiliary(setup, "slipstream", lambda: simulate_slipstream(
-        setup.program, setup.timed_trace, setup.profile, config,
-        warmup_entries=setup.warmup_trace))
-    assert runner.stats.simulations == 8
+    kinds = ("bfetch", "cre", "slipstream", "smt-hc", "smt-fc", "smt-dla",
+             "smt-r3dla", "smt-pair", "l1-split")
+    for kind in kinds:
+        runner.auxiliary(setup, kind)
+    assert runner.stats.simulations == 5 + len(kinds)
 
 
 @pytest.mark.parametrize("fast", [True, False], ids=["kernel", "kill-switch"])
 def test_cells_build_entries_only_for_the_interpreter(monkeypatch, fast):
     """With the kernel loaded, setting up a workload cold and simulating a
     cell of every kind (BL, DLA, R3, segmented static and dynamic, B-Fetch,
-    CRE, SlipStream) builds no DynamicInst; the reference interpreter
+    CRE, SlipStream, the SMT scenarios, the L1 miss split) builds no
+    DynamicInst; the reference interpreter
     (``REPRO_FAST_PIPELINE=0``) still reads objects."""
     from repro.core.compile import FAST_PIPELINE_ENV, counters, kernel_available
     from repro.emulator.trace import TraceColumns
