@@ -5,14 +5,14 @@ against a :class:`~repro.experiments.parallel.ParallelExperimentRunner`:
 
 1. the spec's (workload x variant) matrix becomes a list of *cells*
    (:class:`~repro.experiments.parallel.SimRequest`, planned by
-   :func:`~repro.experiments.parallel.plan_cells`), each identified by its
-   content fingerprint;
+   :func:`~repro.experiments.parallel.plan_cells`), each keyed once, when
+   planned, by its content fingerprint;
 2. open cells (not in the in-memory or on-disk result cache, not poisoned)
    are claimed, executed under failure isolation and settled — retried with
    backoff, or poisoned once their retry budget is spent;
 3. the campaign's experiment module assembles the artefact from the warmed
    caches (``module.run(runner)`` reads its ``CAMPAIGN``'s planned cells
-   back by variant name through the same planner), and its structured
+   back by variant name from the plan this scheduler keyed), and its structured
    tables plus rendered text are persisted in the campaign store, next to
    the run's throughput counters (the result's ``run`` section).
 
@@ -61,9 +61,8 @@ summary; settling a cell writes no manifest, whatever the cell count.
     Assembles the final artefact from the caches once every cell is done —
     any worker or a separate fan-in job can run it; it simulates no planned
     cell.  What no variant plans, the experiment module computes during
-    assembly: fig09's B-Fetch, SlipStream and CRE comparisons and all of
-    fig11's SMT runs (fig11 plans no cells), both cached like any result;
-    table03's uncached BL / BL+stride miss split; fig14's analytic model.
+    assembly: fig09's B-Fetch, SlipStream and CRE comparisons, cached like
+    any result, and the fig05/fig14 analytic model's core runs.
 """
 
 from __future__ import annotations
@@ -239,7 +238,7 @@ class CampaignScheduler:
         return plan_workloads(self.spec, self.runner)
 
     def cells(self) -> List[SimRequest]:
-        """The flattened (workload, variant) simulation matrix."""
+        """The flattened (workload, variant) simulation matrix, keyed."""
         return plan_cells(self.spec, self.runner)
 
     def keyed_cells(self) -> List[Tuple[str, SimRequest]]:
@@ -252,7 +251,7 @@ class CampaignScheduler:
         if self._keyed_cells is None:
             keyed: Dict[str, SimRequest] = {}
             for request in self.cells():
-                keyed.setdefault(self.runner.request_key(request), request)
+                keyed.setdefault(request.key, request)
             self._keyed_cells = list(keyed.items())
         return list(self._keyed_cells)
 
@@ -396,15 +395,15 @@ class CampaignScheduler:
         """
         label = f"{mode} {fields[mode]}" if mode in fields else mode
         requests_by_key = dict(keyed)
-        keys = [key for key, _request in keyed]
-        requests = [request for _key, request in keyed]
+        keys = list(requests_by_key)
+        requests = list(requests_by_key.values())
         started = time.perf_counter()
         stats_before = self.runner.stats.copy()
         simulated = claimed_total = 0
         interrupted = waiting_logged = False
 
         self._open_journal(owner)
-        availability = self.runner.screen(requests, keys=keys)
+        availability = self.runner.screen(requests)
         hits = sum(1 for done in availability.values() if done)
         self._emit("worker.started", mode=mode, run_mode=self.mode,
                    cells=len(keyed), cache_hits=hits, **fields)
@@ -445,7 +444,7 @@ class CampaignScheduler:
                     # have finished (and released) a cell since.  Hand such
                     # cells back uncounted.
                     fresh = self.runner.screen(
-                        [requests_by_key[key] for key in claimed], keys=claimed)
+                        [requests_by_key[key] for key in claimed])
                     finished_elsewhere = [key for key in claimed if fresh[key]]
                     self.store.release_leases(finished_elsewhere, owner)
                     claimed = [key for key in claimed if not fresh[key]]
@@ -473,7 +472,7 @@ class CampaignScheduler:
                             f"{len(open_cells)} leased/backing-off cell(s)")
                         waiting_logged = True
                     time.sleep(leases.poll_seconds)
-                availability = self.runner.screen(requests, keys=keys)
+                availability = self.runner.screen(requests)
         except WorkerShutdown as shutdown:
             interrupted = True
             self._emit("worker.signal", reason=str(shutdown))
@@ -625,9 +624,7 @@ class CampaignScheduler:
         """Content keys of cells whose results are not in any cache yet."""
         keyed = self.keyed_cells()
         availability = self.runner.screen(
-            [request for _key, request in keyed],
-            keys=[key for key, _request in keyed],
-        )
+            [request for _key, request in keyed])
         return [key for key, _request in keyed if not availability[key]]
 
     def finalize(self, manifest: Optional[Dict[str, object]] = None) -> Dict[str, object]:

@@ -263,33 +263,29 @@ def _stall_cycles(memsys: Optional[Dict]) -> float:
 
 
 def outcome_measures(outcome: object) -> Dict[str, float]:
-    """Content-determined measures of one cached cell outcome.
-
-    Works across the three outcome shapes (baseline
-    :class:`~repro.core.system.SimulationOutcome`, DLA
-    :class:`~repro.dla.system.DlaOutcome`, and
-    :class:`~repro.experiments.runner.SegmentedOutcome`): committed
-    instructions, total core cycles (all simulated domains), contention
-    stall cycles from the ``memsys`` spine, and the stall *share* (stalls
-    over cycles) the anomaly detectors key on.
+    """Content-determined measures of one cached cell outcome, of any kind:
+    committed instructions (:func:`~repro.experiments.runner.committed_instructions`),
+    total core cycles of every simulated domain (a baseline core, or a
+    DLA-shaped outcome's main plus look-ahead thread), contention stall
+    cycles from the ``memsys`` spine, and the stall *share* (stalls over
+    cycles) the anomaly detectors key on.  The ``smt-pair``, ``l1-split``
+    and ``ilp`` kinds have no single clock and journal ``cycles: 0.0``.
     """
+    from repro.experiments.runner import committed_instructions
+
+    instructions = committed_instructions(outcome)
     inner = getattr(outcome, "outcome", None)
     if inner is not None and hasattr(inner, "memsys"):   # SegmentedOutcome
         outcome = inner
     core = getattr(outcome, "core", None)
     if core is not None:                                  # SimulationOutcome
-        committed = core.committed
         cycles = core.cycles
     else:                                                 # DlaOutcome-shaped
-        main = getattr(outcome, "main", None)
-        lookahead = getattr(outcome, "lookahead", None)
-        committed = getattr(main, "committed", 0) + getattr(
-            lookahead, "committed", 0)
-        cycles = getattr(main, "cycles", 0.0) + getattr(
-            lookahead, "cycles", 0.0)
+        cycles = (getattr(getattr(outcome, "main", None), "cycles", 0.0)
+                  + getattr(getattr(outcome, "lookahead", None), "cycles", 0.0))
     stall_cycles = _stall_cycles(getattr(outcome, "memsys", None))
     return {
-        "instructions": int(committed),
+        "instructions": instructions,
         "cycles": round(float(cycles), 3),
         "stall_cycles": round(float(stall_cycles), 3),
         "stall_share": round(stall_cycles / cycles, 6) if cycles else 0.0,

@@ -1,5 +1,9 @@
 """Parallel, fingerprint-keyed experiment execution.
 
+:func:`plan_cells` and :func:`run_cells` read one keyed plan of the
+runner's, so each planned cell is keyed once per pass and its key travels
+on the :class:`SimRequest` through screening, execution and assembly.
+
 ``ParallelExperimentRunner`` runs batches of independent (workload,
 configuration) simulations and merges the results back into the runner's
 one outcome store in deterministic (request) order.  Because every
@@ -31,55 +35,13 @@ import signal
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import SystemConfig
-from repro.dla.config import DlaConfig
-from repro.experiments.runner import (AUXILIARY_RECIPES, CELL_KINDS, DLA_KINDS,
-                                     ExperimentRunner, RunnerStats, WorkloadSetup)
+from repro.experiments.runner import (ExperimentRunner, RunnerStats,
+                                     SimRequest, WorkloadSetup)
 
 #: Environment variable overriding the worker-process count.
 PROCESSES_ENV = "REPRO_PROCESSES"
-
-
-@dataclass(frozen=True)
-class SimRequest:
-    """One independent simulation of the standard experiment matrix."""
-
-    workload: str
-    kind: str                                    # one of CELL_KINDS
-    label: str = ""
-    system_config: Optional[SystemConfig] = None  # None -> runner default
-    dla_config: Optional[DlaConfig] = None
-    #: Segmented requests only: on-line (dynamic) vs off-line recycle tuning.
-    dynamic: bool = False
-
-    def __post_init__(self) -> None:
-        if self.kind not in CELL_KINDS:
-            raise ValueError(f"unknown request kind {self.kind!r}")
-        if (self.kind in DLA_KINDS) != (self.dla_config is not None):
-            raise ValueError(f"a dla_config is for exactly {DLA_KINDS} requests")
-        if self.kind != "segmented" and self.dynamic:
-            # dynamic is not part of the baseline/dla cache keys; accepting
-            # it would silently alias with the dynamic=False request.
-            raise ValueError("dynamic tuning is a segmented-only knob")
-
-
-def _simulate_request(runner: ExperimentRunner, setup, request: SimRequest):
-    """Run one request against an already-built setup; returns the outcome."""
-    if request.kind == "baseline":
-        return runner.baseline(setup, request.label or "bl", request.system_config)
-    if request.kind in AUXILIARY_RECIPES:
-        return runner.auxiliary(setup, request.kind, request.system_config)
-    if request.kind == "segmented":
-        return runner.dla_segmented(
-            setup, request.dla_config, request.dynamic,
-            request.label or "recycle", request.system_config
-        )
-    return runner.dla(
-        setup, request.dla_config, request.label or "dla", request.system_config
-    )
 
 
 def plan_workloads(spec, runner: ExperimentRunner) -> List[str]:
@@ -99,24 +61,8 @@ def plan_workloads(spec, runner: ExperimentRunner) -> List[str]:
 
 
 def plan_cells(spec, runner: ExperimentRunner) -> List[SimRequest]:
-    """The flattened (workload, variant) cell matrix of campaign ``spec``.
-
-    Each variant is materialised once per call: a config memoises its key
-    text per object, so every workload's cells share one config (and one
-    canonical text) per variant.
-    """
-    base = runner.system_config
-    materialised = [
-        (variant, variant.system_config(base), variant.dla_config())
-        for variant in spec.variants
-    ]
-    return [
-        SimRequest(workload=workload, kind=variant.kind, label=variant.name,
-                   system_config=system_config, dla_config=dla_config,
-                   dynamic=variant.dynamic)
-        for workload in plan_workloads(spec, runner)
-        for variant, system_config, dla_config in materialised
-    ]
+    """The flattened (workload, variant) cell matrix of ``spec``, keyed."""
+    return runner.plan(spec.variants, plan_workloads(spec, runner))
 
 
 def run_cells(spec, runner: ExperimentRunner,
@@ -124,35 +70,18 @@ def run_cells(spec, runner: ExperimentRunner,
     """The outcomes of every planned cell of ``spec``: per planned workload,
     in plan order, its setup and its cells' outcomes by variant name.
 
-    Each cell goes through :func:`_simulate_request` and so through the
-    runner's cache: at campaign assembly every one is a hit.  This is how
-    an experiment module reads its configurations — it builds none itself.
-    The setup comes along for what a module computes beside its cells, so
-    no module asks the runner for a setup twice.
+    The cells are the runner's plan, the one its scheduler keyed, and each
+    is read through the runner's cache: at campaign assembly every one is a
+    hit.  This is how an experiment module reads its configurations — it
+    builds none itself.  The setup comes along for what a module computes
+    beside its cells, so no module asks the runner for a setup twice.
     """
-    cells = {workload: (runner.setup(workload), {})
-             for workload in plan_workloads(spec, runner)}
-    for request in plan_cells(spec, runner):
+    workloads = plan_workloads(spec, runner)
+    cells = {workload: (runner.setup(workload), {}) for workload in workloads}
+    for request in runner.plan(spec.variants, workloads):
         setup, outcomes = cells[request.workload]
-        outcomes[request.label] = _simulate_request(runner, setup, request)
+        outcomes[request.label] = runner.run_cell(setup, request)
     return list(cells.values())
-
-
-def _request_content_key(runner: ExperimentRunner, request: SimRequest) -> str:
-    """Content key of ``request`` from workload *definitions* only — no
-    trace/profile building, so it is safe to compute before a setup exists
-    (fault probes and failure records need the key even when setup fails)."""
-    from repro.workloads.suites import get_workload
-
-    workload = get_workload(request.workload)
-    if request.kind == "segmented":
-        return runner.segmented_key_for(
-            workload, request.dla_config, request.dynamic, request.system_config
-        )
-    kind = request.kind
-    return runner.workload_key(
-        workload, f"aux-{kind}" if kind in AUXILIARY_RECIPES else kind,
-        request.system_config, request.dla_config)
 
 
 def _failure_payload(request: SimRequest, error: BaseException,
@@ -170,9 +99,9 @@ def _failure_payload(request: SimRequest, error: BaseException,
 
 
 def _simulate_group(runner: ExperimentRunner, workload: str,
-                    pairs: Sequence[Tuple[SimRequest, str]],
+                    requests: Sequence[SimRequest],
                     attempts: Dict[str, int]) -> Dict[str, Dict[str, object]]:
-    """Run every ``(request, key)`` of one workload group against ``runner``.
+    """Run every keyed request of one workload group against ``runner``.
 
     Returns the failure payload of every request whose simulation — or the
     group's setup — raised, by key.  A failure does not poison the group:
@@ -186,32 +115,31 @@ def _simulate_group(runner: ExperimentRunner, workload: str,
     setup = None
     failures = {}
     with runner.disk_cache.batch():
-        for request, key in pairs:
+        for request in requests:
             started = time.monotonic()
             try:
-                faults.probe(faults.SITE_CELL_SIMULATE, key=key,
-                             attempt=attempts.get(key, 0))
+                faults.probe(faults.SITE_CELL_SIMULATE, key=request.key,
+                             attempt=attempts.get(request.key, 0))
                 if setup is None:
                     setup = runner.setup(workload)
-                _simulate_request(runner, setup, request)
+                runner.run_cell(setup, request)
             except Exception as error:   # isolation boundary — keep going
-                failures[key] = _failure_payload(
+                failures[request.key] = _failure_payload(
                     request, error, time.monotonic() - started)
     return failures
 
 
-def _run_group(payload: Tuple[dict, str, List[Tuple[SimRequest, str]],
-                              Dict[str, int]]):
+def _run_group(payload: Tuple[dict, str, List[SimRequest], Dict[str, int]]):
     """Child-process body: run one workload group on a fresh runner.
 
-    ``payload`` is ``(ctor_kwargs, workload, pairs, attempts)`` (see
+    ``payload`` is ``(ctor_kwargs, workload, requests, attempts)`` (see
     :func:`_simulate_group`); returns ``(failures, stats)``, the runner's
     stats being exactly this group's.  The outcomes travel through the
     disk cache, not the pipe.
     """
-    ctor_kwargs, workload, pairs, attempts = payload
+    ctor_kwargs, workload, requests, attempts = payload
     runner = ExperimentRunner(**ctor_kwargs)
-    return _simulate_group(runner, workload, pairs, attempts), runner.stats
+    return _simulate_group(runner, workload, requests, attempts), runner.stats
 
 
 @contextmanager
@@ -333,8 +261,8 @@ class ParallelExperimentRunner(ExperimentRunner):
     """An :class:`ExperimentRunner` that can pre-compute request batches in
     parallel child processes.
 
-    All single-request entry points (:meth:`setup`, :meth:`baseline`,
-    :meth:`dla`, ...) are inherited unchanged — figures keep calling them and
+    Every single-cell path (:meth:`setup`, :meth:`run_cell` and its
+    wrappers) is inherited unchanged — figures keep reading through them and
     hit the outcome store :meth:`warm_isolated` filled.
     """
 
@@ -383,29 +311,29 @@ class ParallelExperimentRunner(ExperimentRunner):
         is forwarded to the fault-injection probe so attempt-gated transient
         faults stop firing once a cell has been retried past their budget.
 
-        Keys are derived from workload *definitions*, so screening a fully
-        cached batch costs no setup work at all.  Pending requests are
-        grouped by workload (request order kept).  With no ``timeout`` and
-        one process enough, the groups run inline on this runner; otherwise
+        Keys (an unkeyed request is keyed here) come from workload
+        *definitions*, so screening a fully cached batch costs no setup
+        work at all.  Pending requests are grouped by workload (request
+        order kept).  With no ``timeout`` and one process enough, the
+        groups run inline on this runner; otherwise
         :func:`run_in_children` runs one child per group — per cell when
         ``timeout`` (seconds) bounds each.  Either way a cell that did not
         fail is done only once its disk entry reads back.  This is the
         campaign scheduler's execution primitive.
         """
-        requests = list(requests)
+        requests = [self.keyed(request) for request in requests]
         attempts = attempts or {}
-        keys = [self.request_key(request) for request in requests]
-        availability = self.screen(requests, keys=keys)
-        groups: Dict[str, List[Tuple[SimRequest, str]]] = {}
-        for request, key in zip(requests, keys):
-            if not availability[key]:
-                groups.setdefault(request.workload, []).append((request, key))
+        availability = self.screen(requests)
+        groups: Dict[str, List[SimRequest]] = {}
+        for request in requests:
+            if not availability[request.key]:
+                groups.setdefault(request.workload, []).append(request)
         if not groups:
             return 0, {}
         units = list(groups.items())
         if timeout is not None:
-            units = [(workload, [pair]) for workload, pairs in units
-                     for pair in pairs]
+            units = [(workload, [request]) for workload, group in units
+                     for request in group]
         processes = min(processes or self.processes or self.default_processes(),
                         len(units))
         simulations_before = self.stats.simulations
@@ -418,9 +346,9 @@ class ParallelExperimentRunner(ExperimentRunner):
             # caches are exactly what the figures will use afterwards, so
             # nothing is built twice.  Its stats count the cells already.
             reports = []
-            for workload, pairs in units:
+            for workload, group in units:
                 started = time.monotonic()
-                report = (_simulate_group(self, workload, pairs, attempts),
+                report = (_simulate_group(self, workload, group, attempts),
                           RunnerStats())
                 reports.append((report, None, time.monotonic() - started))
         else:
@@ -433,16 +361,17 @@ class ParallelExperimentRunner(ExperimentRunner):
             load_kernel()
             ctor_kwargs = self._ctor_kwargs()
             reports = run_in_children(
-                _run_group, [(ctor_kwargs, workload, pairs, attempts)
-                             for workload, pairs in units],
+                _run_group, [(ctor_kwargs, workload, group, attempts)
+                             for workload, group in units],
                 processes, timeout)
-        for (_workload, pairs), (report, error, seconds) in zip(units, reports):
+        for (_workload, group), (report, error, seconds) in zip(units, reports):
             failed: Dict[str, Dict[str, object]] = {}
             if error is None:
                 failed, stats = report
                 # A child's simulations are this runner's: count them here.
                 self.stats.merge(stats)
-            for request, key in pairs:
+            for request in group:
+                key = request.key
                 if key in failed:
                     failures[key] = failed[key]
                     continue
@@ -463,12 +392,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         return self.stats.simulations - simulations_before, failures
 
     # ------------------------------------------------------------------
-    def request_key(self, request: SimRequest) -> str:
-        """Content key of a request — no trace/profile building required."""
-        return _request_content_key(self, request)
-
-    def screen(self, requests: Sequence[SimRequest],
-               keys: Optional[Sequence[str]] = None) -> Dict[str, bool]:
+    def screen(self, requests: Sequence[SimRequest]) -> Dict[str, bool]:
         """Cell-granular cache probe: request key -> "result available".
 
         Disk-cached results are pulled into the outcome store on the way
@@ -476,13 +400,11 @@ class ParallelExperimentRunner(ExperimentRunner):
         but nothing is ever simulated.  This is what sharded execution polls: a cell is
         *done* exactly when its key screens True here, regardless of which
         worker (or host, via a shared/synced cache directory) computed it.
-
-        ``keys`` — when the caller already holds the content keys (aligned
-        with ``requests``) — skips recomputing the fingerprints.
+        An unkeyed request is keyed here.
         """
         availability: Dict[str, bool] = {}
-        for index, request in enumerate(requests):
-            key = keys[index] if keys is not None else self.request_key(request)
+        for request in requests:
+            key = self.keyed(request).key
             available = self.cached_outcome(key) is not None
             if not available:
                 stored = self.disk_cache.get(self._disk_key(key))

@@ -2,9 +2,11 @@
 
 The :class:`ExperimentRunner` prepares workload setups (program, trace
 windows, profile) and caches finished simulations in one outcome store.
-Its entry points (``baseline``, ``dla``, ``dla_segmented``, ``auxiliary``)
-differ only in how they key and simulate a cell; one private path serves
-them all: memory hit, else disk hit, else simulate, count and persist.
+Every cell is a :class:`SimRequest`, keyed once (:meth:`~ExperimentRunner.keyed`)
+and carrying its key from then on; one path,
+:meth:`~ExperimentRunner.run_cell`, serves every kind: memory hit, else disk
+hit, else simulate by the kind's :data:`CELL_RECIPES` entry, count and
+persist.
 Caching is keyed by a *content fingerprint* of everything that determines
 an outcome — the kind of cell, workload, :class:`SystemConfig`,
 :class:`DlaConfig` and the trace window — never by the display label a
@@ -27,8 +29,8 @@ from __future__ import annotations
 import functools
 import time
 from collections import namedtuple
-from dataclasses import dataclass, fields, replace
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.ilp import measure_implicit_parallelism
 from repro.baselines import simulate_bfetch, simulate_cre, simulate_slipstream
@@ -201,15 +203,14 @@ def _split_l1_misses(setup: WorkloadSetup, config: SystemConfig) -> L1MissSplit:
     return L1MissSplit(strided, len(misses) - strided, result.committed)
 
 
-def _half_core_dla(setup: WorkloadSetup, config: SystemConfig,
-                   dla_config: DlaConfig) -> DlaOutcome:
-    return DlaSystem(setup.program, smt_configs(config)[0], dla_config,
-                     profile=setup.profile,
-                     builder=setup.skeleton_builder).simulate(setup.timed_trace)
+def _dla_system(setup: WorkloadSetup, config: SystemConfig,
+                dla_config: DlaConfig) -> DlaSystem:
+    return DlaSystem(setup.program, config, dla_config, profile=setup.profile,
+                     builder=setup.skeleton_builder)
 
 
 #: The auxiliary models by cell kind, each ``(setup, system config) ->
-#: outcome``; :meth:`ExperimentRunner.auxiliary` keys them ``aux-<kind>``.
+#: outcome``; :data:`CELL_RECIPES` keys them ``aux-<kind>``.
 AUXILIARY_RECIPES: Dict[str, Callable[[WorkloadSetup, SystemConfig], object]] = {
     # Fig. 9-b's related approaches.
     "bfetch": lambda setup, config: simulate_bfetch(
@@ -226,10 +227,12 @@ AUXILIARY_RECIPES: Dict[str, Callable[[WorkloadSetup, SystemConfig], object]] = 
         setup.timed_trace, smt_configs(config)[0]),
     "smt-fc": lambda setup, config: simulate_baseline(
         setup.timed_trace, smt_configs(config)[1]),
-    "smt-dla": lambda setup, config: _half_core_dla(
-        setup, config, DlaConfig().baseline_dla()),
-    "smt-r3dla": lambda setup, config: _half_core_dla(
-        setup, config, DlaConfig().r3()),
+    "smt-dla": lambda setup, config: _dla_system(
+        setup, smt_configs(config)[0],
+        DlaConfig().baseline_dla()).simulate(setup.timed_trace),
+    "smt-r3dla": lambda setup, config: _dla_system(
+        setup, smt_configs(config)[0], DlaConfig().r3()).simulate(
+            setup.timed_trace),
     "smt-pair": lambda setup, config: simulate_smt_pair(
         setup.timed_trace, smt_configs(config)[1]),
     # Table III's BL / BL+stride miss split and Fig. 1's limit study.
@@ -238,9 +241,76 @@ AUXILIARY_RECIPES: Dict[str, Callable[[WorkloadSetup, SystemConfig], object]] = 
         setup.timed_trace, config=config),
 }
 
+
+def _simulate_segmented(runner: ExperimentRunner, setup: WorkloadSetup,
+                        config: SystemConfig,
+                        request: SimRequest) -> SegmentedOutcome:
+    """Plan skeleton recycling (the controller's trial simulations
+    included), then run the segmented simulation."""
+    from repro.dla.recycle import RecycleController, build_skeleton_versions
+
+    dla_config = request.dla_config
+    system = _dla_system(setup, config, dla_config)
+    versions = build_skeleton_versions(
+        system.builder,
+        enable_t1=dla_config.enable_t1,
+        include_value_targets=dla_config.enable_value_reuse,
+    )
+    controller = RecycleController(versions, dla_config,
+                                   setup.profile.loop_branch_pcs)
+    plan = controller.plan(system, setup.timed_trace, dynamic=request.dynamic,
+                           search_unit_limit=runner._search_unit_limit())
+    return SegmentedOutcome(
+        outcome=system.simulate_segmented(
+            plan.segments, warmup_entries=setup.warmup_trace),
+        version_names=tuple(s.options.name for s in versions),
+        chosen_versions=tuple(plan.chosen_versions),
+        version_distribution=dict(plan.version_distribution),
+    )
+
+
+#: Every cell kind's recipe, ``(runner, setup, system config, request) ->
+#: outcome``: the one dispatch of :meth:`ExperimentRunner.run_cell`.  An
+#: auxiliary kind's recipe is looked up in :data:`AUXILIARY_RECIPES` per call.
+CELL_RECIPES: Dict[str, Callable[..., object]] = {
+    "baseline": lambda runner, setup, config, request: simulate_baseline(
+        setup.timed_trace, config, warmup_entries=setup.warmup_trace),
+    "dla": lambda runner, setup, config, request: _dla_system(
+        setup, config, request.dla_config).simulate(
+            setup.timed_trace, warmup_entries=setup.warmup_trace),
+    "segmented": _simulate_segmented,
+    **dict.fromkeys(AUXILIARY_RECIPES, lambda runner, setup, config, request:
+                    AUXILIARY_RECIPES[request.kind](setup, config)),
+}
+
 DLA_KINDS = ("dla", "segmented")
 #: Every cell kind a variant or request may name (DLA config: DLA_KINDS only).
-CELL_KINDS = ("baseline", *DLA_KINDS, *AUXILIARY_RECIPES)
+CELL_KINDS = tuple(CELL_RECIPES)
+
+
+@dataclass(frozen=True)
+class SimRequest:
+    """One cell: a simulation of one workload under one configuration,
+    carrying its content ``key`` once a runner keyed it."""
+
+    workload: str
+    kind: str                                    # one of CELL_KINDS
+    label: str = ""
+    system_config: Optional[SystemConfig] = None  # None -> runner default
+    dla_config: Optional[DlaConfig] = None
+    #: Segmented requests only: on-line (dynamic) vs off-line recycle tuning.
+    dynamic: bool = False
+    key: Optional[str] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.kind not in CELL_KINDS:
+            raise ValueError(f"unknown request kind {self.kind!r}")
+        if (self.kind in DLA_KINDS) != (self.dla_config is not None):
+            raise ValueError(f"a dla_config is for exactly {DLA_KINDS} requests")
+        if self.kind != "segmented" and self.dynamic:
+            # dynamic is not part of the baseline/dla cache keys; accepting
+            # it would silently alias with the dynamic=False request.
+            raise ValueError("dynamic tuning is a segmented-only knob")
 
 
 @dataclass
@@ -424,9 +494,8 @@ class ExperimentRunner:
         #: ``"dla"``, ``"segmented"``, ``"aux-<kind>"``), so the kinds
         #: share one store without colliding.
         self._outcomes: Dict[str, object] = {}
-        #: Cosmetic label -> fingerprint key of the last request made under
-        #: that label (debugging / reporting only; never used for lookup).
-        self.label_keys: Dict[str, str] = {}
+        #: (variants, workloads, keyed cells) per plan; see :meth:`plan`.
+        self._plans: List[Tuple[tuple, tuple, List[SimRequest]]] = []
 
     # ------------------------------------------------------------------
     # keys
@@ -538,86 +607,59 @@ class ExperimentRunner:
         return setup
 
     # ------------------------------------------------------------------
-    # cached simulation entry points
+    # cells: keyed once, run through one path
     # ------------------------------------------------------------------
-    def baseline(self, setup: WorkloadSetup, label: str = "bl",
-                 config: Optional[SystemConfig] = None) -> SimulationOutcome:
-        """Baseline (single-core) simulation of the timed window, cached.
+    def keyed(self, request: SimRequest,
+              workload: Optional[Workload] = None) -> SimRequest:
+        """``request`` carrying its content key: itself when it has one,
+        else a keyed copy.  Keys come from the workload *definition*
+        (``workload``, looked up by name when not given), never from a
+        setup, so keying builds no trace or profile."""
+        if request.key is not None:
+            return request
+        workload = workload or get_workload(request.workload)
+        kind = request.kind
+        if kind == "segmented":
+            key = self.segmented_key_for(workload, request.dla_config,
+                                         request.dynamic, request.system_config)
+        else:
+            key = self.workload_key(
+                workload, f"aux-{kind}" if kind in AUXILIARY_RECIPES else kind,
+                request.system_config, request.dla_config)
+        return replace(request, key=key)
 
-        ``label`` is purely cosmetic; results are cached by the content
-        fingerprint of (workload, config, window).
-        """
-        key = self.workload_key(setup.workload, "baseline", config)
-        return self._cached(key, label, lambda: simulate_baseline(
-            setup.timed_trace, config or self.system_config,
-            warmup_entries=setup.warmup_trace))
+    def plan(self, variants: Sequence, workloads: Sequence[str],
+             ) -> List[SimRequest]:
+        """The keyed cells of campaign ``variants`` on ``workloads``,
+        workload-major, memoised by content (never identity): equal
+        variants over the same workloads are one plan, so assembly reads
+        the cells its scheduler keyed.  Each variant is materialised once,
+        so its cells share one config object and its memoised key text."""
+        variants, workloads = tuple(variants), tuple(workloads)
+        for planned_variants, planned_workloads, cells in self._plans:
+            if planned_variants == variants and planned_workloads == workloads:
+                return list(cells)
+        materialised = [
+            (variant, variant.system_config(self.system_config),
+             variant.dla_config())
+            for variant in variants
+        ]
+        cells = [
+            self.keyed(SimRequest(
+                workload=workload, kind=variant.kind, label=variant.name,
+                system_config=system_config, dla_config=dla_config,
+                dynamic=variant.dynamic))
+            for workload in workloads
+            for variant, system_config, dla_config in materialised
+        ]
+        self._plans.append((variants, workloads, cells))
+        return list(cells)
 
-    def dla(self, setup: WorkloadSetup, dla_config: DlaConfig, label: str,
-            config: Optional[SystemConfig] = None) -> DlaOutcome:
-        """DLA co-simulation of the timed window, cached by content key."""
-        key = self.workload_key(setup.workload, "dla", config, dla_config)
-        return self._cached(key, label, lambda: self._dla_system(
-            setup, dla_config, config).simulate(
-                setup.timed_trace, warmup_entries=setup.warmup_trace))
-
-    def dla_segmented(self, setup: WorkloadSetup, dla_config: DlaConfig,
-                      dynamic: bool = False, label: str = "recycle",
-                      config: Optional[SystemConfig] = None) -> SegmentedOutcome:
-        """Segmented (skeleton-recycling) DLA simulation, cached by content key.
-
-        Replaces the figures' direct ``DlaSystem.simulate_segmented`` calls:
-        planning (including the controller's trial simulations) and the
-        segmented run itself happen at most once per (workload, config,
-        window, tuning mode) per cache lifetime.
-        """
-        def simulate() -> SegmentedOutcome:
-            from repro.dla.recycle import RecycleController, build_skeleton_versions
-
-            system = self._dla_system(setup, dla_config, config)
-            versions = build_skeleton_versions(
-                system.builder,
-                enable_t1=dla_config.enable_t1,
-                include_value_targets=dla_config.enable_value_reuse,
-            )
-            controller = RecycleController(versions, dla_config,
-                                           setup.profile.loop_branch_pcs)
-            plan = controller.plan(system, setup.timed_trace, dynamic=dynamic,
-                                   search_unit_limit=self._search_unit_limit())
-            return SegmentedOutcome(
-                outcome=system.simulate_segmented(
-                    plan.segments, warmup_entries=setup.warmup_trace),
-                version_names=tuple(s.options.name for s in versions),
-                chosen_versions=tuple(plan.chosen_versions),
-                version_distribution=dict(plan.version_distribution),
-            )
-
-        key = self.segmented_key_for(setup.workload, dla_config, dynamic, config)
-        return self._cached(key, label, simulate)
-
-    def auxiliary(self, setup: WorkloadSetup, kind: str,
-                  config: Optional[SystemConfig] = None):
-        """The outcome of the auxiliary model ``kind`` (a key of
-        :data:`AUXILIARY_RECIPES`) on ``setup``, cached by content key:
-        the workload, window and system config, as for a baseline cell.
-        """
-        recipe = AUXILIARY_RECIPES[kind]
-        key = self.workload_key(setup.workload, f"aux-{kind}", config)
-        return self._cached(key, kind, lambda: recipe(
-            setup, config or self.system_config))
-
-    def _dla_system(self, setup: WorkloadSetup, dla_config: DlaConfig,
-                    config: Optional[SystemConfig]) -> DlaSystem:
-        return DlaSystem(setup.program, config or self.system_config,
-                         dla_config, profile=setup.profile,
-                         builder=setup.skeleton_builder)
-
-    def _cached(self, key: str, label: str, simulate: Callable[[], object]):
-        """The outcome under content ``key``: from memory, else from the
-        disk cache, else ``simulate()``'s, which is counted in :attr:`stats`
-        and stored in both.  ``label`` only records ``key`` in
-        :attr:`label_keys`.
-        """
-        self.label_keys[label] = key
+    def run_cell(self, setup: WorkloadSetup, request: SimRequest):
+        """The outcome of cell ``request`` on ``setup``: from memory, else
+        from disk, else simulated, counted in :attr:`stats` and stored in
+        both."""
+        key = self.keyed(request, setup.workload).key
         outcome = self._outcomes.get(key)
         if outcome is not None:
             self.stats.memory_hits += 1
@@ -630,7 +672,8 @@ class ExperimentRunner:
                 return outcome
         ticks = compiled_ticks_total()
         started = time.perf_counter()
-        outcome = simulate()
+        outcome = CELL_RECIPES[request.kind](
+            self, setup, request.system_config or self.system_config, request)
         if isinstance(outcome, SimulationOutcome):
             # Stripped in memory as on disk: a cached outcome must not pin
             # the run's whole cache hierarchy.
@@ -643,6 +686,34 @@ class ExperimentRunner:
         if self.disk_cache is not None:
             self.disk_cache.put(self._disk_key(key), outcome)
         return outcome
+
+    # One-request wrappers: ``label`` is cosmetic, never part of a key.
+    def baseline(self, setup: WorkloadSetup, label: str = "bl",
+                 config: Optional[SystemConfig] = None) -> SimulationOutcome:
+        """Baseline (single-core) simulation of the timed window, cached."""
+        return self.run_cell(setup, SimRequest(setup.name, "baseline", label,
+                                               config))
+
+    def dla(self, setup: WorkloadSetup, dla_config: DlaConfig, label: str,
+            config: Optional[SystemConfig] = None) -> DlaOutcome:
+        """DLA co-simulation of the timed window, cached."""
+        return self.run_cell(setup, SimRequest(setup.name, "dla", label, config,
+                                               dla_config))
+
+    def dla_segmented(self, setup: WorkloadSetup, dla_config: DlaConfig,
+                      dynamic: bool = False, label: str = "recycle",
+                      config: Optional[SystemConfig] = None) -> SegmentedOutcome:
+        """Segmented (skeleton-recycling) DLA simulation, cached."""
+        return self.run_cell(setup, SimRequest(
+            setup.name, "segmented", label, config, dla_config, dynamic))
+
+    def auxiliary(self, setup: WorkloadSetup, kind: str,
+                  config: Optional[SystemConfig] = None):
+        """The outcome of the auxiliary model ``kind`` (a key of
+        :data:`AUXILIARY_RECIPES`) on ``setup``, cached."""
+        if kind not in AUXILIARY_RECIPES:
+            raise KeyError(f"unknown auxiliary kind {kind!r}")
+        return self.run_cell(setup, SimRequest(setup.name, kind, kind, config))
 
     def inject(self, key: str, outcome) -> None:
         """Install an outcome computed elsewhere under ``key`` — a worker's

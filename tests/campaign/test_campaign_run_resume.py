@@ -62,13 +62,9 @@ class _InterruptingRunner(ParallelExperimentRunner):
         if self.stats.simulations >= self._budget:
             raise _KilledMidCampaign()
 
-    def baseline(self, *args, **kwargs):
+    def run_cell(self, *args, **kwargs):
         self._check_budget()
-        return super().baseline(*args, **kwargs)
-
-    def dla(self, *args, **kwargs):
-        self._check_budget()
-        return super().dla(*args, **kwargs)
+        return super().run_cell(*args, **kwargs)
 
 
 def test_campaign_runs_and_persists(cache_dir, tmp_path):

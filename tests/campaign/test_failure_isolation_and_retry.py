@@ -58,10 +58,10 @@ class _BrokenDlaRunner(ParallelExperimentRunner):
 
     broken_workload = "mcf"
 
-    def dla(self, setup, dla_config, label, config=None):
-        if setup.name == self.broken_workload:
+    def run_cell(self, setup, request):
+        if request.kind == "dla" and setup.name == self.broken_workload:
             raise ValueError(f"simulated permanent defect in {setup.name}")
-        return super().dla(setup, dla_config, label, config)
+        return super().run_cell(setup, request)
 
 
 def _runner(spec, cls=ParallelExperimentRunner):

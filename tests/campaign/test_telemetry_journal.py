@@ -340,3 +340,29 @@ def test_claims_are_on_disk_before_the_round_simulates(cache_dir, tmp_path,
                          "cell.started"]
     assert second[-1] == "cell.started"
     assert second.count("cell.finished") == 1
+
+
+@pytest.mark.parametrize("module", ["fig11_smt", "table03_mpki", "fig01_ilp"])
+def test_finished_cells_journal_their_committed_instructions(cache_dir,
+                                                             module):
+    """Every kind's ``cell.finished`` event carries the instructions its
+    outcome committed: the SMT pair, L1-split and ILP cells included, whose
+    outcomes are neither baseline- nor DLA-shaped."""
+    import dataclasses
+    import importlib
+
+    from repro.campaign.scheduler import CampaignScheduler
+    from repro.experiments.runner import committed_instructions
+
+    campaign = importlib.import_module(f"repro.experiments.{module}").CAMPAIGN
+    spec = dataclasses.replace(campaign, workloads=("mcf",),
+                               warmup_instructions=1500,
+                               timed_instructions=1500)
+    scheduler = CampaignScheduler(spec, processes=1)
+    scheduler.run()
+    finished = [event for event in load_events(scheduler.store.events_path)
+                if event["event"] == "cell.finished"]
+    assert len(finished) == len(scheduler.keyed_cells())
+    for event in finished:
+        outcome = scheduler.runner.cached_outcome(event["key"])
+        assert event["instructions"] == committed_instructions(outcome) > 0

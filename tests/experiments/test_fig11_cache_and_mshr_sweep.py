@@ -27,8 +27,10 @@ def test_fig11_routes_smt_modes_through_auxiliary(tiny_runner):
     assert tiny_runner.stats.memory_hits >= hits_before + 5
     assert second.per_workload == first.per_workload
     # All five scenarios are tracked under content keys.
+    workload = tiny_runner.setup("libquantum").workload
     for kind in ("smt-hc", "smt-fc", "smt-dla", "smt-r3dla", "smt-pair"):
-        assert kind in tiny_runner.label_keys
+        key = tiny_runner.workload_key(workload, f"aux-{kind}")
+        assert tiny_runner.cached_outcome(key) is not None
 
 
 def test_fig11_result_shape(tiny_runner):

@@ -87,8 +87,9 @@ def test_same_config_different_labels_simulates_once():
     assert first is second
     assert runner.stats.simulations == 1
     assert runner.stats.memory_hits == 1
-    # Both labels recorded, pointing at the same content key.
-    assert runner.label_keys["bl"] == runner.label_keys["bl-fb8"]
+    # Both labels read the one outcome under the cell's content key.
+    key = runner.workload_key(setup.workload, "baseline")
+    assert runner.cached_outcome(key) is first
 
 
 def test_transient_config_objects_never_alias():
@@ -291,7 +292,7 @@ def test_screen_pulls_every_request_kind_into_the_store(tmp_path, monkeypatch):
 
     fresh = ParallelExperimentRunner(quick=True, workload_names=[WORKLOAD],
                                      **WINDOW)
-    keys = [fresh.request_key(request) for request in requests]
+    keys = [fresh.keyed(request).key for request in requests]
     assert fresh.screen(requests) == dict.fromkeys(keys, True)
     assert fresh.stats.disk_hits == 3 and fresh.stats.simulations == 0
     assert [fresh.cached_outcome(key).cycles for key in keys] == cycles
@@ -399,8 +400,8 @@ def test_auxiliary_simulations_cached(tmp_path, monkeypatch):
     assert calls["n"] == 1 and second is first
     assert runner.stats.simulations == 1
     # The key is the one every earlier release used for this cell.
-    assert runner.label_keys["bfetch"] == runner.workload_key(
-        setup.workload, "aux-bfetch")
+    assert runner.cached_outcome(runner.workload_key(
+        setup.workload, "aux-bfetch")) is first
 
     fresh = make_runner(disk_cache=True)
     from_disk = fresh.auxiliary(fresh.setup(WORKLOAD), "bfetch")
@@ -415,7 +416,7 @@ def test_auxiliary_kinds_are_cell_kinds():
                                       processes=1, **WINDOW)
     setup = runner.setup(WORKLOAD)
     request = SimRequest(WORKLOAD, "smt-pair", "pair")
-    assert runner.request_key(request) == runner.workload_key(
+    assert runner.keyed(request).key == runner.workload_key(
         setup.workload, "aux-smt-pair")
     with pytest.raises(ValueError):
         SimRequest(WORKLOAD, "smt-pair", dla_config=DlaConfig().r3())
@@ -560,7 +561,7 @@ def test_parallel_warm_handles_segmented_requests(tmp_path, monkeypatch):
     mixed = [request, SimRequest("sjeng", "baseline", "bl"),
              SimRequest("sjeng", "dla", "r3", dla_config=DlaConfig().r3())]
     assert runner.warm_isolated(mixed, processes=2) == (3, {})
-    assert all(runner.cached_outcome(runner.request_key(r)) is not None
+    assert all(runner.cached_outcome(runner.keyed(r).key) is not None
                for r in mixed)
     p_out = runner.dla_segmented(runner.setup(WORKLOAD), DlaConfig().r3(),
                                  dynamic=True)
