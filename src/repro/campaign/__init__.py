@@ -18,7 +18,8 @@ variants it simulates.  The subsystem around that description provides:
   :class:`~repro.experiments.parallel.ParallelExperimentRunner`;
 * :mod:`repro.campaign.render` — CSV/JSON/Markdown artifact renderers;
 * :mod:`repro.campaign.cli` — the ``repro`` console entry point
-  (``list`` / ``run`` / ``render`` / ``status`` / ``clean``).
+  (``list`` / ``run`` / ``merge`` / ``render`` / ``status`` / ``monitor`` /
+  ``dispatch`` / ``clean``).
 """
 
 from repro.campaign.registry import get_campaign, list_campaigns, register

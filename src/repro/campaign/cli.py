@@ -12,7 +12,6 @@ Subcommands::
     repro status [NAME...] [--json]      # cell-level progress per campaign
     repro monitor NAME [--summary|--json|--follow]   # timeline + anomalies
     repro dispatch NAME --backend B --hosts N [--dry-run]  # fleet execution
-    repro sync push|pull --shared TARGET [--campaign NAME] # cache transport
     repro clean NAME... | --all          # drop campaign bookkeeping
 
 ``run`` is resumable by construction: every simulation persists in the
@@ -22,7 +21,8 @@ and results live under ``.repro_cache/campaigns/``; rendered artifacts are
 written under ``artifacts/<campaign>/`` by default.
 
 Sharded execution splits one campaign across processes or hosts sharing a
-cache directory (or syncing it, as the CI matrix does via artifacts):
+cache directory (or unpacking each shard's copy into one, as the CI
+matrix does via artifacts):
 ``--shard i/N`` statically owns a deterministic slice of the cell matrix,
 ``--worker`` dynamically claims cells through TTL'd store leases (crashed
 workers' cells are reclaimed after expiry), and ``merge`` assembles the
@@ -32,14 +32,11 @@ done/leased/pending counts.
 
 ``dispatch`` runs one campaign across a fleet: it renders one job script
 per host (``--dry-run`` to inspect without submitting), submits them to an
-execution backend (``process_pool`` subprocesses, ``local`` — the same
-backend one host at a time — or ``slurm``), polls the shared store until
-every cell lands, then merges and renders exactly once — byte-identical
-to a single-host run.  ``sync`` is the underlying cache transport:
-batched, idempotent, checksum-verified push/pull of cache entries and
-campaign lease/failure/journal state between a local ``.repro_cache/``
-and a shared directory (mount a remote root; ``host:/path`` specs are
-refused).  See :mod:`repro.campaign.fabric`.
+execution backend (``process_pool`` subprocesses or ``slurm``), polls the
+shared store until every cell lands, then merges and renders exactly once
+— byte-identical to a single-host run.  Every host job runs on the shared
+cache root (a directory all hosts mount), so its cells land there as they
+finish.  See :mod:`repro.campaign.fabric`.
 
 ``monitor`` reads the per-campaign event journals
 (:mod:`repro.campaign.telemetry`) and renders the merged timeline —
@@ -60,9 +57,6 @@ from typing import List, Optional
 from repro.campaign.fabric.backends import BACKEND_NAMES, BackendError
 from repro.campaign.fabric.dispatch import (
     CLAIM_MODES, DispatchError, Dispatcher,
-)
-from repro.campaign.fabric.sync import (
-    DEFAULT_BATCH_SIZE, CacheSync, SyncError,
 )
 from repro.campaign.health import (
     DEFAULT_BACKOFF_BASE, DEFAULT_MAX_ATTEMPTS, RetryPolicy,
@@ -232,11 +226,10 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "(default: 2; hosts > cells is fine, the "
                                  "surplus hosts converge on empty shards)")
     p_dispatch.add_argument("--claim", default="shard", choices=CLAIM_MODES,
-                            help="cell-claiming mode: 'shard' = isolated "
-                                 "per-host cache roots synced through the "
-                                 "shared root, 'worker' = lease-driven "
-                                 "claiming straight on the shared root "
-                                 "(default: shard)")
+                            help="cell-claiming mode, both on the shared "
+                                 "root: 'shard' = a static slice of the "
+                                 "cells per host, 'worker' = lease-driven "
+                                 "claiming (default: shard)")
     dispatch_mode = p_dispatch.add_mutually_exclusive_group()
     dispatch_mode.add_argument("--quick", action="store_true",
                                help="quick-mode matrix (default)")
@@ -246,8 +239,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="register campaign spec(s) from a JSON "
                                  "file first; forwarded to every host job")
     p_dispatch.add_argument("--shared", default=None, metavar="DIR",
-                            help="shared cache root the fleet syncs "
-                                 "through (default: $REPRO_CACHE_DIR or "
+                            help="shared cache root every host job "
+                                 "writes to; all hosts must mount it "
+                                 "(default: $REPRO_CACHE_DIR or "
                                  ".repro_cache)")
     p_dispatch.add_argument("--dry-run", action="store_true",
                             help="render the job scripts and stop — "
@@ -276,31 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dispatch.add_argument("--json", action="store_true", dest="as_json",
                             help="print the dispatch plan as JSON "
                                  "(machine-readable; pairs with --dry-run)")
-
-    p_sync = sub.add_parser(
-        "sync",
-        help="push/pull cache cells + campaign state between a local "
-             "cache root and a shared target (batched, idempotent, "
-             "checksum-verified)",
-    )
-    p_sync.add_argument("direction", choices=("push", "pull"),
-                        help="push = local -> shared, pull = shared -> local")
-    p_sync.add_argument("--shared", required=True, metavar="TARGET",
-                        help="shared root directory (mount a remote root "
-                             "and pass its directory)")
-    p_sync.add_argument("--local", default=None, metavar="DIR",
-                        help="local cache root (default: $REPRO_CACHE_DIR "
-                             "or .repro_cache)")
-    p_sync.add_argument("--campaign", default=None, metavar="NAME",
-                        help="restrict cell entries to this campaign's "
-                             "manifest and sync its lease/failure/journal "
-                             "state alongside")
-    p_sync.add_argument("--batch", type=_positive_int,
-                        default=DEFAULT_BATCH_SIZE, metavar="N",
-                        help="cell entries per transfer batch "
-                             f"(default: {DEFAULT_BATCH_SIZE})")
-    p_sync.add_argument("--json", action="store_true", dest="as_json",
-                        help="machine-readable transfer report")
 
     p_clean = sub.add_parser("clean", help="drop campaign bookkeeping "
                                            "(simulation cache is untouched)")
@@ -553,20 +522,6 @@ def _cmd_dispatch(args) -> int:
     return 0
 
 
-def _cmd_sync(args) -> int:
-    sync = CacheSync(local_root=args.local, target=args.shared,
-                     batch_size=args.batch)
-    if args.direction == "push":
-        report = sync.push(campaign=args.campaign)
-    else:
-        report = sync.pull(campaign=args.campaign)
-    if args.as_json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.summary())
-    return 0
-
-
 def _cmd_clean(args) -> int:
     names = list(args.campaigns)
     if args.clean_all:
@@ -598,8 +553,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_monitor(args)
         if args.command == "dispatch":
             return _cmd_dispatch(args)
-        if args.command == "sync":
-            return _cmd_sync(args)
         if args.command == "clean":
             return _cmd_clean(args)
     except (SpecError, ShardError) as error:
@@ -608,7 +561,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CampaignIncomplete as error:
         print(str(error), file=sys.stderr)
         return 1
-    except (BackendError, DispatchError, SyncError) as error:
+    except (BackendError, DispatchError) as error:
         print(f"dispatch error: {error}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -10,12 +10,8 @@ to be obviously correct and trivially mockable in tests.
 ``process_pool``
     Every host job is a concurrent ``bash`` subprocess — the
     single-machine stand-in for a real fleet, with hosts genuinely racing
-    through the same lease/sync protocol.  CI's ``dispatch`` job uses it
-    to rehearse a 2-host fleet.
-``local``
-    The same subprocess backend run one host at a time: ``submit`` waits
-    for the job to exit.  No concurrency, no races, no interleaved logs —
-    the reference for debugging a dispatch plan.
+    through the same shared root.  CI's ``dispatch`` job uses it to
+    rehearse a 2-host fleet.
 ``slurm``
     One ``sbatch --parsable`` call per host job (the rendered script
     carries its ``#SBATCH`` directives).  Completion is observed without
@@ -50,8 +46,6 @@ class ProcessPoolBackend:
     """Every host job is a ``bash`` subprocess (see the module docstring)."""
 
     name = "process_pool"
-    #: ``submit`` returns only once the job has exited.
-    wait = False
 
     def __init__(self) -> None:
         self._procs = {}
@@ -62,12 +56,8 @@ class ProcessPoolBackend:
         proc = subprocess.Popen(
             ["bash", str(script)], stdout=log, stderr=subprocess.STDOUT,
         )
-        job.job_id = (f"local-{script.stem}" if self.wait
-                      else f"pool-{proc.pid}")
+        job.job_id = f"pool-{proc.pid}"
         self._procs[job.job_id] = (proc, log)
-        if self.wait:
-            proc.wait()
-            self.poll(job)
 
     def poll(self, job) -> Optional[int]:
         if job.returncode is not None:
@@ -96,13 +86,6 @@ class ProcessPoolBackend:
             except OSError:
                 pass
         self._procs.clear()
-
-
-class LocalBackend(ProcessPoolBackend):
-    """The process-pool backend run one host at a time."""
-
-    name = "local"
-    wait = True
 
 
 class SlurmBackend:
@@ -150,7 +133,7 @@ class SlurmBackend:
 
 
 _BACKENDS = {cls.name: cls
-             for cls in (LocalBackend, ProcessPoolBackend, SlurmBackend)}
+             for cls in (ProcessPoolBackend, SlurmBackend)}
 
 #: ``--backend`` choices, in help-text order.
 BACKEND_NAMES = tuple(sorted(_BACKENDS))
@@ -171,7 +154,6 @@ def get_backend(name: str):
 __all__ = [
     "BACKEND_NAMES",
     "BackendError",
-    "LocalBackend",
     "ProcessPoolBackend",
     "SlurmBackend",
     "get_backend",

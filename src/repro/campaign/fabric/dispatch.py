@@ -5,12 +5,11 @@ host jobs and runs the whole distributed lifecycle:
 
 1. **prepare** — open the campaign manifest in the *shared* cache root
    (:meth:`~repro.campaign.scheduler.CampaignScheduler.prepare`), so
-   status/monitor report meaningful counts from the first poll and the
-   sync transport can resolve the campaign's cell keys;
+   status/monitor report meaningful counts from the first poll;
 2. **render** — write one self-contained bash job script per host under
    ``<shared>/fabric/<campaign>/jobs/`` (``--dry-run`` stops here);
 3. **submit** — hand the scripts to an execution backend
-   (:mod:`repro.campaign.fabric.backends`);
+   (:mod:`repro.campaign.fabric.backends`: ``process_pool`` or ``slurm``);
 4. **poll** — watch job exit codes and the shared store's cell counts
    until every planned cell has landed (or a host fleet dies short);
 5. **merge** — finalize + render artifacts exactly once, in the shared
@@ -22,20 +21,17 @@ so a dispatched campaign's artifacts and timeline are byte-for-byte what
 a single-host run of the same spec produces (the invariant CI's
 ``dispatch`` job diffs for).
 
-Claim modes: ``shard`` gives each host an isolated cache root
-(``<shared>/fabric/<campaign>/hosts/host-<i>``) plus a static slice of
-the cell matrix, syncing through the shared root before and after the
-run — survives hosts that share *nothing* but the shared target.
-``worker`` points every host at the shared root directly and lets store
-leases arbitrate — better load balance when the shared root is a real
-shared filesystem.  Hosts > cells is fine in both: an empty shard (or a
-worker that never wins a claim) converges trivially.  A shard host pushes
-its results even when its run fails — every cell that did finish belongs
-to the fleet.
+Every host runs on the shared root (a directory all hosts mount) and
+writes its cells there the moment they finish, so ``repro status`` and
+the dispatcher's poll see them land.  Claim modes: ``shard`` gives each
+host a static slice of the cell matrix (``repro run --shard i/N``);
+``worker`` lets store leases arbitrate (``repro run --worker``), which
+balances load when cells differ in cost.  Hosts > cells is fine in both:
+an empty shard (or a worker that never wins a claim) converges trivially.
 
 Every backend executes the *same* rendered script, so what a host does is
 decided at render time and is inspectable with ``--dry-run``.  The script
-exports its own environment (cache root, ``PYTHONPATH``, pinned smoke
+exports its own environment (the shared root, ``PYTHONPATH``, pinned smoke
 figure, journal TTL), so a scheduler that strips the environment changes
 nothing.  Rendering uses :class:`string.Template`, whose ``$$`` escape
 keeps render-time substitution apart from bash's run-time ``$?``.
@@ -62,7 +58,7 @@ from repro.experiments.fingerprint import code_salt
 CLAIM_MODES = ("shard", "worker")
 
 #: Subdirectory of the shared cache root holding fabric state
-#: (rendered job scripts, logs, per-host cache roots).
+#: (rendered job scripts and their logs).
 FABRIC_DIR = "fabric"
 
 #: Written by the SLURM script's EXIT trap; its content is the job's
@@ -79,14 +75,8 @@ ${sentinel_trap}$env_exports
 $body""")
 
 _SHARD_BODY = Template("""\
-"$python" -m repro.campaign.cli sync pull --shared "$shared" \\
-    --local "$cache_root" --campaign "$campaign"
 "$python" -m repro.campaign.cli run "$campaign"$mode_flag$spec_flag \\
     --shard $shard --processes $processes
-status=$$?
-"$python" -m repro.campaign.cli sync push --shared "$shared" \\
-    --local "$cache_root" --campaign "$campaign"
-exit $$status
 """)
 
 _WORKER_BODY = Template("""\
@@ -123,7 +113,6 @@ class HostJob:
     script_path: Path
     log_path: Path
     sentinel_path: Path
-    cache_root: Path
     job_id: Optional[str] = None
     returncode: Optional[int] = None
 
@@ -132,7 +121,6 @@ class HostJob:
             "index": self.index,
             "script": str(self.script_path),
             "log": str(self.log_path),
-            "cache_root": str(self.cache_root),
             "job_id": self.job_id,
             "returncode": self.returncode,
         }
@@ -212,7 +200,7 @@ class Dispatcher:
         self.store = CampaignStore(spec.name)
 
     # ------------------------------------------------------------------
-    def _job_env(self, cache_root: Path) -> Dict[str, str]:
+    def _job_env(self) -> Dict[str, str]:
         """The environment one host job exports (self-contained scripts)."""
         import repro
 
@@ -221,7 +209,7 @@ class Dispatcher:
         if existing and src_dir not in existing.split(os.pathsep):
             src_dir = src_dir + os.pathsep + existing
         env = {
-            CACHE_DIR_ENV: str(cache_root),
+            CACHE_DIR_ENV: str(self.shared_root),
             "PYTHONPATH": src_dir,
         }
         if self.spec.name == "smoke":
@@ -239,8 +227,7 @@ class Dispatcher:
         name = self.spec.name
         processes = self.processes or 1
         common = dict(
-            python=sys.executable, shared=self.shared_root,
-            cache_root=job.cache_root, campaign=name,
+            python=sys.executable, campaign=name,
             mode_flag=" --quick" if self.quick else " --full",
             spec_flag=(f' --spec "{self.spec_file}"'
                        if self.spec_file else ""),
@@ -259,7 +246,7 @@ class Dispatcher:
                 processes=processes)
             sentinel_trap = _SENTINEL_TRAP.substitute(
                 sentinel=job.sentinel_path)
-        env = self._job_env(job.cache_root)
+        env = self._job_env()
         return _SCRIPT.substitute(
             campaign=name, claim=self.claim,
             mode="quick" if self.quick else "full",
@@ -285,18 +272,12 @@ class Dispatcher:
             shared_root=self.shared_root, fabric_dir=fabric,
         )
         for index in range(self.hosts):
-            if self.claim == "shard":
-                cache_root = fabric / "hosts" / f"host-{index}"
-                cache_root.mkdir(parents=True, exist_ok=True)
-            else:
-                cache_root = self.shared_root
             stem = jobs_dir / f"host-{index}"
             job = HostJob(
                 index=index,
                 script_path=stem.with_suffix(".sh"),
                 log_path=stem.with_suffix(".log"),
                 sentinel_path=stem.with_suffix(SENTINEL_SUFFIX),
-                cache_root=cache_root,
             )
             job.script_path.write_text(self._render(job))
             job.script_path.chmod(0o755)

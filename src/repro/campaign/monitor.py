@@ -29,7 +29,7 @@ anomaly detectors over it:
 Every detector is a pure function of journal contents and store state, so
 the same journals always yield the same anomaly list.  Rendering
 (`repro monitor --summary`) is plain ASCII; ``--json`` emits the timeline
-verbatim for machine consumers (the future fabric dispatcher).
+verbatim for machine consumers (CI asserts on it).
 """
 
 from __future__ import annotations

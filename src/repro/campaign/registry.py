@@ -16,7 +16,7 @@ JSON file by the CLI).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.campaign.spec import CampaignSpec, SpecError
 
@@ -69,95 +69,67 @@ def register(spec: CampaignSpec, replace: bool = False) -> CampaignSpec:
     return spec
 
 
-def _scenario_sweeps() -> List[CampaignSpec]:
-    """Scenario-sweep campaigns beyond the paper's figure/table set."""
+def _per_scenario(prefix: str, base: CampaignSpec, title: str, lead: str,
+                  tags: Tuple[str, ...]) -> List[CampaignSpec]:
+    """One campaign per behavioural scenario, ``<prefix><scenario>``: the
+    experiment and variant matrix of ``base`` on that scenario's workloads."""
+    from repro.workloads.suites import SCENARIOS
+
+    return [
+        CampaignSpec(
+            name=f"{prefix}{scenario}",
+            title=f"{title} — {scenario} workloads",
+            experiment=base.experiment,
+            description=(
+                f"{lead} the '{scenario}' behavioural scenario: "
+                + ", ".join(SCENARIOS[scenario]) + "."
+            ),
+            workloads=(f"scenario:{scenario}",),
+            variants=base.variants,
+            tags=tags,
+        )
+        for scenario in SCENARIOS
+    ]
+
+
+def _sweeps() -> List[CampaignSpec]:
+    """Campaigns beyond the paper's figure/table set: the headline
+    comparison (``sweep-<scenario>``), the MSHR sensitivity study
+    (``mshr:<scenario>``) and the memory-backend machine points
+    (``memsys:<scenario>``) per behavioural scenario, plus a fetch-buffer
+    design sweep."""
     from repro.experiments.fig09_speedup import CAMPAIGN as FIG09
-    from repro.workloads.suites import SCENARIOS
-
-    matrix = FIG09.variants
-    sweeps = [
-        CampaignSpec(
-            name=f"sweep-{scenario}",
-            title=f"Scenario sweep — {scenario} workloads",
-            experiment="repro.experiments.fig09_speedup",
-            description=(
-                f"The headline {{BL, DLA, R3-DLA}} comparison restricted to "
-                f"the '{scenario}' behavioural scenario: "
-                + ", ".join(SCENARIOS[scenario]) + "."
-            ),
-            workloads=(f"scenario:{scenario}",),
-            variants=matrix,
-            tags=("sweep", "scenario"),
-        )
-        for scenario in SCENARIOS
-    ]
     from repro.experiments.fig13_breakdown import CAMPAIGN as FIG13
-
-    sweeps.append(
-        CampaignSpec(
-            name="sweep-fetch-buffer",
-            title="Design sweep — fetch-buffer capacity on BL vs DLA",
-            experiment="repro.experiments.fig13_breakdown",
-            description="Fig. 13's ablation matrix over the branchy scenario, "
-                        "where the fetch buffer matters most.",
-            workloads=("scenario:branchy",),
-            variants=FIG13.variants,
-            tags=("sweep", "frontend"),
-        )
-    )
-    return sweeps
-
-
-def _mshr_sweeps() -> List[CampaignSpec]:
-    """Per-scenario MSHR (MLP sensitivity) campaigns: ``mshr:<scenario>``."""
-    from repro.experiments.mshr_sweep import CAMPAIGN as MSHR
-    from repro.workloads.suites import SCENARIOS
-
-    return [
-        CampaignSpec(
-            name=f"mshr:{scenario}",
-            title=f"MSHR sweep — {scenario} workloads",
-            experiment="repro.experiments.mshr_sweep",
-            description=(
-                "Per-level MSHR files of 4/8/16/32/unbounded entries on the "
-                f"'{scenario}' behavioural scenario: "
-                + ", ".join(SCENARIOS[scenario]) + "."
-            ),
-            workloads=(f"scenario:{scenario}",),
-            variants=MSHR.variants,
-            tags=("sweep", "mshr", "scenario"),
-        )
-        for scenario in SCENARIOS
-    ]
-
-
-def _memsys_sweeps() -> List[CampaignSpec]:
-    """Per-scenario memory-backend campaigns: ``memsys:<scenario>``.
-
-    The cross product of the behavioural scenarios with the named machine
-    points of ``memsys-sweep`` — a whole sweepable axis of contention
-    studies riding on the sharded-campaign machinery.
-    """
     from repro.experiments.memsys_sweep import CAMPAIGN as MEMSYS
-    from repro.workloads.suites import SCENARIOS
+    from repro.experiments.mshr_sweep import CAMPAIGN as MSHR
 
-    return [
-        CampaignSpec(
-            name=f"memsys:{scenario}",
-            title=f"Memory-backend machines — {scenario} workloads",
-            experiment="repro.experiments.memsys_sweep",
-            description=(
-                "Named memory-backend machine points (uncontended, default, "
-                "tight/banked MSHRs, write buffers, bounded DRAM queues, "
-                f"fully contended) on the '{scenario}' behavioural scenario: "
-                + ", ".join(SCENARIOS[scenario]) + "."
-            ),
-            workloads=(f"scenario:{scenario}",),
-            variants=MEMSYS.variants,
-            tags=("sweep", "memsys", "scenario"),
-        )
-        for scenario in SCENARIOS
-    ]
+    fetch_buffer = CampaignSpec(
+        name="sweep-fetch-buffer",
+        title="Design sweep — fetch-buffer capacity on BL vs DLA",
+        experiment="repro.experiments.fig13_breakdown",
+        description="Fig. 13's ablation matrix over the branchy scenario, "
+                    "where the fetch buffer matters most.",
+        workloads=("scenario:branchy",),
+        variants=FIG13.variants,
+        tags=("sweep", "frontend"),
+    )
+    return (
+        _per_scenario(
+            "sweep-", FIG09, "Scenario sweep",
+            "The headline {BL, DLA, R3-DLA} comparison restricted to",
+            ("sweep", "scenario"))
+        + [fetch_buffer]
+        + _per_scenario(
+            "mshr:", MSHR, "MSHR sweep",
+            "Per-level MSHR files of 4/8/16/32/unbounded entries on",
+            ("sweep", "mshr", "scenario"))
+        + _per_scenario(
+            "memsys:", MEMSYS, "Memory-backend machines",
+            "Named memory-backend machine points (uncontended, default, "
+            "tight/banked MSHRs, write buffers, bounded DRAM queues, "
+            "fully contended) on",
+            ("sweep", "memsys", "scenario"))
+    )
 
 
 def smoke_figure(day_of_year: Optional[int] = None) -> str:
@@ -232,13 +204,7 @@ def _ensure_builtins() -> None:
         spec = getattr(module, "CAMPAIGN", None)
         if spec is not None and spec.name not in _REGISTRY:
             register(spec)
-    for spec in _scenario_sweeps():
-        if spec.name not in _REGISTRY:
-            register(spec)
-    for spec in _mshr_sweeps():
-        if spec.name not in _REGISTRY:
-            register(spec)
-    for spec in _memsys_sweeps():
+    for spec in _sweeps():
         if spec.name not in _REGISTRY:
             register(spec)
     if "smoke" not in _REGISTRY:

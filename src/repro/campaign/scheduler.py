@@ -272,8 +272,7 @@ class CampaignScheduler:
         One manifest write.  The fabric dispatcher calls this in the shared
         root before any host job starts, so ``repro status``/``repro
         monitor`` report meaningful done/leased/pending counts while the
-        fleet is still warming up, and so ``repro sync --campaign`` can
-        resolve the campaign's cell keys from the shared manifest alone.
+        fleet is still warming up.
         """
         cells = {key: self._cell_entry(request)
                  for key, request in self.keyed_cells()}

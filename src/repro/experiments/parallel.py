@@ -399,7 +399,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         (so a later :meth:`warm_isolated` or figure call is a memory hit),
         but nothing is ever simulated.  This is what sharded execution polls: a cell is
         *done* exactly when its key screens True here, regardless of which
-        worker (or host, via a shared/synced cache directory) computed it.
+        worker (or host, via a shared cache directory) computed it.
         An unkeyed request is keyed here.
         """
         availability: Dict[str, bool] = {}

@@ -6,14 +6,20 @@ The PR 9 acceptance surface:
   scripts carry ``#SBATCH`` directives and the exit-sentinel trap) and
   submits nothing;
 * a ``memsys:*`` campaign dispatched with ``--backend process_pool
-  --hosts 2`` over two isolated cache roots converges and produces
-  artifacts byte-identical to a single-host run;
+  --hosts 2`` runs both shard hosts on the shared cache root, converges
+  and produces artifacts byte-identical to a single-host run;
 * over-provisioned fleets (hosts > cells) dispatch empty shards that
   converge and merge cleanly;
 * worker-claim dispatch (lease arbitration on the shared root) converges;
-* the ``repro dispatch`` CLI surface reports plans as JSON.
-* the ``local`` backend runs a job script to completion and records its
-  exit status and log, and refuses a missing script.
+* both claim modes export the one shared root and make no per-host roots;
+  one shard host's cells read back there as soon as it exits, a torn
+  entry there is quarantined and re-simulated by its shard, and a host's
+  exit code is its ``repro run``'s;
+* the ``repro dispatch`` CLI surface reports plans as JSON;
+* the ``process_pool`` backend polls a job script to its exit and records
+  its exit status and log, refuses a missing script and terminates
+  running jobs; the ``slurm`` backend submits through ``sbatch`` and reads
+  exit codes from the sentinel.
 
 These tests spawn real subprocess workers (the process-pool backend), so
 they are the slowest in the campaign suite — each one is a genuine
@@ -24,14 +30,22 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import time
 
 import pytest
 
 from repro.campaign.cli import main
+from repro.campaign.fabric.backends import (
+    BackendError, SlurmBackend, get_backend,
+)
 from repro.campaign.fabric.dispatch import DispatchError, Dispatcher, HostJob
+from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.spec import CampaignSpec, variants
 from repro.campaign.store import CampaignStore
-from repro.experiments.cache import ResultDiskCache, salted_key
+from repro.experiments.cache import (
+    QUARANTINE_DIR, ResultDiskCache, encode_entry, read_entry, salted_key,
+)
 from repro.experiments.fingerprint import code_salt
 
 WINDOW = dict(warmup_instructions=1500, timed_instructions=1500)
@@ -85,6 +99,11 @@ def isolated(tmp_path, monkeypatch):
     return tmp_path
 
 
+def _exports_shared_root(job, shared) -> bool:
+    return (f'export REPRO_CACHE_DIR="{shared}"\n'
+            in job.script_path.read_text())
+
+
 def _artifact_bytes(directory):
     """name -> bytes for every artifact file under ``directory``."""
     return {path.name: path.read_bytes()
@@ -116,8 +135,8 @@ def test_dry_run_renders_slurm_scripts_without_submitting(isolated):
         assert "--processes 4" in script
         assert f"--shard {index}/3" in script
         assert f'> "{job.sentinel_path}"' in script          # EXIT trap
-        assert f'export REPRO_CACHE_DIR="{job.cache_root}"' in script
-        assert "sync pull" in script and "sync push" in script
+        assert _exports_shared_root(job, isolated / "shared")
+        assert not re.search(r"\bsync\b", script)
         assert not job.log_path.exists()                     # nothing ran
         assert job.job_id is None
     # The shared manifest was prepared, so status is meaningful pre-run.
@@ -178,26 +197,93 @@ def test_unconverged_fleet_names_a_code_salt_mismatch(isolated):
     assert "src/" in message
 
 
-def test_local_backend_runs_script_to_completion(tmp_path):
-    from repro.campaign.fabric.backends import BackendError, get_backend
+@pytest.mark.parametrize("claim", ["shard", "worker"])
+def test_every_claim_mode_runs_on_the_one_shared_root(isolated, claim):
+    plan = Dispatcher(_fig_spec(), backend="slurm", hosts=2, claim=claim,
+                      progress=None).dispatch(dry_run=True)
+    assert plan.shared_root == isolated / "shared"
+    assert all(_exports_shared_root(job, plan.shared_root)
+               for job in plan.jobs)
+    assert not (plan.fabric_dir / "hosts").exists()
+    assert all("cache_root" not in job for job in plan.to_dict()["jobs"])
 
-    def job(stem):
-        return HostJob(index=0, script_path=tmp_path / f"{stem}.sh",
-                       log_path=tmp_path / f"{stem}.log",
-                       sentinel_path=tmp_path / f"{stem}.exit",
-                       cache_root=tmp_path / "cache")
 
-    backend = get_backend("local")
-    failing = job("host-0")
-    failing.script_path.write_text("echo local-backend-ran\nexit 3\n")
+def _job(directory, stem):
+    return HostJob(index=0, script_path=directory / f"{stem}.sh",
+                   log_path=directory / f"{stem}.log",
+                   sentinel_path=directory / f"{stem}.exit")
+
+
+def _poll_to_exit(backend, job):
+    deadline = time.monotonic() + TIMEOUT
+    while backend.poll(job) is None:
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    return job.returncode
+
+
+def test_process_pool_backend_polls_script_to_completion(tmp_path):
+    backend = get_backend("process_pool")
+    failing = _job(tmp_path, "host-0")
+    failing.script_path.write_text("echo pool-backend-ran\nexit 3\n")
     backend.submit(failing)
-    assert failing.returncode == 3
+    assert _poll_to_exit(backend, failing) == 3
     assert backend.poll(failing) == 3
-    assert failing.job_id == "local-host-0"
-    assert "local-backend-ran" in failing.log_path.read_text()
+    assert "pool-backend-ran" in failing.log_path.read_text()
 
     with pytest.raises(BackendError):
-        backend.submit(job("missing"))
+        backend.submit(_job(tmp_path, "missing"))
+
+
+def test_process_pool_terminate_stops_running_jobs(tmp_path):
+    backend = get_backend("process_pool")
+    job = _job(tmp_path, "host-0")
+    job.script_path.write_text("exec sleep 60\n")
+    backend.submit(job)
+    (proc, _log), = backend._procs.values()
+    backend.terminate()
+    assert proc.wait(timeout=10) != 0
+    with pytest.raises(BackendError, match="unknown job"):
+        backend.poll(job)
+
+
+def _fake_sbatch(directory, body):
+    sbatch = directory / "sbatch"
+    sbatch.write_text("#!/bin/bash\n" + body)
+    sbatch.chmod(0o755)
+    return str(sbatch)
+
+
+def test_slurm_backend_submits_through_sbatch_and_polls_the_sentinel(
+        tmp_path):
+    calls = tmp_path / "calls"
+    backend = SlurmBackend(sbatch=_fake_sbatch(
+        tmp_path, f'echo "$@" >> "{calls}"\necho "4242;cluster-a"\n'))
+    job = _job(tmp_path, "host-0")
+    job.script_path.write_text("exit 0\n")
+    job.sentinel_path.write_text("0")       # an earlier submission's
+    backend.submit(job)
+    assert job.job_id == "4242"
+    assert calls.read_text() == f"--parsable {job.script_path}\n"
+    assert backend.poll(job) is None        # the stale sentinel is gone
+    job.sentinel_path.write_text("3")
+    assert backend.poll(job) == 3 and job.returncode == 3
+
+    empty = _job(tmp_path, "host-1")
+    empty.script_path.write_text("exit 0\n")
+    backend.submit(empty)
+    empty.sentinel_path.write_text("")      # killed before its trap wrote
+    assert backend.poll(empty) == 1
+
+
+def test_slurm_backend_reports_an_sbatch_failure(tmp_path):
+    backend = SlurmBackend(sbatch=_fake_sbatch(
+        tmp_path, 'echo "sbatch: error: invalid partition" >&2\nexit 1\n'))
+    job = _job(tmp_path, "host-0")
+    job.script_path.write_text("exit 0\n")
+    with pytest.raises(BackendError, match="invalid partition"):
+        backend.submit(job)
+    assert job.job_id is None
 
 
 def test_cli_dry_run_reports_plan_json(isolated, tmp_path, capsys):
@@ -243,9 +329,10 @@ def test_overprovisioned_fleet_matches_single_host(isolated, tmp_path,
 
 def test_memsys_two_host_dispatch_matches_single_host(isolated, tmp_path,
                                                       monkeypatch):
-    """The acceptance criterion verbatim: a ``memsys:*`` campaign via
-    ``repro dispatch --backend process_pool --hosts 2`` with two separate
-    cache roots converges with artifacts byte-identical to single-host."""
+    """A ``memsys:*`` campaign via ``repro dispatch --backend process_pool
+    --hosts 2``: both shard hosts run on the shared root, every planned
+    cell lands there, and the artifacts are byte-identical to
+    single-host."""
     spec = _memsys_spec()
     spec_file = _write_spec(tmp_path, spec)
     out_fleet = tmp_path / "artifacts-fleet"
@@ -254,17 +341,86 @@ def test_memsys_two_host_dispatch_matches_single_host(isolated, tmp_path,
         timeout=TIMEOUT, progress=None,
     ).dispatch(out_dir=str(out_fleet))
     assert all(job.returncode == 0 for job in plan.jobs)
-    # Shard claim = genuinely separate cache roots per host.
-    roots = {str(job.cache_root) for job in plan.jobs}
-    assert len(roots) == 2
-    shared = str(tmp_path / "shared")
-    assert all(root != shared for root in roots)
+    # Shard claim writes the shared root directly: no per-host roots.
+    shared = tmp_path / "shared"
+    assert plan.shared_root == shared
+    assert all(_exports_shared_root(job, shared) for job in plan.jobs)
+    assert not (plan.fabric_dir / "hosts").exists()
+    cache = ResultDiskCache(str(shared))
+    cells = CampaignStore(spec.name).load_manifest()["cells"]
+    assert len(cells) == plan.cells_planned
+    assert all(cache.get(salted_key(key)) is not None for key in cells)
 
     out_single = tmp_path / "artifacts-single"
     _single_host_reference(tmp_path, monkeypatch, spec_file, spec.name,
                            out_single)
     fleet = _artifact_bytes(out_fleet)
     assert fleet and fleet == _artifact_bytes(out_single)
+
+
+def test_one_shard_host_lands_exactly_its_cells_in_the_shared_root(
+        isolated, tmp_path):
+    """Host 0's script alone: its shard's cells read back from the shared
+    root as soon as it exits, and status counts the other shard pending."""
+    spec = _fig_spec(name="fabric-one-host")
+    spec_file = _write_spec(tmp_path, spec)
+    plan = Dispatcher(spec, backend="process_pool", hosts=2,
+                      spec_file=spec_file, progress=None).plan()
+    backend = get_backend("process_pool")
+    backend.submit(plan.jobs[0])
+    assert _poll_to_exit(backend, plan.jobs[0]) == 0
+
+    scheduler = CampaignScheduler(spec, store=CampaignStore(spec.name))
+    mine = [key for key, _request in scheduler.shard_cells(0, 2)]
+    theirs = [key for key, _request in scheduler.shard_cells(1, 2)]
+    assert mine and theirs
+    cache = ResultDiskCache(str(plan.shared_root))
+    assert all(cache.get(salted_key(key)) is not None for key in mine)
+    assert all(cache.get(salted_key(key)) is None for key in theirs)
+    status = CampaignStore(spec.name).status()
+    assert status["cells_done"] == len(mine)
+    assert status["cells_pending"] == len(theirs)
+
+
+def test_a_failing_host_fails_the_dispatch_with_its_run_exit_code(isolated):
+    """The job script's exit code is its ``repro run``'s: a host that cannot
+    load its campaign (no spec file, unregistered name) exits 2, and the
+    dispatch names it instead of converging."""
+    spec = _fig_spec(name="fabric-unregistered")
+    dispatcher = Dispatcher(spec, backend="process_pool", hosts=1,
+                            poll_seconds=0.05, timeout=TIMEOUT,
+                            progress=None)
+    with pytest.raises(DispatchError, match="host-0 exited 2"):
+        dispatcher.dispatch()
+    log = (dispatcher.shared_root / "fabric" / spec.name / "jobs"
+           / "host-0.log").read_text()
+    assert "unknown campaign 'fabric-unregistered'" in log
+
+
+def test_a_torn_shared_cell_is_quarantined_and_resimulated_by_its_shard(
+        isolated, tmp_path):
+    """A shard host rerun over a torn entry of its own in the shared root
+    moves it to quarantine, never reads it, and lands the cell again."""
+    spec = _fig_spec(name="fabric-torn")
+    spec_file = _write_spec(tmp_path, spec)
+    run = ["run", spec.name, "--spec", spec_file, "--quick",
+           "--processes", "1", "--shard"]
+    assert main(run + ["0/2"]) == 0
+    shared = tmp_path / "shared"
+    scheduler = CampaignScheduler(spec, store=CampaignStore(spec.name))
+    key = scheduler.shard_cells(0, 2)[0][0]
+    entry = shared / f"{salted_key(key)}.pkl"
+    frame = encode_entry(read_entry(entry))
+    entry.unlink()                  # leave the pack's other names intact
+    entry.write_bytes(frame[:-3])
+
+    assert main(run + ["0/2"]) == 0
+    assert (shared / QUARANTINE_DIR / entry.name).read_bytes() == frame[:-3]
+    assert read_entry(entry) is not None
+    assert main(run + ["1/2"]) == 0
+    status = CampaignStore(spec.name).status()
+    assert status["cells_done"] == 3 and status["cells_pending"] == 0
+    assert status["quarantined"] == 1
 
 
 def test_worker_claim_dispatch_converges(isolated, tmp_path):
@@ -278,7 +434,8 @@ def test_worker_claim_dispatch_converges(isolated, tmp_path):
         spec_file=spec_file, ttl=30.0, timeout=TIMEOUT, progress=None,
     ).dispatch(out_dir=str(out_dir))
     assert all(job.returncode == 0 for job in plan.jobs)
-    assert all(job.cache_root == plan.shared_root for job in plan.jobs)
+    assert all(_exports_shared_root(job, plan.shared_root)
+               for job in plan.jobs)
     status = CampaignStore(spec.name).status()
     assert status["cells_done"] == 3 and status["cells_pending"] == 0
     assert any(out_dir.rglob("*.json"))

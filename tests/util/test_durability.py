@@ -1,6 +1,7 @@
 """Group commit: every batch is one pack, fsynced before any name links to
 it; each directory is fsynced once per commit, and staged entries stay
-invisible until then."""
+invisible until then.  Writers sharing one directory (hosts on one shared
+cache root) neither reuse each other's temps nor tear each other's names."""
 
 from __future__ import annotations
 
@@ -9,9 +10,9 @@ import time
 
 import pytest
 
-from repro.experiments.cache import ResultDiskCache
+from repro.experiments.cache import ResultDiskCache, encode_entry, read_entry
 from repro.util.durability import (
-    ORPHAN_TMP_AGE, DurableBatch, atomic_write_bytes, read_packed,
+    ORPHAN_TMP_AGE, PACK_TAIL, DurableBatch, atomic_write_bytes, read_packed,
 )
 
 
@@ -173,6 +174,92 @@ def test_a_plain_file_reads_as_itself(tmp_path):
     assert read_packed(tmp_path / "x") == b"a bare entry"
     with pytest.raises(OSError):
         read_packed(tmp_path / "missing")
+
+
+def test_a_packed_entry_reads_its_frame_plus_at_most_one_tail(
+        tmp_path, monkeypatch):
+    cache = ResultDiskCache(tmp_path)
+    with cache.batch():
+        for index in range(7):
+            cache.put(f"cell-{index}", "payload %d" % index * 4000)
+    names = sorted(tmp_path.glob("*.pkl"))
+    assert len(names) == 7 and len(_inodes(names)) == 1
+    pack_size = names[0].stat().st_size
+    frames = [len(encode_entry(read_entry(name))) for name in names]
+
+    reads = []
+    pread = os.pread
+
+    def counted_pread(fd, length, offset):
+        data = pread(fd, length, offset)
+        reads.append(len(data))
+        return data
+
+    monkeypatch.setattr(os, "pread", counted_pread)
+    total = 0
+    for name, frame in zip(names, frames):
+        reads.clear()
+        assert len(read_packed(name)) == frame
+        # The entry's own frame plus at most one read of the pack's tail,
+        # never the whole pack.
+        assert frame <= sum(reads) <= frame + PACK_TAIL
+        total += sum(reads)
+    assert total < 2 * pack_size
+
+
+# ---------------------------------------------------------------------------
+# writers sharing one directory
+# ---------------------------------------------------------------------------
+def test_a_clashing_pack_temp_is_skipped_not_reused(tmp_path, monkeypatch):
+    """Another writer with this pid (on another host) owns ``pack-<n>``:
+    the batch takes the next number and leaves that file alone."""
+    import itertools
+
+    from repro.util import durability
+
+    monkeypatch.setattr(durability, "_PACK_IDS", itertools.count(7))
+    theirs = tmp_path / f"pack-7.tmp.{os.getpid()}"
+    theirs.write_bytes(b"another writer's staged entries")
+    with DurableBatch() as batch:
+        batch.stage(tmp_path / "x", b"one")
+        batch.stage(tmp_path / "y", b"two")
+    assert theirs.read_bytes() == b"another writer's staged entries"
+    assert read_packed(tmp_path / "x") == b"one"
+    assert read_packed(tmp_path / "y") == b"two"
+    assert theirs.stat().st_ino not in _inodes([tmp_path / "x"])
+    assert sorted(path.name for path in tmp_path.glob("*.tmp.*")) == [
+        theirs.name]
+
+
+def test_a_leftover_link_temp_is_replaced_by_the_commit(tmp_path):
+    """A killed writer with this pid left ``<name>.tmp.<pid>`` behind: the
+    commit links the pack over it and every name reads its own bytes."""
+    (tmp_path / f"x.tmp.{os.getpid()}").write_bytes(b"torn")
+    with DurableBatch() as batch:
+        batch.stage(tmp_path / "x", b"one")
+        batch.stage(tmp_path / "y", b"two")
+    assert read_packed(tmp_path / "x") == b"one"
+    assert read_packed(tmp_path / "y") == b"two"
+    assert not list(tmp_path.glob("*.tmp.*"))
+
+
+def test_two_writers_of_one_name_leave_its_bytes(tmp_path):
+    """Two caches on one root, each storing its own cell and the same
+    setup entry in interleaved group commits: the setup reads back whichever
+    rename landed last, with the bytes both wrote, and both cells land."""
+    first, second = ResultDiskCache(tmp_path), ResultDiskCache(tmp_path)
+    setup = {"trace": list(range(64))}
+    with first.batch():
+        first.put("setup", setup)
+        first.put("cell-a", "a")
+        with second.batch():
+            second.put("setup", setup)
+            second.put("cell-b", "b")
+    assert len(_inodes(tmp_path.glob("*.pkl"))) == 2
+    for reader in (first, second, ResultDiskCache(tmp_path)):
+        assert reader.get("setup") == setup
+        assert (reader.get("cell-a"), reader.get("cell-b")) == ("a", "b")
+    assert not list(tmp_path.glob("*.tmp.*"))
 
 
 # ---------------------------------------------------------------------------
